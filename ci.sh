@@ -9,6 +9,17 @@ set -eux
 # so CI output diffs cleanly, and the analysis itself must finish inside
 # the budget — it is a gate, not a phase.
 LINT_BUDGET_MS=5000 cargo run -p lint
+# Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md,trace}
+# in the top-level docs resolves from the repo root, so a rename or a
+# deletion cannot leave the docs pointing at nothing.
+missing=$(grep -oh '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]*\.\(rs\|toml\|sh\|json\|md\|trace\)`' \
+  README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u |
+  while read -r path; do [ -e "$path" ] || echo "$path"; done)
+if [ -n "$missing" ]; then
+  echo "doc-referenced paths that do not exist:" >&2
+  echo "$missing" >&2
+  exit 1
+fi
 cargo build --release
 cargo test -q
 cargo test --workspace -q
@@ -63,3 +74,8 @@ cargo run --release -p bench --bin paper_figures -- \
 # stats-derived plan beat the fragmented placement on the cost metric.
 cargo run --release -p bench --bin paper_figures -- locality --quick
 cargo clippy --workspace --all-targets -- -D warnings
+# The raw-mode benchmark's output checks (benchmark/README.md): exact
+# `db.migrations`, logical fingerprint, live counts and
+# `assert_database_consistent` over one-worker and two-worker passes gate
+# every executor change. Smoke length; the numbers are not compared here.
+bash benchmark/run.sh --smoke

@@ -13,7 +13,7 @@
 //! measured over the duration IRA needed.
 
 use brahma::{Database, StoreConfig};
-use ira::{IraBasic, IraConfig, IraTwoLock, IraVariant, Pqr, RelocationPlan, Reorganizer};
+use ira::{IraConfig, RelocationPlan, Reorg, Strategy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,7 +60,7 @@ pub struct CellConfig {
 
 impl CellConfig {
     /// The paper's default cell: Table 1 workload, 1 s lock timeout,
-    /// commit-flush latency for CPU/I-O overlap, two virtual CPUs.
+    /// commit-flush latency for CPU/I-O overlap, one virtual CPU.
     pub fn paper(algo: Algo) -> Self {
         CellConfig {
             algo,
@@ -124,30 +124,26 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
     let target = info.data_partitions[cfg.reorg_partition.min(info.data_partitions.len() - 1)];
     let started = Instant::now();
     let mut reorg_counters = obs::Snapshot::new();
-    let (reorg_secs, migrated) = match cfg.algo {
-        Algo::Nr => {
+    let strategy = match cfg.algo {
+        Algo::Nr => None,
+        Algo::Ira => Some(Strategy::Incremental),
+        Algo::Pqr => Some(Strategy::PartitionQuiesce),
+    };
+    let (reorg_secs, migrated) = match strategy {
+        None => {
             std::thread::sleep(cfg.nr_window);
             (None, 0)
         }
-        Algo::Ira => {
-            // Dispatch through the `Reorganizer` trait, preserving the
-            // cell's full IRA configuration (variant, workers, batch, ...).
-            let reorganizer: Box<dyn Reorganizer> = match cfg.ira.variant {
-                IraVariant::Basic => Box::new(IraBasic::new(cfg.ira.clone())),
-                IraVariant::TwoLock => Box::new(IraTwoLock::new(cfg.ira.clone())),
-            };
-            let outcome = reorganizer
-                .reorganize(&db, target, cfg.plan)
-                .expect("IRA completes");
-            let report = outcome.report.as_ref().expect("IRA reports");
-            report.export(&mut reorg_counters);
-            (Some(outcome.duration.as_secs_f64()), outcome.migrated())
-        }
-        Algo::Pqr => {
-            let outcome = Pqr::default()
-                .reorganize(&db, target, cfg.plan)
-                .expect("PQR completes");
-            let report = outcome.report.as_ref().expect("PQR reports");
+        Some(strategy) => {
+            // One builder for both reorganizers: the cell's full IRA
+            // configuration (variant, workers, batch, ...) rides along; PQR
+            // ignores it.
+            let outcome = Reorg::with_config(&db, target, cfg.ira.clone())
+                .plan(cfg.plan)
+                .strategy(strategy)
+                .run()
+                .expect("reorganization completes");
+            let report = outcome.report.as_ref().expect("IRA and PQR report");
             report.export(&mut reorg_counters);
             (Some(outcome.duration.as_secs_f64()), outcome.migrated())
         }

@@ -16,10 +16,9 @@
 //!     .run()?
 //! ```
 //!
-//! [`Reorg::run`] dispatches through the [`Reorganizer`] trait, which every
-//! algorithm implements — callers that need to hold "some reorganizer"
-//! generically (the bench runner, the chaos harness) can box the trait
-//! object instead of matching on an enum.
+//! [`Reorg::run`] is the one dispatch point: a `match` on the resume
+//! checkpoint and the [`Strategy`] calls the crate-internal entry point of
+//! the chosen algorithm.
 
 use crate::checkpoint::IraCheckpoint;
 use crate::driver::{ExecOptions, IraConfig, IraError, IraReport, IraVariant, ThrottleConfig};
@@ -104,212 +103,6 @@ impl ReorgOutcome {
             _ => None,
         }
     }
-
-    fn from_ira(report: IraReport) -> Self {
-        ReorgOutcome {
-            partition: report.partition,
-            mapping: report.mapping.clone(),
-            duration: report.duration,
-            report: Some(ReorgReport::Ira(report)),
-            score: None,
-        }
-    }
-}
-
-/// A reorganization algorithm. All five implementations ([`IraBasic`],
-/// [`IraTwoLock`], [`Pqr`], [`Offline`], [`Resume`]) are driven the same
-/// way: point them at a database, a partition, and a relocation plan.
-pub trait Reorganizer {
-    /// Stable short name, for reports and bench labels.
-    fn name(&self) -> &'static str;
-
-    /// Run the algorithm to completion.
-    fn reorganize(
-        &self,
-        db: &Database,
-        partition: PartitionId,
-        plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError>;
-}
-
-/// Basic IRA (Section 3.5): all of an object's parents locked
-/// simultaneously while it migrates.
-pub struct IraBasic {
-    config: IraConfig,
-    exec: ExecOptions,
-}
-
-impl IraBasic {
-    pub fn new(mut config: IraConfig) -> Self {
-        config.variant = IraVariant::Basic;
-        IraBasic {
-            config,
-            exec: ExecOptions::default(),
-        }
-    }
-}
-
-impl Reorganizer for IraBasic {
-    fn name(&self) -> &'static str {
-        "ira-basic"
-    }
-
-    fn reorganize(
-        &self,
-        db: &Database,
-        partition: PartitionId,
-        plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError> {
-        crate::driver::run_incremental(db, partition, plan, &self.config, &self.exec)
-            .map(ReorgOutcome::from_ira)
-    }
-}
-
-/// IRA with the two-lock extension (Section 4.2): at most two distinct
-/// objects locked at any point during a migration.
-pub struct IraTwoLock {
-    config: IraConfig,
-    exec: ExecOptions,
-}
-
-impl IraTwoLock {
-    pub fn new(mut config: IraConfig) -> Self {
-        config.variant = IraVariant::TwoLock;
-        IraTwoLock {
-            config,
-            exec: ExecOptions::default(),
-        }
-    }
-}
-
-impl Reorganizer for IraTwoLock {
-    fn name(&self) -> &'static str {
-        "ira-two-lock"
-    }
-
-    fn reorganize(
-        &self,
-        db: &Database,
-        partition: PartitionId,
-        plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError> {
-        crate::driver::run_incremental(db, partition, plan, &self.config, &self.exec)
-            .map(ReorgOutcome::from_ira)
-    }
-}
-
-/// The PQR baseline (Section 5.1).
-pub struct Pqr {
-    insist: RetryPolicy,
-}
-
-impl Pqr {
-    pub fn new(insist: RetryPolicy) -> Self {
-        Pqr { insist }
-    }
-}
-
-impl Default for Pqr {
-    fn default() -> Self {
-        Pqr {
-            insist: INSIST_POLICY,
-        }
-    }
-}
-
-impl Reorganizer for Pqr {
-    fn name(&self) -> &'static str {
-        "pqr"
-    }
-
-    fn reorganize(
-        &self,
-        db: &Database,
-        partition: PartitionId,
-        plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError> {
-        let report = crate::pqr::run_pqr(db, partition, plan, &self.insist)
-            .map_err(IraError::Store)?;
-        Ok(ReorgOutcome {
-            partition: report.partition,
-            mapping: report.mapping.clone(),
-            duration: report.duration,
-            report: Some(ReorgReport::Pqr(report)),
-            score: None,
-        })
-    }
-}
-
-/// The quiescent reorganizer (Section 3.1), run in one transaction on an
-/// otherwise idle database.
-#[derive(Default)]
-pub struct Offline;
-
-impl Reorganizer for Offline {
-    fn name(&self) -> &'static str {
-        "offline"
-    }
-
-    fn reorganize(
-        &self,
-        db: &Database,
-        partition: PartitionId,
-        plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError> {
-        let started = Instant::now();
-        let mapping =
-            crate::offline::run_offline(db, partition, plan).map_err(IraError::Store)?;
-        Ok(ReorgOutcome {
-            partition,
-            mapping,
-            duration: started.elapsed(),
-            report: None,
-            score: None,
-        })
-    }
-}
-
-/// Continue a crashed IRA run from its recovered checkpoint (Section 4.4).
-pub struct Resume {
-    ckpt: IraCheckpoint,
-    pre_crash_log: Vec<LogRecord>,
-    config: IraConfig,
-    exec: ExecOptions,
-}
-
-impl Resume {
-    pub fn new(ckpt: IraCheckpoint, pre_crash_log: Vec<LogRecord>, config: IraConfig) -> Self {
-        Resume {
-            ckpt,
-            pre_crash_log,
-            config,
-            exec: ExecOptions::default(),
-        }
-    }
-}
-
-impl Reorganizer for Resume {
-    fn name(&self) -> &'static str {
-        "ira-resume"
-    }
-
-    fn reorganize(
-        &self,
-        db: &Database,
-        _partition: PartitionId,
-        _plan: RelocationPlan,
-    ) -> Result<ReorgOutcome, IraError> {
-        // The checkpoint carries its own partition and plan; the builder's
-        // are ignored by construction (`Reorg::resume_from` pins them).
-        crate::checkpoint::run_resume(
-            db,
-            self.ckpt.clone(),
-            &self.pre_crash_log,
-            &self.config,
-            &self.exec,
-        )
-        .map(ReorgOutcome::from_ira)
-    }
 }
 
 /// Fluent builder over every reorganization algorithm in the crate.
@@ -360,6 +153,17 @@ impl<'a> Reorg<'a> {
             insist: INSIST_POLICY,
             resume: None,
             order_overridden: false,
+        }
+    }
+
+    /// [`Reorg::on`] with every IRA knob taken from `config` at once — for
+    /// callers that carry a whole [`IraConfig`] (a bench cell). The
+    /// config's order counts as explicit (see [`Reorg::order`]).
+    pub fn with_config(db: &'a Database, partition: PartitionId, config: IraConfig) -> Self {
+        Reorg {
+            config,
+            order_overridden: true,
+            ..Reorg::on(db, partition)
         }
     }
 
@@ -439,8 +243,8 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Save a resumable reorganizer checkpoint every `n` batches of the
-    /// serial migration loop (Section 4.4). With a file backend attached
+    /// Save a resumable reorganizer checkpoint every `n` batches when one
+    /// worker drains the queue (Section 4.4). With a file backend attached
     /// the save is durable, bounding how far a hard kill sets the
     /// reorganization back. Defaults to off (checkpoint only at crash).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
@@ -467,10 +271,10 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Fault injection: parallel-executor chunks containing any of these
-    /// objects are deferred to the serial tail as if their retry budget had
-    /// been exhausted, so tests can exercise the tail's queue-order
-    /// re-packing deterministically.
+    /// Fault injection: wave-worker chunks containing any of these objects
+    /// are deferred to the tail pass as if their retry budget had been
+    /// exhausted, so tests can exercise the tail's queue-order re-packing
+    /// deterministically.
     pub fn force_defer(mut self, objects: Vec<brahma::PhysAddr>) -> Self {
         self.exec.force_defer = objects;
         self
@@ -494,67 +298,52 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Resolve the [`PlanSource`] against the live database and build the
-    /// configured [`Reorganizer`], returning the derived score alongside.
-    fn resolve(
-        self,
-    ) -> (
-        Box<dyn Reorganizer>,
-        &'a Database,
-        PartitionId,
-        RelocationPlan,
-        Option<PlanScore>,
-    ) {
-        let Reorg {
-            db,
-            partition,
-            source,
-            strategy,
-            mut config,
-            exec,
-            insist,
-            resume,
-            order_overridden,
-        } = self;
-        let derived = source.derive(db, partition);
-        if !order_overridden {
+    /// Run the configured reorganization to completion. The [`PlanSource`]
+    /// is derived here, against the database's current state.
+    pub fn run(self) -> Result<ReorgOutcome, IraError> {
+        let (db, partition, exec) = (self.db, self.partition, &self.exec);
+        let derived = self.source.derive(db, partition);
+        let mut config = self.config;
+        if !self.order_overridden {
             if let Some(order) = derived.order {
                 config.order = order;
             }
         }
-        let reorganizer: Box<dyn Reorganizer> = match resume {
-            Some((ckpt, pre_crash_log)) => Box::new(Resume {
+        let plan = derived.relocation;
+        let ira = |r: IraReport| (r.mapping.clone(), r.duration, Some(ReorgReport::Ira(r)));
+        let (mapping, duration, report) = match (self.resume, self.strategy) {
+            // A resume continues an IRA run whatever the strategy says; the
+            // checkpoint carries its own partition and plan (`resume_from`
+            // pinned the builder's to them).
+            (Some((ckpt, pre_crash_log)), _) => ira(crate::checkpoint::run_resume(
+                db,
                 ckpt,
-                pre_crash_log,
-                config,
+                &pre_crash_log,
+                &config,
                 exec,
-            }),
-            None => match strategy {
-                Strategy::Incremental => match config.variant {
-                    IraVariant::Basic => Box::new(IraBasic { config, exec }),
-                    IraVariant::TwoLock => Box::new(IraTwoLock { config, exec }),
-                },
-                Strategy::PartitionQuiesce => Box::new(Pqr { insist }),
-                Strategy::Offline => Box::new(Offline),
-            },
+            )?),
+            (None, Strategy::Incremental) => ira(crate::driver::run_incremental(
+                db, partition, plan, &config, exec,
+            )?),
+            (None, Strategy::PartitionQuiesce) => {
+                let r = crate::pqr::run_pqr(db, partition, plan, &self.insist)
+                    .map_err(IraError::Store)?;
+                (r.mapping.clone(), r.duration, Some(ReorgReport::Pqr(r)))
+            }
+            (None, Strategy::Offline) => {
+                let started = Instant::now();
+                let mapping =
+                    crate::offline::run_offline(db, partition, plan).map_err(IraError::Store)?;
+                (mapping, started.elapsed(), None)
+            }
         };
-        (reorganizer, db, partition, derived.relocation, derived.score)
-    }
-
-    /// Build the configured [`Reorganizer`] without running it — for
-    /// callers that schedule algorithms generically. The [`PlanSource`] is
-    /// derived here, against the database's current state.
-    pub fn build(self) -> (Box<dyn Reorganizer>, &'a Database, PartitionId, RelocationPlan) {
-        let (reorganizer, db, partition, plan, _score) = self.resolve();
-        (reorganizer, db, partition, plan)
-    }
-
-    /// Run the configured reorganization to completion.
-    pub fn run(self) -> Result<ReorgOutcome, IraError> {
-        let (reorganizer, db, partition, plan, score) = self.resolve();
-        let mut outcome = reorganizer.reorganize(db, partition, plan)?;
-        outcome.score = score;
-        Ok(outcome)
+        Ok(ReorgOutcome {
+            partition,
+            mapping,
+            duration,
+            report,
+            score: derived.score,
+        })
     }
 }
 
@@ -590,22 +379,6 @@ mod tests {
             db.raw_read(parent).unwrap().refs,
             vec![outcome.mapping[&child]]
         );
-    }
-
-    #[test]
-    fn strategy_dispatch_picks_the_right_reorganizer() {
-        let db = Database::new(StoreConfig::default());
-        let p = db.create_partition();
-        let names = [
-            (Strategy::Incremental, IraVariant::Basic, "ira-basic"),
-            (Strategy::Incremental, IraVariant::TwoLock, "ira-two-lock"),
-            (Strategy::PartitionQuiesce, IraVariant::Basic, "pqr"),
-            (Strategy::Offline, IraVariant::Basic, "offline"),
-        ];
-        for (strategy, variant, expect) in names {
-            let (r, _, _, _) = Reorg::on(&db, p).strategy(strategy).variant(variant).build();
-            assert_eq!(r.name(), expect);
-        }
     }
 
     #[test]

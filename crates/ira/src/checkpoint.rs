@@ -12,7 +12,7 @@
 //! belong in the TRT like any other).
 
 use crate::approx::{merge_ert_parents, trt_unvisited_loop};
-use crate::driver::{ExecOptions, IraConfig, IraError, IraPhases, IraReport, ReorgRun};
+use crate::driver::{ExecOptions, IraConfig, IraError, IraPhases, IraReport, ReorgRun, Tally};
 use crate::plan::RelocationPlan;
 use crate::shared::MigrationMap;
 use crate::traversal::{ParentMap, TraversalState};
@@ -385,12 +385,7 @@ pub(crate) fn run_resume(
         state,
         pos: ckpt.pos,
         mapping: MigrationMap::from_committed(ckpt.mapping),
-        retries: 0,
-        ext_locks: 0,
-        throttle_pauses: 0,
-        waves: 0,
-        parent_groups: 0,
-        deferred: 0,
+        tally: Tally::default(),
         phases,
         started,
     };

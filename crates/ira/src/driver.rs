@@ -1,9 +1,11 @@
 //! The IRA driver: Figure 1 of the paper, plus the engineering around it —
 //! migration batching (Section 4.3), deadlock retry (Section 4.4), garbage
 //! collection as a side effect (Section 4.6), checkpointing for crash
-//! restart, fault injection for the failure-handling tests, and the
-//! parallel wave executor (N migrator workers over conflict-disjoint
-//! components of the migration queue; see [`crate::wave`]).
+//! restart, and fault injection for the failure-handling tests. Step two
+//! is one loop, [`WorkerCtx::drain`]: one worker runs it over the whole
+//! queue on the calling thread; N workers run it per claimed component of
+//! the conflict-disjoint wave plan (see [`crate::wave`]), and the calling
+//! thread runs it once more over whatever they deferred.
 
 use crate::approx::find_objects_and_approx_parents;
 use crate::chaos::site as ira_site;
@@ -122,14 +124,15 @@ pub struct IraConfig {
     pub transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
     /// Contention-adaptive throttling (`None` disables it).
     pub throttle: Option<ThrottleConfig>,
-    /// Migrator workers. With `1` (the default) the queue executes
-    /// serially, in order. With more, the queue is partitioned into
-    /// conflict-disjoint components ([`crate::wave::plan_waves`]) and the
-    /// workers drain them concurrently, each running its own migration
-    /// transactions against the shared mapping and traversal state.
+    /// Migrator workers. With `1` (the default) one worker drains the
+    /// queue in order on the calling thread. With more, the queue is
+    /// partitioned into conflict-disjoint components
+    /// ([`crate::wave::plan_waves`]) and the workers drain them
+    /// concurrently, each running its own migration transactions against
+    /// the shared mapping and traversal state.
     pub workers: usize,
     /// Save a reorganizer checkpoint (Section 4.4) every this many batches
-    /// during the serial migration loop, in addition to the crash-time
+    /// when one worker drains the queue, in addition to the crash-time
     /// save. With a file backend attached the save is mirrored into the
     /// durable log, so a hard process kill resumes from at most this many
     /// batches back. `None` (the default) checkpoints only at crash.
@@ -167,11 +170,10 @@ pub(crate) struct ExecOptions {
     /// [`IraError::SimulatedCrash`] with a resumable checkpoint) once this
     /// many objects have migrated.
     pub crash_after_migrations: Option<usize>,
-    /// Fault injection for the deferral path: parallel-executor chunks
-    /// containing any of these objects are pushed straight to the serial
-    /// tail instead of migrating, as if their retry budget had been
-    /// exhausted. Lets tests exercise the tail's ordering guarantees
-    /// deterministically.
+    /// Fault injection for the deferral path: wave-worker chunks containing
+    /// any of these objects are pushed straight to the tail pass instead of
+    /// migrating, as if their retry budget had been exhausted. Lets tests
+    /// exercise the tail's ordering guarantees deterministically.
     pub force_defer: Vec<PhysAddr>,
 }
 
@@ -259,15 +261,15 @@ pub struct IraReport {
     pub trt_notes: u64,
     pub trt_purged: u64,
     /// Conflict-disjoint components the wave planner produced (0 for a
-    /// serial run, which needs no plan).
+    /// one-worker run, which needs no plan).
     pub waves: usize,
     /// Shared-anchor scheduling groups the [`MigrationOrder::ParentGroup`]
-    /// planner coalesced (0 for other orders and serial runs).
+    /// planner coalesced (0 for other orders and one-worker runs).
     pub parent_groups: usize,
     /// Migrator workers the run executed with.
     pub workers: usize,
     /// Objects that exhausted their worker's retry budget and fell back to
-    /// the serial tail pass.
+    /// the tail pass.
     pub deferred: usize,
     pub duration: Duration,
 }
@@ -344,16 +346,23 @@ pub(crate) fn run_incremental(
         state,
         pos: 0,
         mapping: MigrationMap::new(),
-        retries: 0,
-        ext_locks: 0,
-        throttle_pauses: 0,
-        waves: 0,
-        parent_groups: 0,
-        deferred: 0,
+        tally: Tally::default(),
         phases,
         started: start,
     };
     run.execute()
+}
+
+/// Run-wide accumulators behind the [`IraReport`] counters.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub retries: usize,
+    pub ext_locks: usize,
+    /// Shared by every migrator: `max_pauses` is a per-run budget.
+    pub throttle_pauses: AtomicUsize,
+    pub waves: usize,
+    pub parent_groups: usize,
+    pub deferred: usize,
 }
 
 /// In-flight reorganization state; also reconstructible from an
@@ -368,45 +377,58 @@ pub(crate) struct ReorgRun<'a> {
     pub state: TraversalState,
     pub pos: usize,
     pub mapping: MigrationMap,
-    pub retries: usize,
-    pub ext_locks: usize,
-    pub throttle_pauses: usize,
-    pub waves: usize,
-    pub parent_groups: usize,
-    pub deferred: usize,
+    pub tally: Tally,
     pub phases: IraPhases,
     pub started: Instant,
 }
 
-/// Per-worker accumulators handed back to the run when the worker joins.
+/// Per-migrator accumulators handed back to the run when the migrator is
+/// done.
 #[derive(Debug, Default)]
 struct WorkerStats {
     retries: usize,
     ext_locks: usize,
     exact_time: Duration,
     migrate_time: Duration,
+    /// Objects of the chunks this migrator deferred, in deferral order.
+    deferred: Vec<PhysAddr>,
 }
 
-/// Why a batch could not complete.
-enum BatchFail {
-    /// Retryable conflicts past the retry budget: the serial run fails the
-    /// reorganization, a parallel worker defers the batch to the tail pass.
+/// Why a drain stopped short of its last object (before error-path
+/// cleanup).
+enum LoopEnd {
+    /// A latched crash fault or a `crash_after_migrations` trip.
+    Crash,
+    /// Retryable conflicts past the retry budget.
     Exhausted { object: PhysAddr, attempts: usize },
     /// A non-retryable storage error.
     Fatal(StoreError),
 }
 
+/// What [`WorkerCtx::drain`] does with a batch that exhausted its retry
+/// budget.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnExhausted {
+    /// Fail the reorganization: nobody is left to hand the batch to (one
+    /// worker draining the queue, or the tail pass).
+    Fail,
+    /// Set the chunk aside for the tail pass (a wave worker): the residual
+    /// cross-component conflict — a shared external parent, walker
+    /// interference — is gone once the other workers are.
+    Defer,
+}
+
+/// One migrator's contention-throttle window (see [`ThrottleConfig`]).
+struct ThrottleWindow {
+    batches: usize,
+    timeouts_mark: u64,
+}
+
 /// One migrator: everything a batch attempt needs, plus local stat
 /// accumulators, so N of these can run in parallel over one shared
-/// [`TraversalState`] and [`MigrationMap`].
+/// [`ReorgRun`].
 struct WorkerCtx<'a> {
-    db: &'a Database,
-    partition: PartitionId,
-    plan: RelocationPlan,
-    config: &'a IraConfig,
-    exec: &'a ExecOptions,
-    state: &'a TraversalState,
-    mapping: &'a MigrationMap,
+    run: &'a ReorgRun<'a>,
     owner: OwnerId,
     /// The configured retry policy reseeded per owner through a
     /// [`brahma::SeedTree`] child: the jitter hash is `(seed, attempt)`, so
@@ -416,12 +438,123 @@ struct WorkerCtx<'a> {
     /// Per-owner seeds are decorrelated and reproducible at any worker
     /// count.
     retry: RetryPolicy,
+    /// Raised by the migrator that ends the run early (crash, fatal error);
+    /// the others stop at their next batch boundary.
+    stop: &'a AtomicBool,
+    throttle: ThrottleWindow,
     stats: WorkerStats,
 }
 
-impl<'a> WorkerCtx<'a> {
-    fn into_stats(self) -> WorkerStats {
-        self.stats
+impl WorkerCtx<'_> {
+    /// The migration loop (Figure 1): drain `objs` in order, one batch at
+    /// a time, until they run out, `stop` is raised, or this migrator
+    /// has to end the run itself. Returns how many objects were drained and
+    /// why the drain stopped short, if it did.
+    ///
+    /// `tag` labels the batch-boundary schedule point: a deferring wave
+    /// worker reports `wave.batch` with `tag` (its component); a failing
+    /// drain reports `ira.batch` with `tag` plus the objects drained — the
+    /// queue position reached, when `tag` is the queue position of
+    /// `objs[0]`.
+    fn drain(
+        &mut self,
+        objs: &[PhysAddr],
+        on_exhausted: OnExhausted,
+        tag: usize,
+    ) -> (usize, Option<LoopEnd>) {
+        let run = self.run;
+        let batch_size = run.config.batch_size.max(1);
+        let defer = on_exhausted == OnExhausted::Defer;
+        let mut done = 0usize;
+        loop {
+            if self.stop.load(AtomicOrd::Relaxed) {
+                return (done, None);
+            }
+            // A Crash fault latched anywhere (a walker's lock site, the WAL,
+            // a page latch) surfaces here, at the batch boundary — the only
+            // point where the checkpoint is consistent.
+            if run.db.fault.crash_requested() {
+                return (done, Some(LoopEnd::Crash));
+            }
+            if done == objs.len() {
+                return (done, None);
+            }
+            let chunk = &objs[done..(done + batch_size).min(objs.len())];
+            let forced = defer && chunk.iter().any(|o| run.exec.force_defer.contains(o));
+            let outcome = if forced {
+                Err(LoopEnd::Exhausted {
+                    object: chunk[0],
+                    attempts: 0,
+                })
+            } else {
+                self.run_batch(chunk)
+            };
+            match outcome {
+                Ok(_) => {}
+                Err(LoopEnd::Exhausted { .. }) if defer => {
+                    brahma::sched::point("wave.defer", chunk.len() as u64);
+                    self.stats.deferred.extend_from_slice(chunk);
+                }
+                Err(end) => return (done, Some(end)),
+            }
+            done += chunk.len();
+            // Every batch transaction committed or rolled back: a migrator
+            // may not carry lock-manager locks across a batch boundary
+            // (crash consistency depends on it).
+            lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
+            if defer {
+                brahma::sched::point("wave.batch", tag as u64);
+                run.db
+                    .stats
+                    .reorg_wave_batches
+                    .fetch_add(1, AtomicOrd::Relaxed);
+            } else {
+                brahma::sched::point("ira.batch", (tag + done) as u64);
+            }
+            run.db.fault.observe(ira_site::BATCH);
+            // Periodic checkpoints need the exact queue position, which only
+            // the one-worker drain over the queue itself has.
+            if let Some(every) = run.config.checkpoint_every {
+                if run.config.workers <= 1
+                    && every > 0
+                    && (tag + done).div_ceil(batch_size).is_multiple_of(every)
+                {
+                    let ckpt = run.checkpoint_at(tag + done);
+                    run.db.save_reorg_checkpoint(run.partition, ckpt.encode());
+                }
+            }
+            self.throttle_check();
+            if let Some(n) = run.exec.crash_after_migrations {
+                if run.mapping.len() >= n {
+                    return (done, Some(LoopEnd::Crash));
+                }
+            }
+        }
+    }
+
+    /// Close one batch of the throttle window; at the window's end, pause
+    /// if lock timeouts spiked over it.
+    fn throttle_check(&mut self) {
+        let run = self.run;
+        let Some(t) = &run.config.throttle else {
+            return;
+        };
+        self.throttle.batches += 1;
+        if self.throttle.batches < t.window.max(1) {
+            return;
+        }
+        let timeouts = &run.db.locks.stats.timeouts;
+        let pauses = &run.tally.throttle_pauses;
+        if timeouts.get().saturating_sub(self.throttle.timeouts_mark) >= t.timeout_threshold
+            && pauses.load(AtomicOrd::Relaxed) < t.max_pauses
+        {
+            pauses.fetch_add(1, AtomicOrd::Relaxed);
+            std::thread::sleep(t.pause);
+        }
+        self.throttle = ThrottleWindow {
+            batches: 0,
+            timeouts_mark: timeouts.get(),
+        };
     }
 
     /// Run one batch to completion: retryable conflicts (deadlock timeouts,
@@ -429,13 +562,13 @@ impl<'a> WorkerCtx<'a> {
     /// retry under the configured backoff; success returns the number of
     /// objects migrated (skipped objects — already migrated or claimed
     /// elsewhere — don't count).
-    fn run_batch(&mut self, batch: &[PhysAddr]) -> Result<usize, BatchFail> {
+    fn run_batch(&mut self, batch: &[PhysAddr]) -> Result<usize, LoopEnd> {
         // RetryState borrows the policy; clone it so the loop can borrow
         // `self` mutably for the batch attempts.
         let retry = self.retry.clone();
         let mut backoff = retry.start();
         loop {
-            let result = match self.config.variant {
+            let result = match self.run.config.variant {
                 IraVariant::Basic => self.try_batch_basic(batch),
                 IraVariant::TwoLock => self.try_batch_two_lock(batch),
             };
@@ -443,38 +576,39 @@ impl<'a> WorkerCtx<'a> {
                 Ok(n) => return Ok(n),
                 Err(e) if e.is_retryable_conflict() => {
                     self.stats.retries += 1;
-                    if !self.db.retry_backoff(&mut backoff) {
-                        return Err(BatchFail::Exhausted {
+                    if !self.run.db.retry_backoff(&mut backoff) {
+                        return Err(LoopEnd::Exhausted {
                             object: batch[0],
                             attempts: backoff.attempt,
                         });
                     }
                 }
-                Err(e) => return Err(BatchFail::Fatal(e)),
+                Err(e) => return Err(LoopEnd::Fatal(e)),
             }
         }
     }
 
     /// Migrate one batch inside one transaction (basic IRA).
     fn try_batch_basic(&mut self, batch: &[PhysAddr]) -> Result<usize, StoreError> {
-        let part = self.db.partition(self.partition)?;
-        let mut txn = self.db.begin_reorg(self.partition);
+        let run = self.run;
+        let part = run.db.partition(run.partition)?;
+        let mut txn = run.db.begin_reorg(run.partition);
         let mut keep: HashSet<PhysAddr> = HashSet::new();
         let mut effects = BatchEffects::default();
         let mut failure = None;
         for &oold in batch {
             // Skip freed addresses and objects already migrated (committed
             // slot) or mid-migration by another worker (their claim).
-            if !part.contains_object(oold) || !self.mapping.claim(oold, self.owner) {
+            if !part.contains_object(oold) || !run.mapping.claim(oold, self.owner) {
                 continue;
             }
             effects.claims.push(oold);
-            if let Err(e) = self.db.fault.hit(ira_site::EXACT_PARENTS) {
+            if let Err(e) = run.db.fault.hit(ira_site::EXACT_PARENTS) {
                 failure = Some(e);
                 break;
             }
             let exact_start = Instant::now();
-            let step = find_exact_parents(self.db, &mut txn, oold, self.state, &keep)
+            let step = find_exact_parents(run.db, &mut txn, oold, &run.state, &keep)
                 .and_then(|parents| {
                     self.stats.exact_time += exact_start.elapsed();
                     // Basic-IRA footprint invariant (Section 3.5): after
@@ -492,14 +626,14 @@ impl<'a> WorkerCtx<'a> {
                     );
                     let migrate_start = Instant::now();
                     let onew = move_object_and_update_refs(
-                        self.db,
+                        run.db,
                         &mut txn,
                         oold,
                         &parents,
-                        self.plan,
-                        self.config.transform,
-                        self.state,
-                        self.mapping,
+                        run.plan,
+                        run.config.transform,
+                        &run.state,
+                        &run.mapping,
                         self.owner,
                         &mut effects,
                     )?;
@@ -516,7 +650,7 @@ impl<'a> WorkerCtx<'a> {
         }
         match failure {
             None => {
-                let commit = self
+                let commit = run
                     .db
                     .fault
                     .hit(ira_site::MIGRATE_COMMIT)
@@ -525,16 +659,22 @@ impl<'a> WorkerCtx<'a> {
                     Ok(()) => {
                         let migrated = effects.migrations.len();
                         for &(old, _) in &effects.migrations {
-                            self.mapping.commit(old);
+                            run.mapping.commit(old);
                         }
+                        // Counted here, not when the move is staged: a
+                        // rolled-back batch migrated nothing.
+                        run.db
+                            .stats
+                            .migrations
+                            .fetch_add(migrated as u64, AtomicOrd::Relaxed);
                         // Claims that produced no migration reopen; release
                         // spares the just-committed slots.
                         for &claimed in &effects.claims {
-                            self.mapping.release(claimed);
+                            run.mapping.release(claimed);
                         }
                         self.stats.ext_locks += keep
                             .iter()
-                            .filter(|a| a.partition() != self.partition)
+                            .filter(|a| a.partition() != run.partition)
                             .count();
                         Ok(migrated)
                     }
@@ -542,14 +682,14 @@ impl<'a> WorkerCtx<'a> {
                         // A failed commit is an abort (the handle rolled the
                         // updates back on drop); the run's in-memory
                         // bookkeeping must roll back with it.
-                        effects.revert(self.db, self.state, self.mapping);
+                        effects.revert(run.db, &run.state, &run.mapping);
                         Err(e)
                     }
                 }
             }
             Some(e) => {
                 txn.abort();
-                effects.revert(self.db, self.state, self.mapping);
+                effects.revert(run.db, &run.state, &run.mapping);
                 Err(e)
             }
         }
@@ -559,29 +699,30 @@ impl<'a> WorkerCtx<'a> {
     /// by itself; on a mid-batch error, earlier objects stay migrated and
     /// the retry skips them via their committed slots).
     fn try_batch_two_lock(&mut self, batch: &[PhysAddr]) -> Result<usize, StoreError> {
-        let part = self.db.partition(self.partition)?;
+        let run = self.run;
+        let part = run.db.partition(run.partition)?;
         let mut migrated = 0usize;
         for &oold in batch {
-            if !part.contains_object(oold) || !self.mapping.claim(oold, self.owner) {
+            if !part.contains_object(oold) || !run.mapping.claim(oold, self.owner) {
                 continue;
             }
             let migrate_start = Instant::now();
             let outcome = crate::two_lock::migrate_two_lock(
-                self.db,
+                run.db,
                 oold,
-                self.plan,
-                self.config.transform,
-                self.state,
-                self.mapping,
+                run.plan,
+                run.config.transform,
+                &run.state,
+                &run.mapping,
                 self.owner,
                 &self.retry,
-                &self.exec.settle,
+                &run.exec.settle,
             );
             self.stats.migrate_time += migrate_start.elapsed();
             match outcome {
                 Ok(_) => migrated += 1,
                 Err(e) => {
-                    self.mapping.release(oold);
+                    run.mapping.release(oold);
                     return Err(e);
                 }
             }
@@ -590,15 +731,8 @@ impl<'a> WorkerCtx<'a> {
     }
 }
 
-/// How the migration loop ended (before error-path cleanup).
-enum LoopEnd {
-    Crash,
-    Exhausted { object: PhysAddr, attempts: usize },
-    Fatal(StoreError),
-}
-
 impl ReorgRun<'_> {
-    fn worker_ctx(&self, owner: OwnerId) -> WorkerCtx<'_> {
+    fn worker_ctx<'r>(&'r self, owner: OwnerId, stop: &'r AtomicBool) -> WorkerCtx<'r> {
         let retry = RetryPolicy {
             seed: brahma::SeedTree::new(self.config.retry.seed)
                 .child("ira.worker")
@@ -607,33 +741,28 @@ impl ReorgRun<'_> {
             ..self.config.retry.clone()
         };
         WorkerCtx {
-            db: self.db,
-            partition: self.partition,
-            plan: self.plan,
-            config: self.config,
-            exec: self.exec,
-            state: &self.state,
-            mapping: &self.mapping,
+            run: self,
             owner,
             retry,
+            stop,
+            throttle: ThrottleWindow {
+                batches: 0,
+                timeouts_mark: self.db.locks.stats.timeouts.get(),
+            },
             stats: WorkerStats::default(),
         }
     }
 
     fn absorb(&mut self, stats: WorkerStats) {
-        self.retries += stats.retries;
-        self.ext_locks += stats.ext_locks;
+        self.tally.retries += stats.retries;
+        self.tally.ext_locks += stats.ext_locks;
         self.phases.exact_parents += stats.exact_time;
         self.phases.migrate += stats.migrate_time;
     }
 
     pub(crate) fn execute(mut self) -> Result<IraReport, IraError> {
-        // Step two: migrate, serially or across workers.
-        if self.config.workers.max(1) > 1 {
-            self.run_parallel()?;
-        } else {
-            self.run_serial()?;
-        }
+        // Step two.
+        self.migrate()?;
 
         // Garbage: allocated but never traversed (Section 4.6).
         let phase_start = Instant::now();
@@ -664,7 +793,7 @@ impl ReorgRun<'_> {
                 match self.try_collect_garbage(&garbage) {
                     Ok(()) => break,
                     Err(e) if e.is_retryable_conflict() => {
-                        self.retries += 1;
+                        self.tally.retries += 1;
                         if !self.db.retry_backoff(&mut backoff) {
                             return Err(self.fail(IraError::RetriesExhausted {
                                 object: garbage[0],
@@ -700,254 +829,97 @@ impl ReorgRun<'_> {
             partition: self.partition,
             mapping: self.mapping.to_hashmap(),
             garbage,
-            retries: self.retries,
-            throttle_pauses: self.throttle_pauses,
-            external_parent_locks: self.ext_locks,
+            retries: self.tally.retries,
+            throttle_pauses: self.tally.throttle_pauses.into_inner(),
+            external_parent_locks: self.tally.ext_locks,
             phases: self.phases,
             trt_notes,
             trt_purged,
-            waves: self.waves,
-            parent_groups: self.parent_groups,
+            waves: self.tally.waves,
+            parent_groups: self.tally.parent_groups,
             workers: self.config.workers.max(1),
-            deferred: self.deferred,
+            deferred: self.tally.deferred,
             duration: self.started.elapsed(),
         })
     }
 
-    /// The serial migration loop: drain the queue in order, one batch at a
-    /// time.
-    fn run_serial(&mut self) -> Result<(), IraError> {
-        let mut ctx = self.worker_ctx(0);
-        let mut window_batches = 0usize;
-        let mut timeouts_mark = self.db.locks.stats.timeouts.get();
-        let mut pos = self.pos;
-        let mut pauses = self.throttle_pauses;
-        let mut end: Option<LoopEnd> = None;
-        while pos < self.state.order.len() {
-            // A Crash fault latched anywhere (a walker's lock site, the WAL,
-            // a page latch) surfaces here, at the batch boundary — the only
-            // point where the checkpoint is consistent.
-            if self.db.fault.crash_requested() {
-                end = Some(LoopEnd::Crash);
-                break;
-            }
-            let batch_end = (pos + self.config.batch_size.max(1)).min(self.state.order.len());
-            let batch: Vec<PhysAddr> = self.state.order[pos..batch_end].to_vec();
-            match ctx.run_batch(&batch) {
-                Ok(_) => {}
-                Err(BatchFail::Exhausted { object, attempts }) => {
-                    end = Some(LoopEnd::Exhausted { object, attempts });
-                    break;
-                }
-                Err(BatchFail::Fatal(e)) => {
-                    end = Some(LoopEnd::Fatal(e));
-                    break;
-                }
-            }
-            pos = batch_end;
-            // Every batch transaction committed or rolled back: the driver
-            // thread must hold no lock-manager locks between batches.
-            lockdep::assert_no_txn_locks("IRA serial driver at batch boundary");
-            brahma::sched::point("ira.batch", pos as u64);
-            self.db.fault.observe(ira_site::BATCH);
-            if let Some(every) = self.config.checkpoint_every {
-                let batches = pos.div_ceil(self.config.batch_size.max(1));
-                if every > 0 && batches.is_multiple_of(every) {
-                    let ckpt = self.checkpoint_at(pos);
-                    self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
-                }
-            }
-            if let Some(t) = &self.config.throttle {
-                window_batches += 1;
-                if window_batches >= t.window.max(1) {
-                    let timeouts_now = self.db.locks.stats.timeouts.get();
-                    if timeouts_now.saturating_sub(timeouts_mark) >= t.timeout_threshold
-                        && pauses < t.max_pauses
-                    {
-                        pauses += 1;
-                        std::thread::sleep(t.pause);
-                    }
-                    timeouts_mark = self.db.locks.stats.timeouts.get();
-                    window_batches = 0;
-                }
-            }
-            if let Some(n) = self.exec.crash_after_migrations {
-                if self.mapping.len() >= n {
-                    end = Some(LoopEnd::Crash);
-                    break;
-                }
-            }
+    /// Step two: migrate the remaining queue. One worker drains it in order
+    /// on the calling thread; more plan conflict-disjoint components
+    /// ([`crate::wave`]), claim and drain them concurrently, then drain
+    /// whatever they deferred in a tail pass on the calling thread.
+    fn migrate(&mut self) -> Result<(), IraError> {
+        let stop = AtomicBool::new(false);
+        if self.config.workers <= 1 {
+            let mut ctx = self.worker_ctx(0, &stop);
+            let (done, end) = ctx.drain(&self.state.order[self.pos..], OnExhausted::Fail, self.pos);
+            let stats = ctx.stats;
+            self.absorb(stats);
+            self.pos += done;
+            return self.finish_loop(end);
         }
-        if end.is_none() && self.db.fault.crash_requested() {
-            end = Some(LoopEnd::Crash);
-        }
-        let stats = ctx.into_stats();
-        self.absorb(stats);
-        self.pos = pos;
-        self.throttle_pauses = pauses;
-        self.finish_loop(end)
-    }
 
-    /// The parallel migration loop: plan conflict-disjoint components, let
-    /// N workers claim and drain them, then migrate whatever was deferred
-    /// in a serial tail pass.
-    fn run_parallel(&mut self) -> Result<(), IraError> {
         let remaining = &self.state.order[self.pos..];
         let wave_plan = if self.config.order == MigrationOrder::ParentGroup {
             crate::wave::plan_waves_grouped(
                 remaining,
                 &self.state,
                 self.partition,
-                self.config.workers.max(1),
+                self.config.workers,
             )
         } else {
             crate::wave::plan_waves(remaining, &self.state, self.partition)
         };
-        self.waves = wave_plan.components.len();
-        self.parent_groups = wave_plan.parent_groups;
-        let nworkers = self
-            .config
-            .workers
-            .max(1)
-            .min(wave_plan.groups.len().max(1));
-        self.db.stats.reorg_workers.fetch_max(nworkers as u64, AtomicOrd::Relaxed);
-        // Queue position of every remaining object, so deferred chunks can
-        // be re-packed into queue order for the serial tail (queue order IS
-        // placement order — see [`crate::order::MigrationOrder::Priority`]).
-        let pos_of: HashMap<PhysAddr, usize> = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, i))
-            .collect();
+        self.tally.waves = wave_plan.components.len();
+        self.tally.parent_groups = wave_plan.parent_groups;
+        let nworkers = self.config.workers.min(wave_plan.groups.len().max(1));
+        self.db
+            .stats
+            .reorg_workers
+            .fetch_max(nworkers as u64, AtomicOrd::Relaxed);
         // Per-worker group deques with back-stealing (see
-        // [`crate::wave::StealQueue`]): the old shared atomic cursor kept
-        // queue order but let one worker stuck on a huge component idle
-        // the rest of the pool. The deques hand out *scheduling groups*;
-        // for every order but ParentGroup those are exactly the components.
+        // [`crate::wave::StealQueue`]). The deques hand out *scheduling
+        // groups*; for every order but ParentGroup those are exactly the
+        // components.
         let steal_queue = crate::wave::StealQueue::new(wave_plan.groups.len(), nworkers);
-        let stop = AtomicBool::new(false);
-        let crash = AtomicBool::new(false);
-        let fatal: Mutex<Option<StoreError>> = Mutex::new(LockClass::WaveDeferred, 0, None);
-        let deferred: Mutex<Vec<(usize, PhysAddr)>> =
-            Mutex::new(LockClass::WaveDeferred, 1, Vec::new());
-        let pauses = AtomicUsize::new(self.throttle_pauses);
-
-        let db = self.db;
-        let config = self.config;
-        let exec = self.exec;
-        let components = &wave_plan.components;
-        let groups = &wave_plan.groups;
-        let pos_of = &pos_of;
-        let mapping = &self.mapping;
+        // Why the run must end early, from the first worker to find out; a
+        // fatal error outranks a crash (the run fails rather than resumes).
+        let early_end: Mutex<Option<LoopEnd>> = Mutex::new(LockClass::WaveDeferred, 0, None);
 
         let worker_stats: Vec<WorkerStats> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..nworkers)
                 .map(|w| {
-                    let steal_queue = &steal_queue;
-                    let stop = &stop;
-                    let crash = &crash;
-                    let fatal = &fatal;
-                    let deferred = &deferred;
-                    let pauses = &pauses;
-                    let mut ctx = self.worker_ctx(w);
+                    let (db, wave_plan) = (self.db, &wave_plan);
+                    let (steal_queue, early_end, stop) = (&steal_queue, &early_end, &stop);
+                    let mut ctx = self.worker_ctx(w, stop);
                     s.spawn(move || {
                         brahma::sched::set_thread_label(&format!("wave-{w}"));
-                        let mut window_batches = 0usize;
-                        let mut timeouts_mark = db.locks.stats.timeouts.get();
-                        'claim: while !stop.load(AtomicOrd::Relaxed) {
+                        while !stop.load(AtomicOrd::Relaxed) {
                             let Some((g, stolen)) = steal_queue.claim(w) else {
                                 break;
                             };
                             if stolen {
-                                db.stats
-                                    .reorg_wave_steals
-                                    .fetch_add(1, AtomicOrd::Relaxed);
+                                db.stats.reorg_wave_steals.fetch_add(1, AtomicOrd::Relaxed);
                             }
-                            let c = groups[g][0];
-                            brahma::sched::point("wave.claim", c as u64);
+                            let group = &wave_plan.groups[g];
+                            brahma::sched::point("wave.claim", group[0] as u64);
                             // Batches span component boundaries within a
                             // group: a multi-component (parent) group's
                             // shared anchor is then locked once per batch,
                             // by one worker, instead of once per component
                             // by colliding workers.
-                            let objs: Vec<PhysAddr> = groups[g]
+                            let objs: Vec<PhysAddr> = group
                                 .iter()
-                                .flat_map(|&ci| components[ci].iter().copied())
+                                .flat_map(|&c| wave_plan.components[c].iter().copied())
                                 .collect();
-                            for chunk in objs.chunks(config.batch_size.max(1)) {
-                                if stop.load(AtomicOrd::Relaxed) {
-                                    break 'claim;
+                            if let (_, Some(end)) = ctx.drain(&objs, OnExhausted::Defer, group[0]) {
+                                let mut slot = early_end.lock();
+                                if slot.is_none() || matches!(end, LoopEnd::Fatal(_)) {
+                                    *slot = Some(end);
                                 }
-                                if db.fault.crash_requested() {
-                                    crash.store(true, AtomicOrd::Relaxed);
-                                    stop.store(true, AtomicOrd::Relaxed);
-                                    break 'claim;
-                                }
-                                let forced = !exec.force_defer.is_empty()
-                                    && chunk.iter().any(|o| exec.force_defer.contains(o));
-                                let outcome = if forced {
-                                    Err(BatchFail::Exhausted {
-                                        object: chunk[0],
-                                        attempts: 0,
-                                    })
-                                } else {
-                                    ctx.run_batch(chunk)
-                                };
-                                match outcome {
-                                    Ok(_) => {}
-                                    Err(BatchFail::Exhausted { .. }) => {
-                                        // Residual cross-component conflict
-                                        // (shared external parent, walker
-                                        // interference): hand the objects to
-                                        // the serial tail instead of failing
-                                        // the run.
-                                        brahma::sched::point(
-                                            "wave.defer",
-                                            chunk.len() as u64,
-                                        );
-                                        deferred.lock().extend(chunk.iter().map(|&o| {
-                                            (pos_of.get(&o).copied().unwrap_or(usize::MAX), o)
-                                        }));
-                                    }
-                                    Err(BatchFail::Fatal(e)) => {
-                                        *fatal.lock() = Some(e);
-                                        stop.store(true, AtomicOrd::Relaxed);
-                                        break 'claim;
-                                    }
-                                }
-                                // Workers may not carry locks across a batch
-                                // boundary (crash consistency depends on it).
-                                lockdep::assert_no_txn_locks(
-                                    "wave worker at batch boundary",
-                                );
-                                brahma::sched::point("wave.batch", c as u64);
-                                db.fault.observe(ira_site::BATCH);
-                                db.stats.reorg_wave_batches.fetch_add(1, AtomicOrd::Relaxed);
-                                if let Some(t) = &config.throttle {
-                                    window_batches += 1;
-                                    if window_batches >= t.window.max(1) {
-                                        let timeouts_now = db.locks.stats.timeouts.get();
-                                        if timeouts_now.saturating_sub(timeouts_mark)
-                                            >= t.timeout_threshold
-                                            && pauses.load(AtomicOrd::Relaxed) < t.max_pauses
-                                        {
-                                            pauses.fetch_add(1, AtomicOrd::Relaxed);
-                                            std::thread::sleep(t.pause);
-                                        }
-                                        timeouts_mark = db.locks.stats.timeouts.get();
-                                        window_batches = 0;
-                                    }
-                                }
-                                if let Some(n) = exec.crash_after_migrations {
-                                    if mapping.len() >= n {
-                                        crash.store(true, AtomicOrd::Relaxed);
-                                        stop.store(true, AtomicOrd::Relaxed);
-                                        break 'claim;
-                                    }
-                                }
+                                stop.store(true, AtomicOrd::Relaxed);
                             }
                         }
-                        ctx.into_stats()
+                        ctx.stats
                     })
                 })
                 .collect();
@@ -962,67 +934,46 @@ impl ReorgRun<'_> {
                 })
                 .collect()
         });
-        for stats in worker_stats {
+        let mut tail: Vec<PhysAddr> = Vec::new();
+        for mut stats in worker_stats {
+            tail.append(&mut stats.deferred);
             self.absorb(stats);
         }
-        self.throttle_pauses = pauses.into_inner();
 
-        if let Some(e) = fatal.into_inner() {
-            return self.finish_loop(Some(LoopEnd::Fatal(e)));
-        }
-        if crash.into_inner() || self.db.fault.crash_requested() {
-            // Workers stopped at batch boundaries, so every slot is either
-            // committed or released. Restart covers the whole queue; the
-            // resume skips committed objects through the mapping.
-            self.pos = 0;
-            return self.finish_loop(Some(LoopEnd::Crash));
-        }
-
-        // Serial tail: whatever the workers deferred, re-packed into queue
-        // order by original index. Workers push chunks in *completion*
-        // order, which is schedule-dependent; since queue order is
-        // placement order (a Priority plan's list IS the clustering
-        // decision), the tail must not scramble it. Re-packing also makes
-        // the tail ride any ParentGroup ordering: anchor-sharing objects
-        // are queue-adjacent, so tail batches keep covering each anchor
-        // once per batch.
-        let mut tail_pos = deferred.into_inner();
-        tail_pos.sort_unstable();
-        tail_pos.dedup_by_key(|&mut (_, o)| o);
-        let tail: Vec<PhysAddr> = tail_pos.into_iter().map(|(_, o)| o).collect();
-        self.deferred = tail.len();
-        if !tail.is_empty() {
-            let mut ctx = self.worker_ctx(nworkers);
-            let mut end: Option<LoopEnd> = None;
-            for chunk in tail.chunks(self.config.batch_size.max(1)) {
-                if self.db.fault.crash_requested() {
-                    end = Some(LoopEnd::Crash);
-                    break;
-                }
-                match ctx.run_batch(chunk) {
-                    Ok(_) => {}
-                    Err(BatchFail::Exhausted { object, attempts }) => {
-                        end = Some(LoopEnd::Exhausted { object, attempts });
-                        break;
-                    }
-                    Err(BatchFail::Fatal(e)) => {
-                        end = Some(LoopEnd::Fatal(e));
-                        break;
-                    }
-                }
-                self.db.fault.observe(ira_site::BATCH);
+        let mut end = early_end.into_inner();
+        if end.is_none() {
+            // Tail pass: whatever the workers deferred, re-packed into queue
+            // order. Workers defer chunks in *completion* order, which is
+            // schedule-dependent; since queue order is placement order (a
+            // Priority plan's list IS the clustering decision), the tail
+            // must not scramble it. Re-packing also makes the tail ride any
+            // ParentGroup ordering: anchor-sharing objects are
+            // queue-adjacent, so tail batches keep covering each anchor once
+            // per batch. With nothing deferred the drain is only the
+            // end-of-step crash poll.
+            if !tail.is_empty() {
+                let pos_of: HashMap<PhysAddr, usize> = self.state.order[self.pos..]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| (a, i))
+                    .collect();
+                tail.sort_by_cached_key(|&o| (pos_of.get(&o).copied().unwrap_or(usize::MAX), o));
+                tail.dedup();
             }
-            let stats = ctx.into_stats();
+            self.tally.deferred = tail.len();
+            let mut ctx = self.worker_ctx(nworkers, &stop);
+            end = ctx.drain(&tail, OnExhausted::Fail, 0).1;
+            let stats = ctx.stats;
             self.absorb(stats);
-            if end.is_some() {
-                if matches!(end, Some(LoopEnd::Crash)) {
-                    self.pos = 0;
-                }
-                return self.finish_loop(end);
-            }
         }
-        self.pos = self.state.order.len();
-        Ok(())
+        // Migrators stop at batch boundaries, so every slot is committed or
+        // released. A restart covers the whole queue; the resume skips
+        // committed objects through the mapping.
+        self.pos = match end {
+            Some(LoopEnd::Crash) => 0,
+            _ => self.state.order.len(),
+        };
+        self.finish_loop(end)
     }
 
     /// Translate how the migration loop ended into the run's outcome,
@@ -1054,7 +1005,7 @@ impl ReorgRun<'_> {
     /// two migration transactions looks like (Section 4.4).
     fn crash_now(&self) -> IraError {
         let _ = self.db.fault.take_crash_request();
-        let ckpt = self.checkpoint();
+        let ckpt = self.checkpoint_at(self.pos);
         self.db
             .save_reorg_checkpoint(self.partition, ckpt.encode());
         IraError::SimulatedCrash(Box::new(ckpt))
@@ -1072,15 +1023,11 @@ impl ReorgRun<'_> {
         txn.commit()
     }
 
-    /// Snapshot the run for crash-restart (Section 4.4: "the data structures
-    /// Traversed Objects and Parent Lists can be checkpointed").
-    pub(crate) fn checkpoint(&self) -> IraCheckpoint {
-        self.checkpoint_at(self.pos)
-    }
-
-    /// [`Self::checkpoint`] with an explicit queue position — the serial
-    /// loop's periodic saves run while `self.pos` is stale (it is written
-    /// back only at loop exit).
+    /// Snapshot the run at queue position `pos` for crash-restart (Section
+    /// 4.4: "the data structures Traversed Objects and Parent Lists can be
+    /// checkpointed"). `pos` is explicit because the one-worker drain's
+    /// periodic saves run while `self.pos` is stale (it is written back
+    /// only when the drain returns).
     fn checkpoint_at(&self, pos: usize) -> IraCheckpoint {
         self.db.fault.observe(ira_site::CHECKPOINT);
         // Fuzzy TRT checkpoint: capture the log position first, then the

@@ -76,10 +76,7 @@ pub mod two_lock;
 pub mod verify;
 pub mod wave;
 
-pub use builder::{
-    IraBasic, IraTwoLock, Offline, Pqr, Reorg, ReorgOutcome, ReorgReport, Reorganizer, Resume,
-    Strategy,
-};
+pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
 pub use chaos::{run_crash_cell, with_repro_banner, CellOutcome, ChaosCell};
 pub use checkpoint::IraCheckpoint;
 pub use disk_chaos::{run_disk_cell, run_multi_partition_kill, DiskCellOutcome, DiskChaosCell};

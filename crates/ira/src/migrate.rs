@@ -22,9 +22,9 @@ use crate::plan::RelocationPlan;
 use crate::shared::{ChildFate, MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
 use brahma::{
-    Database, Error as StoreError, LockMode, LogPayload, NewObject, PhysAddr, Result, Txn,
+    Database, Error as StoreError, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result,
+    Txn,
 };
-use std::sync::atomic::Ordering;
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts.
@@ -60,13 +60,119 @@ impl BatchEffects {
     }
 }
 
+/// What both migration procedures copy: `oold`'s image after the optional
+/// transform, and its reference list with the same-partition children
+/// resolved against the migration map (`image.refs` keeps the originals).
+pub(crate) struct CopySource {
+    oold: PhysAddr,
+    image: ObjectView,
+    new_refs: Vec<PhysAddr>,
+}
+
+impl CopySource {
+    /// Apply `transform` to `image` and resolve its own references: a
+    /// same-partition child already migrated *and committed* by another
+    /// worker is healed (the copy gets the child's new address — the old
+    /// one is freed); a child claimed by another worker is a collision,
+    /// surfacing as a retryable error before anything is written.
+    pub(crate) fn resolve(
+        image: ObjectView,
+        oold: PhysAddr,
+        transform: Option<fn(ObjectView) -> ObjectView>,
+        mapping: &MigrationMap,
+        owner: OwnerId,
+    ) -> Result<Self> {
+        let image = match transform {
+            Some(f) => {
+                let transformed = f(image.clone());
+                debug_assert_eq!(
+                    transformed.refs, image.refs,
+                    "migration transforms must preserve the reference list"
+                );
+                transformed
+            }
+            None => image,
+        };
+        let mut new_refs = image.refs.clone();
+        for r in new_refs.iter_mut() {
+            let child = *r;
+            if child.partition() == oold.partition() && child != oold {
+                if let Some(n) = mapping.heal_or_collide(child, owner)? {
+                    *r = n;
+                }
+            }
+        }
+        Ok(CopySource {
+            oold,
+            image,
+            new_refs,
+        })
+    }
+
+    /// Create the copy where the plan puts it; self-references point at
+    /// the new copy.
+    pub(crate) fn create_copy(&self, txn: &mut Txn<'_>, plan: RelocationPlan) -> Result<PhysAddr> {
+        let onew = txn.create_object(
+            plan.target_partition(self.oold),
+            NewObject {
+                tag: self.image.tag,
+                refs: self.new_refs.clone(),
+                ref_cap: self.image.ref_cap,
+                payload: self.image.payload.clone(),
+                payload_cap: self.image.payload_cap,
+            },
+        )?;
+        for (i, r) in self.new_refs.iter().enumerate() {
+            if *r == self.oold {
+                txn.set_ref(onew, i, onew)?;
+            }
+        }
+        Ok(onew)
+    }
+
+    /// Parent-list bookkeeping for the children that still await
+    /// migration: replace `oold` by `onew` in each one's parent list, atomic
+    /// with the child's migration slot (see
+    /// [`MigrationMap::resolve_child`]). A child claimed or committed by
+    /// another worker since [`Self::resolve`] is a collision — the copy
+    /// still references its old address. Every rewrite applied is pushed
+    /// onto `rewrites` as (child, old_parent, new_parent), including those
+    /// before a collision, so the caller can revert them.
+    pub(crate) fn repoint_children(
+        &self,
+        onew: PhysAddr,
+        state: &TraversalState,
+        mapping: &MigrationMap,
+        owner: OwnerId,
+        rewrites: &mut Vec<(PhysAddr, PhysAddr, PhysAddr)>,
+    ) -> Result<()> {
+        let oold = self.oold;
+        for (&child, &resolved) in self.image.refs.iter().zip(&self.new_refs) {
+            if resolved != child {
+                continue; // healed: the child is migrated, no bookkeeping left
+            }
+            if child.partition() == oold.partition() && child != oold {
+                match mapping.resolve_child(child, owner, || {
+                    state.replace_parent(child, oold, onew);
+                })? {
+                    ChildFate::Repointed => rewrites.push((child, oold, onew)),
+                    ChildFate::Healed(_) => {
+                        return Err(StoreError::ReorgCollision { addr: child });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Migrate `oold` to its new location, updating the `parents`' references
 /// (which the caller has locked exactly via `find_exact_parents`).
 ///
 /// The caller must have claimed `oold` in `mapping` as `owner` (see
 /// [`MigrationMap::claim`]); on success the migration is left *staged* —
-/// the caller flips it to committed via [`MigrationMap::commit`] after the
-/// batch transaction commits.
+/// the caller flips it to committed via [`MigrationMap::commit`] (and
+/// counts it in `db.migrations`) after the batch transaction commits.
 ///
 /// Returns the new address. `state`, `mapping`, and `effects` are updated
 /// in place; on error the caller must abort the transaction and call
@@ -78,7 +184,7 @@ pub fn move_object_and_update_refs(
     oold: PhysAddr,
     parents: &[PhysAddr],
     plan: RelocationPlan,
-    transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
+    transform: Option<fn(ObjectView) -> ObjectView>,
     state: &TraversalState,
     mapping: &MigrationMap,
     owner: OwnerId,
@@ -88,51 +194,10 @@ pub fn move_object_and_update_refs(
     // oold (Lemma 3.3), so this lock is granted immediately; holding it also
     // satisfies the store's update discipline for the final free.
     txn.lock(oold, LockMode::Exclusive)?;
-    let image = txn.read(oold)?;
-    let image = match transform {
-        Some(f) => {
-            let transformed = f(image.clone());
-            debug_assert_eq!(
-                transformed.refs, image.refs,
-                "migration transforms must preserve the reference list"
-            );
-            transformed
-        }
-        None => image,
-    };
-
-    // Resolve this object's own references before copying: a same-partition
-    // child already migrated *and committed* by another worker is healed (the
-    // copy gets the child's new address — the old one is freed); a child
-    // claimed by another worker is a collision, surfacing as a retryable
-    // error before anything is written.
-    let mut new_refs = image.refs.clone();
-    for r in new_refs.iter_mut() {
-        let child = *r;
-        if child.partition() == oold.partition() && child != oold {
-            if let Some(n) = mapping.heal_or_collide(child, owner)? {
-                *r = n;
-            }
-        }
-    }
+    let source = CopySource::resolve(txn.read(oold)?, oold, transform, mapping, owner)?;
 
     // 1. Copy to the new location.
-    let onew = txn.create_object(
-        plan.target_partition(oold),
-        NewObject {
-            tag: image.tag,
-            refs: new_refs.clone(),
-            ref_cap: image.ref_cap,
-            payload: image.payload.clone(),
-            payload_cap: image.payload_cap,
-        },
-    )?;
-    // Self-references must point at the new copy.
-    for (i, r) in new_refs.iter().enumerate() {
-        if *r == oold {
-            txn.set_ref(onew, i, onew)?;
-        }
-    }
+    let onew = source.create_copy(txn, plan)?;
 
     // 2. Repoint every parent. A parent may hold several references to the
     // object; all of them move.
@@ -154,28 +219,8 @@ pub fn move_object_and_update_refs(
     db.wal
         .append(txn.id(), LogPayload::Migrate { old: oold, new: onew });
 
-    // 3. Parent-list bookkeeping for children that still await migration,
-    // atomic with the child's migration slot (see
-    // [`MigrationMap::resolve_child`]): a child claimed or committed by
-    // another worker since the resolution above is a collision — our copy
-    // still references its old address.
-    for (i, &child) in image.refs.iter().enumerate() {
-        if new_refs[i] != child {
-            continue; // healed: the child is migrated, no bookkeeping left
-        }
-        if child.partition() == oold.partition() && child != oold {
-            match mapping.resolve_child(child, owner, || {
-                state.replace_parent(child, oold, onew);
-            })? {
-                ChildFate::Repointed => {
-                    effects.parent_rewrites.push((child, oold, onew));
-                }
-                ChildFate::Healed(_) => {
-                    return Err(StoreError::ReorgCollision { addr: child });
-                }
-            }
-        }
-    }
+    // 3. Parent-list bookkeeping for children that still await migration.
+    source.repoint_children(onew, state, mapping, owner, &mut effects.parent_rewrites)?;
 
     // Root registry.
     if db.is_root(oold) {
@@ -188,8 +233,6 @@ pub fn move_object_and_update_refs(
 
     mapping.stage(oold, onew, owner);
     effects.migrations.push((oold, onew));
-    // ordering: statistics counter; read only by obs snapshots, no sync derived
-    db.stats.migrations.fetch_add(1, Ordering::Relaxed);
     Ok(onew)
 }
 

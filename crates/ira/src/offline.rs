@@ -88,8 +88,8 @@ pub fn reorganize_quiescent(
     Ok(mapping)
 }
 
-/// Crate-internal entry point behind the builder's
-/// [`crate::builder::Offline`] (the only public way to run it).
+/// Crate-internal entry point behind [`crate::Reorg`]'s
+/// [`crate::Strategy::Offline`] (the only public way to run it).
 pub(crate) fn run_offline(
     db: &Database,
     partition: PartitionId,

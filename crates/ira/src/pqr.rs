@@ -47,8 +47,8 @@ impl PqrReport {
     }
 }
 
-/// Crate-internal entry point behind the builder's
-/// [`crate::builder::Pqr`] (the only public way to run PQR).
+/// Crate-internal entry point behind [`crate::Reorg`]'s
+/// [`crate::Strategy::PartitionQuiesce`] (the only public way to run PQR).
 pub(crate) fn run_pqr(
     db: &Database,
     partition: PartitionId,

@@ -23,13 +23,12 @@
 //! *comparisons* by transactions must either lock the referenced objects or
 //! consult the migration mapping (see [`crate::driver::IraReport::mapping`]).
 
+use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle_with, settle_with};
-use crate::shared::{ChildFate, MigrationMap, OwnerId};
+use crate::shared::{MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
-use brahma::{
-    Database, Error as StoreError, LockMode, LogPayload, NewObject, PhysAddr, Result, RetryPolicy,
-};
+use brahma::{Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
@@ -63,51 +62,13 @@ pub fn migrate_two_lock(
     let mut guard = db.begin_reorg(partition);
     guard.lock(oold, LockMode::Exclusive)?;
     settle_with(db, guard.id(), oold, settle)?;
-    let image = guard.read(oold)?;
-    let image = match transform {
-        Some(f) => {
-            let transformed = f(image.clone());
-            debug_assert_eq!(
-                transformed.refs, image.refs,
-                "migration transforms must preserve the reference list"
-            );
-            transformed
-        }
-        None => image,
-    };
-
-    // Resolve this object's own references before copying (see
-    // `move_object_and_update_refs`): committed children heal to their new
-    // address; children mid-migration by another worker are a collision.
-    let mut new_refs = image.refs.clone();
-    for r in new_refs.iter_mut() {
-        let child = *r;
-        if child.partition() == partition && child != oold {
-            if let Some(n) = mapping.heal_or_collide(child, owner)? {
-                *r = n;
-            }
-        }
-    }
+    let source = CopySource::resolve(guard.read(oold)?, oold, transform, mapping, owner)?;
 
     // Create the copy in its own transaction, then hand its lock to the
     // guard. Nothing references O_new yet, so the hand-over window is
     // unreachable by other transactions.
     let mut creator = db.begin_reorg(partition);
-    let onew = creator.create_object(
-        plan.target_partition(oold),
-        NewObject {
-            tag: image.tag,
-            refs: new_refs.clone(),
-            ref_cap: image.ref_cap,
-            payload: image.payload.clone(),
-            payload_cap: image.payload_cap,
-        },
-    )?;
-    for (i, r) in new_refs.iter().enumerate() {
-        if *r == oold {
-            creator.set_ref(onew, i, onew)?;
-        }
-    }
+    let onew = source.create_copy(&mut creator, plan)?;
     creator.commit()?;
     brahma::lockdep::two_lock_alias(oold.to_raw(), onew.to_raw());
     guard.lock(onew, LockMode::Exclusive)?;
@@ -137,24 +98,9 @@ pub fn migrate_two_lock(
         trt.remove_tuple(&tuple);
     }
 
-    // Bookkeeping identical to the basic variant: atomic with the child's
-    // migration slot, colliding when another worker took the child since
-    // the resolution above.
-    for (i, &child) in image.refs.iter().enumerate() {
-        if new_refs[i] != child {
-            continue; // healed: the child is migrated, no bookkeeping left
-        }
-        if child.partition() == partition && child != oold {
-            match mapping.resolve_child(child, owner, || {
-                state.replace_parent(child, oold, onew);
-            })? {
-                ChildFate::Repointed => {}
-                ChildFate::Healed(_) => {
-                    return Err(StoreError::ReorgCollision { addr: child });
-                }
-            }
-        }
-    }
+    // Nothing reverts a two-lock migration (each step committed on its own),
+    // so the rewrite list is dropped.
+    source.repoint_children(onew, state, mapping, owner, &mut Vec::new())?;
     if db.is_root(oold) {
         db.replace_root(oold, onew);
     }
@@ -216,7 +162,7 @@ mod tests {
     use super::*;
     use crate::approx::find_objects_and_approx_parents;
     use crate::relaxed::SETTLE_POLICY;
-    use brahma::{PartitionId, StoreConfig};
+    use brahma::{NewObject, PartitionId, StoreConfig};
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
         let mut t = db.begin();

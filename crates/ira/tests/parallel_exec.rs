@@ -1,13 +1,13 @@
-//! Parallel wave executor tests: the N-worker executor must produce a
-//! database isomorphic to the serial one, report its wave/worker counts
-//! faithfully, and crash/resume correctly mid-wave.
+//! Migration-executor tests: at any worker count the run must produce a
+//! database isomorphic to the one-worker result, report its wave/worker
+//! counts faithfully, and crash/resume correctly mid-queue and mid-wave.
 //!
 //! `PAR_QUICK=1` shrinks the matrix (the ci.sh smoke configuration).
 
 use brahma::{recover, Database, NewObject, PartitionId, PhysAddr, StoreConfig};
 use ira::chaos::with_repro_banner;
 use ira::verify::logical_fingerprint;
-use ira::{IraCheckpoint, IraError, Reorg};
+use ira::{IraCheckpoint, IraError, IraVariant, Reorg};
 
 fn quick() -> bool {
     brahma::env_cfg::par_quick()
@@ -80,18 +80,14 @@ fn build_forest(db: &Database, chains: usize, chain_len: usize) -> Forest {
     }
 }
 
-/// The defining property of the parallel executor: for any worker count,
-/// the post-reorganization live graph is isomorphic to the serial result
-/// (and to the original), and every live object migrated exactly once.
+/// The defining property of the executor: for any worker count, batch size
+/// and variant, the post-reorganization live graph is isomorphic to the
+/// one-worker result (and to the original), and every live object migrated
+/// exactly once. One worker plans no waves and spawns no pool.
 #[test]
 fn parallel_run_is_isomorphic_to_serial() {
     let chains = if quick() { 4 } else { 8 };
     let chain_len = if quick() { 6 } else { 12 };
-    // The quick (ci.sh smoke) cell runs at 4 workers — the pool size the
-    // MPL-60 trajectory criterion is stated at, and the heaviest exerciser
-    // of the lock fast path and parent-group planning. The full matrix
-    // covers 2 workers as well.
-    let worker_counts: &[usize] = if quick() { &[4] } else { &[2, 4] };
 
     let reference = with_repro_banner(
         &format!("SEED=none CELL=serial,chains:{chains},chain_len:{chain_len}"),
@@ -110,30 +106,45 @@ fn parallel_run_is_isomorphic_to_serial() {
         },
     );
 
-    for &workers in worker_counts {
-        with_repro_banner(
-            &format!("SEED=none CELL=workers:{workers},chains:{chains},chain_len:{chain_len}"),
-            || {
-                let db = Database::new(StoreConfig::default());
-                let forest = build_forest(&db, chains, chain_len);
-                let outcome = Reorg::on(&db, forest.p1)
-                    .workers(workers)
-                    .batch(2)
-                    .run()
-                    .unwrap();
-                assert_eq!(outcome.migrated(), forest.live, "workers={workers}");
-                let report = outcome.ira().unwrap();
-                assert_eq!(report.workers, workers);
-                assert!(report.waves >= 1, "workers={workers}: no waves recorded");
-                assert_eq!(
-                    logical_fingerprint(&db, &forest.anchors),
-                    reference,
-                    "workers={workers}: parallel result must be isomorphic to serial"
+    for variant in [IraVariant::Basic, IraVariant::TwoLock] {
+        for batch in [1, 8] {
+            for workers in [1, 2, 4] {
+                let cell = format!("workers:{workers},batch:{batch},variant:{variant:?}");
+                with_repro_banner(
+                    &format!("SEED=none CELL={cell},chains:{chains},chain_len:{chain_len}"),
+                    || {
+                        let db = Database::new(StoreConfig::default());
+                        let forest = build_forest(&db, chains, chain_len);
+                        let outcome = Reorg::on(&db, forest.p1)
+                            .variant(variant)
+                            .workers(workers)
+                            .batch(batch)
+                            .run()
+                            .unwrap();
+                        assert_eq!(outcome.migrated(), forest.live, "{cell}");
+                        let report = outcome.ira().unwrap();
+                        assert_eq!(report.workers, workers, "{cell}");
+                        assert_eq!(
+                            report.waves == 0,
+                            workers == 1,
+                            "{cell}: waves are planned iff there is a pool to feed"
+                        );
+                        assert_eq!(
+                            db.obs_snapshot().get("db.reorg_workers") == 0,
+                            workers == 1,
+                            "{cell}: one worker runs on the calling thread"
+                        );
+                        assert_eq!(
+                            logical_fingerprint(&db, &forest.anchors),
+                            reference,
+                            "{cell}: result must be isomorphic to the one-worker run"
+                        );
+                        ira::verify::assert_reorganization_clean(&db, report);
+                        brahma::sweep::assert_database_consistent(&db);
+                    },
                 );
-                ira::verify::assert_reorganization_clean(&db, report);
-                brahma::sweep::assert_database_consistent(&db);
-            },
-        );
+            }
+        }
     }
 }
 
@@ -208,7 +219,8 @@ fn zero_workers_clamps_to_serial() {
 }
 
 /// Deterministic mid-wave crash with two workers: the durable checkpoint
-/// must resume — still on the parallel executor — to a graph isomorphic
+/// restarts the queue from position 0 (workers leave no single frontier)
+/// and must resume — still on the parallel executor — to a graph isomorphic
 /// to the original.
 #[test]
 fn crash_mid_wave_resumes_with_parallel_executor() {
@@ -216,20 +228,36 @@ fn crash_mid_wave_resumes_with_parallel_executor() {
     let chain_len = if quick() { 4 } else { 8 };
     with_repro_banner(
         &format!("SEED=none CELL=crash_mid_wave,chains:{chains},chain_len:{chain_len},workers:2"),
-        || crash_mid_wave_body(chains, chain_len),
+        || crash_mid_wave_body(chains, chain_len, 2, 2),
     );
 }
 
-fn crash_mid_wave_body(chains: usize, chain_len: usize) {
+/// The same crash with one worker draining the queue: the checkpoint
+/// carries the exact queue position — the crash threshold rounded up to
+/// the batch boundary it tripped at — and the resume completes from there.
+#[test]
+fn crash_mid_wave_one_worker_checkpoints_exact_position() {
+    let chains = if quick() { 3 } else { 6 };
+    let chain_len = if quick() { 4 } else { 8 };
+    with_repro_banner(
+        &format!("SEED=none CELL=crash_mid_wave,chains:{chains},chain_len:{chain_len},workers:1"),
+        || crash_mid_wave_body(chains, chain_len, 1, 4),
+    );
+}
+
+fn crash_mid_wave_body(chains: usize, chain_len: usize, workers: usize, batch: usize) {
     let db = Database::new(StoreConfig::default());
     let forest = build_forest(&db, chains, chain_len);
     let reference = logical_fingerprint(&db, &forest.anchors);
     let store_ckpt = db.checkpoint(0xAF_u64);
 
+    // Odd, so never on a batch boundary: the one-worker position is
+    // visibly rounded up.
+    let crash_after = chains * chain_len / 2 - 1;
     let err = Reorg::on(&db, forest.p1)
-        .workers(2)
-        .batch(2)
-        .crash_after_migrations(chains * chain_len / 2)
+        .workers(workers)
+        .batch(batch)
+        .crash_after_migrations(crash_after)
         .run()
         .unwrap_err();
     let ckpt = match err {
@@ -242,6 +270,12 @@ fn crash_mid_wave_body(chains: usize, chain_len: usize) {
         ckpt.mapping.len(),
         forest.live
     );
+    let expected_pos = if workers == 1 {
+        crash_after.div_ceil(batch) * batch
+    } else {
+        0
+    };
+    assert_eq!(ckpt.pos, expected_pos, "workers={workers}");
 
     let image = db.crash(store_ckpt, true);
     let blob = image
@@ -259,7 +293,7 @@ fn crash_mid_wave_body(chains: usize, chain_len: usize) {
     let db = out.db;
 
     let outcome = Reorg::on(&db, forest.p1)
-        .workers(2)
+        .workers(workers)
         .resume_from(recovered, &pre_crash_log)
         .run()
         .expect("resume after mid-wave crash");
@@ -267,8 +301,39 @@ fn crash_mid_wave_body(chains: usize, chain_len: usize) {
     assert_eq!(
         logical_fingerprint(&db, &forest.anchors),
         reference,
-        "resumed parallel run must reproduce the original graph"
+        "resumed run must reproduce the original graph"
     );
     ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
     brahma::sweep::assert_database_consistent(&db);
+}
+
+/// `checkpoint_every(1)` saves one reorganizer checkpoint per batch when one
+/// worker drains the queue, and none under a worker pool (which has no
+/// exact queue position to save).
+#[test]
+fn checkpoint_every_saves_per_batch_with_one_worker_only() {
+    let batch = 2;
+    for workers in [1, 2] {
+        let db = Database::new(StoreConfig::default());
+        let forest = build_forest(&db, 3, 4);
+        // An empty plan fires nothing; arming is what makes sites count hits.
+        db.fault.arm(brahma::FaultPlan::new(0));
+        let outcome = Reorg::on(&db, forest.p1)
+            .workers(workers)
+            .batch(batch)
+            .checkpoint_every(1)
+            .run()
+            .unwrap();
+        assert_eq!(outcome.migrated(), forest.live);
+        let expected = if workers == 1 {
+            forest.live.div_ceil(batch) as u64
+        } else {
+            0
+        };
+        assert_eq!(
+            db.fault.hits(ira::chaos::site::CHECKPOINT),
+            expected,
+            "workers={workers}"
+        );
+    }
 }

@@ -12,7 +12,7 @@
 //!    `crates/obs` needs an `// ordering:` justification.
 //!
 //! The legacy line-oriented rules (sleep, unwrap, obs-doc, fault-site,
-//! deprecated-reorg, raw-parking-lot) ride on the same source model.
+//! raw-parking-lot) ride on the same source model.
 //! All passes report through `lint-baseline.toml`. See DESIGN.md §17.
 
 pub mod baseline;
@@ -53,7 +53,6 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
     violations.extend(rules::rule_unwrap(&files));
     violations.extend(rules::rule_obs_doc(&files, &design));
     violations.extend(rules::rule_fault_site(&files));
-    violations.extend(rules::rule_deprecated(&files));
     violations.extend(rules::rule_parking_lot(&files));
 
     let analysis = lockgraph::analyze(&files);

@@ -1,8 +1,7 @@
-//! The six line-oriented repo rules (DESIGN.md §11/§17): `sleep`,
-//! `unwrap`, `obs-doc`, `fault-site`, `deprecated-reorg`,
-//! `raw-parking-lot`. The lock-graph, guard-blocking, and
-//! atomic-ordering passes live in [`crate::lockgraph`] and
-//! [`crate::ordering`].
+//! The five line-oriented repo rules (DESIGN.md §11/§17): `sleep`,
+//! `unwrap`, `obs-doc`, `fault-site`, `raw-parking-lot`. The lock-graph,
+//! guard-blocking, and atomic-ordering passes live in
+//! [`crate::lockgraph`] and [`crate::ordering`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -331,81 +330,6 @@ pub fn rule_fault_site(files: &[SourceFile]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: deprecated-reorg
-// ---------------------------------------------------------------------------
-
-/// The free reorg entry points removed when the `Reorg` builder became the
-/// only public way in. The rule bans them outright — definitions and calls
-/// alike — so they cannot grow back under the same names.
-const BANNED_REORG_FNS: [&str; 5] = [
-    "incremental_reorganize",
-    "partition_quiesce_reorganize",
-    "partition_quiesce_reorganize_with",
-    "offline_reorganize",
-    "resume_reorganization",
-];
-
-/// True when `code` defines `fn <name>`.
-fn defines_fn(code: &str, name: &str) -> bool {
-    code.find("fn ").is_some_and(|idx| {
-        let tail = &code[idx + 3..];
-        tail.starts_with(name)
-            && !tail[name.len()..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-    })
-}
-
-/// True when `code` calls `name(` as a standalone identifier.
-fn calls_fn(code: &str, name: &str) -> bool {
-    let mut rest = code;
-    while let Some(idx) = rest.find(name) {
-        let before_ok = rest[..idx]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
-        let after = &rest[idx + name.len()..];
-        if before_ok && after.starts_with('(') {
-            return true;
-        }
-        rest = &rest[idx + name.len()..];
-    }
-    false
-}
-
-/// The free reorg entry points were removed in favor of the `Reorg`
-/// builder. Any definition or call under the old names — anywhere in the
-/// workspace — is a violation; there is no exempt defining file anymore.
-pub fn rule_deprecated(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for f in files {
-        for (no, line) in f.code_lines() {
-            for name in BANNED_REORG_FNS {
-                if defines_fn(&line.code, name) {
-                    out.push(violation(
-                        "deprecated-reorg",
-                        &f.rel,
-                        no,
-                        format!("reintroduces removed `{name}` (use the Reorg builder)"),
-                        &line.raw,
-                    ));
-                } else if calls_fn(&line.code, name) {
-                    out.push(violation(
-                        "deprecated-reorg",
-                        &f.rel,
-                        no,
-                        format!("call to removed `{name}` (use the Reorg builder)"),
-                        &line.raw,
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rule: raw-parking-lot
 // ---------------------------------------------------------------------------
 
@@ -539,28 +463,6 @@ pub mod site {
         assert_eq!(vs.len(), 2, "{vs:?}");
         assert!(vs.iter().any(|v| v.message.contains("`B`")), "B not in ALL");
         assert!(vs.iter().any(|v| v.message.contains("x.rogue")));
-    }
-
-    #[test]
-    fn deprecated_rule_bans_definitions_and_calls() {
-        let def = src(
-            "crates/ira/src/pqr.rs",
-            "pub fn incremental_reorganize(db: &Db) {\n}\n",
-        );
-        let caller = src(
-            "crates/ira/src/driver.rs",
-            "fn f(db: &Db) {\n    offline_reorganize(db);\n}\n",
-        );
-        let clean = src(
-            "crates/ira/src/builder.rs",
-            "fn g(db: &Db) {\n    Reorg::on(db, p).run();\n    my_offline_reorganizer(db);\n}\n",
-        );
-        let vs = rule_deprecated(&[def, caller, clean]);
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        assert!(vs.iter().any(|v| v.file == "crates/ira/src/pqr.rs"
-            && v.message.contains("reintroduces")));
-        assert!(vs.iter().any(|v| v.file == "crates/ira/src/driver.rs"
-            && v.message.contains("call to removed")));
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl CpuModel {
     }
 
     /// The default model used by the paper-figure benches: one virtual CPU
-    /// (the paper's machine was a single-CPU UltraSparc) and 100
+    /// (the paper's machine was a single-CPU UltraSparc) and 40
     /// microseconds of work per access. The knee of the throughput curve
     /// still sits above MPL 1 because commit-time log flushes happen
     /// outside the CPU permit — the CPU/I-O overlap of Section 5.3.1.

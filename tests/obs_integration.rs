@@ -197,6 +197,36 @@ fn injected_transient_faults_are_retried_to_completion() {
     ira::verify::assert_reorganization_clean(&db, report);
 }
 
+/// `db.migrations` counts committed migrations only: a batch rolled back
+/// by a transient fault at its commit and then retried is counted once.
+#[test]
+fn rolled_back_batch_is_not_counted_in_db_migrations() {
+    let db = Database::new(StoreConfig::default());
+    let (_p0, p1, _anchor) = chain_fixture(&db, 6);
+    db.fault.arm(FaultPlan::new(0xFA58).with(FaultRule::nth(
+        ira::chaos::site::MIGRATE_COMMIT,
+        1,
+        FaultAction::Retryable,
+    )));
+    let before = db.obs_snapshot();
+    let outcome = Reorg::on(&db, p1)
+        .batch(4)
+        .run()
+        .expect("a transient commit fault must not kill the reorganization");
+    db.fault.disarm();
+    let report = outcome.ira().unwrap();
+    let diff = db.obs_snapshot().diff(&before);
+
+    assert!(report.retries >= 1, "the first batch of 4 must roll back");
+    assert_eq!(report.migrated(), 6);
+    assert_eq!(
+        diff.get("db.migrations"),
+        report.migrated() as u64,
+        "staged moves of the rolled-back batch must not be counted: {diff}"
+    );
+    ira::verify::assert_reorganization_clean(&db, report);
+}
+
 /// A contention spike — a stream of walker lock timeouts — makes the
 /// driver pause between batches (`ira.throttle.pauses` ≥ 1) and still
 /// finish the reorganization.
