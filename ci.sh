@@ -20,8 +20,22 @@ if [ -n "$missing" ]; then
   echo "$missing" >&2
   exit 1
 fi
+# One owner of what an update record does to a page (DESIGN.md §12.1):
+# outside object.rs, non-test code in at most one file under
+# crates/brahma/src may call the page mutators — today db.rs, inside
+# `Database::apply_update` — so a second copy of the record semantics fails
+# here, before anything is built.
+owners=$(for f in crates/brahma/src/*.rs crates/brahma/src/*/*.rs; do
+  if [ "$f" != crates/brahma/src/object.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" |
+    grep -Eq 'object::(init_object|mark_free|set_payload|set_ref|insert_ref|insert_ref_at|remove_ref_at)\('
+  then echo "$f"; fi
+done)
+if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then
+  echo "object:: page mutators called from more than one file:" >&2
+  echo "$owners" >&2
+  exit 1
+fi
 cargo build --release
-cargo test -q
 cargo test --workspace -q
 # Seeded chaos crash-point subset (DESIGN.md §9): one stride per fault
 # site, fixed seeds. The full matrix runs via the workspace test above;

@@ -4,7 +4,6 @@
 
 use crate::report::{Experiment, Row};
 use crate::runner::{run_cell, Algo, CellConfig};
-use brahma::RefTableMaintenance;
 use ira::{IraConfig, IraVariant, MigrationOrder};
 use std::time::Duration;
 use workload::WorkloadParams;
@@ -307,13 +306,6 @@ pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
         (
             "no-trt-purge",
             Box::new(|cfg: &mut CellConfig| cfg.store.trt_purge = false),
-        ),
-        (
-            "log-analyzer",
-            Box::new(|cfg: &mut CellConfig| {
-                cfg.store.maintenance = RefTableMaintenance::LogAnalyzer;
-                cfg.store.wal_retain = true;
-            }),
         ),
         (
             "relaxed-2pl",

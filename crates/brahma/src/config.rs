@@ -6,25 +6,6 @@ use std::time::Duration;
 /// object is `PAGE_SIZE` bytes including its header.
 pub const PAGE_SIZE: usize = 16 * 1024;
 
-/// How the TRT and ERT are kept up to date while transactions update
-/// references (paper Section 3.3, footnote 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefTableMaintenance {
-    /// Update the tables synchronously inside the pointer-update functions.
-    ///
-    /// The paper notes this alternative explicitly and states the mechanism
-    /// "is of no consequence to the algorithms". It is the default because it
-    /// guarantees the tables are current the instant a pointer update's lock
-    /// is released, which is the property the correctness lemmas rely on.
-    Inline,
-    /// Update the tables only through the log-analyzer process scanning the
-    /// WAL. With this mode the caller must drain the analyzer (see
-    /// [`crate::wal::analyzer::LogAnalyzer`]) before consulting the tables;
-    /// the reorganizer drains it at each point the paper's algorithm consults
-    /// the TRT.
-    LogAnalyzer,
-}
-
 /// Configuration for a [`crate::db::Database`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -38,11 +19,9 @@ pub struct StoreConfig {
     /// memory-resident database.
     pub commit_flush_latency: Duration,
     /// Whether the WAL retains all records in memory (needed for restart
-    /// recovery and for the log analyzer). Long benchmark runs may disable
-    /// retention to bound memory; recovery then requires a fresh run.
+    /// recovery). Long benchmark runs may disable retention to bound
+    /// memory; recovery then requires a fresh run.
     pub wal_retain: bool,
-    /// How TRT/ERT maintenance is performed.
-    pub maintenance: RefTableMaintenance,
     /// Apply the Section 4.5 TRT space optimization: under strict 2PL,
     /// pointer-delete tuples are purged when the deleting transaction
     /// completes, and a commit of a delete also purges a matching insert
@@ -73,7 +52,6 @@ impl Default for StoreConfig {
             lock_timeout: Duration::from_secs(1),
             commit_flush_latency: Duration::ZERO,
             wal_retain: true,
-            maintenance: RefTableMaintenance::Inline,
             trt_purge: true,
             strict_2pl: true,
             lock_shards: 64,

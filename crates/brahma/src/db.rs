@@ -6,11 +6,10 @@
 //! manager, update them under page latches, and log through the WAL; the
 //! database keeps each partition's ERT current on every cross-partition
 //! reference change and, while a reorganization is active, feeds the
-//! partition's TRT (inline or through the log analyzer, per
-//! [`RefTableMaintenance`]).
+//! partition's TRT — inline, at pointer-update time (footnote 7).
 
 use crate::addr::{PartitionId, PhysAddr};
-use crate::config::{RefTableMaintenance, StoreConfig};
+use crate::config::StoreConfig;
 use crate::error::{Error, Result};
 use crate::fault::{site, FaultInjector};
 use crate::lock::LockManager;
@@ -20,7 +19,6 @@ use crate::object::{self, ObjectView};
 use crate::partition::Partition;
 use crate::trt::{RefAction, Trt};
 use crate::txn::{TxnId, TxnManager};
-use crate::wal::analyzer::LogAnalyzer;
 use crate::wal::{LogPayload, Wal};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,6 +92,20 @@ impl DbStats {
     }
 }
 
+/// An update displaced a value other than the one its record names: the
+/// page and the log disagree.
+#[cold]
+fn displaced(
+    update: &str,
+    at: PhysAddr,
+    found: &dyn std::fmt::Debug,
+    logged: &dyn std::fmt::Debug,
+) -> Error {
+    Error::RecoveryCorrupt(format!(
+        "{update} at {at} displaced {found:?}, but the record names {logged:?}"
+    ))
+}
+
 /// The object database.
 pub struct Database {
     pub config: StoreConfig,
@@ -111,7 +123,6 @@ pub struct Database {
     /// restart recovery can hand interrupted reorganizations back to the
     /// utility for resumption (Section 3.7's restartability).
     reorg_checkpoints: Mutex<HashMap<PartitionId, Vec<u8>>>,
-    analyzer: LogAnalyzer,
     /// Persistent roots (Section 2). Conceptually these live in a dedicated
     /// root partition; threads obtain their walk entry points here.
     roots: Mutex<Vec<PhysAddr>>,
@@ -141,7 +152,6 @@ impl Database {
             reorg_tables: RwLock::new(LockClass::DbReorgTables, 0, HashMap::new()),
             reorg_pins: Mutex::new(LockClass::DbReorgPins, 0, HashMap::new()),
             reorg_checkpoints: Mutex::new(LockClass::DbReorgCkpt, 0, HashMap::new()),
-            analyzer: LogAnalyzer::new(0),
             roots: Mutex::new(LockClass::DbRoots, 0, Vec::new()),
             cpu: RwLock::new(LockClass::DbCpu, 0, None),
             stats: DbStats::default(),
@@ -430,73 +440,143 @@ impl Database {
         self.config.trt_purge && self.config.strict_2pl
     }
 
-    /// In [`RefTableMaintenance::LogAnalyzer`] mode, bring the TRTs up to
-    /// date with the WAL. The reorganizer calls this before every TRT
-    /// consultation; every pointer update is logged *before* it is
-    /// performed, so a drain at consultation time always sees it.
-    pub fn drain_analyzer(&self) {
-        if self.config.maintenance != RefTableMaintenance::LogAnalyzer {
-            return;
+    // ------------------------------------------------------------------
+    // What an update record does: physical effect, ERT/TRT notes
+    // ------------------------------------------------------------------
+
+    /// Perform the physical effect of one update record: the page write
+    /// under the page latch plus the allocator effect. The only caller of
+    /// the `object::` page mutators — forward mutators, rollback, restart
+    /// REDO and loser UNDO all land here. A value the update displaces that
+    /// is not the one the record names is corruption, not a conflict.
+    ///
+    /// `reorg_for` defers the release of space the reorganizer of that
+    /// partition frees; `slot_claimed` says the allocator already handed
+    /// out a `Create`'s address ([`Txn::create_object`] had to allocate to
+    /// learn the address it logs).
+    ///
+    /// [`Txn::create_object`]: crate::handle::Txn::create_object
+    pub(crate) fn apply_update(
+        &self,
+        update: &LogPayload,
+        reorg_for: Option<PartitionId>,
+        slot_claimed: bool,
+    ) -> Result<()> {
+        match update {
+            LogPayload::Create { addr, image } => {
+                if !slot_claimed {
+                    self.partition(addr.partition())?
+                        .alloc_at(*addr, image.size())?;
+                }
+                self.with_page_write(*addr, |buf| object::init_object(buf, *addr, image))?;
+            }
+            LogPayload::Free { addr, .. } => {
+                self.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
+                let part = self.partition(addr.partition())?;
+                if reorg_for == Some(addr.partition()) {
+                    part.free_deferred(*addr)?;
+                } else {
+                    part.free(*addr)?;
+                }
+            }
+            LogPayload::SetPayload { addr, old, new } => {
+                let was =
+                    self.with_page_write(*addr, |buf| object::set_payload(buf, *addr, new))??;
+                if was != *old {
+                    return Err(displaced("SetPayload", *addr, &was, old));
+                }
+            }
+            LogPayload::InsertRef {
+                parent,
+                child,
+                index,
+            } => {
+                self.with_page_write(*parent, |buf| {
+                    object::insert_ref_at(buf, *parent, *index, *child)
+                })??;
+            }
+            LogPayload::DeleteRef {
+                parent,
+                child,
+                index,
+            } => {
+                let was = self
+                    .with_page_write(*parent, |buf| object::remove_ref_at(buf, *parent, *index))??;
+                if was != *child {
+                    return Err(displaced("DeleteRef", *parent, &was, child));
+                }
+            }
+            LogPayload::SetRef {
+                parent,
+                index,
+                old_child,
+                new_child,
+            } => {
+                let was = self.with_page_write(*parent, |buf| {
+                    object::set_ref(buf, *parent, *index, *new_child)
+                })??;
+                if was != *old_child {
+                    return Err(displaced("SetRef", *parent, &was, old_child));
+                }
+            }
+            _ => {}
         }
-        let tables = self.reorg_tables.read().clone();
-        self.analyzer
-            .drain(&self.wal, &tables, self.trt_purge_enabled());
+        Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // TRT / ERT maintenance (called from the transaction handle)
-    // ------------------------------------------------------------------
+    /// Mirror one reference change into the child partition's ERT
+    /// (cross-partition edges only).
+    pub(crate) fn ert_note(
+        &self,
+        action: RefAction,
+        parent: PhysAddr,
+        child: PhysAddr,
+    ) -> Result<()> {
+        if parent.partition() != child.partition() {
+            let ert = &self.partition(child.partition())?.ert;
+            match action {
+                RefAction::Insert => ert.insert(child, parent),
+                RefAction::Delete => {
+                    ert.remove(child, parent);
+                }
+            }
+        }
+        Ok(())
+    }
 
-    /// Record that `parent` gained a reference to `child`:
-    /// cross-partition edges go to the child partition's ERT; if the child's
-    /// partition is under reorganization, note the insert in its TRT
-    /// (inline maintenance mode only; reorganizer transactions are exempt).
-    pub(crate) fn note_ref_insert(
+    /// Record that `parent` gains (`Insert`) or is about to lose (`Delete`)
+    /// its reference to `child`: the ERT follows every cross-partition
+    /// edge, and if the child's partition is under reorganization the
+    /// change is noted in its TRT (reorganizer transactions are exempt for
+    /// their own partition). A delete reaches the TRT **before** it leaves
+    /// the ERT, and the caller invokes this before the physical update (the
+    /// paper's rule for pointer deletes, Section 3.3).
+    pub(crate) fn note_ref_change(
         &self,
         tid: TxnId,
         reorg_for: Option<PartitionId>,
+        action: RefAction,
         parent: PhysAddr,
         child: PhysAddr,
     ) {
-        DbStats::bump(&self.stats.ref_inserts);
-        crate::sched::point("db.note_insert", child.to_raw());
-        if parent.partition() != child.partition() {
-            if let Ok(part) = self.partition(child.partition()) {
-                part.ert.insert(child, parent);
-            }
+        let (counter, point) = match action {
+            RefAction::Insert => (&self.stats.ref_inserts, "db.note_insert"),
+            RefAction::Delete => (&self.stats.ref_deletes, "db.note_delete"),
+        };
+        DbStats::bump(counter);
+        crate::sched::point(point, child.to_raw());
+        // A reference into a partition that does not exist has no ERT to
+        // keep: the `ert_note` error is not this update's to report.
+        if action == RefAction::Insert {
+            let _ = self.ert_note(action, parent, child);
         }
-        if reorg_for != Some(child.partition())
-            && self.config.maintenance == RefTableMaintenance::Inline
-        {
+        if reorg_for != Some(child.partition()) {
             if let Some(trt) = self.trt(child.partition()) {
-                trt.note(child, parent, tid, RefAction::Insert);
+                trt.note(child, parent, tid, action);
             }
         }
-    }
-
-    /// Record that `parent` is about to lose its reference to `child`.
-    /// Must be called **before** the physical update (the paper's rule for
-    /// pointer deletes, Section 3.3).
-    pub(crate) fn note_ref_delete(
-        &self,
-        tid: TxnId,
-        reorg_for: Option<PartitionId>,
-        parent: PhysAddr,
-        child: PhysAddr,
-    ) {
-        DbStats::bump(&self.stats.ref_deletes);
-        crate::sched::point("db.note_delete", child.to_raw());
-        if reorg_for != Some(child.partition())
-            && self.config.maintenance == RefTableMaintenance::Inline
-        {
-            if let Some(trt) = self.trt(child.partition()) {
-                trt.note(child, parent, tid, RefAction::Delete);
-            }
-        }
-        if parent.partition() != child.partition() {
-            if let Ok(part) = self.partition(child.partition()) {
-                part.ert.remove(child, parent);
-            }
+        if action == RefAction::Delete {
+            let _ = self.ert_note(action, parent, child);
         }
     }
 
@@ -557,9 +637,7 @@ impl Database {
         committed: bool,
         deleted_pairs: &[(PhysAddr, PhysAddr)],
     ) {
-        if !self.trt_purge_enabled()
-            || self.config.maintenance != RefTableMaintenance::Inline
-        {
+        if !self.trt_purge_enabled() {
             return;
         }
         let tables = self.reorg_tables.read();

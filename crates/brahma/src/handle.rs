@@ -20,8 +20,9 @@ use crate::error::{Error, Result};
 use crate::fault::site;
 use crate::lock::LockMode;
 use crate::object::{self, ObjectView};
+use crate::trt::RefAction;
 use crate::txn::TxnId;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::LogPayload;
 use std::sync::atomic::Ordering;
 
 /// Parameters for creating an object.
@@ -87,7 +88,6 @@ pub struct Txn<'db> {
     ever_locked: Vec<PhysAddr>,
     undo: Vec<LogPayload>,
     deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
-    last_lsn: Lsn,
 }
 
 impl Database {
@@ -109,7 +109,7 @@ impl Database {
 
     fn begin_internal(&self, reorg: Option<PartitionId>) -> Txn<'_> {
         let id = self.txns.begin();
-        let last_lsn = self.wal.append(id, LogPayload::Begin { reorg });
+        self.wal.append(id, LogPayload::Begin { reorg });
         Txn {
             db: self,
             id,
@@ -119,7 +119,6 @@ impl Database {
             ever_locked: Vec::new(),
             undo: Vec::new(),
             deleted_pairs: Vec::new(),
-            last_lsn,
         }
     }
 }
@@ -250,6 +249,44 @@ impl<'db> Txn<'db> {
     // Updates
     // ------------------------------------------------------------------
 
+    /// The one write path: note → append → apply. Every forward mutator
+    /// reaches it through [`Txn::update`]; rollback runs it on the inverse
+    /// of each undo entry.
+    ///
+    /// INVARIANT (fuzzy checkpoint, DESIGN.md §12): every TRT/ERT note a
+    /// mutation produces must happen *before* its WAL append. The
+    /// checkpoint reads `next_lsn` and then dumps the TRT; note-after-append
+    /// admits a schedule where the dump misses the tuple while the record's
+    /// LSN is already below the replay window, so seeded reconstruction
+    /// loses it (fatal if this txn aborts — aborts purge only delete
+    /// tuples). Note-before-append makes that a contradiction: the worst
+    /// case is the tuple landing in both snapshot and window, which
+    /// reconstruction tolerates as a conservative duplicate. The X lock
+    /// held on the updated object keeps early insert-notes invisible to
+    /// Find_Exact_Parents until this txn resolves. Noting first also puts
+    /// every pointer delete in the TRT before the pointer is removed
+    /// (Section 3.3), and the append before the apply is the WAL rule.
+    fn log_and_apply(&mut self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
+        let (db, id, reorg_for) = (self.db, self.id, self.reorg_for);
+        update.for_each_ref_change(|action, parent, child| {
+            db.note_ref_change(id, reorg_for, action, parent, child);
+            if action == RefAction::Delete {
+                self.deleted_pairs.push((child, parent));
+            }
+        });
+        db.wal.append(id, update.clone());
+        db.apply_update(update, reorg_for, slot_claimed)
+    }
+
+    /// Perform one validated forward update and remember it for rollback.
+    /// A record must never describe an operation that did not happen, so
+    /// callers check capacity and bounds *before* building the payload.
+    fn update(&mut self, payload: LogPayload, slot_claimed: bool) -> Result<()> {
+        self.log_and_apply(&payload, slot_claimed)?;
+        self.undo.push(payload);
+        Ok(())
+    }
+
     /// Create an object in `partition`. The new object is created
     /// exclusively locked by this transaction.
     ///
@@ -281,31 +318,7 @@ impl<'db> Txn<'db> {
         }
         self.db.locks.lock(self.id, addr, LockMode::Exclusive)?;
         self.record_lock(addr);
-        // INVARIANT (fuzzy checkpoint, DESIGN.md §12): every TRT/ERT note a
-        // mutation produces must happen *before* its WAL append. The
-        // checkpoint reads `next_lsn` and then dumps the TRT; note-after-
-        // append admits a schedule where the dump misses the tuple while the
-        // record's LSN is already below the replay window, so seeded
-        // reconstruction loses it (fatal if this txn aborts — aborts purge
-        // only delete tuples). Note-before-append makes that a contradiction:
-        // the worst case is the tuple landing in both snapshot and window,
-        // which reconstruction tolerates as a conservative duplicate. The X
-        // lock held on `addr` keeps early insert-notes invisible to
-        // Find_Exact_Parents until this txn resolves. Applies to all five
-        // mutators and the compensation arms in `apply_undo`.
-        for &child in &view.refs {
-            self.db.note_ref_insert(self.id, self.reorg_for, addr, child);
-        }
-        self.last_lsn = self.db.wal.append(
-            self.id,
-            LogPayload::Create {
-                addr,
-                image: view.clone(),
-            },
-        );
-        self.db
-            .with_page_write(addr, |buf| object::init_object(buf, addr, &view))?;
-        self.undo.push(LogPayload::Create { addr, image: view });
+        self.update(LogPayload::Create { addr, image: view }, true)?;
         // ordering: statistics counter; read only by obs snapshots, no sync derived
         self.db.stats.creates.fetch_add(1, Ordering::Relaxed);
         Ok(addr)
@@ -324,31 +337,13 @@ impl<'db> Txn<'db> {
         let image = self
             .db
             .with_page_read(addr, |buf| object::read_view(buf, addr))??;
-        // Pointer deletes are noted before the physical update — and before
-        // the WAL append (note-before-append invariant, see create_object).
-        for &child in &image.refs {
-            self.db.note_ref_delete(self.id, self.reorg_for, addr, child);
-            self.deleted_pairs.push((child, addr));
-        }
-        self.last_lsn = self.db.wal.append(
-            self.id,
+        self.update(
             LogPayload::Free {
                 addr,
                 image: image.clone(),
             },
-        );
-        self.db
-            .with_page_write(addr, |buf| object::mark_free(buf, addr))??;
-        let part = self.db.partition(addr.partition())?;
-        if self.reorg_for == Some(addr.partition()) {
-            part.free_deferred(addr)?;
-        } else {
-            part.free(addr)?;
-        }
-        self.undo.push(LogPayload::Free {
-            addr,
-            image: image.clone(),
-        });
+            false,
+        )?;
         // ordering: statistics counter; read only by obs snapshots, no sync derived
         self.db.stats.frees.fetch_add(1, Ordering::Relaxed);
         Ok(image)
@@ -362,35 +357,22 @@ impl<'db> Txn<'db> {
         self.db.fault.hit(site::TRT_NOTE)?;
         self.db.fault.hit(site::ERT_NOTE)?;
         self.db.charge_access_at(parent);
-        // Validate capacity before logging: a record must never describe an
-        // operation that did not happen.
         let header = self
             .db
             .with_page_read(parent, |buf| object::header(buf, parent))??;
         if header.nrefs >= header.ref_cap {
             return Err(Error::RefCapacityExceeded(parent));
         }
+        // The X lock keeps the index stable until the update lands.
         let index = header.nrefs as usize;
-        // Note-before-append invariant (see create_object); the X lock on
-        // `parent` keeps the early insert-note invisible to readers.
-        self.db.note_ref_insert(self.id, self.reorg_for, parent, child);
-        self.last_lsn = self.db.wal.append(
-            self.id,
+        self.update(
             LogPayload::InsertRef {
                 parent,
                 child,
                 index,
             },
-        );
-        let got = self
-            .db
-            .with_page_write(parent, |buf| object::insert_ref(buf, parent, child))??;
-        debug_assert_eq!(got, index, "X lock guarantees a stable index");
-        self.undo.push(LogPayload::InsertRef {
-            parent,
-            child,
-            index,
-        });
+            false,
+        )?;
         Ok(index)
     }
 
@@ -410,12 +392,9 @@ impl<'db> Txn<'db> {
     /// pointed to.
     pub fn delete_ref_at(&mut self, parent: PhysAddr, index: usize) -> Result<PhysAddr> {
         self.require(parent, LockMode::Exclusive)?;
-        let refs = self
+        let child = self
             .db
-            .with_page_read(parent, |buf| object::read_refs(buf, parent))??;
-        let child = *refs
-            .get(index)
-            .ok_or(Error::RefIndexOutOfBounds { addr: parent, index })?;
+            .with_page_read(parent, |buf| object::ref_at(buf, parent, index))??;
         self.delete_ref_at_inner(parent, index, child)?;
         Ok(child)
     }
@@ -430,26 +409,14 @@ impl<'db> Txn<'db> {
         self.db.fault.hit(site::TRT_NOTE)?;
         self.db.fault.hit(site::ERT_NOTE)?;
         self.db.charge_access_at(parent);
-        // Note the delete in the TRT before removing the pointer — and
-        // before the WAL append (note-before-append, see create_object).
-        self.db.note_ref_delete(self.id, self.reorg_for, parent, child);
-        self.deleted_pairs.push((child, parent));
-        self.last_lsn = self.db.wal.append(
-            self.id,
+        self.update(
             LogPayload::DeleteRef {
                 parent,
                 child,
                 index,
             },
-        );
-        self.db
-            .with_page_write(parent, |buf| object::remove_ref_at(buf, parent, index))??;
-        self.undo.push(LogPayload::DeleteRef {
-            parent,
-            child,
-            index,
-        });
-        Ok(())
+            false,
+        )
     }
 
     /// Overwrite the reference at `index` of `parent` (requires X),
@@ -466,38 +433,18 @@ impl<'db> Txn<'db> {
         self.db.fault.hit(site::TRT_NOTE)?;
         self.db.fault.hit(site::ERT_NOTE)?;
         self.db.charge_access_at(parent);
-        let refs = self
+        let old_child = self
             .db
-            .with_page_read(parent, |buf| object::read_refs(buf, parent))??;
-        let old_child = *refs
-            .get(index)
-            .ok_or(Error::RefIndexOutOfBounds { addr: parent, index })?;
-        // Both halves of the overwrite are noted before the WAL append
-        // (note-before-append, see create_object): the delete-note also
-        // precedes the physical update, the insert-note is shielded by the
-        // X lock on `parent`.
-        self.db
-            .note_ref_delete(self.id, self.reorg_for, parent, old_child);
-        self.deleted_pairs.push((old_child, parent));
-        self.db
-            .note_ref_insert(self.id, self.reorg_for, parent, new_child);
-        self.last_lsn = self.db.wal.append(
-            self.id,
+            .with_page_read(parent, |buf| object::ref_at(buf, parent, index))??;
+        self.update(
             LogPayload::SetRef {
                 parent,
                 index,
                 old_child,
                 new_child,
             },
-        );
-        self.db
-            .with_page_write(parent, |buf| object::set_ref(buf, parent, index, new_child))??;
-        self.undo.push(LogPayload::SetRef {
-            parent,
-            index,
-            old_child,
-            new_child,
-        });
+            false,
+        )?;
         Ok(old_child)
     }
 
@@ -506,34 +453,20 @@ impl<'db> Txn<'db> {
         self.require(addr, LockMode::Exclusive)?;
         self.db.fault.hit(site::WAL_APPEND)?;
         self.db.charge_access_at(addr);
-        // Validate capacity before logging (see insert_ref).
-        let old = self
-            .db
-            .with_page_read(addr, |buf| {
-                object::header(buf, addr).map(|h| {
-                    if payload.len() > h.payload_cap as usize {
-                        return Err(Error::PayloadCapacityExceeded(addr));
-                    }
-                    let base =
-                        addr.offset() as usize + object::HEADER_LEN + 8 * h.ref_cap as usize;
-                    Ok(buf[base..base + h.payload_len as usize].to_vec())
-                })
-            })???;
-        self.last_lsn = self.db.wal.append(
-            self.id,
+        let old = self.db.with_page_read(addr, |buf| {
+            if payload.len() > object::header(buf, addr)?.payload_cap as usize {
+                return Err(Error::PayloadCapacityExceeded(addr));
+            }
+            object::payload(buf, addr).map(<[u8]>::to_vec)
+        })??;
+        self.update(
             LogPayload::SetPayload {
                 addr,
-                old: old.clone(),
+                old,
                 new: payload.to_vec(),
             },
-        );
-        self.db
-            .with_page_write(addr, |buf| object::set_payload(buf, addr, payload))??;
-        self.undo.push(LogPayload::SetPayload {
-            addr,
-            old,
-            new: payload.to_vec(),
-        });
+            false,
+        )?;
         // ordering: statistics counter; read only by obs snapshots, no sync derived
         self.db.stats.payload_writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -573,9 +506,13 @@ impl<'db> Txn<'db> {
         }
         let undo = std::mem::take(&mut self.undo);
         for op in undo.into_iter().rev() {
+            let compensation = op
+                .inverse()
+                .expect("invariant: the undo chain holds only update records");
             // Rollback of operations on objects we hold X locks on cannot
             // fail; failures here indicate storage corruption.
-            self.apply_undo(op).expect("invariant: rollback under held X locks cannot fail");
+            self.log_and_apply(&compensation, false)
+                .expect("invariant: rollback under held X locks cannot fail");
         }
         self.db.wal.append(self.id, LogPayload::Abort);
         self.db
@@ -583,120 +520,6 @@ impl<'db> Txn<'db> {
         self.finish();
         // ordering: statistics counter; read only by obs snapshots, no sync derived
         self.db.stats.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn apply_undo(&mut self, op: LogPayload) -> Result<()> {
-        let db = self.db;
-        // Compensation records obey the same note-before-append invariant as
-        // the forward mutators (see create_object): the fuzzy checkpoint may
-        // run concurrently with a rollback.
-        match op {
-            LogPayload::Create { addr, image } => {
-                // Compensate a create with a free.
-                for &child in &image.refs {
-                    db.note_ref_delete(self.id, self.reorg_for, addr, child);
-                }
-                db.wal.append(
-                    self.id,
-                    LogPayload::Free {
-                        addr,
-                        image: image.clone(),
-                    },
-                );
-                db.with_page_write(addr, |buf| object::mark_free(buf, addr))??;
-                let part = db.partition(addr.partition())?;
-                if self.reorg_for == Some(addr.partition()) {
-                    part.free_deferred(addr)?;
-                } else {
-                    part.free(addr)?;
-                }
-            }
-            LogPayload::Free { addr, image } => {
-                for &child in &image.refs {
-                    db.note_ref_insert(self.id, self.reorg_for, addr, child);
-                }
-                db.wal.append(
-                    self.id,
-                    LogPayload::Create {
-                        addr,
-                        image: image.clone(),
-                    },
-                );
-                let part = db.partition(addr.partition())?;
-                part.alloc_at(addr, image.size())?;
-                db.with_page_write(addr, |buf| object::init_object(buf, addr, &image))?;
-            }
-            LogPayload::SetPayload { addr, old, new } => {
-                db.wal.append(
-                    self.id,
-                    LogPayload::SetPayload {
-                        addr,
-                        old: new,
-                        new: old.clone(),
-                    },
-                );
-                db.with_page_write(addr, |buf| object::set_payload(buf, addr, &old))??;
-            }
-            LogPayload::InsertRef {
-                parent,
-                child,
-                index,
-            } => {
-                db.note_ref_delete(self.id, self.reorg_for, parent, child);
-                db.wal.append(
-                    self.id,
-                    LogPayload::DeleteRef {
-                        parent,
-                        child,
-                        index,
-                    },
-                );
-                db.with_page_write(parent, |buf| object::remove_ref_at(buf, parent, index))??;
-            }
-            LogPayload::DeleteRef {
-                parent,
-                child,
-                index,
-            } => {
-                // Section 4.5: a reintroduced reference is treated as an
-                // insertion in the TRT.
-                db.note_ref_insert(self.id, self.reorg_for, parent, child);
-                db.wal.append(
-                    self.id,
-                    LogPayload::InsertRef {
-                        parent,
-                        child,
-                        index,
-                    },
-                );
-                db.with_page_write(parent, |buf| {
-                    object::insert_ref_at(buf, parent, index, child)
-                })??;
-            }
-            LogPayload::SetRef {
-                parent,
-                index,
-                old_child,
-                new_child,
-            } => {
-                db.note_ref_delete(self.id, self.reorg_for, parent, new_child);
-                db.note_ref_insert(self.id, self.reorg_for, parent, old_child);
-                db.wal.append(
-                    self.id,
-                    LogPayload::SetRef {
-                        parent,
-                        index,
-                        old_child: new_child,
-                        new_child: old_child,
-                    },
-                );
-                db.with_page_write(parent, |buf| {
-                    object::set_ref(buf, parent, index, old_child)
-                })??;
-            }
-            _ => unreachable!("non-update payload in undo chain"),
-        }
-        Ok(())
     }
 
     fn finish(&mut self) {

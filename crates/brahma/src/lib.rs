@@ -15,8 +15,8 @@
 //!   upgrades, timeout-based deadlock resolution, and ever-held tracking for
 //!   the paper's relaxed-2PL extension;
 //! * **WAL** with undo-before-update, commit-time log force, ARIES-style
-//!   restart recovery, and the **log analyzer** process that maintains (or
-//!   reconstructs) the reference tables from the log;
+//!   restart recovery, and a log scan that reconstructs a reorganization's
+//!   reference table at restart;
 //! * **extendible hash indices** ([`exthash`]), used — as in Brahmā — to
 //!   implement the per-partition **External Reference Table** ([`ert`]) and
 //!   the per-reorganization **Temporary Reference Table** ([`trt`]).
@@ -73,7 +73,7 @@ pub mod txn;
 pub mod wal;
 
 pub use addr::{PartitionId, PhysAddr};
-pub use config::{RefTableMaintenance, StoreConfig, PAGE_SIZE};
+pub use config::{StoreConfig, PAGE_SIZE};
 pub use db::{CpuCharge, Database, DbStats};
 pub use error::{Error, Result};
 pub use ert::Ert;

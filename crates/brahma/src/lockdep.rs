@@ -54,8 +54,6 @@ pub enum LockClass {
     WalPins,
     /// The WAL group-commit leader flag (`Wal::flush_leader`).
     WalFlushLeader,
-    /// The log analyzer's cursor state (`LogAnalyzer::state`).
-    AnalyzerCursor,
     /// A Temporary Reference Table (`Trt::inner`).
     TrtInner,
     /// An External Reference Table (`Ert::inner`).
@@ -258,7 +256,6 @@ mod imp {
         "WalInner",
         "WalPins",
         "WalFlushLeader",
-        "AnalyzerCursor",
         "TrtInner",
         "ErtInner",
         "PartitionAlloc",

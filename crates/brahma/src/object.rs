@@ -129,6 +129,23 @@ pub fn read_refs(buf: &[u8], addr: PhysAddr) -> Result<Vec<PhysAddr>> {
         .collect())
 }
 
+/// Read the reference in slot `index` of the object at `addr`.
+pub fn ref_at(buf: &[u8], addr: PhysAddr, index: usize) -> Result<PhysAddr> {
+    let h = header(buf, addr)?;
+    if index >= h.nrefs as usize {
+        return Err(Error::RefIndexOutOfBounds { addr, index });
+    }
+    let at = addr.offset() as usize + HEADER_LEN + index * REF_LEN;
+    Ok(PhysAddr::from_raw(rd_u64(buf, at)))
+}
+
+/// The current payload bytes of the object at `addr`.
+pub fn payload(buf: &[u8], addr: PhysAddr) -> Result<&[u8]> {
+    let h = header(buf, addr)?;
+    let base = addr.offset() as usize + HEADER_LEN + REF_LEN * h.ref_cap as usize;
+    Ok(&buf[base..base + h.payload_len as usize])
+}
+
 /// Read a full detached copy of the object at `addr`.
 pub fn read_view(buf: &[u8], addr: PhysAddr) -> Result<ObjectView> {
     let h = header(buf, addr)?;
@@ -337,6 +354,22 @@ mod tests {
             read_refs(&page, a).unwrap(),
             vec![PhysAddr::from_raw(0xAABB), PhysAddr::from_raw(0x1234)]
         );
+    }
+
+    #[test]
+    fn ref_at_reads_one_slot_and_checks_bounds() {
+        let mut buf = vec![0u8; 4096];
+        let a = addr(64);
+        let view = sample_view();
+        init_object(&mut buf, a, &view);
+        for (i, r) in view.refs.iter().enumerate() {
+            assert_eq!(ref_at(&buf, a, i).unwrap(), *r);
+        }
+        assert!(matches!(
+            ref_at(&buf, a, view.refs.len()),
+            Err(Error::RefIndexOutOfBounds { .. })
+        ));
+        assert_eq!(payload(&buf, a).unwrap(), &view.payload[..]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::addr::{PartitionId, PhysAddr};
 use crate::config::StoreConfig;
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::object::{self};
 use crate::partition::{Partition, PartitionSnapshot};
 use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
@@ -141,7 +140,7 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
 
     // ---- Analysis ----
     let mut active: HashMap<TxnId, Option<PartitionId>> = HashMap::new(); // tid -> reorg partition
-    let mut txn_updates: HashMap<TxnId, Vec<LogRecord>> = HashMap::new();
+    let mut txn_updates: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
     let mut reorgs: HashSet<PartitionId> =
         image.checkpoint.active_reorgs.iter().copied().collect();
     let mut logged_blobs: HashMap<PartitionId, Vec<u8>> = HashMap::new();
@@ -167,7 +166,10 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
             | LogPayload::InsertRef { .. }
             | LogPayload::DeleteRef { .. }
             | LogPayload::SetRef { .. } => {
-                txn_updates.entry(rec.tid).or_default().push(rec.clone());
+                txn_updates
+                    .entry(rec.tid)
+                    .or_default()
+                    .push(rec.payload.clone());
             }
             LogPayload::ReorgCheckpoint { partition, blob } => {
                 // Keep the latest logged reorganizer checkpoint per
@@ -183,7 +185,7 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
 
     // ---- Redo: repeat history ----
     for rec in &image.log {
-        redo_record(&db, rec)?;
+        redo_record(&db, &rec.payload)?;
     }
 
     // ---- Undo losers ----
@@ -191,8 +193,12 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
     losers.sort_unstable();
     for &tid in &losers {
         let updates = txn_updates.remove(&tid).unwrap_or_default();
-        for rec in updates.iter().rev() {
-            undo_record(&db, rec)?;
+        // Analysis kept only update records, each of which has an inverse:
+        // log it as the compensation record, then perform it like any other.
+        let compensations = updates.into_iter().rev().filter_map(LogPayload::inverse);
+        for compensation in compensations {
+            db.wal.append(tid, compensation.clone());
+            redo_record(&db, &compensation)?;
         }
         db.wal.append(tid, LogPayload::Abort);
     }
@@ -215,11 +221,12 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
     })
 }
 
-/// Re-apply one logged update against the recovering database, including
-/// ERT maintenance.
-fn redo_record(db: &Database, rec: &LogRecord) -> Result<()> {
-    match &rec.payload {
-        LogPayload::CreatePartition { id } if (id.0 as usize) >= db.partition_count() => {
+/// Re-apply one logged record against the recovering database: the
+/// update's physical effect plus the ERT maintenance that rode along with
+/// it (no reorganization is live during recovery, so there is no TRT).
+fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
+    if let LogPayload::CreatePartition { id } = payload {
+        if (id.0 as usize) >= db.partition_count() {
             let created = db.create_partition();
             if created != *id {
                 return Err(Error::RecoveryCorrupt(format!(
@@ -227,186 +234,16 @@ fn redo_record(db: &Database, rec: &LogRecord) -> Result<()> {
                 )));
             }
         }
-        LogPayload::Create { addr, image } => {
-            let part = db.partition(addr.partition())?;
-            part.alloc_at(*addr, image.size())?;
-            db.with_page_write(*addr, |buf| object::init_object(buf, *addr, image))?;
-            for &child in &image.refs {
-                ert_insert(db, *addr, child)?;
-            }
-        }
-        LogPayload::Free { addr, image } => {
-            db.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
-            db.partition(addr.partition())?.free(*addr)?;
-            for &child in &image.refs {
-                ert_remove(db, *addr, child)?;
-            }
-        }
-        LogPayload::SetPayload { addr, new, .. } => {
-            db.with_page_write(*addr, |buf| object::set_payload(buf, *addr, new))??;
-        }
-        LogPayload::InsertRef {
-            parent,
-            child,
-            index,
-        } => {
-            db.with_page_write(*parent, |buf| {
-                object::insert_ref_at(buf, *parent, *index, *child)
-            })??;
-            ert_insert(db, *parent, *child)?;
-        }
-        LogPayload::DeleteRef {
-            parent,
-            child,
-            index,
-        } => {
-            let removed = db
-                .with_page_write(*parent, |buf| object::remove_ref_at(buf, *parent, *index))??;
-            if removed != *child {
-                return Err(Error::RecoveryCorrupt(format!(
-                    "redo of DeleteRef at {parent}[{index}] removed {removed}, expected {child}"
-                )));
-            }
-            ert_remove(db, *parent, *child)?;
-        }
-        LogPayload::SetRef {
-            parent,
-            index,
-            old_child,
-            new_child,
-        } => {
-            let old = db
-                .with_page_write(*parent, |buf| {
-                    object::set_ref(buf, *parent, *index, *new_child)
-                })??;
-            if old != *old_child {
-                return Err(Error::RecoveryCorrupt(format!(
-                    "redo of SetRef at {parent}[{index}] replaced {old}, expected {old_child}"
-                )));
-            }
-            ert_remove(db, *parent, *old_child)?;
-            ert_insert(db, *parent, *new_child)?;
-        }
-        _ => {}
+        return Ok(());
     }
-    Ok(())
-}
-
-/// Apply the inverse of one logged update (loser rollback), logging a
-/// compensation record.
-fn undo_record(db: &Database, rec: &LogRecord) -> Result<()> {
-    match &rec.payload {
-        LogPayload::Create { addr, image } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::Free {
-                    addr: *addr,
-                    image: image.clone(),
-                },
-            );
-            db.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
-            db.partition(addr.partition())?.free(*addr)?;
-            for &child in &image.refs {
-                ert_remove(db, *addr, child)?;
-            }
+    db.apply_update(payload, None, false)?;
+    let mut ert = Ok(());
+    payload.for_each_ref_change(|action, parent, child| {
+        if ert.is_ok() {
+            ert = db.ert_note(action, parent, child);
         }
-        LogPayload::Free { addr, image } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::Create {
-                    addr: *addr,
-                    image: image.clone(),
-                },
-            );
-            db.partition(addr.partition())?.alloc_at(*addr, image.size())?;
-            db.with_page_write(*addr, |buf| object::init_object(buf, *addr, image))?;
-            for &child in &image.refs {
-                ert_insert(db, *addr, child)?;
-            }
-        }
-        LogPayload::SetPayload { addr, old, new } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::SetPayload {
-                    addr: *addr,
-                    old: new.clone(),
-                    new: old.clone(),
-                },
-            );
-            db.with_page_write(*addr, |buf| object::set_payload(buf, *addr, old))??;
-        }
-        LogPayload::InsertRef {
-            parent,
-            child,
-            index,
-        } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::DeleteRef {
-                    parent: *parent,
-                    child: *child,
-                    index: *index,
-                },
-            );
-            db.with_page_write(*parent, |buf| object::remove_ref_at(buf, *parent, *index))??;
-            ert_remove(db, *parent, *child)?;
-        }
-        LogPayload::DeleteRef {
-            parent,
-            child,
-            index,
-        } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::InsertRef {
-                    parent: *parent,
-                    child: *child,
-                    index: *index,
-                },
-            );
-            db.with_page_write(*parent, |buf| {
-                object::insert_ref_at(buf, *parent, *index, *child)
-            })??;
-            ert_insert(db, *parent, *child)?;
-        }
-        LogPayload::SetRef {
-            parent,
-            index,
-            old_child,
-            new_child,
-        } => {
-            db.wal.append(
-                rec.tid,
-                LogPayload::SetRef {
-                    parent: *parent,
-                    index: *index,
-                    old_child: *new_child,
-                    new_child: *old_child,
-                },
-            );
-            db.with_page_write(*parent, |buf| {
-                object::set_ref(buf, *parent, *index, *old_child)
-            })??;
-            ert_remove(db, *parent, *new_child)?;
-            ert_insert(db, *parent, *old_child)?;
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-fn ert_insert(db: &Database, parent: PhysAddr, child: PhysAddr) -> Result<()> {
-    if parent.partition() != child.partition() {
-        db.partition(child.partition())?.ert.insert(child, parent);
-    }
-    Ok(())
-}
-
-fn ert_remove(db: &Database, parent: PhysAddr, child: PhysAddr) -> Result<()> {
-    if parent.partition() != child.partition() {
-        db.partition(child.partition())?.ert.remove(child, parent);
-    }
-    Ok(())
+    });
+    ert
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!
 //! The table is transient: it exists only while a reorganization runs, and
 //! Section 4.5's space optimizations purge tuples aggressively under strict
-//! 2PL. It can be reconstructed from the WAL by the log analyzer
-//! ([`crate::wal::analyzer`]) after a failure.
+//! 2PL. It can be reconstructed from the WAL ([`crate::wal::analyzer`])
+//! after a failure.
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::exthash::ExtHash;
@@ -210,8 +210,8 @@ impl Trt {
         self.inner.lock().is_empty()
     }
 
-    /// All tuples, sorted (testing: compared against the log analyzer's
-    /// reconstruction).
+    /// All tuples, sorted (testing: compared against the reconstruction
+    /// from the log).
     pub fn dump(&self) -> Vec<TrtTuple> {
         let t = self.inner.lock();
         let mut out: Vec<TrtTuple> = t

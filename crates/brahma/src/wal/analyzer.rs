@@ -1,203 +1,78 @@
-//! The log analyzer.
+//! TRT reconstruction from the log.
 //!
-//! Section 3.3: "A simple mechanism to maintain the TRT and the ERT, as
-//! pointers are updated, is to process the system logs by a separate process
-//! called log analyzer as soon as they are handed over to the logging
-//! subsystem."
-//!
-//! This module implements that process. It scans log records in LSN order
-//! and applies every reference insert/delete concerning a partition under
-//! reorganization to that partition's TRT, including the Section 4.5 purge
-//! optimizations on commit/abort records. Because aborting transactions log
-//! compensation records through the ordinary record types, a linear scan
-//! reproduces the inline-maintained table exactly (the test suite compares
-//! the two tuple-for-tuple).
-//!
-//! The same scan logic rebuilds a TRT from scratch after a failure
-//! (Section 4.4: "the TRT is reconstructed on the basis of the logs
-//! generated after the IRA started").
+//! Section 3.3 lets the TRT be maintained either by a log-analyzer process
+//! or inline by the pointer-update functions (footnote 7); this store does
+//! the latter (`Database::note_ref_change`). What remains here is the restart
+//! path of Section 4.4 — "the TRT is reconstructed on the basis of the logs
+//! generated after the IRA started": scan records in LSN order and note
+//! every reference change [`LogPayload::for_each_ref_change`] enumerates
+//! for the partition, with the Section 4.5 purges on commit/abort records.
+//! Aborting transactions log compensation records through the ordinary
+//! record types, so a linear scan reproduces the inline-maintained table
+//! exactly (the test suite compares the two tuple-for-tuple).
 
 use crate::addr::{PartitionId, PhysAddr};
-use crate::trt::{RefAction, Trt};
+use crate::trt::{RefAction, Trt, TrtTuple};
 use crate::txn::TxnId;
-use crate::lockdep::{LockClass, Mutex};
-use crate::wal::{LogPayload, LogRecord, Lsn, PinId, Wal};
+use crate::wal::{LogPayload, LogRecord};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Incremental log analyzer with a persistent cursor.
-pub struct LogAnalyzer {
-    state: Mutex<AnalyzerState>,
-}
-
-struct AnalyzerState {
-    cursor: Lsn,
-    /// Truncation pin tracking the cursor.
-    pin: Option<PinId>,
-    /// Committed-delete bookkeeping for the pair-purge optimization:
-    /// per active transaction, the (child, parent) pairs it has deleted.
+/// Scan state of one reconstruction.
+struct Scan {
+    /// Per active transaction, the (child, parent) pairs it has deleted —
+    /// the pair-purge candidates should it commit.
     txn_deletes: HashMap<TxnId, Vec<(PhysAddr, PhysAddr)>>,
     /// Transactions running on behalf of a reorganizer, with the partition
     /// they reorganize; their reference updates concerning *that partition*
     /// are not noted in its TRT (the reorganizer knows its own writes; the
     /// paper ignores new references to `O_new` for the same reason).
     reorg_txns: HashMap<TxnId, PartitionId>,
-    /// Partitions whose `ReorgStart` marker the scan has passed (and whose
-    /// `ReorgEnd` it has not): only their records are noted — records that
-    /// predate a reorganization are not pointer updates "since the
-    /// reorganization process started" (Section 3.3).
-    active: std::collections::HashSet<PartitionId>,
+    /// Whether the scan is inside the partition's `ReorgStart..ReorgEnd`
+    /// window: records that predate a reorganization are not pointer
+    /// updates "since the reorganization process started" (Section 3.3).
+    active: bool,
 }
 
-impl LogAnalyzer {
-    /// Create an analyzer that starts scanning at `from`.
-    pub fn new(from: Lsn) -> Self {
-        LogAnalyzer {
-            state: Mutex::new(
-                LockClass::AnalyzerCursor,
-                0,
-                AnalyzerState {
-                    cursor: from,
-                    pin: None,
-                    txn_deletes: HashMap::new(),
-                    reorg_txns: HashMap::new(),
-                    active: std::collections::HashSet::new(),
-                },
-            ),
-        }
-    }
-
-    /// Current cursor position.
-    pub fn cursor(&self) -> Lsn {
-        self.state.lock().cursor
-    }
-
-    /// Consume all records the WAL has accumulated since the last drain and
-    /// apply them to the TRTs of the partitions under reorganization.
-    ///
-    /// `trts` maps each partition under reorganization to its TRT; `purge`
-    /// enables the Section 4.5 optimizations (strict 2PL only).
-    pub fn drain(&self, wal: &Wal, trts: &HashMap<PartitionId, Arc<Trt>>, purge: bool) {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let records = wal.records_from(st.cursor);
-        for rec in &records {
-            apply_record(
-                rec,
-                trts,
-                purge,
-                &mut st.txn_deletes,
-                &mut st.reorg_txns,
-                &mut st.active,
-            );
-            st.cursor = rec.lsn + 1;
-        }
-        match st.pin {
-            Some(id) => wal.move_pin(id, st.cursor),
-            None => st.pin = Some(wal.pin_at(st.cursor)),
-        }
-    }
-}
-
-/// Apply one record to the TRTs.
-fn apply_record(
-    rec: &LogRecord,
-    trts: &HashMap<PartitionId, Arc<Trt>>,
-    purge: bool,
-    txn_deletes: &mut HashMap<TxnId, Vec<(PhysAddr, PhysAddr)>>,
-    reorg_txns: &mut HashMap<TxnId, PartitionId>,
-    active: &mut std::collections::HashSet<PartitionId>,
-) {
-    // Note unless the update is the transaction's own reorganization work,
-    // and only inside the partition's ReorgStart..ReorgEnd window.
-    let own = reorg_txns.get(&rec.tid).copied();
-    let note = |child: PhysAddr, parent: PhysAddr, action: RefAction| {
-        if own == Some(child.partition()) || !active.contains(&child.partition()) {
-            return;
-        }
-        if let Some(trt) = trts.get(&child.partition()) {
-            trt.note(child, parent, rec.tid, action);
-        }
-    };
+/// Apply one record to the TRT being rebuilt.
+fn apply_record(rec: &LogRecord, trt: &Trt, purge: bool, scan: &mut Scan) {
+    let partition = trt.partition();
     match &rec.payload {
         LogPayload::Begin { reorg: Some(p) } => {
-            reorg_txns.insert(rec.tid, *p);
+            scan.reorg_txns.insert(rec.tid, *p);
         }
-        LogPayload::ReorgStart { partition } => {
-            active.insert(*partition);
-        }
-        LogPayload::ReorgEnd { partition } => {
-            active.remove(partition);
-        }
-        LogPayload::InsertRef { parent, child, .. } => {
-            note(*child, *parent, RefAction::Insert);
-        }
-        LogPayload::DeleteRef { parent, child, .. } => {
-            note(*child, *parent, RefAction::Delete);
-            if trts.contains_key(&child.partition()) {
-                txn_deletes
-                    .entry(rec.tid)
-                    .or_default()
-                    .push((*child, *parent));
-            }
-        }
-        LogPayload::SetRef {
-            parent,
-            old_child,
-            new_child,
-            ..
-        } => {
-            note(*old_child, *parent, RefAction::Delete);
-            if trts.contains_key(&old_child.partition()) {
-                txn_deletes
-                    .entry(rec.tid)
-                    .or_default()
-                    .push((*old_child, *parent));
-            }
-            note(*new_child, *parent, RefAction::Insert);
-        }
-        LogPayload::Create { addr, image } => {
-            // An object created with references inserts each of them.
-            for child in &image.refs {
-                note(*child, *addr, RefAction::Insert);
-            }
-        }
-        LogPayload::Free { addr, image } => {
-            // Freeing an object deletes its outgoing references.
-            for child in &image.refs {
-                note(*child, *addr, RefAction::Delete);
-                if trts.contains_key(&child.partition()) {
-                    txn_deletes
-                        .entry(rec.tid)
-                        .or_default()
-                        .push((*child, *addr));
-                }
-            }
-        }
-        LogPayload::Commit => {
-            let deletes = txn_deletes.remove(&rec.tid).unwrap_or_default();
+        LogPayload::ReorgStart { partition: p } if *p == partition => scan.active = true,
+        LogPayload::ReorgEnd { partition: p } if *p == partition => scan.active = false,
+        LogPayload::Commit | LogPayload::Abort => {
+            let deletes = scan.txn_deletes.remove(&rec.tid).unwrap_or_default();
             if purge {
-                for trt in trts.values() {
-                    trt.purge_txn_deletes(rec.tid);
-                }
-                for (child, parent) in deletes {
-                    if let Some(trt) = trts.get(&child.partition()) {
+                trt.purge_txn_deletes(rec.tid);
+                if rec.payload == LogPayload::Commit {
+                    for (child, parent) in deletes {
                         trt.purge_insert_pair(child, parent);
                     }
                 }
             }
-            reorg_txns.remove(&rec.tid);
+            scan.reorg_txns.remove(&rec.tid);
         }
-        LogPayload::Abort => {
-            txn_deletes.remove(&rec.tid);
-            if purge {
-                for trt in trts.values() {
-                    trt.purge_txn_deletes(rec.tid);
+        p => {
+            // Note unless the update is the transaction's own reorganization
+            // work, and only inside the reorganization window.
+            let own = scan.reorg_txns.get(&rec.tid) == Some(&partition);
+            p.for_each_ref_change(|action, parent, child| {
+                if child.partition() != partition {
+                    return;
                 }
-            }
-            reorg_txns.remove(&rec.tid);
+                if !own && scan.active {
+                    trt.note(child, parent, rec.tid, action);
+                }
+                if action == RefAction::Delete {
+                    scan.txn_deletes
+                        .entry(rec.tid)
+                        .or_default()
+                        .push((child, parent));
+                }
+            });
         }
-        _ => {}
     }
 }
 
@@ -222,31 +97,23 @@ pub fn rebuild_trt_seeded(
     records: &[LogRecord],
     partition: PartitionId,
     purge: bool,
-    seed: &[crate::trt::TrtTuple],
+    seed: &[TrtTuple],
 ) -> Trt {
-    let trt = Arc::new(Trt::new(partition));
+    let trt = Trt::new(partition);
     for t in seed {
         trt.note(t.child, t.parent, t.tid, t.action);
     }
-    let mut trts = HashMap::new();
-    trts.insert(partition, Arc::clone(&trt));
-    let mut txn_deletes = HashMap::new();
-    let mut reorg_txns = HashMap::new();
-    // The caller guarantees the window starts at the reorganization start,
-    // so the partition is active from the first record.
-    let mut active: std::collections::HashSet<PartitionId> = [partition].into();
+    let mut scan = Scan {
+        txn_deletes: HashMap::new(),
+        reorg_txns: HashMap::new(),
+        // The caller guarantees the window starts at the reorganization
+        // start, so the partition is active from the first record.
+        active: true,
+    };
     for rec in records {
-        apply_record(
-            rec,
-            &trts,
-            purge,
-            &mut txn_deletes,
-            &mut reorg_txns,
-            &mut active,
-        );
+        apply_record(rec, &trt, purge, &mut scan);
     }
-    drop(trts);
-    Arc::try_unwrap(trt).expect("invariant: sole Arc owner after scan")
+    trt
 }
 
 #[cfg(test)]
@@ -257,7 +124,7 @@ mod tests {
         PhysAddr::new(PartitionId(p), 0, off)
     }
 
-    fn rec(lsn: Lsn, tid: u64, payload: LogPayload) -> LogRecord {
+    fn rec(lsn: crate::wal::Lsn, tid: u64, payload: LogPayload) -> LogRecord {
         LogRecord {
             lsn,
             tid: TxnId(tid),
@@ -409,40 +276,5 @@ mod tests {
         ];
         let trt = rebuild_trt(&records, PartitionId(1), true);
         assert!(trt.is_empty());
-    }
-
-    #[test]
-    fn incremental_drain_tracks_cursor() {
-        let wal = Wal::new(true, std::time::Duration::ZERO);
-        let trt = Arc::new(Trt::new(PartitionId(1)));
-        let mut trts = HashMap::new();
-        trts.insert(PartitionId(1), Arc::clone(&trt));
-        let analyzer = LogAnalyzer::new(0);
-
-        wal.append(TxnId(0), LogPayload::ReorgStart { partition: PartitionId(1) });
-        wal.append(
-            TxnId(1),
-            LogPayload::InsertRef {
-                parent: a(2, 0),
-                child: a(1, 0),
-                index: 0,
-            },
-        );
-        analyzer.drain(&wal, &trts, false);
-        assert_eq!(trt.len(), 1);
-        // Draining again without new records is a no-op.
-        analyzer.drain(&wal, &trts, false);
-        assert_eq!(trt.len(), 1);
-        wal.append(
-            TxnId(1),
-            LogPayload::DeleteRef {
-                parent: a(2, 0),
-                child: a(1, 0),
-                index: 0,
-            },
-        );
-        analyzer.drain(&wal, &trts, false);
-        assert_eq!(trt.len(), 2);
-        assert_eq!(analyzer.cursor(), 3);
     }
 }

@@ -12,15 +12,16 @@
 //! here too.
 //!
 //! Undo of an aborting transaction logs compensation records through the
-//! same record types, so a *linear* scan of the log reproduces every state
-//! transition — which is what lets the log analyzer rebuild the TRT and ERT
-//! (Section 3.3) without special cases.
+//! same record types ([`LogPayload::inverse`]), so a *linear* scan of the log
+//! reproduces every state transition — which is what lets [`analyzer`]
+//! rebuild a TRT at restart (Section 4.4) without special cases.
 
 pub mod analyzer;
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::lockdep::{Condvar, LockClass, Mutex};
 use crate::object::ObjectView;
+use crate::trt::RefAction;
 use crate::txn::TxnId;
 use obs::{Counter, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,8 +74,8 @@ pub enum LogPayload {
         old_child: PhysAddr,
         new_child: PhysAddr,
     },
-    /// A reorganization of `partition` started; the log analyzer begins
-    /// maintaining a TRT for it from this point.
+    /// A reorganization of `partition` started; its TRT window (and the
+    /// restart rebuild of it) begins at this record.
     ReorgStart { partition: PartitionId },
     /// The reorganization of `partition` finished.
     ReorgEnd { partition: PartitionId },
@@ -119,6 +120,80 @@ impl LogPayload {
             LogPayload::Migrate { .. } => 16,
         };
         HEADER + body
+    }
+
+    /// The update that undoes this one, logged as its compensation record:
+    /// `Create`↔`Free`, `InsertRef`↔`DeleteRef`, `SetRef`/`SetPayload` with
+    /// old and new swapped. `None` for records that are not updates.
+    pub fn inverse(self) -> Option<LogPayload> {
+        Some(match self {
+            LogPayload::Create { addr, image } => LogPayload::Free { addr, image },
+            LogPayload::Free { addr, image } => LogPayload::Create { addr, image },
+            LogPayload::SetPayload { addr, old, new } => LogPayload::SetPayload {
+                addr,
+                old: new,
+                new: old,
+            },
+            LogPayload::InsertRef {
+                parent,
+                child,
+                index,
+            } => LogPayload::DeleteRef {
+                parent,
+                child,
+                index,
+            },
+            LogPayload::DeleteRef {
+                parent,
+                child,
+                index,
+            } => LogPayload::InsertRef {
+                parent,
+                child,
+                index,
+            },
+            LogPayload::SetRef {
+                parent,
+                index,
+                old_child,
+                new_child,
+            } => LogPayload::SetRef {
+                parent,
+                index,
+                old_child: new_child,
+                new_child: old_child,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Call `f(action, parent, child)` for every reference this update
+    /// inserts or deletes, in the order the TRT must learn of them: an
+    /// overwrite is the delete of the old reference, then the insert of the
+    /// new one; an object's creation inserts (its freeing deletes) each
+    /// stored reference. A re-inserted reference — the compensation of a
+    /// delete — is an insert like any other (Section 4.5).
+    pub fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
+        match self {
+            LogPayload::Create { addr, image } => {
+                image.refs.iter().for_each(|&c| f(RefAction::Insert, *addr, c))
+            }
+            LogPayload::Free { addr, image } => {
+                image.refs.iter().for_each(|&c| f(RefAction::Delete, *addr, c))
+            }
+            LogPayload::InsertRef { parent, child, .. } => f(RefAction::Insert, *parent, *child),
+            LogPayload::DeleteRef { parent, child, .. } => f(RefAction::Delete, *parent, *child),
+            LogPayload::SetRef {
+                parent,
+                old_child,
+                new_child,
+                ..
+            } => {
+                f(RefAction::Delete, *parent, *old_child);
+                f(RefAction::Insert, *parent, *new_child);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -178,8 +253,8 @@ pub struct Wal {
     flush_latency: Duration,
     flushed_lsn: AtomicU64,
     /// Named truncation pins: records at or above the *minimum* pinned LSN
-    /// may not be discarded. Multiple consumers (the log analyzer's cursor,
-    /// each active reorganization's TRT window) pin independently.
+    /// may not be discarded. Each active reorganization's TRT window pins
+    /// independently.
     pins: Mutex<std::collections::HashMap<u64, Lsn>>,
     next_pin: AtomicU64,
     /// Effective minimum over `pins` (u64::MAX when none), kept as an
@@ -375,9 +450,8 @@ impl Wal {
     }
 
     /// Create a named pin at `lsn`: records at or above the minimum of all
-    /// pins will not be truncated. Used by the log analyzer's cursor and by
-    /// each active reorganization (which may need to rebuild its TRT from
-    /// the log after a failure).
+    /// pins will not be truncated. Used by each active reorganization
+    /// (which may need to rebuild its TRT from the log after a failure).
     pub fn pin_at(&self, lsn: Lsn) -> PinId {
         // ordering: pin-id allocator; uniqueness only, the pins lock orders the table
         let id = PinId(self.next_pin.fetch_add(1, Ordering::Relaxed));
@@ -385,13 +459,6 @@ impl Wal {
         pins.insert(id.0, lsn);
         self.recompute_pin(&pins);
         id
-    }
-
-    /// Move an existing pin forward (the analyzer's advancing cursor).
-    pub fn move_pin(&self, id: PinId, lsn: Lsn) {
-        let mut pins = self.pins.lock();
-        pins.insert(id.0, lsn);
-        self.recompute_pin(&pins);
     }
 
     /// Remove a pin.

@@ -5,10 +5,13 @@
 //! recovers to *exactly* the state of a reference database that ran the
 //! same script — byte-for-byte object images, allocator directories, ERTs.
 //! A loser transaction open at crash time is rolled back to the same
-//! reference state; a reorganization window open at crash time is reported
-//! as interrupted, with its durable checkpoint blob handed back.
+//! reference state — and recovery logs for it the very compensation records
+//! a live `Txn::abort` logs; a reorganization window open at crash time is
+//! reported as interrupted, with its durable checkpoint blob handed back.
 
-use brahma::{recover, Database, LockMode, NewObject, PartitionId, PhysAddr, StoreConfig};
+use brahma::{
+    recover, Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, StoreConfig, TxnId,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -17,6 +20,7 @@ enum Op {
     SetPayload { obj: usize, byte: u8 },
     InsertRef { parent: usize, child: usize },
     DeleteRef { parent: usize, child: usize },
+    SetRef { parent: usize, index: usize, child: usize },
     DeleteObject { obj: usize },
 }
 
@@ -44,6 +48,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (any::<usize>(), any::<u8>()).prop_map(|(obj, byte)| Op::SetPayload { obj, byte }),
         2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::InsertRef { parent, child }),
         2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::DeleteRef { parent, child }),
+        3 => (any::<usize>(), any::<usize>(), any::<usize>())
+            .prop_map(|(parent, index, child)| Op::SetRef { parent, index, child }),
         1 => any::<usize>().prop_map(|obj| Op::DeleteObject { obj }),
     ]
 }
@@ -117,6 +123,23 @@ fn apply_op(
             let c = pool[child % pool.len()];
             if txn.lock(p, LockMode::Exclusive).is_ok() {
                 let _ = txn.delete_ref(p, c);
+            }
+        }
+        Op::SetRef {
+            parent,
+            index,
+            child,
+        } => {
+            if pool.len() < 2 {
+                return;
+            }
+            let p = pool[parent % pool.len()];
+            let c = pool[child % pool.len()];
+            if p != c && txn.lock(p, LockMode::Exclusive).is_ok() {
+                let nrefs = txn.read_refs(p).map_or(0, |r| r.len());
+                if nrefs > 0 {
+                    let _ = txn.set_ref(p, index % nrefs, c);
+                }
             }
         }
         Op::DeleteObject { obj } => {
@@ -244,6 +267,31 @@ fn state_dump(db: &Database) -> String {
     out
 }
 
+/// A fresh two-partition store.
+fn two_partitions() -> Database {
+    let db = Database::new(StoreConfig::default());
+    db.create_partition();
+    db.create_partition();
+    db
+}
+
+/// The update records workload transaction `tid` logged at or after
+/// `from`, in log order.
+fn updates_of(db: &Database, tid: TxnId, from: u64) -> Vec<LogPayload> {
+    db.wal
+        .records_from(from)
+        .into_iter()
+        .filter(|r| r.tid == tid)
+        .filter(|r| {
+            !matches!(
+                r.payload,
+                LogPayload::Begin { .. } | LogPayload::Commit | LogPayload::Abort
+            )
+        })
+        .map(|r| r.payload)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -289,6 +337,46 @@ proptest! {
             "recovered state diverges from the reference"
         );
         prop_assert!(out.losers.len() <= 1);
+    }
+
+    /// One rollback, two drivers: the same loser rolled back live by
+    /// `Txn::abort` and rolled back by `recover()` after a crash ends in the
+    /// same state *and* logs the same compensation records in the same
+    /// order.
+    #[test]
+    fn live_abort_and_recovery_undo_log_the_same_compensations(script in script_strategy()) {
+        let live = two_partitions();
+        let live_compensations = {
+            let mut pool = run_prefix(&live, &script);
+            let mut loser = live.begin();
+            let tid = loser.id();
+            for op in &script.loser {
+                apply_op(&mut loser, op, &mut pool, &mut Vec::new());
+            }
+            let rollback_from = live.wal.next_lsn();
+            loser.abort();
+            updates_of(&live, tid, rollback_from)
+        };
+
+        let db = two_partitions();
+        let ckpt = db.checkpoint(0);
+        let mut pool = run_prefix(&db, &script);
+        let mut loser = db.begin();
+        let tid = loser.id();
+        for op in &script.loser {
+            apply_op(&mut loser, op, &mut pool, &mut Vec::new());
+        }
+        let forward = updates_of(&db, tid, 0);
+        let image = db.crash(ckpt, true);
+        let crash_lsn = db.wal.next_lsn();
+        std::mem::forget(loser); // the crash preempts it
+        drop(db);
+        let out = recover(image, StoreConfig::default()).unwrap();
+
+        prop_assert_eq!(state_dump(&out.db), state_dump(&live));
+        let recovered_compensations = updates_of(&out.db, tid, crash_lsn);
+        prop_assert_eq!(recovered_compensations.len(), forward.len());
+        prop_assert_eq!(recovered_compensations, live_compensations);
     }
 
     /// Without a durable tail, an uncommitted transaction's effects vanish

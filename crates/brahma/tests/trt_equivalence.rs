@@ -130,55 +130,3 @@ proptest! {
         run_script(&steps, false);
     }
 }
-
-/// A single-transaction lock is serialized here (one txn at a time), but
-/// the equivalence also holds for the live `LogAnalyzer` draining
-/// incrementally in `RefTableMaintenance::LogAnalyzer` mode — covered by
-/// the deterministic test below.
-#[test]
-fn analyzer_mode_matches_inline_mode_end_state() {
-    let run = |maintenance| {
-        let config = StoreConfig {
-            maintenance,
-            ..StoreConfig::default()
-        };
-        let db = Database::new(config);
-        let p0 = db.create_partition();
-        let p1 = db.create_partition();
-        let mut t = db.begin();
-        let child = t
-            .create_object(p1, NewObject::exact(1, vec![], vec![]))
-            .unwrap();
-        let parent = t
-            .create_object(
-                p0,
-                NewObject {
-                    tag: 2,
-                    refs: vec![child],
-                    ref_cap: 4,
-                    payload: vec![],
-                    payload_cap: 0,
-                },
-            )
-            .unwrap();
-        t.commit().unwrap();
-        let trt = db.start_reorg(p1).unwrap();
-        let mut t = db.begin();
-        t.lock(parent, LockMode::Exclusive).unwrap();
-        t.delete_ref(parent, child).unwrap();
-        // Uncommitted: the delete tuple must be visible after a drain.
-        db.drain_analyzer();
-        let tuples = trt.tuples_for(child);
-        t.abort();
-        db.drain_analyzer();
-        let after_abort = trt.dump();
-        db.end_reorg(p1);
-        (tuples.len(), after_abort.len())
-    };
-    let inline = run(brahma::RefTableMaintenance::Inline);
-    let analyzer = run(brahma::RefTableMaintenance::LogAnalyzer);
-    assert_eq!(inline, analyzer);
-    assert_eq!(inline.0, 1, "delete noted before the abort");
-    // After the abort: delete purged (strict 2PL), reinsert noted.
-    assert_eq!(inline.1, 1);
-}

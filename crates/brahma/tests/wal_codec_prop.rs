@@ -11,7 +11,10 @@
 //!    never a successfully parsed record and never a panic;
 //! 4. for every record type, a segment file ending in a half-written
 //!    frame of that type is truncated at the tear by `scan_segment_file`
-//!    and scans clean afterwards.
+//!    and scans clean afterwards;
+//! 5. `LogPayload::inverse` is an involution on the six update records
+//!    (and `None` on the rest), and repeating an update and then its
+//!    inverse leaves every page image byte-identical.
 
 use brahma::storage::codec::{
     crc32, decode_record_body, encode_record, encode_record_body, next_frame, Framed,
@@ -19,7 +22,10 @@ use brahma::storage::codec::{
 };
 use brahma::storage::scan_segment_file;
 use brahma::wal::{LogPayload, LogRecord};
-use brahma::{ObjectView, PartitionId, PhysAddr};
+use brahma::{
+    recover, CrashImage, Database, LockMode, NewObject, ObjectView, PartitionId, PhysAddr,
+    StoreConfig, TxnId,
+};
 use std::io::Write;
 
 fn addr(p: u16, page: u32, off: u16) -> PhysAddr {
@@ -136,9 +142,8 @@ fn sample_records() -> Vec<LogRecord> {
     ]
 }
 
-/// Property 1: byte-stable round trip for every variant. `LogPayload`
-/// has no `PartialEq`, so equality is checked on the re-encoded bytes —
-/// which is the stronger property anyway (canonical encoding).
+/// Property 1: byte-stable round trip for every variant, checked on the
+/// re-encoded bytes (canonical encoding).
 #[test]
 fn every_variant_roundtrips_byte_stable() {
     for rec in sample_records() {
@@ -238,6 +243,134 @@ fn structurally_bad_bodies_are_corrupt_not_panics() {
                 panic!("cut {cut}: truncated body parsed successfully");
             }
         }
+    }
+}
+
+/// Property 5a: `inverse` swaps the update records pairwise and is its own
+/// inverse; every other record has none.
+#[test]
+fn inverse_is_an_involution_on_update_records() {
+    let mut updates = 0;
+    for rec in sample_records() {
+        let p = rec.payload;
+        match p.clone().inverse() {
+            Some(inv) => {
+                updates += 1;
+                assert_ne!(inv, p, "lsn {}: an update is not its own inverse", rec.lsn);
+                assert_eq!(inv.inverse(), Some(p), "lsn {}", rec.lsn);
+            }
+            None => assert!(
+                !matches!(
+                    p,
+                    LogPayload::Create { .. }
+                        | LogPayload::Free { .. }
+                        | LogPayload::SetPayload { .. }
+                        | LogPayload::InsertRef { .. }
+                        | LogPayload::DeleteRef { .. }
+                        | LogPayload::SetRef { .. }
+                ),
+                "lsn {}: update record without an inverse",
+                rec.lsn
+            ),
+        }
+    }
+    assert_eq!(updates, 6);
+}
+
+/// Property 5b: for one applicable record of each update type, REDO of
+/// `[p]` changes the pages and REDO of `[p, p.inverse()]` restores every
+/// page of every partition byte for byte.
+#[test]
+fn update_then_inverse_restores_page_images() {
+    let spec = |refs: Vec<PhysAddr>| NewObject {
+        tag: 7,
+        refs,
+        ref_cap: 4,
+        payload: vec![0xC3; 5],
+        payload_cap: 16,
+    };
+    let db = Database::new(StoreConfig::default());
+    let p0 = db.create_partition();
+    let p1 = db.create_partition();
+    let mut t = db.begin();
+    let c: Vec<PhysAddr> = (0..3)
+        .map(|_| t.create_object(p1, spec(vec![])).expect("child"))
+        .collect();
+    let a = t.create_object(p0, spec(vec![c[0], c[1]])).expect("parent");
+    // A freed slot: a valid, currently unused address for `Create`.
+    let hole = t.create_object(p0, spec(vec![c[2]])).expect("hole");
+    let hole_image = t.delete_object(hole).expect("free hole");
+    t.lock(a, LockMode::Shared).expect("own object");
+    let a_image = t.read(a).expect("read parent");
+    t.commit().expect("setup commit");
+
+    let updates = vec![
+        LogPayload::Create {
+            addr: hole,
+            image: hole_image,
+        },
+        LogPayload::Free {
+            addr: a,
+            image: a_image.clone(),
+        },
+        LogPayload::SetPayload {
+            addr: a,
+            old: a_image.payload,
+            new: vec![9; 3],
+        },
+        LogPayload::InsertRef {
+            parent: a,
+            child: c[2],
+            index: 1,
+        },
+        LogPayload::DeleteRef {
+            parent: a,
+            child: c[0],
+            index: 0,
+        },
+        LogPayload::SetRef {
+            parent: a,
+            index: 1,
+            old_child: c[1],
+            new_child: c[2],
+        },
+    ];
+    // Page images per partition: at the checkpoint, and after REDO of one
+    // committed transaction holding `updates`.
+    type Pages = Vec<Vec<Vec<u8>>>;
+    let pages_after = |updates: Vec<LogPayload>| -> (Pages, Pages) {
+        let checkpoint = db.checkpoint(0);
+        let before = checkpoint.partitions.iter().map(|p| p.pages.clone()).collect();
+        let log = [LogPayload::Begin { reorg: None }]
+            .into_iter()
+            .chain(updates)
+            .chain([LogPayload::Commit])
+            .enumerate()
+            .map(|(i, payload)| LogRecord {
+                lsn: checkpoint.lsn + 1 + i as u64,
+                tid: TxnId(9_000),
+                payload,
+            })
+            .collect();
+        let image = CrashImage {
+            checkpoint,
+            log,
+            reorg_checkpoints: vec![],
+        };
+        let out = recover(image, StoreConfig::default()).expect("redo");
+        assert!(out.losers.is_empty());
+        let after = [p0, p1]
+            .iter()
+            .map(|p| out.db.partition(*p).expect("partition").snapshot().pages)
+            .collect();
+        (before, after)
+    };
+    for p in updates {
+        let inv = p.clone().inverse().expect("update record");
+        let (before, after) = pages_after(vec![p.clone()]);
+        assert_ne!(before, after, "{p:?} must change a page");
+        let (before, after) = pages_after(vec![p.clone(), inv]);
+        assert_eq!(before, after, "{p:?} then its inverse must restore every page");
     }
 }
 

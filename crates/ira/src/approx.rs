@@ -42,9 +42,7 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
 /// visited, traverse from it. Also used when resuming an interrupted
 /// reorganization from a checkpoint (Section 4.4).
 pub fn trt_unvisited_loop(db: &Database, partition: PartitionId, state: &mut TraversalState) {
-    loop {
-        db.drain_analyzer();
-        let Some(trt) = db.trt(partition) else { break };
+    while let Some(trt) = db.trt(partition) {
         let unvisited: Vec<_> = trt
             .referenced_objects()
             .into_iter()

@@ -55,9 +55,7 @@ pub fn find_exact_parents(
     }
 
     // ---- S2: drain TRT tuples about oold ----
-    loop {
-        db.drain_analyzer();
-        let Some(trt) = db.trt(partition) else { break };
+    while let Some(trt) = db.trt(partition) {
         let Some(tuple) = trt.peek_for(oold) else { break };
         // Lock the tuple's parent first (blocking: must not hold the TRT
         // latch), then delete the tuple, then decide parenthood under the

@@ -85,9 +85,7 @@ pub(crate) fn run_pqr(
             }
         }
         // Lock every parent the TRT mentions and is not locked yet.
-        loop {
-            db.drain_analyzer();
-            let Some(trt) = db.trt(partition) else { break };
+        while let Some(trt) = db.trt(partition) {
             let unlocked: Vec<PhysAddr> = trt
                 .dump()
                 .into_iter()

@@ -87,7 +87,6 @@ pub fn migrate_two_lock(
             repoint_parent(db, parent, oold, onew, retry, settle)?;
             processed.insert(parent);
         }
-        db.drain_analyzer();
         let Some(trt) = db.trt(partition) else { break };
         let Some(tuple) = trt.peek_for(oold) else { break };
         // Per-parent transaction, exactly as above; the tuple is deleted

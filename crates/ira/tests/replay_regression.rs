@@ -11,7 +11,7 @@
 //! also had to *abort* for the loss to surface (replaying `Abort` purges
 //! only delete tuples, so a committed walker masks it), which is why the
 //! sweep only tripped ~1 in 300 runs. The fix notes before appending; see
-//! the invariant comment in `brahma::handle::Txn::create_object`.
+//! the invariant comment on `brahma::handle::Txn::log_and_apply`.
 //!
 //! These tests rebuild that interleaving cooperatively: a [`Gate`] parks
 //! the walker at its note point while the main thread takes the

@@ -80,18 +80,6 @@ fn ira_with_relaxed_2pl_workload() {
 }
 
 #[test]
-fn ira_with_log_analyzer_maintenance() {
-    let store = StoreConfig {
-        maintenance: brahma::RefTableMaintenance::LogAnalyzer,
-        ..StoreConfig::default()
-    };
-    run_under_load(store, small_params(), |db, p| {
-        let outcome = Reorg::on(db, p).run().unwrap();
-        assert_eq!(outcome.migrated(), 170);
-    });
-}
-
-#[test]
 fn ira_evacuation_under_load() {
     let db = Arc::new(Database::new(StoreConfig::default()));
     let params = small_params();
