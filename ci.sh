@@ -35,6 +35,16 @@ if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then
   echo "$owners" >&2
   exit 1
 fi
+# Env knobs (DESIGN.md §16): the "UPPER_CASE" names non-test code of
+# env_cfg.rs reads and the rows of §16's table must be the same set.
+code_knobs=$(sed '/^#\[cfg(test)\]/,$d' crates/brahma/src/env_cfg.rs |
+  grep -o '"[A-Z][A-Z0-9_]*"' | tr -d '"' | sort -u)
+doc_knobs=$(sed -n '/^## 16\./,/^## 17\./p' DESIGN.md |
+  grep -o '^| `[A-Z][A-Z0-9_]*`' | tr -d '|` ' | sort -u)
+if [ "$code_knobs" != "$doc_knobs" ]; then
+  printf 'env_cfg.rs reads:\n%s\nDESIGN.md §16 lists:\n%s\n' "$code_knobs" "$doc_knobs" >&2
+  exit 1
+fi
 cargo build --release
 cargo test --workspace -q
 # Seeded chaos crash-point subset (DESIGN.md §9): one stride per fault
@@ -42,11 +52,10 @@ cargo test --workspace -q
 # this pins the --quick configuration explicitly.
 CHAOS_QUICK=1 cargo test -q -p ira --test chaos_sweep
 # Parallel wave-executor smoke: isomorphism vs serial and mid-wave
-# crash/resume at the reduced PAR_QUICK sizes, at the 4-worker pool size
-# the trajectory criterion is stated at. The release pass repeats it with
-# the optimized lock fast path — the configuration the BENCH numbers run
-# under — so a fast-path/slow-path handoff bug cannot hide behind
-# debug-build timing.
+# crash/resume at the reduced PAR_QUICK sizes with a 4-worker pool. The
+# release pass repeats it with the optimized lock fast path — the
+# configuration every measurement runs under — so a fast-path/slow-path
+# handoff bug cannot hide behind debug-build timing.
 PAR_QUICK=1 cargo test -q -p ira --test parallel_exec
 PAR_QUICK=1 cargo test --release -q -p ira --test parallel_exec
 # Disk-chaos smoke (DESIGN.md §14): kill the process at every file-backend
@@ -69,20 +78,10 @@ EXPLORE_ROOTS=2 EXPLORE_PRIOS=2 cargo test -q -p ira --features sched-trace \
 # debug_assertions; this pass proves the `lockdep` feature also composes
 # with optimized code, where violations count instead of panicking.
 cargo test --release --features lockdep -q -p brahma -p ira
-# Perf-trajectory smoke (DESIGN.md §13): run the quick cell matrix into a
-# scratch directory (never committed) and structurally validate the
-# emitted JSON — schema version, all 9 cells with every key, monotone
-# tail quantiles, nonzero commit counts.
-TRAJ_SCRATCH=$(mktemp -d)
-TRAJ_QUICK=1 TRAJ_DIR="$TRAJ_SCRATCH" \
-  cargo run --release -p bench --bin paper_figures -- trajectory
-cargo run --release -p bench --bin paper_figures -- \
-  trajectory-validate "$TRAJ_SCRATCH/BENCH_1.json"
-rm -rf "$TRAJ_SCRATCH"
-# The newest checked-in trajectory file must also satisfy the schema —
-# catches a hand-edited or truncated BENCH_<n>.json at commit time.
-cargo run --release -p bench --bin paper_figures -- \
-  trajectory-validate BENCH_8.json
+# Paper-shape gate (DESIGN.md §13): Table 2's trio at MPL 30 must be
+# healthy and hold the paper's three inequalities, or this exits nonzero.
+# The CSV goes under target/ so the checked-in full-run results/ stay put.
+cargo run --release -p bench --bin paper_figures -- table2 --quick --out target/shape
 # Locality smoke (DESIGN.md §15): observe walkers on a fragmented
 # placement, reorganize from the collected stats, and fail unless the
 # stats-derived plan beat the fragmented placement on the cost metric.

@@ -1,91 +1,20 @@
 //! CLI harness regenerating the paper's tables and figures.
 //!
 //! Usage: `paper_figures <experiment>... [--quick] [--out DIR]`
-//! where experiment is one of: all, mpl, table2, partsize, updprob, glue,
-//! ops, nparts, eqdur, scaling, ablation — plus two perf-trajectory
-//! subcommands (see DESIGN.md §13):
+//! where experiment is `all` or a slug of [`EXPERIMENTS`]. `table2` is also
+//! the paper-shape gate: it exits nonzero when
+//! [`bench::Experiment::shape_violations`] reports anything.
 //!
-//! * `paper_figures trajectory [--quick]` runs the fixed cell matrix and
-//!   writes `BENCH_<n>.json` (next free index) into `TRAJ_DIR` (default:
-//!   the current directory, i.e. the repo root), then diffs against the
-//!   newest prior `BENCH_*.json`. `TRAJ_QUICK=1` implies `--quick`;
-//!   `TRAJ_INDEX=<n>` pins the output index.
-//! * `paper_figures trajectory-validate <file>` structurally validates an
-//!   emitted file (CI smoke gate); exits nonzero on any violation.
-//! * `paper_figures locality [--quick]` runs only the closed clustering
-//!   loop (observe → plan → reorganize → measure) and exits nonzero unless
-//!   the stats-derived plan improved the placement-cost metric — the CI
-//!   locality smoke.
+//! `paper_figures locality [--quick]` runs only the closed clustering loop
+//! (observe → plan → reorganize → measure) and exits nonzero unless the
+//! stats-derived plan improved the placement-cost metric — the CI locality
+//! smoke.
 
-use bench::experiments::{self, HarnessOptions};
+use bench::experiments::{ExperimentFn, HarnessOptions, EXPERIMENTS};
 use bench::locality::{run_locality, LocalityOptions};
-use bench::trajectory;
 use std::path::PathBuf;
 
-fn run_trajectory_cli(quick_flag: bool) {
-    let quick = quick_flag || brahma::env_cfg::traj_quick();
-    let dir = PathBuf::from(brahma::env_cfg::traj_dir());
-    let existing = trajectory::bench_files(&dir);
-    let index = brahma::env_cfg::traj_index()
-        .unwrap_or_else(|| existing.last().map(|(n, _)| n + 1).unwrap_or(1));
-    println!(
-        "# Perf trajectory ({} mode) -> BENCH_{index}.json",
-        if quick { "quick" } else { "full" }
-    );
-    let traj = trajectory::run_trajectory(&trajectory::TrajectoryOptions { quick });
-    let out = dir.join(format!("BENCH_{index}.json"));
-    let text = traj.to_json(index);
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: could not write {}: {e}", out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out.display());
-    // Diff against the newest prior file (excluding the one just written).
-    let prior = existing.iter().rev().find(|(n, _)| *n != index);
-    match prior {
-        None => println!("no prior BENCH_*.json to compare against"),
-        Some((n, path)) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| trajectory::parse_json(&s))
-        {
-            Err(e) => eprintln!("warning: could not read BENCH_{n}.json: {e}"),
-            Ok(doc) => {
-                println!("vs BENCH_{n}.json (rule: {}):", trajectory::REGRESSION_RULE);
-                let cmp = trajectory::compare(&doc, &traj);
-                for line in &cmp.lines {
-                    println!("  {line}");
-                }
-                if cmp.regressions.is_empty() {
-                    println!("no regressions");
-                } else {
-                    for r in &cmp.regressions {
-                        println!("REGRESSION: {r}");
-                    }
-                }
-            }
-        },
-    }
-}
-
-fn run_trajectory_validate(file: &str) {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: could not read {file}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match trajectory::parse_json(&text).and_then(|doc| trajectory::validate(&doc)) {
-        Ok(()) => println!("{file}: valid trajectory file"),
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_locality_cli(quick_flag: bool) {
-    let quick = quick_flag || brahma::env_cfg::traj_quick();
+fn run_locality_cli(quick: bool) {
     println!(
         "# Locality loop ({} mode): observe -> plan -> reorganize -> measure",
         if quick { "quick" } else { "full" }
@@ -117,88 +46,127 @@ fn run_locality_cli(quick_flag: bool) {
     println!("locality improved");
 }
 
+fn usage() -> String {
+    let slugs: Vec<&str> = EXPERIMENTS.iter().map(|(slug, _)| *slug).collect();
+    format!(
+        "usage: paper_figures <all|{}>... [--quick] [--out DIR]\n       \
+         paper_figures locality [--quick]   (closed clustering loop; fails unless it improves)",
+        slugs.join("|")
+    )
+}
+
+/// A parsed command line: (experiments to run, `--quick`, `--out` dir).
+type Cli = (Vec<(&'static str, ExperimentFn)>, bool, PathBuf);
+
+/// Parse `<experiment>... [--quick] [--out DIR]`. Every name is resolved
+/// here, before the first cell runs, and `--out` takes its value by
+/// position.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let (mut exps, mut quick, mut out_dir) = (Vec::new(), false, PathBuf::from("results"));
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_dir = PathBuf::from(it.next().ok_or("--out needs a directory")?),
+            "all" => exps.extend(EXPERIMENTS),
+            flag if flag.starts_with("--") => return Err(format!("unknown option: {flag}")),
+            name => match EXPERIMENTS.iter().find(|(slug, _)| *slug == name) {
+                Some(exp) => exps.push(*exp),
+                None => return Err(format!("unknown experiment: {name}")),
+            },
+        }
+    }
+    if exps.is_empty() {
+        return Err("no experiment named".into());
+    }
+    Ok((exps, quick, out_dir))
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("trajectory") => {
-            run_trajectory_cli(args.iter().any(|a| a == "--quick"));
-            return;
-        }
-        Some("locality") => {
-            run_locality_cli(args.iter().any(|a| a == "--quick"));
-            return;
-        }
-        Some("trajectory-validate") => {
-            let Some(file) = args.get(1) else {
-                eprintln!("usage: paper_figures trajectory-validate <file>");
-                std::process::exit(2);
-            };
-            run_trajectory_validate(file);
-            return;
-        }
-        _ => {}
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("locality") {
+        run_locality_cli(args.iter().any(|a| a == "--quick"));
+        return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    args.retain(|a| !a.starts_with("--"));
-    args.retain(|a| {
-        // drop the value of --out
-        a != out_dir.to_str().unwrap_or("")
-    });
-    if args.is_empty() {
-        eprintln!(
-            "usage: paper_figures <all|mpl|table2|partsize|updprob|glue|ops|nparts|eqdur|scaling|ablation>... [--quick] [--out DIR]\n       paper_figures trajectory [--quick]          (env: TRAJ_QUICK, TRAJ_DIR, TRAJ_INDEX)\n       paper_figures trajectory-validate <file>\n       paper_figures locality [--quick]            (closed clustering loop; fails unless it improves)"
-        );
+    let (exps, quick, out_dir) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", usage());
         std::process::exit(2);
-    }
+    });
     let opts = HarnessOptions { quick };
     println!(
         "# Paper-figure harness ({} mode); Table 1 defaults unless swept.",
         if quick { "quick" } else { "full" }
     );
-
-    let run_one = |name: &str| {
-        let (slug, exp) = match name {
-            "mpl" => ("mpl", experiments::exp_mpl(&opts)),
-            "table2" => ("table2", experiments::exp_table2(&opts)),
-            "partsize" => ("partsize", experiments::exp_partition_size(&opts)),
-            "updprob" => ("updprob", experiments::exp_update_prob(&opts)),
-            "glue" => ("glue", experiments::exp_glue(&opts)),
-            "ops" => ("ops", experiments::exp_ops_per_trans(&opts)),
-            "nparts" => ("nparts", experiments::exp_num_partitions(&opts)),
-            "eqdur" => ("eqdur", experiments::exp_equal_duration(&opts)),
-            "scaling" => ("scaling", experiments::exp_scaling(&opts)),
-            "ablation" => ("ablation", experiments::exp_ablation(&opts)),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
-        };
+    let mut shape_ok = true;
+    for (slug, run) in exps {
+        let exp = run(&opts);
         if slug == "table2" {
             println!("{}", exp.render_table2());
+            for v in exp.shape_violations() {
+                eprintln!("error: table2 is not paper-shaped: {v}");
+                shape_ok = false;
+            }
         } else {
             println!("{}", exp.render());
         }
         if let Err(e) = exp.write_csv(&out_dir, slug) {
             eprintln!("warning: could not write CSV for {slug}: {e}");
         }
-    };
+    }
+    if !shape_ok {
+        std::process::exit(1);
+    }
+}
 
-    for name in &args {
-        if name == "all" {
-            for n in [
-                "mpl", "table2", "partsize", "updprob", "glue", "ops", "nparts", "eqdur",
-                "scaling", "ablation",
-            ] {
-                run_one(n);
-            }
-        } else {
-            run_one(name);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, bool, PathBuf), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|(exps, quick, out)| {
+            (exps.iter().map(|(slug, _)| *slug).collect(), quick, out)
+        })
+    }
+
+    #[test]
+    fn out_value_is_consumed_by_position_not_by_equality() {
+        // In `mpl --out mpl` the second `mpl` is a directory, not a name.
+        let cases: [(&[&str], &[&str], bool, &str); 4] = [
+            (&["mpl", "--out", "mpl"], &["mpl"], false, "mpl"),
+            (&["--out", "table2", "table2", "--quick"], &["table2"], true, "table2"),
+            (&["glue", "ops"], &["glue", "ops"], false, "results"),
+            (&["--quick", "scaling", "--out", "/tmp/o"], &["scaling"], true, "/tmp/o"),
+        ];
+        for (args, slugs, quick, out) in cases {
+            let want = (slugs.to_vec(), quick, PathBuf::from(out));
+            assert_eq!(parse(args), Ok(want), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn all_expands_to_the_table_in_order() {
+        let (slugs, _, _) = parse(&["all"]).unwrap();
+        let table: Vec<&str> = EXPERIMENTS.iter().map(|(slug, _)| *slug).collect();
+        assert_eq!(slugs, table);
+        for slug in table {
+            assert!(usage().contains(slug), "usage names {slug}");
+        }
+    }
+
+    #[test]
+    fn bad_arguments_fail_before_anything_runs() {
+        // A bad name after a good one is an error for the whole command
+        // line: nothing is returned to run.
+        let cases: [(&[&str], &str); 5] = [
+            (&["mpl", "nosuch"], "unknown experiment: nosuch"),
+            (&["mpl", "--out"], "--out needs a directory"),
+            (&["mpl", "--fast"], "unknown option: --fast"),
+            (&["--quick"], "no experiment named"),
+            (&[], "no experiment named"),
+        ];
+        for (args, msg) in cases {
+            assert_eq!(parse(args), Err(msg.to_string()), "{args:?}");
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::report::{Experiment, Row};
 use crate::runner::{run_cell, Algo, CellConfig};
-use ira::{IraConfig, IraVariant, MigrationOrder};
+use ira::{IraVariant, MigrationOrder};
 use std::time::Duration;
 use workload::WorkloadParams;
 
@@ -328,23 +328,20 @@ pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
     }
 }
 
-/// Everything, in the paper's order.
-pub fn all_experiments(opts: &HarnessOptions) -> Vec<(&'static str, Experiment)> {
-    vec![
-        ("mpl", exp_mpl(opts)),
-        ("table2", exp_table2(opts)),
-        ("partsize", exp_partition_size(opts)),
-        ("updprob", exp_update_prob(opts)),
-        ("glue", exp_glue(opts)),
-        ("ops", exp_ops_per_trans(opts)),
-        ("nparts", exp_num_partitions(opts)),
-        ("eqdur", exp_equal_duration(opts)),
-        ("scaling", exp_scaling(opts)),
-        ("ablation", exp_ablation(opts)),
-    ]
-}
+/// Builds and runs one experiment.
+pub type ExperimentFn = fn(&HarnessOptions) -> Experiment;
 
-/// One default IraConfig re-export used by tests.
-pub fn default_ira() -> IraConfig {
-    IraConfig::default()
-}
+/// Every experiment by CLI slug, in the paper's order: the one list behind
+/// `paper_figures all`, name dispatch and the usage line.
+pub const EXPERIMENTS: [(&str, ExperimentFn); 10] = [
+    ("mpl", exp_mpl),
+    ("table2", exp_table2),
+    ("partsize", exp_partition_size),
+    ("updprob", exp_update_prob),
+    ("glue", exp_glue),
+    ("ops", exp_ops_per_trans),
+    ("nparts", exp_num_partitions),
+    ("eqdur", exp_equal_duration),
+    ("scaling", exp_scaling),
+    ("ablation", exp_ablation),
+];

@@ -1,7 +1,7 @@
 //! The closed clustering loop, measured end to end:
 //! observe → plan → reorganize → measure (DESIGN §15).
 //!
-//! The trajectory matrix proves "reorganization got faster"; this cell
+//! The other harnesses measure how fast reorganization runs; this cell
 //! proves "traffic got faster *because of where objects landed*". It runs
 //! the Section 5.2 walkers over a deliberately fragmented placement under
 //! a page-grained buffer cache ([`workload::PagedCpuModel`]), collects
@@ -47,8 +47,7 @@ pub struct LocalityWindow {
     pub hit_rate: f64,
 }
 
-/// The whole loop's result; serialized as the `"locality"` object of
-/// `BENCH_<n>.json`.
+/// The whole loop's result, as `paper_figures locality` prints it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalityResult {
     /// Walkers over the fragmented placement (this window also feeds the

@@ -1,9 +1,10 @@
 //! Table/CSV rendering for the paper-figure harness.
 
-use crate::runner::CellResult;
+use crate::runner::{Algo, CellResult};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use workload::Summary;
 
 /// One row of an experiment: a swept x-value plus the three systems'
 /// results.
@@ -21,7 +22,69 @@ pub struct Experiment {
     pub rows: Vec<Row>,
 }
 
+// Table 2's shape at MPL 30 (paper §5.3). Constants, not options: each sits
+// at roughly half the gap 29 `table2 --quick` release runs showed.
+/// IRA keeps up with NR; observed IRA/NR tps 0.90-1.25.
+const IRA_TPS_MIN_OF_NR: f64 = 0.8;
+/// PQR's throughput collapses; observed PQR/IRA tps 0.46-0.71.
+const PQR_TPS_MAX_OF_IRA: f64 = 0.85;
+/// PQR's response-time spread explodes; observed PQR/IRA stddev 5.7-13.0.
+const PQR_STDDEV_MIN_OF_IRA: f64 = 3.0;
+
+/// The NR, IRA and PQR summaries of a row, if it has all three.
+fn trio(row: &Row) -> Option<[&Summary; 3]> {
+    let by = |a| row.cells.iter().find(|c| c.algo == a).map(|c| &c.summary);
+    Some([by(Algo::Nr)?, by(Algo::Ira)?, by(Algo::Pqr)?])
+}
+
 impl Experiment {
+    /// What keeps this experiment from being paper-shaped; empty when it
+    /// is. Every cell must be healthy — no walker errors, some commits,
+    /// reorganizing cells migrated something — and every row must hold
+    /// Table 2's three inequalities (a row missing a system cannot).
+    /// `paper_figures table2` turns a non-empty answer into a nonzero exit.
+    pub fn shape_violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for row in &self.rows {
+            let at = format!("{}={}", self.x_name, row.x_label);
+            for c in &row.cells {
+                let name = c.algo.name();
+                if c.summary.errors > 0 {
+                    out.push(format!("{at} {name}: {} walker errors", c.summary.errors));
+                }
+                if c.summary.committed == 0 {
+                    out.push(format!("{at} {name}: no committed transactions"));
+                }
+                if c.algo != Algo::Nr && c.migrated == 0 {
+                    out.push(format!("{at} {name}: reorganization migrated nothing"));
+                }
+            }
+            let Some([nr, ira, pqr]) = trio(row) else {
+                out.push(format!("{at}: needs NR, IRA and PQR cells"));
+                continue;
+            };
+            let (nr_tps, ira_tps, pqr_tps) =
+                (nr.throughput_tps, ira.throughput_tps, pqr.throughput_tps);
+            if ira_tps < IRA_TPS_MIN_OF_NR * nr_tps {
+                out.push(format!(
+                    "{at}: IRA tps {ira_tps:.1} < {IRA_TPS_MIN_OF_NR} x NR tps {nr_tps:.1}"
+                ));
+            }
+            if pqr_tps > PQR_TPS_MAX_OF_IRA * ira_tps {
+                out.push(format!(
+                    "{at}: PQR tps {pqr_tps:.1} > {PQR_TPS_MAX_OF_IRA} x IRA tps {ira_tps:.1}"
+                ));
+            }
+            if pqr.stddev_ms < PQR_STDDEV_MIN_OF_IRA * ira.stddev_ms {
+                out.push(format!(
+                    "{at}: PQR stddev_ms {:.1} < {PQR_STDDEV_MIN_OF_IRA} x IRA stddev_ms {:.1}",
+                    pqr.stddev_ms, ira.stddev_ms
+                ));
+            }
+        }
+        out
+    }
+
     /// Render the throughput and average-response-time series (the two
     /// metrics the paper's figures plot), plus reorg durations.
     ///
@@ -147,6 +210,17 @@ impl Experiment {
                     c.summary.aborted_attempts,
                 );
             }
+            // The ratios `shape_violations` gates, next to their bounds.
+            if let Some([nr, ira, pqr]) = trio(row) {
+                let _ = writeln!(
+                    out,
+                    "shape: IRA/NR tps {:.2} (>= {IRA_TPS_MIN_OF_NR}), PQR/IRA tps {:.2} \
+                     (<= {PQR_TPS_MAX_OF_IRA}), PQR/IRA stddev {:.2} (>= {PQR_STDDEV_MIN_OF_IRA})",
+                    ira.throughput_tps / nr.throughput_tps,
+                    pqr.throughput_tps / ira.throughput_tps,
+                    pqr.stddev_ms / ira.stddev_ms,
+                );
+            }
         }
         out
     }
@@ -187,8 +261,6 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Algo;
-    use workload::Summary;
 
     fn cell(algo: Algo, tps: f64) -> CellResult {
         let mut counters = obs::Snapshot::new();
@@ -211,8 +283,6 @@ mod tests {
             reorg_secs: Some(1.5),
             migrated: 42,
             lock_timeouts: 3,
-            latency_p99_us: 40_000,
-            latency_p999_us: 50_000,
             counters,
         }
     }
@@ -285,6 +355,66 @@ mod tests {
         let s = experiment().render_table2();
         assert!(s.contains("StdDevResp"));
         assert!(s.contains("5.0"));
+    }
+
+    #[test]
+    fn shape_violations_name_the_broken_cell_or_inequality() {
+        // Paper-shaped trio: IRA/NR tps 0.96, PQR/IRA tps 0.59, stddev x8.
+        const IRA: usize = 1;
+        const PQR: usize = 2;
+        type Break = fn(&mut Vec<CellResult>);
+        let cases: [(Break, &[&str]); 8] = [
+            (|_| {}, &[]),
+            (
+                |c| c[IRA].summary.throughput_tps = 27.0,
+                &["MPL=30: IRA tps 27.0 < 0.8 x NR tps 35.0"],
+            ),
+            (
+                |c| c[PQR].summary.throughput_tps = 30.0,
+                &["MPL=30: PQR tps 30.0 > 0.85 x IRA tps 33.7"],
+            ),
+            (
+                |c| c[PQR].summary.stddev_ms = 10.0,
+                &["MPL=30: PQR stddev_ms 10.0 < 3 x IRA stddev_ms 5.0"],
+            ),
+            (
+                |c| c[IRA].summary.errors = 2,
+                &["MPL=30 IRA: 2 walker errors"],
+            ),
+            (
+                |c| c[PQR].summary.committed = 0,
+                &["MPL=30 PQR: no committed transactions"],
+            ),
+            (
+                |c| c[IRA].migrated = 0,
+                &["MPL=30 IRA: reorganization migrated nothing"],
+            ),
+            // Ragged row: the NR cell was lost. A violation, not a panic.
+            (
+                |c| drop(c.remove(0)),
+                &["MPL=30: needs NR, IRA and PQR cells"],
+            ),
+        ];
+        for (i, (break_it, want)) in cases.into_iter().enumerate() {
+            let mut e = experiment();
+            let cells = &mut e.rows[0].cells;
+            cells[0].migrated = 0; // NR reorganizes nothing, and that is fine
+            cells.push(cell(Algo::Pqr, 20.0));
+            cells[PQR].summary.stddev_ms = 40.0;
+            break_it(cells);
+            assert_eq!(e.shape_violations(), want, "case {i}");
+        }
+    }
+
+    #[test]
+    fn table2_prints_the_gated_ratios() {
+        let mut e = experiment();
+        assert!(!e.render_table2().contains("shape:"), "no PQR, no ratios");
+        e.rows[0].cells.push(cell(Algo::Pqr, 20.0));
+        let s = e.render_table2();
+        let want = "shape: IRA/NR tps 0.96 (>= 0.8), PQR/IRA tps 0.59 (<= 0.85), \
+                    PQR/IRA stddev 1.00 (>= 3)";
+        assert!(s.contains(want), "{s}");
     }
 
     #[test]

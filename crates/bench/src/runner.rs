@@ -87,12 +87,6 @@ pub struct CellResult {
     pub migrated: usize,
     /// Lock timeouts observed store-wide during the cell.
     pub lock_timeouts: u64,
-    /// Tail walker response times in µs, read from an [`obs::Histogram`]
-    /// fed every committed response. Log-bucketed, so each is the upper
-    /// edge of its bucket clamped to the observed maximum — an upper
-    /// bound, never an underestimate.
-    pub latency_p99_us: u64,
-    pub latency_p999_us: u64,
     /// Substrate counter deltas over the cell window: `db.*`, `lock.*`,
     /// `wal.*`, `ert.*`, `trt.*` from [`Database::obs_snapshot`], plus the
     /// reorganizer's `ira.*` / `pqr.*` keys and the workload's
@@ -102,16 +96,7 @@ pub struct CellResult {
 
 /// Run one cell to completion.
 pub fn run_cell(cfg: &CellConfig) -> CellResult {
-    // A cell with `store.data_dir` set runs durable: the store opens
-    // through the file backend (segmented WAL, real fsync on the commit
-    // path) instead of memory-resident, so the trajectory can price
-    // durability (`TRAJ_FILE_BACKEND=1`).
-    let db = if cfg.store.data_dir.is_some() {
-        let out = brahma::storage::open(cfg.store.clone()).expect("file-backed open");
-        Arc::new(out.db)
-    } else {
-        Arc::new(Database::new(cfg.store.clone()))
-    };
+    let db = Arc::new(Database::new(cfg.store.clone()));
     let info = Arc::new(build_graph(&db, &cfg.params).expect("graph builds"));
     // Install the CPU model only after the graph is built (construction is
     // not part of the measured system).
@@ -159,18 +144,12 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
     counters.merge(&reorg_counters);
     metrics.export(&mut counters);
     let lock_timeouts = counters.get("lock.timeouts");
-    let latency = obs::Histogram::new();
-    for &us in &metrics.response_us {
-        latency.record_us(us);
-    }
     CellResult {
         algo: cfg.algo,
         summary: metrics.summarize(),
         reorg_secs,
         migrated,
         lock_timeouts,
-        latency_p99_us: latency.quantile_us(0.99),
-        latency_p999_us: latency.quantile_us(0.999),
         counters,
     }
 }

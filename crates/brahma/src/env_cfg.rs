@@ -18,11 +18,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Parse a string knob; unset falls back to `default`.
-pub fn env_str(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
-}
-
 // --- chaos sweeps (crates/ira/tests/chaos_sweep.rs) ---
 
 /// `CHAOS_QUICK`: shrink the crash-point sweep to the CI stride.
@@ -68,32 +63,6 @@ pub fn explore_prios(default: u64) -> u64 {
     env_u64("EXPLORE_PRIOS", default)
 }
 
-// --- perf trajectory (crates/bench) ---
-
-/// `TRAJ_QUICK`: run the trajectory matrix / locality loop in CI-smoke
-/// size.
-pub fn traj_quick() -> bool {
-    env_flag("TRAJ_QUICK")
-}
-
-/// `TRAJ_DIR`: where `BENCH_<n>.json` files live (default: cwd).
-pub fn traj_dir() -> String {
-    env_str("TRAJ_DIR", ".")
-}
-
-/// `TRAJ_INDEX`: pin the output index `<n>`; `None` picks the next free.
-pub fn traj_index() -> Option<u64> {
-    std::env::var("TRAJ_INDEX")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-}
-
-/// `TRAJ_FILE_BACKEND`: run trajectory cells durable (file backend, real
-/// fsyncs) instead of memory-resident.
-pub fn traj_file_backend() -> bool {
-    env_flag("TRAJ_FILE_BACKEND")
-}
-
 // --- schedule capture (crates/brahma/src/sched.rs) ---
 
 /// `SCHED_DUMP`: path to dump the captured schedule ring on a test
@@ -134,10 +103,6 @@ mod tests {
             "DISK_CHAOS_QUICK",
             "DISK_CHAOS_ROOT_SEED",
             "PAR_QUICK",
-            "TRAJ_QUICK",
-            "TRAJ_DIR",
-            "TRAJ_INDEX",
-            "TRAJ_FILE_BACKEND",
             "SCHED_DUMP",
         ] {
             std::env::remove_var(name);
@@ -148,10 +113,6 @@ mod tests {
         assert_eq!(disk_chaos_root_seed(), 0xD15C);
         assert!(!par_quick());
         assert_eq!(explore_roots(4), 4);
-        assert!(!traj_quick());
-        assert_eq!(traj_dir(), ".");
-        assert_eq!(traj_index(), None);
-        assert!(!traj_file_backend());
         assert_eq!(sched_dump(), None);
     }
 

@@ -210,9 +210,9 @@ pub fn plan_waves(
 ///    a traversal cluster is queue-contiguous — so real clusters
 ///    assemble first and stay whole, while the long random cross-cluster
 ///    "glue" references that otherwise chain the entire queue into one
-///    component (BENCH_7's `steals = 0` pathology: 4 workers, 1
-///    component) arrive late, find both sides already cap-sized, and are
-///    refused. A refused edge becomes a runtime-resolved conflict —
+///    component (four workers, one component, nothing to steal) arrive
+///    late, find both sides already cap-sized, and are refused. A
+///    refused edge becomes a runtime-resolved conflict —
 ///    exactly the retry / defer machinery that already handles external
 ///    parents — and the cap guarantees at least ~2×`workers` components
 ///    for the pool to balance over.

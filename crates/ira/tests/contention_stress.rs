@@ -1,6 +1,6 @@
 //! The shared-root-anchor contention cell behind the flat 4-worker
-//! scaling at MPL 60 (ISSUE: BENCH_7's IRA-4w cell was *slower* than
-//! serial): one external anchor references every object of the
+//! scaling at MPL 60 (four workers reorganized *slower* than serial):
+//! one external anchor references every object of the
 //! reorganized partition, so each singleton component's migration batch
 //! needs the anchor's exclusive lock — and with the old planner, four
 //! workers race sixty sharers *and each other* for it, one acquisition

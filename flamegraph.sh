@@ -4,7 +4,7 @@
 # perf.data + folded-stack report next to it.
 #
 # Usage:
-#   ./flamegraph.sh cargo run -p bench --release --bin paper_figures -- trajectory --quick
+#   ./flamegraph.sh cargo run -p bench --release --bin paper_figures -- table2 --quick
 #   ./flamegraph.sh target/release/paper_figures mpl --quick
 #
 # Output goes to flamegraph.out/ (git-ignored):
