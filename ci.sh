@@ -92,3 +92,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `assert_database_consistent` over one-worker and two-worker passes gate
 # every executor change. Smoke length; the numbers are not compared here.
 bash benchmark/run.sh --smoke
+# The benchmark crate's own unit tests pin facts a `brahma` change can break
+# without failing anything above: `wal.records_per_txn` = 2 and
+# `lock.acquisitions_per_txn` = 9 on `walk_read`, same seed same counters,
+# the exact `db.migrations` of fixed work. Reuses the smoke run's release
+# build of the crates under test.
+cargo test --offline --release --manifest-path benchmark/Cargo.toml

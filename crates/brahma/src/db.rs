@@ -20,9 +20,10 @@ use crate::partition::Partition;
 use crate::trt::{RefAction, Trt};
 use crate::txn::{TxnId, TxnManager};
 use crate::wal::{LogPayload, Wal};
+use obs::{Counter, Gauge};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A pluggable CPU cost model. The paper's experiments ran on a single-CPU
 /// machine where the reorganizer's work competed with transactions for the
@@ -45,50 +46,44 @@ pub trait CpuCharge: Send + Sync {
     }
 }
 
-/// Store-wide operation counters (all relaxed; read for reporting only).
+/// Store-wide operation counters (`obs` primitives; read for reporting
+/// only).
 #[derive(Debug, Default)]
 pub struct DbStats {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-    pub creates: AtomicU64,
-    pub frees: AtomicU64,
-    pub ref_inserts: AtomicU64,
-    pub ref_deletes: AtomicU64,
-    pub payload_writes: AtomicU64,
-    pub fuzzy_reads: AtomicU64,
-    pub migrations: AtomicU64,
-    /// High-water mark of concurrent reorganization workers (set by the
-    /// parallel executor in the `ira` crate).
-    pub reorg_workers: AtomicU64,
+    pub commits: Counter,
+    pub aborts: Counter,
+    pub creates: Counter,
+    pub frees: Counter,
+    pub ref_inserts: Counter,
+    pub ref_deletes: Counter,
+    pub payload_writes: Counter,
+    pub fuzzy_reads: Counter,
+    pub migrations: Counter,
+    /// Concurrent reorganization workers (set by the parallel executor in
+    /// the `ira` crate); `db.reorg_workers` exports the high-water mark.
+    pub reorg_workers: Gauge,
     /// Batches completed by parallel reorganization workers.
-    pub reorg_wave_batches: AtomicU64,
+    pub reorg_wave_batches: Counter,
     /// Components a parallel reorganization worker stole from another
     /// worker's deque (work-stealing executor in the `ira` crate).
-    pub reorg_wave_steals: AtomicU64,
+    pub reorg_wave_steals: Counter,
 }
 
 impl DbStats {
-    fn bump(counter: &AtomicU64) {
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Export every counter into `snap` under `db.*` keys.
     pub fn export(&self, snap: &mut obs::Snapshot) {
-        // ordering: statistics export; counters are independent, tearing is fine
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        snap.set("db.commits", get(&self.commits));
-        snap.set("db.aborts", get(&self.aborts));
-        snap.set("db.creates", get(&self.creates));
-        snap.set("db.frees", get(&self.frees));
-        snap.set("db.ref_inserts", get(&self.ref_inserts));
-        snap.set("db.ref_deletes", get(&self.ref_deletes));
-        snap.set("db.payload_writes", get(&self.payload_writes));
-        snap.set("db.fuzzy_reads", get(&self.fuzzy_reads));
-        snap.set("db.migrations", get(&self.migrations));
-        snap.set("db.reorg_workers", get(&self.reorg_workers));
-        snap.set("db.reorg_wave_batches", get(&self.reorg_wave_batches));
-        snap.set("db.reorg_wave_steals", get(&self.reorg_wave_steals));
+        snap.set("db.commits", self.commits.get());
+        snap.set("db.aborts", self.aborts.get());
+        snap.set("db.creates", self.creates.get());
+        snap.set("db.frees", self.frees.get());
+        snap.set("db.ref_inserts", self.ref_inserts.get());
+        snap.set("db.ref_deletes", self.ref_deletes.get());
+        snap.set("db.payload_writes", self.payload_writes.get());
+        snap.set("db.fuzzy_reads", self.fuzzy_reads.get());
+        snap.set("db.migrations", self.migrations.get());
+        snap.set("db.reorg_workers", self.reorg_workers.peak());
+        snap.set("db.reorg_wave_batches", self.reorg_wave_batches.get());
+        snap.set("db.reorg_wave_steals", self.reorg_wave_steals.get());
     }
 }
 
@@ -106,10 +101,68 @@ fn displaced(
     ))
 }
 
+/// Fan-out of each of the partition table's two levels: 256 × 256 slots
+/// cover the whole `u16` id space.
+const PARTITION_FANOUT: usize = 256;
+
+type PartitionLeaf = [OnceLock<Arc<Partition>>; PARTITION_FANOUT];
+
+/// The database's partitions, indexed by id. Partitions are only ever
+/// appended, never removed or replaced, so a lookup is two loads of
+/// write-once cells — no lock and no reference-count traffic on the page
+/// access path — and hands out a borrow that lives as long as the table.
+struct PartitionTable {
+    leaves: [OnceLock<Box<PartitionLeaf>>; PARTITION_FANOUT],
+    /// Number of partitions; every id below it is installed.
+    count: AtomicUsize,
+    /// Serializes appends, so ids are handed out sequentially.
+    grow: Mutex<()>,
+}
+
+impl PartitionTable {
+    fn new() -> Self {
+        PartitionTable {
+            leaves: [const { OnceLock::new() }; PARTITION_FANOUT],
+            count: AtomicUsize::new(0),
+            grow: Mutex::new(LockClass::DbPartitions, 0, ()),
+        }
+    }
+
+    fn get(&self, id: PartitionId) -> Option<&Arc<Partition>> {
+        let i = id.0 as usize;
+        self.leaves[i / PARTITION_FANOUT].get()?[i % PARTITION_FANOUT].get()
+    }
+
+    fn len(&self) -> usize {
+        // ordering: Acquire pairs with the Release store in push; ids below the count resolve
+        self.count.load(Ordering::Acquire)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Arc<Partition>> {
+        (0..self.len()).filter_map(|i| self.get(PartitionId(i as u16)))
+    }
+
+    /// Append the partition `make` builds for the next free id.
+    fn push(&self, make: impl FnOnce(PartitionId) -> Partition) -> PartitionId {
+        let _grow = self.grow.lock();
+        // ordering: Relaxed; every store is made under the `grow` mutex held here
+        let i = self.count.load(Ordering::Relaxed);
+        assert!(i <= u16::MAX as usize, "partition ids are u16");
+        let id = PartitionId(i as u16);
+        let leaf = self.leaves[i / PARTITION_FANOUT]
+            .get_or_init(|| Box::new([const { OnceLock::new() }; PARTITION_FANOUT]));
+        let fresh = leaf[i % PARTITION_FANOUT].set(Arc::new(make(id))).is_ok();
+        assert!(fresh, "partition slot {i} installed twice");
+        // ordering: Release pairs with the Acquire load in len
+        self.count.store(i + 1, Ordering::Release);
+        id
+    }
+}
+
 /// The object database.
 pub struct Database {
     pub config: StoreConfig,
-    partitions: RwLock<Vec<Arc<Partition>>>,
+    partitions: PartitionTable,
     pub locks: LockManager,
     pub txns: TxnManager,
     pub wal: Wal,
@@ -128,6 +181,9 @@ pub struct Database {
     roots: Mutex<Vec<PhysAddr>>,
     /// Optional CPU cost model (see [`CpuCharge`]).
     cpu: RwLock<Option<Arc<dyn CpuCharge>>>,
+    /// Whether `cpu` holds a model. With none installed (raw mode) every
+    /// object access returns on this flag without touching the lock.
+    cpu_installed: AtomicBool,
     pub stats: DbStats,
     /// Deterministic fault injection (disarmed — one relaxed load per site
     /// check — unless a test arms a plan). See [`crate::fault`]. Shared
@@ -154,10 +210,11 @@ impl Database {
             reorg_checkpoints: Mutex::new(LockClass::DbReorgCkpt, 0, HashMap::new()),
             roots: Mutex::new(LockClass::DbRoots, 0, Vec::new()),
             cpu: RwLock::new(LockClass::DbCpu, 0, None),
+            cpu_installed: AtomicBool::new(false),
             stats: DbStats::default(),
             fault: Arc::new(FaultInjector::new()),
             retry_stats: RetryStats::default(),
-            partitions: RwLock::new(LockClass::DbPartitions, 0, Vec::new()),
+            partitions: PartitionTable::new(),
             backend: std::sync::OnceLock::new(),
             config,
         }
@@ -178,16 +235,26 @@ impl Database {
 
     /// Install (or clear) the CPU cost model.
     pub fn set_cpu_model(&self, model: Option<Arc<dyn CpuCharge>>) {
-        *self.cpu.write() = model;
+        let mut slot = self.cpu.write();
+        // ordering: Release pairs with the Acquire load in cpu_model; the model itself is read under the `cpu` lock
+        self.cpu_installed.store(model.is_some(), Ordering::Release);
+        *slot = model;
+    }
+
+    /// The installed CPU model, if any.
+    #[inline]
+    fn cpu_model(&self) -> Option<Arc<dyn CpuCharge>> {
+        // ordering: Acquire pairs with the Release store in set_cpu_model
+        if !self.cpu_installed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.cpu.read().clone()
     }
 
     /// Charge one object access against the installed CPU model, if any.
     #[inline]
     pub(crate) fn charge_access(&self) {
-        let guard = self.cpu.read();
-        if let Some(model) = guard.as_ref() {
-            let model = Arc::clone(model);
-            drop(guard);
+        if let Some(model) = self.cpu_model() {
             model.access();
         }
     }
@@ -197,10 +264,7 @@ impl Database {
     /// target uses, so locality-sensitive models can price page residency.
     #[inline]
     pub(crate) fn charge_access_at(&self, addr: PhysAddr) {
-        let guard = self.cpu.read();
-        if let Some(model) = guard.as_ref() {
-            let model = Arc::clone(model);
-            drop(guard);
+        if let Some(model) = self.cpu_model() {
             model.access_at(addr);
         }
     }
@@ -211,9 +275,7 @@ impl Database {
 
     /// Create a new empty partition, returning its id.
     pub fn create_partition(&self) -> PartitionId {
-        let mut parts = self.partitions.write();
-        let id = PartitionId(parts.len() as u16);
-        parts.push(Arc::new(Partition::new(id)));
+        let id = self.partitions.push(Partition::new);
         self.wal
             .append(TxnId(0), LogPayload::CreatePartition { id });
         id
@@ -221,27 +283,29 @@ impl Database {
 
     /// Install a pre-built partition (restart recovery).
     pub(crate) fn install_partition(&self, partition: Partition) {
-        let mut parts = self.partitions.write();
-        assert_eq!(
-            partition.id().0 as usize,
-            parts.len(),
-            "partitions must be installed in id order"
-        );
-        parts.push(Arc::new(partition));
+        self.partitions.push(|id| {
+            assert_eq!(
+                partition.id(),
+                id,
+                "partitions must be installed in id order"
+            );
+            partition
+        });
+    }
+
+    /// Borrow a partition: the lock-free lookup behind every page access.
+    pub(crate) fn partition_ref(&self, id: PartitionId) -> Result<&Arc<Partition>> {
+        self.partitions.get(id).ok_or(Error::NoSuchPartition(id.0))
     }
 
     /// Fetch a partition handle.
     pub fn partition(&self, id: PartitionId) -> Result<Arc<Partition>> {
-        self.partitions
-            .read()
-            .get(id.0 as usize)
-            .cloned()
-            .ok_or(Error::NoSuchPartition(id.0))
+        self.partition_ref(id).cloned()
     }
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.partitions.read().len()
+        self.partitions.len()
     }
 
     /// All partition ids.
@@ -287,8 +351,7 @@ impl Database {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let part = self.partition(addr.partition())?;
-        let page = part.page(addr.page())?;
+        let page = self.partition_ref(addr.partition())?.page(addr.page())?;
         let guard = page.read();
         Ok(f(guard.bytes()))
     }
@@ -300,8 +363,7 @@ impl Database {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let part = self.partition(addr.partition())?;
-        let page = part.page(addr.page())?;
+        let page = self.partition_ref(addr.partition())?.page(addr.page())?;
         let mut guard = page.write();
         Ok(f(guard.bytes_mut()))
     }
@@ -311,7 +373,7 @@ impl Database {
     /// the address does not name a live object — stale addresses observed
     /// during a fuzzy traversal are simply skipped.
     pub fn fuzzy_read_refs(&self, addr: PhysAddr) -> Option<Vec<PhysAddr>> {
-        DbStats::bump(&self.stats.fuzzy_reads);
+        self.stats.fuzzy_reads.inc();
         self.charge_access_at(addr);
         self.with_page_read(addr, |buf| object::read_refs(buf, addr).ok())
             .ok()
@@ -340,7 +402,7 @@ impl Database {
     /// transactions do not follow strict 2PL — enable the lock manager's
     /// ever-held tracking (Section 4.1).
     pub fn start_reorg(&self, partition: PartitionId) -> Result<Arc<Trt>> {
-        let _ = self.partition(partition)?;
+        self.partition_ref(partition)?;
         let mut tables = self.reorg_tables.write();
         assert!(
             !tables.contains_key(&partition),
@@ -373,7 +435,7 @@ impl Database {
             self.wal.unpin(pin);
         }
         self.reorg_checkpoints.lock().remove(&partition);
-        if let Ok(part) = self.partition(partition) {
+        if let Ok(part) = self.partition_ref(partition) {
             part.flush_deferred_frees();
         }
         self.wal
@@ -465,14 +527,14 @@ impl Database {
         match update {
             LogPayload::Create { addr, image } => {
                 if !slot_claimed {
-                    self.partition(addr.partition())?
+                    self.partition_ref(addr.partition())?
                         .alloc_at(*addr, image.size())?;
                 }
                 self.with_page_write(*addr, |buf| object::init_object(buf, *addr, image))?;
             }
             LogPayload::Free { addr, .. } => {
                 self.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
-                let part = self.partition(addr.partition())?;
+                let part = self.partition_ref(addr.partition())?;
                 if reorg_for == Some(addr.partition()) {
                     part.free_deferred(*addr)?;
                 } else {
@@ -533,7 +595,7 @@ impl Database {
         child: PhysAddr,
     ) -> Result<()> {
         if parent.partition() != child.partition() {
-            let ert = &self.partition(child.partition())?.ert;
+            let ert = &self.partition_ref(child.partition())?.ert;
             match action {
                 RefAction::Insert => ert.insert(child, parent),
                 RefAction::Delete => {
@@ -563,7 +625,7 @@ impl Database {
             RefAction::Insert => (&self.stats.ref_inserts, "db.note_insert"),
             RefAction::Delete => (&self.stats.ref_deletes, "db.note_delete"),
         };
-        DbStats::bump(counter);
+        counter.inc();
         crate::sched::point(point, child.to_raw());
         // A reference into a partition that does not exist has no ERT to
         // keep: the `ert_note` error is not this update's to report.
@@ -596,7 +658,7 @@ impl Database {
         let mut ert_removes = 0;
         let mut ert_rekeys = 0;
         let mut ert_edges = 0u64;
-        for part in self.partitions.read().iter() {
+        for part in self.partitions.iter() {
             ert_inserts += part.ert.stats.inserts.get();
             ert_removes += part.ert.stats.removes.get();
             ert_rekeys += part.ert.stats.rekeys.get();
@@ -668,6 +730,53 @@ mod tests {
         assert_eq!(db.create_partition(), PartitionId(1));
         assert_eq!(db.partition_count(), 2);
         assert!(db.partition(PartitionId(2)).is_err());
+    }
+
+    #[test]
+    fn concurrent_create_partition_hands_out_sequential_ids() {
+        let db = Database::new(StoreConfig::default());
+        // 4 × 80 crosses the first leaf boundary (256).
+        let mut ids: Vec<u16> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..80).map(|_| db.create_partition().0).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("creator thread"))
+                .collect()
+        });
+        ids.sort_unstable();
+        assert_eq!(ids, (0..320).collect::<Vec<u16>>());
+        assert_eq!(db.partition_count(), 320);
+        for id in db.partition_ids() {
+            assert_eq!(db.partition(id).unwrap().id(), id);
+        }
+        for beyond in [320, 321, 511, 512, u16::MAX] {
+            assert!(matches!(
+                db.partition(PartitionId(beyond)),
+                Err(Error::NoSuchPartition(b)) if b == beyond
+            ));
+        }
+    }
+
+    #[test]
+    fn recovery_installs_partitions_in_id_order() {
+        let db = Database::new(StoreConfig::default());
+        for _ in 0..3 {
+            db.create_partition();
+        }
+        let image = db.crash(db.checkpoint(1), true);
+        let out = crate::recovery::recover(image, StoreConfig::default()).unwrap();
+        assert_eq!(out.db.partition_ids(), db.partition_ids());
+        // The recovered store keeps appending where the old one stopped.
+        assert_eq!(out.db.create_partition(), PartitionId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "installed in id order")]
+    fn install_partition_rejects_a_gap() {
+        let db = Database::new(StoreConfig::default());
+        db.install_partition(Partition::new(PartitionId(1)));
     }
 
     #[test]

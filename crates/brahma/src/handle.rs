@@ -23,7 +23,7 @@ use crate::object::{self, ObjectView};
 use crate::trt::RefAction;
 use crate::txn::TxnId;
 use crate::wal::LogPayload;
-use std::sync::atomic::Ordering;
+use std::collections::HashMap;
 
 /// Parameters for creating an object.
 #[derive(Debug, Clone)]
@@ -78,13 +78,33 @@ impl NewObject {
     }
 }
 
+/// Initial capacity of [`Txn`]'s held-lock list: a walker transaction takes
+/// 9 locks, and growing from empty would reallocate three times on the way.
+const HELD_CAPACITY: usize = 16;
+
+/// Longest held-lock list that is searched by scanning it. A walker
+/// transaction holds 9 locks and a migration batch a few dozen; past this
+/// the handle keeps an index beside the list, so that a transaction locking
+/// thousands of objects (PQR's parents, the graph builder's edge pass)
+/// does not pay a quadratic duplicate check.
+const HELD_SCAN_MAX: usize = 64;
+
 /// An active transaction. Dropping an uncommitted transaction aborts it.
 pub struct Txn<'db> {
     db: &'db Database,
     id: TxnId,
     reorg_for: Option<PartitionId>,
     done: bool,
-    held: Vec<PhysAddr>,
+    /// Every lock this transaction holds, with its mode, in acquisition
+    /// order. The handle is the authority on its own locks: this module is
+    /// the only caller of the lock manager's `lock`/`try_lock`/`unlock`
+    /// for `id`, so the list and the lock table cannot disagree, and the
+    /// lock checks of reads and updates answer from here without touching
+    /// the (shared) table.
+    held: Vec<(PhysAddr, LockMode)>,
+    /// Position in `held` of every address there, maintained only while
+    /// `held` is longer than [`HELD_SCAN_MAX`] (stale and unused below).
+    held_at: HashMap<PhysAddr, usize>,
     ever_locked: Vec<PhysAddr>,
     undo: Vec<LogPayload>,
     deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
@@ -115,7 +135,8 @@ impl Database {
             id,
             reorg_for: reorg,
             done: false,
-            held: Vec::new(),
+            held: Vec::with_capacity(HELD_CAPACITY),
+            held_at: HashMap::new(),
             ever_locked: Vec::new(),
             undo: Vec::new(),
             deleted_pairs: Vec::new(),
@@ -151,23 +172,38 @@ impl<'db> Txn<'db> {
             })?;
         }
         self.db.locks.lock(self.id, addr, mode)?;
-        self.record_lock(addr);
+        self.record_lock(addr, mode);
         Ok(())
     }
 
     /// Acquire without waiting; returns whether the lock was granted.
     pub fn try_lock(&mut self, addr: PhysAddr, mode: LockMode) -> bool {
         if self.db.locks.try_lock(self.id, addr, mode) {
-            self.record_lock(addr);
+            self.record_lock(addr, mode);
             true
         } else {
             false
         }
     }
 
-    fn record_lock(&mut self, addr: PhysAddr) {
-        if !self.held.contains(&addr) {
-            self.held.push(addr);
+    /// Record a grant of `mode` on `addr`. A re-grant keeps the stronger
+    /// mode, exactly as the lock table's own holder entry does.
+    fn record_lock(&mut self, addr: PhysAddr, mode: LockMode) {
+        match self.held_pos(addr) {
+            Some(i) => {
+                if mode == LockMode::Exclusive {
+                    self.held[i].1 = LockMode::Exclusive;
+                }
+            }
+            None => {
+                self.held.push((addr, mode));
+                let n = self.held.len();
+                if n == HELD_SCAN_MAX + 1 {
+                    self.index_held();
+                } else if n > HELD_SCAN_MAX {
+                    self.held_at.insert(addr, n - 1);
+                }
+            }
         }
         if self.db.locks.history_tracking() && !self.ever_locked.contains(&addr) {
             self.ever_locked.push(addr);
@@ -183,9 +219,34 @@ impl<'db> Txn<'db> {
         if self.wrote(addr) {
             return Err(Error::LockNotHeld { addr, by: self.id });
         }
-        self.held.retain(|a| *a != addr);
+        if let Some(i) = self.held_pos(addr) {
+            self.held.remove(i);
+            if self.held.len() > HELD_SCAN_MAX {
+                // Every later position shifted.
+                self.index_held();
+            }
+        }
         self.db.locks.unlock(self.id, addr);
         Ok(())
+    }
+
+    /// Where `addr` sits in `held`, if this transaction holds a lock on
+    /// it. A short list is scanned newest first: the usual question is
+    /// about the object locked a moment ago.
+    fn held_pos(&self, addr: PhysAddr) -> Option<usize> {
+        if self.held.len() > HELD_SCAN_MAX {
+            self.held_at.get(&addr).copied()
+        } else {
+            self.held.iter().rposition(|(a, _)| *a == addr)
+        }
+    }
+
+    /// Rebuild `held_at` from `held`: the list just outgrew the scan, or
+    /// an early unlock shifted positions.
+    fn index_held(&mut self) {
+        self.held_at.clear();
+        self.held_at
+            .extend(self.held.iter().enumerate().map(|(i, &(a, _))| (a, i)));
     }
 
     /// Release a lock the reorganizer took speculatively (it locks
@@ -209,16 +270,16 @@ impl<'db> Txn<'db> {
 
     /// The mode this transaction holds on `addr`, if any.
     pub fn lock_mode(&self, addr: PhysAddr) -> Option<LockMode> {
-        self.db.locks.holds(self.id, addr)
+        self.held_pos(addr).map(|i| self.held[i].1)
     }
 
-    /// Addresses currently locked by this transaction.
-    pub fn held_locks(&self) -> &[PhysAddr] {
+    /// The locks this transaction currently holds, in acquisition order.
+    pub fn held_locks(&self) -> &[(PhysAddr, LockMode)] {
         &self.held
     }
 
     fn require(&self, addr: PhysAddr, mode: LockMode) -> Result<()> {
-        match (self.db.locks.holds(self.id, addr), mode) {
+        match (self.lock_mode(addr), mode) {
             (Some(LockMode::Exclusive), _) => Ok(()),
             (Some(LockMode::Shared), LockMode::Shared) => Ok(()),
             _ => Err(Error::LockNotHeld { addr, by: self.id }),
@@ -302,7 +363,7 @@ impl<'db> Txn<'db> {
         self.db.fault.hit(site::ALLOC)?;
         self.db.fault.hit(site::WAL_APPEND)?;
         self.db.charge_access();
-        let part = self.db.partition(partition)?;
+        let part = self.db.partition_ref(partition)?;
         // Capacity validation needs an address for error reporting; compute
         // the view first against a placeholder, then allocate for real.
         let probe = PhysAddr::new(partition, 0, 0);
@@ -317,10 +378,9 @@ impl<'db> Txn<'db> {
             return Err(e);
         }
         self.db.locks.lock(self.id, addr, LockMode::Exclusive)?;
-        self.record_lock(addr);
+        self.record_lock(addr, LockMode::Exclusive);
         self.update(LogPayload::Create { addr, image: view }, true)?;
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        self.db.stats.creates.fetch_add(1, Ordering::Relaxed);
+        self.db.stats.creates.inc();
         Ok(addr)
     }
 
@@ -344,8 +404,7 @@ impl<'db> Txn<'db> {
             },
             false,
         )?;
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        self.db.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.db.stats.frees.inc();
         Ok(image)
     }
 
@@ -467,8 +526,7 @@ impl<'db> Txn<'db> {
             },
             false,
         )?;
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        self.db.stats.payload_writes.fetch_add(1, Ordering::Relaxed);
+        self.db.stats.payload_writes.inc();
         Ok(())
     }
 
@@ -489,8 +547,7 @@ impl<'db> Txn<'db> {
         self.db
             .purge_trt_for_txn(self.id, true, &self.deleted_pairs);
         self.finish();
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        self.db.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.db.stats.commits.inc();
         Ok(())
     }
 
@@ -518,12 +575,11 @@ impl<'db> Txn<'db> {
         self.db
             .purge_trt_for_txn(self.id, false, &self.deleted_pairs);
         self.finish();
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        self.db.stats.aborts.fetch_add(1, Ordering::Relaxed);
+        self.db.stats.aborts.inc();
     }
 
     fn finish(&mut self) {
-        for &addr in &self.held {
+        for &(addr, _) in &self.held {
             self.db.locks.unlock(self.id, addr);
         }
         self.held.clear();
@@ -599,13 +655,173 @@ mod tests {
         let a = mk(&db, 0, vec![]);
         let mut t = db.begin();
         t.lock(a, LockMode::Shared).unwrap();
+        assert_eq!(t.lock_mode(a), Some(LockMode::Shared));
         assert!(matches!(
             t.set_payload(a, b"xx"),
             Err(Error::LockNotHeld { .. })
         ));
         t.lock(a, LockMode::Exclusive).unwrap();
+        assert_eq!(t.lock_mode(a), Some(LockMode::Exclusive));
+        assert_eq!(
+            t.held_locks(),
+            &[(a, LockMode::Exclusive)],
+            "an upgrade is not a second lock"
+        );
+        // A weaker re-request does not downgrade.
+        t.lock(a, LockMode::Shared).unwrap();
+        assert_eq!(t.lock_mode(a), Some(LockMode::Exclusive));
         t.set_payload(a, b"xx").unwrap();
         t.commit().unwrap();
+    }
+
+    #[test]
+    fn failed_upgrade_leaves_the_shared_lock() {
+        let db = Database::new(StoreConfig {
+            lock_timeout: std::time::Duration::from_millis(20),
+            ..StoreConfig::default()
+        });
+        db.create_partition();
+        let a = mk(&db, 0, vec![]);
+        let mut t1 = db.begin();
+        let mut t2 = db.begin();
+        t1.lock(a, LockMode::Shared).unwrap();
+        t2.lock(a, LockMode::Shared).unwrap();
+        // t2 still shares the object, so t1's upgrade times out...
+        assert!(matches!(
+            t1.lock(a, LockMode::Exclusive),
+            Err(Error::LockTimeout { .. })
+        ));
+        assert!(!t1.try_lock(a, LockMode::Exclusive));
+        // ...and the handle agrees with the table: still Shared, reads
+        // allowed, updates refused.
+        assert_eq!(t1.lock_mode(a), Some(LockMode::Shared));
+        assert_eq!(db.locks.holds(t1.id(), a), Some(LockMode::Shared));
+        t1.read_refs(a).unwrap();
+        assert!(matches!(
+            t1.set_payload(a, b"xx"),
+            Err(Error::LockNotHeld { .. })
+        ));
+        t2.commit().unwrap();
+        t1.lock(a, LockMode::Exclusive).unwrap();
+        t1.set_payload(a, b"xx").unwrap();
+        t1.commit().unwrap();
+    }
+
+    #[test]
+    fn early_unlock_revokes_read_access() {
+        let db = db();
+        let a = mk(&db, 0, vec![]);
+        let mut t = db.begin();
+        t.lock(a, LockMode::Shared).unwrap();
+        t.read_refs(a).unwrap();
+        t.early_unlock(a).unwrap();
+        assert_eq!(t.lock_mode(a), None);
+        assert!(t.held_locks().is_empty());
+        assert!(matches!(t.read_refs(a), Err(Error::LockNotHeld { .. })));
+        assert!(db.locks.holders(a).is_empty());
+    }
+
+    #[test]
+    fn a_long_lock_list_answers_like_a_short_one() {
+        let db = db();
+        // Enough objects to cross HELD_SCAN_MAX twice over.
+        let objs: Vec<PhysAddr> = (0..3 * HELD_SCAN_MAX).map(|_| mk(&db, 0, vec![])).collect();
+        let mut t = db.begin();
+        for &a in &objs {
+            t.lock(a, LockMode::Shared).unwrap();
+        }
+        // Re-locking is not a second entry, on either side of the switch.
+        for &a in &objs {
+            t.lock(a, LockMode::Shared).unwrap();
+        }
+        assert_eq!(t.held_locks().len(), objs.len());
+        // Upgrade an old, a middle and the newest entry.
+        for &a in [&objs[0], &objs[HELD_SCAN_MAX], objs.last().unwrap()] {
+            t.lock(a, LockMode::Exclusive).unwrap();
+            assert_eq!(t.lock_mode(a), Some(LockMode::Exclusive));
+            t.set_payload(a, b"xx").unwrap();
+        }
+        assert_eq!(t.lock_mode(objs[1]), Some(LockMode::Shared));
+        // Early unlocks shift positions; every answer must follow, down
+        // through the switch back to scanning and up again.
+        let (released, kept) = objs[1..].split_at(2 * HELD_SCAN_MAX + 10);
+        for &a in released {
+            if t.wrote(a) {
+                continue; // objs[HELD_SCAN_MAX]: a written object keeps its lock
+            }
+            t.early_unlock(a).unwrap();
+            assert_eq!(t.lock_mode(a), None);
+            assert!(matches!(t.read_refs(a), Err(Error::LockNotHeld { .. })));
+        }
+        for &a in kept {
+            assert!(t.lock_mode(a).is_some(), "an untouched lock went missing");
+            t.read_refs(a).unwrap();
+        }
+        assert_eq!(t.lock_mode(objs[0]), Some(LockMode::Exclusive));
+        assert!(t.held_locks().len() <= HELD_SCAN_MAX);
+        for &a in released {
+            t.lock(a, LockMode::Shared).unwrap();
+        }
+        assert_eq!(t.held_locks().len(), objs.len());
+        for &(a, mode) in t.held_locks() {
+            assert_eq!(t.lock_mode(a), Some(mode));
+            assert_eq!(db.locks.holds(t.id(), a), Some(mode));
+        }
+        t.commit().unwrap();
+        assert_eq!(db.locks.table_size(), 0);
+        assert!(objs.iter().all(|&a| db.locks.holders(a).is_empty()));
+    }
+
+    #[test]
+    fn created_object_is_exclusively_locked_by_its_creator() {
+        let db = db();
+        let mut t = db.begin();
+        let a = t
+            .create_object(
+                PartitionId(0),
+                NewObject {
+                    tag: 1,
+                    refs: vec![],
+                    ref_cap: 2,
+                    payload: vec![1],
+                    payload_cap: 8,
+                },
+            )
+            .unwrap();
+        assert_eq!(t.lock_mode(a), Some(LockMode::Exclusive));
+        assert_eq!(t.read(a).unwrap().payload, vec![1]);
+        t.set_payload(a, b"new").unwrap();
+        t.insert_ref(a, a).unwrap();
+        t.commit().unwrap();
+        assert_eq!(db.raw_read(a).unwrap().payload, b"new");
+    }
+
+    #[test]
+    fn completion_releases_every_lock_in_the_table() {
+        let db = db();
+        let a = mk(&db, 0, vec![]);
+        let b = mk(&db, 1, vec![]);
+        for commit in [true, false] {
+            let mut t = db.begin();
+            // A sharer beside us forces `a` out of the fast slot's
+            // one-holder shape; `b` goes S then X.
+            let mut other = db.begin();
+            other.lock(a, LockMode::Shared).unwrap();
+            t.lock(a, LockMode::Shared).unwrap();
+            t.lock(b, LockMode::Shared).unwrap();
+            t.lock(b, LockMode::Exclusive).unwrap();
+            t.set_payload(b, b"w").unwrap();
+            assert_eq!(t.held_locks().len(), 2);
+            other.commit().unwrap();
+            if commit {
+                t.commit().unwrap();
+            } else {
+                t.abort();
+            }
+            assert!(db.locks.holders(a).is_empty(), "commit={commit}");
+            assert!(db.locks.holders(b).is_empty(), "commit={commit}");
+            assert_eq!(db.locks.table_size(), 0, "commit={commit}");
+        }
     }
 
     #[test]
@@ -630,7 +846,7 @@ mod tests {
             // dropped without commit
         }
         assert_eq!(db.raw_read(a).unwrap().payload, vec![0xAB; 32]);
-        assert_eq!(db.stats.aborts.load(Ordering::Relaxed), 1);
+        assert_eq!(db.stats.aborts.get(), 1);
     }
 
     #[test]

@@ -246,7 +246,22 @@ impl FastSlot {
         self.word.store(w & !SPIN, Ordering::Release);
     }
 
-    /// Current holders, for read-only queries. Spin-guarded snapshot.
+    /// The mode `tid` holds on `raw` through this slot, if any.
+    fn mode_of(&self, raw: u64, tid: TxnId) -> Option<LockMode> {
+        let w = self.lock_word();
+        let mode = if w & OCCUPIED == 0 || fld(&self.addr) != raw {
+            None
+        } else if w & MODE_X != 0 {
+            (fld(&self.t0) == tid.0).then_some(LockMode::Exclusive)
+        } else {
+            let second = fld(&self.nshare) == 2 && fld(&self.t1) == tid.0;
+            (fld(&self.t0) == tid.0 || second).then_some(LockMode::Shared)
+        };
+        self.unlock_word(w);
+        mode
+    }
+
+    /// Current holders, for diagnostics. Spin-guarded snapshot.
     fn holders_of(&self, raw: u64) -> Vec<(TxnId, LockMode)> {
         let w = self.lock_word();
         let mut out = Vec::new();
@@ -746,12 +761,7 @@ impl LockManager {
         if let Some(s) = table.get(&raw) {
             return s.holder_mode(tid);
         }
-        shard
-            .slot(raw)
-            .holders_of(raw)
-            .iter()
-            .find(|(t, _)| *t == tid)
-            .map(|(_, m)| *m)
+        shard.slot(raw).mode_of(raw, tid)
     }
 
     /// Current holders of `addr` (diagnostics and assertions).

@@ -64,7 +64,8 @@ pub enum LockClass {
     PartitionPages,
     /// The active-transaction registry (`TxnManager::active`).
     TxnRegistry,
-    /// The database's partition vector (`Database::partitions`).
+    /// Appends to the database's partition table (`Database::partitions`);
+    /// lookups are lock-free.
     DbPartitions,
     /// The persistent-root registry (`Database::roots`).
     DbRoots,

@@ -60,8 +60,9 @@ fn slots_per_page(class: usize) -> usize {
 }
 
 /// Per-page allocation metadata. A page either owns one size class or is a
-/// *spare*: opened (e.g. by `alloc_at` bridging up to a recovery target)
-/// but not yet committed to any class.
+/// *spare*: opened by `alloc_at` bridging up to a recovery target, or
+/// demoted by [`Partition::flush_deferred_frees`] once it held nothing, and
+/// not (or no longer) committed to any class.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PageMeta {
     /// Size class owned by this page; `None` for a spare page.
@@ -81,6 +82,11 @@ impl PageMeta {
         self.class = Some(class as u8);
         self.used = vec![0; spp.div_ceil(64)];
         self.sizes = vec![0; spp];
+    }
+
+    /// No slot is live or withheld.
+    fn is_empty(&self) -> bool {
+        self.used.iter().all(|w| *w == 0)
     }
 
     #[inline]
@@ -112,10 +118,10 @@ struct AllocState {
     /// Per-class bump cursor: `(page, next_slot)` in the class's open page.
     /// Slots ≥ `next_slot` there have never been handed out.
     bump: Vec<Option<(u32, u32)>>,
-    /// Spare pages available for adoption by any class.
+    /// Spare pages available for adoption by any class. Never withheld: a
+    /// page becomes a spare only by bridging or at a flush, so it holds no
+    /// address a running reorganization freed.
     spare: Vec<u32>,
-    /// Spare pages withheld by `defer_all_free_space`.
-    withheld_spare: Vec<u32>,
     /// Space freed by the reorganizer, withheld from reuse until the
     /// reorganization ends (see [`Partition::free_deferred`]): the slots'
     /// used bits stay set with `sizes == 0`.
@@ -133,11 +139,24 @@ impl AllocState {
             free_lists: vec![Vec::new(); NUM_CLASSES],
             bump: vec![None; NUM_CLASSES],
             spare: Vec::new(),
-            withheld_spare: Vec::new(),
             deferred: Vec::new(),
             live: 0,
             used_bytes: 0,
         }
+    }
+
+    /// Take `page` away from the class that owns it, leaving it classless:
+    /// the class's bump cursor lets go of it, and the class's free-list
+    /// entries naming it die lazily (`allocate` drops entries whose page
+    /// changed hands) or at the next flush.
+    fn disown(&mut self, page: u32) {
+        let meta = &mut self.page_meta[page as usize];
+        if let Some(class) = meta.class {
+            if matches!(self.bump[class as usize], Some((pg, _)) if pg == page) {
+                self.bump[class as usize] = None;
+            }
+        }
+        *meta = PageMeta::default();
     }
 
     /// Look up `(page_meta index, class, slot)` for a live object at
@@ -223,11 +242,9 @@ impl PartitionSnapshot {
                 None => put_u8(out, 0),
             }
         }
-        for list in [&a.spare, &a.withheld_spare] {
-            put_u32(out, list.len() as u32);
-            for p in list {
-                put_u32(out, *p);
-            }
+        put_u32(out, a.spare.len() as u32);
+        for p in &a.spare {
+            put_u32(out, *p);
         }
         put_u32(out, a.deferred.len() as u32);
         for (page, slot, size) in &a.deferred {
@@ -310,15 +327,11 @@ impl PartitionSnapshot {
                 f => return Err(r.corrupt(format!("bad bump flag {f}"))),
             });
         }
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = r.u32()? as usize;
-            list.reserve(n.min(1 << 16));
-            for _ in 0..n {
-                list.push(r.u32()?);
-            }
+        let nspare = r.u32()? as usize;
+        let mut spare = Vec::with_capacity(nspare.min(1 << 16));
+        for _ in 0..nspare {
+            spare.push(r.u32()?);
         }
-        let [spare, withheld_spare] = lists;
         let ndef = r.u32()? as usize;
         let mut deferred = Vec::with_capacity(ndef.min(1 << 16));
         for _ in 0..ndef {
@@ -344,7 +357,6 @@ impl PartitionSnapshot {
                 free_lists,
                 bump,
                 spare,
-                withheld_spare,
                 deferred,
                 live,
                 used_bytes,
@@ -465,8 +477,9 @@ impl Partition {
     ///
     /// Every address recovery replays was minted by [`Partition::allocate`],
     /// so it is slot-aligned for the class its size maps to; the first
-    /// `alloc_at` into a fresh page therefore re-establishes the page's
-    /// original class.
+    /// `alloc_at` into a fresh page — or into a page that holds nothing —
+    /// therefore re-establishes the class the page had when the object was
+    /// first created.
     pub fn alloc_at(&self, addr: PhysAddr, size: usize) -> Result<()> {
         debug_assert_eq!(addr.partition(), self.id);
         if size > PAGE_SIZE || addr.offset() as usize + size > PAGE_SIZE {
@@ -507,14 +520,21 @@ impl Partition {
             st.spare.push(pg);
             self.pages.write().push(new_page());
         }
-        if st.withheld_spare.contains(&page) {
-            // Whole-page space withheld by `defer_all_free_space`: not
-            // reusable until the reorganization flushes its frees.
-            return Err(Error::NoSuchObject(addr));
-        }
-        if st.page_meta[page as usize].class.is_none() {
-            st.spare.retain(|&pg| pg != page);
-            st.page_meta[page as usize].adopt(class_of(size));
+        // Page demotion is not logged, so REDO from a checkpoint older
+        // than one can find the page still owned by the class it had then,
+        // empty, where the log re-creates an object of another class.
+        let want = class_of(size);
+        let meta = &st.page_meta[page as usize];
+        match meta.class {
+            Some(class) if class as usize != want && meta.is_empty() => {
+                st.disown(page);
+                st.page_meta[page as usize].adopt(want);
+            }
+            Some(_) => {}
+            None => {
+                st.spare.retain(|&pg| pg != page);
+                st.page_meta[page as usize].adopt(want);
+            }
         }
         let meta = &mut st.page_meta[page as usize];
         let Some(class) = meta.class else {
@@ -566,7 +586,8 @@ impl Partition {
     /// volatile, and re-deferring all free space restores the invariant
     /// that no address freed by the reorganization is recycled while it
     /// runs. Virgin slots past a class's bump cursor were never handed
-    /// out, so they stay bump-allocatable.
+    /// out, so they stay bump-allocatable — and so do spare pages, which
+    /// hold nothing a reorganization still running could have freed.
     pub fn defer_all_free_space(&self) {
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
@@ -587,13 +608,13 @@ impl Partition {
                 }
             }
         }
-        let spares = std::mem::take(&mut st.spare);
-        st.withheld_spare.extend(spares);
     }
 
     /// Release all space queued by [`Partition::free_deferred`] (and by
     /// [`Partition::defer_all_free_space`]) back onto the class free
-    /// lists.
+    /// lists, then demote every page left holding nothing to a spare, so
+    /// the next reorganization packs its copies into the pages this one
+    /// emptied instead of growing the partition.
     pub fn flush_deferred_frees(&self) {
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
@@ -607,8 +628,18 @@ impl Partition {
             meta.clear_bit(slot);
             st.free_lists[class].push((page, slot as u16));
         }
-        let withheld = std::mem::take(&mut st.withheld_spare);
-        st.spare.extend(withheld);
+        for page in 0..st.page_meta.len() as u32 {
+            let meta = &st.page_meta[page as usize];
+            if meta.class.is_some() && meta.is_empty() {
+                st.disown(page);
+                st.spare.push(page);
+            }
+        }
+        // Entries naming a spare would otherwise pile up pass after pass.
+        let page_meta = &st.page_meta;
+        for list in &mut st.free_lists {
+            list.retain(|&(page, _)| page_meta[page as usize].class.is_some());
+        }
     }
 
     /// Release the object's slot back to its class free list. The caller
@@ -690,8 +721,7 @@ impl Partition {
                 }
             }
         }
-        // Spare pages are one whole-page extent each; withheld spares are
-        // deferred space, not free space.
+        // Spare pages are one whole-page extent each.
         free_bytes += st.spare.len() as u64 * PAGE_SIZE as u64;
         free_extents += st.spare.len();
         SpaceStats {
@@ -701,6 +731,62 @@ impl Partition {
             free_extent_bytes: free_bytes,
             free_extents,
         }
+    }
+
+    /// Allocator self-check for the test suites: every violated invariant
+    /// of the spare list, the free lists, the bump cursors and the live
+    /// accounting, as human-readable strings (empty = pass). `settled`
+    /// says nothing was freed since the last
+    /// [`Partition::flush_deferred_frees`], which is when no classed page
+    /// may be left holding nothing.
+    #[doc(hidden)]
+    pub fn allocator_problems(&self, settled: bool) -> Vec<String> {
+        let st = self.alloc.lock();
+        let mut problems = Vec::new();
+        let (mut live, mut used_bytes) = (0u64, 0u64);
+        for (pg, meta) in st.page_meta.iter().enumerate() {
+            live += meta.sizes.iter().filter(|&&s| s > 0).count() as u64;
+            used_bytes += meta.sizes.iter().map(|&s| s as u64).sum::<u64>();
+            let listed = st.spare.iter().filter(|&&p| p as usize == pg).count();
+            match meta.class {
+                None if listed != 1 => {
+                    problems.push(format!(
+                        "classless page {pg} is listed as spare {listed} times"
+                    ));
+                }
+                Some(_) if listed != 0 => problems.push(format!("classed page {pg} is a spare")),
+                Some(class) if settled && meta.is_empty() => {
+                    problems.push(format!(
+                        "page {pg} holds nothing but still owns class {class}"
+                    ));
+                }
+                _ => {}
+            }
+        }
+        if (live, used_bytes) != (st.live, st.used_bytes) {
+            problems.push(format!(
+                "directory holds {live} objects / {used_bytes} bytes, counters say {} / {}",
+                st.live, st.used_bytes
+            ));
+        }
+        let class_at = |page: u32| st.page_meta.get(page as usize).and_then(|m| m.class);
+        for (class, list) in st.free_lists.iter().enumerate() {
+            for &(page, slot) in list {
+                if class_at(page).is_none() {
+                    problems.push(format!(
+                        "class {class} free list names spare ({page}, {slot})"
+                    ));
+                }
+            }
+            if let Some((page, _)) = st.bump[class] {
+                if class_at(page) != Some(class as u8) {
+                    problems.push(format!(
+                        "class {class} bump cursor names foreign page {page}"
+                    ));
+                }
+            }
+        }
+        problems
     }
 
     /// Deep snapshot for checkpointing (taken at a quiescent point).
@@ -984,6 +1070,78 @@ mod tests {
         // Exact size: the rollback path restores the object in place.
         p.alloc_at(a, 100).unwrap();
         assert_eq!(p.object_size(a), Some(100));
+    }
+
+    #[test]
+    fn emptied_pages_are_reused_across_reorganization_passes() {
+        let p = part();
+        // 600 objects of the 128-byte class (5 pages) and 40 of the
+        // 1024-byte class (3 pages).
+        let sizes = |i: usize| if i.is_multiple_of(16) { 1000 } else { 100 };
+        let mut objects: Vec<(PhysAddr, usize)> = (0..640)
+            .map(|i| (p.allocate(sizes(i)).unwrap(), sizes(i)))
+            .collect();
+        let mut pages_after = Vec::new();
+        for _pass in 0..10 {
+            // One compaction pass, as the reorganizer drives the allocator.
+            p.defer_all_free_space();
+            let copies: Vec<(PhysAddr, usize)> = objects
+                .iter()
+                .map(|&(_, size)| (p.allocate(size).unwrap(), size))
+                .collect();
+            for &(old, _) in &objects {
+                p.free_deferred(old).unwrap();
+            }
+            p.flush_deferred_frees();
+            assert_eq!(p.allocator_problems(true), Vec::<String>::new());
+            objects = copies;
+            pages_after.push(p.page_count());
+        }
+        assert!(
+            pages_after[1..].iter().all(|&n| n == pages_after[1]),
+            "page count must be flat from the second pass: {pages_after:?}"
+        );
+        assert_eq!(p.object_count(), 640);
+    }
+
+    #[test]
+    fn flush_demotes_empty_pages_for_any_class() {
+        let p = part();
+        let small: Vec<PhysAddr> = (0..3).map(|_| p.allocate(100).unwrap()).collect();
+        let keep = p.allocate(1000).unwrap(); // page 1, 1024-byte class
+        for a in small {
+            p.free(a).unwrap();
+        }
+        // Freed, not yet flushed: page 0 still belongs to the 128-byte
+        // class, so another class has to open a page.
+        assert_eq!(p.allocate(10_000).unwrap().page(), 2);
+        p.flush_deferred_frees();
+        assert_eq!(p.allocator_problems(true), Vec::<String>::new());
+        // Demoted: page 0 now serves a class it never had, and the class
+        // that lost it starts over elsewhere instead of bumping into it.
+        assert_eq!(p.allocate(10_000).unwrap().page(), 0);
+        assert_eq!(p.allocate(100).unwrap().page(), 3);
+        assert!(p.contains_object(keep));
+        assert_eq!(p.page_count(), 4);
+    }
+
+    #[test]
+    fn alloc_at_readopts_an_empty_page_of_another_class() {
+        let p = part();
+        let a = p.allocate(100).unwrap(); // page 0 -> 128-byte class
+        let b = p.allocate(100).unwrap();
+        p.free(a).unwrap();
+        let other = PhysAddr::new(PartitionId(3), 0, 1024);
+        // Not empty yet: the page keeps its class and the carve is refused.
+        assert!(p.alloc_at(other, 1000).is_err());
+        p.free(b).unwrap();
+        // Empty (and never flushed, as after a REDO of the frees): the
+        // page follows the object, as it did when the object was created.
+        p.alloc_at(other, 1000).unwrap();
+        assert_eq!(p.object_size(other), Some(1000));
+        assert_eq!(p.allocator_problems(false), Vec::<String>::new());
+        // The 128-byte class lost its open page: it must not bump into it.
+        assert_ne!(p.allocate(100).unwrap().page(), 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::time::Instant;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
 const SEG_MAGIC: &[u8; 8] = b"BRHMWAL1";
-const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP1";
+const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP2";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;
 

@@ -243,12 +243,16 @@ struct WalInner {
     /// Records with LSN >= base_lsn, in LSN order.
     records: Vec<LogRecord>,
     base_lsn: Lsn,
-    next_lsn: Lsn,
 }
 
 /// The write-ahead log.
 pub struct Wal {
     inner: Mutex<WalInner>,
+    /// Next LSN to assign. Written only under `inner`, as the last step of
+    /// the critical section that logged the record before it; an atomic so
+    /// [`Wal::next_lsn`] — the group-commit leader's force target, the
+    /// fuzzy checkpoint's window start — reads it without the log mutex.
+    next_lsn: AtomicU64,
     retain: bool,
     flush_latency: Duration,
     flushed_lsn: AtomicU64,
@@ -288,6 +292,7 @@ impl Wal {
     pub fn new(retain: bool, flush_latency: Duration) -> Self {
         Wal {
             inner: Mutex::new(LockClass::WalInner, 0, WalInner::default()),
+            next_lsn: AtomicU64::new(0),
             retain,
             flush_latency,
             flushed_lsn: AtomicU64::new(0),
@@ -321,9 +326,10 @@ impl Wal {
             inner.records.is_empty(),
             "advance_to is only valid on an empty log"
         );
-        if lsn > inner.next_lsn {
-            inner.next_lsn = lsn;
+        if lsn > self.next_lsn() {
             inner.base_lsn = lsn;
+            // ordering: Release pairs with the Acquire load in next_lsn
+            self.next_lsn.store(lsn, Ordering::Release);
         }
     }
 
@@ -335,8 +341,8 @@ impl Wal {
         // fuzzy checkpoint's next_lsn read; gate *before* taking WalInner.
         crate::sched::point("wal.append.rec", tid.0);
         let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
+        // ordering: Relaxed; every store is made under the log mutex held here
+        let lsn = self.next_lsn.load(Ordering::Relaxed);
         let rec = LogRecord { lsn, tid, payload };
         // Clone for the mirror only when one is attached; the clone is the
         // whole cost paid under the log mutex — frame encoding and file
@@ -349,7 +355,7 @@ impl Wal {
         if !self.retain && inner.records.len() > self.truncate_watermark {
             // ordering: pairs with the Release store in recompute_pin; truncation sees pins
             let pinned = self.pinned_lsn.load(Ordering::Acquire);
-            let keep_from = pinned.min(inner.next_lsn);
+            let keep_from = pinned.min(lsn + 1);
             if keep_from > inner.base_lsn {
                 let drop_count = ((keep_from - inner.base_lsn) as usize).min(inner.records.len());
                 inner.records.drain(..drop_count);
@@ -357,6 +363,10 @@ impl Wal {
                 self.stats.truncated.add(drop_count as u64);
             }
         }
+        // Published last: whoever reads `lsn + 1` finds this record in the
+        // log, and sees everything its appender did before appending it.
+        // ordering: Release pairs with the Acquire load in next_lsn
+        self.next_lsn.store(lsn + 1, Ordering::Release);
         drop(inner);
         if let Some((sink, rec)) = mirror {
             sink.wal_append(&rec);
@@ -430,7 +440,8 @@ impl Wal {
 
     /// Next LSN that will be assigned.
     pub fn next_lsn(&self) -> Lsn {
-        self.inner.lock().next_lsn
+        // ordering: Acquire pairs with the Release stores made under the log mutex
+        self.next_lsn.load(Ordering::Acquire)
     }
 
     /// Lowest LSN still retained.
@@ -525,6 +536,7 @@ mod tests {
     fn truncation_respects_pin() {
         let wal = Wal {
             inner: Mutex::new(LockClass::WalInner, 0, WalInner::default()),
+            next_lsn: AtomicU64::new(0),
             retain: false,
             flush_latency: Duration::ZERO,
             flushed_lsn: AtomicU64::new(0),

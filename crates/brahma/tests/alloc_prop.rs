@@ -1,9 +1,10 @@
 //! Property tests for the partition allocator: arbitrary interleavings of
 //! `allocate`, `free`, `free_deferred`/`flush_deferred_frees`, and
-//! `alloc_at` never hand out overlapping space, never lose bytes, and keep
-//! the object directory exact.
+//! `alloc_at` never hand out overlapping space, never lose bytes, keep the
+//! object directory exact, and give every page a flush leaves empty back to
+//! all size classes.
 
-use brahma::{PartitionId, PhysAddr};
+use brahma::{PartitionId, PhysAddr, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -46,6 +47,7 @@ proptest! {
         let mut order: Vec<PhysAddr> = Vec::new();
 
         for op in ops {
+            let flushed = matches!(op, Op::Flush);
             match op {
                 Op::Alloc(sz) => {
                     let size = 16 + sz % 2000;
@@ -74,10 +76,27 @@ proptest! {
                     part.free_deferred(addr).unwrap();
                     prop_assert!(!part.contains_object(addr));
                 }
-                Op::Flush => part.flush_deferred_frees(),
+                Op::Flush => {
+                    part.flush_deferred_frees();
+                    // Mixed-class reuse: a page the flush left holding
+                    // nothing takes an object of any class — here one that
+                    // needs a page to itself — without the partition
+                    // growing.
+                    let pages = part.page_count();
+                    if (0..pages).any(|pg| live.keys().all(|a| a.page() != pg)) {
+                        let addr = part.allocate(PAGE_SIZE).unwrap();
+                        prop_assert_eq!(part.page_count(), pages, "an empty page was not reused");
+                        prop_assert!(live.keys().all(|a| a.page() != addr.page()));
+                        live.insert(addr, PAGE_SIZE);
+                        order.push(addr);
+                    }
+                }
                 Op::DeferAll => part.defer_all_free_space(),
                 _ => {}
             }
+            // After a flush no classed page is wholly empty; at all times
+            // no free-list entry names a spare.
+            prop_assert_eq!(part.allocator_problems(flushed), Vec::<String>::new());
             // Directory always matches the model.
             let mut dir = part.live_objects();
             dir.sort_unstable();
@@ -95,7 +114,7 @@ proptest! {
         let stats = part.space_stats();
         // Used + free extents never exceed the opened pages' capacity.
         prop_assert!(stats.used_bytes + stats.free_extent_bytes
-            <= stats.pages as u64 * brahma::PAGE_SIZE as u64);
+            <= stats.pages as u64 * PAGE_SIZE as u64);
     }
 
     /// Freeing everything and flushing coalesces each page back to at most

@@ -16,7 +16,9 @@ use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Create { partition: u8, payload_len: u8 },
+    /// `wide` objects land in another size class than the rest, so pages
+    /// emptied by the script's reorganization steps change hands.
+    Create { partition: u8, payload_len: u8, wide: bool },
     SetPayload { obj: usize, byte: u8 },
     InsertRef { parent: usize, child: usize },
     DeleteRef { parent: usize, child: usize },
@@ -44,7 +46,8 @@ struct Script {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u8..2, 0u8..24).prop_map(|(partition, payload_len)| Op::Create { partition, payload_len }),
+        3 => (0u8..2, 0u8..24, any::<bool>())
+            .prop_map(|(partition, payload_len, wide)| Op::Create { partition, payload_len, wide }),
         3 => (any::<usize>(), any::<u8>()).prop_map(|(obj, byte)| Op::SetPayload { obj, byte }),
         2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::InsertRef { parent, child }),
         2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::DeleteRef { parent, child }),
@@ -82,6 +85,7 @@ fn apply_op(
         Op::Create {
             partition,
             payload_len,
+            wide,
         } => {
             if let Ok(a) = txn.create_object(
                 PartitionId(*partition as u16),
@@ -90,7 +94,7 @@ fn apply_op(
                     refs: vec![],
                     ref_cap: 6,
                     payload: vec![0xAB; *payload_len as usize],
-                    payload_cap: 24,
+                    payload_cap: if *wide { 4000 } else { 24 },
                 },
             ) {
                 pool.push(a);
@@ -444,4 +448,74 @@ fn crash_inside_open_reorg_window_reports_interruption() {
     let out = recover(image, StoreConfig::default()).unwrap();
     assert_eq!(out.interrupted_reorgs, vec![p0]);
     assert_eq!(out.reorg_checkpoints, vec![(p0, vec![0xAA, 0xBB, 0xCC])]);
+}
+
+/// Page demotion is not logged. A checkpoint that still shows a page full
+/// of one size class, a reorganization pass that empties it (so the flush
+/// at its end demotes it), objects of *another* class created on the
+/// reused page, a crash: REDO must re-create those objects at addresses
+/// the checkpointed class could not have carved.
+#[test]
+fn recovery_recreates_other_class_objects_on_a_reused_page() {
+    let create = |db: &Database, payload_cap: u16| {
+        let mut t = db.begin();
+        let spec = NewObject {
+            tag: 1,
+            refs: vec![],
+            ref_cap: 2,
+            payload: vec![7; 8],
+            payload_cap,
+        };
+        let a = t.create_object(PartitionId(0), spec).unwrap();
+        t.commit().unwrap();
+        a
+    };
+    let db = two_partitions();
+    // Four objects of the 4096-byte class fill page 0.
+    let mut pool: Vec<PhysAddr> = (0..4).map(|_| create(&db, 3000)).collect();
+    assert!(pool.iter().all(|a| a.page() == 0));
+    let ckpt = db.checkpoint(0);
+
+    // The pass: every object moves off page 0 (its frees are withheld
+    // while the pass runs), and `end_reorg` finds the page empty.
+    db.start_reorg(PartitionId(0)).unwrap();
+    let mut pass = db.begin_reorg(PartitionId(0));
+    for slot in pool.iter_mut() {
+        pass.lock(*slot, LockMode::Exclusive).unwrap();
+        let image = pass.read(*slot).unwrap();
+        let spec = NewObject {
+            tag: image.tag,
+            refs: image.refs,
+            ref_cap: image.ref_cap,
+            payload: image.payload,
+            payload_cap: image.payload_cap,
+        };
+        let copy = pass.create_object(PartitionId(0), spec).unwrap();
+        pass.delete_object(*slot).unwrap();
+        *slot = copy;
+    }
+    pass.commit().unwrap();
+    db.end_reorg(PartitionId(0));
+    assert!(pool.iter().all(|a| a.page() == 1));
+    // 1024-byte-class objects take over page 0, at offsets no 4096-byte
+    // slot starts at.
+    let small: Vec<PhysAddr> = (0..3).map(|_| create(&db, 900)).collect();
+    assert_eq!(
+        small.iter().map(|a| (a.page(), a.offset())).collect::<Vec<_>>(),
+        vec![(0, 0), (0, 1024), (0, 2048)],
+        "the emptied page must be reused by the other class"
+    );
+    let part = db.partition(PartitionId(0)).unwrap();
+    assert_eq!(part.page_count(), 2);
+
+    let expected = state_dump(&db);
+    let image = db.crash(ckpt, true);
+    drop(part);
+    drop(db);
+    let out = recover(image, StoreConfig::default()).unwrap();
+    assert_eq!(state_dump(&out.db), expected);
+    let part = out.db.partition(PartitionId(0)).unwrap();
+    assert_eq!(part.page_count(), 2);
+    assert_eq!(part.allocator_problems(false), Vec::<String>::new());
+    brahma::sweep::assert_database_consistent(&out.db);
 }

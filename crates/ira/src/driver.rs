@@ -313,10 +313,11 @@ pub(crate) fn run_incremental(
 ) -> Result<IraReport, IraError> {
     let start = Instant::now();
     db.start_reorg(partition)?;
-    // Withhold all current free space in the partitions the plan touches:
-    // migrated copies then pack into fresh space in migration order (the
-    // point of compaction and clustering), and everything freed or withheld
-    // is released coalesced when the reorganization ends.
+    // Withhold every currently free slot in the partitions the plan
+    // touches: migrated copies then pack into fresh space — never-used
+    // pages, or spares an earlier reorganization emptied — in migration
+    // order (the point of compaction and clustering), and everything freed
+    // or withheld is released coalesced when the reorganization ends.
     withhold_free_space(db, partition, plan)?;
 
     // Wait for every transaction active at the start to complete, so all
@@ -504,10 +505,7 @@ impl WorkerCtx<'_> {
             lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
             if defer {
                 brahma::sched::point("wave.batch", tag as u64);
-                run.db
-                    .stats
-                    .reorg_wave_batches
-                    .fetch_add(1, AtomicOrd::Relaxed);
+                run.db.stats.reorg_wave_batches.inc();
             } else {
                 brahma::sched::point("ira.batch", (tag + done) as u64);
             }
@@ -663,10 +661,7 @@ impl WorkerCtx<'_> {
                         }
                         // Counted here, not when the move is staged: a
                         // rolled-back batch migrated nothing.
-                        run.db
-                            .stats
-                            .migrations
-                            .fetch_add(migrated as u64, AtomicOrd::Relaxed);
+                        run.db.stats.migrations.add(migrated as u64);
                         // Claims that produced no migration reopen; release
                         // spares the just-committed slots.
                         for &claimed in &effects.claims {
@@ -872,10 +867,7 @@ impl ReorgRun<'_> {
         self.tally.waves = wave_plan.components.len();
         self.tally.parent_groups = wave_plan.parent_groups;
         let nworkers = self.config.workers.min(wave_plan.groups.len().max(1));
-        self.db
-            .stats
-            .reorg_workers
-            .fetch_max(nworkers as u64, AtomicOrd::Relaxed);
+        self.db.stats.reorg_workers.set(nworkers as u64);
         // Per-worker group deques with back-stealing (see
         // [`crate::wave::StealQueue`]). The deques hand out *scheduling
         // groups*; for every order but ParentGroup those are exactly the
@@ -898,7 +890,7 @@ impl ReorgRun<'_> {
                                 break;
                             };
                             if stolen {
-                                db.stats.reorg_wave_steals.fetch_add(1, AtomicOrd::Relaxed);
+                                db.stats.reorg_wave_steals.inc();
                             }
                             let group = &wave_plan.groups[g];
                             brahma::sched::point("wave.claim", group[0] as u64);

@@ -9,7 +9,6 @@
 use crate::plan::RelocationPlan;
 use brahma::{Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, Result, Txn};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 /// Migrate every allocated object of the (quiescent) `partition` according
 /// to `plan`, inside `txn`. The caller guarantees quiescence (see
@@ -82,8 +81,7 @@ pub fn reorganize_quiescent(
             .append(txn.id(), LogPayload::Migrate { old: oold, new: onew });
         txn.delete_object(oold)?;
         mapping.insert(oold, onew);
-        // ordering: statistics counter; read only by obs snapshots, no sync derived
-        db.stats.migrations.fetch_add(1, Ordering::Relaxed);
+        db.stats.migrations.inc();
     }
     Ok(mapping)
 }

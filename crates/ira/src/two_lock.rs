@@ -30,7 +30,6 @@ use crate::shared::{MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
 use brahma::{Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 
 /// Migrate one object with the two-lock discipline.
 ///
@@ -110,8 +109,7 @@ pub fn migrate_two_lock(
     guard.commit()?;
 
     mapping.commit(oold);
-    // ordering: statistics counter; read only by obs snapshots, no sync derived
-    db.stats.migrations.fetch_add(1, Ordering::Relaxed);
+    db.stats.migrations.inc();
     Ok(onew)
 }
 

@@ -209,7 +209,7 @@ mod tests {
             let out = walk_once(&db, &info, i % 2, &params, &mut rng).unwrap();
             assert_eq!(out, WalkAttempt::Committed);
         }
-        assert!(db.stats.commits.load(std::sync::atomic::Ordering::Relaxed) >= 50);
+        assert!(db.stats.commits.get() >= 50);
     }
 
     #[test]
@@ -221,7 +221,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(1);
         walk_once(&db, &info, 0, &params, &mut rng).unwrap();
-        assert!(db.stats.payload_writes.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        assert!(db.stats.payload_writes.get() > 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
@@ -203,17 +204,43 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads currently inside a `wait*` call. `std`'s `notify_*` is a
+    /// `futex_wake` system call even when nobody is parked; parking_lot
+    /// returns early in that case, and so does this shim.
+    ///
+    /// A waiter registers while it still holds its mutex (before the wait
+    /// releases it). Under the ordinary condvar contract — the notifier
+    /// changed the predicate under that same mutex — a notifier that reads
+    /// zero therefore cannot have a waiter that saw the old predicate: such
+    /// a waiter's increment happens-before its mutex release, which
+    /// happens-before the notifier's acquire. A waiter that locks after the
+    /// change sees the new predicate and does not wait.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
+    /// Run one `std` wait with this thread counted as parked.
+    fn parked<'a, T>(
+        &self,
+        guard: &mut MutexGuard<'a, T>,
+        f: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
+    ) {
+        // ordering: Relaxed; the caller's mutex orders this against the notifier (see `waiters`)
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        replace_guard(guard, f);
+        // ordering: Relaxed; a stale non-zero read only costs the notifier one wake call
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+    }
+
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        replace_guard(guard, |g| {
+        self.parked(guard, |g| {
             self.inner.wait(g).unwrap_or_else(PoisonError::into_inner)
         });
     }
@@ -224,7 +251,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let mut timed_out = false;
-        replace_guard(guard, |g| {
+        self.parked(guard, |g| {
             let (g, result) = self
                 .inner
                 .wait_timeout(g, timeout)
@@ -247,12 +274,21 @@ impl Condvar {
         self.wait_for(guard, deadline - now)
     }
 
+    fn has_waiters(&self) -> bool {
+        // ordering: Relaxed; the waiters' mutex orders this against their registration (see `waiters`)
+        self.waiters.load(Ordering::Relaxed) != 0
+    }
+
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.has_waiters() {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.has_waiters() {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -301,6 +337,23 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn condvar_waiter_count_returns_to_zero_after_timeout() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(!cv.has_waiters());
+        let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
+        assert!(r.timed_out());
+        assert!(!cv.has_waiters(), "a timed-out waiter must deregister");
+        // With nobody parked both notifies return early; a later wait
+        // still registers and deregisters.
+        cv.notify_one();
+        cv.notify_all();
+        cv.wait_for(&mut g, Duration::from_millis(5));
+        assert!(!cv.has_waiters());
     }
 
     #[test]
