@@ -98,3 +98,10 @@ bash benchmark/run.sh --smoke
 # the exact `db.migrations` of fixed work. Reuses the smoke run's release
 # build of the crates under test.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
+# One size counter, so "least code" (ROADMAP) is the same number in every
+# PR: non-test Rust lines under crates/*/src and shims/*/src (the
+# `#[cfg(test)]`-to-end cut the guards above use), then test and benchmark
+# lines. CHANGES.md quotes this line for the parent and the change.
+src=$(find crates/*/src shims/*/src -name '*.rs' -exec sed '/^#\[cfg(test)\]/,$d' {} \; | wc -l)
+count() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
+echo "size: src=$src crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src)"

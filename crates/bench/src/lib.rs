@@ -20,8 +20,8 @@
 //! Results are printed as table rows and written as CSV under `results/`.
 //! The cells run under the modelled CPU, so they assert the paper's *shape*
 //! (`table2` exits nonzero on [`Experiment::shape_violations`]); raw speed
-//! is measured and gated by the standalone `benchmark/` crate. Criterion
-//! microbenchmarks for the substrate live in `benches/`.
+//! and per-layer timings are measured and gated by the standalone
+//! `benchmark/` crate.
 
 pub mod experiments;
 pub mod locality;

@@ -34,8 +34,6 @@ pub struct StoreConfig {
     /// (Section 4.1). The TRT purge optimization is disabled in this mode
     /// regardless of `trt_purge` (Section 4.5, last paragraph).
     pub strict_2pl: bool,
-    /// Number of shards in the lock manager's hash table.
-    pub lock_shards: usize,
     /// Directory for the file backend's WAL segments and checkpoint files.
     /// `None` (the default) keeps the store purely in-memory; set it and
     /// open the store through [`crate::storage::open`] for real
@@ -54,7 +52,6 @@ impl Default for StoreConfig {
             wal_retain: true,
             trt_purge: true,
             strict_2pl: true,
-            lock_shards: 64,
             data_dir: None,
             wal_segment_bytes: 1 << 20,
         }

@@ -202,7 +202,7 @@ impl Database {
     /// Create an empty database.
     pub fn new(config: StoreConfig) -> Self {
         Database {
-            locks: LockManager::new(config.lock_shards, config.lock_timeout),
+            locks: LockManager::new(crate::lock::DB_SHARDS, config.lock_timeout),
             txns: TxnManager::new(),
             wal: Wal::new(config.wal_retain, config.commit_flush_latency),
             reorg_tables: RwLock::new(LockClass::DbReorgTables, 0, HashMap::new()),

@@ -9,11 +9,8 @@
 //! The table is a multiset of `(child, parent)` edges — an external parent
 //! may legitimately hold *two* references to the same object, and deleting
 //! one of them must leave the other edge in the table.
-//!
-//! Built on the crate's extendible hash index, as in the paper's Brahma.
 
-use crate::addr::{PartitionId, PhysAddr};
-use crate::exthash::ExtHash;
+use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::lockdep::{LockClass, Mutex};
 use obs::Counter;
 use serde::{Deserialize, Serialize};
@@ -42,7 +39,7 @@ pub struct ErtStats {
 pub struct Ert {
     partition: PartitionId,
     /// child -> multiset of external parents.
-    inner: Mutex<ExtHash<PhysAddr, Vec<PhysAddr>>>,
+    inner: Mutex<AddrMap<Vec<PhysAddr>>>,
     /// Lifetime counters.
     pub stats: ErtStats,
 }
@@ -52,7 +49,7 @@ impl Ert {
     pub fn new(partition: PartitionId) -> Self {
         Ert {
             partition,
-            inner: Mutex::new(LockClass::ErtInner, partition.0 as u64, ExtHash::new()),
+            inner: Mutex::new(LockClass::ErtInner, partition.0 as u64, AddrMap::default()),
             stats: ErtStats::default(),
         }
     }
@@ -70,7 +67,7 @@ impl Ert {
         debug_assert_ne!(parent.partition(), self.partition);
         self.stats.inserts.inc();
         let mut t = self.inner.lock();
-        t.entry_or_insert_with(child, Vec::new).push(parent);
+        t.entry(child).or_default().push(parent);
     }
 
     /// Remove one occurrence of the edge `parent -> child`. Returns whether
@@ -100,7 +97,7 @@ impl Ert {
     /// partition that some external object points to. These are the fuzzy
     /// traversal's starting points.
     pub fn referenced_objects(&self) -> Vec<PhysAddr> {
-        self.inner.lock().iter().map(|(c, _)| *c).collect()
+        self.inner.lock().keys().copied().collect()
     }
 
     /// Move every edge keyed by `old_child` to `new_child`, returning the
@@ -112,14 +109,8 @@ impl Ert {
         let Some(parents) = t.remove(&old_child) else {
             return Vec::new();
         };
-        let out = parents.clone();
-        match t.get_mut(&new_child) {
-            Some(existing) => existing.extend(parents),
-            None => {
-                t.insert(new_child, parents);
-            }
-        }
-        out
+        t.entry(new_child).or_default().extend(&parents);
+        parents
     }
 
     /// Rewrite one occurrence of `old_parent` as `new_parent` in the edge set
@@ -146,7 +137,7 @@ impl Ert {
 
     /// Total number of edges (with multiplicity).
     pub fn edge_count(&self) -> usize {
-        self.inner.lock().iter().map(|(_, ps)| ps.len()).sum()
+        self.inner.lock().values().map(Vec::len).sum()
     }
 
     /// Whether the table holds the exact edge `parent -> child`.
@@ -173,7 +164,7 @@ impl Ert {
         let mut t = self.inner.lock();
         t.clear();
         for &(c, p) in &snap.edges {
-            t.entry_or_insert_with(c, Vec::new).push(p);
+            t.entry(c).or_default().push(p);
         }
     }
 
@@ -261,6 +252,29 @@ mod tests {
         let ps = ert.parents_of(child);
         assert!(ps.contains(&old_p) && ps.contains(&new_p));
         assert!(!ert.replace_parent(a(1, 9, 9), old_p, new_p));
+    }
+
+    /// Same-seed runs must stay identical, and `referenced_objects` are the
+    /// fuzzy traversal's starting points in table order: two tables fed
+    /// the same sequence must iterate alike (a randomly seeded hasher
+    /// would not).
+    #[test]
+    fn same_sequence_same_iteration_order() {
+        let feed = |ert: &Ert| {
+            for i in 0..200u32 {
+                ert.insert(a(1, i, 0), a(2, i % 13, 0));
+            }
+            for i in (0..200u32).step_by(3) {
+                assert!(ert.remove(a(1, i, 0), a(2, i % 13, 0)));
+            }
+            for i in 0..40u32 {
+                ert.rekey_child(a(1, i * 3 + 1, 0), a(1, 500 + i, 0));
+            }
+            (ert.referenced_objects(), ert.snapshot())
+        };
+        let (order, snap) = feed(&Ert::new(PartitionId(1)));
+        assert!(order.len() > 100);
+        assert_eq!((order, snap), feed(&Ert::new(PartitionId(1))));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * **WAL** with undo-before-update, commit-time log force, ARIES-style
 //!   restart recovery, and a log scan that reconstructs a reorganization's
 //!   reference table at restart;
-//! * **extendible hash indices** ([`exthash`]), used — as in Brahmā — to
-//!   implement the per-partition **External Reference Table** ([`ert`]) and
-//!   the per-reorganization **Temporary Reference Table** ([`trt`]).
+//! * the per-partition **External Reference Table** ([`ert`]) and the
+//!   per-reorganization **Temporary Reference Table** ([`trt`]), both hash
+//!   maps keyed by physical address.
 //!
 //! The reorganization algorithms themselves (IRA and the baselines) live in
 //! the companion `ira` crate; this crate is the substrate.
@@ -55,7 +55,6 @@ pub mod db;
 pub mod env_cfg;
 pub mod error;
 pub mod ert;
-pub mod exthash;
 pub mod fault;
 pub mod handle;
 pub mod lock;

@@ -165,6 +165,9 @@ impl LockStats {
     }
 }
 
+/// Shards in a [`crate::db::Database`]'s lock table.
+pub(crate) const DB_SHARDS: usize = 64;
+
 /// Fast slots per shard. Power of two; the slot index comes from address
 /// hash bits disjoint from the shard-selection bits.
 const FAST_SLOTS: usize = 64;

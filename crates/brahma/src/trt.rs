@@ -15,8 +15,7 @@
 //! 2PL. It can be reconstructed from the WAL ([`crate::wal::analyzer`])
 //! after a failure.
 
-use crate::addr::{PartitionId, PhysAddr};
-use crate::exthash::ExtHash;
+use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::txn::TxnId;
 use obs::Counter;
 use crate::lockdep::{LockClass, Mutex};
@@ -57,7 +56,7 @@ type TupleList = Vec<(PhysAddr, TxnId, RefAction)>;
 pub struct Trt {
     partition: PartitionId,
     /// referenced object -> tuples about it.
-    inner: Mutex<ExtHash<PhysAddr, TupleList>>,
+    inner: Mutex<AddrMap<TupleList>>,
     /// Lifetime counters.
     pub stats: TrtStats,
 }
@@ -67,7 +66,7 @@ impl Trt {
     pub fn new(partition: PartitionId) -> Self {
         Trt {
             partition,
-            inner: Mutex::new(LockClass::TrtInner, partition.0 as u64, ExtHash::new()),
+            inner: Mutex::new(LockClass::TrtInner, partition.0 as u64, AddrMap::default()),
             stats: TrtStats::default(),
         }
     }
@@ -82,8 +81,7 @@ impl Trt {
         debug_assert_eq!(child.partition(), self.partition);
         self.stats.notes.inc();
         let mut t = self.inner.lock();
-        t.entry_or_insert_with(child, Vec::new)
-            .push((parent, tid, action));
+        t.entry(child).or_default().push((parent, tid, action));
     }
 
     /// Return (without removing) some tuple whose referenced object is
@@ -148,7 +146,7 @@ impl Trt {
     /// about. Drives the re-traversal loop (line L2) of
     /// `Find_Objects_And_Approx_Parents`.
     pub fn referenced_objects(&self) -> Vec<PhysAddr> {
-        self.inner.lock().iter().map(|(c, _)| *c).collect()
+        self.inner.lock().keys().copied().collect()
     }
 
     /// Section 4.5 optimization, applicable under strict 2PL only: when the
@@ -159,19 +157,13 @@ impl Trt {
     ///
     /// Returns the number of tuples purged.
     pub fn purge_txn_deletes(&self, tid: TxnId) -> usize {
-        let mut t = self.inner.lock();
-        let children: Vec<PhysAddr> = t.iter().map(|(c, _)| *c).collect();
         let mut purged = 0;
-        for c in children {
-            if let Some(v) = t.get_mut(&c) {
-                let before = v.len();
-                v.retain(|&(_, id, a)| !(id == tid && a == RefAction::Delete));
-                purged += before - v.len();
-                if v.is_empty() {
-                    t.remove(&c);
-                }
-            }
-        }
+        self.inner.lock().retain(|_, v| {
+            let before = v.len();
+            v.retain(|&(_, id, a)| !(id == tid && a == RefAction::Delete));
+            purged += before - v.len();
+            !v.is_empty()
+        });
         self.stats.purged.add(purged as u64);
         purged
     }
@@ -202,7 +194,7 @@ impl Trt {
 
     /// Total number of tuples.
     pub fn len(&self) -> usize {
-        self.inner.lock().iter().map(|(_, v)| v.len()).sum()
+        self.inner.lock().values().map(Vec::len).sum()
     }
 
     /// Whether the table is empty.
@@ -285,6 +277,41 @@ mod tests {
         assert!(remaining
             .iter()
             .any(|t| t.tid == TxnId(6) && t.action == RefAction::Delete));
+    }
+
+    #[test]
+    fn purge_txn_deletes_drops_only_emptied_children() {
+        let trt = Trt::new(PartitionId(1));
+        let (emptied, kept) = (a(1, 0), a(1, 64));
+        trt.note(emptied, a(2, 0), TxnId(5), RefAction::Delete);
+        trt.note(emptied, a(2, 8), TxnId(5), RefAction::Delete);
+        trt.note(kept, a(2, 0), TxnId(5), RefAction::Delete);
+        trt.note(kept, a(2, 8), TxnId(6), RefAction::Delete);
+        assert_eq!(trt.purge_txn_deletes(TxnId(5)), 3);
+        assert_eq!(trt.stats.purged.get(), 3);
+        assert!(!trt.has_tuples_for(emptied), "an emptied list leaves no key");
+        assert_eq!(trt.referenced_objects(), vec![kept]);
+        assert_eq!(trt.tuples_for(kept).len(), 1);
+    }
+
+    /// Same-seed runs must stay identical, and `referenced_objects` feeds
+    /// the traversal in table order: two tables fed the same sequence must
+    /// iterate alike (a randomly seeded hasher would not).
+    #[test]
+    fn same_sequence_same_iteration_order() {
+        let feed = |trt: &Trt| {
+            for i in 0..200u16 {
+                trt.note(a(1, i * 8), a(2, i), TxnId(i as u64 % 7), RefAction::Delete);
+            }
+            trt.purge_txn_deletes(TxnId(3));
+            for i in 0..50u16 {
+                trt.note(a(1, i * 24), a(2, i), TxnId(9), RefAction::Insert);
+            }
+            trt.referenced_objects()
+        };
+        let order = feed(&Trt::new(PartitionId(1)));
+        assert!(order.len() > 100);
+        assert_eq!(order, feed(&Trt::new(PartitionId(1))));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::driver::{ExecOptions, IraConfig, IraError, IraReport, IraVariant, Thr
 use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
 use crate::policy::{PlanScore, PlanSource, StaticPlan};
-use crate::pqr::{PqrReport, INSIST_POLICY};
+use crate::pqr::PqrReport;
 use brahma::{Database, LogRecord, PartitionId, PhysAddr, RetryPolicy};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -133,7 +133,6 @@ pub struct Reorg<'a> {
     strategy: Strategy,
     config: IraConfig,
     exec: ExecOptions,
-    insist: RetryPolicy,
     resume: Option<(IraCheckpoint, Vec<LogRecord>)>,
     /// An explicit [`Reorg::order`] call wins over a derived order.
     order_overridden: bool,
@@ -150,7 +149,6 @@ impl<'a> Reorg<'a> {
             strategy: Strategy::default(),
             config: IraConfig::default(),
             exec: ExecOptions::default(),
-            insist: INSIST_POLICY,
             resume: None,
             order_overridden: false,
         }
@@ -198,7 +196,9 @@ impl<'a> Reorg<'a> {
     }
 
     /// Migrator workers. More than one partitions the migration queue into
-    /// conflict-disjoint waves drained concurrently (see [`crate::wave`]).
+    /// conflict-disjoint waves drained concurrently (see [`crate::wave`]);
+    /// the pool is clamped to the number of waves, and
+    /// [`IraReport::workers`] reports how many ran.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers.max(1);
         self
@@ -236,13 +236,6 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Whether the traversal's unreachable objects are deleted
-    /// (Section 4.6). Defaults to `true`.
-    pub fn collect_garbage(mut self, yes: bool) -> Self {
-        self.config.collect_garbage = yes;
-        self
-    }
-
     /// Save a resumable reorganizer checkpoint every `n` batches when one
     /// worker drains the queue (Section 4.4). With a file backend attached
     /// the save is durable, bounding how far a hard kill sets the
@@ -255,12 +248,6 @@ impl<'a> Reorg<'a> {
     /// How long to wait for transactions active when the run starts.
     pub fn quiesce_wait(mut self, wait: Duration) -> Self {
         self.config.quiesce_wait = wait;
-        self
-    }
-
-    /// Poll policy for the two-lock variant's relaxed-2PL settle wait.
-    pub fn settle(mut self, settle: RetryPolicy) -> Self {
-        self.exec.settle = settle;
         self
     }
 
@@ -277,13 +264,6 @@ impl<'a> Reorg<'a> {
     /// deterministically.
     pub fn force_defer(mut self, objects: Vec<brahma::PhysAddr>) -> Self {
         self.exec.force_defer = objects;
-        self
-    }
-
-    /// Insist policy for PQR's quiesce locks (only meaningful for
-    /// [`Strategy::PartitionQuiesce`]).
-    pub fn insist(mut self, insist: RetryPolicy) -> Self {
-        self.insist = insist;
         self
     }
 
@@ -326,8 +306,7 @@ impl<'a> Reorg<'a> {
                 db, partition, plan, &config, exec,
             )?),
             (None, Strategy::PartitionQuiesce) => {
-                let r = crate::pqr::run_pqr(db, partition, plan, &self.insist)
-                    .map_err(IraError::Store)?;
+                let r = crate::pqr::run_pqr(db, partition, plan).map_err(IraError::Store)?;
                 (r.mapping.clone(), r.duration, Some(ReorgReport::Pqr(r)))
             }
             (None, Strategy::Offline) => {
@@ -413,12 +392,11 @@ mod tests {
             .variant(IraVariant::TwoLock)
             .workers(2)
             .batch(4)
-            .collect_garbage(false)
             .run()
             .unwrap();
         let report = outcome.ira().unwrap();
-        // One object -> one component -> the worker pool clamps to 1... but
-        // the configured count is what the report carries.
-        assert_eq!(report.workers, 2);
+        // One object -> one component -> the worker pool clamps to 1, and
+        // the report carries what ran, not what was asked for.
+        assert_eq!((report.waves, report.workers), (1, 1));
     }
 }

@@ -16,6 +16,7 @@ use crate::driver::{ExecOptions, IraConfig, IraError, IraPhases, IraReport, Reor
 use crate::plan::RelocationPlan;
 use crate::shared::MigrationMap;
 use crate::traversal::{ParentMap, TraversalState};
+use brahma::storage::codec::{put_addr, put_u64, Reader};
 use brahma::wal::analyzer::rebuild_trt_seeded;
 use brahma::{
     Database, Error as StoreError, LogRecord, Lsn, PartitionId, PhysAddr, RefAction, TrtTuple,
@@ -97,7 +98,7 @@ impl IraCheckpoint {
     /// come straight from disk, so a bad record must degrade to a recovery
     /// error, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut r = Reader { bytes, at: 0 };
+        let mut r = Reader::new(bytes, 0);
         let version = r.u8()?;
         if version != CODEC_VERSION {
             return Err(corrupt(
@@ -106,30 +107,25 @@ impl IraCheckpoint {
             ));
         }
         let partition = PartitionId(r.u16()?);
-        let plan_at = r.at as u64;
+        let at = r.offset();
         let plan = match r.u8()? {
             0 => RelocationPlan::CompactInPlace,
             1 => RelocationPlan::EvacuateTo(PartitionId(r.u16()?)),
-            tag => {
-                return Err(corrupt(
-                    plan_at,
-                    format!("unknown relocation plan tag {tag}"),
-                ))
-            }
+            tag => return Err(corrupt(at, format!("unknown relocation plan tag {tag}"))),
         };
         let pos = r.u64()? as usize;
         let trt_lsn = r.u64()?;
-        let queue = r.addrs()?;
+        let queue = read_addrs(&mut r)?;
         let mut mapping = Vec::new();
         for _ in 0..r.u64()? {
             mapping.push((r.addr()?, r.addr()?));
         }
-        let order = r.addrs()?;
-        let visited = r.addrs()?.into_iter().collect();
+        let order = read_addrs(&mut r)?;
+        let visited = read_addrs(&mut r)?.into_iter().collect();
         let parents = ParentMap::default();
         for _ in 0..r.u64()? {
             let child = r.addr()?;
-            for parent in r.addrs()? {
+            for parent in read_addrs(&mut r)? {
                 parents.add(child, parent);
             }
         }
@@ -138,11 +134,11 @@ impl IraCheckpoint {
             let child = r.addr()?;
             let parent = r.addr()?;
             let tid = TxnId(r.u64()?);
-            let action_at = r.at as u64;
+            let at = r.offset();
             let action = match r.u8()? {
                 0 => RefAction::Insert,
                 1 => RefAction::Delete,
-                tag => return Err(corrupt(action_at, format!("unknown TRT action tag {tag}"))),
+                tag => return Err(corrupt(at, format!("unknown TRT action tag {tag}"))),
             };
             trt_snapshot.push(TrtTuple {
                 child,
@@ -151,12 +147,7 @@ impl IraCheckpoint {
                 action,
             });
         }
-        if r.at != r.bytes.len() {
-            return Err(corrupt(
-                r.at as u64,
-                format!("{} trailing bytes after IRA checkpoint", r.bytes.len() - r.at),
-            ));
-        }
+        r.expect_end("IRA checkpoint")?;
         Ok(IraCheckpoint {
             partition,
             plan,
@@ -178,14 +169,6 @@ fn corrupt(offset: u64, reason: String) -> StoreError {
     StoreError::Corrupt { offset, reason }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_addr(out: &mut Vec<u8>, a: PhysAddr) {
-    put_u64(out, a.to_raw());
-}
-
 fn put_addrs(out: &mut Vec<u8>, addrs: impl ExactSizeIterator<Item = PhysAddr>) {
     put_u64(out, addrs.len() as u64);
     for a in addrs {
@@ -193,64 +176,15 @@ fn put_addrs(out: &mut Vec<u8>, addrs: impl ExactSizeIterator<Item = PhysAddr>) 
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        let end = self.at.checked_add(n).filter(|e| *e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(corrupt(
-                self.at as u64,
-                "truncated IRA checkpoint".to_string(),
-            ));
-        };
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
+/// Inverse of [`put_addrs`].
+fn read_addrs(r: &mut Reader<'_>) -> Result<Vec<PhysAddr>, StoreError> {
+    let n = r.u64()? as usize;
+    // Guard against a corrupt length overcommitting memory: each address
+    // takes 8 bytes, so `n` can never exceed the remaining input.
+    if n > r.remaining() / 8 {
+        return Err(r.corrupt("truncated IRA checkpoint"));
     }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        // take(2) yields exactly 2 bytes, but these bytes may come off disk:
-        // every structural surprise routes through Error::Corrupt, not a
-        // panic path.
-        let at = self.at as u64;
-        match self.take(2)?.try_into() {
-            Ok(b) => Ok(u16::from_le_bytes(b)),
-            Err(_) => Err(corrupt(at, "short u16 read".to_string())),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let at = self.at as u64;
-        match self.take(8)?.try_into() {
-            Ok(b) => Ok(u64::from_le_bytes(b)),
-            Err(_) => Err(corrupt(at, "short u64 read".to_string())),
-        }
-    }
-
-    fn addr(&mut self) -> Result<PhysAddr, StoreError> {
-        Ok(PhysAddr::from_raw(self.u64()?))
-    }
-
-    fn addrs(&mut self) -> Result<Vec<PhysAddr>, StoreError> {
-        let n = self.u64()? as usize;
-        // Guard against a corrupt length overcommitting memory: each address
-        // takes 8 bytes, so `n` can never exceed the remaining input.
-        if n > (self.bytes.len() - self.at) / 8 {
-            return Err(corrupt(
-                self.at as u64,
-                "truncated IRA checkpoint".to_string(),
-            ));
-        }
-        (0..n).map(|_| self.addr()).collect()
-    }
+    (0..n).map(|_| r.addr()).collect()
 }
 
 /// Resume an interrupted reorganization on a *recovered* database:

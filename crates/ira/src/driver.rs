@@ -3,9 +3,10 @@
 //! collection as a side effect (Section 4.6), checkpointing for crash
 //! restart, and fault injection for the failure-handling tests. Step two
 //! is one loop, [`WorkerCtx::drain`]: one worker runs it over the whole
-//! queue on the calling thread; N workers run it per claimed component of
-//! the conflict-disjoint wave plan (see [`crate::wave`]), and the calling
-//! thread runs it once more over whatever they deferred.
+//! queue on the calling thread; N workers (clamped to the plan's component
+//! count) run it per claimed component of the conflict-disjoint wave plan
+//! (see [`crate::wave`]), and the calling thread runs it once more over
+//! whatever they deferred.
 
 use crate::approx::find_objects_and_approx_parents;
 use crate::chaos::site as ira_site;
@@ -107,9 +108,6 @@ pub struct IraConfig {
     /// an injected transient fault (Section 4.4's release-and-retry
     /// discipline).
     pub retry: RetryPolicy,
-    /// Delete unreachable objects discovered by the traversal (Section 4.6:
-    /// the reorganizer doubles as a garbage collector).
-    pub collect_garbage: bool,
     /// How long to wait for the transactions active when the reorganization
     /// starts (they must complete before the fuzzy traversal, Section 4.5).
     pub quiesce_wait: Duration,
@@ -127,9 +125,10 @@ pub struct IraConfig {
     /// Migrator workers. With `1` (the default) one worker drains the
     /// queue in order on the calling thread. With more, the queue is
     /// partitioned into conflict-disjoint components
-    /// ([`crate::wave::plan_waves`]) and the workers drain them
-    /// concurrently, each running its own migration transactions against
-    /// the shared mapping and traversal state.
+    /// ([`crate::wave::plan_waves`]) and at most one worker per component
+    /// drains them concurrently, each running its own migration
+    /// transactions against the shared mapping and traversal state;
+    /// [`IraReport::workers`] reports how many actually ran.
     pub workers: usize,
     /// Save a reorganizer checkpoint (Section 4.4) every this many batches
     /// when one worker drains the queue, in addition to the crash-time
@@ -145,7 +144,6 @@ impl Default for IraConfig {
             batch_size: 1,
             variant: IraVariant::Basic,
             retry: RetryPolicy::default(),
-            collect_garbage: true,
             quiesce_wait: Duration::from_secs(300),
             order: MigrationOrder::Traversal,
             transform: None,
@@ -158,14 +156,10 @@ impl Default for IraConfig {
 
 /// Variant- and test-specific execution knobs, split out of [`IraConfig`]
 /// so the public configuration carries only what every run needs. Surfaced
-/// through [`crate::builder::Reorg`]'s `settle` / `crash_after_migrations`
-/// methods.
-#[derive(Debug, Clone)]
+/// through [`crate::builder::Reorg`]'s `crash_after_migrations` /
+/// `force_defer` methods.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ExecOptions {
-    /// Poll policy for the relaxed-2PL settle wait used by the two-lock
-    /// variant (how long, in how many slices, the reorganizer waits for a
-    /// past lock holder to finish; see [`crate::relaxed`]).
-    pub settle: RetryPolicy,
     /// Fault injection: simulate a crash (return
     /// [`IraError::SimulatedCrash`] with a resumable checkpoint) once this
     /// many objects have migrated.
@@ -175,16 +169,6 @@ pub(crate) struct ExecOptions {
     /// migrating, as if their retry budget had been exhausted. Lets tests
     /// exercise the tail's ordering guarantees deterministically.
     pub force_defer: Vec<PhysAddr>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            settle: crate::relaxed::SETTLE_POLICY,
-            crash_after_migrations: None,
-            force_defer: Vec::new(),
-        }
-    }
 }
 
 /// Errors surfaced by the reorganizer.
@@ -243,8 +227,8 @@ pub struct IraReport {
     pub partition: PartitionId,
     /// Old address -> new address for every migrated object.
     pub mapping: HashMap<PhysAddr, PhysAddr>,
-    /// Unreachable objects found by the traversal (deleted when
-    /// `collect_garbage` is set).
+    /// Unreachable objects the traversal found and the run deleted
+    /// (Section 4.6: the reorganizer doubles as a garbage collector).
     pub garbage: Vec<PhysAddr>,
     /// Deadlock-timeout retries across all batches.
     pub retries: usize,
@@ -263,10 +247,8 @@ pub struct IraReport {
     /// Conflict-disjoint components the wave planner produced (0 for a
     /// one-worker run, which needs no plan).
     pub waves: usize,
-    /// Shared-anchor scheduling groups the [`MigrationOrder::ParentGroup`]
-    /// planner coalesced (0 for other orders and one-worker runs).
-    pub parent_groups: usize,
-    /// Migrator workers the run executed with.
+    /// Migrator threads that ran: the configured count clamped to the
+    /// planned components (1 when the calling thread drained the queue).
     pub workers: usize,
     /// Objects that exhausted their worker's retry budget and fell back to
     /// the tail pass.
@@ -295,7 +277,6 @@ impl IraReport {
         snap.set("ira.trt_notes", self.trt_notes);
         snap.set("ira.trt_purged", self.trt_purged);
         snap.set("ira.waves", self.waves as u64);
-        snap.set("ira.parent_groups", self.parent_groups as u64);
         snap.set("ira.workers", self.workers as u64);
         snap.set("ira.deferred", self.deferred as u64);
         snap.set("ira.duration_us", us(self.duration));
@@ -362,7 +343,8 @@ pub(crate) struct Tally {
     /// Shared by every migrator: `max_pauses` is a per-run budget.
     pub throttle_pauses: AtomicUsize,
     pub waves: usize,
-    pub parent_groups: usize,
+    /// Migrator threads step two ran with (see [`IraReport::workers`]).
+    pub workers: usize,
     pub deferred: usize,
 }
 
@@ -711,7 +693,6 @@ impl WorkerCtx<'_> {
                 &run.mapping,
                 self.owner,
                 &self.retry,
-                &run.exec.settle,
             );
             self.stats.migrate_time += migrate_start.elapsed();
             match outcome {
@@ -775,7 +756,7 @@ impl ReorgRun<'_> {
             .into_iter()
             .filter(|a| !survivors.contains(a))
             .collect();
-        if self.config.collect_garbage && !garbage.is_empty() {
+        if !garbage.is_empty() {
             // GC gets its own seed stream, like each worker (see WorkerCtx).
             let gc_retry = RetryPolicy {
                 seed: brahma::SeedTree::new(self.config.retry.seed)
@@ -831,8 +812,7 @@ impl ReorgRun<'_> {
             trt_notes,
             trt_purged,
             waves: self.tally.waves,
-            parent_groups: self.tally.parent_groups,
-            workers: self.config.workers.max(1),
+            workers: self.tally.workers,
             deferred: self.tally.deferred,
             duration: self.started.elapsed(),
         })
@@ -845,6 +825,7 @@ impl ReorgRun<'_> {
     fn migrate(&mut self) -> Result<(), IraError> {
         let stop = AtomicBool::new(false);
         if self.config.workers <= 1 {
+            self.tally.workers = 1;
             let mut ctx = self.worker_ctx(0, &stop);
             let (done, end) = ctx.drain(&self.state.order[self.pos..], OnExhausted::Fail, self.pos);
             let stats = ctx.stats;
@@ -854,25 +835,14 @@ impl ReorgRun<'_> {
         }
 
         let remaining = &self.state.order[self.pos..];
-        let wave_plan = if self.config.order == MigrationOrder::ParentGroup {
-            crate::wave::plan_waves_grouped(
-                remaining,
-                &self.state,
-                self.partition,
-                self.config.workers,
-            )
-        } else {
-            crate::wave::plan_waves(remaining, &self.state, self.partition)
-        };
+        let wave_plan = crate::wave::plan_waves(remaining, &self.state, self.partition);
         self.tally.waves = wave_plan.components.len();
-        self.tally.parent_groups = wave_plan.parent_groups;
-        let nworkers = self.config.workers.min(wave_plan.groups.len().max(1));
+        let nworkers = self.config.workers.min(wave_plan.components.len().max(1));
+        self.tally.workers = nworkers;
         self.db.stats.reorg_workers.set(nworkers as u64);
-        // Per-worker group deques with back-stealing (see
-        // [`crate::wave::StealQueue`]). The deques hand out *scheduling
-        // groups*; for every order but ParentGroup those are exactly the
-        // components.
-        let steal_queue = crate::wave::StealQueue::new(wave_plan.groups.len(), nworkers);
+        // Per-worker component deques with back-stealing (see
+        // [`crate::wave::StealQueue`]).
+        let steal_queue = crate::wave::StealQueue::new(wave_plan.components.len(), nworkers);
         // Why the run must end early, from the first worker to find out; a
         // fatal error outranks a crash (the run fails rather than resumes).
         let early_end: Mutex<Option<LoopEnd>> = Mutex::new(LockClass::WaveDeferred, 0, None);
@@ -886,24 +856,15 @@ impl ReorgRun<'_> {
                     s.spawn(move || {
                         brahma::sched::set_thread_label(&format!("wave-{w}"));
                         while !stop.load(AtomicOrd::Relaxed) {
-                            let Some((g, stolen)) = steal_queue.claim(w) else {
+                            let Some((c, stolen)) = steal_queue.claim(w) else {
                                 break;
                             };
                             if stolen {
                                 db.stats.reorg_wave_steals.inc();
                             }
-                            let group = &wave_plan.groups[g];
-                            brahma::sched::point("wave.claim", group[0] as u64);
-                            // Batches span component boundaries within a
-                            // group: a multi-component (parent) group's
-                            // shared anchor is then locked once per batch,
-                            // by one worker, instead of once per component
-                            // by colliding workers.
-                            let objs: Vec<PhysAddr> = group
-                                .iter()
-                                .flat_map(|&c| wave_plan.components[c].iter().copied())
-                                .collect();
-                            if let (_, Some(end)) = ctx.drain(&objs, OnExhausted::Defer, group[0]) {
+                            brahma::sched::point("wave.claim", c as u64);
+                            let objs = &wave_plan.components[c];
+                            if let (_, Some(end)) = ctx.drain(objs, OnExhausted::Defer, c) {
                                 let mut slot = early_end.lock();
                                 if slot.is_none() || matches!(end, LoopEnd::Fatal(_)) {
                                     *slot = Some(end);
@@ -938,11 +899,8 @@ impl ReorgRun<'_> {
             // order. Workers defer chunks in *completion* order, which is
             // schedule-dependent; since queue order is placement order (a
             // Priority plan's list IS the clustering decision), the tail
-            // must not scramble it. Re-packing also makes the tail ride any
-            // ParentGroup ordering: anchor-sharing objects are
-            // queue-adjacent, so tail batches keep covering each anchor once
-            // per batch. With nothing deferred the drain is only the
-            // end-of-step crash poll.
+            // must not scramble it. With nothing deferred the drain is only
+            // the end-of-step crash poll.
             if !tail.is_empty() {
                 let pos_of: HashMap<PhysAddr, usize> = self.state.order[self.pos..]
                     .iter()
@@ -1061,14 +1019,11 @@ mod tests {
         let c = IraConfig::default();
         assert_eq!(c.batch_size, 1);
         assert_eq!(c.variant, IraVariant::Basic);
-        assert!(c.collect_garbage);
         assert!(c.transform.is_none());
         assert!(c.throttle.is_none());
         assert_eq!(c.workers, 1);
         assert_eq!(c.retry, brahma::RetryPolicy::default());
-        let e = ExecOptions::default();
-        assert_eq!(e.settle, crate::relaxed::SETTLE_POLICY);
-        assert!(e.crash_after_migrations.is_none());
+        assert!(ExecOptions::default().crash_after_migrations.is_none());
     }
 
     #[test]

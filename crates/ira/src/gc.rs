@@ -40,13 +40,11 @@ pub fn copying_collect(
     config: &IraConfig,
 ) -> Result<GcReport, IraError> {
     let target = target.unwrap_or_else(|| db.create_partition());
-    let mut config = config.clone();
-    config.collect_garbage = true;
     let report = run_incremental(
         db,
         partition,
         RelocationPlan::EvacuateTo(target),
-        &config,
+        config,
         &ExecOptions::default(),
     )?;
     Ok(GcReport {

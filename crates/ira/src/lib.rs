@@ -15,9 +15,9 @@
 //!   [`two_lock`]), migration batching (Section 4.3, [`Reorg::batch`]),
 //!   checkpoint/restart after failures (Section 4.4, [`checkpoint`]),
 //!   copying garbage collection as a side effect (Section 4.6, [`gc`]),
-//!   and a parallel wave executor — N migrator workers over
-//!   conflict-disjoint components of the migration queue ([`wave`],
-//!   [`Reorg::workers`]).
+//!   and a parallel wave executor — up to N migrator workers, one per
+//!   conflict-disjoint component of the migration queue ([`wave`],
+//!   [`Reorg::workers`]; the paper's own graph plans as one component).
 //! * Baselines: the quiescent reorganizer of Section 3.1 ([`offline`]) and
 //!   **PQR**, the Partition Quiesce Reorganization baseline of the paper's
 //!   performance study (Section 5.1, [`pqr`]) — both reachable through

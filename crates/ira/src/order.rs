@@ -14,6 +14,8 @@
 //! shared parent **once** for all of its children instead of once per
 //! child. The trade-off: traversal order is what gives evacuation its
 //! clustering quality, so the default remains [`MigrationOrder::Traversal`].
+//! An order only permutes the queue: the wave planner ([`crate::wave`])
+//! treats every order alike.
 
 use crate::traversal::TraversalState;
 use brahma::{PartitionId, PhysAddr};
@@ -30,14 +32,6 @@ pub enum MigrationOrder {
     /// Group objects by a shared external parent, so batched migrations
     /// lock each external parent once (Section 7).
     GroupByExternalParent,
-    /// [`GroupByExternalParent`](MigrationOrder::GroupByExternalParent)
-    /// ordering plus parent-group-aware *wave planning*: the parallel
-    /// executor ([`crate::wave::plan_waves_grouped`]) assigns components
-    /// sharing an external anchor to one worker, which batches across
-    /// them so the anchor is locked once per batch instead of once per
-    /// colliding migrator. The serial queue order is identical to
-    /// `GroupByExternalParent`; only multi-worker planning differs.
-    ParentGroup,
     /// Migrate the listed objects first, in list order; everything else
     /// follows in traversal order. Emitted by plan policies
     /// ([`crate::policy::StatsGreedy`]): free space is withheld during a
@@ -55,7 +49,7 @@ pub fn order_queue(
 ) {
     match order {
         MigrationOrder::Traversal => {}
-        MigrationOrder::GroupByExternalParent | MigrationOrder::ParentGroup => {
+        MigrationOrder::GroupByExternalParent => {
             // Group by the (deterministic) smallest external parent; objects
             // with no external parent keep their relative order at the end.
             let mut groups: BTreeMap<PhysAddr, Vec<PhysAddr>> = BTreeMap::new();

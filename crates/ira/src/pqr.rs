@@ -21,10 +21,10 @@ use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, Ret
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Default insist policy: effectively "keep asking" — each lock request
+/// The insist policy: effectively "keep asking" — each lock request
 /// already waits a full lock timeout, so the policy adds no delay of its
 /// own (zero base), only a very high bound against pathologies.
-pub const INSIST_POLICY: RetryPolicy = RetryPolicy::fixed(10_000, Duration::ZERO);
+const INSIST_POLICY: RetryPolicy = RetryPolicy::fixed(10_000, Duration::ZERO);
 
 /// Outcome of a PQR run.
 #[derive(Debug)]
@@ -53,7 +53,6 @@ pub(crate) fn run_pqr(
     db: &Database,
     partition: PartitionId,
     plan: RelocationPlan,
-    retry: &RetryPolicy,
 ) -> Result<PqrReport, StoreError> {
     let started = Instant::now();
     db.start_reorg(partition)?;
@@ -81,7 +80,7 @@ pub(crate) fn run_pqr(
                 break;
             }
             for p in parents {
-                lock_insist(db, &mut txn, p, retry)?;
+                lock_insist(db, &mut txn, p)?;
             }
         }
         // Lock every parent the TRT mentions and is not locked yet.
@@ -96,7 +95,7 @@ pub(crate) fn run_pqr(
                 break;
             }
             for p in unlocked {
-                lock_insist(db, &mut txn, p, retry)?;
+                lock_insist(db, &mut txn, p)?;
             }
         }
         let quiesce_locks = txn.held_locks().len();
@@ -128,15 +127,14 @@ pub(crate) fn run_pqr(
 
 /// Keep requesting the lock until granted. Workload transactions caught in
 /// a deadlock with PQR time out and abort, releasing their locks, so
-/// insisting is safe; the retry policy bounds the spin against pathologies
+/// insisting is safe; [`INSIST_POLICY`] bounds the spin against pathologies
 /// and counts every re-request in the store's `retry.*` counters.
 fn lock_insist(
     db: &Database,
     txn: &mut brahma::Txn<'_>,
     addr: PhysAddr,
-    retry: &RetryPolicy,
 ) -> Result<(), StoreError> {
-    let mut backoff = retry.start();
+    let mut backoff = INSIST_POLICY.start();
     loop {
         match txn.lock(addr, LockMode::Exclusive) {
             Ok(()) => return Ok(()),
@@ -183,7 +181,7 @@ mod tests {
         let e1 = mk(&db, p0, vec![mid]);
         let e2 = mk(&db, p0, vec![leaf]);
 
-        let report = run_pqr(&db, p1, RelocationPlan::CompactInPlace, &INSIST_POLICY).unwrap();
+        let report = run_pqr(&db, p1, RelocationPlan::CompactInPlace).unwrap();
         assert_eq!(report.mapping.len(), 2);
         assert_eq!(report.quiesce_locks, 2, "two external parents were locked");
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![report.mapping[&mid]]);
@@ -236,7 +234,7 @@ mod tests {
         // hold: reorganize, and only then signal.
         std::thread::sleep(Duration::from_millis(20));
         quiesced.store(true, Ordering::SeqCst);
-        let report = run_pqr(&db, p1, RelocationPlan::CompactInPlace, &INSIST_POLICY).unwrap();
+        let report = run_pqr(&db, p1, RelocationPlan::CompactInPlace).unwrap();
         assert_eq!(report.mapping.len(), 1);
         // The walker may or may not have observed the block (timing), but
         // the database must be consistent and the walker must terminate.

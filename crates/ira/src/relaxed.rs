@@ -12,27 +12,16 @@
 use brahma::{Database, Error, LockMode, PhysAddr, Result, RetryPolicy, Txn, TxnId};
 use std::time::Duration;
 
-/// Default settle policy: 300 fixed 100 ms slices — a 30 s bound on the
-/// total wait before giving up with a timeout (treated like a lock timeout:
-/// the caller releases and retries). Overridable per run through
-/// [`crate::IraConfig::settle`].
+/// The settle policy: 300 fixed 100 ms slices — a 30 s bound on the total
+/// wait before giving up with a timeout (treated like a lock timeout: the
+/// caller releases and retries).
 pub const SETTLE_POLICY: RetryPolicy = RetryPolicy::fixed(300, Duration::from_millis(100));
 
 /// Exclusively lock `addr` for the reorganizer and, when history tracking is
 /// on, wait for every active transaction that ever held a lock on it.
 pub fn lock_and_settle(db: &Database, txn: &mut Txn<'_>, addr: PhysAddr) -> Result<()> {
-    lock_and_settle_with(db, txn, addr, &SETTLE_POLICY)
-}
-
-/// [`lock_and_settle`] under a caller-supplied settle policy.
-pub fn lock_and_settle_with(
-    db: &Database,
-    txn: &mut Txn<'_>,
-    addr: PhysAddr,
-    policy: &RetryPolicy,
-) -> Result<()> {
     txn.lock(addr, LockMode::Exclusive)?;
-    settle_with(db, txn.id(), addr, policy)
+    settle(db, txn.id(), addr)
 }
 
 /// Wait for all other active transactions that ever locked `addr` (no-op
@@ -41,11 +30,11 @@ pub fn settle(db: &Database, me: TxnId, addr: PhysAddr) -> Result<()> {
     settle_with(db, me, addr, &SETTLE_POLICY)
 }
 
-/// [`settle`] under a caller-supplied policy: each exhausted slice re-checks
-/// the holder set; policy exhaustion is a lock timeout. The slice wait is
-/// performed by [`brahma::txn::TxnManager::wait_for_all`] (a poll interval,
-/// not contention backoff), so it is not counted in `retry.*`.
-pub fn settle_with(db: &Database, me: TxnId, addr: PhysAddr, policy: &RetryPolicy) -> Result<()> {
+/// [`settle`] under `policy` (a test tightens it): each exhausted slice
+/// re-checks the holder set; policy exhaustion is a lock timeout. The slice
+/// wait is performed by [`brahma::txn::TxnManager::wait_for_all`] (a poll
+/// interval, not contention backoff), so it is not counted in `retry.*`.
+fn settle_with(db: &Database, me: TxnId, addr: PhysAddr, policy: &RetryPolicy) -> Result<()> {
     if !db.locks.history_tracking() {
         return Ok(());
     }
@@ -166,7 +155,8 @@ mod tests {
         // A tight test policy exhausts in ~10 ms instead of the default 30 s.
         let tight = RetryPolicy::fixed(2, Duration::from_millis(5));
         let mut rt = db.begin_reorg(PartitionId(0));
-        let err = lock_and_settle_with(&db, &mut rt, a, &tight).unwrap_err();
+        rt.lock(a, LockMode::Exclusive).unwrap();
+        let err = settle_with(&db, rt.id(), a, &tight).unwrap_err();
         assert!(matches!(err, Error::LockTimeout { .. }));
         rt.abort();
         release_tx.send(()).unwrap();

@@ -25,7 +25,7 @@
 
 use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
-use crate::relaxed::{lock_and_settle_with, settle_with};
+use crate::relaxed::{lock_and_settle, settle};
 use crate::shared::{MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
 use brahma::{Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
@@ -47,7 +47,6 @@ pub fn migrate_two_lock(
     mapping: &MigrationMap,
     owner: OwnerId,
     retry: &RetryPolicy,
-    settle: &RetryPolicy,
 ) -> Result<PhysAddr> {
     let partition = oold.partition();
 
@@ -60,7 +59,7 @@ pub fn migrate_two_lock(
     // migration.
     let mut guard = db.begin_reorg(partition);
     guard.lock(oold, LockMode::Exclusive)?;
-    settle_with(db, guard.id(), oold, settle)?;
+    settle(db, guard.id(), oold)?;
     let source = CopySource::resolve(guard.read(oold)?, oold, transform, mapping, owner)?;
 
     // Create the copy in its own transaction, then hand its lock to the
@@ -83,7 +82,7 @@ pub fn migrate_two_lock(
             if parent == oold || parent == onew || processed.contains(&parent) {
                 continue;
             }
-            repoint_parent(db, parent, oold, onew, retry, settle)?;
+            repoint_parent(db, parent, oold, onew, retry)?;
             processed.insert(parent);
         }
         let Some(trt) = db.trt(partition) else { break };
@@ -91,7 +90,7 @@ pub fn migrate_two_lock(
         // Per-parent transaction, exactly as above; the tuple is deleted
         // after its parent is locked (Figure 4's ordering).
         if tuple.parent != oold && tuple.parent != onew {
-            repoint_parent(db, tuple.parent, oold, onew, retry, settle)?;
+            repoint_parent(db, tuple.parent, oold, onew, retry)?;
         }
         trt.remove_tuple(&tuple);
     }
@@ -125,12 +124,11 @@ fn repoint_parent(
     oold: PhysAddr,
     onew: PhysAddr,
     retry: &RetryPolicy,
-    settle: &RetryPolicy,
 ) -> Result<()> {
     let mut backoff = retry.start();
     loop {
         let mut txn = db.begin_reorg(oold.partition());
-        let outcome = lock_and_settle_with(db, &mut txn, parent, settle)
+        let outcome = lock_and_settle(db, &mut txn, parent)
             .and_then(|()| {
                 if let Ok(refs) = txn.read_refs(parent) {
                     for (i, r) in refs.iter().enumerate() {
@@ -158,7 +156,6 @@ fn repoint_parent(
 mod tests {
     use super::*;
     use crate::approx::find_objects_and_approx_parents;
-    use crate::relaxed::SETTLE_POLICY;
     use brahma::{NewObject, PartitionId, StoreConfig};
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
@@ -195,7 +192,6 @@ mod tests {
             mapping,
             0,
             &RetryPolicy::default(),
-            &SETTLE_POLICY,
         )
         .unwrap()
     }

@@ -1,19 +1,14 @@
-//! The shared-root-anchor contention cell behind the flat 4-worker
-//! scaling at MPL 60 (four workers reorganized *slower* than serial):
-//! one external anchor references every object of the
-//! reorganized partition, so each singleton component's migration batch
-//! needs the anchor's exclusive lock — and with the old planner, four
-//! workers race sixty sharers *and each other* for it, one acquisition
-//! per object. `MigrationOrder::ParentGroup` fuses the anchor-bound
-//! singletons into one scheduling group drained by one worker with
-//! batches spanning component boundaries: one acquisition per batch,
-//! no inter-worker race. This test pins the claim the planner change
-//! rests on: under the same seeded walker storm, the grouped run incurs
-//! strictly fewer deferrals-plus-lock-timeouts than the ungrouped one.
+//! The shared-root-anchor contention cell: one external anchor references
+//! every object of the reorganized partition, so each singleton
+//! component's migration batch needs the anchor's exclusive lock, and four
+//! workers race sixty walkers *and each other* for it. The wave planner
+//! leaves external parents to the runtime (retry, then defer to the serial
+//! tail — see `ira::wave`); this cell pins that the runtime path gets every
+//! object across and leaves the database clean.
 
 use brahma::{Database, LockMode, NewObject, PartitionId, PhysAddr, RetryPolicy, StoreConfig};
 use ira::chaos::with_repro_banner;
-use ira::{MigrationOrder, Reorg};
+use ira::Reorg;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,35 +57,23 @@ fn build_star(db: &Database) -> (PartitionId, PhysAddr) {
     (p1, anchor)
 }
 
-/// One full cell: build the star, storm the anchor with `WALKERS` fail-fast
-/// lockers, reorganize with four workers under `order`, and return
-/// `(deferred, lock_timeouts, parent_groups)`.
-///
-/// The walkers use `try_lock`, which never waits and therefore never
-/// increments `lock.timeouts` — so the counter this test compares is
-/// *reorganizer-only*: each tick is one anchor acquisition the planner
-/// exposed to the storm and lost. That ties the measurement causally to
-/// the planner (one exposure per object vs one per batch) instead of to
-/// walker-vs-walker scheduling luck, which is what made an earlier
-/// blocking-walker version of this cell flaky.
-fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
+/// Build the star, storm the anchor with `WALKERS` fail-fast lockers,
+/// reorganize with four workers, and check the result.
+#[test]
+fn anchor_storm_migrates_everything_cleanly() {
+    with_repro_banner(
+        &format!("SEED=none CELL=anchor_storm,singletons:{SINGLETONS},walkers:{WALKERS},workers:4"),
+        run_cell,
+    );
+}
+
+fn run_cell() {
     let config = StoreConfig {
         // Between the two writer camp lengths: a 3 ms camp always hands
-        // off inside the timeout (so ordinary holds cost nothing), while
-        // landing early in a 9 ms camp overruns it for a countable
-        // timeout — and the camp ends within a retry backoff or two, so
-        // one long camp can never exhaust the retry budget.
+        // off inside the timeout, while landing early in a 9 ms camp
+        // overruns it — so the reorganizer's retry path runs by
+        // construction, and the camp ends within a backoff or two.
         lock_timeout: Duration::from_millis(5),
-        // Simulated group-commit flush, paid by every migration batch
-        // *while it still holds its locks* (strict 2PL: the log is forced
-        // before release) but not by the read-only walkers (nothing to
-        // flush). This is what makes the traversal cell's inter-worker
-        // race countable in any build: each per-object batch occupies the
-        // anchor for ~2 ms, so the three workers queued behind it overrun
-        // the 5 ms timeout after a couple of lost handoffs — in release,
-        // without it, batches hold the anchor for microseconds and even
-        // four racing workers never wait long enough to time out.
-        commit_flush_latency: Duration::from_millis(2),
         ..StoreConfig::default()
     };
     let db = Arc::new(Database::new(config));
@@ -100,8 +83,7 @@ fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
     // Successful exclusive camps so far: the reorganization must not start
     // until the writer storm is demonstrably occupying the anchor, or an
     // optimized build migrates all 96 singletons before the 60 walker
-    // threads have even been scheduled — both cells then measure zero and
-    // the strict-inequality assertion compares nothing.
+    // threads have even been scheduled.
     let camps = Arc::new(AtomicU64::new(0));
     let walkers: Vec<_> = (0..WALKERS)
         .map(|i| {
@@ -115,11 +97,9 @@ fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
             // camp's first stretch times out *by construction*: since the
             // walkers never wait (try_lock), the reorganizer is the only
             // registered waiter and otherwise always wins the handoff at
-            // camp end — in an optimized build it would never time out at
-            // all, and both cells would measure zero. Readers fail fast
-            // whenever an X waiter is registered (grants are
-            // write-preferring), so they add sharer-drain pressure without
-            // ever stalling the writers.
+            // camp end. Readers fail fast whenever an X waiter is
+            // registered (grants are write-preferring), so they add
+            // sharer-drain pressure without ever stalling the writers.
             let mode = if i % 5 == 0 {
                 LockMode::Exclusive
             } else {
@@ -141,12 +121,7 @@ fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
                             camps.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    // Read-only either way: abort instead of commit, so
-                    // the locks release immediately instead of riding the
-                    // simulated group-commit flush — a reader herd holding
-                    // shared locks 2 ms per cycle would keep the anchor
-                    // S-held near-continuously and starve the writer camps
-                    // the cell's timing is built on.
+                    // Read-only either way: nothing to commit.
                     t.abort();
                     // Think time, success or not: MPL-60 means sixty open
                     // transactions, not sixty busy-spinning threads — and
@@ -173,13 +148,11 @@ fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
     }
 
     let outcome = Reorg::on(&db, p1)
-        .order(order)
         .workers(4)
         .batch(8)
         // Deep retry budget: even at ~50% per-attempt loss against the
-        // writer storm, 16 attempts make a forced deferral rare (~1e-5)
-        // and a fatal serial-tail exhaustion negligible — the cell
-        // measures timeouts, it must not die to them.
+        // writer storm, 16 attempts make a fatal serial-tail exhaustion
+        // negligible — the cell rides out timeouts, it must not die to them.
         .retry(RetryPolicy::new(
             16,
             Duration::from_millis(1),
@@ -196,38 +169,7 @@ fn run_cell(order: MigrationOrder) -> (u64, u64, u64) {
 
     assert_eq!(outcome.migrated(), SINGLETONS);
     let report = outcome.ira().expect("ira report");
-    let snap = db.obs_snapshot();
+    assert_eq!((report.waves, report.workers), (SINGLETONS, 4));
     ira::verify::assert_reorganization_clean(&db, report);
     brahma::sweep::assert_database_consistent(&db);
-    (
-        report.deferred as u64,
-        snap.get("lock.timeouts"),
-        report.parent_groups as u64,
-    )
-}
-
-/// ParentGroup must strictly reduce the contention damage (deferrals +
-/// lock timeouts) on the shared-root-anchor shape, and must actually
-/// group (parent_groups > 0) while the old planner never does.
-#[test]
-fn parent_group_beats_traversal_under_anchor_storm() {
-    with_repro_banner(
-        &format!("SEED=none CELL=anchor_storm,singletons:{SINGLETONS},walkers:{WALKERS},workers:4"),
-        || {
-            let (old_deferred, old_timeouts, old_groups) = run_cell(MigrationOrder::Traversal);
-            let (new_deferred, new_timeouts, new_groups) =
-                run_cell(MigrationOrder::ParentGroup);
-            eprintln!(
-                "traversal: deferred={old_deferred} timeouts={old_timeouts}; \
-                 parent-group: deferred={new_deferred} timeouts={new_timeouts}"
-            );
-            assert_eq!(old_groups, 0, "the old planner never groups");
-            assert!(new_groups > 0, "the star must form a parent group");
-            assert!(
-                new_deferred + new_timeouts < old_deferred + old_timeouts,
-                "grouped planning must strictly reduce contention damage: \
-                 {new_deferred}+{new_timeouts} vs {old_deferred}+{old_timeouts}"
-            );
-        },
-    );
 }

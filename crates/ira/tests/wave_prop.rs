@@ -11,7 +11,7 @@
 //! count, every component is claimed exactly once.
 
 use brahma::{PartitionId, PhysAddr};
-use ira::wave::{plan_waves, plan_waves_grouped, StealQueue};
+use ira::wave::{plan_waves, StealQueue};
 use ira::TraversalState;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -180,37 +180,6 @@ proptest! {
         let executed: Vec<PhysAddr> = drain_single(plan.components.len())
             .into_iter()
             .flat_map(|c| plan.components[c].iter().copied())
-            .collect();
-        prop_assert_eq!(executed, queue);
-    }
-
-    #[test]
-    fn one_shared_external_parent_collapses_to_one_scheduling_group(
-        swaps in proptest::collection::vec((0usize..20, 0usize..20), 0..40),
-        workers in 1usize..6,
-    ) {
-        // The shared-root-anchor shape behind the MPL-60 contention bug:
-        // every queued object is a singleton component (no same-partition
-        // edges) whose only parent is ONE external anchor. The grouped
-        // planner must keep the components singleton (externals never
-        // merge components) but fuse them all into a single scheduling
-        // group, so one worker drains them and the anchor's exclusive
-        // lock is taken by one thread — batched — instead of raced by N.
-        let state = TraversalState::default();
-        for i in 0..20 {
-            state.add_parent(obj(i), external(0));
-        }
-        let queue: Vec<PhysAddr> = permute(20, &swaps).into_iter().map(obj).collect();
-        let plan = plan_waves_grouped(&queue, &state, P, workers);
-        prop_assert_eq!(plan.components.len(), queue.len());
-        prop_assert!(plan.components.iter().all(|c| c.len() == 1));
-        prop_assert_eq!(plan.groups.len(), 1, "all components share the anchor");
-        prop_assert_eq!(plan.parent_groups, 1);
-        // The group concatenates components in plan order, which for
-        // singletons is queue order — placement stays a stable reordering.
-        let executed: Vec<PhysAddr> = plan.groups[0]
-            .iter()
-            .flat_map(|&c| plan.components[c].iter().copied())
             .collect();
         prop_assert_eq!(executed, queue);
     }
