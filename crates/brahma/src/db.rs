@@ -195,7 +195,7 @@ pub struct Database {
     pub retry_stats: RetryStats,
     /// Durability backend (DESIGN.md §14). `None` — the in-memory
     /// simulator — unless [`Database::attach_backend`] installed one.
-    backend: std::sync::OnceLock<Arc<dyn crate::storage::StorageBackend>>,
+    backend: std::sync::OnceLock<Arc<crate::storage::FileBackend>>,
 }
 
 impl Database {
@@ -222,14 +222,14 @@ impl Database {
 
     /// Install the durability backend (once, at open time): every WAL
     /// append from here on is mirrored to it, and checkpoints go through
-    /// [`crate::storage::StorageBackend::write_checkpoint`].
-    pub fn attach_backend(&self, backend: Arc<dyn crate::storage::StorageBackend>) {
+    /// [`crate::storage::FileBackend::write_checkpoint`].
+    pub fn attach_backend(&self, backend: Arc<crate::storage::FileBackend>) {
         let _ = self.backend.set(Arc::clone(&backend));
         self.wal.set_sink(backend);
     }
 
     /// The attached durability backend, if any.
-    pub fn backend(&self) -> Option<&Arc<dyn crate::storage::StorageBackend>> {
+    pub fn backend(&self) -> Option<&Arc<crate::storage::FileBackend>> {
         self.backend.get()
     }
 
@@ -683,7 +683,7 @@ impl Database {
         self.retry_stats.export(&mut snap);
         self.fault.export(&mut snap);
         if let Some(backend) = self.backend.get() {
-            backend.export(&mut snap);
+            backend.stats.export(&mut snap);
         }
         snap.set("lockdep.violations", crate::lockdep::violations());
         snap

@@ -20,11 +20,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
 
 // --- chaos sweeps (crates/ira/tests/chaos_sweep.rs) ---
 
-/// `CHAOS_QUICK`: shrink the crash-point sweep to the CI stride.
-pub fn chaos_quick() -> bool {
-    env_flag("CHAOS_QUICK")
-}
-
 /// `CHAOS_ROOT_SEED`: root of the chaos sweeps' seed tree (also feeds the
 /// schedule-exploration sweep).
 pub fn chaos_root_seed() -> u64 {
@@ -32,11 +27,6 @@ pub fn chaos_root_seed() -> u64 {
 }
 
 // --- disk chaos (crates/ira/tests/disk_chaos_sweep.rs) ---
-
-/// `DISK_CHAOS_QUICK`: shrink the disk-fault sweep to the CI stride.
-pub fn disk_chaos_quick() -> bool {
-    env_flag("DISK_CHAOS_QUICK")
-}
 
 /// `DISK_CHAOS_ROOT_SEED`: root of the disk-fault sweep's seed tree.
 pub fn disk_chaos_root_seed() -> u64 {
@@ -98,18 +88,14 @@ mod tests {
     fn defaults_without_environment() {
         let _g = ENV_LOCK.lock().unwrap();
         for name in [
-            "CHAOS_QUICK",
             "CHAOS_ROOT_SEED",
-            "DISK_CHAOS_QUICK",
             "DISK_CHAOS_ROOT_SEED",
             "PAR_QUICK",
             "SCHED_DUMP",
         ] {
             std::env::remove_var(name);
         }
-        assert!(!chaos_quick());
         assert_eq!(chaos_root_seed(), 0xC4A05);
-        assert!(!disk_chaos_quick());
         assert_eq!(disk_chaos_root_seed(), 0xD15C);
         assert!(!par_quick());
         assert_eq!(explore_roots(4), 4);

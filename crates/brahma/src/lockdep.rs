@@ -31,17 +31,28 @@
 //! the acquiring thread's current stack and the chain recorded when the
 //! conflicting edge was first inserted.
 //!
-//! The checker is active when `debug_assertions` are on or the `lockdep`
-//! cargo feature is enabled. Otherwise every wrapper is a transparent
-//! `#[inline]` pass-through to `parking_lot` — no graph, no thread-locals,
-//! no atomics on the acquire path.
+//! The checker is armed when `debug_assertions` are on or the `lockdep`
+//! cargo feature is enabled. The wrapper types are the same either way;
+//! with the checker off they carry no tag, and `acquire`/`release` and the
+//! footprint functions return on the `ARMED` constant before touching the
+//! graph, a thread-local or an atomic, so a wrapper has the layout of the
+//! `parking_lot` type it wraps and a call compiles to the `parking_lot` one.
+
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+pub use parking_lot::WaitTimeoutResult;
 
 /// A type of lock. One node in the held-before graph.
 ///
-/// Keep this list in sync with DESIGN.md §11 (the lint pass cross-checks the
-/// catalog there). At most 32 classes: the edge set is a `u32` bitmask per
-/// class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Keep this list in sync with DESIGN.md §11.1 (`ci.sh` checks the variants
+/// and the catalog's first column are the same set). At most 32 classes:
+/// the edge set is a `u32` bitmask per class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum LockClass {
     /// One shard of the lock manager's hash table (`lock::Shard::table`).
@@ -89,15 +100,9 @@ pub enum LockClass {
     /// the worker index. Never nested: a worker releases its own deque
     /// before probing a victim's.
     WaveDeque,
-    /// The file backend's staging buffer of encoded-but-unwritten WAL
-    /// frames (`storage::FileBackend::stage`). Never held across segment
-    /// I/O: the drainer pops a contiguous batch, drops this lock, then
-    /// takes `FileBackend` to write.
-    WalStage,
     /// The file backend's segment-writer state (`storage::FileBackend`).
-    /// The append mirror runs *outside* the log mutex (pipelined group
-    /// commit); the stage's contiguous-prefix drain restores LSN order
-    /// before any byte reaches the segment file.
+    /// The append mirror takes it *inside* the log mutex (`WalInner` →
+    /// `FileBackend`), which is what keeps the segment in LSN order.
     FileBackend,
     /// Reserved for lockdep's own tests.
     TestA,
@@ -105,914 +110,654 @@ pub enum LockClass {
     TestB,
 }
 
-impl LockClass {
-    // Referenced only while the checker is armed; dead in plain release builds.
-    #[cfg_attr(not(any(debug_assertions, feature = "lockdep")), allow(dead_code))]
-    pub(crate) const COUNT: usize = LockClass::TestB as usize + 1;
+/// Whether the checker runs. A constant, so in a plain release build every
+/// `if !ARMED` return below is the whole function.
+const ARMED: bool = cfg!(any(debug_assertions, feature = "lockdep"));
+
+/// The `(class, order_key)` a wrapper carries for the checker: one element
+/// when armed, none otherwise — so in a plain release build the wrappers
+/// have exactly the layout of the `parking_lot` types they wrap. (Sixteen
+/// bytes in every lock shift the fields of every structure that embeds one
+/// across cache lines: carried unconditionally, `walk_update` read
+/// 0.93–0.95× the parent's throughput, ahead in 8 of 30 pairs.)
+type Tag = [(LockClass, u64); ARMED as usize];
+
+const N: usize = LockClass::TestB as usize + 1;
+
+/// `EDGES[a] & (1 << b)` means "a was held while b was acquired".
+static EDGES: [AtomicU32; N] = [const { AtomicU32::new(0) }; N];
+/// Total violations, process-wide (exported as `lockdep.violations`).
+static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
+/// For each recorded edge, the class chain of the thread that inserted
+/// it — the "other stack" half of a cycle diagnostic. Also serializes
+/// first-time edge inserts so concurrent inserts cannot close a cycle
+/// undetected. lockdep's own state uses `std::sync` so the checker never
+/// instruments itself.
+static PROVENANCE: std::sync::Mutex<BTreeMap<(LockClass, LockClass), String>> =
+    std::sync::Mutex::new(BTreeMap::new());
+
+struct HeldEntry {
+    class: LockClass,
+    order_key: u64,
+    id: u64,
+    /// Shared (read) acquisition: read-read recursion on one class is
+    /// exempt from the same-class order rule, since readers never block
+    /// each other. Cross-class edges are recorded regardless of mode.
+    shared: bool,
 }
 
-#[cfg(any(debug_assertions, feature = "lockdep"))]
-mod imp {
-    use super::LockClass;
-    use std::cell::{Cell, RefCell};
-    use std::collections::BTreeMap;
-    use std::fmt;
-    use std::ops::{Deref, DerefMut};
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
+#[derive(Default)]
+struct TwoLockState {
+    depth: u32,
+    /// (a, b) pairs counted as one logical object (`O_old`/`O_new`).
+    aliases: Vec<(u64, u64)>,
+}
 
-    pub use parking_lot::WaitTimeoutResult;
+thread_local! {
+    static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
+    static NEXT_ID: Cell<u64> = const { Cell::new(0) };
+    /// Depth of `tolerate` scopes: violations are counted, not panicked.
+    static TOLERATE: Cell<u32> = const { Cell::new(0) };
+    /// Violations raised by *this thread* (so tests can measure deltas
+    /// without interference from parallel tests).
+    static TL_VIOLATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Object addresses this thread holds through the lock manager
+    /// (a set: re-grants and upgrades of a held address do not stack,
+    /// mirroring `Txn`'s single release per address at completion).
+    static TXN_LOCKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static FUZZY_DEPTH: Cell<u32> = const { Cell::new(0) };
+    static TWO_LOCK: RefCell<TwoLockState> =
+        const { RefCell::new(TwoLockState { depth: 0, aliases: Vec::new() }) };
+}
 
-    const N: usize = LockClass::COUNT;
+// ------------------------------------------------------------ engine --
 
-    /// `EDGES[a] & (1 << b)` means "a was held while b was acquired".
-    static EDGES: [AtomicU32; N] = [const { AtomicU32::new(0) }; N];
-    /// Total violations, process-wide (exported as `lockdep.violations`).
-    static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-    /// For each recorded edge, the class chain of the thread that inserted
-    /// it — the "other stack" half of a cycle diagnostic. Also serializes
-    /// first-time edge inserts so concurrent inserts cannot close a cycle
-    /// undetected. lockdep's own state uses `std::sync` so the checker never
-    /// instruments itself.
-    static PROVENANCE: std::sync::Mutex<BTreeMap<(u8, u8), String>> =
-        std::sync::Mutex::new(BTreeMap::new());
-
-    struct HeldEntry {
-        class: LockClass,
-        order_key: u64,
-        id: u64,
-        /// Shared (read) acquisition: read-read recursion on one class is
-        /// exempt from the same-class order rule, since readers never block
-        /// each other. Cross-class edges are recorded regardless of mode.
-        shared: bool,
+fn violation(msg: &str) {
+    // ordering: violation tally; no synchronization derived from the count
+    VIOLATIONS.fetch_add(1, Ordering::Relaxed);
+    TL_VIOLATIONS.with(|c| c.set(c.get() + 1));
+    let tolerated = TOLERATE.with(|t| t.get()) > 0;
+    if !tolerated && cfg!(debug_assertions) {
+        panic!("lockdep: {msg}");
     }
+}
 
-    #[derive(Default)]
-    struct TwoLockState {
-        depth: u32,
-        /// (a, b) pairs counted as one logical object (`O_old`/`O_new`).
-        aliases: Vec<(u64, u64)>,
+fn chain_str(held: &[HeldEntry]) -> String {
+    if held.is_empty() {
+        return "<none>".to_string();
     }
+    held.iter()
+        .map(|e| format!("{:?}#{}", e.class, e.order_key))
+        .collect::<Vec<_>>()
+        .join(" -> ")
+}
 
-    thread_local! {
-        static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
-        static NEXT_ID: Cell<u64> = const { Cell::new(0) };
-        /// Depth of `tolerate` scopes: violations are counted, not panicked.
-        static TOLERATE: Cell<u32> = const { Cell::new(0) };
-        /// Violations raised by *this thread* (so tests can measure deltas
-        /// without interference from parallel tests).
-        static TL_VIOLATIONS: Cell<u64> = const { Cell::new(0) };
-        /// Object addresses this thread holds through the lock manager
-        /// (a set: re-grants and upgrades of a held address do not stack,
-        /// mirroring `Txn`'s single release per address at completion).
-        static TXN_LOCKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-        static FUZZY_DEPTH: Cell<u32> = const { Cell::new(0) };
-        static TWO_LOCK: RefCell<TwoLockState> =
-            const { RefCell::new(TwoLockState { depth: 0, aliases: Vec::new() }) };
-    }
-
-    // ------------------------------------------------------------ engine --
-
-    fn violation(msg: &str) {
-        // ordering: violation tally; no synchronization derived from the count
-        VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-        TL_VIOLATIONS.with(|c| c.set(c.get() + 1));
-        let tolerated = TOLERATE.with(|t| t.get()) > 0;
-        if !tolerated && cfg!(debug_assertions) {
-            panic!("lockdep: {msg}");
+/// One path `from -> .. -> to` over the recorded edges, if there is one.
+fn find_path(
+    edges: &BTreeMap<(LockClass, LockClass), String>,
+    from: LockClass,
+    to: LockClass,
+) -> Option<Vec<LockClass>> {
+    let mut visited = 1u32 << (from as u8);
+    let mut stack = vec![vec![from]];
+    while let Some(path) = stack.pop() {
+        let last = path[path.len() - 1];
+        if last == to {
+            return Some(path);
+        }
+        for &(a, b) in edges.keys() {
+            if a == last && visited & (1 << (b as u8)) == 0 {
+                visited |= 1 << (b as u8);
+                stack.push(path.iter().copied().chain([b]).collect());
+            }
         }
     }
+    None
+}
 
-    fn chain_str(held: &[HeldEntry]) -> String {
-        if held.is_empty() {
-            return "<none>".to_string();
-        }
-        held.iter()
-            .map(|e| format!("{:?}#{}", e.class, e.order_key))
-            .collect::<Vec<_>>()
-            .join(" -> ")
+fn record_edge(from: LockClass, to: LockClass, held: &[HeldEntry]) {
+    let bit = 1u32 << (to as u8);
+    // ordering: fast-path probe; re-checked under the provenance mutex below
+    if EDGES[from as usize].load(Ordering::Relaxed) & bit != 0 {
+        return; // known edge: lock-free fast path
     }
-
-    /// Is `to` reachable from `from` in the edge graph?
-    fn reachable(from: LockClass, to: LockClass) -> bool {
-        let mut visited = 0u32;
-        let mut stack = vec![from as usize];
-        while let Some(n) = stack.pop() {
-            if n == to as usize {
-                return true;
-            }
-            if visited & (1 << n) != 0 {
-                continue;
-            }
-            visited |= 1 << n;
-            // ordering: benign racy graph read; PROVENANCE's mutex serializes inserts
-            let mut succ = EDGES[n].load(Ordering::Relaxed);
-            while succ != 0 {
-                let b = succ.trailing_zeros() as usize;
-                succ &= succ - 1;
-                stack.push(b);
-            }
-        }
-        false
+    let mut prov = PROVENANCE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if prov.contains_key(&(from, to)) {
+        return;
     }
+    if let Some(path) = find_path(&prov, to, from) {
+        // Inserting from->to would close a cycle to -> .. -> from -> to.
+        let mut other = String::new();
+        for w in path.windows(2) {
+            let rec = &prov[&(w[0], w[1])];
+            other.push_str(&format!(
+                "\n    {:?} -> {:?} recorded with chain: {rec}",
+                w[0], w[1]
+            ));
+        }
+        drop(prov);
+        violation(&format!(
+            "lock-order cycle: acquiring {to:?} while holding {from:?}, \
+             but {from:?} is already ordered after {to:?}\n  \
+             this thread's chain: {}\n  conflicting edges:{other}",
+            chain_str(held),
+        ));
+        return; // keep the graph acyclic: one bug, one report
+    }
+    // ordering: publication is ordered by the provenance mutex held here
+    EDGES[from as usize].fetch_or(bit, Ordering::Relaxed);
+    prov.insert((from, to), chain_str(held));
+}
 
-    /// One path `from -> .. -> to` (exists when `reachable(from, to)`).
-    fn find_path(from: LockClass, to: LockClass) -> Vec<u8> {
-        let mut prev = [u8::MAX; N];
-        let mut visited = 0u32;
-        let mut stack = vec![from as usize];
-        visited |= 1 << (from as usize);
-        while let Some(n) = stack.pop() {
-            if n == to as usize {
-                break;
-            }
-            // ordering: benign racy graph read; PROVENANCE's mutex serializes inserts
-            let mut succ = EDGES[n].load(Ordering::Relaxed);
-            while succ != 0 {
-                let b = succ.trailing_zeros() as usize;
-                succ &= succ - 1;
-                if visited & (1 << b) == 0 {
-                    visited |= 1 << b;
-                    prev[b] = n as u8;
-                    stack.push(b);
+/// Register an acquisition; returns the held-stack entry id.
+#[inline]
+fn acquire(tag: Tag, shared: bool) -> u64 {
+    let Some(&(class, order_key)) = tag.first() else {
+        return 0;
+    };
+    let id = NEXT_ID.with(|n| {
+        let id = n.get();
+        n.set(id + 1);
+        id
+    });
+    let mut order_msg: Option<String> = None;
+    HELD.with(|h| {
+        let held = h.borrow();
+        for e in held.iter() {
+            if e.class == class {
+                if order_key <= e.order_key && !(shared && e.shared) && order_msg.is_none() {
+                    order_msg = Some(format!(
+                        "same-class order violation: acquiring {:?}#{} while \
+                         holding {:?}#{} (instances of one class must be taken \
+                         in increasing order)\n  this thread's chain: {}",
+                        class,
+                        order_key,
+                        e.class,
+                        e.order_key,
+                        chain_str(&held),
+                    ));
                 }
+            } else {
+                record_edge(e.class, class, &held);
             }
         }
-        let mut path = vec![to as u8];
-        let mut cur = to as u8;
-        while cur != from as u8 {
-            cur = prev[cur as usize];
-            if cur == u8::MAX {
-                return Vec::new(); // raced away; diagnostics only
-            }
-            path.push(cur);
+    });
+    if let Some(msg) = order_msg {
+        violation(&msg);
+    }
+    HELD.with(|h| {
+        h.borrow_mut().push(HeldEntry {
+            class,
+            order_key,
+            id,
+            shared,
+        })
+    });
+    // Schedule capture: acquisitions are the densest interleaving
+    // signal. The key packs (class, instance) so a trace line names the
+    // lock. Fires before the physical lock blocks (`lock()` calls
+    // acquire first), so a gating controller can steer who wins.
+    crate::sched::point("lock.acquire", sched_key(class, order_key));
+    id
+}
+
+#[inline]
+fn release(id: u64) {
+    if !ARMED {
+        return;
+    }
+    let released = HELD.with(|h| {
+        let mut held = h.borrow_mut();
+        held.iter()
+            .rposition(|e| e.id == id)
+            .map(|pos| held.remove(pos))
+    });
+    if let Some(e) = released {
+        crate::sched::point("lock.release", sched_key(e.class, e.order_key));
+    }
+}
+
+/// Pack a lock identity into a sched event key: class in the high 32
+/// bits, instance order_key (truncated) in the low 32.
+fn sched_key(class: LockClass, order_key: u64) -> u64 {
+    ((class as u64) << 32) | (order_key & 0xFFFF_FFFF)
+}
+
+// ----------------------------------------------------------- wrappers --
+
+/// A class-tagged mutex.
+pub struct Mutex<T: ?Sized> {
+    tag: Tag,
+    inner: parking_lot::Mutex<T>,
+}
+
+impl<T> Mutex<T> {
+    pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
+        Self {
+            tag: [(class, order_key); ARMED as usize],
+            inner: parking_lot::Mutex::new(value),
         }
-        path.reverse();
-        path
     }
 
-    const CLASS_NAMES: [&str; N] = [
-        "LockTableShard",
-        "PageLatch",
-        "WalInner",
-        "WalPins",
-        "WalFlushLeader",
-        "TrtInner",
-        "ErtInner",
-        "PartitionAlloc",
-        "PartitionPages",
-        "TxnRegistry",
-        "DbPartitions",
-        "DbRoots",
-        "DbReorgTables",
-        "DbReorgPins",
-        "DbReorgCkpt",
-        "DbCpu",
-        "FaultState",
-        "MigrationShard",
-        "TraversalShard",
-        "WaveDeferred",
-        "WaveDeque",
-        "WalStage",
-        "FileBackend",
-        "TestA",
-        "TestB",
-    ];
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner()
+    }
+}
 
-    fn record_edge(from: LockClass, to: LockClass, held: &[HeldEntry]) {
-        let bit = 1u32 << (to as u8);
-        // ordering: fast-path probe; re-checked under the provenance mutex below
-        if EDGES[from as usize].load(Ordering::Relaxed) & bit != 0 {
-            return; // known edge: lock-free fast path
+impl<T: ?Sized> Mutex<T> {
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        // Check before blocking: a would-be deadlock is reported even if
+        // this acquisition happens to succeed.
+        let id = acquire(self.tag, false);
+        MutexGuard {
+            tag: self.tag,
+            id,
+            inner: self.inner.lock(),
         }
-        let mut prov = PROVENANCE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // ordering: decisive re-check, serialized by the provenance mutex
-        if EDGES[from as usize].load(Ordering::Relaxed) & bit != 0 {
+    }
+
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let inner = self.inner.try_lock()?;
+        let id = acquire(self.tag, false);
+        Some(MutexGuard {
+            tag: self.tag,
+            id,
+            inner,
+        })
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut()
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.inner.fmt(f)
+    }
+}
+
+pub struct MutexGuard<'a, T: ?Sized> {
+    tag: Tag,
+    id: u64,
+    inner: parking_lot::MutexGuard<'a, T>,
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        release(self.id);
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// A class-tagged reader-writer lock. Readers and writers run the same
+/// ordering checks: read/write cycles deadlock just as well.
+pub struct RwLock<T: ?Sized> {
+    tag: Tag,
+    inner: parking_lot::RwLock<T>,
+}
+
+impl<T> RwLock<T> {
+    pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
+        Self {
+            tag: [(class, order_key); ARMED as usize],
+            inner: parking_lot::RwLock::new(value),
+        }
+    }
+
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner()
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        let id = acquire(self.tag, true);
+        RwLockReadGuard {
+            id,
+            inner: self.inner.read(),
+        }
+    }
+
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        let id = acquire(self.tag, false);
+        RwLockWriteGuard {
+            id,
+            inner: self.inner.write(),
+        }
+    }
+
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        let inner = self.inner.try_read()?;
+        let id = acquire(self.tag, true);
+        Some(RwLockReadGuard { id, inner })
+    }
+
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        let inner = self.inner.try_write()?;
+        let id = acquire(self.tag, false);
+        Some(RwLockWriteGuard { id, inner })
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut()
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.inner.fmt(f)
+    }
+}
+
+pub struct RwLockReadGuard<'a, T: ?Sized> {
+    id: u64,
+    inner: parking_lot::RwLockReadGuard<'a, T>,
+}
+
+impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        release(self.id);
+    }
+}
+
+pub struct RwLockWriteGuard<'a, T: ?Sized> {
+    id: u64,
+    inner: parking_lot::RwLockWriteGuard<'a, T>,
+}
+
+impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        release(self.id);
+    }
+}
+
+/// A condvar over [`Mutex`]. The wait releases the mutex, so the held
+/// entry is popped for the duration and re-registered (with full checks)
+/// on wake-up.
+#[derive(Default)]
+pub struct Condvar {
+    inner: parking_lot::Condvar,
+}
+
+impl fmt::Debug for Condvar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Condvar")
+    }
+}
+
+impl Condvar {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        release(guard.id);
+        self.inner.wait(&mut guard.inner);
+        guard.id = acquire(guard.tag, false);
+    }
+
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        release(guard.id);
+        let r = self.inner.wait_for(&mut guard.inner, timeout);
+        guard.id = acquire(guard.tag, false);
+        r
+    }
+
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: Instant,
+    ) -> WaitTimeoutResult {
+        release(guard.id);
+        let r = self.inner.wait_until(&mut guard.inner, deadline);
+        guard.id = acquire(guard.tag, false);
+        r
+    }
+
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
+    }
+}
+
+// -------------------------------------------------- logical footprint --
+
+/// Total lock-order/invariant violations observed process-wide.
+pub fn violations() -> u64 {
+    // ordering: violation tally read; no synchronization derived
+    VIOLATIONS.load(Ordering::Relaxed)
+}
+
+/// Snapshot the held-before edges recorded so far, as
+/// `(held_class, acquired_class, recording_thread_chain)` triples in
+/// class order. The static analyzer's cross-check diffs this against
+/// the lock graph `crates/lint` builds without executing anything:
+/// every edge observed at runtime must be statically predicted
+/// (static ⊇ runtime), or the analyzer has a resolution gap.
+pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
+    PROVENANCE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .iter()
+        .map(|(&(from, to), chain)| (from, to, chain.clone()))
+        .collect()
+}
+
+/// Run `f` with violations counted instead of panicking; returns `f`'s
+/// result and the number of violations this thread raised inside the
+/// scope. Used by tests that seed deliberate violations.
+pub fn tolerate<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    TOLERATE.with(|t| t.set(t.get() + 1));
+    let before = TL_VIOLATIONS.with(|c| c.get());
+    let out = f();
+    let after = TL_VIOLATIONS.with(|c| c.get());
+    TOLERATE.with(|t| t.set(t.get() - 1));
+    (out, after - before)
+}
+
+/// The lock manager granted this thread a lock on object `addr`.
+pub fn txn_lock_acquired(addr: u64) {
+    if !ARMED {
+        return;
+    }
+    if FUZZY_DEPTH.with(|d| d.get()) > 0 {
+        violation(&format!(
+            "fuzzy traversal acquired a transaction lock on {addr:#x} \
+             (the traversal must run under latches only)"
+        ));
+    }
+    TXN_LOCKS.with(|l| {
+        let mut locks = l.borrow_mut();
+        if !locks.contains(&addr) {
+            locks.push(addr);
+        }
+    });
+    TWO_LOCK.with(|t| {
+        let t = t.borrow();
+        if t.depth == 0 {
             return;
         }
-        if reachable(to, from) {
-            // Inserting from->to would close a cycle to -> .. -> from -> to.
-            let path = find_path(to, from);
-            let mut other = String::new();
-            for w in path.windows(2) {
-                let name_a = CLASS_NAMES[w[0] as usize];
-                let name_b = CLASS_NAMES[w[1] as usize];
-                let rec = prov
-                    .get(&(w[0], w[1]))
-                    .map(String::as_str)
-                    .unwrap_or("<unrecorded>");
-                other.push_str(&format!("\n    {name_a} -> {name_b} recorded with chain: {rec}"));
-            }
-            drop(prov);
+        let distinct = TXN_LOCKS.with(|l| {
+            let locks = l.borrow();
+            let mut canon: Vec<u64> = locks.iter().map(|&a| canonical(&t.aliases, a)).collect();
+            canon.sort_unstable();
+            canon.dedup();
+            canon.len()
+        });
+        if distinct > 2 {
             violation(&format!(
-                "lock-order cycle: acquiring {to:?} while holding {from:?}, \
-                 but {from:?} is already ordered after {to:?}\n  \
-                 this thread's chain: {}\n  conflicting edges:{other}",
-                chain_str(held),
-            ));
-            return; // keep the graph acyclic: one bug, one report
-        }
-        // ordering: publication is ordered by the provenance mutex held here
-        EDGES[from as usize].fetch_or(bit, Ordering::Relaxed);
-        prov.insert((from as u8, to as u8), chain_str(held));
-    }
-
-    /// Register an acquisition; returns the held-stack entry id.
-    fn acquire(class: LockClass, order_key: u64, shared: bool) -> u64 {
-        let id = NEXT_ID.with(|n| {
-            let id = n.get();
-            n.set(id + 1);
-            id
-        });
-        let mut order_msg: Option<String> = None;
-        HELD.with(|h| {
-            let held = h.borrow();
-            for e in held.iter() {
-                if e.class == class {
-                    if order_key <= e.order_key && !(shared && e.shared) && order_msg.is_none() {
-                        order_msg = Some(format!(
-                            "same-class order violation: acquiring {:?}#{} while \
-                             holding {:?}#{} (instances of one class must be taken \
-                             in increasing order)\n  this thread's chain: {}",
-                            class,
-                            order_key,
-                            e.class,
-                            e.order_key,
-                            chain_str(&held),
-                        ));
-                    }
-                } else {
-                    record_edge(e.class, class, &held);
-                }
-            }
-        });
-        if let Some(msg) = order_msg {
-            violation(&msg);
-        }
-        HELD.with(|h| {
-            h.borrow_mut().push(HeldEntry {
-                class,
-                order_key,
-                id,
-                shared,
-            })
-        });
-        // Schedule capture: acquisitions are the densest interleaving
-        // signal. The key packs (class, instance) so a trace line names the
-        // lock. Fires before the physical lock blocks (`lock()` calls
-        // acquire first), so a gating controller can steer who wins.
-        crate::sched::point("lock.acquire", sched_key(class, order_key));
-        id
-    }
-
-    fn release(id: u64) {
-        let released = HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            held.iter()
-                .rposition(|e| e.id == id)
-                .map(|pos| held.remove(pos))
-        });
-        if let Some(e) = released {
-            crate::sched::point("lock.release", sched_key(e.class, e.order_key));
-        }
-    }
-
-    /// Pack a lock identity into a sched event key: class in the high 32
-    /// bits, instance order_key (truncated) in the low 32.
-    fn sched_key(class: LockClass, order_key: u64) -> u64 {
-        ((class as u64) << 32) | (order_key & 0xFFFF_FFFF)
-    }
-
-    // ----------------------------------------------------------- wrappers --
-
-    /// A class-tagged mutex.
-    pub struct Mutex<T: ?Sized> {
-        class: LockClass,
-        order_key: u64,
-        inner: parking_lot::Mutex<T>,
-    }
-
-    impl<T> Mutex<T> {
-        pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
-            Self {
-                class,
-                order_key,
-                inner: parking_lot::Mutex::new(value),
-            }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> Mutex<T> {
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            // Check before blocking: a would-be deadlock is reported even if
-            // this acquisition happens to succeed.
-            let id = acquire(self.class, self.order_key, false);
-            MutexGuard {
-                class: self.class,
-                order_key: self.order_key,
-                id,
-                inner: self.inner.lock(),
-            }
-        }
-
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            let inner = self.inner.try_lock()?;
-            let id = acquire(self.class, self.order_key, false);
-            Some(MutexGuard {
-                class: self.class,
-                order_key: self.order_key,
-                id,
-                inner,
-            })
-        }
-
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut()
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.inner.fmt(f)
-        }
-    }
-
-    pub struct MutexGuard<'a, T: ?Sized> {
-        class: LockClass,
-        order_key: u64,
-        id: u64,
-        inner: parking_lot::MutexGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-        fn drop(&mut self) {
-            release(self.id);
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            (**self).fmt(f)
-        }
-    }
-
-    /// A class-tagged reader-writer lock. Readers and writers run the same
-    /// ordering checks: read/write cycles deadlock just as well.
-    pub struct RwLock<T: ?Sized> {
-        class: LockClass,
-        order_key: u64,
-        inner: parking_lot::RwLock<T>,
-    }
-
-    impl<T> RwLock<T> {
-        pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
-            Self {
-                class,
-                order_key,
-                inner: parking_lot::RwLock::new(value),
-            }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> RwLock<T> {
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            let id = acquire(self.class, self.order_key, true);
-            RwLockReadGuard {
-                id,
-                inner: self.inner.read(),
-            }
-        }
-
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            let id = acquire(self.class, self.order_key, false);
-            RwLockWriteGuard {
-                id,
-                inner: self.inner.write(),
-            }
-        }
-
-        pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-            let inner = self.inner.try_read()?;
-            let id = acquire(self.class, self.order_key, true);
-            Some(RwLockReadGuard { id, inner })
-        }
-
-        pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-            let inner = self.inner.try_write()?;
-            let id = acquire(self.class, self.order_key, false);
-            Some(RwLockWriteGuard { id, inner })
-        }
-
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut()
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.inner.fmt(f)
-        }
-    }
-
-    pub struct RwLockReadGuard<'a, T: ?Sized> {
-        id: u64,
-        inner: parking_lot::RwLockReadGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-        fn drop(&mut self) {
-            release(self.id);
-        }
-    }
-
-    pub struct RwLockWriteGuard<'a, T: ?Sized> {
-        id: u64,
-        inner: parking_lot::RwLockWriteGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            release(self.id);
-        }
-    }
-
-    /// A condvar over [`Mutex`]. The wait releases the mutex, so the held
-    /// entry is popped for the duration and re-registered (with full checks)
-    /// on wake-up.
-    #[derive(Default)]
-    pub struct Condvar {
-        inner: parking_lot::Condvar,
-    }
-
-    impl fmt::Debug for Condvar {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Condvar")
-        }
-    }
-
-    impl Condvar {
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            release(guard.id);
-            self.inner.wait(&mut guard.inner);
-            guard.id = acquire(guard.class, guard.order_key, false);
-        }
-
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            release(guard.id);
-            let r = self.inner.wait_for(&mut guard.inner, timeout);
-            guard.id = acquire(guard.class, guard.order_key, false);
-            r
-        }
-
-        pub fn wait_until<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            deadline: Instant,
-        ) -> WaitTimeoutResult {
-            release(guard.id);
-            let r = self.inner.wait_until(&mut guard.inner, deadline);
-            guard.id = acquire(guard.class, guard.order_key, false);
-            r
-        }
-
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-    }
-
-    // -------------------------------------------------- logical footprint --
-
-    /// Total lock-order/invariant violations observed process-wide.
-    pub fn violations() -> u64 {
-        // ordering: violation tally read; no synchronization derived
-        VIOLATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot the held-before edges recorded so far, as
-    /// `(held_class, acquired_class, recording_thread_chain)` triples in
-    /// class order. The static analyzer's cross-check diffs this against
-    /// the lock graph `crates/lint` builds without executing anything:
-    /// every edge observed at runtime must be statically predicted
-    /// (static ⊇ runtime), or the analyzer has a resolution gap.
-    pub fn dump_edges() -> Vec<(&'static str, &'static str, String)> {
-        let prov = PROVENANCE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = Vec::new();
-        for from in 0..N {
-            // ordering: diagnostic snapshot; chains come from under the provenance mutex
-            let bits = EDGES[from].load(Ordering::Relaxed);
-            for (to, to_name) in CLASS_NAMES.iter().enumerate() {
-                if bits & (1u32 << to) != 0 {
-                    let chain = prov
-                        .get(&(from as u8, to as u8))
-                        .cloned()
-                        .unwrap_or_default();
-                    out.push((CLASS_NAMES[from], *to_name, chain));
-                }
-            }
-        }
-        out
-    }
-
-    /// Run `f` with violations counted instead of panicking; returns `f`'s
-    /// result and the number of violations this thread raised inside the
-    /// scope. Used by tests that seed deliberate violations.
-    pub fn tolerate<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        TOLERATE.with(|t| t.set(t.get() + 1));
-        let before = TL_VIOLATIONS.with(|c| c.get());
-        let out = f();
-        let after = TL_VIOLATIONS.with(|c| c.get());
-        TOLERATE.with(|t| t.set(t.get() - 1));
-        (out, after - before)
-    }
-
-    /// The lock manager granted this thread a lock on object `addr`.
-    pub fn txn_lock_acquired(addr: u64) {
-        if FUZZY_DEPTH.with(|d| d.get()) > 0 {
-            violation(&format!(
-                "fuzzy traversal acquired a transaction lock on {addr:#x} \
-                 (the traversal must run under latches only)"
+                "two-lock variant exceeded its footprint: {distinct} distinct \
+                 objects locked (acquiring {addr:#x})"
             ));
         }
-        TXN_LOCKS.with(|l| {
-            let mut locks = l.borrow_mut();
-            if !locks.contains(&addr) {
-                locks.push(addr);
-            }
-        });
-        TWO_LOCK.with(|t| {
-            let t = t.borrow();
-            if t.depth == 0 {
-                return;
-            }
-            let distinct = TXN_LOCKS.with(|l| {
-                let locks = l.borrow();
-                let mut canon: Vec<u64> =
-                    locks.iter().map(|&a| canonical(&t.aliases, a)).collect();
-                canon.sort_unstable();
-                canon.dedup();
-                canon.len()
-            });
-            if distinct > 2 {
-                violation(&format!(
-                    "two-lock variant exceeded its footprint: {distinct} distinct \
-                     objects locked (acquiring {addr:#x})"
-                ));
-            }
-        });
-    }
+    });
+}
 
-    /// The lock manager released this thread's lock on object `addr`.
-    /// Tolerant: releases of locks acquired before tracking (or by another
-    /// thread) are ignored.
-    pub fn txn_lock_released(addr: u64) {
-        TXN_LOCKS.with(|l| {
-            let mut locks = l.borrow_mut();
-            if let Some(pos) = locks.iter().rposition(|&a| a == addr) {
-                locks.remove(pos);
-            }
-        });
+/// The lock manager released this thread's lock on object `addr`.
+/// Tolerant: releases of locks acquired before tracking (or by another
+/// thread) are ignored.
+pub fn txn_lock_released(addr: u64) {
+    if !ARMED {
+        return;
     }
-
-    fn canonical(aliases: &[(u64, u64)], addr: u64) -> u64 {
-        for &(a, b) in aliases {
-            if addr == b {
-                return a;
-            }
+    TXN_LOCKS.with(|l| {
+        let mut locks = l.borrow_mut();
+        if let Some(pos) = locks.iter().rposition(|&a| a == addr) {
+            locks.remove(pos);
         }
-        addr
-    }
+    });
+}
 
-    /// Assert this thread holds no transaction locks.
-    pub fn assert_no_txn_locks(context: &str) {
-        let held: Vec<u64> = TXN_LOCKS.with(|l| l.borrow().clone());
-        if !held.is_empty() {
-            violation(&format!(
-                "{context}: thread still holds {} transaction lock(s): {:x?}",
-                held.len(),
-                held
-            ));
+fn canonical(aliases: &[(u64, u64)], addr: u64) -> u64 {
+    for &(a, b) in aliases {
+        if addr == b {
+            return a;
         }
     }
+    addr
+}
 
-    /// Assert every transaction lock this thread holds is in `allowed`
-    /// (basic IRA: the batch's confirmed parents plus the object itself).
-    pub fn assert_txn_locks_subset(allowed: &[u64], context: &str) {
-        let stray: Vec<u64> = TXN_LOCKS.with(|l| {
-            l.borrow()
-                .iter()
-                .copied()
-                .filter(|a| !allowed.contains(a))
-                .collect()
-        });
-        if !stray.is_empty() {
-            violation(&format!(
-                "{context}: thread holds lock(s) outside the allowed set: {stray:x?}"
-            ));
-        }
+/// Assert this thread holds no transaction locks.
+pub fn assert_no_txn_locks(context: &str) {
+    if !ARMED {
+        return;
     }
+    let held: Vec<u64> = TXN_LOCKS.with(|l| l.borrow().clone());
+    if !held.is_empty() {
+        violation(&format!(
+            "{context}: thread still holds {} transaction lock(s): {:x?}",
+            held.len(),
+            held
+        ));
+    }
+}
 
-    /// RAII scope: fuzzy traversal must *acquire* no transaction locks.
-    /// Locks already held when the region opens are not flagged — tests
-    /// legitimately run workload transactions and the reorganizer on one
-    /// thread; the paper's invariant is that the traversal itself
-    /// synchronizes through latches only.
-    pub struct FuzzyRegion(());
+/// Assert every transaction lock this thread holds is in `allowed`
+/// (basic IRA: the batch's confirmed parents plus the object itself).
+pub fn assert_txn_locks_subset(allowed: &[u64], context: &str) {
+    if !ARMED {
+        return;
+    }
+    let stray: Vec<u64> = TXN_LOCKS.with(|l| {
+        l.borrow()
+            .iter()
+            .copied()
+            .filter(|a| !allowed.contains(a))
+            .collect()
+    });
+    if !stray.is_empty() {
+        violation(&format!(
+            "{context}: thread holds lock(s) outside the allowed set: {stray:x?}"
+        ));
+    }
+}
 
-    pub fn fuzzy_region() -> FuzzyRegion {
+/// RAII scope: fuzzy traversal must *acquire* no transaction locks.
+/// Locks already held when the region opens are not flagged — tests
+/// legitimately run workload transactions and the reorganizer on one
+/// thread; the paper's invariant is that the traversal itself
+/// synchronizes through latches only.
+pub struct FuzzyRegion(());
+
+pub fn fuzzy_region() -> FuzzyRegion {
+    if ARMED {
         FUZZY_DEPTH.with(|d| d.set(d.get() + 1));
-        FuzzyRegion(())
     }
+    FuzzyRegion(())
+}
 
-    impl Drop for FuzzyRegion {
-        fn drop(&mut self) {
+impl Drop for FuzzyRegion {
+    fn drop(&mut self) {
+        if ARMED {
             FUZZY_DEPTH.with(|d| d.set(d.get() - 1));
         }
     }
+}
 
-    /// RAII scope: the §4.2 two-lock variant holds at most two distinct
-    /// objects. Register `O_old`/`O_new` with [`two_lock_alias`] so the pair
-    /// counts as one object (the paper's footprint counts the migrating
-    /// object once).
-    pub struct TwoLockRegion(());
+/// RAII scope: the §4.2 two-lock variant holds at most two distinct
+/// objects. Register `O_old`/`O_new` with [`two_lock_alias`] so the pair
+/// counts as one object (the paper's footprint counts the migrating
+/// object once).
+pub struct TwoLockRegion(());
 
-    pub fn two_lock_region() -> TwoLockRegion {
+pub fn two_lock_region() -> TwoLockRegion {
+    if ARMED {
         TWO_LOCK.with(|t| t.borrow_mut().depth += 1);
-        TwoLockRegion(())
     }
+    TwoLockRegion(())
+}
 
-    impl Drop for TwoLockRegion {
-        fn drop(&mut self) {
-            TWO_LOCK.with(|t| {
-                let mut t = t.borrow_mut();
-                t.depth -= 1;
-                if t.depth == 0 {
-                    t.aliases.clear();
-                }
-            });
+impl Drop for TwoLockRegion {
+    fn drop(&mut self) {
+        if !ARMED {
+            return;
         }
-    }
-
-    /// Count `b` as the same logical object as `a` inside the enclosing
-    /// two-lock region.
-    pub fn two_lock_alias(a: u64, b: u64) {
-        TWO_LOCK.with(|t| t.borrow_mut().aliases.push((a, b)));
+        TWO_LOCK.with(|t| {
+            let mut t = t.borrow_mut();
+            t.depth -= 1;
+            if t.depth == 0 {
+                t.aliases.clear();
+            }
+        });
     }
 }
 
-#[cfg(not(any(debug_assertions, feature = "lockdep")))]
-mod imp {
-    //! Disabled build: transparent pass-throughs. No graph, no
-    //! thread-locals, no atomics — the class tag is discarded at
-    //! construction and every call inlines to the parking_lot primitive.
-
-    use super::LockClass;
-    use std::fmt;
-    use std::time::{Duration, Instant};
-
-    pub use parking_lot::WaitTimeoutResult;
-    pub use parking_lot::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-
-    pub struct Mutex<T: ?Sized>(parking_lot::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        #[inline(always)]
-        pub fn new(_class: LockClass, _order_key: u64, value: T) -> Self {
-            Self(parking_lot::Mutex::new(value))
-        }
-
-        #[inline(always)]
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
+/// Count `b` as the same logical object as `a` inside the enclosing
+/// two-lock region.
+pub fn two_lock_alias(a: u64, b: u64) {
+    if !ARMED {
+        return;
     }
-
-    impl<T: ?Sized> Mutex<T> {
-        #[inline(always)]
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            self.0.lock()
-        }
-
-        #[inline(always)]
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            self.0.try_lock()
-        }
-
-        #[inline(always)]
-        pub fn get_mut(&mut self) -> &mut T {
-            self.0.get_mut()
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.0.fmt(f)
-        }
-    }
-
-    pub struct RwLock<T: ?Sized>(parking_lot::RwLock<T>);
-
-    impl<T> RwLock<T> {
-        #[inline(always)]
-        pub fn new(_class: LockClass, _order_key: u64, value: T) -> Self {
-            Self(parking_lot::RwLock::new(value))
-        }
-
-        #[inline(always)]
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> RwLock<T> {
-        #[inline(always)]
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            self.0.read()
-        }
-
-        #[inline(always)]
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            self.0.write()
-        }
-
-        #[inline(always)]
-        pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-            self.0.try_read()
-        }
-
-        #[inline(always)]
-        pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-            self.0.try_write()
-        }
-
-        #[inline(always)]
-        pub fn get_mut(&mut self) -> &mut T {
-            self.0.get_mut()
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.0.fmt(f)
-        }
-    }
-
-    #[derive(Default)]
-    pub struct Condvar(parking_lot::Condvar);
-
-    impl fmt::Debug for Condvar {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Condvar")
-        }
-    }
-
-    impl Condvar {
-        #[inline(always)]
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        #[inline(always)]
-        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            self.0.wait(guard);
-        }
-
-        #[inline(always)]
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            self.0.wait_for(guard, timeout)
-        }
-
-        #[inline(always)]
-        pub fn wait_until<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            deadline: Instant,
-        ) -> WaitTimeoutResult {
-            self.0.wait_until(guard, deadline)
-        }
-
-        #[inline(always)]
-        pub fn notify_one(&self) {
-            self.0.notify_one();
-        }
-
-        #[inline(always)]
-        pub fn notify_all(&self) {
-            self.0.notify_all();
-        }
-    }
-
-    #[inline(always)]
-    pub fn violations() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn dump_edges() -> Vec<(&'static str, &'static str, String)> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub fn tolerate<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        (f(), 0)
-    }
-
-    #[inline(always)]
-    pub fn txn_lock_acquired(_addr: u64) {}
-
-    #[inline(always)]
-    pub fn txn_lock_released(_addr: u64) {}
-
-    #[inline(always)]
-    pub fn assert_no_txn_locks(_context: &str) {}
-
-    #[inline(always)]
-    pub fn assert_txn_locks_subset(_allowed: &[u64], _context: &str) {}
-
-    pub struct FuzzyRegion(());
-
-    #[inline(always)]
-    pub fn fuzzy_region() -> FuzzyRegion {
-        FuzzyRegion(())
-    }
-
-    pub struct TwoLockRegion(());
-
-    #[inline(always)]
-    pub fn two_lock_region() -> TwoLockRegion {
-        TwoLockRegion(())
-    }
-
-    #[inline(always)]
-    pub fn two_lock_alias(_a: u64, _b: u64) {}
+    TWO_LOCK.with(|t| t.borrow_mut().aliases.push((a, b)));
 }
-
-pub use imp::{
-    assert_no_txn_locks, assert_txn_locks_subset, dump_edges, fuzzy_region, tolerate,
-    two_lock_alias, two_lock_region, txn_lock_acquired, txn_lock_released, violations, Condvar,
-    FuzzyRegion, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TwoLockRegion,
-    WaitTimeoutResult,
-};
 
 #[cfg(all(test, any(debug_assertions, feature = "lockdep")))]
 mod tests {

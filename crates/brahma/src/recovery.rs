@@ -236,6 +236,12 @@ fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
         }
         return Ok(());
     }
+    if let LogPayload::ReorgEnd { partition } = payload {
+        // Repeat `end_reorg`'s flush: a checkpoint taken mid-reorganization
+        // recorded the slots freed until then as withheld.
+        db.partition_ref(*partition)?.flush_deferred_frees();
+        return Ok(());
+    }
     db.apply_update(payload, None, false)?;
     let mut ert = Ok(());
     payload.for_each_ref_change(|action, parent, child| {

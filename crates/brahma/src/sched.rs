@@ -81,9 +81,8 @@ impl SeedTree {
 
 /// Parse an on/off environment flag the way humans expect: unset, empty,
 /// `0`, `false`, and `off` (any case) are **off**; anything else is on.
-/// Shared by every ci.sh-driven test knob (`CHAOS_QUICK`, `PAR_QUICK`, …) —
-/// previously each test checked `var_os(..).is_some()`, which treated
-/// `CHAOS_QUICK=0` as enabled.
+/// Shared by every on/off knob in [`crate::env_cfg`] (`PAR_QUICK`), so
+/// `PAR_QUICK=0` is off rather than "set, therefore on".
 pub fn env_flag(name: &str) -> bool {
     match std::env::var(name) {
         Ok(v) => {

@@ -1,14 +1,14 @@
-//! Storage backends: the in-memory simulator and the durable file backend
-//! (DESIGN.md §14).
+//! The durable file backend (DESIGN.md §14).
 //!
 //! The store's operational data structures — pages, allocator directories,
-//! reference tables, the in-memory log — are the same in both modes; a
-//! [`StorageBackend`] is a *durability mirror* behind them. The default
-//! backend is none at all (the paper's memory-resident configuration,
-//! unchanged). Attaching a [`FileBackend`] makes durability real:
+//! reference tables, the in-memory log — are the same with and without it;
+//! a [`FileBackend`] is a *durability mirror* behind them. The default is
+//! none at all (the paper's memory-resident configuration, unchanged).
+//! Attaching one makes durability real:
 //!
 //! * every WAL append is mirrored — under the log mutex, so the on-disk
-//!   order is the LSN order — into a segmented append-only log of
+//!   order is the LSN order and every LSN below `Wal::next_lsn` is in a
+//!   segment file — into a segmented append-only log of
 //!   CRC32-checksummed, length-prefixed records
 //!   ([`codec::encode_record`]); the group-commit leader's force becomes a
 //!   real `fsync`;
@@ -45,7 +45,7 @@ use crate::config::StoreConfig;
 use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::fault::{site, FaultInjector, FaultPlan};
-use crate::lockdep::{Condvar, LockClass, Mutex};
+use crate::lockdep::{LockClass, Mutex};
 use crate::recovery::{recover, Checkpoint, CrashImage};
 use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
@@ -57,7 +57,6 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
 const SEG_MAGIC: &[u8; 8] = b"BRHMWAL1";
@@ -77,50 +76,6 @@ pub struct CheckpointData<'a> {
     pub carry_log: &'a [LogRecord],
 }
 
-/// A durability mirror behind the in-memory store. Implementations must be
-/// infallible on the append path (the WAL returns no `Result` there); a
-/// backend that cannot write any more reports it through
-/// [`StorageBackend::healthy`].
-pub trait StorageBackend: Send + Sync {
-    /// Mirror one appended record. Called *outside* the log mutex and so
-    /// possibly out of LSN order under concurrency; an implementation
-    /// that cares about on-disk order must restore it itself (the file
-    /// backend stages frames by LSN and drains the contiguous prefix).
-    fn wal_append(&self, rec: &LogRecord);
-    /// Force mirrored records to stable storage (group-commit leader).
-    fn wal_sync(&self);
-    /// Force mirrored records up to `upto` to stable storage. The default
-    /// ignores the bound and forces everything; a pipelined backend first
-    /// waits for the prefix `..= upto` to reach the device file.
-    fn wal_sync_to(&self, upto: Lsn) {
-        let _ = upto;
-        self.wal_sync();
-    }
-    /// Durably replace the checkpoint (shadow write + atomic rename).
-    fn write_checkpoint(&self, data: &CheckpointData<'_>) -> Result<()>;
-    /// Whether the backend can still write (false after a crash fault).
-    fn healthy(&self) -> bool;
-    /// Dump backend counters into an observability snapshot.
-    fn export(&self, snap: &mut obs::Snapshot);
-}
-
-/// The explicit no-op backend: attaching it is equivalent to attaching
-/// nothing, and exists so code paths can be written against a
-/// `dyn StorageBackend` without optioning everywhere.
-pub struct MemBackend;
-
-impl StorageBackend for MemBackend {
-    fn wal_append(&self, _rec: &LogRecord) {}
-    fn wal_sync(&self) {}
-    fn write_checkpoint(&self, _data: &CheckpointData<'_>) -> Result<()> {
-        Ok(())
-    }
-    fn healthy(&self) -> bool {
-        true
-    }
-    fn export(&self, _snap: &mut obs::Snapshot) {}
-}
-
 /// Counters on the file-backend I/O path (DESIGN.md §8).
 #[derive(Debug, Default)]
 pub struct FileStats {
@@ -132,10 +87,6 @@ pub struct FileStats {
     pub segments_rotated: Counter,
     /// Torn segment tails truncated during restart scans.
     pub torn_tail_truncations: Counter,
-    /// Microseconds of append-path work (frame encode + staging) done
-    /// while a group-commit fsync was in flight — the CPU/I-O overlap the
-    /// pipelined mirror buys over the old append-under-the-log-mutex path.
-    pub pipeline_overlap_us: Counter,
 }
 
 impl FileStats {
@@ -147,7 +98,6 @@ impl FileStats {
             "recovery.torn_tail_truncations",
             self.torn_tail_truncations.get(),
         );
-        snap.set("wal.pipeline_overlap_us", self.pipeline_overlap_us.get());
     }
 }
 
@@ -157,21 +107,6 @@ struct SegWriter {
     bytes: u64,
 }
 
-/// The append pipeline's staging buffer. Appenders encode their frame
-/// outside every lock, park it here keyed by LSN, and exactly one of them
-/// (the drainer) moves the contiguous prefix to the segment writer — so
-/// the on-disk order is the LSN order even though `wal_append` now runs
-/// outside the log mutex and frames can arrive out of order.
-struct StageState {
-    /// Encoded frames not yet handed to the segment writer.
-    frames: BTreeMap<Lsn, Vec<u8>>,
-    /// The next LSN the drainer will write; everything below it is in the
-    /// segment file (though not necessarily synced).
-    next_write: Lsn,
-    /// True while one thread drains; others stage their frame and return.
-    draining: bool,
-}
-
 /// Durable pread/pwrite file backend. See the module docs for the formats
 /// and crash model.
 pub struct FileBackend {
@@ -179,21 +114,11 @@ pub struct FileBackend {
     fault: Arc<FaultInjector>,
     /// Latched once a `file.*`/`ckpt.*` crash fault fires (or a real I/O
     /// error occurs): the process is considered killed, every subsequent
-    /// write silently lands nowhere, and [`StorageBackend::healthy`]
-    /// reports it.
+    /// write silently lands nowhere, and [`FileBackend::healthy`] reports
+    /// it.
     dead: AtomicBool,
     segment_bytes: u64,
     inner: Mutex<SegWriter>,
-    /// Pipeline stage between frame encoding and segment I/O. Lock order:
-    /// never held across `inner` — the drainer pops a batch, drops this,
-    /// then takes `inner` to write.
-    stage: Mutex<StageState>,
-    /// Signalled when `next_write` advances (and on death): wakes
-    /// `wal_sync_to` callers waiting for their prefix to hit the file.
-    stage_cv: Condvar,
-    /// True while a `wal_sync_to` fsync is in flight; append work done in
-    /// that window counts toward `wal.pipeline_overlap_us`.
-    sync_active: AtomicBool,
     pub stats: FileStats,
 }
 
@@ -222,17 +147,6 @@ impl FileBackend {
                     bytes: SEG_HEADER_BYTES,
                 },
             ),
-            stage: Mutex::new(
-                LockClass::WalStage,
-                0,
-                StageState {
-                    frames: BTreeMap::new(),
-                    next_write: next_lsn,
-                    draining: false,
-                },
-            ),
-            stage_cv: Condvar::new(),
-            sync_active: AtomicBool::new(false),
             stats: FileStats::default(),
         })
     }
@@ -254,22 +168,17 @@ impl FileBackend {
     fn die(&self) {
         // ordering: SeqCst kill switch; the fault must precede any later write
         self.dead.store(true, Ordering::SeqCst);
-        // Wake wal_sync_to callers parked on frames that will never land;
-        // taking the stage lock first closes the check-then-park window.
-        let _stage = self.stage.lock();
-        self.stage_cv.notify_all();
     }
 
     /// Write one encoded frame to the active segment, rotating first if it
-    /// is full. Returns false once the backend has died (fault or real I/O
-    /// error); completed earlier writes survive, this frame does not.
-    fn write_frame(&self, inner: &mut SegWriter, lsn: Lsn, frame: &[u8]) -> bool {
+    /// is full. A fault or real I/O error kills the backend: completed
+    /// earlier writes survive, this frame does not.
+    fn write_frame(&self, inner: &mut SegWriter, lsn: Lsn, frame: &[u8]) {
         if inner.bytes >= self.segment_bytes {
             // Rotate: the finished segment keeps its records; the new one
             // starts at this record's LSN (its filename *is* its coverage).
             if inner.file.sync_data().is_err() {
-                self.die();
-                return false;
+                return self.die();
             }
             self.stats.fsyncs.inc();
             match open_segment(&segment_path(&self.dir, lsn), lsn) {
@@ -278,10 +187,7 @@ impl FileBackend {
                     inner.bytes = SEG_HEADER_BYTES;
                     self.stats.segments_rotated.inc();
                 }
-                Err(_) => {
-                    self.die();
-                    return false;
-                }
+                Err(_) => return self.die(),
             }
         }
         if self.site_kills(site::FILE_TORN_WRITE) {
@@ -291,169 +197,51 @@ impl FileBackend {
             let _ = inner.file.write_all(torn);
             let _ = inner.file.flush();
             self.stats.bytes_written.add(torn.len() as u64);
-            self.die();
-            return false;
+            return self.die();
         }
-        if self.site_kills(site::FILE_PWRITE) {
-            self.die();
-            return false;
-        }
-        if inner.file.write_all(frame).is_err() {
-            self.die();
-            return false;
+        if self.site_kills(site::FILE_PWRITE) || inner.file.write_all(frame).is_err() {
+            return self.die();
         }
         inner.bytes += frame.len() as u64;
         self.stats.bytes_written.add(frame.len() as u64);
-        true
     }
 
-    /// Move staged frames to the segment writer in LSN order. The caller
-    /// must have set `draining` under the stage lock; this loops until no
-    /// contiguous frame remains, so frames staged *while* it writes are
-    /// covered before the flag clears and never stranded.
-    fn drain(&self) {
-        loop {
-            let batch: Vec<(Lsn, Vec<u8>)> = {
-                let mut stage = self.stage.lock();
-                let mut batch = Vec::new();
-                loop {
-                    let lsn = stage.next_write + batch.len() as u64;
-                    match stage.frames.remove(&lsn) {
-                        Some(frame) => batch.push((lsn, frame)),
-                        None => break,
-                    }
-                }
-                if batch.is_empty() {
-                    stage.draining = false;
-                    return;
-                }
-                batch
-            };
-            let n = batch.len() as u64;
-            {
-                let mut inner = self.inner.lock();
-                for (lsn, frame) in &batch {
-                    if !self.write_frame(&mut inner, *lsn, frame) {
-                        break; // dead: remaining frames land nowhere anyway
-                    }
-                }
-            }
-            let mut stage = self.stage.lock();
-            // Advance past the whole batch even on death — the process-kill
-            // fiction says post-crash writes land nowhere, and a stuck
-            // next_write would park wal_sync_to forever.
-            stage.next_write += n;
-            self.stage_cv.notify_all();
-        }
-    }
-}
-
-impl Drop for FileBackend {
-    /// Clean-close durability: a normally dropped backend (process exit,
-    /// not a crash fault) writes out whatever the pipeline still holds, so
-    /// a restart scan sees every record mirrored before the close.
-    fn drop(&mut self) {
-        // ordering: single-threaded at drop; any load sees the final value
+    /// Mirror one appended record. [`crate::wal::Wal::append`] calls this
+    /// inside the log mutex, so frames reach the segment in LSN order and
+    /// the WAL publishes an LSN only after its frame is in the file.
+    pub fn wal_append(&self, rec: &LogRecord) {
+        // ordering: the log mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        self.stage.lock().draining = true;
-        self.drain();
-    }
-}
-
-impl StorageBackend for FileBackend {
-    fn wal_append(&self, rec: &LogRecord) {
-        // ordering: fast-path probe; a stale read is a race the disk could also lose
-        if self.dead.load(Ordering::Relaxed) {
-            return;
-        }
-        // ordering: overlap-accounting probe; a stale read only skews a counter
-        let overlapping = self.sync_active.load(Ordering::Relaxed);
-        let started = Instant::now();
-        // Encode outside every lock: this is the CPU work the pipeline
-        // overlaps with the group-commit leader's fsync.
         let frame = codec::encode_record(rec);
-        let drains = {
-            let mut stage = self.stage.lock();
-            stage.frames.insert(rec.lsn, frame);
-            if stage.draining {
-                false // the active drainer's next loop pass covers us
-            } else {
-                stage.draining = true;
-                true
-            }
-        };
-        if drains {
-            self.drain();
-        }
-        if overlapping {
-            self.stats
-                .pipeline_overlap_us
-                .add(started.elapsed().as_micros() as u64);
-        }
+        let mut inner = self.inner.lock();
+        self.write_frame(&mut inner, rec.lsn, &frame);
     }
 
-    fn wal_sync(&self) {
-        self.wal_sync_to(Lsn::MAX);
-    }
-
-    fn wal_sync_to(&self, upto: Lsn) {
+    /// Force the mirrored log to stable storage (the group-commit leader's
+    /// force). Every frame the leader's target covers is already in a
+    /// segment file; those in earlier segments were synced at rotation.
+    pub fn sync(&self) {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
-            return;
-        }
-        {
-            let mut stage = self.stage.lock();
-            // A bounded request waits for the whole prefix `..= upto` even
-            // when some of those frames are not staged yet (their appender
-            // is between the LSN grant and staging; the contiguous-prefix
-            // drain cannot pass the gap, so waiting on `next_write` waits
-            // on them too). The unbounded legacy sync covers what is
-            // staged at call time.
-            let target = if upto == Lsn::MAX {
-                let top = stage.frames.keys().next_back().map_or(0, |l| l + 1);
-                stage.next_write.max(top)
-            } else {
-                upto.saturating_add(1)
-            };
-            // ordering: kill check under the stage lock; die() notifies under it too
-            while stage.next_write < target && !self.dead.load(Ordering::SeqCst) {
-                self.stage_cv.wait(&mut stage);
-            }
-        }
-        // ordering: re-probe after the wait; dead frames never reached the file
-        if self.dead.load(Ordering::SeqCst) {
             return;
         }
         if self.site_kills(site::FILE_FSYNC) {
-            self.die();
-            return;
+            return self.die();
         }
         // Clone the active segment's fd under the lock, fsync outside it:
-        // appenders keep encoding, staging, and draining into the (OS-side
-        // buffered) file while the device write completes. Frames below
-        // `upto` in earlier segments were synced when those rotated out.
-        let file = {
-            let inner = self.inner.lock();
-            inner.file.try_clone()
-        };
-        // ordering: overlap window marker; Relaxed probes in wal_append tolerate skew
-        self.sync_active.store(true, Ordering::Relaxed);
-        let ok = match file {
-            Ok(f) => f.sync_data().is_ok(),
-            Err(_) => false,
-        };
-        // ordering: overlap window marker; Relaxed probes in wal_append tolerate skew
-        self.sync_active.store(false, Ordering::Relaxed);
-        if !ok {
-            self.die();
-            return;
+        // appenders keep writing into the (OS-side buffered) file while the
+        // device write completes.
+        let file = self.inner.lock().file.try_clone();
+        if !file.is_ok_and(|f| f.sync_data().is_ok()) {
+            return self.die();
         }
         self.stats.fsyncs.inc();
     }
 
-    fn write_checkpoint(&self, data: &CheckpointData<'_>) -> Result<()> {
+    /// Durably replace the checkpoint (shadow write + atomic rename).
+    pub fn write_checkpoint(&self, data: &CheckpointData<'_>) -> Result<()> {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             // Process-kill fiction: a dead backend's writes land nowhere.
@@ -494,17 +282,12 @@ impl StorageBackend for FileBackend {
         Ok(())
     }
 
-    fn healthy(&self) -> bool {
+    /// Whether the backend can still write (false after a crash fault).
+    pub fn healthy(&self) -> bool {
         // ordering: SeqCst health check; recovery decisions must see the latest kill
         !self.dead.load(Ordering::SeqCst)
     }
 
-    fn export(&self, snap: &mut obs::Snapshot) {
-        self.stats.export(snap);
-    }
-}
-
-impl FileBackend {
     /// Move every segment wholly older than `ckpt_lsn` to `archive/`. A
     /// segment's coverage ends where the next segment begins, so `seg[i]`
     /// is archivable iff `seg[i+1].start_lsn <= ckpt_lsn`; the last
@@ -603,7 +386,7 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
         db.wal.next_lsn(),
     )?);
     backend.stats.torn_tail_truncations.add(torn_truncations);
-    db.attach_backend(Arc::clone(&backend) as Arc<dyn StorageBackend>);
+    db.attach_backend(Arc::clone(&backend));
     // Re-save the surviving reorganizer checkpoints: the side table dies
     // with every process, and the append mirror makes them durable again
     // in the new segment immediately.
@@ -649,7 +432,7 @@ fn init_fresh(dir: &Path, config: StoreConfig, plan: Option<FaultPlan>) -> Resul
         config.wal_segment_bytes,
         db.wal.next_lsn(),
     )?);
-    db.attach_backend(Arc::clone(&backend) as Arc<dyn StorageBackend>);
+    db.attach_backend(Arc::clone(&backend));
     db.checkpoint_durable(0)?;
     Ok(OpenOutcome {
         db,
@@ -951,60 +734,66 @@ mod tests {
         }
     }
 
-    fn mig(lsn: Lsn) -> LogRecord {
+    /// Four threads × 500 `Wal::append`s through a `FileBackend` sink over
+    /// 4 KiB segments, a force, a drop — optionally with a `file.pwrite`
+    /// kill armed at hit `kill_at`. Returns what the in-memory log holds
+    /// and what a reopened scan of the segments finds.
+    fn concurrent_appends(tag: &str, kill_at: Option<u64>) -> (Vec<LogRecord>, Vec<LogRecord>) {
         use crate::addr::PhysAddr;
-        LogRecord {
-            lsn,
-            tid: TxnId(1),
-            payload: LogPayload::Migrate {
-                old: PhysAddr::new(PartitionId(0), 0, 0),
-                new: PhysAddr::new(PartitionId(0), 0, 64),
-            },
+        use crate::fault::{FaultAction, FaultRule};
+        use crate::wal::Wal;
+        let dir = tmpdir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let fault = Arc::new(FaultInjector::new());
+        if let Some(n) = kill_at {
+            let kill = FaultRule::nth(site::FILE_PWRITE, n, FaultAction::Crash);
+            fault.arm(FaultPlan::new(0).with(kill));
         }
+        let backend = Arc::new(FileBackend::new(&dir, fault, 4096, 0).unwrap());
+        let wal = Wal::new(true, std::time::Duration::ZERO);
+        wal.set_sink(Arc::clone(&backend));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (wal, start) = (&wal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500u16 {
+                        let payload = LogPayload::Migrate {
+                            old: PhysAddr::new(PartitionId(0), t, i),
+                            new: PhysAddr::new(PartitionId(1), t, i),
+                        };
+                        wal.append(TxnId(u64::from(t)), payload);
+                    }
+                });
+            }
+        });
+        wal.flush(wal.next_lsn() - 1);
+        assert_eq!(backend.healthy(), kill_at.is_none());
+        assert!(kill_at.is_some() || backend.stats.segments_rotated.get() >= 2);
+        let logged = wal.records_from(0);
+        drop((wal, backend));
+        let (scanned, torn) = scan_segments(&dir.join("wal")).unwrap();
+        assert_eq!(torn, 0);
+        fs::remove_dir_all(&dir).unwrap();
+        (logged, scanned)
     }
 
     #[test]
-    fn pipelined_out_of_order_mirror_lands_in_lsn_order() {
-        let dir = tmpdir("pipeline");
-        fs::create_dir_all(&dir).unwrap();
-        let backend =
-            FileBackend::new(&dir, Arc::new(FaultInjector::new()), 1 << 20, 0).unwrap();
-        // Frames arrive out of LSN order (appenders race outside the log
-        // mutex): 2 and 1 park in the stage until 0 unblocks the drain.
-        for lsn in [2u64, 1, 0] {
-            backend.wal_append(&mig(lsn));
-        }
-        backend.wal_sync_to(2);
-        assert!(backend.stats.fsyncs.get() >= 1);
-        let (recs, tear) = scan_segment_file(&segment_path(&dir, 0), false).unwrap();
-        assert_eq!(tear, None);
-        let lsns: Vec<Lsn> = recs.iter().map(|r| r.lsn).collect();
-        assert_eq!(lsns, vec![0, 1, 2], "drain restores LSN order on disk");
-        fs::remove_dir_all(&dir).unwrap();
+    fn concurrent_appends_reach_the_segments_in_lsn_order() {
+        let (logged, scanned) = concurrent_appends("lsn-order", None);
+        assert_eq!(logged.len(), 2000);
+        assert!(logged.iter().enumerate().all(|(i, r)| r.lsn == i as Lsn));
+        assert_eq!(scanned, logged, "the segments hold the log, in LSN order");
     }
 
     #[test]
-    fn wal_sync_to_waits_for_the_prefix_to_drain() {
-        let dir = tmpdir("sync-to");
-        fs::create_dir_all(&dir).unwrap();
-        let backend = Arc::new(
-            FileBackend::new(&dir, Arc::new(FaultInjector::new()), 1 << 20, 0).unwrap(),
-        );
-        // Stage LSN 1 only: the prefix has a hole at 0, so a sync bounded
-        // at 1 must block until the gap fills.
-        backend.wal_append(&mig(1));
-        let syncer = {
-            let backend = Arc::clone(&backend);
-            std::thread::spawn(move || backend.wal_sync_to(1))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!syncer.is_finished(), "sync past an unstaged gap must wait");
-        backend.wal_append(&mig(0));
-        syncer.join().unwrap();
-        let (recs, _) = scan_segment_file(&segment_path(&dir, 0), false).unwrap();
-        let lsns: Vec<Lsn> = recs.iter().map(|r| r.lsn).collect();
-        assert_eq!(lsns, vec![0, 1]);
-        fs::remove_dir_all(&dir).unwrap();
+    fn a_pwrite_kill_leaves_a_gap_free_prefix() {
+        // Hit n of `file.pwrite` is frame n: frames 1..n landed, nothing
+        // from the kill on did, whichever threads were appending.
+        let (logged, scanned) = concurrent_appends("kill-prefix", Some(700));
+        assert_eq!(scanned.len(), 699);
+        assert_eq!(scanned, logged[..699]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! The log is in-memory (the paper's experiments run a memory-resident
 //! database); forcing the tail at commit is simulated with a configurable
 //! latency so the CPU/I-O overlap the paper observes at commit time exists
-//! here too.
+//! here too. With a [`crate::storage::FileBackend`] attached, every append
+//! also writes its frame to the segment file — inside the log mutex, so the
+//! file is in LSN order — and the force is a real `fsync`.
 //!
 //! Undo of an aborting transaction logs compensation records through the
 //! same record types ([`LogPayload::inverse`]), so a *linear* scan of the log
@@ -21,6 +23,7 @@ pub mod analyzer;
 use crate::addr::{PartitionId, PhysAddr};
 use crate::lockdep::{Condvar, LockClass, Mutex};
 use crate::object::ObjectView;
+use crate::storage::FileBackend;
 use crate::trt::RefAction;
 use crate::txn::TxnId;
 use obs::{Counter, Histogram};
@@ -246,6 +249,13 @@ struct WalInner {
 }
 
 /// The write-ahead log.
+///
+/// `repr(C)`: declared order is layout order, so the log mutex, the records
+/// it guards and `next_lsn` — everything an append writes — stay on the
+/// struct's first cache line (`stats` aligns it to one). Left to the
+/// compiler, a size change of any field can move `next_lsn` onto a second
+/// line both appenders then contend for (`walk_update` −7 %).
+#[repr(C)]
 pub struct Wal {
     inner: Mutex<WalInner>,
     /// Next LSN to assign. Written only under `inner`, as the last step of
@@ -271,13 +281,12 @@ pub struct Wal {
     flush_leader: Mutex<bool>,
     flush_cv: Condvar,
     /// Durability mirror (DESIGN.md §14). When set, every append is also
-    /// handed to the backend — *outside* the log mutex, so record
-    /// formatting overlaps an in-flight group-commit fsync; the backend
-    /// restores LSN order on disk with its staged contiguous-prefix drain
-    /// — and the leader's force becomes a real fsync. `None` for the
-    /// default in-memory simulator: the mirror costs nothing unless a
-    /// file backend is attached.
-    sink: std::sync::OnceLock<std::sync::Arc<dyn crate::storage::StorageBackend>>,
+    /// handed to the backend — under the log mutex, before `next_lsn` is
+    /// published, so every LSN below `next_lsn` is in the segment file —
+    /// and the leader's force becomes a real fsync. `None` for the default
+    /// in-memory simulator: the mirror costs nothing unless a file backend
+    /// is attached.
+    sink: std::sync::OnceLock<std::sync::Arc<FileBackend>>,
     /// Logging-path counters.
     pub stats: WalStats,
 }
@@ -311,7 +320,7 @@ impl Wal {
     /// writers (records appended earlier — e.g. recovery compensations —
     /// are deliberately not mirrored: they are re-derived by re-running
     /// recovery, and only become durable via the post-recovery checkpoint).
-    pub fn set_sink(&self, sink: std::sync::Arc<dyn crate::storage::StorageBackend>) {
+    pub fn set_sink(&self, sink: std::sync::Arc<FileBackend>) {
         let _ = self.sink.set(sink);
     }
 
@@ -344,13 +353,9 @@ impl Wal {
         // ordering: Relaxed; every store is made under the log mutex held here
         let lsn = self.next_lsn.load(Ordering::Relaxed);
         let rec = LogRecord { lsn, tid, payload };
-        // Clone for the mirror only when one is attached; the clone is the
-        // whole cost paid under the log mutex — frame encoding and file
-        // I/O happen after the lock drops, so appenders format frames
-        // while the group-commit leader's fsync is still in flight (the
-        // backend's staged contiguous-prefix drain restores LSN order
-        // before any byte reaches the segment file).
-        let mirror = self.sink.get().map(|s| (s, rec.clone()));
+        if let Some(sink) = self.sink.get() {
+            sink.wal_append(&rec);
+        }
         inner.records.push(rec);
         if !self.retain && inner.records.len() > self.truncate_watermark {
             // ordering: pairs with the Release store in recompute_pin; truncation sees pins
@@ -364,13 +369,10 @@ impl Wal {
             }
         }
         // Published last: whoever reads `lsn + 1` finds this record in the
-        // log, and sees everything its appender did before appending it.
+        // log (and its frame in the sink's segment file), and sees
+        // everything its appender did before appending it.
         // ordering: Release pairs with the Acquire load in next_lsn
         self.next_lsn.store(lsn + 1, Ordering::Release);
-        drop(inner);
-        if let Some((sink, rec)) = mirror {
-            sink.wal_append(&rec);
-        }
         lsn
     }
 
@@ -413,9 +415,8 @@ impl Wal {
             if let Some(sink) = self.sink.get() {
                 // Real durability: the leader's force is an fsync of the
                 // active segment, on behalf of every absorbed follower.
-                // `wal_sync_to` first waits for every mirrored frame up to
-                // the target to drain out of the pipeline stage.
-                sink.wal_sync_to(target);
+                // Every frame up to the target is already in the file.
+                sink.sync();
             }
             if !self.flush_latency.is_zero() {
                 // Model the device: the flush costs latency outside any latch.

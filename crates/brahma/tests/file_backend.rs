@@ -198,3 +198,34 @@ fn checkpoint_alone_is_openable() {
     assert_eq!(out.db.raw_read(addr).expect("object").payload, b"kept");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The mirror's lock order, as lockdep saw it: appends take the segment
+/// writer inside the log mutex, and nothing holding the segment writer
+/// goes back for a WAL lock (commit, force, rotation, durable checkpoint
+/// and archiving all ran).
+#[cfg(any(debug_assertions, feature = "lockdep"))]
+#[test]
+fn segment_writer_nests_inside_the_log_mutex_only() {
+    use brahma::lockdep::LockClass::{self, FileBackend, WalFlushLeader, WalInner, WalPins};
+    let dir = tmpdir("lock-order");
+    let db = brahma::storage::open(file_config(&dir)).expect("open").db;
+    let p = db.create_partition();
+    for i in 0..40u8 {
+        let mut txn = db.begin();
+        txn.create_object(p, NewObject::exact(i, vec![], vec![i; 200]))
+            .expect("create");
+        txn.commit().expect("commit");
+    }
+    db.checkpoint_durable(1).expect("ckpt");
+    let edges: Vec<(LockClass, LockClass)> = brahma::lockdep::dump_edges()
+        .into_iter()
+        .map(|(a, b, _)| (a, b))
+        .collect();
+    assert!(edges.contains(&(WalInner, FileBackend)));
+    let back: Vec<_> = edges
+        .iter()
+        .filter(|e| matches!(e, (FileBackend, WalInner | WalPins | WalFlushLeader)))
+        .collect();
+    assert!(back.is_empty(), "FileBackend held while taking {back:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -450,6 +450,29 @@ fn crash_inside_open_reorg_window_reports_interruption() {
     assert_eq!(out.reorg_checkpoints, vec![(p0, vec![0xAA, 0xBB, 0xCC])]);
 }
 
+/// One committed reorganization transaction (the caller holds the window
+/// open) that copies each of partition 0's parentless `objects` within the
+/// partition and deletes the original, leaving the copy's address in its
+/// place.
+fn relocate_all(db: &Database, objects: &mut [PhysAddr]) {
+    let mut pass = db.begin_reorg(PartitionId(0));
+    for slot in objects.iter_mut() {
+        pass.lock(*slot, LockMode::Exclusive).unwrap();
+        let image = pass.read(*slot).unwrap();
+        let spec = NewObject {
+            tag: image.tag,
+            refs: image.refs,
+            ref_cap: image.ref_cap,
+            payload: image.payload,
+            payload_cap: image.payload_cap,
+        };
+        let copy = pass.create_object(PartitionId(0), spec).unwrap();
+        pass.delete_object(*slot).unwrap();
+        *slot = copy;
+    }
+    pass.commit().unwrap();
+}
+
 /// Page demotion is not logged. A checkpoint that still shows a page full
 /// of one size class, a reorganization pass that empties it (so the flush
 /// at its end demotes it), objects of *another* class created on the
@@ -479,22 +502,7 @@ fn recovery_recreates_other_class_objects_on_a_reused_page() {
     // The pass: every object moves off page 0 (its frees are withheld
     // while the pass runs), and `end_reorg` finds the page empty.
     db.start_reorg(PartitionId(0)).unwrap();
-    let mut pass = db.begin_reorg(PartitionId(0));
-    for slot in pool.iter_mut() {
-        pass.lock(*slot, LockMode::Exclusive).unwrap();
-        let image = pass.read(*slot).unwrap();
-        let spec = NewObject {
-            tag: image.tag,
-            refs: image.refs,
-            ref_cap: image.ref_cap,
-            payload: image.payload,
-            payload_cap: image.payload_cap,
-        };
-        let copy = pass.create_object(PartitionId(0), spec).unwrap();
-        pass.delete_object(*slot).unwrap();
-        *slot = copy;
-    }
-    pass.commit().unwrap();
+    relocate_all(&db, &mut pool);
     db.end_reorg(PartitionId(0));
     assert!(pool.iter().all(|a| a.page() == 1));
     // 1024-byte-class objects take over page 0, at offsets no 4096-byte
@@ -518,4 +526,42 @@ fn recovery_recreates_other_class_objects_on_a_reused_page() {
     assert_eq!(part.page_count(), 2);
     assert_eq!(part.allocator_problems(false), Vec::<String>::new());
     brahma::sweep::assert_database_consistent(&out.db);
+}
+
+/// A checkpoint taken *mid*-reorganization records the slots the pass has
+/// freed so far as withheld. REDO of the pass's `ReorgEnd` must repeat
+/// `end_reorg`'s flush, or those slots stay withheld after restart.
+#[test]
+fn redo_of_reorg_end_releases_what_a_mid_reorg_checkpoint_withheld() {
+    let db = two_partitions();
+    let mut pool: Vec<PhysAddr> = (0..6)
+        .map(|_| {
+            let mut t = db.begin();
+            let spec = NewObject::exact(1, vec![], vec![7; 8]);
+            let a = t.create_object(PartitionId(0), spec).unwrap();
+            t.commit().unwrap();
+            a
+        })
+        .collect();
+    let mut vacated = pool.clone();
+    vacated.sort();
+    db.start_reorg(PartitionId(0)).unwrap();
+    relocate_all(&db, &mut pool[..3]);
+    let ckpt = db.checkpoint(0); // three slots withheld in this snapshot
+    relocate_all(&db, &mut pool[3..]);
+    db.end_reorg(PartitionId(0));
+    let part = db.partition(PartitionId(0)).unwrap();
+    let size = part.object_size(pool[0]).unwrap() as usize;
+    let expected = (state_dump(&db), part.space_stats());
+
+    let image = db.crash(ckpt, true);
+    let out = recover(image, StoreConfig::default()).unwrap();
+    assert!(out.interrupted_reorgs.is_empty());
+    let part = out.db.partition(PartitionId(0)).unwrap();
+    assert_eq!(part.allocator_problems(true), Vec::<String>::new());
+    assert_eq!((state_dump(&out.db), part.space_stats()), expected);
+    // Same-class allocations reuse every slot the reorganization vacated.
+    let mut reused: Vec<PhysAddr> = (0..6).map(|_| part.allocate(size).unwrap()).collect();
+    reused.sort();
+    assert_eq!(reused, vacated);
 }

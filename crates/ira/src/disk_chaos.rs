@@ -301,8 +301,7 @@ pub fn run_disk_cell(cell: &DiskChaosCell) -> DiskCellOutcome {
 
 /// Deterministic multi-partition kill/resume: two reorganizations in
 /// flight, a hard kill, one cold recovery that reports both interrupted,
-/// and both resumed from their durable checkpoints. Used by the sweep and
-/// by ci.sh's quick smoke.
+/// and both resumed from their durable checkpoints.
 pub fn run_multi_partition_kill(seed: u64) -> (usize, usize) {
     let dir = std::env::temp_dir().join(format!(
         "brahma-disk-multi-{}-{seed}",

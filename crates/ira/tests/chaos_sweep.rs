@@ -6,12 +6,11 @@
 //! cell whose site never reaches its stride completes clean and is
 //! verified the same way.
 //!
-//! `CHAOS_QUICK=1` bounds the matrix to one stride per site (the ci.sh
-//! `--quick` configuration); the full matrix additionally asserts that
-//! every site actually fired in at least one cell. A failing cell prints a
-//! `REPRO: …` banner with its exact coordinates (and dumps the schedule
-//! ring when `SCHED_DUMP=path` is set); `CHAOS_ROOT_SEED` overrides the
-//! root of the sweep's [`brahma::SeedTree`] to re-run a reported seed.
+//! The sweep also asserts that every site actually fired in at least one
+//! cell. A failing cell prints a `REPRO: …` banner with its exact
+//! coordinates (and dumps the schedule ring when `SCHED_DUMP=path` is
+//! set); `CHAOS_ROOT_SEED` overrides the root of the sweep's
+//! [`brahma::SeedTree`] to re-run a reported seed.
 
 use brahma::env_cfg;
 use brahma::SeedTree;
@@ -24,17 +23,10 @@ fn root_seed() -> u64 {
     env_cfg::chaos_root_seed()
 }
 
-fn strides() -> Vec<u64> {
-    if env_cfg::chaos_quick() {
-        vec![2]
-    } else {
-        vec![1, 3, 7]
-    }
-}
+const STRIDES: [u64; 4] = [1, 2, 3, 7];
 
 #[test]
 fn crash_point_sweep_over_every_site() {
-    let quick = env_cfg::chaos_quick();
     let root = root_seed();
     let tree = SeedTree::new(root);
     let mut fired: HashMap<&'static str, u64> = HashMap::new();
@@ -47,14 +39,13 @@ fn crash_point_sweep_over_every_site() {
     let lockdep_before = brahma::lockdep::violations();
 
     for (i, &site) in all_sites().iter().enumerate() {
-        for &stride in &strides() {
+        for stride in STRIDES {
             let cell = ChaosCell {
                 site,
                 nth_hit: stride,
                 seed: tree.child(site).child_idx(stride).seed(),
-                // The quick sweep runs entirely on the parallel executor;
-                // the full matrix alternates serial and parallel cells.
-                workers: if quick { 2 } else { 1 + (i % 2) },
+                // Sites alternate serial and parallel cells.
+                workers: 1 + (i % 2),
             };
             // run_crash_cell panics on any invariant violation; reaching
             // here means the cell verified.
@@ -84,15 +75,13 @@ fn crash_point_sweep_over_every_site() {
 
     // The stride-1 cells fire deterministically (the primer transaction
     // touches every substrate site; the reorganizer touches the IRA sites),
-    // so with the full matrix every site must have fired somewhere.
-    if !quick {
-        for &site in &all_sites() {
-            assert!(
-                fired.get(site).copied().unwrap_or(0) > 0,
-                "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site} \
-                 — site never fired in any cell of the full matrix"
-            );
-        }
+    // so every site must have fired somewhere.
+    for &site in &all_sites() {
+        assert!(
+            fired.get(site).copied().unwrap_or(0) > 0,
+            "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site} \
+             — site never fired in any cell of the matrix"
+        );
     }
     assert!(
         crashed_cells > 0,

@@ -8,10 +8,9 @@
 //! again, resumes the interrupted reorganization from its durable blob,
 //! and verifies graph isomorphism + store consistency.
 //!
-//! `DISK_CHAOS_QUICK=1` bounds the matrix to one stride per site (the
-//! ci.sh smoke configuration). `DISK_CHAOS_ROOT_SEED` overrides the seed
-//! tree root to re-run a reported matrix verbatim; failing cells print a
-//! `REPRO: …` banner with their exact coordinates.
+//! `DISK_CHAOS_ROOT_SEED` overrides the seed tree root to re-run a
+//! reported matrix verbatim; failing cells print a `REPRO: …` banner with
+//! their exact coordinates.
 
 use brahma::env_cfg;
 use brahma::SeedTree;
@@ -27,13 +26,7 @@ fn root_seed() -> u64 {
 /// sites (every log append is a pwrite), so the strides sit deeper than
 /// the in-memory chaos sweep's: stride 1 kills during the very first
 /// durable write of the reorganization, the deep strides land mid-run.
-fn strides() -> Vec<u64> {
-    if env_cfg::disk_chaos_quick() {
-        vec![12]
-    } else {
-        vec![1, 7, 30]
-    }
-}
+const STRIDES: [u64; 4] = [1, 7, 12, 30];
 
 #[test]
 fn disk_kill_sweep_over_every_file_site() {
@@ -48,7 +41,7 @@ fn disk_kill_sweep_over_every_file_site() {
     let lockdep_before = brahma::lockdep::violations();
 
     for &site in brahma::fault::site::FILE_ALL {
-        for &stride in &strides() {
+        for stride in STRIDES {
             let cell = DiskChaosCell {
                 site,
                 nth_hit: stride,
@@ -74,42 +67,40 @@ fn disk_kill_sweep_over_every_file_site() {
     }
 
     // The kill path must actually have been exercised: at least one cell
-    // died mid-run, and with the full matrix every file site fired
-    // somewhere (stride 1 fires on the first durable write).
+    // died mid-run, and every file site fired somewhere (stride 1 fires on
+    // the first durable write).
     assert!(
         killed_cells > 0,
         "REPRO: DISK_CHAOS_ROOT_SEED={root} — no cell was killed; the \
          sweep never exercised crash recovery"
     );
-    if !env_cfg::disk_chaos_quick() {
-        for &site in brahma::fault::site::FILE_ALL {
-            assert!(
-                fired.get(site).copied().unwrap_or(0) > 0,
-                "REPRO: DISK_CHAOS_ROOT_SEED={root} CELL=site:{site} \
-                 — file site never fired in any cell of the full matrix"
-            );
-        }
-        // Torn-write cells must have produced (and truncated) at least
-        // one torn tail; at least one recovery must itself have been
-        // crashed and survived a third open; and at least one deep-stride
-        // cell must have killed the process with the reorganization still
-        // open (ReorgStart on disk, no ReorgEnd).
+    for &site in brahma::fault::site::FILE_ALL {
         assert!(
-            torn > 0,
-            "REPRO: DISK_CHAOS_ROOT_SEED={root} — torn-write cells \
-             truncated no tails"
-        );
-        assert!(
-            double_crashes > 0,
-            "REPRO: DISK_CHAOS_ROOT_SEED={root} — no cell double-crashed \
-             during recovery"
-        );
-        assert!(
-            interrupted_cells > 0,
-            "REPRO: DISK_CHAOS_ROOT_SEED={root} — no cell killed the \
-             process mid-reorganization"
+            fired.get(site).copied().unwrap_or(0) > 0,
+            "REPRO: DISK_CHAOS_ROOT_SEED={root} CELL=site:{site} \
+             — file site never fired in any cell of the matrix"
         );
     }
+    // Torn-write cells must have produced (and truncated) at least one
+    // torn tail; at least one recovery must itself have been crashed and
+    // survived a third open; and at least one deep-stride cell must have
+    // killed the process with the reorganization still open (ReorgStart on
+    // disk, no ReorgEnd).
+    assert!(
+        torn > 0,
+        "REPRO: DISK_CHAOS_ROOT_SEED={root} — torn-write cells \
+         truncated no tails"
+    );
+    assert!(
+        double_crashes > 0,
+        "REPRO: DISK_CHAOS_ROOT_SEED={root} — no cell double-crashed \
+         during recovery"
+    );
+    assert!(
+        interrupted_cells > 0,
+        "REPRO: DISK_CHAOS_ROOT_SEED={root} — no cell killed the \
+         process mid-reorganization"
+    );
     // Whether a kill lands in the window after the first durable blob but
     // before ReorgEnd depends on walker scheduling, so blob-resume counts
     // are reported rather than asserted here — the deterministic
