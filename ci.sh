@@ -2,13 +2,13 @@
 # Tier-1 gate: release build, full test suite, lint + lockdep, clippy clean.
 set -eux
 
-# Static analysis first, before anything is built or executed (DESIGN.md
-# §17): lock-graph cycles, guards held across blocking calls, and
-# unjustified atomic orderings all fail here with file:line diagnostics,
-# modulo lint-baseline.toml. The findings are sorted by (file, line, rule)
-# so CI output diffs cleanly, and the analysis itself must finish inside
-# the budget — it is a gate, not a phase.
-LINT_BUDGET_MS=5000 cargo run -p lint
+# The line linter first, before anything else is built or executed
+# (DESIGN.md §11.2): stray sleeps and unwraps, undocumented counters,
+# unregistered fault sites, raw parking_lot locks and unjustified atomic
+# orderings fail here with file:line diagnostics, modulo lint-baseline.toml,
+# sorted by (file, line, rule) so CI output diffs cleanly. Lock order is
+# lockdep's, checked by every test below.
+cargo run -p lint
 # Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md,trace}
 # in the top-level docs resolves from the repo root, so a rename or a
 # deletion cannot leave the docs pointing at nothing.
@@ -20,13 +20,17 @@ if [ -n "$missing" ]; then
   echo "$missing" >&2
   exit 1
 fi
+# Non-test code of a source file: everything before its `#[cfg(test)]` or
+# `#[cfg(all(test, …))]` module. The guards and the size counter below
+# share this one cut.
+nontest() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^#\[cfg(all(test/,$d' "$@"; }
 # One owner of what an update record does to a page (DESIGN.md §12.1):
 # outside object.rs, non-test code in at most one file under
 # crates/brahma/src may call the page mutators — today db.rs, inside
 # `Database::apply_update` — so a second copy of the record semantics fails
 # here, before anything is built.
 owners=$(for f in crates/brahma/src/*.rs crates/brahma/src/*/*.rs; do
-  if [ "$f" != crates/brahma/src/object.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" |
+  if [ "$f" != crates/brahma/src/object.rs ] && nontest "$f" |
     grep -Eq 'object::(init_object|mark_free|set_payload|set_ref|insert_ref|insert_ref_at|remove_ref_at)\('
   then echo "$f"; fi
 done)
@@ -37,9 +41,9 @@ if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then
 fi
 # Env knobs (DESIGN.md §16): the "UPPER_CASE" names non-test code of
 # env_cfg.rs reads and the rows of §16's table must be the same set.
-code_knobs=$(sed '/^#\[cfg(test)\]/,$d' crates/brahma/src/env_cfg.rs |
+code_knobs=$(nontest crates/brahma/src/env_cfg.rs |
   grep -o '"[A-Z][A-Z0-9_]*"' | tr -d '"' | sort -u)
-doc_knobs=$(sed -n '/^## 16\./,/^## 17\./p' DESIGN.md |
+doc_knobs=$(sed -n '/^## 16\./,$p' DESIGN.md |
   grep -o '^| `[A-Z][A-Z0-9_]*`' | tr -d '|` ' | sort -u)
 if [ "$code_knobs" != "$doc_knobs" ]; then
   printf 'env_cfg.rs reads:\n%s\nDESIGN.md §16 lists:\n%s\n' "$code_knobs" "$doc_knobs" >&2
@@ -79,7 +83,8 @@ EXPLORE_ROOTS=2 EXPLORE_PRIOS=2 cargo test -q -p ira --features sched-trace \
 # Runtime lock-order checker in its release configuration (DESIGN.md §11):
 # debug/test builds above already run with lockdep armed via
 # debug_assertions; this pass proves the `lockdep` feature also composes
-# with optimized code, where violations count instead of panicking.
+# with optimized code, where violations count instead of panicking — which
+# is why `lock_order.rs` and the chaos sweeps assert the counter itself.
 cargo test --release --features lockdep -q -p brahma -p ira
 # Paper-shape gate (DESIGN.md §13): Table 2's trio at MPL 30 must be
 # healthy and hold the paper's three inequalities, or this exits nonzero.
@@ -102,9 +107,9 @@ bash benchmark/run.sh --smoke
 # build of the crates under test.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
 # One size counter, so "least code" (ROADMAP) is the same number in every
-# PR: non-test Rust lines under crates/*/src and shims/*/src (the
-# `#[cfg(test)]`-to-end cut the guards above use), then test and benchmark
-# lines. CHANGES.md quotes this line for the parent and the change.
-src=$(find crates/*/src shims/*/src -name '*.rs' -exec sed '/^#\[cfg(test)\]/,$d' {} \; | wc -l)
+# PR: non-test Rust lines under crates/*/src and shims/*/src (the `nontest`
+# cut the guards above use), then test and benchmark lines. CHANGES.md
+# quotes this line for the parent and the change.
+src=$(find crates/*/src shims/*/src -name '*.rs' | while read -r f; do nontest "$f"; done | wc -l)
 count() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
 echo "size: src=$src crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src)"

@@ -24,6 +24,8 @@
 //! with `O_old`/`O_new` aliased as one object), basic IRA holds only the
 //! batch's confirmed parent set ([`assert_txn_locks_subset`]), and wave
 //! workers are lock-free at batch boundaries ([`assert_no_txn_locks`]).
+//! [`might_block`], called before each product `thread::sleep`, checks that
+//! nothing sleeps under a wrapped lock.
 //!
 //! A violation **panics** in debug builds (tests fail loudly) and is
 //! otherwise **counted** in the `lockdep.violations` counter that
@@ -227,7 +229,10 @@ fn record_edge(from: LockClass, to: LockClass, held: &[HeldEntry]) {
     if prov.contains_key(&(from, to)) {
         return;
     }
-    if let Some(path) = find_path(&prov, to, from) {
+    // A same-class nesting `(X, X)` is recorded for `dump_edges` only:
+    // `order_key` order governs it, not the class graph.
+    let closes = (from != to).then(|| find_path(&prov, to, from)).flatten();
+    if let Some(path) = closes {
         // Inserting from->to would close a cycle to -> .. -> from -> to.
         let mut other = String::new();
         for w in path.windows(2) {
@@ -266,22 +271,23 @@ fn acquire(tag: Tag, shared: bool) -> u64 {
     HELD.with(|h| {
         let held = h.borrow();
         for e in held.iter() {
-            if e.class == class {
-                if order_key <= e.order_key && !(shared && e.shared) && order_msg.is_none() {
-                    order_msg = Some(format!(
-                        "same-class order violation: acquiring {:?}#{} while \
-                         holding {:?}#{} (instances of one class must be taken \
-                         in increasing order)\n  this thread's chain: {}",
-                        class,
-                        order_key,
-                        e.class,
-                        e.order_key,
-                        chain_str(&held),
-                    ));
-                }
-            } else {
-                record_edge(e.class, class, &held);
+            if e.class == class
+                && order_key <= e.order_key
+                && !(shared && e.shared)
+                && order_msg.is_none()
+            {
+                order_msg = Some(format!(
+                    "same-class order violation: acquiring {:?}#{} while \
+                     holding {:?}#{} (instances of one class must be taken \
+                     in increasing order)\n  this thread's chain: {}",
+                    class,
+                    order_key,
+                    e.class,
+                    e.order_key,
+                    chain_str(&held),
+                ));
             }
+            record_edge(e.class, class, &held);
         }
     });
     if let Some(msg) = order_msg {
@@ -578,10 +584,8 @@ pub fn violations() -> u64 {
 
 /// Snapshot the held-before edges recorded so far, as
 /// `(held_class, acquired_class, recording_thread_chain)` triples in
-/// class order. The static analyzer's cross-check diffs this against
-/// the lock graph `crates/lint` builds without executing anything:
-/// every edge observed at runtime must be statically predicted
-/// (static ⊇ runtime), or the analyzer has a resolution gap.
+/// class order; a same-class nesting appears as `(X, X)`.
+/// `crates/ira/tests/lock_order.rs` pins the set a real workload produces.
 pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
     PROVENANCE
         .lock()
@@ -589,6 +593,22 @@ pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
         .iter()
         .map(|(&(from, to), chain)| (from, to, chain.clone()))
         .collect()
+}
+
+/// The calling thread is about to sleep: a violation if it holds any
+/// lock this module tracks (the kernel's `might_sleep()`). Called before
+/// each product `thread::sleep`.
+pub fn might_block(ctx: &str) {
+    if !ARMED {
+        return;
+    }
+    let chain = HELD.with(|h| {
+        let held = h.borrow();
+        (!held.is_empty()).then(|| chain_str(&held))
+    });
+    if let Some(chain) = chain {
+        violation(&format!("{ctx}: may block while holding {chain}"));
+    }
 }
 
 /// Run `f` with violations counted instead of panicking; returns `f`'s
@@ -803,6 +823,31 @@ mod tests {
             let _g0 = s0.lock();
         });
         assert_eq!(raised, 1);
+    }
+
+    #[test]
+    fn same_class_nesting_is_dumped_as_a_self_edge_not_a_cycle() {
+        let s1 = Mutex::new(LockClass::TestA, 1, ());
+        let s2 = Mutex::new(LockClass::TestA, 2, ());
+        let (_, raised) = tolerate(|| {
+            let _g1 = s1.lock();
+            let _g2 = s2.lock();
+        });
+        assert_eq!(raised, 0, "(X, X) stays out of the cycle search");
+        assert!(dump_edges()
+            .iter()
+            .any(|(a, b, _)| (*a, *b) == (LockClass::TestA, LockClass::TestA)));
+    }
+
+    #[test]
+    fn might_block_trips_only_under_a_held_lock() {
+        let m = Mutex::new(LockClass::TestA, 0, ());
+        let g = m.lock();
+        let (_, raised) = tolerate(|| might_block("test"));
+        assert_eq!(raised, 1, "sleeping under a TestA guard is a violation");
+        drop(g);
+        let (_, raised) = tolerate(|| might_block("test"));
+        assert_eq!(raised, 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! than a shared RNG stream, so concurrent retriers never contend and a
 //! replay with the same seed produces the same delays.
 
+use crate::lockdep;
 use crate::sched::{self, splitmix64};
 use obs::Counter;
 use std::time::Duration;
@@ -152,6 +153,7 @@ impl crate::db::Database {
                 self.retry_stats.attempts.inc();
                 sched::point("retry.backoff", state.attempt as u64);
                 if !delay.is_zero() {
+                    lockdep::might_block("retry.backoff");
                     std::thread::sleep(delay);
                 }
                 true

@@ -21,14 +21,18 @@
 //!   label hash), so every RNG stream in a run — workload walks, chaos
 //!   cells, retry jitter — is a pure function of the root seed.
 //!
-//! Like [`crate::lockdep`], the recorder is compiled in when
-//! `debug_assertions` are on or the `sched-trace` cargo feature is enabled,
-//! and is otherwise a transparent no-op. When compiled in it is still
+//! Like [`crate::lockdep`], the recorder runs when `debug_assertions` are on
+//! or the `sched-trace` cargo feature is enabled; otherwise every hook
+//! returns on the `COMPILED` constant first. When compiled in it is still
 //! *disarmed* by default: every point is a single relaxed atomic load until
 //! a harness calls [`arm`]. All internal state uses `std::sync` primitives
 //! so the recorder never instruments itself through lockdep.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// splitmix64: the seed-derivation hash. Small, fast, and equidistributed
 /// enough for jitter and child-seed derivation (it is the seeder
@@ -121,255 +125,213 @@ pub fn next_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-#[cfg(any(debug_assertions, feature = "sched-trace"))]
-mod imp {
-    use super::{Controller, SchedEvent, SEQ};
-    use std::cell::Cell;
-    use std::collections::VecDeque;
-    use std::io::Write;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex, RwLock};
+/// Whether the recorder exists in this build. A constant: `point`, `arm`,
+/// `install_controller` and the other hooks return on it first, so a release
+/// build without `sched-trace` compiles them to nothing.
+const COMPILED: bool = cfg!(any(debug_assertions, feature = "sched-trace"));
 
-    /// Ring capacity: enough for a whole chaos cell at lock-acquire
-    /// granularity; older events are dropped (and counted) beyond it.
-    const RING_CAP: usize = 1 << 16;
+/// Ring capacity: enough for a whole chaos cell at lock-acquire
+/// granularity; older events are dropped (and counted) beyond it.
+const RING_CAP: usize = 1 << 16;
 
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static RING: Mutex<Ring> = Mutex::new(Ring {
-        buf: VecDeque::new(),
-        dropped: 0,
-    });
-    /// Interned thread labels; a record stores an index into this table.
-    static LABELS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    static CONTROLLER: RwLock<Option<Arc<dyn Controller>>> = RwLock::new(None);
+static ARMED: AtomicBool = AtomicBool::new(false);
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    buf: VecDeque::new(),
+    dropped: 0,
+});
+/// Interned thread labels; a record stores an index into this table.
+static LABELS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static CONTROLLER: RwLock<Option<Arc<dyn Controller>>> = RwLock::new(None);
 
-    struct Ring {
-        buf: VecDeque<Rec>,
-        dropped: u64,
+struct Ring {
+    buf: VecDeque<Rec>,
+    dropped: u64,
+}
+
+#[derive(Clone, Copy)]
+struct Rec {
+    seq: u64,
+    label: u32,
+    event: &'static str,
+    key: u64,
+}
+
+thread_local! {
+    /// This thread's interned label id; `u32::MAX` means unlabeled.
+    static LABEL: Cell<u32> = const { Cell::new(u32::MAX) };
+}
+
+fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
+    // The recorder must stay usable while a panicking test unwinds —
+    // that is exactly when dump_on_failure runs.
+    e.into_inner()
+}
+
+/// Label the calling thread for capture ("walker-0", "wave-2", …).
+#[inline]
+pub fn set_thread_label(label: &str) {
+    if !COMPILED {
+        return;
     }
-
-    #[derive(Clone, Copy)]
-    struct Rec {
-        seq: u64,
-        label: u32,
-        event: &'static str,
-        key: u64,
-    }
-
-    thread_local! {
-        /// This thread's interned label id; `u32::MAX` means unlabeled.
-        static LABEL: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-
-    fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
-        // The recorder must stay usable while a panicking test unwinds —
-        // that is exactly when dump_on_failure runs.
-        e.into_inner()
-    }
-
-    /// Label the calling thread for capture ("walker-0", "wave-2", …).
-    pub fn set_thread_label(label: &str) {
-        let mut table = LABELS.lock().unwrap_or_else(poisoned);
-        let id = match table.iter().position(|l| l == label) {
-            Some(i) => i as u32,
-            None => {
-                table.push(label.to_string());
-                (table.len() - 1) as u32
-            }
-        };
-        drop(table);
-        LABEL.with(|l| l.set(id));
-    }
-
-    fn label_name(id: u32) -> String {
-        if id == u32::MAX {
-            return format!("anon-{:?}", std::thread::current().id());
+    let mut table = LABELS.lock().unwrap_or_else(poisoned);
+    let id = match table.iter().position(|l| l == label) {
+        Some(i) => i as u32,
+        None => {
+            table.push(label.to_string());
+            (table.len() - 1) as u32
         }
-        LABELS
-            .lock()
-            .unwrap_or_else(poisoned)
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| "anon".to_string())
-    }
+    };
+    drop(table);
+    LABEL.with(|l| l.set(id));
+}
 
-    /// Start capturing (and gating, if a controller is installed). Clears
-    /// the ring so a dump covers exactly the armed window.
-    pub fn arm() {
-        {
-            let mut ring = RING.lock().unwrap_or_else(poisoned);
-            ring.buf.clear();
-            ring.dropped = 0;
+fn label_name(id: u32) -> String {
+    if id == u32::MAX {
+        return format!("anon-{:?}", std::thread::current().id());
+    }
+    LABELS
+        .lock()
+        .unwrap_or_else(poisoned)
+        .get(id as usize)
+        .cloned()
+        .unwrap_or_else(|| "anon".to_string())
+}
+
+/// Start capturing (and gating, if a controller is installed). Clears
+/// the ring so a dump covers exactly the armed window.
+#[inline]
+pub fn arm() {
+    if !COMPILED {
+        return;
+    }
+    {
+        let mut ring = RING.lock().unwrap_or_else(poisoned);
+        ring.buf.clear();
+        ring.dropped = 0;
+    }
+    // ordering: SeqCst arm; capture points must not straddle the toggle
+    ARMED.store(true, Ordering::SeqCst);
+}
+
+/// Stop capturing; the ring is retained for inspection until the next
+/// [`arm`].
+pub fn disarm() {
+    // ordering: SeqCst disarm, paired with arm above
+    ARMED.store(false, Ordering::SeqCst);
+}
+
+/// Whether the recorder is armed (the hot-path guard).
+#[inline]
+pub fn armed() -> bool {
+    // ordering: hot-path probe; a stale read skips at most one capture point
+    COMPILED && ARMED.load(Ordering::Relaxed)
+}
+
+/// An instrumented point: record `(thread, event, key, seq)` and gate
+/// through the installed controller, if any. A single relaxed load when
+/// disarmed.
+#[inline]
+pub fn point(event: &'static str, key: u64) {
+    if !armed() {
+        return;
+    }
+    record_and_gate(event, key);
+}
+
+#[cold]
+fn record_and_gate(event: &'static str, key: u64) {
+    // ordering: sequence allocator; uniqueness only, the ring mutex orders records
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let label = LABEL.with(|l| l.get());
+    {
+        let mut ring = RING.lock().unwrap_or_else(poisoned);
+        if ring.buf.len() >= RING_CAP {
+            ring.buf.pop_front();
+            ring.dropped += 1;
         }
-        // ordering: SeqCst arm; capture points must not straddle the toggle
-        ARMED.store(true, Ordering::SeqCst);
+        ring.buf.push_back(Rec {
+            seq,
+            label,
+            event,
+            key,
+        });
     }
-
-    /// Stop capturing; the ring is retained for inspection until the next
-    /// [`arm`].
-    pub fn disarm() {
-        // ordering: SeqCst disarm, paired with arm above
-        ARMED.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the recorder is armed (the hot-path guard).
-    #[inline]
-    pub fn armed() -> bool {
-        // ordering: hot-path probe; a stale read skips at most one capture point
-        ARMED.load(Ordering::Relaxed)
-    }
-
-    /// An instrumented point: record `(thread, event, key, seq)` and gate
-    /// through the installed controller, if any. A single relaxed load when
-    /// disarmed.
-    #[inline]
-    pub fn point(event: &'static str, key: u64) {
-        if !armed() {
-            return;
-        }
-        point_slow(event, key);
-    }
-
-    #[cold]
-    fn point_slow(event: &'static str, key: u64) {
-        // ordering: sequence allocator; uniqueness only, the ring mutex orders records
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let label = LABEL.with(|l| l.get());
-        {
-            let mut ring = RING.lock().unwrap_or_else(poisoned);
-            if ring.buf.len() >= RING_CAP {
-                ring.buf.pop_front();
-                ring.dropped += 1;
-            }
-            ring.buf.push_back(Rec {
-                seq,
-                label,
-                event,
-                key,
-            });
-        }
-        // Clone the controller out of the registry so a blocking gate never
-        // holds the registry lock.
-        let ctrl = CONTROLLER
-            .read()
-            .unwrap_or_else(poisoned)
-            .as_ref()
-            .map(Arc::clone);
-        if let Some(c) = ctrl {
-            c.at_point(&label_name(label), event, key);
-        }
-    }
-
-    /// Install `ctrl` as the global schedule controller.
-    pub fn install_controller(ctrl: Arc<dyn Controller>) {
-        *CONTROLLER.write().unwrap_or_else(poisoned) = Some(ctrl);
-    }
-
-    /// Remove the installed controller (points keep recording).
-    pub fn clear_controller() {
-        *CONTROLLER.write().unwrap_or_else(poisoned) = None;
-    }
-
-    /// A copy of the captured ring, oldest first.
-    pub fn events() -> Vec<SchedEvent> {
-        let ring = RING.lock().unwrap_or_else(poisoned);
-        ring.buf
-            .iter()
-            .map(|r| SchedEvent {
-                seq: r.seq,
-                thread: label_name(r.label),
-                event: r.event,
-                key: r.key,
-            })
-            .collect()
-    }
-
-    /// Events dropped from the ring since the last [`arm`].
-    pub fn dropped() -> u64 {
-        RING.lock().unwrap_or_else(poisoned).dropped
-    }
-
-    /// Serialize the ring to `path` as tab-separated
-    /// `seq<TAB>thread<TAB>event<TAB>key` lines (`#`-prefixed header).
-    pub fn dump_to(path: &str) -> std::io::Result<()> {
-        let evs = events();
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "# sched trace: {} events ({} dropped)", evs.len(), dropped())?;
-        for e in evs {
-            writeln!(f, "{}\t{}\t{}\t{}", e.seq, e.thread, e.event, e.key)?;
-        }
-        Ok(())
-    }
-
-    /// If `SCHED_DUMP=<path>` is set, dump the captured ring there and
-    /// print where it went. Called from test assertion paths right before
-    /// they panic, so a flake leaves its schedule behind.
-    pub fn dump_on_failure(context: &str) {
-        let Some(path) = crate::env_cfg::sched_dump() else {
-            return;
-        };
-        match dump_to(&path) {
-            Ok(()) => eprintln!("sched: dumped schedule trace for `{context}` to {path}"),
-            Err(e) => eprintln!("sched: failed to dump trace for `{context}` to {path}: {e}"),
-        }
+    // Clone the controller out of the registry so a blocking gate never
+    // holds the registry lock.
+    let ctrl = CONTROLLER
+        .read()
+        .unwrap_or_else(poisoned)
+        .as_ref()
+        .map(Arc::clone);
+    if let Some(c) = ctrl {
+        c.at_point(&label_name(label), event, key);
     }
 }
 
-#[cfg(not(any(debug_assertions, feature = "sched-trace")))]
-mod imp {
-    //! Disabled build: every hook inlines to nothing; [`super::SeedTree`]
-    //! and [`super::env_flag`] remain available (they are plumbing, not
-    //! instrumentation).
-
-    use super::{Controller, SchedEvent};
-    use std::sync::Arc;
-
-    #[inline(always)]
-    pub fn set_thread_label(_label: &str) {}
-
-    #[inline(always)]
-    pub fn arm() {}
-
-    #[inline(always)]
-    pub fn disarm() {}
-
-    #[inline(always)]
-    pub fn armed() -> bool {
-        false
+/// Install `ctrl` as the global schedule controller.
+#[inline]
+pub fn install_controller(ctrl: Arc<dyn Controller>) {
+    if !COMPILED {
+        return;
     }
-
-    #[inline(always)]
-    pub fn point(_event: &'static str, _key: u64) {}
-
-    #[inline(always)]
-    pub fn install_controller(_ctrl: Arc<dyn Controller>) {}
-
-    #[inline(always)]
-    pub fn clear_controller() {}
-
-    #[inline(always)]
-    pub fn events() -> Vec<SchedEvent> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub fn dropped() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn dump_to(_path: &str) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    #[inline(always)]
-    pub fn dump_on_failure(_context: &str) {}
+    *CONTROLLER.write().unwrap_or_else(poisoned) = Some(ctrl);
 }
 
-pub use imp::{
-    arm, armed, clear_controller, disarm, dropped, dump_on_failure, dump_to, events,
-    install_controller, point, set_thread_label,
-};
+/// Remove the installed controller (points keep recording).
+pub fn clear_controller() {
+    *CONTROLLER.write().unwrap_or_else(poisoned) = None;
+}
+
+/// A copy of the captured ring, oldest first.
+pub fn events() -> Vec<SchedEvent> {
+    let ring = RING.lock().unwrap_or_else(poisoned);
+    ring.buf
+        .iter()
+        .map(|r| SchedEvent {
+            seq: r.seq,
+            thread: label_name(r.label),
+            event: r.event,
+            key: r.key,
+        })
+        .collect()
+}
+
+/// Events dropped from the ring since the last [`arm`].
+pub fn dropped() -> u64 {
+    RING.lock().unwrap_or_else(poisoned).dropped
+}
+
+/// Serialize the ring to `path` as tab-separated
+/// `seq<TAB>thread<TAB>event<TAB>key` lines (`#`-prefixed header).
+pub fn dump_to(path: &str) -> std::io::Result<()> {
+    if !COMPILED {
+        return Ok(());
+    }
+    let evs = events();
+    let mut f = std::fs::File::create(path)?;
+    writeln!(f, "# sched trace: {} events ({} dropped)", evs.len(), dropped())?;
+    for e in evs {
+        writeln!(f, "{}\t{}\t{}\t{}", e.seq, e.thread, e.event, e.key)?;
+    }
+    Ok(())
+}
+
+/// If `SCHED_DUMP=<path>` is set, dump the captured ring there and
+/// print where it went. Called from test assertion paths right before
+/// they panic, so a flake leaves its schedule behind.
+#[inline]
+pub fn dump_on_failure(context: &str) {
+    if !COMPILED {
+        return;
+    }
+    let Some(path) = crate::env_cfg::sched_dump() else {
+        return;
+    };
+    match dump_to(&path) {
+        Ok(()) => eprintln!("sched: dumped schedule trace for `{context}` to {path}"),
+        Err(e) => eprintln!("sched: failed to dump trace for `{context}` to {path}: {e}"),
+    }
+}
 
 #[cfg(test)]
 mod tests {

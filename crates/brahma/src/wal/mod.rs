@@ -21,7 +21,7 @@
 pub mod analyzer;
 
 use crate::addr::{PartitionId, PhysAddr};
-use crate::lockdep::{Condvar, LockClass, Mutex};
+use crate::lockdep::{self, Condvar, LockClass, Mutex};
 use crate::object::ObjectView;
 use crate::storage::FileBackend;
 use crate::trt::RefAction;
@@ -420,6 +420,7 @@ impl Wal {
             }
             if !self.flush_latency.is_zero() {
                 // Model the device: the flush costs latency outside any latch.
+                lockdep::might_block("wal.flush");
                 std::thread::sleep(self.flush_latency);
             }
             // ordering: publishes the flushed prefix; pairs with the Acquire fast-path loads

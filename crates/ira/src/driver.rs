@@ -529,6 +529,7 @@ impl WorkerCtx<'_> {
             && pauses.load(AtomicOrd::Relaxed) < t.max_pauses
         {
             pauses.fetch_add(1, AtomicOrd::Relaxed);
+            lockdep::might_block("ira.throttle");
             std::thread::sleep(t.pause);
         }
         self.throttle = ThrottleWindow {

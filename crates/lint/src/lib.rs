@@ -1,28 +1,18 @@
-//! Whole-source static analyzer for the repo's concurrency invariants.
+//! Line-rule linter for the repo's concurrency conventions (DESIGN.md
+//! §11.2). Six rules over a comment-stripped, test-region-aware line model
+//! of every workspace source file (no external deps, no execution):
+//! `sleep`, `unwrap`, `obs-doc`, `fault-site`, `raw-parking-lot`
+//! ([`rules`]) and `atomic-ordering` ([`ordering`]). All report through
+//! `lint-baseline.toml`.
 //!
-//! Three analysis passes run over a hand-rolled token/item model of
-//! every workspace source file (no external deps, no execution):
-//!
-//! 1. **lock-graph** — build the static held-before graph over the
-//!    `LockClass` universe and report any cycle (ABBA hazard) with
-//!    file:line provenance for each edge.
-//! 2. **guard-blocking** — flag `thread::sleep`, `retry_backoff`, and
-//!    fault-site evaluation while a guard is lexically held.
-//! 3. **atomic-ordering** — every atomic `Ordering::` use outside
-//!    `crates/obs` needs an `// ordering:` justification.
-//!
-//! The legacy line-oriented rules (sleep, unwrap, obs-doc, fault-site,
-//! raw-parking-lot) ride on the same source model.
-//! All passes report through `lint-baseline.toml`. See DESIGN.md §17.
+//! Lock order is not checked here: `brahma::lockdep` checks it at runtime,
+//! and `raw-parking-lot` is what makes every substrate lock one it sees.
 
 pub mod baseline;
-pub mod lockgraph;
 pub mod ordering;
-pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod source;
-pub mod tokens;
 
 use std::fs;
 use std::path::Path;
@@ -35,12 +25,10 @@ pub struct RunResult {
     pub violations: Vec<Violation>,
     /// Baseline entries that waived nothing (stale debt — an error).
     pub unused: Vec<AllowEntry>,
-    pub graph: lockgraph::StaticGraph,
     pub files: usize,
-    pub debug: Vec<String>,
 }
 
-/// Run every pass over the workspace rooted at `root`.
+/// Run every rule over the workspace rooted at `root`.
 pub fn run(root: &Path) -> Result<RunResult, String> {
     let files = source::load_sources(root);
     if files.is_empty() {
@@ -54,9 +42,6 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
     violations.extend(rules::rule_obs_doc(&files, &design));
     violations.extend(rules::rule_fault_site(&files));
     violations.extend(rules::rule_parking_lot(&files));
-
-    let analysis = lockgraph::analyze(&files);
-    violations.extend(analysis.violations);
     violations.extend(ordering::check(&files));
 
     let baseline_path = root.join("lint-baseline.toml");
@@ -71,22 +56,19 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
     Ok(RunResult {
         violations,
         unused,
-        graph: analysis.graph,
         files: files.len(),
-        debug: analysis.debug,
     })
 }
 
-/// Analyze an explicit set of (path, text) sources — used by the fixture
-/// golden tests to run the passes over files the workspace walk skips.
-pub fn analyze_sources(srcs: &[(&str, &str)]) -> (Vec<Violation>, lockgraph::StaticGraph) {
+/// Run the atomic-ordering audit over an explicit set of (path, text)
+/// sources — used by the fixture golden tests on files the workspace walk
+/// skips.
+pub fn analyze_sources(srcs: &[(&str, &str)]) -> Vec<Violation> {
     let files: Vec<source::SourceFile> = srcs
         .iter()
         .map(|(rel, text)| source::preprocess(rel, text))
         .collect();
-    let analysis = lockgraph::analyze(&files);
-    let mut violations = analysis.violations;
-    violations.extend(ordering::check(&files));
+    let mut violations = ordering::check(&files);
     sort_findings(&mut violations);
-    (violations, analysis.graph)
+    violations
 }

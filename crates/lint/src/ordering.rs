@@ -1,4 +1,4 @@
-//! Pass 3: atomic-ordering audit. Every atomic `Ordering::` use outside
+//! The atomic-ordering audit. Every atomic `Ordering::` use outside
 //! `crates/obs` must carry an `// ordering:` justification on the same
 //! or the immediately preceding line (or a baseline entry). The point is
 //! not to forbid `Relaxed` — most counters want it — but to force each

@@ -1,5 +1,5 @@
-//! The finding type every pass reports through, and its deterministic
-//! ordering (path, line, rule — machine-diffable, DESIGN.md §17.4).
+//! The finding type every rule reports through, and its deterministic
+//! ordering (path, line, rule — machine-diffable).
 
 #[derive(Debug, Clone)]
 pub struct Violation {

@@ -1,7 +1,6 @@
-//! The five line-oriented repo rules (DESIGN.md §11/§17): `sleep`,
-//! `unwrap`, `obs-doc`, `fault-site`, `raw-parking-lot`. The lock-graph,
-//! guard-blocking, and atomic-ordering passes live in
-//! [`crate::lockgraph`] and [`crate::ordering`].
+//! Five of the six rules (DESIGN.md §11.2): `sleep`, `unwrap`, `obs-doc`,
+//! `fault-site`, `raw-parking-lot`. `atomic-ordering` lives in
+//! [`crate::ordering`].
 
 use std::collections::{BTreeMap, BTreeSet};
 

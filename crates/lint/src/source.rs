@@ -1,6 +1,6 @@
 //! Workspace walking and the line-oriented source model shared by every
-//! pass: comment stripping, `#[cfg(test)]` region tracking, doc-comment
-//! flagging (DESIGN.md §17.1).
+//! rule: comment stripping, `#[cfg(test)]` region tracking, doc-comment
+//! flagging (DESIGN.md §11.2).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -186,7 +186,7 @@ pub fn preprocess(rel: &str, text: &str) -> SourceFile {
 
         let trimmed = code.trim();
         if !trimmed.is_empty() {
-            if trimmed.contains("#[cfg(test)]") {
+            if trimmed.contains("#[cfg(test)]") || trimmed.contains("#[cfg(all(test") {
                 pending_cfg_test = true;
             } else if pending_cfg_test && !trimmed.starts_with("#[") {
                 if depth > depth_before {
@@ -329,6 +329,17 @@ mod tests {
         assert!(!flags[0] && !flags[1], "real code is not test");
         assert!(flags[5] && flags[6], "inside the cfg(test) mod is test");
         assert!(!flags[9], "code after the mod closes is not test");
+    }
+
+    #[test]
+    fn cfg_all_test_regions_are_excluded_too() {
+        let f = src(
+            "crates/brahma/src/x.rs",
+            "fn hot() {}\n#[cfg(all(test, feature = \"x\"))]\nmod tests {\n    fn t() {\n        x.unwrap();\n    }\n}\n",
+        );
+        let flags: Vec<bool> = f.lines.iter().map(|l| l.test).collect();
+        assert!(!flags[0], "real code is not test");
+        assert!(flags[1..].iter().all(|&t| t), "gated mod: {flags:?}");
     }
 
     #[test]
