@@ -63,16 +63,6 @@ cargo build --release
 # The workspace tests include the full chaos and disk-chaos matrices
 # (DESIGN.md §9.2, §14): every fault site at every stride, fixed seeds.
 cargo test --workspace -q
-# Parallel wave-executor smoke: isomorphism vs serial and mid-wave
-# crash/resume at the reduced PAR_QUICK sizes with a 4-worker pool. The
-# release pass repeats it with the optimized lock fast path — the
-# configuration every measurement runs under — so a fast-path/slow-path
-# handoff bug cannot hide behind debug-build timing.
-PAR_QUICK=1 cargo test -q -p ira --test parallel_exec
-PAR_QUICK=1 cargo test --release -q -p ira --test parallel_exec
-# File-backend cold-restart round trip: segmented WAL + checkpoint image
-# survive a clean close and two reopens with counters exported.
-cargo test -q -p brahma --test file_backend
 # Schedule capture/replay regression (DESIGN.md §12): the checked-in
 # lost-tuple trace must replay the PR-4 fuzzy-checkpoint race
 # deterministically, and a bounded PCT exploration smoke (2 fault seeds ×
@@ -97,8 +87,9 @@ cargo run --release -p bench --bin paper_figures -- locality --quick
 cargo clippy --workspace --all-targets -- -D warnings
 # The raw-mode benchmark's output checks (benchmark/README.md): exact
 # `db.migrations`, logical fingerprint, live counts and
-# `assert_database_consistent` over one-worker and two-worker passes gate
-# every executor change. Smoke length; the numbers are not compared here.
+# `assert_database_consistent` over every `reorg_idle` and `mix_ira` pass
+# gate every migrator change. Smoke length; the numbers are not compared
+# here.
 bash benchmark/run.sh --smoke
 # The benchmark crate's own unit tests pin facts a `brahma` change can break
 # without failing anything above: `wal.records_per_txn` = 2 and

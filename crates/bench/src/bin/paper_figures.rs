@@ -136,7 +136,7 @@ mod tests {
             (&["mpl", "--out", "mpl"], &["mpl"], false, "mpl"),
             (&["--out", "table2", "table2", "--quick"], &["table2"], true, "table2"),
             (&["glue", "ops"], &["glue", "ops"], false, "results"),
-            (&["--quick", "scaling", "--out", "/tmp/o"], &["scaling"], true, "/tmp/o"),
+            (&["--quick", "ablation", "--out", "/tmp/o"], &["ablation"], true, "/tmp/o"),
         ];
         for (args, slugs, quick, out) in cases {
             let want = (slugs.to_vec(), quick, PathBuf::from(out));

@@ -245,43 +245,6 @@ pub fn exp_equal_duration(opts: &HarnessOptions) -> Experiment {
     }
 }
 
-/// Parallel executor scaling: reorganization wall-clock as the migrator
-/// worker count grows. The cell makes the commit-flush latency (1 ms, the
-/// paper's log-force) the dominant per-batch cost and gives the box CPU
-/// headroom (four virtual CPUs), so the speedup comes from what the wave
-/// executor actually parallelizes: conflict-disjoint components migrating
-/// concurrently, their log forces amortized by group commit. GLUEFACTOR
-/// is 1.0 so every cluster's extra edge leaves the partition — the
-/// reorganized partition splits into one conflict component per cluster
-/// instead of gluing into a single serial component.
-pub fn exp_scaling(opts: &HarnessOptions) -> Experiment {
-    let mut rows = Vec::new();
-    for workers in [1usize, 2, 4] {
-        eprintln!("  [scaling workers={workers}]");
-        let mut cfg = opts.cell(Algo::Ira);
-        cfg.params.glue_factor = 1.0;
-        cfg.params.mpl = 2;
-        cfg.store.commit_flush_latency = Duration::from_millis(1);
-        // Every component shares one external parent (the partition's root
-        // object), so worker/walker deadlocks through it are expected; a
-        // short timeout makes them cheap to break instead of costing the
-        // default second each.
-        cfg.store.lock_timeout = Duration::from_millis(25);
-        cfg.cpu_capacity = 4;
-        cfg.ira.workers = workers;
-        cfg.ira.batch_size = 8;
-        rows.push(Row {
-            x_label: workers.to_string(),
-            cells: vec![run_cell(&cfg)],
-        });
-    }
-    Experiment {
-        title: "Parallel executor scaling (reorg wall-clock vs workers)".into(),
-        x_name: "WORKERS".into(),
-        rows,
-    }
-}
-
 /// Ablations over the design choices DESIGN.md calls out. Each row is one
 /// IRA configuration at the workload defaults.
 pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
@@ -333,7 +296,7 @@ pub type ExperimentFn = fn(&HarnessOptions) -> Experiment;
 
 /// Every experiment by CLI slug, in the paper's order: the one list behind
 /// `paper_figures all`, name dispatch and the usage line.
-pub const EXPERIMENTS: [(&str, ExperimentFn); 10] = [
+pub const EXPERIMENTS: [(&str, ExperimentFn); 9] = [
     ("mpl", exp_mpl),
     ("table2", exp_table2),
     ("partsize", exp_partition_size),
@@ -342,6 +305,5 @@ pub const EXPERIMENTS: [(&str, ExperimentFn); 10] = [
     ("ops", exp_ops_per_trans),
     ("nparts", exp_num_partitions),
     ("eqdur", exp_equal_duration),
-    ("scaling", exp_scaling),
     ("ablation", exp_ablation),
 ];

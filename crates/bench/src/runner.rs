@@ -45,8 +45,7 @@ pub struct CellConfig {
     pub store: StoreConfig,
     pub ira: IraConfig,
     pub plan: RelocationPlan,
-    /// Virtual CPUs and per-access work (see [`CpuModel`]).
-    pub cpu_capacity: usize,
+    /// Per-access work on the one virtual CPU (see [`CpuModel`]).
     pub cpu_work: Duration,
     /// Measurement window for NR (reorganizing systems run until the
     /// reorganization completes instead).
@@ -68,7 +67,6 @@ impl CellConfig {
             store: StoreConfig::paper_experiment(),
             ira: IraConfig::default(),
             plan: RelocationPlan::CompactInPlace,
-            cpu_capacity: 1,
             cpu_work: Duration::from_micros(40),
             nr_window: Duration::from_secs(5),
             measure_window: None,
@@ -100,7 +98,7 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
     let info = Arc::new(build_graph(&db, &cfg.params).expect("graph builds"));
     // Install the CPU model only after the graph is built (construction is
     // not part of the measured system).
-    db.set_cpu_model(Some(Arc::new(CpuModel::new(cfg.cpu_capacity, cfg.cpu_work))));
+    db.set_cpu_model(Some(Arc::new(CpuModel::new(1, cfg.cpu_work))));
     // Baseline snapshot: the cell's counters are the delta over its window,
     // so graph construction does not pollute them.
     let before = db.obs_snapshot();
@@ -121,7 +119,7 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
         }
         Some(strategy) => {
             // One builder for both reorganizers: the cell's full IRA
-            // configuration (variant, workers, batch, ...) rides along; PQR
+            // configuration (variant, batch, ...) rides along; PQR
             // ignores it.
             let outcome = Reorg::with_config(&db, target, cfg.ira.clone())
                 .plan(cfg.plan)

@@ -20,7 +20,7 @@ use crate::partition::Partition;
 use crate::trt::{RefAction, Trt};
 use crate::txn::{TxnId, TxnManager};
 use crate::wal::{LogPayload, Wal};
-use obs::{Counter, Gauge};
+use obs::Counter;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -59,14 +59,6 @@ pub struct DbStats {
     pub payload_writes: Counter,
     pub fuzzy_reads: Counter,
     pub migrations: Counter,
-    /// Concurrent reorganization workers (set by the parallel executor in
-    /// the `ira` crate); `db.reorg_workers` exports the high-water mark.
-    pub reorg_workers: Gauge,
-    /// Batches completed by parallel reorganization workers.
-    pub reorg_wave_batches: Counter,
-    /// Components a parallel reorganization worker stole from another
-    /// worker's deque (work-stealing executor in the `ira` crate).
-    pub reorg_wave_steals: Counter,
 }
 
 impl DbStats {
@@ -81,9 +73,6 @@ impl DbStats {
         snap.set("db.payload_writes", self.payload_writes.get());
         snap.set("db.fuzzy_reads", self.fuzzy_reads.get());
         snap.set("db.migrations", self.migrations.get());
-        snap.set("db.reorg_workers", self.reorg_workers.peak());
-        snap.set("db.reorg_wave_batches", self.reorg_wave_batches.get());
-        snap.set("db.reorg_wave_steals", self.reorg_wave_steals.get());
     }
 }
 

@@ -1,13 +1,10 @@
 //! The workspace's environment knobs, in one place.
 //!
 //! Every test/CI tunable lives behind a typed accessor here instead of a
-//! raw `std::env::var` at its point of use: flags all parse through
-//! [`crate::env_flag`] (so `FOO=0` really means off), numbers through one
+//! raw `std::env::var` at its point of use: numbers parse through one
 //! shared parser, and DESIGN.md §16 documents the full table. Adding a
 //! knob means adding an accessor *and* a table row — the pairing is what
 //! keeps the knobs discoverable.
-
-use crate::sched::env_flag;
 
 /// Parse a `u64` knob; unset, empty, or unparsable falls back to
 /// `default`.
@@ -31,13 +28,6 @@ pub fn chaos_root_seed() -> u64 {
 /// `DISK_CHAOS_ROOT_SEED`: root of the disk-fault sweep's seed tree.
 pub fn disk_chaos_root_seed() -> u64 {
     env_u64("DISK_CHAOS_ROOT_SEED", 0xD15C)
-}
-
-// --- parallel executor (crates/ira/tests/parallel_exec.rs) ---
-
-/// `PAR_QUICK`: shrink the parallel-executor stress matrix.
-pub fn par_quick() -> bool {
-    env_flag("PAR_QUICK")
 }
 
 // --- schedule exploration (crates/ira/tests/replay_regression.rs) ---
@@ -90,14 +80,12 @@ mod tests {
         for name in [
             "CHAOS_ROOT_SEED",
             "DISK_CHAOS_ROOT_SEED",
-            "PAR_QUICK",
             "SCHED_DUMP",
         ] {
             std::env::remove_var(name);
         }
         assert_eq!(chaos_root_seed(), 0xC4A05);
         assert_eq!(disk_chaos_root_seed(), 0xD15C);
-        assert!(!par_quick());
         assert_eq!(explore_roots(4), 4);
         assert_eq!(sched_dump(), None);
     }

@@ -62,12 +62,6 @@ pub enum Error {
     /// will not get better — and never a panic: recovery degrades to this
     /// error and leaves the store closed.
     Corrupt { offset: u64, reason: String },
-    /// A parallel reorganization worker found another worker mid-migration
-    /// on an object it needs to touch (typically a child whose parent list
-    /// must be rewritten). Retryable exactly like [`Error::LockTimeout`]:
-    /// the batch aborts, backs off, and retries once the other worker's
-    /// batch has committed or reverted.
-    ReorgCollision { addr: PhysAddr },
     /// A fault-injection rule fired at the named site (testing only; never
     /// produced by a disarmed [`crate::fault::FaultInjector`]). Retryable
     /// injected faults are handled exactly like [`Error::LockTimeout`].
@@ -86,7 +80,6 @@ impl Error {
             self,
             Error::LockTimeout { .. }
                 | Error::UpgradeConflict { .. }
-                | Error::ReorgCollision { .. }
                 | Error::Injected {
                     kind: crate::fault::InjectedKind::Retryable,
                     ..
@@ -131,9 +124,6 @@ impl fmt::Display for Error {
             Error::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             Error::PartitionUnderReorg(p) => {
                 write!(f, "partition {p} is being reorganized; creation disallowed")
-            }
-            Error::ReorgCollision { addr } => {
-                write!(f, "object {addr} is mid-migration by a concurrent worker")
             }
             Error::RecoveryCorrupt(msg) => write!(f, "recovery failed: {msg}"),
             Error::Corrupt { offset, reason } => {

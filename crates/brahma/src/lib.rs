@@ -83,7 +83,7 @@ pub use object::ObjectView;
 pub use partition::{Partition, SpaceStats};
 pub use recovery::{recover, Checkpoint, CrashImage, RecoveryOutcome};
 pub use retry::{RetryPolicy, RetryState, RetryStats};
-pub use sched::{env_flag, SeedTree};
+pub use sched::SeedTree;
 pub use storage::{open, open_with_faults, FileBackend, OpenOutcome};
 pub use trt::{RefAction, Trt, TrtTuple};
 pub use txn::{TxnId, TxnManager};

@@ -22,8 +22,8 @@
 //! as assertions: fuzzy traversal holds no locks ([`fuzzy_region`]), the
 //! two-lock variant never exceeds two distinct objects ([`two_lock_region`],
 //! with `O_old`/`O_new` aliased as one object), basic IRA holds only the
-//! batch's confirmed parent set ([`assert_txn_locks_subset`]), and wave
-//! workers are lock-free at batch boundaries ([`assert_no_txn_locks`]).
+//! batch's confirmed parent set ([`assert_txn_locks_subset`]), and the
+//! migrator is lock-free at batch boundaries ([`assert_no_txn_locks`]).
 //! [`might_block`], called before each product `thread::sleep`, checks that
 //! nothing sleeps under a wrapped lock.
 //!
@@ -92,16 +92,6 @@ pub enum LockClass {
     DbCpu,
     /// The fault injector's rule state (`FaultInjector::state`).
     FaultState,
-    /// One shard of the shared migration map (`ira::MigrationMap`).
-    MigrationShard,
-    /// One shard of the shared parent map (`ira::traversal::ParentMap`).
-    TraversalShard,
-    /// The parallel executor's deferred-chunk list (`ira::driver`).
-    WaveDeferred,
-    /// One wave worker's component deque (`ira::driver`); `order_key` is
-    /// the worker index. Never nested: a worker releases its own deque
-    /// before probing a victim's.
-    WaveDeque,
     /// The file backend's segment-writer state (`storage::FileBackend`).
     /// The append mirror takes it *inside* the log mutex (`WalInner` →
     /// `FileBackend`), which is what keeps the segment in LSN order.

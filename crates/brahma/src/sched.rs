@@ -1,13 +1,13 @@
 //! Deterministic schedule capture and replay substrate (DESIGN.md §12).
 //!
 //! Concurrency bugs in the reorganization stack are schedule bugs: they
-//! need a particular interleaving of walker transactions, wave workers, and
+//! need a particular interleaving of walker transactions, the migrator, and
 //! the driver's fuzzy checkpoint. This module makes those schedules
 //! *observable* and *steerable*:
 //!
 //! * **Capture.** Instrumented points across the substrate — lockdep
 //!   acquire/release, fired fault rules, retry backoff decisions, WAL
-//!   appends, TRT/ERT notes, and the IRA driver's wave/batch/checkpoint
+//!   appends, TRT/ERT notes, and the IRA driver's batch/checkpoint
 //!   boundaries — append `(thread_label, event, key, seq)` tuples to a
 //!   bounded in-memory ring. On a failure the ring is dumped
 //!   ([`dump_on_failure`], path from the `SCHED_DUMP` environment
@@ -83,20 +83,6 @@ impl SeedTree {
     }
 }
 
-/// Parse an on/off environment flag the way humans expect: unset, empty,
-/// `0`, `false`, and `off` (any case) are **off**; anything else is on.
-/// Shared by every on/off knob in [`crate::env_cfg`] (`PAR_QUICK`), so
-/// `PAR_QUICK=0` is off rather than "set, therefore on".
-pub fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => false,
-    }
-}
-
 /// A schedule controller: called at every instrumented point while the
 /// recorder is armed, *before* the point's action executes. May block the
 /// calling thread (that is the point — gating is how replay and
@@ -167,7 +153,7 @@ fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
     e.into_inner()
 }
 
-/// Label the calling thread for capture ("walker-0", "wave-2", …).
+/// Label the calling thread for capture ("walker-0", "ckpt", …).
 #[inline]
 pub fn set_thread_label(label: &str) {
     if !COMPILED {
@@ -356,29 +342,6 @@ mod tests {
             "paths, not leaf indices, determine the stream"
         );
         assert_ne!(SeedTree::new(1).child("x").seed(), SeedTree::new(2).child("x").seed());
-    }
-
-    #[test]
-    fn env_flag_parses_off_values() {
-        // Env mutation is process-global; keep every case in one test so
-        // no parallel test observes a transient value.
-        let name = "SCHED_TEST_FLAG_PARSE";
-        for (val, expect) in [
-            ("1", true),
-            ("yes", true),
-            ("true", true),
-            ("0", false),
-            ("false", false),
-            ("FALSE", false),
-            ("off", false),
-            ("", false),
-            ("  ", false),
-        ] {
-            std::env::set_var(name, val);
-            assert_eq!(env_flag(name), expect, "value {val:?}");
-        }
-        std::env::remove_var(name);
-        assert!(!env_flag(name), "unset is off");
     }
 
     #[cfg(any(debug_assertions, feature = "sched-trace"))]

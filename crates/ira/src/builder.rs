@@ -11,7 +11,6 @@
 //! Reorg::on(&db, partition)
 //!     .plan(RelocationPlan::EvacuateTo(target))
 //!     .variant(IraVariant::TwoLock)
-//!     .workers(4)
 //!     .batch(8)
 //!     .run()?
 //! ```
@@ -140,7 +139,7 @@ pub struct Reorg<'a> {
 
 impl<'a> Reorg<'a> {
     /// Start describing a reorganization of `partition`. The default run is
-    /// incremental (basic IRA), compacting in place, with one worker.
+    /// incremental (basic IRA), compacting in place, one object per batch.
     pub fn on(db: &'a Database, partition: PartitionId) -> Self {
         Reorg {
             db,
@@ -195,12 +194,11 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Migrator workers. More than one partitions the migration queue into
-    /// conflict-disjoint waves drained concurrently (see [`crate::wave`]);
-    /// the pool is clamped to the number of waves, and
-    /// [`IraReport::workers`] reports how many ran.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+    /// Accepted and ignored: every run is one migrator on the calling
+    /// thread ([`Reorg::batch`] is the throughput knob). The method
+    /// survives only because `benchmark/` calls it; ROADMAP item 1 removes
+    /// it.
+    pub fn workers(self, _: usize) -> Self {
         self
     }
 
@@ -236,10 +234,10 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Save a resumable reorganizer checkpoint every `n` batches when one
-    /// worker drains the queue (Section 4.4). With a file backend attached
-    /// the save is durable, bounding how far a hard kill sets the
-    /// reorganization back. Defaults to off (checkpoint only at crash).
+    /// Save a resumable reorganizer checkpoint every `n` batches (Section
+    /// 4.4). With a file backend attached the save is durable, bounding how
+    /// far a hard kill sets the reorganization back. Defaults to off
+    /// (checkpoint only at crash).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.config.checkpoint_every = Some(n);
         self
@@ -258,18 +256,9 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Fault injection: wave-worker chunks containing any of these objects
-    /// are deferred to the tail pass as if their retry budget had been
-    /// exhausted, so tests can exercise the tail's queue-order re-packing
-    /// deterministically.
-    pub fn force_defer(mut self, objects: Vec<brahma::PhysAddr>) -> Self {
-        self.exec.force_defer = objects;
-        self
-    }
-
     /// Continue a crashed run from its recovered checkpoint instead of
     /// starting fresh. The checkpoint's partition and plan override the
-    /// builder's; IRA knobs (`workers`, `batch`, `retry`, ...) still apply
+    /// builder's; IRA knobs (`batch`, `retry`, ...) still apply
     /// to the resumed portion.
     pub fn resume_from(mut self, ckpt: IraCheckpoint, pre_crash_log: &[LogRecord]) -> Self {
         self.partition = ckpt.partition;
@@ -352,7 +341,9 @@ mod tests {
         let outcome = Reorg::on(&db, p1).run().unwrap();
         assert_eq!(outcome.migrated(), 1);
         let report = outcome.ira().expect("incremental runs report IRA");
-        assert_eq!(report.workers, 1);
+        // The phases run one after another on the calling thread.
+        let p = &report.phases;
+        assert!(p.quiesce + p.traversal + p.exact_parents + p.migrate + p.gc <= report.duration);
         assert!(outcome.pqr().is_none());
         assert_eq!(
             db.raw_read(parent).unwrap().refs,
@@ -388,15 +379,17 @@ mod tests {
     fn knobs_reach_the_driver() {
         let db = Database::new(StoreConfig::default());
         let (p1, _, _) = seed(&db);
+        db.fault.arm(brahma::FaultPlan::new(0));
         let outcome = Reorg::on(&db, p1)
             .variant(IraVariant::TwoLock)
-            .workers(2)
             .batch(4)
+            .checkpoint_every(1)
             .run()
             .unwrap();
-        let report = outcome.ira().unwrap();
-        // One object -> one component -> the worker pool clamps to 1, and
-        // the report carries what ran, not what was asked for.
-        assert_eq!((report.waves, report.workers), (1, 1));
+        assert_eq!(outcome.migrated(), 1);
+        // Basic IRA evaluates the exact-parents site once per object; the
+        // two-lock variant never does. One batch, one periodic checkpoint.
+        assert_eq!(db.fault.hits(crate::chaos::site::EXACT_PARENTS), 0);
+        assert_eq!(db.fault.hits(crate::chaos::site::CHECKPOINT), 1);
     }
 }

@@ -60,9 +60,6 @@ pub struct ChaosCell {
     pub nth_hit: u64,
     /// Seeds the fault plan (reporting / reproducibility).
     pub seed: u64,
-    /// Migrator workers the cell's reorganization (and its resume) runs
-    /// with; > 1 exercises the parallel wave executor under crash faults.
-    pub workers: usize,
 }
 
 /// What one cell did. The cell's assertions all live inside
@@ -302,7 +299,6 @@ pub fn run_crash_cell(cell: &ChaosCell) -> CellOutcome {
     let result = Reorg::on(&db, p1)
         .plan(RelocationPlan::CompactInPlace)
         .batch(2)
-        .workers(cell.workers)
         .quiesce_wait(Duration::from_secs(10))
         .crash_after_migrations((cell.site == site::CHECKPOINT).then_some(3))
         .run();
@@ -357,7 +353,6 @@ pub fn run_crash_cell(cell: &ChaosCell) -> CellOutcome {
 
             let db = out.db;
             let outcome = Reorg::on(&db, p1)
-                .workers(cell.workers)
                 .resume_from(recovered, &pre_crash_log)
                 .run()
                 .expect("resume after crash");
@@ -383,7 +378,7 @@ pub fn run_crash_cell(cell: &ChaosCell) -> CellOutcome {
 
 /// Run `f`, and if it panics print a one-line `REPRO: {banner}` to stderr
 /// (plus a schedule dump when `SCHED_DUMP=path` is set) before resuming the
-/// unwind. Every chaos/parallel/property test wraps its assertion-bearing
+/// unwind. Every chaos/property test wraps its assertion-bearing
 /// body in this so a flake always leaves its seed and cell coordinates
 /// behind — the banner is the re-run command's arguments.
 pub fn with_repro_banner<T>(banner: &str, f: impl FnOnce() -> T) -> T {
@@ -461,7 +456,6 @@ mod tests {
             site: site::TRAVERSAL,
             nth_hit: 1_000_000,
             seed: 1,
-            workers: 1,
         });
         assert!(!out.crashed);
         assert_eq!(out.fired, 0);
@@ -474,7 +468,6 @@ mod tests {
             site: site::BATCH,
             nth_hit: 2,
             seed: 2,
-            workers: 1,
         });
         assert!(out.crashed);
         assert_eq!(out.fired, 1);

@@ -15,7 +15,7 @@ use crate::approx::{merge_ert_parents, trt_unvisited_loop};
 use crate::driver::{ExecOptions, IraConfig, IraError, IraPhases, IraReport, ReorgRun, Tally};
 use crate::plan::RelocationPlan;
 use crate::shared::MigrationMap;
-use crate::traversal::{ParentMap, TraversalState};
+use crate::traversal::TraversalState;
 use brahma::storage::codec::{put_addr, put_u64, Reader};
 use brahma::wal::analyzer::rebuild_trt_seeded;
 use brahma::{
@@ -23,6 +23,7 @@ use brahma::{
     TxnId,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// A resumable snapshot of an in-flight reorganization.
@@ -74,11 +75,12 @@ impl IraCheckpoint {
         let mut visited: Vec<PhysAddr> = self.state.visited.iter().copied().collect();
         visited.sort_unstable();
         put_addrs(&mut out, visited.into_iter());
-        let entries = self.state.parents.sorted_entries();
-        put_u64(&mut out, entries.len() as u64);
-        for (child, ps) in entries {
+        let mut children: Vec<PhysAddr> = self.state.parents.keys().copied().collect();
+        children.sort_unstable();
+        put_u64(&mut out, children.len() as u64);
+        for child in children {
             put_addr(&mut out, child);
-            put_addrs(&mut out, ps.into_iter());
+            put_addrs(&mut out, self.state.parents_of(child).into_iter());
         }
         put_u64(&mut out, self.trt_snapshot.len() as u64);
         for t in &self.trt_snapshot {
@@ -122,12 +124,10 @@ impl IraCheckpoint {
         }
         let order = read_addrs(&mut r)?;
         let visited = read_addrs(&mut r)?.into_iter().collect();
-        let parents = ParentMap::default();
+        let mut parents = HashMap::new();
         for _ in 0..r.u64()? {
             let child = r.addr()?;
-            for parent in read_addrs(&mut r)? {
-                parents.add(child, parent);
-            }
+            parents.insert(child, read_addrs(&mut r)?.into_iter().collect());
         }
         let mut trt_snapshot = Vec::new();
         for _ in 0..r.u64()? {
@@ -151,7 +151,7 @@ impl IraCheckpoint {
         Ok(IraCheckpoint {
             partition,
             plan,
-            state: crate::traversal::TraversalState {
+            state: TraversalState {
                 order,
                 visited,
                 parents,

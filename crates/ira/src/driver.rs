@@ -2,11 +2,9 @@
 //! migration batching (Section 4.3), deadlock retry (Section 4.4), garbage
 //! collection as a side effect (Section 4.6), checkpointing for crash
 //! restart, and fault injection for the failure-handling tests. Step two
-//! is one loop, [`WorkerCtx::drain`]: one worker runs it over the whole
-//! queue on the calling thread; N workers (clamped to the plan's component
-//! count) run it per claimed component of the conflict-disjoint wave plan
-//! (see [`crate::wave`]), and the calling thread runs it once more over
-//! whatever they deferred.
+//! is one loop, [`ReorgRun::drain`], run by one migrator on the calling
+//! thread: batching is the throughput lever, and a caller that wants
+//! parallelism runs one `Reorg` per partition.
 
 use crate::approx::find_objects_and_approx_parents;
 use crate::chaos::site as ira_site;
@@ -15,14 +13,14 @@ use crate::exact::find_exact_parents;
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::order::{order_queue, MigrationOrder};
 use crate::plan::RelocationPlan;
-use crate::shared::{MigrationMap, OwnerId};
+use crate::shared::MigrationMap;
 use crate::traversal::TraversalState;
-use brahma::lockdep::{self, LockClass, Mutex};
-use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy};
+use brahma::lockdep;
+use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrd};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Defer all free space of the source (and, for evacuation, target)
@@ -104,9 +102,8 @@ pub struct IraConfig {
     pub batch_size: usize,
     pub variant: IraVariant,
     /// Backoff applied when a batch hits a retryable conflict — a deadlock
-    /// timeout, an upgrade conflict, a cross-worker migration collision, or
-    /// an injected transient fault (Section 4.4's release-and-retry
-    /// discipline).
+    /// timeout, an upgrade conflict, or an injected transient fault
+    /// (Section 4.4's release-and-retry discipline).
     pub retry: RetryPolicy,
     /// How long to wait for the transactions active when the reorganization
     /// starts (they must complete before the fuzzy traversal, Section 4.5).
@@ -122,19 +119,11 @@ pub struct IraConfig {
     pub transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
     /// Contention-adaptive throttling (`None` disables it).
     pub throttle: Option<ThrottleConfig>,
-    /// Migrator workers. With `1` (the default) one worker drains the
-    /// queue in order on the calling thread. With more, the queue is
-    /// partitioned into conflict-disjoint components
-    /// ([`crate::wave::plan_waves`]) and at most one worker per component
-    /// drains them concurrently, each running its own migration
-    /// transactions against the shared mapping and traversal state;
-    /// [`IraReport::workers`] reports how many actually ran.
-    pub workers: usize,
-    /// Save a reorganizer checkpoint (Section 4.4) every this many batches
-    /// when one worker drains the queue, in addition to the crash-time
-    /// save. With a file backend attached the save is mirrored into the
-    /// durable log, so a hard process kill resumes from at most this many
-    /// batches back. `None` (the default) checkpoints only at crash.
+    /// Save a reorganizer checkpoint (Section 4.4) every this many batches,
+    /// in addition to the crash-time save. With a file backend attached the
+    /// save is mirrored into the durable log, so a hard process kill
+    /// resumes from at most this many batches back. `None` (the default)
+    /// checkpoints only at crash.
     pub checkpoint_every: Option<usize>,
 }
 
@@ -148,27 +137,20 @@ impl Default for IraConfig {
             order: MigrationOrder::Traversal,
             transform: None,
             throttle: None,
-            workers: 1,
             checkpoint_every: None,
         }
     }
 }
 
-/// Variant- and test-specific execution knobs, split out of [`IraConfig`]
-/// so the public configuration carries only what every run needs. Surfaced
-/// through [`crate::builder::Reorg`]'s `crash_after_migrations` /
-/// `force_defer` methods.
+/// Test-specific execution knobs, split out of [`IraConfig`] so the public
+/// configuration carries only what every run needs. Surfaced through
+/// [`crate::builder::Reorg::crash_after_migrations`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecOptions {
     /// Fault injection: simulate a crash (return
     /// [`IraError::SimulatedCrash`] with a resumable checkpoint) once this
     /// many objects have migrated.
     pub crash_after_migrations: Option<usize>,
-    /// Fault injection for the deferral path: wave-worker chunks containing
-    /// any of these objects are pushed straight to the tail pass instead of
-    /// migrating, as if their retry budget had been exhausted. Lets tests
-    /// exercise the tail's ordering guarantees deterministically.
-    pub force_defer: Vec<PhysAddr>,
 }
 
 /// Errors surfaced by the reorganizer.
@@ -210,8 +192,8 @@ impl From<StoreError> for IraError {
 /// (step one), `Find_Exact_Parents` and the migration transactions (step
 /// two), and garbage collection (Section 4.6). For the two-lock variant the
 /// exact-parents work happens inside the migration loop, so it is charged to
-/// `migrate`. With multiple workers, `exact_parents` and `migrate` sum the
-/// workers' concurrent time and can exceed wall-clock.
+/// `migrate`. The phases run one after another on the calling thread, so
+/// they sum to at most [`IraReport::duration`].
 #[derive(Debug, Default, Clone)]
 pub struct IraPhases {
     pub quiesce: Duration,
@@ -244,14 +226,9 @@ pub struct IraReport {
     /// before the TRT is dropped by `end_reorg`).
     pub trt_notes: u64,
     pub trt_purged: u64,
-    /// Conflict-disjoint components the wave planner produced (0 for a
-    /// one-worker run, which needs no plan).
-    pub waves: usize,
-    /// Migrator threads that ran: the configured count clamped to the
-    /// planned components (1 when the calling thread drained the queue).
-    pub workers: usize,
-    /// Objects that exhausted their worker's retry budget and fell back to
-    /// the tail pass.
+    /// Always 0: nothing is deferred since the worker pool and its tail
+    /// pass went. The field survives only because `benchmark/` reads it;
+    /// ROADMAP item 1 removes it.
     pub deferred: usize,
     pub duration: Duration,
 }
@@ -276,9 +253,6 @@ impl IraReport {
         snap.set("ira.gc_us", us(self.phases.gc));
         snap.set("ira.trt_notes", self.trt_notes);
         snap.set("ira.trt_purged", self.trt_purged);
-        snap.set("ira.waves", self.waves as u64);
-        snap.set("ira.workers", self.workers as u64);
-        snap.set("ira.deferred", self.deferred as u64);
         snap.set("ira.duration_us", us(self.duration));
     }
 }
@@ -340,12 +314,7 @@ pub(crate) fn run_incremental(
 pub(crate) struct Tally {
     pub retries: usize,
     pub ext_locks: usize,
-    /// Shared by every migrator: `max_pauses` is a per-run budget.
-    pub throttle_pauses: AtomicUsize,
-    pub waves: usize,
-    /// Migrator threads step two ran with (see [`IraReport::workers`]).
-    pub workers: usize,
-    pub deferred: usize,
+    pub throttle_pauses: usize,
 }
 
 /// In-flight reorganization state; also reconstructible from an
@@ -358,6 +327,8 @@ pub(crate) struct ReorgRun<'a> {
     pub exec: &'a ExecOptions,
     /// Traversal state; `state.order` is the migration queue.
     pub state: TraversalState,
+    /// Queue position of the next batch: everything before it has migrated
+    /// (or was dead), so a checkpoint always carries the exact position.
     pub pos: usize,
     pub mapping: MigrationMap,
     pub tally: Tally,
@@ -365,19 +336,7 @@ pub(crate) struct ReorgRun<'a> {
     pub started: Instant,
 }
 
-/// Per-migrator accumulators handed back to the run when the migrator is
-/// done.
-#[derive(Debug, Default)]
-struct WorkerStats {
-    retries: usize,
-    ext_locks: usize,
-    exact_time: Duration,
-    migrate_time: Duration,
-    /// Objects of the chunks this migrator deferred, in deferral order.
-    deferred: Vec<PhysAddr>,
-}
-
-/// Why a drain stopped short of its last object (before error-path
+/// Why the drain stopped short of the queue's end (before error-path
 /// cleanup).
 enum LoopEnd {
     /// A latched crash fault or a `crash_after_migrations` trip.
@@ -388,125 +347,55 @@ enum LoopEnd {
     Fatal(StoreError),
 }
 
-/// What [`WorkerCtx::drain`] does with a batch that exhausted its retry
-/// budget.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OnExhausted {
-    /// Fail the reorganization: nobody is left to hand the batch to (one
-    /// worker draining the queue, or the tail pass).
-    Fail,
-    /// Set the chunk aside for the tail pass (a wave worker): the residual
-    /// cross-component conflict — a shared external parent, walker
-    /// interference — is gone once the other workers are.
-    Defer,
-}
-
-/// One migrator's contention-throttle window (see [`ThrottleConfig`]).
+/// The contention-throttle window (see [`ThrottleConfig`]).
 struct ThrottleWindow {
     batches: usize,
     timeouts_mark: u64,
 }
 
-/// One migrator: everything a batch attempt needs, plus local stat
-/// accumulators, so N of these can run in parallel over one shared
-/// [`ReorgRun`].
-struct WorkerCtx<'a> {
-    run: &'a ReorgRun<'a>,
-    owner: OwnerId,
-    /// The configured retry policy reseeded per owner through a
-    /// [`brahma::SeedTree`] child: the jitter hash is `(seed, attempt)`, so
-    /// N workers sharing one policy seed would draw *identical* backoff
-    /// streams (synchronized re-collision) — and which worker retries which
-    /// batch would depend on claim order, making delays schedule-dependent.
-    /// Per-owner seeds are decorrelated and reproducible at any worker
-    /// count.
-    retry: RetryPolicy,
-    /// Raised by the migrator that ends the run early (crash, fatal error);
-    /// the others stop at their next batch boundary.
-    stop: &'a AtomicBool,
-    throttle: ThrottleWindow,
-    stats: WorkerStats,
-}
-
-impl WorkerCtx<'_> {
-    /// The migration loop (Figure 1): drain `objs` in order, one batch at
-    /// a time, until they run out, `stop` is raised, or this migrator
-    /// has to end the run itself. Returns how many objects were drained and
-    /// why the drain stopped short, if it did.
-    ///
-    /// `tag` labels the batch-boundary schedule point: a deferring wave
-    /// worker reports `wave.batch` with `tag` (its component); a failing
-    /// drain reports `ira.batch` with `tag` plus the objects drained — the
-    /// queue position reached, when `tag` is the queue position of
-    /// `objs[0]`.
-    fn drain(
-        &mut self,
-        objs: &[PhysAddr],
-        on_exhausted: OnExhausted,
-        tag: usize,
-    ) -> (usize, Option<LoopEnd>) {
-        let run = self.run;
-        let batch_size = run.config.batch_size.max(1);
-        let defer = on_exhausted == OnExhausted::Defer;
-        let mut done = 0usize;
+impl ReorgRun<'_> {
+    /// Step two, the migration loop (Figure 1): drain the queue from
+    /// `self.pos`, one batch of queue positions at a time, until it runs
+    /// out or the run has to end early. Returns why it stopped short, if it
+    /// did; `self.pos` is then the first position not yet drained.
+    fn drain(&mut self) -> Option<LoopEnd> {
+        let batch_size = self.config.batch_size.max(1);
+        let mut throttle = ThrottleWindow {
+            batches: 0,
+            timeouts_mark: self.db.locks.stats.timeouts.get(),
+        };
         loop {
-            if self.stop.load(AtomicOrd::Relaxed) {
-                return (done, None);
-            }
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
             // a page latch) surfaces here, at the batch boundary — the only
             // point where the checkpoint is consistent.
-            if run.db.fault.crash_requested() {
-                return (done, Some(LoopEnd::Crash));
+            if self.db.fault.crash_requested() {
+                return Some(LoopEnd::Crash);
             }
-            if done == objs.len() {
-                return (done, None);
+            let queue_len = self.state.order.len();
+            if self.pos == queue_len {
+                return None;
             }
-            let chunk = &objs[done..(done + batch_size).min(objs.len())];
-            let forced = defer && chunk.iter().any(|o| run.exec.force_defer.contains(o));
-            let outcome = if forced {
-                Err(LoopEnd::Exhausted {
-                    object: chunk[0],
-                    attempts: 0,
-                })
-            } else {
-                self.run_batch(chunk)
-            };
-            match outcome {
-                Ok(_) => {}
-                Err(LoopEnd::Exhausted { .. }) if defer => {
-                    brahma::sched::point("wave.defer", chunk.len() as u64);
-                    self.stats.deferred.extend_from_slice(chunk);
-                }
-                Err(end) => return (done, Some(end)),
+            let end = (self.pos + batch_size).min(queue_len);
+            if let Err(stop) = self.run_batch(self.pos..end) {
+                return Some(stop);
             }
-            done += chunk.len();
-            // Every batch transaction committed or rolled back: a migrator
+            self.pos = end;
+            // The batch transaction committed or rolled back: the migrator
             // may not carry lock-manager locks across a batch boundary
             // (crash consistency depends on it).
             lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
-            if defer {
-                brahma::sched::point("wave.batch", tag as u64);
-                run.db.stats.reorg_wave_batches.inc();
-            } else {
-                brahma::sched::point("ira.batch", (tag + done) as u64);
-            }
-            run.db.fault.observe(ira_site::BATCH);
-            // Periodic checkpoints need the exact queue position, which only
-            // the one-worker drain over the queue itself has.
-            if let Some(every) = run.config.checkpoint_every {
-                if run.config.workers <= 1
-                    && every > 0
-                    && (tag + done).div_ceil(batch_size).is_multiple_of(every)
-                {
-                    let ckpt = run.checkpoint_at(tag + done);
-                    run.db.save_reorg_checkpoint(run.partition, ckpt.encode());
+            brahma::sched::point("ira.batch", self.pos as u64);
+            self.db.fault.observe(ira_site::BATCH);
+            if let Some(every) = self.config.checkpoint_every {
+                if every > 0 && self.pos.div_ceil(batch_size).is_multiple_of(every) {
+                    let ckpt = self.checkpoint();
+                    self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
                 }
             }
-            self.throttle_check();
-            if let Some(n) = run.exec.crash_after_migrations {
-                if run.mapping.len() >= n {
-                    return (done, Some(LoopEnd::Crash));
+            self.throttle_check(&mut throttle);
+            if let Some(n) = self.exec.crash_after_migrations {
+                if self.mapping.len() >= n {
+                    return Some(LoopEnd::Crash);
                 }
             }
         }
@@ -514,52 +403,46 @@ impl WorkerCtx<'_> {
 
     /// Close one batch of the throttle window; at the window's end, pause
     /// if lock timeouts spiked over it.
-    fn throttle_check(&mut self) {
-        let run = self.run;
-        let Some(t) = &run.config.throttle else {
+    fn throttle_check(&mut self, window: &mut ThrottleWindow) {
+        let Some(t) = &self.config.throttle else {
             return;
         };
-        self.throttle.batches += 1;
-        if self.throttle.batches < t.window.max(1) {
+        window.batches += 1;
+        if window.batches < t.window.max(1) {
             return;
         }
-        let timeouts = &run.db.locks.stats.timeouts;
-        let pauses = &run.tally.throttle_pauses;
-        if timeouts.get().saturating_sub(self.throttle.timeouts_mark) >= t.timeout_threshold
-            && pauses.load(AtomicOrd::Relaxed) < t.max_pauses
+        let timeouts = &self.db.locks.stats.timeouts;
+        if timeouts.get().saturating_sub(window.timeouts_mark) >= t.timeout_threshold
+            && self.tally.throttle_pauses < t.max_pauses
         {
-            pauses.fetch_add(1, AtomicOrd::Relaxed);
+            self.tally.throttle_pauses += 1;
             lockdep::might_block("ira.throttle");
             std::thread::sleep(t.pause);
         }
-        self.throttle = ThrottleWindow {
+        *window = ThrottleWindow {
             batches: 0,
             timeouts_mark: timeouts.get(),
         };
     }
 
-    /// Run one batch to completion: retryable conflicts (deadlock timeouts,
-    /// upgrade conflicts, cross-worker collisions, injected transients)
-    /// retry under the configured backoff; success returns the number of
-    /// objects migrated (skipped objects — already migrated or claimed
-    /// elsewhere — don't count).
-    fn run_batch(&mut self, batch: &[PhysAddr]) -> Result<usize, LoopEnd> {
-        // RetryState borrows the policy; clone it so the loop can borrow
-        // `self` mutably for the batch attempts.
-        let retry = self.retry.clone();
-        let mut backoff = retry.start();
+    /// Run one batch — the objects at queue positions `batch` — to
+    /// completion: retryable conflicts (deadlock timeouts, upgrade
+    /// conflicts, injected transients) retry under the configured backoff.
+    fn run_batch(&mut self, batch: Range<usize>) -> Result<(), LoopEnd> {
+        let config = self.config;
+        let mut backoff = config.retry.start();
         loop {
-            let result = match self.run.config.variant {
-                IraVariant::Basic => self.try_batch_basic(batch),
-                IraVariant::TwoLock => self.try_batch_two_lock(batch),
+            let result = match config.variant {
+                IraVariant::Basic => self.try_batch_basic(batch.clone()),
+                IraVariant::TwoLock => self.try_batch_two_lock(batch.clone()),
             };
             match result {
-                Ok(n) => return Ok(n),
+                Ok(()) => return Ok(()),
                 Err(e) if e.is_retryable_conflict() => {
-                    self.stats.retries += 1;
-                    if !self.run.db.retry_backoff(&mut backoff) {
+                    self.tally.retries += 1;
+                    if !self.db.retry_backoff(&mut backoff) {
                         return Err(LoopEnd::Exhausted {
-                            object: batch[0],
+                            object: self.state.order[batch.start],
                             attempts: backoff.attempt,
                         });
                     }
@@ -569,177 +452,142 @@ impl WorkerCtx<'_> {
         }
     }
 
+    /// Whether `oold` needs no migration: its address was freed, or it migrated already (earlier in a retried
+    /// two-lock batch, or before the crash a resumed run continues from).
+    fn skip(&self, part: &brahma::Partition, oold: PhysAddr) -> bool {
+        !part.contains_object(oold) || self.mapping.committed(oold).is_some()
+    }
+
     /// Migrate one batch inside one transaction (basic IRA).
-    fn try_batch_basic(&mut self, batch: &[PhysAddr]) -> Result<usize, StoreError> {
-        let run = self.run;
-        let part = run.db.partition(run.partition)?;
-        let mut txn = run.db.begin_reorg(run.partition);
+    fn try_batch_basic(&mut self, batch: Range<usize>) -> Result<(), StoreError> {
+        let db = self.db;
+        let part = db.partition(self.partition)?;
+        let mut txn = db.begin_reorg(self.partition);
         let mut keep: HashSet<PhysAddr> = HashSet::new();
         let mut effects = BatchEffects::default();
-        let mut failure = None;
-        for &oold in batch {
-            // Skip freed addresses and objects already migrated (committed
-            // slot) or mid-migration by another worker (their claim).
-            if !part.contains_object(oold) || !run.mapping.claim(oold, self.owner) {
+        let mut outcome = Ok(());
+        for i in batch {
+            let oold = self.state.order[i];
+            if self.skip(&part, oold) {
                 continue;
             }
-            effects.claims.push(oold);
-            if let Err(e) = run.db.fault.hit(ira_site::EXACT_PARENTS) {
-                failure = Some(e);
-                break;
-            }
-            let exact_start = Instant::now();
-            let step = find_exact_parents(run.db, &mut txn, oold, &run.state, &keep)
-                .and_then(|parents| {
-                    self.stats.exact_time += exact_start.elapsed();
-                    // Basic-IRA footprint invariant (Section 3.5): after
-                    // Find_Exact_Parents the batch transaction holds locks
-                    // only on confirmed parents — the current object's and
-                    // the kept set from earlier objects in this batch.
-                    let allowed: Vec<u64> = keep
-                        .iter()
-                        .chain(parents.iter())
-                        .map(|a| a.to_raw())
-                        .collect();
-                    lockdep::assert_txn_locks_subset(
-                        &allowed,
-                        "basic IRA after Find_Exact_Parents",
-                    );
-                    let migrate_start = Instant::now();
-                    let onew = move_object_and_update_refs(
-                        run.db,
-                        &mut txn,
-                        oold,
-                        &parents,
-                        run.plan,
-                        run.config.transform,
-                        &run.state,
-                        &run.mapping,
-                        self.owner,
-                        &mut effects,
-                    )?;
-                    self.stats.migrate_time += migrate_start.elapsed();
-                    keep.extend(parents);
-                    keep.insert(onew);
-                    keep.insert(oold);
-                    Ok(())
-                });
-            if let Err(e) = step {
-                failure = Some(e);
+            outcome = self.migrate_in_batch(&mut txn, oold, &mut keep, &mut effects);
+            if outcome.is_err() {
                 break;
             }
         }
-        match failure {
-            None => {
-                let commit = run
-                    .db
-                    .fault
-                    .hit(ira_site::MIGRATE_COMMIT)
-                    .and_then(|()| txn.commit());
-                match commit {
-                    Ok(()) => {
-                        let migrated = effects.migrations.len();
-                        for &(old, _) in &effects.migrations {
-                            run.mapping.commit(old);
-                        }
-                        // Counted here, not when the move is staged: a
-                        // rolled-back batch migrated nothing.
-                        run.db.stats.migrations.add(migrated as u64);
-                        // Claims that produced no migration reopen; release
-                        // spares the just-committed slots.
-                        for &claimed in &effects.claims {
-                            run.mapping.release(claimed);
-                        }
-                        self.stats.ext_locks += keep
-                            .iter()
-                            .filter(|a| a.partition() != run.partition)
-                            .count();
-                        Ok(migrated)
-                    }
-                    Err(e) => {
-                        // A failed commit is an abort (the handle rolled the
-                        // updates back on drop); the run's in-memory
-                        // bookkeeping must roll back with it.
-                        effects.revert(run.db, &run.state, &run.mapping);
-                        Err(e)
-                    }
-                }
-            }
-            Some(e) => {
+        let outcome = match outcome {
+            Ok(()) => db
+                .fault
+                .hit(ira_site::MIGRATE_COMMIT)
+                .and_then(|()| txn.commit()),
+            Err(e) => {
                 txn.abort();
-                effects.revert(run.db, &run.state, &run.mapping);
+                Err(e)
+            }
+        };
+        match outcome {
+            Ok(()) => {
+                for &(old, new) in &effects.migrations {
+                    self.mapping.commit(old, new);
+                }
+                // Counted here, not when the move is staged: a rolled-back
+                // batch migrated nothing.
+                db.stats.migrations.add(effects.migrations.len() as u64);
+                self.tally.ext_locks += keep
+                    .iter()
+                    .filter(|a| a.partition() != self.partition)
+                    .count();
+                Ok(())
+            }
+            Err(e) => {
+                // A failed commit is an abort too (the handle rolled the
+                // updates back on drop); the run's in-memory bookkeeping
+                // must roll back with it.
+                effects.revert(db, &mut self.state);
                 Err(e)
             }
         }
     }
 
+    /// One object of a basic-IRA batch: make its parent set exact, check
+    /// the lock footprint, move it. `keep` is every address the batch
+    /// transaction must keep locked.
+    fn migrate_in_batch(
+        &mut self,
+        txn: &mut Txn<'_>,
+        oold: PhysAddr,
+        keep: &mut HashSet<PhysAddr>,
+        effects: &mut BatchEffects,
+    ) -> Result<(), StoreError> {
+        self.db.fault.hit(ira_site::EXACT_PARENTS)?;
+        let exact_start = Instant::now();
+        let parents = find_exact_parents(self.db, txn, oold, &mut self.state, keep)?;
+        self.phases.exact_parents += exact_start.elapsed();
+        // Basic-IRA footprint invariant (Section 3.5): after
+        // Find_Exact_Parents the batch transaction holds locks only on
+        // confirmed parents — the current object's and the kept set from
+        // earlier objects in this batch.
+        let allowed: Vec<u64> = keep
+            .iter()
+            .chain(parents.iter())
+            .map(|a| a.to_raw())
+            .collect();
+        lockdep::assert_txn_locks_subset(&allowed, "basic IRA after Find_Exact_Parents");
+        let migrate_start = Instant::now();
+        let onew = move_object_and_update_refs(
+            self.db,
+            txn,
+            oold,
+            &parents,
+            self.plan,
+            self.config.transform,
+            &mut self.state,
+            effects,
+        )?;
+        self.phases.migrate += migrate_start.elapsed();
+        keep.extend(parents);
+        keep.insert(onew);
+        keep.insert(oold);
+        Ok(())
+    }
+
     /// Migrate one batch with the two-lock extension (each object commits
     /// by itself; on a mid-batch error, earlier objects stay migrated and
-    /// the retry skips them via their committed slots).
-    fn try_batch_two_lock(&mut self, batch: &[PhysAddr]) -> Result<usize, StoreError> {
-        let run = self.run;
-        let part = run.db.partition(run.partition)?;
-        let mut migrated = 0usize;
-        for &oold in batch {
-            if !part.contains_object(oold) || !run.mapping.claim(oold, self.owner) {
+    /// the retry skips them through the mapping).
+    fn try_batch_two_lock(&mut self, batch: Range<usize>) -> Result<(), StoreError> {
+        let part = self.db.partition(self.partition)?;
+        for i in batch {
+            let oold = self.state.order[i];
+            if self.skip(&part, oold) {
                 continue;
             }
             let migrate_start = Instant::now();
             let outcome = crate::two_lock::migrate_two_lock(
-                run.db,
+                self.db,
                 oold,
-                run.plan,
-                run.config.transform,
-                &run.state,
-                &run.mapping,
-                self.owner,
-                &self.retry,
+                self.plan,
+                self.config.transform,
+                &mut self.state,
+                &self.config.retry,
             );
-            self.stats.migrate_time += migrate_start.elapsed();
-            match outcome {
-                Ok(_) => migrated += 1,
-                Err(e) => {
-                    run.mapping.release(oold);
-                    return Err(e);
-                }
-            }
+            self.phases.migrate += migrate_start.elapsed();
+            self.mapping.commit(oold, outcome?);
         }
-        Ok(migrated)
-    }
-}
-
-impl ReorgRun<'_> {
-    fn worker_ctx<'r>(&'r self, owner: OwnerId, stop: &'r AtomicBool) -> WorkerCtx<'r> {
-        let retry = RetryPolicy {
-            seed: brahma::SeedTree::new(self.config.retry.seed)
-                .child("ira.worker")
-                .child_idx(owner as u64)
-                .seed(),
-            ..self.config.retry.clone()
-        };
-        WorkerCtx {
-            run: self,
-            owner,
-            retry,
-            stop,
-            throttle: ThrottleWindow {
-                batches: 0,
-                timeouts_mark: self.db.locks.stats.timeouts.get(),
-            },
-            stats: WorkerStats::default(),
-        }
-    }
-
-    fn absorb(&mut self, stats: WorkerStats) {
-        self.tally.retries += stats.retries;
-        self.tally.ext_locks += stats.ext_locks;
-        self.phases.exact_parents += stats.exact_time;
-        self.phases.migrate += stats.migrate_time;
+        Ok(())
     }
 
     pub(crate) fn execute(mut self) -> Result<IraReport, IraError> {
-        // Step two.
-        self.migrate()?;
+        // Step two. A batch that exhausts its retry budget fails the run:
+        // nobody is left to hand it to.
+        match self.drain() {
+            None => {}
+            Some(LoopEnd::Crash) => return Err(self.crash_now()),
+            Some(LoopEnd::Exhausted { object, attempts }) => {
+                return Err(self.fail(IraError::RetriesExhausted { object, attempts }))
+            }
+            Some(LoopEnd::Fatal(e)) => return Err(self.fail(IraError::Store(e))),
+        }
 
         // Garbage: allocated but never traversed (Section 4.6).
         let phase_start = Instant::now();
@@ -758,14 +606,7 @@ impl ReorgRun<'_> {
             .filter(|a| !survivors.contains(a))
             .collect();
         if !garbage.is_empty() {
-            // GC gets its own seed stream, like each worker (see WorkerCtx).
-            let gc_retry = RetryPolicy {
-                seed: brahma::SeedTree::new(self.config.retry.seed)
-                    .child("ira.gc")
-                    .seed(),
-                ..self.config.retry.clone()
-            };
-            let mut backoff = gc_retry.start();
+            let mut backoff = self.config.retry.start();
             loop {
                 match self.try_collect_garbage(&garbage) {
                     Ok(()) => break,
@@ -804,141 +645,17 @@ impl ReorgRun<'_> {
 
         Ok(IraReport {
             partition: self.partition,
-            mapping: self.mapping.to_hashmap(),
+            mapping: self.mapping.into_hashmap(),
             garbage,
             retries: self.tally.retries,
-            throttle_pauses: self.tally.throttle_pauses.into_inner(),
+            throttle_pauses: self.tally.throttle_pauses,
             external_parent_locks: self.tally.ext_locks,
             phases: self.phases,
             trt_notes,
             trt_purged,
-            waves: self.tally.waves,
-            workers: self.tally.workers,
-            deferred: self.tally.deferred,
+            deferred: 0,
             duration: self.started.elapsed(),
         })
-    }
-
-    /// Step two: migrate the remaining queue. One worker drains it in order
-    /// on the calling thread; more plan conflict-disjoint components
-    /// ([`crate::wave`]), claim and drain them concurrently, then drain
-    /// whatever they deferred in a tail pass on the calling thread.
-    fn migrate(&mut self) -> Result<(), IraError> {
-        let stop = AtomicBool::new(false);
-        if self.config.workers <= 1 {
-            self.tally.workers = 1;
-            let mut ctx = self.worker_ctx(0, &stop);
-            let (done, end) = ctx.drain(&self.state.order[self.pos..], OnExhausted::Fail, self.pos);
-            let stats = ctx.stats;
-            self.absorb(stats);
-            self.pos += done;
-            return self.finish_loop(end);
-        }
-
-        let remaining = &self.state.order[self.pos..];
-        let wave_plan = crate::wave::plan_waves(remaining, &self.state, self.partition);
-        self.tally.waves = wave_plan.components.len();
-        let nworkers = self.config.workers.min(wave_plan.components.len().max(1));
-        self.tally.workers = nworkers;
-        self.db.stats.reorg_workers.set(nworkers as u64);
-        // Per-worker component deques with back-stealing (see
-        // [`crate::wave::StealQueue`]).
-        let steal_queue = crate::wave::StealQueue::new(wave_plan.components.len(), nworkers);
-        // Why the run must end early, from the first worker to find out; a
-        // fatal error outranks a crash (the run fails rather than resumes).
-        let early_end: Mutex<Option<LoopEnd>> = Mutex::new(LockClass::WaveDeferred, 0, None);
-
-        let worker_stats: Vec<WorkerStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nworkers)
-                .map(|w| {
-                    let (db, wave_plan) = (self.db, &wave_plan);
-                    let (steal_queue, early_end, stop) = (&steal_queue, &early_end, &stop);
-                    let mut ctx = self.worker_ctx(w, stop);
-                    s.spawn(move || {
-                        brahma::sched::set_thread_label(&format!("wave-{w}"));
-                        while !stop.load(AtomicOrd::Relaxed) {
-                            let Some((c, stolen)) = steal_queue.claim(w) else {
-                                break;
-                            };
-                            if stolen {
-                                db.stats.reorg_wave_steals.inc();
-                            }
-                            brahma::sched::point("wave.claim", c as u64);
-                            let objs = &wave_plan.components[c];
-                            if let (_, Some(end)) = ctx.drain(objs, OnExhausted::Defer, c) {
-                                let mut slot = early_end.lock();
-                                if slot.is_none() || matches!(end, LoopEnd::Fatal(_)) {
-                                    *slot = Some(end);
-                                }
-                                stop.store(true, AtomicOrd::Relaxed);
-                            }
-                        }
-                        ctx.stats
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(stats) => stats,
-                    // Surface a worker panic (e.g. a lockdep violation in a
-                    // debug build) on the driver thread instead of dying
-                    // with a generic scope error.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut tail: Vec<PhysAddr> = Vec::new();
-        for mut stats in worker_stats {
-            tail.append(&mut stats.deferred);
-            self.absorb(stats);
-        }
-
-        let mut end = early_end.into_inner();
-        if end.is_none() {
-            // Tail pass: whatever the workers deferred, re-packed into queue
-            // order. Workers defer chunks in *completion* order, which is
-            // schedule-dependent; since queue order is placement order (a
-            // Priority plan's list IS the clustering decision), the tail
-            // must not scramble it. With nothing deferred the drain is only
-            // the end-of-step crash poll.
-            if !tail.is_empty() {
-                let pos_of: HashMap<PhysAddr, usize> = self.state.order[self.pos..]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &a)| (a, i))
-                    .collect();
-                tail.sort_by_cached_key(|&o| (pos_of.get(&o).copied().unwrap_or(usize::MAX), o));
-                tail.dedup();
-            }
-            self.tally.deferred = tail.len();
-            let mut ctx = self.worker_ctx(nworkers, &stop);
-            end = ctx.drain(&tail, OnExhausted::Fail, 0).1;
-            let stats = ctx.stats;
-            self.absorb(stats);
-        }
-        // Migrators stop at batch boundaries, so every slot is committed or
-        // released. A restart covers the whole queue; the resume skips
-        // committed objects through the mapping.
-        self.pos = match end {
-            Some(LoopEnd::Crash) => 0,
-            _ => self.state.order.len(),
-        };
-        self.finish_loop(end)
-    }
-
-    /// Translate how the migration loop ended into the run's outcome,
-    /// applying the error-path cleanup (checkpoint for a crash, release for
-    /// a failure).
-    fn finish_loop(&mut self, end: Option<LoopEnd>) -> Result<(), IraError> {
-        match end {
-            None => Ok(()),
-            Some(LoopEnd::Crash) => Err(self.crash_now()),
-            Some(LoopEnd::Exhausted { object, attempts }) => {
-                Err(self.fail(IraError::RetriesExhausted { object, attempts }))
-            }
-            Some(LoopEnd::Fatal(e)) => Err(self.fail(IraError::Store(e))),
-        }
     }
 
     /// Terminal failure: release the reorganization so the system keeps
@@ -956,7 +673,7 @@ impl ReorgRun<'_> {
     /// two migration transactions looks like (Section 4.4).
     fn crash_now(&self) -> IraError {
         let _ = self.db.fault.take_crash_request();
-        let ckpt = self.checkpoint_at(self.pos);
+        let ckpt = self.checkpoint();
         self.db
             .save_reorg_checkpoint(self.partition, ckpt.encode());
         IraError::SimulatedCrash(Box::new(ckpt))
@@ -974,12 +691,10 @@ impl ReorgRun<'_> {
         txn.commit()
     }
 
-    /// Snapshot the run at queue position `pos` for crash-restart (Section
-    /// 4.4: "the data structures Traversed Objects and Parent Lists can be
-    /// checkpointed"). `pos` is explicit because the one-worker drain's
-    /// periodic saves run while `self.pos` is stale (it is written back
-    /// only when the drain returns).
-    fn checkpoint_at(&self, pos: usize) -> IraCheckpoint {
+    /// Snapshot the run at its current queue position for crash-restart
+    /// (Section 4.4: "the data structures Traversed Objects and Parent
+    /// Lists can be checkpointed").
+    fn checkpoint(&self) -> IraCheckpoint {
         self.db.fault.observe(ira_site::CHECKPOINT);
         // Fuzzy TRT checkpoint: capture the log position first, then the
         // tuples — replaying from `trt_lsn` may duplicate tuples already in
@@ -1001,7 +716,7 @@ impl ReorgRun<'_> {
             state: self.state.clone(),
             mapping: self.mapping.sorted_committed(),
             queue: self.state.order.clone(),
-            pos,
+            pos: self.pos,
             trt_snapshot,
             trt_lsn,
         }
@@ -1022,7 +737,6 @@ mod tests {
         assert_eq!(c.variant, IraVariant::Basic);
         assert!(c.transform.is_none());
         assert!(c.throttle.is_none());
-        assert_eq!(c.workers, 1);
         assert_eq!(c.retry, brahma::RetryPolicy::default());
         assert!(ExecOptions::default().crash_after_migrations.is_none());
     }

@@ -16,7 +16,7 @@
 //!
 //! Deadlocks with workload transactions surface as lock timeouts; the caller
 //! aborts the migration transaction and re-invokes (Section 4.4). Confirmed
-//! parents recorded in the shared [`TraversalState`] survive the retry.
+//! parents recorded in the [`TraversalState`] survive the retry.
 
 use crate::relaxed::lock_and_settle;
 use crate::traversal::TraversalState;
@@ -33,7 +33,7 @@ pub fn find_exact_parents(
     db: &Database,
     txn: &mut Txn<'_>,
     oold: PhysAddr,
-    state: &TraversalState,
+    state: &mut TraversalState,
     keep_locked: &HashSet<PhysAddr>,
 ) -> Result<Vec<PhysAddr>> {
     let partition = oold.partition();
@@ -47,7 +47,7 @@ pub fn find_exact_parents(
         } else {
             // No longer a parent: forget it and release the lock unless the
             // enclosing transaction needs it for an earlier migration.
-            state.parents.remove(oold, parent);
+            state.remove_parent(oold, parent);
             if !keep_locked.contains(&parent) && !confirmed.contains(&parent) {
                 let _ = txn.unlock_nonparent(parent);
             }
@@ -68,7 +68,7 @@ pub fn find_exact_parents(
                 state.add_parent(oold, tuple.parent);
             }
         } else {
-            state.parents.remove(oold, tuple.parent);
+            state.remove_parent(oold, tuple.parent);
             if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
                 let _ = txn.unlock_nonparent(tuple.parent);
             }
@@ -127,10 +127,10 @@ mod tests {
         let _anchor = mk(&db, p0, vec![local]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
         let mut expect = vec![ext, local];
         expect.sort_unstable();
         assert_eq!(parents, expect);
@@ -149,7 +149,7 @@ mod tests {
         let ext2 = mk(&db, p0, vec![o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         // ext2's reference is deleted after the traversal (committed).
         let mut t = db.begin();
         t.lock(ext2, LockMode::Exclusive).unwrap();
@@ -158,7 +158,7 @@ mod tests {
 
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
         assert_eq!(parents, vec![ext]);
         assert_eq!(txn.lock_mode(ext2), None, "non-parent was unlocked");
         txn.commit().unwrap();
@@ -173,7 +173,7 @@ mod tests {
         let latecomer = mk(&db, p0, vec![]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         // After the traversal, a transaction inserts a new reference to o.
         let mut t = db.begin();
         t.lock(latecomer, LockMode::Exclusive).unwrap();
@@ -182,7 +182,7 @@ mod tests {
 
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
         assert!(parents.contains(&latecomer), "TRT loop must find the new parent");
         assert_eq!(txn.lock_mode(latecomer), Some(LockMode::Exclusive));
         txn.commit().unwrap();
@@ -195,7 +195,7 @@ mod tests {
         let o = mk(&db, p1, vec![]);
         let ext = mk(&db, p0, vec![o]);
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         // Generate churn: delete and reinsert the reference repeatedly with
         // purge disabled tuples... (purge is on by default, so use two
         // transactions that stay uncommitted to leave tuples behind).
@@ -215,7 +215,7 @@ mod tests {
         assert!(trt.has_tuples_for(o));
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
         assert!(!trt.has_tuples_for(o), "all tuples about o consumed");
         assert!(parents.contains(&ext) && parents.contains(&extra));
         txn.commit().unwrap();
@@ -228,7 +228,7 @@ mod tests {
         let o = mk(&db, p1, vec![]);
         let shared_parent = mk(&db, p0, vec![o]);
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         // Delete the ref so shared_parent is a non-parent at verification.
         let mut t = db.begin();
         t.lock(shared_parent, LockMode::Exclusive).unwrap();
@@ -240,7 +240,7 @@ mod tests {
         keep.insert(shared_parent);
         // Pre-lock it, as an earlier migration in the same batch would have.
         txn.lock(shared_parent, LockMode::Exclusive).unwrap();
-        let parents = find_exact_parents(&db, &mut txn, o, &state, &keep).unwrap();
+        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &keep).unwrap();
         assert!(parents.is_empty());
         assert_eq!(
             txn.lock_mode(shared_parent),

@@ -14,10 +14,7 @@
 //!   two-lock variant holding at most two locks at any time (Section 4.2,
 //!   [`two_lock`]), migration batching (Section 4.3, [`Reorg::batch`]),
 //!   checkpoint/restart after failures (Section 4.4, [`checkpoint`]),
-//!   copying garbage collection as a side effect (Section 4.6, [`gc`]),
-//!   and a parallel wave executor — up to N migrator workers, one per
-//!   conflict-disjoint component of the migration queue ([`wave`],
-//!   [`Reorg::workers`]; the paper's own graph plans as one component).
+//!   and copying garbage collection as a side effect (Section 4.6, [`gc`]).
 //! * Baselines: the quiescent reorganizer of Section 3.1 ([`offline`]) and
 //!   **PQR**, the Partition Quiesce Reorganization baseline of the paper's
 //!   performance study (Section 5.1, [`pqr`]) — both reachable through
@@ -50,7 +47,7 @@
 //! ```
 //!
 //! Everything is a knob on the same builder: `.variant(IraVariant::TwoLock)`
-//! for the two-lock extension, `.workers(4)` for the parallel executor,
+//! for the two-lock extension, `.batch(32)` for Section 4.3's batching,
 //! `.strategy(Strategy::PartitionQuiesce)` for the PQR baseline,
 //! `.resume_from(ckpt, &log)` to continue a crashed run.
 
@@ -74,7 +71,6 @@ pub mod shared;
 pub mod traversal;
 pub mod two_lock;
 pub mod verify;
-pub mod wave;
 
 pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
 pub use chaos::{run_crash_cell, with_repro_banner, CellOutcome, ChaosCell};

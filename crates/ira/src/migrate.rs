@@ -19,24 +19,17 @@
 //! transaction commits and the parents' locks are released.
 
 use crate::plan::RelocationPlan;
-use crate::shared::{ChildFate, MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
-use brahma::{
-    Database, Error as StoreError, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result,
-    Txn,
-};
+use brahma::{Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts.
 #[derive(Debug, Default)]
 pub struct BatchEffects {
-    /// Objects claimed in the shared [`MigrationMap`] by this batch (a
-    /// superset of `migrations`' old addresses: a claim precedes the move).
-    pub claims: Vec<PhysAddr>,
     /// (old, new) pairs, in migration order.
     pub migrations: Vec<(PhysAddr, PhysAddr)>,
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
-    /// shared traversal state.
+    /// traversal state.
     pub parent_rewrites: Vec<(PhysAddr, PhysAddr, PhysAddr)>,
     /// (old, new) root-registry rewrites.
     pub root_rewrites: Vec<(PhysAddr, PhysAddr)>,
@@ -45,43 +38,30 @@ pub struct BatchEffects {
 impl BatchEffects {
     /// Revert all recorded side effects (the transaction aborted; the
     /// storage-level changes roll back through the transaction's own undo).
-    /// Releasing the claims reopens every object of the batch to other
-    /// workers.
-    pub fn revert(self, db: &Database, state: &TraversalState, mapping: &MigrationMap) {
+    pub fn revert(self, db: &Database, state: &mut TraversalState) {
         for (old, new) in self.root_rewrites.into_iter().rev() {
             db.replace_root(new, old);
         }
         for (child, old_parent, new_parent) in self.parent_rewrites.into_iter().rev() {
             state.replace_parent(child, new_parent, old_parent);
         }
-        for old in self.claims.into_iter().rev() {
-            mapping.release(old);
-        }
     }
 }
 
 /// What both migration procedures copy: `oold`'s image after the optional
-/// transform, and its reference list with the same-partition children
-/// resolved against the migration map (`image.refs` keeps the originals).
+/// transform.
 pub(crate) struct CopySource {
     oold: PhysAddr,
     image: ObjectView,
-    new_refs: Vec<PhysAddr>,
 }
 
 impl CopySource {
-    /// Apply `transform` to `image` and resolve its own references: a
-    /// same-partition child already migrated *and committed* by another
-    /// worker is healed (the copy gets the child's new address — the old
-    /// one is freed); a child claimed by another worker is a collision,
-    /// surfacing as a retryable error before anything is written.
-    pub(crate) fn resolve(
+    /// Apply `transform` to `image`.
+    pub(crate) fn new(
         image: ObjectView,
         oold: PhysAddr,
         transform: Option<fn(ObjectView) -> ObjectView>,
-        mapping: &MigrationMap,
-        owner: OwnerId,
-    ) -> Result<Self> {
+    ) -> Self {
         let image = match transform {
             Some(f) => {
                 let transformed = f(image.clone());
@@ -93,20 +73,7 @@ impl CopySource {
             }
             None => image,
         };
-        let mut new_refs = image.refs.clone();
-        for r in new_refs.iter_mut() {
-            let child = *r;
-            if child.partition() == oold.partition() && child != oold {
-                if let Some(n) = mapping.heal_or_collide(child, owner)? {
-                    *r = n;
-                }
-            }
-        }
-        Ok(CopySource {
-            oold,
-            image,
-            new_refs,
-        })
+        CopySource { oold, image }
     }
 
     /// Create the copy where the plan puts it; self-references point at
@@ -116,13 +83,13 @@ impl CopySource {
             plan.target_partition(self.oold),
             NewObject {
                 tag: self.image.tag,
-                refs: self.new_refs.clone(),
+                refs: self.image.refs.clone(),
                 ref_cap: self.image.ref_cap,
                 payload: self.image.payload.clone(),
                 payload_cap: self.image.payload_cap,
             },
         )?;
-        for (i, r) in self.new_refs.iter().enumerate() {
+        for (i, r) in self.image.refs.iter().enumerate() {
             if *r == self.oold {
                 txn.set_ref(onew, i, onew)?;
             }
@@ -131,52 +98,34 @@ impl CopySource {
     }
 
     /// Parent-list bookkeeping for the children that still await
-    /// migration: replace `oold` by `onew` in each one's parent list, atomic
-    /// with the child's migration slot (see
-    /// [`MigrationMap::resolve_child`]). A child claimed or committed by
-    /// another worker since [`Self::resolve`] is a collision — the copy
-    /// still references its old address. Every rewrite applied is pushed
-    /// onto `rewrites` as (child, old_parent, new_parent), including those
-    /// before a collision, so the caller can revert them.
+    /// migration: replace `oold` by `onew` in each one's parent list. (A
+    /// child that already migrated was repointed in `oold` when it did, so
+    /// the reference names its new address, which never migrates again.)
+    /// Every rewrite is pushed onto `rewrites` as (child, old_parent,
+    /// new_parent) so the caller can revert it.
     pub(crate) fn repoint_children(
         &self,
         onew: PhysAddr,
-        state: &TraversalState,
-        mapping: &MigrationMap,
-        owner: OwnerId,
+        state: &mut TraversalState,
         rewrites: &mut Vec<(PhysAddr, PhysAddr, PhysAddr)>,
-    ) -> Result<()> {
+    ) {
         let oold = self.oold;
-        for (&child, &resolved) in self.image.refs.iter().zip(&self.new_refs) {
-            if resolved != child {
-                continue; // healed: the child is migrated, no bookkeeping left
-            }
+        for &child in &self.image.refs {
             if child.partition() == oold.partition() && child != oold {
-                match mapping.resolve_child(child, owner, || {
-                    state.replace_parent(child, oold, onew);
-                })? {
-                    ChildFate::Repointed => rewrites.push((child, oold, onew)),
-                    ChildFate::Healed(_) => {
-                        return Err(StoreError::ReorgCollision { addr: child });
-                    }
-                }
+                state.replace_parent(child, oold, onew);
+                rewrites.push((child, oold, onew));
             }
         }
-        Ok(())
     }
 }
 
 /// Migrate `oold` to its new location, updating the `parents`' references
 /// (which the caller has locked exactly via `find_exact_parents`).
 ///
-/// The caller must have claimed `oold` in `mapping` as `owner` (see
-/// [`MigrationMap::claim`]); on success the migration is left *staged* —
-/// the caller flips it to committed via [`MigrationMap::commit`] (and
-/// counts it in `db.migrations`) after the batch transaction commits.
-///
-/// Returns the new address. `state`, `mapping`, and `effects` are updated
-/// in place; on error the caller must abort the transaction and call
-/// [`BatchEffects::revert`].
+/// Returns the new address. `state` and `effects` are updated in place; the
+/// caller records `effects.migrations` in the migration map (and counts them
+/// in `db.migrations`) after the batch transaction commits, and on error
+/// aborts the transaction and calls [`BatchEffects::revert`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's procedure signature
 pub fn move_object_and_update_refs(
     db: &Database,
@@ -185,16 +134,14 @@ pub fn move_object_and_update_refs(
     parents: &[PhysAddr],
     plan: RelocationPlan,
     transform: Option<fn(ObjectView) -> ObjectView>,
-    state: &TraversalState,
-    mapping: &MigrationMap,
-    owner: OwnerId,
+    state: &mut TraversalState,
     effects: &mut BatchEffects,
 ) -> Result<PhysAddr> {
     // With all parents locked, no transaction can hold or obtain a lock on
     // oold (Lemma 3.3), so this lock is granted immediately; holding it also
     // satisfies the store's update discipline for the final free.
     txn.lock(oold, LockMode::Exclusive)?;
-    let source = CopySource::resolve(txn.read(oold)?, oold, transform, mapping, owner)?;
+    let source = CopySource::new(txn.read(oold)?, oold, transform);
 
     // 1. Copy to the new location.
     let onew = source.create_copy(txn, plan)?;
@@ -220,7 +167,7 @@ pub fn move_object_and_update_refs(
         .append(txn.id(), LogPayload::Migrate { old: oold, new: onew });
 
     // 3. Parent-list bookkeeping for children that still await migration.
-    source.repoint_children(onew, state, mapping, owner, &mut effects.parent_rewrites)?;
+    source.repoint_children(onew, state, &mut effects.parent_rewrites);
 
     // Root registry.
     if db.is_root(oold) {
@@ -231,7 +178,6 @@ pub fn move_object_and_update_refs(
     // 4. Delete the old copy (space deferred until the reorganization ends).
     txn.delete_object(oold)?;
 
-    mapping.stage(oold, onew, owner);
     effects.migrations.push((oold, onew));
     Ok(onew)
 }
@@ -266,20 +212,17 @@ mod tests {
         db: &Database,
         oold: PhysAddr,
         plan: RelocationPlan,
-        state: &TraversalState,
-        mapping: &MigrationMap,
+        state: &mut TraversalState,
     ) -> PhysAddr {
-        assert!(mapping.claim(oold, 0), "object already claimed");
         let mut txn = db.begin_reorg(oold.partition());
         let parents = find_exact_parents(db, &mut txn, oold, state, &HashSet::new()).unwrap();
         let mut effects = BatchEffects::default();
-        effects.claims.push(oold);
         let onew = move_object_and_update_refs(
-            db, &mut txn, oold, &parents, plan, None, state, mapping, 0, &mut effects,
+            db, &mut txn, oold, &parents, plan, None, state, &mut effects,
         )
         .unwrap();
         txn.commit().unwrap();
-        mapping.commit(oold);
+        assert_eq!(effects.migrations, vec![(oold, onew)]);
         onew
     }
 
@@ -294,9 +237,8 @@ mod tests {
         let _anchor = mk(&db, p0, vec![local]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &state, &mapping);
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &mut state);
         db.end_reorg(p1);
 
         assert_ne!(onew, o);
@@ -328,15 +270,8 @@ mod tests {
         let _ = anchor_for_child;
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let onew = migrate_one(
-            &db,
-            o,
-            RelocationPlan::EvacuateTo(p2),
-            &state,
-            &mapping,
-        );
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let onew = migrate_one(&db, o, RelocationPlan::EvacuateTo(p2), &mut state);
         db.end_reorg(p1);
 
         assert_eq!(onew.partition(), p2);
@@ -357,9 +292,8 @@ mod tests {
         let parent = mk(&db, p0, vec![o, o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &state, &mapping);
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &mut state);
         db.end_reorg(p1);
 
         assert_eq!(db.raw_read(parent).unwrap().refs, vec![onew, onew]);
@@ -381,9 +315,8 @@ mod tests {
         let _ext = mk(&db, p0, vec![o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &state, &mapping);
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let onew = migrate_one(&db, o, RelocationPlan::CompactInPlace, &mut state);
         db.end_reorg(p1);
 
         assert_eq!(db.raw_read(onew).unwrap().refs, vec![onew]);
@@ -399,13 +332,10 @@ mod tests {
         let ext = mk(&db, p0, vec![o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
+        let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        assert!(mapping.claim(o, 0));
-        let parents = find_exact_parents(&db, &mut txn, o, &state, &HashSet::new()).unwrap();
+        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
         let mut effects = BatchEffects::default();
-        effects.claims.push(o);
         move_object_and_update_refs(
             &db,
             &mut txn,
@@ -413,19 +343,14 @@ mod tests {
             &parents,
             RelocationPlan::CompactInPlace,
             None,
-            &state,
-            &mapping,
-            0,
+            &mut state,
             &mut effects,
         )
         .unwrap();
         txn.abort();
-        effects.revert(&db, &state, &mapping);
+        effects.revert(&db, &mut state);
         db.end_reorg(p1);
 
-        assert!(mapping.is_empty());
-        assert!(mapping.claim(o, 1), "revert must release the claim");
-        mapping.release(o);
         assert_eq!(db.raw_read(ext).unwrap().refs, vec![o]);
         assert_eq!(db.raw_read(o).unwrap().payload, b"payload".to_vec());
         brahma::sweep::assert_database_consistent(&db);
@@ -438,15 +363,8 @@ mod tests {
         let root = mk(&db, p0, vec![]);
         db.add_root(root);
         db.start_reorg(p0).unwrap();
-        let state = find_objects_and_approx_parents(&db, p0);
-        let mapping = MigrationMap::new();
-        let new_root = migrate_one(
-            &db,
-            root,
-            RelocationPlan::CompactInPlace,
-            &state,
-            &mapping,
-        );
+        let mut state = find_objects_and_approx_parents(&db, p0);
+        let new_root = migrate_one(&db, root, RelocationPlan::CompactInPlace, &mut state);
         db.end_reorg(p0);
         assert!(db.is_root(new_root));
         assert!(!db.is_root(root));

@@ -14,8 +14,6 @@
 //! shared parent **once** for all of its children instead of once per
 //! child. The trade-off: traversal order is what gives evacuation its
 //! clustering quality, so the default remains [`MigrationOrder::Traversal`].
-//! An order only permutes the queue: the wave planner ([`crate::wave`])
-//! treats every order alike.
 
 use crate::traversal::TraversalState;
 use brahma::{PartitionId, PhysAddr};
@@ -114,7 +112,7 @@ mod tests {
         let ext1 = a(0, 0);
         let ext2 = a(0, 64);
         let (o1, o2, o3, o4, o5) = (a(1, 0), a(1, 64), a(1, 128), a(1, 192), a(1, 256));
-        let state = TraversalState::default();
+        let mut state = TraversalState::default();
         state.add_parent(o1, ext1);
         state.add_parent(o2, ext2);
         state.add_parent(o3, ext1);
@@ -146,7 +144,7 @@ mod tests {
     fn grouping_ignores_intra_partition_parents() {
         let p = PartitionId(1);
         let (o1, o2) = (a(1, 0), a(1, 64));
-        let state = TraversalState::default();
+        let mut state = TraversalState::default();
         state.add_parent(o1, o2);
         state.add_parent(o2, o1);
         let mut ordered = vec![o1, o2];

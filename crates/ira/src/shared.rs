@@ -1,70 +1,16 @@
-//! The shared migration mapping.
-//!
-//! Serial IRA kept the old→new address mapping in a plain `HashMap` owned
-//! by the driver. The parallel executor shares one mapping between N
-//! migrator workers, so it lives behind a sharded mutex — and it carries
-//! more than committed pairs: a *slot machine* per old address that makes
-//! the cross-worker races of `Move_Object_And_Update_Refs` explicit.
-//!
-//! A worker **claims** an object before migrating it (`InFlight`), records
-//! the new address when the copy exists inside its still-open transaction
-//! (`Staged`), and the whole batch flips to `Committed` only after the
-//! batch transaction commits. Any other worker that meets a claimed slot
-//! while resolving a migrated object's children fails fast with
-//! [`brahma::Error::ReorgCollision`] — a retryable conflict, resolved by
-//! aborting the batch and retrying (or deferring) once the colliding
-//! worker is done. Child resolution runs *under the child's shard lock*,
-//! which closes the check-then-act race between "is this child already
-//! migrated?" and the parent-list rewrite: a worker claiming the child
-//! inserts `InFlight` before it snapshots the child's parents, so exactly
-//! one of the two workers observes the other.
+//! The migration mapping: old address → new address of every object whose
+//! migration transaction has committed. The one migrator asks it "already
+//! migrated?" to skip an object on a retried batch or a resumed run, and
+//! inserts into it only after the batch transaction commits — so there is
+//! never anything to release, and a checkpoint of it is always consistent.
 
-use brahma::lockdep::{LockClass, Mutex};
-use brahma::{Error as StoreError, PhysAddr, Result};
-use std::collections::{BTreeMap, HashMap};
+use brahma::PhysAddr;
+use std::collections::HashMap;
 
-/// Shard count; a small power of two spreads workers across locks.
-const MAP_SHARDS: usize = 16;
-
-/// Worker identity attached to non-committed slots, so a worker recognizes
-/// its own in-progress claims (objects earlier or later in its own batch)
-/// and treats them as non-conflicting.
-pub type OwnerId = usize;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Claimed by a worker; migration not yet performed.
-    InFlight(OwnerId),
-    /// Migrated inside a still-open batch transaction.
-    Staged(PhysAddr, OwnerId),
-    /// Migration durable: the batch transaction committed.
-    Committed(PhysAddr),
-}
-
-/// What happened to one child reference during resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildFate {
-    /// The child was already migrated and committed by another worker; the
-    /// caller must substitute the new address (the old one is freed).
-    Healed(PhysAddr),
-    /// The child is unmigrated (or claimed by the caller itself): the
-    /// parent-list rewrite was applied under the shard lock.
-    Repointed,
-}
-
-/// Sharded old→new migration map with claim slots (see module docs).
+/// Old → new address of every committed migration (see module docs).
+#[derive(Debug, Default)]
 pub struct MigrationMap {
-    shards: Vec<Mutex<HashMap<PhysAddr, Slot>>>,
-}
-
-impl Default for MigrationMap {
-    fn default() -> Self {
-        MigrationMap {
-            shards: (0..MAP_SHARDS)
-                .map(|i| Mutex::new(LockClass::MigrationShard, i as u64, HashMap::new()))
-                .collect(),
-        }
-    }
+    map: HashMap<PhysAddr, PhysAddr>,
 }
 
 impl MigrationMap {
@@ -74,163 +20,42 @@ impl MigrationMap {
 
     /// Rebuild from a checkpoint's committed pairs (crash-restart).
     pub fn from_committed(pairs: impl IntoIterator<Item = (PhysAddr, PhysAddr)>) -> Self {
-        let map = Self::default();
-        for (old, new) in pairs {
-            map.shard(old).lock().insert(old, Slot::Committed(new));
-        }
-        map
-    }
-
-    fn shard(&self, addr: PhysAddr) -> &Mutex<HashMap<PhysAddr, Slot>> {
-        let raw = addr.to_raw();
-        &self.shards[(((raw >> 6) ^ (raw >> 20)) as usize) % MAP_SHARDS]
-    }
-
-    /// Claim `oold` for migration by `owner`. Returns false when the object
-    /// is already claimed, staged, or committed — the caller skips it.
-    pub fn claim(&self, oold: PhysAddr, owner: OwnerId) -> bool {
-        let mut shard = self.shard(oold).lock();
-        if shard.contains_key(&oold) {
-            return false;
-        }
-        shard.insert(oold, Slot::InFlight(owner));
-        true
-    }
-
-    /// Record the migrated copy's address while the batch transaction is
-    /// still open.
-    pub fn stage(&self, oold: PhysAddr, onew: PhysAddr, owner: OwnerId) {
-        let mut shard = self.shard(oold).lock();
-        debug_assert_eq!(shard.get(&oold), Some(&Slot::InFlight(owner)));
-        shard.insert(oold, Slot::Staged(onew, owner));
-    }
-
-    /// The batch transaction committed: make the staged migration durable.
-    pub fn commit(&self, oold: PhysAddr) {
-        let mut shard = self.shard(oold).lock();
-        if let Some(Slot::Staged(onew, _)) = shard.get(&oold).copied() {
-            shard.insert(oold, Slot::Committed(onew));
+        MigrationMap {
+            map: pairs.into_iter().collect(),
         }
     }
 
-    /// The batch aborted (or the claimed object turned out dead): drop the
-    /// claim so other workers may take the object. Committed slots are
-    /// never released.
-    pub fn release(&self, oold: PhysAddr) {
-        let mut shard = self.shard(oold).lock();
-        if !matches!(shard.get(&oold), Some(Slot::Committed(_))) {
-            shard.remove(&oold);
-        }
+    /// The migration transaction of `oold` committed: it now lives at `onew`.
+    pub fn commit(&mut self, oold: PhysAddr, onew: PhysAddr) {
+        self.map.insert(oold, onew);
     }
 
-    /// The committed new address of `oold`, if its migration is durable.
+    /// The new address of `oold`, if it has migrated.
     pub fn committed(&self, oold: PhysAddr) -> Option<PhysAddr> {
-        match self.shard(oold).lock().get(&oold) {
-            Some(Slot::Committed(n)) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Pre-copy child resolution: decide what a migrating object's reference
-    /// to `child` should become in the new copy. `Committed` → the caller
-    /// substitutes ("heals") the new address; a slot held by another worker
-    /// → [`StoreError::ReorgCollision`]; absent or held by `owner` itself →
-    /// keep the old address (the child migrates later, or in this batch).
-    pub fn heal_or_collide(
-        &self,
-        child: PhysAddr,
-        owner: OwnerId,
-    ) -> Result<Option<PhysAddr>> {
-        match self.shard(child).lock().get(&child).copied() {
-            Some(Slot::Committed(n)) => Ok(Some(n)),
-            Some(Slot::InFlight(o)) | Some(Slot::Staged(_, o)) => {
-                if o == owner {
-                    Ok(None)
-                } else {
-                    Err(StoreError::ReorgCollision { addr: child })
-                }
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Post-copy child bookkeeping, atomic with the slot check: while the
-    /// child's shard is locked, run `repoint` (the caller's
-    /// `TraversalState::replace_parent` call) iff the child is unmigrated or
-    /// claimed by `owner` itself. A slot held by another worker — or a
-    /// commit that slipped in since [`Self::heal_or_collide`] — is a
-    /// collision: the caller's copy still references the old address, so the
-    /// batch must abort and retry (healing on the retry).
-    pub fn resolve_child(
-        &self,
-        child: PhysAddr,
-        owner: OwnerId,
-        repoint: impl FnOnce(),
-    ) -> Result<ChildFate> {
-        let shard = self.shard(child).lock();
-        match shard.get(&child).copied() {
-            Some(Slot::Committed(n)) => Ok(ChildFate::Healed(n)),
-            Some(Slot::InFlight(o)) | Some(Slot::Staged(_, o)) if o != owner => {
-                Err(StoreError::ReorgCollision { addr: child })
-            }
-            _ => {
-                repoint();
-                Ok(ChildFate::Repointed)
-            }
-        }
+        self.map.get(&oold).copied()
     }
 
     /// Number of committed migrations.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .filter(|v| matches!(v, Slot::Committed(_)))
-                    .count()
-            })
-            .sum()
+        self.map.len()
     }
 
     /// Whether no migration has committed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
-    /// Committed (old, new) pairs sorted by old address — the checkpoint's
+    /// (old, new) pairs sorted by old address — the checkpoint's
     /// deterministic form.
     pub fn sorted_committed(&self) -> Vec<(PhysAddr, PhysAddr)> {
-        let mut out: BTreeMap<PhysAddr, PhysAddr> = BTreeMap::new();
-        for shard in &self.shards {
-            for (old, slot) in shard.lock().iter() {
-                if let Slot::Committed(n) = slot {
-                    out.insert(*old, *n);
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// Committed pairs as the report's plain `HashMap`.
-    pub fn to_hashmap(&self) -> HashMap<PhysAddr, PhysAddr> {
-        let mut out = HashMap::new();
-        for shard in &self.shards {
-            for (old, slot) in shard.lock().iter() {
-                if let Slot::Committed(n) = slot {
-                    out.insert(*old, *n);
-                }
-            }
-        }
+        let mut out: Vec<(PhysAddr, PhysAddr)> = self.map.iter().map(|(&o, &n)| (o, n)).collect();
+        out.sort_unstable();
         out
     }
-}
 
-impl std::fmt::Debug for MigrationMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MigrationMap")
-            .field("committed", &self.len())
-            .finish()
+    /// The pairs as the report's plain `HashMap`.
+    pub fn into_hashmap(self) -> HashMap<PhysAddr, PhysAddr> {
+        self.map
     }
 }
 
@@ -244,70 +69,19 @@ mod tests {
     }
 
     #[test]
-    fn claim_stage_commit_lifecycle() {
-        let m = MigrationMap::new();
-        assert!(m.claim(a(0), 0));
-        assert!(!m.claim(a(0), 1), "double claim must fail");
-        m.stage(a(0), a(64), 0);
-        assert_eq!(m.committed(a(0)), None, "staged is not durable");
-        assert_eq!(m.len(), 0);
-        m.commit(a(0));
+    fn commit_records_the_new_address() {
+        let mut m = MigrationMap::new();
+        assert!(m.is_empty());
+        assert_eq!(m.committed(a(0)), None);
+        m.commit(a(0), a(64));
         assert_eq!(m.committed(a(0)), Some(a(64)));
         assert_eq!(m.len(), 1);
-        assert!(!m.claim(a(0), 1), "committed objects are never reclaimed");
-        m.release(a(0));
-        assert_eq!(m.committed(a(0)), Some(a(64)), "release spares committed");
-    }
-
-    #[test]
-    fn release_reopens_the_claim() {
-        let m = MigrationMap::new();
-        assert!(m.claim(a(0), 0));
-        m.release(a(0));
-        assert!(m.claim(a(0), 1));
-        m.stage(a(0), a(64), 1);
-        m.release(a(0));
-        assert!(m.claim(a(0), 2), "released staged slot is reclaimable");
-    }
-
-    #[test]
-    fn foreign_claims_collide_and_own_claims_do_not() {
-        let m = MigrationMap::new();
-        assert!(m.claim(a(0), 0));
-        assert!(matches!(
-            m.heal_or_collide(a(0), 1),
-            Err(StoreError::ReorgCollision { .. })
-        ));
-        assert_eq!(m.heal_or_collide(a(0), 0).unwrap(), None, "own claim");
-        let mut ran = false;
-        assert!(matches!(
-            m.resolve_child(a(0), 1, || ran = true),
-            Err(StoreError::ReorgCollision { .. })
-        ));
-        assert!(!ran, "repoint must not run on collision");
-        assert_eq!(
-            m.resolve_child(a(0), 0, || ran = true).unwrap(),
-            ChildFate::Repointed
-        );
-        assert!(ran);
-    }
-
-    #[test]
-    fn committed_children_heal() {
-        let m = MigrationMap::from_committed([(a(0), a(64))]);
-        assert_eq!(m.heal_or_collide(a(0), 3).unwrap(), Some(a(64)));
-        let mut ran = false;
-        assert_eq!(
-            m.resolve_child(a(0), 3, || ran = true).unwrap(),
-            ChildFate::Healed(a(64))
-        );
-        assert!(!ran, "healed children need no parent-list rewrite");
     }
 
     #[test]
     fn sorted_committed_is_deterministic() {
         let m = MigrationMap::from_committed([(a(128), a(192)), (a(0), a(64))]);
         assert_eq!(m.sorted_committed(), vec![(a(0), a(64)), (a(128), a(192))]);
-        assert_eq!(m.to_hashmap().len(), 2);
+        assert_eq!(m.into_hashmap().len(), 2);
     }
 }

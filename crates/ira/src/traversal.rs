@@ -13,136 +13,9 @@
 //! referenced objects that have not been visited yet (line L2 of Figure 3),
 //! so no live object is missed (Lemma 3.1).
 
-use brahma::lockdep::{LockClass, Mutex};
 use brahma::{Database, PartitionId, PhysAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// Shard count of [`ParentMap`]; a small power of two keeps the modulo
-/// cheap while spreading parallel workers across independent locks.
-const PARENT_SHARDS: usize = 16;
-
-/// The approximate parent lists, sharded behind per-shard mutexes so the
-/// parallel migration executor can rewrite parent bookkeeping through a
-/// shared reference (`Move_Object_And_Update_Refs` updates the parent list
-/// of every not-yet-migrated child it repoints).
-pub struct ParentMap {
-    shards: Vec<Mutex<HashMap<PhysAddr, HashSet<PhysAddr>>>>,
-}
-
-impl ParentMap {
-    fn shard(&self, child: PhysAddr) -> &Mutex<HashMap<PhysAddr, HashSet<PhysAddr>>> {
-        let raw = child.to_raw();
-        // Offsets are aligned; fold the high bits in so pages spread too.
-        &self.shards[(((raw >> 6) ^ (raw >> 20)) as usize) % PARENT_SHARDS]
-    }
-
-    /// Record that `parent` references `child`.
-    pub fn add(&self, child: PhysAddr, parent: PhysAddr) {
-        self.shard(child)
-            .lock()
-            .entry(child)
-            .or_default()
-            .insert(parent);
-    }
-
-    /// Remove `parent` from `child`'s parent list (no-op when absent).
-    pub fn remove(&self, child: PhysAddr, parent: PhysAddr) {
-        if let Some(ps) = self.shard(child).lock().get_mut(&child) {
-            ps.remove(&parent);
-        }
-    }
-
-    /// Rewrite `old_parent` to `new_parent` in `child`'s parent list.
-    pub fn replace(&self, child: PhysAddr, old_parent: PhysAddr, new_parent: PhysAddr) {
-        let mut shard = self.shard(child).lock();
-        let ps = shard.entry(child).or_default();
-        ps.remove(&old_parent);
-        ps.insert(new_parent);
-    }
-
-    /// The recorded parents of `child`, sorted (empty if none).
-    pub fn parents_of(&self, child: PhysAddr) -> Vec<PhysAddr> {
-        self.shard(child)
-            .lock()
-            .get(&child)
-            .map(|s| {
-                let mut v: Vec<PhysAddr> = s.iter().copied().collect();
-                // Deterministic lock order reduces reorganizer-side deadlock.
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
-    }
-
-    /// Every (child, sorted parents) pair, sorted by child — the canonical
-    /// form used by the checkpoint codec and equality.
-    pub fn sorted_entries(&self) -> Vec<(PhysAddr, Vec<PhysAddr>)> {
-        let mut merged: BTreeMap<PhysAddr, Vec<PhysAddr>> = BTreeMap::new();
-        for shard in &self.shards {
-            for (child, ps) in shard.lock().iter() {
-                let mut v: Vec<PhysAddr> = ps.iter().copied().collect();
-                v.sort_unstable();
-                merged.insert(*child, v);
-            }
-        }
-        merged.into_iter().collect()
-    }
-
-    /// Number of children with a recorded parent list.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether no parent list is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for ParentMap {
-    fn default() -> Self {
-        ParentMap {
-            shards: (0..PARENT_SHARDS)
-                .map(|i| Mutex::new(LockClass::TraversalShard, i as u64, HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-impl Clone for ParentMap {
-    fn clone(&self) -> Self {
-        let out = ParentMap::default();
-        for shard in &self.shards {
-            // Snapshot the shard, then insert with its lock released:
-            // holding a source shard across `out.add` would nest two
-            // TraversalShard locks with unordered indices.
-            let entries: Vec<(PhysAddr, Vec<PhysAddr>)> = shard
-                .lock()
-                .iter()
-                .map(|(c, ps)| (*c, ps.iter().copied().collect()))
-                .collect();
-            for (child, ps) in entries {
-                for p in ps {
-                    out.add(child, p);
-                }
-            }
-        }
-        out
-    }
-}
-
-impl PartialEq for ParentMap {
-    fn eq(&self, other: &Self) -> bool {
-        self.sorted_entries() == other.sorted_entries()
-    }
-}
-
-impl std::fmt::Debug for ParentMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.sorted_entries()).finish()
-    }
-}
+use std::collections::{HashMap, HashSet};
 
 /// Accumulated traversal state: visited objects (in discovery order) and the
 /// approximate parent list of each.
@@ -157,15 +30,21 @@ pub struct TraversalState {
     /// that turned out not to be live objects); guarantees the L2 loop
     /// terminates.
     pub visited: HashSet<PhysAddr>,
-    /// Approximate parents per visited object. Sharded: parent bookkeeping
-    /// mutates through `&self`, so migrator workers share the state.
-    pub parents: ParentMap,
+    /// Approximate parents per visited object.
+    pub parents: HashMap<PhysAddr, HashSet<PhysAddr>>,
 }
 
 impl TraversalState {
     /// Record that `parent` references `child`.
-    pub fn add_parent(&self, child: PhysAddr, parent: PhysAddr) {
-        self.parents.add(child, parent);
+    pub fn add_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
+        self.parents.entry(child).or_default().insert(parent);
+    }
+
+    /// Remove `parent` from `child`'s parent list (no-op when absent).
+    pub fn remove_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
+        if let Some(ps) = self.parents.get_mut(&child) {
+            ps.remove(&parent);
+        }
     }
 
     /// Rewrite `old_parent` to `new_parent` in `child`'s parent list — the
@@ -178,13 +57,22 @@ impl TraversalState {
     /// now-freed address, which `Find_Exact_Parents` will discard as stale)
     /// — the migrated copy physically holds the reference, so it must be a
     /// recorded parent of the child.
-    pub fn replace_parent(&self, child: PhysAddr, old_parent: PhysAddr, new_parent: PhysAddr) {
-        self.parents.replace(child, old_parent, new_parent);
+    pub fn replace_parent(&mut self, child: PhysAddr, old_parent: PhysAddr, new_parent: PhysAddr) {
+        let ps = self.parents.entry(child).or_default();
+        ps.remove(&old_parent);
+        ps.insert(new_parent);
     }
 
-    /// The approximate parents of `child` (empty if none recorded).
+    /// The approximate parents of `child`, sorted (empty if none recorded).
     pub fn parents_of(&self, child: PhysAddr) -> Vec<PhysAddr> {
-        self.parents.parents_of(child)
+        let mut v: Vec<PhysAddr> = self
+            .parents
+            .get(&child)
+            .map(|ps| ps.iter().copied().collect())
+            .unwrap_or_default();
+        // Deterministic lock order reduces reorganizer-side deadlock.
+        v.sort_unstable();
+        v
     }
 }
 

@@ -26,26 +26,21 @@
 use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
-use crate::shared::{MigrationMap, OwnerId};
 use crate::traversal::TraversalState;
 use brahma::{Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
 use std::collections::HashSet;
 
 /// Migrate one object with the two-lock discipline.
 ///
-/// The caller must have claimed `oold` in `mapping` as `owner`; on success
-/// the migration is committed (the guard transaction commits inside), so
-/// this function flips the slot to `Committed` itself. On error the caller
-/// releases the claim.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure signature
+/// On success the migration is committed (the guard transaction commits
+/// inside) and counted in `db.migrations`; the caller records the returned
+/// new address in its migration map.
 pub fn migrate_two_lock(
     db: &Database,
     oold: PhysAddr,
     plan: RelocationPlan,
     transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
-    state: &TraversalState,
-    mapping: &MigrationMap,
-    owner: OwnerId,
+    state: &mut TraversalState,
     retry: &RetryPolicy,
 ) -> Result<PhysAddr> {
     let partition = oold.partition();
@@ -60,7 +55,7 @@ pub fn migrate_two_lock(
     let mut guard = db.begin_reorg(partition);
     guard.lock(oold, LockMode::Exclusive)?;
     settle(db, guard.id(), oold)?;
-    let source = CopySource::resolve(guard.read(oold)?, oold, transform, mapping, owner)?;
+    let source = CopySource::new(guard.read(oold)?, oold, transform);
 
     // Create the copy in its own transaction, then hand its lock to the
     // guard. Nothing references O_new yet, so the hand-over window is
@@ -97,17 +92,15 @@ pub fn migrate_two_lock(
 
     // Nothing reverts a two-lock migration (each step committed on its own),
     // so the rewrite list is dropped.
-    source.repoint_children(onew, state, mapping, owner, &mut Vec::new())?;
+    source.repoint_children(onew, state, &mut Vec::new());
     if db.is_root(oold) {
         db.replace_root(oold, onew);
     }
     db.wal
         .append(guard.id(), LogPayload::Migrate { old: oold, new: onew });
     guard.delete_object(oold)?;
-    mapping.stage(oold, onew, owner);
     guard.commit()?;
 
-    mapping.commit(oold);
     db.stats.migrations.inc();
     Ok(onew)
 }
@@ -176,24 +169,9 @@ mod tests {
         a
     }
 
-    fn migrate(
-        db: &Database,
-        o: PhysAddr,
-        state: &TraversalState,
-        mapping: &MigrationMap,
-    ) -> PhysAddr {
-        assert!(mapping.claim(o, 0));
-        migrate_two_lock(
-            db,
-            o,
-            RelocationPlan::CompactInPlace,
-            None,
-            state,
-            mapping,
-            0,
-            &RetryPolicy::default(),
-        )
-        .unwrap()
+    fn migrate(db: &Database, o: PhysAddr, state: &mut TraversalState) -> PhysAddr {
+        let plan = RelocationPlan::CompactInPlace;
+        migrate_two_lock(db, o, plan, None, state, &RetryPolicy::default()).unwrap()
     }
 
     #[test]
@@ -206,15 +184,13 @@ mod tests {
         let e2 = mk(&db, p0, vec![o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let onew = migrate(&db, o, &state, &mapping);
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let onew = migrate(&db, o, &mut state);
         db.end_reorg(p1);
 
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![onew]);
         assert_eq!(db.raw_read(e2).unwrap().refs, vec![onew]);
         assert!(db.raw_read(o).is_err());
-        assert_eq!(mapping.committed(o), Some(onew));
         brahma::sweep::assert_database_consistent(&db);
     }
 
@@ -231,9 +207,8 @@ mod tests {
         let e1 = mk(&db, p0, vec![o]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
-        let mapping = MigrationMap::new();
-        let (onew, raised) = brahma::lockdep::tolerate(|| migrate(&db, o, &state, &mapping));
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        let (onew, raised) = brahma::lockdep::tolerate(|| migrate(&db, o, &mut state));
         db.end_reorg(p1);
         assert_eq!(raised, 0, "a real two-lock migration must not trip lockdep");
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![onew]);
@@ -267,7 +242,7 @@ mod tests {
         let late = mk(&db, p0, vec![]);
 
         db.start_reorg(p1).unwrap();
-        let state = find_objects_and_approx_parents(&db, p1);
+        let mut state = find_objects_and_approx_parents(&db, p1);
         // Simulate a transaction inserting a new reference to o after the
         // traversal but before migration (it will be in the TRT).
         let mut t = db.begin();
@@ -275,8 +250,7 @@ mod tests {
         t.insert_ref(late, o).unwrap();
         t.commit().unwrap();
 
-        let mapping = MigrationMap::new();
-        let onew = migrate(&db, o, &state, &mapping);
+        let onew = migrate(&db, o, &mut state);
         db.end_reorg(p1);
         assert_eq!(db.raw_read(late).unwrap().refs, vec![onew]);
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![onew]);

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// by tag, payload, and the visit numbers of its edge list. Two databases
 /// yield equal fingerprints exactly when their live graphs are isomorphic
 /// under relocation — the property every reorganization must preserve, and
-/// how the tests compare a parallel run against a serial one.
+/// how the tests compare a reorganized database against the original.
 ///
 /// A *dangling* reference (to a freed or never-allocated address) renders
 /// as a `dead` edge rather than panicking, so a corrupted database

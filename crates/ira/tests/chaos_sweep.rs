@@ -38,21 +38,19 @@ fn crash_point_sweep_over_every_site() {
     // lockdep configuration, where violations count instead of panicking.
     let lockdep_before = brahma::lockdep::violations();
 
-    for (i, &site) in all_sites().iter().enumerate() {
+    for &site in &all_sites() {
         for stride in STRIDES {
             let cell = ChaosCell {
                 site,
                 nth_hit: stride,
                 seed: tree.child(site).child_idx(stride).seed(),
-                // Sites alternate serial and parallel cells.
-                workers: 1 + (i % 2),
             };
             // run_crash_cell panics on any invariant violation; reaching
             // here means the cell verified.
             let outcome = with_repro_banner(
                 &format!(
-                    "CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride},seed:{:#x},workers:{}",
-                    cell.seed, cell.workers
+                    "CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride},seed:{:#x}",
+                    cell.seed
                 ),
                 || run_crash_cell(&cell),
             );

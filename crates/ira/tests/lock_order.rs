@@ -21,11 +21,10 @@ const LOCK_ORDER: &[(LockClass, LockClass)] = &[
     (DbReorgTables, FaultState),
     (DbReorgTables, FileBackend),
     (DbReorgPins, WalPins),
-    (MigrationShard, TraversalShard),
     (FileBackend, FaultState),
 ];
 
-/// A chain in one partition anchored from another, reorganized by two workers.
+/// A chain in one partition anchored from another, reorganized in batches of 3.
 fn build_and_reorganize() {
     let db = Database::new(StoreConfig::default());
     let p0 = db.create_partition();
@@ -42,7 +41,7 @@ fn build_and_reorganize() {
     let anchor = NewObject::exact(200, vec![chain[11], chain[6]], vec![1]);
     t.create_object(p0, anchor).expect("anchor");
     t.commit().expect("anchor");
-    let outcome = Reorg::on(&db, p1).workers(2).batch(3).run();
+    let outcome = Reorg::on(&db, p1).batch(3).run();
     assert!(outcome.expect("reorg").migrated() > 0);
 }
 
@@ -52,14 +51,11 @@ fn observed_lock_order_is_the_pinned_list() {
     let violations_before = lockdep::violations();
     build_and_reorganize();
     let (site, nth_hit, seed) = (ira::chaos::site::MIGRATE_COMMIT, 3, 7);
-    for workers in [1, 2] {
-        run_crash_cell(&ChaosCell {
-            site,
-            nth_hit,
-            seed,
-            workers,
-        });
-    }
+    run_crash_cell(&ChaosCell {
+        site,
+        nth_hit,
+        seed,
+    });
     let (site, nth_hit) = (brahma::fault::site::FILE_FSYNC, 12);
     run_disk_cell(&DiskChaosCell {
         site,
@@ -79,11 +75,6 @@ fn observed_lock_order_is_the_pinned_list() {
     // The checker is armed and the workload is real.
     assert!(seen(PartitionAlloc, PartitionPages));
     assert!(seen(WalInner, FileBackend));
-    assert!(seen(MigrationShard, TraversalShard));
-    // A sharded class never nests within itself.
-    for class in [WaveDeque, MigrationShard, TraversalShard] {
-        assert!(!seen(class, class), "{class:?} nests within itself");
-    }
     let violations = lockdep::violations() - violations_before;
     assert_eq!(violations, 0, "the workload must run clean under lockdep");
 }

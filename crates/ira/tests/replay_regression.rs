@@ -229,7 +229,7 @@ fn regenerate_lost_tuple_trace() {
 }
 
 /// Schedule exploration over the cell shape the 1-in-300 failure lived in
-/// (parallel executor, crash while a checkpoint or batch boundary is hot,
+/// (crash while a checkpoint or batch boundary is hot,
 /// seeded TRT rebuild on resume): `EXPLORE_ROOTS` fault/workload seeds ×
 /// `EXPLORE_PRIOS` PCT priority seeds, every cell verified. Bounded so
 /// ci.sh can run a small smoke; crank the env vars to hunt.
@@ -253,12 +253,9 @@ fn explore_chaos() {
                     site,
                     nth_hit: 3,
                     seed: root,
-                    workers: 2,
                 };
                 with_repro_banner(
-                    &format!(
-                        "EXPLORE CELL=site:{site},root:{root:#x},prio:{prio:#x},workers:2"
-                    ),
+                    &format!("EXPLORE CELL=site:{site},root:{root:#x},prio:{prio:#x}"),
                     || run_crash_cell(&cell),
                 );
                 brahma::sched::clear_controller();

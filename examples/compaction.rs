@@ -68,11 +68,9 @@ fn main() {
         before.live_objects, before.pages, before.free_extents, before.free_extent_bytes
     );
 
-    // Compact on-line: the workload keeps running the whole time, and four
-    // migrator workers drain conflict-disjoint waves of the queue.
+    // Compact on-line: the workload keeps running the whole time.
     let handle = start_workload(Arc::clone(&db), Arc::clone(&info), &params);
     let outcome = Reorg::on(&db, target)
-        .workers(4)
         .batch(8)
         .run()
         .expect("compaction completes under load");
@@ -85,12 +83,10 @@ fn main() {
     );
     let report = outcome.ira().unwrap();
     println!(
-        "  {} objects migrated in {:.2?} across {} waves by {} workers; \
+        "  {} objects migrated in {:.2?}; \
          workload committed {} transactions meanwhile (avg response {:.1} ms)",
         outcome.migrated(),
         outcome.duration,
-        report.waves,
-        report.workers,
         metrics.committed,
         metrics.avg_ms
     );

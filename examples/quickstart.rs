@@ -40,7 +40,7 @@ fn main() {
     // Reorganize p1 on-line: every live object moves; parents (wherever
     // they are) get their references rewritten; at most the parents of one
     // object are locked at a time. `Reorg::on` defaults to incremental
-    // (basic IRA), compacting in place, one worker.
+    // (basic IRA), compacting in place, one object per batch.
     let outcome = Reorg::on(&db, p1).run().unwrap();
 
     println!("\nafter IRA ({} objects migrated):", outcome.migrated());

@@ -58,39 +58,6 @@ fn ira_batched_under_churning_load() {
 }
 
 #[test]
-fn ira_parallel_under_churning_load() {
-    run_under_load(StoreConfig::default(), small_params(), |db, p| {
-        let outcome = Reorg::on(db, p).workers(4).batch(4).run().unwrap();
-        assert_eq!(outcome.migrated(), 170);
-        let report = outcome.ira().unwrap();
-        assert_eq!(report.workers, report.waves.clamp(1, 4));
-    });
-}
-
-#[test]
-fn table_1_graph_plans_as_one_wave() {
-    // The traffic fact the benchmark's "2-worker" `reorg_idle` rounds rest
-    // on: every node's extra edge chains the Table-1 clusters into ONE
-    // conflict component, so a `.workers(2)` pass is one migrator behind a
-    // planner. Whoever changes the graph or the planner learns here that
-    // those rounds changed meaning.
-    let db = Database::new(StoreConfig::default());
-    let params = WorkloadParams {
-        num_partitions: 2,
-        ..WorkloadParams::default()
-    };
-    let info = build_graph(&db, &params).unwrap();
-    for &p in &info.data_partitions {
-        let outcome = Reorg::on(&db, p).workers(2).batch(8).run().unwrap();
-        assert_eq!(outcome.migrated(), 4080);
-        let report = outcome.ira().unwrap();
-        assert_eq!((report.waves, report.workers, report.deferred), (1, 1, 0));
-        ira::verify::assert_reorganization_clean(&db, report);
-    }
-    brahma::sweep::assert_database_consistent(&db);
-}
-
-#[test]
 fn ira_with_relaxed_2pl_workload() {
     let store = StoreConfig {
         strict_2pl: false,
