@@ -97,6 +97,10 @@ bash benchmark/run.sh --smoke
 # the exact `db.migrations` of fixed work. Reuses the smoke run's release
 # build of the crates under test.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
+# The write path's allocation budget (DESIGN.md §10.3) — allocations per
+# migrated object, per `set_payload`, per read-only transaction — ran in
+# the debug workspace tests above; the counts must hold optimized too.
+cargo test --release -q --test alloc_budget
 # One size counter, so "least code" (ROADMAP) is the same number in every
 # PR: non-test Rust lines under crates/*/src and shims/*/src (the `nontest`
 # cut the guards above use), then test and benchmark lines. CHANGES.md

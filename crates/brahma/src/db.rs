@@ -531,11 +531,13 @@ impl Database {
                 }
             }
             LogPayload::SetPayload { addr, old, new } => {
-                let was =
-                    self.with_page_write(*addr, |buf| object::set_payload(buf, *addr, new))??;
-                if was != *old {
-                    return Err(displaced("SetPayload", *addr, &was, old));
-                }
+                self.with_page_write(*addr, |buf| {
+                    let was = object::payload(buf, *addr)?;
+                    if was != old.as_slice() {
+                        return Err(displaced("SetPayload", *addr, &was, old));
+                    }
+                    object::set_payload(buf, *addr, new)
+                })??;
             }
             LogPayload::InsertRef {
                 parent,
@@ -642,6 +644,9 @@ impl Database {
         self.locks.stats.export(&mut snap);
         snap.set("lock.table_size", self.locks.table_size() as u64);
         self.wal.stats.export(&mut snap);
+        let (retained_records, retained_bytes) = self.wal.retained();
+        snap.set("wal.retained_records", retained_records as u64);
+        snap.set("wal.retained_bytes", retained_bytes as u64);
 
         let mut ert_inserts = 0;
         let mut ert_removes = 0;

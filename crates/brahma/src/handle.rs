@@ -23,7 +23,9 @@ use crate::object::{self, ObjectView};
 use crate::trt::RefAction;
 use crate::txn::TxnId;
 use crate::wal::LogPayload;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::mem::take;
 
 /// Parameters for creating an object.
 #[derive(Debug, Clone)]
@@ -78,9 +80,16 @@ impl NewObject {
     }
 }
 
-/// Initial capacity of [`Txn`]'s held-lock list: a walker transaction takes
-/// 9 locks, and growing from empty would reallocate three times on the way.
-const HELD_CAPACITY: usize = 16;
+/// A transaction's `held`, `undo` and `deleted_pairs` vectors.
+type TxnVecs = (Vec<(PhysAddr, LockMode)>, Vec<LogPayload>, Vec<(PhysAddr, PhysAddr)>);
+
+thread_local! {
+    /// The vectors of the transaction that last finished on this thread,
+    /// emptied: a thread running one transaction after another grows them
+    /// once. A transaction begun while another is open on the thread finds
+    /// empty ones here, as it would have without the slot.
+    static SPARE_VECS: Cell<TxnVecs> = const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
 
 /// Longest held-lock list that is searched by scanning it. A walker
 /// transaction holds 9 locks and a migration batch a few dozen; past this
@@ -130,16 +139,17 @@ impl Database {
     fn begin_internal(&self, reorg: Option<PartitionId>) -> Txn<'_> {
         let id = self.txns.begin();
         self.wal.append(id, LogPayload::Begin { reorg });
+        let (held, undo, deleted_pairs) = SPARE_VECS.take();
         Txn {
             db: self,
             id,
             reorg_for: reorg,
             done: false,
-            held: Vec::with_capacity(HELD_CAPACITY),
+            held,
             held_at: HashMap::new(),
             ever_locked: Vec::new(),
-            undo: Vec::new(),
-            deleted_pairs: Vec::new(),
+            undo,
+            deleted_pairs,
         }
     }
 }
@@ -300,10 +310,16 @@ impl<'db> Txn<'db> {
 
     /// Read the object's outgoing references (requires any lock).
     pub fn read_refs(&self, addr: PhysAddr) -> Result<Vec<PhysAddr>> {
+        self.with_refs(addr, |refs| refs.collect())
+    }
+
+    /// [`Txn::read_refs`] without the copy: run `f` over the references
+    /// where they lie, under the page latch. `f` must not re-enter the store.
+    pub fn with_refs<R>(&self, addr: PhysAddr, f: impl FnOnce(object::Refs<'_>) -> R) -> Result<R> {
         self.require(addr, LockMode::Shared)?;
         self.db.charge_access_at(addr);
         self.db
-            .with_page_read(addr, |buf| object::read_refs(buf, addr))?
+            .with_page_read(addr, |buf| object::refs(buf, addr).map(f))?
     }
 
     // ------------------------------------------------------------------
@@ -335,7 +351,7 @@ impl<'db> Txn<'db> {
                 self.deleted_pairs.push((child, parent));
             }
         });
-        db.wal.append(id, update.clone());
+        db.wal.append(id, update);
         db.apply_update(update, reorg_for, slot_claimed)
     }
 
@@ -385,9 +401,9 @@ impl<'db> Txn<'db> {
     }
 
     /// Delete an object (requires an exclusive lock). Its outgoing
-    /// references are reference deletions for TRT/ERT purposes. Returns the
-    /// final image.
-    pub fn delete_object(&mut self, addr: PhysAddr) -> Result<ObjectView> {
+    /// references are reference deletions for TRT/ERT purposes. The final
+    /// image becomes the `Free` record's undo value.
+    pub fn delete_object(&mut self, addr: PhysAddr) -> Result<()> {
         self.require(addr, LockMode::Exclusive)?;
         self.db.fault.hit(site::ALLOC_FREE)?;
         self.db.fault.hit(site::WAL_APPEND)?;
@@ -397,15 +413,9 @@ impl<'db> Txn<'db> {
         let image = self
             .db
             .with_page_read(addr, |buf| object::read_view(buf, addr))??;
-        self.update(
-            LogPayload::Free {
-                addr,
-                image: image.clone(),
-            },
-            false,
-        )?;
+        self.update(LogPayload::Free { addr, image }, false)?;
         self.db.stats.frees.inc();
-        Ok(image)
+        Ok(())
     }
 
     /// Append a reference `parent -> child` (requires X on `parent`),
@@ -561,8 +571,7 @@ impl<'db> Txn<'db> {
         if self.done {
             return;
         }
-        let undo = std::mem::take(&mut self.undo);
-        for op in undo.into_iter().rev() {
+        while let Some(op) = self.undo.pop() {
             let compensation = op
                 .inverse()
                 .expect("invariant: the undo chain holds only update records");
@@ -582,12 +591,17 @@ impl<'db> Txn<'db> {
         for &(addr, _) in &self.held {
             self.db.locks.unlock(self.id, addr);
         }
-        self.held.clear();
         if !self.ever_locked.is_empty() {
             self.db.locks.drop_history(self.id, &self.ever_locked);
         }
         self.db.txns.finish(self.id);
         self.done = true;
+        let (mut held, mut undo, mut deleted_pairs) =
+            (take(&mut self.held), take(&mut self.undo), take(&mut self.deleted_pairs));
+        held.clear();
+        undo.clear();
+        deleted_pairs.clear();
+        SPARE_VECS.set((held, undo, deleted_pairs));
     }
 }
 

@@ -120,13 +120,20 @@ pub fn header(buf: &[u8], addr: PhysAddr) -> Result<Header> {
     Ok(h)
 }
 
-/// Read the outgoing references of the object at `addr`.
-pub fn read_refs(buf: &[u8], addr: PhysAddr) -> Result<Vec<PhysAddr>> {
+/// An object's outgoing references, decoded from its page bytes as asked for.
+pub type Refs<'a> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> PhysAddr>;
+
+/// The outgoing references of the object at `addr`, borrowed from `buf`.
+pub fn refs(buf: &[u8], addr: PhysAddr) -> Result<Refs<'_>> {
     let h = header(buf, addr)?;
     let base = addr.offset() as usize + HEADER_LEN;
-    Ok((0..h.nrefs as usize)
-        .map(|i| PhysAddr::from_raw(rd_u64(buf, base + i * REF_LEN)))
-        .collect())
+    let decode: fn(&[u8]) -> PhysAddr = |slot| PhysAddr::from_raw(rd_u64(slot, 0));
+    Ok(buf[base..base + REF_LEN * h.nrefs as usize].chunks_exact(REF_LEN).map(decode))
+}
+
+/// Read the outgoing references of the object at `addr`.
+pub fn read_refs(buf: &[u8], addr: PhysAddr) -> Result<Vec<PhysAddr>> {
+    refs(buf, addr).map(Iterator::collect)
 }
 
 /// Read the reference in slot `index` of the object at `addr`.
@@ -271,21 +278,20 @@ pub fn find_ref(buf: &[u8], addr: PhysAddr, child: PhysAddr) -> Result<Option<us
     Ok((0..h.nrefs as usize).find(|&i| rd_u64(buf, base + i * REF_LEN) == child.to_raw()))
 }
 
-/// Replace the payload, returning the previous payload bytes.
-pub fn set_payload(buf: &mut [u8], addr: PhysAddr, payload: &[u8]) -> Result<Vec<u8>> {
+/// Replace the payload.
+pub fn set_payload(buf: &mut [u8], addr: PhysAddr, payload: &[u8]) -> Result<()> {
     let h = header(buf, addr)?;
     if payload.len() > h.payload_cap as usize {
         return Err(Error::PayloadCapacityExceeded(addr));
     }
     let off = addr.offset() as usize;
     let payload_base = off + HEADER_LEN + REF_LEN * h.ref_cap as usize;
-    let old = buf[payload_base..payload_base + h.payload_len as usize].to_vec();
     buf[payload_base..payload_base + payload.len()].copy_from_slice(payload);
     for b in &mut buf[payload_base + payload.len()..payload_base + h.payload_cap as usize] {
         *b = 0;
     }
     wr_u16(buf, off + 6, payload.len() as u16);
-    Ok(old)
+    Ok(())
 }
 
 /// Mark the object freed and scrub its bytes, so any fuzzy reader holding a
@@ -455,8 +461,7 @@ mod tests {
         let mut page = vec![0u8; 256];
         let a = addr(0);
         init_object(&mut page, a, &sample_view());
-        let old = set_payload(&mut page, a, b"replacement!").unwrap();
-        assert_eq!(old, b"hello".to_vec());
+        set_payload(&mut page, a, b"replacement!").unwrap();
         assert_eq!(read_view(&page, a).unwrap().payload, b"replacement!".to_vec());
         let too_big = vec![0u8; 17];
         assert_eq!(

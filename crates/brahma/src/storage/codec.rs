@@ -25,7 +25,7 @@ use crate::addr::{PartitionId, PhysAddr};
 use crate::error::{Error, Result};
 use crate::object::ObjectView;
 use crate::txn::TxnId;
-use crate::wal::{LogPayload, LogRecord};
+use crate::wal::{LogPayload, LogRecord, Lsn};
 
 /// Sanity cap on a record's length prefix. The largest legitimate record
 /// bodies are object images (bounded by the 16 KiB page) and reorganization
@@ -256,59 +256,59 @@ const TAG_CHECKPOINT: u8 = 12;
 const TAG_CREATE_PARTITION: u8 = 13;
 const TAG_REORG_CHECKPOINT: u8 = 14;
 
-/// Encode a record's body (no framing): `lsn | tid | tag | fields`.
-pub fn encode_record_body(rec: &LogRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rec.payload.approx_size() as usize);
-    put_u64(&mut out, rec.lsn);
-    put_u64(&mut out, rec.tid.0);
-    match &rec.payload {
+/// Append a record's body (no framing) to `out`: `lsn | tid | tag |
+/// fields`. The LSN comes first so the log can patch it in after encoding.
+pub fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPayload) {
+    put_u64(out, lsn);
+    put_u64(out, tid.0);
+    match payload {
         LogPayload::Begin { reorg } => {
-            put_u8(&mut out, TAG_BEGIN);
+            put_u8(out, TAG_BEGIN);
             match reorg {
                 Some(p) => {
-                    put_u8(&mut out, 1);
-                    put_u16(&mut out, p.0);
+                    put_u8(out, 1);
+                    put_u16(out, p.0);
                 }
-                None => put_u8(&mut out, 0),
+                None => put_u8(out, 0),
             }
         }
-        LogPayload::Commit => put_u8(&mut out, TAG_COMMIT),
-        LogPayload::Abort => put_u8(&mut out, TAG_ABORT),
+        LogPayload::Commit => put_u8(out, TAG_COMMIT),
+        LogPayload::Abort => put_u8(out, TAG_ABORT),
         LogPayload::Create { addr, image } => {
-            put_u8(&mut out, TAG_CREATE);
-            put_addr(&mut out, *addr);
-            put_object(&mut out, image);
+            put_u8(out, TAG_CREATE);
+            put_addr(out, *addr);
+            put_object(out, image);
         }
         LogPayload::Free { addr, image } => {
-            put_u8(&mut out, TAG_FREE);
-            put_addr(&mut out, *addr);
-            put_object(&mut out, image);
+            put_u8(out, TAG_FREE);
+            put_addr(out, *addr);
+            put_object(out, image);
         }
         LogPayload::SetPayload { addr, old, new } => {
-            put_u8(&mut out, TAG_SET_PAYLOAD);
-            put_addr(&mut out, *addr);
-            put_bytes(&mut out, old);
-            put_bytes(&mut out, new);
+            put_u8(out, TAG_SET_PAYLOAD);
+            put_addr(out, *addr);
+            put_bytes(out, old);
+            put_bytes(out, new);
         }
         LogPayload::InsertRef {
             parent,
             child,
             index,
         } => {
-            put_u8(&mut out, TAG_INSERT_REF);
-            put_addr(&mut out, *parent);
-            put_addr(&mut out, *child);
-            put_u32(&mut out, *index as u32);
+            put_u8(out, TAG_INSERT_REF);
+            put_addr(out, *parent);
+            put_addr(out, *child);
+            put_u32(out, *index as u32);
         }
         LogPayload::DeleteRef {
             parent,
             child,
             index,
         } => {
-            put_u8(&mut out, TAG_DELETE_REF);
-            put_addr(&mut out, *parent);
-            put_addr(&mut out, *child);
-            put_u32(&mut out, *index as u32);
+            put_u8(out, TAG_DELETE_REF);
+            put_addr(out, *parent);
+            put_addr(out, *child);
+            put_u32(out, *index as u32);
         }
         LogPayload::SetRef {
             parent,
@@ -316,50 +316,53 @@ pub fn encode_record_body(rec: &LogRecord) -> Vec<u8> {
             old_child,
             new_child,
         } => {
-            put_u8(&mut out, TAG_SET_REF);
-            put_addr(&mut out, *parent);
-            put_u32(&mut out, *index as u32);
-            put_addr(&mut out, *old_child);
-            put_addr(&mut out, *new_child);
+            put_u8(out, TAG_SET_REF);
+            put_addr(out, *parent);
+            put_u32(out, *index as u32);
+            put_addr(out, *old_child);
+            put_addr(out, *new_child);
         }
         LogPayload::ReorgStart { partition } => {
-            put_u8(&mut out, TAG_REORG_START);
-            put_u16(&mut out, partition.0);
+            put_u8(out, TAG_REORG_START);
+            put_u16(out, partition.0);
         }
         LogPayload::ReorgEnd { partition } => {
-            put_u8(&mut out, TAG_REORG_END);
-            put_u16(&mut out, partition.0);
+            put_u8(out, TAG_REORG_END);
+            put_u16(out, partition.0);
         }
         LogPayload::Migrate { old, new } => {
-            put_u8(&mut out, TAG_MIGRATE);
-            put_addr(&mut out, *old);
-            put_addr(&mut out, *new);
+            put_u8(out, TAG_MIGRATE);
+            put_addr(out, *old);
+            put_addr(out, *new);
         }
         LogPayload::Checkpoint { id } => {
-            put_u8(&mut out, TAG_CHECKPOINT);
-            put_u64(&mut out, *id);
+            put_u8(out, TAG_CHECKPOINT);
+            put_u64(out, *id);
         }
         LogPayload::CreatePartition { id } => {
-            put_u8(&mut out, TAG_CREATE_PARTITION);
-            put_u16(&mut out, id.0);
+            put_u8(out, TAG_CREATE_PARTITION);
+            put_u16(out, id.0);
         }
         LogPayload::ReorgCheckpoint { partition, blob } => {
-            put_u8(&mut out, TAG_REORG_CHECKPOINT);
-            put_u16(&mut out, partition.0);
-            put_bytes(&mut out, blob);
+            put_u8(out, TAG_REORG_CHECKPOINT);
+            put_u16(out, partition.0);
+            put_bytes(out, blob);
         }
     }
+}
+
+/// Encode a record's body (no framing), see [`put_record_body`].
+pub fn encode_record_body(rec: &LogRecord) -> Vec<u8> {
+    let mut out = Vec::with_capacity(rec.payload.approx_size() as usize);
+    put_record_body(&mut out, rec.lsn, rec.tid, &rec.payload);
     out
 }
 
-/// Encode a record with framing: `[len][crc][body]`.
-pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
-    let body = encode_record_body(rec);
-    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+/// Append `body` to `out` in its on-disk framing: `[len][crc][body]`.
+pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) {
+    put_u32(out, body.len() as u32);
+    put_u32(out, crc32(body));
+    out.extend_from_slice(body);
 }
 
 /// Decode a record body produced by [`encode_record_body`]. `base` is the

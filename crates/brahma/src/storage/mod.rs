@@ -10,8 +10,8 @@
 //!   order is the LSN order and every LSN below `Wal::next_lsn` is in a
 //!   segment file — into a segmented append-only log of
 //!   CRC32-checksummed, length-prefixed records
-//!   ([`codec::encode_record`]); the group-commit leader's force becomes a
-//!   real `fsync`;
+//!   ([`codec::put_frame`] around the body the log already encoded); the
+//!   group-commit leader's force becomes a real `fsync`;
 //! * segments rotate at [`crate::StoreConfig::wal_segment_bytes`] and are
 //!   archived (moved to `archive/`) once wholly older than the last
 //!   checkpoint;
@@ -105,6 +105,8 @@ impl FileStats {
 struct SegWriter {
     file: File,
     bytes: u64,
+    /// The frame being written; kept for its capacity.
+    frame: Vec<u8>,
 }
 
 /// Durable pread/pwrite file backend. See the module docs for the formats
@@ -145,6 +147,7 @@ impl FileBackend {
                 SegWriter {
                     file,
                     bytes: SEG_HEADER_BYTES,
+                    frame: Vec::new(),
                 },
             ),
             stats: FileStats::default(),
@@ -170,10 +173,22 @@ impl FileBackend {
         self.dead.store(true, Ordering::SeqCst);
     }
 
-    /// Write one encoded frame to the active segment, rotating first if it
-    /// is full. A fault or real I/O error kills the backend: completed
-    /// earlier writes survive, this frame does not.
-    fn write_frame(&self, inner: &mut SegWriter, lsn: Lsn, frame: &[u8]) {
+    /// Mirror one appended record, given as the body the log encoded for
+    /// itself; the length and CRC are added here, and the segment rotates
+    /// first if it is full. [`crate::wal::Wal::append`] calls this inside
+    /// the log mutex, so frames reach the segment in LSN order and the WAL
+    /// publishes an LSN only after its frame is in the file. A fault or
+    /// real I/O error kills the backend: completed earlier writes survive,
+    /// this frame does not.
+    pub fn wal_append(&self, lsn: Lsn, body: &[u8]) {
+        // ordering: the log mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
+        if self.dead.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.frame.clear();
+        codec::put_frame(&mut inner.frame, body);
         if inner.bytes >= self.segment_bytes {
             // Rotate: the finished segment keeps its records; the new one
             // starts at this record's LSN (its filename *is* its coverage).
@@ -190,6 +205,7 @@ impl FileBackend {
                 Err(_) => return self.die(),
             }
         }
+        let frame = &inner.frame;
         if self.site_kills(site::FILE_TORN_WRITE) {
             // The kill lands mid-pwrite: a prefix of the frame reaches the
             // file, then the process is gone.
@@ -204,19 +220,6 @@ impl FileBackend {
         }
         inner.bytes += frame.len() as u64;
         self.stats.bytes_written.add(frame.len() as u64);
-    }
-
-    /// Mirror one appended record. [`crate::wal::Wal::append`] calls this
-    /// inside the log mutex, so frames reach the segment in LSN order and
-    /// the WAL publishes an LSN only after its frame is in the file.
-    pub fn wal_append(&self, rec: &LogRecord) {
-        // ordering: the log mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
-        if self.dead.load(Ordering::Relaxed) {
-            return;
-        }
-        let frame = codec::encode_record(rec);
-        let mut inner = self.inner.lock();
-        self.write_frame(&mut inner, rec.lsn, &frame);
     }
 
     /// Force the mirrored log to stable storage (the group-commit leader's
@@ -453,7 +456,10 @@ impl Database {
         let ckpt = self.checkpoint(id);
         if let Some(backend) = self.backend() {
             let blobs = self.reorg_checkpoint_snapshot();
-            let retained = self.wal.records_from(0);
+            // With no reorganization running there is no window to carry,
+            // and no reason to decode the retained log looking for one.
+            let quiet = ckpt.active_reorgs.is_empty();
+            let retained = if quiet { Vec::new() } else { self.wal.records_from(0) };
             let carry = carry_window(&retained, &ckpt.active_reorgs);
             backend.write_checkpoint(&CheckpointData {
                 checkpoint: &ckpt,

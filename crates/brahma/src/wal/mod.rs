@@ -7,10 +7,11 @@
 //! rolls losers back (see [`crate::recovery`]).
 //!
 //! The log is in-memory (the paper's experiments run a memory-resident
-//! database); forcing the tail at commit is simulated with a configurable
-//! latency so the CPU/I-O overlap the paper observes at commit time exists
-//! here too. With a [`crate::storage::FileBackend`] attached, every append
-//! also writes its frame to the segment file — inside the log mutex, so the
+//! database) and holds encoded frames, not record trees (DESIGN.md §10.3);
+//! forcing the tail at commit is simulated with a configurable latency so
+//! the CPU/I-O overlap the paper observes at commit time exists here too.
+//! With a [`crate::storage::FileBackend`] attached, every append also hands
+//! its encoded body to the segment file — inside the log mutex, so the
 //! file is in LSN order — and the force is a real `fsync`.
 //!
 //! Undo of an aborting transaction logs compensation records through the
@@ -23,10 +24,12 @@ pub mod analyzer;
 use crate::addr::{PartitionId, PhysAddr};
 use crate::lockdep::{self, Condvar, LockClass, Mutex};
 use crate::object::ObjectView;
-use crate::storage::FileBackend;
+use crate::storage::{codec, FileBackend};
 use crate::trt::RefAction;
 use crate::txn::TxnId;
 use obs::{Counter, Histogram};
+use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -241,20 +244,46 @@ impl WalStats {
     }
 }
 
+/// The retained log: the last `count` records appended — LSNs
+/// `next_lsn - count` and up — each as one `[len: u32 LE][body]` frame
+/// ([`codec::put_bytes`] of a [`codec::put_record_body`]). No per-record
+/// offset table: it would push `next_lsn` off [`Wal`]'s first cache line, and
+/// only cold paths need record boundaries — they hop the length prefixes.
 #[derive(Debug, Default)]
 struct WalInner {
-    /// Records with LSN >= base_lsn, in LSN order.
-    records: Vec<LogRecord>,
-    base_lsn: Lsn,
+    frames: Vec<u8>,
+    /// Records in `frames`.
+    count: usize,
+}
+
+impl WalInner {
+    /// Byte offset in `frames` of the frame `skip` records in.
+    fn offset_of(&self, skip: usize) -> usize {
+        let mut at = 0;
+        let f = &self.frames;
+        for _ in 0..skip.min(self.count) {
+            let len = u32::from_le_bytes([f[at], f[at + 1], f[at + 2], f[at + 3]]);
+            at += 4 + len as usize;
+        }
+        at
+    }
+}
+
+thread_local! {
+    /// The body this thread's append is encoding: a record is encoded
+    /// before the log mutex is taken, into a buffer no other thread sees.
+    static BODY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The write-ahead log.
 ///
-/// `repr(C)`: declared order is layout order, so the log mutex, the records
-/// it guards and `next_lsn` — everything an append writes — stay on the
-/// struct's first cache line (`stats` aligns it to one). Left to the
-/// compiler, a size change of any field can move `next_lsn` onto a second
-/// line both appenders then contend for (`walk_update` −7 %).
+/// `repr(C)`: declared order is layout order, so the log mutex (offset 0),
+/// the 32-byte [`WalInner`] it guards (offset 8) and `next_lsn` (offset 40;
+/// 56 with lockdep's tag in the mutex) — everything an append writes — stay
+/// on the struct's first cache line (`stats` aligns it to one; asserted
+/// below). Left to the compiler, a size change of any field can move
+/// `next_lsn` onto a second line both appenders then contend for
+/// (`walk_update` −7 %; a 64-byte `WalInner` cost `walk_read` 3–6 %).
 #[repr(C)]
 pub struct Wal {
     inner: Mutex<WalInner>,
@@ -290,6 +319,9 @@ pub struct Wal {
     /// Logging-path counters.
     pub stats: WalStats,
 }
+
+const _: () = assert!(std::mem::align_of::<Wal>() >= 64);
+const _: () = assert!(std::mem::offset_of!(Wal, next_lsn) < 64);
 
 /// Handle to a truncation pin; see [`Wal::pin_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,41 +362,57 @@ impl Wal {
     /// which is what lets logs from different incarnations be merged by LSN
     /// during TRT reconstruction.
     pub fn advance_to(&self, lsn: Lsn) {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         assert!(
-            inner.records.is_empty(),
+            inner.count == 0,
             "advance_to is only valid on an empty log"
         );
         if lsn > self.next_lsn() {
-            inner.base_lsn = lsn;
             // ordering: Release pairs with the Acquire load in next_lsn
             self.next_lsn.store(lsn, Ordering::Release);
         }
     }
 
-    /// Append a record, returning its LSN.
-    pub fn append(&self, tid: TxnId, payload: LogPayload) -> Lsn {
+    /// Append a record, returning its LSN. The payload is only read: the
+    /// undo chain lends its copy, any other caller's is dropped on return.
+    pub fn append(&self, tid: TxnId, payload: impl Borrow<LogPayload>) -> Lsn {
+        let payload = payload.borrow();
         self.stats.records.inc();
         self.stats.bytes.add(payload.approx_size());
+        BODY.with_borrow_mut(|body| {
+            body.clear();
+            // The LSN, the body's first eight bytes, is patched in under the mutex.
+            codec::put_record_body(body, 0, tid, payload);
+            self.append_body(tid, body)
+        })
+    }
+
+    /// The critical section of an append: give the encoded `body` its LSN,
+    /// mirror and retain it, truncate, publish.
+    fn append_body(&self, tid: TxnId, body: &mut [u8]) -> Lsn {
         // Schedule capture: appends order the log against TRT notes and the
         // fuzzy checkpoint's next_lsn read; gate *before* taking WalInner.
         crate::sched::point("wal.append.rec", tid.0);
         let mut inner = self.inner.lock();
         // ordering: Relaxed; every store is made under the log mutex held here
         let lsn = self.next_lsn.load(Ordering::Relaxed);
-        let rec = LogRecord { lsn, tid, payload };
+        body[..8].copy_from_slice(&lsn.to_le_bytes());
         if let Some(sink) = self.sink.get() {
-            sink.wal_append(&rec);
+            sink.wal_append(lsn, body);
         }
-        inner.records.push(rec);
-        if !self.retain && inner.records.len() > self.truncate_watermark {
+        codec::put_bytes(&mut inner.frames, body);
+        inner.count += 1;
+        if !self.retain && inner.count > self.truncate_watermark {
             // ordering: pairs with the Release store in recompute_pin; truncation sees pins
             let pinned = self.pinned_lsn.load(Ordering::Acquire);
-            let keep_from = pinned.min(lsn + 1);
-            if keep_from > inner.base_lsn {
-                let drop_count = ((keep_from - inner.base_lsn) as usize).min(inner.records.len());
-                inner.records.drain(..drop_count);
-                inner.base_lsn = keep_from;
+            let base_lsn = lsn + 1 - inner.count as Lsn;
+            let drop_count = pinned.min(lsn + 1).saturating_sub(base_lsn) as usize;
+            if drop_count > 0 {
+                // One move of the surviving bytes, nothing freed per record.
+                let all = drop_count == inner.count;
+                let cut = if all { inner.frames.len() } else { inner.offset_of(drop_count) };
+                inner.frames.drain(..cut);
+                inner.count -= drop_count;
                 self.stats.truncated.add(drop_count as u64);
             }
         }
@@ -448,18 +496,28 @@ impl Wal {
 
     /// Lowest LSN still retained.
     pub fn base_lsn(&self) -> Lsn {
-        self.inner.lock().base_lsn
+        let inner = self.inner.lock();
+        self.next_lsn() - inner.count as Lsn
     }
 
-    /// Copy of all retained records with `lsn >= from`.
+    /// All retained records with `lsn >= from`: their frames are copied out
+    /// under the log mutex and decoded after it.
     pub fn records_from(&self, from: Lsn) -> Vec<LogRecord> {
-        let inner = self.inner.lock();
-        let start = from.saturating_sub(inner.base_lsn) as usize;
-        inner
-            .records
-            .get(start.min(inner.records.len())..)
-            .unwrap_or(&[])
-            .to_vec()
+        let bytes = {
+            let inner = self.inner.lock();
+            let wanted = self.next_lsn().saturating_sub(from) as usize;
+            inner.frames[inner.offset_of(inner.count.saturating_sub(wanted))..].to_vec()
+        };
+        let mut records = Vec::new();
+        let mut r = codec::Reader::new(&bytes, 0);
+        while r.remaining() > 0 {
+            let body = r.u32().and_then(|len| r.take(len as usize));
+            match body.and_then(|body| codec::decode_record_body(body, 0)) {
+                Ok(record) => records.push(record),
+                Err(e) => unreachable!("the log holds a frame it cannot decode: {e}"),
+            }
+        }
+        records
     }
 
     /// Create a named pin at `lsn`: records at or above the minimum of all
@@ -487,9 +545,10 @@ impl Wal {
         self.pinned_lsn.store(min, Ordering::Release);
     }
 
-    /// Number of retained records (diagnostics).
-    pub fn retained_len(&self) -> usize {
-        self.inner.lock().records.len()
+    /// Records retained and the bytes of their frames.
+    pub fn retained(&self) -> (usize, usize) {
+        let inner = self.inner.lock();
+        (inner.count, inner.frames.len())
     }
 }
 
@@ -534,40 +593,136 @@ mod tests {
         assert_eq!(wal.flushed_lsn(), lsn);
     }
 
+    /// A self-truncating log with a watermark small enough to cross.
+    fn truncating_wal() -> Wal {
+        Wal {
+            truncate_watermark: 10,
+            ..Wal::new(false, Duration::ZERO)
+        }
+    }
+
+    /// One payload of every variant, of different encoded lengths.
+    fn every_variant() -> Vec<LogPayload> {
+        let a = |off| PhysAddr::new(PartitionId(1), 2, off);
+        let image = ObjectView {
+            tag: 7,
+            refs: vec![a(0), a(64)],
+            ref_cap: 4,
+            payload: b"image".to_vec(),
+            payload_cap: 16,
+        };
+        let partition = PartitionId(3);
+        vec![
+            LogPayload::Begin { reorg: None },
+            LogPayload::Begin { reorg: Some(partition) },
+            LogPayload::Commit,
+            LogPayload::Abort,
+            LogPayload::Create { addr: a(0), image: image.clone() },
+            LogPayload::Free { addr: a(0), image },
+            LogPayload::SetPayload { addr: a(8), old: vec![], new: vec![0xEE; 300] },
+            LogPayload::InsertRef { parent: a(8), child: a(16), index: 1 },
+            LogPayload::DeleteRef { parent: a(8), child: a(16), index: 1 },
+            LogPayload::SetRef { parent: a(8), index: 0, old_child: a(16), new_child: a(24) },
+            LogPayload::ReorgStart { partition },
+            LogPayload::ReorgEnd { partition },
+            rec(),
+            LogPayload::Checkpoint { id: 9 },
+            LogPayload::CreatePartition { id: partition },
+            LogPayload::ReorgCheckpoint { partition, blob: vec![1, 2, 3] },
+        ]
+    }
+
+    /// Append every variant, owned and borrowed by turns, extending the
+    /// model `logged` with what `records_from` must return for each.
+    fn append_every_variant(wal: &Wal, logged: &mut Vec<LogRecord>) {
+        for (i, payload) in every_variant().into_iter().enumerate() {
+            let tid = TxnId(i as u64);
+            let lsn = if i % 2 == 0 {
+                wal.append(tid, payload.clone())
+            } else {
+                wal.append(tid, &payload)
+            };
+            assert_eq!(lsn, logged.len() as Lsn, "LSNs are consecutive");
+            logged.push(LogRecord { lsn, tid, payload });
+        }
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_the_frames() {
+        let wal = Wal::new(true, Duration::ZERO);
+        let mut logged = Vec::new();
+        append_every_variant(&wal, &mut logged);
+        assert_eq!(wal.records_from(0), logged);
+        assert_eq!(wal.records_from(7), logged[7..]);
+        assert_eq!(wal.retained().0, logged.len());
+    }
+
     #[test]
     fn truncation_respects_pin() {
-        let wal = Wal {
-            inner: Mutex::new(LockClass::WalInner, 0, WalInner::default()),
-            next_lsn: AtomicU64::new(0),
-            retain: false,
-            flush_latency: Duration::ZERO,
-            flushed_lsn: AtomicU64::new(0),
-            pins: Mutex::new(LockClass::WalPins, 0, std::collections::HashMap::new()),
-            next_pin: AtomicU64::new(1),
-            pinned_lsn: AtomicU64::new(u64::MAX),
-            truncate_watermark: 10,
-            flush_leader: Mutex::new(LockClass::WalFlushLeader, 0, false),
-            flush_cv: Condvar::new(),
-            stats: WalStats::default(),
-            sink: std::sync::OnceLock::new(),
-        };
+        let wal = truncating_wal();
+        let per_round = every_variant().len() as Lsn;
         let early = wal.pin_at(5);
-        let late = wal.pin_at(12);
-        for _ in 0..30 {
-            wal.append(TxnId(1), rec());
-        }
+        let late = wal.pin_at(per_round + 2);
+        let mut logged = Vec::new();
+        append_every_variant(&wal, &mut logged);
         assert_eq!(wal.base_lsn(), 5, "truncation stops at the earliest pin");
-        assert!(wal.records_from(5).len() >= 25);
+        assert_eq!(wal.records_from(0), logged[5..], "the cut falls on a frame boundary");
+        assert_eq!(wal.records_from(9), logged[9..]);
         wal.unpin(early);
-        for _ in 0..20 {
-            wal.append(TxnId(1), rec());
-        }
-        assert_eq!(wal.base_lsn(), 12, "the later pin takes over");
+        append_every_variant(&wal, &mut logged);
+        assert_eq!(wal.base_lsn(), per_round + 2, "the later pin takes over");
+        assert_eq!(wal.records_from(0), logged[per_round as usize + 2..]);
+        assert_eq!(wal.stats.truncated.get(), per_round + 2, "counted in records");
+        // Nothing pinned: the next append drops everything, itself included.
         wal.unpin(late);
-        for _ in 0..20 {
-            wal.append(TxnId(1), rec());
+        let lsn = wal.append(TxnId(1), rec());
+        assert_eq!(wal.retained(), (0, 0));
+        assert_eq!(wal.base_lsn(), lsn + 1);
+        assert_eq!(wal.stats.truncated.get(), lsn + 1);
+        assert!(wal.records_from(0).is_empty());
+        // And the log carries on from there.
+        let lsn = wal.append(TxnId(1), rec());
+        let tail = wal.records_from(0);
+        assert_eq!(tail.len(), 1);
+        assert_eq!((tail[0].lsn, &tail[0].payload), (lsn, &rec()));
+    }
+
+    /// The in-memory half of
+    /// `storage::tests::concurrent_appends_reach_the_segments_in_lsn_order`.
+    #[test]
+    fn concurrent_appends_decode_gap_free() {
+        let wal = Wal::new(true, Duration::ZERO);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (wal, start) = (&wal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500usize {
+                        // Frames of many lengths, so a misplaced boundary shows.
+                        let new = vec![t as u8; i % 97];
+                        wal.append(TxnId(t), LogPayload::Checkpoint { id: i as u64 });
+                        wal.append(TxnId(t), &LogPayload::SetPayload { addr: PhysAddr::from_raw(t), old: vec![], new });
+                    }
+                });
+            }
+        });
+        let logged = wal.records_from(0);
+        assert_eq!(logged.len(), 4 * 500 * 2);
+        assert!(logged.iter().enumerate().all(|(i, r)| r.lsn == i as Lsn));
+        for t in 0..4u64 {
+            // Each thread's records, in the order it appended them.
+            let mut own = logged.iter().filter(|r| r.tid == TxnId(t));
+            for i in 0..500usize {
+                let id = i as u64;
+                assert_eq!(own.next().map(|r| &r.payload), Some(&LogPayload::Checkpoint { id }));
+                assert!(matches!(
+                    own.next().map(|r| &r.payload),
+                    Some(LogPayload::SetPayload { new, .. }) if new.len() == i % 97
+                ));
+            }
+            assert!(own.next().is_none());
         }
-        assert!(wal.base_lsn() > 12);
     }
 
     #[test]
@@ -630,6 +785,6 @@ mod tests {
             wal.append(TxnId(1), rec());
         }
         assert_eq!(wal.base_lsn(), 0);
-        assert_eq!(wal.retained_len(), 100);
+        assert_eq!(wal.retained().0, 100);
     }
 }

@@ -17,7 +17,7 @@
 //!    inverse leaves every page image byte-identical.
 
 use brahma::storage::codec::{
-    crc32, decode_record_body, encode_record, encode_record_body, next_frame, Framed,
+    crc32, decode_record_body, encode_record_body, next_frame, put_frame, Framed,
     RECORD_HEADER_BYTES,
 };
 use brahma::storage::scan_segment_file;
@@ -27,6 +27,13 @@ use brahma::{
     StoreConfig, TxnId,
 };
 use std::io::Write;
+
+/// A record in its segment framing: `[len][crc][body]`.
+fn encode_record(rec: &LogRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_frame(&mut out, &encode_record_body(rec));
+    out
+}
 
 fn addr(p: u16, page: u32, off: u16) -> PhysAddr {
     PhysAddr::new(PartitionId(p), page, off)
@@ -299,7 +306,8 @@ fn update_then_inverse_restores_page_images() {
     let a = t.create_object(p0, spec(vec![c[0], c[1]])).expect("parent");
     // A freed slot: a valid, currently unused address for `Create`.
     let hole = t.create_object(p0, spec(vec![c[2]])).expect("hole");
-    let hole_image = t.delete_object(hole).expect("free hole");
+    let hole_image = t.read(hole).expect("read hole");
+    t.delete_object(hole).expect("free hole");
     t.lock(a, LockMode::Shared).expect("own object");
     let a_image = t.read(a).expect("read parent");
     t.commit().expect("setup commit");

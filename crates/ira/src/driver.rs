@@ -364,6 +364,7 @@ impl ReorgRun<'_> {
             batches: 0,
             timeouts_mark: self.db.locks.stats.timeouts.get(),
         };
+        let mut work = BatchEffects::default();
         loop {
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
             // a page latch) surfaces here, at the batch boundary — the only
@@ -376,7 +377,7 @@ impl ReorgRun<'_> {
                 return None;
             }
             let end = (self.pos + batch_size).min(queue_len);
-            if let Err(stop) = self.run_batch(self.pos..end) {
+            if let Err(stop) = self.run_batch(self.pos..end, &mut work) {
                 return Some(stop);
             }
             self.pos = end;
@@ -428,12 +429,12 @@ impl ReorgRun<'_> {
     /// Run one batch — the objects at queue positions `batch` — to
     /// completion: retryable conflicts (deadlock timeouts, upgrade
     /// conflicts, injected transients) retry under the configured backoff.
-    fn run_batch(&mut self, batch: Range<usize>) -> Result<(), LoopEnd> {
+    fn run_batch(&mut self, batch: Range<usize>, work: &mut BatchEffects) -> Result<(), LoopEnd> {
         let config = self.config;
         let mut backoff = config.retry.start();
         loop {
             let result = match config.variant {
-                IraVariant::Basic => self.try_batch_basic(batch.clone()),
+                IraVariant::Basic => self.try_batch_basic(batch.clone(), work),
                 IraVariant::TwoLock => self.try_batch_two_lock(batch.clone()),
             };
             match result {
@@ -459,21 +460,28 @@ impl ReorgRun<'_> {
     }
 
     /// Migrate one batch inside one transaction (basic IRA).
-    fn try_batch_basic(&mut self, batch: Range<usize>) -> Result<(), StoreError> {
+    fn try_batch_basic(
+        &mut self,
+        batch: Range<usize>,
+        work: &mut BatchEffects,
+    ) -> Result<(), StoreError> {
         let db = self.db;
         let part = db.partition(self.partition)?;
         let mut txn = db.begin_reorg(self.partition);
-        let mut keep: HashSet<PhysAddr> = HashSet::new();
-        let mut effects = BatchEffects::default();
+        work.clear();
+        let mut ext_locks = 0;
         let mut outcome = Ok(());
         for i in batch {
             let oold = self.state.order[i];
             if self.skip(&part, oold) {
                 continue;
             }
-            outcome = self.migrate_in_batch(&mut txn, oold, &mut keep, &mut effects);
-            if outcome.is_err() {
-                break;
+            match self.migrate_in_batch(&mut txn, oold, work) {
+                Ok(newly_locked) => ext_locks += newly_locked,
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
         }
         let outcome = match outcome {
@@ -488,52 +496,50 @@ impl ReorgRun<'_> {
         };
         match outcome {
             Ok(()) => {
-                for &(old, new) in &effects.migrations {
+                for &(old, new) in &work.migrations {
                     self.mapping.commit(old, new);
                 }
                 // Counted here, not when the move is staged: a rolled-back
                 // batch migrated nothing.
-                db.stats.migrations.add(effects.migrations.len() as u64);
-                self.tally.ext_locks += keep
-                    .iter()
-                    .filter(|a| a.partition() != self.partition)
-                    .count();
+                db.stats.migrations.add(work.migrations.len() as u64);
+                self.tally.ext_locks += ext_locks;
                 Ok(())
             }
             Err(e) => {
                 // A failed commit is an abort too (the handle rolled the
                 // updates back on drop); the run's in-memory bookkeeping
                 // must roll back with it.
-                effects.revert(db, &mut self.state);
+                work.revert(db, &mut self.state);
                 Err(e)
             }
         }
     }
 
     /// One object of a basic-IRA batch: make its parent set exact, check
-    /// the lock footprint, move it. `keep` is every address the batch
-    /// transaction must keep locked.
+    /// the lock footprint, move it. Returns how many out-of-partition
+    /// parents the batch transaction locked for it that it did not hold
+    /// already.
     fn migrate_in_batch(
         &mut self,
         txn: &mut Txn<'_>,
         oold: PhysAddr,
-        keep: &mut HashSet<PhysAddr>,
-        effects: &mut BatchEffects,
-    ) -> Result<(), StoreError> {
+        work: &mut BatchEffects,
+    ) -> Result<usize, StoreError> {
         self.db.fault.hit(ira_site::EXACT_PARENTS)?;
         let exact_start = Instant::now();
-        let parents = find_exact_parents(self.db, txn, oold, &mut self.state, keep)?;
+        let parents = find_exact_parents(self.db, txn, oold, &mut self.state, &work.keep)?;
         self.phases.exact_parents += exact_start.elapsed();
         // Basic-IRA footprint invariant (Section 3.5): after
         // Find_Exact_Parents the batch transaction holds locks only on
         // confirmed parents — the current object's and the kept set from
         // earlier objects in this batch.
-        let allowed: Vec<u64> = keep
-            .iter()
-            .chain(parents.iter())
-            .map(|a| a.to_raw())
-            .collect();
-        lockdep::assert_txn_locks_subset(&allowed, "basic IRA after Find_Exact_Parents");
+        lockdep::assert_txn_locks_subset(
+            |a| {
+                let a = PhysAddr::from_raw(a);
+                work.keep.contains(&a) || parents.contains(&a)
+            },
+            "basic IRA after Find_Exact_Parents",
+        );
         let migrate_start = Instant::now();
         let onew = move_object_and_update_refs(
             self.db,
@@ -543,13 +549,19 @@ impl ReorgRun<'_> {
             self.plan,
             self.config.transform,
             &mut self.state,
-            effects,
+            work,
         )?;
         self.phases.migrate += migrate_start.elapsed();
-        keep.extend(parents);
-        keep.insert(onew);
-        keep.insert(oold);
-        Ok(())
+        // Confirmed parents only: under `EvacuateTo` the copy is outside
+        // the partition too, and is nobody's parent lock.
+        let mut newly_locked = 0;
+        for parent in parents {
+            if work.keep.insert(parent) && parent.partition() != self.partition {
+                newly_locked += 1;
+            }
+        }
+        work.keep.extend([onew, oold]);
+        Ok(newly_locked)
     }
 
     /// Migrate one batch with the two-lock extension (each object commits

@@ -82,8 +82,7 @@ pub fn find_exact_parents(
 /// Whether `parent` (locked by `txn`) currently holds a reference to
 /// `child`. A freed/stale parent address counts as "no".
 fn still_references(txn: &Txn<'_>, parent: PhysAddr, child: PhysAddr) -> bool {
-    txn.read_refs(parent)
-        .map(|refs| refs.contains(&child))
+    txn.with_refs(parent, |mut refs| refs.any(|r| r == child))
         .unwrap_or(false)
 }
 

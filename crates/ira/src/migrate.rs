@@ -21,11 +21,16 @@
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
 use brahma::{Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn};
+use std::collections::HashSet;
 
 /// Side effects of migrations inside one (possibly batched) transaction,
-/// recorded so they can be reverted if the transaction later aborts.
+/// recorded so they can be reverted if the transaction later aborts. Kept
+/// by the migrator from batch to batch, so its tables are allocated once.
 #[derive(Debug, Default)]
 pub struct BatchEffects {
+    /// Every address the batch transaction must keep locked: the confirmed
+    /// parents of the objects migrated so far, and their old and new copies.
+    pub keep: HashSet<PhysAddr>,
     /// (old, new) pairs, in migration order.
     pub migrations: Vec<(PhysAddr, PhysAddr)>,
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
@@ -33,16 +38,26 @@ pub struct BatchEffects {
     pub parent_rewrites: Vec<(PhysAddr, PhysAddr, PhysAddr)>,
     /// (old, new) root-registry rewrites.
     pub root_rewrites: Vec<(PhysAddr, PhysAddr)>,
+    /// Scratch: the slots of the parent at hand that hold the moving object.
+    slots: Vec<usize>,
 }
 
 impl BatchEffects {
+    /// Forget the previous batch.
+    pub fn clear(&mut self) {
+        self.keep.clear();
+        self.migrations.clear();
+        self.parent_rewrites.clear();
+        self.root_rewrites.clear();
+    }
+
     /// Revert all recorded side effects (the transaction aborted; the
     /// storage-level changes roll back through the transaction's own undo).
-    pub fn revert(self, db: &Database, state: &mut TraversalState) {
-        for (old, new) in self.root_rewrites.into_iter().rev() {
+    pub fn revert(&self, db: &Database, state: &mut TraversalState) {
+        for &(old, new) in self.root_rewrites.iter().rev() {
             db.replace_root(new, old);
         }
-        for (child, old_parent, new_parent) in self.parent_rewrites.into_iter().rev() {
+        for &(child, old_parent, new_parent) in self.parent_rewrites.iter().rev() {
             state.replace_parent(child, new_parent, old_parent);
         }
     }
@@ -77,15 +92,20 @@ impl CopySource {
     }
 
     /// Create the copy where the plan puts it; self-references point at
-    /// the new copy.
-    pub(crate) fn create_copy(&self, txn: &mut Txn<'_>, plan: RelocationPlan) -> Result<PhysAddr> {
+    /// the new copy. The payload moves into the copy's `Create` record; the
+    /// reference list stays for the bookkeeping that follows.
+    pub(crate) fn create_copy(
+        &mut self,
+        txn: &mut Txn<'_>,
+        plan: RelocationPlan,
+    ) -> Result<PhysAddr> {
         let onew = txn.create_object(
             plan.target_partition(self.oold),
             NewObject {
                 tag: self.image.tag,
                 refs: self.image.refs.clone(),
                 ref_cap: self.image.ref_cap,
-                payload: self.image.payload.clone(),
+                payload: std::mem::take(&mut self.image.payload),
                 payload_cap: self.image.payload_cap,
             },
         )?;
@@ -141,25 +161,25 @@ pub fn move_object_and_update_refs(
     // oold (Lemma 3.3), so this lock is granted immediately; holding it also
     // satisfies the store's update discipline for the final free.
     txn.lock(oold, LockMode::Exclusive)?;
-    let source = CopySource::new(txn.read(oold)?, oold, transform);
+    let mut source = CopySource::new(txn.read(oold)?, oold, transform);
 
     // 1. Copy to the new location.
     let onew = source.create_copy(txn, plan)?;
 
     // 2. Repoint every parent. A parent may hold several references to the
-    // object; all of them move.
+    // object; all of them move. The list is scanned under the page latch.
+    let slots = &mut effects.slots;
     for &parent in parents {
         if parent == oold {
             continue; // self-reference, handled above
         }
-        let refs = match txn.read_refs(parent) {
-            Ok(r) => r,
-            Err(_) => continue, // stale parent (freed garbage): nothing to fix
-        };
-        for (i, r) in refs.iter().enumerate() {
-            if *r == oold {
-                txn.set_ref(parent, i, onew)?;
-            }
+        slots.clear();
+        // A stale parent (freed garbage) cannot be read and has nothing to fix.
+        let _ = txn.with_refs(parent, |refs| {
+            slots.extend(refs.enumerate().filter(|&(_, r)| r == oold).map(|(i, _)| i))
+        });
+        for &i in slots.iter() {
+            txn.set_ref(parent, i, onew)?;
         }
     }
 
@@ -188,7 +208,6 @@ mod tests {
     use crate::approx::find_objects_and_approx_parents;
     use crate::exact::find_exact_parents;
     use brahma::{PartitionId, StoreConfig};
-    use std::collections::HashSet;
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
         let mut t = db.begin();

@@ -55,7 +55,7 @@ pub fn migrate_two_lock(
     let mut guard = db.begin_reorg(partition);
     guard.lock(oold, LockMode::Exclusive)?;
     settle(db, guard.id(), oold)?;
-    let source = CopySource::new(guard.read(oold)?, oold, transform);
+    let mut source = CopySource::new(guard.read(oold)?, oold, transform);
 
     // Create the copy in its own transaction, then hand its lock to the
     // guard. Nothing references O_new yet, so the hand-over window is

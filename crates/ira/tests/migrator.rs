@@ -6,7 +6,7 @@
 use brahma::{recover, Database, NewObject, PartitionId, PhysAddr, StoreConfig};
 use ira::chaos::with_repro_banner;
 use ira::verify::logical_fingerprint;
-use ira::{IraCheckpoint, IraError, IraVariant, Reorg};
+use ira::{IraCheckpoint, IraError, IraVariant, RelocationPlan, Reorg};
 
 /// A deterministic forest of anchored chains in `p1`. One garbage object
 /// rides along for the collection phase.
@@ -197,5 +197,47 @@ fn checkpoint_every_saves_at_every_nth_batch() {
             (forest.live.div_ceil(batch) / every) as u64,
             "every={every}"
         );
+    }
+}
+
+/// `external_parent_locks` counts out-of-partition *parents*: six objects
+/// of `p1` with eight external parent edges from four parents in `p0`, no
+/// edges among themselves. One batch per object locks 8 parents in all,
+/// one batch for everything locks the 4 distinct ones — under either plan:
+/// that `EvacuateTo` also puts the copies outside `p1` adds nothing.
+#[test]
+fn evacuation_counts_external_parents_not_copies() {
+    for evacuate in [false, true] {
+        for (batch, expect) in [(1, 8), (6, 4)] {
+            let db = Database::new(StoreConfig::default());
+            let p0 = db.create_partition();
+            let p1 = db.create_partition();
+            let p2 = db.create_partition();
+            let mut t = db.begin();
+            let objs: Vec<PhysAddr> = (0..6u8)
+                .map(|i| t.create_object(p1, NewObject::exact(1, vec![], vec![i])).unwrap())
+                .collect();
+            for j in 0..3 {
+                let refs = vec![objs[j], objs[j + 3]];
+                t.create_object(p0, NewObject::exact(2, refs, vec![])).unwrap();
+            }
+            let refs = vec![objs[0], objs[1]];
+            t.create_object(p0, NewObject::exact(2, refs, vec![])).unwrap();
+            t.commit().unwrap();
+
+            let plan = if evacuate {
+                RelocationPlan::EvacuateTo(p2)
+            } else {
+                RelocationPlan::CompactInPlace
+            };
+            let outcome = Reorg::on(&db, p1).plan(plan).batch(batch).run().unwrap();
+            assert_eq!(outcome.migrated(), 6);
+            assert_eq!(
+                outcome.ira().unwrap().external_parent_locks,
+                expect,
+                "evacuate:{evacuate},batch:{batch}"
+            );
+            brahma::sweep::assert_database_consistent(&db);
+        }
     }
 }
