@@ -84,6 +84,12 @@ cargo run --release -p bench --bin paper_figures -- table2 --quick --out target/
 # placement, reorganize from the collected stats, and fail unless the
 # stats-derived plan beat the fragmented placement on the cost metric.
 cargo run --release -p bench --bin paper_figures -- locality --quick
+# The examples assert what they demonstrate (objects moved, garbage
+# reclaimed, a crash resumed); `cargo test` only compiles them, so run
+# every one (~2 s together).
+for ex in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$ex" .rs)"
+done
 cargo clippy --workspace --all-targets -- -D warnings
 # The raw-mode benchmark's output checks (benchmark/README.md): exact
 # `db.migrations`, logical fingerprint, live counts and

@@ -7,7 +7,7 @@
 //! a page-grained buffer cache ([`workload::PagedCpuModel`]), collects
 //! per-edge co-access counts ([`workload::TraversalStats`]), reorganizes
 //! every data partition from those stats
-//! (`Reorg::on(..).plan_from(StatsGreedy::new(&stats))`), then re-runs the
+//! (`Reorg::on(..).order(StatsGreedy::new(&edges).plan(..).0)`), then re-runs the
 //! *same* seeded walker mix and reports the before/after difference:
 //! throughput, p99, cache hit rate, and the placement cost of the observed
 //! edges (identity → planned → achieved).
@@ -174,16 +174,15 @@ pub fn run_locality(opts: &LocalityOptions) -> LocalityResult {
     let mut mapping: HashMap<PhysAddr, PhysAddr> = HashMap::new();
     let mut planned_cost = 0.0;
     let mut migrated = 0u64;
+    let greedy = StatsGreedy::new(&edges);
     for &p in &info.data_partitions {
-        let source = StatsGreedy::new(&*stats);
+        let (order, score) = greedy.plan(&db, p);
         let outcome = Reorg::on(&db, p)
-            .plan_from(source)
+            .order(order)
             .run()
             .expect("stats-driven reorganization completes");
         migrated += outcome.migrated() as u64;
-        if let Some(score) = outcome.score {
-            planned_cost += score.planned_cost;
-        }
+        planned_cost += score.planned_cost;
         mapping.extend(outcome.mapping);
     }
 

@@ -20,10 +20,9 @@
 //! the chosen algorithm.
 
 use crate::checkpoint::IraCheckpoint;
-use crate::driver::{ExecOptions, IraConfig, IraError, IraReport, IraVariant, ThrottleConfig};
+use crate::driver::{IraConfig, IraError, IraReport, IraVariant};
 use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
-use crate::policy::{PlanScore, PlanSource, StaticPlan};
 use crate::pqr::PqrReport;
 use brahma::{Database, LogRecord, PartitionId, PhysAddr, RetryPolicy};
 use std::collections::HashMap;
@@ -77,9 +76,6 @@ pub struct ReorgOutcome {
     /// The algorithm-specific report, when the algorithm produces one
     /// (the offline reorganizer reports nothing beyond the mapping).
     pub report: Option<ReorgReport>,
-    /// The plan's predicted placement cost, when the run's [`PlanSource`]
-    /// scored its derivation (see [`crate::policy::StatsGreedy`]).
-    pub score: Option<PlanScore>,
 }
 
 impl ReorgOutcome {
@@ -128,13 +124,10 @@ impl ReorgOutcome {
 pub struct Reorg<'a> {
     db: &'a Database,
     partition: PartitionId,
-    source: Box<dyn PlanSource + 'a>,
+    plan: RelocationPlan,
     strategy: Strategy,
     config: IraConfig,
-    exec: ExecOptions,
     resume: Option<(IraCheckpoint, Vec<LogRecord>)>,
-    /// An explicit [`Reorg::order`] call wins over a derived order.
-    order_overridden: bool,
 }
 
 impl<'a> Reorg<'a> {
@@ -144,39 +137,27 @@ impl<'a> Reorg<'a> {
         Reorg {
             db,
             partition,
-            source: Box::new(StaticPlan::new(RelocationPlan::CompactInPlace)),
+            plan: RelocationPlan::CompactInPlace,
             strategy: Strategy::default(),
             config: IraConfig::default(),
-            exec: ExecOptions::default(),
             resume: None,
-            order_overridden: false,
         }
     }
 
     /// [`Reorg::on`] with every IRA knob taken from `config` at once — for
-    /// callers that carry a whole [`IraConfig`] (a bench cell). The
-    /// config's order counts as explicit (see [`Reorg::order`]).
+    /// callers that carry a whole [`IraConfig`] (a bench cell).
     pub fn with_config(db: &'a Database, partition: PartitionId, config: IraConfig) -> Self {
         Reorg {
             config,
-            order_overridden: true,
             ..Reorg::on(db, partition)
         }
     }
 
-    /// Where migrated objects go (compact in place, or evacuate to another
-    /// partition). Sugar for [`Reorg::plan_from`] with a
-    /// [`StaticPlan`].
-    pub fn plan(self, plan: RelocationPlan) -> Self {
-        self.plan_from(StaticPlan::new(plan))
-    }
-
-    /// Where the reorganization plan comes from: a policy that derives the
-    /// relocation and migration order from observed state when the builder
-    /// resolves (see [`crate::policy::StatsGreedy`]), or a literal
-    /// [`StaticPlan`].
-    pub fn plan_from(mut self, source: impl PlanSource + 'a) -> Self {
-        self.source = Box::new(source);
+    /// Where migrated objects go: compact in place, or evacuate to another
+    /// partition — into a fresh one, that is the copying collector of
+    /// Section 4.6 ([`crate::gc`]).
+    pub fn plan(mut self, plan: RelocationPlan) -> Self {
+        self.plan = plan;
         self
     }
 
@@ -214,23 +195,16 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Migration order (Section 7 future work). An explicit order wins
-    /// over one derived by the [`PlanSource`].
+    /// Migration order (Section 7 future work), e.g. the clustering order
+    /// [`crate::StatsGreedy::plan`] derives from observed traffic.
     pub fn order(mut self, order: MigrationOrder) -> Self {
         self.config.order = order;
-        self.order_overridden = true;
         self
     }
 
     /// Rewrite each object as it migrates (the schema-evolution use case).
     pub fn transform(mut self, f: fn(brahma::ObjectView) -> brahma::ObjectView) -> Self {
         self.config.transform = Some(f);
-        self
-    }
-
-    /// Contention-adaptive throttling.
-    pub fn throttle(mut self, throttle: ThrottleConfig) -> Self {
-        self.config.throttle = Some(throttle);
         self
     }
 
@@ -249,36 +223,20 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Fault injection: simulate a crash once this many objects have
-    /// migrated (`None` disables).
-    pub fn crash_after_migrations(mut self, n: impl Into<Option<usize>>) -> Self {
-        self.exec.crash_after_migrations = n.into();
-        self
-    }
-
     /// Continue a crashed run from its recovered checkpoint instead of
     /// starting fresh. The checkpoint's partition and plan override the
     /// builder's; IRA knobs (`batch`, `retry`, ...) still apply
     /// to the resumed portion.
     pub fn resume_from(mut self, ckpt: IraCheckpoint, pre_crash_log: &[LogRecord]) -> Self {
         self.partition = ckpt.partition;
-        self.source = Box::new(StaticPlan::new(ckpt.plan));
+        self.plan = ckpt.plan;
         self.resume = Some((ckpt, pre_crash_log.to_vec()));
         self
     }
 
-    /// Run the configured reorganization to completion. The [`PlanSource`]
-    /// is derived here, against the database's current state.
+    /// Run the configured reorganization to completion.
     pub fn run(self) -> Result<ReorgOutcome, IraError> {
-        let (db, partition, exec) = (self.db, self.partition, &self.exec);
-        let derived = self.source.derive(db, partition);
-        let mut config = self.config;
-        if !self.order_overridden {
-            if let Some(order) = derived.order {
-                config.order = order;
-            }
-        }
-        let plan = derived.relocation;
+        let (db, partition, plan, config) = (self.db, self.partition, self.plan, &self.config);
         let ira = |r: IraReport| (r.mapping.clone(), r.duration, Some(ReorgReport::Ira(r)));
         let (mapping, duration, report) = match (self.resume, self.strategy) {
             // A resume continues an IRA run whatever the strategy says; the
@@ -288,12 +246,11 @@ impl<'a> Reorg<'a> {
                 db,
                 ckpt,
                 &pre_crash_log,
-                &config,
-                exec,
+                config,
             )?),
-            (None, Strategy::Incremental) => ira(crate::driver::run_incremental(
-                db, partition, plan, &config, exec,
-            )?),
+            (None, Strategy::Incremental) => {
+                ira(crate::driver::run_incremental(db, partition, plan, config)?)
+            }
             (None, Strategy::PartitionQuiesce) => {
                 let r = crate::pqr::run_pqr(db, partition, plan).map_err(IraError::Store)?;
                 (r.mapping.clone(), r.duration, Some(ReorgReport::Pqr(r)))
@@ -310,7 +267,6 @@ impl<'a> Reorg<'a> {
             mapping,
             duration,
             report,
-            score: derived.score,
         })
     }
 }

@@ -294,14 +294,16 @@ pub fn run_crash_cell(cell: &ChaosCell) -> CellOutcome {
     )));
     primer(&db, graph.p0, graph.anchors[0]);
 
-    // `ira.checkpoint` only executes when a checkpoint is written, so its
-    // cells force one with the deterministic migration counter.
-    let result = Reorg::on(&db, p1)
+    let mut reorg = Reorg::on(&db, p1)
         .plan(RelocationPlan::CompactInPlace)
         .batch(2)
-        .quiesce_wait(Duration::from_secs(10))
-        .crash_after_migrations((cell.site == site::CHECKPOINT).then_some(3))
-        .run();
+        .quiesce_wait(Duration::from_secs(10));
+    // `ira.checkpoint` only executes when a checkpoint is written, so its
+    // cells write one at every batch boundary.
+    if cell.site == site::CHECKPOINT {
+        reorg = reorg.checkpoint_every(1);
+    }
+    let result = reorg.run();
 
     // ordering: SeqCst stop flag; shutdown visibility without pairing analysis
     stop.store(true, Ordering::SeqCst);

@@ -12,9 +12,8 @@
 //! belong in the TRT like any other).
 
 use crate::approx::{merge_ert_parents, trt_unvisited_loop};
-use crate::driver::{ExecOptions, IraConfig, IraError, IraPhases, IraReport, ReorgRun, Tally};
+use crate::driver::{IraConfig, IraError, IraPhases, IraReport, ReorgRun, Tally};
 use crate::plan::RelocationPlan;
-use crate::shared::MigrationMap;
 use crate::traversal::TraversalState;
 use brahma::storage::codec::{put_addr, put_u64, Reader};
 use brahma::wal::analyzer::rebuild_trt_seeded;
@@ -31,12 +30,12 @@ use std::time::Instant;
 pub struct IraCheckpoint {
     pub partition: PartitionId,
     pub plan: RelocationPlan,
-    /// Step-one state: traversed objects and parent lists.
+    /// Step-one state: traversed objects and parent lists; `state.order`
+    /// is the step-two work list.
     pub state: TraversalState,
     /// Migrations already committed (old -> new).
     pub mapping: Vec<(PhysAddr, PhysAddr)>,
-    /// Step-two work list and progress cursor.
-    pub queue: Vec<PhysAddr>,
+    /// Step-two progress cursor into `state.order`.
     pub pos: usize,
     /// Fuzzy TRT checkpoint (Section 4.5's optional optimization): tuples at
     /// checkpoint time plus the LSN reconstruction must replay from.
@@ -44,8 +43,9 @@ pub struct IraCheckpoint {
     pub trt_lsn: Lsn,
 }
 
-/// Version tag leading every encoded checkpoint.
-const CODEC_VERSION: u8 = 1;
+/// Version tag leading every encoded checkpoint. Version 1 also carried a
+/// copy of `state.order` as a separate queue.
+const CODEC_VERSION: u8 = 2;
 
 impl IraCheckpoint {
     /// Serialize to a self-contained byte record — the durable form the
@@ -65,7 +65,6 @@ impl IraCheckpoint {
         }
         put_u64(&mut out, self.pos as u64);
         put_u64(&mut out, self.trt_lsn);
-        put_addrs(&mut out, self.queue.iter().copied());
         put_u64(&mut out, self.mapping.len() as u64);
         for (old, new) in &self.mapping {
             put_addr(&mut out, *old);
@@ -117,7 +116,6 @@ impl IraCheckpoint {
         };
         let pos = r.u64()? as usize;
         let trt_lsn = r.u64()?;
-        let queue = read_addrs(&mut r)?;
         let mut mapping = Vec::new();
         for _ in 0..r.u64()? {
             mapping.push((r.addr()?, r.addr()?));
@@ -157,7 +155,6 @@ impl IraCheckpoint {
                 parents,
             },
             mapping,
-            queue,
             pos,
             trt_snapshot,
             trt_lsn,
@@ -195,10 +192,9 @@ fn read_addrs(r: &mut Reader<'_>) -> Result<Vec<PhysAddr>, StoreError> {
 /// log it reconstructs the TRT window since the reorganization started.
 pub(crate) fn run_resume(
     db: &Database,
-    mut ckpt: IraCheckpoint,
+    ckpt: IraCheckpoint,
     pre_crash_log: &[LogRecord],
     config: &IraConfig,
-    exec: &ExecOptions,
 ) -> Result<IraReport, IraError> {
     let started = Instant::now();
     let partition = ckpt.partition;
@@ -241,6 +237,7 @@ pub(crate) fn run_resume(
     // objects need their ERT parents merged and a place in the queue.
     let phase_start = Instant::now();
     let mut state = ckpt.state;
+    let mut mapping: HashMap<PhysAddr, PhysAddr> = ckpt.mapping.into_iter().collect();
     // Migrations committed *after* this checkpoint was saved are invisible
     // to it — a durable blob can be up to one batch stale — yet restart
     // recovery redid them: their new copies are live and their parents are
@@ -250,13 +247,11 @@ pub(crate) fn run_resume(
     // fold them into the mapping, or the end-of-run sweep would free those
     // new copies as unvisited garbage, leaving dangling references.
     {
-        let known: std::collections::HashSet<PhysAddr> =
-            ckpt.mapping.iter().map(|&(old, _)| old).collect();
         let redone: Vec<(PhysAddr, PhysAddr)> = window
             .iter()
             .filter_map(|r| match r.payload {
                 brahma::LogPayload::Migrate { old, new }
-                    if old.partition() == partition && !known.contains(&old) =>
+                    if old.partition() == partition && !mapping.contains_key(&old) =>
                 {
                     Some((old, new))
                 }
@@ -290,24 +285,18 @@ pub(crate) fn run_resume(
                 }
             }
         }
-        ckpt.mapping.extend(redone);
+        mapping.extend(redone);
     }
     // The crashed run's new copies already sit at their final locations,
     // but concurrent pointer rewrites touching them (e.g. a walker's
     // same-value `set_ref` on a rewritten parent) land in the rebuilt TRT.
     // Mark them visited, or the L2 loop would re-discover them as fresh
     // objects and migrate them a second time.
-    for &(_, new) in &ckpt.mapping {
-        state.visited.insert(new);
-    }
+    state.visited.extend(mapping.values().copied());
+    // Newly discovered objects join the end of the queue, `state.order`.
     let before = state.order.len();
     trt_unvisited_loop(db, partition, &mut state);
     merge_ert_parents(db, partition, &mut state, before);
-    // The checkpointed queue (already ordered) plus the newly discovered
-    // suffix becomes the resumed run's queue, which lives in `state.order`.
-    let mut queue = ckpt.queue;
-    queue.extend_from_slice(&state.order[before..]);
-    state.order = queue;
     phases.traversal = phase_start.elapsed();
 
     let run = ReorgRun {
@@ -315,10 +304,9 @@ pub(crate) fn run_resume(
         partition,
         plan: ckpt.plan,
         config,
-        exec,
         state,
         pos: ckpt.pos,
-        mapping: MigrationMap::from_committed(ckpt.mapping),
+        mapping,
         tally: Tally::default(),
         phases,
         started,
@@ -330,7 +318,14 @@ pub(crate) fn run_resume(
 mod tests {
     use super::*;
     use crate::builder::Reorg;
-    use brahma::{recover, NewObject, StoreConfig};
+    use crate::chaos::site;
+    use brahma::{recover, FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
+
+    /// Arm a crash at the `n`-th batch boundary of the next run.
+    fn crash_at_batch(db: &Database, n: u64) {
+        db.fault
+            .arm(FaultPlan::new(n).with(FaultRule::nth(site::BATCH, n, FaultAction::Crash)));
+    }
 
     /// Full crash/recover/resume cycle: reorganize with fault injection,
     /// crash the database, recover from the checkpoint+log, resume, and
@@ -371,8 +366,9 @@ mod tests {
         // Brahma-level checkpoint before the reorganization.
         let store_ckpt = db.checkpoint(1);
 
-        // Run IRA with a fault after 4 migrations.
-        let err = Reorg::on(&db, p1).crash_after_migrations(4).run().unwrap_err();
+        // Run IRA with a crash after 4 migrations (batches of one).
+        crash_at_batch(&db, 4);
+        let err = Reorg::on(&db, p1).run().unwrap_err();
         let IraError::SimulatedCrash(ira_ckpt) = err else {
             panic!("expected simulated crash")
         };
@@ -433,7 +429,6 @@ mod tests {
             plan: RelocationPlan::EvacuateTo(PartitionId(2)),
             state,
             mapping: vec![(a(0, 0), PhysAddr::new(PartitionId(2), 0, 0))],
-            queue: vec![a(0, 0), a(0, 64), a(1, 0)],
             pos: 1,
             trt_snapshot: vec![TrtTuple {
                 child: a(0, 64),
@@ -449,7 +444,6 @@ mod tests {
         assert_eq!(back.partition, ckpt.partition);
         assert_eq!(back.plan, ckpt.plan);
         assert_eq!(back.mapping, ckpt.mapping);
-        assert_eq!(back.queue, ckpt.queue);
         assert_eq!(back.pos, ckpt.pos);
         assert_eq!(back.trt_lsn, ckpt.trt_lsn);
         assert_eq!(back.trt_snapshot.len(), 1);
@@ -462,6 +456,17 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[0] = 0xFF;
         assert!(IraCheckpoint::decode(&bad_version).is_err());
+        // A version-1 blob — the same fields plus a second copy of the queue
+        // after `trt_lsn` — is corrupt input, not a silently misread layout.
+        let head = 1 + 2 + 3 + 8 + 8; // version, partition, EvacuateTo(p2), pos, trt_lsn
+        let mut v1 = vec![1];
+        v1.extend_from_slice(&bytes[1..head]);
+        put_addrs(&mut v1, ckpt.state.order.iter().copied());
+        v1.extend_from_slice(&bytes[head..]);
+        assert!(matches!(
+            IraCheckpoint::decode(&v1),
+            Err(StoreError::Corrupt { .. })
+        ));
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(IraCheckpoint::decode(&trailing).is_err());
@@ -487,7 +492,8 @@ mod tests {
 
         let store_ckpt = db.checkpoint(1);
         // Crash after the single migration committed.
-        let _ = Reorg::on(&db, p1).crash_after_migrations(1).run().unwrap_err();
+        crash_at_batch(&db, 1);
+        let _ = Reorg::on(&db, p1).run().unwrap_err();
         let image = db.crash(store_ckpt, true);
         drop(db);
         let out = recover(image, StoreConfig::default()).unwrap();

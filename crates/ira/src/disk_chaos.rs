@@ -344,17 +344,21 @@ pub fn run_multi_partition_kill(seed: u64) -> (usize, usize) {
     let (pb, anchor_b) = build_chain(5);
     db.checkpoint_durable(seed).expect("baseline checkpoint");
 
-    // Interrupt both reorganizations mid-flight; each crash saves a durable
-    // progress record, and neither run ends.
+    // Interrupt both reorganizations at their second batch boundary; each
+    // crash saves a durable progress record, and neither run ends.
     for p in [pa, pb] {
+        db.fault.arm(FaultPlan::new(seed).with(FaultRule::nth(
+            crate::chaos::site::BATCH,
+            2,
+            FaultAction::Crash,
+        )));
         let err = Reorg::on(&db, p)
             .plan(RelocationPlan::CompactInPlace)
             .checkpoint_every(1)
-            .crash_after_migrations(2)
             .run()
             .unwrap_err();
         assert!(matches!(err, IraError::SimulatedCrash(_)));
-        let _ = db.fault.take_crash_request();
+        db.fault.disarm();
     }
     drop(db); // hard kill with two reorganizations in flight
 

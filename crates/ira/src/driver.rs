@@ -13,7 +13,6 @@ use crate::exact::find_exact_parents;
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::order::{order_queue, MigrationOrder};
 use crate::plan::RelocationPlan;
-use crate::shared::MigrationMap;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
 use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};
@@ -63,37 +62,6 @@ pub enum IraVariant {
     TwoLock,
 }
 
-/// Graceful degradation under contention: the driver watches the lock
-/// manager's timeout counter between successful batches and pauses
-/// migration when workload aborts spike, resuming once the pause elapses.
-/// The reorganizer is a background utility (Section 1); when its lock
-/// footprint starts costing transactions their deadlock timeouts, backing
-/// off is cheaper than finishing sooner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThrottleConfig {
-    /// Successful batches per observation window.
-    pub window: usize,
-    /// Lock timeouts observed within one window at or above which the
-    /// driver pauses.
-    pub timeout_threshold: u64,
-    /// How long one pause lasts.
-    pub pause: Duration,
-    /// Upper bound on pauses per run, so a permanently contended system
-    /// still finishes reorganizing.
-    pub max_pauses: usize,
-}
-
-impl Default for ThrottleConfig {
-    fn default() -> Self {
-        ThrottleConfig {
-            window: 8,
-            timeout_threshold: 4,
-            pause: Duration::from_millis(50),
-            max_pauses: 100,
-        }
-    }
-}
-
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct IraConfig {
@@ -117,8 +85,6 @@ pub struct IraConfig {
     /// slots, change the tag). The transform must preserve the reference
     /// list exactly; capacities and payload are free to change.
     pub transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
-    /// Contention-adaptive throttling (`None` disables it).
-    pub throttle: Option<ThrottleConfig>,
     /// Save a reorganizer checkpoint (Section 4.4) every this many batches,
     /// in addition to the crash-time save. With a file backend attached the
     /// save is mirrored into the durable log, so a hard process kill
@@ -136,21 +102,9 @@ impl Default for IraConfig {
             quiesce_wait: Duration::from_secs(300),
             order: MigrationOrder::Traversal,
             transform: None,
-            throttle: None,
             checkpoint_every: None,
         }
     }
-}
-
-/// Test-specific execution knobs, split out of [`IraConfig`] so the public
-/// configuration carries only what every run needs. Surfaced through
-/// [`crate::builder::Reorg::crash_after_migrations`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ExecOptions {
-    /// Fault injection: simulate a crash (return
-    /// [`IraError::SimulatedCrash`] with a resumable checkpoint) once this
-    /// many objects have migrated.
-    pub crash_after_migrations: Option<usize>,
 }
 
 /// Errors surfaced by the reorganizer.
@@ -214,9 +168,6 @@ pub struct IraReport {
     pub garbage: Vec<PhysAddr>,
     /// Deadlock-timeout retries across all batches.
     pub retries: usize,
-    /// Times the contention throttle paused migration (see
-    /// [`ThrottleConfig`]).
-    pub throttle_pauses: usize,
     /// Total distinct out-of-partition parents locked, summed over
     /// migration transactions — the cost the Section 7 ordering minimizes.
     pub external_parent_locks: usize,
@@ -244,7 +195,6 @@ impl IraReport {
         snap.set("ira.migrated", self.mapping.len() as u64);
         snap.set("ira.garbage", self.garbage.len() as u64);
         snap.set("ira.retries", self.retries as u64);
-        snap.set("ira.throttle.pauses", self.throttle_pauses as u64);
         snap.set("ira.external_parent_locks", self.external_parent_locks as u64);
         snap.set("ira.quiesce_us", us(self.phases.quiesce));
         snap.set("ira.traversal_us", us(self.phases.traversal));
@@ -264,7 +214,6 @@ pub(crate) fn run_incremental(
     partition: PartitionId,
     plan: RelocationPlan,
     config: &IraConfig,
-    exec: &ExecOptions,
 ) -> Result<IraReport, IraError> {
     let start = Instant::now();
     db.start_reorg(partition)?;
@@ -298,10 +247,9 @@ pub(crate) fn run_incremental(
         partition,
         plan,
         config,
-        exec,
         state,
         pos: 0,
-        mapping: MigrationMap::new(),
+        mapping: HashMap::new(),
         tally: Tally::default(),
         phases,
         started: start,
@@ -314,7 +262,6 @@ pub(crate) fn run_incremental(
 pub(crate) struct Tally {
     pub retries: usize,
     pub ext_locks: usize,
-    pub throttle_pauses: usize,
 }
 
 /// In-flight reorganization state; also reconstructible from an
@@ -324,13 +271,15 @@ pub(crate) struct ReorgRun<'a> {
     pub partition: PartitionId,
     pub plan: RelocationPlan,
     pub config: &'a IraConfig,
-    pub exec: &'a ExecOptions,
     /// Traversal state; `state.order` is the migration queue.
     pub state: TraversalState,
     /// Queue position of the next batch: everything before it has migrated
     /// (or was dead), so a checkpoint always carries the exact position.
     pub pos: usize,
-    pub mapping: MigrationMap,
+    /// Old → new address of every committed migration: written only after
+    /// a batch commits, so a checkpoint of it is always consistent, and
+    /// read to skip what a retried batch or a resumed run already moved.
+    pub mapping: HashMap<PhysAddr, PhysAddr>,
     pub tally: Tally,
     pub phases: IraPhases,
     pub started: Instant,
@@ -339,18 +288,12 @@ pub(crate) struct ReorgRun<'a> {
 /// Why the drain stopped short of the queue's end (before error-path
 /// cleanup).
 enum LoopEnd {
-    /// A latched crash fault or a `crash_after_migrations` trip.
+    /// A latched crash fault.
     Crash,
     /// Retryable conflicts past the retry budget.
     Exhausted { object: PhysAddr, attempts: usize },
     /// A non-retryable storage error.
     Fatal(StoreError),
-}
-
-/// The contention-throttle window (see [`ThrottleConfig`]).
-struct ThrottleWindow {
-    batches: usize,
-    timeouts_mark: u64,
 }
 
 impl ReorgRun<'_> {
@@ -360,10 +303,6 @@ impl ReorgRun<'_> {
     /// did; `self.pos` is then the first position not yet drained.
     fn drain(&mut self) -> Option<LoopEnd> {
         let batch_size = self.config.batch_size.max(1);
-        let mut throttle = ThrottleWindow {
-            batches: 0,
-            timeouts_mark: self.db.locks.stats.timeouts.get(),
-        };
         let mut work = BatchEffects::default();
         loop {
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
@@ -393,37 +332,7 @@ impl ReorgRun<'_> {
                     self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
                 }
             }
-            self.throttle_check(&mut throttle);
-            if let Some(n) = self.exec.crash_after_migrations {
-                if self.mapping.len() >= n {
-                    return Some(LoopEnd::Crash);
-                }
-            }
         }
-    }
-
-    /// Close one batch of the throttle window; at the window's end, pause
-    /// if lock timeouts spiked over it.
-    fn throttle_check(&mut self, window: &mut ThrottleWindow) {
-        let Some(t) = &self.config.throttle else {
-            return;
-        };
-        window.batches += 1;
-        if window.batches < t.window.max(1) {
-            return;
-        }
-        let timeouts = &self.db.locks.stats.timeouts;
-        if timeouts.get().saturating_sub(window.timeouts_mark) >= t.timeout_threshold
-            && self.tally.throttle_pauses < t.max_pauses
-        {
-            self.tally.throttle_pauses += 1;
-            lockdep::might_block("ira.throttle");
-            std::thread::sleep(t.pause);
-        }
-        *window = ThrottleWindow {
-            batches: 0,
-            timeouts_mark: timeouts.get(),
-        };
     }
 
     /// Run one batch — the objects at queue positions `batch` — to
@@ -456,7 +365,7 @@ impl ReorgRun<'_> {
     /// Whether `oold` needs no migration: its address was freed, or it migrated already (earlier in a retried
     /// two-lock batch, or before the crash a resumed run continues from).
     fn skip(&self, part: &brahma::Partition, oold: PhysAddr) -> bool {
-        !part.contains_object(oold) || self.mapping.committed(oold).is_some()
+        !part.contains_object(oold) || self.mapping.contains_key(&oold)
     }
 
     /// Migrate one batch inside one transaction (basic IRA).
@@ -496,9 +405,7 @@ impl ReorgRun<'_> {
         };
         match outcome {
             Ok(()) => {
-                for &(old, new) in &work.migrations {
-                    self.mapping.commit(old, new);
-                }
+                self.mapping.extend(work.migrations.iter().copied());
                 // Counted here, not when the move is staged: a rolled-back
                 // batch migrated nothing.
                 db.stats.migrations.add(work.migrations.len() as u64);
@@ -584,7 +491,7 @@ impl ReorgRun<'_> {
                 &self.config.retry,
             );
             self.phases.migrate += migrate_start.elapsed();
-            self.mapping.commit(oold, outcome?);
+            self.mapping.insert(oold, outcome?);
         }
         Ok(())
     }
@@ -603,12 +510,7 @@ impl ReorgRun<'_> {
 
         // Garbage: allocated but never traversed (Section 4.6).
         let phase_start = Instant::now();
-        let survivors: HashSet<PhysAddr> = self
-            .mapping
-            .sorted_committed()
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
+        let survivors: HashSet<PhysAddr> = self.mapping.values().copied().collect();
         let garbage: Vec<PhysAddr> = self
             .db
             .partition(self.partition)
@@ -657,10 +559,9 @@ impl ReorgRun<'_> {
 
         Ok(IraReport {
             partition: self.partition,
-            mapping: self.mapping.into_hashmap(),
+            mapping: self.mapping,
             garbage,
             retries: self.tally.retries,
-            throttle_pauses: self.tally.throttle_pauses,
             external_parent_locks: self.tally.ext_locks,
             phases: self.phases,
             trt_notes,
@@ -678,8 +579,7 @@ impl ReorgRun<'_> {
         e
     }
 
-    /// Convert a latched crash request (or a `crash_after_migrations` trip)
-    /// into a simulated crash: checkpoint the run, save the checkpoint
+    /// Convert a latched crash request into a simulated crash: checkpoint the run, save the checkpoint
     /// durably so the next [`brahma::CrashImage`] carries it, and leave the
     /// reorganization open — exactly what a stop-the-world failure between
     /// two migration transactions looks like (Section 4.4).
@@ -722,12 +622,15 @@ impl ReorgRun<'_> {
             .trt(self.partition)
             .map(|t| t.dump())
             .unwrap_or_default();
+        // Sorted, so the same run position always encodes to the same bytes.
+        let mut mapping: Vec<(PhysAddr, PhysAddr)> =
+            self.mapping.iter().map(|(&o, &n)| (o, n)).collect();
+        mapping.sort_unstable();
         IraCheckpoint {
             partition: self.partition,
             plan: self.plan,
             state: self.state.clone(),
-            mapping: self.mapping.sorted_committed(),
-            queue: self.state.order.clone(),
+            mapping,
             pos: self.pos,
             trt_snapshot,
             trt_lsn,
@@ -748,9 +651,7 @@ mod tests {
         assert_eq!(c.batch_size, 1);
         assert_eq!(c.variant, IraVariant::Basic);
         assert!(c.transform.is_none());
-        assert!(c.throttle.is_none());
         assert_eq!(c.retry, brahma::RetryPolicy::default());
-        assert!(ExecOptions::default().crash_after_migrations.is_none());
     }
 
     #[test]
@@ -762,7 +663,6 @@ mod tests {
             p,
             RelocationPlan::CompactInPlace,
             &IraConfig::default(),
-            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(report.migrated(), 0);
@@ -805,14 +705,7 @@ mod tests {
             quiesce_wait: std::time::Duration::from_millis(50),
             ..IraConfig::default()
         };
-        let err = run_incremental(
-            &db,
-            p1,
-            RelocationPlan::CompactInPlace,
-            &config,
-            &ExecOptions::default(),
-        )
-        .unwrap_err();
+        let err = run_incremental(&db, p1, RelocationPlan::CompactInPlace, &config).unwrap_err();
         assert!(matches!(err, IraError::RetriesExhausted { .. }));
         assert!(!db.reorg_active(p1), "reorganization must be released");
         assert!(db.retry_stats.giveups.get() >= 1, "giveup must be counted");
@@ -823,7 +716,6 @@ mod tests {
             p1,
             RelocationPlan::CompactInPlace,
             &IraConfig::default(),
-            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(report.migrated(), 1);
@@ -850,14 +742,7 @@ mod tests {
             transform: Some(bump_tag),
             ..IraConfig::default()
         };
-        let report = run_incremental(
-            &db,
-            p1,
-            RelocationPlan::CompactInPlace,
-            &config,
-            &ExecOptions::default(),
-        )
-        .unwrap();
+        let report = run_incremental(&db, p1, RelocationPlan::CompactInPlace, &config).unwrap();
         assert_eq!(db.raw_read(report.mapping[&o]).unwrap().tag, 42);
     }
 }

@@ -7,54 +7,14 @@
 //! references; mark-and-sweep collectors handle physical references but
 //! never move anything):
 //!
-//! * [`copying_collect`] evacuates all live objects of a partition into a
-//!   target partition (reclustering them in traversal order) and reclaims
-//!   everything left behind;
+//! * `Reorg::on(db, p).plan(RelocationPlan::EvacuateTo(db.create_partition()))`
+//!   is the collector: it evacuates every live object of `p` into the fresh
+//!   partition (reclustering them in traversal order) and reclaims
+//!   everything left behind, reported as [`crate::IraReport::garbage`];
 //! * [`find_garbage`] is the non-destructive detector used by tests and the
 //!   example.
 
-use crate::driver::{run_incremental, ExecOptions, IraConfig, IraError};
-use crate::plan::RelocationPlan;
 use brahma::{Database, PartitionId, PhysAddr};
-use std::time::Duration;
-
-/// Outcome of a copying collection.
-#[derive(Debug)]
-pub struct GcReport {
-    pub source: PartitionId,
-    pub target: PartitionId,
-    /// Live objects evacuated to the target partition.
-    pub live_moved: usize,
-    /// Garbage objects reclaimed in the source partition.
-    pub garbage_reclaimed: usize,
-    pub duration: Duration,
-}
-
-/// Evacuate the live objects of `partition` into `target` (a fresh
-/// partition is created when `None`), reclaiming the garbage — the
-/// partitioned copying collector of Section 4.6, on-line.
-pub fn copying_collect(
-    db: &Database,
-    partition: PartitionId,
-    target: Option<PartitionId>,
-    config: &IraConfig,
-) -> Result<GcReport, IraError> {
-    let target = target.unwrap_or_else(|| db.create_partition());
-    let report = run_incremental(
-        db,
-        partition,
-        RelocationPlan::EvacuateTo(target),
-        config,
-        &ExecOptions::default(),
-    )?;
-    Ok(GcReport {
-        source: partition,
-        target,
-        live_moved: report.migrated(),
-        garbage_reclaimed: report.garbage.len(),
-        duration: report.duration,
-    })
-}
 
 /// Detect (without reclaiming) the garbage of `partition`: allocated
 /// objects unreachable from the partition's ERT and the registered roots.
@@ -73,7 +33,20 @@ pub fn find_garbage(db: &Database, partition: PartitionId) -> Vec<PhysAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RelocationPlan, Reorg, ReorgOutcome};
     use brahma::{LockMode, NewObject, StoreConfig};
+
+    /// Evacuate `p` into a fresh partition; returns the outcome and the
+    /// number of garbage objects reclaimed.
+    fn collect(db: &Database, p: PartitionId) -> (ReorgOutcome, usize) {
+        let target = db.create_partition();
+        let outcome = Reorg::on(db, p)
+            .plan(RelocationPlan::EvacuateTo(target))
+            .run()
+            .unwrap();
+        let garbage = outcome.ira().unwrap().garbage.len();
+        (outcome, garbage)
+    }
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
         let mut t = db.begin();
@@ -106,15 +79,16 @@ mod tests {
 
         assert_eq!(find_garbage(&db, p1).len(), 2);
 
-        let report = copying_collect(&db, p1, None, &IraConfig::default()).unwrap();
-        assert_eq!(report.live_moved, 2);
-        assert_eq!(report.garbage_reclaimed, 2);
+        let (outcome, garbage) = collect(&db, p1);
+        assert_eq!(outcome.migrated(), 2);
+        assert_eq!(garbage, 2);
         // Source partition fully reclaimed.
         assert_eq!(db.partition(p1).unwrap().object_count(), 0);
-        assert_eq!(db.partition(report.target).unwrap().object_count(), 2);
+        let target = outcome.mapping[&live1].partition();
+        assert_eq!(db.partition(target).unwrap().object_count(), 2);
         // Live graph intact through the external parent.
         let live2_new = db.raw_read(ext).unwrap().refs[0];
-        assert_eq!(live2_new.partition(), report.target);
+        assert_eq!(live2_new.partition(), target);
         let live1_new = db.raw_read(live2_new).unwrap().refs[0];
         assert_eq!(db.raw_read(live1_new).unwrap().payload, b"gc".to_vec());
         let _ = garbage2;
@@ -136,9 +110,9 @@ mod tests {
         t.insert_ref(a, b).unwrap();
         t.commit().unwrap();
 
-        let report = copying_collect(&db, p1, None, &IraConfig::default()).unwrap();
-        assert_eq!(report.live_moved, 1);
-        assert_eq!(report.garbage_reclaimed, 2);
+        let (outcome, garbage) = collect(&db, p1);
+        assert_eq!(outcome.migrated(), 1);
+        assert_eq!(garbage, 2);
         brahma::sweep::assert_database_consistent(&db);
     }
 

@@ -14,7 +14,9 @@
 //!   two-lock variant holding at most two locks at any time (Section 4.2,
 //!   [`two_lock`]), migration batching (Section 4.3, [`Reorg::batch`]),
 //!   checkpoint/restart after failures (Section 4.4, [`checkpoint`]),
-//!   and copying garbage collection as a side effect (Section 4.6, [`gc`]).
+//!   copying garbage collection as a side effect of evacuating into a fresh
+//!   partition (Section 4.6, [`gc`]), and clustering by a migration order
+//!   derived from observed traffic ([`StatsGreedy`]).
 //! * Baselines: the quiescent reorganizer of Section 3.1 ([`offline`]) and
 //!   **PQR**, the Partition Quiesce Reorganization baseline of the paper's
 //!   performance study (Section 5.1, [`pqr`]) — both reachable through
@@ -48,6 +50,8 @@
 //!
 //! Everything is a knob on the same builder: `.variant(IraVariant::TwoLock)`
 //! for the two-lock extension, `.batch(32)` for Section 4.3's batching,
+//! `.plan(RelocationPlan::EvacuateTo(db.create_partition()))` to collect
+//! garbage, `.order(StatsGreedy::new(&edges).plan(&db, p).0)` to cluster,
 //! `.strategy(Strategy::PartitionQuiesce)` for the PQR baseline,
 //! `.resume_from(ckpt, &log)` to continue a crashed run.
 
@@ -67,7 +71,6 @@ pub mod policy;
 pub mod pqr;
 pub mod relaxed;
 pub mod replay;
-pub mod shared;
 pub mod traversal;
 pub mod two_lock;
 pub mod verify;
@@ -76,12 +79,11 @@ pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
 pub use chaos::{run_crash_cell, with_repro_banner, CellOutcome, ChaosCell};
 pub use checkpoint::IraCheckpoint;
 pub use disk_chaos::{run_disk_cell, run_multi_partition_kill, DiskCellOutcome, DiskChaosCell};
-pub use driver::{IraConfig, IraError, IraReport, IraVariant, ThrottleConfig};
-pub use gc::{copying_collect, find_garbage, GcReport};
+pub use driver::{IraConfig, IraError, IraReport, IraVariant};
+pub use gc::find_garbage;
 pub use order::MigrationOrder;
 pub use plan::RelocationPlan;
-pub use policy::{CostModel, EdgeCount, EdgeSource, PlanScore, PlanSource, ReorgPlan, StaticPlan, StatsGreedy};
+pub use policy::{CostModel, EdgeCount, PlanScore, StatsGreedy};
 pub use pqr::PqrReport;
 pub use replay::{Gate, PctExplorer, SchedTrace, TraceReplay};
-pub use shared::MigrationMap;
 pub use traversal::TraversalState;

@@ -140,7 +140,8 @@ impl CopySource {
 }
 
 /// Migrate `oold` to its new location, updating the `parents`' references
-/// (which the caller has locked exactly via `find_exact_parents`).
+/// (which the caller has locked: exactly, via `find_exact_parents`, on-line;
+/// every parent of the quiescent sweep in [`crate::offline`]).
 ///
 /// Returns the new address. `state` and `effects` are updated in place; the
 /// caller records `effects.migrations` in the migration map (and counts them

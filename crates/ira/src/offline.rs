@@ -3,11 +3,15 @@
 //! When no transaction can touch the partition — either because the whole
 //! database is idle, or because PQR has quiesced the partition by locking
 //! every external parent — reorganization is straightforward: one sweep
-//! builds exact parent lists, then each object is copied, its parents'
-//! references rewritten, and the old copy freed.
+//! builds exact parent lists, then each object goes through the same
+//! `Move_Object_And_Update_Refs` (Figure 5) as on-line IRA: copied, its
+//! parents' references rewritten, its children's parent lists updated, and
+//! the old copy freed.
 
+use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::plan::RelocationPlan;
-use brahma::{Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, Result, Txn};
+use crate::traversal::TraversalState;
+use brahma::{Database, LockMode, PartitionId, PhysAddr, Result, Txn};
 use std::collections::HashMap;
 
 /// Migrate every allocated object of the (quiescent) `partition` according
@@ -25,65 +29,31 @@ pub fn reorganize_quiescent(
     let objects = part.live_objects();
 
     // One sweep builds the exact parent lists: intra-partition parents from
-    // the objects, external parents from the ERT.
-    let mut parents: HashMap<PhysAddr, Vec<PhysAddr>> = HashMap::new();
+    // the objects, external parents from the ERT. Each migration rewrites
+    // its children's lists to name the new copy, so a parent that already
+    // moved is found at its new address.
+    let mut state = TraversalState::default();
     for &obj in &objects {
-        let view = db.raw_read(obj)?;
-        for child in view.refs {
+        for child in db.raw_read(obj)?.refs {
             if child.partition() == partition {
-                parents.entry(child).or_default().push(obj);
+                state.add_parent(child, obj);
             }
         }
-    }
-    for &obj in &objects {
         for ext in part.ert.parents_of(obj) {
-            parents.entry(obj).or_default().push(ext);
+            state.add_parent(obj, ext);
         }
     }
 
-    let mut mapping: HashMap<PhysAddr, PhysAddr> = HashMap::new();
+    let mut effects = BatchEffects::default();
     for &oold in &objects {
-        txn.lock(oold, LockMode::Exclusive)?;
-        let image = txn.read(oold)?;
-        let onew = txn.create_object(
-            plan.target_partition(oold),
-            NewObject {
-                tag: image.tag,
-                refs: image.refs.clone(),
-                ref_cap: image.ref_cap,
-                payload: image.payload.clone(),
-                payload_cap: image.payload_cap,
-            },
-        )?;
-        for (i, r) in image.refs.iter().enumerate() {
-            if *r == oold {
-                txn.set_ref(onew, i, onew)?;
-            }
-        }
-        for parent in parents.get(&oold).cloned().unwrap_or_default() {
-            if parent == oold {
-                continue;
-            }
-            // A parent that already migrated lives at its new address now.
-            let parent = mapping.get(&parent).copied().unwrap_or(parent);
+        let parents = state.parents_of(oold);
+        for &parent in &parents {
             txn.lock(parent, LockMode::Exclusive)?;
-            let refs = txn.read_refs(parent)?;
-            for (i, r) in refs.iter().enumerate() {
-                if *r == oold {
-                    txn.set_ref(parent, i, onew)?;
-                }
-            }
         }
-        if db.is_root(oold) {
-            db.replace_root(oold, onew);
-        }
-        db.wal
-            .append(txn.id(), LogPayload::Migrate { old: oold, new: onew });
-        txn.delete_object(oold)?;
-        mapping.insert(oold, onew);
+        move_object_and_update_refs(db, txn, oold, &parents, plan, None, &mut state, &mut effects)?;
         db.stats.migrations.inc();
     }
-    Ok(mapping)
+    Ok(effects.migrations.into_iter().collect())
 }
 
 /// Crate-internal entry point behind [`crate::Reorg`]'s
@@ -112,7 +82,7 @@ pub(crate) fn run_offline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brahma::StoreConfig;
+    use brahma::{NewObject, StoreConfig};
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
         let mut t = db.begin();

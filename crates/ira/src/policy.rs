@@ -1,30 +1,25 @@
-//! Reorganization plans from policies, not just hand-written lists.
+//! Migration orders from observed traffic, not just hand-written lists.
 //!
 //! The paper reorganizes a *fixed* plan chosen by the administrator. The
 //! dynamic-clustering literature (Darmont et al.'s DSTC line of work)
 //! shows that even a simple greedy policy driven by live access statistics
-//! beats static placement. This module is the seam between the two worlds:
+//! beats static placement:
 //!
-//! * [`PlanSource`] — anything that can turn observed state into a
-//!   [`ReorgPlan`] (relocation + migration order + predicted score);
-//! * [`StaticPlan`] — the administrator's literal plan, the degenerate
-//!   source behind [`crate::Reorg::plan`];
 //! * [`StatsGreedy`] — a DSTC-style greedy policy over observed
 //!   parent→child co-access counts: rank hot edges, chain them, and emit a
-//!   [`MigrationOrder::Priority`] that packs hot chains onto the same
-//!   pages (free space is withheld during a reorganization, so migrated
-//!   copies land in fresh pages *in migration order* — the order is the
-//!   clustering lever);
+//!   [`MigrationOrder::Priority`] for [`crate::Reorg::order`] that packs
+//!   hot chains onto the same pages (free space is withheld during a
+//!   reorganization, so migrated copies land in fresh pages *in migration
+//!   order* — the order is the clustering lever);
 //! * [`CostModel`] — the placement cost model the greedy scores against
 //!   (re-exported as `workload::cost` for the bench side): the weighted
 //!   sum over observed edges of a page-crossing penalty.
 //!
 //! The statistics themselves are collected in `crates/workload` (which
-//! depends on this crate, not the other way around), so the collector
-//! hands its counts over through the [`EdgeSource`] trait.
+//! depends on this crate, not the other way around) and handed over as a
+//! plain [`EdgeCount`] list.
 
 use crate::order::MigrationOrder;
-use crate::plan::RelocationPlan;
 use brahma::{Database, PartitionId, PhysAddr, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
 
@@ -34,27 +29,6 @@ pub struct EdgeCount {
     pub parent: PhysAddr,
     pub child: PhysAddr,
     pub count: u64,
-}
-
-/// A supplier of observed traversal statistics. Implemented by the
-/// workload crate's lock-free collector; any other source (a trace file, a
-/// synthetic profile) works the same way.
-pub trait EdgeSource {
-    /// Every observed edge with a nonzero count, in any order.
-    fn edges(&self) -> Vec<EdgeCount>;
-}
-
-/// A plain edge list is its own source — convenient for tests and traces.
-impl EdgeSource for [EdgeCount] {
-    fn edges(&self) -> Vec<EdgeCount> {
-        self.to_vec()
-    }
-}
-
-impl EdgeSource for Vec<EdgeCount> {
-    fn edges(&self) -> Vec<EdgeCount> {
-        self.clone()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +91,7 @@ impl CostModel {
     }
 }
 
-/// Predicted cost of a derived plan vs leaving every object where it is,
+/// Predicted cost of a planned order vs leaving every object where it is,
 /// in [`CostModel`] units over the observed edge set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanScore {
@@ -140,106 +114,29 @@ impl PlanScore {
 }
 
 // ---------------------------------------------------------------------------
-// PlanSource
-// ---------------------------------------------------------------------------
-
-/// What a [`PlanSource`] derives: where migrated objects go, in what order,
-/// and (when the source scores candidates) what the order is predicted to
-/// buy.
-#[derive(Debug, Clone)]
-pub struct ReorgPlan {
-    pub relocation: RelocationPlan,
-    /// Migration order the source wants; `None` leaves the builder's
-    /// configured order untouched.
-    pub order: Option<MigrationOrder>,
-    pub score: Option<PlanScore>,
-}
-
-impl ReorgPlan {
-    /// A plan that just relocates, in the builder's default order.
-    pub fn relocate(relocation: RelocationPlan) -> Self {
-        ReorgPlan {
-            relocation,
-            order: None,
-            score: None,
-        }
-    }
-}
-
-/// Where a reorganization plan comes from. [`crate::Reorg::plan_from`]
-/// accepts any implementation; derivation runs when the builder resolves,
-/// against the live database.
-pub trait PlanSource {
-    /// Stable short name, for reports and bench labels.
-    fn name(&self) -> &'static str;
-
-    /// Derive the plan for reorganizing `partition` of `db`.
-    fn derive(&self, db: &Database, partition: PartitionId) -> ReorgPlan;
-}
-
-/// The administrator's literal plan — the degenerate [`PlanSource`] behind
-/// [`crate::Reorg::plan`].
-#[derive(Debug, Clone, Copy)]
-pub struct StaticPlan {
-    relocation: RelocationPlan,
-}
-
-impl StaticPlan {
-    pub fn new(relocation: RelocationPlan) -> Self {
-        StaticPlan { relocation }
-    }
-}
-
-impl PlanSource for StaticPlan {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn derive(&self, _db: &Database, _partition: PartitionId) -> ReorgPlan {
-        ReorgPlan::relocate(self.relocation)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // StatsGreedy
 // ---------------------------------------------------------------------------
 
 /// DSTC-style greedy clustering from observed traversal statistics.
 ///
-/// Derivation ranks the partition's intra-partition edges by count and
-/// greedily links them into chains (each object at most one predecessor
-/// and one successor, no cycles — the classic greedy path heuristic), then
-/// emits a [`MigrationOrder::Priority`] listing the chains hottest-first.
-/// Because reorganization withholds free space, consecutive objects in the
-/// migration order pack onto the same fresh pages, so a chain becomes a
-/// page-contiguous run — exactly what the walks that made it hot want.
+/// [`StatsGreedy::plan`] ranks the partition's intra-partition edges by
+/// count and greedily links them into chains (each object at most one
+/// predecessor and one successor, no cycles — the classic greedy path
+/// heuristic), then lists the chains hottest-first as a
+/// [`MigrationOrder::Priority`]. Because reorganization withholds free
+/// space, consecutive objects in the migration order pack onto the same
+/// fresh pages, so a chain becomes a page-contiguous run — exactly what the
+/// walks that made it hot want.
 pub struct StatsGreedy {
     edges: Vec<EdgeCount>,
-    relocation: RelocationPlan,
-    model: CostModel,
 }
 
 impl StatsGreedy {
-    /// Capture the current counts of `stats`. The snapshot is taken here:
-    /// derivation at build time sees the traffic observed up to this call.
-    pub fn new<S: EdgeSource + ?Sized>(stats: &S) -> Self {
+    /// Plan from the observed `edges` (any order; zero counts are ignored).
+    pub fn new(edges: &[EdgeCount]) -> Self {
         StatsGreedy {
-            edges: stats.edges(),
-            relocation: RelocationPlan::CompactInPlace,
-            model: CostModel::default(),
+            edges: edges.to_vec(),
         }
-    }
-
-    /// Where the migrated objects go (default: compact in place).
-    pub fn relocation(mut self, relocation: RelocationPlan) -> Self {
-        self.relocation = relocation;
-        self
-    }
-
-    /// Score under a non-default cost model.
-    pub fn model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Greedily chain the hot intra-partition edges: process edges by
@@ -325,26 +222,18 @@ impl StatsGreedy {
             .max(32) as usize;
         (PAGE_SIZE / size.next_power_of_two()).max(1)
     }
-}
 
-impl PlanSource for StatsGreedy {
-    fn name(&self) -> &'static str {
-        "stats-greedy"
-    }
-
-    fn derive(&self, db: &Database, partition: PartitionId) -> ReorgPlan {
+    /// The clustering order for compacting `partition` of `db` in place,
+    /// for [`crate::Reorg::order`], and what it is predicted to buy. With
+    /// no hot edge observed inside the partition the priority list is
+    /// empty, i.e. plain traversal order, and both costs are zero.
+    pub fn plan(&self, db: &Database, partition: PartitionId) -> (MigrationOrder, PlanScore) {
         let live_list = db
             .partition(partition)
             .map(|p| p.live_objects())
             .unwrap_or_default();
         let live: HashSet<PhysAddr> = live_list.iter().copied().collect();
-        let chains = Self::chains(&self.edges, &live);
-        let priority: Vec<PhysAddr> = chains.into_iter().flatten().collect();
-        if priority.is_empty() {
-            // Nothing observed inside this partition: fall back to the
-            // plain relocation with the builder's order.
-            return ReorgPlan::relocate(self.relocation);
-        }
+        let priority: Vec<PhysAddr> = Self::chains(&self.edges, &live).into_iter().flatten().collect();
 
         // Score the order against the cost model: simulate packing the
         // priority list (then every remaining live object) into fresh
@@ -370,24 +259,15 @@ impl PlanSource for StatsGreedy {
         {
             planned_page.insert(addr, (i / per_page) as u32);
         }
-        let target = match self.relocation {
-            RelocationPlan::CompactInPlace => partition,
-            RelocationPlan::EvacuateTo(t) => t,
-        };
+        let model = CostModel::default();
         let score = PlanScore {
-            identity_cost: self.model.identity_cost(&scored),
-            planned_cost: self.model.placement_cost(&scored, |a| {
-                match planned_page.get(&a) {
-                    Some(&page) => (target, page),
-                    None => (a.partition(), a.page()),
-                }
+            identity_cost: model.identity_cost(&scored),
+            planned_cost: model.placement_cost(&scored, |a| match planned_page.get(&a) {
+                Some(&page) => (partition, page),
+                None => (a.partition(), a.page()),
             }),
         };
-        ReorgPlan {
-            relocation: self.relocation,
-            order: Some(MigrationOrder::Priority(priority)),
-            score: Some(score),
-        }
+        (MigrationOrder::Priority(priority), score)
     }
 }
 
@@ -446,12 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_derives_itself() {
+    fn nothing_observed_plans_traversal_order_at_zero_cost() {
         let db = Database::new(brahma::StoreConfig::default());
         let p = db.create_partition();
-        let src = StaticPlan::new(RelocationPlan::CompactInPlace);
-        let plan = src.derive(&db, p);
-        assert_eq!(plan.relocation, RelocationPlan::CompactInPlace);
-        assert!(plan.order.is_none() && plan.score.is_none());
+        let (order, score) = StatsGreedy::new(&[]).plan(&db, p);
+        assert_eq!(order, MigrationOrder::Priority(vec![]));
+        assert_eq!((score.identity_cost, score.planned_cost), (0.0, 0.0));
     }
 }

@@ -14,7 +14,7 @@
 
 use brahma::env_cfg;
 use brahma::SeedTree;
-use ira::chaos::{all_sites, run_crash_cell, site, with_repro_banner, ChaosCell};
+use ira::chaos::{all_sites, run_crash_cell, with_repro_banner, ChaosCell};
 use std::collections::HashMap;
 
 /// Root of the sweep's seed tree: every cell seed derives from it, so the
@@ -58,12 +58,8 @@ fn crash_point_sweep_over_every_site() {
             total_cells += 1;
             if outcome.crashed {
                 crashed_cells += 1;
-                // The `ira.checkpoint` cells force their crash through the
-                // deterministic migration counter (the site only executes
-                // while a checkpoint is being written), so they may crash
-                // before the rule itself reaches its stride.
                 assert!(
-                    outcome.fired >= 1 || site == site::CHECKPOINT,
+                    outcome.fired >= 1,
                     "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride} \
                      — cell {cell:?} crashed without firing"
                 );

@@ -3,7 +3,10 @@
 //! exactly once, checkpoint the exact queue position it reached, and
 //! crash/resume correctly mid-queue.
 
-use brahma::{recover, Database, NewObject, PartitionId, PhysAddr, StoreConfig};
+use brahma::{
+    recover, Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr,
+    StoreConfig,
+};
 use ira::chaos::with_repro_banner;
 use ira::verify::logical_fingerprint;
 use ira::{IraCheckpoint, IraError, IraVariant, RelocationPlan, Reorg};
@@ -108,9 +111,8 @@ fn reorganized_graph_is_isomorphic_to_original() {
 }
 
 /// Deterministic mid-queue crash: the checkpoint carries the exact queue
-/// position — the crash threshold rounded up to the batch boundary it
-/// tripped at — and the resume completes from there to a graph isomorphic
-/// to the original.
+/// position — the batch boundary the crash fired at — and the resume
+/// completes from there to a graph isomorphic to the original.
 #[test]
 fn crash_mid_queue_checkpoints_exact_position_and_resumes() {
     let (chains, chain_len) = (6, 8);
@@ -128,13 +130,14 @@ fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
     let reference = logical_fingerprint(&db, &forest.anchors);
     let store_ckpt = db.checkpoint(0xAF_u64);
 
-    // Odd, so never on a batch boundary: the position is visibly rounded up.
-    let crash_after = chains * chain_len / 2 - 1;
-    let err = Reorg::on(&db, forest.p1)
-        .batch(batch)
-        .crash_after_migrations(crash_after)
-        .run()
-        .unwrap_err();
+    // The first batch boundary at or past half the queue.
+    let crash_batch = (chains * chain_len / 2 - 1).div_ceil(batch);
+    db.fault.arm(FaultPlan::new(0xAF).with(FaultRule::nth(
+        ira::chaos::site::BATCH,
+        crash_batch as u64,
+        FaultAction::Crash,
+    )));
+    let err = Reorg::on(&db, forest.p1).batch(batch).run().unwrap_err();
     let ckpt = match err {
         IraError::SimulatedCrash(c) => c,
         other => panic!("expected a simulated crash, got {other}"),
@@ -145,7 +148,8 @@ fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
         ckpt.mapping.len(),
         forest.live
     );
-    assert_eq!(ckpt.pos, crash_after.div_ceil(batch) * batch);
+    assert_eq!(ckpt.pos, crash_batch * batch);
+    assert_eq!(ckpt.mapping.len(), ckpt.pos, "every queued object was live");
 
     let image = db.crash(store_ckpt, true);
     let blob = image

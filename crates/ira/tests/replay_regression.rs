@@ -116,7 +116,6 @@ fn take_fuzzy_checkpoint(scn: &Scenario) -> IraCheckpoint {
         plan: RelocationPlan::CompactInPlace,
         state: ira::TraversalState::default(),
         mapping: vec![],
-        queue: vec![],
         pos: 0,
         trt_snapshot,
         trt_lsn,

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-pub use ira::{CostModel, EdgeCount, EdgeSource, PlanScore};
+pub use ira::{CostModel, EdgeCount, PlanScore};
 
 /// Fixed-capacity CPU: at most `capacity` threads compute at once.
 pub struct CpuModel {

@@ -6,8 +6,8 @@
 //! path: the table is sharded by edge hash, each shard is a fixed array of
 //! atomically-claimed slots, and counting is a single `fetch_add` once the
 //! slot is found. This is the "observe" stage of the
-//! observe → plan → reorganize → measure loop (DESIGN §15): the snapshot
-//! feeds [`ira::StatsGreedy`] through the [`ira::EdgeSource`] trait.
+//! observe → plan → reorganize → measure loop (DESIGN §15): the snapshot,
+//! [`TraversalStats::edges`], is what [`ira::StatsGreedy`] plans from.
 //!
 //! Concurrency model: a writer claims an empty slot with a CAS on the slot
 //! state (`EMPTY → PUBLISHING`), writes the edge key, then releases the
@@ -222,12 +222,6 @@ impl TraversalStats {
 impl EdgeObserver for TraversalStats {
     fn record_edge(&self, parent: PhysAddr, child: PhysAddr) {
         self.record(parent, child);
-    }
-}
-
-impl ira::EdgeSource for TraversalStats {
-    fn edges(&self) -> Vec<EdgeCount> {
-        TraversalStats::edges(self)
     }
 }
 

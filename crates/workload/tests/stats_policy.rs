@@ -3,7 +3,7 @@
 //! objects where they are.
 
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
-use ira::{EdgeCount, MigrationOrder, PlanSource, StatsGreedy};
+use ira::{EdgeCount, MigrationOrder, StatsGreedy};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -133,8 +133,7 @@ fn stats_greedy_beats_identity_on_hot_chain() {
         })
         .collect();
 
-    let plan = StatsGreedy::new(&edges).derive(&db, p);
-    let score = plan.score.expect("greedy derivation scores its plan");
+    let (order, score) = StatsGreedy::new(&edges).plan(&db, p);
     let model = workload::cost::CostModel::default();
     assert_eq!(
         score.identity_cost,
@@ -148,8 +147,8 @@ fn stats_greedy_beats_identity_on_hot_chain() {
         score.identity_cost
     );
     assert!(score.improvement() > 0.0);
-    match plan.order {
-        Some(MigrationOrder::Priority(order)) => {
+    match order {
+        MigrationOrder::Priority(order) => {
             assert_eq!(&order[..chain.len()], &chain[..], "hot chain migrates first, in order");
         }
         other => panic!("expected a priority order, got {other:?}"),
@@ -157,8 +156,8 @@ fn stats_greedy_beats_identity_on_hot_chain() {
 }
 
 /// End to end through the driver: a concurrent observed workload feeds a
-/// `StatsGreedy` whose plan reorganizes the hot partition and the builder
-/// reports the predicted score.
+/// `StatsGreedy` whose scored order, handed to `Reorg::order`, reorganizes
+/// the hot partition.
 #[test]
 fn observed_workload_drives_a_scored_reorg() {
     let db = Arc::new(Database::new(StoreConfig::default()));
@@ -182,12 +181,12 @@ fn observed_workload_drives_a_scored_reorg() {
     assert!(stats.recorded() > 0, "walkers must have reported edges");
 
     let target = info.data_partitions[0];
+    let (order, score) = StatsGreedy::new(&stats.edges()).plan(&db, target);
     let outcome = ira::Reorg::on(&db, target)
-        .plan_from(StatsGreedy::new(&*stats))
+        .order(order)
         .run()
         .expect("stats-driven reorganization completes");
     assert_eq!(outcome.migrated(), 170);
-    let score = outcome.score.expect("stats-greedy attaches its score");
     assert!(score.identity_cost > 0.0, "observed edges cross pages before reorg");
     brahma::sweep::assert_database_consistent(&db);
 }

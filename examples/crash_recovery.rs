@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use brahma::{recover, Database, NewObject, StoreConfig};
+use brahma::{recover, Database, FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
 use ira::{IraCheckpoint, IraError, Reorg};
 
 fn main() {
@@ -36,11 +36,14 @@ fn main() {
     // point; everything after it will be replayed from the log.
     let store_ckpt = db.checkpoint(1);
 
-    // Run IRA with fault injection: "crash" after 12 migrations.
-    let err = Reorg::on(&db, p1)
-        .crash_after_migrations(12)
-        .run()
-        .expect_err("fault injection fires");
+    // Run IRA with fault injection: "crash" at the 12th batch boundary,
+    // i.e. after 12 migrations.
+    db.fault.arm(FaultPlan::new(12).with(FaultRule::nth(
+        ira::chaos::site::BATCH,
+        12,
+        FaultAction::Crash,
+    )));
+    let err = Reorg::on(&db, p1).run().expect_err("fault injection fires");
     let IraError::SimulatedCrash(ira_ckpt) = err else {
         panic!("expected a simulated crash");
     };

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example garbage_collection`
 
 use brahma::{Database, LockMode, NewObject, StoreConfig};
-use ira::{copying_collect, find_garbage, IraConfig};
+use ira::{find_garbage, RelocationPlan, Reorg};
 
 fn main() {
     let db = Database::new(StoreConfig::default());
@@ -27,8 +27,18 @@ fn main() {
     let live_mid = txn
         .create_object(p1, NewObject::exact(1, vec![live_leaf], vec![]))
         .unwrap();
+    // One spare reference slot for the back-reference below.
     let doomed_leaf = txn
-        .create_object(p1, NewObject::exact(1, vec![], b"doom".to_vec()))
+        .create_object(
+            p1,
+            NewObject {
+                tag: 1,
+                refs: vec![],
+                ref_cap: 1,
+                payload: b"doom".to_vec(),
+                payload_cap: 0,
+            },
+        )
         .unwrap();
     let doomed_mid = txn
         .create_object(
@@ -50,7 +60,7 @@ fn main() {
     let mut txn = db.begin();
     txn.lock(doomed_leaf, LockMode::Exclusive).unwrap();
     // doomed_leaf gets a back-reference, closing the cycle.
-    // (Created with no slack, so grow through a fresh ref slot.)
+    txn.insert_ref(doomed_leaf, doomed_mid).unwrap();
     txn.commit().unwrap();
 
     // Cut the doomed subtree loose.
@@ -68,13 +78,19 @@ fn main() {
 
     // Collect: live objects are evacuated to a fresh partition, garbage is
     // reclaimed, and the source partition ends up empty.
-    let report = copying_collect(&db, p1, None, &IraConfig::default()).unwrap();
+    let target = db.create_partition();
+    let outcome = Reorg::on(&db, p1)
+        .plan(RelocationPlan::EvacuateTo(target))
+        .run()
+        .unwrap();
+    let reclaimed = outcome.ira().unwrap().garbage.len();
     println!(
-        "copying collector: {} live objects moved to {}, {} garbage objects reclaimed in {:.2?}",
-        report.live_moved, report.target, report.garbage_reclaimed, report.duration
+        "copying collector: {} live objects moved to {target}, {reclaimed} garbage objects reclaimed in {:.2?}",
+        outcome.migrated(),
+        outcome.duration
     );
-    assert_eq!(report.live_moved, 2);
-    assert_eq!(report.garbage_reclaimed, 2);
+    assert_eq!(outcome.migrated(), 2);
+    assert_eq!(reclaimed, 2);
     assert_eq!(db.partition(p1).unwrap().object_count(), 0);
 
     // The live chain survived, reachable through the anchor.
