@@ -1,14 +1,9 @@
 #!/bin/sh
-# Tier-1 gate: release build, full test suite, lint + lockdep, clippy clean.
+# Tier-1 gate: source guards, clippy's product lints, release build, full
+# test suite with lockdep armed, paper-shape and example runs, the
+# benchmark smoke, clippy clean over every target.
 set -eux
 
-# The line linter first, before anything else is built or executed
-# (DESIGN.md §11.2): stray sleeps and unwraps, undocumented counters,
-# unregistered fault sites, raw parking_lot locks and unjustified atomic
-# orderings fail here with file:line diagnostics, modulo lint-baseline.toml,
-# sorted by (file, line, rule) so CI output diffs cleanly. Lock order is
-# lockdep's, checked by every test below.
-cargo run -p lint
 # Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md,trace}
 # in the top-level docs resolves from the repo root, so a rename or a
 # deletion cannot leave the docs pointing at nothing.
@@ -59,6 +54,69 @@ if [ "$code_classes" != "$doc_classes" ]; then
   printf 'lockdep.rs defines:\n%s\nDESIGN.md §11.1 lists:\n%s\n' "$code_classes" "$doc_classes" >&2
   exit 1
 fi
+# Counter keys (DESIGN.md §8): the keys non-test code sets with
+# `.set("…"` or `.set(&format!("…"` (lines joined, since rustfmt wraps long
+# calls; `{site}` reads as §8's `<site>`) and the keys §8's table lists
+# (`a.b` / `c` is shorthand for `a.b` and `a.c`) must be the same set: no
+# undocumented counter, no dead row.
+code_keys=$(find crates/*/src src examples -name '*.rs' | while read -r f; do nontest "$f"; done |
+  grep -v '^ *//' | tr '\n' ' ' |
+  grep -o '\.set( *\(&format!( *\)\?"[^"]*"' | cut -d'"' -f2 | tr '{}' '<>' | sort -u)
+doc_keys=$(sed -n '/^## 8\./,/^## 9\./p' DESIGN.md | awk -F'|' '/^\| `/ {
+    n = split($2, t, "`")
+    for (i = 2; i <= n; i += 2) {
+      k = t[i]
+      if (i == 2) p = substr(k, 1, index(k, "."))
+      else if (index(k, ".") == 0) k = p k
+      print k
+    }
+  }' | sort -u)
+if [ "$code_keys" != "$doc_keys" ]; then
+  echo "counter keys set in code but missing from DESIGN.md §8:" >&2
+  printf '%s\n' "$code_keys" | grep -vxF "$doc_keys" >&2 || true
+  echo "DESIGN.md §8 rows no code sets:" >&2
+  printf '%s\n' "$doc_keys" | grep -vxF "$code_keys" >&2 || true
+  exit 1
+fi
+# Fault sites (DESIGN.md §9.1): every `site` const of the two catalogs is
+# listed in its module's `ALL` or `FILE_ALL` sweep array, so the chaos
+# sweeps reach it, and non-test code names a site by its const, never by a
+# string literal.
+unswept=$(for f in crates/brahma/src/fault.rs crates/ira/src/chaos.rs; do
+  swept=$(nontest "$f" | awk '/ALL: &\[&str\] = / { on = 1 } on { print } /\];/ { on = 0 }')
+  nontest "$f" | sed -n 's/^ *pub const \([A-Z][A-Z0-9_]*\): &str = .*/\1/p' |
+    while read -r c; do
+      printf '%s\n' "$swept" | grep -qw "$c" || echo "$f: $c"
+    done
+done)
+site_literals=$(find crates/*/src src examples -name '*.rs' | while read -r f; do
+  nontest "$f" | grep -n '\.observe("\|site: "' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done)
+if [ -n "$unswept$site_literals" ]; then
+  echo "site consts missing from ALL/FILE_ALL, then fault-site literals:" >&2
+  printf '%s\n' "$unswept" "$site_literals" >&2
+  exit 1
+fi
+# Atomic orderings (DESIGN.md §11.2): every `Ordering::` use in non-test
+# brahma and ira code carries an `// ordering:` line, on it or just above,
+# saying what it pairs with or why staleness is benign.
+unjustified=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do
+  nontest "$f" | awk -v f="$f" '/Ordering::(Relaxed|Acquire|Release|AcqRel|SeqCst)/ &&
+    !/^ *\/\// && !/\/\/ ordering:/ && prev !~ /\/\/ ordering:/ { print f ":" NR ": " $0 }
+    { prev = $0 }'
+done)
+if [ -n "$unjustified" ]; then
+  echo "atomic orderings without an // ordering: justification:" >&2
+  echo "$unjustified" >&2
+  exit 1
+fi
+# Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
+# disallows std::thread::sleep, and crates/{brahma,ira}/clippy.toml also
+# the raw parking_lot types lockdep cannot see; those two crates'
+# Cargo.toml warn on unwrap/expect. Each waiver is an #[expect] with a
+# reason at its site, so a waiver whose cause is gone fails here too
+# (unfulfilled_lint_expectations).
+cargo clippy --workspace --lib --bins --examples -- -D warnings
 cargo build --release
 # The workspace tests include the full chaos and disk-chaos matrices
 # (DESIGN.md §9.2, §14): every fault site at every stride, fixed seeds.
@@ -90,7 +148,10 @@ cargo run --release -p bench --bin paper_figures -- locality --quick
 for ex in examples/*.rs; do
   cargo run --release -q --example "$(basename "$ex" .rs)"
 done
-cargo clippy --workspace --all-targets -- -D warnings
+# Clippy over every target, tests included. Tests may sleep, unwrap and use
+# raw locks, so the four lints the product pass enforces are allowed here.
+cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed_methods \
+  -A clippy::disallowed_types -A clippy::unwrap_used -A clippy::expect_used
 # The raw-mode benchmark's output checks (benchmark/README.md): exact
 # `db.migrations`, logical fingerprint, live counts and
 # `assert_database_consistent` over every `reorg_idle` and `mix_ira` pass

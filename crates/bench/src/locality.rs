@@ -157,6 +157,7 @@ pub fn run_locality(opts: &LocalityOptions) -> LocalityResult {
         &params,
         Some(Arc::clone(&stats) as Arc<dyn EdgeObserver + Send + Sync>),
     );
+    #[expect(clippy::disallowed_methods, reason = "paces the observe window")]
     std::thread::sleep(window(opts));
     let pre_metrics = handle.stop_and_join();
     let pre = LocalityWindow {
@@ -200,6 +201,7 @@ pub fn run_locality(opts: &LocalityOptions) -> LocalityResult {
     model.reset();
     db.set_cpu_model(Some(Arc::clone(&model) as Arc<dyn brahma::CpuCharge>));
     let handle = start_workload(Arc::clone(&db), Arc::clone(&info), &params);
+    #[expect(clippy::disallowed_methods, reason = "paces the measure window")]
     std::thread::sleep(window(opts));
     let post_metrics = handle.stop_and_join();
     let post = LocalityWindow {

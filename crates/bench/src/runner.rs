@@ -114,6 +114,10 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
     };
     let (reorg_secs, migrated) = match strategy {
         None => {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "paces the no-reorganization cell's window"
+            )]
             std::thread::sleep(cfg.nr_window);
             (None, 0)
         }
@@ -134,6 +138,10 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
     if let Some(window) = cfg.measure_window {
         let elapsed = started.elapsed();
         if elapsed < window {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "paces the fixed measurement window"
+            )]
             std::thread::sleep(window - elapsed);
         }
     }

@@ -572,11 +572,19 @@ impl<'db> Txn<'db> {
             return;
         }
         while let Some(op) = self.undo.pop() {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: only update records are pushed on the undo chain"
+            )]
             let compensation = op
                 .inverse()
                 .expect("invariant: the undo chain holds only update records");
             // Rollback of operations on objects we hold X locks on cannot
             // fail; failures here indicate storage corruption.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: undo runs under the txn's own X locks; a failure is storage corruption and must not be swallowed into an abort path"
+            )]
             self.log_and_apply(&compensation, false)
                 .expect("invariant: rollback under held X locks cannot fail");
         }

@@ -565,6 +565,10 @@ impl LockManager {
         let mut registered_upgrade = false;
         let mut wait_started: Option<Instant> = None;
         let result = loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a slow-path waiter is registered in the entry's waiter counts before parking, and a registered entry is never reclaimed"
+            )]
             let state = table
                 .get_mut(&raw)
                 .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");
@@ -630,6 +634,10 @@ impl LockManager {
             };
             if cv.wait_until(&mut table, deadline).timed_out() {
                 // Re-check once: the grant may have raced the timeout.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a slow-path waiter is registered in the entry's waiter counts before parking, and a registered entry is never reclaimed"
+                )]
                 let state = table
                     .get_mut(&raw)
                     .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");

@@ -39,6 +39,10 @@
 //! footprint functions return on the `ARMED` constant before touching the
 //! graph, a thread-local or an atomic, so a wrapper has the layout of the
 //! `parking_lot` type it wraps and a call compiles to the `parking_lot` one.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the instrumentation layer itself: these wrappers are the one place the raw parking_lot types may appear"
+)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

@@ -88,7 +88,9 @@ fn wr_u16(buf: &mut [u8], at: usize, v: u16) {
 
 #[inline]
 fn rd_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("invariant: fixed-width field slice"))
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&buf[at..at + 8]);
+    u64::from_le_bytes(b)
 }
 
 #[inline]

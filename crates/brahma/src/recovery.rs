@@ -78,6 +78,10 @@ impl Database {
             "checkpoints are taken at quiescent points"
         );
         let lsn = self.wal.append(TxnId(0), LogPayload::Checkpoint { id });
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: partitions are never dropped, so every id partition_ids() lists resolves"
+        )]
         let partitions = self
             .partition_ids()
             .into_iter()

@@ -154,6 +154,10 @@ impl crate::db::Database {
                 sched::point("retry.backoff", state.attempt as u64);
                 if !delay.is_zero() {
                     lockdep::might_block("retry.backoff");
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "RetryPolicy's backoff: the one product wait that is a sleep by design"
+                    )]
                     std::thread::sleep(delay);
                 }
                 true

@@ -28,6 +28,10 @@ pub fn sweep_objects(db: &Database, partition: PartitionId) -> Vec<(PhysAddr, Ob
 /// the stored tables. Returns the number of edges installed.
 pub fn rebuild_erts_by_sweep(db: &Database) -> usize {
     for pid in db.partition_ids() {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: partitions are never dropped, so every id partition_ids() lists resolves"
+        )]
         db.partition(pid).expect("invariant: partition_ids lists live partitions").ert.clear();
     }
     let mut edges = 0;
@@ -35,6 +39,10 @@ pub fn rebuild_erts_by_sweep(db: &Database) -> usize {
         for (addr, view) in sweep_objects(db, pid) {
             for child in view.refs {
                 if child.partition() != addr.partition() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: an offline sweep; a reference into a missing partition is the failure it exists to report"
+                    )]
                     db.partition(child.partition())
                         .expect("invariant: references point at live partitions")
                         .ert

@@ -469,6 +469,10 @@ impl Wal {
             if !self.flush_latency.is_zero() {
                 // Model the device: the flush costs latency outside any latch.
                 lockdep::might_block("wal.flush");
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "simulated WAL device latency on the leader's force path (DESIGN.md §2 substitution for a real disk)"
+                )]
                 std::thread::sleep(self.flush_latency);
             }
             // ordering: publishes the flushed prefix; pairs with the Acquire fast-path loads

@@ -10,7 +10,8 @@
 //! reported as interrupted, with its durable checkpoint blob handed back.
 
 use brahma::{
-    recover, Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, StoreConfig, TxnId,
+    recover, Checkpoint, Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr,
+    StoreConfig, TxnId,
 };
 use proptest::prelude::*;
 
@@ -271,6 +272,17 @@ fn state_dump(db: &Database) -> String {
     out
 }
 
+/// A second copy of `c`, since `recover` consumes the image holding it.
+fn copy_checkpoint(c: &Checkpoint) -> Checkpoint {
+    Checkpoint {
+        id: c.id,
+        lsn: c.lsn,
+        partitions: c.partitions.clone(),
+        roots: c.roots.clone(),
+        active_reorgs: c.active_reorgs.clone(),
+    }
+}
+
 /// A fresh two-partition store.
 fn two_partitions() -> Database {
     let db = Database::new(StoreConfig::default());
@@ -333,14 +345,29 @@ proptest! {
         let image = db.crash(ckpt, true);
         std::mem::forget(loser_txn); // the crash preempts it
         drop(db);
+        let first_log = image.log.clone();
+        let first_ckpt = copy_checkpoint(&image.checkpoint);
 
         let out = recover(image, StoreConfig::default()).unwrap();
+        let recovered = state_dump(&out.db);
         prop_assert_eq!(
-            state_dump(&out.db),
-            state_dump(&reference),
+            &recovered,
+            &state_dump(&reference),
             "recovered state diverges from the reference"
         );
         prop_assert!(out.losers.len() <= 1);
+
+        // recover∘recover = recover: crash the recovered store again with no
+        // new work. Its durable log is the first incarnation's surviving log
+        // followed by what recovery appended (each loser's compensations and
+        // `Abort`), so a second recovery repeats history to the same state
+        // and finds no loser.
+        let mut again = out.db.crash(first_ckpt, true);
+        again.log.splice(0..0, first_log);
+        drop(out.db);
+        let twice = recover(again, StoreConfig::default()).unwrap();
+        prop_assert_eq!(state_dump(&twice.db), recovered, "a second recovery moved the state");
+        prop_assert!(twice.losers.is_empty(), "a second recovery found losers");
     }
 
     /// One rollback, two drivers: the same loser rolled back live by

@@ -20,6 +20,10 @@ use brahma::{Database, PartitionId};
 /// live objects in discovery order plus approximate parent lists.
 pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) -> TraversalState {
     let mut state = TraversalState::default();
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: step one runs strictly after start_reorg validated the partition id"
+    )]
     let part = db.partition(partition).expect("invariant: reorg partition exists (validated by start_reorg)");
 
     // L1: traverse from the ERT's referenced objects, plus any persistent
@@ -65,6 +69,10 @@ pub fn merge_ert_parents(
     state: &mut TraversalState,
     from: usize,
 ) {
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: step one runs strictly after start_reorg validated the partition id"
+    )]
     let part = db.partition(partition).expect("invariant: reorg partition exists (validated by start_reorg)");
     for i in from..state.order.len() {
         let obj = state.order[i];

@@ -9,6 +9,10 @@
 //! every reorganization invariant plus the conservativeness of the seeded
 //! TRT reconstruction. The sweep in `tests/chaos_sweep.rs` runs one cell
 //! per coordinate.
+#![expect(
+    clippy::expect_used,
+    reason = "test infrastructure kept in src so integration tests can reuse it: a chaos cell panics on any setup or invariant failure by design"
+)]
 
 use crate::builder::Reorg;
 use crate::checkpoint::IraCheckpoint;
@@ -180,6 +184,10 @@ pub(crate) fn spawn_walkers(
                     let anchor = anchors[(w + round) % anchors.len()];
                     let ok = walk_once(&db, p0, anchor, round);
                     let _ = ok;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "walker pacing inside a crash cell keeps the interleaving window open deterministically"
+                    )]
                     std::thread::sleep(Duration::from_micros(200));
                 }
             })

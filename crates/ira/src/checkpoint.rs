@@ -412,7 +412,8 @@ mod tests {
     }
 
     /// The byte codec is deterministic and lossless, and rejects malformed
-    /// input instead of panicking.
+    /// input instead of panicking: every truncation and every one-byte
+    /// change of an encoded checkpoint is tried.
     #[test]
     fn checkpoint_encoding_roundtrips() {
         let p1 = PartitionId(1);
@@ -451,8 +452,21 @@ mod tests {
         assert_eq!(back.state.visited, ckpt.state.visited);
         assert_eq!(back.state.parents, ckpt.state.parents);
 
-        assert!(IraCheckpoint::decode(&[]).is_err());
-        assert!(IraCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err());
+        // Every strict prefix, the empty one included, is a truncated
+        // record; every one-byte change decodes or fails, never panics.
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(IraCheckpoint::decode(&bytes[..len]), Err(StoreError::Corrupt { .. })),
+                "prefix of {len} bytes"
+            );
+        }
+        for at in 0..bytes.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                let _ = IraCheckpoint::decode(&flipped);
+            }
+        }
         let mut bad_version = bytes.clone();
         bad_version[0] = 0xFF;
         assert!(IraCheckpoint::decode(&bad_version).is_err());

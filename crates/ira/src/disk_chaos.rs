@@ -15,6 +15,11 @@
 //! cell's site so the kill fires again during recovery's own writes (the
 //! reorg-checkpoint re-save and the shadow checkpoint rename), and a third,
 //! clean open must still produce a consistent store.
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test infrastructure kept in src, as chaos.rs is: a disk crash cell panics on any setup or invariant failure by design"
+)]
 
 use crate::builder::Reorg;
 use crate::chaos::{assert_trt_reconstruction_covers, build_graph, primer, spawn_walkers, CHAIN_LEN};

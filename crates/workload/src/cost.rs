@@ -78,6 +78,10 @@ impl CpuModel {
         // than spinning) keeps the *host* core free — the permit, not host
         // cycles, is what serializes the model — so the simulation also
         // behaves on single-core machines.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "models the paper's per-access CPU cost"
+        )]
         std::thread::sleep(self.work_per_access);
         let mut permits = self.permits.lock();
         *permits += 1;

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Flame-graph helper for the hot paths this repo optimizes (allocator,
-# wave executor): wraps `perf record` around any command and leaves a
+# migrator, log): wraps `perf record` around any command and leaves a
 # perf.data + folded-stack report next to it.
 #
 # Usage:
