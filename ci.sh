@@ -110,6 +110,17 @@ if [ -n "$unjustified" ]; then
   echo "$unjustified" >&2
   exit 1
 fi
+# Address-keyed tables (DESIGN.md §11.2): non-test brahma and ira code
+# declares no HashMap/HashSet keyed by PhysAddr with the default hasher;
+# `AddrMap`/`AddrSet` carry the store's fixed one (`FibState`).
+sip_tables=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do
+  nontest "$f" | grep -n 'Hash\(Map\|Set\)<PhysAddr' | grep -v 'FibState' | sed "s|^|$f:|"
+done)
+if [ -n "$sip_tables" ]; then
+  echo "PhysAddr-keyed HashMap/HashSet with the default hasher (use AddrMap/AddrSet):" >&2
+  echo "$sip_tables" >&2
+  exit 1
+fi
 # Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
 # disallows std::thread::sleep, and crates/{brahma,ira}/clippy.toml also
 # the raw parking_lot types lockdep cannot see; those two crates'

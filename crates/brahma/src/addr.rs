@@ -12,7 +12,7 @@
 //! precisely the problem the IRA algorithm solves.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -79,12 +79,15 @@ impl PhysAddr {
 /// is one `u64` the store itself hands out, for which SipHash's HashDoS
 /// protection buys nothing and costs a lookup 3× (3 ns vs 9 ns).
 #[derive(Default)]
-pub(crate) struct FibHasher(u64);
+pub struct FibHasher(u64);
 
 impl Hasher for FibHasher {
+    /// The product's high bits, rotated down: hashbrown buckets by the low
+    /// bits, and the low `k` bits of `x·φ` are those of `x` alone — the
+    /// in-page offset, mostly zero bits under power-of-two size classes.
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
     #[inline]
@@ -101,12 +104,19 @@ impl Hasher for FibHasher {
     }
 }
 
+/// The store's hasher for keys it hands out: addresses, transaction ids.
+pub type FibState = BuildHasherDefault<FibHasher>;
+
 /// The map behind the TRT and the ERT (Brahmā used extendible hash indices
-/// there, Section 5 — a detail of the authors' system). The hasher is
-/// fixed, not `RandomState`: iteration order is then a function of the
-/// insert/remove sequence alone, which is what keeps same-seed runs
-/// identical (the tables' iteration order seeds the traversal).
-pub(crate) type AddrMap<V> = HashMap<PhysAddr, V, BuildHasherDefault<FibHasher>>;
+/// there, Section 5 — a detail of the authors' system) and every
+/// address-keyed table of the reorganizer. The hasher is fixed, not
+/// `RandomState`: iteration order is then a function of the insert/remove
+/// sequence alone, which is what keeps same-seed runs identical (the
+/// tables' iteration order seeds the traversal).
+pub type AddrMap<V> = HashMap<PhysAddr, V, FibState>;
+
+/// The set counterpart of [`AddrMap`].
+pub type AddrSet = HashSet<PhysAddr, FibState>;
 
 impl fmt::Debug for PhysAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -149,6 +159,28 @@ mod tests {
     fn display_contains_components() {
         let a = PhysAddr::new(PartitionId(3), 9, 100);
         assert_eq!(format!("{a}"), "P3:9+100");
+    }
+
+    /// A Table-1 partition's worth of 64-byte slots, page-major, in a map
+    /// of 8,192 buckets: the home buckets (the hash's low 13 bits) must
+    /// spread, not follow the in-page offset. The raw product — the
+    /// hasher's former `finish` — gives every page the same 128 buckets.
+    #[test]
+    fn page_major_slots_spread_over_the_buckets() {
+        use std::hash::BuildHasher;
+        const MASK: u64 = 8191;
+        let slots = (crate::config::PAGE_SIZE / 64) as u16;
+        let addrs: Vec<PhysAddr> = (0..u32::MAX)
+            .flat_map(|page| (0..slots).map(move |slot| PhysAddr::new(PartitionId(1), page, slot * 64)))
+            .take(4080)
+            .collect();
+        let buckets = |hash: &dyn Fn(PhysAddr) -> u64| {
+            addrs.iter().map(|&a| hash(a) & MASK).collect::<HashSet<u64>>().len()
+        };
+        let raw_product = buckets(&|a| a.to_raw().wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert_eq!(raw_product, 128);
+        let spread = buckets(&|a| FibState::default().hash_one(a));
+        assert!(spread > 2_500, "{spread} home buckets for 4080 addresses");
     }
 
     #[test]

@@ -362,9 +362,17 @@ impl Database {
     /// the address does not name a live object — stale addresses observed
     /// during a fuzzy traversal are simply skipped.
     pub fn fuzzy_read_refs(&self, addr: PhysAddr) -> Option<Vec<PhysAddr>> {
+        self.fuzzy_with_refs(addr, |refs| refs.collect())
+    }
+
+    /// [`Database::fuzzy_read_refs`] without the copy, the fuzzy twin of
+    /// [`Txn::with_refs`](crate::handle::Txn::with_refs): run `f` over the
+    /// references where they lie, under the page latch. `f` must not
+    /// re-enter the store.
+    pub fn fuzzy_with_refs<R>(&self, addr: PhysAddr, f: impl FnOnce(object::Refs<'_>) -> R) -> Option<R> {
         self.stats.fuzzy_reads.inc();
         self.charge_access_at(addr);
-        self.with_page_read(addr, |buf| object::read_refs(buf, addr).ok())
+        self.with_page_read(addr, |buf| object::refs(buf, addr).ok().map(f))
             .ok()
             .flatten()
     }
@@ -624,7 +632,7 @@ impl Database {
             let _ = self.ert_note(action, parent, child);
         }
         if reorg_for != Some(child.partition()) {
-            if let Some(trt) = self.trt(child.partition()) {
+            if let Some(trt) = self.reorg_tables.read().get(&child.partition()) {
                 trt.note(child, parent, tid, action);
             }
         }
@@ -686,27 +694,24 @@ impl Database {
     /// Apply the commit-time TRT purges (Section 4.5) for a completed
     /// transaction. `deleted_pairs` are the `(child, parent)` reference
     /// deletions the transaction performed, used for the insert-pair purge
-    /// on commit (`committed == true`).
+    /// on commit (`committed == true`); with none it noted no delete tuple.
     pub(crate) fn purge_trt_for_txn(
         &self,
         tid: TxnId,
         committed: bool,
         deleted_pairs: &[(PhysAddr, PhysAddr)],
     ) {
-        if !self.trt_purge_enabled() {
+        if !self.trt_purge_enabled() || deleted_pairs.is_empty() {
             return;
         }
         let tables = self.reorg_tables.read();
-        if tables.is_empty() {
-            return;
-        }
         for trt in tables.values() {
             trt.purge_txn_deletes(tid);
         }
         if committed {
             for &(child, parent) in deleted_pairs {
                 if let Some(trt) = tables.get(&child.partition()) {
-                    trt.purge_insert_pair(child, parent);
+                    trt.purge_insert_pair(child, parent, tid);
                 }
             }
         }

@@ -14,7 +14,7 @@
 //! held to completion so rollback stays safe — the standard recoverable
 //! relaxation, and the one the reorganizer's ever-held wait is designed for.
 
-use crate::addr::{PartitionId, PhysAddr};
+use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::fault::site;
@@ -24,7 +24,6 @@ use crate::trt::RefAction;
 use crate::txn::TxnId;
 use crate::wal::LogPayload;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::mem::take;
 
 /// Parameters for creating an object.
@@ -113,7 +112,7 @@ pub struct Txn<'db> {
     held: Vec<(PhysAddr, LockMode)>,
     /// Position in `held` of every address there, maintained only while
     /// `held` is longer than [`HELD_SCAN_MAX`] (stale and unused below).
-    held_at: HashMap<PhysAddr, usize>,
+    held_at: AddrMap<usize>,
     ever_locked: Vec<PhysAddr>,
     undo: Vec<LogPayload>,
     deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
@@ -146,7 +145,7 @@ impl Database {
             reorg_for: reorg,
             done: false,
             held,
-            held_at: HashMap::new(),
+            held_at: AddrMap::default(),
             ever_locked: Vec::new(),
             undo,
             deleted_pairs,
@@ -939,7 +938,17 @@ mod tests {
         assert_eq!(trt.tuples_for(child)[0].action, RefAction::Delete);
         t.insert_ref(parent, child).unwrap();
         assert_eq!(trt.tuples_for(child).len(), 2);
-        // Commit purges the delete tuple and pair-purges the insert.
+        // Commit purges the delete tuple. The re-insert stays: a traversal
+        // that read `parent` while the reference was gone missed it.
+        let tid = t.id();
+        t.commit().unwrap();
+        let left = trt.tuples_for(child);
+        assert_eq!(left.len(), 1, "{left:?}");
+        assert_eq!((left[0].tid, left[0].action), (tid, RefAction::Insert));
+        // A later transaction's delete of the same reference pair-purges it.
+        let mut t = db.begin();
+        t.lock(parent, LockMode::Exclusive).unwrap();
+        t.delete_ref(parent, child).unwrap();
         t.commit().unwrap();
         assert!(trt.is_empty(), "Section 4.5 purges leave nothing behind");
         db.end_reorg(PartitionId(1));

@@ -71,7 +71,7 @@ pub mod trt;
 pub mod txn;
 pub mod wal;
 
-pub use addr::{PartitionId, PhysAddr};
+pub use addr::{AddrMap, AddrSet, PartitionId, PhysAddr};
 pub use config::{StoreConfig, PAGE_SIZE};
 pub use db::{CpuCharge, Database, DbStats};
 pub use error::{Error, Result};

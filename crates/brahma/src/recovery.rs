@@ -297,6 +297,10 @@ mod tests {
         t.lock(a, LockMode::Exclusive).unwrap();
         t.insert_ref(a, b).unwrap();
         t.commit().unwrap();
+        // No backend, no latency: the commits above forced the log with
+        // the in-memory force, whose horizon the crash keeps.
+        assert!(db.config.commit_flush_latency.is_zero() && db.backend().is_none());
+        assert_eq!(db.wal.flushed_lsn(), db.wal.next_lsn() - 1);
 
         let image = db.crash(ckpt, false);
         let out = recover(image, StoreConfig::default()).unwrap();

@@ -7,10 +7,10 @@
 //! they are run at quiescent points and check the invariants listed in
 //! DESIGN.md (referential integrity, ERT exactness, reachability).
 
-use crate::addr::{PartitionId, PhysAddr};
+use crate::addr::{AddrSet, PartitionId, PhysAddr};
 use crate::db::Database;
 use crate::object::ObjectView;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Enumerate every live object of `partition` with its contents, via the
 /// allocation directory.
@@ -122,9 +122,9 @@ pub fn check_ert_exact(db: &Database) -> Vec<String> {
 /// objects plus the registered roots that lie in the partition, following
 /// only intra-partition edges — the live set the reorganizer's traversal
 /// must find (Lemma 3.1).
-pub fn reachable_in_partition(db: &Database, partition: PartitionId) -> HashSet<PhysAddr> {
+pub fn reachable_in_partition(db: &Database, partition: PartitionId) -> AddrSet {
     let Ok(part) = db.partition(partition) else {
-        return HashSet::new();
+        return AddrSet::default();
     };
     let mut queue: VecDeque<PhysAddr> = part
         .ert
@@ -132,7 +132,7 @@ pub fn reachable_in_partition(db: &Database, partition: PartitionId) -> HashSet<
         .into_iter()
         .chain(db.roots().into_iter().filter(|r| r.partition() == partition))
         .collect();
-    let mut seen = HashSet::new();
+    let mut seen = AddrSet::default();
     while let Some(addr) = queue.pop_front() {
         if addr.partition() != partition || !seen.insert(addr) {
             continue;

@@ -20,6 +20,7 @@ use crate::txn::TxnId;
 use obs::Counter;
 use crate::lockdep::{LockClass, Mutex};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether a TRT tuple records an insertion or a deletion of a reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,6 +58,10 @@ pub struct Trt {
     partition: PartitionId,
     /// referenced object -> tuples about it.
     inner: Mutex<AddrMap<TupleList>>,
+    /// Tuples in `inner`, written under its mutex; a purge that reads 0 skips
+    /// it. A stale 0 only skips a purge: Section 4.5's purges save space, and
+    /// `Find_Exact_Parents` re-checks every tuple under the parent's lock.
+    tuples: AtomicUsize,
     /// Lifetime counters.
     pub stats: TrtStats,
 }
@@ -67,6 +72,7 @@ impl Trt {
         Trt {
             partition,
             inner: Mutex::new(LockClass::TrtInner, partition.0 as u64, AddrMap::default()),
+            tuples: AtomicUsize::new(0),
             stats: TrtStats::default(),
         }
     }
@@ -82,6 +88,8 @@ impl Trt {
         self.stats.notes.inc();
         let mut t = self.inner.lock();
         t.entry(child).or_default().push((parent, tid, action));
+        // ordering: Relaxed; written only under `inner`, read by looks_empty
+        self.tuples.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Return (without removing) some tuple whose referenced object is
@@ -103,20 +111,25 @@ impl Trt {
     /// Remove one occurrence of exactly this tuple. Returns whether it was
     /// present.
     pub fn remove_tuple(&self, tuple: &TrtTuple) -> bool {
+        let TrtTuple { child, parent, tid, action } = *tuple;
+        self.remove_first(child, |&e| e == (parent, tid, action))
+    }
+
+    /// Remove the first tuple about `child` that `hit` matches.
+    fn remove_first(&self, child: PhysAddr, hit: impl FnMut(&(PhysAddr, TxnId, RefAction)) -> bool) -> bool {
         let mut t = self.inner.lock();
-        let Some(v) = t.get_mut(&tuple.child) else {
+        let Some(v) = t.get_mut(&child) else {
             return false;
         };
-        let Some(pos) = v
-            .iter()
-            .position(|&(p, tid, a)| p == tuple.parent && tid == tuple.tid && a == tuple.action)
-        else {
+        let Some(pos) = v.iter().position(hit) else {
             return false;
         };
         v.remove(pos);
         if v.is_empty() {
-            t.remove(&tuple.child);
+            t.remove(&child);
         }
+        // ordering: Relaxed; written only under `inner`, read by looks_empty
+        self.tuples.fetch_sub(1, Ordering::Relaxed);
         true
     }
 
@@ -157,39 +170,43 @@ impl Trt {
     ///
     /// Returns the number of tuples purged.
     pub fn purge_txn_deletes(&self, tid: TxnId) -> usize {
+        if self.looks_empty() {
+            return 0;
+        }
         let mut purged = 0;
-        self.inner.lock().retain(|_, v| {
+        let mut t = self.inner.lock();
+        t.retain(|_, v| {
             let before = v.len();
             v.retain(|&(_, id, a)| !(id == tid && a == RefAction::Delete));
             purged += before - v.len();
             !v.is_empty()
         });
+        // ordering: Relaxed; written only under `inner`, read by looks_empty
+        self.tuples.fetch_sub(purged, Ordering::Relaxed);
+        drop(t);
         self.stats.purged.add(purged as u64);
         purged
     }
 
-    /// Section 4.5 companion optimization: when a transaction that deleted
-    /// the reference `parent -> child` commits, any tuple recording the
-    /// *insertion* of that same reference can also be purged.
+    /// Section 4.5 companion optimization: when transaction `tid`, which
+    /// deleted the reference `parent -> child`, commits, an earlier insert
+    /// tuple of that reference can be purged. `tid`'s own insert is kept: it
+    /// may be a re-insertion (a same-value `set_ref`) the traversal missed.
     ///
     /// Removes at most one insert tuple; returns whether one was removed.
-    pub fn purge_insert_pair(&self, child: PhysAddr, parent: PhysAddr) -> bool {
-        let mut t = self.inner.lock();
-        let Some(v) = t.get_mut(&child) else {
-            return false;
-        };
-        let Some(pos) = v
-            .iter()
-            .position(|&(p, _, a)| p == parent && a == RefAction::Insert)
-        else {
-            return false;
-        };
-        v.remove(pos);
-        if v.is_empty() {
-            t.remove(&child);
+    pub fn purge_insert_pair(&self, child: PhysAddr, parent: PhysAddr, tid: TxnId) -> bool {
+        let removed = !self.looks_empty()
+            && self.remove_first(child, |&(p, id, a)| p == parent && id != tid && a == RefAction::Insert);
+        if removed {
+            self.stats.purged.inc();
         }
-        self.stats.purged.inc();
-        true
+        removed
+    }
+
+    /// Whether the count reads 0; a thread always sees its own notes.
+    fn looks_empty(&self) -> bool {
+        // ordering: Relaxed; a stale zero only skips a purge (see `tuples`)
+        self.tuples.load(Ordering::Relaxed) == 0
     }
 
     /// Total number of tuples.
@@ -321,10 +338,13 @@ mod tests {
         let p = a(2, 0);
         trt.note(c, p, TxnId(1), RefAction::Insert);
         trt.note(c, p, TxnId(2), RefAction::Insert);
-        assert!(trt.purge_insert_pair(c, p));
+        assert!(trt.purge_insert_pair(c, p, TxnId(3)));
         assert_eq!(trt.len(), 1);
-        assert!(trt.purge_insert_pair(c, p));
-        assert!(!trt.purge_insert_pair(c, p));
+        // The committing transaction's own insert stays.
+        let own = trt.tuples_for(c)[0].tid;
+        assert!(!trt.purge_insert_pair(c, p, own));
+        assert!(trt.purge_insert_pair(c, p, TxnId(3)));
+        assert!(!trt.purge_insert_pair(c, p, TxnId(3)));
         assert!(trt.is_empty());
     }
 
@@ -336,6 +356,40 @@ mod tests {
         let mut objs = trt.referenced_objects();
         objs.sort_unstable();
         assert_eq!(objs, vec![a(1, 0), a(1, 64)]);
+    }
+
+    proptest::proptest! {
+        /// The lock-free tuple count always equals `len()`, and a purge of
+        /// an empty table moves no counter.
+        /// A step is (op, child, parent, tid, insert?).
+        #[test]
+        fn tuple_count_tracks_the_table(steps in proptest::collection::vec(
+            (0u8..4, 0u16..4, 0u16..3, 0u64..3, proptest::arbitrary::any::<bool>()),
+            0..64,
+        )) {
+            let trt = Trt::new(PartitionId(1));
+            for (op, child, parent, tid, insert) in steps {
+                let (child, parent, tid) = (a(1, child * 64), a(2, parent * 8), TxnId(tid));
+                let action = if insert { RefAction::Insert } else { RefAction::Delete };
+                let (was_empty, purged) = (trt.is_empty(), trt.stats.purged.get());
+                match op {
+                    0 => trt.note(child, parent, tid, action),
+                    1 => {
+                        trt.remove_tuple(&TrtTuple { child, parent, tid, action });
+                    }
+                    2 => {
+                        trt.purge_txn_deletes(tid);
+                    }
+                    _ => {
+                        trt.purge_insert_pair(child, parent, tid);
+                    }
+                }
+                proptest::prop_assert_eq!(trt.tuples.load(Ordering::Relaxed), trt.len());
+                if was_empty && op >= 2 {
+                    proptest::prop_assert_eq!(trt.stats.purged.get(), purged);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! traversal") and the relaxed-2PL wait on every transaction that ever
 //! locked an object.
 
+use crate::addr::FibState;
 use crate::lockdep::{Condvar, LockClass, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -28,7 +29,7 @@ impl fmt::Display for TxnId {
 /// Registry of active transactions.
 pub struct TxnManager {
     next: AtomicU64,
-    active: Mutex<HashSet<TxnId>>,
+    active: Mutex<HashSet<TxnId, FibState>>,
     cv: Condvar,
 }
 
@@ -43,7 +44,7 @@ impl TxnManager {
     pub fn new() -> Self {
         TxnManager {
             next: AtomicU64::new(1),
-            active: Mutex::new(LockClass::TxnRegistry, 0, HashSet::new()),
+            active: Mutex::new(LockClass::TxnRegistry, 0, HashSet::default()),
             cv: Condvar::new(),
         }
     }

@@ -48,7 +48,7 @@ fn apply_record(rec: &LogRecord, trt: &Trt, purge: bool, scan: &mut Scan) {
                 trt.purge_txn_deletes(rec.tid);
                 if rec.payload == LogPayload::Commit {
                     for (child, parent) in deletes {
-                        trt.purge_insert_pair(child, parent);
+                        trt.purge_insert_pair(child, parent, rec.tid);
                     }
                 }
             }

@@ -434,9 +434,18 @@ impl Wal {
     /// two threads racing on overlapping LSNs used to both sleep the full
     /// latency. Any caller sleeps at most ~2 latencies (a force already in
     /// flight when it arrives, plus the force it may then lead).
+    ///
+    /// With no sink and no latency there is no device force to share: one
+    /// `fetch_max`, counted in `wal.flushes` but not timed.
     pub fn flush(&self, lsn: Lsn) {
         // ordering: pairs with the AcqRel fetch_max below; a flushed reader skips the lock
         if self.flushed_lsn.load(Ordering::Acquire) >= lsn {
+            return;
+        }
+        if self.flush_latency.is_zero() && self.sink.get().is_none() {
+            // ordering: publishes the flushed prefix; pairs with the Acquire fast-path loads
+            self.flushed_lsn.fetch_max(lsn, Ordering::AcqRel);
+            self.stats.flushes.inc();
             return;
         }
         let started = Instant::now();
@@ -595,6 +604,25 @@ mod tests {
         assert_eq!(wal.flushed_lsn(), 0);
         wal.flush(lsn);
         assert_eq!(wal.flushed_lsn(), lsn);
+    }
+
+    /// No sink, no latency: each force is one atomic, counted once, and a
+    /// force of an already durable LSN counts nothing.
+    #[test]
+    fn in_memory_force_is_counted_not_timed() {
+        let wal = Wal::new(true, Duration::ZERO);
+        for round in 1..=3 {
+            wal.append(TxnId(1), LogPayload::Begin { reorg: None });
+            let lsn = wal.append(TxnId(1), LogPayload::Commit);
+            wal.flush(lsn);
+            assert!(wal.flushed_lsn() >= lsn);
+            assert_eq!(wal.stats.flushes.get(), round);
+            wal.flush(lsn);
+            wal.flush(lsn.saturating_sub(1));
+            assert_eq!(wal.stats.flushes.get(), round, "already durable");
+        }
+        assert_eq!(wal.stats.flush_us.max_us(), 0, "nothing timed");
+        assert_eq!(wal.stats.group_commits.get(), 0);
     }
 
     /// A self-truncating log with a watermark small enough to cross.

@@ -24,8 +24,7 @@ use crate::driver::{IraConfig, IraError, IraReport, IraVariant};
 use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
 use crate::pqr::PqrReport;
-use brahma::{Database, LogRecord, PartitionId, PhysAddr, RetryPolicy};
-use std::collections::HashMap;
+use brahma::{AddrMap, Database, LogRecord, PartitionId, PhysAddr, RetryPolicy};
 use std::time::{Duration, Instant};
 
 /// Which algorithm family a [`Reorg`] run uses. The IRA variant (basic vs
@@ -71,7 +70,7 @@ impl ReorgReport {
 pub struct ReorgOutcome {
     pub partition: PartitionId,
     /// Old address -> new address for every migrated object.
-    pub mapping: HashMap<PhysAddr, PhysAddr>,
+    pub mapping: AddrMap<PhysAddr>,
     pub duration: Duration,
     /// The algorithm-specific report, when the algorithm produces one
     /// (the offline reorganizer reports nothing beyond the mapping).

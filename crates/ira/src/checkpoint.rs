@@ -18,11 +18,10 @@ use crate::traversal::TraversalState;
 use brahma::storage::codec::{put_addr, put_u64, Reader};
 use brahma::wal::analyzer::rebuild_trt_seeded;
 use brahma::{
-    Database, Error as StoreError, LogRecord, Lsn, PartitionId, PhysAddr, RefAction, TrtTuple,
-    TxnId,
+    AddrMap, Database, Error as StoreError, LogRecord, Lsn, PartitionId, PhysAddr, RefAction,
+    TrtTuple, TxnId,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A resumable snapshot of an in-flight reorganization.
@@ -122,7 +121,7 @@ impl IraCheckpoint {
         }
         let order = read_addrs(&mut r)?;
         let visited = read_addrs(&mut r)?.into_iter().collect();
-        let mut parents = HashMap::new();
+        let mut parents = AddrMap::default();
         for _ in 0..r.u64()? {
             let child = r.addr()?;
             parents.insert(child, read_addrs(&mut r)?.into_iter().collect());
@@ -237,7 +236,7 @@ pub(crate) fn run_resume(
     // objects need their ERT parents merged and a place in the queue.
     let phase_start = Instant::now();
     let mut state = ckpt.state;
-    let mut mapping: HashMap<PhysAddr, PhysAddr> = ckpt.mapping.into_iter().collect();
+    let mut mapping: AddrMap<PhysAddr> = ckpt.mapping.into_iter().collect();
     // Migrations committed *after* this checkpoint was saved are invisible
     // to it — a durable blob can be up to one batch stale — yet restart
     // recovery redid them: their new copies are live and their parents are

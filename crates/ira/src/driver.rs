@@ -15,9 +15,7 @@ use crate::order::{order_queue, MigrationOrder};
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
-use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use brahma::{AddrMap, AddrSet, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};
 use std::fmt;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -162,7 +160,7 @@ pub struct IraPhases {
 pub struct IraReport {
     pub partition: PartitionId,
     /// Old address -> new address for every migrated object.
-    pub mapping: HashMap<PhysAddr, PhysAddr>,
+    pub mapping: AddrMap<PhysAddr>,
     /// Unreachable objects the traversal found and the run deleted
     /// (Section 4.6: the reorganizer doubles as a garbage collector).
     pub garbage: Vec<PhysAddr>,
@@ -249,7 +247,7 @@ pub(crate) fn run_incremental(
         config,
         state,
         pos: 0,
-        mapping: HashMap::new(),
+        mapping: AddrMap::default(),
         tally: Tally::default(),
         phases,
         started: start,
@@ -279,7 +277,7 @@ pub(crate) struct ReorgRun<'a> {
     /// Old → new address of every committed migration: written only after
     /// a batch commits, so a checkpoint of it is always consistent, and
     /// read to skip what a retried batch or a resumed run already moved.
-    pub mapping: HashMap<PhysAddr, PhysAddr>,
+    pub mapping: AddrMap<PhysAddr>,
     pub tally: Tally,
     pub phases: IraPhases,
     pub started: Instant,
@@ -510,7 +508,7 @@ impl ReorgRun<'_> {
 
         // Garbage: allocated but never traversed (Section 4.6).
         let phase_start = Instant::now();
-        let survivors: HashSet<PhysAddr> = self.mapping.values().copied().collect();
+        let survivors: AddrSet = self.mapping.values().copied().collect();
         let garbage: Vec<PhysAddr> = self
             .db
             .partition(self.partition)

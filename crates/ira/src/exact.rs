@@ -20,8 +20,7 @@
 
 use crate::relaxed::lock_and_settle;
 use crate::traversal::TraversalState;
-use brahma::{Database, PhysAddr, Result, Txn};
-use std::collections::HashSet;
+use brahma::{AddrSet, Database, PhysAddr, Result, Txn};
 
 /// Lock and return the exact parents of `oold`.
 ///
@@ -34,7 +33,7 @@ pub fn find_exact_parents(
     txn: &mut Txn<'_>,
     oold: PhysAddr,
     state: &mut TraversalState,
-    keep_locked: &HashSet<PhysAddr>,
+    keep_locked: &AddrSet,
 ) -> Result<Vec<PhysAddr>> {
     let partition = oold.partition();
     let mut confirmed: Vec<PhysAddr> = Vec::new();
@@ -54,23 +53,24 @@ pub fn find_exact_parents(
         }
     }
 
-    // ---- S2: drain TRT tuples about oold ----
-    while let Some(trt) = db.trt(partition) {
-        let Some(tuple) = trt.peek_for(oold) else { break };
-        // Lock the tuple's parent first (blocking: must not hold the TRT
-        // latch), then delete the tuple, then decide parenthood under the
-        // lock — exactly the order of Figure 4.
-        lock_and_settle(db, txn, tuple.parent)?;
-        trt.remove_tuple(&tuple);
-        if still_references(txn, tuple.parent, oold) {
-            if !confirmed.contains(&tuple.parent) {
-                confirmed.push(tuple.parent);
-                state.add_parent(oold, tuple.parent);
-            }
-        } else {
-            state.remove_parent(oold, tuple.parent);
-            if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
-                let _ = txn.unlock_nonparent(tuple.parent);
+    // ---- S2: drain TRT tuples about oold (one table fetch per call) ----
+    if let Some(trt) = db.trt(partition) {
+        while let Some(tuple) = trt.peek_for(oold) {
+            // Lock the tuple's parent first (blocking: must not hold the
+            // TRT latch), then delete the tuple, then decide parenthood
+            // under the lock — exactly the order of Figure 4.
+            lock_and_settle(db, txn, tuple.parent)?;
+            trt.remove_tuple(&tuple);
+            if still_references(txn, tuple.parent, oold) {
+                if !confirmed.contains(&tuple.parent) {
+                    confirmed.push(tuple.parent);
+                    state.add_parent(oold, tuple.parent);
+                }
+            } else {
+                state.remove_parent(oold, tuple.parent);
+                if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
+                    let _ = txn.unlock_nonparent(tuple.parent);
+                }
             }
         }
     }
@@ -129,7 +129,7 @@ mod tests {
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         let mut expect = vec![ext, local];
         expect.sort_unstable();
         assert_eq!(parents, expect);
@@ -157,7 +157,7 @@ mod tests {
 
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         assert_eq!(parents, vec![ext]);
         assert_eq!(txn.lock_mode(ext2), None, "non-parent was unlocked");
         txn.commit().unwrap();
@@ -181,9 +181,35 @@ mod tests {
 
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         assert!(parents.contains(&latecomer), "TRT loop must find the new parent");
         assert_eq!(txn.lock_mode(latecomer), Some(LockMode::Exclusive));
+        txn.commit().unwrap();
+        db.end_reorg(p1);
+    }
+
+    /// A same-value rewrite removes the reference and puts it back in one
+    /// transaction; a traversal (or ERT merge) that ran in between missed
+    /// the parent. The re-insert's TRT tuple must survive the commit-time
+    /// purges, or the object migrates with its parent still pointing at
+    /// the old copy.
+    #[test]
+    fn rewritten_reference_is_found_via_trt() {
+        let (db, p0, p1) = setup();
+        let o = mk(&db, p1, vec![]);
+        let ext = mk(&db, p0, vec![o]);
+        db.start_reorg(p1).unwrap();
+        let mut state = find_objects_and_approx_parents(&db, p1);
+        state.remove_parent(o, ext); // what the racing merge saw
+        let mut t = db.begin();
+        t.lock(ext, LockMode::Exclusive).unwrap();
+        t.set_ref(ext, 0, o).unwrap();
+        t.commit().unwrap();
+
+        let mut txn = db.begin_reorg(p1);
+        let parents =
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        assert_eq!(parents, vec![ext]);
         txn.commit().unwrap();
         db.end_reorg(p1);
     }
@@ -214,7 +240,7 @@ mod tests {
         assert!(trt.has_tuples_for(o));
         let mut txn = db.begin_reorg(p1);
         let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         assert!(!trt.has_tuples_for(o), "all tuples about o consumed");
         assert!(parents.contains(&ext) && parents.contains(&extra));
         txn.commit().unwrap();
@@ -235,7 +261,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let mut keep = HashSet::new();
+        let mut keep = AddrSet::default();
         keep.insert(shared_parent);
         // Pre-lock it, as an earlier migration in the same batch would have.
         txn.lock(shared_parent, LockMode::Exclusive).unwrap();

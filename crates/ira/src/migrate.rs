@@ -20,8 +20,7 @@
 
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn};
-use std::collections::HashSet;
+use brahma::{AddrSet, Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts. Kept
@@ -30,7 +29,7 @@ use std::collections::HashSet;
 pub struct BatchEffects {
     /// Every address the batch transaction must keep locked: the confirmed
     /// parents of the objects migrated so far, and their old and new copies.
-    pub keep: HashSet<PhysAddr>,
+    pub keep: AddrSet,
     /// (old, new) pairs, in migration order.
     pub migrations: Vec<(PhysAddr, PhysAddr)>,
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
@@ -235,7 +234,7 @@ mod tests {
         state: &mut TraversalState,
     ) -> PhysAddr {
         let mut txn = db.begin_reorg(oold.partition());
-        let parents = find_exact_parents(db, &mut txn, oold, state, &HashSet::new()).unwrap();
+        let parents = find_exact_parents(db, &mut txn, oold, state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
         let onew = move_object_and_update_refs(
             db, &mut txn, oold, &parents, plan, None, state, &mut effects,
@@ -354,7 +353,7 @@ mod tests {
         db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &HashSet::new()).unwrap();
+        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
         move_object_and_update_refs(
             &db,

@@ -11,8 +11,7 @@
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{Database, LockMode, PartitionId, PhysAddr, Result, Txn};
-use std::collections::HashMap;
+use brahma::{AddrMap, Database, LockMode, PartitionId, PhysAddr, Result, Txn};
 
 /// Migrate every allocated object of the (quiescent) `partition` according
 /// to `plan`, inside `txn`. The caller guarantees quiescence (see
@@ -24,7 +23,7 @@ pub fn reorganize_quiescent(
     partition: PartitionId,
     plan: RelocationPlan,
     txn: &mut Txn<'_>,
-) -> Result<HashMap<PhysAddr, PhysAddr>> {
+) -> Result<AddrMap<PhysAddr>> {
     let part = db.partition(partition)?;
     let objects = part.live_objects();
 
@@ -62,7 +61,7 @@ pub(crate) fn run_offline(
     db: &Database,
     partition: PartitionId,
     plan: RelocationPlan,
-) -> Result<HashMap<PhysAddr, PhysAddr>> {
+) -> Result<AddrMap<PhysAddr>> {
     let mut txn = db.begin_reorg(partition);
     let mapping = match reorganize_quiescent(db, partition, plan, &mut txn) {
         Ok(m) => m,

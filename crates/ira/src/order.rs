@@ -16,9 +16,9 @@
 //! clustering quality, so the default remains [`MigrationOrder::Traversal`].
 
 use crate::traversal::TraversalState;
-use brahma::{PartitionId, PhysAddr};
+use brahma::{AddrMap, PartitionId, PhysAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The order in which a partition's objects are migrated.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -66,7 +66,7 @@ pub fn order_queue(
             queue.extend(groups.into_values().flatten().chain(rest));
         }
         MigrationOrder::Priority(listed) => {
-            let rank: HashMap<PhysAddr, usize> = listed
+            let rank: AddrMap<usize> = listed
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| (a, i))

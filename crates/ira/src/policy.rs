@@ -20,8 +20,7 @@
 //! plain [`EdgeCount`] list.
 
 use crate::order::MigrationOrder;
-use brahma::{Database, PartitionId, PhysAddr, PAGE_SIZE};
-use std::collections::{HashMap, HashSet};
+use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr, PAGE_SIZE};
 
 /// One observed parent→child co-access, with its traversal count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +142,7 @@ impl StatsGreedy {
     /// descending count, link parent→child when neither end is already
     /// linked on that side and the link closes no cycle. Returns the
     /// chains, hottest total first.
-    fn chains(edges: &[EdgeCount], live: &HashSet<PhysAddr>) -> Vec<Vec<PhysAddr>> {
+    fn chains(edges: &[EdgeCount], live: &AddrSet) -> Vec<Vec<PhysAddr>> {
         let mut ranked: Vec<&EdgeCount> = edges
             .iter()
             .filter(|e| live.contains(&e.parent) && live.contains(&e.child) && e.count > 0)
@@ -156,9 +155,9 @@ impl StatsGreedy {
                 e.child.to_raw(),
             )
         });
-        let mut succ: HashMap<PhysAddr, PhysAddr> = HashMap::new();
-        let mut pred: HashMap<PhysAddr, PhysAddr> = HashMap::new();
-        let mut weight: HashMap<PhysAddr, u64> = HashMap::new();
+        let mut succ: AddrMap<PhysAddr> = AddrMap::default();
+        let mut pred: AddrMap<PhysAddr> = AddrMap::default();
+        let mut weight: AddrMap<u64> = AddrMap::default();
         for e in ranked {
             if e.parent == e.child || succ.contains_key(&e.parent) || pred.contains_key(&e.child)
             {
@@ -232,7 +231,7 @@ impl StatsGreedy {
             .partition(partition)
             .map(|p| p.live_objects())
             .unwrap_or_default();
-        let live: HashSet<PhysAddr> = live_list.iter().copied().collect();
+        let live: AddrSet = live_list.iter().copied().collect();
         let priority: Vec<PhysAddr> = Self::chains(&self.edges, &live).into_iter().flatten().collect();
 
         // Score the order against the cost model: simulate packing the
@@ -246,8 +245,8 @@ impl StatsGreedy {
             .copied()
             .collect();
         let per_page = Self::slots_per_page(db, partition, &live_list);
-        let prioritized: HashSet<PhysAddr> = priority.iter().copied().collect();
-        let mut planned_page: HashMap<PhysAddr, u32> = HashMap::new();
+        let prioritized: AddrSet = priority.iter().copied().collect();
+        let mut planned_page: AddrMap<u32> = AddrMap::default();
         for (i, &addr) in priority
             .iter()
             .chain(live_list.iter().filter(|a| {
@@ -305,7 +304,7 @@ mod tests {
     #[test]
     fn greedy_chains_follow_descending_heat() {
         let (a, b, c, d) = (addr(1, 0, 0), addr(1, 1, 0), addr(1, 2, 0), addr(1, 3, 0));
-        let live: HashSet<PhysAddr> = [a, b, c, d].into_iter().collect();
+        let live: AddrSet = [a, b, c, d].into_iter().collect();
         let edges = [
             edge(a, b, 100),
             edge(b, c, 50),
@@ -319,7 +318,7 @@ mod tests {
     #[test]
     fn greedy_rejects_cycles() {
         let (a, b) = (addr(1, 0, 0), addr(1, 1, 0));
-        let live: HashSet<PhysAddr> = [a, b].into_iter().collect();
+        let live: AddrSet = [a, b].into_iter().collect();
         let edges = [edge(a, b, 10), edge(b, a, 9)];
         let chains = StatsGreedy::chains(&edges, &live);
         assert_eq!(chains, vec![vec![a, b]], "the b->a backlink must be dropped");

@@ -17,8 +17,7 @@
 
 use crate::offline::reorganize_quiescent;
 use crate::plan::RelocationPlan;
-use brahma::{Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy};
-use std::collections::HashMap;
+use brahma::{AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy};
 use std::time::{Duration, Instant};
 
 /// The insist policy: effectively "keep asking" — each lock request
@@ -30,7 +29,7 @@ const INSIST_POLICY: RetryPolicy = RetryPolicy::fixed(10_000, Duration::ZERO);
 #[derive(Debug)]
 pub struct PqrReport {
     pub partition: PartitionId,
-    pub mapping: HashMap<PhysAddr, PhysAddr>,
+    pub mapping: AddrMap<PhysAddr>,
     /// External parents locked to quiesce the partition.
     pub quiesce_locks: usize,
     pub duration: Duration,

@@ -13,9 +13,8 @@
 //! referenced objects that have not been visited yet (line L2 of Figure 3),
 //! so no live object is missed (Lemma 3.1).
 
-use brahma::{Database, PartitionId, PhysAddr};
+use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Accumulated traversal state: visited objects (in discovery order) and the
 /// approximate parent list of each.
@@ -29,9 +28,9 @@ pub struct TraversalState {
     /// Every address a traversal was attempted from (including stale seeds
     /// that turned out not to be live objects); guarantees the L2 loop
     /// terminates.
-    pub visited: HashSet<PhysAddr>,
+    pub visited: AddrSet,
     /// Approximate parents per visited object.
-    pub parents: HashMap<PhysAddr, HashSet<PhysAddr>>,
+    pub parents: AddrMap<AddrSet>,
 }
 
 impl TraversalState {
@@ -77,8 +76,9 @@ impl TraversalState {
 }
 
 /// Fuzzily traverse `partition` from `seeds`, extending `state`. Only
-/// intra-partition edges are followed; each object is read under a page
-/// latch via [`Database::fuzzy_read_refs`] and never locked.
+/// intra-partition edges are followed; each object's references are read
+/// where they lie, under its page latch ([`Database::fuzzy_with_refs`]),
+/// and it is never locked.
 pub fn fuzzy_traversal(
     db: &Database,
     partition: PartitionId,
@@ -97,21 +97,20 @@ pub fn fuzzy_traversal(
         if !state.visited.insert(addr) {
             continue;
         }
-        // Latch, read the references out of the object, unlatch.
-        let Some(refs) = db.fuzzy_read_refs(addr) else {
-            // Stale or not-yet-initialized address: skip, but it stays in
-            // `visited` so the TRT loop terminates.
-            continue;
-        };
-        state.order.push(addr);
-        for child in refs {
-            if child.partition() != partition {
-                continue;
+        // Under the latch: note each intra-partition child's parent and
+        // stack the unvisited ones.
+        let live = db.fuzzy_with_refs(addr, |refs| {
+            for child in refs.filter(|c| c.partition() == partition) {
+                state.add_parent(child, addr);
+                if !state.visited.contains(&child) {
+                    stack.push(child);
+                }
             }
-            state.add_parent(child, addr);
-            if !state.visited.contains(&child) {
-                stack.push(child);
-            }
+        });
+        // A stale or not-yet-initialized address is skipped, but it stays
+        // in `visited` so the TRT loop terminates.
+        if live.is_some() {
+            state.order.push(addr);
         }
     }
 }

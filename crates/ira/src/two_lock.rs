@@ -27,8 +27,7 @@ use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
 use crate::traversal::TraversalState;
-use brahma::{Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
-use std::collections::HashSet;
+use brahma::{AddrSet, Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
 
 /// Migrate one object with the two-lock discipline.
 ///
@@ -71,7 +70,7 @@ pub fn migrate_two_lock(
     // parent already processed can legitimately come back via the TRT if a
     // transaction inserted a fresh reference to O_old into it.
     let mut pending: Vec<PhysAddr> = state.parents_of(oold);
-    let mut processed: HashSet<PhysAddr> = HashSet::new();
+    let mut processed = AddrSet::default();
     loop {
         while let Some(parent) = pending.pop() {
             if parent == oold || parent == onew || processed.contains(&parent) {

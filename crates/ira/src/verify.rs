@@ -3,8 +3,7 @@
 
 use crate::driver::IraReport;
 use brahma::sweep;
-use brahma::{Database, PhysAddr};
-use std::collections::HashMap;
+use brahma::{AddrMap, Database, PhysAddr};
 
 /// Canonical fingerprint of the live graph reachable from `anchors`:
 /// a deterministic DFS assigns visit numbers, then each object is described
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 /// verifier — the failure shows up as a comparison diff with the broken
 /// edge in it.
 pub fn logical_fingerprint(db: &Database, anchors: &[PhysAddr]) -> Vec<String> {
-    let mut ids: HashMap<PhysAddr, usize> = HashMap::new();
+    let mut ids: AddrMap<usize> = AddrMap::default();
     let mut views: Vec<brahma::ObjectView> = Vec::new();
     let mut stack: Vec<PhysAddr> = anchors.to_vec();
     // Reverse so anchors are visited (and numbered) in argument order.
