@@ -80,9 +80,10 @@ if [ "$code_keys" != "$doc_keys" ]; then
 fi
 # Fault sites (DESIGN.md §9.1): every `site` const of the two catalogs is
 # listed in its module's `ALL` or `FILE_ALL` sweep array, so the chaos
-# sweeps reach it, and non-test code names a site by its const, never by a
-# string literal.
-unswept=$(for f in crates/brahma/src/fault.rs crates/ira/src/chaos.rs; do
+# sweep reaches it, and non-test code names a site by its const, never by a
+# string literal. A catalog file that is gone fails the guard too.
+unswept=$(for f in crates/brahma/src/fault.rs crates/ira/src/site.rs; do
+  [ -f "$f" ] || { echo "$f: no such file"; continue; }
   swept=$(nontest "$f" | awk '/ALL: &\[&str\] = / { on = 1 } on { print } /\];/ { on = 0 }')
   nontest "$f" | sed -n 's/^ *pub const \([A-Z][A-Z0-9_]*\): &str = .*/\1/p' |
     while read -r c; do
@@ -129,8 +130,8 @@ fi
 # (unfulfilled_lint_expectations).
 cargo clippy --workspace --lib --bins --examples -- -D warnings
 cargo build --release
-# The workspace tests include the full chaos and disk-chaos matrices
-# (DESIGN.md §9.2, §14): every fault site at every stride, fixed seeds.
+# The workspace tests include the full chaos matrix (DESIGN.md §9.2):
+# every fault site at every stride, fixed seeds.
 cargo test --workspace -q
 # Schedule capture/replay regression (DESIGN.md §12): the checked-in
 # lost-tuple trace must replay the PR-4 fuzzy-checkpoint race
@@ -143,8 +144,8 @@ EXPLORE_ROOTS=2 EXPLORE_PRIOS=2 cargo test -q -p ira --features sched-trace \
 # debug/test builds above already run with lockdep armed via
 # debug_assertions; this pass proves the `lockdep` feature also composes
 # with optimized code, where violations count instead of panicking — which
-# is why `lock_order.rs` and the chaos sweeps assert the counter itself.
-cargo test --release --features lockdep -q -p brahma -p ira
+# is why `lock_order.rs` and the chaos sweep assert the counter itself.
+cargo test --release --features lockdep -q -p brahma -p ira -p harness
 # Paper-shape gate (DESIGN.md §13): Table 2's trio at MPL 30 must be
 # healthy and hold the paper's three inequalities, or this exits nonzero.
 # The CSV goes under target/ so the checked-in full-run results/ stay put.
@@ -181,8 +182,10 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 cargo test --release -q --test alloc_budget
 # One size counter, so "least code" (ROADMAP) is the same number in every
 # PR: non-test Rust lines under crates/*/src and shims/*/src (the `nontest`
-# cut the guards above use), then test and benchmark lines. CHANGES.md
-# quotes this line for the parent and the change.
-src=$(find crates/*/src shims/*/src -name '*.rs' | while read -r f; do nontest "$f"; done | wc -l)
+# cut the guards above use) outside the test harness crate, the harness's
+# own, then test and benchmark lines. CHANGES.md quotes this line for the
+# parent and the change.
+lines() { find "$@" -name '*.rs' | while read -r f; do nontest "$f"; done | wc -l; }
+src=$(lines crates/*/src shims/*/src -not -path 'crates/harness/*')
 count() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
-echo "size: src=$src crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src)"
+echo "size: src=$src harness=$(lines crates/harness/src) crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src)"

@@ -15,19 +15,12 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-// --- chaos sweeps (crates/ira/tests/chaos_sweep.rs) ---
+// --- chaos sweep (crates/ira/tests/chaos_sweep.rs) ---
 
-/// `CHAOS_ROOT_SEED`: root of the chaos sweeps' seed tree (also feeds the
+/// `CHAOS_ROOT_SEED`: root of the chaos sweep's seed tree (also feeds the
 /// schedule-exploration sweep).
 pub fn chaos_root_seed() -> u64 {
     env_u64("CHAOS_ROOT_SEED", 0xC4A05)
-}
-
-// --- disk chaos (crates/ira/tests/disk_chaos_sweep.rs) ---
-
-/// `DISK_CHAOS_ROOT_SEED`: root of the disk-fault sweep's seed tree.
-pub fn disk_chaos_root_seed() -> u64 {
-    env_u64("DISK_CHAOS_ROOT_SEED", 0xD15C)
 }
 
 // --- schedule exploration (crates/ira/tests/replay_regression.rs) ---
@@ -77,15 +70,10 @@ mod tests {
     #[test]
     fn defaults_without_environment() {
         let _g = ENV_LOCK.lock().unwrap();
-        for name in [
-            "CHAOS_ROOT_SEED",
-            "DISK_CHAOS_ROOT_SEED",
-            "SCHED_DUMP",
-        ] {
+        for name in ["CHAOS_ROOT_SEED", "SCHED_DUMP"] {
             std::env::remove_var(name);
         }
         assert_eq!(chaos_root_seed(), 0xC4A05);
-        assert_eq!(disk_chaos_root_seed(), 0xD15C);
         assert_eq!(explore_roots(4), 4);
         assert_eq!(sched_dump(), None);
     }

@@ -15,7 +15,7 @@
 //! * **Control.** A [`Controller`] installed with [`install_controller`]
 //!   is called at every instrumented point *before* the point's action and
 //!   may block the calling thread — the hook that trace replay and
-//!   random-priority schedule exploration (`ira::replay`) are built on.
+//!   random-priority schedule exploration (`harness::replay`) are built on.
 //! * **Seeding.** [`SeedTree`] derives independent, reproducible child
 //!   seeds per thread/component from one root seed (splitmix64 over a
 //!   label hash), so every RNG stream in a run — workload walks, chaos

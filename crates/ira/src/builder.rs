@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(outcome.migrated(), 1);
         // Basic IRA evaluates the exact-parents site once per object; the
         // two-lock variant never does. One batch, one periodic checkpoint.
-        assert_eq!(db.fault.hits(crate::chaos::site::EXACT_PARENTS), 0);
-        assert_eq!(db.fault.hits(crate::chaos::site::CHECKPOINT), 1);
+        assert_eq!(db.fault.hits(crate::site::EXACT_PARENTS), 0);
+        assert_eq!(db.fault.hits(crate::site::CHECKPOINT), 1);
     }
 }

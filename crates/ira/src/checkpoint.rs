@@ -317,7 +317,7 @@ pub(crate) fn run_resume(
 mod tests {
     use super::*;
     use crate::builder::Reorg;
-    use crate::chaos::site;
+    use crate::site;
     use brahma::{recover, FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
 
     /// Arm a crash at the `n`-th batch boundary of the next run.

@@ -7,12 +7,12 @@
 //! parallelism runs one `Reorg` per partition.
 
 use crate::approx::find_objects_and_approx_parents;
-use crate::chaos::site as ira_site;
 use crate::checkpoint::IraCheckpoint;
 use crate::exact::find_exact_parents;
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::order::{order_queue, MigrationOrder};
 use crate::plan::RelocationPlan;
+use crate::site as ira_site;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
 use brahma::{AddrMap, AddrSet, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};

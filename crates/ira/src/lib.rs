@@ -57,9 +57,7 @@
 
 pub mod approx;
 pub mod builder;
-pub mod chaos;
 pub mod checkpoint;
-pub mod disk_chaos;
 pub mod driver;
 pub mod exact;
 pub mod gc;
@@ -70,20 +68,17 @@ pub mod plan;
 pub mod policy;
 pub mod pqr;
 pub mod relaxed;
-pub mod replay;
+pub mod site;
 pub mod traversal;
 pub mod two_lock;
 pub mod verify;
 
 pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
-pub use chaos::{run_crash_cell, with_repro_banner, CellOutcome, ChaosCell};
 pub use checkpoint::IraCheckpoint;
-pub use disk_chaos::{run_disk_cell, run_multi_partition_kill, DiskCellOutcome, DiskChaosCell};
 pub use driver::{IraConfig, IraError, IraReport, IraVariant};
 pub use gc::find_garbage;
 pub use order::MigrationOrder;
 pub use plan::RelocationPlan;
 pub use policy::{CostModel, EdgeCount, PlanScore, StatsGreedy};
 pub use pqr::PqrReport;
-pub use replay::{Gate, PctExplorer, SchedTrace, TraceReplay};
 pub use traversal::TraversalState;

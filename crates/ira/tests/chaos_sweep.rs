@@ -1,90 +1,106 @@
-//! The chaos crash-point sweep (DESIGN.md §9): for every registered fault
-//! site — substrate and IRA-level — run a crash cell at several Nth-hit
-//! strides. Each cell crashes the database at that coordinate (when the
-//! site reaches the stride), recovers, resumes from the durable
-//! [`ira::IraCheckpoint`], and verifies all reorganization invariants; a
-//! cell whose site never reaches its stride completes clean and is
-//! verified the same way.
+//! The chaos crash-point sweep (DESIGN.md §9.2): for every registered fault
+//! site — substrate, file and IRA-level — run a crash cell at several
+//! Nth-hit strides. Each cell runs on a file-backed store, kills it at that
+//! coordinate, reopens cold (with a second kill armed during recovery),
+//! resumes or restarts the interrupted reorganization, and verifies every
+//! reorganization invariant; a cell whose site never reaches its stride
+//! completes clean and is verified the same way.
 //!
-//! The sweep also asserts that every site actually fired in at least one
-//! cell. A failing cell prints a `REPRO: …` banner with its exact
-//! coordinates (and dumps the schedule ring when `SCHED_DUMP=path` is
-//! set); `CHAOS_ROOT_SEED` overrides the root of the sweep's
+//! A failing cell prints a `REPRO: …` banner with its exact coordinates
+//! (and dumps the schedule ring when `SCHED_DUMP=path` is set);
+//! `CHAOS_ROOT_SEED` overrides the root of the sweep's
 //! [`brahma::SeedTree`] to re-run a reported seed.
 
 use brahma::env_cfg;
+use brahma::fault::site::{ALL, FILE_ALL};
 use brahma::SeedTree;
-use ira::chaos::{all_sites, run_crash_cell, with_repro_banner, ChaosCell};
-use std::collections::HashMap;
+use harness::{run_cell, run_multi_partition_kill, with_repro_banner, CrashCell};
 
-/// Root of the sweep's seed tree: every cell seed derives from it, so the
-/// whole matrix is reproducible from this one number.
-fn root_seed() -> u64 {
-    env_cfg::chaos_root_seed()
-}
-
+/// Nth-hit strides of the in-memory and IRA sites.
 const STRIDES: [u64; 4] = [1, 2, 3, 7];
+/// File sites are hit far more often (every log append is a pwrite), so
+/// their strides sit deeper: stride 1 kills during the first durable write
+/// of the reorganization, the deep strides land mid-run.
+const FILE_STRIDES: [u64; 4] = [1, 7, 12, 30];
 
 #[test]
 fn crash_point_sweep_over_every_site() {
-    let root = root_seed();
+    let root = env_cfg::chaos_root_seed();
     let tree = SeedTree::new(root);
-    let mut fired: HashMap<&'static str, u64> = HashMap::new();
-    let mut crashed_cells = 0usize;
-    let mut total_cells = 0usize;
+    let matrix = ALL
+        .iter()
+        .chain(ira::site::ALL)
+        .map(|&site| (site, STRIDES))
+        .chain(FILE_ALL.iter().map(|&site| (site, FILE_STRIDES)));
+    let (mut torn, mut double_crashed, mut interrupted, mut resumed) = (0, 0, 0, 0);
     // Lockdep runs armed throughout the sweep (debug builds / the `lockdep`
     // feature): any lock-order cycle or IRA footprint breach inside a cell
     // panics the cell. The counter check below catches the release-with-
     // lockdep configuration, where violations count instead of panicking.
     let lockdep_before = brahma::lockdep::violations();
 
-    for &site in &all_sites() {
-        for stride in STRIDES {
-            let cell = ChaosCell {
+    for (site, strides) in matrix {
+        let mut site_fired = 0;
+        for stride in strides {
+            let cell = CrashCell {
                 site,
                 nth_hit: stride,
                 seed: tree.child(site).child_idx(stride).seed(),
             };
-            // run_crash_cell panics on any invariant violation; reaching
-            // here means the cell verified.
-            let outcome = with_repro_banner(
-                &format!(
-                    "CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride},seed:{:#x}",
-                    cell.seed
-                ),
-                || run_crash_cell(&cell),
+            let banner = format!(
+                "CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride},seed:{:#x}",
+                cell.seed
             );
-            *fired.entry(site).or_default() += outcome.fired;
-            total_cells += 1;
-            if outcome.crashed {
-                crashed_cells += 1;
-                assert!(
-                    outcome.fired >= 1,
-                    "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site},nth_hit:{stride} \
-                     — cell {cell:?} crashed without firing"
-                );
-            }
+            // run_cell panics on any invariant violation; reaching here
+            // means the cell verified after every open it performed.
+            let out = with_repro_banner(&banner, || run_cell(&cell));
+            assert!(
+                !out.killed || out.fired >= 1,
+                "REPRO: {banner} — the cell crashed without firing its rule"
+            );
+            site_fired += out.fired;
+            torn += (out.torn_truncations > 0) as usize;
+            double_crashed += out.double_crashed as usize;
+            interrupted += out.interrupted as usize;
+            resumed += out.resumed as usize;
         }
-    }
-
-    // The stride-1 cells fire deterministically (the primer transaction
-    // touches every substrate site; the reorganizer touches the IRA sites),
-    // so every site must have fired somewhere.
-    for &site in &all_sites() {
+        // The stride-1 cells fire deterministically (the primer transaction
+        // touches every substrate site, the reorganizer the IRA and file
+        // sites), so every site must fire somewhere.
         assert!(
-            fired.get(site).copied().unwrap_or(0) > 0,
-            "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site} \
-             — site never fired in any cell of the matrix"
+            site_fired > 0,
+            "REPRO: CHAOS_ROOT_SEED={root} CELL=site:{site} — site never fired in any cell"
         );
     }
-    assert!(
-        crashed_cells > 0,
-        "REPRO: CHAOS_ROOT_SEED={root} — the sweep must exercise the \
-         crash/recover/resume path ({total_cells} cells ran)"
-    );
+    let coverage = [
+        (torn, "truncated a torn tail"),
+        (double_crashed, "double-crashed during recovery"),
+        (interrupted, "was interrupted mid-reorganization"),
+        (resumed, "resumed from a durable blob"),
+    ];
+    eprintln!("chaos sweep: {coverage:?}");
+    for (cells, what) in coverage {
+        assert!(cells > 0, "REPRO: CHAOS_ROOT_SEED={root} — no cell {what}");
+    }
     assert_eq!(
         brahma::lockdep::violations(),
         lockdep_before,
         "REPRO: CHAOS_ROOT_SEED={root} — the chaos sweep must run clean under lockdep"
     );
+}
+
+/// A mid-reorg kill with reorganizations of TWO partitions in flight:
+/// restart hands back both as interrupted, both resume from their
+/// on-disk checkpoint blobs, and the resumed runs complete the exact
+/// migration totals.
+#[test]
+fn multi_partition_kill_resumes_both() {
+    let lockdep_before = brahma::lockdep::violations();
+    let (resumed_migrations, expected_total) =
+        with_repro_banner("MULTI seed:0xD15C2", || run_multi_partition_kill(0xD15C2));
+    assert_eq!(
+        resumed_migrations, expected_total,
+        "resumed reorganizations must finish every live object"
+    );
+    assert_eq!(brahma::lockdep::violations(), lockdep_before);
 }

@@ -5,7 +5,7 @@
 //! object across and leaves the database clean.
 
 use brahma::{Database, LockMode, NewObject, PartitionId, PhysAddr, RetryPolicy, StoreConfig};
-use ira::chaos::with_repro_banner;
+use harness::with_repro_banner;
 use ira::Reorg;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -8,7 +8,7 @@
 //! invariants hold.
 
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
-use ira::chaos::with_repro_banner;
+use harness::with_repro_banner;
 use ira::verify::logical_fingerprint;
 use ira::{IraVariant, RelocationPlan, Reorg};
 use proptest::prelude::*;

@@ -6,7 +6,8 @@
 
 use brahma::lockdep::{self, LockClass, LockClass::*};
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
-use ira::{run_crash_cell, run_disk_cell, ChaosCell, DiskChaosCell, Reorg};
+use harness::{run_cell, CrashCell};
+use ira::Reorg;
 
 const LOCK_ORDER: &[(LockClass, LockClass)] = &[
     (WalInner, FaultState),
@@ -50,18 +51,16 @@ fn observed_lock_order_is_the_pinned_list() {
     // In release + `lockdep` a violation counts instead of panicking.
     let violations_before = lockdep::violations();
     build_and_reorganize();
-    let (site, nth_hit, seed) = (ira::chaos::site::MIGRATE_COMMIT, 3, 7);
-    run_crash_cell(&ChaosCell {
-        site,
-        nth_hit,
-        seed,
-    });
-    let (site, nth_hit) = (brahma::fault::site::FILE_FSYNC, 12);
-    run_disk_cell(&DiskChaosCell {
-        site,
-        nth_hit,
-        seed,
-    });
+    for (site, nth_hit) in [
+        (ira::site::MIGRATE_COMMIT, 3),
+        (brahma::fault::site::FILE_FSYNC, 12),
+    ] {
+        run_cell(&CrashCell {
+            site,
+            nth_hit,
+            seed: 7,
+        });
+    }
 
     let observed = lockdep::dump_edges();
     for (from, to, chain) in &observed {

@@ -7,7 +7,7 @@ use brahma::{
     recover, Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr,
     StoreConfig,
 };
-use ira::chaos::with_repro_banner;
+use harness::with_repro_banner;
 use ira::verify::logical_fingerprint;
 use ira::{IraCheckpoint, IraError, IraVariant, RelocationPlan, Reorg};
 
@@ -133,7 +133,7 @@ fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
     // The first batch boundary at or past half the queue.
     let crash_batch = (chains * chain_len / 2 - 1).div_ceil(batch);
     db.fault.arm(FaultPlan::new(0xAF).with(FaultRule::nth(
-        ira::chaos::site::BATCH,
+        ira::site::BATCH,
         crash_batch as u64,
         FaultAction::Crash,
     )));
@@ -197,7 +197,7 @@ fn checkpoint_every_saves_at_every_nth_batch() {
             .unwrap();
         assert_eq!(outcome.migrated(), forest.live);
         assert_eq!(
-            db.fault.hits(ira::chaos::site::CHECKPOINT),
+            db.fault.hits(ira::site::CHECKPOINT),
             (forest.live.div_ceil(batch) / every) as u64,
             "every={every}"
         );

@@ -22,8 +22,11 @@
 #![cfg(any(debug_assertions, feature = "sched-trace"))]
 
 use brahma::{Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, StoreConfig, Trt};
-use ira::chaos::{assert_trt_reconstruction_covers, run_crash_cell, with_repro_banner, ChaosCell};
-use ira::{Gate, IraCheckpoint, PctExplorer, RelocationPlan, SchedTrace, TraceReplay};
+use harness::{
+    assert_trt_reconstruction_covers, run_cell, with_repro_banner, CrashCell, Gate, PctExplorer,
+    SchedTrace, TraceReplay,
+};
+use ira::{IraCheckpoint, RelocationPlan};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -239,7 +242,7 @@ fn explore_chaos() {
     let roots = brahma::env_cfg::explore_roots(4);
     let prios = brahma::env_cfg::explore_prios(4);
     let tree = brahma::SeedTree::new(brahma::env_cfg::chaos_root_seed()).child("explore");
-    for site in [ira::chaos::site::CHECKPOINT, ira::chaos::site::BATCH] {
+    for site in [ira::site::CHECKPOINT, ira::site::BATCH] {
         for r in 0..roots {
             let root = tree.child(site).child_idx(r).seed();
             for p in 0..prios {
@@ -248,14 +251,14 @@ fn explore_chaos() {
                 // enough to flip who wins each instrumented race without
                 // degenerating into uniform noise.
                 brahma::sched::install_controller(Arc::new(PctExplorer::new(prio, 3, 400)));
-                let cell = ChaosCell {
+                let cell = CrashCell {
                     site,
                     nth_hit: 3,
                     seed: root,
                 };
                 with_repro_banner(
                     &format!("EXPLORE CELL=site:{site},root:{root:#x},prio:{prio:#x}"),
-                    || run_crash_cell(&cell),
+                    || run_cell(&cell),
                 );
                 brahma::sched::clear_controller();
             }

@@ -39,7 +39,7 @@ fn main() {
     // Run IRA with fault injection: "crash" at the 12th batch boundary,
     // i.e. after 12 migrations.
     db.fault.arm(FaultPlan::new(12).with(FaultRule::nth(
-        ira::chaos::site::BATCH,
+        ira::site::BATCH,
         12,
         FaultAction::Crash,
     )));

@@ -204,7 +204,7 @@ fn rolled_back_batch_is_not_counted_in_db_migrations() {
     let db = Database::new(StoreConfig::default());
     let (_p0, p1, _anchor) = chain_fixture(&db, 6);
     db.fault.arm(FaultPlan::new(0xFA58).with(FaultRule::nth(
-        ira::chaos::site::MIGRATE_COMMIT,
+        ira::site::MIGRATE_COMMIT,
         1,
         FaultAction::Retryable,
     )));
