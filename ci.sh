@@ -122,6 +122,18 @@ if [ -n "$sip_tables" ]; then
   echo "$sip_tables" >&2
   exit 1
 fi
+# Every product lock is one lockdep sees (DESIGN.md §11.2): non-test brahma
+# and ira code hand-rolls no spin lock — no `spin_loop`, no
+# `compare_exchange` — which neither lockdep nor the schedule recorder
+# could observe.
+spins=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do
+  nontest "$f" | grep -n 'spin_loop\|compare_exchange' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done)
+if [ -n "$spins" ]; then
+  echo "hand-rolled spin locks (use lockdep::Mutex):" >&2
+  echo "$spins" >&2
+  exit 1
+fi
 # Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
 # disallows std::thread::sleep, and crates/{brahma,ira}/clippy.toml also
 # the raw parking_lot types lockdep cannot see; those two crates'

@@ -13,14 +13,16 @@
 //! after locking an object, waits for all such transactions to complete —
 //! "transactions behave as though they were following strict 2PL with
 //! respect to the reorganization process" (Section 4.1).
+//!
+//! Every request takes one path: its shard's mutex, then the address's entry
+//! in that shard's table (DESIGN.md §10.2).
 
 use crate::addr::PhysAddr;
 use crate::error::{Error, Result};
-use crate::lockdep::{self, Condvar, LockClass, Mutex};
+use crate::lockdep::{self, Condvar, LockClass, Mutex, MutexGuard};
 use crate::txn::TxnId;
 use obs::{Counter, Gauge, Histogram};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,89 +34,227 @@ pub enum LockMode {
     Exclusive,
 }
 
-#[derive(Debug)]
+/// One address's lock state. What almost every lock needs — one exclusive
+/// holder or up to two sharers — is inline, so granting and releasing it
+/// allocates nothing; the rest lives in [`Rare`], boxed by the first
+/// request that needs it.
 struct LockState {
-    /// Current holders. Invariant: either any number of `Shared` holders or
-    /// exactly one `Exclusive` holder.
-    holders: Vec<(TxnId, LockMode)>,
+    raw: u64,
+    /// Packed from the front: one `Exclusive` holder, or up to two `Shared`
+    /// ones. Further sharers go to `Rare::sharers`, which is non-empty only
+    /// while both are taken.
+    holders: [Option<(TxnId, LockMode)>; 2],
+    rare: Option<Box<Rare>>,
+}
+
+#[derive(Default)]
+struct Rare {
+    /// Sharers beyond the two inline holders.
+    sharers: Vec<TxnId>,
     /// Active transactions that have ever been granted a lock here; only
     /// maintained while history tracking is on.
     ever_held: Vec<TxnId>,
-    /// Number of exclusive requests currently waiting. New shared requests
-    /// from non-holders yield to them (write-preferring grant), so the
-    /// reorganizer's exclusive parent locks cannot be starved by a stream of
-    /// short shared lockers.
+    /// Exclusive requests currently waiting. New shared requests from
+    /// non-holders yield to them (write-preferring grant), so the
+    /// reorganizer's exclusive parent locks cannot be starved by a stream
+    /// of short shared lockers.
     x_waiters: usize,
-    /// Number of shared requests currently waiting (keeps the entry — and
-    /// its condvars — alive until they give up or are granted).
+    /// Shared requests currently waiting.
     s_waiters: usize,
     /// The shared holder currently waiting to upgrade to exclusive, if any.
     /// Two simultaneous upgraders deadlock by construction (each waits for
     /// the other sharer to release), so a second upgrade request fails fast
     /// with [`Error::UpgradeConflict`] instead of stalling to the timeout.
     upgrader: Option<TxnId>,
-    /// Waiting exclusive requests (including upgraders) park here; a
-    /// release that empties the holder list wakes exactly one of them
-    /// instead of broadcasting to the whole shard.
-    cv_x: Arc<Condvar>,
-    /// Waiting shared requests park here; woken together when the last
-    /// obstacle (exclusive holder or waiting writer) goes away — every
-    /// sharer is then grantable, so a broadcast does no futile work.
-    cv_s: Arc<Condvar>,
+    /// Created by the first waiter. Each waiter parks on its own clone, so
+    /// the pair outlives the waiter's borrow of the entry.
+    waits: Option<Arc<Waits>>,
 }
 
-impl Default for LockState {
-    fn default() -> Self {
-        LockState {
-            holders: Vec::new(),
-            ever_held: Vec::new(),
-            x_waiters: 0,
-            s_waiters: 0,
-            upgrader: None,
-            cv_x: Arc::new(Condvar::new()),
-            cv_s: Arc::new(Condvar::new()),
-        }
-    }
+/// Where an entry's waiters park. A release wakes only the mode it could
+/// have made grantable instead of every waiter in the shard.
+#[derive(Default)]
+struct Waits {
+    /// Exclusive requests, upgraders included: one is woken per handover.
+    x: Condvar,
+    /// Shared requests: woken together when the last obstacle (exclusive
+    /// holder or waiting writer) goes, since every one is then grantable.
+    s: Condvar,
 }
 
 impl LockState {
+    fn new(raw: u64) -> Self {
+        LockState {
+            raw,
+            holders: [None, None],
+            rare: None,
+        }
+    }
+
+    fn rare(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    fn sharers(&self) -> &[TxnId] {
+        self.rare.as_ref().map_or(&[], |r| &r.sharers)
+    }
+
+    fn all_holders(&self) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        let spilled = self.sharers().iter().map(|&t| (t, LockMode::Shared));
+        self.holders.iter().flatten().copied().chain(spilled)
+    }
+
     fn holder_mode(&self, tid: TxnId) -> Option<LockMode> {
-        self.holders.iter().find(|(t, _)| *t == tid).map(|(_, m)| *m)
+        match self.holders.iter().flatten().find(|(t, _)| *t == tid) {
+            Some(&(_, mode)) => Some(mode),
+            None => self.sharers().contains(&tid).then_some(LockMode::Shared),
+        }
     }
 
     /// Whether `tid` may be granted `mode` right now.
     fn grantable(&self, tid: TxnId, mode: LockMode) -> bool {
-        match self.holder_mode(tid) {
-            Some(LockMode::Exclusive) => true,
-            Some(LockMode::Shared) => match mode {
-                LockMode::Shared => true,
-                // Upgrade: only when sole holder.
-                LockMode::Exclusive => self.holders.len() == 1,
-            },
-            None => match mode {
-                LockMode::Shared => {
-                    self.x_waiters == 0
-                        && !self
-                            .holders
-                            .iter()
-                            .any(|(_, m)| *m == LockMode::Exclusive)
-                }
-                LockMode::Exclusive => self.holders.is_empty(),
-            },
+        match (self.holder_mode(tid), mode) {
+            (Some(LockMode::Exclusive), _) | (Some(LockMode::Shared), LockMode::Shared) => true,
+            // Upgrade: only when sole holder.
+            (Some(LockMode::Shared), LockMode::Exclusive) => self.holders[1].is_none(),
+            (None, LockMode::Shared) => {
+                self.rare.as_ref().map_or(0, |r| r.x_waiters) == 0
+                    && !matches!(self.holders[0], Some((_, LockMode::Exclusive)))
+            }
+            (None, LockMode::Exclusive) => self.holders[0].is_none(),
         }
     }
 
-    fn grant(&mut self, tid: TxnId, mode: LockMode) {
-        match self.holders.iter_mut().find(|(t, _)| *t == tid) {
-            Some((_, m)) => {
-                if mode == LockMode::Exclusive {
-                    *m = LockMode::Exclusive;
-                }
+    /// Record a grant [`LockState::grantable`] allowed.
+    fn add(&mut self, tid: TxnId, mode: LockMode) {
+        if let Some((_, held)) = self.holders.iter_mut().flatten().find(|(t, _)| *t == tid) {
+            if mode == LockMode::Exclusive {
+                *held = mode;
             }
-            None => self.holders.push((tid, mode)),
+        } else if !self.sharers().contains(&tid) {
+            match self.holders.iter_mut().find(|h| h.is_none()) {
+                Some(free) => *free = Some((tid, mode)),
+                None => self.rare().sharers.push(tid),
+            }
         }
     }
+
+    /// Drop `tid` from the holders, keeping the inline pair packed.
+    fn remove(&mut self, tid: TxnId) {
+        match self.holders.iter().position(|h| h.is_some_and(|(t, _)| t == tid)) {
+            Some(i) => {
+                if i == 0 {
+                    self.holders[0] = self.holders[1];
+                }
+                let spilled = self.rare.as_mut().and_then(|r| r.sharers.pop());
+                self.holders[1] = spilled.map(|t| (t, LockMode::Shared));
+            }
+            None => {
+                if let Some(rare) = &mut self.rare {
+                    rare.sharers.retain(|t| *t != tid);
+                }
+            }
+        }
+    }
+
+    /// After a release, wake only the requests it could have made grantable.
+    fn wake(&self) {
+        let Some(rare) = &self.rare else { return };
+        let Some(waits) = &rare.waits else { return };
+        match self.holders {
+            [None, _] if rare.x_waiters > 0 => {
+                // Any one waiting writer can take the lock; the rest stay
+                // parked and are woken by its release in turn.
+                waits.x.notify_one();
+            }
+            [None, _] if rare.s_waiters > 0 => {
+                // No writer in the way: every waiting sharer is grantable.
+                waits.s.notify_all();
+            }
+            [Some((sole, _)), None] if rare.upgrader == Some(sole) => {
+                // The upgrader became the sole holder. It shares `x` with
+                // plain writers, so broadcast: the non-upgraders re-park.
+                waits.x.notify_all();
+            }
+            _ => {}
+        }
+    }
+
+    /// Nothing held, nobody waiting, no history: the entry can go.
+    fn is_idle(&self) -> bool {
+        self.holders[0].is_none()
+            && self.rare.as_ref().is_none_or(|r| {
+                r.ever_held.is_empty() && r.x_waiters == 0 && r.s_waiters == 0
+            })
+    }
 }
+
+/// A shard's entries. The first lives inline, on the shard's own cache
+/// lines; `more` holds the addresses that collide with it and keeps its
+/// capacity, so a warm table does not allocate. Invariant: `first` is
+/// `None` only when `more` is empty.
+#[derive(Default)]
+struct Table {
+    first: Option<LockState>,
+    more: Vec<LockState>,
+}
+
+impl Table {
+    fn get(&self, raw: u64) -> Option<&LockState> {
+        self.first.iter().chain(&self.more).find(|s| s.raw == raw)
+    }
+
+    fn get_mut(&mut self, raw: u64) -> Option<&mut LockState> {
+        self.first.iter_mut().chain(&mut self.more).find(|s| s.raw == raw)
+    }
+
+    /// `raw`'s entry, created empty if absent.
+    fn entry(&mut self, raw: u64) -> &mut LockState {
+        if self.first.as_ref().is_none_or(|s| s.raw == raw) {
+            return self.first.get_or_insert_with(|| LockState::new(raw));
+        }
+        let i = match self.more.iter().position(|s| s.raw == raw) {
+            Some(i) => i,
+            None => {
+                self.more.push(LockState::new(raw));
+                self.more.len() - 1
+            }
+        };
+        &mut self.more[i]
+    }
+
+    /// Drop `raw`'s entry if it is idle, refilling `first` from `more`.
+    fn reclaim_if_idle(&mut self, raw: u64) {
+        match &self.first {
+            Some(first) if first.raw == raw => {
+                if first.is_idle() {
+                    self.first = self.more.pop();
+                }
+            }
+            _ => {
+                if let Some(i) = self.more.iter().position(|s| s.raw == raw && s.is_idle()) {
+                    self.more.swap_remove(i);
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.more.len()
+    }
+}
+
+/// One shard of the lock table, alone on its two cache lines. Both the
+/// padding and [`DB_SHARDS`] are load-bearing (DESIGN.md §10.2): every
+/// grant and release writes the shard's mutex and table, and two walkers
+/// whose shards share a line write it in turn.
+#[repr(align(128))]
+struct Shard(Mutex<Table>);
+
+// With the lockdep tag (debug, `lockdep`) and without it (release), the
+// mutex and the first entry fit the shard's 128 bytes.
+const _: () = assert!(std::mem::size_of::<Shard>() == 128);
+const _: () = assert!(std::mem::align_of::<Shard>() == 128);
 
 /// Counters exposed for the performance study. All lock-free (`obs`
 /// primitives); safe to bump inside the wait loop.
@@ -138,9 +278,6 @@ pub struct LockStats {
     /// Exclusive requests currently queued across all shards; `peak()` is
     /// the deepest the writer queue ever got.
     pub x_waiter_depth: Gauge,
-    /// Acquires or releases completed on the striped atomic fast path,
-    /// without touching a shard mutex or condvar.
-    pub fastpath_hits: Counter,
     /// Times a parked waiter was woken before its deadline. With the old
     /// per-shard broadcast every release woke every waiter; with per-entry
     /// targeted wakeups this stays close to the number of grants handed
@@ -160,172 +297,12 @@ impl LockStats {
         snap.set("lock.upgrades", self.upgrades.get());
         snap.set("lock.upgrade_conflicts", self.upgrade_conflicts.get());
         snap.set("lock.x_waiter_peak", self.x_waiter_depth.peak());
-        snap.set("lock.fastpath_hits", self.fastpath_hits.get());
         snap.set("lock.wakeups", self.wakeups.get());
     }
 }
 
 /// Shards in a [`crate::db::Database`]'s lock table.
-pub(crate) const DB_SHARDS: usize = 64;
-
-/// Fast slots per shard. Power of two; the slot index comes from address
-/// hash bits disjoint from the shard-selection bits.
-const FAST_SLOTS: usize = 64;
-
-/// `FastSlot.word` bit 0: the slot's micro-spinlock. All other slot fields
-/// are only read or written while this bit is held; critical sections are
-/// a handful of instructions with no blocking, so contenders spin.
-const SPIN: u64 = 1;
-/// Bit 1: the slot records a live fast-path lock.
-const OCCUPIED: u64 = 2;
-/// Bit 2: that lock is exclusive (otherwise shared).
-const MODE_X: u64 = 4;
-
-/// One striped fast-path slot: a single uncontended lock record kept
-/// entirely in atomics, so the hot acquire/release path never touches the
-/// shard mutex. At most two sharers fit; anything richer (more sharers, a
-/// waiter, history tracking) is absorbed into the shard's slow table.
-#[derive(Default)]
-struct FastSlot {
-    word: AtomicU64,
-    /// Raw address the record is for (valid while `OCCUPIED`).
-    addr: AtomicU64,
-    /// Holder transaction ids (`t1` only meaningful for a two-sharer
-    /// shared record).
-    t0: AtomicU64,
-    t1: AtomicU64,
-    /// Sharer count for a shared record (1 or 2).
-    nshare: AtomicU64,
-}
-
-/// Read a fast-slot field. Every field access happens with the slot's
-/// spin bit held, so the bit's Acquire/Release pair provides all the
-/// ordering the fields need.
-#[inline]
-fn fld(a: &AtomicU64) -> u64 {
-    // ordering: Relaxed; the slot spin bit serializes field access
-    a.load(Ordering::Relaxed)
-}
-
-/// Write a fast-slot field (same spin-bit protocol as [`fld`]).
-#[inline]
-fn set_fld(a: &AtomicU64, v: u64) {
-    // ordering: Relaxed; the slot spin bit serializes field access
-    a.store(v, Ordering::Relaxed)
-}
-
-/// A fast-path grant decision, computed with the slot's spin bit held:
-/// the word to publish on release, whether the grant was an in-place
-/// upgrade, and up to four pending `(field, value)` slot writes
-/// (0 = `addr`, 1 = `t0`, 2 = `t1`, 3 = `nshare`). `None` backs off to
-/// the slow path.
-type FastDecision = Option<(u64, bool, [Option<(u64, u64)>; 4])>;
-
-impl FastSlot {
-    /// Take the slot's spin bit; returns the word *without* the bit so the
-    /// caller can inspect flags and hand back a (possibly modified) word to
-    /// [`FastSlot::unlock_word`].
-    fn lock_word(&self) -> u64 {
-        loop {
-            // ordering: Relaxed probe; the Acquire CAS below synchronizes
-            let w = self.word.load(Ordering::Relaxed);
-            if w & SPIN == 0 {
-                let claimed = self
-                    .word
-                    // ordering: Acquire pairs with unlock_word's Release
-                    .compare_exchange_weak(w, w | SPIN, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok();
-                if claimed {
-                    return w;
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Publish `w` (with the spin bit cleared) as the slot's new state.
-    fn unlock_word(&self, w: u64) {
-        // ordering: Release publishes the slot fields to the next lock_word
-        self.word.store(w & !SPIN, Ordering::Release);
-    }
-
-    /// The mode `tid` holds on `raw` through this slot, if any.
-    fn mode_of(&self, raw: u64, tid: TxnId) -> Option<LockMode> {
-        let w = self.lock_word();
-        let mode = if w & OCCUPIED == 0 || fld(&self.addr) != raw {
-            None
-        } else if w & MODE_X != 0 {
-            (fld(&self.t0) == tid.0).then_some(LockMode::Exclusive)
-        } else {
-            let second = fld(&self.nshare) == 2 && fld(&self.t1) == tid.0;
-            (fld(&self.t0) == tid.0 || second).then_some(LockMode::Shared)
-        };
-        self.unlock_word(w);
-        mode
-    }
-
-    /// Current holders, for diagnostics. Spin-guarded snapshot.
-    fn holders_of(&self, raw: u64) -> Vec<(TxnId, LockMode)> {
-        let w = self.lock_word();
-        let mut out = Vec::new();
-        if w & OCCUPIED != 0 && fld(&self.addr) == raw {
-            if w & MODE_X != 0 {
-                out.push((TxnId(fld(&self.t0)), LockMode::Exclusive));
-            } else {
-                out.push((TxnId(fld(&self.t0)), LockMode::Shared));
-                if fld(&self.nshare) == 2 {
-                    out.push((TxnId(fld(&self.t1)), LockMode::Shared));
-                }
-            }
-        }
-        self.unlock_word(w);
-        out
-    }
-}
-
-struct Shard {
-    table: Mutex<HashMap<u64, LockState>>,
-    /// Number of addresses with slow-table state in this shard, maintained
-    /// under `table` but read lock-free as the fast-path gate: while any
-    /// entry exists the fast path stands down, so waiter bookkeeping
-    /// (write preference, upgrade pending, history) can't be bypassed.
-    slow_entries: AtomicU64,
-    fast: Box<[FastSlot]>,
-}
-
-impl Shard {
-    #[inline]
-    fn slot(&self, raw: u64) -> &FastSlot {
-        // Multiplicative hash; shard selection uses bits 32.., the slot
-        // picks from a disjoint range so slots spread within a shard.
-        let h = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.fast[(h >> 20) as usize % FAST_SLOTS]
-    }
-
-    /// Move any fast-path record for `raw` into `state`. Must run with the
-    /// shard table locked, *after* the entry for `raw` was created (and so
-    /// after `slow_entries` became visible as non-zero): a concurrent fast
-    /// acquire either observed the gate and backed off, or committed under
-    /// the slot spin bit before we take it here — in which case its grant
-    /// is carried over intact.
-    fn absorb(&self, state: &mut LockState, raw: u64) {
-        let slot = self.slot(raw);
-        let w = slot.lock_word();
-        if w & OCCUPIED != 0 && fld(&slot.addr) == raw {
-            if w & MODE_X != 0 {
-                state.grant(TxnId(fld(&slot.t0)), LockMode::Exclusive);
-            } else {
-                state.grant(TxnId(fld(&slot.t0)), LockMode::Shared);
-                if fld(&slot.nshare) == 2 {
-                    state.grant(TxnId(fld(&slot.t1)), LockMode::Shared);
-                }
-            }
-            slot.unlock_word(w & !(OCCUPIED | MODE_X));
-        } else {
-            slot.unlock_word(w);
-        }
-    }
-}
+pub(crate) const DB_SHARDS: usize = 1024;
 
 /// The lock manager: a sharded lock table with condition-variable waiting.
 pub struct LockManager {
@@ -340,14 +317,10 @@ impl LockManager {
     /// wait timeout.
     pub fn new(shards: usize, default_timeout: Duration) -> Self {
         LockManager {
+            // The shard index is the lockdep order key: any code path
+            // nesting two shards must take them in index order.
             shards: (0..shards.max(1))
-                .map(|i| Shard {
-                    // The shard index is the lockdep order key: any code
-                    // path nesting two shards must take them in index order.
-                    table: Mutex::new(LockClass::LockTableShard, i as u64, HashMap::new()),
-                    slow_entries: AtomicU64::new(0),
-                    fast: (0..FAST_SLOTS).map(|_| FastSlot::default()).collect(),
-                })
+                .map(|i| Shard(Mutex::new(LockClass::LockTableShard, i as u64, Table::default())))
                 .collect(),
             default_timeout,
             track_history: AtomicBool::new(false),
@@ -355,170 +328,12 @@ impl LockManager {
         }
     }
 
-    /// Create the slow-table entry for `raw` if absent, keeping the
-    /// fast-path gate count in step.
-    fn entry_with_count<'t>(
-        shard: &Shard,
-        table: &'t mut HashMap<u64, LockState>,
-        raw: u64,
-    ) -> &'t mut LockState {
-        use std::collections::hash_map::Entry;
-        match table.entry(raw) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                // Either a concurrent fast acquire sees this count and
-                // falls back, or it committed into the slot before our
-                // absorb takes the slot's spin bit (see Shard::absorb).
-                // ordering: SeqCst pairs with the fast path's gate loads
-                shard.slow_entries.fetch_add(1, Ordering::SeqCst);
-                v.insert(LockState::default())
-            }
-        }
-    }
-
-    /// Drop `raw`'s slow-table entry if it carries no state at all,
-    /// reopening the fast-path gate.
-    fn reclaim_if_empty(shard: &Shard, table: &mut HashMap<u64, LockState>, raw: u64) {
-        let empty = table.get(&raw).is_some_and(|s| {
-            s.holders.is_empty() && s.ever_held.is_empty() && s.x_waiters == 0 && s.s_waiters == 0
-        });
-        if empty {
-            table.remove(&raw);
-            // ordering: SeqCst, mirrors entry_with_count's increment
-            shard.slow_entries.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Attempt `mode` on `raw` entirely in the fast slot. `Some(upgraded)`
-    /// on success; `None` falls back to the slow path (conflict, slot
-    /// collision, shard has slow-table state, or history tracking is on —
-    /// ever-held records only live in the table).
-    fn fast_lock(&self, shard: &Shard, tid: TxnId, raw: u64, mode: LockMode) -> Option<bool> {
-        if self.history_tracking() {
-            return None;
-        }
-        // Gate load (see Shard::absorb for the full protocol).
-        // ordering: SeqCst pairs with entry_with_count's increment
-        if shard.slow_entries.load(Ordering::SeqCst) != 0 {
-            return None;
-        }
-        let slot = shard.slot(raw);
-        let w = slot.lock_word();
-        let decision: FastDecision = if w & OCCUPIED == 0 {
-            // Free slot: claim it for this lock.
-            let mode_bit = if mode == LockMode::Exclusive { MODE_X } else { 0 };
-            Some((
-                w | OCCUPIED | mode_bit,
-                false,
-                [Some((0, raw)), Some((1, tid.0)), Some((3, 1)), None],
-            ))
-        } else if fld(&slot.addr) != raw {
-            None // collision: a different address owns the slot
-        } else if w & MODE_X != 0 {
-            if fld(&slot.t0) == tid.0 {
-                Some((w, false, [None, None, None, None])) // re-entrant
-            } else {
-                None
-            }
-        } else {
-            let n = fld(&slot.nshare);
-            let t0 = fld(&slot.t0);
-            let t1 = fld(&slot.t1);
-            let held = t0 == tid.0 || (n == 2 && t1 == tid.0);
-            match mode {
-                LockMode::Shared if held => Some((w, false, [None, None, None, None])),
-                LockMode::Shared if n < 2 => {
-                    Some((w, false, [Some((2, tid.0)), Some((3, 2)), None, None]))
-                }
-                LockMode::Shared => None, // third sharer: absorb to table
-                LockMode::Exclusive if n == 1 && t0 == tid.0 => {
-                    Some((w | MODE_X, true, [None, None, None, None])) // upgrade in place
-                }
-                LockMode::Exclusive => None,
-            }
-        };
-        let Some((new_w, upgraded, writes)) = decision else {
-            slot.unlock_word(w);
-            return None;
-        };
-        // Gate re-check while holding the spin bit. A slow op that created
-        // a table entry after the first gate load would otherwise grant
-        // from the (still-empty) table while we grant from the slot. With
-        // the re-check: either its SeqCst increment is visible here and we
-        // back off, or our commit is SeqCst-ordered before it — and its
-        // absorb then spins on our bit and carries the grant into the table.
-        // ordering: SeqCst pairs with entry_with_count's increment
-        if shard.slow_entries.load(Ordering::SeqCst) != 0 {
-            slot.unlock_word(w);
-            return None;
-        }
-        for write in writes.into_iter().flatten() {
-            let (field, val) = write;
-            match field {
-                0 => set_fld(&slot.addr, val),
-                1 => set_fld(&slot.t0, val),
-                2 => set_fld(&slot.t1, val),
-                _ => set_fld(&slot.nshare, val),
-            }
-        }
-        slot.unlock_word(new_w);
-        self.stats.acquisitions.inc();
-        self.stats.fastpath_hits.inc();
-        if upgraded {
-            self.stats.upgrades.inc();
-        }
-        Some(upgraded)
-    }
-
-    /// Release `tid`'s fast-slot record on `raw`, if the slot holds one.
-    fn fast_unlock(&self, shard: &Shard, tid: TxnId, raw: u64) -> bool {
-        let slot = shard.slot(raw);
-        let w = slot.lock_word();
-        if w & OCCUPIED == 0 || fld(&slot.addr) != raw {
-            slot.unlock_word(w);
-            return false;
-        }
-        let released = if w & MODE_X != 0 {
-            if fld(&slot.t0) == tid.0 {
-                slot.unlock_word(w & !(OCCUPIED | MODE_X));
-                true
-            } else {
-                slot.unlock_word(w);
-                false
-            }
-        } else {
-            let n = fld(&slot.nshare);
-            let t0 = fld(&slot.t0);
-            let t1 = fld(&slot.t1);
-            if t0 == tid.0 {
-                if n == 2 {
-                    set_fld(&slot.t0, t1);
-                    set_fld(&slot.nshare, 1);
-                    slot.unlock_word(w);
-                } else {
-                    slot.unlock_word(w & !OCCUPIED);
-                }
-                true
-            } else if n == 2 && t1 == tid.0 {
-                set_fld(&slot.nshare, 1);
-                slot.unlock_word(w);
-                true
-            } else {
-                slot.unlock_word(w);
-                false
-            }
-        };
-        if released {
-            self.stats.fastpath_hits.inc();
-        }
-        released
-    }
-
+    /// The locked table of the shard `raw` hashes to.
     #[inline]
-    fn shard(&self, addr: PhysAddr) -> &Shard {
+    fn table(&self, raw: u64) -> MutexGuard<'_, Table> {
         // Multiplicative hash over the raw address.
-        let h = addr.to_raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        let h = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.shards[(h >> 32) as usize % self.shards.len()].0.lock()
     }
 
     /// Enable or disable ever-held history tracking (Section 4.1). Turned on
@@ -535,275 +350,161 @@ impl LockManager {
         self.track_history.load(Ordering::SeqCst)
     }
 
-    /// Acquire `mode` on `addr` for `tid`, waiting up to the default timeout.
-    pub fn lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> Result<()> {
-        self.lock_with_timeout(tid, addr, mode, self.default_timeout)
+    /// Record a grant on a `state` that allows it.
+    fn grant(&self, state: &mut LockState, tid: TxnId, mode: LockMode) {
+        if mode == LockMode::Exclusive && state.holder_mode(tid) == Some(LockMode::Shared) {
+            self.stats.upgrades.inc();
+        }
+        state.add(tid, mode);
+        if self.history_tracking() {
+            let ever = &mut state.rare().ever_held;
+            if !ever.contains(&tid) {
+                ever.push(tid);
+            }
+        }
+        self.stats.acquisitions.inc();
     }
 
-    /// Acquire `mode` on `addr` for `tid`, waiting up to `timeout`.
-    pub fn lock_with_timeout(
+    /// Acquire `mode` on `addr` for `tid`, waiting up to the default timeout.
+    pub fn lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> Result<()> {
+        let raw = addr.to_raw();
+        let mut table = self.table(raw);
+        let state = table.entry(raw);
+        if state.grantable(tid, mode) {
+            self.grant(state, tid, mode);
+        } else {
+            self.wait(&mut table, tid, addr, mode)?;
+        }
+        drop(table);
+        lockdep::txn_lock_acquired(raw);
+        Ok(())
+    }
+
+    /// Park a request that was not grantable until it is, then grant it;
+    /// fail at the timeout, or at once for a second upgrader. Registered as
+    /// a waiter throughout, which keeps the entry alive across the parks;
+    /// on failure the entry still has a holder or a waiting writer (that is
+    /// what refused the grant), so it is never left idle.
+    fn wait(
         &self,
+        table: &mut MutexGuard<'_, Table>,
         tid: TxnId,
         addr: PhysAddr,
         mode: LockMode,
-        timeout: Duration,
     ) -> Result<()> {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_lock(shard, tid, raw, mode).is_some() {
-            lockdep::txn_lock_acquired(raw);
-            return Ok(());
+        let exclusive = mode == LockMode::Exclusive;
+        let state = table.entry(raw);
+        let upgrade = exclusive && state.holder_mode(tid) == Some(LockMode::Shared);
+        let rare = state.rare();
+        if upgrade {
+            // Each of two upgraders holds the shared lock the other needs
+            // released: fail the later one now rather than at the timeout.
+            if let Some(with) = rare.upgrader {
+                self.stats.upgrade_conflicts.inc();
+                return Err(Error::UpgradeConflict { addr, by: tid, with });
+            }
+            rare.upgrader = Some(tid);
         }
-        let deadline = Instant::now() + timeout;
-        let mut table = shard.table.lock();
-        {
-            let state = Self::entry_with_count(shard, &mut table, raw);
-            shard.absorb(state, raw);
+        if exclusive {
+            rare.x_waiters += 1;
+            self.stats.x_waiter_depth.inc();
+        } else {
+            rare.s_waiters += 1;
         }
-        let mut registered_x_wait = false;
-        let mut registered_s_wait = false;
-        let mut registered_upgrade = false;
-        let mut wait_started: Option<Instant> = None;
+        let waits = Arc::clone(rare.waits.get_or_insert_with(Arc::default));
+        let cv = if exclusive { &waits.x } else { &waits.s };
+        self.stats.waits.inc();
+        let started = Instant::now();
+        let deadline = started + self.default_timeout;
         let result = loop {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: a slow-path waiter is registered in the entry's waiter counts before parking, and a registered entry is never reclaimed"
-            )]
-            let state = table
-                .get_mut(&raw)
-                .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");
+            let timed_out = cv.wait_until(table, deadline).timed_out();
+            if !timed_out {
+                self.stats.wakeups.inc();
+            }
+            // Checked on a timeout too: the grant may have raced it.
+            let state = table.entry(raw);
             if state.grantable(tid, mode) {
-                let upgraded =
-                    state.holder_mode(tid) == Some(LockMode::Shared) && mode == LockMode::Exclusive;
-                state.grant(tid, mode);
-                // ordering: advisory flag under the shard lock; staleness only affects history
-                if self.track_history.load(Ordering::Relaxed)
-                    && !state.ever_held.contains(&tid)
-                {
-                    state.ever_held.push(tid);
-                }
-                self.stats.acquisitions.inc();
-                if upgraded {
-                    self.stats.upgrades.inc();
-                }
+                self.grant(state, tid, mode);
                 break Ok(());
             }
-            if mode == LockMode::Exclusive && state.holder_mode(tid) == Some(LockMode::Shared) {
-                // Upgrade path: if another sharer is already waiting to
-                // upgrade, neither can ever be granted — each holds the
-                // shared lock the other needs released. Fail the later
-                // requester immediately rather than deadlocking until the
-                // timeout.
-                match state.upgrader {
-                    Some(other) if other != tid => {
-                        self.stats.upgrade_conflicts.inc();
-                        break Err(Error::UpgradeConflict {
-                            addr,
-                            by: tid,
-                            with: other,
-                        });
-                    }
-                    _ => {
-                        state.upgrader = Some(tid);
-                        registered_upgrade = true;
-                    }
-                }
-            }
-            if mode == LockMode::Exclusive && !registered_x_wait {
-                state.x_waiters += 1;
-                registered_x_wait = true;
-                self.stats.x_waiter_depth.inc();
-            }
-            if mode == LockMode::Shared && !registered_s_wait {
-                state.s_waiters += 1;
-                registered_s_wait = true;
-            }
-            if wait_started.is_none() {
-                wait_started = Some(Instant::now());
-                self.stats.waits.inc();
-            }
-            // Park on the entry's own condvar for this mode; releases then
-            // wake exactly the requests that became grantable instead of
-            // broadcasting to every waiter in the shard. The Arc clone
-            // outlives the entry borrow (and even entry removal, which the
-            // waiter registrations above prevent anyway).
-            let cv = if mode == LockMode::Exclusive {
-                Arc::clone(&state.cv_x)
-            } else {
-                Arc::clone(&state.cv_s)
-            };
-            if cv.wait_until(&mut table, deadline).timed_out() {
-                // Re-check once: the grant may have raced the timeout.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: a slow-path waiter is registered in the entry's waiter counts before parking, and a registered entry is never reclaimed"
-                )]
-                let state = table
-                    .get_mut(&raw)
-                    .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");
-                if state.grantable(tid, mode) {
-                    let upgraded = state.holder_mode(tid) == Some(LockMode::Shared)
-                        && mode == LockMode::Exclusive;
-                    state.grant(tid, mode);
-                    // ordering: advisory flag under the shard lock; staleness only affects history
-                    if self.track_history.load(Ordering::Relaxed)
-                        && !state.ever_held.contains(&tid)
-                    {
-                        state.ever_held.push(tid);
-                    }
-                    self.stats.acquisitions.inc();
-                    if upgraded {
-                        self.stats.upgrades.inc();
-                    }
-                    break Ok(());
-                }
+            if timed_out {
                 self.stats.timeouts.inc();
                 break Err(Error::LockTimeout { addr, by: tid });
             }
-            self.stats.wakeups.inc();
         };
-        if let Some(started) = wait_started {
-            self.stats.wait_us.record(started.elapsed());
+        self.stats.wait_us.record(started.elapsed());
+        let rare = table.entry(raw).rare();
+        if upgrade {
+            rare.upgrader = None;
         }
-        if registered_upgrade {
-            if let Some(state) = table.get_mut(&raw) {
-                if state.upgrader == Some(tid) {
-                    state.upgrader = None;
-                }
+        if exclusive {
+            rare.x_waiters -= 1;
+            self.stats.x_waiter_depth.dec();
+            // Shared requests that yielded to this writer may now be
+            // grantable — but only if no other writer still waits.
+            if rare.x_waiters == 0 && rare.s_waiters > 0 {
+                waits.s.notify_all();
             }
-        }
-        if registered_s_wait {
-            if let Some(state) = table.get_mut(&raw) {
-                state.s_waiters -= 1;
-            }
-        }
-        if registered_x_wait {
-            if let Some(state) = table.get_mut(&raw) {
-                state.x_waiters -= 1;
-                self.stats.x_waiter_depth.dec();
-                // Shared requests that yielded to this exclusive waiter may
-                // now be grantable — but only if no other writer still waits.
-                if state.x_waiters == 0 && state.s_waiters > 0 {
-                    state.cv_s.notify_all();
-                }
-            } else {
-                self.stats.x_waiter_depth.dec();
-            }
-        }
-        if result.is_err() {
-            Self::reclaim_if_empty(shard, &mut table, raw);
-        }
-        if result.is_ok() {
-            lockdep::txn_lock_acquired(raw);
+        } else {
+            rare.s_waiters -= 1;
         }
         result
     }
 
-    /// Attempt to acquire without waiting.
+    /// Attempt to acquire without waiting. A refused request leaves no
+    /// entry behind: whatever refused it holds the entry.
     pub fn try_lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> bool {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_lock(shard, tid, raw, mode).is_some() {
-            lockdep::txn_lock_acquired(raw);
-            return true;
+        let mut table = self.table(raw);
+        let state = table.entry(raw);
+        let granted = state.grantable(tid, mode);
+        if granted {
+            self.grant(state, tid, mode);
         }
-        let mut table = shard.table.lock();
-        let state = Self::entry_with_count(shard, &mut table, raw);
-        shard.absorb(state, raw);
-        let granted = if state.grantable(tid, mode) {
-            state.grant(tid, mode);
-            // ordering: advisory flag under the shard lock; staleness only affects history
-            if self.track_history.load(Ordering::Relaxed) && !state.ever_held.contains(&tid) {
-                state.ever_held.push(tid);
-            }
-            self.stats.acquisitions.inc();
+        drop(table);
+        if granted {
             lockdep::txn_lock_acquired(raw);
-            true
-        } else {
-            false
-        };
-        if !granted {
-            Self::reclaim_if_empty(shard, &mut table, raw);
         }
         granted
     }
 
     /// Release `tid`'s lock on `addr` (early release or end-of-transaction).
     pub fn unlock(&self, tid: TxnId, addr: PhysAddr) {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_unlock(shard, tid, raw) {
-            lockdep::txn_lock_released(raw);
-            return;
+        let mut table = self.table(raw);
+        if let Some(state) = table.get_mut(raw) {
+            state.remove(tid);
+            state.wake();
+            table.reclaim_if_idle(raw);
         }
-        let mut table = shard.table.lock();
-        if let Some(state) = table.get_mut(&raw) {
-            state.holders.retain(|(t, _)| *t != tid);
-            // Targeted wakeup instead of the old shard-wide broadcast: wake
-            // only requests this release could have made grantable.
-            if state.holders.is_empty() {
-                if state.x_waiters > 0 {
-                    // Any one waiting writer can take the lock; the rest
-                    // stay parked and are woken by its release in turn.
-                    state.cv_x.notify_one();
-                } else if state.s_waiters > 0 {
-                    // No writer in the way: every waiting sharer is
-                    // grantable at once.
-                    state.cv_s.notify_all();
-                }
-            } else if let Some(up) = state.upgrader {
-                if state.holders.len() == 1 && state.holders[0].0 == up {
-                    // The upgrader became the sole holder: its pending
-                    // exclusive is now grantable. It shares cv_x with plain
-                    // writers, so broadcast — the non-upgraders re-park.
-                    state.cv_x.notify_all();
-                }
-            }
-            Self::reclaim_if_empty(shard, &mut table, raw);
-        }
+        drop(table);
         lockdep::txn_lock_released(raw);
     }
 
     /// The mode `tid` currently holds on `addr`, if any.
     pub fn holds(&self, tid: TxnId, addr: PhysAddr) -> Option<LockMode> {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        let table = shard.table.lock();
-        if let Some(s) = table.get(&raw) {
-            return s.holder_mode(tid);
-        }
-        shard.slot(raw).mode_of(raw, tid)
+        self.table(raw).get(raw)?.holder_mode(tid)
     }
 
     /// Current holders of `addr` (diagnostics and assertions).
     pub fn holders(&self, addr: PhysAddr) -> Vec<(TxnId, LockMode)> {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        let table = shard.table.lock();
-        if let Some(s) = table.get(&raw) {
-            return s.holders.clone();
-        }
-        shard.slot(raw).holders_of(raw)
+        let table = self.table(raw);
+        table.get(raw).map_or_else(Vec::new, |s| s.all_holders().collect())
     }
 
     /// Every transaction that has ever held a lock on `addr` since history
     /// tracking was enabled (including current holders).
     pub fn ever_holders(&self, addr: PhysAddr) -> Vec<TxnId> {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        let table = shard.table.lock();
-        let mut out = Vec::new();
-        if let Some(state) = table.get(&raw) {
-            out = state.ever_held.clone();
-            for (t, _) in &state.holders {
-                if !out.contains(t) {
-                    out.push(*t);
-                }
-            }
-            return out;
-        }
-        // Pre-tracking fast-path holders count as current holders.
-        for (t, _) in shard.slot(raw).holders_of(raw) {
+        let table = self.table(raw);
+        let Some(state) = table.get(raw) else {
+            return Vec::new();
+        };
+        let mut out = state.rare.as_ref().map_or_else(Vec::new, |r| r.ever_held.clone());
+        for (t, _) in state.all_holders() {
             if !out.contains(&t) {
                 out.push(t);
             }
@@ -816,19 +517,18 @@ impl LockManager {
     /// history entries do not accumulate forever.
     pub fn drop_history(&self, tid: TxnId, addrs: &[PhysAddr]) {
         for &addr in addrs {
-            let shard = self.shard(addr);
             let raw = addr.to_raw();
-            let mut table = shard.table.lock();
-            if let Some(state) = table.get_mut(&raw) {
-                state.ever_held.retain(|t| *t != tid);
-                Self::reclaim_if_empty(shard, &mut table, raw);
+            let mut table = self.table(raw);
+            if let Some(rare) = table.get_mut(raw).and_then(|s| s.rare.as_mut()) {
+                rare.ever_held.retain(|t| *t != tid);
+                table.reclaim_if_idle(raw);
             }
         }
     }
 
     /// Total number of addresses with lock state (diagnostics).
     pub fn table_size(&self) -> usize {
-        self.shards.iter().map(|s| s.table.lock().len()).sum()
+        self.shards.iter().map(|s| s.0.lock().len()).sum()
     }
 }
 
@@ -1024,53 +724,67 @@ mod tests {
     fn abba_across_lock_shards_is_detected() {
         let m = mgr();
         let (_, raised) = lockdep::tolerate(|| {
-            let _high = m.shards[3].table.lock();
-            let _low = m.shards[1].table.lock();
+            let _high = m.shards[3].0.lock();
+            let _low = m.shards[1].0.lock();
         });
         assert_eq!(raised, 1, "shard 3 then shard 1 is an ordering violation");
         let (_, raised) = lockdep::tolerate(|| {
-            let _low = m.shards[1].table.lock();
-            let _high = m.shards[3].table.lock();
+            let _low = m.shards[1].0.lock();
+            let _high = m.shards[3].0.lock();
         });
         assert_eq!(raised, 0, "index order is the sanctioned order");
     }
 
+    /// Three addresses share one shard: the first lives in `first`, the
+    /// others in `more`. A conflict on one leaves the other two alone, and
+    /// releasing `first`'s address while `more` holds entries promotes one.
     #[test]
-    fn uncontended_traffic_stays_on_fast_path() {
-        let m = mgr();
+    fn colliding_addresses_share_a_shard_independently() {
+        let m = LockManager::new(1, Duration::from_millis(50));
         m.lock(TxnId(1), addr(1), LockMode::Exclusive).unwrap();
-        m.unlock(TxnId(1), addr(1));
         m.lock(TxnId(2), addr(2), LockMode::Shared).unwrap();
-        m.lock(TxnId(3), addr(2), LockMode::Shared).unwrap();
-        m.unlock(TxnId(2), addr(2));
-        m.unlock(TxnId(3), addr(2));
-        // 3 acquires + 3 releases, all conflict-free: every one a hit.
-        assert_eq!(m.stats.fastpath_hits.get(), 6);
-        assert_eq!(m.stats.acquisitions.get(), 3);
-        assert_eq!(m.table_size(), 0, "nothing ever reached the slow table");
-    }
-
-    #[test]
-    fn fast_path_upgrade_and_reentrancy() {
-        let m = mgr();
-        m.lock(TxnId(1), addr(5), LockMode::Shared).unwrap();
-        m.lock(TxnId(1), addr(5), LockMode::Shared).unwrap(); // re-entrant
-        m.lock(TxnId(1), addr(5), LockMode::Exclusive).unwrap(); // sole-holder upgrade
-        assert_eq!(m.holds(TxnId(1), addr(5)), Some(LockMode::Exclusive));
-        assert_eq!(m.stats.upgrades.get(), 1);
+        m.lock(TxnId(3), addr(3), LockMode::Shared).unwrap();
+        assert_eq!(m.table_size(), 3);
+        assert!(matches!(
+            m.lock(TxnId(4), addr(1), LockMode::Shared),
+            Err(Error::LockTimeout { .. })
+        ));
+        assert!(m.try_lock(TxnId(4), addr(2), LockMode::Shared));
+        assert!(m.try_lock(TxnId(4), addr(3), LockMode::Shared));
+        m.unlock(TxnId(1), addr(1));
+        assert_eq!(m.table_size(), 2, "addr(1)'s entry went; `first` refilled");
+        assert_eq!(m.holds(TxnId(2), addr(2)), Some(LockMode::Shared));
+        assert_eq!(m.holds(TxnId(3), addr(3)), Some(LockMode::Shared));
+        for (tid, a) in [(2, 2), (4, 2), (3, 3), (4, 3)] {
+            m.unlock(TxnId(tid), addr(a));
+        }
         assert_eq!(m.table_size(), 0);
-        m.unlock(TxnId(1), addr(5));
-        assert_eq!(m.holds(TxnId(1), addr(5)), None);
+        m.lock(TxnId(5), addr(3), LockMode::Exclusive).unwrap();
     }
 
+    /// Two sharers fit inline; a third spills into `Rare`. Once the first
+    /// two release it is the sole holder and upgrades in place.
     #[test]
-    fn fast_path_stands_down_under_history_tracking() {
+    fn third_sharer_spills_and_later_upgrades() {
         let m = mgr();
-        m.set_history_tracking(true);
-        m.lock(TxnId(1), addr(6), LockMode::Shared).unwrap();
-        assert_eq!(m.stats.fastpath_hits.get(), 0);
-        assert_eq!(m.ever_holders(addr(6)), vec![TxnId(1)]);
-        m.unlock(TxnId(1), addr(6));
+        for t in 1..=3 {
+            m.lock(TxnId(t), addr(8), LockMode::Shared).unwrap();
+        }
+        let spilled = |m: &LockManager| {
+            let raw = addr(8).to_raw();
+            m.table(raw).get(raw).map(|s| s.sharers().to_vec())
+        };
+        assert_eq!(spilled(&m), Some(vec![TxnId(3)]));
+        assert_eq!(m.holders(addr(8)).len(), 3);
+        assert_eq!(m.holds(TxnId(3), addr(8)), Some(LockMode::Shared));
+        m.unlock(TxnId(1), addr(8));
+        m.unlock(TxnId(2), addr(8));
+        assert_eq!(spilled(&m), Some(vec![]));
+        m.lock(TxnId(3), addr(8), LockMode::Exclusive).unwrap();
+        assert_eq!(m.holders(addr(8)), vec![(TxnId(3), LockMode::Exclusive)]);
+        assert_eq!(m.stats.upgrades.get(), 1);
+        m.unlock(TxnId(3), addr(8));
+        assert_eq!(m.table_size(), 0);
     }
 
     /// Satellite regression for the release-wakeup herd: 16 walkers storm

@@ -457,8 +457,10 @@ mod tests {
         };
         // Give b a head start so it is genuinely waiting on the cursor.
         std::thread::sleep(Duration::from_millis(10));
-        replay.at_point("a", "e1", 0);
+        // Recorded before a's point: b's point releases only once a's has
+        // run, so b cannot record first, whichever thread the OS runs next.
         order.lock().unwrap().push("a:e1");
+        replay.at_point("a", "e1", 0);
         tb.join().unwrap();
         replay.at_point("a", "e2", 0);
         order.lock().unwrap().push("a:e2");

@@ -6,7 +6,7 @@
 //! function and a per-thread counter, so neither the harness nor a sibling
 //! test can add to a measurement.
 
-use brahma::{Database, LockMode, PhysAddr, StoreConfig};
+use brahma::{Database, LockMode, PhysAddr, StoreConfig, TxnId};
 use ira::{RelocationPlan, Reorg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -142,7 +142,36 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     read_txn();
     let (calls, _, ()) = heap_of(read_txn);
     println!("alloc_budget: {calls} allocations per 9-lock read-only transaction");
-    // Asserted together, after all three are printed.
+
+    // ---- held locks: two sharers on each of 1,000 addresses at once ----
+    // Straight through the lock manager: `Txn`'s held-list index allocates
+    // past 64 locks. A lock entry holds two sharers inline and a shard's
+    // colliding entries keep their vector's capacity, so a warm table
+    // grants and releases all 2,000 without the heap.
+    let spread: Vec<PhysAddr> = db
+        .partition(part)
+        .expect("partition")
+        .live_objects()
+        .into_iter()
+        .take(1000)
+        .collect();
+    let hold_and_release = || {
+        for tid in [TxnId(u64::MAX - 1), TxnId(u64::MAX)] {
+            for &a in &spread {
+                db.locks.lock(tid, a, LockMode::Shared).expect("S is compatible");
+            }
+        }
+        for tid in [TxnId(u64::MAX - 1), TxnId(u64::MAX)] {
+            for &a in &spread {
+                db.locks.unlock(tid, a);
+            }
+        }
+    };
+    hold_and_release();
+    let (held_calls, _, ()) = heap_of(hold_and_release);
+    println!("alloc_budget: {held_calls} allocations for 2,000 S locks held at once and released");
+    assert_eq!(db.locks.table_size(), 0, "every entry reclaimed");
+    // Asserted together, after all four are printed.
     assert!(
         per_object <= PER_MIGRATED_OBJECT,
         "{per_object:.2} allocations per migrated object, budget {PER_MIGRATED_OBJECT}"
@@ -154,5 +183,9 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     assert!(
         calls <= READ_TXN_PARENT,
         "{calls} allocations in a 9-lock read-only transaction, parent {READ_TXN_PARENT}"
+    );
+    assert_eq!(
+        held_calls, 0,
+        "allocations for 2,000 S locks held at once and released"
     );
 }
