@@ -195,9 +195,10 @@ cargo test --release -q --test alloc_budget
 # One size counter, so "least code" (ROADMAP) is the same number in every
 # PR: non-test Rust lines under crates/*/src and shims/*/src (the `nontest`
 # cut the guards above use) outside the test harness crate, the harness's
-# own, then test and benchmark lines. CHANGES.md quotes this line for the
-# parent and the change.
+# own, then test and benchmark lines, and the bytes of DESIGN.md, so the
+# docs' size is a number too. CHANGES.md quotes this line for the parent
+# and the change.
 lines() { find "$@" -name '*.rs' | while read -r f; do nontest "$f"; done | wc -l; }
 src=$(lines crates/*/src shims/*/src -not -path 'crates/harness/*')
 count() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
-echo "size: src=$src harness=$(lines crates/harness/src) crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src)"
+echo "size: src=$src harness=$(lines crates/harness/src) crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src) design=$(wc -c < DESIGN.md)"

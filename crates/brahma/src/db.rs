@@ -340,7 +340,7 @@ impl Database {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let page = self.partition_ref(addr.partition())?.page(addr.page())?;
+        let page = self.partition_ref(addr.partition())?.page(addr)?;
         let guard = page.read();
         Ok(f(guard.bytes()))
     }
@@ -352,7 +352,7 @@ impl Database {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let page = self.partition_ref(addr.partition())?.page(addr.page())?;
+        let page = self.partition_ref(addr.partition())?.page(addr)?;
         let mut guard = page.write();
         Ok(f(guard.bytes_mut()))
     }
@@ -394,12 +394,13 @@ impl Database {
     // Reorganization lifecycle
     // ------------------------------------------------------------------
 
-    /// Begin a reorganization of `partition`: create its TRT, log the start
-    /// marker, pin the log (so the TRT stays reconstructible), and — when
-    /// transactions do not follow strict 2PL — enable the lock manager's
-    /// ever-held tracking (Section 4.1).
+    /// Begin a reorganization of `partition`: open the partition's pass at
+    /// a page floor ([`Partition::begin_pass`]), create its TRT, log the
+    /// start marker with the floor, pin the log (so the TRT stays
+    /// reconstructible), and — when transactions do not follow strict 2PL
+    /// — enable the lock manager's ever-held tracking (Section 4.1).
     pub fn start_reorg(&self, partition: PartitionId) -> Result<Arc<Trt>> {
-        self.partition_ref(partition)?;
+        let floor = self.partition_ref(partition)?.begin_pass();
         let mut tables = self.reorg_tables.write();
         assert!(
             !tables.contains_key(&partition),
@@ -407,7 +408,7 @@ impl Database {
         );
         let lsn = self
             .wal
-            .append(TxnId(0), LogPayload::ReorgStart { partition });
+            .append(TxnId(0), LogPayload::ReorgStart { partition, floor });
         self.reorg_pins
             .lock()
             .insert(partition, self.wal.pin_at(lsn));
@@ -419,8 +420,9 @@ impl Database {
         Ok(trt)
     }
 
-    /// End the reorganization of `partition`: drop its TRT, release the
-    /// space the reorganizer freed, and log the end marker.
+    /// End the reorganization of `partition`: drop its TRT, close the pass
+    /// ([`Partition::end_pass`] drops the pages it emptied), and log the
+    /// end marker with the new page base.
     pub fn end_reorg(&self, partition: PartitionId) {
         let mut tables = self.reorg_tables.write();
         tables.remove(&partition);
@@ -433,10 +435,10 @@ impl Database {
         }
         self.reorg_checkpoints.lock().remove(&partition);
         if let Ok(part) = self.partition_ref(partition) {
-            part.flush_deferred_frees();
+            let base = part.end_pass();
+            self.wal
+                .append(TxnId(0), LogPayload::ReorgEnd { partition, base });
         }
-        self.wal
-            .append(TxnId(0), LogPayload::ReorgEnd { partition });
     }
 
     /// Whether `partition` has a reorganization in progress.
@@ -509,16 +511,14 @@ impl Database {
     /// REDO and loser UNDO all land here. A value the update displaces that
     /// is not the one the record names is corruption, not a conflict.
     ///
-    /// `reorg_for` defers the release of space the reorganizer of that
-    /// partition frees; `slot_claimed` says the allocator already handed
-    /// out a `Create`'s address ([`Txn::create_object`] had to allocate to
-    /// learn the address it logs).
+    /// `slot_claimed` says the allocator already handed out a `Create`'s
+    /// address ([`Txn::create_object`] had to allocate to learn the address
+    /// it logs).
     ///
     /// [`Txn::create_object`]: crate::handle::Txn::create_object
     pub(crate) fn apply_update(
         &self,
         update: &LogPayload,
-        reorg_for: Option<PartitionId>,
         slot_claimed: bool,
     ) -> Result<()> {
         match update {
@@ -531,12 +531,7 @@ impl Database {
             }
             LogPayload::Free { addr, .. } => {
                 self.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
-                let part = self.partition_ref(addr.partition())?;
-                if reorg_for == Some(addr.partition()) {
-                    part.free_deferred(*addr)?;
-                } else {
-                    part.free(*addr)?;
-                }
+                self.partition_ref(addr.partition())?.free(*addr)?;
             }
             LogPayload::SetPayload { addr, old, new } => {
                 self.with_page_write(*addr, |buf| {

@@ -47,11 +47,14 @@ pub enum Error {
     LockNotHeld { addr: PhysAddr, by: TxnId },
     /// The transaction has already committed or aborted.
     TxnNotActive(TxnId),
-    /// Object creation was attempted in a partition that is being reorganized.
+    /// A workload transaction tried to create or delete an object in a
+    /// partition that is being reorganized.
     ///
     /// The paper assumes (Section 2) that objects are not created in the
     /// partition under reorganization once the reorganizer starts; the store
-    /// enforces the assumption so the algorithms' preconditions hold.
+    /// enforces the assumption so the algorithms' preconditions hold, and
+    /// extends it to deletion so that the reorganizer is the partition's
+    /// only allocator while it runs.
     PartitionUnderReorg(u16),
     /// Restart recovery found the log inconsistent with the checkpoint.
     RecoveryCorrupt(String),
@@ -123,7 +126,7 @@ impl fmt::Display for Error {
             }
             Error::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             Error::PartitionUnderReorg(p) => {
-                write!(f, "partition {p} is being reorganized; creation disallowed")
+                write!(f, "partition {p} is being reorganized; creation and deletion disallowed")
             }
             Error::RecoveryCorrupt(msg) => write!(f, "recovery failed: {msg}"),
             Error::Corrupt { offset, reason } => {

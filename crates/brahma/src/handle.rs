@@ -127,8 +127,7 @@ impl Database {
     /// Begin a transaction on behalf of the utility reorganizing
     /// `partition`. Its pointer rewrites *concerning that partition* are
     /// excluded from the partition's TRT (the reorganizer knows its own
-    /// writes), it may create objects there, and objects it frees there are
-    /// deferred from reuse until the reorganization ends. Rewrites touching
+    /// writes), and it may create and delete objects there. Rewrites touching
     /// other partitions are ordinary pointer updates — which is what makes
     /// concurrent reorganizations of different partitions sound.
     pub fn begin_reorg(&self, partition: PartitionId) -> Txn<'_> {
@@ -351,7 +350,7 @@ impl<'db> Txn<'db> {
             }
         });
         db.wal.append(id, update);
-        db.apply_update(update, reorg_for, slot_claimed)
+        db.apply_update(update, slot_claimed)
     }
 
     /// Perform one validated forward update and remember it for rollback.
@@ -402,8 +401,17 @@ impl<'db> Txn<'db> {
     /// Delete an object (requires an exclusive lock). Its outgoing
     /// references are reference deletions for TRT/ERT purposes. The final
     /// image becomes the `Free` record's undo value.
+    ///
+    /// Rejected for workload transactions in a partition under
+    /// reorganization, like creation: the pass drops the pages it empties
+    /// when it ends, so a delete it never saw could not be rolled back
+    /// after that.
     pub fn delete_object(&mut self, addr: PhysAddr) -> Result<()> {
         self.require(addr, LockMode::Exclusive)?;
+        let partition = addr.partition();
+        if self.reorg_for != Some(partition) && self.db.reorg_active(partition) {
+            return Err(Error::PartitionUnderReorg(partition.0));
+        }
         self.db.fault.hit(site::ALLOC_FREE)?;
         self.db.fault.hit(site::WAL_APPEND)?;
         self.db.fault.hit(site::TRT_NOTE)?;
@@ -955,18 +963,26 @@ mod tests {
     }
 
     #[test]
-    fn creation_in_reorg_partition_is_rejected() {
+    fn creation_and_deletion_in_reorg_partition_are_rejected() {
         let db = db();
+        let mut t = db.begin();
+        let old = t.create_object(PartitionId(1), NewObject::exact(0, vec![], vec![])).unwrap();
+        t.commit().unwrap();
         db.start_reorg(PartitionId(1)).unwrap();
         let mut t = db.begin();
         assert!(matches!(
             t.create_object(PartitionId(1), NewObject::exact(0, vec![], vec![])),
             Err(Error::PartitionUnderReorg(1))
         ));
+        t.lock(old, LockMode::Exclusive).unwrap();
+        assert!(matches!(t.delete_object(old), Err(Error::PartitionUnderReorg(1))));
+        t.abort();
         // Reorg transactions are exempt.
         let mut rt = db.begin_reorg(PartitionId(1));
         rt.create_object(PartitionId(1), NewObject::exact(0, vec![], vec![]))
             .unwrap();
+        rt.lock(old, LockMode::Exclusive).unwrap();
+        rt.delete_object(old).unwrap();
         rt.commit().unwrap();
         db.end_reorg(PartitionId(1));
     }

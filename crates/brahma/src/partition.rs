@@ -23,7 +23,8 @@
 //! Section 1) but takes the BiBOP form: holes are whole slots, reusable
 //! only by objects of the same class, so a partition churned by
 //! mixed-size allocate/free traffic strands free slots across many pages
-//! until a reorganization repacks it.
+//! until a reorganization pass copies its objects above the pass's page
+//! floor and drops the pages it emptied.
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::config::PAGE_SIZE;
@@ -59,20 +60,18 @@ fn slots_per_page(class: usize) -> usize {
     PAGE_SIZE / slot_bytes(class) as usize
 }
 
-/// Per-page allocation metadata. A page either owns one size class or is a
-/// *spare*: opened by `alloc_at` bridging up to a recovery target, or
-/// demoted by [`Partition::flush_deferred_frees`] once it held nothing, and
-/// not (or no longer) committed to any class.
+/// Per-page allocation metadata. A page either owns one size class, for
+/// as long as the partition holds it, or is a *spare*: opened by `alloc_at`
+/// bridging up to a recovery target and not yet committed to any class.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PageMeta {
     /// Size class owned by this page; `None` for a spare page.
     class: Option<u8>,
-    /// Used-slot bitmap (`slots_per_page` bits): set for live objects *and*
-    /// for slots withheld by the deferred-free protocol.
+    /// Used-slot bitmap (`slots_per_page` bits), set for live objects.
     used: Vec<u64>,
-    /// Requested byte size per slot; 0 means "no live object here" (the
-    /// slot is free, or withheld). Object sizes are always > 0 (the header
-    /// alone is 10 bytes), so 0 is an unambiguous sentinel.
+    /// Requested byte size per slot; 0 means "no live object here". Object
+    /// sizes are always > 0 (the header alone is 10 bytes), so 0 is an
+    /// unambiguous sentinel.
     sizes: Vec<u32>,
 }
 
@@ -84,7 +83,7 @@ impl PageMeta {
         self.sizes = vec![0; spp];
     }
 
-    /// No slot is live or withheld.
+    /// No slot is live.
     fn is_empty(&self) -> bool {
         self.used.iter().all(|w| *w == 0)
     }
@@ -108,24 +107,25 @@ impl PageMeta {
 /// Allocation bookkeeping for one partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AllocState {
-    /// One entry per opened page, parallel to the partition's page vector.
+    /// Number of the first held page. A pass drops the emptied pages below
+    /// it ([`Partition::end_pass`]), and page numbers are never reused, so
+    /// `base + page_meta.len()` only grows (and fits a `u32`).
+    base: u32,
+    /// One entry per held page, parallel to the partition's page vector.
     page_meta: Vec<PageMeta>,
     /// Per-class free-slot stacks: `(page, slot)`. Entries may be stale
-    /// (the slot was since claimed by `alloc_at` or withheld by
-    /// `defer_all_free_space`); `allocate` validates against the bitmap on
-    /// pop and discards losers, so pushes never have to search.
+    /// (the slot was since claimed by `alloc_at`); `allocate` validates
+    /// against the bitmap on pop and discards losers, so pushes never have
+    /// to search.
     free_lists: Vec<Vec<(u32, u16)>>,
     /// Per-class bump cursor: `(page, next_slot)` in the class's open page.
     /// Slots ≥ `next_slot` there have never been handed out.
     bump: Vec<Option<(u32, u32)>>,
-    /// Spare pages available for adoption by any class. Never withheld: a
-    /// page becomes a spare only by bridging or at a flush, so it holds no
-    /// address a running reorganization freed.
+    /// Spare pages, adopted by the first class that needs a page outside a
+    /// pass.
     spare: Vec<u32>,
-    /// Space freed by the reorganizer, withheld from reuse until the
-    /// reorganization ends (see [`Partition::free_deferred`]): the slots'
-    /// used bits stay set with `sizes == 0`.
-    deferred: Vec<(u32, u16, u32)>,
+    /// The running pass's floor (see [`Partition::begin_pass`]).
+    floor: Option<u32>,
     /// Live object count.
     live: u64,
     /// Sum of live objects' requested sizes.
@@ -135,34 +135,36 @@ struct AllocState {
 impl AllocState {
     fn new() -> Self {
         AllocState {
+            base: 0,
             page_meta: Vec::new(),
             free_lists: vec![Vec::new(); NUM_CLASSES],
             bump: vec![None; NUM_CLASSES],
             spare: Vec::new(),
-            deferred: Vec::new(),
+            floor: None,
             live: 0,
             used_bytes: 0,
         }
     }
 
-    /// Take `page` away from the class that owns it, leaving it classless:
-    /// the class's bump cursor lets go of it, and the class's free-list
-    /// entries naming it die lazily (`allocate` drops entries whose page
-    /// changed hands) or at the next flush.
-    fn disown(&mut self, page: u32) {
-        let meta = &mut self.page_meta[page as usize];
-        if let Some(class) = meta.class {
-            if matches!(self.bump[class as usize], Some((pg, _)) if pg == page) {
-                self.bump[class as usize] = None;
-            }
-        }
-        *meta = PageMeta::default();
+    /// One past the last held page: the number the next opened page gets.
+    fn end(&self) -> u32 {
+        self.base + self.page_meta.len() as u32
     }
 
-    /// Look up `(page_meta index, class, slot)` for a live object at
-    /// `(page, off)`, or `None` if no live object sits exactly there.
+    /// Metadata of `page`, if the partition holds it.
+    fn meta(&self, page: u32) -> Option<&PageMeta> {
+        self.page_meta.get(page.checked_sub(self.base)? as usize)
+    }
+
+    /// Metadata of a page known to be held.
+    fn at(&mut self, page: u32) -> &mut PageMeta {
+        &mut self.page_meta[(page - self.base) as usize]
+    }
+
+    /// Look up `(class, slot)` for a live object at `(page, off)`, or
+    /// `None` if no live object sits exactly there.
     fn locate_live(&self, page: u32, off: u16) -> Option<(usize, usize)> {
-        let meta = self.page_meta.get(page as usize)?;
+        let meta = self.meta(page)?;
         let class = meta.class? as usize;
         let cs = slot_bytes(class);
         if !(off as u32).is_multiple_of(cs) {
@@ -170,6 +172,21 @@ impl AllocState {
         }
         let slot = (off as u32 / cs) as usize;
         (meta.bit(slot) && meta.sizes[slot] > 0).then_some((class, slot))
+    }
+
+    /// Record a live object of `size` bytes in `slot` of a held page.
+    fn claim(&mut self, page: u32, slot: usize, size: usize) {
+        let meta = self.at(page);
+        meta.set_bit(slot);
+        meta.sizes[slot] = size as u32;
+        self.live += 1;
+        self.used_bytes += size as u64;
+    }
+
+    /// Open a pass at `floor`: the classes' open pages all lie below it.
+    fn open_pass(&mut self, floor: u32) {
+        self.floor = Some(floor);
+        self.bump.fill(None);
     }
 }
 
@@ -191,6 +208,7 @@ pub struct SpaceStats {
 #[derive(Clone, Serialize, Deserialize)]
 pub struct PartitionSnapshot {
     pub id: PartitionId,
+    /// Images of the held pages, the first being page `base`.
     pub pages: Vec<Vec<u8>>,
     alloc: AllocState,
     pub ert: crate::ert::ErtSnapshot,
@@ -202,13 +220,13 @@ impl PartitionSnapshot {
     /// to the allocator.
     pub fn encode(&self, out: &mut Vec<u8>) {
         use crate::storage::codec::*;
+        let a = &self.alloc;
         put_u16(out, self.id.0);
+        put_u32(out, a.base);
         put_u32(out, self.pages.len() as u32);
         for page in &self.pages {
             put_bytes(out, page);
         }
-        let a = &self.alloc;
-        put_u32(out, a.page_meta.len() as u32);
         for m in &a.page_meta {
             match m.class {
                 Some(c) => put_u8(out, c),
@@ -246,11 +264,12 @@ impl PartitionSnapshot {
         for p in &a.spare {
             put_u32(out, *p);
         }
-        put_u32(out, a.deferred.len() as u32);
-        for (page, slot, size) in &a.deferred {
-            put_u32(out, *page);
-            put_u16(out, *slot);
-            put_u32(out, *size);
+        match a.floor {
+            Some(floor) => {
+                put_u8(out, 1);
+                put_u32(out, floor);
+            }
+            None => put_u8(out, 0),
         }
         put_u64(out, a.live);
         put_u64(out, a.used_bytes);
@@ -266,8 +285,12 @@ impl PartitionSnapshot {
     /// bad disk bytes.
     pub fn decode(r: &mut crate::storage::codec::Reader<'_>) -> Result<PartitionSnapshot> {
         let id = PartitionId(r.u16()?);
-        let npages = r.u32()? as usize;
-        let mut pages = Vec::with_capacity(npages.min(1 << 16));
+        let base = r.u32()?;
+        let npages = r.u32()?;
+        if base.checked_add(npages).is_none() {
+            return Err(r.corrupt(format!("{npages} pages from page {base} overflow u32")));
+        }
+        let mut pages = Vec::with_capacity((npages as usize).min(1 << 16));
         for _ in 0..npages {
             let page = r.bytes()?;
             if page.len() != PAGE_SIZE {
@@ -278,9 +301,8 @@ impl PartitionSnapshot {
             }
             pages.push(page);
         }
-        let nmeta = r.u32()? as usize;
-        let mut page_meta = Vec::with_capacity(nmeta.min(1 << 16));
-        for _ in 0..nmeta {
+        let mut page_meta = Vec::with_capacity(pages.len());
+        for _ in 0..npages {
             let class = match r.u8()? {
                 0xFF => None,
                 c if (c as usize) < NUM_CLASSES => Some(c),
@@ -332,14 +354,11 @@ impl PartitionSnapshot {
         for _ in 0..nspare {
             spare.push(r.u32()?);
         }
-        let ndef = r.u32()? as usize;
-        let mut deferred = Vec::with_capacity(ndef.min(1 << 16));
-        for _ in 0..ndef {
-            let page = r.u32()?;
-            let slot = r.u16()?;
-            let size = r.u32()?;
-            deferred.push((page, slot, size));
-        }
+        let floor = match r.u8()? {
+            0 => None,
+            1 => Some(r.u32()?),
+            f => return Err(r.corrupt(format!("bad floor flag {f}"))),
+        };
         let live = r.u64()?;
         let used_bytes = r.u64()?;
         let nedges = r.u32()? as usize;
@@ -353,11 +372,12 @@ impl PartitionSnapshot {
             id,
             pages,
             alloc: AllocState {
+                base,
                 page_meta,
                 free_lists,
                 bump,
                 spare,
-                deferred,
+                floor,
                 live,
                 used_bytes,
             },
@@ -366,14 +386,27 @@ impl PartitionSnapshot {
     }
 }
 
+/// The held pages: `pages[i]` is page `base + i`. The allocator's `base`,
+/// mirrored here so a page lookup takes no allocator lock.
+#[derive(Default)]
+struct PageTable {
+    base: u32,
+    pages: Vec<PageRef>,
+}
+
 /// One database partition.
 ///
 /// Lock hierarchy (enforced by [`crate::lockdep`]): `alloc` before `pages`
 /// before any page latch. `allocate`/`alloc_at` hold `alloc` across the
 /// page-vector push so no address into a not-yet-published page can exist.
+///
+/// A reorganization pass brackets its copying with
+/// [`Partition::begin_pass`] and [`Partition::end_pass`]: the copies land
+/// on fresh pages at or above the pass's floor, and the pages they vacated
+/// are dropped, so no address is handed out twice.
 pub struct Partition {
     id: PartitionId,
-    pages: RwLock<Vec<PageRef>>,
+    pages: RwLock<PageTable>,
     alloc: Mutex<AllocState>,
     /// The partition's External Reference Table.
     pub ert: Ert,
@@ -384,7 +417,7 @@ impl Partition {
     pub fn new(id: PartitionId) -> Self {
         Partition {
             id,
-            pages: RwLock::new(LockClass::PartitionPages, id.0 as u64, Vec::new()),
+            pages: RwLock::new(LockClass::PartitionPages, id.0 as u64, PageTable::default()),
             alloc: Mutex::new(LockClass::PartitionAlloc, id.0 as u64, AllocState::new()),
             ert: Ert::new(id),
         }
@@ -395,24 +428,43 @@ impl Partition {
         self.id
     }
 
-    /// Number of pages currently owned.
+    /// Number of pages currently held.
     pub fn page_count(&self) -> u32 {
-        self.pages.read().len() as u32
+        self.pages.read().pages.len() as u32
     }
 
-    /// Fetch a latch-protected page handle.
-    pub fn page(&self, index: u32) -> Result<PageRef> {
-        self.pages
-            .read()
-            .get(index as usize)
+    /// Number of the first held page; every page below it was dropped.
+    pub fn page_base(&self) -> u32 {
+        self.pages.read().base
+    }
+
+    /// Fetch the latch-protected page that `addr` lies on.
+    pub fn page(&self, addr: PhysAddr) -> Result<PageRef> {
+        let table = self.pages.read();
+        addr.page()
+            .checked_sub(table.base)
+            .and_then(|i| table.pages.get(i as usize))
             .cloned()
-            .ok_or(Error::NoSuchObject(PhysAddr::new(self.id, index, 0)))
+            .ok_or(Error::NoSuchObject(addr))
+    }
+
+    /// Push a fresh page after the last one. The caller holds `alloc`, so
+    /// no address into the page exists before it is published.
+    fn push_page(&self, st: &mut AllocState) -> Result<u32> {
+        let page = st.end();
+        if page == u32::MAX {
+            return Err(Error::PartitionFull(self.id.0));
+        }
+        st.page_meta.push(PageMeta::default());
+        self.pages.write().pages.push(new_page());
+        Ok(page)
     }
 
     /// Reserve `size` bytes, registering the object in the directory.
     ///
     /// O(1): pop the head of the size class's free-slot list, or bump the
-    /// class's open page. The returned address points at zeroed bytes; the
+    /// class's open page. During a pass only the bump runs, on pages the
+    /// pass opened. The returned address points at zeroed bytes; the
     /// caller initializes the object image under the page's write latch. A
     /// fuzzy reader that races the initialization sees a cleared valid
     /// byte and skips.
@@ -424,16 +476,14 @@ impl Partition {
         let cs = slot_bytes(class);
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
-        // Free-list head first. Stale entries (claimed by `alloc_at`,
-        // withheld by `defer_all_free_space`, or on a page that switched
-        // hands) are discarded here.
-        while let Some((page, slot)) = st.free_lists[class].pop() {
-            let meta = &mut st.page_meta[page as usize];
-            if meta.class == Some(class as u8) && !meta.bit(slot as usize) {
-                meta.set_bit(slot as usize);
-                meta.sizes[slot as usize] = size as u32;
-                st.live += 1;
-                st.used_bytes += size as u64;
+        // Free-list head first, outside a pass. Stale entries (claimed by
+        // `alloc_at`) are discarded here.
+        while st.floor.is_none() {
+            let Some((page, slot)) = st.free_lists[class].pop() else {
+                break;
+            };
+            if st.meta(page).is_some_and(|m| !m.bit(slot as usize)) {
+                st.claim(page, slot as usize, size);
                 return Ok(PhysAddr::new(self.id, page, (slot as u32 * cs) as u16));
             }
         }
@@ -443,30 +493,21 @@ impl Partition {
             if let Some((page, next)) = st.bump[class] {
                 if (next as usize) < slots_per_page(class) {
                     st.bump[class] = Some((page, next + 1));
-                    let meta = &mut st.page_meta[page as usize];
-                    if meta.bit(next as usize) {
+                    if st.at(page).bit(next as usize) {
                         continue;
                     }
-                    meta.set_bit(next as usize);
-                    meta.sizes[next as usize] = size as u32;
-                    st.live += 1;
-                    st.used_bytes += size as u64;
+                    st.claim(page, next as usize, size);
                     return Ok(PhysAddr::new(self.id, page, (next * cs) as u16));
                 }
             }
-            // Open a page for this class: adopt a spare, or push a fresh
-            // one. The alloc mutex is held across the push, so no other
-            // allocation can hand out an address into a not-yet-pushed
-            // page.
-            let page = if let Some(pg) = st.spare.pop() {
-                pg
-            } else {
-                let pg = st.page_meta.len() as u32;
-                st.page_meta.push(PageMeta::default());
-                self.pages.write().push(new_page());
-                pg
+            // Open a page for this class: adopt a spare outside a pass, or
+            // push a fresh one.
+            let spare = if st.floor.is_none() { st.spare.pop() } else { None };
+            let page = match spare {
+                Some(pg) => pg,
+                None => self.push_page(st)?,
             };
-            st.page_meta[page as usize].adopt(class);
+            st.at(page).adopt(class);
             st.bump[class] = Some((page, 0));
         }
     }
@@ -476,170 +517,45 @@ impl Partition {
     /// original addresses because stored references point there).
     ///
     /// Every address recovery replays was minted by [`Partition::allocate`],
-    /// so it is slot-aligned for the class its size maps to; the first
-    /// `alloc_at` into a fresh page — or into a page that holds nothing —
-    /// therefore re-establishes the class the page had when the object was
-    /// first created.
+    /// so it is slot-aligned for the class its size maps to, and a page
+    /// keeps its class for as long as it is held; the first `alloc_at` into
+    /// a fresh or spare page therefore re-establishes the class the page
+    /// had when the object was first created.
     pub fn alloc_at(&self, addr: PhysAddr, size: usize) -> Result<()> {
         debug_assert_eq!(addr.partition(), self.id);
         if size > PAGE_SIZE || addr.offset() as usize + size > PAGE_SIZE {
             return Err(Error::ObjectTooLarge { bytes: size });
         }
         let page = addr.page();
-        let off = addr.offset();
-        let size32 = size as u32;
+        let off = addr.offset() as u32;
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
-        // A reorganizer rollback may restore an object whose slot sits in
-        // the deferred-free list (used bit set, size zeroed): reclaim it
-        // directly.
-        if let Some(pos) = st
-            .deferred
-            .iter()
-            .position(|&(p, o, _)| p == page && o == off)
-        {
-            if st.deferred[pos].2 != size32 {
-                return Err(Error::NoSuchObject(addr));
-            }
-            st.deferred.remove(pos);
-            let meta = &mut st.page_meta[page as usize];
-            let Some((_, slot)) = st_locate_slot(meta, off) else {
-                return Err(Error::NoSuchObject(addr));
-            };
-            debug_assert!(meta.bit(slot) && meta.sizes[slot] == 0);
-            meta.sizes[slot] = size32;
-            st.live += 1;
-            st.used_bytes += size as u64;
-            return Ok(());
+        if page < st.base {
+            return Err(Error::NoSuchObject(addr));
         }
         // Open pages up to and including the target page; the bridged
         // pages stay spares until someone claims them.
-        while st.page_meta.len() <= page as usize {
-            let pg = st.page_meta.len() as u32;
-            st.page_meta.push(PageMeta::default());
+        while st.end() <= page {
+            let pg = self.push_page(st)?;
             st.spare.push(pg);
-            self.pages.write().push(new_page());
         }
-        // Page demotion is not logged, so REDO from a checkpoint older
-        // than one can find the page still owned by the class it had then,
-        // empty, where the log re-creates an object of another class.
-        let want = class_of(size);
-        let meta = &st.page_meta[page as usize];
-        match meta.class {
-            Some(class) if class as usize != want && meta.is_empty() => {
-                st.disown(page);
-                st.page_meta[page as usize].adopt(want);
-            }
-            Some(_) => {}
-            None => {
-                st.spare.retain(|&pg| pg != page);
-                st.page_meta[page as usize].adopt(want);
-            }
+        if st.at(page).class.is_none() {
+            st.spare.retain(|&pg| pg != page);
+            st.at(page).adopt(class_of(size));
         }
-        let meta = &mut st.page_meta[page as usize];
+        let meta = st.at(page);
         let Some(class) = meta.class else {
             return Err(Error::NoSuchObject(addr));
         };
-        let class = class as usize;
-        let cs = slot_bytes(class);
-        if !(off as u32).is_multiple_of(cs) || size32 > cs {
-            // Misaligned for the page's class, or too big for its slots:
-            // no such carve is possible.
+        let cs = slot_bytes(class as usize);
+        let slot = (off / cs) as usize;
+        if !off.is_multiple_of(cs) || size as u32 > cs || meta.bit(slot) {
+            // Misaligned for the page's class, too big for its slots, or
+            // taken: no such carve is possible.
             return Err(Error::NoSuchObject(addr));
         }
-        let slot = (off as u32 / cs) as usize;
-        if meta.bit(slot) {
-            return Err(Error::NoSuchObject(addr));
-        }
-        meta.set_bit(slot);
-        meta.sizes[slot] = size32;
-        st.live += 1;
-        st.used_bytes += size as u64;
+        st.claim(page, slot, size);
         Ok(())
-    }
-
-    /// Queue the object's space for release at the end of the current
-    /// reorganization. The reorganizer frees migrated objects through this
-    /// path so their addresses cannot be recycled while concurrent
-    /// transactions may still hold them in local memory (two-lock variant).
-    /// The slot's used bit stays set (blocking reuse) with its size zeroed
-    /// (removing it from the directory).
-    pub fn free_deferred(&self, addr: PhysAddr) -> Result<u32> {
-        debug_assert_eq!(addr.partition(), self.id);
-        let mut guard = self.alloc.lock();
-        let st = &mut *guard;
-        let Some((_, slot)) = st.locate_live(addr.page(), addr.offset()) else {
-            return Err(Error::NoSuchObject(addr));
-        };
-        let meta = &mut st.page_meta[addr.page() as usize];
-        let size = meta.sizes[slot];
-        meta.sizes[slot] = 0;
-        st.deferred.push((addr.page(), addr.offset(), size));
-        st.live -= 1;
-        st.used_bytes -= size as u64;
-        Ok(size)
-    }
-
-    /// Withhold every currently free slot from reuse until
-    /// [`Partition::flush_deferred_frees`]. Used when *resuming* a
-    /// reorganization after a crash: the deferral of pre-crash frees was
-    /// volatile, and re-deferring all free space restores the invariant
-    /// that no address freed by the reorganization is recycled while it
-    /// runs. Virgin slots past a class's bump cursor were never handed
-    /// out, so they stay bump-allocatable — and so do spare pages, which
-    /// hold nothing a reorganization still running could have freed.
-    pub fn defer_all_free_space(&self) {
-        let mut guard = self.alloc.lock();
-        let st = &mut *guard;
-        for pg in 0..st.page_meta.len() {
-            let Some(class) = st.page_meta[pg].class else {
-                continue;
-            };
-            let class = class as usize;
-            let cs = slot_bytes(class);
-            let virgin_from = match st.bump[class] {
-                Some((bpage, next)) if bpage as usize == pg => next as usize,
-                _ => slots_per_page(class),
-            };
-            for slot in 0..virgin_from {
-                if !st.page_meta[pg].bit(slot) {
-                    st.page_meta[pg].set_bit(slot);
-                    st.deferred.push((pg as u32, (slot as u32 * cs) as u16, cs));
-                }
-            }
-        }
-    }
-
-    /// Release all space queued by [`Partition::free_deferred`] (and by
-    /// [`Partition::defer_all_free_space`]) back onto the class free
-    /// lists, then demote every page left holding nothing to a spare, so
-    /// the next reorganization packs its copies into the pages this one
-    /// emptied instead of growing the partition.
-    pub fn flush_deferred_frees(&self) {
-        let mut guard = self.alloc.lock();
-        let st = &mut *guard;
-        let deferred = std::mem::take(&mut st.deferred);
-        for (page, off, _) in deferred {
-            let meta = &mut st.page_meta[page as usize];
-            let Some((class, slot)) = st_locate_slot(meta, off) else {
-                continue;
-            };
-            debug_assert!(meta.bit(slot) && meta.sizes[slot] == 0);
-            meta.clear_bit(slot);
-            st.free_lists[class].push((page, slot as u16));
-        }
-        for page in 0..st.page_meta.len() as u32 {
-            let meta = &st.page_meta[page as usize];
-            if meta.class.is_some() && meta.is_empty() {
-                st.disown(page);
-                st.spare.push(page);
-            }
-        }
-        // Entries naming a spare would otherwise pile up pass after pass.
-        let page_meta = &st.page_meta;
-        for list in &mut st.free_lists {
-            list.retain(|&(page, _)| page_meta[page as usize].class.is_some());
-        }
     }
 
     /// Release the object's slot back to its class free list. The caller
@@ -651,7 +567,7 @@ impl Partition {
         let Some((class, slot)) = st.locate_live(addr.page(), addr.offset()) else {
             return Err(Error::NoSuchObject(addr));
         };
-        let meta = &mut st.page_meta[addr.page() as usize];
+        let meta = st.at(addr.page());
         let size = meta.sizes[slot];
         meta.sizes[slot] = 0;
         meta.clear_bit(slot);
@@ -661,12 +577,78 @@ impl Partition {
         Ok(size)
     }
 
+    /// Open a reorganization pass and return its *floor*, the number the
+    /// next fresh page gets. Until [`Partition::end_pass`] the partition
+    /// allocates only by bumping pages it opens at or above the floor — no
+    /// free list is popped, no spare adopted — so while the pass runs no
+    /// address below the floor is handed out.
+    pub fn begin_pass(&self) -> u32 {
+        let mut st = self.alloc.lock();
+        let floor = st.end();
+        st.open_pass(floor);
+        floor
+    }
+
+    /// REDO of a `ReorgStart`: reopen the pass at its logged floor.
+    pub(crate) fn redo_begin_pass(&self, floor: u32) {
+        self.alloc.lock().open_pass(floor);
+    }
+
+    /// Close the pass: drop the longest prefix of pages below its floor
+    /// that hold no live object, and return the new page base. A pass that
+    /// relocated every object leaves no page below its floor.
+    pub fn end_pass(&self) -> u32 {
+        let mut guard = self.alloc.lock();
+        let st = &mut *guard;
+        let below = st.floor.take().map_or(0, |floor| floor.saturating_sub(st.base));
+        let empty = st.page_meta.iter().take(below as usize).take_while(|m| m.is_empty());
+        let base = st.base + empty.count() as u32;
+        self.drop_below(st, base);
+        base
+    }
+
+    /// REDO of a `ReorgEnd`: close the pass and drop the pages below
+    /// `base`, as the live [`Partition::end_pass`] did.
+    pub(crate) fn redo_end_pass(&self, base: u32) -> Result<()> {
+        let mut guard = self.alloc.lock();
+        let st = &mut *guard;
+        st.floor = None;
+        let held = (base.saturating_sub(st.base) as usize).min(st.page_meta.len());
+        if st.page_meta[..held].iter().any(|m| !m.is_empty()) {
+            return Err(Error::RecoveryCorrupt(format!(
+                "ReorgEnd drops pages of {} below {base} that hold live objects",
+                self.id
+            )));
+        }
+        self.drop_below(st, base);
+        Ok(())
+    }
+
+    /// Drop every held page below `base` (all empty) with its free-list
+    /// entries, and move the base up to it.
+    fn drop_below(&self, st: &mut AllocState, base: u32) {
+        if base <= st.base {
+            return;
+        }
+        let n = ((base - st.base) as usize).min(st.page_meta.len());
+        st.page_meta.drain(..n);
+        st.base = base;
+        st.spare.retain(|&pg| pg >= base);
+        st.bump.iter_mut().filter(|c| c.is_some_and(|(pg, _)| pg < base)).for_each(|c| *c = None);
+        for list in &mut st.free_lists {
+            list.retain(|&(pg, _)| pg >= base);
+        }
+        let mut table = self.pages.write();
+        table.pages.drain(..n);
+        table.base = base;
+    }
+
     /// On-page size of the live object at `addr`, if the directory knows
     /// it — derived from the address alone: page → class → slot.
     pub fn object_size(&self, addr: PhysAddr) -> Option<u32> {
         let st = self.alloc.lock();
         let (_, slot) = st.locate_live(addr.page(), addr.offset())?;
-        Some(st.page_meta[addr.page() as usize].sizes[slot])
+        Some(st.meta(addr.page())?.sizes[slot])
     }
 
     /// Whether the directory records a live object exactly at `addr`.
@@ -681,12 +663,12 @@ impl Partition {
     pub fn live_objects(&self) -> Vec<PhysAddr> {
         let st = self.alloc.lock();
         let mut out = Vec::with_capacity(st.live as usize);
-        for (pg, meta) in st.page_meta.iter().enumerate() {
+        for (meta, pg) in st.page_meta.iter().zip(st.base..) {
             let Some(class) = meta.class else { continue };
             let cs = slot_bytes(class as usize);
             for slot in 0..slots_per_page(class as usize) {
                 if meta.bit(slot) && meta.sizes[slot] > 0 {
-                    out.push(PhysAddr::new(self.id, pg as u32, (slot as u32 * cs) as u16));
+                    out.push(PhysAddr::new(self.id, pg, (slot as u32 * cs) as u16));
                 }
             }
         }
@@ -698,9 +680,8 @@ impl Partition {
         self.alloc.lock().live as usize
     }
 
-    /// Space accounting. Free space is counted in slots; withheld slots
-    /// (deferred frees) are neither used nor free, exactly like the old
-    /// deferred extents.
+    /// Space accounting over the held pages. Free space is counted in
+    /// slots.
     pub fn space_stats(&self) -> SpaceStats {
         let st = self.alloc.lock();
         let mut free_bytes = 0u64;
@@ -725,7 +706,7 @@ impl Partition {
         free_bytes += st.spare.len() as u64 * PAGE_SIZE as u64;
         free_extents += st.spare.len();
         SpaceStats {
-            pages: self.pages.read().len() as u32,
+            pages: st.page_meta.len() as u32,
             live_objects: st.live as usize,
             used_bytes: st.used_bytes,
             free_extent_bytes: free_bytes,
@@ -735,19 +716,16 @@ impl Partition {
 
     /// Allocator self-check for the test suites: every violated invariant
     /// of the spare list, the free lists, the bump cursors and the live
-    /// accounting, as human-readable strings (empty = pass). `settled`
-    /// says nothing was freed since the last
-    /// [`Partition::flush_deferred_frees`], which is when no classed page
-    /// may be left holding nothing.
+    /// accounting, as human-readable strings (empty = pass).
     #[doc(hidden)]
-    pub fn allocator_problems(&self, settled: bool) -> Vec<String> {
+    pub fn allocator_problems(&self) -> Vec<String> {
         let st = self.alloc.lock();
         let mut problems = Vec::new();
         let (mut live, mut used_bytes) = (0u64, 0u64);
-        for (pg, meta) in st.page_meta.iter().enumerate() {
+        for (meta, pg) in st.page_meta.iter().zip(st.base..) {
             live += meta.sizes.iter().filter(|&&s| s > 0).count() as u64;
             used_bytes += meta.sizes.iter().map(|&s| s as u64).sum::<u64>();
-            let listed = st.spare.iter().filter(|&&p| p as usize == pg).count();
+            let listed = st.spare.iter().filter(|&&p| p == pg).count();
             match meta.class {
                 None if listed != 1 => {
                     problems.push(format!(
@@ -755,11 +733,6 @@ impl Partition {
                     ));
                 }
                 Some(_) if listed != 0 => problems.push(format!("classed page {pg} is a spare")),
-                Some(class) if settled && meta.is_empty() => {
-                    problems.push(format!(
-                        "page {pg} holds nothing but still owns class {class}"
-                    ));
-                }
                 _ => {}
             }
         }
@@ -769,12 +742,12 @@ impl Partition {
                 st.live, st.used_bytes
             ));
         }
-        let class_at = |page: u32| st.page_meta.get(page as usize).and_then(|m| m.class);
+        let class_at = |page: u32| st.meta(page).and_then(|m| m.class);
         for (class, list) in st.free_lists.iter().enumerate() {
             for &(page, slot) in list {
                 if class_at(page).is_none() {
                     problems.push(format!(
-                        "class {class} free list names spare ({page}, {slot})"
+                        "class {class} free list names spare or dropped ({page}, {slot})"
                     ));
                 }
             }
@@ -784,6 +757,11 @@ impl Partition {
                         "class {class} bump cursor names foreign page {page}"
                     ));
                 }
+                if st.floor.is_some_and(|floor| page < floor) {
+                    problems.push(format!(
+                        "class {class} bump cursor names page {page}, below the pass floor"
+                    ));
+                }
             }
         }
         problems
@@ -791,19 +769,18 @@ impl Partition {
 
     /// Deep snapshot for checkpointing (taken at a quiescent point).
     pub fn snapshot(&self) -> PartitionSnapshot {
-        // Copy the page images and release the page-vector lock *before*
-        // taking `alloc`: `allocate`/`alloc_at` acquire alloc -> pages, so
-        // holding pages across the alloc acquisition would invert the
-        // partition's lock order (an ABBA deadlock with a concurrent
-        // allocation; found by lockdep).
-        let page_images: Vec<Vec<u8>> = {
-            let pages = self.pages.read();
-            pages.iter().map(|p| p.read().snapshot()).collect()
+        // `alloc` before `pages`, the order `allocate`/`alloc_at` take them
+        // in (the reverse closes an ABBA cycle with a concurrent
+        // allocation; found by lockdep), so the directory and the page list
+        // describe the same pages; the images are copied after both go.
+        let (alloc, pages) = {
+            let alloc = self.alloc.lock();
+            (alloc.clone(), self.pages.read().pages.clone())
         };
         PartitionSnapshot {
             id: self.id,
-            pages: page_images,
-            alloc: self.alloc.lock().clone(),
+            pages: pages.iter().map(|p| p.read().snapshot()).collect(),
+            alloc,
             ert: self.ert.snapshot(),
         }
     }
@@ -812,25 +789,18 @@ impl Partition {
     pub fn from_snapshot(snap: &PartitionSnapshot) -> Self {
         let p = Partition::new(snap.id);
         {
-            let mut pages = p.pages.write();
+            let mut table = p.pages.write();
+            table.base = snap.alloc.base;
             for bytes in &snap.pages {
                 let page = new_page();
                 page.write().restore(bytes);
-                pages.push(page);
+                table.pages.push(page);
             }
         }
         *p.alloc.lock() = snap.alloc.clone();
         p.ert.restore(&snap.ert);
         p
     }
-}
-
-/// `(class, slot)` of `off` on a classed page, if aligned. Free function
-/// so it can be used while `meta` is mutably borrowed out of the state.
-fn st_locate_slot(meta: &PageMeta, off: u16) -> Option<(usize, usize)> {
-    let class = meta.class? as usize;
-    let cs = slot_bytes(class);
-    (off as u32).is_multiple_of(cs).then(|| (class, (off as u32 / cs) as usize))
 }
 
 #[cfg(test)]
@@ -945,10 +915,10 @@ mod tests {
     #[cfg(any(debug_assertions, feature = "lockdep"))]
     #[test]
     fn snapshot_respects_alloc_before_pages_order() {
-        // allocate() establishes the alloc -> pages held-before edge. The
-        // old snapshot() held pages while taking alloc, closing an ABBA
-        // cycle with any concurrent allocation; lockdep must stay silent on
-        // the fixed ordering even with both orders exercised back-to-back.
+        // allocate() establishes the alloc -> pages held-before edge. A
+        // snapshot() holding pages while taking alloc would close an ABBA
+        // cycle with any concurrent allocation; lockdep must stay silent
+        // with both run back-to-back.
         let p = part();
         p.allocate(100).unwrap();
         let before = crate::lockdep::violations();
@@ -1024,56 +994,64 @@ mod tests {
         // Page 0 is a spare: an ordinary allocation adopts it.
         let a = p.allocate(1000).unwrap();
         assert_eq!(a.page(), 0);
-        // A second alloc_at misaligned for page 1's class fails.
+        // A second alloc_at misaligned for page 1's class fails, and so
+        // does one of another class on a page that no longer holds
+        // anything: a page keeps its class while it is held.
         assert!(p.alloc_at(PhysAddr::new(PartitionId(3), 1, 200), 100).is_err());
+        p.free(target).unwrap();
+        assert!(p.alloc_at(PhysAddr::new(PartitionId(3), 1, 1024), 1000).is_err());
+        assert_eq!(p.allocator_problems(), Vec::<String>::new());
     }
 
     #[test]
-    fn deferred_frees_withhold_reuse() {
-        let p = part();
-        let a = p.allocate(100).unwrap();
-        let _pad = p.allocate(100).unwrap();
-        p.free_deferred(a).unwrap();
-        assert!(!p.contains_object(a));
-        // The slot is not reusable yet: a new allocation must not land on it.
-        let b = p.allocate(100).unwrap();
-        assert_ne!((b.page(), b.offset()), (a.page(), a.offset()));
-        p.flush_deferred_frees();
-        let c = p.allocate(100).unwrap();
-        assert_eq!((c.page(), c.offset()), (a.page(), a.offset()));
-    }
-
-    #[test]
-    fn defer_all_withholds_freed_slots_but_not_virgin_tail() {
+    fn a_pass_allocates_only_above_its_floor() {
         let p = part();
         let a = p.allocate(100).unwrap();
         let b = p.allocate(100).unwrap();
-        p.free(a).unwrap();
-        p.defer_all_free_space();
-        // a's slot is withheld; new allocations bump past b instead.
-        let c = p.allocate(100).unwrap();
-        assert_ne!((c.page(), c.offset()), (a.page(), a.offset()));
-        assert_eq!(c.offset() as u32, 2 * 128, "virgin tail stays bump-allocatable");
-        p.flush_deferred_frees();
-        let d = p.allocate(100).unwrap();
-        assert_eq!((d.page(), d.offset()), (a.page(), a.offset()));
-        let _ = b;
+        p.free(a).unwrap(); // free before the pass
+        let spare = PhysAddr::new(PartitionId(3), 2, 0);
+        p.alloc_at(spare, 100).unwrap(); // page 1 is bridged as a spare
+        assert_eq!(p.begin_pass(), 3);
+        // Neither the free slot, nor the spare, nor page 0's bump tail:
+        // copies go to a fresh page at the floor.
+        let copy = p.allocate(100).unwrap();
+        assert_eq!((copy.page(), copy.offset()), (3, 0));
+        // What the pass frees is not reused while it runs, and an undo of
+        // the free restores the object in place.
+        p.free(b).unwrap();
+        assert_eq!(p.allocate(100).unwrap().page(), 3);
+        p.alloc_at(b, 100).unwrap();
+        assert_eq!(p.allocator_problems(), Vec::<String>::new());
+        p.free(b).unwrap();
+        p.free(spare).unwrap();
+        // Pages 0 and 1 hold nothing, page 2 is empty but classed, and all
+        // three are dropped; the free list forgets them.
+        assert_eq!(p.end_pass(), 3);
+        assert_eq!((p.page_base(), p.page_count()), (3, 1));
+        assert_eq!(p.allocator_problems(), Vec::<String>::new());
+        assert!(!p.contains_object(a) && !p.contains_object(b));
+        let next = p.allocate(100).unwrap();
+        assert_eq!((next.page(), next.offset()), (3, 256));
     }
 
     #[test]
-    fn alloc_at_reclaims_deferred_slot_with_exact_size() {
+    fn end_pass_keeps_pages_from_the_first_live_one_up() {
         let p = part();
-        let a = p.allocate(100).unwrap();
-        p.free_deferred(a).unwrap();
-        // Wrong size: rejected, slot stays withheld.
-        assert!(p.alloc_at(a, 64).is_err());
-        // Exact size: the rollback path restores the object in place.
-        p.alloc_at(a, 100).unwrap();
-        assert_eq!(p.object_size(a), Some(100));
+        let objs: Vec<PhysAddr> = (0..3).map(|_| p.allocate(PAGE_SIZE).unwrap()).collect();
+        p.begin_pass();
+        p.free(objs[0]).unwrap();
+        p.free(objs[2]).unwrap();
+        // Page 0 is dropped; page 1 still holds an object, so page 2 stays
+        // although it is empty.
+        assert_eq!(p.end_pass(), 1);
+        assert_eq!((p.page_base(), p.page_count()), (1, 2));
+        assert_eq!(p.live_objects(), vec![objs[1]]);
+        // Outside a pass the emptied page 2 takes its class again.
+        assert_eq!(p.allocate(PAGE_SIZE).unwrap(), objs[2]);
     }
 
     #[test]
-    fn emptied_pages_are_reused_across_reorganization_passes() {
+    fn passes_drop_the_pages_they_empty() {
         let p = part();
         // 600 objects of the 128-byte class (5 pages) and 40 of the
         // 1024-byte class (3 pages).
@@ -1081,67 +1059,64 @@ mod tests {
         let mut objects: Vec<(PhysAddr, usize)> = (0..640)
             .map(|i| (p.allocate(sizes(i)).unwrap(), sizes(i)))
             .collect();
-        let mut pages_after = Vec::new();
+        let loaded = p.page_count();
         for _pass in 0..10 {
             // One compaction pass, as the reorganizer drives the allocator.
-            p.defer_all_free_space();
+            let floor = p.begin_pass();
             let copies: Vec<(PhysAddr, usize)> = objects
                 .iter()
                 .map(|&(_, size)| (p.allocate(size).unwrap(), size))
                 .collect();
+            assert!(copies.iter().all(|(a, _)| a.page() >= floor));
             for &(old, _) in &objects {
-                p.free_deferred(old).unwrap();
+                p.free(old).unwrap();
             }
-            p.flush_deferred_frees();
-            assert_eq!(p.allocator_problems(true), Vec::<String>::new());
+            assert_eq!(p.end_pass(), floor);
+            assert_eq!(p.allocator_problems(), Vec::<String>::new());
             objects = copies;
-            pages_after.push(p.page_count());
+            assert_eq!(p.page_count(), loaded, "the partition stays its loaded size");
         }
-        assert!(
-            pages_after[1..].iter().all(|&n| n == pages_after[1]),
-            "page count must be flat from the second pass: {pages_after:?}"
-        );
         assert_eq!(p.object_count(), 640);
     }
 
     #[test]
-    fn flush_demotes_empty_pages_for_any_class() {
+    fn dropped_pages_report_the_address_asked_for() {
         let p = part();
-        let small: Vec<PhysAddr> = (0..3).map(|_| p.allocate(100).unwrap()).collect();
-        let keep = p.allocate(1000).unwrap(); // page 1, 1024-byte class
-        for a in small {
-            p.free(a).unwrap();
+        let a = p.allocate(100).unwrap();
+        let a_off = PhysAddr::new(PartitionId(3), 0, 128);
+        p.begin_pass();
+        let copy = p.allocate(100).unwrap();
+        p.free(a).unwrap();
+        p.end_pass();
+        for addr in [a, a_off] {
+            assert!(matches!(p.page(addr), Err(Error::NoSuchObject(x)) if x == addr));
+            assert!(matches!(p.alloc_at(addr, 100), Err(Error::NoSuchObject(x)) if x == addr));
+            assert!(!p.contains_object(addr));
         }
-        // Freed, not yet flushed: page 0 still belongs to the 128-byte
-        // class, so another class has to open a page.
-        assert_eq!(p.allocate(10_000).unwrap().page(), 2);
-        p.flush_deferred_frees();
-        assert_eq!(p.allocator_problems(true), Vec::<String>::new());
-        // Demoted: page 0 now serves a class it never had, and the class
-        // that lost it starts over elsewhere instead of bumping into it.
-        assert_eq!(p.allocate(10_000).unwrap().page(), 0);
-        assert_eq!(p.allocate(100).unwrap().page(), 3);
-        assert!(p.contains_object(keep));
-        assert_eq!(p.page_count(), 4);
+        assert!(p.page(copy).is_ok());
     }
 
     #[test]
-    fn alloc_at_readopts_an_empty_page_of_another_class() {
-        let p = part();
-        let a = p.allocate(100).unwrap(); // page 0 -> 128-byte class
-        let b = p.allocate(100).unwrap();
-        p.free(a).unwrap();
-        let other = PhysAddr::new(PartitionId(3), 0, 1024);
-        // Not empty yet: the page keeps its class and the carve is refused.
-        assert!(p.alloc_at(other, 1000).is_err());
-        p.free(b).unwrap();
-        // Empty (and never flushed, as after a REDO of the frees): the
-        // page follows the object, as it did when the object was created.
-        p.alloc_at(other, 1000).unwrap();
-        assert_eq!(p.object_size(other), Some(1000));
-        assert_eq!(p.allocator_problems(false), Vec::<String>::new());
-        // The 128-byte class lost its open page: it must not bump into it.
-        assert_ne!(p.allocate(100).unwrap().page(), 0);
+    fn page_numbers_are_finite() {
+        // A partition whose base sits two pages below the limit: page
+        // numbers u32::MAX - 2 and u32::MAX - 1 are the last it can open.
+        let snap = PartitionSnapshot {
+            id: PartitionId(3),
+            pages: Vec::new(),
+            alloc: AllocState {
+                base: u32::MAX - 2,
+                ..AllocState::new()
+            },
+            ert: Default::default(),
+        };
+        let p = Partition::from_snapshot(&snap);
+        let pages: Vec<u32> = (0..2).map(|_| p.allocate(PAGE_SIZE).unwrap().page()).collect();
+        assert_eq!(pages, vec![u32::MAX - 2, u32::MAX - 1]);
+        assert_eq!(p.allocate(PAGE_SIZE), Err(Error::PartitionFull(3)));
+        assert_eq!(p.allocate(100), Err(Error::PartitionFull(3)));
+        let past = PhysAddr::new(PartitionId(3), u32::MAX, 0);
+        assert_eq!(p.alloc_at(past, 100), Err(Error::PartitionFull(3)));
+        assert_eq!(p.allocator_problems(), Vec::<String>::new());
     }
 
     #[test]
@@ -1170,5 +1145,54 @@ mod tests {
         let small = p.allocate(120).unwrap();
         assert!(addrs.contains(&small), "same-class hole is reused");
         assert_eq!(p.page_count(), pages_before);
+    }
+
+    /// The snapshot codec is lossless and rejects malformed input without
+    /// panicking: every truncation and every one-byte change of an encoded
+    /// snapshot is tried, and page numbers past `u32` are refused.
+    #[test]
+    fn snapshot_decode_rejects_malformed_bytes() {
+        use crate::storage::codec::Reader;
+        let decode = |bytes: &[u8]| PartitionSnapshot::decode(&mut Reader::new(bytes, 0));
+        // Page 0 a spare, page 1 emptied by the pass, page 2 its copy.
+        let p = part();
+        let a = PhysAddr::new(PartitionId(3), 1, 0);
+        p.alloc_at(a, 3000).unwrap();
+        p.begin_pass();
+        let _copy = p.allocate(3000).unwrap();
+        p.free(a).unwrap();
+        p.ert.insert(a, PhysAddr::new(PartitionId(1), 0, 0));
+        let mut bytes = Vec::new();
+        p.snapshot().encode(&mut bytes);
+        let mut again = Vec::new();
+        decode(&bytes).unwrap().encode(&mut again);
+        assert_eq!(again, bytes, "canonical roundtrip");
+        let q = Partition::from_snapshot(&decode(&bytes).unwrap());
+        assert_eq!(q.space_stats(), p.space_stats());
+        assert_eq!(q.allocator_problems(), Vec::<String>::new());
+
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(decode(&bytes[..len]), Err(Error::Corrupt { .. })),
+                "prefix of {len} bytes"
+            );
+        }
+        // Page images are opaque to the decoder (one mask per byte there);
+        // every other byte gets all 255 masks.
+        let images = 10..10 + 3 * (4 + PAGE_SIZE);
+        let image = |at: usize| images.contains(&at) && (at - 10) % (4 + PAGE_SIZE) >= 4;
+        for at in 0..bytes.len() {
+            let masks = if image(at) { 0xFF..=0xFF } else { 1..=0xFF };
+            for mask in masks {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                if let Err(e) = decode(&flipped) {
+                    assert!(matches!(e, Error::Corrupt { .. }), "byte {at} ^ {mask:#x}: {e}");
+                }
+            }
+        }
+        let mut overflow = bytes.clone();
+        overflow[2..6].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        assert!(matches!(decode(&overflow), Err(Error::Corrupt { .. })));
     }
 }

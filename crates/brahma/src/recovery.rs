@@ -158,10 +158,10 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
                 active.remove(&rec.tid);
                 txn_updates.remove(&rec.tid);
             }
-            LogPayload::ReorgStart { partition } => {
+            LogPayload::ReorgStart { partition, .. } => {
                 reorgs.insert(*partition);
             }
-            LogPayload::ReorgEnd { partition } => {
+            LogPayload::ReorgEnd { partition, .. } => {
                 reorgs.remove(partition);
             }
             LogPayload::Create { .. }
@@ -240,13 +240,19 @@ fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
         }
         return Ok(());
     }
-    if let LogPayload::ReorgEnd { partition } = payload {
-        // Repeat `end_reorg`'s flush: a checkpoint taken mid-reorganization
-        // recorded the slots freed until then as withheld.
-        db.partition_ref(*partition)?.flush_deferred_frees();
-        return Ok(());
+    match payload {
+        // Repeat the pass boundaries: the floor the allocator bumps above,
+        // and the pages `end_reorg` dropped.
+        LogPayload::ReorgStart { partition, floor } => {
+            db.partition_ref(*partition)?.redo_begin_pass(*floor);
+            return Ok(());
+        }
+        LogPayload::ReorgEnd { partition, base } => {
+            return db.partition_ref(*partition)?.redo_end_pass(*base);
+        }
+        _ => {}
     }
-    db.apply_update(payload, None, false)?;
+    db.apply_update(payload, false)?;
     let mut ert = Ok(());
     payload.for_each_ref_change(|action, parent, child| {
         if ert.is_ok() {

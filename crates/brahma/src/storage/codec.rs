@@ -322,13 +322,15 @@ pub fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPay
             put_addr(out, *old_child);
             put_addr(out, *new_child);
         }
-        LogPayload::ReorgStart { partition } => {
+        LogPayload::ReorgStart { partition, floor } => {
             put_u8(out, TAG_REORG_START);
             put_u16(out, partition.0);
+            put_u32(out, *floor);
         }
-        LogPayload::ReorgEnd { partition } => {
+        LogPayload::ReorgEnd { partition, base } => {
             put_u8(out, TAG_REORG_END);
             put_u16(out, partition.0);
+            put_u32(out, *base);
         }
         LogPayload::Migrate { old, new } => {
             put_u8(out, TAG_MIGRATE);
@@ -415,9 +417,11 @@ pub fn decode_record_body(buf: &[u8], base: u64) -> Result<LogRecord> {
         },
         TAG_REORG_START => LogPayload::ReorgStart {
             partition: PartitionId(r.u16()?),
+            floor: r.u32()?,
         },
         TAG_REORG_END => LogPayload::ReorgEnd {
             partition: PartitionId(r.u16()?),
+            base: r.u32()?,
         },
         TAG_MIGRATE => LogPayload::Migrate {
             old: r.addr()?,

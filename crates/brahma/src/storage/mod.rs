@@ -59,8 +59,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
-const SEG_MAGIC: &[u8; 8] = b"BRHMWAL1";
-const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP2";
+const SEG_MAGIC: &[u8; 8] = b"BRHMWAL2";
+const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP3";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;
 
@@ -483,7 +483,7 @@ fn carry_window(records: &[LogRecord], active: &[PartitionId]) -> Vec<LogRecord>
     let start = records
         .iter()
         .filter(|r| {
-            matches!(&r.payload, LogPayload::ReorgStart { partition } if active.contains(partition))
+            matches!(&r.payload, LogPayload::ReorgStart { partition, .. } if active.contains(partition))
         })
         .map(|r| r.lsn)
         .min();

@@ -40,8 +40,8 @@ fn apply_record(rec: &LogRecord, trt: &Trt, purge: bool, scan: &mut Scan) {
         LogPayload::Begin { reorg: Some(p) } => {
             scan.reorg_txns.insert(rec.tid, *p);
         }
-        LogPayload::ReorgStart { partition: p } if *p == partition => scan.active = true,
-        LogPayload::ReorgEnd { partition: p } if *p == partition => scan.active = false,
+        LogPayload::ReorgStart { partition: p, .. } if *p == partition => scan.active = true,
+        LogPayload::ReorgEnd { partition: p, .. } if *p == partition => scan.active = false,
         LogPayload::Commit | LogPayload::Abort => {
             let deletes = scan.txn_deletes.remove(&rec.tid).unwrap_or_default();
             if purge {

@@ -81,10 +81,12 @@ pub enum LogPayload {
         new_child: PhysAddr,
     },
     /// A reorganization of `partition` started; its TRT window (and the
-    /// restart rebuild of it) begins at this record.
-    ReorgStart { partition: PartitionId },
-    /// The reorganization of `partition` finished.
-    ReorgEnd { partition: PartitionId },
+    /// restart rebuild of it) begins at this record. Until the pass ends
+    /// the partition allocates only on pages numbered `floor` and up.
+    ReorgStart { partition: PartitionId, floor: u32 },
+    /// The reorganization of `partition` finished, dropping its pages
+    /// below `base`.
+    ReorgEnd { partition: PartitionId, base: u32 },
     /// Informational marker: the object at `old` now lives at `new`.
     Migrate { old: PhysAddr, new: PhysAddr },
     /// A checkpoint with the given id was taken at this LSN.
@@ -655,8 +657,8 @@ mod tests {
             LogPayload::InsertRef { parent: a(8), child: a(16), index: 1 },
             LogPayload::DeleteRef { parent: a(8), child: a(16), index: 1 },
             LogPayload::SetRef { parent: a(8), index: 0, old_child: a(16), new_child: a(24) },
-            LogPayload::ReorgStart { partition },
-            LogPayload::ReorgEnd { partition },
+            LogPayload::ReorgStart { partition, floor: 7 },
+            LogPayload::ReorgEnd { partition, base: 5 },
             rec(),
             LogPayload::Checkpoint { id: 9 },
             LogPayload::CreatePartition { id: partition },

@@ -500,13 +500,37 @@ fn relocate_all(db: &Database, objects: &mut [PhysAddr]) {
     pass.commit().unwrap();
 }
 
-/// Page demotion is not logged. A checkpoint that still shows a page full
-/// of one size class, a reorganization pass that empties it (so the flush
-/// at its end demotes it), objects of *another* class created on the
-/// reused page, a crash: REDO must re-create those objects at addresses
-/// the checkpointed class could not have carved.
+/// What a recovery must reproduce of partition 0: every object image and
+/// ERT, the space accounting, and the page base.
+fn observed(db: &Database) -> (String, brahma::SpaceStats, u32) {
+    let part = db.partition(PartitionId(0)).unwrap();
+    assert_eq!(part.allocator_problems(), Vec::<String>::new());
+    (state_dump(db), part.space_stats(), part.page_base())
+}
+
+/// Recover from `image`, check the result against `expected`, then crash
+/// the recovered store with no new work and recover again: a second
+/// recovery repeats history to the same state.
+fn recover_twice(image: brahma::CrashImage, expected: &(String, brahma::SpaceStats, u32)) -> Database {
+    let first_log = image.log.clone();
+    let first_ckpt = copy_checkpoint(&image.checkpoint);
+    let out = recover(image, StoreConfig::default()).unwrap();
+    assert!(out.interrupted_reorgs.is_empty());
+    assert_eq!(&observed(&out.db), expected);
+    let mut again = out.db.crash(first_ckpt, true);
+    again.log.splice(0..0, first_log);
+    let twice = recover(again, StoreConfig::default()).unwrap();
+    assert_eq!(&observed(&twice.db), expected, "a second recovery moved the state");
+    brahma::sweep::assert_database_consistent(&twice.db);
+    twice.db
+}
+
+/// A checkpoint from before a pass: REDO repeats the pass's floor, its
+/// copies on the fresh page, and the drop `ReorgEnd` logged, and the
+/// objects of another class created after the pass land on a page above
+/// the dropped one, in the live run and in REDO alike.
 #[test]
-fn recovery_recreates_other_class_objects_on_a_reused_page() {
+fn redo_of_a_pass_drops_the_pages_it_emptied() {
     let create = |db: &Database, payload_cap: u16| {
         let mut t = db.begin();
         let spec = NewObject {
@@ -526,40 +550,27 @@ fn recovery_recreates_other_class_objects_on_a_reused_page() {
     assert!(pool.iter().all(|a| a.page() == 0));
     let ckpt = db.checkpoint(0);
 
-    // The pass: every object moves off page 0 (its frees are withheld
-    // while the pass runs), and `end_reorg` finds the page empty.
+    // The pass: every object moves above the floor, and `end_reorg` drops
+    // the page they left.
     db.start_reorg(PartitionId(0)).unwrap();
     relocate_all(&db, &mut pool);
     db.end_reorg(PartitionId(0));
     assert!(pool.iter().all(|a| a.page() == 1));
-    // 1024-byte-class objects take over page 0, at offsets no 4096-byte
-    // slot starts at.
     let small: Vec<PhysAddr> = (0..3).map(|_| create(&db, 900)).collect();
-    assert_eq!(
-        small.iter().map(|a| (a.page(), a.offset())).collect::<Vec<_>>(),
-        vec![(0, 0), (0, 1024), (0, 2048)],
-        "the emptied page must be reused by the other class"
-    );
-    let part = db.partition(PartitionId(0)).unwrap();
-    assert_eq!(part.page_count(), 2);
+    assert!(small.iter().all(|a| a.page() == 2));
+    let expected = observed(&db);
+    assert_eq!((expected.1.pages, expected.2), (2, 1));
 
-    let expected = state_dump(&db);
     let image = db.crash(ckpt, true);
-    drop(part);
     drop(db);
-    let out = recover(image, StoreConfig::default()).unwrap();
-    assert_eq!(state_dump(&out.db), expected);
-    let part = out.db.partition(PartitionId(0)).unwrap();
-    assert_eq!(part.page_count(), 2);
-    assert_eq!(part.allocator_problems(false), Vec::<String>::new());
-    brahma::sweep::assert_database_consistent(&out.db);
+    recover_twice(image, &expected);
 }
 
-/// A checkpoint taken *mid*-reorganization records the slots the pass has
-/// freed so far as withheld. REDO of the pass's `ReorgEnd` must repeat
-/// `end_reorg`'s flush, or those slots stay withheld after restart.
+/// A checkpoint taken *mid*-pass carries the pass's floor, and REDO of
+/// the pass's `ReorgEnd` drops what the live `end_reorg` dropped. After
+/// restart no allocation hands out an address the pass vacated.
 #[test]
-fn redo_of_reorg_end_releases_what_a_mid_reorg_checkpoint_withheld() {
+fn redo_of_reorg_end_drops_what_a_mid_pass_checkpoint_held() {
     let db = two_partitions();
     let mut pool: Vec<PhysAddr> = (0..6)
         .map(|_| {
@@ -570,25 +581,22 @@ fn redo_of_reorg_end_releases_what_a_mid_reorg_checkpoint_withheld() {
             a
         })
         .collect();
-    let mut vacated = pool.clone();
-    vacated.sort();
+    let vacated = pool.clone();
     db.start_reorg(PartitionId(0)).unwrap();
     relocate_all(&db, &mut pool[..3]);
-    let ckpt = db.checkpoint(0); // three slots withheld in this snapshot
+    let ckpt = db.checkpoint(0); // the pass is open in this snapshot
     relocate_all(&db, &mut pool[3..]);
     db.end_reorg(PartitionId(0));
     let part = db.partition(PartitionId(0)).unwrap();
     let size = part.object_size(pool[0]).unwrap() as usize;
-    let expected = (state_dump(&db), part.space_stats());
+    let expected = observed(&db);
+    assert_eq!(expected.2, 1, "page 0 is dropped");
 
     let image = db.crash(ckpt, true);
-    let out = recover(image, StoreConfig::default()).unwrap();
-    assert!(out.interrupted_reorgs.is_empty());
-    let part = out.db.partition(PartitionId(0)).unwrap();
-    assert_eq!(part.allocator_problems(true), Vec::<String>::new());
-    assert_eq!((state_dump(&out.db), part.space_stats()), expected);
-    // Same-class allocations reuse every slot the reorganization vacated.
-    let mut reused: Vec<PhysAddr> = (0..6).map(|_| part.allocate(size).unwrap()).collect();
-    reused.sort();
-    assert_eq!(reused, vacated);
+    let recovered = recover_twice(image, &expected);
+    let part = recovered.partition(PartitionId(0)).unwrap();
+    for _ in 0..vacated.len() {
+        let a = part.allocate(size).unwrap();
+        assert!(!vacated.contains(&a), "{a} was vacated by the pass");
+    }
 }

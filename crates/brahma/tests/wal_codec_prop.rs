@@ -117,12 +117,14 @@ fn sample_records() -> Vec<LogRecord> {
             11,
             LogPayload::ReorgStart {
                 partition: PartitionId(5),
+                floor: 9,
             },
         ),
         mk(
             12,
             LogPayload::ReorgEnd {
                 partition: PartitionId(5),
+                base: 4,
             },
         ),
         mk(
@@ -386,7 +388,7 @@ fn update_then_inverse_restores_page_images() {
 /// then the first `torn_bytes` bytes of one more frame.
 fn write_segment(path: &std::path::Path, start_lsn: u64, whole: &[LogRecord], torn: Option<(&LogRecord, usize)>) {
     let mut f = std::fs::File::create(path).expect("create segment");
-    f.write_all(b"BRHMWAL1").expect("magic");
+    f.write_all(b"BRHMWAL2").expect("magic");
     f.write_all(&start_lsn.to_le_bytes()).expect("header lsn");
     for rec in whole {
         f.write_all(&encode_record(rec)).expect("frame");

@@ -418,7 +418,7 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     let ended = fin
         .pre_crash_log
         .iter()
-        .any(|r| matches!(&r.payload, LogPayload::ReorgEnd { partition } if *partition == p1));
+        .any(|r| matches!(&r.payload, LogPayload::ReorgEnd { partition, .. } if *partition == p1));
     let resumed = interrupted && blob.is_some();
     if interrupted {
         assert_eq!(fin.interrupted_reorgs, vec![p1], "cell {cell:?}");

@@ -55,7 +55,7 @@ pub fn assert_trt_reconstruction_covers(
         .iter()
         .position(|r| {
             matches!(&r.payload,
-                     LogPayload::ReorgStart { partition } if *partition == ckpt.partition)
+                     LogPayload::ReorgStart { partition, .. } if *partition == ckpt.partition)
         })
         .expect("the surviving log must contain the reorganization start");
     let full = rebuild_trt(&pre_crash_log[start..], ckpt.partition, purge);
@@ -109,7 +109,7 @@ mod tests {
         let log = |commit_lsn, batch_lsn| {
             let mut log = vec![
                 rec(0, 5, LogPayload::Begin { reorg: None }),
-                rec(1, 0, LogPayload::ReorgStart { partition: p }),
+                rec(1, 0, LogPayload::ReorgStart { partition: p, floor: 0 }),
                 rec(2, 5, LogPayload::InsertRef {
                     parent: PhysAddr::new(PartitionId(2), 0, 0),
                     child: PhysAddr::new(p, 0, 0),

@@ -219,12 +219,6 @@ pub(crate) fn run_resume(
         trt.note(tuple.child, tuple.parent, tuple.tid, tuple.action);
     }
 
-    // Pre-crash frees were deferred from reuse, but that deferral was
-    // volatile: withhold all free space again so no address freed by this
-    // reorganization is recycled before it completes, and so the remaining
-    // copies keep packing into fresh space.
-    crate::driver::withhold_free_space(db, partition, ckpt.plan).map_err(IraError::Store)?;
-
     let mut phases = IraPhases::default();
     let phase_start = Instant::now();
     let active = db.txns.active_snapshot();

@@ -20,34 +20,6 @@ use std::fmt;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// Defer all free space of the source (and, for evacuation, target)
-/// partition until the reorganization completes.
-pub(crate) fn withhold_free_space(
-    db: &Database,
-    partition: PartitionId,
-    plan: RelocationPlan,
-) -> Result<(), StoreError> {
-    db.partition(partition)?.defer_all_free_space();
-    if let RelocationPlan::EvacuateTo(target) = plan {
-        if target != partition {
-            db.partition(target)?.defer_all_free_space();
-        }
-    }
-    Ok(())
-}
-
-/// Release the deferred space of the evacuation target (the source's is
-/// released by `Database::end_reorg`).
-pub(crate) fn release_target_space(db: &Database, partition: PartitionId, plan: RelocationPlan) {
-    if let RelocationPlan::EvacuateTo(target) = plan {
-        if target != partition {
-            if let Ok(part) = db.partition(target) {
-                part.flush_deferred_frees();
-            }
-        }
-    }
-}
-
 /// Which migration strategy the driver uses for step two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IraVariant {
@@ -214,13 +186,10 @@ pub(crate) fn run_incremental(
     config: &IraConfig,
 ) -> Result<IraReport, IraError> {
     let start = Instant::now();
+    // Opens the partition's pass: copies pack into fresh pages above its
+    // floor in migration order (the point of compaction and clustering),
+    // and `end_reorg` drops the pages they vacated.
     db.start_reorg(partition)?;
-    // Withhold every currently free slot in the partitions the plan
-    // touches: migrated copies then pack into fresh space — never-used
-    // pages, or spares an earlier reorganization emptied — in migration
-    // order (the point of compaction and clustering), and everything freed
-    // or withheld is released coalesced when the reorganization ends.
-    withhold_free_space(db, partition, plan)?;
 
     // Wait for every transaction active at the start to complete, so all
     // relevant pointer updates are in the TRT (Section 4.5).
@@ -545,15 +514,6 @@ impl ReorgRun<'_> {
             .unwrap_or((0, 0));
 
         self.db.end_reorg(self.partition);
-        release_target_space(self.db, self.partition, self.plan);
-        // Bound the lifetime of any stale address still in a transaction's
-        // local memory before creation in the partition resumes.
-        let phase_start = Instant::now();
-        let active_at_end = self.db.txns.active_snapshot();
-        self.db
-            .txns
-            .wait_for_all(&active_at_end, self.config.quiesce_wait);
-        self.phases.quiesce += phase_start.elapsed();
 
         Ok(IraReport {
             partition: self.partition,
@@ -573,7 +533,6 @@ impl ReorgRun<'_> {
     /// running, then hand the error back.
     fn fail(&self, e: IraError) -> IraError {
         self.db.end_reorg(self.partition);
-        release_target_space(self.db, self.partition, self.plan);
         e
     }
 

@@ -12,8 +12,9 @@
 //! 3. for every not-yet-migrated child in the partition, replace `O_old` by
 //!    `O_new` in its parent list; the ERTs of out-of-partition children are
 //!    updated by the create/free maintenance;
-//! 4. delete `O_old` (its space is deferred from reuse until the
-//!    reorganization ends).
+//! 4. delete `O_old`. Its address is not handed out again while the
+//!    reorganization runs: the pass allocates only above its page floor,
+//!    and drops the page once nothing on it is live.
 //!
 //! `O_new` becomes visible to other transactions when the migration
 //! transaction commits and the parents' locks are released.
@@ -195,7 +196,7 @@ pub fn move_object_and_update_refs(
         effects.root_rewrites.push((oold, onew));
     }
 
-    // 4. Delete the old copy (space deferred until the reorganization ends).
+    // 4. Delete the old copy (never reused: the pass allocates above its floor).
     txn.delete_object(oold)?;
 
     effects.migrations.push((oold, onew));

@@ -56,26 +56,25 @@ pub fn reorganize_quiescent(
 }
 
 /// Crate-internal entry point behind [`crate::Reorg`]'s
-/// [`crate::Strategy::Offline`] (the only public way to run it).
+/// [`crate::Strategy::Offline`] (the only public way to run it). The pass
+/// is bracketed by `start_reorg`/`end_reorg` like IRA's and PQR's, so its
+/// copies land above the pass's page floor and the emptied pages go.
 pub(crate) fn run_offline(
     db: &Database,
     partition: PartitionId,
     plan: RelocationPlan,
 ) -> Result<AddrMap<PhysAddr>> {
+    db.start_reorg(partition)?;
     let mut txn = db.begin_reorg(partition);
-    let mapping = match reorganize_quiescent(db, partition, plan, &mut txn) {
-        Ok(m) => m,
+    let outcome = match reorganize_quiescent(db, partition, plan, &mut txn) {
+        Ok(mapping) => txn.commit().map(|()| mapping),
         Err(e) => {
             txn.abort();
-            return Err(e);
+            Err(e)
         }
     };
-    txn.commit()?;
-    db.partition(partition)?.flush_deferred_frees();
-    if let RelocationPlan::EvacuateTo(target) = plan {
-        db.partition(target)?.flush_deferred_frees();
-    }
-    Ok(mapping)
+    db.end_reorg(partition);
+    outcome
 }
 
 #[cfg(test)]

@@ -32,9 +32,9 @@ pub enum MigrationOrder {
     GroupByExternalParent,
     /// Migrate the listed objects first, in list order; everything else
     /// follows in traversal order. Emitted by plan policies
-    /// ([`crate::policy::StatsGreedy`]): free space is withheld during a
-    /// reorganization, so objects adjacent in this list pack onto the same
-    /// fresh pages — the list *is* the clustering decision.
+    /// ([`crate::policy::StatsGreedy`]): a pass allocates only on fresh
+    /// pages above its page floor, so objects adjacent in this list pack
+    /// onto the same pages — the list *is* the clustering decision.
     Priority(Vec<PhysAddr>),
 }
 

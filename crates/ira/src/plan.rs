@@ -6,10 +6,9 @@
 //! [`RelocationPlan`] captures that decision:
 //!
 //! * [`RelocationPlan::CompactInPlace`] — compaction: each object is
-//!   re-allocated inside its own partition. Because the reorganizer's frees
-//!   are deferred until the reorganization ends, new copies fill the
-//!   partition's *pre-existing* holes first and then pack fresh pages;
-//!   flushing the deferred frees afterwards coalesces the vacated space.
+//!   re-allocated inside its own partition, on fresh pages above the pass's
+//!   page floor in migration order; the pass ends by dropping the pages
+//!   the copies vacated.
 //! * [`RelocationPlan::EvacuateTo`] — clustering and copying garbage
 //!   collection: every live object moves to the target partition, allocated
 //!   in migration order, so objects adjacent in the traversal become

@@ -8,8 +8,8 @@
 //! * [`StatsGreedy`] — a DSTC-style greedy policy over observed
 //!   parent→child co-access counts: rank hot edges, chain them, and emit a
 //!   [`MigrationOrder::Priority`] for [`crate::Reorg::order`] that packs
-//!   hot chains onto the same pages (free space is withheld during a
-//!   reorganization, so migrated copies land in fresh pages *in migration
+//!   hot chains onto the same pages (a pass allocates only on fresh pages
+//!   above its page floor, so migrated copies land there *in migration
 //!   order* — the order is the clustering lever);
 //! * [`CostModel`] — the placement cost model the greedy scores against
 //!   (re-exported as `workload::cost` for the bench side): the weighted
@@ -122,10 +122,10 @@ impl PlanScore {
 /// count and greedily links them into chains (each object at most one
 /// predecessor and one successor, no cycles — the classic greedy path
 /// heuristic), then lists the chains hottest-first as a
-/// [`MigrationOrder::Priority`]. Because reorganization withholds free
-/// space, consecutive objects in the migration order pack onto the same
-/// fresh pages, so a chain becomes a page-contiguous run — exactly what the
-/// walks that made it hot want.
+/// [`MigrationOrder::Priority`]. Because a pass allocates only on fresh
+/// pages above its page floor, consecutive objects in the migration order
+/// pack onto the same pages, so a chain becomes a page-contiguous run —
+/// exactly what the walks that made it hot want.
 pub struct StatsGreedy {
     edges: Vec<EdgeCount>,
 }

@@ -55,7 +55,6 @@ pub(crate) fn run_pqr(
 ) -> Result<PqrReport, StoreError> {
     let started = Instant::now();
     db.start_reorg(partition)?;
-    crate::driver::withhold_free_space(db, partition, plan)?;
     // As for IRA: transactions active at the start must complete before the
     // TRT can be trusted.
     let active = db.txns.active_snapshot();
@@ -107,7 +106,6 @@ pub(crate) fn run_pqr(
         Ok((mapping, quiesce_locks)) => {
             txn.commit()?;
             db.end_reorg(partition);
-            crate::driver::release_target_space(db, partition, plan);
             Ok(PqrReport {
                 partition,
                 mapping,
@@ -118,7 +116,6 @@ pub(crate) fn run_pqr(
         Err(e) => {
             txn.abort();
             db.end_reorg(partition);
-            crate::driver::release_target_space(db, partition, plan);
             Err(e)
         }
     }

@@ -2,7 +2,7 @@
 //! workload) under concurrent load, checking the DESIGN.md invariants at
 //! quiescent points.
 
-use brahma::{Database, StoreConfig};
+use brahma::{Database, Error, LockMode, NewObject, StoreConfig};
 use ira::{IraVariant, RelocationPlan, Reorg, Strategy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,6 +39,38 @@ fn ira_basic_under_churning_load() {
         let outcome = Reorg::on(db, p).run().unwrap();
         assert_eq!(outcome.migrated(), 170);
     });
+}
+
+/// After a completed pass beside the walkers, no address from before the
+/// pass names anything: the directory, a latch-only read and a locked read
+/// all report the object gone at that address, and no later allocation
+/// hands one out again. This is what lets a pass end without waiting out
+/// the transactions that may still hold such an address.
+#[test]
+fn stale_addresses_never_alias_after_a_pass() {
+    let mut stale = Vec::new();
+    let db = run_under_load(StoreConfig::default(), small_params(), |db, p| {
+        stale = db.partition(p).unwrap().live_objects();
+        assert_eq!(Reorg::on(db, p).run().unwrap().migrated(), 170);
+    });
+    let p = stale[0].partition();
+    let part = db.partition(p).unwrap();
+    assert!(stale.iter().all(|a| a.page() < part.page_base()), "a pre-pass page survived");
+    let mut txn = db.begin();
+    for &old in &stale {
+        assert!(!part.contains_object(old));
+        assert_eq!(db.raw_read(old).unwrap_err(), Error::NoSuchObject(old));
+        assert!(db.fuzzy_read_refs(old).is_none());
+        txn.lock(old, LockMode::Shared).unwrap();
+        assert_eq!(txn.read(old).unwrap_err(), Error::NoSuchObject(old));
+    }
+    txn.commit().unwrap();
+    let mut txn = db.begin();
+    for _ in 0..stale.len() {
+        let fresh = txn.create_object(p, NewObject::exact(1, vec![], vec![0; 40])).unwrap();
+        assert!(!stale.contains(&fresh), "{fresh} was handed out before the pass");
+    }
+    txn.abort();
 }
 
 #[test]
