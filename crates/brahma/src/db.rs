@@ -395,9 +395,9 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Begin a reorganization of `partition`: open the partition's pass at
-    /// a page floor ([`Partition::begin_pass`]), create its TRT, log the
-    /// start marker with the floor, pin the log (so the TRT stays
-    /// reconstructible), and — when transactions do not follow strict 2PL
+    /// a page floor ([`Partition::begin_pass`]), create its TRT, pin the log
+    /// (so the TRT stays reconstructible), log the start marker with the
+    /// floor, and — when transactions do not follow strict 2PL
     /// — enable the lock manager's ever-held tracking (Section 4.1).
     pub fn start_reorg(&self, partition: PartitionId) -> Result<Arc<Trt>> {
         let floor = self.partition_ref(partition)?.begin_pass();
@@ -406,12 +406,12 @@ impl Database {
             !tables.contains_key(&partition),
             "partition {partition} is already under reorganization"
         );
-        let lsn = self
-            .wal
+        // Pin before appending the marker: a truncation between the two
+        // steps would drop it otherwise.
+        let pin = self.wal.pin_at(self.wal.next_lsn());
+        self.wal
             .append(TxnId(0), LogPayload::ReorgStart { partition, floor });
-        self.reorg_pins
-            .lock()
-            .insert(partition, self.wal.pin_at(lsn));
+        self.reorg_pins.lock().insert(partition, pin);
         if !self.config.strict_2pl {
             self.locks.set_history_tracking(true);
         }

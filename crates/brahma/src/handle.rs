@@ -329,13 +329,13 @@ impl<'db> Txn<'db> {
     /// of each undo entry.
     ///
     /// INVARIANT (fuzzy checkpoint, DESIGN.md §12): every TRT/ERT note a
-    /// mutation produces must happen *before* its WAL append. The
-    /// checkpoint reads `next_lsn` and then dumps the TRT; note-after-append
-    /// admits a schedule where the dump misses the tuple while the record's
-    /// LSN is already below the replay window, so seeded reconstruction
-    /// loses it (fatal if this txn aborts — aborts purge only delete
-    /// tuples). Note-before-append makes that a contradiction: the worst
-    /// case is the tuple landing in both snapshot and window, which
+    /// mutation produces must happen *before* its WAL append reserves the
+    /// record's LSN. The checkpoint reads `next_lsn` and then dumps the TRT;
+    /// note-after-reserve admits a schedule where the dump misses the tuple
+    /// while the record's LSN is already below the replay window, so seeded
+    /// reconstruction loses it (fatal if this txn aborts — aborts purge
+    /// only delete tuples). Note-before-reserve makes that a contradiction:
+    /// the worst case is the tuple landing in both snapshot and window, which
     /// reconstruction tolerates as a conservative duplicate. The X lock
     /// held on the updated object keeps early insert-notes invisible to
     /// Find_Exact_Parents until this txn resolves. Noting first also puts

@@ -65,7 +65,7 @@ pub enum LockClass {
     LockTableShard = 0,
     /// A page latch (`page::PageRef`'s `RwLock<Page>`).
     PageLatch,
-    /// The WAL's record buffer (`Wal::inner`).
+    /// One WAL lane (`Wal::lanes`); a cut takes them all in ascending index.
     WalInner,
     /// The WAL's truncation-pin table (`Wal::pins`).
     WalPins,
@@ -79,7 +79,7 @@ pub enum LockClass {
     PartitionAlloc,
     /// A partition's page vector (`Partition::pages`).
     PartitionPages,
-    /// The active-transaction registry (`TxnManager::active`).
+    /// One slot of the active-transaction registry (`TxnManager::slots`).
     TxnRegistry,
     /// Appends to the database's partition table (`Database::partitions`);
     /// lookups are lock-free.
@@ -97,7 +97,7 @@ pub enum LockClass {
     /// The fault injector's rule state (`FaultInjector::state`).
     FaultState,
     /// The file backend's segment-writer state (`storage::FileBackend`).
-    /// The append mirror takes it *inside* the log mutex (`WalInner` →
+    /// The append mirror takes it *inside* lane 0's mutex (`WalInner` →
     /// `FileBackend`), which is what keeps the segment in LSN order.
     FileBackend,
     /// Reserved for lockdep's own tests.

@@ -6,9 +6,10 @@
 //! none at all (the paper's memory-resident configuration, unchanged).
 //! Attaching one makes durability real:
 //!
-//! * every WAL append is mirrored — under the log mutex, so the on-disk
-//!   order is the LSN order and every LSN below `Wal::next_lsn` is in a
-//!   segment file — into a segmented append-only log of
+//! * every WAL append is mirrored — under log lane 0's mutex, the one lane
+//!   while a backend is attached, so the on-disk order is the LSN order and
+//!   a cut of the log finds every LSN below `Wal::next_lsn` in a segment
+//!   file — into a segmented append-only log of
 //!   CRC32-checksummed, length-prefixed records
 //!   ([`codec::put_frame`] around the body the log already encoded); the
 //!   group-commit leader's force becomes a real `fsync`;
@@ -176,12 +177,12 @@ impl FileBackend {
     /// Mirror one appended record, given as the body the log encoded for
     /// itself; the length and CRC are added here, and the segment rotates
     /// first if it is full. [`crate::wal::Wal::append`] calls this inside
-    /// the log mutex, so frames reach the segment in LSN order and the WAL
-    /// publishes an LSN only after its frame is in the file. A fault or
+    /// log lane 0's mutex, so frames reach the segment in LSN order and a
+    /// reserved LSN's frame is in the file before that mutex is released. A fault or
     /// real I/O error kills the backend: completed earlier writes survive,
     /// this frame does not.
     pub fn wal_append(&self, lsn: Lsn, body: &[u8]) {
-        // ordering: the log mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
+        // ordering: lane 0's mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             return;
         }

@@ -7,16 +7,24 @@
 //! at the time it started, to complete, before starting the fuzzy
 //! traversal") and the relaxed-2PL wait on every transaction that ever
 //! locked an object.
+//!
+//! The registry is split into [`SLOTS`] slots, one per thread slot
+//! ([`thread_slot`]), and a [`TxnId`] carries the slot it was begun in, so
+//! `begin`, `finish` and `is_active` touch one slot's cache lines and two
+//! threads on different slots share no written word (DESIGN.md §10.3).
 
 use crate::addr::FibState;
 use crate::lockdep::{Condvar, LockClass, Mutex};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Transaction identifier, unique for the lifetime of a database.
+/// Transaction identifier, unique for the lifetime of a database. One the
+/// registry hands out is never `TxnId(0)` (the id of system records) and
+/// carries its registry slot in its low bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TxnId(pub u64);
 
@@ -26,11 +34,52 @@ impl fmt::Display for TxnId {
     }
 }
 
+/// Thread slots: the registry's slots and the log's lanes
+/// ([`crate::wal::Wal`]). A power of two, so a [`TxnId`]'s slot is its low
+/// bits.
+pub const SLOTS: usize = 8;
+const _: () = assert!(SLOTS.is_power_of_two());
+
+/// The next thread slot to hand out; threads take them round-robin.
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's slot, `usize::MAX` until its first use.
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's slot in `0..SLOTS`, fixed for the thread's life.
+/// Threads take slots round-robin, so the first [`SLOTS`] threads to ask
+/// have one each.
+#[inline]
+pub fn thread_slot() -> usize {
+    SLOT.with(|s| {
+        if s.get() == usize::MAX {
+            // ordering: slot allocator; uniqueness only, nothing is published through it
+            s.set(NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SLOTS);
+        }
+        s.get()
+    })
+}
+
+/// One slot's transactions: the last sequence number handed out and the
+/// set still active.
+#[derive(Default)]
+struct SlotTxns {
+    seq: u64,
+    active: HashSet<TxnId, FibState>,
+}
+
+/// A registry slot on cache lines of its own.
+#[repr(align(128))]
+struct Slot {
+    txns: Mutex<SlotTxns>,
+    cv: Condvar,
+}
+
 /// Registry of active transactions.
 pub struct TxnManager {
-    next: AtomicU64,
-    active: Mutex<HashSet<TxnId, FibState>>,
-    cv: Condvar,
+    slots: [Slot; SLOTS],
 }
 
 impl Default for TxnManager {
@@ -40,57 +89,72 @@ impl Default for TxnManager {
 }
 
 impl TxnManager {
-    /// Create an empty registry. Transaction ids start at 1.
+    /// Create an empty registry.
     pub fn new() -> Self {
         TxnManager {
-            next: AtomicU64::new(1),
-            active: Mutex::new(LockClass::TxnRegistry, 0, HashSet::default()),
-            cv: Condvar::new(),
+            // The slot index is the lockdep order key.
+            slots: std::array::from_fn(|i| Slot {
+                txns: Mutex::new(LockClass::TxnRegistry, i as u64, SlotTxns::default()),
+                cv: Condvar::new(),
+            }),
         }
     }
 
-    /// Allocate a fresh transaction id and mark it active.
+    fn slot_of(&self, tid: TxnId) -> &Slot {
+        &self.slots[tid.0 as usize % SLOTS]
+    }
+
+    /// Allocate a fresh transaction id in the calling thread's slot and mark
+    /// it active.
     pub fn begin(&self) -> TxnId {
-        // ordering: id allocator; uniqueness only, the registry lock orders the set
-        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.active.lock().insert(id);
+        let slot = thread_slot();
+        let mut txns = self.slots[slot].txns.lock();
+        txns.seq += 1;
+        let id = TxnId(txns.seq * SLOTS as u64 + slot as u64);
+        txns.active.insert(id);
         id
     }
 
     /// Mark a transaction completed (committed or aborted) and wake waiters.
     pub fn finish(&self, tid: TxnId) {
-        self.active.lock().remove(&tid);
-        self.cv.notify_all();
+        let slot = self.slot_of(tid);
+        slot.txns.lock().active.remove(&tid);
+        slot.cv.notify_all();
     }
 
     /// Whether the transaction is still active.
     pub fn is_active(&self, tid: TxnId) -> bool {
-        self.active.lock().contains(&tid)
+        self.slot_of(tid).txns.lock().active.contains(&tid)
     }
 
     /// Number of active transactions.
     pub fn active_count(&self) -> usize {
-        self.active.lock().len()
+        self.slots.iter().map(|s| s.txns.lock().active.len()).sum()
     }
 
-    /// Snapshot of the currently active transactions.
+    /// Snapshot of the currently active transactions, slot by slot.
     pub fn active_snapshot(&self) -> Vec<TxnId> {
-        self.active.lock().iter().copied().collect()
+        let mut active = Vec::new();
+        for slot in &self.slots {
+            active.extend(slot.txns.lock().active.iter().copied());
+        }
+        active
     }
 
     /// Block until every transaction in `tids` has completed, or until
     /// `timeout` elapses. Returns whether all completed.
     pub fn wait_for_all(&self, tids: &[TxnId], timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut active = self.active.lock();
-        loop {
-            if tids.iter().all(|t| !active.contains(t)) {
-                return true;
+        tids.iter().all(|tid| {
+            let slot = self.slot_of(*tid);
+            let mut txns = slot.txns.lock();
+            while txns.active.contains(tid) {
+                if slot.cv.wait_until(&mut txns, deadline).timed_out() {
+                    return !txns.active.contains(tid);
+                }
             }
-            if self.cv.wait_until(&mut active, deadline).timed_out() {
-                return tids.iter().all(|t| !active.contains(t));
-            }
-        }
+            true
+        })
     }
 }
 
@@ -137,5 +201,66 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         m.finish(t);
         assert!(h.join().unwrap());
+    }
+
+    #[test]
+    fn concurrent_begins_get_distinct_nonzero_ids() {
+        let m = TxnManager::new();
+        let ids: Vec<TxnId> = thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| (0..10_000).map(|_| m.begin()).collect::<Vec<_>>()))
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        let distinct: HashSet<TxnId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), 80_000);
+        assert!(!distinct.contains(&TxnId(0)));
+        assert_eq!(m.active_count(), 80_000);
+        ids.iter().for_each(|&t| m.finish(t));
+        assert_eq!(m.active_count(), 0);
+    }
+
+    /// Transactions begun on four threads, so in several slots: the wait
+    /// times out while one is open and returns once the last one finishes.
+    #[test]
+    fn wait_for_all_spans_slots() {
+        let m = Arc::new(TxnManager::new());
+        let tids: Vec<TxnId> = (0..4)
+            .map(|_| thread::scope(|s| s.spawn(|| m.begin()).join().unwrap()))
+            .collect();
+        let slots: HashSet<u64> = tids.iter().map(|t| t.0 % SLOTS as u64).collect();
+        assert!(slots.len() > 1, "{tids:?} all in one slot");
+        for &t in &tids[..3] {
+            m.finish(t);
+        }
+        assert!(
+            !m.wait_for_all(&tids, Duration::from_millis(20)),
+            "one is still open"
+        );
+        let m2 = Arc::clone(&m);
+        let waiter = {
+            let tids = tids.clone();
+            thread::spawn(move || m2.wait_for_all(&tids, Duration::from_secs(5)))
+        };
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            !waiter.is_finished(),
+            "returned before the last transaction finished"
+        );
+        m.finish(tids[3]);
+        assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn active_snapshot_sees_other_threads() {
+        let m = TxnManager::new();
+        let t = thread::scope(|s| s.spawn(|| m.begin()).join().unwrap());
+        assert!(m.active_snapshot().contains(&t));
+        assert!(m.is_active(t));
+        m.finish(t);
+        assert!(m.active_snapshot().is_empty());
     }
 }

@@ -10,9 +10,11 @@
 //! database) and holds encoded frames, not record trees (DESIGN.md §10.3);
 //! forcing the tail at commit is simulated with a configurable latency so
 //! the CPU/I-O overlap the paper observes at commit time exists here too.
-//! With a [`crate::storage::FileBackend`] attached, every append also hands
-//! its encoded body to the segment file — inside the log mutex, so the
-//! file is in LSN order — and the force is a real `fsync`.
+//! Each thread appends to its own lane ([`LANES`]); readers merge the
+//! lanes by LSN. With a [`crate::storage::FileBackend`] attached, every
+//! append takes lane 0 and also hands its encoded body to the segment file
+//! inside that lane's mutex, so the file is in LSN order, and the force is
+//! a real `fsync`.
 //!
 //! Undo of an aborting transaction logs compensation records through the
 //! same record types ([`LogPayload::inverse`]), so a *linear* scan of the log
@@ -22,7 +24,7 @@
 pub mod analyzer;
 
 use crate::addr::{PartitionId, PhysAddr};
-use crate::lockdep::{self, Condvar, LockClass, Mutex};
+use crate::lockdep::{self, Condvar, LockClass, Mutex, MutexGuard};
 use crate::object::ObjectView;
 use crate::storage::{codec, FileBackend};
 use crate::trt::RefAction;
@@ -214,7 +216,7 @@ pub struct LogRecord {
 }
 
 /// Counters on the logging path. Lock-free; `append` adds two relaxed
-/// atomic increments on top of the existing log mutex.
+/// atomic increments on top of its lane's mutex.
 #[derive(Debug, Default)]
 pub struct WalStats {
     /// Records appended.
@@ -246,106 +248,145 @@ impl WalStats {
     }
 }
 
-/// The retained log: the last `count` records appended — LSNs
-/// `next_lsn - count` and up — each as one `[len: u32 LE][body]` frame
-/// ([`codec::put_bytes`] of a [`codec::put_record_body`]). No per-record
-/// offset table: it would push `next_lsn` off [`Wal`]'s first cache line, and
-/// only cold paths need record boundaries — they hop the length prefixes.
-#[derive(Debug, Default)]
+/// Lanes of the log, one per thread slot ([`crate::txn::thread_slot`]).
+pub const LANES: usize = crate::txn::SLOTS;
+
+/// One lane: the records its threads appended, in LSN order but not
+/// consecutive (the other lanes hold the LSNs between), each as one
+/// `[len: u32 LE][body]` frame ([`codec::put_bytes`] of a
+/// [`codec::put_record_body`]). No per-record offset table: only cold paths
+/// need record boundaries, and they hop the length prefixes.
+#[derive(Debug)]
 struct WalInner {
     frames: Vec<u8>,
     /// Records in `frames`.
     count: usize,
+    /// The `count` at which an append checks for truncation; `usize::MAX`
+    /// on a retained log.
+    check_at: usize,
 }
 
 impl WalInner {
-    /// Byte offset in `frames` of the frame `skip` records in.
-    fn offset_of(&self, skip: usize) -> usize {
+    /// The records below `lsn` — a prefix, the lane being in LSN order —
+    /// and the bytes of their frames.
+    fn prefix_below(&self, lsn: Lsn) -> (usize, usize) {
+        // A little-endian word of `n` bytes at `at`.
+        let word = |at: usize, n: usize| {
+            self.frames[at..at + n]
+                .iter()
+                .rev()
+                .fold(0, |w, &b| w << 8 | u64::from(b))
+        };
         let mut at = 0;
-        let f = &self.frames;
-        for _ in 0..skip.min(self.count) {
-            let len = u32::from_le_bytes([f[at], f[at + 1], f[at + 2], f[at + 3]]);
-            at += 4 + len as usize;
+        for n in 0..self.count {
+            if word(at + 4, 8) >= lsn {
+                return (n, at);
+            }
+            at += 4 + word(at, 4) as usize;
         }
-        at
+        (self.count, at)
     }
 }
 
+/// A lane on cache lines of its own: an append writes its lane's mutex and
+/// frame vector, which an appender on another lane must not share.
+#[repr(align(128))]
+struct Lane(Mutex<WalInner>);
+
+const _: () = assert!(std::mem::size_of::<Lane>() == 128);
+
 thread_local! {
     /// The body this thread's append is encoding: a record is encoded
-    /// before the log mutex is taken, into a buffer no other thread sees.
+    /// before a lane mutex is taken, into a buffer no other thread sees.
     static BODY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The write-ahead log.
 ///
-/// `repr(C)`: declared order is layout order, so the log mutex (offset 0),
-/// the 32-byte [`WalInner`] it guards (offset 8) and `next_lsn` (offset 40;
-/// 56 with lockdep's tag in the mutex) — everything an append writes — stay
-/// on the struct's first cache line (`stats` aligns it to one; asserted
-/// below). Left to the compiler, a size change of any field can move
-/// `next_lsn` onto a second line both appenders then contend for
-/// (`walk_update` −7 %; a 64-byte `WalInner` cost `walk_read` 3–6 %).
+/// A thread appends to the lane of its thread slot, under that lane's
+/// mutex: it reserves its LSN from `next_lsn` and copies its frame in. So
+/// the one word two appenders on different lanes both write is `next_lsn`
+/// (DESIGN.md §10.3). `repr(C)`: declared order is layout order, which
+/// keeps `next_lsn`, `flushed_lsn` and the read-mostly fields an append or
+/// a commit reads on the struct's first cache line (asserted below).
 #[repr(C)]
 pub struct Wal {
-    inner: Mutex<WalInner>,
-    /// Next LSN to assign. Written only under `inner`, as the last step of
-    /// the critical section that logged the record before it; an atomic so
-    /// [`Wal::next_lsn`] — the group-commit leader's force target, the
-    /// fuzzy checkpoint's window start — reads it without the log mutex.
+    /// Next LSN to reserve. An append reserves under its lane's mutex, so a
+    /// reader holding every lane (a [`Wal::cut`]) finds each LSN below it in
+    /// some lane; without the cut a reserved LSN's record may still be on
+    /// its way in.
     next_lsn: AtomicU64,
-    retain: bool,
-    flush_latency: Duration,
     flushed_lsn: AtomicU64,
+    /// Durability mirror (DESIGN.md §14). When set, every append takes lane
+    /// 0 and hands the record to the backend under that lane's mutex, so
+    /// the segment file is in LSN order and every LSN below `next_lsn` is in
+    /// it once the cut is taken; the leader's force becomes a real fsync.
+    /// `None` for the default in-memory simulator.
+    sink: std::sync::OnceLock<std::sync::Arc<FileBackend>>,
+    flush_latency: Duration,
+    /// Effective minimum over `pins` (u64::MAX when none), kept as an
+    /// atomic so the append path never takes the pins mutex.
+    pinned_lsn: AtomicU64,
+    /// Lowest LSN retained: every LSN from here to `next_lsn` is in a lane.
+    /// A lane's truncation raises it past the records it dropped; the frames
+    /// other lanes still hold below it are skipped by every reader.
+    base: AtomicU64,
+    /// Records a lane holds before it truncates: the truncation watermark
+    /// over [`LANES`].
+    lane_share: usize,
+    lanes: [Lane; LANES],
     /// Named truncation pins: records at or above the *minimum* pinned LSN
     /// may not be discarded. Each active reorganization's TRT window pins
     /// independently.
     pins: Mutex<std::collections::HashMap<u64, Lsn>>,
     next_pin: AtomicU64,
-    /// Effective minimum over `pins` (u64::MAX when none), kept as an
-    /// atomic so the append path never takes the pins mutex.
-    pinned_lsn: AtomicU64,
-    /// Truncation threshold when retention is off.
-    truncate_watermark: usize,
     /// Group-commit election: true while a leader is inside the simulated
     /// device sleep. Followers wait on `flush_cv` instead of sleeping.
     flush_leader: Mutex<bool>,
     flush_cv: Condvar,
-    /// Durability mirror (DESIGN.md §14). When set, every append is also
-    /// handed to the backend — under the log mutex, before `next_lsn` is
-    /// published, so every LSN below `next_lsn` is in the segment file —
-    /// and the leader's force becomes a real fsync. `None` for the default
-    /// in-memory simulator: the mirror costs nothing unless a file backend
-    /// is attached.
-    sink: std::sync::OnceLock<std::sync::Arc<FileBackend>>,
     /// Logging-path counters.
     pub stats: WalStats,
 }
 
-const _: () = assert!(std::mem::align_of::<Wal>() >= 64);
-const _: () = assert!(std::mem::offset_of!(Wal, next_lsn) < 64);
+const _: () = assert!(std::mem::offset_of!(Wal, base) + 8 <= 64);
 
 /// Handle to a truncation pin; see [`Wal::pin_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinId(u64);
 
 impl Wal {
-    /// Create a log. With `retain == false` the log self-truncates once it
-    /// exceeds an internal watermark (long benchmark runs).
+    /// Create a log. With `retain == false` the log self-truncates: a lane
+    /// holding more than its share of 65,536 records drops those below the
+    /// earliest pin (long benchmark runs).
     pub fn new(retain: bool, flush_latency: Duration) -> Self {
+        Self::with_watermark(retain, flush_latency, 1 << 16)
+    }
+
+    fn with_watermark(retain: bool, flush_latency: Duration, watermark: usize) -> Self {
+        let lane_share = (watermark / LANES).max(1);
+        let check_at = if retain { usize::MAX } else { lane_share + 1 };
         Wal {
-            inner: Mutex::new(LockClass::WalInner, 0, WalInner::default()),
             next_lsn: AtomicU64::new(0),
-            retain,
-            flush_latency,
             flushed_lsn: AtomicU64::new(0),
+            sink: std::sync::OnceLock::new(),
+            flush_latency,
+            pinned_lsn: AtomicU64::new(u64::MAX),
+            base: AtomicU64::new(0),
+            lane_share,
+            // The lane index is the lockdep order key: a cut takes the lanes
+            // in ascending index.
+            lanes: std::array::from_fn(|i| {
+                let inner = WalInner {
+                    frames: Vec::new(),
+                    count: 0,
+                    check_at,
+                };
+                Lane(Mutex::new(LockClass::WalInner, i as u64, inner))
+            }),
             pins: Mutex::new(LockClass::WalPins, 0, std::collections::HashMap::new()),
             next_pin: AtomicU64::new(1),
-            pinned_lsn: AtomicU64::new(u64::MAX),
-            truncate_watermark: 1 << 16,
             flush_leader: Mutex::new(LockClass::WalFlushLeader, 0, false),
             flush_cv: Condvar::new(),
-            sink: std::sync::OnceLock::new(),
             stats: WalStats::default(),
         }
     }
@@ -358,72 +399,99 @@ impl Wal {
         let _ = self.sink.set(sink);
     }
 
+    /// Every lane's mutex, taken in ascending index: while the guards live
+    /// no append is in flight, so each LSN from `base` to `next_lsn` is in
+    /// exactly one lane.
+    fn cut(&self) -> [MutexGuard<'_, WalInner>; LANES] {
+        std::array::from_fn(|i| self.lanes[i].0.lock())
+    }
+
     /// Advance the LSN space of an *empty* log so it continues where a
     /// pre-crash log left off. Restart recovery calls this before appending
     /// anything, keeping LSNs globally unique across process lifetimes —
     /// which is what lets logs from different incarnations be merged by LSN
     /// during TRT reconstruction.
     pub fn advance_to(&self, lsn: Lsn) {
-        let inner = self.inner.lock();
+        let _cut = self.cut();
+        // ordering: Relaxed; `base` is written under a lane mutex, held here
+        let base = self.base.load(Ordering::Relaxed);
         assert!(
-            inner.count == 0,
+            self.next_lsn() == base,
             "advance_to is only valid on an empty log"
         );
-        if lsn > self.next_lsn() {
+        if lsn > base {
             // ordering: Release pairs with the Acquire load in next_lsn
             self.next_lsn.store(lsn, Ordering::Release);
+            // ordering: Relaxed; read only under a cut
+            self.base.store(lsn, Ordering::Relaxed);
         }
     }
 
     /// Append a record, returning its LSN. The payload is only read: the
     /// undo chain lends its copy, any other caller's is dropped on return.
     pub fn append(&self, tid: TxnId, payload: impl Borrow<LogPayload>) -> Lsn {
-        let payload = payload.borrow();
+        // The one lane while a backend is attached keeps the segment file in
+        // LSN order.
+        let lane = if self.sink.get().is_some() {
+            0
+        } else {
+            crate::txn::thread_slot()
+        };
+        self.append_in(lane, tid, payload.borrow())
+    }
+
+    fn append_in(&self, lane: usize, tid: TxnId, payload: &LogPayload) -> Lsn {
         self.stats.records.inc();
         self.stats.bytes.add(payload.approx_size());
         BODY.with_borrow_mut(|body| {
             body.clear();
             // The LSN, the body's first eight bytes, is patched in under the mutex.
             codec::put_record_body(body, 0, tid, payload);
-            self.append_body(tid, body)
+            self.append_body(lane, tid, body)
         })
     }
 
-    /// The critical section of an append: give the encoded `body` its LSN,
-    /// mirror and retain it, truncate, publish.
-    fn append_body(&self, tid: TxnId, body: &mut [u8]) -> Lsn {
+    /// The critical section of an append: reserve the encoded `body`'s LSN,
+    /// mirror and retain it, truncate past the lane's share.
+    fn append_body(&self, lane: usize, tid: TxnId, body: &mut [u8]) -> Lsn {
         // Schedule capture: appends order the log against TRT notes and the
-        // fuzzy checkpoint's next_lsn read; gate *before* taking WalInner.
+        // fuzzy checkpoint's next_lsn read; gate *before* taking the lane.
         crate::sched::point("wal.append.rec", tid.0);
-        let mut inner = self.inner.lock();
-        // ordering: Relaxed; every store is made under the log mutex held here
-        let lsn = self.next_lsn.load(Ordering::Relaxed);
+        let mut inner = self.lanes[lane].0.lock();
+        // A truncation reserving after a pin holder's append sees its pin:
+        // the reservations form one release sequence.
+        // ordering: AcqRel, for that release sequence
+        let lsn = self.next_lsn.fetch_add(1, Ordering::AcqRel);
         body[..8].copy_from_slice(&lsn.to_le_bytes());
         if let Some(sink) = self.sink.get() {
             sink.wal_append(lsn, body);
         }
         codec::put_bytes(&mut inner.frames, body);
         inner.count += 1;
-        if !self.retain && inner.count > self.truncate_watermark {
-            // ordering: pairs with the Release store in recompute_pin; truncation sees pins
-            let pinned = self.pinned_lsn.load(Ordering::Acquire);
-            let base_lsn = lsn + 1 - inner.count as Lsn;
-            let drop_count = pinned.min(lsn + 1).saturating_sub(base_lsn) as usize;
-            if drop_count > 0 {
-                // One move of the surviving bytes, nothing freed per record.
-                let all = drop_count == inner.count;
-                let cut = if all { inner.frames.len() } else { inner.offset_of(drop_count) };
-                inner.frames.drain(..cut);
-                inner.count -= drop_count;
-                self.stats.truncated.add(drop_count as u64);
-            }
+        if inner.count >= inner.check_at {
+            self.truncate(&mut inner, lsn);
         }
-        // Published last: whoever reads `lsn + 1` finds this record in the
-        // log (and its frame in the sink's segment file), and sees
-        // everything its appender did before appending it.
-        // ordering: Release pairs with the Acquire load in next_lsn
-        self.next_lsn.store(lsn + 1, Ordering::Release);
         lsn
+    }
+
+    /// Drop the lane's records below the earliest pin (all of them, `lsn`
+    /// included, when nothing is pinned) and raise `base` past them: one
+    /// move of the surviving bytes, nothing freed per record. The next
+    /// check waits for another share of appends, so a lane a pin holds
+    /// back does no per-append work.
+    #[cold]
+    fn truncate(&self, inner: &mut WalInner, lsn: Lsn) {
+        // ordering: pairs with the Release store in recompute_pin; truncation sees pins
+        let cut = self.pinned_lsn.load(Ordering::Acquire).min(lsn + 1);
+        let (dropped, bytes) = inner.prefix_below(cut);
+        if dropped > 0 {
+            inner.frames.drain(..bytes);
+            inner.count -= dropped;
+            self.stats.truncated.add(dropped as u64);
+            // ordering: Relaxed; read only under a cut, which holds this lane
+            self.base.fetch_max(cut, Ordering::Relaxed);
+        }
+        inner.check_at = self.lane_share + inner.count.max(1);
     }
 
     /// Force the log up to `lsn`, simulating the device latency.
@@ -466,15 +534,19 @@ impl Wal {
                 self.flush_cv.wait(&mut leader_active);
                 continue;
             }
-            // Become the leader. Capture the force target *before* the
-            // sleep: appends racing with the sleep wait for the next force.
+            // Become the leader. Capture the force target under a cut,
+            // before the sleep: every LSN below it is then in the log (and
+            // in the segment file), and appends racing with the sleep wait
+            // for the next force.
             *leader_active = true;
             drop(leader_active);
-            let target = self.next_lsn().saturating_sub(1).max(lsn);
+            let target = {
+                let _cut = self.cut();
+                self.next_lsn().saturating_sub(1).max(lsn)
+            };
             if let Some(sink) = self.sink.get() {
                 // Real durability: the leader's force is an fsync of the
                 // active segment, on behalf of every absorbed follower.
-                // Every frame up to the target is already in the file.
                 sink.sync();
             }
             if !self.flush_latency.is_zero() {
@@ -503,26 +575,35 @@ impl Wal {
         self.flushed_lsn.load(Ordering::Acquire)
     }
 
-    /// Next LSN that will be assigned.
+    /// Next LSN that will be reserved. Every LSN below it is reserved, not
+    /// necessarily in the log yet: an appender on another lane may still be
+    /// copying its record in. A reader that needs the records takes them
+    /// from [`Wal::records_from`], which waits for those appends.
     pub fn next_lsn(&self) -> Lsn {
-        // ordering: Acquire pairs with the Release stores made under the log mutex
+        // ordering: Acquire pairs with the AcqRel reservations and advance_to's store
         self.next_lsn.load(Ordering::Acquire)
     }
 
     /// Lowest LSN still retained.
     pub fn base_lsn(&self) -> Lsn {
-        let inner = self.inner.lock();
-        self.next_lsn() - inner.count as Lsn
+        let _cut = self.cut();
+        // ordering: Relaxed; `base` is written under a lane mutex, held here
+        self.base.load(Ordering::Relaxed)
     }
 
-    /// All retained records with `lsn >= from`: their frames are copied out
-    /// under the log mutex and decoded after it.
+    /// All retained records with `lsn >= from`, gap-free and in LSN order:
+    /// each lane's frames are copied out under a cut, then decoded and
+    /// merged by LSN after it.
     pub fn records_from(&self, from: Lsn) -> Vec<LogRecord> {
-        let bytes = {
-            let inner = self.inner.lock();
-            let wanted = self.next_lsn().saturating_sub(from) as usize;
-            inner.frames[inner.offset_of(inner.count.saturating_sub(wanted))..].to_vec()
-        };
+        let mut bytes = Vec::new();
+        {
+            let cut = self.cut();
+            // ordering: Relaxed; `base` is written under a lane mutex, held here
+            let from = from.max(self.base.load(Ordering::Relaxed));
+            for inner in &cut {
+                bytes.extend_from_slice(&inner.frames[inner.prefix_below(from).1..]);
+            }
+        }
         let mut records = Vec::new();
         let mut r = codec::Reader::new(&bytes, 0);
         while r.remaining() > 0 {
@@ -532,6 +613,8 @@ impl Wal {
                 Err(e) => unreachable!("the log holds a frame it cannot decode: {e}"),
             }
         }
+        // A stable sort finds the lanes' sorted runs and merges them.
+        records.sort_by_key(|r| r.lsn);
         records
     }
 
@@ -560,10 +643,17 @@ impl Wal {
         self.pinned_lsn.store(min, Ordering::Release);
     }
 
-    /// Records retained and the bytes of their frames.
+    /// Records retained and the bytes of their frames (frames a lane holds
+    /// below `base` are not counted).
     pub fn retained(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.count, inner.frames.len())
+        let cut = self.cut();
+        // ordering: Relaxed; `base` is written under a lane mutex, held here
+        let base = self.base.load(Ordering::Relaxed);
+        let bytes = cut
+            .iter()
+            .map(|inner| inner.frames.len() - inner.prefix_below(base).1)
+            .sum();
+        ((self.next_lsn() - base) as usize, bytes)
     }
 }
 
@@ -629,10 +719,7 @@ mod tests {
 
     /// A self-truncating log with a watermark small enough to cross.
     fn truncating_wal() -> Wal {
-        Wal {
-            truncate_watermark: 10,
-            ..Wal::new(false, Duration::ZERO)
-        }
+        Wal::with_watermark(false, Duration::ZERO, 10)
     }
 
     /// One payload of every variant, of different encoded lengths.
@@ -757,6 +844,111 @@ mod tests {
             }
             assert!(own.next().is_none());
         }
+    }
+
+    /// Four appenders on four lanes and a reader cutting the log while
+    /// they run: every read is in LSN order and gap-free from the base, and
+    /// holds each thread's records in the order it appended them.
+    #[test]
+    fn a_cut_is_gap_free_while_four_lanes_append() {
+        let wal = Wal::new(true, Duration::ZERO);
+        let running = std::sync::atomic::AtomicUsize::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (wal, running) = (&wal, &running);
+                s.spawn(move || {
+                    for i in 0..2000 {
+                        wal.append_in(t as usize, TxnId(t), &LogPayload::Checkpoint { id: i });
+                    }
+                    running.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            let mut reads = 0;
+            while running.load(Ordering::Relaxed) > 0 || reads == 0 {
+                let logged = wal.records_from(0);
+                assert!(
+                    logged.iter().enumerate().all(|(i, r)| r.lsn == i as Lsn),
+                    "gap-free from base 0"
+                );
+                for t in 0..4 {
+                    let ids = logged
+                        .iter()
+                        .filter(|r| r.tid == TxnId(t))
+                        .map(|r| &r.payload);
+                    assert!(ids
+                        .enumerate()
+                        .all(|(i, p)| *p == LogPayload::Checkpoint { id: i as u64 }));
+                }
+                reads += 1;
+            }
+        });
+        assert_eq!(wal.records_from(0).len(), 4 * 2000);
+        assert_eq!(wal.retained().0, 4 * 2000);
+    }
+
+    /// Two lanes under a watermark of two records each: whichever lane
+    /// truncates, no record at or above the earliest pin goes, and
+    /// `retained` counts exactly the LSNs from `base_lsn` up.
+    #[test]
+    fn lane_local_truncation_keeps_the_earliest_pin() {
+        let wal = Wal::with_watermark(false, Duration::ZERO, 2 * LANES);
+        let agree = |wal: &Wal| {
+            let logged = wal.records_from(0);
+            let base = wal.base_lsn();
+            assert!(
+                logged.iter().zip(base..).all(|(r, lsn)| r.lsn == lsn),
+                "gap-free from {base}"
+            );
+            assert_eq!(base + logged.len() as Lsn, wal.next_lsn());
+            let bytes = logged.iter().map(|r| {
+                let mut body = Vec::new();
+                codec::put_record_body(&mut body, r.lsn, r.tid, &r.payload);
+                4 + body.len()
+            });
+            assert_eq!(wal.retained(), (logged.len(), bytes.sum()));
+            base
+        };
+        // Interleaved on one thread: lane 1's truncation raises the base
+        // past lane 0's frames, which readers then skip.
+        for i in 0..3 {
+            wal.append_in(i % 2, TxnId(i as u64), &rec());
+        }
+        assert_eq!(agree(&wal), 0);
+        wal.append_in(1, TxnId(1), &rec());
+        wal.append_in(1, TxnId(1), &rec());
+        assert_eq!(
+            agree(&wal),
+            5,
+            "nothing pinned: lane 1 dropped all, itself included"
+        );
+        // Concurrent, under a pin: two lanes truncate past their share over
+        // and over and never below the pin.
+        let pinned = wal.next_lsn() + 7;
+        let pin = wal.pin_at(pinned);
+        std::thread::scope(|s| {
+            for lane in 0..2 {
+                let wal = &wal;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        wal.append_in(lane, TxnId(lane as u64), &LogPayload::Checkpoint { id: i });
+                    }
+                });
+            }
+        });
+        assert_eq!(agree(&wal), pinned);
+        wal.unpin(pin);
+        let lsn = loop {
+            let truncated = wal.stats.truncated.get();
+            let lsn = wal.append_in(0, TxnId(0), &rec());
+            if wal.stats.truncated.get() > truncated {
+                break lsn;
+            }
+        };
+        assert_eq!(
+            agree(&wal),
+            lsn + 1,
+            "unpinned, the next check drops everything"
+        );
     }
 
     #[test]

@@ -200,7 +200,7 @@ fn checkpoint_alone_is_openable() {
 }
 
 /// The mirror's lock order, as lockdep saw it: appends take the segment
-/// writer inside the log mutex, and nothing holding the segment writer
+/// writer inside log lane 0's mutex, and nothing holding the segment writer
 /// goes back for a WAL lock (commit, force, rotation, durable checkpoint
 /// and archiving all ran).
 #[cfg(any(debug_assertions, feature = "lockdep"))]

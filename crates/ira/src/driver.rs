@@ -571,8 +571,9 @@ impl ReorgRun<'_> {
         let trt_lsn = self.db.wal.next_lsn();
         // The schedule-critical instant: between the next_lsn read and the
         // dump, concurrent mutators must leave every tuple either in the
-        // dump or in a record at lsn >= trt_lsn (note-before-append
-        // guarantees it; see brahma::handle::Txn::create_object).
+        // dump or in a record at lsn >= trt_lsn. `next_lsn` counts LSNs
+        // reserved, not records in the log yet; note-before-reserve
+        // guarantees it (see brahma::handle::Txn::log_and_apply).
         brahma::sched::point("ira.ckpt.lsn", trt_lsn);
         let trt_snapshot = self
             .db

@@ -8,8 +8,11 @@ use brahma::lockdep::{self, LockClass, LockClass::*};
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
 use harness::{run_cell, CrashCell};
 use ira::Reorg;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const LOCK_ORDER: &[(LockClass, LockClass)] = &[
+    // A cut of the log takes its lanes in ascending index.
+    (WalInner, WalInner),
     (WalInner, FaultState),
     (WalInner, FileBackend),
     (PartitionAlloc, ErtInner),
@@ -25,7 +28,8 @@ const LOCK_ORDER: &[(LockClass, LockClass)] = &[
     (FileBackend, FaultState),
 ];
 
-/// A chain in one partition anchored from another, reorganized in batches of 3.
+/// A chain in one partition anchored from another, reorganized in batches of
+/// 3 while another thread reads the log.
 fn build_and_reorganize() {
     let db = Database::new(StoreConfig::default());
     let p0 = db.create_partition();
@@ -42,7 +46,18 @@ fn build_and_reorganize() {
     let anchor = NewObject::exact(200, vec![chain[11], chain[6]], vec![1]);
     t.create_object(p0, anchor).expect("anchor");
     t.commit().expect("anchor");
-    let outcome = Reorg::on(&db, p1).batch(3).run();
+    // A reader cuts the log while the reorganizer appends to it.
+    let done = AtomicBool::new(false);
+    let outcome = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                assert!(!db.wal.records_from(0).is_empty());
+            }
+        });
+        let outcome = Reorg::on(&db, p1).batch(3).run();
+        done.store(true, Ordering::Relaxed);
+        outcome
+    });
     assert!(outcome.expect("reorg").migrated() > 0);
 }
 
@@ -74,6 +89,7 @@ fn observed_lock_order_is_the_pinned_list() {
     // The checker is armed and the workload is real.
     assert!(seen(PartitionAlloc, PartitionPages));
     assert!(seen(WalInner, FileBackend));
+    assert!(seen(WalInner, WalInner));
     let violations = lockdep::violations() - violations_before;
     assert_eq!(violations, 0, "the workload must run clean under lockdep");
 }

@@ -142,6 +142,25 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     read_txn();
     let (calls, _, ()) = heap_of(read_txn);
     println!("alloc_budget: {calls} allocations per 9-lock read-only transaction");
+    // The same transaction on a second thread, so on another log lane and
+    // registry slot: a lane's and a slot's buffers grow once, like the
+    // thread's own, and then hold.
+    let (other_slot, other_calls) = std::thread::scope(|s| {
+        s.spawn(|| {
+            (0..64).for_each(|_| read_txn());
+            (brahma::txn::thread_slot(), heap_of(read_txn).0)
+        })
+        .join()
+        .expect("second thread")
+    });
+    assert_ne!(
+        other_slot,
+        brahma::txn::thread_slot(),
+        "a lane and a slot of its own"
+    );
+    println!(
+        "alloc_budget: {other_calls} allocations per read-only transaction on a second thread"
+    );
 
     // ---- held locks: two sharers on each of 1,000 addresses at once ----
     // Straight through the lock manager: `Txn`'s held-list index allocates
@@ -171,7 +190,7 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     let (held_calls, _, ()) = heap_of(hold_and_release);
     println!("alloc_budget: {held_calls} allocations for 2,000 S locks held at once and released");
     assert_eq!(db.locks.table_size(), 0, "every entry reclaimed");
-    // Asserted together, after all four are printed.
+    // Asserted together, after all five are printed.
     assert!(
         per_object <= PER_MIGRATED_OBJECT,
         "{per_object:.2} allocations per migrated object, budget {PER_MIGRATED_OBJECT}"
@@ -180,10 +199,12 @@ fn the_write_path_stays_inside_its_allocation_budget() {
         per_call <= PER_SET_PAYLOAD,
         "{per_call:.2} allocations per set_payload, budget {PER_SET_PAYLOAD}"
     );
-    assert!(
-        calls <= READ_TXN_PARENT,
-        "{calls} allocations in a 9-lock read-only transaction, parent {READ_TXN_PARENT}"
-    );
+    for calls in [calls, other_calls] {
+        assert!(
+            calls <= READ_TXN_PARENT,
+            "{calls} allocations in a 9-lock read-only transaction, parent {READ_TXN_PARENT}"
+        );
+    }
     assert_eq!(
         held_calls, 0,
         "allocations for 2,000 S locks held at once and released"
