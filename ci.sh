@@ -196,9 +196,13 @@ cargo test --release -q --test alloc_budget
 # PR: non-test Rust lines under crates/*/src and shims/*/src (the `nontest`
 # cut the guards above use) outside the test harness crate, the harness's
 # own, then test and benchmark lines, and the bytes of DESIGN.md, so the
-# docs' size is a number too. CHANGES.md quotes this line for the parent
-# and the change.
+# docs' size is a number too, and the public surface of the store and the
+# reorganizer: non-test `pub fn|struct|enum|trait|use` lines under
+# crates/brahma/src and crates/ira/src. CHANGES.md quotes this line for the
+# parent and the change.
 lines() { find "$@" -name '*.rs' | while read -r f; do nontest "$f"; done | wc -l; }
 src=$(lines crates/*/src shims/*/src -not -path 'crates/harness/*')
 count() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
-echo "size: src=$src harness=$(lines crates/harness/src) crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src) design=$(wc -c < DESIGN.md)"
+pub=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do nontest "$f"; done |
+  grep -cE '^[[:space:]]*pub (fn|struct|enum|trait|use) ')
+echo "size: src=$src harness=$(lines crates/harness/src) crate-tests=$(count crates/*/tests) tests=$(count tests) benchmark-src=$(count benchmark/src) design=$(wc -c < DESIGN.md) pub=$pub"

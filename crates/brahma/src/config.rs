@@ -18,9 +18,10 @@ pub struct StoreConfig {
     /// here reproduces that CPU/I-O parallelism on an otherwise
     /// memory-resident database.
     pub commit_flush_latency: Duration,
-    /// Whether the WAL retains all records in memory (needed for restart
-    /// recovery). Long benchmark runs may disable retention to bound
-    /// memory; recovery then requires a fresh run.
+    /// Whether the WAL keeps every record in memory. Off, the log drops
+    /// records below the earliest pin (an active reorganization's TRT
+    /// window), so long benchmark runs keep memory bounded; recovery reads
+    /// the segment files, not this log.
     pub wal_retain: bool,
     /// Apply the Section 4.5 TRT space optimization: under strict 2PL,
     /// pointer-delete tuples are purged when the deleting transaction

@@ -159,12 +159,6 @@ pub struct Database {
     reorg_tables: RwLock<HashMap<PartitionId, Arc<Trt>>>,
     /// Log pins covering each active reorganization's TRT window.
     reorg_pins: Mutex<HashMap<PartitionId, crate::wal::PinId>>,
-    /// Durable reorganizer checkpoints, keyed by partition: the latest
-    /// serialized progress record the reorganization utility wrote for each
-    /// active reorganization. Survives a [`crate::recovery::CrashImage`] so
-    /// restart recovery can hand interrupted reorganizations back to the
-    /// utility for resumption (Section 3.7's restartability).
-    reorg_checkpoints: Mutex<HashMap<PartitionId, Vec<u8>>>,
     /// Persistent roots (Section 2). Conceptually these live in a dedicated
     /// root partition; threads obtain their walk entry points here.
     roots: Mutex<Vec<PhysAddr>>,
@@ -196,7 +190,6 @@ impl Database {
             wal: Wal::new(config.wal_retain, config.commit_flush_latency),
             reorg_tables: RwLock::new(LockClass::DbReorgTables, 0, HashMap::new()),
             reorg_pins: Mutex::new(LockClass::DbReorgPins, 0, HashMap::new()),
-            reorg_checkpoints: Mutex::new(LockClass::DbReorgCkpt, 0, HashMap::new()),
             roots: Mutex::new(LockClass::DbRoots, 0, Vec::new()),
             cpu: RwLock::new(LockClass::DbCpu, 0, None),
             cpu_installed: AtomicBool::new(false),
@@ -377,13 +370,6 @@ impl Database {
             .flatten()
     }
 
-    /// Fuzzy (latch-only) read of a whole object.
-    pub fn fuzzy_read(&self, addr: PhysAddr) -> Option<ObjectView> {
-        self.with_page_read(addr, |buf| object::read_view(buf, addr).ok())
-            .ok()
-            .flatten()
-    }
-
     /// Unlocked full read, for verification sweeps and recovery (callers
     /// guarantee quiescence or hold the relevant locks).
     pub fn raw_read(&self, addr: PhysAddr) -> Result<ObjectView> {
@@ -433,7 +419,6 @@ impl Database {
         if let Some(pin) = self.reorg_pins.lock().remove(&partition) {
             self.wal.unpin(pin);
         }
-        self.reorg_checkpoints.lock().remove(&partition);
         if let Ok(part) = self.partition_ref(partition) {
             let base = part.end_pass();
             self.wal
@@ -454,40 +439,12 @@ impl Database {
     }
 
     /// Durably record the reorganization utility's serialized progress for
-    /// `partition` (replacing any previous record). The bytes survive a
-    /// crash in the [`crate::recovery::CrashImage`] and are handed back by
-    /// [`crate::recovery::recover`] when the reorganization was interrupted.
-    pub fn save_reorg_checkpoint(&self, partition: PartitionId, bytes: Vec<u8>) {
-        if self.backend.get().is_some() {
-            // With a file backend the side table alone would die with the
-            // process; log the blob so a cold restart recovers the latest
-            // one per partition from the segments.
-            self.wal.append(
-                TxnId(0),
-                LogPayload::ReorgCheckpoint {
-                    partition,
-                    blob: bytes.clone(),
-                },
-            );
-        }
-        self.reorg_checkpoints.lock().insert(partition, bytes);
-    }
-
-    /// The latest saved reorganizer checkpoint for `partition`, if any.
-    pub fn reorg_checkpoint(&self, partition: PartitionId) -> Option<Vec<u8>> {
-        self.reorg_checkpoints.lock().get(&partition).cloned()
-    }
-
-    /// Snapshot of every saved reorganizer checkpoint (crash capture).
-    pub(crate) fn reorg_checkpoint_snapshot(&self) -> Vec<(PartitionId, Vec<u8>)> {
-        let mut v: Vec<_> = self
-            .reorg_checkpoints
-            .lock()
-            .iter()
-            .map(|(p, b)| (*p, b.clone()))
-            .collect();
-        v.sort_by_key(|(p, _)| *p);
-        v
+    /// `partition` as a `ReorgCheckpoint` log record. After a crash,
+    /// [`crate::storage::open`] hands back the latest one logged since the
+    /// partition's last `ReorgEnd` when the reorganization was interrupted.
+    pub fn save_reorg_checkpoint(&self, partition: PartitionId, blob: Vec<u8>) {
+        self.wal
+            .append(TxnId(0), LogPayload::ReorgCheckpoint { partition, blob });
     }
 
     /// The TRT of `partition`, when a reorganization is active.
@@ -755,15 +712,19 @@ mod tests {
 
     #[test]
     fn recovery_installs_partitions_in_id_order() {
-        let db = Database::new(StoreConfig::default());
+        let dir = crate::storage::tests::tmpdir("partition-order");
+        let config = crate::storage::tests::file_config(&dir);
+        let db = crate::storage::open(config.clone()).unwrap().db;
         for _ in 0..3 {
             db.create_partition();
         }
-        let image = db.crash(db.checkpoint(1), true);
-        let out = crate::recovery::recover(image, StoreConfig::default()).unwrap();
-        assert_eq!(out.db.partition_ids(), db.partition_ids());
+        let ids = db.partition_ids();
+        drop(db);
+        let out = crate::storage::open(config).unwrap();
+        assert_eq!(out.db.partition_ids(), ids);
         // The recovered store keeps appending where the old one stopped.
         assert_eq!(out.db.create_partition(), PartitionId(3));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -848,7 +809,6 @@ mod tests {
         let addr = part.allocate(64).unwrap();
         // Allocated but never initialized: fuzzy readers must skip it.
         assert!(db.fuzzy_read_refs(addr).is_none());
-        assert!(db.fuzzy_read(addr).is_none());
         assert!(db.raw_read(addr).is_err());
     }
 }

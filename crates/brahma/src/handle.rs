@@ -460,27 +460,6 @@ impl<'db> Txn<'db> {
             .db
             .with_page_read(parent, |buf| object::find_ref(buf, parent, child))??
             .ok_or(Error::NoSuchRef { parent, child })?;
-        self.delete_ref_at_inner(parent, index, child)?;
-        Ok(index)
-    }
-
-    /// Delete the reference at `index` of `parent`, returning the child it
-    /// pointed to.
-    pub fn delete_ref_at(&mut self, parent: PhysAddr, index: usize) -> Result<PhysAddr> {
-        self.require(parent, LockMode::Exclusive)?;
-        let child = self
-            .db
-            .with_page_read(parent, |buf| object::ref_at(buf, parent, index))??;
-        self.delete_ref_at_inner(parent, index, child)?;
-        Ok(child)
-    }
-
-    fn delete_ref_at_inner(
-        &mut self,
-        parent: PhysAddr,
-        index: usize,
-        child: PhysAddr,
-    ) -> Result<()> {
         self.db.fault.hit(site::WAL_APPEND)?;
         self.db.fault.hit(site::TRT_NOTE)?;
         self.db.fault.hit(site::ERT_NOTE)?;
@@ -492,7 +471,8 @@ impl<'db> Txn<'db> {
                 index,
             },
             false,
-        )
+        )?;
+        Ok(index)
     }
 
     /// Overwrite the reference at `index` of `parent` (requires X),

@@ -62,7 +62,7 @@ pub mod lockdep;
 pub mod object;
 pub mod page;
 pub mod partition;
-pub mod recovery;
+mod recovery;
 pub mod retry;
 pub mod sched;
 pub mod storage;
@@ -81,7 +81,7 @@ pub use handle::{NewObject, Txn};
 pub use lock::{LockManager, LockMode};
 pub use object::ObjectView;
 pub use partition::{Partition, SpaceStats};
-pub use recovery::{recover, Checkpoint, CrashImage, RecoveryOutcome};
+pub use recovery::Checkpoint;
 pub use retry::{RetryPolicy, RetryState, RetryStats};
 pub use sched::SeedTree;
 pub use storage::{open, open_with_faults, FileBackend, OpenOutcome};

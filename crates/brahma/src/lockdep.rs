@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use parking_lot::WaitTimeoutResult;
 
@@ -90,8 +90,6 @@ pub enum LockClass {
     DbReorgTables,
     /// The reorganization truncation pins (`Database::reorg_pins`).
     DbReorgPins,
-    /// The reorganization checkpoint blobs (`Database::reorg_checkpoints`).
-    DbReorgCkpt,
     /// The virtual-CPU model hook (`Database::cpu`).
     DbCpu,
     /// The fault injector's rule state (`FaultInjector::state`).
@@ -535,17 +533,6 @@ impl Condvar {
         release(guard.id);
         self.inner.wait(&mut guard.inner);
         guard.id = acquire(guard.tag, false);
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        release(guard.id);
-        let r = self.inner.wait_for(&mut guard.inner, timeout);
-        guard.id = acquire(guard.tag, false);
-        r
     }
 
     pub fn wait_until<T>(

@@ -290,7 +290,7 @@ impl PartitionSnapshot {
         if base.checked_add(npages).is_none() {
             return Err(r.corrupt(format!("{npages} pages from page {base} overflow u32")));
         }
-        let mut pages = Vec::with_capacity((npages as usize).min(1 << 16));
+        let mut pages = Vec::with_capacity(r.fits(npages as usize, 4 + PAGE_SIZE)?);
         for _ in 0..npages {
             let page = r.bytes()?;
             if page.len() != PAGE_SIZE {
@@ -309,12 +309,12 @@ impl PartitionSnapshot {
                 c => return Err(r.corrupt(format!("size class {c} out of range"))),
             };
             let nused = r.u32()? as usize;
-            let mut used = Vec::with_capacity(nused.min(1 << 16));
+            let mut used = Vec::with_capacity(r.fits(nused, 8)?);
             for _ in 0..nused {
                 used.push(r.u64()?);
             }
             let nsizes = r.u32()? as usize;
-            let mut sizes = Vec::with_capacity(nsizes.min(1 << 16));
+            let mut sizes = Vec::with_capacity(r.fits(nsizes, 4)?);
             for _ in 0..nsizes {
                 sizes.push(r.u32()?);
             }
@@ -329,7 +329,7 @@ impl PartitionSnapshot {
         let mut free_lists = Vec::with_capacity(nclasses);
         for _ in 0..nclasses {
             let n = r.u32()? as usize;
-            let mut fl = Vec::with_capacity(n.min(1 << 16));
+            let mut fl = Vec::with_capacity(r.fits(n, 6)?);
             for _ in 0..n {
                 let page = r.u32()?;
                 let slot = r.u16()?;
@@ -350,7 +350,7 @@ impl PartitionSnapshot {
             });
         }
         let nspare = r.u32()? as usize;
-        let mut spare = Vec::with_capacity(nspare.min(1 << 16));
+        let mut spare = Vec::with_capacity(r.fits(nspare, 4)?);
         for _ in 0..nspare {
             spare.push(r.u32()?);
         }
@@ -362,7 +362,7 @@ impl PartitionSnapshot {
         let live = r.u64()?;
         let used_bytes = r.u64()?;
         let nedges = r.u32()? as usize;
-        let mut edges = Vec::with_capacity(nedges.min(1 << 16));
+        let mut edges = Vec::with_capacity(r.fits(nedges, 16)?);
         for _ in 0..nedges {
             let child = r.addr()?;
             let parent = r.addr()?;

@@ -1,17 +1,16 @@
-//! Checkpointing, crash simulation, and restart recovery.
+//! Checkpointing and restart recovery.
 //!
 //! The paper's Section 4.4 discusses how failures interact with the ERT and
 //! the two steps of IRA. The substrate side of that story lives here:
 //!
 //! * [`Database::checkpoint`] captures a transaction-consistent snapshot of
-//!   every partition (pages, allocator directory, ERT) plus the roots.
-//! * [`Database::crash`] models a failure of the memory-resident database:
-//!   what survives is the checkpoint and the *flushed* prefix of the log
-//!   (commit forces the log, so every committed transaction's records
-//!   survive; an in-flight transaction's tail may be lost).
-//! * [`recover`] performs ARIES-style restart recovery: analysis over the
-//!   surviving log, redo of *all* surviving updates from the checkpoint
-//!   ("repeating history"), then undo of loser transactions with
+//!   every partition (pages, allocator directory, ERT) plus the roots;
+//!   [`Database::checkpoint_durable`] writes it to `checkpoint.img`.
+//! * [`recover`] performs ARIES-style restart recovery over a
+//!   [`CrashImage`] — the checkpoint plus the log that reached the segment
+//!   files, which [`crate::storage::open`] reads back after a crash: analysis
+//!   over the surviving log, redo of *all* surviving updates from the
+//!   checkpoint ("repeating history"), then undo of loser transactions with
 //!   compensation records. ERT maintenance replays along with the updates,
 //!   so the recovered ERTs are exact; a reorganization that was in progress
 //!   is reported as interrupted so the caller can restart IRA (whose
@@ -43,35 +42,28 @@ pub struct Checkpoint {
     pub active_reorgs: Vec<PartitionId>,
 }
 
-/// What survives a crash: the last checkpoint and the durable log prefix.
-pub struct CrashImage {
+/// What survives a crash: the last checkpoint and the durable log from its
+/// LSN on.
+pub(crate) struct CrashImage {
     pub checkpoint: Checkpoint,
     pub log: Vec<LogRecord>,
-    /// Durable reorganizer checkpoints (see
-    /// [`Database::save_reorg_checkpoint`]): the utility's serialized
-    /// progress record per partition under reorganization.
-    pub reorg_checkpoints: Vec<(PartitionId, Vec<u8>)>,
 }
 
 /// The result of restart recovery.
-pub struct RecoveryOutcome {
+pub(crate) struct RecoveryOutcome {
     pub db: Database,
     /// Transactions that were rolled back as losers.
     pub losers: Vec<TxnId>,
     /// Partitions whose reorganization was interrupted by the crash; the
     /// reorganizer must be restarted on them (Section 4.4).
     pub interrupted_reorgs: Vec<PartitionId>,
-    /// The surviving reorganizer checkpoint for each interrupted partition
-    /// that had saved one — hand these back to the reorganization utility
-    /// so it resumes from its last checkpoint instead of from scratch.
-    pub reorg_checkpoints: Vec<(PartitionId, Vec<u8>)>,
 }
 
 impl Database {
     /// Take a checkpoint. Must be called at a quiescent point (no active
     /// transactions); the paper's checkpoints of reorganization state are
     /// likewise taken between migrations.
-    pub fn checkpoint(&self, id: u64) -> Checkpoint {
+    pub(crate) fn checkpoint(&self, id: u64) -> Checkpoint {
         debug_assert_eq!(
             self.txns.active_count(),
             0,
@@ -95,33 +87,10 @@ impl Database {
             active_reorgs: self.active_reorg_ids(),
         }
     }
-
-    /// Model a crash: volatile state is discarded; the checkpoint and the
-    /// flushed log prefix survive. (Pass `force_tail = true` to model a
-    /// device that had flushed everything — useful for deterministic
-    /// crash-injection tests.)
-    pub fn crash(&self, checkpoint: Checkpoint, force_tail: bool) -> CrashImage {
-        let horizon = if force_tail {
-            u64::MAX
-        } else {
-            self.wal.flushed_lsn()
-        };
-        let log = self
-            .wal
-            .records_from(checkpoint.lsn)
-            .into_iter()
-            .filter(|r| r.lsn <= horizon)
-            .collect();
-        CrashImage {
-            checkpoint,
-            log,
-            reorg_checkpoints: self.reorg_checkpoint_snapshot(),
-        }
-    }
 }
 
 /// Restart recovery from a crash image.
-pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome> {
+pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome> {
     let db = Database::new(config);
     // Continue the pre-crash LSN space: every record the new incarnation
     // appends (recovery compensations included) gets an LSN above anything
@@ -147,7 +116,6 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
     let mut txn_updates: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
     let mut reorgs: HashSet<PartitionId> =
         image.checkpoint.active_reorgs.iter().copied().collect();
-    let mut logged_blobs: HashMap<PartitionId, Vec<u8>> = HashMap::new();
     for rec in &image.log {
         match &rec.payload {
             LogPayload::Begin { reorg } => {
@@ -175,15 +143,10 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
                     .or_default()
                     .push(rec.payload.clone());
             }
-            LogPayload::ReorgCheckpoint { partition, blob } => {
-                // Keep the latest logged reorganizer checkpoint per
-                // partition; it supersedes the (older, or equal) blob a
-                // durable checkpoint file carried across.
-                logged_blobs.insert(*partition, blob.clone());
-            }
             LogPayload::Migrate { .. }
             | LogPayload::Checkpoint { .. }
-            | LogPayload::CreatePartition { .. } => {}
+            | LogPayload::CreatePartition { .. }
+            | LogPayload::ReorgCheckpoint { .. } => {}
         }
     }
 
@@ -209,19 +172,10 @@ pub fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome
 
     let mut interrupted: Vec<PartitionId> = reorgs.into_iter().collect();
     interrupted.sort_unstable();
-    let mut blobs: HashMap<PartitionId, Vec<u8>> =
-        image.reorg_checkpoints.into_iter().collect();
-    blobs.extend(logged_blobs);
-    let mut reorg_checkpoints: Vec<(PartitionId, Vec<u8>)> = blobs
-        .into_iter()
-        .filter(|(p, _)| interrupted.contains(p))
-        .collect();
-    reorg_checkpoints.sort_by_key(|(p, _)| *p);
     Ok(RecoveryOutcome {
         db,
         losers,
         interrupted_reorgs: interrupted,
-        reorg_checkpoints,
     })
 }
 
@@ -265,14 +219,20 @@ fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{site, FaultAction, FaultPlan, FaultRule};
     use crate::handle::NewObject;
     use crate::lock::LockMode;
+    use crate::storage::{open, tests::{file_config, tmpdir}};
+    use std::path::PathBuf;
 
-    fn fresh_db() -> Database {
-        let db = Database::new(StoreConfig::default());
+    /// A fresh two-partition store on disk; drop it to crash it.
+    fn fresh_db(tag: &str) -> (Database, StoreConfig, PathBuf) {
+        let dir = tmpdir(tag);
+        let config = file_config(&dir);
+        let db = open(config.clone()).unwrap().db;
         db.create_partition();
         db.create_partition();
-        db
+        (db, config, dir)
     }
 
     fn mk(db: &Database, p: u16, refs: Vec<PhysAddr>, payload: &[u8]) -> PhysAddr {
@@ -295,104 +255,112 @@ mod tests {
 
     #[test]
     fn committed_work_survives_a_crash() {
-        let db = fresh_db();
+        let (db, config, dir) = fresh_db("committed");
         let a = mk(&db, 0, vec![], b"before-ckpt");
-        let ckpt = db.checkpoint(1);
+        db.checkpoint_durable(1).unwrap();
         let b = mk(&db, 1, vec![], b"after-ckpt");
         let mut t = db.begin();
         t.lock(a, LockMode::Exclusive).unwrap();
         t.insert_ref(a, b).unwrap();
         t.commit().unwrap();
-        // No backend, no latency: the commits above forced the log with
-        // the in-memory force, whose horizon the crash keeps.
-        assert!(db.config.commit_flush_latency.is_zero() && db.backend().is_none());
-        assert_eq!(db.wal.flushed_lsn(), db.wal.next_lsn() - 1);
+        drop(db);
 
-        let image = db.crash(ckpt, false);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        let out = open(config).unwrap();
         assert!(out.losers.is_empty());
         assert_eq!(out.db.raw_read(a).unwrap().refs, vec![b]);
         assert_eq!(out.db.raw_read(b).unwrap().payload, b"after-ckpt".to_vec());
         // Cross-partition edge restored in the ERT.
         assert!(out.db.partition(PartitionId(1)).unwrap().ert.contains(b, a));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn uncommitted_work_is_rolled_back() {
-        let db = fresh_db();
+        let (db, config, dir) = fresh_db("loser");
         let a = mk(&db, 0, vec![], b"stable");
-        let ckpt = db.checkpoint(1);
-        // A transaction that never commits before the crash.
+        // A transaction that never commits before the crash. Its records
+        // reach the segment file and must be undone.
         let mut t = db.begin();
         t.lock(a, LockMode::Exclusive).unwrap();
         t.set_payload(a, b"dirty").unwrap();
-        // Crash with the tail durable: the loser's records survive and must
-        // be undone.
-        let image = db.crash(ckpt, true);
         std::mem::forget(t); // the crash preempts the transaction
-        let out = recover(image, StoreConfig::default()).unwrap();
+        drop(db);
+        let out = open(config).unwrap();
         assert_eq!(out.losers.len(), 1);
         assert_eq!(out.db.raw_read(a).unwrap().payload, b"stable".to_vec());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unflushed_tail_is_simply_lost() {
-        let db = fresh_db();
+        let (db, config, dir) = fresh_db("unwritten");
         let a = mk(&db, 0, vec![], b"stable");
-        let ckpt = db.checkpoint(1);
+        // The process dies at the transaction's first append: nothing of it
+        // reaches the file, so there is nothing to undo.
+        let kill = FaultRule::nth(site::FILE_PWRITE, 1, FaultAction::Crash);
+        db.fault.arm(FaultPlan::new(0).with(kill));
         let mut t = db.begin();
         t.lock(a, LockMode::Exclusive).unwrap();
         t.set_payload(a, b"dirty").unwrap();
-        // No commit, no flush: nothing of the transaction survives.
-        let image = db.crash(ckpt, false);
         std::mem::forget(t);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        drop(db);
+        let out = open(config).unwrap();
+        assert!(out.losers.is_empty());
         assert_eq!(out.db.raw_read(a).unwrap().payload, b"stable".to_vec());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn loser_object_creation_is_undone() {
-        let db = fresh_db();
-        let ckpt = db.checkpoint(1);
+        let (db, config, dir) = fresh_db("loser-create");
         let mut t = db.begin();
         let a = t
             .create_object(PartitionId(0), NewObject::exact(1, vec![], b"tmp".to_vec()))
             .unwrap();
-        let image = db.crash(ckpt, true);
         std::mem::forget(t);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        drop(db);
+        let out = open(config).unwrap();
         assert!(out.db.raw_read(a).is_err());
         assert_eq!(
             out.db.partition(PartitionId(0)).unwrap().object_count(),
             0
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn interrupted_reorg_is_reported() {
-        let db = fresh_db();
-        let ckpt = db.checkpoint(1);
+        let (db, config, dir) = fresh_db("interrupted");
         db.start_reorg(PartitionId(1)).unwrap();
-        let image = db.crash(ckpt, true);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        drop(db);
+        let out = open(config).unwrap();
         assert_eq!(out.interrupted_reorgs, vec![PartitionId(1)]);
+        std::fs::remove_dir_all(&dir).unwrap();
         // A completed reorg is not reported.
-        let db = fresh_db();
-        let ckpt = db.checkpoint(1);
+        let (db, config, dir) = fresh_db("completed");
         db.start_reorg(PartitionId(1)).unwrap();
         db.end_reorg(PartitionId(1));
-        let image = db.crash(ckpt, true);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        drop(db);
+        let out = open(config).unwrap();
         assert!(out.interrupted_reorgs.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The image a crash of in-memory `db` right now would leave if every
+    /// append had reached a file: a checkpoint and the log from its LSN on.
+    fn image_of(db: &Database) -> CrashImage {
+        let checkpoint = db.checkpoint(1);
+        let log = db.wal.records_from(checkpoint.lsn);
+        CrashImage { checkpoint, log }
     }
 
     #[test]
     fn redo_detects_log_corruption() {
-        let db = fresh_db();
+        let db = Database::new(StoreConfig::default());
+        db.create_partition();
         let a = mk(&db, 0, vec![], b"x");
         let b = mk(&db, 0, vec![], b"y");
-        let ckpt = db.checkpoint(1);
-        let mut image = db.crash(ckpt, true);
+        let mut image = image_of(&db);
         // Forge a DeleteRef that does not match the page state.
         image.log.push(LogRecord {
             lsn: 999,
@@ -404,5 +372,98 @@ mod tests {
             },
         });
         assert!(recover(image, StoreConfig::default()).is_err());
+    }
+
+    /// For one applicable record of each update type, REDO of `[p]` changes
+    /// the pages and REDO of `[p, p.inverse()]` restores every page of every
+    /// partition byte for byte.
+    #[test]
+    fn update_then_inverse_restores_page_images() {
+        let spec = |refs: Vec<PhysAddr>| NewObject {
+            tag: 7,
+            refs,
+            ref_cap: 4,
+            payload: vec![0xC3; 5],
+            payload_cap: 16,
+        };
+        let db = Database::new(StoreConfig::default());
+        let p0 = db.create_partition();
+        let p1 = db.create_partition();
+        let mut t = db.begin();
+        let c: Vec<PhysAddr> = (0..3)
+            .map(|_| t.create_object(p1, spec(vec![])).unwrap())
+            .collect();
+        let a = t.create_object(p0, spec(vec![c[0], c[1]])).unwrap();
+        // A freed slot: a valid, currently unused address for `Create`.
+        let hole = t.create_object(p0, spec(vec![c[2]])).unwrap();
+        let hole_image = t.read(hole).unwrap();
+        t.delete_object(hole).unwrap();
+        t.lock(a, LockMode::Shared).unwrap();
+        let a_image = t.read(a).unwrap();
+        t.commit().unwrap();
+
+        let updates = vec![
+            LogPayload::Create {
+                addr: hole,
+                image: hole_image,
+            },
+            LogPayload::Free {
+                addr: a,
+                image: a_image.clone(),
+            },
+            LogPayload::SetPayload {
+                addr: a,
+                old: a_image.payload,
+                new: vec![9; 3],
+            },
+            LogPayload::InsertRef {
+                parent: a,
+                child: c[2],
+                index: 1,
+            },
+            LogPayload::DeleteRef {
+                parent: a,
+                child: c[0],
+                index: 0,
+            },
+            LogPayload::SetRef {
+                parent: a,
+                index: 1,
+                old_child: c[1],
+                new_child: c[2],
+            },
+        ];
+        // Page images per partition: at the checkpoint, and after REDO of
+        // one committed transaction holding `updates`.
+        type Pages = Vec<Vec<Vec<u8>>>;
+        let pages_after = |updates: Vec<LogPayload>| -> (Pages, Pages) {
+            let checkpoint = db.checkpoint(0);
+            let before = checkpoint.partitions.iter().map(|p| p.pages.clone()).collect();
+            let log = [LogPayload::Begin { reorg: None }]
+                .into_iter()
+                .chain(updates)
+                .chain([LogPayload::Commit])
+                .enumerate()
+                .map(|(i, payload)| LogRecord {
+                    lsn: checkpoint.lsn + 1 + i as u64,
+                    tid: TxnId(9_000),
+                    payload,
+                })
+                .collect();
+            let out = recover(CrashImage { checkpoint, log }, StoreConfig::default()).unwrap();
+            assert!(out.losers.is_empty());
+            let after = [p0, p1]
+                .iter()
+                .map(|p| out.db.partition(*p).unwrap().snapshot().pages)
+                .collect();
+            (before, after)
+        };
+        for p in updates {
+            let inv = p.clone().inverse().unwrap();
+            let (before, after) = pages_after(vec![p.clone()]);
+            assert_ne!(before, after, "{p:?} must change a page");
+            let (before, after) = pages_after(vec![p.clone(), inv]);
+            assert_eq!(before, after, "{p:?} then its inverse must restore every page");
+        }
     }
 }

@@ -101,15 +101,8 @@ pub struct SchedEvent {
     pub key: u64,
 }
 
-/// Global event sequence; also ticks while disarmed so controllers can use
-/// it as a cheap deterministic counter.
+/// Global event sequence (monotonic across arm/disarm cycles).
 static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The next global sequence number (monotonic across arm/disarm cycles).
-pub fn next_seq() -> u64 {
-    // ordering: sequence allocator; uniqueness only, the ring mutex orders records
-    SEQ.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Whether the recorder exists in this build. A constant: `point`, `arm`,
 /// `install_controller` and the other hooks return on it first, so a release

@@ -138,6 +138,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Check a decoded count of `n` elements, each at least `each` bytes
+    /// encoded, against the input left. A count the remaining bytes cannot
+    /// hold is corrupt, so the caller may reserve `n` slots without trusting
+    /// the disk.
+    pub fn fits(&self, n: usize, each: usize) -> Result<usize> {
+        if n.saturating_mul(each) > self.remaining() {
+            return Err(self.corrupt(format!(
+                "{n} elements of {each}+ bytes, only {} remain",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(self.corrupt(format!(
@@ -216,7 +230,7 @@ pub fn read_object(r: &mut Reader<'_>) -> Result<ObjectView> {
     if nrefs > ref_cap as usize {
         return Err(r.corrupt(format!("object holds {nrefs} refs, capacity {ref_cap}")));
     }
-    let mut refs = Vec::with_capacity(nrefs);
+    let mut refs = Vec::with_capacity(r.fits(nrefs, 8)?);
     for _ in 0..nrefs {
         refs.push(r.addr()?);
     }

@@ -21,11 +21,11 @@
 //!   fsync the directory — so a crash at any instant leaves exactly one
 //!   valid checkpoint on disk.
 //!
-//! [`open`] is the restart path: read the checkpoint, scan the segments
+//! [`open`] is the one restart path: read the checkpoint, scan the segments
 //! from the checkpoint LSN, truncate the torn tail (the first record whose
 //! length prefix or CRC fails), run ARIES-style [`crate::recovery::recover`]
 //! over the surviving records, and hand back interrupted reorganizations
-//! with their latest on-disk progress checkpoints for resumption.
+//! with their latest logged progress checkpoints for resumption.
 //!
 //! ## Crash model
 //!
@@ -61,21 +61,9 @@ use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
 const SEG_MAGIC: &[u8; 8] = b"BRHMWAL2";
-const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP3";
+const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP4";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;
-
-/// Everything one durable checkpoint carries, borrowed from the caller.
-pub struct CheckpointData<'a> {
-    pub checkpoint: &'a Checkpoint,
-    /// Latest reorganizer progress blob per partition under reorganization.
-    pub reorg_blobs: &'a [(PartitionId, Vec<u8>)],
-    /// Pre-checkpoint log records still needed after segments older than
-    /// this checkpoint are archived: the window from the earliest active
-    /// reorganization's `ReorgStart`, kept for TRT reconstruction
-    /// (Section 4.4). Empty when no reorganization is in flight.
-    pub carry_log: &'a [LogRecord],
-}
 
 /// Counters on the file-backend I/O path (DESIGN.md §8).
 #[derive(Debug, Default)]
@@ -245,13 +233,18 @@ impl FileBackend {
     }
 
     /// Durably replace the checkpoint (shadow write + atomic rename).
-    pub fn write_checkpoint(&self, data: &CheckpointData<'_>) -> Result<()> {
+    /// `carry_log` holds the pre-checkpoint log records still needed once
+    /// segments older than the checkpoint are archived: the window from the
+    /// earliest active reorganization's `ReorgStart`, kept for TRT
+    /// reconstruction and the reorganizer's `ReorgCheckpoint` records
+    /// (Section 4.4). Empty when no reorganization is in flight.
+    pub fn write_checkpoint(&self, checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> Result<()> {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             // Process-kill fiction: a dead backend's writes land nowhere.
             return Ok(());
         }
-        let bytes = encode_checkpoint_file(data);
+        let bytes = encode_checkpoint_file(checkpoint, carry_log);
         let tmp = self.dir.join("checkpoint.img.tmp");
         let live = self.dir.join("checkpoint.img");
         let write = || -> std::io::Result<()> {
@@ -282,7 +275,7 @@ impl FileBackend {
                 self.stats.fsyncs.inc();
             }
         }
-        self.archive_segments(data.checkpoint.lsn);
+        self.archive_segments(checkpoint.lsn);
         Ok(())
     }
 
@@ -324,7 +317,8 @@ pub struct OpenOutcome {
     pub losers: Vec<TxnId>,
     /// Partitions whose reorganization the crash interrupted.
     pub interrupted_reorgs: Vec<PartitionId>,
-    /// Latest surviving reorganizer checkpoint per interrupted partition.
+    /// Per interrupted partition, the latest `ReorgCheckpoint` blob in
+    /// `pre_crash_log` logged after the partition's last `ReorgEnd`.
     pub reorg_checkpoints: Vec<(PartitionId, Vec<u8>)>,
     /// The surviving pre-crash log in LSN order (checkpoint carry window +
     /// scanned segments), as needed by TRT reconstruction and resumption.
@@ -355,7 +349,8 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     }
 
     // ---- Restart: checkpoint + segment scan -> CrashImage -> recover ----
-    let decoded = read_checkpoint_file(&ckpt_path)?;
+    let file = fs::read(&ckpt_path).map_err(|e| eio("read checkpoint", &e))?;
+    let decoded = decode_checkpoint(&file)?;
     let (scanned, torn_truncations) = scan_segments(&dir.join("wal"))?;
     let mut by_lsn: BTreeMap<Lsn, LogRecord> = decoded
         .carry_log
@@ -376,7 +371,6 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     let image = CrashImage {
         checkpoint: decoded.checkpoint,
         log: replay,
-        reorg_checkpoints: decoded.reorg_blobs,
     };
     let outcome = recover(image, config.clone())?;
     let db = outcome.db;
@@ -391,33 +385,23 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     )?);
     backend.stats.torn_tail_truncations.add(torn_truncations);
     db.attach_backend(Arc::clone(&backend));
-    // Re-save the surviving reorganizer checkpoints: the side table dies
-    // with every process, and the append mirror makes them durable again
-    // in the new segment immediately.
-    for (p, blob) in &outcome.reorg_checkpoints {
-        db.save_reorg_checkpoint(*p, blob.clone());
-    }
 
     // ---- Recovery checkpoint: bound the next restart's replay ----
     // Written before returning so a crash *after* open never re-runs undo
     // over the old log. Interrupted reorganizations are not yet re-opened
-    // (resumption is the utility's job), so carry them explicitly.
+    // (resumption is the utility's job), so carry them explicitly; their
+    // carried window holds their `ReorgCheckpoint` records too.
     let mut ckpt = db.checkpoint(ckpt_id + 1);
     ckpt.active_reorgs = outcome.interrupted_reorgs.clone();
     let carry = carry_window(&pre_crash_log, &ckpt.active_reorgs);
-    let blobs = db.reorg_checkpoint_snapshot();
-    backend.write_checkpoint(&CheckpointData {
-        checkpoint: &ckpt,
-        reorg_blobs: &blobs,
-        carry_log: &carry,
-    })?;
+    backend.write_checkpoint(&ckpt, &carry)?;
 
     Ok(OpenOutcome {
         db,
         recovered: true,
         losers: outcome.losers,
+        reorg_checkpoints: latest_reorg_checkpoints(&pre_crash_log, &outcome.interrupted_reorgs),
         interrupted_reorgs: outcome.interrupted_reorgs,
-        reorg_checkpoints: outcome.reorg_checkpoints,
         pre_crash_log,
         torn_tail_truncations: torn_truncations,
     })
@@ -451,22 +435,17 @@ fn init_fresh(dir: &Path, config: StoreConfig, plan: Option<FaultPlan>) -> Resul
 
 impl Database {
     /// Take a checkpoint and, when a backend is attached, write it durably
-    /// (shadow protocol) and archive the segments it supersedes. The
-    /// in-memory behavior is identical to [`Database::checkpoint`].
+    /// (shadow protocol) and archive the segments it supersedes. Must be
+    /// called at a quiescent point (no active transactions).
     pub fn checkpoint_durable(&self, id: u64) -> Result<Checkpoint> {
         let ckpt = self.checkpoint(id);
         if let Some(backend) = self.backend() {
-            let blobs = self.reorg_checkpoint_snapshot();
             // With no reorganization running there is no window to carry,
             // and no reason to decode the retained log looking for one.
             let quiet = ckpt.active_reorgs.is_empty();
             let retained = if quiet { Vec::new() } else { self.wal.records_from(0) };
             let carry = carry_window(&retained, &ckpt.active_reorgs);
-            backend.write_checkpoint(&CheckpointData {
-                checkpoint: &ckpt,
-                reorg_blobs: &blobs,
-                carry_log: &carry,
-            })?;
+            backend.write_checkpoint(&ckpt, &carry)?;
         }
         Ok(ckpt)
     }
@@ -492,6 +471,33 @@ fn carry_window(records: &[LogRecord], active: &[PartitionId]) -> Vec<LogRecord>
         Some(lsn) => records.iter().filter(|r| r.lsn >= lsn).cloned().collect(),
         None => records.to_vec(),
     }
+}
+
+/// The reorganizer checkpoint to resume each interrupted partition from:
+/// the latest `ReorgCheckpoint` in `log` (ascending LSN) logged after the
+/// partition's last `ReorgEnd`. Keying on `ReorgEnd` never hands a finished
+/// pass's blob to the next pass, and keeps the blob of a pass that was
+/// resumed (a second `ReorgStart`) and crashed again before its next save.
+fn latest_reorg_checkpoints(
+    log: &[LogRecord],
+    interrupted: &[PartitionId],
+) -> Vec<(PartitionId, Vec<u8>)> {
+    interrupted
+        .iter()
+        .filter_map(|&p| {
+            log.iter()
+                .rev()
+                .take_while(|r| {
+                    !matches!(r.payload, LogPayload::ReorgEnd { partition, .. } if partition == p)
+                })
+                .find_map(|r| match &r.payload {
+                    LogPayload::ReorgCheckpoint { partition, blob } if *partition == p => {
+                        Some((p, blob.clone()))
+                    }
+                    _ => None,
+                })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -606,35 +612,29 @@ fn scan_segments(wal_dir: &Path) -> Result<(Vec<LogRecord>, u64)> {
 /// An owned, decoded checkpoint file.
 pub struct DecodedCheckpoint {
     pub checkpoint: Checkpoint,
-    pub reorg_blobs: Vec<(PartitionId, Vec<u8>)>,
     pub carry_log: Vec<LogRecord>,
 }
 
 /// Encode the whole checkpoint file: `magic | crc32(body) | body`.
-fn encode_checkpoint_file(data: &CheckpointData<'_>) -> Vec<u8> {
+fn encode_checkpoint_file(checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> Vec<u8> {
     use codec::*;
     let mut body = Vec::new();
-    put_u64(&mut body, data.checkpoint.id);
-    put_u64(&mut body, data.checkpoint.lsn);
-    put_u32(&mut body, data.checkpoint.roots.len() as u32);
-    for root in &data.checkpoint.roots {
+    put_u64(&mut body, checkpoint.id);
+    put_u64(&mut body, checkpoint.lsn);
+    put_u32(&mut body, checkpoint.roots.len() as u32);
+    for root in &checkpoint.roots {
         put_addr(&mut body, *root);
     }
-    put_u16(&mut body, data.checkpoint.active_reorgs.len() as u16);
-    for p in &data.checkpoint.active_reorgs {
+    put_u16(&mut body, checkpoint.active_reorgs.len() as u16);
+    for p in &checkpoint.active_reorgs {
         put_u16(&mut body, p.0);
     }
-    put_u16(&mut body, data.checkpoint.partitions.len() as u16);
-    for snap in &data.checkpoint.partitions {
+    put_u16(&mut body, checkpoint.partitions.len() as u16);
+    for snap in &checkpoint.partitions {
         snap.encode(&mut body);
     }
-    put_u16(&mut body, data.reorg_blobs.len() as u16);
-    for (p, blob) in data.reorg_blobs {
-        put_u16(&mut body, p.0);
-        put_bytes(&mut body, blob);
-    }
-    put_u32(&mut body, data.carry_log.len() as u32);
-    for rec in data.carry_log {
+    put_u32(&mut body, carry_log.len() as u32);
+    for rec in carry_log {
         put_bytes(&mut body, &encode_record_body(rec));
     }
     let mut out = Vec::with_capacity(12 + body.len());
@@ -644,16 +644,13 @@ fn encode_checkpoint_file(data: &CheckpointData<'_>) -> Vec<u8> {
     out
 }
 
-/// Decode a checkpoint file. Every malformed byte degrades to
+/// Decode the bytes of a checkpoint file. Every malformed byte degrades to
 /// [`Error::Corrupt`] — a half-written shadow file (which the rename
 /// protocol should make impossible to observe under `checkpoint.img`)
-/// fails loudly rather than installing garbage state.
-pub fn read_checkpoint_file(path: &Path) -> Result<DecodedCheckpoint> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| eio("read checkpoint", &e))?;
-    let mut r = Reader::new(&buf, 0);
+/// fails loudly rather than installing garbage state — and no count
+/// reserves more than the remaining bytes could hold.
+pub fn decode_checkpoint(buf: &[u8]) -> Result<DecodedCheckpoint> {
+    let mut r = Reader::new(buf, 0);
     let magic = r.take(8)?;
     if magic != CKPT_MAGIC {
         return Err(Error::Corrupt {
@@ -673,28 +670,22 @@ pub fn read_checkpoint_file(path: &Path) -> Result<DecodedCheckpoint> {
     let id = r.u64()?;
     let lsn = r.u64()?;
     let nroots = r.u32()? as usize;
-    let mut roots = Vec::with_capacity(nroots.min(1 << 16));
+    let mut roots = Vec::with_capacity(r.fits(nroots, 8)?);
     for _ in 0..nroots {
         roots.push(r.addr()?);
     }
     let nactive = r.u16()? as usize;
-    let mut active_reorgs = Vec::with_capacity(nactive);
+    let mut active_reorgs = Vec::with_capacity(r.fits(nactive, 2)?);
     for _ in 0..nactive {
         active_reorgs.push(PartitionId(r.u16()?));
     }
     let nparts = r.u16()? as usize;
-    let mut partitions = Vec::with_capacity(nparts);
+    let mut partitions = Vec::with_capacity(r.fits(nparts, 16)?);
     for _ in 0..nparts {
         partitions.push(crate::partition::PartitionSnapshot::decode(&mut r)?);
     }
-    let nblobs = r.u16()? as usize;
-    let mut reorg_blobs = Vec::with_capacity(nblobs);
-    for _ in 0..nblobs {
-        let p = PartitionId(r.u16()?);
-        reorg_blobs.push((p, r.bytes()?));
-    }
     let nrecs = r.u32()? as usize;
-    let mut carry_log = Vec::with_capacity(nrecs.min(1 << 20));
+    let mut carry_log = Vec::with_capacity(r.fits(nrecs, 4)?);
     for _ in 0..nrecs {
         let at = r.offset() + 4;
         let body = r.bytes()?;
@@ -709,7 +700,6 @@ pub fn read_checkpoint_file(path: &Path) -> Result<DecodedCheckpoint> {
             roots,
             active_reorgs,
         },
-        reorg_blobs,
         carry_log,
     })
 }
@@ -720,11 +710,12 @@ fn eio(what: &str, e: &std::io::Error) -> Error {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::handle::NewObject;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// An empty scratch directory for one test's store.
+    pub(crate) fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "brahma-storage-{tag}-{}",
             std::process::id()
@@ -733,7 +724,7 @@ mod tests {
         dir
     }
 
-    fn file_config(dir: &Path) -> StoreConfig {
+    pub(crate) fn file_config(dir: &Path) -> StoreConfig {
         StoreConfig {
             data_dir: Some(dir.to_path_buf()),
             wal_segment_bytes: 4096,

@@ -98,10 +98,9 @@ pub enum LogPayload {
     /// collector evacuates into fresh partitions mid-run).
     CreatePartition { id: PartitionId },
     /// A reorganization utility saved its serialized progress checkpoint
-    /// for `partition`. Logged (in addition to the in-memory side table)
-    /// so a file backend can recover the blob from the log alone: restart
-    /// takes the *latest* such record per partition, letting a mid-reorg
-    /// process kill resume from the on-disk checkpoint + log.
+    /// for `partition`; the log is its only carrier. Restart hands back the
+    /// latest one logged since the partition's last `ReorgEnd`, so a
+    /// mid-reorg process kill resumes from the on-disk checkpoint + log.
     ReorgCheckpoint { partition: PartitionId, blob: Vec<u8> },
 }
 

@@ -229,3 +229,23 @@ fn segment_writer_nests_inside_the_log_mutex_only() {
     assert!(back.is_empty(), "FileBackend held while taking {back:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A pass that ended takes its reorganizer checkpoint with it: the next
+/// pass on the same partition, interrupted before its first save, resumes
+/// from nothing rather than from the finished pass's progress.
+#[test]
+fn a_finished_pass_never_hands_its_blob_to_the_next() {
+    let dir = tmpdir("finished-pass");
+    {
+        let db = brahma::storage::open(file_config(&dir)).expect("open").db;
+        let p = db.create_partition();
+        db.start_reorg(p).expect("first pass");
+        db.save_reorg_checkpoint(p, vec![0xAA]);
+        db.end_reorg(p);
+        db.start_reorg(p).expect("second pass");
+    } // the crash: the second pass is open
+    let out = brahma::storage::open(file_config(&dir)).expect("reopen");
+    assert_eq!(out.interrupted_reorgs, vec![brahma::PartitionId(0)]);
+    assert_eq!(out.reorg_checkpoints, vec![]);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,12 +8,20 @@
 //! reference state — and recovery logs for it the very compensation records
 //! a live `Txn::abort` logs; a reorganization window open at crash time is
 //! reported as interrupted, with its durable checkpoint blob handed back.
+//!
+//! The crashed store is file-backed: dropping it is the crash, and
+//! `brahma::storage::open` the restart. Every record it appended reached its
+//! segment file, unless a `file.pwrite` kill stopped the writes.
 
+use brahma::fault::site;
+use brahma::storage::open;
 use brahma::{
-    recover, Checkpoint, Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr,
-    StoreConfig, TxnId,
+    Database, FaultAction, FaultPlan, FaultRule, LockMode, LogPayload, NewObject, PartitionId,
+    PhysAddr, StoreConfig, TxnId,
 };
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -272,23 +280,36 @@ fn state_dump(db: &Database) -> String {
     out
 }
 
-/// A second copy of `c`, since `recover` consumes the image holding it.
-fn copy_checkpoint(c: &Checkpoint) -> Checkpoint {
-    Checkpoint {
-        id: c.id,
-        lsn: c.lsn,
-        partitions: c.partitions.clone(),
-        roots: c.roots.clone(),
-        active_reorgs: c.active_reorgs.clone(),
-    }
-}
-
-/// A fresh two-partition store.
+/// A fresh two-partition in-memory store (the reference runs).
 fn two_partitions() -> Database {
     let db = Database::new(StoreConfig::default());
     db.create_partition();
     db.create_partition();
     db
+}
+
+/// A fresh two-partition file-backed store in its own scratch directory,
+/// with the config that reopens it. Drop the store to crash it.
+fn durable_two_partitions(tag: &str) -> (Database, StoreConfig, PathBuf) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("brahma-rp-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig {
+        data_dir: Some(dir.clone()),
+        ..StoreConfig::default()
+    };
+    let db = open(config.clone()).unwrap().db;
+    db.create_partition();
+    db.create_partition();
+    (db, config, dir)
+}
+
+/// Kill the store's process at its next log append: from here on nothing
+/// reaches the segment files.
+fn kill_at_next_append(db: &Database) {
+    let kill = FaultRule::nth(site::FILE_PWRITE, 1, FaultAction::Crash);
+    db.fault.arm(FaultPlan::new(0).with(kill));
 }
 
 /// The update records workload transaction `tid` logged at or after
@@ -331,24 +352,18 @@ proptest! {
         }
 
         // Subject: same script; the loser transaction is open when the
-        // crash hits (with a durable log tail).
-        let db = Database::new(StoreConfig::default());
-        db.create_partition();
-        db.create_partition();
-        let ckpt = db.checkpoint(0);
+        // crash hits, its records in the segment file.
+        let (db, config, dir) = durable_two_partitions("match");
         let mut pool = run_prefix(&db, &script);
         let mut dead = Vec::new();
         let mut loser_txn = db.begin();
         for op in &script.loser {
             apply_op(&mut loser_txn, op, &mut pool, &mut dead);
         }
-        let image = db.crash(ckpt, true);
         std::mem::forget(loser_txn); // the crash preempts it
         drop(db);
-        let first_log = image.log.clone();
-        let first_ckpt = copy_checkpoint(&image.checkpoint);
 
-        let out = recover(image, StoreConfig::default()).unwrap();
+        let out = open(config.clone()).unwrap();
         let recovered = state_dump(&out.db);
         prop_assert_eq!(
             &recovered,
@@ -358,16 +373,14 @@ proptest! {
         prop_assert!(out.losers.len() <= 1);
 
         // recover∘recover = recover: crash the recovered store again with no
-        // new work. Its durable log is the first incarnation's surviving log
-        // followed by what recovery appended (each loser's compensations and
-        // `Abort`), so a second recovery repeats history to the same state
-        // and finds no loser.
-        let mut again = out.db.crash(first_ckpt, true);
-        again.log.splice(0..0, first_log);
-        drop(out.db);
-        let twice = recover(again, StoreConfig::default()).unwrap();
+        // new work. The second open starts from the checkpoint the first
+        // wrote after its undo, reaches the same state and finds no loser.
+        drop(out);
+        let twice = open(config).unwrap();
         prop_assert_eq!(state_dump(&twice.db), recovered, "a second recovery moved the state");
         prop_assert!(twice.losers.is_empty(), "a second recovery found losers");
+        drop(twice);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One rollback, two drivers: the same loser rolled back live by
@@ -389,8 +402,7 @@ proptest! {
             updates_of(&live, tid, rollback_from)
         };
 
-        let db = two_partitions();
-        let ckpt = db.checkpoint(0);
+        let (db, config, dir) = durable_two_partitions("undo");
         let mut pool = run_prefix(&db, &script);
         let mut loser = db.begin();
         let tid = loser.id();
@@ -398,25 +410,24 @@ proptest! {
             apply_op(&mut loser, op, &mut pool, &mut Vec::new());
         }
         let forward = updates_of(&db, tid, 0);
-        let image = db.crash(ckpt, true);
         let crash_lsn = db.wal.next_lsn();
         std::mem::forget(loser); // the crash preempts it
         drop(db);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        let out = open(config).unwrap();
 
         prop_assert_eq!(state_dump(&out.db), state_dump(&live));
         let recovered_compensations = updates_of(&out.db, tid, crash_lsn);
         prop_assert_eq!(recovered_compensations.len(), forward.len());
         prop_assert_eq!(recovered_compensations, live_compensations);
+        drop(out);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Without a durable tail, an uncommitted transaction's effects vanish
     /// entirely (nothing to undo, nothing applied).
     #[test]
     fn unflushed_loser_leaves_no_trace(ops in proptest::collection::vec(op_strategy(), 1..8)) {
-        let db = Database::new(StoreConfig::default());
-        db.create_partition();
-        db.create_partition();
+        let (db, config, dir) = durable_two_partitions("unwritten");
         // One committed object so later ops have something to chew on.
         let mut setup = db.begin();
         let base = setup
@@ -426,20 +437,22 @@ proptest! {
             })
             .unwrap();
         setup.commit().unwrap();
-        let ckpt = db.checkpoint(0);
         let reference_dump = state_dump(&db);
 
+        kill_at_next_append(&db); // none of the loser's records reach the file
         let mut pool = vec![base];
         let mut dead = Vec::new();
         let mut txn = db.begin();
         for op in &ops {
             apply_op(&mut txn, op, &mut pool, &mut dead);
         }
-        let image = db.crash(ckpt, false); // only the flushed prefix survives
         std::mem::forget(txn);
         drop(db);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        let out = open(config).unwrap();
+        prop_assert!(out.losers.is_empty());
         prop_assert_eq!(state_dump(&out.db), reference_dump);
+        drop(out);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -448,9 +461,8 @@ proptest! {
 /// checkpoint blob registered with the store.
 #[test]
 fn crash_inside_open_reorg_window_reports_interruption() {
-    let db = Database::new(StoreConfig::default());
-    let p0 = db.create_partition();
-    db.create_partition();
+    let (db, config, dir) = durable_two_partitions("window");
+    let p0 = PartitionId(0);
     let mut setup = db.begin();
     setup
         .create_object(
@@ -465,16 +477,16 @@ fn crash_inside_open_reorg_window_reports_interruption() {
         )
         .unwrap();
     setup.commit().unwrap();
-    let ckpt = db.checkpoint(0);
 
     db.start_reorg(p0).unwrap();
     db.save_reorg_checkpoint(p0, vec![0xAA, 0xBB, 0xCC]);
-    let image = db.crash(ckpt, true);
     drop(db);
 
-    let out = recover(image, StoreConfig::default()).unwrap();
+    let out = open(config).unwrap();
     assert_eq!(out.interrupted_reorgs, vec![p0]);
     assert_eq!(out.reorg_checkpoints, vec![(p0, vec![0xAA, 0xBB, 0xCC])]);
+    drop(out);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// One committed reorganization transaction (the caller holds the window
@@ -508,18 +520,15 @@ fn observed(db: &Database) -> (String, brahma::SpaceStats, u32) {
     (state_dump(db), part.space_stats(), part.page_base())
 }
 
-/// Recover from `image`, check the result against `expected`, then crash
-/// the recovered store with no new work and recover again: a second
-/// recovery repeats history to the same state.
-fn recover_twice(image: brahma::CrashImage, expected: &(String, brahma::SpaceStats, u32)) -> Database {
-    let first_log = image.log.clone();
-    let first_ckpt = copy_checkpoint(&image.checkpoint);
-    let out = recover(image, StoreConfig::default()).unwrap();
+/// Reopen the crashed store at `config`, check the result against
+/// `expected`, then crash the recovered store with no new work and reopen
+/// again: a second recovery reaches the same state.
+fn reopen_twice(config: &StoreConfig, expected: &(String, brahma::SpaceStats, u32)) -> Database {
+    let out = open(config.clone()).unwrap();
     assert!(out.interrupted_reorgs.is_empty());
     assert_eq!(&observed(&out.db), expected);
-    let mut again = out.db.crash(first_ckpt, true);
-    again.log.splice(0..0, first_log);
-    let twice = recover(again, StoreConfig::default()).unwrap();
+    drop(out);
+    let twice = open(config.clone()).unwrap();
     assert_eq!(&observed(&twice.db), expected, "a second recovery moved the state");
     brahma::sweep::assert_database_consistent(&twice.db);
     twice.db
@@ -544,11 +553,11 @@ fn redo_of_a_pass_drops_the_pages_it_emptied() {
         t.commit().unwrap();
         a
     };
-    let db = two_partitions();
+    let (db, config, dir) = durable_two_partitions("pass-drop");
     // Four objects of the 4096-byte class fill page 0.
     let mut pool: Vec<PhysAddr> = (0..4).map(|_| create(&db, 3000)).collect();
     assert!(pool.iter().all(|a| a.page() == 0));
-    let ckpt = db.checkpoint(0);
+    db.checkpoint_durable(1).unwrap();
 
     // The pass: every object moves above the floor, and `end_reorg` drops
     // the page they left.
@@ -561,9 +570,9 @@ fn redo_of_a_pass_drops_the_pages_it_emptied() {
     let expected = observed(&db);
     assert_eq!((expected.1.pages, expected.2), (2, 1));
 
-    let image = db.crash(ckpt, true);
     drop(db);
-    recover_twice(image, &expected);
+    drop(reopen_twice(&config, &expected));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint taken *mid*-pass carries the pass's floor, and REDO of
@@ -571,7 +580,7 @@ fn redo_of_a_pass_drops_the_pages_it_emptied() {
 /// restart no allocation hands out an address the pass vacated.
 #[test]
 fn redo_of_reorg_end_drops_what_a_mid_pass_checkpoint_held() {
-    let db = two_partitions();
+    let (db, config, dir) = durable_two_partitions("mid-pass");
     let mut pool: Vec<PhysAddr> = (0..6)
         .map(|_| {
             let mut t = db.begin();
@@ -584,7 +593,7 @@ fn redo_of_reorg_end_drops_what_a_mid_pass_checkpoint_held() {
     let vacated = pool.clone();
     db.start_reorg(PartitionId(0)).unwrap();
     relocate_all(&db, &mut pool[..3]);
-    let ckpt = db.checkpoint(0); // the pass is open in this snapshot
+    db.checkpoint_durable(1).unwrap(); // the pass is open in this snapshot
     relocate_all(&db, &mut pool[3..]);
     db.end_reorg(PartitionId(0));
     let part = db.partition(PartitionId(0)).unwrap();
@@ -592,11 +601,13 @@ fn redo_of_reorg_end_drops_what_a_mid_pass_checkpoint_held() {
     let expected = observed(&db);
     assert_eq!(expected.2, 1, "page 0 is dropped");
 
-    let image = db.crash(ckpt, true);
-    let recovered = recover_twice(image, &expected);
+    drop((part, db));
+    let recovered = reopen_twice(&config, &expected);
     let part = recovered.partition(PartitionId(0)).unwrap();
     for _ in 0..vacated.len() {
         let a = part.allocate(size).unwrap();
         assert!(!vacated.contains(&a), "{a} was vacated by the pass");
     }
+    drop((part, recovered));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

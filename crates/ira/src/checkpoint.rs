@@ -48,8 +48,8 @@ const CODEC_VERSION: u8 = 2;
 
 impl IraCheckpoint {
     /// Serialize to a self-contained byte record — the durable form the
-    /// driver hands to [`Database::save_reorg_checkpoint`] so the
-    /// checkpoint rides a [`brahma::CrashImage`] across a crash. Hash
+    /// driver hands to [`Database::save_reorg_checkpoint`], which logs it so
+    /// [`brahma::storage::open`] hands it back after a crash. Hash
     /// containers are emitted in sorted order, so encoding is deterministic:
     /// the same checkpoint always produces the same bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -186,9 +186,10 @@ fn read_addrs(r: &mut Reader<'_>) -> Result<Vec<PhysAddr>, StoreError> {
 /// Resume an interrupted reorganization on a *recovered* database:
 /// crate-internal entry point behind `Reorg::resume_from`.
 ///
-/// `pre_crash_log` is the surviving log of the crashed instance (from
-/// [`brahma::CrashImage::log`]); together with the recovered database's own
-/// log it reconstructs the TRT window since the reorganization started.
+/// `pre_crash_log` is the surviving log of the crashed instance
+/// ([`brahma::OpenOutcome::pre_crash_log`]); together with the recovered
+/// database's own log it reconstructs the TRT window since the
+/// reorganization started.
 pub(crate) fn run_resume(
     db: &Database,
     ckpt: IraCheckpoint,
@@ -312,7 +313,21 @@ mod tests {
     use super::*;
     use crate::builder::Reorg;
     use crate::site;
-    use brahma::{recover, FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
+    use brahma::{FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
+    use std::path::PathBuf;
+
+    /// A fresh file-backed store in its own scratch directory; dropping the
+    /// database is the crash, `brahma::storage::open(config)` the restart.
+    fn fresh_store(tag: &str) -> (Database, StoreConfig, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ira-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            data_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        let db = brahma::storage::open(config.clone()).unwrap().db;
+        (db, config, dir)
+    }
 
     /// Arm a crash at the `n`-th batch boundary of the next run.
     fn crash_at_batch(db: &Database, n: u64) {
@@ -325,7 +340,7 @@ mod tests {
     /// verify the result is a complete, consistent reorganization.
     #[test]
     fn crash_mid_reorg_then_resume_completes() {
-        let db = Database::new(StoreConfig::default());
+        let (db, config, dir) = fresh_store("resume");
         let p0 = db.create_partition();
         let p1 = db.create_partition();
         // Build a chain of 10 objects in p1 anchored from p0.
@@ -357,7 +372,7 @@ mod tests {
         t.commit().unwrap();
 
         // Brahma-level checkpoint before the reorganization.
-        let store_ckpt = db.checkpoint(1);
+        db.checkpoint_durable(1).unwrap();
 
         // Run IRA with a crash after 4 migrations (batches of one).
         crash_at_batch(&db, 4);
@@ -367,13 +382,11 @@ mod tests {
         };
         assert_eq!(ira_ckpt.mapping.len(), 4);
 
-        // Crash the database and recover. The crash image carries the
-        // driver's durable checkpoint record, and recovery hands it back
-        // with the interrupted partition.
-        let image = db.crash(store_ckpt, true);
-        let pre_crash_log = image.log.clone();
+        // Crash the database and reopen it. The log carries the driver's
+        // durable checkpoint record, and the open hands it back with the
+        // interrupted partition.
         drop(db);
-        let out = recover(image, StoreConfig::default()).unwrap();
+        let out = brahma::storage::open(config).unwrap();
         assert_eq!(out.interrupted_reorgs, vec![p1]);
         assert_eq!(out.reorg_checkpoints.len(), 1);
         assert_eq!(out.reorg_checkpoints[0].0, p1);
@@ -383,11 +396,11 @@ mod tests {
             "the durable record is the returned checkpoint"
         );
         let recovered = IraCheckpoint::decode(&out.reorg_checkpoints[0].1).unwrap();
-        let db = out.db;
+        let db = &out.db;
 
         // Resume from the recovered (deserialized) IRA checkpoint.
-        let outcome = Reorg::on(&db, p1)
-            .resume_from(recovered, &pre_crash_log)
+        let outcome = Reorg::on(db, p1)
+            .resume_from(recovered, &out.pre_crash_log)
             .run()
             .unwrap();
         // The mapping accumulates the 4 pre-crash migrations plus the 6
@@ -401,7 +414,9 @@ mod tests {
         }
         assert_eq!(db.partition(p1).unwrap().object_count(), 10);
         let _ = anchor;
-        brahma::sweep::assert_database_consistent(&db);
+        brahma::sweep::assert_database_consistent(db);
+        drop(out);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The byte codec is deterministic and lossless, and rejects malformed
@@ -483,7 +498,7 @@ mod tests {
     /// recovered database simply runs a fresh reorganization.
     #[test]
     fn restart_from_scratch_after_crash() {
-        let db = Database::new(StoreConfig::default());
+        let (db, config, dir) = fresh_store("scratch");
         let p0 = db.create_partition();
         let p1 = db.create_partition();
         let mut t = db.begin();
@@ -497,14 +512,12 @@ mod tests {
             .unwrap();
         t.commit().unwrap();
 
-        let store_ckpt = db.checkpoint(1);
+        db.checkpoint_durable(1).unwrap();
         // Crash after the single migration committed.
         crash_at_batch(&db, 1);
         let _ = Reorg::on(&db, p1).run().unwrap_err();
-        let image = db.crash(store_ckpt, true);
         drop(db);
-        let out = recover(image, StoreConfig::default()).unwrap();
-        let db = out.db;
+        let db = brahma::storage::open(config).unwrap().db;
 
         // Fresh run on the recovered database.
         let outcome = Reorg::on(&db, p1).run().unwrap();
@@ -512,5 +525,7 @@ mod tests {
         // allowed — migration is idempotent at the graph level.
         assert_eq!(outcome.migrated(), 1);
         brahma::sweep::assert_database_consistent(&db);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -56,10 +56,9 @@ pub struct IraConfig {
     /// list exactly; capacities and payload are free to change.
     pub transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
     /// Save a reorganizer checkpoint (Section 4.4) every this many batches,
-    /// in addition to the crash-time save. With a file backend attached the
-    /// save is mirrored into the durable log, so a hard process kill
-    /// resumes from at most this many batches back. `None` (the default)
-    /// checkpoints only at crash.
+    /// in addition to the crash-time save. Each save is one log record, so
+    /// a hard process kill resumes from at most this many batches back.
+    /// `None` (the default) checkpoints only at crash.
     pub checkpoint_every: Option<usize>,
 }
 
@@ -536,10 +535,11 @@ impl ReorgRun<'_> {
         e
     }
 
-    /// Convert a latched crash request into a simulated crash: checkpoint the run, save the checkpoint
-    /// durably so the next [`brahma::CrashImage`] carries it, and leave the
-    /// reorganization open — exactly what a stop-the-world failure between
-    /// two migration transactions looks like (Section 4.4).
+    /// Convert a latched crash request into a simulated crash: checkpoint
+    /// the run, log the checkpoint so the next [`brahma::storage::open`]
+    /// hands it back, and leave the reorganization open — exactly what a
+    /// stop-the-world failure between two migration transactions looks like
+    /// (Section 4.4).
     fn crash_now(&self) -> IraError {
         let _ = self.db.fault.take_crash_request();
         let ckpt = self.checkpoint();

@@ -4,8 +4,7 @@
 //! crash/resume correctly mid-queue.
 
 use brahma::{
-    recover, Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr,
-    StoreConfig,
+    Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr, StoreConfig,
 };
 use harness::with_repro_banner;
 use ira::verify::logical_fingerprint;
@@ -110,6 +109,19 @@ fn reorganized_graph_is_isomorphic_to_original() {
     }
 }
 
+/// A file-backed store in its own scratch directory, and the config that
+/// reopens it.
+fn durable_store(tag: &str) -> (Database, StoreConfig, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ira-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig {
+        data_dir: Some(dir.clone()),
+        ..StoreConfig::default()
+    };
+    let db = brahma::storage::open(config.clone()).expect("fresh open").db;
+    (db, config, dir)
+}
+
 /// Deterministic mid-queue crash: the checkpoint carries the exact queue
 /// position — the batch boundary the crash fired at — and the resume
 /// completes from there to a graph isomorphic to the original.
@@ -125,10 +137,10 @@ fn crash_mid_queue_checkpoints_exact_position_and_resumes() {
 }
 
 fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
-    let db = Database::new(StoreConfig::default());
+    let (db, config, dir) = durable_store(&format!("crash-mid-queue-{batch}"));
     let forest = build_forest(&db, chains, chain_len);
     let reference = logical_fingerprint(&db, &forest.anchors);
-    let store_ckpt = db.checkpoint(0xAF_u64);
+    db.checkpoint_durable(0xAF_u64).expect("durable checkpoint");
 
     // The first batch boundary at or past half the queue.
     let crash_batch = (chains * chain_len / 2 - 1).div_ceil(batch);
@@ -151,33 +163,96 @@ fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
     assert_eq!(ckpt.pos, crash_batch * batch);
     assert_eq!(ckpt.mapping.len(), ckpt.pos, "every queued object was live");
 
-    let image = db.crash(store_ckpt, true);
-    let blob = image
+    drop(db); // the crash
+
+    let out = brahma::storage::open(config).expect("recovery");
+    assert_eq!(out.interrupted_reorgs, vec![forest.p1]);
+    let blob = out
         .reorg_checkpoints
         .iter()
         .find(|(p, _)| *p == forest.p1)
         .map(|(_, b)| b.clone())
-        .expect("crash image carries the durable reorg checkpoint");
-    let pre_crash_log = image.log.clone();
-    drop(db);
-
-    let out = recover(image, StoreConfig::default()).expect("recovery");
-    assert_eq!(out.interrupted_reorgs, vec![forest.p1]);
+        .expect("the log carries the durable reorg checkpoint");
+    assert_eq!(blob, ckpt.encode(), "the logged blob is the returned checkpoint");
     let recovered = IraCheckpoint::decode(&blob).expect("checkpoint decode");
-    let db = out.db;
+    let db = &out.db;
 
-    let outcome = Reorg::on(&db, forest.p1)
-        .resume_from(recovered, &pre_crash_log)
+    let outcome = Reorg::on(db, forest.p1)
+        .resume_from(recovered, &out.pre_crash_log)
         .run()
         .expect("resume after mid-queue crash");
     assert_eq!(outcome.migrated(), forest.live);
     assert_eq!(
-        logical_fingerprint(&db, &forest.anchors),
+        logical_fingerprint(db, &forest.anchors),
         reference,
         "resumed run must reproduce the original graph"
     );
-    ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
-    brahma::sweep::assert_database_consistent(&db);
+    ira::verify::assert_reorganization_clean(db, outcome.ira().unwrap());
+    brahma::sweep::assert_database_consistent(db);
+    drop(out);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// A pass resumed after a crash and killed again before its next save
+/// resumes, after the second restart, from the first incarnation's blob:
+/// the second incarnation's `ReorgStart` does not hide it. The migrations
+/// the killed resume committed are redone by recovery and harvested from
+/// the log, so the third run still migrates every object exactly once.
+#[test]
+fn a_resumed_pass_killed_before_its_next_save_keeps_the_first_blob() {
+    let (batch, chains, chain_len) = (2, 6, 8);
+    let (db, config, dir) = durable_store("second-crash");
+    let forest = build_forest(&db, chains, chain_len);
+    let reference = logical_fingerprint(&db, &forest.anchors);
+
+    // First incarnation: a crash at the sixth batch boundary logs the blob.
+    db.fault.arm(FaultPlan::new(1).with(FaultRule::nth(ira::site::BATCH, 6, FaultAction::Crash)));
+    let first = match Reorg::on(&db, forest.p1).batch(batch).run() {
+        Err(IraError::SimulatedCrash(c)) => c,
+        other => panic!("expected a simulated crash, got {:?}", other.map(|o| o.migrated())),
+    };
+    assert_eq!(first.pos, 6 * batch);
+    drop(db);
+
+    // Second incarnation: resume, and die at the 20th log write — some
+    // batches in, long before the run ends or saves again.
+    let out = brahma::storage::open(config.clone()).expect("first restart");
+    assert_eq!(out.reorg_checkpoints, vec![(forest.p1, first.encode())]);
+    out.db.fault.arm(FaultPlan::new(2).with(FaultRule::nth(
+        brahma::fault::site::FILE_PWRITE,
+        20,
+        FaultAction::Crash,
+    )));
+    let blob = IraCheckpoint::decode(&out.reorg_checkpoints[0].1).expect("decode");
+    let second = Reorg::on(&out.db, forest.p1)
+        .batch(batch)
+        .resume_from(blob, &out.pre_crash_log)
+        .run();
+    let Err(IraError::SimulatedCrash(second)) = second else {
+        panic!("the killed resume must stop at its next batch boundary");
+    };
+    assert!(second.pos > first.pos, "the killed resume made progress");
+    assert!(second.mapping.len() < forest.live);
+    drop(out);
+
+    // Third incarnation: the interrupted pass comes back with the first
+    // blob, and resuming from it completes the reorganization.
+    let out = brahma::storage::open(config).expect("second restart");
+    assert_eq!(out.interrupted_reorgs, vec![forest.p1]);
+    assert_eq!(out.reorg_checkpoints, vec![(forest.p1, first.encode())]);
+    let blob = IraCheckpoint::decode(&out.reorg_checkpoints[0].1).expect("decode");
+    let db = &out.db;
+    let outcome = Reorg::on(db, forest.p1)
+        .batch(batch)
+        .resume_from(blob, &out.pre_crash_log)
+        .run()
+        .expect("resume after the second crash");
+    assert_eq!(outcome.migrated(), forest.live);
+    assert_eq!(logical_fingerprint(db, &forest.anchors), reference);
+    ira::verify::assert_reorganization_clean(db, outcome.ira().unwrap());
+    brahma::sweep::assert_database_consistent(db);
+    drop(out);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
 /// `checkpoint_every(n)` saves one reorganizer checkpoint at every `n`-th

@@ -7,13 +7,22 @@
 //! state; after recovery the TRT is rebuilt from the log and the
 //! reorganization continues with the objects not yet migrated.
 //!
+//! The store lives in a scratch directory under the system temp dir;
+//! dropping it is the crash and `brahma::storage::open` the restart.
+//!
 //! Run with: `cargo run --example crash_recovery`
 
-use brahma::{recover, Database, FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
+use brahma::{FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
 use ira::{IraCheckpoint, IraError, Reorg};
 
 fn main() {
-    let db = Database::new(StoreConfig::default());
+    let dir = std::env::temp_dir().join(format!("crash-recovery-example-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig {
+        data_dir: Some(dir.clone()),
+        ..StoreConfig::default()
+    };
+    let db = brahma::storage::open(config.clone()).expect("fresh open").db;
     let p0 = db.create_partition();
     let p1 = db.create_partition();
 
@@ -34,7 +43,7 @@ fn main() {
 
     // A storage-level checkpoint (pages + allocator + ERTs) at a quiescent
     // point; everything after it will be replayed from the log.
-    let store_ckpt = db.checkpoint(1);
+    db.checkpoint_durable(1).expect("durable checkpoint");
 
     // Run IRA with fault injection: "crash" at the 12th batch boundary,
     // i.e. after 12 migrations.
@@ -54,18 +63,16 @@ fn main() {
         ira_ckpt.state.order.len()
     );
 
-    // The machine dies: all volatile state is gone. What survives is the
-    // checkpoint, the flushed log, and the reorganizer's durable
-    // checkpoint blob (written through the store at every batch boundary).
+    // The process dies: all volatile state is gone. What survives is the
+    // checkpoint file and the log segments, among them the reorganizer's
+    // checkpoint blob, logged through the store at the crash.
     drop(ira_ckpt);
-    let image = db.crash(store_ckpt, false);
-    let pre_crash_log = image.log.clone();
     drop(db);
 
     // Restart recovery: redo committed work from the checkpoint, roll back
     // losers, report the interrupted reorganization and hand back its
-    // durable checkpoint.
-    let outcome = recover(image, StoreConfig::default()).expect("recovery succeeds");
+    // logged checkpoint.
+    let outcome = brahma::storage::open(config).expect("recovery succeeds");
     println!(
         "recovery: {} loser transaction(s) rolled back; interrupted reorganizations: {:?}",
         outcome.losers.len(),
@@ -78,20 +85,20 @@ fn main() {
         .find(|(p, _)| *p == p1)
         .expect("recovery surfaces the pending reorg checkpoint");
     let recovered_ckpt = IraCheckpoint::decode(blob).expect("checkpoint blob decodes");
-    let db = outcome.db;
+    let db = &outcome.db;
 
     // Resume: the TRT is rebuilt from the log, traversal state comes from
     // the decoded reorganizer checkpoint, and the remaining objects
     // migrate.
-    let outcome = Reorg::on(&db, p1)
-        .resume_from(recovered_ckpt, &pre_crash_log)
+    let resumed = Reorg::on(db, p1)
+        .resume_from(recovered_ckpt, &outcome.pre_crash_log)
         .run()
         .expect("resume completes");
     println!(
         "resume migrated the remaining objects; total mapping now covers {} objects",
-        outcome.migrated()
+        resumed.migrated()
     );
-    assert_eq!(outcome.migrated(), 30);
+    assert_eq!(resumed.migrated(), 30);
 
     // The whole chain is reachable and intact.
     let mut cur = db.raw_read(anchor).unwrap().refs[0];
@@ -105,6 +112,8 @@ fn main() {
         }
     }
     assert_eq!(count, 30);
-    ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
+    ira::verify::assert_reorganization_clean(db, resumed.ira().unwrap());
     println!("verification passed: chain of 30 intact after crash + resume.");
+    drop(outcome);
+    let _ = std::fs::remove_dir_all(&dir);
 }
