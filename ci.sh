@@ -136,7 +136,7 @@ if [ -n "$spins" ]; then
 fi
 # Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
 # disallows std::thread::sleep, and crates/{brahma,ira}/clippy.toml also
-# the raw parking_lot types lockdep cannot see; those two crates'
+# the raw std::sync lock types lockdep cannot see; those two crates'
 # Cargo.toml warn on unwrap/expect. Each waiver is an #[expect] with a
 # reason at its site, so a waiver whose cause is gone fails here too
 # (unfulfilled_lint_expectations).

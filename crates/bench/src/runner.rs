@@ -14,13 +14,12 @@
 
 use brahma::{Database, StoreConfig};
 use ira::{IraConfig, RelocationPlan, Reorg, Strategy};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::{build_graph, start_workload, CpuModel, Summary, WorkloadParams};
 
 /// Which system runs under the workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     Nr,
     Ira,
@@ -76,7 +75,7 @@ impl CellConfig {
 }
 
 /// Result of one cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellResult {
     pub algo: Algo,
     pub summary: Summary,

@@ -11,13 +11,12 @@
 //! identity, and every parent's stored reference must be rewritten. That is
 //! precisely the problem the IRA algorithm solves.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a database partition (Section 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionId(pub u16);
 
 impl fmt::Display for PartitionId {
@@ -32,7 +31,7 @@ impl fmt::Display for PartitionId {
 /// `PhysAddr` is `Copy` and 8 bytes, matching the on-page encoding of a
 /// stored reference exactly: the bytes of a reference slot in an object *are*
 /// the little-endian raw value of a `PhysAddr`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {

@@ -13,10 +13,9 @@
 use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::lockdep::{LockClass, Mutex};
 use obs::Counter;
-use serde::{Deserialize, Serialize};
 
 /// A persistent-table snapshot of an ERT, used by checkpointing.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErtSnapshot {
     pub edges: Vec<(PhysAddr, PhysAddr)>,
 }

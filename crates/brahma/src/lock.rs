@@ -372,10 +372,10 @@ impl LockManager {
         let state = table.entry(raw);
         if state.grantable(tid, mode) {
             self.grant(state, tid, mode);
+            drop(table);
         } else {
-            self.wait(&mut table, tid, addr, mode)?;
+            self.wait(table, tid, addr, mode)?;
         }
-        drop(table);
         lockdep::txn_lock_acquired(raw);
         Ok(())
     }
@@ -384,10 +384,11 @@ impl LockManager {
     /// fail at the timeout, or at once for a second upgrader. Registered as
     /// a waiter throughout, which keeps the entry alive across the parks;
     /// on failure the entry still has a holder or a waiting writer (that is
-    /// what refused the grant), so it is never left idle.
+    /// what refused the grant), so it is never left idle. Unlocks `table`
+    /// on return.
     fn wait(
         &self,
-        table: &mut MutexGuard<'_, Table>,
+        mut table: MutexGuard<'_, Table>,
         tid: TxnId,
         addr: PhysAddr,
         mode: LockMode,
@@ -418,7 +419,8 @@ impl LockManager {
         let started = Instant::now();
         let deadline = started + self.default_timeout;
         let result = loop {
-            let timed_out = cv.wait_until(table, deadline).timed_out();
+            let timed_out;
+            (table, timed_out) = cv.wait_until(table, deadline);
             if !timed_out {
                 self.stats.wakeups.inc();
             }

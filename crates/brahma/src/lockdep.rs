@@ -38,20 +38,23 @@
 //! with the checker off they carry no tag, and `acquire`/`release` and the
 //! footprint functions return on the `ARMED` constant before touching the
 //! graph, a thread-local or an atomic, so a wrapper has the layout of the
-//! `parking_lot` type it wraps and a call compiles to the `parking_lot` one.
+//! `std::sync` type it wraps and a call compiles to the `std::sync` one.
+//!
+//! A panic under one of these locks does not poison it: the next thread
+//! gets the guard and the data as the panicking thread left it, so one
+//! failing thread does not turn every later acquisition into a panic too.
 #![expect(
     clippy::disallowed_types,
-    reason = "the instrumentation layer itself: these wrappers are the one place the raw parking_lot types may appear"
+    reason = "the instrumentation layer itself: these wrappers are the one place the raw std::sync lock types may appear"
 )]
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{self, PoisonError, TryLockError};
 use std::time::Instant;
-
-pub use parking_lot::WaitTimeoutResult;
 
 /// A type of lock. One node in the held-before graph.
 ///
@@ -110,7 +113,7 @@ const ARMED: bool = cfg!(any(debug_assertions, feature = "lockdep"));
 
 /// The `(class, order_key)` a wrapper carries for the checker: one element
 /// when armed, none otherwise — so in a plain release build the wrappers
-/// have exactly the layout of the `parking_lot` types they wrap. (Sixteen
+/// have exactly the layout of the `std::sync` types they wrap. (Sixteen
 /// bytes in every lock shift the fields of every structure that embeds one
 /// across cache lines: carried unconditionally, `walk_update` read
 /// 0.93–0.95× the parent's throughput, ahead in 8 of 30 pairs.)
@@ -127,8 +130,8 @@ static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 /// first-time edge inserts so concurrent inserts cannot close a cycle
 /// undetected. lockdep's own state uses `std::sync` so the checker never
 /// instruments itself.
-static PROVENANCE: std::sync::Mutex<BTreeMap<(LockClass, LockClass), String>> =
-    std::sync::Mutex::new(BTreeMap::new());
+static PROVENANCE: sync::Mutex<BTreeMap<(LockClass, LockClass), String>> =
+    sync::Mutex::new(BTreeMap::new());
 
 struct HeldEntry {
     class: LockClass,
@@ -215,9 +218,7 @@ fn record_edge(from: LockClass, to: LockClass, held: &[HeldEntry]) {
     if EDGES[from as usize].load(Ordering::Relaxed) & bit != 0 {
         return; // known edge: lock-free fast path
     }
-    let mut prov = PROVENANCE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut prov = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
     if prov.contains_key(&(from, to)) {
         return;
     }
@@ -325,22 +326,38 @@ fn sched_key(class: LockClass, order_key: u64) -> u64 {
 
 // ----------------------------------------------------------- wrappers --
 
+/// One entry on this thread's held stack; dropping it pops the entry.
+/// Each guard declares it before the `std::sync` guard, so the release
+/// is recorded before the lock itself is let go.
+struct Held(u64);
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        release(self.0);
+    }
+}
+
+/// The guard a `try_*` call got, poisoned or not; `None` if it would block.
+fn try_guard<G>(result: sync::TryLockResult<G>) -> Option<G> {
+    match result {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// A class-tagged mutex.
 pub struct Mutex<T: ?Sized> {
     tag: Tag,
-    inner: parking_lot::Mutex<T>,
+    inner: sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
     pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
         Self {
             tag: [(class, order_key); ARMED as usize],
-            inner: parking_lot::Mutex::new(value),
+            inner: sync::Mutex::new(value),
         }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -348,26 +365,12 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         // Check before blocking: a would-be deadlock is reported even if
         // this acquisition happens to succeed.
-        let id = acquire(self.tag, false);
+        let held = Held(acquire(self.tag, false));
         MutexGuard {
+            held,
             tag: self.tag,
-            id,
-            inner: self.inner.lock(),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = self.inner.try_lock()?;
-        let id = acquire(self.tag, false);
-        Some(MutexGuard {
-            tag: self.tag,
-            id,
-            inner,
-        })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -378,9 +381,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 pub struct MutexGuard<'a, T: ?Sized> {
+    held: Held,
     tag: Tag,
-    id: u64,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -396,12 +399,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.id);
-    }
-}
-
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
@@ -412,53 +409,49 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 /// ordering checks: read/write cycles deadlock just as well.
 pub struct RwLock<T: ?Sized> {
     tag: Tag,
-    inner: parking_lot::RwLock<T>,
+    inner: sync::RwLock<T>,
 }
 
 impl<T> RwLock<T> {
     pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
         Self {
             tag: [(class, order_key); ARMED as usize],
-            inner: parking_lot::RwLock::new(value),
+            inner: sync::RwLock::new(value),
         }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let id = acquire(self.tag, true);
+        let held = Held(acquire(self.tag, true));
         RwLockReadGuard {
-            id,
-            inner: self.inner.read(),
+            _held: held,
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let id = acquire(self.tag, false);
+        let held = Held(acquire(self.tag, false));
         RwLockWriteGuard {
-            id,
-            inner: self.inner.write(),
+            _held: held,
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let inner = self.inner.try_read()?;
-        let id = acquire(self.tag, true);
-        Some(RwLockReadGuard { id, inner })
+        let inner = try_guard(self.inner.try_read())?;
+        Some(RwLockReadGuard {
+            _held: Held(acquire(self.tag, true)),
+            inner,
+        })
     }
 
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let inner = self.inner.try_write()?;
-        let id = acquire(self.tag, false);
-        Some(RwLockWriteGuard { id, inner })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        let inner = try_guard(self.inner.try_write())?;
+        Some(RwLockWriteGuard {
+            _held: Held(acquire(self.tag, false)),
+            inner,
+        })
     }
 }
 
@@ -469,8 +462,8 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    id: u64,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    _held: Held,
+    inner: sync::RwLockReadGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -480,15 +473,9 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.id);
-    }
-}
-
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    id: u64,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    _held: Held,
+    inner: sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
@@ -504,24 +491,25 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.id);
-    }
-}
-
 /// A condvar over [`Mutex`]. The wait releases the mutex, so the held
 /// entry is popped for the duration and re-registered (with full checks)
 /// on wake-up.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Condvar {
-    inner: parking_lot::Condvar,
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
+    inner: sync::Condvar,
+    /// Threads currently inside a wait. `std`'s `notify_*` is a
+    /// `futex_wake` system call even when nobody is parked, and the lock
+    /// manager's release and every commit notify; with this count they
+    /// return early instead.
+    ///
+    /// A waiter registers while it still holds its mutex (before the wait
+    /// releases it). Under the ordinary condvar contract — the notifier
+    /// changed the predicate under that same mutex — a notifier that reads
+    /// zero therefore cannot have a waiter that saw the old predicate: such
+    /// a waiter's increment happens-before its mutex release, which
+    /// happens-before the notifier's acquire. A waiter that locks after the
+    /// change sees the new predicate and does not wait.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -529,29 +517,68 @@ impl Condvar {
         Self::default()
     }
 
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        release(guard.id);
-        self.inner.wait(&mut guard.inner);
-        guard.id = acquire(guard.tag, false);
+    /// Run one `std` wait on `guard`'s mutex with the held entry popped
+    /// and this thread counted as parked, and hand the guard back.
+    fn parked<'a, T, R>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        wait: impl FnOnce(sync::MutexGuard<'a, T>) -> (sync::MutexGuard<'a, T>, R),
+    ) -> (MutexGuard<'a, T>, R) {
+        let MutexGuard { held, tag, inner } = guard;
+        drop(held);
+        // ordering: Relaxed; the caller's mutex orders this against the notifier (see `waiters`)
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let (inner, out) = wait(inner);
+        // ordering: Relaxed; a stale non-zero read only costs the notifier one wake call
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        let held = Held(acquire(tag, false));
+        (MutexGuard { held, tag, inner }, out)
     }
 
-    pub fn wait_until<T>(
+    /// Block until notified; returns the guard, locked again.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.parked(guard, |g| {
+            let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+            (g, ())
+        })
+        .0
+    }
+
+    /// Block until notified or `deadline`; returns the guard, locked
+    /// again, and whether the deadline passed.
+    pub fn wait_until<'a, T>(
         &self,
-        guard: &mut MutexGuard<'_, T>,
+        guard: MutexGuard<'a, T>,
         deadline: Instant,
-    ) -> WaitTimeoutResult {
-        release(guard.id);
-        let r = self.inner.wait_until(&mut guard.inner, deadline);
-        guard.id = acquire(guard.tag, false);
-        r
+    ) -> (MutexGuard<'a, T>, bool) {
+        self.parked(guard, |g| {
+            let now = Instant::now();
+            if deadline <= now {
+                return (g, true);
+            }
+            let (g, result) = self
+                .inner
+                .wait_timeout(g, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            (g, result.timed_out())
+        })
+    }
+
+    fn has_waiters(&self) -> bool {
+        // ordering: Relaxed; the waiters' mutex orders this against their registration (see `waiters`)
+        self.waiters.load(Ordering::Relaxed) != 0
     }
 
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.has_waiters() {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.has_waiters() {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -570,7 +597,7 @@ pub fn violations() -> u64 {
 pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
     PROVENANCE
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(&(from, to), chain)| (from, to, chain.clone()))
         .collect()
@@ -765,6 +792,7 @@ pub fn two_lock_alias(a: u64, b: u64) {
 #[cfg(all(test, any(debug_assertions, feature = "lockdep")))]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn cross_class_cycle_is_detected() {
@@ -833,14 +861,16 @@ mod tests {
         assert_eq!(raised, 0);
     }
 
+    fn held_depth() -> usize {
+        HELD.with(|h| h.borrow().len())
+    }
+
     #[test]
     fn condvar_wait_releases_and_reacquires_the_entry() {
-        use std::time::{Duration, Instant};
         let m = Mutex::new(LockClass::TestB, 7, ());
         let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
-        assert!(r.timed_out());
+        let (g, timed_out) = cv.wait_until(m.lock(), Instant::now() + Duration::from_millis(5));
+        assert!(timed_out);
         // Re-registration keeps the stack balanced: another acquisition of
         // the same class with a smaller key is still caught.
         let low = Mutex::new(LockClass::TestB, 3, ());
@@ -849,6 +879,81 @@ mod tests {
         });
         assert_eq!(raised, 1);
         drop(g);
+    }
+
+    #[test]
+    fn condvar_waiter_count_returns_to_zero_after_a_timed_out_wait() {
+        let m = Mutex::new(LockClass::TestA, 0, ());
+        let cv = Condvar::new();
+        assert!(!cv.has_waiters());
+        let (g, timed_out) = cv.wait_until(m.lock(), Instant::now() + Duration::from_millis(10));
+        assert!(timed_out);
+        assert!(!cv.has_waiters(), "a timed-out waiter must deregister");
+        // With nobody parked both notifies return early; a wait whose
+        // deadline has passed returns at once, and deregisters too.
+        cv.notify_one();
+        cv.notify_all();
+        let (_g, timed_out) = cv.wait_until(g, Instant::now());
+        assert!(timed_out);
+        assert!(!cv.has_waiters());
+    }
+
+    #[test]
+    fn condvar_notify_wakes_a_parked_waiter() {
+        let m = Mutex::new(LockClass::TestA, 0, false);
+        let cv = Condvar::new();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut done = m.lock();
+                while !*done {
+                    let timed_out;
+                    (done, timed_out) =
+                        cv.wait_until(done, Instant::now() + Duration::from_secs(5));
+                    assert!(!timed_out, "the notify must wake the waiter");
+                }
+            });
+            // The waiter registers under the mutex, so once it is counted
+            // the flag below is set after it parked: no sleep needed.
+            while !cv.has_waiters() {
+                std::thread::yield_now();
+            }
+            *m.lock() = true;
+            cv.notify_all();
+            waiter.join().unwrap();
+        });
+        assert!(!cv.has_waiters());
+    }
+
+    #[test]
+    fn a_panic_under_a_lock_leaves_it_usable() {
+        let m = Mutex::new(LockClass::TestA, 0, 0u32);
+        let rw = RwLock::new(LockClass::TestB, 0, Vec::new());
+        std::thread::scope(|s| {
+            let panicked = s.spawn(|| {
+                let mut g = m.lock();
+                let mut w = rw.write();
+                *g = 7;
+                w.push(7u32);
+                panic!("deliberate panic under both locks");
+            });
+            assert!(panicked.join().is_err());
+        });
+        // The next thread gets both locks, the data as the panicking
+        // thread left it, and a held stack that pushes and pops evenly.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(held_depth(), 0);
+                let g = m.lock();
+                let w = rw.write();
+                assert_eq!((*g, w.as_slice()), (7, &[7u32][..]));
+                assert_eq!(held_depth(), 2);
+                drop(w);
+                drop(g);
+                assert_eq!(held_depth(), 0);
+                assert_eq!(rw.read().len(), 1);
+                assert_eq!(held_depth(), 0);
+            });
+        });
     }
 
     #[test]

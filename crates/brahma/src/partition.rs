@@ -32,7 +32,6 @@ use crate::error::{Error, Result};
 use crate::ert::Ert;
 use crate::lockdep::{LockClass, Mutex, RwLock};
 use crate::page::{new_page, PageRef};
-use serde::{Deserialize, Serialize};
 
 /// Smallest size class: 32 bytes (2^5). Objects are ≥ `HEADER_LEN` bytes
 /// and the paper's workloads allocate tens-to-hundreds of bytes, so a
@@ -63,7 +62,7 @@ fn slots_per_page(class: usize) -> usize {
 /// Per-page allocation metadata. A page either owns one size class, for
 /// as long as the partition holds it, or is a *spare*: opened by `alloc_at`
 /// bridging up to a recovery target and not yet committed to any class.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct PageMeta {
     /// Size class owned by this page; `None` for a spare page.
     class: Option<u8>,
@@ -105,7 +104,7 @@ impl PageMeta {
 }
 
 /// Allocation bookkeeping for one partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct AllocState {
     /// Number of the first held page. A pass drops the emptied pages below
     /// it ([`Partition::end_pass`]), and page numbers are never reused, so
@@ -195,7 +194,7 @@ impl AllocState {
 /// runs of free slots per page (a fully free page is one extent), so the
 /// compaction story — many stranded holes before, few big runs after —
 /// reads the same as with the old extent map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceStats {
     pub pages: u32,
     pub live_objects: usize,
@@ -205,7 +204,7 @@ pub struct SpaceStats {
 }
 
 /// Snapshot of a partition for checkpointing.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct PartitionSnapshot {
     pub id: PartitionId,
     /// Images of the held pages, the first being page `base`.

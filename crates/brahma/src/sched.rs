@@ -27,6 +27,10 @@
 //! *disarmed* by default: every point is a single relaxed atomic load until
 //! a harness calls [`arm`]. All internal state uses `std::sync` primitives
 //! so the recorder never instruments itself through lockdep.
+#![expect(
+    clippy::disallowed_types,
+    reason = "lockdep's acquires feed this recorder, so its own locks must stay raw std::sync ones"
+)]
 
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -19,11 +19,10 @@ use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::txn::TxnId;
 use obs::Counter;
 use crate::lockdep::{LockClass, Mutex};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether a TRT tuple records an insertion or a deletion of a reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefAction {
     Insert,
     Delete,
@@ -31,7 +30,7 @@ pub enum RefAction {
 
 /// One TRT tuple: a reference to `child` from `parent` was inserted/deleted
 /// by transaction `tid`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrtTuple {
     pub child: PhysAddr,
     pub parent: PhysAddr,

@@ -15,7 +15,6 @@
 
 use crate::addr::FibState;
 use crate::lockdep::{Condvar, LockClass, Mutex};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
@@ -25,7 +24,7 @@ use std::time::{Duration, Instant};
 /// Transaction identifier, unique for the lifetime of a database. One the
 /// registry hands out is never `TxnId(0)` (the id of system records) and
 /// carries its registry slot in its low bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnId(pub u64);
 
 impl fmt::Display for TxnId {
@@ -149,7 +148,9 @@ impl TxnManager {
             let slot = self.slot_of(*tid);
             let mut txns = slot.txns.lock();
             while txns.active.contains(tid) {
-                if slot.cv.wait_until(&mut txns, deadline).timed_out() {
+                let timed_out;
+                (txns, timed_out) = slot.cv.wait_until(txns, deadline);
+                if timed_out {
                     return !txns.active.contains(tid);
                 }
             }

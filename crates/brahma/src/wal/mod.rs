@@ -530,7 +530,7 @@ impl Wal {
             }
             if *leader_active {
                 absorbed = true;
-                self.flush_cv.wait(&mut leader_active);
+                leader_active = self.flush_cv.wait(leader_active);
                 continue;
             }
             // Become the leader. Capture the force target under a cut,

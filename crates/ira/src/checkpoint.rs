@@ -21,11 +21,10 @@ use brahma::{
     AddrMap, Database, Error as StoreError, LogRecord, Lsn, PartitionId, PhysAddr, RefAction,
     TrtTuple, TxnId,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// A resumable snapshot of an in-flight reorganization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IraCheckpoint {
     pub partition: PartitionId,
     pub plan: RelocationPlan,

@@ -17,11 +17,10 @@
 
 use crate::traversal::TraversalState;
 use brahma::{AddrMap, PartitionId, PhysAddr};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The order in which a partition's objects are migrated.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MigrationOrder {
     /// Fuzzy-traversal discovery order (clusters related objects at the
     /// target).

@@ -16,10 +16,9 @@
 //!   collector, which the paper's Section 4.6 inherits).
 
 use brahma::{PartitionId, PhysAddr};
-use serde::{Deserialize, Serialize};
 
 /// Where the objects of a partition under reorganization are migrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelocationPlan {
     /// Re-allocate each object within its own partition (compaction).
     CompactInPlace,

@@ -14,11 +14,10 @@
 //! so no live object is missed (Lemma 3.1).
 
 use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
-use serde::{Deserialize, Serialize};
 
 /// Accumulated traversal state: visited objects (in discovery order) and the
 /// approximate parent list of each.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct TraversalState {
     /// Objects visited, in discovery order (also the default migration
     /// order: traversal order clusters related objects together). After the

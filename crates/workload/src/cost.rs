@@ -23,9 +23,9 @@
 //! place to look.
 
 use brahma::{CpuCharge, PhysAddr};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 pub use ira::{CostModel, EdgeCount, PlanScore};
@@ -68,9 +68,12 @@ impl CpuModel {
             return;
         }
         {
-            let mut permits = self.permits.lock();
+            let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
             while *permits == 0 {
-                self.cv.wait(&mut permits);
+                permits = self
+                    .cv
+                    .wait(permits)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             *permits -= 1;
         }
@@ -83,7 +86,7 @@ impl CpuModel {
             reason = "models the paper's per-access CPU cost"
         )]
         std::thread::sleep(self.work_per_access);
-        let mut permits = self.permits.lock();
+        let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         *permits += 1;
         drop(permits);
         self.cv.notify_one();
@@ -178,7 +181,7 @@ impl PagedCpuModel {
     /// Empty the cache and zero the counters — called between measurement
     /// windows so the post-reorg window starts cold, same as the first.
     pub fn reset(&self) {
-        let mut lru = self.lru.lock();
+        let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
         lru.frames.clear();
         lru.clock = 0;
         drop(lru);
@@ -204,6 +207,7 @@ impl CpuCharge for PagedCpuModel {
         let hit = self
             .lru
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .touch((addr.partition().0, addr.page()));
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -8,11 +8,10 @@
 //! transaction blocked by the reorganizer keeps retrying and its response
 //! time grows, exactly as in the paper's 100-second PQR maximum.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Per-walker outcome counts, one entry per workload thread.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkerCounts {
     pub walker: usize,
     pub committed: u64,
@@ -127,7 +126,7 @@ impl Metrics {
 }
 
 /// The paper's reporting metrics for one experiment cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub committed: u64,
     pub aborted_attempts: u64,

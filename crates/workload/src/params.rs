@@ -1,7 +1,6 @@
 //! Workload parameters (Table 1 of the paper).
 
 use brahma::RetryPolicy;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The parameters of the Section 5.2 workload, with the paper's defaults.
@@ -20,7 +19,7 @@ use std::time::Duration;
 /// roots are the persistent roots. One extra edge from each node refers to a
 /// node in another cluster, crossing partitions with probability
 /// `GLUEFACTOR`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadParams {
     /// NUMPARTITIONS: number of *data* partitions (the persistent roots
     /// live in one additional root partition, as in Section 2).

@@ -4,12 +4,11 @@
 
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
 use ira::{EdgeCount, MigrationOrder, StatsGreedy};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use workload::stats::{EdgeObserver, TraversalStats};
 use workload::{build_graph, walk_once_observed, WorkloadParams};
 
@@ -21,7 +20,10 @@ struct VecSink {
 
 impl EdgeObserver for VecSink {
     fn record_edge(&self, parent: PhysAddr, child: PhysAddr) {
-        self.edges.lock().push((parent.to_raw(), child.to_raw()));
+        self.edges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((parent.to_raw(), child.to_raw()));
     }
 }
 
@@ -70,8 +72,9 @@ proptest! {
             walk_once_observed(&db, &info, i % 2, &params, &mut rng, Some(&tee)).unwrap();
         }
 
+        let truth = truth.edges.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut expected: HashMap<(u64, u64), u64> = HashMap::new();
-        for &e in truth.edges.lock().iter() {
+        for &e in &truth {
             *expected.entry(e).or_insert(0) += 1;
         }
         let observed: HashMap<(u64, u64), u64> = stats
@@ -80,7 +83,7 @@ proptest! {
             .map(|e| ((e.parent.to_raw(), e.child.to_raw()), e.count))
             .collect();
         prop_assert_eq!(&observed, &expected);
-        prop_assert_eq!(stats.recorded(), truth.edges.lock().len() as u64);
+        prop_assert_eq!(stats.recorded(), truth.len() as u64);
         prop_assert_eq!(stats.dropped(), 0);
     }
 }
