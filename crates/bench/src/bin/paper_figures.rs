@@ -124,9 +124,8 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<(Vec<&'static str>, bool, PathBuf), String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_args(&args).map(|(exps, quick, out)| {
-            (exps.iter().map(|(slug, _)| *slug).collect(), quick, out)
-        })
+        parse_args(&args)
+            .map(|(exps, quick, out)| (exps.iter().map(|(slug, _)| *slug).collect(), quick, out))
     }
 
     #[test]
@@ -134,9 +133,19 @@ mod tests {
         // In `mpl --out mpl` the second `mpl` is a directory, not a name.
         let cases: [(&[&str], &[&str], bool, &str); 4] = [
             (&["mpl", "--out", "mpl"], &["mpl"], false, "mpl"),
-            (&["--out", "table2", "table2", "--quick"], &["table2"], true, "table2"),
+            (
+                &["--out", "table2", "table2", "--quick"],
+                &["table2"],
+                true,
+                "table2",
+            ),
             (&["glue", "ops"], &["glue", "ops"], false, "results"),
-            (&["--quick", "ablation", "--out", "/tmp/o"], &["ablation"], true, "/tmp/o"),
+            (
+                &["--quick", "ablation", "--out", "/tmp/o"],
+                &["ablation"],
+                true,
+                "/tmp/o",
+            ),
         ];
         for (args, slugs, quick, out) in cases {
             let want = (slugs.to_vec(), quick, PathBuf::from(out));

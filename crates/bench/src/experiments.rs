@@ -48,12 +48,7 @@ const ALGOS: [Algo; 3] = [Algo::Nr, Algo::Ira, Algo::Pqr];
 /// One swept configuration tweak.
 type Tweak = Box<dyn Fn(&mut CellConfig)>;
 
-fn sweep(
-    opts: &HarnessOptions,
-    title: &str,
-    x_name: &str,
-    xs: Vec<(String, Tweak)>,
-) -> Experiment {
+fn sweep(opts: &HarnessOptions, title: &str, x_name: &str, xs: Vec<(String, Tweak)>) -> Experiment {
     let mut rows = Vec::new();
     for (label, tweak) in xs {
         eprintln!("  [{x_name}={label}]");

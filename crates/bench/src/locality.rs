@@ -17,6 +17,7 @@
 //! the reorganizer itself with a seeded random [`MigrationOrder::Priority`]
 //! — the same machinery, pointed backwards.
 
+use brahma::{Database, PhysAddr, StoreConfig};
 use ira::{MigrationOrder, Reorg, StatsGreedy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,12 +25,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::cost::CostModel;
-use workload::{
-    build_graph, start_workload, start_workload_observed, CpuModel, PagedCpuModel,
-    TraversalStats, WorkloadParams,
-};
 use workload::stats::EdgeObserver;
-use brahma::{Database, PhysAddr, StoreConfig};
+use workload::{
+    build_graph, start_workload, start_workload_observed, CpuModel, PagedCpuModel, TraversalStats,
+    WorkloadParams,
+};
 
 #[derive(Debug, Clone, Copy)]
 pub struct LocalityOptions {
@@ -111,7 +111,9 @@ fn window(opts: &LocalityOptions) -> Duration {
 /// years of churn would.
 fn fragment(db: &Database, partitions: &[brahma::PartitionId], seed: u64) {
     let mut rng = StdRng::seed_from_u64(
-        brahma::SeedTree::new(seed).child("locality.scramble").seed(),
+        brahma::SeedTree::new(seed)
+            .child("locality.scramble")
+            .seed(),
     );
     for &p in partitions {
         let mut objs: Vec<PhysAddr> = db
@@ -240,7 +242,10 @@ mod tests {
         let r = run_locality(&LocalityOptions { quick: true });
         assert!(r.pre.committed > 0 && r.post.committed > 0);
         assert!(r.edges_recorded > 0, "observation window saw no edges");
-        assert!(r.migrated > 0, "stats-driven reorganizations migrated nothing");
+        assert!(
+            r.migrated > 0,
+            "stats-driven reorganizations migrated nothing"
+        );
         assert!(
             r.achieved_cost < r.identity_cost,
             "achieved {} must beat fragmented {}",

@@ -328,10 +328,15 @@ mod tests {
         let s = e.render();
         // Union of algos across rows, in first-seen order.
         let header = s.lines().nth(1).unwrap();
-        assert!(header.contains("NR.tps") && header.contains("IRA.tps") && header.contains("PQR.tps"));
+        assert!(
+            header.contains("NR.tps") && header.contains("IRA.tps") && header.contains("PQR.tps")
+        );
         // Row 30 has no NR cell: its NR.tps column must render `-`, and
         // IRA's throughput must land under IRA, not shifted into NR.
-        let row30 = s.lines().find(|l| l.trim_start().starts_with("30")).unwrap();
+        let row30 = s
+            .lines()
+            .find(|l| l.trim_start().starts_with("30"))
+            .unwrap();
         let fields: Vec<&str> = row30.split_whitespace().collect();
         assert_eq!(fields[1], "-", "NR gap: {row30}");
         assert_eq!(fields[2], "28.1", "IRA tps stays in its column: {row30}");

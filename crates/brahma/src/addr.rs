@@ -170,11 +170,17 @@ mod tests {
         const MASK: u64 = 8191;
         let slots = (crate::config::PAGE_SIZE / 64) as u16;
         let addrs: Vec<PhysAddr> = (0..u32::MAX)
-            .flat_map(|page| (0..slots).map(move |slot| PhysAddr::new(PartitionId(1), page, slot * 64)))
+            .flat_map(|page| {
+                (0..slots).map(move |slot| PhysAddr::new(PartitionId(1), page, slot * 64))
+            })
             .take(4080)
             .collect();
         let buckets = |hash: &dyn Fn(PhysAddr) -> u64| {
-            addrs.iter().map(|&a| hash(a) & MASK).collect::<HashSet<u64>>().len()
+            addrs
+                .iter()
+                .map(|&a| hash(a) & MASK)
+                .collect::<HashSet<u64>>()
+                .len()
         };
         let raw_product = buckets(&|a| a.to_raw().wrapping_mul(0x9E37_79B9_7F4A_7C15));
         assert_eq!(raw_product, 128);

@@ -14,9 +14,9 @@ use crate::error::{Error, Result};
 use crate::fault::{site, FaultInjector};
 use crate::lock::LockManager;
 use crate::lockdep::{LockClass, Mutex, RwLock};
-use crate::retry::RetryStats;
 use crate::object::{self, ObjectView};
 use crate::partition::Partition;
+use crate::retry::RetryStats;
 use crate::trt::{RefAction, Trt};
 use crate::txn::{TxnId, TxnManager};
 use crate::wal::{LogPayload, Wal};
@@ -292,7 +292,9 @@ impl Database {
 
     /// All partition ids.
     pub fn partition_ids(&self) -> Vec<PartitionId> {
-        (0..self.partition_count() as u16).map(PartitionId).collect()
+        (0..self.partition_count() as u16)
+            .map(PartitionId)
+            .collect()
     }
 
     /// Register a persistent root.
@@ -362,7 +364,11 @@ impl Database {
     /// [`Txn::with_refs`](crate::handle::Txn::with_refs): run `f` over the
     /// references where they lie, under the page latch. `f` must not
     /// re-enter the store.
-    pub fn fuzzy_with_refs<R>(&self, addr: PhysAddr, f: impl FnOnce(object::Refs<'_>) -> R) -> Option<R> {
+    pub fn fuzzy_with_refs<R>(
+        &self,
+        addr: PhysAddr,
+        f: impl FnOnce(object::Refs<'_>) -> R,
+    ) -> Option<R> {
         self.stats.fuzzy_reads.inc();
         self.charge_access_at(addr);
         self.with_page_read(addr, |buf| object::refs(buf, addr).ok().map(f))
@@ -473,11 +479,7 @@ impl Database {
     /// it logs).
     ///
     /// [`Txn::create_object`]: crate::handle::Txn::create_object
-    pub(crate) fn apply_update(
-        &self,
-        update: &LogPayload,
-        slot_claimed: bool,
-    ) -> Result<()> {
+    pub(crate) fn apply_update(&self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
         match update {
             LogPayload::Create { addr, image } => {
                 if !slot_claimed {
@@ -513,8 +515,9 @@ impl Database {
                 child,
                 index,
             } => {
-                let was = self
-                    .with_page_write(*parent, |buf| object::remove_ref_at(buf, *parent, *index))??;
+                let was = self.with_page_write(*parent, |buf| {
+                    object::remove_ref_at(buf, *parent, *index)
+                })??;
                 if was != *child {
                     return Err(displaced("DeleteRef", *parent, &was, child));
                 }

@@ -126,7 +126,10 @@ impl fmt::Display for Error {
             }
             Error::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             Error::PartitionUnderReorg(p) => {
-                write!(f, "partition {p} is being reorganized; creation and deletion disallowed")
+                write!(
+                    f,
+                    "partition {p} is being reorganized; creation and deletion disallowed"
+                )
             }
             Error::RecoveryCorrupt(msg) => write!(f, "recovery failed: {msg}"),
             Error::Corrupt { offset, reason } => {

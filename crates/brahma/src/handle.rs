@@ -80,7 +80,11 @@ impl NewObject {
 }
 
 /// A transaction's `held`, `undo` and `deleted_pairs` vectors.
-type TxnVecs = (Vec<(PhysAddr, LockMode)>, Vec<LogPayload>, Vec<(PhysAddr, PhysAddr)>);
+type TxnVecs = (
+    Vec<(PhysAddr, LockMode)>,
+    Vec<LogPayload>,
+    Vec<(PhysAddr, PhysAddr)>,
+);
 
 thread_local! {
     /// The vectors of the transaction that last finished on this thread,
@@ -591,8 +595,11 @@ impl<'db> Txn<'db> {
         }
         self.db.txns.finish(self.id);
         self.done = true;
-        let (mut held, mut undo, mut deleted_pairs) =
-            (take(&mut self.held), take(&mut self.undo), take(&mut self.deleted_pairs));
+        let (mut held, mut undo, mut deleted_pairs) = (
+            take(&mut self.held),
+            take(&mut self.undo),
+            take(&mut self.deleted_pairs),
+        );
         held.clear();
         undo.clear();
         deleted_pairs.clear();
@@ -946,7 +953,9 @@ mod tests {
     fn creation_and_deletion_in_reorg_partition_are_rejected() {
         let db = db();
         let mut t = db.begin();
-        let old = t.create_object(PartitionId(1), NewObject::exact(0, vec![], vec![])).unwrap();
+        let old = t
+            .create_object(PartitionId(1), NewObject::exact(0, vec![], vec![]))
+            .unwrap();
         t.commit().unwrap();
         db.start_reorg(PartitionId(1)).unwrap();
         let mut t = db.begin();
@@ -955,7 +964,10 @@ mod tests {
             Err(Error::PartitionUnderReorg(1))
         ));
         t.lock(old, LockMode::Exclusive).unwrap();
-        assert!(matches!(t.delete_object(old), Err(Error::PartitionUnderReorg(1))));
+        assert!(matches!(
+            t.delete_object(old),
+            Err(Error::PartitionUnderReorg(1))
+        ));
         t.abort();
         // Reorg transactions are exempt.
         let mut rt = db.begin_reorg(PartitionId(1));

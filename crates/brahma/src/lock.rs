@@ -141,7 +141,11 @@ impl LockState {
 
     /// Drop `tid` from the holders, keeping the inline pair packed.
     fn remove(&mut self, tid: TxnId) {
-        match self.holders.iter().position(|h| h.is_some_and(|(t, _)| t == tid)) {
+        match self
+            .holders
+            .iter()
+            .position(|h| h.is_some_and(|(t, _)| t == tid))
+        {
             Some(i) => {
                 if i == 0 {
                     self.holders[0] = self.holders[1];
@@ -183,9 +187,10 @@ impl LockState {
     /// Nothing held, nobody waiting, no history: the entry can go.
     fn is_idle(&self) -> bool {
         self.holders[0].is_none()
-            && self.rare.as_ref().is_none_or(|r| {
-                r.ever_held.is_empty() && r.x_waiters == 0 && r.s_waiters == 0
-            })
+            && self
+                .rare
+                .as_ref()
+                .is_none_or(|r| r.ever_held.is_empty() && r.x_waiters == 0 && r.s_waiters == 0)
     }
 }
 
@@ -205,7 +210,10 @@ impl Table {
     }
 
     fn get_mut(&mut self, raw: u64) -> Option<&mut LockState> {
-        self.first.iter_mut().chain(&mut self.more).find(|s| s.raw == raw)
+        self.first
+            .iter_mut()
+            .chain(&mut self.more)
+            .find(|s| s.raw == raw)
     }
 
     /// `raw`'s entry, created empty if absent.
@@ -320,7 +328,13 @@ impl LockManager {
             // The shard index is the lockdep order key: any code path
             // nesting two shards must take them in index order.
             shards: (0..shards.max(1))
-                .map(|i| Shard(Mutex::new(LockClass::LockTableShard, i as u64, Table::default())))
+                .map(|i| {
+                    Shard(Mutex::new(
+                        LockClass::LockTableShard,
+                        i as u64,
+                        Table::default(),
+                    ))
+                })
                 .collect(),
             default_timeout,
             track_history: AtomicBool::new(false),
@@ -403,7 +417,11 @@ impl LockManager {
             // released: fail the later one now rather than at the timeout.
             if let Some(with) = rare.upgrader {
                 self.stats.upgrade_conflicts.inc();
-                return Err(Error::UpgradeConflict { addr, by: tid, with });
+                return Err(Error::UpgradeConflict {
+                    addr,
+                    by: tid,
+                    with,
+                });
             }
             rare.upgrader = Some(tid);
         }
@@ -494,7 +512,9 @@ impl LockManager {
     pub fn holders(&self, addr: PhysAddr) -> Vec<(TxnId, LockMode)> {
         let raw = addr.to_raw();
         let table = self.table(raw);
-        table.get(raw).map_or_else(Vec::new, |s| s.all_holders().collect())
+        table
+            .get(raw)
+            .map_or_else(Vec::new, |s| s.all_holders().collect())
     }
 
     /// Every transaction that has ever held a lock on `addr` since history
@@ -505,7 +525,10 @@ impl LockManager {
         let Some(state) = table.get(raw) else {
             return Vec::new();
         };
-        let mut out = state.rare.as_ref().map_or_else(Vec::new, |r| r.ever_held.clone());
+        let mut out = state
+            .rare
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.ever_held.clone());
         for (t, _) in state.all_holders() {
             if !out.contains(&t) {
                 out.push(t);
@@ -640,7 +663,11 @@ mod tests {
         assert!(
             matches!(
                 second,
-                Err(Error::UpgradeConflict { by: TxnId(2), with: TxnId(1), .. })
+                Err(Error::UpgradeConflict {
+                    by: TxnId(2),
+                    with: TxnId(1),
+                    ..
+                })
             ),
             "second upgrader must fail fast, got {second:?}"
         );

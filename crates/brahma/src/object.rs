@@ -130,7 +130,9 @@ pub fn refs(buf: &[u8], addr: PhysAddr) -> Result<Refs<'_>> {
     let h = header(buf, addr)?;
     let base = addr.offset() as usize + HEADER_LEN;
     let decode: fn(&[u8]) -> PhysAddr = |slot| PhysAddr::from_raw(rd_u64(slot, 0));
-    Ok(buf[base..base + REF_LEN * h.nrefs as usize].chunks_exact(REF_LEN).map(decode))
+    Ok(buf[base..base + REF_LEN * h.nrefs as usize]
+        .chunks_exact(REF_LEN)
+        .map(decode))
 }
 
 /// Read the outgoing references of the object at `addr`.
@@ -195,8 +197,7 @@ pub fn init_object(buf: &mut [u8], addr: PhysAddr, view: &ObjectView) {
     }
     let payload_base = refs_base + REF_LEN * view.ref_cap as usize;
     buf[payload_base..payload_base + view.payload.len()].copy_from_slice(&view.payload);
-    for b in &mut buf[payload_base + view.payload.len()..payload_base + view.payload_cap as usize]
-    {
+    for b in &mut buf[payload_base + view.payload.len()..payload_base + view.payload_cap as usize] {
         *b = 0;
     }
 }
@@ -230,12 +231,7 @@ pub fn insert_ref(buf: &mut [u8], addr: PhysAddr, child: PhysAddr) -> Result<usi
 /// Insert a reference at `index`, shifting later references right. Used by
 /// transaction rollback and recovery undo to restore a deleted reference at
 /// its exact original position, keeping page images byte-identical.
-pub fn insert_ref_at(
-    buf: &mut [u8],
-    addr: PhysAddr,
-    index: usize,
-    child: PhysAddr,
-) -> Result<()> {
+pub fn insert_ref_at(buf: &mut [u8], addr: PhysAddr, index: usize, child: PhysAddr) -> Result<()> {
     let h = header(buf, addr)?;
     if h.nrefs >= h.ref_cap {
         return Err(Error::RefCapacityExceeded(addr));
@@ -455,7 +451,10 @@ mod tests {
             find_ref(&page, a, PhysAddr::from_raw(0xCCDD)).unwrap(),
             Some(1)
         );
-        assert_eq!(find_ref(&page, a, PhysAddr::from_raw(0xFFFF)).unwrap(), None);
+        assert_eq!(
+            find_ref(&page, a, PhysAddr::from_raw(0xFFFF)).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -464,7 +463,10 @@ mod tests {
         let a = addr(0);
         init_object(&mut page, a, &sample_view());
         set_payload(&mut page, a, b"replacement!").unwrap();
-        assert_eq!(read_view(&page, a).unwrap().payload, b"replacement!".to_vec());
+        assert_eq!(
+            read_view(&page, a).unwrap().payload,
+            b"replacement!".to_vec()
+        );
         let too_big = vec![0u8; 17];
         assert_eq!(
             set_payload(&mut page, a, &too_big).unwrap_err(),

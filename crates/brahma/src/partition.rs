@@ -501,7 +501,11 @@ impl Partition {
             }
             // Open a page for this class: adopt a spare outside a pass, or
             // push a fresh one.
-            let spare = if st.floor.is_none() { st.spare.pop() } else { None };
+            let spare = if st.floor.is_none() {
+                st.spare.pop()
+            } else {
+                None
+            };
             let page = match spare {
                 Some(pg) => pg,
                 None => self.push_page(st)?,
@@ -599,8 +603,15 @@ impl Partition {
     pub fn end_pass(&self) -> u32 {
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
-        let below = st.floor.take().map_or(0, |floor| floor.saturating_sub(st.base));
-        let empty = st.page_meta.iter().take(below as usize).take_while(|m| m.is_empty());
+        let below = st
+            .floor
+            .take()
+            .map_or(0, |floor| floor.saturating_sub(st.base));
+        let empty = st
+            .page_meta
+            .iter()
+            .take(below as usize)
+            .take_while(|m| m.is_empty());
         let base = st.base + empty.count() as u32;
         self.drop_below(st, base);
         base
@@ -633,7 +644,10 @@ impl Partition {
         st.page_meta.drain(..n);
         st.base = base;
         st.spare.retain(|&pg| pg >= base);
-        st.bump.iter_mut().filter(|c| c.is_some_and(|(pg, _)| pg < base)).for_each(|c| *c = None);
+        st.bump
+            .iter_mut()
+            .filter(|c| c.is_some_and(|(pg, _)| pg < base))
+            .for_each(|c| *c = None);
         for list in &mut st.free_lists {
             list.retain(|&(pg, _)| pg >= base);
         }
@@ -861,7 +875,11 @@ mod tests {
         p.free(a).unwrap();
         let c = p.allocate(150).unwrap();
         assert_eq!(c.page(), a.page());
-        assert_eq!(c.offset(), a.offset(), "free-list head reuses the freed slot");
+        assert_eq!(
+            c.offset(),
+            a.offset(),
+            "free-list head reuses the freed slot"
+        );
     }
 
     #[test]
@@ -968,14 +986,17 @@ mod tests {
     fn alloc_at_ahead_of_bump_is_skipped_by_the_cursor() {
         let p = part();
         let a = p.allocate(100).unwrap(); // 128-class, slot 0
-        // Claim slot 8 of the same page directly (a recovery redo).
+                                          // Claim slot 8 of the same page directly (a recovery redo).
         let target = PhysAddr::new(PartitionId(3), a.page(), 8 * 128);
         p.alloc_at(target, 50).unwrap();
         assert_eq!(p.object_size(target), Some(50));
         // Bump keeps filling slots 1..8, then must skip the claimed slot.
         for expected_slot in 1..8u32 {
             let b = p.allocate(100).unwrap();
-            assert_eq!((b.page(), b.offset() as u32), (a.page(), expected_slot * 128));
+            assert_eq!(
+                (b.page(), b.offset() as u32),
+                (a.page(), expected_slot * 128)
+            );
         }
         let after = p.allocate(100).unwrap();
         assert_eq!(
@@ -990,15 +1011,19 @@ mod tests {
         let p = part();
         let target = PhysAddr::new(PartitionId(3), 1, 0);
         p.alloc_at(target, 100).unwrap(); // page 1 becomes 128-class
-        // Page 0 is a spare: an ordinary allocation adopts it.
+                                          // Page 0 is a spare: an ordinary allocation adopts it.
         let a = p.allocate(1000).unwrap();
         assert_eq!(a.page(), 0);
         // A second alloc_at misaligned for page 1's class fails, and so
         // does one of another class on a page that no longer holds
         // anything: a page keeps its class while it is held.
-        assert!(p.alloc_at(PhysAddr::new(PartitionId(3), 1, 200), 100).is_err());
+        assert!(p
+            .alloc_at(PhysAddr::new(PartitionId(3), 1, 200), 100)
+            .is_err());
         p.free(target).unwrap();
-        assert!(p.alloc_at(PhysAddr::new(PartitionId(3), 1, 1024), 1000).is_err());
+        assert!(p
+            .alloc_at(PhysAddr::new(PartitionId(3), 1, 1024), 1000)
+            .is_err());
         assert_eq!(p.allocator_problems(), Vec::<String>::new());
     }
 
@@ -1073,7 +1098,11 @@ mod tests {
             assert_eq!(p.end_pass(), floor);
             assert_eq!(p.allocator_problems(), Vec::<String>::new());
             objects = copies;
-            assert_eq!(p.page_count(), loaded, "the partition stays its loaded size");
+            assert_eq!(
+                p.page_count(),
+                loaded,
+                "the partition stays its loaded size"
+            );
         }
         assert_eq!(p.object_count(), 640);
     }
@@ -1109,7 +1138,9 @@ mod tests {
             ert: Default::default(),
         };
         let p = Partition::from_snapshot(&snap);
-        let pages: Vec<u32> = (0..2).map(|_| p.allocate(PAGE_SIZE).unwrap().page()).collect();
+        let pages: Vec<u32> = (0..2)
+            .map(|_| p.allocate(PAGE_SIZE).unwrap().page())
+            .collect();
         assert_eq!(pages, vec![u32::MAX - 2, u32::MAX - 1]);
         assert_eq!(p.allocate(PAGE_SIZE), Err(Error::PartitionFull(3)));
         assert_eq!(p.allocate(100), Err(Error::PartitionFull(3)));
@@ -1186,7 +1217,10 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[at] ^= mask;
                 if let Err(e) = decode(&flipped) {
-                    assert!(matches!(e, Error::Corrupt { .. }), "byte {at} ^ {mask:#x}: {e}");
+                    assert!(
+                        matches!(e, Error::Corrupt { .. }),
+                        "byte {at} ^ {mask:#x}: {e}"
+                    );
                 }
             }
         }

@@ -77,7 +77,11 @@ impl Database {
         let partitions = self
             .partition_ids()
             .into_iter()
-            .map(|p| self.partition(p).expect("invariant: partition_ids lists live partitions").snapshot())
+            .map(|p| {
+                self.partition(p)
+                    .expect("invariant: partition_ids lists live partitions")
+                    .snapshot()
+            })
             .collect();
         Checkpoint {
             id,
@@ -114,8 +118,7 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     // ---- Analysis ----
     let mut active: HashMap<TxnId, Option<PartitionId>> = HashMap::new(); // tid -> reorg partition
     let mut txn_updates: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
-    let mut reorgs: HashSet<PartitionId> =
-        image.checkpoint.active_reorgs.iter().copied().collect();
+    let mut reorgs: HashSet<PartitionId> = image.checkpoint.active_reorgs.iter().copied().collect();
     for rec in &image.log {
         match &rec.payload {
             LogPayload::Begin { reorg } => {
@@ -222,7 +225,10 @@ mod tests {
     use crate::fault::{site, FaultAction, FaultPlan, FaultRule};
     use crate::handle::NewObject;
     use crate::lock::LockMode;
-    use crate::storage::{open, tests::{file_config, tmpdir}};
+    use crate::storage::{
+        open,
+        tests::{file_config, tmpdir},
+    };
     use std::path::PathBuf;
 
     /// A fresh two-partition store on disk; drop it to crash it.
@@ -321,10 +327,7 @@ mod tests {
         drop(db);
         let out = open(config).unwrap();
         assert!(out.db.raw_read(a).is_err());
-        assert_eq!(
-            out.db.partition(PartitionId(0)).unwrap().object_count(),
-            0
-        );
+        assert_eq!(out.db.partition(PartitionId(0)).unwrap().object_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -438,7 +441,11 @@ mod tests {
         type Pages = Vec<Vec<Vec<u8>>>;
         let pages_after = |updates: Vec<LogPayload>| -> (Pages, Pages) {
             let checkpoint = db.checkpoint(0);
-            let before = checkpoint.partitions.iter().map(|p| p.pages.clone()).collect();
+            let before = checkpoint
+                .partitions
+                .iter()
+                .map(|p| p.pages.clone())
+                .collect();
             let log = [LogPayload::Begin { reorg: None }]
                 .into_iter()
                 .chain(updates)
@@ -463,7 +470,10 @@ mod tests {
             let (before, after) = pages_after(vec![p.clone()]);
             assert_ne!(before, after, "{p:?} must change a page");
             let (before, after) = pages_after(vec![p.clone(), inv]);
-            assert_eq!(before, after, "{p:?} then its inverse must restore every page");
+            assert_eq!(
+                before, after,
+                "{p:?} then its inverse must restore every page"
+            );
         }
     }
 }

@@ -198,7 +198,10 @@ mod tests {
             assert_eq!(d1, d2, "same (seed, attempt) gives the same delay");
             let exp = Duration::from_millis(4).saturating_mul(1 << (attempt - 1) as u32);
             let exp = exp.min(Duration::from_secs(1));
-            assert!(d1 >= exp / 2 && d1 <= exp * 3 / 2, "±50% of {exp:?}: {d1:?}");
+            assert!(
+                d1 >= exp / 2 && d1 <= exp * 3 / 2,
+                "±50% of {exp:?}: {d1:?}"
+            );
         }
         let q = RetryPolicy::new(10, Duration::from_millis(4), Duration::from_secs(1), 43);
         assert!(

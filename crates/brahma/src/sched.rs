@@ -292,7 +292,12 @@ pub fn dump_to(path: &str) -> std::io::Result<()> {
     }
     let evs = events();
     let mut f = std::fs::File::create(path)?;
-    writeln!(f, "# sched trace: {} events ({} dropped)", evs.len(), dropped())?;
+    writeln!(
+        f,
+        "# sched trace: {} events ({} dropped)",
+        evs.len(),
+        dropped()
+    )?;
     for e in evs {
         writeln!(f, "{}\t{}\t{}\t{}", e.seq, e.thread, e.event, e.key)?;
     }
@@ -338,7 +343,10 @@ mod tests {
             root.child("worker").child_idx(3).seed(),
             "paths, not leaf indices, determine the stream"
         );
-        assert_ne!(SeedTree::new(1).child("x").seed(), SeedTree::new(2).child("x").seed());
+        assert_ne!(
+            SeedTree::new(1).child("x").seed(),
+            SeedTree::new(2).child("x").seed()
+        );
     }
 
     #[cfg(any(debug_assertions, feature = "sched-trace"))]

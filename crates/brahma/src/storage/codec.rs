@@ -154,10 +154,7 @@ impl<'a> Reader<'a> {
 
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(self.corrupt(format!(
-                "need {n} bytes, only {} remain",
-                self.remaining()
-            )));
+            return Err(self.corrupt(format!("need {n} bytes, only {} remain", self.remaining())));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -198,10 +195,7 @@ impl<'a> Reader<'a> {
     /// Error unless the reader consumed the whole slice.
     pub fn expect_end(&self, what: &str) -> Result<()> {
         if self.remaining() != 0 {
-            return Err(self.corrupt(format!(
-                "{} trailing bytes after {what}",
-                self.remaining()
-            )));
+            return Err(self.corrupt(format!("{} trailing bytes after {what}", self.remaining())));
         }
         Ok(())
     }
@@ -508,7 +502,10 @@ pub fn next_frame<'a>(buf: &'a [u8], pos: usize, base: u64) -> Framed<'a> {
             reason: "crc mismatch".into(),
         };
     }
-    Framed::Body { body, at: at + RECORD_HEADER_BYTES as u64 }
+    Framed::Body {
+        body,
+        at: at + RECORD_HEADER_BYTES as u64,
+    }
 }
 
 #[cfg(test)]

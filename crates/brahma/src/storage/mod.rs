@@ -352,11 +352,8 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     let file = fs::read(&ckpt_path).map_err(|e| eio("read checkpoint", &e))?;
     let decoded = decode_checkpoint(&file)?;
     let (scanned, torn_truncations) = scan_segments(&dir.join("wal"))?;
-    let mut by_lsn: BTreeMap<Lsn, LogRecord> = decoded
-        .carry_log
-        .into_iter()
-        .map(|r| (r.lsn, r))
-        .collect();
+    let mut by_lsn: BTreeMap<Lsn, LogRecord> =
+        decoded.carry_log.into_iter().map(|r| (r.lsn, r)).collect();
     for rec in scanned {
         by_lsn.insert(rec.lsn, rec);
     }
@@ -443,7 +440,11 @@ impl Database {
             // With no reorganization running there is no window to carry,
             // and no reason to decode the retained log looking for one.
             let quiet = ckpt.active_reorgs.is_empty();
-            let retained = if quiet { Vec::new() } else { self.wal.records_from(0) };
+            let retained = if quiet {
+                Vec::new()
+            } else {
+                self.wal.records_from(0)
+            };
             let carry = carry_window(&retained, &ckpt.active_reorgs);
             backend.write_checkpoint(&ckpt, &carry)?;
         }
@@ -518,7 +519,8 @@ fn open_segment(path: &Path, start_lsn: Lsn) -> Result<File> {
     let mut header = Vec::with_capacity(SEG_HEADER_BYTES as usize);
     header.extend_from_slice(SEG_MAGIC);
     codec::put_u64(&mut header, start_lsn);
-    f.write_all(&header).map_err(|e| eio("write segment header", &e))?;
+    f.write_all(&header)
+        .map_err(|e| eio("write segment header", &e))?;
     Ok(f)
 }
 
@@ -716,10 +718,7 @@ pub(crate) mod tests {
 
     /// An empty scratch directory for one test's store.
     pub(crate) fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "brahma-storage-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("brahma-storage-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

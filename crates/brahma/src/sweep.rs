@@ -32,7 +32,10 @@ pub fn rebuild_erts_by_sweep(db: &Database) -> usize {
             clippy::expect_used,
             reason = "invariant: partitions are never dropped, so every id partition_ids() lists resolves"
         )]
-        db.partition(pid).expect("invariant: partition_ids lists live partitions").ert.clear();
+        db.partition(pid)
+            .expect("invariant: partition_ids lists live partitions")
+            .ert
+            .clear();
     }
     let mut edges = 0;
     for pid in db.partition_ids() {
@@ -90,7 +93,9 @@ pub fn check_ref_integrity(db: &Database) -> Vec<String> {
 pub fn check_ert_exact(db: &Database) -> Vec<String> {
     let mut problems = Vec::new();
     for pid in db.partition_ids() {
-        let Ok(part) = db.partition(pid) else { continue };
+        let Ok(part) = db.partition(pid) else {
+            continue;
+        };
         let stored = part.ert.snapshot();
         // Recompute incoming cross-partition edges for this partition.
         let mut expected: Vec<(PhysAddr, PhysAddr)> = Vec::new();
@@ -130,7 +135,11 @@ pub fn reachable_in_partition(db: &Database, partition: PartitionId) -> AddrSet 
         .ert
         .referenced_objects()
         .into_iter()
-        .chain(db.roots().into_iter().filter(|r| r.partition() == partition))
+        .chain(
+            db.roots()
+                .into_iter()
+                .filter(|r| r.partition() == partition),
+        )
         .collect();
     let mut seen = AddrSet::default();
     while let Some(addr) = queue.pop_front() {

@@ -16,9 +16,9 @@
 //! after a failure.
 
 use crate::addr::{AddrMap, PartitionId, PhysAddr};
+use crate::lockdep::{LockClass, Mutex};
 use crate::txn::TxnId;
 use obs::Counter;
-use crate::lockdep::{LockClass, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether a TRT tuple records an insertion or a deletion of a reference.
@@ -110,12 +110,21 @@ impl Trt {
     /// Remove one occurrence of exactly this tuple. Returns whether it was
     /// present.
     pub fn remove_tuple(&self, tuple: &TrtTuple) -> bool {
-        let TrtTuple { child, parent, tid, action } = *tuple;
+        let TrtTuple {
+            child,
+            parent,
+            tid,
+            action,
+        } = *tuple;
         self.remove_first(child, |&e| e == (parent, tid, action))
     }
 
     /// Remove the first tuple about `child` that `hit` matches.
-    fn remove_first(&self, child: PhysAddr, hit: impl FnMut(&(PhysAddr, TxnId, RefAction)) -> bool) -> bool {
+    fn remove_first(
+        &self,
+        child: PhysAddr,
+        hit: impl FnMut(&(PhysAddr, TxnId, RefAction)) -> bool,
+    ) -> bool {
         let mut t = self.inner.lock();
         let Some(v) = t.get_mut(&child) else {
             return false;
@@ -195,7 +204,9 @@ impl Trt {
     /// Removes at most one insert tuple; returns whether one was removed.
     pub fn purge_insert_pair(&self, child: PhysAddr, parent: PhysAddr, tid: TxnId) -> bool {
         let removed = !self.looks_empty()
-            && self.remove_first(child, |&(p, id, a)| p == parent && id != tid && a == RefAction::Insert);
+            && self.remove_first(child, |&(p, id, a)| {
+                p == parent && id != tid && a == RefAction::Insert
+            });
         if removed {
             self.stats.purged.inc();
         }
@@ -305,7 +316,10 @@ mod tests {
         trt.note(kept, a(2, 8), TxnId(6), RefAction::Delete);
         assert_eq!(trt.purge_txn_deletes(TxnId(5)), 3);
         assert_eq!(trt.stats.purged.get(), 3);
-        assert!(!trt.has_tuples_for(emptied), "an emptied list leaves no key");
+        assert!(
+            !trt.has_tuples_for(emptied),
+            "an emptied list leaves no key"
+        );
         assert_eq!(trt.referenced_objects(), vec![kept]);
         assert_eq!(trt.tuples_for(kept).len(), 1);
     }

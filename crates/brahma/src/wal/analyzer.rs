@@ -261,7 +261,13 @@ mod tests {
     #[test]
     fn reorg_transactions_do_not_feed_the_trt() {
         let records = vec![
-            rec(0, 9, LogPayload::Begin { reorg: Some(PartitionId(1)) }),
+            rec(
+                0,
+                9,
+                LogPayload::Begin {
+                    reorg: Some(PartitionId(1)),
+                },
+            ),
             rec(
                 1,
                 9,

@@ -101,7 +101,10 @@ pub enum LogPayload {
     /// for `partition`; the log is its only carrier. Restart hands back the
     /// latest one logged since the partition's last `ReorgEnd`, so a
     /// mid-reorg process kill resumes from the on-disk checkpoint + log.
-    ReorgCheckpoint { partition: PartitionId, blob: Vec<u8> },
+    ReorgCheckpoint {
+        partition: PartitionId,
+        blob: Vec<u8>,
+    },
 }
 
 impl LogPayload {
@@ -184,12 +187,14 @@ impl LogPayload {
     /// delete — is an insert like any other (Section 4.5).
     pub fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
         match self {
-            LogPayload::Create { addr, image } => {
-                image.refs.iter().for_each(|&c| f(RefAction::Insert, *addr, c))
-            }
-            LogPayload::Free { addr, image } => {
-                image.refs.iter().for_each(|&c| f(RefAction::Delete, *addr, c))
-            }
+            LogPayload::Create { addr, image } => image
+                .refs
+                .iter()
+                .for_each(|&c| f(RefAction::Insert, *addr, c)),
+            LogPayload::Free { addr, image } => image
+                .refs
+                .iter()
+                .for_each(|&c| f(RefAction::Delete, *addr, c)),
             LogPayload::InsertRef { parent, child, .. } => f(RefAction::Insert, *parent, *child),
             LogPayload::DeleteRef { parent, child, .. } => f(RefAction::Delete, *parent, *child),
             LogPayload::SetRef {
@@ -734,21 +739,49 @@ mod tests {
         let partition = PartitionId(3);
         vec![
             LogPayload::Begin { reorg: None },
-            LogPayload::Begin { reorg: Some(partition) },
+            LogPayload::Begin {
+                reorg: Some(partition),
+            },
             LogPayload::Commit,
             LogPayload::Abort,
-            LogPayload::Create { addr: a(0), image: image.clone() },
+            LogPayload::Create {
+                addr: a(0),
+                image: image.clone(),
+            },
             LogPayload::Free { addr: a(0), image },
-            LogPayload::SetPayload { addr: a(8), old: vec![], new: vec![0xEE; 300] },
-            LogPayload::InsertRef { parent: a(8), child: a(16), index: 1 },
-            LogPayload::DeleteRef { parent: a(8), child: a(16), index: 1 },
-            LogPayload::SetRef { parent: a(8), index: 0, old_child: a(16), new_child: a(24) },
-            LogPayload::ReorgStart { partition, floor: 7 },
+            LogPayload::SetPayload {
+                addr: a(8),
+                old: vec![],
+                new: vec![0xEE; 300],
+            },
+            LogPayload::InsertRef {
+                parent: a(8),
+                child: a(16),
+                index: 1,
+            },
+            LogPayload::DeleteRef {
+                parent: a(8),
+                child: a(16),
+                index: 1,
+            },
+            LogPayload::SetRef {
+                parent: a(8),
+                index: 0,
+                old_child: a(16),
+                new_child: a(24),
+            },
+            LogPayload::ReorgStart {
+                partition,
+                floor: 7,
+            },
             LogPayload::ReorgEnd { partition, base: 5 },
             rec(),
             LogPayload::Checkpoint { id: 9 },
             LogPayload::CreatePartition { id: partition },
-            LogPayload::ReorgCheckpoint { partition, blob: vec![1, 2, 3] },
+            LogPayload::ReorgCheckpoint {
+                partition,
+                blob: vec![1, 2, 3],
+            },
         ]
     }
 
@@ -786,13 +819,21 @@ mod tests {
         let mut logged = Vec::new();
         append_every_variant(&wal, &mut logged);
         assert_eq!(wal.base_lsn(), 5, "truncation stops at the earliest pin");
-        assert_eq!(wal.records_from(0), logged[5..], "the cut falls on a frame boundary");
+        assert_eq!(
+            wal.records_from(0),
+            logged[5..],
+            "the cut falls on a frame boundary"
+        );
         assert_eq!(wal.records_from(9), logged[9..]);
         wal.unpin(early);
         append_every_variant(&wal, &mut logged);
         assert_eq!(wal.base_lsn(), per_round + 2, "the later pin takes over");
         assert_eq!(wal.records_from(0), logged[per_round as usize + 2..]);
-        assert_eq!(wal.stats.truncated.get(), per_round + 2, "counted in records");
+        assert_eq!(
+            wal.stats.truncated.get(),
+            per_round + 2,
+            "counted in records"
+        );
         // Nothing pinned: the next append drops everything, itself included.
         wal.unpin(late);
         let lsn = wal.append(TxnId(1), rec());
@@ -822,7 +863,14 @@ mod tests {
                         // Frames of many lengths, so a misplaced boundary shows.
                         let new = vec![t as u8; i % 97];
                         wal.append(TxnId(t), LogPayload::Checkpoint { id: i as u64 });
-                        wal.append(TxnId(t), &LogPayload::SetPayload { addr: PhysAddr::from_raw(t), old: vec![], new });
+                        wal.append(
+                            TxnId(t),
+                            &LogPayload::SetPayload {
+                                addr: PhysAddr::from_raw(t),
+                                old: vec![],
+                                new,
+                            },
+                        );
                     }
                 });
             }
@@ -835,7 +883,10 @@ mod tests {
             let mut own = logged.iter().filter(|r| r.tid == TxnId(t));
             for i in 0..500usize {
                 let id = i as u64;
-                assert_eq!(own.next().map(|r| &r.payload), Some(&LogPayload::Checkpoint { id }));
+                assert_eq!(
+                    own.next().map(|r| &r.payload),
+                    Some(&LogPayload::Checkpoint { id })
+                );
                 assert!(matches!(
                     own.next().map(|r| &r.payload),
                     Some(LogPayload::SetPayload { new, .. }) if new.len() == i % 97

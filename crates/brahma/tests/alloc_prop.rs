@@ -49,11 +49,17 @@ fn alloc(
         if other.page() == addr.page() {
             let (a0, a1) = (addr.offset() as usize, addr.offset() as usize + size);
             let (b0, b1) = (other.offset() as usize, other.offset() as usize + osz);
-            prop_assert!(a1 <= b0 || b1 <= a0, "overlap: {addr}+{size} vs {other}+{osz}");
+            prop_assert!(
+                a1 <= b0 || b1 <= a0,
+                "overlap: {addr}+{size} vs {other}+{osz}"
+            );
         }
     }
     if let Some(floor) = floor {
-        prop_assert!(addr.page() >= floor, "{addr} allocated below the pass floor {floor}");
+        prop_assert!(
+            addr.page() >= floor,
+            "{addr} allocated below the pass floor {floor}"
+        );
     }
     addr
 }

@@ -92,7 +92,11 @@ fn the_fixture_decodes() {
     assert_eq!(ckpt.partitions.len(), 3);
     assert_eq!(ckpt.active_reorgs, vec![PartitionId(0), PartitionId(1)]);
     assert_eq!(ckpt.roots.len(), 2);
-    assert!(decoded.carry_log.len() >= 5, "{} carried records", decoded.carry_log.len());
+    assert!(
+        decoded.carry_log.len() >= 5,
+        "{} carried records",
+        decoded.carry_log.len()
+    );
 }
 
 #[test]

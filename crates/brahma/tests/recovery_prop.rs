@@ -27,12 +27,31 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 enum Op {
     /// `wide` objects land in another size class than the rest, so pages
     /// emptied by the script's reorganization steps change hands.
-    Create { partition: u8, payload_len: u8, wide: bool },
-    SetPayload { obj: usize, byte: u8 },
-    InsertRef { parent: usize, child: usize },
-    DeleteRef { parent: usize, child: usize },
-    SetRef { parent: usize, index: usize, child: usize },
-    DeleteObject { obj: usize },
+    Create {
+        partition: u8,
+        payload_len: u8,
+        wide: bool,
+    },
+    SetPayload {
+        obj: usize,
+        byte: u8,
+    },
+    InsertRef {
+        parent: usize,
+        child: usize,
+    },
+    DeleteRef {
+        parent: usize,
+        child: usize,
+    },
+    SetRef {
+        parent: usize,
+        index: usize,
+        child: usize,
+    },
+    DeleteObject {
+        obj: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -529,7 +548,11 @@ fn reopen_twice(config: &StoreConfig, expected: &(String, brahma::SpaceStats, u3
     assert_eq!(&observed(&out.db), expected);
     drop(out);
     let twice = open(config.clone()).unwrap();
-    assert_eq!(&observed(&twice.db), expected, "a second recovery moved the state");
+    assert_eq!(
+        &observed(&twice.db),
+        expected,
+        "a second recovery moved the state"
+    );
     brahma::sweep::assert_database_consistent(&twice.db);
     twice.db
 }

@@ -132,12 +132,7 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(14, LogPayload::Checkpoint { id: 42 }),
-        mk(
-            15,
-            LogPayload::CreatePartition {
-                id: PartitionId(9),
-            },
-        ),
+        mk(15, LogPayload::CreatePartition { id: PartitionId(9) }),
         mk(
             16,
             LogPayload::ReorgCheckpoint {
@@ -204,10 +199,9 @@ fn any_single_byte_flip_is_rejected() {
                 bad[i] ^= flip;
                 match next_frame(&bad, 0, 0) {
                     Framed::Torn { .. } => {}
-                    Framed::End => panic!(
-                        "flip {flip:#x} at byte {i} (lsn {}) read as End",
-                        rec.lsn
-                    ),
+                    Framed::End => {
+                        panic!("flip {flip:#x} at byte {i} (lsn {}) read as End", rec.lsn)
+                    }
                     Framed::Body { .. } => panic!(
                         "flip {flip:#x} at byte {i} (lsn {}) parsed as a valid frame",
                         rec.lsn
@@ -285,7 +279,12 @@ fn inverse_is_an_involution_on_update_records() {
 
 /// Build a segment file: magic + start_lsn header, `whole` full frames,
 /// then the first `torn_bytes` bytes of one more frame.
-fn write_segment(path: &std::path::Path, start_lsn: u64, whole: &[LogRecord], torn: Option<(&LogRecord, usize)>) {
+fn write_segment(
+    path: &std::path::Path,
+    start_lsn: u64,
+    whole: &[LogRecord],
+    torn: Option<(&LogRecord, usize)>,
+) {
     let mut f = std::fs::File::create(path).expect("create segment");
     f.write_all(b"BRHMWAL2").expect("magic");
     f.write_all(&start_lsn.to_le_bytes()).expect("header lsn");
@@ -313,7 +312,11 @@ fn torn_tail_truncation_per_record_type() {
         let whole = &samples[..i]; // everything before it is intact
         let frame_len = encode_record(torn_rec).len();
         // Tear at several depths: header-only, mid-header, mid-body.
-        for keep in [1usize, RECORD_HEADER_BYTES - 1, RECORD_HEADER_BYTES + frame_len / 3] {
+        for keep in [
+            1usize,
+            RECORD_HEADER_BYTES - 1,
+            RECORD_HEADER_BYTES + frame_len / 3,
+        ] {
             write_segment(&path, 1, whole, Some((torn_rec, keep)));
             let before = std::fs::metadata(&path).expect("meta").len();
             let (recs, tear) = scan_segment_file(&path, true).expect("scan with truncation");
@@ -321,7 +324,8 @@ fn torn_tail_truncation_per_record_type() {
             for (r, w) in recs.iter().zip(whole) {
                 assert_eq!(r.lsn, w.lsn);
             }
-            let tear_at = tear.unwrap_or_else(|| panic!("variant {i} keep {keep}: no tear reported"));
+            let tear_at =
+                tear.unwrap_or_else(|| panic!("variant {i} keep {keep}: no tear reported"));
             assert!(tear_at < before, "tear offset past old EOF");
             let after = std::fs::metadata(&path).expect("meta").len();
             assert_eq!(after, tear_at, "file not truncated to the tear");

@@ -75,16 +75,34 @@ pub fn assert_trt_reconstruction_covers(
     };
     let seeded_keys: HashSet<_> = seeded.dump().iter().map(key).collect();
     let since_start = &pre_crash_log[start..];
-    let first_batch = since_start.iter()
-        .position(|r| r.payload == LogPayload::Begin { reorg: Some(ckpt.partition) })
+    let first_batch = since_start
+        .iter()
+        .position(|r| {
+            r.payload
+                == LogPayload::Begin {
+                    reorg: Some(ckpt.partition),
+                }
+        })
         .unwrap_or(since_start.len());
-    let begun_after: HashSet<TxnId> = since_start.iter()
-        .filter(|r| matches!(r.payload, LogPayload::Begin { .. })).map(|r| r.tid).collect();
-    let quiesced: HashSet<TxnId> = since_start[..first_batch].iter()
-        .filter(|r| matches!(r.payload, LogPayload::Commit | LogPayload::Abort) && !begun_after.contains(&r.tid))
-        .map(|r| r.tid).collect();
+    let begun_after: HashSet<TxnId> = since_start
+        .iter()
+        .filter(|r| matches!(r.payload, LogPayload::Begin { .. }))
+        .map(|r| r.tid)
+        .collect();
+    let quiesced: HashSet<TxnId> = since_start[..first_batch]
+        .iter()
+        .filter(|r| {
+            matches!(r.payload, LogPayload::Commit | LogPayload::Abort)
+                && !begun_after.contains(&r.tid)
+        })
+        .map(|r| r.tid)
+        .collect();
     let done = &ckpt.state.order[..ckpt.pos];
-    for t in full.dump().into_iter().filter(|t| !quiesced.contains(&t.tid) && !done.contains(&t.child)) {
+    for t in full
+        .dump()
+        .into_iter()
+        .filter(|t| !quiesced.contains(&t.tid) && !done.contains(&t.child))
+    {
         assert!(
             seeded_keys.contains(&key(&t)),
             "seeded TRT reconstruction lost tuple {t:?}"
@@ -105,16 +123,31 @@ mod tests {
     #[test]
     fn pre_start_transaction_is_excused_only_if_it_ended_before_the_first_batch() {
         let p = PartitionId(1);
-        let rec = |lsn, tid, payload| LogRecord { lsn, tid: TxnId(tid), payload };
+        let rec = |lsn, tid, payload| LogRecord {
+            lsn,
+            tid: TxnId(tid),
+            payload,
+        };
         let log = |commit_lsn, batch_lsn| {
             let mut log = vec![
                 rec(0, 5, LogPayload::Begin { reorg: None }),
-                rec(1, 0, LogPayload::ReorgStart { partition: p, floor: 0 }),
-                rec(2, 5, LogPayload::InsertRef {
-                    parent: PhysAddr::new(PartitionId(2), 0, 0),
-                    child: PhysAddr::new(p, 0, 0),
-                    index: 0,
-                }),
+                rec(
+                    1,
+                    0,
+                    LogPayload::ReorgStart {
+                        partition: p,
+                        floor: 0,
+                    },
+                ),
+                rec(
+                    2,
+                    5,
+                    LogPayload::InsertRef {
+                        parent: PhysAddr::new(PartitionId(2), 0, 0),
+                        child: PhysAddr::new(p, 0, 0),
+                        index: 0,
+                    },
+                ),
                 rec(commit_lsn, 5, LogPayload::Commit),
                 rec(batch_lsn, 9, LogPayload::Begin { reorg: Some(p) }),
             ];
@@ -135,6 +168,9 @@ mod tests {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             assert_trt_reconstruction_covers(&still_running, &ckpt, true)
         }));
-        assert!(caught.is_err(), "a transaction still running at the first batch is checked");
+        assert!(
+            caught.is_err(),
+            "a transaction still running at the first batch is checked"
+        );
     }
 }

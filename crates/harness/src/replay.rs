@@ -100,10 +100,7 @@ impl Gate {
             if left.is_zero() {
                 return false;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, left)
-                .unwrap_or_else(poisoned);
+            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
             st = guard;
         }
         true
@@ -140,10 +137,7 @@ impl Controller for Gate {
                 st.escaped = true;
                 break;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, left)
-                .unwrap_or_else(poisoned);
+            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
             st = guard;
         }
     }
@@ -216,8 +210,7 @@ struct ReplayState {
 
 impl TraceReplay {
     pub fn new(trace: SchedTrace) -> Self {
-        let mut known_threads: Vec<String> =
-            trace.steps.iter().map(|s| s.thread.clone()).collect();
+        let mut known_threads: Vec<String> = trace.steps.iter().map(|s| s.thread.clone()).collect();
         known_threads.sort();
         known_threads.dedup();
         TraceReplay {
@@ -289,10 +282,7 @@ impl Controller for TraceReplay {
                 self.cv.notify_all();
                 return;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, left)
-                .unwrap_or_else(poisoned);
+            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
             st = guard;
         }
     }
@@ -420,7 +410,10 @@ mod tests {
                 done.store(true, Ordering::SeqCst);
             })
         };
-        assert!(gate.wait_arrived(Duration::from_secs(2)), "thread must park");
+        assert!(
+            gate.wait_arrived(Duration::from_secs(2)),
+            "thread must park"
+        );
         assert!(!done.load(Ordering::SeqCst), "still parked after arrival");
         gate.release();
         t.join().unwrap();

@@ -24,7 +24,9 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
         clippy::expect_used,
         reason = "invariant: step one runs strictly after start_reorg validated the partition id"
     )]
-    let part = db.partition(partition).expect("invariant: reorg partition exists (validated by start_reorg)");
+    let part = db
+        .partition(partition)
+        .expect("invariant: reorg partition exists (validated by start_reorg)");
 
     // L1: traverse from the ERT's referenced objects, plus any persistent
     // roots that live in this partition (the paper keeps roots in their own
@@ -33,7 +35,11 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
         .ert
         .referenced_objects()
         .into_iter()
-        .chain(db.roots().into_iter().filter(|r| r.partition() == partition))
+        .chain(
+            db.roots()
+                .into_iter()
+                .filter(|r| r.partition() == partition),
+        )
         .collect();
     fuzzy_traversal(db, partition, seeds, &mut state);
 
@@ -73,7 +79,9 @@ pub fn merge_ert_parents(
         clippy::expect_used,
         reason = "invariant: step one runs strictly after start_reorg validated the partition id"
     )]
-    let part = db.partition(partition).expect("invariant: reorg partition exists (validated by start_reorg)");
+    let part = db
+        .partition(partition)
+        .expect("invariant: reorg partition exists (validated by start_reorg)");
     for i in from..state.order.len() {
         let obj = state.order[i];
         for parent in part.ert.parents_of(obj) {
@@ -166,7 +174,10 @@ mod tests {
         let st = find_objects_and_approx_parents(&db, p1);
         db.end_reorg(p1);
         assert!(st.visited.contains(&live));
-        assert!(!st.visited.contains(&garbage), "unreachable object is garbage");
+        assert!(
+            !st.visited.contains(&garbage),
+            "unreachable object is garbage"
+        );
     }
 
     #[test]

@@ -324,7 +324,10 @@ mod tests {
     fn offline_strategy_migrates_without_reports() {
         let db = Database::new(StoreConfig::default());
         let (p1, _, _) = seed(&db);
-        let outcome = Reorg::on(&db, p1).strategy(Strategy::Offline).run().unwrap();
+        let outcome = Reorg::on(&db, p1)
+            .strategy(Strategy::Offline)
+            .run()
+            .unwrap();
         assert_eq!(outcome.migrated(), 1);
         assert!(outcome.report.is_none());
         brahma::sweep::assert_database_consistent(&db);

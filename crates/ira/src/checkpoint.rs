@@ -463,7 +463,10 @@ mod tests {
         // record; every one-byte change decodes or fails, never panics.
         for len in 0..bytes.len() {
             assert!(
-                matches!(IraCheckpoint::decode(&bytes[..len]), Err(StoreError::Corrupt { .. })),
+                matches!(
+                    IraCheckpoint::decode(&bytes[..len]),
+                    Err(StoreError::Corrupt { .. })
+                ),
                 "prefix of {len} bytes"
             );
         }

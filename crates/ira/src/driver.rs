@@ -15,7 +15,10 @@ use crate::plan::RelocationPlan;
 use crate::site as ira_site;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
-use brahma::{AddrMap, AddrSet, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn};
+use brahma::{
+    AddrMap, AddrSet, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy,
+    Txn,
+};
 use std::fmt;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -164,7 +167,10 @@ impl IraReport {
         snap.set("ira.migrated", self.mapping.len() as u64);
         snap.set("ira.garbage", self.garbage.len() as u64);
         snap.set("ira.retries", self.retries as u64);
-        snap.set("ira.external_parent_locks", self.external_parent_locks as u64);
+        snap.set(
+            "ira.external_parent_locks",
+            self.external_parent_locks as u64,
+        );
         snap.set("ira.quiesce_us", us(self.phases.quiesce));
         snap.set("ira.traversal_us", us(self.phases.traversal));
         snap.set("ira.exact_parents_us", us(self.phases.exact_parents));
@@ -543,8 +549,7 @@ impl ReorgRun<'_> {
     fn crash_now(&self) -> IraError {
         let _ = self.db.fault.take_crash_request();
         let ckpt = self.checkpoint();
-        self.db
-            .save_reorg_checkpoint(self.partition, ckpt.encode());
+        self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
         IraError::SimulatedCrash(Box::new(ckpt))
     }
 

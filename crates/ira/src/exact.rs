@@ -182,7 +182,10 @@ mod tests {
         let mut txn = db.begin_reorg(p1);
         let parents =
             find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
-        assert!(parents.contains(&latecomer), "TRT loop must find the new parent");
+        assert!(
+            parents.contains(&latecomer),
+            "TRT loop must find the new parent"
+        );
         assert_eq!(txn.lock_mode(latecomer), Some(LockMode::Exclusive));
         txn.commit().unwrap();
         db.end_reorg(p1);

@@ -21,7 +21,9 @@
 
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn};
+use brahma::{
+    AddrSet, Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn,
+};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts. Kept
@@ -184,8 +186,13 @@ pub fn move_object_and_update_refs(
         }
     }
 
-    db.wal
-        .append(txn.id(), LogPayload::Migrate { old: oold, new: onew });
+    db.wal.append(
+        txn.id(),
+        LogPayload::Migrate {
+            old: oold,
+            new: onew,
+        },
+    );
 
     // 3. Parent-list bookkeeping for children that still await migration.
     source.repoint_children(onew, state, &mut effects.parent_rewrites);
@@ -238,7 +245,14 @@ mod tests {
         let parents = find_exact_parents(db, &mut txn, oold, state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
         let onew = move_object_and_update_refs(
-            db, &mut txn, oold, &parents, plan, None, state, &mut effects,
+            db,
+            &mut txn,
+            oold,
+            &parents,
+            plan,
+            None,
+            state,
+            &mut effects,
         )
         .unwrap();
         txn.commit().unwrap();
@@ -354,7 +368,8 @@ mod tests {
         db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents =
+            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
         move_object_and_update_refs(
             &db,

@@ -65,11 +65,7 @@ pub fn order_queue(
             queue.extend(groups.into_values().flatten().chain(rest));
         }
         MigrationOrder::Priority(listed) => {
-            let rank: AddrMap<usize> = listed
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| (a, i))
-                .collect();
+            let rank: AddrMap<usize> = listed.iter().enumerate().map(|(i, &a)| (a, i)).collect();
             // Listed objects first, by list position; the rest keep their
             // traversal order. Listed objects missing from the queue (dead
             // or migrated since the stats were observed) are simply absent.
@@ -101,7 +97,12 @@ mod tests {
         let q = vec![a(1, 0), a(1, 64), a(1, 128)];
         let state = TraversalState::default();
         let mut ordered = q.clone();
-        order_queue(&MigrationOrder::Traversal, &mut ordered, &state, PartitionId(1));
+        order_queue(
+            &MigrationOrder::Traversal,
+            &mut ordered,
+            &state,
+            PartitionId(1),
+        );
         assert_eq!(ordered, q);
     }
 
@@ -116,14 +117,23 @@ mod tests {
         state.add_parent(o2, ext2);
         state.add_parent(o3, ext1);
         state.add_parent(o4, a(1, 300)); // intra-partition parent only
-        // o5 has no recorded parents.
+                                         // o5 has no recorded parents.
         let mut ordered = vec![o1, o2, o3, o4, o5];
-        order_queue(&MigrationOrder::GroupByExternalParent, &mut ordered, &state, p);
+        order_queue(
+            &MigrationOrder::GroupByExternalParent,
+            &mut ordered,
+            &state,
+            p,
+        );
         // ext1's children are adjacent; parentless objects go last in
         // original relative order.
         let i1 = ordered.iter().position(|&x| x == o1).unwrap();
         let i3 = ordered.iter().position(|&x| x == o3).unwrap();
-        assert_eq!(i1.abs_diff(i3), 1, "o1 and o3 share ext1 and must be adjacent");
+        assert_eq!(
+            i1.abs_diff(i3),
+            1,
+            "o1 and o3 share ext1 and must be adjacent"
+        );
         assert_eq!(&ordered[3..], &[o4, o5]);
         assert_eq!(ordered.len(), 5);
     }
@@ -147,7 +157,12 @@ mod tests {
         state.add_parent(o1, o2);
         state.add_parent(o2, o1);
         let mut ordered = vec![o1, o2];
-        order_queue(&MigrationOrder::GroupByExternalParent, &mut ordered, &state, p);
+        order_queue(
+            &MigrationOrder::GroupByExternalParent,
+            &mut ordered,
+            &state,
+            p,
+        );
         assert_eq!(ordered, vec![o1, o2]);
     }
 }

@@ -159,8 +159,7 @@ impl StatsGreedy {
         let mut pred: AddrMap<PhysAddr> = AddrMap::default();
         let mut weight: AddrMap<u64> = AddrMap::default();
         for e in ranked {
-            if e.parent == e.child || succ.contains_key(&e.parent) || pred.contains_key(&e.child)
-            {
+            if e.parent == e.child || succ.contains_key(&e.parent) || pred.contains_key(&e.child) {
                 continue;
             }
             // Following successors from the child must not reach the
@@ -198,7 +197,10 @@ impl StatsGreedy {
             chain
         };
         heads.sort_by_key(|&h| {
-            let w: u64 = chain_of(h).iter().map(|a| weight.get(a).copied().unwrap_or(0)).sum();
+            let w: u64 = chain_of(h)
+                .iter()
+                .map(|a| weight.get(a).copied().unwrap_or(0))
+                .sum();
             (std::cmp::Reverse(w), h.to_raw())
         });
         heads.into_iter().map(chain_of).collect()
@@ -232,7 +234,10 @@ impl StatsGreedy {
             .map(|p| p.live_objects())
             .unwrap_or_default();
         let live: AddrSet = live_list.iter().copied().collect();
-        let priority: Vec<PhysAddr> = Self::chains(&self.edges, &live).into_iter().flatten().collect();
+        let priority: Vec<PhysAddr> = Self::chains(&self.edges, &live)
+            .into_iter()
+            .flatten()
+            .collect();
 
         // Score the order against the cost model: simulate packing the
         // priority list (then every remaining live object) into fresh
@@ -294,9 +299,9 @@ mod tests {
         let other_page = addr(1, 7, 0);
         let other_part = addr(2, 0, 0);
         let edges = [
-            edge(same, same_page, 10),  // free
-            edge(same, other_page, 3),  // 3 * cross_page
-            edge(same, other_part, 2),  // 2 * cross_partition
+            edge(same, same_page, 10), // free
+            edge(same, other_page, 3), // 3 * cross_page
+            edge(same, other_part, 2), // 2 * cross_partition
         ];
         assert_eq!(m.identity_cost(&edges), 3.0 + 8.0);
     }
@@ -321,7 +326,11 @@ mod tests {
         let live: AddrSet = [a, b].into_iter().collect();
         let edges = [edge(a, b, 10), edge(b, a, 9)];
         let chains = StatsGreedy::chains(&edges, &live);
-        assert_eq!(chains, vec![vec![a, b]], "the b->a backlink must be dropped");
+        assert_eq!(
+            chains,
+            vec![vec![a, b]],
+            "the b->a backlink must be dropped"
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 
 use crate::offline::reorganize_quiescent;
 use crate::plan::RelocationPlan;
-use brahma::{AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy};
+use brahma::{
+    AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy,
+};
 use std::time::{Duration, Instant};
 
 /// The insist policy: effectively "keep asking" — each lock request
@@ -125,11 +127,7 @@ pub(crate) fn run_pqr(
 /// a deadlock with PQR time out and abort, releasing their locks, so
 /// insisting is safe; [`INSIST_POLICY`] bounds the spin against pathologies
 /// and counts every re-request in the store's `retry.*` counters.
-fn lock_insist(
-    db: &Database,
-    txn: &mut brahma::Txn<'_>,
-    addr: PhysAddr,
-) -> Result<(), StoreError> {
+fn lock_insist(db: &Database, txn: &mut brahma::Txn<'_>, addr: PhysAddr) -> Result<(), StoreError> {
     let mut backoff = INSIST_POLICY.start();
     loop {
         match txn.lock(addr, LockMode::Exclusive) {

@@ -169,7 +169,10 @@ mod tests {
         fuzzy_traversal(&db, p0, [here], &mut st);
         assert_eq!(st.order, vec![here]);
         assert!(!st.visited.contains(&other));
-        assert!(st.parents_of(other).is_empty(), "cross-partition edge not recorded");
+        assert!(
+            st.parents_of(other).is_empty(),
+            "cross-partition edge not recorded"
+        );
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub fn migrate_two_lock(
             processed.insert(parent);
         }
         let Some(trt) = db.trt(partition) else { break };
-        let Some(tuple) = trt.peek_for(oold) else { break };
+        let Some(tuple) = trt.peek_for(oold) else {
+            break;
+        };
         // Per-parent transaction, exactly as above; the tuple is deleted
         // after its parent is locked (Figure 4's ordering).
         if tuple.parent != oold && tuple.parent != onew {
@@ -95,8 +97,13 @@ pub fn migrate_two_lock(
     if db.is_root(oold) {
         db.replace_root(oold, onew);
     }
-    db.wal
-        .append(guard.id(), LogPayload::Migrate { old: oold, new: onew });
+    db.wal.append(
+        guard.id(),
+        LogPayload::Migrate {
+            old: oold,
+            new: onew,
+        },
+    );
     guard.delete_object(oold)?;
     guard.commit()?;
 

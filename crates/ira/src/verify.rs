@@ -135,7 +135,11 @@ mod tests {
         t.commit().unwrap();
         let fp = logical_fingerprint(&db, &[a]);
         assert_eq!(fp.len(), 1);
-        assert!(fp[0].contains("edges=[0]"), "self-edge uses own id: {}", fp[0]);
+        assert!(
+            fp[0].contains("edges=[0]"),
+            "self-edge uses own id: {}",
+            fp[0]
+        );
     }
 
     #[test]

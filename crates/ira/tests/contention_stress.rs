@@ -83,58 +83,59 @@ fn run_cell() {
     // optimized build migrates all 96 singletons before the 60 walker
     // threads have even been scheduled.
     let camps = Arc::new(AtomicU64::new(0));
-    let walkers: Vec<_> = (0..WALKERS)
-        .map(|i| {
-            let db = Arc::clone(&db);
-            let stop = Arc::clone(&stop);
-            let camps = Arc::clone(&camps);
-            // Mostly readers, with one writer per five: a writer that wins
-            // the anchor camps on it — 3 ms usually, 9 ms every third camp
-            // — then thinks for 2 ms. The 9 ms camps overrun the 5 ms lock
-            // timeout, so a reorganizer acquisition landing in such a
-            // camp's first stretch times out *by construction*: since the
-            // walkers never wait (try_lock), the reorganizer is the only
-            // registered waiter and otherwise always wins the handoff at
-            // camp end. Readers fail fast whenever an X waiter is
-            // registered (grants are write-preferring), so they add
-            // sharer-drain pressure without ever stalling the writers.
-            let mode = if i % 5 == 0 {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            std::thread::spawn(move || {
-                let mut iter = 0u64;
-                // ordering: stop flag; a late extra iteration is harmless
-                while !stop.load(Ordering::Relaxed) {
-                    let mut t = db.begin();
-                    if t.try_lock(anchor, mode) {
-                        let _ = t.read(anchor);
-                        if mode == LockMode::Exclusive {
-                            iter += 1;
-                            std::thread::sleep(Duration::from_millis(
-                                if iter.is_multiple_of(3) { 9 } else { 3 },
-                            ));
-                            // ordering: warm-up progress count; monotone
-                            camps.fetch_add(1, Ordering::Relaxed);
+    let walkers: Vec<_> =
+        (0..WALKERS)
+            .map(|i| {
+                let db = Arc::clone(&db);
+                let stop = Arc::clone(&stop);
+                let camps = Arc::clone(&camps);
+                // Mostly readers, with one writer per five: a writer that wins
+                // the anchor camps on it — 3 ms usually, 9 ms every third camp
+                // — then thinks for 2 ms. The 9 ms camps overrun the 5 ms lock
+                // timeout, so a reorganizer acquisition landing in such a
+                // camp's first stretch times out *by construction*: since the
+                // walkers never wait (try_lock), the reorganizer is the only
+                // registered waiter and otherwise always wins the handoff at
+                // camp end. Readers fail fast whenever an X waiter is
+                // registered (grants are write-preferring), so they add
+                // sharer-drain pressure without ever stalling the writers.
+                let mode = if i % 5 == 0 {
+                    LockMode::Exclusive
+                } else {
+                    LockMode::Shared
+                };
+                std::thread::spawn(move || {
+                    let mut iter = 0u64;
+                    // ordering: stop flag; a late extra iteration is harmless
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut t = db.begin();
+                        if t.try_lock(anchor, mode) {
+                            let _ = t.read(anchor);
+                            if mode == LockMode::Exclusive {
+                                iter += 1;
+                                std::thread::sleep(Duration::from_millis(
+                                    if iter.is_multiple_of(3) { 9 } else { 3 },
+                                ));
+                                // ordering: warm-up progress count; monotone
+                                camps.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
+                        // Read-only either way: nothing to commit.
+                        t.abort();
+                        // Think time, success or not: MPL-60 means sixty open
+                        // transactions, not sixty busy-spinning threads — and
+                        // on a small box a hot walker herd starves the woken
+                        // reorganizer of CPU, turning every handoff race into
+                        // scheduler lottery instead of lock-protocol behavior.
+                        std::thread::sleep(if mode == LockMode::Exclusive {
+                            Duration::from_millis(2)
+                        } else {
+                            Duration::from_micros(500)
+                        });
                     }
-                    // Read-only either way: nothing to commit.
-                    t.abort();
-                    // Think time, success or not: MPL-60 means sixty open
-                    // transactions, not sixty busy-spinning threads — and
-                    // on a small box a hot walker herd starves the woken
-                    // reorganizer of CPU, turning every handoff race into
-                    // scheduler lottery instead of lock-protocol behavior.
-                    std::thread::sleep(if mode == LockMode::Exclusive {
-                        Duration::from_millis(2)
-                    } else {
-                        Duration::from_micros(500)
-                    });
-                }
+                })
             })
-        })
-        .collect();
+            .collect();
 
     // Warm-up barrier: wait for a few completed writer camps so the storm
     // is in steady state — writers queued on the anchor back-to-back —

@@ -37,14 +37,16 @@ fn graph_strategy() -> impl Strategy<Value = GraphSpec> {
             any::<bool>(),
             1usize..5,
         )
-            .prop_map(|(n, edges, anchored, evacuate, two_lock, batch)| GraphSpec {
-                n,
-                edges,
-                anchored,
-                evacuate,
-                two_lock,
-                batch,
-            })
+            .prop_map(
+                |(n, edges, anchored, evacuate, two_lock, batch)| GraphSpec {
+                    n,
+                    edges,
+                    anchored,
+                    evacuate,
+                    two_lock,
+                    batch,
+                },
+            )
     })
 }
 
@@ -65,69 +67,76 @@ proptest! {
 }
 
 fn reorg_preserves_graph_body(spec: &GraphSpec) {
-        let db = Database::new(StoreConfig::default());
-        let p0 = db.create_partition();
-        let p1 = db.create_partition();
-        let target = db.create_partition();
+    let db = Database::new(StoreConfig::default());
+    let p0 = db.create_partition();
+    let p1 = db.create_partition();
+    let target = db.create_partition();
 
-        // Create the objects (with room for the edges), then wire them.
-        let mut txn = db.begin();
-        let objs: Vec<PhysAddr> = (0..spec.n)
-            .map(|i| {
-                txn.create_object(
-                    p1,
-                    NewObject {
-                        tag: (i % 250) as u8,
-                        refs: vec![],
-                        ref_cap: (spec.edges.len() + 1).min(200) as u16,
-                        payload: vec![i as u8; 1 + i % 7],
-                        payload_cap: 8,
-                    },
-                )
+    // Create the objects (with room for the edges), then wire them.
+    let mut txn = db.begin();
+    let objs: Vec<PhysAddr> = (0..spec.n)
+        .map(|i| {
+            txn.create_object(
+                p1,
+                NewObject {
+                    tag: (i % 250) as u8,
+                    refs: vec![],
+                    ref_cap: (spec.edges.len() + 1).min(200) as u16,
+                    payload: vec![i as u8; 1 + i % 7],
+                    payload_cap: 8,
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    for &(f, t) in &spec.edges {
+        txn.insert_ref(objs[f % spec.n], objs[t % spec.n]).unwrap();
+    }
+    let anchors: Vec<PhysAddr> = spec
+        .anchored
+        .iter()
+        .map(|&i| {
+            txn.create_object(p0, NewObject::exact(200, vec![objs[i % spec.n]], vec![]))
                 .unwrap()
-            })
-            .collect();
-        for &(f, t) in &spec.edges {
-            txn.insert_ref(objs[f % spec.n], objs[t % spec.n]).unwrap();
-        }
-        let anchors: Vec<PhysAddr> = spec
-            .anchored
-            .iter()
-            .map(|&i| {
-                txn.create_object(p0, NewObject::exact(200, vec![objs[i % spec.n]], vec![]))
-                    .unwrap()
-            })
-            .collect();
-        txn.commit().unwrap();
+        })
+        .collect();
+    txn.commit().unwrap();
 
-        let before = logical_fingerprint(&db, &anchors);
+    let before = logical_fingerprint(&db, &anchors);
 
-        let plan = if spec.evacuate {
-            RelocationPlan::EvacuateTo(target)
+    let plan = if spec.evacuate {
+        RelocationPlan::EvacuateTo(target)
+    } else {
+        RelocationPlan::CompactInPlace
+    };
+    let outcome = Reorg::on(&db, p1)
+        .plan(plan)
+        .variant(if spec.two_lock {
+            IraVariant::TwoLock
         } else {
-            RelocationPlan::CompactInPlace
-        };
-        let outcome = Reorg::on(&db, p1)
-            .plan(plan)
-            .variant(if spec.two_lock { IraVariant::TwoLock } else { IraVariant::Basic })
-            .batch(spec.batch)
-            .run()
-            .unwrap();
+            IraVariant::Basic
+        })
+        .batch(spec.batch)
+        .run()
+        .unwrap();
 
-        // The live graph is unchanged up to relocation.
-        let after = logical_fingerprint(&db, &anchors);
-        prop_assert_eq!(before, after);
+    // The live graph is unchanged up to relocation.
+    let after = logical_fingerprint(&db, &anchors);
+    prop_assert_eq!(before, after);
 
-        // Everything live moved; everything unreachable was collected.
-        prop_assert_eq!(
-            db.partition(p1).unwrap().object_count(),
-            if spec.evacuate { 0 } else { outcome.migrated() }
-        );
-        for (old, new) in &outcome.mapping {
-            prop_assert!(db.raw_read(*new).is_ok(), "new copy {} live", new);
-            prop_assert!(!db.partition(old.partition()).unwrap().contains_object(*old)
+    // Everything live moved; everything unreachable was collected.
+    prop_assert_eq!(
+        db.partition(p1).unwrap().object_count(),
+        if spec.evacuate { 0 } else { outcome.migrated() }
+    );
+    for (old, new) in &outcome.mapping {
+        prop_assert!(db.raw_read(*new).is_ok(), "new copy {} live", new);
+        prop_assert!(
+            !db.partition(old.partition()).unwrap().contains_object(*old)
                 || outcome.mapping.values().any(|v| v == old),
-                "old address {} reclaimed or reused by a new copy", old);
-        }
-        ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
+            "old address {} reclaimed or reused by a new copy",
+            old
+        );
+    }
+    ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
 }

@@ -118,7 +118,9 @@ fn durable_store(tag: &str) -> (Database, StoreConfig, std::path::PathBuf) {
         data_dir: Some(dir.clone()),
         ..StoreConfig::default()
     };
-    let db = brahma::storage::open(config.clone()).expect("fresh open").db;
+    let db = brahma::storage::open(config.clone())
+        .expect("fresh open")
+        .db;
     (db, config, dir)
 }
 
@@ -173,7 +175,11 @@ fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
         .find(|(p, _)| *p == forest.p1)
         .map(|(_, b)| b.clone())
         .expect("the log carries the durable reorg checkpoint");
-    assert_eq!(blob, ckpt.encode(), "the logged blob is the returned checkpoint");
+    assert_eq!(
+        blob,
+        ckpt.encode(),
+        "the logged blob is the returned checkpoint"
+    );
     let recovered = IraCheckpoint::decode(&blob).expect("checkpoint decode");
     let db = &out.db;
 
@@ -206,10 +212,14 @@ fn a_resumed_pass_killed_before_its_next_save_keeps_the_first_blob() {
     let reference = logical_fingerprint(&db, &forest.anchors);
 
     // First incarnation: a crash at the sixth batch boundary logs the blob.
-    db.fault.arm(FaultPlan::new(1).with(FaultRule::nth(ira::site::BATCH, 6, FaultAction::Crash)));
+    db.fault
+        .arm(FaultPlan::new(1).with(FaultRule::nth(ira::site::BATCH, 6, FaultAction::Crash)));
     let first = match Reorg::on(&db, forest.p1).batch(batch).run() {
         Err(IraError::SimulatedCrash(c)) => c,
-        other => panic!("expected a simulated crash, got {:?}", other.map(|o| o.migrated())),
+        other => panic!(
+            "expected a simulated crash, got {:?}",
+            other.map(|o| o.migrated())
+        ),
     };
     assert_eq!(first.pos, 6 * batch);
     drop(db);
@@ -294,14 +304,19 @@ fn evacuation_counts_external_parents_not_copies() {
             let p2 = db.create_partition();
             let mut t = db.begin();
             let objs: Vec<PhysAddr> = (0..6u8)
-                .map(|i| t.create_object(p1, NewObject::exact(1, vec![], vec![i])).unwrap())
+                .map(|i| {
+                    t.create_object(p1, NewObject::exact(1, vec![], vec![i]))
+                        .unwrap()
+                })
                 .collect();
             for j in 0..3 {
                 let refs = vec![objs[j], objs[j + 3]];
-                t.create_object(p0, NewObject::exact(2, refs, vec![])).unwrap();
+                t.create_object(p0, NewObject::exact(2, refs, vec![]))
+                    .unwrap();
             }
             let refs = vec![objs[0], objs[1]];
-            t.create_object(p0, NewObject::exact(2, refs, vec![])).unwrap();
+            t.create_object(p0, NewObject::exact(2, refs, vec![]))
+                .unwrap();
             t.commit().unwrap();
 
             let plan = if evacuate {

@@ -207,7 +207,10 @@ fn checked_in_trace_replays_the_lost_tuple_schedule() {
     walker.join().expect("walker");
     brahma::sched::clear_controller();
     brahma::sched::disarm();
-    assert!(replay.progress() > 0, "the trace must actually gate the run");
+    assert!(
+        replay.progress() > 0,
+        "the trace must actually gate the run"
+    );
     assert_eq!(
         replay.divergences(),
         0,
@@ -246,7 +249,10 @@ fn explore_chaos() {
         for r in 0..roots {
             let root = tree.child(site).child_idx(r).seed();
             for p in 0..prios {
-                let prio = brahma::SeedTree::new(root).child("prio").child_idx(p).seed();
+                let prio = brahma::SeedTree::new(root)
+                    .child("prio")
+                    .child_idx(p)
+                    .seed();
                 // 3 preemption points over a ~400-point horizon, after PCT:
                 // enough to flip who wins each instrumented race without
                 // degenerating into uniform noise.

@@ -438,7 +438,12 @@ mod tests {
         for i in 0..NUM_BUCKETS - 2 {
             let ub = Histogram::bucket_upper_bound_us(i);
             assert_eq!(Histogram::bucket_index(ub), i, "upper bound of bucket {i}");
-            assert_eq!(Histogram::bucket_index(ub + 1), i + 1, "first of bucket {}", i + 1);
+            assert_eq!(
+                Histogram::bucket_index(ub + 1),
+                i + 1,
+                "first of bucket {}",
+                i + 1
+            );
         }
         assert_eq!(Histogram::bucket_index(u64::MAX), NUM_BUCKETS - 1);
     }
@@ -464,8 +469,8 @@ mod tests {
             (63, 6),
             (1_000, 9),
             (1_000_000, 19),
-            ((2u64 << 30) - 2, 30),          // last value of bucket 30
-            ((2u64 << 30) - 1, 31),          // first value of the overflow bucket
+            ((2u64 << 30) - 2, 30), // last value of bucket 30
+            ((2u64 << 30) - 1, 31), // first value of the overflow bucket
             (u64::MAX, NUM_BUCKETS - 1),
         ];
         for &(v, want) in table {
@@ -578,6 +583,9 @@ mod tests {
         }
         assert_eq!(h.count(), 4000);
         assert_eq!(c.get(), 4000);
-        assert_eq!((0..NUM_BUCKETS).map(|i| h.bucket_count(i)).sum::<u64>(), 4000);
+        assert_eq!(
+            (0..NUM_BUCKETS).map(|i| h.bucket_count(i)).sum::<u64>(),
+            4000
+        );
     }
 }

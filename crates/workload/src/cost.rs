@@ -261,11 +261,7 @@ mod tests {
     #[test]
     fn paged_model_charges_misses_on_the_device() {
         use brahma::PartitionId;
-        let model = PagedCpuModel::new(
-            CpuModel::unthrottled(),
-            1,
-            Duration::from_millis(2),
-        );
+        let model = PagedCpuModel::new(CpuModel::unthrottled(), 1, Duration::from_millis(2));
         let a = PhysAddr::new(PartitionId(1), 0, 0);
         let b = PhysAddr::new(PartitionId(1), 1, 0);
         let t = Instant::now();

@@ -84,8 +84,8 @@ pub fn build_graph(db: &Database, params: &WorkloadParams) -> Result<GraphInfo> 
         for (ni, &node) in nodes.iter().enumerate() {
             let mut tries = 0;
             let target = loop {
-                let cross = rng.gen_bool(params.glue_factor.clamp(0.0, 1.0))
-                    && data_partitions.len() > 1;
+                let cross =
+                    rng.gen_bool(params.glue_factor.clamp(0.0, 1.0)) && data_partitions.len() > 1;
                 let tp = if cross {
                     // Another partition.
                     let mut t = rng.gen_range(0..all_nodes.len());

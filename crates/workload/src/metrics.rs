@@ -82,7 +82,11 @@ impl Metrics {
     pub fn summarize(&self) -> Summary {
         let n = self.response_us.len();
         let window_s = self.window.as_secs_f64();
-        let throughput = if window_s > 0.0 { n as f64 / window_s } else { 0.0 };
+        let throughput = if window_s > 0.0 {
+            n as f64 / window_s
+        } else {
+            0.0
+        };
         let mean_us = if n > 0 {
             self.response_us.iter().sum::<u64>() as f64 / n as f64
         } else {

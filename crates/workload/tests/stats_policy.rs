@@ -125,7 +125,11 @@ fn stats_greedy_beats_identity_on_hot_chain() {
             last_page = Some(o.page());
         }
     }
-    assert!(chain.len() >= 3, "need a multi-page chain, got {}", chain.len());
+    assert!(
+        chain.len() >= 3,
+        "need a multi-page chain, got {}",
+        chain.len()
+    );
 
     let edges: Vec<EdgeCount> = chain
         .windows(2)
@@ -152,7 +156,11 @@ fn stats_greedy_beats_identity_on_hot_chain() {
     assert!(score.improvement() > 0.0);
     match order {
         MigrationOrder::Priority(order) => {
-            assert_eq!(&order[..chain.len()], &chain[..], "hot chain migrates first, in order");
+            assert_eq!(
+                &order[..chain.len()],
+                &chain[..],
+                "hot chain migrates first, in order"
+            );
         }
         other => panic!("expected a priority order, got {other:?}"),
     }
@@ -190,6 +198,9 @@ fn observed_workload_drives_a_scored_reorg() {
         .run()
         .expect("stats-driven reorganization completes");
     assert_eq!(outcome.migrated(), 170);
-    assert!(score.identity_cost > 0.0, "observed edges cross pages before reorg");
+    assert!(
+        score.identity_cost > 0.0,
+        "observed edges cross pages before reorg"
+    );
     brahma::sweep::assert_database_consistent(&db);
 }

@@ -22,7 +22,9 @@ fn main() {
         data_dir: Some(dir.clone()),
         ..StoreConfig::default()
     };
-    let db = brahma::storage::open(config.clone()).expect("fresh open").db;
+    let db = brahma::storage::open(config.clone())
+        .expect("fresh open")
+        .db;
     let p0 = db.create_partition();
     let p1 = db.create_partition();
 
@@ -47,11 +49,8 @@ fn main() {
 
     // Run IRA with fault injection: "crash" at the 12th batch boundary,
     // i.e. after 12 migrations.
-    db.fault.arm(FaultPlan::new(12).with(FaultRule::nth(
-        ira::site::BATCH,
-        12,
-        FaultAction::Crash,
-    )));
+    db.fault
+        .arm(FaultPlan::new(12).with(FaultRule::nth(ira::site::BATCH, 12, FaultAction::Crash)));
     let err = Reorg::on(&db, p1).run().expect_err("fault injection fires");
     let IraError::SimulatedCrash(ira_ckpt) = err else {
         panic!("expected a simulated crash");

@@ -96,7 +96,10 @@ fn main() {
     // The live chain survived, reachable through the anchor.
     let live_mid_new = db.raw_read(anchor).unwrap().refs[0];
     let live_leaf_new = db.raw_read(live_mid_new).unwrap().refs[0];
-    assert_eq!(db.raw_read(live_leaf_new).unwrap().payload, b"live".to_vec());
+    assert_eq!(
+        db.raw_read(live_leaf_new).unwrap().payload,
+        b"live".to_vec()
+    );
     brahma::sweep::assert_database_consistent(&db);
     println!("verification passed: live graph intact, source partition empty.");
 }

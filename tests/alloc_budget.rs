@@ -117,7 +117,8 @@ fn the_write_path_stays_inside_its_allocation_budget() {
         .collect();
     let value = vec![7u8; params.payload_size];
     let mut txn = db.begin();
-    txn.lock(nodes[0], LockMode::Exclusive).expect("uncontended");
+    txn.lock(nodes[0], LockMode::Exclusive)
+        .expect("uncontended");
     for _ in 0..64 {
         txn.set_payload(nodes[0], &value).expect("X held");
     }
@@ -177,7 +178,9 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     let hold_and_release = || {
         for tid in [TxnId(u64::MAX - 1), TxnId(u64::MAX)] {
             for &a in &spread {
-                db.locks.lock(tid, a, LockMode::Shared).expect("S is compatible");
+                db.locks
+                    .lock(tid, a, LockMode::Shared)
+                    .expect("S is compatible");
             }
         }
         for tid in [TxnId(u64::MAX - 1), TxnId(u64::MAX)] {

@@ -55,7 +55,10 @@ fn stale_addresses_never_alias_after_a_pass() {
     });
     let p = stale[0].partition();
     let part = db.partition(p).unwrap();
-    assert!(stale.iter().all(|a| a.page() < part.page_base()), "a pre-pass page survived");
+    assert!(
+        stale.iter().all(|a| a.page() < part.page_base()),
+        "a pre-pass page survived"
+    );
     let mut txn = db.begin();
     for &old in &stale {
         assert!(!part.contains_object(old));
@@ -67,8 +70,13 @@ fn stale_addresses_never_alias_after_a_pass() {
     txn.commit().unwrap();
     let mut txn = db.begin();
     for _ in 0..stale.len() {
-        let fresh = txn.create_object(p, NewObject::exact(1, vec![], vec![0; 40])).unwrap();
-        assert!(!stale.contains(&fresh), "{fresh} was handed out before the pass");
+        let fresh = txn
+            .create_object(p, NewObject::exact(1, vec![], vec![0; 40]))
+            .unwrap();
+        assert!(
+            !stale.contains(&fresh),
+            "{fresh} was handed out before the pass"
+        );
     }
     txn.abort();
 }
@@ -114,7 +122,12 @@ fn ira_evacuation_under_load() {
         .unwrap();
     handle.stop_and_join();
     assert_eq!(outcome.migrated(), 170);
-    assert_eq!(db.partition(info.data_partitions[1]).unwrap().object_count(), 0);
+    assert_eq!(
+        db.partition(info.data_partitions[1])
+            .unwrap()
+            .object_count(),
+        0
+    );
     assert_eq!(db.partition(target).unwrap().object_count(), 170);
     brahma::sweep::assert_database_consistent(&db);
 }
