@@ -1,7 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: source guards, clippy's product lints, release build, full
-# test suite with lockdep armed, paper-shape and example runs, the
-# benchmark smoke, clippy clean over every target.
+# Tier-1 gate: source guards, rustfmt, clippy's product lints, release
+# build, full test suite with lockdep armed, paper-shape and example runs,
+# the benchmark smoke, clippy clean over every target.
 set -eux
 
 # Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md,trace}
@@ -124,8 +124,8 @@ if [ -n "$sip_tables" ]; then
 fi
 # Every product lock is one lockdep sees (DESIGN.md §11.2): non-test brahma
 # and ira code hand-rolls no spin lock — no `spin_loop`, no
-# `compare_exchange` — which neither lockdep nor the schedule recorder
-# could observe.
+# `compare_exchange` — which neither lockdep nor the schedule hook could
+# observe.
 spins=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do
   nontest "$f" | grep -n 'spin_loop\|compare_exchange' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
 done)
@@ -134,6 +134,8 @@ if [ -n "$spins" ]; then
   echo "$spins" >&2
   exit 1
 fi
+# The tree is rustfmt-clean (benchmark/ is its own workspace).
+cargo fmt --all --check
 # Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
 # disallows std::thread::sleep, and crates/{brahma,ira}/clippy.toml also
 # the raw std::sync lock types lockdep cannot see; those two crates'
@@ -145,13 +147,12 @@ cargo build --release
 # The workspace tests include the full chaos matrix (DESIGN.md §9.2):
 # every fault site at every stride, fixed seeds.
 cargo test --workspace -q
-# Schedule capture/replay regression (DESIGN.md §12): the checked-in
-# lost-tuple trace must replay the PR-4 fuzzy-checkpoint race
-# deterministically, and a bounded PCT exploration smoke (2 fault seeds ×
-# 2 priority seeds per site shape, fixed root) must verify every cell.
-cargo test -q -p ira --features sched-trace --test replay_regression
-EXPLORE_ROOTS=2 EXPLORE_PRIOS=2 cargo test -q -p ira --features sched-trace \
-  --test replay_regression -- --ignored explore_chaos
+# Schedule exploration smoke (DESIGN.md §12): the workspace tests above
+# already ran the gate test that pins the lost-tuple race; this bounded
+# PCT sweep (2 fault seeds × 2 priority seeds per site shape, fixed root)
+# must verify every cell.
+EXPLORE_ROOTS=2 EXPLORE_PRIOS=2 cargo test -q -p ira --test replay_regression \
+  -- --ignored explore_chaos
 # Runtime lock-order checker in its release configuration (DESIGN.md §11):
 # debug/test builds above already run with lockdep armed via
 # debug_assertions; this pass proves the `lockdep` feature also composes

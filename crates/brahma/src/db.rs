@@ -580,7 +580,7 @@ impl Database {
             RefAction::Delete => (&self.stats.ref_deletes, "db.note_delete"),
         };
         counter.inc();
-        crate::sched::point(point, child.to_raw());
+        crate::sched::point(point);
         // A reference into a partition that does not exist has no ERT to
         // keep: the `ert_note` error is not this update's to report.
         if action == RefAction::Insert {

@@ -36,17 +36,6 @@ pub fn explore_prios(default: u64) -> u64 {
     env_u64("EXPLORE_PRIOS", default)
 }
 
-// --- schedule capture (crates/brahma/src/sched.rs) ---
-
-/// `SCHED_DUMP`: path to dump the captured schedule ring on a test
-/// failure; unset/empty disables.
-pub fn sched_dump() -> Option<String> {
-    match std::env::var("SCHED_DUMP") {
-        Ok(p) if !p.trim().is_empty() => Some(p),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,21 +59,8 @@ mod tests {
     #[test]
     fn defaults_without_environment() {
         let _g = ENV_LOCK.lock().unwrap();
-        for name in ["CHAOS_ROOT_SEED", "SCHED_DUMP"] {
-            std::env::remove_var(name);
-        }
+        std::env::remove_var("CHAOS_ROOT_SEED");
         assert_eq!(chaos_root_seed(), 0xC4A05);
         assert_eq!(explore_roots(4), 4);
-        assert_eq!(sched_dump(), None);
-    }
-
-    #[test]
-    fn sched_dump_ignores_blank() {
-        let _g = ENV_LOCK.lock().unwrap();
-        std::env::set_var("SCHED_DUMP", "   ");
-        assert_eq!(sched_dump(), None);
-        std::env::set_var("SCHED_DUMP", "/tmp/x");
-        assert_eq!(sched_dump(), Some("/tmp/x".into()));
-        std::env::remove_var("SCHED_DUMP");
     }
 }

@@ -265,7 +265,7 @@ impl FaultInjector {
         // Bookkeeping happens in one block so the state guard is dropped
         // before the sched point: a gating schedule controller may block
         // this thread there, and it must not do so while holding FaultState.
-        let (hit, action) = {
+        let action = {
             let mut st = self.state.lock();
             let hit = st.hits.entry(site).or_insert(0);
             *hit += 1;
@@ -282,15 +282,15 @@ impl FaultInjector {
                     st.crash_site = Some(site);
                 }
             }
-            (hit, action)
+            action
         };
         let Some(action) = action else {
             return Ok(());
         };
-        // Schedule capture: only *fired* rules are interleaving-relevant
+        // Schedule hook: only *fired* rules are interleaving-relevant
         // (every mutator hits its sites on every call; firing is rare). The
         // site name itself is the event.
-        crate::sched::point(site, hit);
+        crate::sched::point(site);
         match action {
             FaultAction::Retryable => Err(Error::Injected {
                 site,

@@ -294,11 +294,10 @@ fn acquire(tag: Tag, shared: bool) -> u64 {
             shared,
         })
     });
-    // Schedule capture: acquisitions are the densest interleaving
-    // signal. The key packs (class, instance) so a trace line names the
-    // lock. Fires before the physical lock blocks (`lock()` calls
-    // acquire first), so a gating controller can steer who wins.
-    crate::sched::point("lock.acquire", sched_key(class, order_key));
+    // Schedule hook: acquisitions are the densest interleaving signal.
+    // Fires before the physical lock blocks (`lock()` calls acquire
+    // first), so a gating controller can steer who wins.
+    crate::sched::point("lock.acquire");
     id
 }
 
@@ -313,15 +312,9 @@ fn release(id: u64) {
             .rposition(|e| e.id == id)
             .map(|pos| held.remove(pos))
     });
-    if let Some(e) = released {
-        crate::sched::point("lock.release", sched_key(e.class, e.order_key));
+    if released.is_some() {
+        crate::sched::point("lock.release");
     }
-}
-
-/// Pack a lock identity into a sched event key: class in the high 32
-/// bits, instance order_key (truncated) in the low 32.
-fn sched_key(class: LockClass, order_key: u64) -> u64 {
-    ((class as u64) << 32) | (order_key & 0xFFFF_FFFF)
 }
 
 // ----------------------------------------------------------- wrappers --

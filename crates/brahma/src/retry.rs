@@ -151,7 +151,7 @@ impl crate::db::Database {
         match state.next_delay() {
             Some(delay) => {
                 self.retry_stats.attempts.inc();
-                sched::point("retry.backoff", state.attempt as u64);
+                sched::point("retry.backoff");
                 if !delay.is_zero() {
                     lockdep::might_block("retry.backoff");
                     #[expect(
@@ -164,7 +164,7 @@ impl crate::db::Database {
             }
             None => {
                 self.retry_stats.giveups.inc();
-                sched::point("retry.giveup", state.attempt as u64);
+                sched::point("retry.giveup");
                 false
             }
         }

@@ -1,42 +1,35 @@
-//! Deterministic schedule capture and replay substrate (DESIGN.md §12).
+//! The schedule hook and the seed tree (DESIGN.md §12).
 //!
 //! Concurrency bugs in the reorganization stack are schedule bugs: they
 //! need a particular interleaving of walker transactions, the migrator, and
 //! the driver's fuzzy checkpoint. This module makes those schedules
-//! *observable* and *steerable*:
+//! *steerable*:
 //!
-//! * **Capture.** Instrumented points across the substrate — lockdep
+//! * **Control.** Instrumented points across the substrate — lockdep
 //!   acquire/release, fired fault rules, retry backoff decisions, WAL
 //!   appends, TRT/ERT notes, and the IRA driver's batch/checkpoint
-//!   boundaries — append `(thread_label, event, key, seq)` tuples to a
-//!   bounded in-memory ring. On a failure the ring is dumped
-//!   ([`dump_on_failure`], path from the `SCHED_DUMP` environment
-//!   variable), giving every flake a replayable schedule transcript.
-//! * **Control.** A [`Controller`] installed with [`install_controller`]
-//!   is called at every instrumented point *before* the point's action and
-//!   may block the calling thread — the hook that trace replay and
-//!   random-priority schedule exploration (`harness::replay`) are built on.
+//!   boundaries — call [`point`]. A [`Controller`] installed with
+//!   [`install_controller`] is called there *before* the point's action
+//!   and may block the calling thread — the hook the gate and the
+//!   random-priority schedule explorer (`harness::replay`) are built on.
 //! * **Seeding.** [`SeedTree`] derives independent, reproducible child
 //!   seeds per thread/component from one root seed (splitmix64 over a
 //!   label hash), so every RNG stream in a run — workload walks, chaos
 //!   cells, retry jitter — is a pure function of the root seed.
 //!
-//! Like [`crate::lockdep`], the recorder runs when `debug_assertions` are on
-//! or the `sched-trace` cargo feature is enabled; otherwise every hook
-//! returns on the `COMPILED` constant first. When compiled in it is still
-//! *disarmed* by default: every point is a single relaxed atomic load until
-//! a harness calls [`arm`]. All internal state uses `std::sync` primitives
-//! so the recorder never instruments itself through lockdep.
+//! The hook exists only when `debug_assertions` are on; otherwise
+//! [`point`] and [`install_controller`] return on the `COMPILED` constant
+//! first and compile to nothing. When compiled in, a point is a single
+//! relaxed atomic load until a controller is installed. The controller
+//! slot is a raw `std::sync` lock, so the hook never instruments itself
+//! through lockdep.
 #![expect(
     clippy::disallowed_types,
-    reason = "lockdep's acquires feed this recorder, so its own locks must stay raw std::sync ones"
+    reason = "lockdep's acquires call this hook, so its own lock must stay a raw std::sync one"
 )]
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// splitmix64: the seed-derivation hash. Small, fast, and equidistributed
 /// enough for jitter and child-seed derivation (it is the seeder
@@ -87,238 +80,70 @@ impl SeedTree {
     }
 }
 
-/// A schedule controller: called at every instrumented point while the
-/// recorder is armed, *before* the point's action executes. May block the
-/// calling thread (that is the point — gating is how replay and
-/// exploration steer schedules). Must not call back into instrumented code
-/// paths that could gate recursively on itself.
+/// A schedule controller: called at every instrumented point while it is
+/// installed, *before* the point's action executes, with the calling
+/// thread's `std::thread` name (empty for an unnamed thread). May block the
+/// calling thread (that is the point — gating is how a test steers a
+/// schedule). Must not call back into instrumented code paths that could
+/// gate recursively on itself.
 pub trait Controller: Send + Sync {
-    fn at_point(&self, thread: &str, event: &'static str, key: u64);
+    fn at_point(&self, thread: &str, event: &'static str);
 }
 
-/// One captured event, resolved for dumping/inspection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedEvent {
-    pub seq: u64,
-    pub thread: String,
-    pub event: &'static str,
-    pub key: u64,
-}
+/// Whether the hook exists in this build. A constant: `point` and
+/// `install_controller` return on it first, so a release build compiles
+/// them to nothing.
+const COMPILED: bool = cfg!(debug_assertions);
 
-/// Global event sequence (monotonic across arm/disarm cycles).
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the recorder exists in this build. A constant: `point`, `arm`,
-/// `install_controller` and the other hooks return on it first, so a release
-/// build without `sched-trace` compiles them to nothing.
-const COMPILED: bool = cfg!(any(debug_assertions, feature = "sched-trace"));
-
-/// Ring capacity: enough for a whole chaos cell at lock-acquire
-/// granularity; older events are dropped (and counted) beyond it.
-const RING_CAP: usize = 1 << 16;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static RING: Mutex<Ring> = Mutex::new(Ring {
-    buf: VecDeque::new(),
-    dropped: 0,
-});
-/// Interned thread labels; a record stores an index into this table.
-static LABELS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 static CONTROLLER: RwLock<Option<Arc<dyn Controller>>> = RwLock::new(None);
 
-struct Ring {
-    buf: VecDeque<Rec>,
-    dropped: u64,
-}
-
-#[derive(Clone, Copy)]
-struct Rec {
-    seq: u64,
-    label: u32,
-    event: &'static str,
-    key: u64,
-}
-
-thread_local! {
-    /// This thread's interned label id; `u32::MAX` means unlabeled.
-    static LABEL: Cell<u32> = const { Cell::new(u32::MAX) };
-}
-
 fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
-    // The recorder must stay usable while a panicking test unwinds —
-    // that is exactly when dump_on_failure runs.
+    // The hook must stay usable while a panicking test unwinds.
     e.into_inner()
 }
 
-/// Label the calling thread for capture ("walker-0", "ckpt", …).
+/// An instrumented point: call the installed controller, if any. A single
+/// relaxed load when none is.
 #[inline]
-pub fn set_thread_label(label: &str) {
-    if !COMPILED {
-        return;
+pub fn point(event: &'static str) {
+    // ordering: hot-path probe; a stale read skips or gates at most one point
+    if COMPILED && INSTALLED.load(Ordering::Relaxed) {
+        gate(event);
     }
-    let mut table = LABELS.lock().unwrap_or_else(poisoned);
-    let id = match table.iter().position(|l| l == label) {
-        Some(i) => i as u32,
-        None => {
-            table.push(label.to_string());
-            (table.len() - 1) as u32
-        }
-    };
-    drop(table);
-    LABEL.with(|l| l.set(id));
-}
-
-fn label_name(id: u32) -> String {
-    if id == u32::MAX {
-        return format!("anon-{:?}", std::thread::current().id());
-    }
-    LABELS
-        .lock()
-        .unwrap_or_else(poisoned)
-        .get(id as usize)
-        .cloned()
-        .unwrap_or_else(|| "anon".to_string())
-}
-
-/// Start capturing (and gating, if a controller is installed). Clears
-/// the ring so a dump covers exactly the armed window.
-#[inline]
-pub fn arm() {
-    if !COMPILED {
-        return;
-    }
-    {
-        let mut ring = RING.lock().unwrap_or_else(poisoned);
-        ring.buf.clear();
-        ring.dropped = 0;
-    }
-    // ordering: SeqCst arm; capture points must not straddle the toggle
-    ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Stop capturing; the ring is retained for inspection until the next
-/// [`arm`].
-pub fn disarm() {
-    // ordering: SeqCst disarm, paired with arm above
-    ARMED.store(false, Ordering::SeqCst);
-}
-
-/// Whether the recorder is armed (the hot-path guard).
-#[inline]
-pub fn armed() -> bool {
-    // ordering: hot-path probe; a stale read skips at most one capture point
-    COMPILED && ARMED.load(Ordering::Relaxed)
-}
-
-/// An instrumented point: record `(thread, event, key, seq)` and gate
-/// through the installed controller, if any. A single relaxed load when
-/// disarmed.
-#[inline]
-pub fn point(event: &'static str, key: u64) {
-    if !armed() {
-        return;
-    }
-    record_and_gate(event, key);
 }
 
 #[cold]
-fn record_and_gate(event: &'static str, key: u64) {
-    // ordering: sequence allocator; uniqueness only, the ring mutex orders records
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let label = LABEL.with(|l| l.get());
-    {
-        let mut ring = RING.lock().unwrap_or_else(poisoned);
-        if ring.buf.len() >= RING_CAP {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(Rec {
-            seq,
-            label,
-            event,
-            key,
-        });
-    }
-    // Clone the controller out of the registry so a blocking gate never
-    // holds the registry lock.
+fn gate(event: &'static str) {
+    // Clone the controller out of the slot so a blocking gate never holds
+    // the slot's lock.
     let ctrl = CONTROLLER
         .read()
         .unwrap_or_else(poisoned)
         .as_ref()
         .map(Arc::clone);
     if let Some(c) = ctrl {
-        c.at_point(&label_name(label), event, key);
+        let me = std::thread::current();
+        c.at_point(me.name().unwrap_or(""), event);
     }
 }
 
-/// Install `ctrl` as the global schedule controller.
+/// Install `ctrl` as the global schedule controller and arm the hook.
 #[inline]
 pub fn install_controller(ctrl: Arc<dyn Controller>) {
     if !COMPILED {
         return;
     }
     *CONTROLLER.write().unwrap_or_else(poisoned) = Some(ctrl);
+    // ordering: SeqCst arm; points must not straddle the toggle
+    INSTALLED.store(true, Ordering::SeqCst);
 }
 
-/// Remove the installed controller (points keep recording).
+/// Disarm the hook and remove the installed controller.
 pub fn clear_controller() {
+    // ordering: SeqCst disarm, paired with install_controller
+    INSTALLED.store(false, Ordering::SeqCst);
     *CONTROLLER.write().unwrap_or_else(poisoned) = None;
-}
-
-/// A copy of the captured ring, oldest first.
-pub fn events() -> Vec<SchedEvent> {
-    let ring = RING.lock().unwrap_or_else(poisoned);
-    ring.buf
-        .iter()
-        .map(|r| SchedEvent {
-            seq: r.seq,
-            thread: label_name(r.label),
-            event: r.event,
-            key: r.key,
-        })
-        .collect()
-}
-
-/// Events dropped from the ring since the last [`arm`].
-pub fn dropped() -> u64 {
-    RING.lock().unwrap_or_else(poisoned).dropped
-}
-
-/// Serialize the ring to `path` as tab-separated
-/// `seq<TAB>thread<TAB>event<TAB>key` lines (`#`-prefixed header).
-pub fn dump_to(path: &str) -> std::io::Result<()> {
-    if !COMPILED {
-        return Ok(());
-    }
-    let evs = events();
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "# sched trace: {} events ({} dropped)",
-        evs.len(),
-        dropped()
-    )?;
-    for e in evs {
-        writeln!(f, "{}\t{}\t{}\t{}", e.seq, e.thread, e.event, e.key)?;
-    }
-    Ok(())
-}
-
-/// If `SCHED_DUMP=<path>` is set, dump the captured ring there and
-/// print where it went. Called from test assertion paths right before
-/// they panic, so a flake leaves its schedule behind.
-#[inline]
-pub fn dump_on_failure(context: &str) {
-    if !COMPILED {
-        return;
-    }
-    let Some(path) = crate::env_cfg::sched_dump() else {
-        return;
-    };
-    match dump_to(&path) {
-        Ok(()) => eprintln!("sched: dumped schedule trace for `{context}` to {path}"),
-        Err(e) => eprintln!("sched: failed to dump trace for `{context}` to {path}: {e}"),
-    }
 }
 
 #[cfg(test)]
@@ -349,48 +174,27 @@ mod tests {
         );
     }
 
-    #[cfg(any(debug_assertions, feature = "sched-trace"))]
+    #[cfg(debug_assertions)]
     #[test]
-    fn ring_records_events_with_labels_when_armed() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
+    fn a_point_reaches_the_controller_only_while_installed() {
+        use std::sync::atomic::AtomicU64;
 
-        // This test owns arm/disarm; other tests in this mod don't arm.
-        arm();
-        set_thread_label("ring-test");
-        point("test.event", 7);
-        point("test.event", 8);
-        let evs: Vec<SchedEvent> = events()
-            .into_iter()
-            .filter(|e| e.event == "test.event")
-            .collect();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].thread, "ring-test");
-        assert_eq!(evs[0].key, 7);
-        assert!(evs[0].seq < evs[1].seq);
-
-        // Controllers see every point; clearing restores plain recording.
+        // This test is the only one in this binary that installs a
+        // controller; it counts its own event only.
         struct Count(AtomicU64);
         impl Controller for Count {
-            fn at_point(&self, _t: &str, event: &'static str, _k: u64) {
+            fn at_point(&self, _thread: &str, event: &'static str) {
                 if event == "test.gated" {
                     self.0.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
         let c = Arc::new(Count(AtomicU64::new(0)));
+        point("test.gated");
         install_controller(c.clone());
-        point("test.gated", 0);
+        point("test.gated");
         clear_controller();
-        point("test.gated", 1);
+        point("test.gated");
         assert_eq!(c.0.load(Ordering::Relaxed), 1);
-
-        disarm();
-        point("test.event", 9);
-        let after: Vec<SchedEvent> = events()
-            .into_iter()
-            .filter(|e| e.event == "test.event")
-            .collect();
-        assert_eq!(after.len(), 2, "disarmed points record nothing");
     }
 }

@@ -14,8 +14,7 @@
 //!   ([`codec::put_frame`] around the body the log already encoded); the
 //!   group-commit leader's force becomes a real `fsync`;
 //! * segments rotate at [`crate::StoreConfig::wal_segment_bytes`] and are
-//!   archived (moved to `archive/`) once wholly older than the last
-//!   checkpoint;
+//!   deleted once wholly older than the last checkpoint;
 //! * checkpoints are written *shadow-style* — encode to
 //!   `checkpoint.img.tmp`, fsync, atomically rename over `checkpoint.img`,
 //!   fsync the directory — so a crash at any instant leaves exactly one
@@ -114,7 +113,7 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Create the backend over `dir` (laid out as `wal/`, `archive/`,
+    /// Create the backend over `dir` (laid out as `wal/` and
     /// `checkpoint.img`), opening a fresh active segment at `next_lsn`.
     pub fn new(
         dir: &Path,
@@ -123,7 +122,6 @@ impl FileBackend {
         next_lsn: Lsn,
     ) -> Result<Self> {
         fs::create_dir_all(dir.join("wal")).map_err(|e| eio("create wal dir", &e))?;
-        fs::create_dir_all(dir.join("archive")).map_err(|e| eio("create archive dir", &e))?;
         let file = open_segment(&segment_path(dir, next_lsn), next_lsn)?;
         Ok(FileBackend {
             dir: dir.to_path_buf(),
@@ -234,7 +232,7 @@ impl FileBackend {
 
     /// Durably replace the checkpoint (shadow write + atomic rename).
     /// `carry_log` holds the pre-checkpoint log records still needed once
-    /// segments older than the checkpoint are archived: the window from the
+    /// segments older than the checkpoint are deleted: the window from the
     /// earliest active reorganization's `ReorgStart`, kept for TRT
     /// reconstruction and the reorganizer's `ReorgCheckpoint` records
     /// (Section 4.4). Empty when no reorganization is in flight.
@@ -275,7 +273,7 @@ impl FileBackend {
                 self.stats.fsyncs.inc();
             }
         }
-        self.archive_segments(checkpoint.lsn);
+        self.delete_segments(checkpoint.lsn);
         Ok(())
     }
 
@@ -285,12 +283,13 @@ impl FileBackend {
         !self.dead.load(Ordering::SeqCst)
     }
 
-    /// Move every segment wholly older than `ckpt_lsn` to `archive/`. A
-    /// segment's coverage ends where the next segment begins, so `seg[i]`
-    /// is archivable iff `seg[i+1].start_lsn <= ckpt_lsn`; the last
-    /// (active) segment never archives. Holding `inner` serializes this
-    /// against rotation.
-    fn archive_segments(&self, ckpt_lsn: Lsn) {
+    /// Delete every segment wholly older than `ckpt_lsn`. A segment's
+    /// coverage ends where the next segment begins, so `seg[i]` is
+    /// superseded iff `seg[i+1].start_lsn <= ckpt_lsn`; the last (active)
+    /// segment never is. A segment that fails to delete is harmless: `open`
+    /// keeps only records at or after the checkpoint LSN. Holding `inner`
+    /// serializes this against rotation.
+    fn delete_segments(&self, ckpt_lsn: Lsn) {
         let _inner = self.inner.lock();
         let segs = match list_segments(&self.dir.join("wal")) {
             Ok(s) => s,
@@ -300,9 +299,7 @@ impl FileBackend {
             let (ref path, _) = pair[0];
             let (_, next_start) = pair[1];
             if next_start <= ckpt_lsn {
-                if let Some(name) = path.file_name() {
-                    let _ = fs::rename(path, self.dir.join("archive").join(name));
-                }
+                let _ = fs::remove_file(path);
             }
         }
     }
@@ -432,7 +429,7 @@ fn init_fresh(dir: &Path, config: StoreConfig, plan: Option<FaultPlan>) -> Resul
 
 impl Database {
     /// Take a checkpoint and, when a backend is attached, write it durably
-    /// (shadow protocol) and archive the segments it supersedes. Must be
+    /// (shadow protocol) and delete the segments it supersedes. Must be
     /// called at a quiescent point (no active transactions).
     pub fn checkpoint_durable(&self, id: u64) -> Result<Checkpoint> {
         let ckpt = self.checkpoint(id);
@@ -815,8 +812,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn checkpoint_archives_old_segments() {
-        let dir = tmpdir("archive");
+    fn checkpoint_deletes_superseded_segments() {
+        let dir = tmpdir("supersede");
         let out = open(file_config(&dir)).unwrap();
         let db = out.db;
         let p = db.create_partition();
@@ -834,9 +831,8 @@ pub(crate) mod tests {
         assert!(rotated >= 2, "expected rotations, got {rotated}");
         db.checkpoint_durable(7).unwrap();
         let live = list_segments(&dir.join("wal")).unwrap();
-        assert_eq!(live.len(), 1, "all but the active segment archive");
-        let archived = fs::read_dir(dir.join("archive")).unwrap().count();
-        assert!(archived >= 2);
+        assert_eq!(live.len(), 1, "all but the active segment are deleted");
+        assert!(!dir.join("archive").exists(), "nothing is archived");
         // And the store still reopens cleanly from checkpoint + tail.
         drop(db);
         let out = open(file_config(&dir)).unwrap();

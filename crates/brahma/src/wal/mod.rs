@@ -451,16 +451,16 @@ impl Wal {
             body.clear();
             // The LSN, the body's first eight bytes, is patched in under the mutex.
             codec::put_record_body(body, 0, tid, payload);
-            self.append_body(lane, tid, body)
+            self.append_body(lane, body)
         })
     }
 
     /// The critical section of an append: reserve the encoded `body`'s LSN,
     /// mirror and retain it, truncate past the lane's share.
-    fn append_body(&self, lane: usize, tid: TxnId, body: &mut [u8]) -> Lsn {
-        // Schedule capture: appends order the log against TRT notes and the
+    fn append_body(&self, lane: usize, body: &mut [u8]) -> Lsn {
+        // Schedule hook: appends order the log against TRT notes and the
         // fuzzy checkpoint's next_lsn read; gate *before* taking the lane.
-        crate::sched::point("wal.append.rec", tid.0);
+        crate::sched::point("wal.append.rec");
         let mut inner = self.lanes[lane].0.lock();
         // A truncation reserving after a pin holder's append sees its pin:
         // the reservations form one release sequence.

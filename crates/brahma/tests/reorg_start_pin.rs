@@ -8,22 +8,24 @@
 //! append until its lane checks for truncation. With the pin taken first, the marker
 //! survives every one of those points.
 
-#![cfg(any(debug_assertions, feature = "sched-trace"))]
+#![cfg(debug_assertions)]
 
 use brahma::sched::{self, Controller};
 use brahma::{Database, LogPayload, StoreConfig, TxnId};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 /// Runs a truncating append on the helper thread at every point the
-/// `reorg` thread reaches, and waits for it.
+/// reorganizing thread reaches, and waits for it.
 struct TruncateAtEveryPoint {
+    reorg: ThreadId,
     run: Mutex<(Sender<()>, Receiver<()>)>,
 }
 
 impl Controller for TruncateAtEveryPoint {
-    fn at_point(&self, thread: &str, _event: &'static str, _key: u64) {
-        if thread == "reorg" {
+    fn at_point(&self, _thread: &str, _event: &'static str) {
+        if std::thread::current().id() == self.reorg {
             let run = self.run.lock().unwrap();
             run.0.send(()).unwrap();
             run.1.recv().unwrap();
@@ -60,14 +62,12 @@ fn a_truncation_at_any_point_of_start_reorg_keeps_the_marker() {
             }
             (points, brahma::txn::thread_slot())
         });
-        sched::set_thread_label("reorg");
         let slot = brahma::txn::thread_slot();
         sched::install_controller(Arc::new(TruncateAtEveryPoint {
+            reorg: std::thread::current().id(),
             run: Mutex::new((to_helper, from_helper)),
         }));
-        sched::arm();
         db.start_reorg(partition).unwrap();
-        sched::disarm();
         sched::clear_controller();
         let (points, helper_slot) = helper.join().unwrap();
         assert_ne!(slot, helper_slot, "the helper appends on a lane of its own");

@@ -136,8 +136,9 @@ fn spawn_walkers(
             let stop = Arc::clone(stop);
             let anchors = graph.anchors.clone();
             let p0 = graph.p0;
-            std::thread::spawn(move || {
-                brahma::sched::set_thread_label(&format!("walker-{w}"));
+            std::thread::Builder::new()
+                .name(format!("walker-{w}"))
+                .spawn(move || {
                 let mut round = 0usize;
                 // ordering: SeqCst stop flag; shutdown visibility without pairing analysis
                 while !stop.load(Ordering::SeqCst) {
@@ -151,6 +152,7 @@ fn spawn_walkers(
                     std::thread::sleep(Duration::from_micros(200));
                 }
             })
+                .expect("spawn walker")
         })
         .collect()
 }
@@ -296,11 +298,6 @@ fn assert_complete(db: &Database, outcome: &ReorgOutcome, cell: &CrashCell) {
 /// Run one cell end to end, panicking on any invariant violation. See the
 /// module docs for the protocol.
 pub fn run_cell(cell: &CrashCell) -> CellReport {
-    // Capture the cell's schedule: a failing assertion anywhere below
-    // leaves the event ring behind for `SCHED_DUMP` (the ring is cleared on
-    // arm, so a dump covers exactly this cell). Not disarmed on panic.
-    brahma::sched::arm();
-    brahma::sched::set_thread_label("cell-driver");
     let dir = std::env::temp_dir().join(format!(
         "harness-cell-{}-{}-{}",
         std::process::id(),
@@ -316,7 +313,7 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     let db = Arc::new(fresh.db);
     let graph = build_graph(&db);
     let (p1, anchors) = (graph.p1, graph.anchors.clone());
-    // Durable baseline: graph on disk, segments behind it archived.
+    // Durable baseline: graph on disk, segments behind it deleted.
     db.checkpoint_durable(cell.seed)
         .expect("baseline checkpoint");
 
@@ -467,7 +464,6 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     drop(again);
 
     let _ = std::fs::remove_dir_all(&dir);
-    brahma::sched::disarm();
     CellReport {
         fired,
         killed,

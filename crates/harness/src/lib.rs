@@ -5,7 +5,7 @@
 //!   Nth-hit stride, on a file-backed store, killed, reopened cold and
 //!   resumed.
 //! * [`replay`] — schedule controllers over [`brahma::sched`] (DESIGN.md
-//!   §12.3): gate, trace replay, PCT exploration.
+//!   §12): the gate and PCT exploration.
 //! * [`with_repro_banner`] and [`assert_trt_reconstruction_covers`], shared
 //!   by the chaos, property and replay tests.
 
@@ -13,7 +13,7 @@ pub mod cell;
 pub mod replay;
 
 pub use cell::{run_cell, run_multi_partition_kill, CellReport, CrashCell};
-pub use replay::{Gate, PctExplorer, SchedTrace, TraceReplay};
+pub use replay::{Gate, PctExplorer};
 
 use brahma::wal::analyzer::{rebuild_trt, rebuild_trt_seeded};
 use brahma::{LogPayload, LogRecord, RefAction, TrtTuple, TxnId};
@@ -21,8 +21,7 @@ use ira::IraCheckpoint;
 use std::collections::HashSet;
 
 /// Run `f`, and if it panics print a one-line `REPRO: {banner}` to stderr
-/// (plus a schedule dump when `SCHED_DUMP=path` is set) before resuming the
-/// unwind. Every chaos/property test wraps its assertion-bearing
+/// before resuming the unwind. Every chaos/property test wraps its assertion-bearing
 /// body in this so a flake always leaves its seed and cell coordinates
 /// behind — the banner is the re-run command's arguments.
 pub fn with_repro_banner<T>(banner: &str, f: impl FnOnce() -> T) -> T {
@@ -30,7 +29,6 @@ pub fn with_repro_banner<T>(banner: &str, f: impl FnOnce() -> T) -> T {
         Ok(v) => v,
         Err(payload) => {
             eprintln!("REPRO: {banner}");
-            brahma::sched::dump_on_failure(banner);
             std::panic::resume_unwind(payload)
         }
     }

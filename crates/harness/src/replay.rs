@@ -1,33 +1,21 @@
-//! Schedule replay and exploration over [`brahma::sched`] (DESIGN.md §12).
-//!
-//! Three controllers, in increasing order of ambition:
+//! Schedule controllers over [`brahma::sched`] (DESIGN.md §12).
 //!
 //! * [`Gate`] — surgical: trap the first matching event and hold its thread
 //!   there until the test releases it. This is how the TRT lost-tuple
 //!   regression test reconstructs the 1-in-300 interleaving exactly: park a
 //!   walker between its WAL append and its TRT note (or, post-fix, prove
 //!   the window no longer exists), run the fuzzy checkpoint, release.
-//! * [`TraceReplay`] — replay a dumped schedule: threads arriving at
-//!   instrumented points wait until the trace cursor reaches their line.
 //! * [`PctExplorer`] — perturb schedules à la PCT (Burckhardt et al.,
 //!   "probabilistic concurrency testing"): every thread draws a seeded
 //!   priority, low-priority threads are delayed at instrumented points, and
 //!   a small set of seeded *change points* re-draw the acting thread's
 //!   priority mid-run, forcing preemptions where a naive run never has one.
 //!
-//! ## The honesty caveat
-//!
 //! The substrate's threads block on *real* locks and condvars the
-//! controller cannot see through, so replay cannot be a bit-exact scheduler
-//! (that would need a user-level scheduler under every primitive). Every
-//! wait in this module is therefore **time-bounded**: a thread that cannot
-//! be gated safely (because the thread it waits for is blocked in a real
-//! lock) escapes after a short timeout and the divergence is *counted*, not
-//! hidden. In practice the interesting races live between instrumented
-//! points, the SeedTree makes all RNG streams identical across runs, and
-//! gating at the points themselves recovers the schedule with high
-//! probability — [`TraceReplay::divergences`] tells you how faithful a
-//! given replay was.
+//! controllers cannot see through, so neither is a bit-exact scheduler.
+//! Every wait here is therefore **time-bounded**: a gated thread escapes
+//! after a timeout, and the escape is observable ([`Gate::escaped`]), not
+//! hidden; the explorer only ever sleeps.
 
 use brahma::sched::{splitmix64, Controller};
 use std::collections::HashMap;
@@ -59,8 +47,6 @@ fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
 /// observable via [`Gate::escaped`].
 pub struct Gate {
     event: &'static str,
-    /// Trap only events whose key matches, when set.
-    key: Option<u64>,
     max_hold: Duration,
     state: Mutex<GateState>,
     cv: Condvar,
@@ -77,17 +63,10 @@ impl Gate {
     pub fn new(event: &'static str) -> Self {
         Gate {
             event,
-            key: None,
             max_hold: Duration::from_secs(5),
             state: Mutex::new(GateState::default()),
             cv: Condvar::new(),
         }
-    }
-
-    /// Only trap occurrences with this exact event key.
-    pub fn with_key(mut self, key: u64) -> Self {
-        self.key = Some(key);
-        self
     }
 
     /// Block until a thread is parked at the gate. Returns `false` on
@@ -120,8 +99,8 @@ impl Gate {
 }
 
 impl Controller for Gate {
-    fn at_point(&self, _thread: &str, event: &'static str, key: u64) {
-        if event != self.event || self.key.is_some_and(|k| k != key) {
+    fn at_point(&self, _thread: &str, event: &'static str) {
+        if event != self.event {
             return;
         }
         let deadline = Instant::now() + self.max_hold;
@@ -136,151 +115,6 @@ impl Controller for Gate {
             if left.is_zero() {
                 st.escaped = true;
                 break;
-            }
-            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
-            st = guard;
-        }
-    }
-}
-
-// -------------------------------------------------------------- replay --
-
-/// One line of a dumped schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceStep {
-    pub thread: String,
-    pub event: String,
-    pub key: u64,
-}
-
-/// A parsed schedule dump (the `seq<TAB>thread<TAB>event<TAB>key` format
-/// written by [`brahma::sched::dump_to`]).
-#[derive(Debug, Clone, Default)]
-pub struct SchedTrace {
-    pub steps: Vec<TraceStep>,
-}
-
-impl SchedTrace {
-    /// Parse dump text; `#`-prefixed and malformed lines are skipped.
-    pub fn parse(text: &str) -> SchedTrace {
-        let steps = text
-            .lines()
-            .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-            .filter_map(|l| {
-                let mut cols = l.split('\t');
-                let _seq = cols.next()?;
-                let thread = cols.next()?.to_string();
-                let event = cols.next()?.to_string();
-                let key = cols.next()?.trim().parse().ok()?;
-                Some(TraceStep { thread, event, key })
-            })
-            .collect();
-        SchedTrace { steps }
-    }
-
-    /// Read and parse a dump file.
-    pub fn load(path: &str) -> std::io::Result<SchedTrace> {
-        Ok(SchedTrace::parse(&std::fs::read_to_string(path)?))
-    }
-}
-
-/// Replay a dumped schedule: each thread arriving at an instrumented point
-/// waits until the trace cursor points at a step matching its
-/// `(thread, event)` — then consumes it and proceeds. Points the trace
-/// never mentions (and threads the trace doesn't know) pass through
-/// ungated, so a trace may be *pruned* to just the schedule-critical lines.
-///
-/// Event keys are not matched by default: keys embed physical addresses
-/// and LSNs that legitimately shift between the recording run and the
-/// replay run.
-pub struct TraceReplay {
-    state: Mutex<ReplayState>,
-    cv: Condvar,
-    /// How long an arriving thread waits for the cursor before diverging.
-    step_timeout: Duration,
-}
-
-struct ReplayState {
-    steps: Vec<TraceStep>,
-    cursor: usize,
-    divergences: u64,
-    /// Threads named anywhere in the trace; others are never gated.
-    known_threads: Vec<String>,
-}
-
-impl TraceReplay {
-    pub fn new(trace: SchedTrace) -> Self {
-        let mut known_threads: Vec<String> = trace.steps.iter().map(|s| s.thread.clone()).collect();
-        known_threads.sort();
-        known_threads.dedup();
-        TraceReplay {
-            state: Mutex::new(ReplayState {
-                steps: trace.steps,
-                cursor: 0,
-                divergences: 0,
-                known_threads,
-            }),
-            cv: Condvar::new(),
-            step_timeout: Duration::from_millis(50),
-        }
-    }
-
-    /// Points where a thread gave up waiting for its turn (0 = the whole
-    /// schedule replayed in recorded order).
-    pub fn divergences(&self) -> u64 {
-        self.state.lock().unwrap_or_else(poisoned).divergences
-    }
-
-    /// Steps consumed so far.
-    pub fn progress(&self) -> usize {
-        self.state.lock().unwrap_or_else(poisoned).cursor
-    }
-}
-
-impl Controller for TraceReplay {
-    fn at_point(&self, thread: &str, event: &'static str, _key: u64) {
-        let deadline = Instant::now() + self.step_timeout;
-        let mut st = self.state.lock().unwrap_or_else(poisoned);
-        if !st.known_threads.iter().any(|t| t == thread) {
-            return;
-        }
-        loop {
-            if st.cursor >= st.steps.len() {
-                return; // trace exhausted: free-run
-            }
-            let cur = &st.steps[st.cursor];
-            if cur.thread == thread && cur.event == event {
-                st.cursor += 1;
-                self.cv.notify_all();
-                return;
-            }
-            // If the trace will never again ask for this (thread, event),
-            // waiting cannot help — pass through without counting.
-            if !st.steps[st.cursor..]
-                .iter()
-                .any(|s| s.thread == thread && s.event == event)
-            {
-                return;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                // The thread whose turn it is must be stuck in un-
-                // instrumented code (a real lock): skip the stranger's
-                // steps up to our next match so the replay can make
-                // progress, and count the divergence.
-                st.divergences += 1;
-                while st.cursor < st.steps.len() {
-                    let cur = &st.steps[st.cursor];
-                    if cur.thread == thread && cur.event == event {
-                        break;
-                    }
-                    st.cursor += 1;
-                }
-                if st.cursor < st.steps.len() {
-                    st.cursor += 1;
-                }
-                self.cv.notify_all();
-                return;
             }
             let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
             st = guard;
@@ -317,7 +151,7 @@ struct PctState {
 
 impl PctExplorer {
     /// `n_change_points` are drawn from `[0, horizon)` — pick `horizon`
-    /// near the expected number of captured events per run (a chaos cell
+    /// near the expected number of instrumented points per run (a chaos cell
     /// produces a few thousand).
     pub fn new(seed: u64, n_change_points: usize, horizon: u64) -> Self {
         let mut change_points: Vec<u64> = (0..n_change_points as u64)
@@ -340,7 +174,7 @@ impl PctExplorer {
 }
 
 impl Controller for PctExplorer {
-    fn at_point(&self, thread: &str, _event: &'static str, _key: u64) {
+    fn at_point(&self, thread: &str, _event: &'static str) {
         let delay = {
             let mut st = self.state.lock().unwrap_or_else(poisoned);
             let n = st.points;
@@ -384,20 +218,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn trace_parses_dump_format() {
-        let text = "# sched trace: 3 events (0 dropped)\n\
-                    0\twalker-0\twal.append.rec\t7\n\
-                    1\tcell-driver\tira.ckpt.lsn\t12\n\
-                    garbage line without tabs\n\
-                    2\twalker-0\tdb.note_insert\t281474976710656\n";
-        let t = SchedTrace::parse(text);
-        assert_eq!(t.steps.len(), 3);
-        assert_eq!(t.steps[0].thread, "walker-0");
-        assert_eq!(t.steps[1].event, "ira.ckpt.lsn");
-        assert_eq!(t.steps[2].key, 281474976710656);
-    }
-
-    #[test]
     fn gate_traps_first_match_and_releases() {
         let gate = Arc::new(Gate::new("test.trap"));
         let done = Arc::new(AtomicBool::new(false));
@@ -405,8 +225,8 @@ mod tests {
             let gate = Arc::clone(&gate);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                gate.at_point("worker", "test.other", 0); // passes through
-                gate.at_point("worker", "test.trap", 1); // parks here
+                gate.at_point("worker", "test.other"); // passes through
+                gate.at_point("worker", "test.trap"); // parks here
                 done.store(true, Ordering::SeqCst);
             })
         };
@@ -420,64 +240,7 @@ mod tests {
         assert!(done.load(Ordering::SeqCst));
         assert!(!gate.escaped());
         // Second occurrence passes straight through a released gate.
-        gate.at_point("worker", "test.trap", 2);
-    }
-
-    #[test]
-    fn gate_with_key_ignores_other_keys() {
-        let gate = Gate::new("test.keyed").with_key(42);
-        gate.at_point("worker", "test.keyed", 41); // not trapped: returns
-        assert!(!gate.wait_arrived(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn replay_orders_two_threads() {
-        // Recorded order: a, b, a. Thread b arriving first must wait for a.
-        let trace = SchedTrace::parse(
-            "0\ta\te1\t0\n\
-             1\tb\te1\t0\n\
-             2\ta\te2\t0\n",
-        );
-        let replay = Arc::new(TraceReplay::new(trace));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let tb = {
-            let replay = Arc::clone(&replay);
-            let order = Arc::clone(&order);
-            std::thread::spawn(move || {
-                replay.at_point("b", "e1", 0);
-                order.lock().unwrap().push("b:e1");
-            })
-        };
-        // Give b a head start so it is genuinely waiting on the cursor.
-        std::thread::sleep(Duration::from_millis(10));
-        // Recorded before a's point: b's point releases only once a's has
-        // run, so b cannot record first, whichever thread the OS runs next.
-        order.lock().unwrap().push("a:e1");
-        replay.at_point("a", "e1", 0);
-        tb.join().unwrap();
-        replay.at_point("a", "e2", 0);
-        order.lock().unwrap().push("a:e2");
-        let order = order.lock().unwrap();
-        assert_eq!(order[0], "a:e1", "trace order, not arrival order");
-        assert_eq!(replay.progress(), 3);
-        assert_eq!(replay.divergences(), 0);
-        // Unknown threads and unlisted events are never gated.
-        replay.at_point("stranger", "e1", 0);
-    }
-
-    #[test]
-    fn replay_diverges_instead_of_hanging() {
-        // The trace wants thread "ghost" first, but ghost never arrives.
-        let trace = SchedTrace::parse(
-            "0\tghost\te1\t0\n\
-             1\treal\te1\t0\n",
-        );
-        let replay = TraceReplay::new(trace);
-        let start = Instant::now();
-        replay.at_point("real", "e1", 0);
-        assert!(start.elapsed() < Duration::from_secs(2), "bounded wait");
-        assert_eq!(replay.divergences(), 1);
-        assert_eq!(replay.progress(), 2, "skipped ghost's step, consumed ours");
+        gate.at_point("worker", "test.trap");
     }
 
     #[test]
@@ -491,8 +254,8 @@ mod tests {
         // tables (delays are seeded by (seed, point index, priority)).
         for n in 0..20u64 {
             let th = if n % 2 == 0 { "t0" } else { "t1" };
-            a.at_point(th, "e", n);
-            b.at_point(th, "e", n);
+            a.at_point(th, "e");
+            b.at_point(th, "e");
         }
         assert_eq!(
             a.state.lock().unwrap().priorities,

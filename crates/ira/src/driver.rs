@@ -296,7 +296,7 @@ impl ReorgRun<'_> {
             // may not carry lock-manager locks across a batch boundary
             // (crash consistency depends on it).
             lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
-            brahma::sched::point("ira.batch", self.pos as u64);
+            brahma::sched::point("ira.batch");
             self.db.fault.observe(ira_site::BATCH);
             if let Some(every) = self.config.checkpoint_every {
                 if every > 0 && self.pos.div_ceil(batch_size).is_multiple_of(every) {
@@ -579,7 +579,7 @@ impl ReorgRun<'_> {
         // dump or in a record at lsn >= trt_lsn. `next_lsn` counts LSNs
         // reserved, not records in the log yet; note-before-reserve
         // guarantees it (see brahma::handle::Txn::log_and_apply).
-        brahma::sched::point("ira.ckpt.lsn", trt_lsn);
+        brahma::sched::point("ira.ckpt.lsn");
         let trt_snapshot = self
             .db
             .trt(self.partition)

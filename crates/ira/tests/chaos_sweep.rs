@@ -6,8 +6,7 @@
 //! reorganization invariant; a cell whose site never reaches its stride
 //! completes clean and is verified the same way.
 //!
-//! A failing cell prints a `REPRO: …` banner with its exact coordinates
-//! (and dumps the schedule ring when `SCHED_DUMP=path` is set);
+//! A failing cell prints a `REPRO: …` banner with its exact coordinates;
 //! `CHAOS_ROOT_SEED` overrides the root of the sweep's
 //! [`brahma::SeedTree`] to re-run a reported seed.
 

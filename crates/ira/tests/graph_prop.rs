@@ -56,9 +56,9 @@ proptest! {
     #[test]
     fn reorganization_preserves_the_graph(spec in graph_strategy()) {
         // The runner prints the failing inputs only after the panic unwinds
-        // through it; the banner names the failing spec (and dumps the sched
-        // ring under `SCHED_DUMP`) at the assertion site itself, in the
-        // one-line re-runnable form the other concurrency suites use.
+        // through it; the banner names the failing spec at the assertion
+        // site itself, in the one-line re-runnable form the other
+        // concurrency suites use.
         with_repro_banner(
             &format!("SEED=proptest CELL={spec:?}"),
             || reorg_preserves_graph_body(&spec),

@@ -13,33 +13,28 @@
 //! sweep only tripped ~1 in 300 runs. The fix notes before appending; see
 //! the invariant comment on `brahma::handle::Txn::log_and_apply`.
 //!
-//! These tests rebuild that interleaving cooperatively: a [`Gate`] parks
-//! the walker at its note point while the main thread takes the
-//! checkpoint, and the checked-in `tests/data/lost_tuple.trace` replays
-//! the same schedule with no test-specific gating — a permanent, seedless
-//! reproduction of the once-in-300 interleaving.
+//! The gate test rebuilds that interleaving cooperatively: a [`Gate`]
+//! parks the walker at its note point while the main thread takes the
+//! checkpoint — a permanent, seedless reproduction of the once-in-300
+//! interleaving.
 
-#![cfg(any(debug_assertions, feature = "sched-trace"))]
+#![cfg(debug_assertions)]
 
 use brahma::{Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, StoreConfig, Trt};
 use harness::{
     assert_trt_reconstruction_covers, run_cell, with_repro_banner, CrashCell, Gate, PctExplorer,
-    SchedTrace, TraceReplay,
 };
 use ira::{IraCheckpoint, RelocationPlan};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The sched ring, controller slot, and thread labels are process-global;
-/// the tests in this binary each install their own controller, so they
-/// must not overlap.
+/// The controller slot is process-global; the tests in this binary each
+/// install their own controller, so they must not overlap.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-const TRACE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/lost_tuple.trace");
 
 struct Scenario {
     db: Arc<Database>,
@@ -91,7 +86,6 @@ fn spawn_walker(scn: &Scenario) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("walker".into())
         .spawn(move || {
-            brahma::sched::set_thread_label("walker");
             let mut t = db.begin();
             t.lock(parent, LockMode::Exclusive).expect("walker lock");
             t.insert_ref(parent, child).expect("walker insert");
@@ -105,15 +99,11 @@ fn spawn_walker(scn: &Scenario) -> JoinHandle<()> {
 }
 
 /// The reorganizer half: capture `(trt_lsn, snapshot)` exactly the way
-/// `ReorgRun::checkpoint` does, bracketed by sched points so a trace
-/// replay can order it against the walker. Everything else in the
-/// checkpoint is irrelevant to TRT reconstruction and left empty.
+/// `ReorgRun::checkpoint` does. Everything else in the checkpoint is
+/// irrelevant to TRT reconstruction and left empty.
 fn take_fuzzy_checkpoint(scn: &Scenario) -> IraCheckpoint {
-    brahma::sched::point("test.ckpt.begin", 0);
     let trt_lsn = scn.db.wal.next_lsn();
-    brahma::sched::point("ira.ckpt.lsn", trt_lsn);
     let trt_snapshot = scn.trt.dump();
-    brahma::sched::point("test.ckpt.dumped", trt_snapshot.len() as u64);
     IraCheckpoint {
         partition: scn.p1,
         plan: RelocationPlan::CompactInPlace,
@@ -154,82 +144,27 @@ fn assert_critical_instant_covered(scn: &Scenario, ckpt: &IraCheckpoint) {
     assert_trt_reconstruction_covers(&log, ckpt, scn.db.trt_purge_enabled());
 }
 
-/// Run the gated interleaving: park the walker at `db.note_insert`, take
-/// the checkpoint, release. Returns the checkpoint for verification with
-/// the sched ring still armed (so callers can dump it).
-fn run_gated_interleaving(scn: &Scenario) -> IraCheckpoint {
-    brahma::sched::arm();
-    brahma::sched::set_thread_label("ckpt");
-    let gate = Arc::new(Gate::new("db.note_insert"));
-    brahma::sched::install_controller(gate.clone());
-    let walker = spawn_walker(scn);
-    assert!(
-        gate.wait_arrived(Duration::from_secs(5)),
-        "the walker never reached its TRT note point"
-    );
-    let ckpt = take_fuzzy_checkpoint(scn);
-    gate.release();
-    walker.join().expect("walker");
-    brahma::sched::clear_controller();
-    assert!(!gate.escaped(), "the walker must not time out of the gate");
-    ckpt
-}
-
-/// The 1-in-300 interleaving, reconstructed exactly: checkpoint taken
-/// while the walker is parked between deciding to mutate and its TRT
-/// note. With note-before-append the insert record lands inside the
-/// replay window; before the fix this test fails with
+/// The 1-in-300 interleaving, reconstructed exactly: park the walker at
+/// `db.note_insert`, between deciding to mutate and its TRT note, take the
+/// checkpoint, release. With note-before-append the insert record lands
+/// inside the replay window; before the fix this test fails with
 /// "seeded TRT reconstruction lost tuple".
 #[test]
 fn checkpoint_racing_aborted_insert_loses_no_tuple() {
     let _guard = serial();
     let scn = setup();
-    let ckpt = run_gated_interleaving(&scn);
-    brahma::sched::disarm();
-    assert_critical_instant_covered(&scn, &ckpt);
-}
-
-/// Replay the checked-in schedule dump: no gate, no explicit handshake —
-/// the trace alone must force the checkpoint between the walker's note
-/// point and its WAL append, and the reconstruction must still cover.
-#[test]
-fn checked_in_trace_replays_the_lost_tuple_schedule() {
-    let _guard = serial();
-    let trace = SchedTrace::load(TRACE_PATH).expect("checked-in trace readable");
-    assert!(!trace.steps.is_empty(), "trace must not be empty");
-    let scn = setup();
-    brahma::sched::arm();
-    brahma::sched::set_thread_label("ckpt");
-    let replay = Arc::new(TraceReplay::new(trace));
-    brahma::sched::install_controller(Arc::clone(&replay) as _);
+    let gate = Arc::new(Gate::new("db.note_insert"));
+    brahma::sched::install_controller(gate.clone());
     let walker = spawn_walker(&scn);
+    assert!(
+        gate.wait_arrived(Duration::from_secs(5)),
+        "the walker never reached its TRT note point"
+    );
     let ckpt = take_fuzzy_checkpoint(&scn);
+    gate.release();
     walker.join().expect("walker");
     brahma::sched::clear_controller();
-    brahma::sched::disarm();
-    assert!(
-        replay.progress() > 0,
-        "the trace must actually gate the run"
-    );
-    assert_eq!(
-        replay.divergences(),
-        0,
-        "the recorded schedule must replay in order"
-    );
-    assert_critical_instant_covered(&scn, &ckpt);
-}
-
-/// Regenerate `tests/data/lost_tuple.trace` from the live gate scenario.
-/// Run manually after changing the instrumentation or the scenario:
-/// `cargo test -p ira -- --ignored regenerate_lost_tuple_trace`.
-#[test]
-#[ignore = "rewrites tests/data/lost_tuple.trace"]
-fn regenerate_lost_tuple_trace() {
-    let _guard = serial();
-    let scn = setup();
-    let ckpt = run_gated_interleaving(&scn);
-    brahma::sched::dump_to(TRACE_PATH).expect("write trace");
-    brahma::sched::disarm();
+    assert!(!gate.escaped(), "the walker must not time out of the gate");
     assert_critical_instant_covered(&scn, &ckpt);
 }
 

@@ -54,7 +54,6 @@ pub fn start_workload_observed(
                 .spawn(move || {
                     // Threads are uniformly assigned to home partitions.
                     let home = t % info.data_partitions.len();
-                    brahma::sched::set_thread_label(&format!("walker-{t}"));
                     // Per-thread RNG stream off the SeedTree: decorrelated
                     // across threads, identical for a given (seed, t) at any
                     // MPL (the old `seed ^ t<<17` xor left low bits shared).
