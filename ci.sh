@@ -4,10 +4,10 @@
 # the benchmark smoke, clippy clean over every target.
 set -eux
 
-# Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md,trace}
+# Doc paths must exist: every backticked dir/file.{rs,toml,sh,json,md}
 # in the top-level docs resolves from the repo root, so a rename or a
 # deletion cannot leave the docs pointing at nothing.
-missing=$(grep -oh '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]*\.\(rs\|toml\|sh\|json\|md\|trace\)`' \
+missing=$(grep -oh '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]*\.\(rs\|toml\|sh\|json\|md\)`' \
   README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u |
   while read -r path; do [ -e "$path" ] || echo "$path"; done)
 if [ -n "$missing" ]; then

@@ -81,13 +81,12 @@ impl SeedTree {
 }
 
 /// A schedule controller: called at every instrumented point while it is
-/// installed, *before* the point's action executes, with the calling
-/// thread's `std::thread` name (empty for an unnamed thread). May block the
-/// calling thread (that is the point — gating is how a test steers a
-/// schedule). Must not call back into instrumented code paths that could
-/// gate recursively on itself.
+/// installed, *before* the point's action executes, on the thread that
+/// reached the point. May block the calling thread (that is the point —
+/// gating is how a test steers a schedule). Must not call back into
+/// instrumented code paths that could gate recursively on itself.
 pub trait Controller: Send + Sync {
-    fn at_point(&self, thread: &str, event: &'static str);
+    fn at_point(&self, event: &'static str);
 }
 
 /// Whether the hook exists in this build. A constant: `point` and
@@ -123,8 +122,7 @@ fn gate(event: &'static str) {
         .as_ref()
         .map(Arc::clone);
     if let Some(c) = ctrl {
-        let me = std::thread::current();
-        c.at_point(me.name().unwrap_or(""), event);
+        c.at_point(event);
     }
 }
 
@@ -183,7 +181,7 @@ mod tests {
         // controller; it counts its own event only.
         struct Count(AtomicU64);
         impl Controller for Count {
-            fn at_point(&self, _thread: &str, event: &'static str) {
+            fn at_point(&self, event: &'static str) {
                 if event == "test.gated" {
                     self.0.fetch_add(1, Ordering::Relaxed);
                 }

@@ -14,7 +14,7 @@
 //!   ([`codec::put_frame`] around the body the log already encoded); the
 //!   group-commit leader's force becomes a real `fsync`;
 //! * segments rotate at [`crate::StoreConfig::wal_segment_bytes`] and are
-//!   deleted once wholly older than the last checkpoint;
+//!   deleted, oldest first, once wholly older than the last checkpoint;
 //! * checkpoints are written *shadow-style* — encode to
 //!   `checkpoint.img.tmp`, fsync, atomically rename over `checkpoint.img`,
 //!   fsync the directory — so a crash at any instant leaves exactly one
@@ -283,12 +283,14 @@ impl FileBackend {
         !self.dead.load(Ordering::SeqCst)
     }
 
-    /// Delete every segment wholly older than `ckpt_lsn`. A segment's
-    /// coverage ends where the next segment begins, so `seg[i]` is
-    /// superseded iff `seg[i+1].start_lsn <= ckpt_lsn`; the last (active)
-    /// segment never is. A segment that fails to delete is harmless: `open`
-    /// keeps only records at or after the checkpoint LSN. Holding `inner`
-    /// serializes this against rotation.
+    /// Delete every segment wholly older than `ckpt_lsn`, oldest first. A
+    /// segment's coverage ends where the next segment begins, so `seg[i]`
+    /// is superseded iff `seg[i+1].start_lsn <= ckpt_lsn`; the last
+    /// (active) segment never is. Deletion stops at the first segment that
+    /// fails to go, so the survivors stay a gap-free suffix of the log: a
+    /// surviving `ReorgCheckpoint` keeps every later `ReorgEnd` with it,
+    /// and [`latest_reorg_checkpoints`] never sees a finished pass's blob
+    /// as unfinished. Holding `inner` serializes this against rotation.
     fn delete_segments(&self, ckpt_lsn: Lsn) {
         let _inner = self.inner.lock();
         let segs = match list_segments(&self.dir.join("wal")) {
@@ -298,8 +300,8 @@ impl FileBackend {
         for pair in segs.windows(2) {
             let (ref path, _) = pair[0];
             let (_, next_start) = pair[1];
-            if next_start <= ckpt_lsn {
-                let _ = fs::remove_file(path);
+            if next_start > ckpt_lsn || fs::remove_file(path).is_err() {
+                break;
             }
         }
     }
@@ -449,7 +451,7 @@ impl Database {
     }
 }
 
-/// The log window a checkpoint must carry across segment archiving: all
+/// The log window a checkpoint must carry across segment deletion: all
 /// records from the earliest `ReorgStart` of a still-active reorganization
 /// (TRT reconstruction replays from there, Section 4.4). Empty when no
 /// reorganization is active; everything (conservative) if the start marker
@@ -811,13 +813,8 @@ pub(crate) mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn checkpoint_deletes_superseded_segments() {
-        let dir = tmpdir("supersede");
-        let out = open(file_config(&dir)).unwrap();
-        let db = out.db;
-        let p = db.create_partition();
-        // Enough churn to rotate past several 4 KiB segments.
+    /// Enough committed churn in `p` to rotate past several 4 KiB segments.
+    fn churn(db: &Database, p: PartitionId) {
         for i in 0..200u32 {
             let mut t = db.begin();
             let a = t
@@ -827,6 +824,15 @@ pub(crate) mod tests {
             t.set_payload(a, &i.to_le_bytes()).unwrap();
             t.commit().unwrap();
         }
+    }
+
+    #[test]
+    fn checkpoint_deletes_superseded_segments() {
+        let dir = tmpdir("supersede");
+        let out = open(file_config(&dir)).unwrap();
+        let db = out.db;
+        let p = db.create_partition();
+        churn(&db, p);
         let rotated = db.obs_snapshot().get("wal.segments_rotated");
         assert!(rotated >= 2, "expected rotations, got {rotated}");
         db.checkpoint_durable(7).unwrap();
@@ -838,6 +844,58 @@ pub(crate) mod tests {
         let out = open(file_config(&dir)).unwrap();
         assert!(out.recovered);
         assert_eq!(out.db.partition_count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A superseded segment that fails to delete stops the deletion there,
+    /// so the segment holding a finished pass's `ReorgCheckpoint` never
+    /// outlives the later segment holding its `ReorgEnd`.
+    #[test]
+    fn a_segment_that_fails_to_delete_keeps_every_later_one() {
+        let dir = tmpdir("undeletable");
+        let db = open(file_config(&dir)).unwrap().db;
+        let (p, busy) = (db.create_partition(), db.create_partition());
+        db.start_reorg(p).unwrap();
+        db.save_reorg_checkpoint(p, vec![0xAA]);
+        churn(&db, busy);
+        db.end_reorg(p);
+        churn(&db, busy);
+
+        let segs = list_segments(&dir.join("wal")).unwrap();
+        let holding = |want: fn(&LogPayload) -> bool| {
+            segs.iter()
+                .position(|(path, _)| {
+                    let (records, _) = scan_segment_file(path, false).unwrap();
+                    records.iter().any(|r| want(&r.payload))
+                })
+                .unwrap()
+        };
+        let saved = holding(|r| matches!(r, LogPayload::ReorgCheckpoint { .. }));
+        let ended = holding(|r| matches!(r, LogPayload::ReorgEnd { .. }));
+        assert!(saved < ended, "the save and the end share a segment");
+
+        // A directory in the saved segment's place makes its unlink fail.
+        let (ref stuck, _) = segs[saved];
+        let bytes = fs::read(stuck).unwrap();
+        fs::remove_file(stuck).unwrap();
+        fs::create_dir(stuck).unwrap();
+        db.checkpoint_durable(7).unwrap();
+        let live = list_segments(&dir.join("wal")).unwrap();
+        assert_eq!(live, segs[saved..], "deletion stops at the stuck segment");
+
+        // Put the segment back as the file that failed to go, then crash
+        // with a second pass open that has saved nothing yet.
+        fs::remove_dir(stuck).unwrap();
+        fs::write(stuck, bytes).unwrap();
+        db.start_reorg(p).unwrap();
+        drop(db);
+        let out = open(file_config(&dir)).unwrap();
+        assert_eq!(out.interrupted_reorgs, vec![p]);
+        assert_eq!(
+            out.reorg_checkpoints,
+            vec![],
+            "the finished pass's blob stays finished"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -24,7 +24,7 @@ struct TruncateAtEveryPoint {
 }
 
 impl Controller for TruncateAtEveryPoint {
-    fn at_point(&self, _thread: &str, _event: &'static str) {
+    fn at_point(&self, _event: &'static str) {
         if std::thread::current().id() == self.reorg {
             let run = self.run.lock().unwrap();
             run.0.send(()).unwrap();

@@ -136,9 +136,7 @@ fn spawn_walkers(
             let stop = Arc::clone(stop);
             let anchors = graph.anchors.clone();
             let p0 = graph.p0;
-            std::thread::Builder::new()
-                .name(format!("walker-{w}"))
-                .spawn(move || {
+            let walk = move || {
                 let mut round = 0usize;
                 // ordering: SeqCst stop flag; shutdown visibility without pairing analysis
                 while !stop.load(Ordering::SeqCst) {
@@ -147,11 +145,14 @@ fn spawn_walkers(
                     walk_once(&db, p0, anchor, round);
                     #[expect(
                         clippy::disallowed_methods,
-                        reason = "walker pacing inside a crash cell keeps the interleaving window open deterministically"
+                        reason = "pacing keeps the crash cell's interleaving window open"
                     )]
                     std::thread::sleep(Duration::from_micros(200));
                 }
-            })
+            };
+            std::thread::Builder::new()
+                .name(format!("walker-{w}"))
+                .spawn(walk)
                 .expect("spawn walker")
         })
         .collect()

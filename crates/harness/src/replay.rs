@@ -99,7 +99,7 @@ impl Gate {
 }
 
 impl Controller for Gate {
-    fn at_point(&self, _thread: &str, event: &'static str) {
+    fn at_point(&self, event: &'static str) {
         if event != self.event {
             return;
         }
@@ -174,7 +174,11 @@ impl PctExplorer {
 }
 
 impl Controller for PctExplorer {
-    fn at_point(&self, thread: &str, _event: &'static str) {
+    /// Threads are told apart by their `std::thread` name (`walker-3` for
+    /// a workload or crash-cell walker; empty for an unnamed thread).
+    fn at_point(&self, _event: &'static str) {
+        let me = std::thread::current();
+        let thread = me.name().unwrap_or("");
         let delay = {
             let mut st = self.state.lock().unwrap_or_else(poisoned);
             let n = st.points;
@@ -225,8 +229,8 @@ mod tests {
             let gate = Arc::clone(&gate);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                gate.at_point("worker", "test.other"); // passes through
-                gate.at_point("worker", "test.trap"); // parks here
+                gate.at_point("test.other"); // passes through
+                gate.at_point("test.trap"); // parks here
                 done.store(true, Ordering::SeqCst);
             })
         };
@@ -240,7 +244,7 @@ mod tests {
         assert!(done.load(Ordering::SeqCst));
         assert!(!gate.escaped());
         // Second occurrence passes straight through a released gate.
-        gate.at_point("worker", "test.trap");
+        gate.at_point("test.trap");
     }
 
     #[test]
@@ -254,9 +258,18 @@ mod tests {
         // tables (delays are seeded by (seed, point index, priority)).
         for n in 0..20u64 {
             let th = if n % 2 == 0 { "t0" } else { "t1" };
-            a.at_point(th, "e");
-            b.at_point(th, "e");
+            std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    .name(th.to_string())
+                    .spawn_scoped(s, || {
+                        a.at_point("e");
+                        b.at_point("e");
+                    })
+                    .unwrap();
+            });
         }
+        let names: Vec<String> = a.state.lock().unwrap().priorities.keys().cloned().collect();
+        assert_eq!(names.len(), 2, "one priority per thread name: {names:?}");
         assert_eq!(
             a.state.lock().unwrap().priorities,
             b.state.lock().unwrap().priorities
