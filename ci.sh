@@ -78,14 +78,15 @@ if [ "$code_keys" != "$doc_keys" ]; then
   printf '%s\n' "$doc_keys" | grep -vxF "$code_keys" >&2 || true
   exit 1
 fi
-# Fault sites (DESIGN.md §9.1): every `site` const of the two catalogs is
-# listed in its module's `ALL` or `FILE_ALL` sweep array, so the chaos
-# sweep reaches it, and non-test code names a site by its const, never by a
-# string literal. A catalog file that is gone fails the guard too.
+# Fault sites (DESIGN.md §9.1): every `site` const of the two catalogs,
+# `pub` or `pub(crate)`, is listed in its module's `ALL` or `FILE_ALL`
+# sweep array, so the chaos sweep reaches it, and non-test code names a
+# site by its const, never by a string literal. A catalog file that is
+# gone fails the guard too.
 unswept=$(for f in crates/brahma/src/fault.rs crates/ira/src/site.rs; do
   [ -f "$f" ] || { echo "$f: no such file"; continue; }
   swept=$(nontest "$f" | awk '/ALL: &\[&str\] = / { on = 1 } on { print } /\];/ { on = 0 }')
-  nontest "$f" | sed -n 's/^ *pub const \([A-Z][A-Z0-9_]*\): &str = .*/\1/p' |
+  nontest "$f" | sed -n 's/^ *pub\((crate)\)\{0,1\} const \([A-Z][A-Z0-9_]*\): &str = .*/\2/p' |
     while read -r c; do
       printf '%s\n' "$swept" | grep -qw "$c" || echo "$f: $c"
     done
@@ -134,6 +135,19 @@ if [ -n "$spins" ]; then
   echo "$spins" >&2
   exit 1
 fi
+# Line width: rustfmt leaves a whole statement as written when a string
+# literal in it runs past `max_width` (100), so `cargo fmt --check` below
+# cannot see that statement's indentation. Non-test code under
+# crates/*/src keeps every line but comments within 100 bytes; comment
+# lines are exempt so `// ordering:` justifications stay whole.
+wide=$(find crates/*/src -name '*.rs' | while read -r f; do
+  nontest "$f" | LC_ALL=C awk -v f="$f" 'length($0) > 100 && !/^ *\/\// { print f ":" NR ": " $0 }'
+done)
+if [ -n "$wide" ]; then
+  echo "non-comment lines over 100 bytes (shorten the literal so rustfmt formats the statement):" >&2
+  echo "$wide" >&2
+  exit 1
+fi
 # The tree is rustfmt-clean (benchmark/ is its own workspace).
 cargo fmt --all --check
 # Product lints (DESIGN.md §11.2), on non-test targets only. clippy.toml
@@ -143,6 +157,9 @@ cargo fmt --all --check
 # reason at its site, so a waiver whose cause is gone fails here too
 # (unfulfilled_lint_expectations).
 cargo clippy --workspace --lib --bins --examples -- -D warnings
+# The public docs link only to public items: a doc that links into a
+# private module (most of `brahma`'s and `ira`'s are) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 # The workspace tests include the full chaos matrix (DESIGN.md §9.2):
 # every fault site at every stride, fixed seeds.

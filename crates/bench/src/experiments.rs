@@ -248,17 +248,14 @@ pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
         ("basic", Box::new(|_cfg: &mut CellConfig| {})),
         (
             "two-lock",
-            Box::new(|cfg: &mut CellConfig| cfg.ira.variant = IraVariant::TwoLock),
+            Box::new(|cfg: &mut CellConfig| cfg.variant = IraVariant::TwoLock),
         ),
-        (
-            "batch=32",
-            Box::new(|cfg: &mut CellConfig| cfg.ira.batch_size = 32),
-        ),
+        ("batch=32", Box::new(|cfg: &mut CellConfig| cfg.batch = 32)),
         (
             "batch=32+extparent-order",
             Box::new(|cfg: &mut CellConfig| {
-                cfg.ira.batch_size = 32;
-                cfg.ira.order = MigrationOrder::GroupByExternalParent;
+                cfg.batch = 32;
+                cfg.order = MigrationOrder::GroupByExternalParent;
             }),
         ),
         (

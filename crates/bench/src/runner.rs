@@ -13,7 +13,7 @@
 //! measured over the duration IRA needed.
 
 use brahma::{Database, StoreConfig};
-use ira::{IraConfig, RelocationPlan, Reorg, Strategy};
+use ira::{IraVariant, MigrationOrder, RelocationPlan, Reorg, Strategy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::{build_graph, start_workload, CpuModel, Summary, WorkloadParams};
@@ -42,7 +42,12 @@ pub struct CellConfig {
     pub algo: Algo,
     pub params: WorkloadParams,
     pub store: StoreConfig,
-    pub ira: IraConfig,
+    /// Basic or two-lock IRA (Section 4.2).
+    pub variant: IraVariant,
+    /// Migrations per transaction (Section 4.3).
+    pub batch: usize,
+    /// Migration order (Section 7 future work).
+    pub order: MigrationOrder,
     pub plan: RelocationPlan,
     /// Per-access work on the one virtual CPU (see [`CpuModel`]).
     pub cpu_work: Duration,
@@ -64,7 +69,9 @@ impl CellConfig {
             algo,
             params: WorkloadParams::default(),
             store: StoreConfig::paper_experiment(),
-            ira: IraConfig::default(),
+            variant: IraVariant::Basic,
+            batch: 1,
+            order: MigrationOrder::Traversal,
             plan: RelocationPlan::CompactInPlace,
             cpu_work: Duration::from_micros(40),
             nr_window: Duration::from_secs(5),
@@ -121,10 +128,12 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
             (None, 0)
         }
         Some(strategy) => {
-            // One builder for both reorganizers: the cell's full IRA
-            // configuration (variant, batch, ...) rides along; PQR
-            // ignores it.
-            let outcome = Reorg::with_config(&db, target, cfg.ira.clone())
+            // One builder for both reorganizers: the cell's IRA knobs
+            // (variant, batch, order) ride along; PQR ignores them.
+            let outcome = Reorg::on(&db, target)
+                .variant(cfg.variant)
+                .batch(cfg.batch)
+                .order(cfg.order.clone())
                 .plan(cfg.plan)
                 .strategy(strategy)
                 .run()

@@ -104,7 +104,7 @@ impl Hasher for FibHasher {
 }
 
 /// The store's hasher for keys it hands out: addresses, transaction ids.
-pub type FibState = BuildHasherDefault<FibHasher>;
+pub(crate) type FibState = BuildHasherDefault<FibHasher>;
 
 /// The map behind the TRT and the ERT (Brahmā used extendible hash indices
 /// there, Section 5 — a detail of the authors' system) and every

@@ -63,7 +63,7 @@ pub struct DbStats {
 
 impl DbStats {
     /// Export every counter into `snap` under `db.*` keys.
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("db.commits", self.commits.get());
         snap.set("db.aborts", self.aborts.get());
         snap.set("db.creates", self.creates.get());
@@ -205,7 +205,7 @@ impl Database {
     /// Install the durability backend (once, at open time): every WAL
     /// append from here on is mirrored to it, and checkpoints go through
     /// [`crate::storage::FileBackend::write_checkpoint`].
-    pub fn attach_backend(&self, backend: Arc<crate::storage::FileBackend>) {
+    pub(crate) fn attach_backend(&self, backend: Arc<crate::storage::FileBackend>) {
         let _ = self.backend.set(Arc::clone(&backend));
         self.wal.set_sink(backend);
     }
@@ -286,7 +286,7 @@ impl Database {
     }
 
     /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
+    pub(crate) fn partition_count(&self) -> usize {
         self.partitions.len()
     }
 
@@ -438,7 +438,7 @@ impl Database {
     }
 
     /// Sorted ids of every partition with a reorganization in progress.
-    pub fn active_reorg_ids(&self) -> Vec<PartitionId> {
+    pub(crate) fn active_reorg_ids(&self) -> Vec<PartitionId> {
         let mut v: Vec<_> = self.reorg_tables.read().keys().copied().collect();
         v.sort_unstable();
         v
@@ -613,17 +613,14 @@ impl Database {
 
         let mut ert_inserts = 0;
         let mut ert_removes = 0;
-        let mut ert_rekeys = 0;
         let mut ert_edges = 0u64;
         for part in self.partitions.iter() {
             ert_inserts += part.ert.stats.inserts.get();
             ert_removes += part.ert.stats.removes.get();
-            ert_rekeys += part.ert.stats.rekeys.get();
             ert_edges += part.ert.edge_count() as u64;
         }
         snap.set("ert.inserts", ert_inserts);
         snap.set("ert.removes", ert_removes);
-        snap.set("ert.rekeys", ert_rekeys);
         snap.set("ert.edges", ert_edges);
 
         let mut trt_notes = 0;

@@ -8,7 +8,7 @@
 
 /// Parse a `u64` knob; unset, empty, or unparsable falls back to
 /// `default`.
-pub fn env_u64(name: &str, default: u64) -> u64 {
+pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.trim().parse().ok())

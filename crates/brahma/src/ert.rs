@@ -24,13 +24,11 @@ pub struct ErtSnapshot {
 /// bounds PQR's quiesce cost (it locks every external parent), so its churn
 /// is worth observing alongside the lock manager's counters.
 #[derive(Debug, Default)]
-pub struct ErtStats {
+pub(crate) struct ErtStats {
     /// Edges inserted.
     pub inserts: Counter,
     /// Edges removed (one occurrence each).
     pub removes: Counter,
-    /// Child-side rekeys performed by migration.
-    pub rekeys: Counter,
 }
 
 /// The External Reference Table of one partition.
@@ -40,7 +38,7 @@ pub struct Ert {
     /// child -> multiset of external parents.
     inner: Mutex<AddrMap<Vec<PhysAddr>>>,
     /// Lifetime counters.
-    pub stats: ErtStats,
+    pub(crate) stats: ErtStats,
 }
 
 impl Ert {
@@ -99,41 +97,6 @@ impl Ert {
         self.inner.lock().keys().copied().collect()
     }
 
-    /// Move every edge keyed by `old_child` to `new_child`, returning the
-    /// parents. Called when the child object migrates.
-    pub fn rekey_child(&self, old_child: PhysAddr, new_child: PhysAddr) -> Vec<PhysAddr> {
-        debug_assert_eq!(new_child.partition(), self.partition);
-        self.stats.rekeys.inc();
-        let mut t = self.inner.lock();
-        let Some(parents) = t.remove(&old_child) else {
-            return Vec::new();
-        };
-        t.entry(new_child).or_default().extend(&parents);
-        parents
-    }
-
-    /// Rewrite one occurrence of `old_parent` as `new_parent` in the edge set
-    /// of `child`. Called when a *parent* object migrates. Returns whether an
-    /// occurrence was rewritten.
-    pub fn replace_parent(
-        &self,
-        child: PhysAddr,
-        old_parent: PhysAddr,
-        new_parent: PhysAddr,
-    ) -> bool {
-        let mut t = self.inner.lock();
-        let Some(parents) = t.get_mut(&child) else {
-            return false;
-        };
-        match parents.iter_mut().find(|p| **p == old_parent) {
-            Some(slot) => {
-                *slot = new_parent;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Total number of edges (with multiplicity).
     pub fn edge_count(&self) -> usize {
         self.inner.lock().values().map(Vec::len).sum()
@@ -159,18 +122,12 @@ impl Ert {
     }
 
     /// Replace the table contents from a snapshot (restart recovery).
-    pub fn restore(&self, snap: &ErtSnapshot) {
+    pub(crate) fn restore(&self, snap: &ErtSnapshot) {
         let mut t = self.inner.lock();
         t.clear();
         for &(c, p) in &snap.edges {
             t.entry(c).or_default().push(p);
         }
-    }
-
-    /// Drop every edge (used when a partition is reclaimed by the copying
-    /// collector).
-    pub fn clear(&self) {
-        self.inner.lock().clear();
     }
 }
 
@@ -211,53 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn rekey_child_moves_parents() {
-        let ert = Ert::new(PartitionId(1));
-        let old = a(1, 0, 0);
-        let new = a(1, 5, 64);
-        let p1 = a(2, 0, 0);
-        let p2 = a(3, 1, 8);
-        ert.insert(old, p1);
-        ert.insert(old, p2);
-        let mut parents = ert.rekey_child(old, new);
-        parents.sort_unstable();
-        let mut expect = vec![p1, p2];
-        expect.sort_unstable();
-        assert_eq!(parents, expect);
-        assert!(ert.parents_of(old).is_empty());
-        assert_eq!(ert.parents_of(new).len(), 2);
-    }
-
-    #[test]
-    fn rekey_merges_with_existing_edges() {
-        let ert = Ert::new(PartitionId(1));
-        let old = a(1, 0, 0);
-        let new = a(1, 5, 64);
-        ert.insert(old, a(2, 0, 0));
-        ert.insert(new, a(3, 0, 0));
-        ert.rekey_child(old, new);
-        assert_eq!(ert.parents_of(new).len(), 2);
-    }
-
-    #[test]
-    fn replace_parent_rewrites_one_occurrence() {
-        let ert = Ert::new(PartitionId(1));
-        let child = a(1, 0, 0);
-        let old_p = a(2, 0, 0);
-        let new_p = a(2, 9, 32);
-        ert.insert(child, old_p);
-        ert.insert(child, old_p);
-        assert!(ert.replace_parent(child, old_p, new_p));
-        let ps = ert.parents_of(child);
-        assert!(ps.contains(&old_p) && ps.contains(&new_p));
-        assert!(!ert.replace_parent(a(1, 9, 9), old_p, new_p));
-    }
-
-    /// Same-seed runs must stay identical, and `referenced_objects` are the
-    /// fuzzy traversal's starting points in table order: two tables fed
-    /// the same sequence must iterate alike (a randomly seeded hasher
-    /// would not).
-    #[test]
     fn same_sequence_same_iteration_order() {
         let feed = |ert: &Ert| {
             for i in 0..200u32 {
@@ -267,7 +177,11 @@ mod tests {
                 assert!(ert.remove(a(1, i, 0), a(2, i % 13, 0)));
             }
             for i in 0..40u32 {
-                ert.rekey_child(a(1, i * 3 + 1, 0), a(1, 500 + i, 0));
+                let (old, new) = (a(1, i * 3 + 1, 0), a(1, 500 + i, 0));
+                for p in ert.parents_of(old) {
+                    assert!(ert.remove(old, p));
+                    ert.insert(new, p);
+                }
             }
             (ert.referenced_objects(), ert.snapshot())
         };

@@ -35,29 +35,29 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// `ira` crate registers additional `ira.*` sites for its phase boundaries.
 pub mod site {
     /// A data-operation log record is about to be appended.
-    pub const WAL_APPEND: &str = "wal.append";
+    pub(crate) const WAL_APPEND: &str = "wal.append";
     /// A commit record is about to be appended and the log forced.
     pub const WAL_COMMIT_FLUSH: &str = "wal.commit_flush";
     /// A fresh lock request (the requester holds nothing on the address).
     pub const LOCK_ACQUIRE: &str = "lock.acquire";
     /// A shared-to-exclusive upgrade request.
-    pub const LOCK_UPGRADE: &str = "lock.upgrade";
+    pub(crate) const LOCK_UPGRADE: &str = "lock.upgrade";
     /// A page latch is about to be taken (crash-only: latched code paths
     /// return no `Result`, so error actions at this site only count).
-    pub const PAGE_LATCH: &str = "page.latch";
+    pub(crate) const PAGE_LATCH: &str = "page.latch";
     /// The allocator is about to carve space for a new object.
-    pub const ALLOC: &str = "alloc.alloc";
+    pub(crate) const ALLOC: &str = "alloc.alloc";
     /// A slot was just claimed (the class free-list head or bump cursor is
     /// in flight: the directory records the object, but nothing is logged
     /// or initialized yet). A crash here must recover to an image where
     /// the in-flight slot is reclaimed by the allocator rebuild.
-    pub const ALLOC_INFLIGHT: &str = "alloc.inflight";
+    pub(crate) const ALLOC_INFLIGHT: &str = "alloc.inflight";
     /// The allocator is about to release (or defer) an object's space.
-    pub const ALLOC_FREE: &str = "alloc.free";
+    pub(crate) const ALLOC_FREE: &str = "alloc.free";
     /// An operation is about to mutate a TRT (reference note).
-    pub const TRT_NOTE: &str = "trt.note";
+    pub(crate) const TRT_NOTE: &str = "trt.note";
     /// An operation is about to mutate an ERT (cross-partition edge).
-    pub const ERT_NOTE: &str = "ert.note";
+    pub(crate) const ERT_NOTE: &str = "ert.note";
 
     /// Every substrate-level site, for sweep construction.
     pub const ALL: &[&str] = &[
@@ -201,7 +201,7 @@ impl Default for FaultInjector {
 
 impl FaultInjector {
     /// A disarmed injector (the state every database starts in).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FaultInjector {
             armed: AtomicBool::new(false),
             crash_requested: AtomicBool::new(false),
@@ -234,7 +234,7 @@ impl FaultInjector {
     /// Whether a plan is armed. This is the hot-path guard: callers may
     /// skip site-name computation entirely when it returns `false`.
     #[inline]
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         // ordering: hot-path probe; a stale read only delays (dis)arming by one site
         self.armed.load(Ordering::Relaxed)
     }
@@ -335,7 +335,7 @@ impl FaultInjector {
 
     /// Export `fault.fired.<site>` for every site that fired at least one
     /// rule (disarmed databases export nothing).
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         let st = self.state.lock();
         for (site, n) in &st.fired {
             snap.set(&format!("fault.fired.{site}"), *n);

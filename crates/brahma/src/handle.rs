@@ -162,12 +162,6 @@ impl<'db> Txn<'db> {
         self.id
     }
 
-    /// The partition this transaction reorganizes, if it belongs to a
-    /// reorganization utility.
-    pub fn reorg_for(&self) -> Option<PartitionId> {
-        self.reorg_for
-    }
-
     // ------------------------------------------------------------------
     // Locking
     // ------------------------------------------------------------------
@@ -574,7 +568,7 @@ impl<'db> Txn<'db> {
             // fail; failures here indicate storage corruption.
             #[expect(
                 clippy::expect_used,
-                reason = "invariant: undo runs under the txn's own X locks; a failure is storage corruption and must not be swallowed into an abort path"
+                reason = "invariant: undo runs under the txn's X locks; a failure is corruption"
             )]
             self.log_and_apply(&compensation, false)
                 .expect("invariant: rollback under held X locks cannot fail");
@@ -619,7 +613,15 @@ impl Drop for Txn<'_> {
 mod tests {
     use super::*;
     use crate::config::StoreConfig;
-    use crate::trt::RefAction;
+    use crate::trt::{RefAction, Trt, TrtTuple};
+
+    /// The tuples naming `child`, from the sorted dump.
+    fn tuples_for(trt: &Trt, child: PhysAddr) -> Vec<TrtTuple> {
+        trt.dump()
+            .into_iter()
+            .filter(|t| t.child == child)
+            .collect()
+    }
 
     fn db() -> Database {
         let db = Database::new(StoreConfig::default());
@@ -734,7 +736,7 @@ mod tests {
         assert_eq!(t.lock_mode(a), None);
         assert!(t.held_locks().is_empty());
         assert!(matches!(t.read_refs(a), Err(Error::LockNotHeld { .. })));
-        assert!(db.locks.holders(a).is_empty());
+        assert_eq!(db.locks.holds(t.id(), a), None);
     }
 
     #[test]
@@ -783,9 +785,10 @@ mod tests {
             assert_eq!(t.lock_mode(a), Some(mode));
             assert_eq!(db.locks.holds(t.id(), a), Some(mode));
         }
+        let tid = t.id();
         t.commit().unwrap();
         assert_eq!(db.locks.table_size(), 0);
-        assert!(objs.iter().all(|&a| db.locks.holders(a).is_empty()));
+        assert!(objs.iter().all(|&a| db.locks.holds(tid, a).is_none()));
     }
 
     #[test]
@@ -828,14 +831,16 @@ mod tests {
             t.lock(b, LockMode::Exclusive).unwrap();
             t.set_payload(b, b"w").unwrap();
             assert_eq!(t.held_locks().len(), 2);
+            let (tid, other_tid) = (t.id(), other.id());
             other.commit().unwrap();
             if commit {
                 t.commit().unwrap();
             } else {
                 t.abort();
             }
-            assert!(db.locks.holders(a).is_empty(), "commit={commit}");
-            assert!(db.locks.holders(b).is_empty(), "commit={commit}");
+            for (holder, obj) in [(tid, a), (other_tid, a), (tid, b)] {
+                assert_eq!(db.locks.holds(holder, obj), None, "commit={commit}");
+            }
             assert_eq!(db.locks.table_size(), 0, "commit={commit}");
         }
     }
@@ -929,15 +934,15 @@ mod tests {
         let mut t = db.begin();
         t.lock(parent, LockMode::Exclusive).unwrap();
         t.delete_ref(parent, child).unwrap();
-        assert_eq!(trt.tuples_for(child).len(), 1);
-        assert_eq!(trt.tuples_for(child)[0].action, RefAction::Delete);
+        assert_eq!(tuples_for(&trt, child).len(), 1);
+        assert_eq!(tuples_for(&trt, child)[0].action, RefAction::Delete);
         t.insert_ref(parent, child).unwrap();
-        assert_eq!(trt.tuples_for(child).len(), 2);
+        assert_eq!(tuples_for(&trt, child).len(), 2);
         // Commit purges the delete tuple. The re-insert stays: a traversal
         // that read `parent` while the reference was gone missed it.
         let tid = t.id();
         t.commit().unwrap();
-        let left = trt.tuples_for(child);
+        let left = tuples_for(&trt, child);
         assert_eq!(left.len(), 1, "{left:?}");
         assert_eq!((left[0].tid, left[0].action), (tid, RefAction::Insert));
         // A later transaction's delete of the same reference pair-purges it.
@@ -945,7 +950,7 @@ mod tests {
         t.lock(parent, LockMode::Exclusive).unwrap();
         t.delete_ref(parent, child).unwrap();
         t.commit().unwrap();
-        assert!(trt.is_empty(), "Section 4.5 purges leave nothing behind");
+        assert_eq!(trt.len(), 0, "Section 4.5 purges leave nothing behind");
         db.end_reorg(PartitionId(1));
     }
 
@@ -1020,7 +1025,7 @@ mod tests {
         rt.delete_ref(parent, child).unwrap();
         rt.insert_ref(parent, child).unwrap();
         rt.commit().unwrap();
-        assert!(trt.is_empty());
+        assert_eq!(trt.len(), 0);
         db.end_reorg(PartitionId(1));
     }
 }

@@ -17,8 +17,8 @@
 //! * **WAL** with undo-before-update, commit-time log force, ARIES-style
 //!   restart recovery, and a log scan that reconstructs a reorganization's
 //!   reference table at restart;
-//! * the per-partition **External Reference Table** ([`ert`]) and the
-//!   per-reorganization **Temporary Reference Table** ([`trt`]), both hash
+//! * the per-partition **External Reference Table** ([`Ert`]) and the
+//!   per-reorganization **Temporary Reference Table** ([`Trt`]), both hash
 //!   maps keyed by physical address.
 //!
 //! The reorganization algorithms themselves (IRA and the baselines) live in
@@ -49,25 +49,25 @@
 //! txn.commit().unwrap();
 //! ```
 
-pub mod addr;
-pub mod config;
-pub mod db;
+mod addr;
+mod config;
+mod db;
 pub mod env_cfg;
-pub mod error;
-pub mod ert;
+mod error;
+mod ert;
 pub mod fault;
-pub mod handle;
-pub mod lock;
+mod handle;
+mod lock;
 pub mod lockdep;
 pub mod object;
-pub mod page;
-pub mod partition;
+mod page;
+mod partition;
 mod recovery;
-pub mod retry;
+mod retry;
 pub mod sched;
 pub mod storage;
 pub mod sweep;
-pub mod trt;
+mod trt;
 pub mod txn;
 pub mod wal;
 

@@ -267,7 +267,7 @@ const _: () = assert!(std::mem::align_of::<Shard>() == 128);
 /// Counters exposed for the performance study. All lock-free (`obs`
 /// primitives); safe to bump inside the wait loop.
 #[derive(Debug, Default)]
-pub struct LockStats {
+pub(crate) struct LockStats {
     /// Lock grants (including re-grants to an existing holder).
     pub acquisitions: Counter,
     /// Lock requests that could not be granted immediately and waited at
@@ -295,7 +295,7 @@ pub struct LockStats {
 
 impl LockStats {
     /// Dump every counter into `snap` under `lock.`.
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("lock.acquisitions", self.acquisitions.get());
         snap.set("lock.waits", self.waits.get());
         snap.set("lock.wait_us_sum", self.wait_us.sum_us());
@@ -317,13 +317,13 @@ pub struct LockManager {
     shards: Box<[Shard]>,
     default_timeout: Duration,
     track_history: AtomicBool,
-    pub stats: LockStats,
+    pub(crate) stats: LockStats,
 }
 
 impl LockManager {
     /// Create a lock manager with `shards` shards and the given default
     /// wait timeout.
-    pub fn new(shards: usize, default_timeout: Duration) -> Self {
+    pub(crate) fn new(shards: usize, default_timeout: Duration) -> Self {
         LockManager {
             // The shard index is the lockdep order key: any code path
             // nesting two shards must take them in index order.
@@ -353,7 +353,7 @@ impl LockManager {
     /// Enable or disable ever-held history tracking (Section 4.1). Turned on
     /// for the duration of a reorganization when transactions do not follow
     /// strict 2PL.
-    pub fn set_history_tracking(&self, on: bool) {
+    pub(crate) fn set_history_tracking(&self, on: bool) {
         // ordering: SeqCst toggle; every shard sees the change before the caller proceeds
         self.track_history.store(on, Ordering::SeqCst);
     }
@@ -474,7 +474,7 @@ impl LockManager {
 
     /// Attempt to acquire without waiting. A refused request leaves no
     /// entry behind: whatever refused it holds the entry.
-    pub fn try_lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> bool {
+    pub(crate) fn try_lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> bool {
         let raw = addr.to_raw();
         let mut table = self.table(raw);
         let state = table.entry(raw);
@@ -503,18 +503,9 @@ impl LockManager {
     }
 
     /// The mode `tid` currently holds on `addr`, if any.
-    pub fn holds(&self, tid: TxnId, addr: PhysAddr) -> Option<LockMode> {
+    pub(crate) fn holds(&self, tid: TxnId, addr: PhysAddr) -> Option<LockMode> {
         let raw = addr.to_raw();
         self.table(raw).get(raw)?.holder_mode(tid)
-    }
-
-    /// Current holders of `addr` (diagnostics and assertions).
-    pub fn holders(&self, addr: PhysAddr) -> Vec<(TxnId, LockMode)> {
-        let raw = addr.to_raw();
-        let table = self.table(raw);
-        table
-            .get(raw)
-            .map_or_else(Vec::new, |s| s.all_holders().collect())
     }
 
     /// Every transaction that has ever held a lock on `addr` since history
@@ -540,7 +531,7 @@ impl LockManager {
     /// Forget `tid`'s history entries on the given addresses. Called at
     /// transaction completion with the transaction's ever-locked list, so
     /// history entries do not accumulate forever.
-    pub fn drop_history(&self, tid: TxnId, addrs: &[PhysAddr]) {
+    pub(crate) fn drop_history(&self, tid: TxnId, addrs: &[PhysAddr]) {
         for &addr in addrs {
             let raw = addr.to_raw();
             let mut table = self.table(raw);
@@ -578,7 +569,8 @@ mod tests {
         let m = mgr();
         m.lock(TxnId(1), addr(1), LockMode::Shared).unwrap();
         m.lock(TxnId(2), addr(1), LockMode::Shared).unwrap();
-        assert_eq!(m.holders(addr(1)).len(), 2);
+        assert_eq!(m.holds(TxnId(1), addr(1)), Some(LockMode::Shared));
+        assert_eq!(m.holds(TxnId(2), addr(1)), Some(LockMode::Shared));
     }
 
     #[test]
@@ -804,13 +796,16 @@ mod tests {
             m.table(raw).get(raw).map(|s| s.sharers().to_vec())
         };
         assert_eq!(spilled(&m), Some(vec![TxnId(3)]));
-        assert_eq!(m.holders(addr(8)).len(), 3);
-        assert_eq!(m.holds(TxnId(3), addr(8)), Some(LockMode::Shared));
+        for t in 1..=3 {
+            assert_eq!(m.holds(TxnId(t), addr(8)), Some(LockMode::Shared));
+        }
         m.unlock(TxnId(1), addr(8));
         m.unlock(TxnId(2), addr(8));
         assert_eq!(spilled(&m), Some(vec![]));
         m.lock(TxnId(3), addr(8), LockMode::Exclusive).unwrap();
-        assert_eq!(m.holders(addr(8)), vec![(TxnId(3), LockMode::Exclusive)]);
+        assert_eq!(m.holds(TxnId(3), addr(8)), Some(LockMode::Exclusive));
+        assert_eq!(m.holds(TxnId(1), addr(8)), None);
+        assert_eq!(m.holds(TxnId(2), addr(8)), None);
         assert_eq!(m.stats.upgrades.get(), 1);
         m.unlock(TxnId(3), addr(8));
         assert_eq!(m.table_size(), 0);

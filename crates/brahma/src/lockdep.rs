@@ -24,7 +24,7 @@
 //! with `O_old`/`O_new` aliased as one object), basic IRA holds only the
 //! batch's confirmed parent set ([`assert_txn_locks_subset`]), and the
 //! migrator is lock-free at batch boundaries ([`assert_no_txn_locks`]).
-//! [`might_block`], called before each product `thread::sleep`, checks that
+//! `might_block`, called before each product `thread::sleep`, checks that
 //! nothing sleeps under a wrapped lock.
 //!
 //! A violation **panics** in debug builds (tests fail loudly) and is
@@ -45,7 +45,7 @@
 //! failing thread does not turn every later acquisition into a panic too.
 #![expect(
     clippy::disallowed_types,
-    reason = "the instrumentation layer itself: these wrappers are the one place the raw std::sync lock types may appear"
+    reason = "the instrumentation layer: the one place raw std::sync locks may appear"
 )]
 
 use std::cell::{Cell, RefCell};
@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{self, PoisonError, TryLockError};
+use std::sync::{self, PoisonError};
 use std::time::Instant;
 
 /// A type of lock. One node in the held-before graph.
@@ -330,23 +330,14 @@ impl Drop for Held {
     }
 }
 
-/// The guard a `try_*` call got, poisoned or not; `None` if it would block.
-fn try_guard<G>(result: sync::TryLockResult<G>) -> Option<G> {
-    match result {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
 /// A class-tagged mutex.
-pub struct Mutex<T: ?Sized> {
+pub(crate) struct Mutex<T: ?Sized> {
     tag: Tag,
     inner: sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
-    pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
+    pub(crate) fn new(class: LockClass, order_key: u64, value: T) -> Self {
         Self {
             tag: [(class, order_key); ARMED as usize],
             inner: sync::Mutex::new(value),
@@ -355,7 +346,7 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         // Check before blocking: a would-be deadlock is reported even if
         // this acquisition happens to succeed.
         let held = Held(acquire(self.tag, false));
@@ -373,7 +364,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-pub struct MutexGuard<'a, T: ?Sized> {
+pub(crate) struct MutexGuard<'a, T: ?Sized> {
     held: Held,
     tag: Tag,
     inner: sync::MutexGuard<'a, T>,
@@ -400,13 +391,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 
 /// A class-tagged reader-writer lock. Readers and writers run the same
 /// ordering checks: read/write cycles deadlock just as well.
-pub struct RwLock<T: ?Sized> {
+pub(crate) struct RwLock<T: ?Sized> {
     tag: Tag,
     inner: sync::RwLock<T>,
 }
 
 impl<T> RwLock<T> {
-    pub fn new(class: LockClass, order_key: u64, value: T) -> Self {
+    pub(crate) fn new(class: LockClass, order_key: u64, value: T) -> Self {
         Self {
             tag: [(class, order_key); ARMED as usize],
             inner: sync::RwLock::new(value),
@@ -415,7 +406,7 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, T> {
         let held = Held(acquire(self.tag, true));
         RwLockReadGuard {
             _held: held,
@@ -423,28 +414,12 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, T> {
         let held = Held(acquire(self.tag, false));
         RwLockWriteGuard {
             _held: held,
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let inner = try_guard(self.inner.try_read())?;
-        Some(RwLockReadGuard {
-            _held: Held(acquire(self.tag, true)),
-            inner,
-        })
-    }
-
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let inner = try_guard(self.inner.try_write())?;
-        Some(RwLockWriteGuard {
-            _held: Held(acquire(self.tag, false)),
-            inner,
-        })
     }
 }
 
@@ -454,7 +429,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-pub struct RwLockReadGuard<'a, T: ?Sized> {
+pub(crate) struct RwLockReadGuard<'a, T: ?Sized> {
     _held: Held,
     inner: sync::RwLockReadGuard<'a, T>,
 }
@@ -466,7 +441,7 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
+pub(crate) struct RwLockWriteGuard<'a, T: ?Sized> {
     _held: Held,
     inner: sync::RwLockWriteGuard<'a, T>,
 }
@@ -488,7 +463,7 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 /// entry is popped for the duration and re-registered (with full checks)
 /// on wake-up.
 #[derive(Debug, Default)]
-pub struct Condvar {
+pub(crate) struct Condvar {
     inner: sync::Condvar,
     /// Threads currently inside a wait. `std`'s `notify_*` is a
     /// `futex_wake` system call even when nobody is parked, and the lock
@@ -506,7 +481,7 @@ pub struct Condvar {
 }
 
 impl Condvar {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -529,7 +504,7 @@ impl Condvar {
     }
 
     /// Block until notified; returns the guard, locked again.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.parked(guard, |g| {
             let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
             (g, ())
@@ -539,7 +514,7 @@ impl Condvar {
 
     /// Block until notified or `deadline`; returns the guard, locked
     /// again, and whether the deadline passed.
-    pub fn wait_until<'a, T>(
+    pub(crate) fn wait_until<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
         deadline: Instant,
@@ -562,13 +537,13 @@ impl Condvar {
         self.waiters.load(Ordering::Relaxed) != 0
     }
 
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         if self.has_waiters() {
             self.inner.notify_one();
         }
     }
 
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         if self.has_waiters() {
             self.inner.notify_all();
         }
@@ -599,7 +574,7 @@ pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
 /// The calling thread is about to sleep: a violation if it holds any
 /// lock this module tracks (the kernel's `might_sleep()`). Called before
 /// each product `thread::sleep`.
-pub fn might_block(ctx: &str) {
+pub(crate) fn might_block(ctx: &str) {
     if !ARMED {
         return;
     }
@@ -625,7 +600,7 @@ pub fn tolerate<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// The lock manager granted this thread a lock on object `addr`.
-pub fn txn_lock_acquired(addr: u64) {
+pub(crate) fn txn_lock_acquired(addr: u64) {
     if !ARMED {
         return;
     }
@@ -665,7 +640,7 @@ pub fn txn_lock_acquired(addr: u64) {
 /// The lock manager released this thread's lock on object `addr`.
 /// Tolerant: releases of locks acquired before tracking (or by another
 /// thread) are ignored.
-pub fn txn_lock_released(addr: u64) {
+pub(crate) fn txn_lock_released(addr: u64) {
     if !ARMED {
         return;
     }

@@ -29,21 +29,21 @@ use crate::addr::PhysAddr;
 use crate::error::{Error, Result};
 
 /// Valid byte value for a live object.
-pub const LIVE_MAGIC: u8 = 0xA5;
+pub(crate) const LIVE_MAGIC: u8 = 0xA5;
 /// Fixed header length in bytes.
-pub const HEADER_LEN: usize = 10;
+pub(crate) const HEADER_LEN: usize = 10;
 /// Bytes per stored reference.
-pub const REF_LEN: usize = 8;
+pub(crate) const REF_LEN: usize = 8;
 
 /// Total on-page footprint of an object with the given capacities.
 #[inline]
-pub fn on_page_size(ref_cap: u16, payload_cap: u16) -> usize {
+pub(crate) fn on_page_size(ref_cap: u16, payload_cap: u16) -> usize {
     HEADER_LEN + REF_LEN * ref_cap as usize + payload_cap as usize
 }
 
 /// Decoded object header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
+pub(crate) struct Header {
     pub tag: u8,
     pub nrefs: u16,
     pub ref_cap: u16,
@@ -54,7 +54,7 @@ pub struct Header {
 impl Header {
     /// Total on-page footprint of the object this header describes.
     #[inline]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         on_page_size(self.ref_cap, self.payload_cap)
     }
 }
@@ -104,7 +104,7 @@ fn wr_u64(buf: &mut [u8], at: usize, v: u64) {
 /// Returns [`Error::NoSuchObject`] when the bytes do not describe a live
 /// object — the check a fuzzy (latch-only) reader relies on to skip stale
 /// addresses.
-pub fn header(buf: &[u8], addr: PhysAddr) -> Result<Header> {
+pub(crate) fn header(buf: &[u8], addr: PhysAddr) -> Result<Header> {
     let off = addr.offset() as usize;
     if off + HEADER_LEN > buf.len() || buf[off] != LIVE_MAGIC {
         return Err(Error::NoSuchObject(addr));
@@ -123,10 +123,10 @@ pub fn header(buf: &[u8], addr: PhysAddr) -> Result<Header> {
 }
 
 /// An object's outgoing references, decoded from its page bytes as asked for.
-pub type Refs<'a> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> PhysAddr>;
+pub(crate) type Refs<'a> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> PhysAddr>;
 
 /// The outgoing references of the object at `addr`, borrowed from `buf`.
-pub fn refs(buf: &[u8], addr: PhysAddr) -> Result<Refs<'_>> {
+pub(crate) fn refs(buf: &[u8], addr: PhysAddr) -> Result<Refs<'_>> {
     let h = header(buf, addr)?;
     let base = addr.offset() as usize + HEADER_LEN;
     let decode: fn(&[u8]) -> PhysAddr = |slot| PhysAddr::from_raw(rd_u64(slot, 0));
@@ -141,7 +141,7 @@ pub fn read_refs(buf: &[u8], addr: PhysAddr) -> Result<Vec<PhysAddr>> {
 }
 
 /// Read the reference in slot `index` of the object at `addr`.
-pub fn ref_at(buf: &[u8], addr: PhysAddr, index: usize) -> Result<PhysAddr> {
+pub(crate) fn ref_at(buf: &[u8], addr: PhysAddr, index: usize) -> Result<PhysAddr> {
     let h = header(buf, addr)?;
     if index >= h.nrefs as usize {
         return Err(Error::RefIndexOutOfBounds { addr, index });
@@ -151,7 +151,7 @@ pub fn ref_at(buf: &[u8], addr: PhysAddr, index: usize) -> Result<PhysAddr> {
 }
 
 /// The current payload bytes of the object at `addr`.
-pub fn payload(buf: &[u8], addr: PhysAddr) -> Result<&[u8]> {
+pub(crate) fn payload(buf: &[u8], addr: PhysAddr) -> Result<&[u8]> {
     let h = header(buf, addr)?;
     let base = addr.offset() as usize + HEADER_LEN + REF_LEN * h.ref_cap as usize;
     Ok(&buf[base..base + h.payload_len as usize])
@@ -294,7 +294,7 @@ pub fn set_payload(buf: &mut [u8], addr: PhysAddr, payload: &[u8]) -> Result<()>
 
 /// Mark the object freed and scrub its bytes, so any fuzzy reader holding a
 /// stale address observes "not a live object" rather than garbage.
-pub fn mark_free(buf: &mut [u8], addr: PhysAddr) -> Result<Header> {
+pub(crate) fn mark_free(buf: &mut [u8], addr: PhysAddr) -> Result<Header> {
     let h = header(buf, addr)?;
     let off = addr.offset() as usize;
     for b in &mut buf[off..off + h.size()] {

@@ -11,13 +11,13 @@ use crate::lockdep::{LockClass, RwLock};
 use std::sync::Arc;
 
 /// A fixed-size page of object storage.
-pub struct Page {
+pub(crate) struct Page {
     data: Box<[u8]>,
 }
 
 impl Page {
     /// Allocate a zeroed page.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Page {
             data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
         }
@@ -25,23 +25,23 @@ impl Page {
 
     /// Immutable view of the page bytes.
     #[inline]
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         &self.data
     }
 
     /// Mutable view of the page bytes.
     #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 
     /// Deep copy of the page contents (checkpointing).
-    pub fn snapshot(&self) -> Vec<u8> {
+    pub(crate) fn snapshot(&self) -> Vec<u8> {
         self.data.to_vec()
     }
 
     /// Overwrite the page contents (restart recovery).
-    pub fn restore(&mut self, bytes: &[u8]) {
+    pub(crate) fn restore(&mut self, bytes: &[u8]) {
         assert_eq!(bytes.len(), PAGE_SIZE, "snapshot page size mismatch");
         self.data.copy_from_slice(bytes);
     }
@@ -54,10 +54,10 @@ impl Default for Page {
 }
 
 /// A latch-protected page handle, cloneable across threads.
-pub type PageRef = Arc<RwLock<Page>>;
+pub(crate) type PageRef = Arc<RwLock<Page>>;
 
 /// Create a fresh latch-protected page.
-pub fn new_page() -> PageRef {
+pub(crate) fn new_page() -> PageRef {
     Arc::new(RwLock::new(LockClass::PageLatch, 0, Page::new()))
 }
 
@@ -86,10 +86,17 @@ mod tests {
     fn latch_allows_concurrent_readers() {
         let p = new_page();
         let r1 = p.read();
-        let r2 = p.try_read();
-        assert!(r2.is_some());
-        drop((r1, r2));
-        let w = p.try_write();
-        assert!(w.is_some());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second_read = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _r2 = p.read();
+                tx.send(()).unwrap();
+            });
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(r1);
+            got
+        });
+        assert!(second_read.is_ok(), "a second reader waited on the first");
+        drop(p.write());
     }
 }

@@ -217,7 +217,7 @@ impl PartitionSnapshot {
     /// Serialize for the on-disk checkpoint image (DESIGN.md §14). Lives
     /// here — not in `storage::codec` — because [`AllocState`] is private
     /// to the allocator.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         use crate::storage::codec::*;
         let a = &self.alloc;
         put_u16(out, self.id.0);
@@ -282,7 +282,7 @@ impl PartitionSnapshot {
     /// Decode a snapshot written by [`PartitionSnapshot::encode`]. Every
     /// malformed field degrades to [`Error::Corrupt`]; nothing panics on
     /// bad disk bytes.
-    pub fn decode(r: &mut crate::storage::codec::Reader<'_>) -> Result<PartitionSnapshot> {
+    pub(crate) fn decode(r: &mut crate::storage::codec::Reader<'_>) -> Result<PartitionSnapshot> {
         let id = PartitionId(r.u16()?);
         let base = r.u32()?;
         let npages = r.u32()?;
@@ -423,7 +423,7 @@ impl Partition {
     }
 
     /// This partition's id.
-    pub fn id(&self) -> PartitionId {
+    pub(crate) fn id(&self) -> PartitionId {
         self.id
     }
 
@@ -438,7 +438,7 @@ impl Partition {
     }
 
     /// Fetch the latch-protected page that `addr` lies on.
-    pub fn page(&self, addr: PhysAddr) -> Result<PageRef> {
+    pub(crate) fn page(&self, addr: PhysAddr) -> Result<PageRef> {
         let table = self.pages.read();
         addr.page()
             .checked_sub(table.base)
@@ -524,7 +524,7 @@ impl Partition {
     /// keeps its class for as long as it is held; the first `alloc_at` into
     /// a fresh or spare page therefore re-establishes the class the page
     /// had when the object was first created.
-    pub fn alloc_at(&self, addr: PhysAddr, size: usize) -> Result<()> {
+    pub(crate) fn alloc_at(&self, addr: PhysAddr, size: usize) -> Result<()> {
         debug_assert_eq!(addr.partition(), self.id);
         if size > PAGE_SIZE || addr.offset() as usize + size > PAGE_SIZE {
             return Err(Error::ObjectTooLarge { bytes: size });
@@ -781,7 +781,7 @@ impl Partition {
     }
 
     /// Deep snapshot for checkpointing (taken at a quiescent point).
-    pub fn snapshot(&self) -> PartitionSnapshot {
+    pub(crate) fn snapshot(&self) -> PartitionSnapshot {
         // `alloc` before `pages`, the order `allocate`/`alloc_at` take them
         // in (the reverse closes an ABBA cycle with a concurrent
         // allocation; found by lockdep), so the directory and the page list
@@ -799,7 +799,7 @@ impl Partition {
     }
 
     /// Rebuild a partition from a snapshot (restart recovery).
-    pub fn from_snapshot(snap: &PartitionSnapshot) -> Self {
+    pub(crate) fn from_snapshot(snap: &PartitionSnapshot) -> Self {
         let p = Partition::new(snap.id);
         {
             let mut table = p.pages.write();

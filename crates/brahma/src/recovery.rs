@@ -72,7 +72,7 @@ impl Database {
         let lsn = self.wal.append(TxnId(0), LogPayload::Checkpoint { id });
         #[expect(
             clippy::expect_used,
-            reason = "invariant: partitions are never dropped, so every id partition_ids() lists resolves"
+            reason = "invariant: partitions are never dropped, so every listed id resolves"
         )]
         let partitions = self
             .partition_ids()

@@ -61,7 +61,7 @@ impl RetryPolicy {
 
     /// The delay before retry number `attempt` (1-based): `base * 2^(a-1)`
     /// capped at `cap`, then jittered by up to ±`jitter_pct`%.
-    pub fn delay(&self, attempt: usize) -> Duration {
+    pub(crate) fn delay(&self, attempt: usize) -> Duration {
         let shift = attempt.saturating_sub(1).min(32) as u32;
         let exp = self
             .base
@@ -136,7 +136,7 @@ pub struct RetryStats {
 }
 
 impl RetryStats {
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("retry.attempts", self.attempts.get());
         snap.set("retry.giveups", self.giveups.get());
     }
@@ -156,7 +156,7 @@ impl crate::db::Database {
                     lockdep::might_block("retry.backoff");
                     #[expect(
                         clippy::disallowed_methods,
-                        reason = "RetryPolicy's backoff: the one product wait that is a sleep by design"
+                        reason = "RetryPolicy's backoff: a product wait that sleeps by design"
                     )]
                     std::thread::sleep(delay);
                 }

@@ -33,7 +33,7 @@ use crate::wal::{LogPayload, LogRecord, Lsn};
 /// chaos workloads); 16 MiB is comfortably above both, and a length prefix
 /// beyond it is treated as a torn/garbage tail rather than an allocation
 /// request.
-pub const MAX_RECORD_BYTES: u32 = 16 << 20;
+pub(crate) const MAX_RECORD_BYTES: u32 = 16 << 20;
 
 /// Bytes of record framing before the body: length prefix + CRC.
 pub const RECORD_HEADER_BYTES: usize = 8;
@@ -77,15 +77,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Write primitives
 // ---------------------------------------------------------------------------
 
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -98,7 +98,7 @@ pub fn put_addr(out: &mut Vec<u8>, a: PhysAddr) {
 }
 
 /// Length-prefixed byte string (u32 length).
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
 }
@@ -142,7 +142,7 @@ impl<'a> Reader<'a> {
     /// encoded, against the input left. A count the remaining bytes cannot
     /// hold is corrupt, so the caller may reserve `n` slots without trusting
     /// the disk.
-    pub fn fits(&self, n: usize, each: usize) -> Result<usize> {
+    pub(crate) fn fits(&self, n: usize, each: usize) -> Result<usize> {
         if n.saturating_mul(each) > self.remaining() {
             return Err(self.corrupt(format!(
                 "{n} elements of {each}+ bytes, only {} remain",
@@ -152,7 +152,7 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(self.corrupt(format!("need {n} bytes, only {} remain", self.remaining())));
         }
@@ -170,7 +170,7 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -186,8 +186,8 @@ impl<'a> Reader<'a> {
         Ok(PhysAddr::from_raw(self.u64()?))
     }
 
-    /// Length-prefixed byte string written by [`put_bytes`].
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
+    /// Length-prefixed byte string written by `put_bytes`.
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
@@ -205,7 +205,7 @@ impl<'a> Reader<'a> {
 // ObjectView codec
 // ---------------------------------------------------------------------------
 
-pub fn put_object(out: &mut Vec<u8>, img: &ObjectView) {
+pub(crate) fn put_object(out: &mut Vec<u8>, img: &ObjectView) {
     put_u8(out, img.tag);
     put_u16(out, img.ref_cap);
     put_u16(out, img.payload_cap);
@@ -216,7 +216,7 @@ pub fn put_object(out: &mut Vec<u8>, img: &ObjectView) {
     put_bytes(out, &img.payload);
 }
 
-pub fn read_object(r: &mut Reader<'_>) -> Result<ObjectView> {
+pub(crate) fn read_object(r: &mut Reader<'_>) -> Result<ObjectView> {
     let tag = r.u8()?;
     let ref_cap = r.u16()?;
     let payload_cap = r.u16()?;
@@ -266,7 +266,7 @@ const TAG_REORG_CHECKPOINT: u8 = 14;
 
 /// Append a record's body (no framing) to `out`: `lsn | tid | tag |
 /// fields`. The LSN comes first so the log can patch it in after encoding.
-pub fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPayload) {
+pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPayload) {
     put_u64(out, lsn);
     put_u64(out, tid.0);
     match payload {
@@ -361,7 +361,7 @@ pub fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPay
     }
 }
 
-/// Encode a record's body (no framing), see [`put_record_body`].
+/// Encode a record's body (no framing), see `put_record_body`.
 pub fn encode_record_body(rec: &LogRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(rec.payload.approx_size() as usize);
     put_record_body(&mut out, rec.lsn, rec.tid, &rec.payload);

@@ -22,7 +22,7 @@
 //!
 //! [`open`] is the one restart path: read the checkpoint, scan the segments
 //! from the checkpoint LSN, truncate the torn tail (the first record whose
-//! length prefix or CRC fails), run ARIES-style [`crate::recovery::recover`]
+//! length prefix or CRC fails), run ARIES-style `recovery::recover`
 //! over the surviving records, and hand back interrupted reorganizations
 //! with their latest logged progress checkpoints for resumption.
 //!
@@ -66,7 +66,7 @@ const SEG_HEADER_BYTES: u64 = 16;
 
 /// Counters on the file-backend I/O path (DESIGN.md §8).
 #[derive(Debug, Default)]
-pub struct FileStats {
+pub(crate) struct FileStats {
     /// Real `fsync`/`fdatasync` calls issued.
     pub fsyncs: Counter,
     /// Bytes handed to the OS (segment records + checkpoint images).
@@ -78,7 +78,7 @@ pub struct FileStats {
 }
 
 impl FileStats {
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("file.fsyncs", self.fsyncs.get());
         snap.set("file.bytes_written", self.bytes_written.get());
         snap.set("wal.segments_rotated", self.segments_rotated.get());
@@ -109,13 +109,13 @@ pub struct FileBackend {
     dead: AtomicBool,
     segment_bytes: u64,
     inner: Mutex<SegWriter>,
-    pub stats: FileStats,
+    pub(crate) stats: FileStats,
 }
 
 impl FileBackend {
     /// Create the backend over `dir` (laid out as `wal/` and
     /// `checkpoint.img`), opening a fresh active segment at `next_lsn`.
-    pub fn new(
+    pub(crate) fn new(
         dir: &Path,
         fault: Arc<FaultInjector>,
         segment_bytes: u64,
@@ -167,7 +167,7 @@ impl FileBackend {
     /// reserved LSN's frame is in the file before that mutex is released. A fault or
     /// real I/O error kills the backend: completed earlier writes survive,
     /// this frame does not.
-    pub fn wal_append(&self, lsn: Lsn, body: &[u8]) {
+    pub(crate) fn wal_append(&self, lsn: Lsn, body: &[u8]) {
         // ordering: lane 0's mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             return;
@@ -212,7 +212,7 @@ impl FileBackend {
     /// Force the mirrored log to stable storage (the group-commit leader's
     /// force). Every frame the leader's target covers is already in a
     /// segment file; those in earlier segments were synced at rotation.
-    pub fn sync(&self) {
+    pub(crate) fn sync(&self) {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             return;
@@ -236,7 +236,11 @@ impl FileBackend {
     /// earliest active reorganization's `ReorgStart`, kept for TRT
     /// reconstruction and the reorganizer's `ReorgCheckpoint` records
     /// (Section 4.4). Empty when no reorganization is in flight.
-    pub fn write_checkpoint(&self, checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> Result<()> {
+    pub(crate) fn write_checkpoint(
+        &self,
+        checkpoint: &Checkpoint,
+        carry_log: &[LogRecord],
+    ) -> Result<()> {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             // Process-kill fiction: a dead backend's writes land nowhere.
@@ -462,8 +466,9 @@ fn carry_window(records: &[LogRecord], active: &[PartitionId]) -> Vec<LogRecord>
     }
     let start = records
         .iter()
-        .filter(|r| {
-            matches!(&r.payload, LogPayload::ReorgStart { partition, .. } if active.contains(partition))
+        .filter(|r| match &r.payload {
+            LogPayload::ReorgStart { partition, .. } => active.contains(partition),
+            _ => false,
         })
         .map(|r| r.lsn)
         .min();

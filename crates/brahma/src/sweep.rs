@@ -1,11 +1,7 @@
-//! Whole-database sweeps: integrity verification and ERT reconstruction.
-//!
-//! The paper notes (Section 4.4) that if ERT updates are not logged, "we
-//! would then have to reconstruct the ERT at restart recovery, which
-//! requires a complete scan of the database". [`rebuild_erts_by_sweep`] is
-//! that scan. The verification functions are the test suite's ground truth:
-//! they are run at quiescent points and check the invariants listed in
-//! DESIGN.md (referential integrity, ERT exactness, reachability).
+//! Whole-database sweeps: integrity verification. The verification
+//! functions are the test suite's ground truth: they are run at quiescent
+//! points and check the invariants listed in DESIGN.md (referential
+//! integrity, ERT exactness, reachability).
 
 use crate::addr::{AddrSet, PartitionId, PhysAddr};
 use crate::db::Database;
@@ -22,40 +18,6 @@ pub fn sweep_objects(db: &Database, partition: PartitionId) -> Vec<(PhysAddr, Ob
         .into_iter()
         .filter_map(|addr| db.raw_read(addr).ok().map(|v| (addr, v)))
         .collect()
-}
-
-/// Recompute every partition's ERT from the objects themselves and replace
-/// the stored tables. Returns the number of edges installed.
-pub fn rebuild_erts_by_sweep(db: &Database) -> usize {
-    for pid in db.partition_ids() {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: partitions are never dropped, so every id partition_ids() lists resolves"
-        )]
-        db.partition(pid)
-            .expect("invariant: partition_ids lists live partitions")
-            .ert
-            .clear();
-    }
-    let mut edges = 0;
-    for pid in db.partition_ids() {
-        for (addr, view) in sweep_objects(db, pid) {
-            for child in view.refs {
-                if child.partition() != addr.partition() {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "invariant: an offline sweep; a reference into a missing partition is the failure it exists to report"
-                    )]
-                    db.partition(child.partition())
-                        .expect("invariant: references point at live partitions")
-                        .ert
-                        .insert(child, addr);
-                    edges += 1;
-                }
-            }
-        }
-    }
-    edges
 }
 
 /// Check that every stored reference in every object names a live object.
@@ -216,15 +178,14 @@ mod tests {
     }
 
     #[test]
-    fn ert_divergence_is_detected_and_repaired() {
+    fn ert_divergence_is_detected() {
         let db = db2();
         let c = mk(&db, 1, vec![]);
         let p = mk(&db, 0, vec![c]);
+        assert!(check_ert_exact(&db).is_empty());
         // Corrupt the ERT.
         db.partition(PartitionId(1)).unwrap().ert.remove(c, p);
         assert_eq!(check_ert_exact(&db).len(), 1);
-        rebuild_erts_by_sweep(&db);
-        assert!(check_ert_exact(&db).is_empty());
     }
 
     #[test]

@@ -146,23 +146,6 @@ impl Trt {
         self.inner.lock().contains_key(&child)
     }
 
-    /// All tuples naming `child` (testing and diagnostics).
-    pub fn tuples_for(&self, child: PhysAddr) -> Vec<TrtTuple> {
-        let t = self.inner.lock();
-        t.get(&child)
-            .map(|v| {
-                v.iter()
-                    .map(|&(parent, tid, action)| TrtTuple {
-                        child,
-                        parent,
-                        tid,
-                        action,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// The *referenced objects* of the TRT: every object some tuple is
     /// about. Drives the re-traversal loop (line L2) of
     /// `Find_Objects_And_Approx_Parents`.
@@ -177,7 +160,7 @@ impl Trt {
     /// transaction boundaries).
     ///
     /// Returns the number of tuples purged.
-    pub fn purge_txn_deletes(&self, tid: TxnId) -> usize {
+    pub(crate) fn purge_txn_deletes(&self, tid: TxnId) -> usize {
         if self.looks_empty() {
             return 0;
         }
@@ -202,7 +185,7 @@ impl Trt {
     /// may be a re-insertion (a same-value `set_ref`) the traversal missed.
     ///
     /// Removes at most one insert tuple; returns whether one was removed.
-    pub fn purge_insert_pair(&self, child: PhysAddr, parent: PhysAddr, tid: TxnId) -> bool {
+    pub(crate) fn purge_insert_pair(&self, child: PhysAddr, parent: PhysAddr, tid: TxnId) -> bool {
         let removed = !self.looks_empty()
             && self.remove_first(child, |&(p, id, a)| {
                 p == parent && id != tid && a == RefAction::Insert
@@ -220,13 +203,8 @@ impl Trt {
     }
 
     /// Total number of tuples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().values().map(Vec::len).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
     }
 
     /// All tuples, sorted (testing: compared against the reconstruction
@@ -253,6 +231,14 @@ impl Trt {
 mod tests {
     use super::*;
 
+    /// The tuples naming `child`, from the sorted dump.
+    fn tuples_for(trt: &Trt, child: PhysAddr) -> Vec<TrtTuple> {
+        trt.dump()
+            .into_iter()
+            .filter(|t| t.child == child)
+            .collect()
+    }
+
     fn a(p: u16, off: u16) -> PhysAddr {
         PhysAddr::new(PartitionId(p), 0, off)
     }
@@ -268,7 +254,7 @@ mod tests {
         assert_eq!(t.action, RefAction::Delete);
         assert!(trt.remove_tuple(&t));
         assert!(!trt.remove_tuple(&t));
-        assert!(trt.is_empty());
+        assert_eq!(trt.len(), 0);
     }
 
     #[test]
@@ -297,7 +283,7 @@ mod tests {
         trt.note(c, a(2, 16), TxnId(6), RefAction::Delete);
         assert_eq!(trt.purge_txn_deletes(TxnId(5)), 1);
         assert_eq!(trt.len(), 2);
-        let remaining = trt.tuples_for(c);
+        let remaining = tuples_for(&trt, c);
         assert!(remaining
             .iter()
             .any(|t| t.tid == TxnId(5) && t.action == RefAction::Insert));
@@ -321,7 +307,7 @@ mod tests {
             "an emptied list leaves no key"
         );
         assert_eq!(trt.referenced_objects(), vec![kept]);
-        assert_eq!(trt.tuples_for(kept).len(), 1);
+        assert_eq!(tuples_for(&trt, kept).len(), 1);
     }
 
     /// Same-seed runs must stay identical, and `referenced_objects` feeds
@@ -354,11 +340,11 @@ mod tests {
         assert!(trt.purge_insert_pair(c, p, TxnId(3)));
         assert_eq!(trt.len(), 1);
         // The committing transaction's own insert stays.
-        let own = trt.tuples_for(c)[0].tid;
+        let own = tuples_for(&trt, c)[0].tid;
         assert!(!trt.purge_insert_pair(c, p, own));
         assert!(trt.purge_insert_pair(c, p, TxnId(3)));
         assert!(!trt.purge_insert_pair(c, p, TxnId(3)));
-        assert!(trt.is_empty());
+        assert_eq!(trt.len(), 0);
     }
 
     #[test]
@@ -384,7 +370,7 @@ mod tests {
             for (op, child, parent, tid, insert) in steps {
                 let (child, parent, tid) = (a(1, child * 64), a(2, parent * 8), TxnId(tid));
                 let action = if insert { RefAction::Insert } else { RefAction::Delete };
-                let (was_empty, purged) = (trt.is_empty(), trt.stats.purged.get());
+                let (was_empty, purged) = (trt.len() == 0, trt.stats.purged.get());
                 match op {
                     0 => trt.note(child, parent, tid, action),
                     1 => {

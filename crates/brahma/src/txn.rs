@@ -8,7 +8,7 @@
 //! traversal") and the relaxed-2PL wait on every transaction that ever
 //! locked an object.
 //!
-//! The registry is split into [`SLOTS`] slots, one per thread slot
+//! The registry is split into `SLOTS` slots, one per thread slot
 //! ([`thread_slot`]), and a [`TxnId`] carries the slot it was begun in, so
 //! `begin`, `finish` and `is_active` touch one slot's cache lines and two
 //! threads on different slots share no written word (DESIGN.md §10.3).
@@ -36,7 +36,7 @@ impl fmt::Display for TxnId {
 /// Thread slots: the registry's slots and the log's lanes
 /// ([`crate::wal::Wal`]). A power of two, so a [`TxnId`]'s slot is its low
 /// bits.
-pub const SLOTS: usize = 8;
+pub(crate) const SLOTS: usize = 8;
 const _: () = assert!(SLOTS.is_power_of_two());
 
 /// The next thread slot to hand out; threads take them round-robin.
@@ -48,7 +48,7 @@ thread_local! {
 }
 
 /// The calling thread's slot in `0..SLOTS`, fixed for the thread's life.
-/// Threads take slots round-robin, so the first [`SLOTS`] threads to ask
+/// Threads take slots round-robin, so the first `SLOTS` threads to ask
 /// have one each.
 #[inline]
 pub fn thread_slot() -> usize {
@@ -89,7 +89,7 @@ impl Default for TxnManager {
 
 impl TxnManager {
     /// Create an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TxnManager {
             // The slot index is the lockdep order key.
             slots: std::array::from_fn(|i| Slot {
@@ -105,7 +105,7 @@ impl TxnManager {
 
     /// Allocate a fresh transaction id in the calling thread's slot and mark
     /// it active.
-    pub fn begin(&self) -> TxnId {
+    pub(crate) fn begin(&self) -> TxnId {
         let slot = thread_slot();
         let mut txns = self.slots[slot].txns.lock();
         txns.seq += 1;
@@ -115,7 +115,7 @@ impl TxnManager {
     }
 
     /// Mark a transaction completed (committed or aborted) and wake waiters.
-    pub fn finish(&self, tid: TxnId) {
+    pub(crate) fn finish(&self, tid: TxnId) {
         let slot = self.slot_of(tid);
         slot.txns.lock().active.remove(&tid);
         slot.cv.notify_all();
@@ -127,7 +127,7 @@ impl TxnManager {
     }
 
     /// Number of active transactions.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.slots.iter().map(|s| s.txns.lock().active.len()).sum()
     }
 

@@ -5,7 +5,7 @@
 //! the latter (`Database::note_ref_change`). What remains here is the restart
 //! path of Section 4.4 — "the TRT is reconstructed on the basis of the logs
 //! generated after the IRA started": scan records in LSN order and note
-//! every reference change [`LogPayload::for_each_ref_change`] enumerates
+//! every reference change `LogPayload::for_each_ref_change` enumerates
 //! for the partition, with the Section 4.5 purges on commit/abort records.
 //! Aborting transactions log compensation records through the ordinary
 //! record types, so a linear scan reproduces the inline-maintained table
@@ -157,8 +157,8 @@ mod tests {
         ];
         let trt = rebuild_trt(&records, PartitionId(1), false);
         assert_eq!(trt.len(), 2);
-        assert_eq!(trt.tuples_for(a(1, 0))[0].action, RefAction::Insert);
-        assert_eq!(trt.tuples_for(a(1, 64))[0].action, RefAction::Delete);
+        assert_eq!(trt.peek_for(a(1, 0)).unwrap().action, RefAction::Insert);
+        assert_eq!(trt.peek_for(a(1, 64)).unwrap().action, RefAction::Delete);
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
             },
         )];
         let trt = rebuild_trt(&records, PartitionId(1), false);
-        assert!(trt.is_empty());
+        assert_eq!(trt.len(), 0);
     }
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         // With purging: T2's delete tuple is dropped on commit, and the
         // matching insert tuple from T1 is pair-purged.
         let trt = rebuild_trt(&records, PartitionId(1), true);
-        assert!(trt.is_empty(), "got {:?}", trt.dump());
+        assert_eq!(trt.len(), 0, "got {:?}", trt.dump());
         // Without purging both tuples survive.
         let trt = rebuild_trt(&records, PartitionId(1), false);
         assert_eq!(trt.len(), 2);
@@ -254,8 +254,8 @@ mod tests {
             },
         )];
         let trt = rebuild_trt(&records, PartitionId(1), false);
-        assert_eq!(trt.tuples_for(a(1, 0))[0].action, RefAction::Delete);
-        assert_eq!(trt.tuples_for(a(1, 64))[0].action, RefAction::Insert);
+        assert_eq!(trt.peek_for(a(1, 0)).unwrap().action, RefAction::Delete);
+        assert_eq!(trt.peek_for(a(1, 64)).unwrap().action, RefAction::Insert);
     }
 
     #[test]
@@ -281,6 +281,6 @@ mod tests {
             rec(2, 9, LogPayload::Commit),
         ];
         let trt = rebuild_trt(&records, PartitionId(1), true);
-        assert!(trt.is_empty());
+        assert_eq!(trt.len(), 0);
     }
 }

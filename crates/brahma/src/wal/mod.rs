@@ -4,7 +4,7 @@
 //! logged before an update is performed, and the redo value is logged before
 //! the lock on the updated object is released. Every log record carries both,
 //! so restart recovery replays committed work forward from a checkpoint and
-//! rolls losers back (see [`crate::recovery`]).
+//! rolls losers back (see `recovery`).
 //!
 //! The log is in-memory (the paper's experiments run a memory-resident
 //! database) and holds encoded frames, not record trees (DESIGN.md §10.3);
@@ -112,7 +112,7 @@ impl LogPayload {
     /// variable parts (images, payload copies). Feeds the `wal.bytes`
     /// counter so log volume per experiment is visible without a real wire
     /// format.
-    pub fn approx_size(&self) -> u64 {
+    pub(crate) fn approx_size(&self) -> u64 {
         const HEADER: u64 = 24; // lsn + tid + discriminant
         let body = match self {
             LogPayload::Begin { .. }
@@ -185,7 +185,7 @@ impl LogPayload {
     /// new one; an object's creation inserts (its freeing deletes) each
     /// stored reference. A re-inserted reference — the compensation of a
     /// delete — is an insert like any other (Section 4.5).
-    pub fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
+    pub(crate) fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
         match self {
             LogPayload::Create { addr, image } => image
                 .refs
@@ -222,7 +222,7 @@ pub struct LogRecord {
 /// Counters on the logging path. Lock-free; `append` adds two relaxed
 /// atomic increments on top of its lane's mutex.
 #[derive(Debug, Default)]
-pub struct WalStats {
+pub(crate) struct WalStats {
     /// Records appended.
     pub records: Counter,
     /// Approximate bytes appended (see [`LogPayload::approx_size`]).
@@ -241,7 +241,7 @@ pub struct WalStats {
 
 impl WalStats {
     /// Dump every counter into `snap` under `wal.`.
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("wal.records", self.records.get());
         snap.set("wal.bytes", self.bytes.get());
         snap.set("wal.flushes", self.flushes.get());
@@ -349,14 +349,14 @@ pub struct Wal {
     flush_leader: Mutex<bool>,
     flush_cv: Condvar,
     /// Logging-path counters.
-    pub stats: WalStats,
+    pub(crate) stats: WalStats,
 }
 
 const _: () = assert!(std::mem::offset_of!(Wal, base) + 8 <= 64);
 
 /// Handle to a truncation pin; see [`Wal::pin_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PinId(u64);
+pub(crate) struct PinId(u64);
 
 impl Wal {
     /// Create a log. With `retain == false` the log self-truncates: a lane
@@ -399,7 +399,7 @@ impl Wal {
     /// writers (records appended earlier — e.g. recovery compensations —
     /// are deliberately not mirrored: they are re-derived by re-running
     /// recovery, and only become durable via the post-recovery checkpoint).
-    pub fn set_sink(&self, sink: std::sync::Arc<FileBackend>) {
+    pub(crate) fn set_sink(&self, sink: std::sync::Arc<FileBackend>) {
         let _ = self.sink.set(sink);
     }
 
@@ -415,7 +415,7 @@ impl Wal {
     /// anything, keeping LSNs globally unique across process lifetimes —
     /// which is what lets logs from different incarnations be merged by LSN
     /// during TRT reconstruction.
-    pub fn advance_to(&self, lsn: Lsn) {
+    pub(crate) fn advance_to(&self, lsn: Lsn) {
         let _cut = self.cut();
         // ordering: Relaxed; `base` is written under a lane mutex, held here
         let base = self.base.load(Ordering::Relaxed);
@@ -558,7 +558,7 @@ impl Wal {
                 lockdep::might_block("wal.flush");
                 #[expect(
                     clippy::disallowed_methods,
-                    reason = "simulated WAL device latency on the leader's force path (DESIGN.md §2 substitution for a real disk)"
+                    reason = "simulated device latency on the leader's force (DESIGN.md §2)"
                 )]
                 std::thread::sleep(self.flush_latency);
             }
@@ -573,12 +573,6 @@ impl Wal {
         }
     }
 
-    /// Highest LSN known durable.
-    pub fn flushed_lsn(&self) -> Lsn {
-        // ordering: pairs with the AcqRel fetch_max in flush; reader sees durable prefix
-        self.flushed_lsn.load(Ordering::Acquire)
-    }
-
     /// Next LSN that will be reserved. Every LSN below it is reserved, not
     /// necessarily in the log yet: an appender on another lane may still be
     /// copying its record in. A reader that needs the records takes them
@@ -586,13 +580,6 @@ impl Wal {
     pub fn next_lsn(&self) -> Lsn {
         // ordering: Acquire pairs with the AcqRel reservations and advance_to's store
         self.next_lsn.load(Ordering::Acquire)
-    }
-
-    /// Lowest LSN still retained.
-    pub fn base_lsn(&self) -> Lsn {
-        let _cut = self.cut();
-        // ordering: Relaxed; `base` is written under a lane mutex, held here
-        self.base.load(Ordering::Relaxed)
     }
 
     /// All retained records with `lsn >= from`, gap-free and in LSN order:
@@ -625,7 +612,7 @@ impl Wal {
     /// Create a named pin at `lsn`: records at or above the minimum of all
     /// pins will not be truncated. Used by each active reorganization
     /// (which may need to rebuild its TRT from the log after a failure).
-    pub fn pin_at(&self, lsn: Lsn) -> PinId {
+    pub(crate) fn pin_at(&self, lsn: Lsn) -> PinId {
         // ordering: pin-id allocator; uniqueness only, the pins lock orders the table
         let id = PinId(self.next_pin.fetch_add(1, Ordering::Relaxed));
         let mut pins = self.pins.lock();
@@ -635,7 +622,7 @@ impl Wal {
     }
 
     /// Remove a pin.
-    pub fn unpin(&self, id: PinId) {
+    pub(crate) fn unpin(&self, id: PinId) {
         let mut pins = self.pins.lock();
         pins.remove(&id.0);
         self.recompute_pin(&pins);
@@ -649,7 +636,7 @@ impl Wal {
 
     /// Records retained and the bytes of their frames (frames a lane holds
     /// below `base` are not counted).
-    pub fn retained(&self) -> (usize, usize) {
+    pub(crate) fn retained(&self) -> (usize, usize) {
         let cut = self.cut();
         // ordering: Relaxed; `base` is written under a lane mutex, held here
         let base = self.base.load(Ordering::Relaxed);
@@ -665,6 +652,17 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::addr::PartitionId;
+
+    /// Highest LSN known durable.
+    fn flushed(wal: &Wal) -> Lsn {
+        wal.flushed_lsn.load(Ordering::Acquire)
+    }
+
+    /// Lowest LSN still retained: `retained` counts every LSN from it up to
+    /// `next_lsn`.
+    fn base_lsn(wal: &Wal) -> Lsn {
+        wal.next_lsn() - wal.retained().0 as Lsn
+    }
 
     fn rec() -> LogPayload {
         LogPayload::Migrate {
@@ -697,9 +695,9 @@ mod tests {
     fn flush_advances_watermark() {
         let wal = Wal::new(true, Duration::ZERO);
         let lsn = wal.append(TxnId(1), LogPayload::Commit);
-        assert_eq!(wal.flushed_lsn(), 0);
+        assert_eq!(flushed(&wal), 0);
         wal.flush(lsn);
-        assert_eq!(wal.flushed_lsn(), lsn);
+        assert_eq!(flushed(&wal), lsn);
     }
 
     /// No sink, no latency: each force is one atomic, counted once, and a
@@ -711,7 +709,7 @@ mod tests {
             wal.append(TxnId(1), LogPayload::Begin { reorg: None });
             let lsn = wal.append(TxnId(1), LogPayload::Commit);
             wal.flush(lsn);
-            assert!(wal.flushed_lsn() >= lsn);
+            assert!(flushed(&wal) >= lsn);
             assert_eq!(wal.stats.flushes.get(), round);
             wal.flush(lsn);
             wal.flush(lsn.saturating_sub(1));
@@ -818,7 +816,7 @@ mod tests {
         let late = wal.pin_at(per_round + 2);
         let mut logged = Vec::new();
         append_every_variant(&wal, &mut logged);
-        assert_eq!(wal.base_lsn(), 5, "truncation stops at the earliest pin");
+        assert_eq!(base_lsn(&wal), 5, "truncation stops at the earliest pin");
         assert_eq!(
             wal.records_from(0),
             logged[5..],
@@ -827,7 +825,7 @@ mod tests {
         assert_eq!(wal.records_from(9), logged[9..]);
         wal.unpin(early);
         append_every_variant(&wal, &mut logged);
-        assert_eq!(wal.base_lsn(), per_round + 2, "the later pin takes over");
+        assert_eq!(base_lsn(&wal), per_round + 2, "the later pin takes over");
         assert_eq!(wal.records_from(0), logged[per_round as usize + 2..]);
         assert_eq!(
             wal.stats.truncated.get(),
@@ -838,7 +836,7 @@ mod tests {
         wal.unpin(late);
         let lsn = wal.append(TxnId(1), rec());
         assert_eq!(wal.retained(), (0, 0));
-        assert_eq!(wal.base_lsn(), lsn + 1);
+        assert_eq!(base_lsn(&wal), lsn + 1);
         assert_eq!(wal.stats.truncated.get(), lsn + 1);
         assert!(wal.records_from(0).is_empty());
         // And the log carries on from there.
@@ -938,13 +936,13 @@ mod tests {
 
     /// Two lanes under a watermark of two records each: whichever lane
     /// truncates, no record at or above the earliest pin goes, and
-    /// `retained` counts exactly the LSNs from `base_lsn` up.
+    /// `retained` counts exactly the LSNs from the base up.
     #[test]
     fn lane_local_truncation_keeps_the_earliest_pin() {
         let wal = Wal::with_watermark(false, Duration::ZERO, 2 * LANES);
         let agree = |wal: &Wal| {
             let logged = wal.records_from(0);
-            let base = wal.base_lsn();
+            let base = base_lsn(wal);
             assert!(
                 logged.iter().zip(base..).all(|(r, lsn)| r.lsn == lsn),
                 "gap-free from {base}"
@@ -1035,7 +1033,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(wal.flushed_lsn() >= *lsns.last().unwrap());
+        assert!(flushed(&wal) >= *lsns.last().unwrap());
         // All LSNs were appended before any flush started, so the first
         // leader's force covers every request: at most one straggler that
         // raced past the fast path leads a second (empty) force.
@@ -1060,7 +1058,7 @@ mod tests {
         for _ in 0..100 {
             wal.append(TxnId(1), rec());
         }
-        assert_eq!(wal.base_lsn(), 0);
+        assert_eq!(base_lsn(&wal), 0);
         assert_eq!(wal.retained().0, 100);
     }
 }

@@ -208,7 +208,7 @@ impl Controller for PctExplorer {
         if !delay.is_zero() {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "the PCT explorer's seeded perturbation (DESIGN.md §12): a cooperative wait would deadlock against threads parked in substrate locks"
+                reason = "PCT perturbation (DESIGN.md §12): a cooperative wait could deadlock"
             )]
             std::thread::sleep(delay);
         }

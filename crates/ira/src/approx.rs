@@ -51,7 +51,11 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
 /// Line L2 of Figure 3: while some TRT referenced object has not been
 /// visited, traverse from it. Also used when resuming an interrupted
 /// reorganization from a checkpoint (Section 4.4).
-pub fn trt_unvisited_loop(db: &Database, partition: PartitionId, state: &mut TraversalState) {
+pub(crate) fn trt_unvisited_loop(
+    db: &Database,
+    partition: PartitionId,
+    state: &mut TraversalState,
+) {
     while let Some(trt) = db.trt(partition) {
         let unvisited: Vec<_> = trt
             .referenced_objects()
@@ -69,7 +73,7 @@ pub fn trt_unvisited_loop(db: &Database, partition: PartitionId, state: &mut Tra
 
 /// Merge external parents from the ERT into the parent lists of the objects
 /// discovered at `state.order[from..]`.
-pub fn merge_ert_parents(
+pub(crate) fn merge_ert_parents(
     db: &Database,
     partition: PartitionId,
     state: &mut TraversalState,

@@ -143,18 +143,9 @@ impl<'a> Reorg<'a> {
         }
     }
 
-    /// [`Reorg::on`] with every IRA knob taken from `config` at once — for
-    /// callers that carry a whole [`IraConfig`] (a bench cell).
-    pub fn with_config(db: &'a Database, partition: PartitionId, config: IraConfig) -> Self {
-        Reorg {
-            config,
-            ..Reorg::on(db, partition)
-        }
-    }
-
     /// Where migrated objects go: compact in place, or evacuate to another
     /// partition — into a fresh one, that is the copying collector of
-    /// Section 4.6 ([`crate::gc`]).
+    /// Section 4.6 (`gc`).
     pub fn plan(mut self, plan: RelocationPlan) -> Self {
         self.plan = plan;
         self

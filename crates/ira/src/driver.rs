@@ -2,7 +2,7 @@
 //! migration batching (Section 4.3), deadlock retry (Section 4.4), garbage
 //! collection as a side effect (Section 4.6), checkpointing for crash
 //! restart, and fault injection for the failure-handling tests. Step two
-//! is one loop, [`ReorgRun::drain`], run by one migrator on the calling
+//! is one loop, `ReorgRun::drain`, run by one migrator on the calling
 //! thread: batching is the throughput lever, and a caller that wants
 //! parallelism runs one `Reorg` per partition.
 
@@ -35,9 +35,9 @@ pub enum IraVariant {
     TwoLock,
 }
 
-/// Driver configuration.
+/// Driver configuration, set through the [`crate::Reorg`] builder.
 #[derive(Debug, Clone)]
-pub struct IraConfig {
+pub(crate) struct IraConfig {
     /// Migrations grouped into one transaction (Section 4.3's logging/IO
     /// trade-off; for the two-lock variant, parent updates per transaction).
     pub batch_size: usize,

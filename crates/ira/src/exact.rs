@@ -28,7 +28,7 @@ use brahma::{AddrSet, Database, PhysAddr, Result, Txn};
 /// not release even if they turn out not to be parents of *this* object —
 /// they are confirmed parents of an earlier migration in the same
 /// transaction (Section 4.3 grouping).
-pub fn find_exact_parents(
+pub(crate) fn find_exact_parents(
     db: &Database,
     txn: &mut Txn<'_>,
     oold: PhysAddr,

@@ -10,16 +10,16 @@
 //!   the parent set is made exact (with the Temporary Reference Table
 //!   catching concurrent pointer inserts and deletes) and the object is
 //!   migrated inside a transaction holding locks only on its parents.
-//! * Extensions: relaxed strict-2PL (Section 4.1, [`relaxed`]), the
+//! * Extensions: relaxed strict-2PL (Section 4.1, `relaxed`), the
 //!   two-lock variant holding at most two locks at any time (Section 4.2,
-//!   [`two_lock`]), migration batching (Section 4.3, [`Reorg::batch`]),
-//!   checkpoint/restart after failures (Section 4.4, [`checkpoint`]),
+//!   `two_lock`), migration batching (Section 4.3, [`Reorg::batch`]),
+//!   checkpoint/restart after failures (Section 4.4, `checkpoint`),
 //!   copying garbage collection as a side effect of evacuating into a fresh
-//!   partition (Section 4.6, [`gc`]), and clustering by a migration order
+//!   partition (Section 4.6, `gc`), and clustering by a migration order
 //!   derived from observed traffic ([`StatsGreedy`]).
-//! * Baselines: the quiescent reorganizer of Section 3.1 ([`offline`]) and
+//! * Baselines: the quiescent reorganizer of Section 3.1 (`offline`) and
 //!   **PQR**, the Partition Quiesce Reorganization baseline of the paper's
-//!   performance study (Section 5.1, [`pqr`]) — both reachable through
+//!   performance study (Section 5.1, `pqr`) — both reachable through
 //!   [`Reorg::strategy`].
 //!
 //! ## Quick tour
@@ -56,26 +56,26 @@
 //! `.resume_from(ckpt, &log)` to continue a crashed run.
 
 pub mod approx;
-pub mod builder;
-pub mod checkpoint;
+mod builder;
+mod checkpoint;
 pub mod driver;
-pub mod exact;
-pub mod gc;
-pub mod migrate;
-pub mod offline;
-pub mod order;
-pub mod plan;
-pub mod policy;
-pub mod pqr;
-pub mod relaxed;
+mod exact;
+mod gc;
+mod migrate;
+mod offline;
+mod order;
+mod plan;
+mod policy;
+mod pqr;
+mod relaxed;
 pub mod site;
-pub mod traversal;
-pub mod two_lock;
+mod traversal;
+mod two_lock;
 pub mod verify;
 
 pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
 pub use checkpoint::IraCheckpoint;
-pub use driver::{IraConfig, IraError, IraReport, IraVariant};
+pub use driver::{IraError, IraReport, IraVariant};
 pub use gc::find_garbage;
 pub use order::MigrationOrder;
 pub use plan::RelocationPlan;

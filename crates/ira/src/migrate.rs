@@ -29,7 +29,7 @@ use brahma::{
 /// recorded so they can be reverted if the transaction later aborts. Kept
 /// by the migrator from batch to batch, so its tables are allocated once.
 #[derive(Debug, Default)]
-pub struct BatchEffects {
+pub(crate) struct BatchEffects {
     /// Every address the batch transaction must keep locked: the confirmed
     /// parents of the objects migrated so far, and their old and new copies.
     pub keep: AddrSet,
@@ -46,7 +46,7 @@ pub struct BatchEffects {
 
 impl BatchEffects {
     /// Forget the previous batch.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.keep.clear();
         self.migrations.clear();
         self.parent_rewrites.clear();
@@ -55,7 +55,7 @@ impl BatchEffects {
 
     /// Revert all recorded side effects (the transaction aborted; the
     /// storage-level changes roll back through the transaction's own undo).
-    pub fn revert(&self, db: &Database, state: &mut TraversalState) {
+    pub(crate) fn revert(&self, db: &Database, state: &mut TraversalState) {
         for &(old, new) in self.root_rewrites.iter().rev() {
             db.replace_root(new, old);
         }
@@ -150,7 +150,7 @@ impl CopySource {
 /// in `db.migrations`) after the batch transaction commits, and on error
 /// aborts the transaction and calls [`BatchEffects::revert`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's procedure signature
-pub fn move_object_and_update_refs(
+pub(crate) fn move_object_and_update_refs(
     db: &Database,
     txn: &mut Txn<'_>,
     oold: PhysAddr,

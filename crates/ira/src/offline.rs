@@ -18,7 +18,7 @@ use brahma::{AddrMap, Database, LockMode, PartitionId, PhysAddr, Result, Txn};
 /// [`crate::pqr`]); `txn` must be a reorganizer transaction.
 ///
 /// Returns the old-to-new address mapping.
-pub fn reorganize_quiescent(
+pub(crate) fn reorganize_quiescent(
     db: &Database,
     partition: PartitionId,
     plan: RelocationPlan,

@@ -38,7 +38,7 @@ pub enum MigrationOrder {
 }
 
 /// Apply the order to a migration queue, in place.
-pub fn order_queue(
+pub(crate) fn order_queue(
     order: &MigrationOrder,
     queue: &mut Vec<PhysAddr>,
     state: &TraversalState,

@@ -28,7 +28,7 @@ pub enum RelocationPlan {
 
 impl RelocationPlan {
     /// The partition the new copy of `old` is allocated in.
-    pub fn target_partition(&self, old: PhysAddr) -> PartitionId {
+    pub(crate) fn target_partition(&self, old: PhysAddr) -> PartitionId {
         match self {
             RelocationPlan::CompactInPlace => old.partition(),
             RelocationPlan::EvacuateTo(p) => *p,

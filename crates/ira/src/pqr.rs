@@ -39,7 +39,7 @@ pub struct PqrReport {
 
 impl PqrReport {
     /// Export the report into `snap` under `pqr.*` keys (durations in µs).
-    pub fn export(&self, snap: &mut obs::Snapshot) {
+    pub(crate) fn export(&self, snap: &mut obs::Snapshot) {
         snap.set("pqr.quiesce_locks", self.quiesce_locks as u64);
         snap.set(
             "pqr.duration_us",

@@ -15,18 +15,18 @@ use std::time::Duration;
 /// The settle policy: 300 fixed 100 ms slices — a 30 s bound on the total
 /// wait before giving up with a timeout (treated like a lock timeout: the
 /// caller releases and retries).
-pub const SETTLE_POLICY: RetryPolicy = RetryPolicy::fixed(300, Duration::from_millis(100));
+pub(crate) const SETTLE_POLICY: RetryPolicy = RetryPolicy::fixed(300, Duration::from_millis(100));
 
 /// Exclusively lock `addr` for the reorganizer and, when history tracking is
 /// on, wait for every active transaction that ever held a lock on it.
-pub fn lock_and_settle(db: &Database, txn: &mut Txn<'_>, addr: PhysAddr) -> Result<()> {
+pub(crate) fn lock_and_settle(db: &Database, txn: &mut Txn<'_>, addr: PhysAddr) -> Result<()> {
     txn.lock(addr, LockMode::Exclusive)?;
     settle(db, txn.id(), addr)
 }
 
 /// Wait for all other active transactions that ever locked `addr` (no-op
 /// under strict 2PL, where tracking is off).
-pub fn settle(db: &Database, me: TxnId, addr: PhysAddr) -> Result<()> {
+pub(crate) fn settle(db: &Database, me: TxnId, addr: PhysAddr) -> Result<()> {
     settle_with(db, me, addr, &SETTLE_POLICY)
 }
 

@@ -4,7 +4,7 @@
 /// Step one (fuzzy traversal + ERT merge) just completed.
 pub const TRAVERSAL: &str = "ira.traversal";
 /// `Find_Exact_Parents` is about to run for one object.
-pub const EXACT_PARENTS: &str = "ira.exact_parents";
+pub(crate) const EXACT_PARENTS: &str = "ira.exact_parents";
 /// A migration batch transaction is about to commit.
 pub const MIGRATE_COMMIT: &str = "ira.migrate_commit";
 /// A migration batch just committed (batch boundary).

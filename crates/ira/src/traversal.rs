@@ -21,7 +21,7 @@ use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 pub struct TraversalState {
     /// Objects visited, in discovery order (also the default migration
     /// order: traversal order clusters related objects together). After the
-    /// driver applies [`crate::order::order_queue`] in place, this doubles
+    /// driver applies `order::order_queue` in place, this doubles
     /// as *the* migration queue.
     pub order: Vec<PhysAddr>,
     /// Every address a traversal was attempted from (including stale seeds
@@ -34,12 +34,12 @@ pub struct TraversalState {
 
 impl TraversalState {
     /// Record that `parent` references `child`.
-    pub fn add_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
+    pub(crate) fn add_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
         self.parents.entry(child).or_default().insert(parent);
     }
 
     /// Remove `parent` from `child`'s parent list (no-op when absent).
-    pub fn remove_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
+    pub(crate) fn remove_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
         if let Some(ps) = self.parents.get_mut(&child) {
             ps.remove(&parent);
         }
@@ -55,14 +55,19 @@ impl TraversalState {
     /// now-freed address, which `Find_Exact_Parents` will discard as stale)
     /// — the migrated copy physically holds the reference, so it must be a
     /// recorded parent of the child.
-    pub fn replace_parent(&mut self, child: PhysAddr, old_parent: PhysAddr, new_parent: PhysAddr) {
+    pub(crate) fn replace_parent(
+        &mut self,
+        child: PhysAddr,
+        old_parent: PhysAddr,
+        new_parent: PhysAddr,
+    ) {
         let ps = self.parents.entry(child).or_default();
         ps.remove(&old_parent);
         ps.insert(new_parent);
     }
 
     /// The approximate parents of `child`, sorted (empty if none recorded).
-    pub fn parents_of(&self, child: PhysAddr) -> Vec<PhysAddr> {
+    pub(crate) fn parents_of(&self, child: PhysAddr) -> Vec<PhysAddr> {
         let mut v: Vec<PhysAddr> = self
             .parents
             .get(&child)
@@ -78,7 +83,7 @@ impl TraversalState {
 /// intra-partition edges are followed; each object's references are read
 /// where they lie, under its page latch ([`Database::fuzzy_with_refs`]),
 /// and it is never locked.
-pub fn fuzzy_traversal(
+pub(crate) fn fuzzy_traversal(
     db: &Database,
     partition: PartitionId,
     seeds: impl IntoIterator<Item = PhysAddr>,

@@ -34,7 +34,7 @@ use brahma::{AddrSet, Database, LockMode, LogPayload, PhysAddr, Result, RetryPol
 /// On success the migration is committed (the guard transaction commits
 /// inside) and counted in `db.migrations`; the caller records the returned
 /// new address in its migration map.
-pub fn migrate_two_lock(
+pub(crate) fn migrate_two_lock(
     db: &Database,
     oold: PhysAddr,
     plan: RelocationPlan,

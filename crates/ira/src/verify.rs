@@ -68,7 +68,7 @@ pub fn logical_fingerprint(db: &Database, anchors: &[PhysAddr]) -> Vec<String> {
 ///
 /// Returns human-readable violations; empty means the reorganization is
 /// verifiably clean.
-pub fn verify_reorganization(db: &Database, report: &IraReport) -> Vec<String> {
+pub(crate) fn verify_reorganization(db: &Database, report: &IraReport) -> Vec<String> {
     let mut problems = Vec::new();
     for (old, new) in &report.mapping {
         if db.raw_read(*old).is_ok() {

@@ -48,22 +48,8 @@ impl CpuModel {
         }
     }
 
-    /// The default model used by the paper-figure benches: one virtual CPU
-    /// (the paper's machine was a single-CPU UltraSparc) and 40
-    /// microseconds of work per access. The knee of the throughput curve
-    /// still sits above MPL 1 because commit-time log flushes happen
-    /// outside the CPU permit — the CPU/I-O overlap of Section 5.3.1.
-    pub fn paper_default() -> Self {
-        CpuModel::new(1, Duration::from_micros(40))
-    }
-
-    /// A free model (no throttling) for functional tests.
-    pub fn unthrottled() -> Self {
-        CpuModel::new(usize::MAX / 2, Duration::ZERO)
-    }
-
     /// Perform one access worth of CPU work.
-    pub fn access(&self) {
+    pub(crate) fn access(&self) {
         if self.work_per_access.is_zero() {
             return;
         }
@@ -160,11 +146,11 @@ impl PagedCpuModel {
         }
     }
 
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
@@ -187,12 +173,6 @@ impl PagedCpuModel {
         drop(lru);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Export cache health under `cache.*` keys (DESIGN §8).
-    pub fn export(&self, snap: &mut obs::Snapshot) {
-        snap.set("cache.hits", self.hits());
-        snap.set("cache.misses", self.misses());
     }
 }
 
@@ -225,9 +205,14 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
+    /// A free model (no throttling).
+    fn unthrottled() -> CpuModel {
+        CpuModel::new(usize::MAX / 2, Duration::ZERO)
+    }
+
     #[test]
     fn unthrottled_is_free() {
-        let cpu = CpuModel::unthrottled();
+        let cpu = unthrottled();
         let t = Instant::now();
         for _ in 0..1000 {
             cpu.access();
@@ -238,7 +223,7 @@ mod tests {
     #[test]
     fn paged_model_counts_hits_and_misses() {
         use brahma::PartitionId;
-        let model = PagedCpuModel::new(CpuModel::unthrottled(), 2, Duration::ZERO);
+        let model = PagedCpuModel::new(unthrottled(), 2, Duration::ZERO);
         let a = PhysAddr::new(PartitionId(1), 0, 0);
         let b = PhysAddr::new(PartitionId(1), 0, 64); // same page as a
         let c = PhysAddr::new(PartitionId(1), 7, 0);
@@ -261,7 +246,7 @@ mod tests {
     #[test]
     fn paged_model_charges_misses_on_the_device() {
         use brahma::PartitionId;
-        let model = PagedCpuModel::new(CpuModel::unthrottled(), 1, Duration::from_millis(2));
+        let model = PagedCpuModel::new(unthrottled(), 1, Duration::from_millis(2));
         let a = PhysAddr::new(PartitionId(1), 0, 0);
         let b = PhysAddr::new(PartitionId(1), 1, 0);
         let t = Instant::now();

@@ -20,7 +20,6 @@ use std::time::Instant;
 pub struct WorkloadHandle {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<Metrics>>,
-    started: Instant,
 }
 
 /// Start `params.mpl` workload threads against `db`.
@@ -41,7 +40,6 @@ pub fn start_workload_observed(
     observer: Option<Arc<dyn EdgeObserver + Send + Sync>>,
 ) -> WorkloadHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
     let threads = (0..params.mpl)
         .map(|t| {
             let db = Arc::clone(&db);
@@ -124,19 +122,10 @@ pub fn start_workload_observed(
                 .expect("spawn walker thread")
         })
         .collect();
-    WorkloadHandle {
-        stop,
-        threads,
-        started,
-    }
+    WorkloadHandle { stop, threads }
 }
 
 impl WorkloadHandle {
-    /// Time since the workload started.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.started.elapsed()
-    }
-
     /// Signal all threads to stop and collect their merged metrics.
     pub fn stop_and_join(self) -> Metrics {
         self.stop.store(true, Ordering::SeqCst);

@@ -32,8 +32,8 @@ pub struct GraphInfo {
 }
 
 /// Tag values used by the generator (handy when debugging page dumps).
-pub const TAG_NODE: u8 = 1;
-pub const TAG_ROOT_OBJECT: u8 = 2;
+pub(crate) const TAG_NODE: u8 = 1;
+pub(crate) const TAG_ROOT_OBJECT: u8 = 2;
 
 /// Build the Section 5.2 object graph in `db` (which must be freshly
 /// created). Returns the graph handle.

@@ -23,12 +23,12 @@
 //! ```
 
 pub mod cost;
-pub mod driver;
-pub mod graph;
-pub mod metrics;
-pub mod params;
+mod driver;
+mod graph;
+mod metrics;
+mod params;
 pub mod stats;
-pub mod walker;
+mod walker;
 
 pub use cost::{CpuModel, PagedCpuModel};
 pub use driver::{start_workload, start_workload_observed, WorkloadHandle};

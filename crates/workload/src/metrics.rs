@@ -41,7 +41,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// Merge measurements from another thread.
-    pub fn merge(&mut self, other: Metrics) {
+    pub(crate) fn merge(&mut self, other: Metrics) {
         self.response_us.extend(other.response_us);
         self.aborted_attempts += other.aborted_attempts;
         self.errors += other.errors;
@@ -53,17 +53,17 @@ impl Metrics {
     }
 
     /// Record one committed transaction.
-    pub fn record_commit(&mut self, response: Duration) {
+    pub(crate) fn record_commit(&mut self, response: Duration) {
         self.response_us.push(response.as_micros() as u64);
     }
 
     /// Record one timed-out attempt.
-    pub fn record_abort(&mut self) {
+    pub(crate) fn record_abort(&mut self) {
         self.aborted_attempts += 1;
     }
 
     /// Record a non-retryable error (the walker stops after this).
-    pub fn record_error(&mut self, error: impl std::fmt::Display) {
+    pub(crate) fn record_error(&mut self, error: impl std::fmt::Display) {
         self.errors += 1;
         if self.first_error.is_none() {
             self.first_error = Some(error.to_string());

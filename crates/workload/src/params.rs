@@ -73,24 +73,9 @@ impl Default for WorkloadParams {
 }
 
 impl WorkloadParams {
-    /// A scaled-down variant for fast tests.
-    pub fn tiny() -> Self {
-        WorkloadParams {
-            num_partitions: 3,
-            objs_per_partition: 170,
-            mpl: 4,
-            ..WorkloadParams::default()
-        }
-    }
-
     /// Clusters per partition.
-    pub fn clusters_per_partition(&self) -> usize {
+    pub(crate) fn clusters_per_partition(&self) -> usize {
         (self.objs_per_partition / self.cluster_size).max(1)
-    }
-
-    /// Objects actually materialized per partition (whole clusters).
-    pub fn effective_objs_per_partition(&self) -> usize {
-        self.clusters_per_partition() * self.cluster_size
     }
 }
 
@@ -110,6 +95,6 @@ mod tests {
         assert_eq!(p.cluster_size, 85);
         // 4080 / 85 = 48 whole clusters.
         assert_eq!(p.clusters_per_partition(), 48);
-        assert_eq!(p.effective_objs_per_partition(), 4080);
+        assert_eq!(p.clusters_per_partition() * p.cluster_size, 4080);
     }
 }

@@ -210,13 +210,6 @@ impl TraversalStats {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-
-    /// Export collector health under `stats.*` keys (DESIGN §8).
-    pub fn export(&self, snap: &mut obs::Snapshot) {
-        snap.set("stats.edges_recorded", self.recorded());
-        snap.set("stats.edges_distinct", self.edges().len() as u64);
-        snap.set("stats.edges_dropped", self.dropped());
-    }
 }
 
 impl EdgeObserver for TraversalStats {
@@ -293,16 +286,5 @@ mod tests {
         assert_eq!(stats.recorded() + stats.dropped(), n);
         let total: u64 = stats.edges().iter().map(|e| e.count).sum();
         assert_eq!(total, stats.recorded());
-    }
-
-    #[test]
-    fn export_sets_documented_keys() {
-        let stats = TraversalStats::new();
-        stats.record_edge(a(1, 0), a(1, 64));
-        let mut snap = obs::Snapshot::default();
-        stats.export(&mut snap);
-        assert_eq!(snap.get("stats.edges_recorded"), 1);
-        assert_eq!(snap.get("stats.edges_distinct"), 1);
-        assert_eq!(snap.get("stats.edges_dropped"), 0);
     }
 }
