@@ -18,10 +18,9 @@ pub struct StoreConfig {
     /// here reproduces that CPU/I-O parallelism on an otherwise
     /// memory-resident database.
     pub commit_flush_latency: Duration,
-    /// Whether the WAL keeps every record in memory. Off, the log drops
-    /// records below the earliest pin (an active reorganization's TRT
-    /// window), so long benchmark runs keep memory bounded; recovery reads
-    /// the segment files, not this log.
+    /// Whether the WAL keeps every record in memory. Off, a log lane past
+    /// its share drops what it holds, so long benchmark runs keep memory
+    /// bounded; recovery reads the segment files, not this log.
     pub wal_retain: bool,
     /// Apply the Section 4.5 TRT space optimization: under strict 2PL,
     /// pointer-delete tuples are purged when the deleting transaction

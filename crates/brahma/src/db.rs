@@ -157,8 +157,6 @@ pub struct Database {
     pub wal: Wal,
     /// Partitions with a reorganization in progress, with their TRTs.
     reorg_tables: RwLock<HashMap<PartitionId, Arc<Trt>>>,
-    /// Log pins covering each active reorganization's TRT window.
-    reorg_pins: Mutex<HashMap<PartitionId, crate::wal::PinId>>,
     /// Persistent roots (Section 2). Conceptually these live in a dedicated
     /// root partition; threads obtain their walk entry points here.
     roots: Mutex<Vec<PhysAddr>>,
@@ -189,7 +187,6 @@ impl Database {
             txns: TxnManager::new(),
             wal: Wal::new(config.wal_retain, config.commit_flush_latency),
             reorg_tables: RwLock::new(LockClass::DbReorgTables, 0, HashMap::new()),
-            reorg_pins: Mutex::new(LockClass::DbReorgPins, 0, HashMap::new()),
             roots: Mutex::new(LockClass::DbRoots, 0, Vec::new()),
             cpu: RwLock::new(LockClass::DbCpu, 0, None),
             cpu_installed: AtomicBool::new(false),
@@ -387,8 +384,8 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Begin a reorganization of `partition`: open the partition's pass at
-    /// a page floor ([`Partition::begin_pass`]), create its TRT, pin the log
-    /// (so the TRT stays reconstructible), log the start marker with the
+    /// a page floor ([`Partition::begin_pass`]; a pass a crash interrupted
+    /// keeps its floor), create its TRT, log the start marker with the
     /// floor, and — when transactions do not follow strict 2PL
     /// — enable the lock manager's ever-held tracking (Section 4.1).
     pub fn start_reorg(&self, partition: PartitionId) -> Result<Arc<Trt>> {
@@ -398,12 +395,8 @@ impl Database {
             !tables.contains_key(&partition),
             "partition {partition} is already under reorganization"
         );
-        // Pin before appending the marker: a truncation between the two
-        // steps would drop it otherwise.
-        let pin = self.wal.pin_at(self.wal.next_lsn());
         self.wal
             .append(TxnId(0), LogPayload::ReorgStart { partition, floor });
-        self.reorg_pins.lock().insert(partition, pin);
         if !self.config.strict_2pl {
             self.locks.set_history_tracking(true);
         }
@@ -422,9 +415,6 @@ impl Database {
             self.locks.set_history_tracking(false);
         }
         drop(tables);
-        if let Some(pin) = self.reorg_pins.lock().remove(&partition) {
-            self.wal.unpin(pin);
-        }
         if let Ok(part) = self.partition_ref(partition) {
             let base = part.end_pass();
             self.wal
@@ -437,22 +427,6 @@ impl Database {
         self.reorg_tables.read().contains_key(&partition)
     }
 
-    /// Sorted ids of every partition with a reorganization in progress.
-    pub(crate) fn active_reorg_ids(&self) -> Vec<PartitionId> {
-        let mut v: Vec<_> = self.reorg_tables.read().keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Durably record the reorganization utility's serialized progress for
-    /// `partition` as a `ReorgCheckpoint` log record. After a crash,
-    /// [`crate::storage::open`] hands back the latest one logged since the
-    /// partition's last `ReorgEnd` when the reorganization was interrupted.
-    pub fn save_reorg_checkpoint(&self, partition: PartitionId, blob: Vec<u8>) {
-        self.wal
-            .append(TxnId(0), LogPayload::ReorgCheckpoint { partition, blob });
-    }
-
     /// The TRT of `partition`, when a reorganization is active.
     pub fn trt(&self, partition: PartitionId) -> Option<Arc<Trt>> {
         self.reorg_tables.read().get(&partition).cloned()
@@ -460,7 +434,7 @@ impl Database {
 
     /// Effective TRT purge setting: the Section 4.5 optimization applies
     /// only under strict 2PL.
-    pub fn trt_purge_enabled(&self) -> bool {
+    fn trt_purge_enabled(&self) -> bool {
         self.config.trt_purge && self.config.strict_2pl
     }
 

@@ -21,9 +21,8 @@
 //! * **Crashes are requests, not panics.** A `Crash` action never unwinds
 //!   the faulting thread; it latches a crash request on the injector. The
 //!   IRA driver polls [`FaultInjector::take_crash_request`] at every batch
-//!   boundary — the only point where its checkpoint is consistent — and
-//!   converts the request into a simulated crash with a resumable
-//!   checkpoint, exactly like a stop-the-world failure between two
+//!   boundary and converts the request into a simulated crash that leaves
+//!   the pass open, exactly like a stop-the-world failure between two
 //!   migration transactions (Section 4.4 of the paper).
 
 use crate::error::{Error, Result};

@@ -326,19 +326,10 @@ impl<'db> Txn<'db> {
     /// reaches it through [`Txn::update`]; rollback runs it on the inverse
     /// of each undo entry.
     ///
-    /// INVARIANT (fuzzy checkpoint, DESIGN.md §12): every TRT/ERT note a
-    /// mutation produces must happen *before* its WAL append reserves the
-    /// record's LSN. The checkpoint reads `next_lsn` and then dumps the TRT;
-    /// note-after-reserve admits a schedule where the dump misses the tuple
-    /// while the record's LSN is already below the replay window, so seeded
-    /// reconstruction loses it (fatal if this txn aborts — aborts purge
-    /// only delete tuples). Note-before-reserve makes that a contradiction:
-    /// the worst case is the tuple landing in both snapshot and window, which
-    /// reconstruction tolerates as a conservative duplicate. The X lock
-    /// held on the updated object keeps early insert-notes invisible to
-    /// Find_Exact_Parents until this txn resolves. Noting first also puts
-    /// every pointer delete in the TRT before the pointer is removed
-    /// (Section 3.3), and the append before the apply is the WAL rule.
+    /// Noting first puts every pointer delete in the TRT before the pointer
+    /// is removed (Section 3.3); the X lock held on the updated object keeps
+    /// early insert-notes invisible to Find_Exact_Parents until this txn
+    /// resolves. The append before the apply is the WAL rule.
     fn log_and_apply(&mut self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
         let (db, id, reorg_for) = (self.db, self.id, self.reorg_for);
         update.for_each_ref_change(|action, parent, child| {

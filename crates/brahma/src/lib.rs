@@ -14,9 +14,9 @@
 //!   only synchronization) and a strict-2PL **lock manager** with S/X modes,
 //!   upgrades, timeout-based deadlock resolution, and ever-held tracking for
 //!   the paper's relaxed-2PL extension;
-//! * **WAL** with undo-before-update, commit-time log force, ARIES-style
-//!   restart recovery, and a log scan that reconstructs a reorganization's
-//!   reference table at restart;
+//! * **WAL** with undo-before-update, commit-time log force, and ARIES-style
+//!   restart recovery that reopens an interrupted reorganization's pass at
+//!   its page floor;
 //! * the per-partition **External Reference Table** ([`Ert`]) and the
 //!   per-reorganization **Temporary Reference Table** ([`Trt`]), both hash
 //!   maps keyed by physical address.

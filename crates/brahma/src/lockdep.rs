@@ -70,8 +70,6 @@ pub enum LockClass {
     PageLatch,
     /// One WAL lane (`Wal::lanes`); a cut takes them all in ascending index.
     WalInner,
-    /// The WAL's truncation-pin table (`Wal::pins`).
-    WalPins,
     /// The WAL group-commit leader flag (`Wal::flush_leader`).
     WalFlushLeader,
     /// A Temporary Reference Table (`Trt::inner`).
@@ -91,8 +89,6 @@ pub enum LockClass {
     DbRoots,
     /// The open-reorganization TRT map (`Database::reorg_tables`).
     DbReorgTables,
-    /// The reorganization truncation pins (`Database::reorg_pins`).
-    DbReorgPins,
     /// The virtual-CPU model hook (`Database::cpu`).
     DbCpu,
     /// The fault injector's rule state (`FaultInjector::state`).

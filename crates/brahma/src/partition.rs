@@ -584,12 +584,23 @@ impl Partition {
     /// next fresh page gets. Until [`Partition::end_pass`] the partition
     /// allocates only by bumping pages it opens at or above the floor — no
     /// free list is popped, no spare adopted — so while the pass runs no
-    /// address below the floor is handed out.
+    /// address below the floor is handed out. A pass already open (one a
+    /// crash interrupted, reopened by REDO or a checkpoint snapshot) keeps
+    /// its floor: what it copied sits at or above it, what it has still to
+    /// move below.
     pub fn begin_pass(&self) -> u32 {
         let mut st = self.alloc.lock();
+        if let Some(floor) = st.floor {
+            return floor;
+        }
         let floor = st.end();
         st.open_pass(floor);
         floor
+    }
+
+    /// The floor of the open pass, if one is open.
+    pub fn pass_floor(&self) -> Option<u32> {
+        self.alloc.lock().floor
     }
 
     /// REDO of a `ReorgStart`: reopen the pass at its logged floor.
@@ -1040,6 +1051,8 @@ mod tests {
         // copies go to a fresh page at the floor.
         let copy = p.allocate(100).unwrap();
         assert_eq!((copy.page(), copy.offset()), (3, 0));
+        // Beginning the open pass again, as a restart does, keeps its floor.
+        assert_eq!((p.begin_pass(), p.pass_floor()), (3, Some(3)));
         // What the pass frees is not reused while it runs, and an undo of
         // the free restores the object in place.
         p.free(b).unwrap();
@@ -1051,6 +1064,7 @@ mod tests {
         // Pages 0 and 1 hold nothing, page 2 is empty but classed, and all
         // three are dropped; the free list forgets them.
         assert_eq!(p.end_pass(), 3);
+        assert_eq!(p.pass_floor(), None);
         assert_eq!((p.page_base(), p.page_count()), (3, 1));
         assert_eq!(p.allocator_problems(), Vec::<String>::new());
         assert!(!p.contains_object(a) && !p.contains_object(b));

@@ -12,10 +12,12 @@
 //!   over the surviving log, redo of *all* surviving updates from the
 //!   checkpoint ("repeating history"), then undo of loser transactions with
 //!   compensation records. ERT maintenance replays along with the updates,
-//!   so the recovered ERTs are exact; a reorganization that was in progress
-//!   is reported as interrupted so the caller can restart IRA (whose
-//!   migrations are transactional — completed migrations survive, the
-//!   in-flight one rolls back).
+//!   so the recovered ERTs are exact. REDO repeats the pass boundaries too,
+//!   so a reorganization that was in progress comes back as a pass still
+//!   open at its floor, and is reported as interrupted so the caller can
+//!   restart IRA from that floor (its migrations are transactional —
+//!   completed migrations survive above the floor, the in-flight one rolls
+//!   back).
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::config::StoreConfig;
@@ -24,7 +26,7 @@ use crate::error::{Error, Result};
 use crate::partition::{Partition, PartitionSnapshot};
 use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A transaction-consistent snapshot of the whole database.
 pub struct Checkpoint {
@@ -33,13 +35,6 @@ pub struct Checkpoint {
     pub lsn: Lsn,
     pub partitions: Vec<PartitionSnapshot>,
     pub roots: Vec<PhysAddr>,
-    /// Partitions whose reorganization was in progress when the checkpoint
-    /// was taken. A checkpoint taken *after* a `ReorgStart` record makes
-    /// that record invisible to replay (it is below the checkpoint LSN);
-    /// this field carries the open reorganizations across, so recovery
-    /// still reports them interrupted. Empty for the common
-    /// checkpoint-before-reorg case.
-    pub active_reorgs: Vec<PartitionId>,
 }
 
 /// What survives a crash: the last checkpoint and the durable log from its
@@ -54,8 +49,9 @@ pub(crate) struct RecoveryOutcome {
     pub db: Database,
     /// Transactions that were rolled back as losers.
     pub losers: Vec<TxnId>,
-    /// Partitions whose reorganization was interrupted by the crash; the
-    /// reorganizer must be restarted on them (Section 4.4).
+    /// Partitions whose pass is still open after REDO: the crash
+    /// interrupted their reorganization, which restarts from the pass's
+    /// floor (Section 4.4).
     pub interrupted_reorgs: Vec<PartitionId>,
 }
 
@@ -88,7 +84,6 @@ impl Database {
             lsn,
             partitions,
             roots: self.roots(),
-            active_reorgs: self.active_reorg_ids(),
         }
     }
 }
@@ -118,7 +113,6 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     // ---- Analysis ----
     let mut active: HashMap<TxnId, Option<PartitionId>> = HashMap::new(); // tid -> reorg partition
     let mut txn_updates: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
-    let mut reorgs: HashSet<PartitionId> = image.checkpoint.active_reorgs.iter().copied().collect();
     for rec in &image.log {
         match &rec.payload {
             LogPayload::Begin { reorg } => {
@@ -128,12 +122,6 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
             LogPayload::Commit | LogPayload::Abort => {
                 active.remove(&rec.tid);
                 txn_updates.remove(&rec.tid);
-            }
-            LogPayload::ReorgStart { partition, .. } => {
-                reorgs.insert(*partition);
-            }
-            LogPayload::ReorgEnd { partition, .. } => {
-                reorgs.remove(partition);
             }
             LogPayload::Create { .. }
             | LogPayload::Free { .. }
@@ -146,10 +134,11 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
                     .or_default()
                     .push(rec.payload.clone());
             }
-            LogPayload::Migrate { .. }
+            LogPayload::ReorgStart { .. }
+            | LogPayload::ReorgEnd { .. }
+            | LogPayload::Migrate { .. }
             | LogPayload::Checkpoint { .. }
-            | LogPayload::CreatePartition { .. }
-            | LogPayload::ReorgCheckpoint { .. } => {}
+            | LogPayload::CreatePartition { .. } => {}
         }
     }
 
@@ -173,8 +162,16 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
         db.wal.append(tid, LogPayload::Abort);
     }
 
-    let mut interrupted: Vec<PartitionId> = reorgs.into_iter().collect();
-    interrupted.sort_unstable();
+    // A pass is open in the checkpoint's snapshot or after REDO of its
+    // `ReorgStart`, and closed by REDO of its `ReorgEnd`.
+    let interrupted = db
+        .partition_ids()
+        .into_iter()
+        .filter(|&p| {
+            db.partition_ref(p)
+                .is_ok_and(|part| part.pass_floor().is_some())
+        })
+        .collect();
     Ok(RecoveryOutcome {
         db,
         losers,

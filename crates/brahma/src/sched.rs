@@ -1,17 +1,16 @@
 //! The schedule hook and the seed tree (DESIGN.md §12).
 //!
 //! Concurrency bugs in the reorganization stack are schedule bugs: they
-//! need a particular interleaving of walker transactions, the migrator, and
-//! the driver's fuzzy checkpoint. This module makes those schedules
-//! *steerable*:
+//! need a particular interleaving of walker transactions and the migrator.
+//! This module makes those schedules *steerable*:
 //!
 //! * **Control.** Instrumented points across the substrate — lockdep
 //!   acquire/release, fired fault rules, retry backoff decisions, WAL
-//!   appends, TRT/ERT notes, and the IRA driver's batch/checkpoint
-//!   boundaries — call [`point`]. A [`Controller`] installed with
-//!   [`install_controller`] is called there *before* the point's action
-//!   and may block the calling thread — the hook the gate and the
-//!   random-priority schedule explorer (`harness::replay`) are built on.
+//!   appends, TRT/ERT notes, and the IRA driver's batch boundaries — call
+//!   [`point`]. A [`Controller`] installed with [`install_controller`] is
+//!   called there *before* the point's action and may block the calling
+//!   thread — the hook the random-priority schedule explorer
+//!   (`harness::replay`) is built on.
 //! * **Seeding.** [`SeedTree`] derives independent, reproducible child
 //!   seeds per thread/component from one root seed (splitmix64 over a
 //!   label hash), so every RNG stream in a run — workload walks, chaos

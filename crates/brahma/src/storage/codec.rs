@@ -28,11 +28,9 @@ use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
 
 /// Sanity cap on a record's length prefix. The largest legitimate record
-/// bodies are object images (bounded by the 16 KiB page) and reorganization
-/// checkpoint blobs (TRT dump, bounded by live objects per partition in the
-/// chaos workloads); 16 MiB is comfortably above both, and a length prefix
-/// beyond it is treated as a torn/garbage tail rather than an allocation
-/// request.
+/// bodies are object images (bounded by the 16 KiB page); 16 MiB is
+/// comfortably above them, and a length prefix beyond it is treated as a
+/// torn/garbage tail rather than an allocation request.
 pub(crate) const MAX_RECORD_BYTES: u32 = 16 << 20;
 
 /// Bytes of record framing before the body: length prefix + CRC.
@@ -89,11 +87,11 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_addr(out: &mut Vec<u8>, a: PhysAddr) {
+pub(crate) fn put_addr(out: &mut Vec<u8>, a: PhysAddr) {
     put_u64(out, a.to_raw());
 }
 
@@ -110,28 +108,28 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 /// Position-tracking reader over a byte slice. `base` is the absolute file
 /// offset of `buf[0]`, so every [`Error::Corrupt`] it produces names the
 /// offending byte's position in the file, not in the slice.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     base: u64,
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8], base: u64) -> Self {
+    pub(crate) fn new(buf: &'a [u8], base: u64) -> Self {
         Reader { buf, pos: 0, base }
     }
 
     /// Absolute file offset of the next unread byte.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.base + self.pos as u64
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Build a [`Error::Corrupt`] anchored at the current offset.
-    pub fn corrupt(&self, reason: impl Into<String>) -> Error {
+    pub(crate) fn corrupt(&self, reason: impl Into<String>) -> Error {
         Error::Corrupt {
             offset: self.offset(),
             reason: reason.into(),
@@ -161,11 +159,11 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u16(&mut self) -> Result<u16> {
+    pub(crate) fn u16(&mut self) -> Result<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
@@ -175,14 +173,14 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    pub fn addr(&mut self) -> Result<PhysAddr> {
+    pub(crate) fn addr(&mut self) -> Result<PhysAddr> {
         Ok(PhysAddr::from_raw(self.u64()?))
     }
 
@@ -193,7 +191,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Error unless the reader consumed the whole slice.
-    pub fn expect_end(&self, what: &str) -> Result<()> {
+    pub(crate) fn expect_end(&self, what: &str) -> Result<()> {
         if self.remaining() != 0 {
             return Err(self.corrupt(format!("{} trailing bytes after {what}", self.remaining())));
         }
@@ -262,7 +260,6 @@ const TAG_REORG_END: u8 = 10;
 const TAG_MIGRATE: u8 = 11;
 const TAG_CHECKPOINT: u8 = 12;
 const TAG_CREATE_PARTITION: u8 = 13;
-const TAG_REORG_CHECKPOINT: u8 = 14;
 
 /// Append a record's body (no framing) to `out`: `lsn | tid | tag |
 /// fields`. The LSN comes first so the log can patch it in after encoding.
@@ -353,11 +350,6 @@ pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: 
             put_u8(out, TAG_CREATE_PARTITION);
             put_u16(out, id.0);
         }
-        LogPayload::ReorgCheckpoint { partition, blob } => {
-            put_u8(out, TAG_REORG_CHECKPOINT);
-            put_u16(out, partition.0);
-            put_bytes(out, blob);
-        }
     }
 }
 
@@ -438,10 +430,6 @@ pub fn decode_record_body(buf: &[u8], base: u64) -> Result<LogRecord> {
         TAG_CHECKPOINT => LogPayload::Checkpoint { id: r.u64()? },
         TAG_CREATE_PARTITION => LogPayload::CreatePartition {
             id: PartitionId(r.u16()?),
-        },
-        TAG_REORG_CHECKPOINT => LogPayload::ReorgCheckpoint {
-            partition: PartitionId(r.u16()?),
-            blob: r.bytes()?,
         },
         t => return Err(r.corrupt(format!("unknown log record tag {t}"))),
     };

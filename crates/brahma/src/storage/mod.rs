@@ -23,8 +23,8 @@
 //! [`open`] is the one restart path: read the checkpoint, scan the segments
 //! from the checkpoint LSN, truncate the torn tail (the first record whose
 //! length prefix or CRC fails), run ARIES-style `recovery::recover`
-//! over the surviving records, and hand back interrupted reorganizations
-//! with their latest logged progress checkpoints for resumption.
+//! over the surviving records, and hand back the partitions whose pass the
+//! crash interrupted, for the reorganizer to restart from its floor.
 //!
 //! ## Crash model
 //!
@@ -48,10 +48,9 @@ use crate::fault::{site, FaultInjector, FaultPlan};
 use crate::lockdep::{LockClass, Mutex};
 use crate::recovery::{recover, Checkpoint, CrashImage};
 use crate::txn::TxnId;
-use crate::wal::{LogPayload, LogRecord, Lsn};
+use crate::wal::{LogRecord, Lsn};
 use codec::{Framed, Reader};
 use obs::Counter;
-use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -60,7 +59,7 @@ use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
 const SEG_MAGIC: &[u8; 8] = b"BRHMWAL2";
-const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP4";
+const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP5";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;
 
@@ -230,23 +229,15 @@ impl FileBackend {
         self.stats.fsyncs.inc();
     }
 
-    /// Durably replace the checkpoint (shadow write + atomic rename).
-    /// `carry_log` holds the pre-checkpoint log records still needed once
-    /// segments older than the checkpoint are deleted: the window from the
-    /// earliest active reorganization's `ReorgStart`, kept for TRT
-    /// reconstruction and the reorganizer's `ReorgCheckpoint` records
-    /// (Section 4.4). Empty when no reorganization is in flight.
-    pub(crate) fn write_checkpoint(
-        &self,
-        checkpoint: &Checkpoint,
-        carry_log: &[LogRecord],
-    ) -> Result<()> {
+    /// Durably replace the checkpoint (shadow write + atomic rename +
+    /// directory fsync), then delete the segments it supersedes.
+    pub(crate) fn write_checkpoint(&self, checkpoint: &Checkpoint) -> Result<()> {
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
             // Process-kill fiction: a dead backend's writes land nowhere.
             return Ok(());
         }
-        let bytes = encode_checkpoint_file(checkpoint, carry_log);
+        let bytes = encode_checkpoint_file(checkpoint);
         let tmp = self.dir.join("checkpoint.img.tmp");
         let live = self.dir.join("checkpoint.img");
         let write = || -> std::io::Result<()> {
@@ -272,11 +263,18 @@ impl FileBackend {
             self.die();
             return Err(eio("rename checkpoint", &e));
         }
-        if let Ok(d) = File::open(&self.dir) {
-            if d.sync_all().is_ok() {
-                self.stats.fsyncs.inc();
-            }
+        // Until the directory is synced, a power loss can undo the rename
+        // and bring back the old checkpoint, which replays from segments
+        // the new one supersedes: none is deleted before the sync.
+        if self.site_kills(site::FILE_FSYNC) {
+            self.die();
+            return Ok(());
         }
+        if let Err(e) = File::open(&self.dir).and_then(|d| d.sync_all()) {
+            self.die();
+            return Err(eio("fsync data dir", &e));
+        }
+        self.stats.fsyncs.inc();
         self.delete_segments(checkpoint.lsn);
         Ok(())
     }
@@ -291,10 +289,8 @@ impl FileBackend {
     /// segment's coverage ends where the next segment begins, so `seg[i]`
     /// is superseded iff `seg[i+1].start_lsn <= ckpt_lsn`; the last
     /// (active) segment never is. Deletion stops at the first segment that
-    /// fails to go, so the survivors stay a gap-free suffix of the log: a
-    /// surviving `ReorgCheckpoint` keeps every later `ReorgEnd` with it,
-    /// and [`latest_reorg_checkpoints`] never sees a finished pass's blob
-    /// as unfinished. Holding `inner` serializes this against rotation.
+    /// fails to go, so the survivors stay a gap-free suffix of the log.
+    /// Holding `inner` serializes this against rotation.
     fn delete_segments(&self, ckpt_lsn: Lsn) {
         let _inner = self.inner.lock();
         let segs = match list_segments(&self.dir.join("wal")) {
@@ -318,14 +314,9 @@ pub struct OpenOutcome {
     pub recovered: bool,
     /// Transactions rolled back as losers.
     pub losers: Vec<TxnId>,
-    /// Partitions whose reorganization the crash interrupted.
+    /// Partitions whose pass the crash interrupted: still open, at its
+    /// floor, for `ira::Reorg` to restart.
     pub interrupted_reorgs: Vec<PartitionId>,
-    /// Per interrupted partition, the latest `ReorgCheckpoint` blob in
-    /// `pre_crash_log` logged after the partition's last `ReorgEnd`.
-    pub reorg_checkpoints: Vec<(PartitionId, Vec<u8>)>,
-    /// The surviving pre-crash log in LSN order (checkpoint carry window +
-    /// scanned segments), as needed by TRT reconstruction and resumption.
-    pub pre_crash_log: Vec<LogRecord>,
     /// Torn segment tails truncated during the scan.
     pub torn_tail_truncations: u64,
 }
@@ -333,7 +324,7 @@ pub struct OpenOutcome {
 /// Open (or initialize) a durable store at `config.data_dir`. See the
 /// module docs; the one-liner is
 /// `let out = brahma::storage::open(config)?;` — `out.db` is ready, and
-/// `out.interrupted_reorgs` lists reorganizations to resume.
+/// `out.interrupted_reorgs` lists reorganizations to restart.
 pub fn open(config: StoreConfig) -> Result<OpenOutcome> {
     open_with_faults(config, None)
 }
@@ -353,24 +344,13 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
 
     // ---- Restart: checkpoint + segment scan -> CrashImage -> recover ----
     let file = fs::read(&ckpt_path).map_err(|e| eio("read checkpoint", &e))?;
-    let decoded = decode_checkpoint(&file)?;
-    let (scanned, torn_truncations) = scan_segments(&dir.join("wal"))?;
-    let mut by_lsn: BTreeMap<Lsn, LogRecord> =
-        decoded.carry_log.into_iter().map(|r| (r.lsn, r)).collect();
-    for rec in scanned {
-        by_lsn.insert(rec.lsn, rec);
-    }
-    let pre_crash_log: Vec<LogRecord> = by_lsn.into_values().collect();
-    let ckpt_lsn = decoded.checkpoint.lsn;
-    let replay: Vec<LogRecord> = pre_crash_log
-        .iter()
-        .filter(|r| r.lsn >= ckpt_lsn)
-        .cloned()
-        .collect();
-    let ckpt_id = decoded.checkpoint.id;
+    let checkpoint = decode_checkpoint(&file)?;
+    let (mut scanned, torn_truncations) = scan_segments(&dir.join("wal"))?;
+    scanned.retain(|r| r.lsn >= checkpoint.lsn);
+    let ckpt_id = checkpoint.id;
     let image = CrashImage {
-        checkpoint: decoded.checkpoint,
-        log: replay,
+        checkpoint,
+        log: scanned,
     };
     let outcome = recover(image, config.clone())?;
     let db = outcome.db;
@@ -388,21 +368,15 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
 
     // ---- Recovery checkpoint: bound the next restart's replay ----
     // Written before returning so a crash *after* open never re-runs undo
-    // over the old log. Interrupted reorganizations are not yet re-opened
-    // (resumption is the utility's job), so carry them explicitly; their
-    // carried window holds their `ReorgCheckpoint` records too.
-    let mut ckpt = db.checkpoint(ckpt_id + 1);
-    ckpt.active_reorgs = outcome.interrupted_reorgs.clone();
-    let carry = carry_window(&pre_crash_log, &ckpt.active_reorgs);
-    backend.write_checkpoint(&ckpt, &carry)?;
+    // over the old log. An interrupted pass is open in its partition's
+    // snapshot, floor and all.
+    backend.write_checkpoint(&db.checkpoint(ckpt_id + 1))?;
 
     Ok(OpenOutcome {
         db,
         recovered: true,
         losers: outcome.losers,
-        reorg_checkpoints: latest_reorg_checkpoints(&pre_crash_log, &outcome.interrupted_reorgs),
         interrupted_reorgs: outcome.interrupted_reorgs,
-        pre_crash_log,
         torn_tail_truncations: torn_truncations,
     })
 }
@@ -427,8 +401,6 @@ fn init_fresh(dir: &Path, config: StoreConfig, plan: Option<FaultPlan>) -> Resul
         recovered: false,
         losers: Vec::new(),
         interrupted_reorgs: Vec::new(),
-        reorg_checkpoints: Vec::new(),
-        pre_crash_log: Vec::new(),
         torn_tail_truncations: 0,
     })
 }
@@ -440,69 +412,10 @@ impl Database {
     pub fn checkpoint_durable(&self, id: u64) -> Result<Checkpoint> {
         let ckpt = self.checkpoint(id);
         if let Some(backend) = self.backend() {
-            // With no reorganization running there is no window to carry,
-            // and no reason to decode the retained log looking for one.
-            let quiet = ckpt.active_reorgs.is_empty();
-            let retained = if quiet {
-                Vec::new()
-            } else {
-                self.wal.records_from(0)
-            };
-            let carry = carry_window(&retained, &ckpt.active_reorgs);
-            backend.write_checkpoint(&ckpt, &carry)?;
+            backend.write_checkpoint(&ckpt)?;
         }
         Ok(ckpt)
     }
-}
-
-/// The log window a checkpoint must carry across segment deletion: all
-/// records from the earliest `ReorgStart` of a still-active reorganization
-/// (TRT reconstruction replays from there, Section 4.4). Empty when no
-/// reorganization is active; everything (conservative) if the start marker
-/// is no longer in the retained log.
-fn carry_window(records: &[LogRecord], active: &[PartitionId]) -> Vec<LogRecord> {
-    if active.is_empty() {
-        return Vec::new();
-    }
-    let start = records
-        .iter()
-        .filter(|r| match &r.payload {
-            LogPayload::ReorgStart { partition, .. } => active.contains(partition),
-            _ => false,
-        })
-        .map(|r| r.lsn)
-        .min();
-    match start {
-        Some(lsn) => records.iter().filter(|r| r.lsn >= lsn).cloned().collect(),
-        None => records.to_vec(),
-    }
-}
-
-/// The reorganizer checkpoint to resume each interrupted partition from:
-/// the latest `ReorgCheckpoint` in `log` (ascending LSN) logged after the
-/// partition's last `ReorgEnd`. Keying on `ReorgEnd` never hands a finished
-/// pass's blob to the next pass, and keeps the blob of a pass that was
-/// resumed (a second `ReorgStart`) and crashed again before its next save.
-fn latest_reorg_checkpoints(
-    log: &[LogRecord],
-    interrupted: &[PartitionId],
-) -> Vec<(PartitionId, Vec<u8>)> {
-    interrupted
-        .iter()
-        .filter_map(|&p| {
-            log.iter()
-                .rev()
-                .take_while(|r| {
-                    !matches!(r.payload, LogPayload::ReorgEnd { partition, .. } if partition == p)
-                })
-                .find_map(|r| match &r.payload {
-                    LogPayload::ReorgCheckpoint { partition, blob } if *partition == p => {
-                        Some((p, blob.clone()))
-                    }
-                    _ => None,
-                })
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -615,14 +528,8 @@ fn scan_segments(wal_dir: &Path) -> Result<(Vec<LogRecord>, u64)> {
 // Checkpoint files
 // ---------------------------------------------------------------------------
 
-/// An owned, decoded checkpoint file.
-pub struct DecodedCheckpoint {
-    pub checkpoint: Checkpoint,
-    pub carry_log: Vec<LogRecord>,
-}
-
 /// Encode the whole checkpoint file: `magic | crc32(body) | body`.
-fn encode_checkpoint_file(checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> Vec<u8> {
+fn encode_checkpoint_file(checkpoint: &Checkpoint) -> Vec<u8> {
     use codec::*;
     let mut body = Vec::new();
     put_u64(&mut body, checkpoint.id);
@@ -631,17 +538,9 @@ fn encode_checkpoint_file(checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> V
     for root in &checkpoint.roots {
         put_addr(&mut body, *root);
     }
-    put_u16(&mut body, checkpoint.active_reorgs.len() as u16);
-    for p in &checkpoint.active_reorgs {
-        put_u16(&mut body, p.0);
-    }
     put_u16(&mut body, checkpoint.partitions.len() as u16);
     for snap in &checkpoint.partitions {
         snap.encode(&mut body);
-    }
-    put_u32(&mut body, carry_log.len() as u32);
-    for rec in carry_log {
-        put_bytes(&mut body, &encode_record_body(rec));
     }
     let mut out = Vec::with_capacity(12 + body.len());
     out.extend_from_slice(CKPT_MAGIC);
@@ -655,7 +554,7 @@ fn encode_checkpoint_file(checkpoint: &Checkpoint, carry_log: &[LogRecord]) -> V
 /// protocol should make impossible to observe under `checkpoint.img`)
 /// fails loudly rather than installing garbage state — and no count
 /// reserves more than the remaining bytes could hold.
-pub fn decode_checkpoint(buf: &[u8]) -> Result<DecodedCheckpoint> {
+pub fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint> {
     let mut r = Reader::new(buf, 0);
     let magic = r.take(8)?;
     if magic != CKPT_MAGIC {
@@ -680,33 +579,17 @@ pub fn decode_checkpoint(buf: &[u8]) -> Result<DecodedCheckpoint> {
     for _ in 0..nroots {
         roots.push(r.addr()?);
     }
-    let nactive = r.u16()? as usize;
-    let mut active_reorgs = Vec::with_capacity(r.fits(nactive, 2)?);
-    for _ in 0..nactive {
-        active_reorgs.push(PartitionId(r.u16()?));
-    }
     let nparts = r.u16()? as usize;
     let mut partitions = Vec::with_capacity(r.fits(nparts, 16)?);
     for _ in 0..nparts {
         partitions.push(crate::partition::PartitionSnapshot::decode(&mut r)?);
     }
-    let nrecs = r.u32()? as usize;
-    let mut carry_log = Vec::with_capacity(r.fits(nrecs, 4)?);
-    for _ in 0..nrecs {
-        let at = r.offset() + 4;
-        let body = r.bytes()?;
-        carry_log.push(codec::decode_record_body(&body, at)?);
-    }
     r.expect_end("checkpoint file")?;
-    Ok(DecodedCheckpoint {
-        checkpoint: Checkpoint {
-            id,
-            lsn,
-            partitions,
-            roots,
-            active_reorgs,
-        },
-        carry_log,
+    Ok(Checkpoint {
+        id,
+        lsn,
+        partitions,
+        roots,
     })
 }
 
@@ -719,6 +602,7 @@ fn eio(what: &str, e: &std::io::Error) -> Error {
 pub(crate) mod tests {
     use super::*;
     use crate::handle::NewObject;
+    use crate::wal::LogPayload;
 
     /// An empty scratch directory for one test's store.
     pub(crate) fn tmpdir(tag: &str) -> PathBuf {
@@ -853,54 +737,70 @@ pub(crate) mod tests {
     }
 
     /// A superseded segment that fails to delete stops the deletion there,
-    /// so the segment holding a finished pass's `ReorgCheckpoint` never
-    /// outlives the later segment holding its `ReorgEnd`.
+    /// so the segments left are a gap-free suffix of the log.
     #[test]
     fn a_segment_that_fails_to_delete_keeps_every_later_one() {
         let dir = tmpdir("undeletable");
         let db = open(file_config(&dir)).unwrap().db;
-        let (p, busy) = (db.create_partition(), db.create_partition());
-        db.start_reorg(p).unwrap();
-        db.save_reorg_checkpoint(p, vec![0xAA]);
-        churn(&db, busy);
-        db.end_reorg(p);
-        churn(&db, busy);
-
+        let p = db.create_partition();
+        churn(&db, p);
         let segs = list_segments(&dir.join("wal")).unwrap();
-        let holding = |want: fn(&LogPayload) -> bool| {
-            segs.iter()
-                .position(|(path, _)| {
-                    let (records, _) = scan_segment_file(path, false).unwrap();
-                    records.iter().any(|r| want(&r.payload))
-                })
-                .unwrap()
-        };
-        let saved = holding(|r| matches!(r, LogPayload::ReorgCheckpoint { .. }));
-        let ended = holding(|r| matches!(r, LogPayload::ReorgEnd { .. }));
-        assert!(saved < ended, "the save and the end share a segment");
+        assert!(segs.len() >= 3, "expected rotations, got {segs:?}");
 
-        // A directory in the saved segment's place makes its unlink fail.
-        let (ref stuck, _) = segs[saved];
+        // A directory in the second segment's place makes its unlink fail.
+        let (ref stuck, _) = segs[1];
         let bytes = fs::read(stuck).unwrap();
         fs::remove_file(stuck).unwrap();
         fs::create_dir(stuck).unwrap();
         db.checkpoint_durable(7).unwrap();
         let live = list_segments(&dir.join("wal")).unwrap();
-        assert_eq!(live, segs[saved..], "deletion stops at the stuck segment");
+        assert!(
+            live.starts_with(&segs[1..]),
+            "deletion stops at the stuck segment"
+        );
 
-        // Put the segment back as the file that failed to go, then crash
-        // with a second pass open that has saved nothing yet.
+        // Put the segment back as the file that failed to go: the store
+        // reopens with every committed object.
         fs::remove_dir(stuck).unwrap();
         fs::write(stuck, bytes).unwrap();
-        db.start_reorg(p).unwrap();
         drop(db);
         let out = open(file_config(&dir)).unwrap();
-        assert_eq!(out.interrupted_reorgs, vec![p]);
-        assert_eq!(
-            out.reorg_checkpoints,
-            vec![],
-            "the finished pass's blob stays finished"
-        );
+        assert_eq!(out.db.partition(p).unwrap().object_count(), 200);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill at the directory fsync after the rename deletes no segment.
+    /// Should the rename be lost with the kill, the old checkpoint comes
+    /// back and replays every committed transaction from them.
+    #[test]
+    fn a_kill_at_the_directory_fsync_keeps_every_segment() {
+        use crate::fault::{FaultAction, FaultRule};
+        let dir = tmpdir("dir-fsync");
+        let db = open(file_config(&dir)).unwrap().db;
+        let p = db.create_partition();
+        churn(&db, p);
+        let segs = list_segments(&dir.join("wal")).unwrap();
+        assert!(segs.len() >= 3, "expected rotations, got {segs:?}");
+        let old_image = fs::read(dir.join("checkpoint.img")).unwrap();
+
+        // Armed after the commits' forces: the next fsync site is the
+        // checkpoint's directory sync.
+        let kill = FaultRule::nth(site::FILE_FSYNC, 1, FaultAction::Crash);
+        db.fault.arm(FaultPlan::new(0).with(kill));
+        db.checkpoint_durable(7).unwrap();
+        assert_eq!(db.fault.fired(site::FILE_FSYNC), 1);
+        assert!(db.backend().is_some_and(|b| !b.healthy()));
+        let live = list_segments(&dir.join("wal")).unwrap();
+        assert!(live.starts_with(&segs), "every superseded segment stays");
+        drop(db);
+
+        // The power loss undid the rename.
+        fs::write(dir.join("checkpoint.img"), old_image).unwrap();
+        let out = open(file_config(&dir)).unwrap();
+        let part = out.db.partition(p).unwrap();
+        assert_eq!(part.object_count(), 200);
+        let last = part.live_objects().into_iter().max().unwrap();
+        assert_eq!(out.db.raw_read(last).unwrap().payload, 199u32.to_le_bytes());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The table is transient: it exists only while a reorganization runs, and
 //! Section 4.5's space optimizations purge tuples aggressively under strict
-//! 2PL. It can be reconstructed from the WAL ([`crate::wal::analyzer`])
-//! after a failure.
+//! 2PL. A crash loses it with the pass; the restarted pass starts a new
+//! one at its own `ReorgStart`.
 
 use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::lockdep::{LockClass, Mutex};
@@ -207,8 +207,7 @@ impl Trt {
         self.inner.lock().values().map(Vec::len).sum()
     }
 
-    /// All tuples, sorted (testing: compared against the reconstruction
-    /// from the log).
+    /// All tuples, sorted.
     pub fn dump(&self) -> Vec<TrtTuple> {
         let t = self.inner.lock();
         let mut out: Vec<TrtTuple> = t

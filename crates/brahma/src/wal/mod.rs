@@ -18,10 +18,7 @@
 //!
 //! Undo of an aborting transaction logs compensation records through the
 //! same record types ([`LogPayload::inverse`]), so a *linear* scan of the log
-//! reproduces every state transition — which is what lets [`analyzer`]
-//! rebuild a TRT at restart (Section 4.4) without special cases.
-
-pub mod analyzer;
+//! reproduces every state transition without special cases.
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::lockdep::{self, Condvar, LockClass, Mutex, MutexGuard};
@@ -82,9 +79,9 @@ pub enum LogPayload {
         old_child: PhysAddr,
         new_child: PhysAddr,
     },
-    /// A reorganization of `partition` started; its TRT window (and the
-    /// restart rebuild of it) begins at this record. Until the pass ends
-    /// the partition allocates only on pages numbered `floor` and up.
+    /// A reorganization of `partition` started, or restarted at the floor
+    /// of its interrupted pass. Until the pass ends the partition allocates
+    /// only on pages numbered `floor` and up.
     ReorgStart { partition: PartitionId, floor: u32 },
     /// The reorganization of `partition` finished, dropping its pages
     /// below `base`.
@@ -97,14 +94,6 @@ pub enum LogPayload {
     /// re-create partitions added after the last checkpoint (the copying
     /// collector evacuates into fresh partitions mid-run).
     CreatePartition { id: PartitionId },
-    /// A reorganization utility saved its serialized progress checkpoint
-    /// for `partition`; the log is its only carrier. Restart hands back the
-    /// latest one logged since the partition's last `ReorgEnd`, so a
-    /// mid-reorg process kill resumes from the on-disk checkpoint + log.
-    ReorgCheckpoint {
-        partition: PartitionId,
-        blob: Vec<u8>,
-    },
 }
 
 impl LogPayload {
@@ -126,7 +115,6 @@ impl LogPayload {
                 8 + (image.refs.len() * 8 + image.payload.len()) as u64
             }
             LogPayload::SetPayload { old, new, .. } => 8 + (old.len() + new.len()) as u64,
-            LogPayload::ReorgCheckpoint { blob, .. } => 8 + blob.len() as u64,
             LogPayload::InsertRef { .. } | LogPayload::DeleteRef { .. } => 24,
             LogPayload::SetRef { .. } => 32,
             LogPayload::Migrate { .. } => 16,
@@ -328,9 +316,6 @@ pub struct Wal {
     /// `None` for the default in-memory simulator.
     sink: std::sync::OnceLock<std::sync::Arc<FileBackend>>,
     flush_latency: Duration,
-    /// Effective minimum over `pins` (u64::MAX when none), kept as an
-    /// atomic so the append path never takes the pins mutex.
-    pinned_lsn: AtomicU64,
     /// Lowest LSN retained: every LSN from here to `next_lsn` is in a lane.
     /// A lane's truncation raises it past the records it dropped; the frames
     /// other lanes still hold below it are skipped by every reader.
@@ -339,11 +324,6 @@ pub struct Wal {
     /// over [`LANES`].
     lane_share: usize,
     lanes: [Lane; LANES],
-    /// Named truncation pins: records at or above the *minimum* pinned LSN
-    /// may not be discarded. Each active reorganization's TRT window pins
-    /// independently.
-    pins: Mutex<std::collections::HashMap<u64, Lsn>>,
-    next_pin: AtomicU64,
     /// Group-commit election: true while a leader is inside the simulated
     /// device sleep. Followers wait on `flush_cv` instead of sleeping.
     flush_leader: Mutex<bool>,
@@ -354,14 +334,10 @@ pub struct Wal {
 
 const _: () = assert!(std::mem::offset_of!(Wal, base) + 8 <= 64);
 
-/// Handle to a truncation pin; see [`Wal::pin_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PinId(u64);
-
 impl Wal {
     /// Create a log. With `retain == false` the log self-truncates: a lane
-    /// holding more than its share of 65,536 records drops those below the
-    /// earliest pin (long benchmark runs).
+    /// holding more than its share of 65,536 records drops them all (long
+    /// benchmark runs).
     pub fn new(retain: bool, flush_latency: Duration) -> Self {
         Self::with_watermark(retain, flush_latency, 1 << 16)
     }
@@ -374,7 +350,6 @@ impl Wal {
             flushed_lsn: AtomicU64::new(0),
             sink: std::sync::OnceLock::new(),
             flush_latency,
-            pinned_lsn: AtomicU64::new(u64::MAX),
             base: AtomicU64::new(0),
             lane_share,
             // The lane index is the lockdep order key: a cut takes the lanes
@@ -387,8 +362,6 @@ impl Wal {
                 };
                 Lane(Mutex::new(LockClass::WalInner, i as u64, inner))
             }),
-            pins: Mutex::new(LockClass::WalPins, 0, std::collections::HashMap::new()),
-            next_pin: AtomicU64::new(1),
             flush_leader: Mutex::new(LockClass::WalFlushLeader, 0, false),
             flush_cv: Condvar::new(),
             stats: WalStats::default(),
@@ -412,9 +385,8 @@ impl Wal {
 
     /// Advance the LSN space of an *empty* log so it continues where a
     /// pre-crash log left off. Restart recovery calls this before appending
-    /// anything, keeping LSNs globally unique across process lifetimes —
-    /// which is what lets logs from different incarnations be merged by LSN
-    /// during TRT reconstruction.
+    /// anything, keeping LSNs globally unique across process lifetimes, so
+    /// a segment a later incarnation writes sorts after every earlier one.
     pub(crate) fn advance_to(&self, lsn: Lsn) {
         let _cut = self.cut();
         // ordering: Relaxed; `base` is written under a lane mutex, held here
@@ -458,13 +430,11 @@ impl Wal {
     /// The critical section of an append: reserve the encoded `body`'s LSN,
     /// mirror and retain it, truncate past the lane's share.
     fn append_body(&self, lane: usize, body: &mut [u8]) -> Lsn {
-        // Schedule hook: appends order the log against TRT notes and the
-        // fuzzy checkpoint's next_lsn read; gate *before* taking the lane.
+        // Schedule hook: appends order the log against TRT notes; gate
+        // *before* taking the lane.
         crate::sched::point("wal.append.rec");
         let mut inner = self.lanes[lane].0.lock();
-        // A truncation reserving after a pin holder's append sees its pin:
-        // the reservations form one release sequence.
-        // ordering: AcqRel, for that release sequence
+        // ordering: AcqRel keeps every reservation in the release sequence next_lsn()'s Acquire reads
         let lsn = self.next_lsn.fetch_add(1, Ordering::AcqRel);
         body[..8].copy_from_slice(&lsn.to_le_bytes());
         if let Some(sink) = self.sink.get() {
@@ -478,24 +448,17 @@ impl Wal {
         lsn
     }
 
-    /// Drop the lane's records below the earliest pin (all of them, `lsn`
-    /// included, when nothing is pinned) and raise `base` past them: one
-    /// move of the surviving bytes, nothing freed per record. The next
-    /// check waits for another share of appends, so a lane a pin holds
-    /// back does no per-append work.
+    /// Drop every record of the lane, `lsn` (its latest) included, and
+    /// raise `base` past them: nothing freed per record. The next check
+    /// waits for another share of appends.
     #[cold]
     fn truncate(&self, inner: &mut WalInner, lsn: Lsn) {
-        // ordering: pairs with the Release store in recompute_pin; truncation sees pins
-        let cut = self.pinned_lsn.load(Ordering::Acquire).min(lsn + 1);
-        let (dropped, bytes) = inner.prefix_below(cut);
-        if dropped > 0 {
-            inner.frames.drain(..bytes);
-            inner.count -= dropped;
-            self.stats.truncated.add(dropped as u64);
-            // ordering: Relaxed; read only under a cut, which holds this lane
-            self.base.fetch_max(cut, Ordering::Relaxed);
-        }
-        inner.check_at = self.lane_share + inner.count.max(1);
+        inner.frames.clear();
+        self.stats.truncated.add(inner.count as u64);
+        inner.count = 0;
+        // ordering: Relaxed; read only under a cut, which holds this lane
+        self.base.fetch_max(lsn + 1, Ordering::Relaxed);
+        inner.check_at = self.lane_share + 1;
     }
 
     /// Force the log up to `lsn`, simulating the device latency.
@@ -609,31 +572,6 @@ impl Wal {
         records
     }
 
-    /// Create a named pin at `lsn`: records at or above the minimum of all
-    /// pins will not be truncated. Used by each active reorganization
-    /// (which may need to rebuild its TRT from the log after a failure).
-    pub(crate) fn pin_at(&self, lsn: Lsn) -> PinId {
-        // ordering: pin-id allocator; uniqueness only, the pins lock orders the table
-        let id = PinId(self.next_pin.fetch_add(1, Ordering::Relaxed));
-        let mut pins = self.pins.lock();
-        pins.insert(id.0, lsn);
-        self.recompute_pin(&pins);
-        id
-    }
-
-    /// Remove a pin.
-    pub(crate) fn unpin(&self, id: PinId) {
-        let mut pins = self.pins.lock();
-        pins.remove(&id.0);
-        self.recompute_pin(&pins);
-    }
-
-    fn recompute_pin(&self, pins: &std::collections::HashMap<u64, Lsn>) {
-        let min = pins.values().copied().min().unwrap_or(u64::MAX);
-        // ordering: pairs with the Acquire load in append's truncation check
-        self.pinned_lsn.store(min, Ordering::Release);
-    }
-
     /// Records retained and the bytes of their frames (frames a lane holds
     /// below `base` are not counted).
     pub(crate) fn retained(&self) -> (usize, usize) {
@@ -719,11 +657,6 @@ mod tests {
         assert_eq!(wal.stats.group_commits.get(), 0);
     }
 
-    /// A self-truncating log with a watermark small enough to cross.
-    fn truncating_wal() -> Wal {
-        Wal::with_watermark(false, Duration::ZERO, 10)
-    }
-
     /// One payload of every variant, of different encoded lengths.
     fn every_variant() -> Vec<LogPayload> {
         let a = |off| PhysAddr::new(PartitionId(1), 2, off);
@@ -776,10 +709,6 @@ mod tests {
             rec(),
             LogPayload::Checkpoint { id: 9 },
             LogPayload::CreatePartition { id: partition },
-            LogPayload::ReorgCheckpoint {
-                partition,
-                blob: vec![1, 2, 3],
-            },
         ]
     }
 
@@ -808,39 +737,28 @@ mod tests {
         assert_eq!(wal.retained().0, logged.len());
     }
 
+    /// A lane past its share drops every record it holds, the latest
+    /// included, and the base moves past them.
     #[test]
-    fn truncation_respects_pin() {
-        let wal = truncating_wal();
-        let per_round = every_variant().len() as Lsn;
-        let early = wal.pin_at(5);
-        let late = wal.pin_at(per_round + 2);
+    fn truncation_drops_the_lane_and_raises_the_base() {
+        let wal = Wal::with_watermark(false, Duration::ZERO, 3 * LANES);
         let mut logged = Vec::new();
-        append_every_variant(&wal, &mut logged);
-        assert_eq!(base_lsn(&wal), 5, "truncation stops at the earliest pin");
-        assert_eq!(
-            wal.records_from(0),
-            logged[5..],
-            "the cut falls on a frame boundary"
-        );
-        assert_eq!(wal.records_from(9), logged[9..]);
-        wal.unpin(early);
-        append_every_variant(&wal, &mut logged);
-        assert_eq!(base_lsn(&wal), per_round + 2, "the later pin takes over");
-        assert_eq!(wal.records_from(0), logged[per_round as usize + 2..]);
-        assert_eq!(
-            wal.stats.truncated.get(),
-            per_round + 2,
-            "counted in records"
-        );
-        // Nothing pinned: the next append drops everything, itself included.
-        wal.unpin(late);
-        let lsn = wal.append(TxnId(1), rec());
+        for _ in 0..3 {
+            let lsn = wal.append_in(0, TxnId(1), &rec());
+            logged.push(LogRecord {
+                lsn,
+                tid: TxnId(1),
+                payload: rec(),
+            });
+        }
+        assert_eq!(wal.records_from(0), logged, "under the share nothing goes");
+        let lsn = wal.append_in(0, TxnId(1), &rec());
         assert_eq!(wal.retained(), (0, 0));
         assert_eq!(base_lsn(&wal), lsn + 1);
-        assert_eq!(wal.stats.truncated.get(), lsn + 1);
+        assert_eq!(wal.stats.truncated.get(), lsn + 1, "counted in records");
         assert!(wal.records_from(0).is_empty());
         // And the log carries on from there.
-        let lsn = wal.append(TxnId(1), rec());
+        let lsn = wal.append_in(0, TxnId(1), &rec());
         let tail = wal.records_from(0);
         assert_eq!(tail.len(), 1);
         assert_eq!((tail[0].lsn, &tail[0].payload), (lsn, &rec()));
@@ -935,10 +853,10 @@ mod tests {
     }
 
     /// Two lanes under a watermark of two records each: whichever lane
-    /// truncates, no record at or above the earliest pin goes, and
-    /// `retained` counts exactly the LSNs from the base up.
+    /// truncates, `retained` counts exactly the LSNs from the base up, and
+    /// what is left is gap-free from there.
     #[test]
-    fn lane_local_truncation_keeps_the_earliest_pin() {
+    fn lane_local_truncation_keeps_the_log_gap_free() {
         let wal = Wal::with_watermark(false, Duration::ZERO, 2 * LANES);
         let agree = |wal: &Wal| {
             let logged = wal.records_from(0);
@@ -964,15 +882,9 @@ mod tests {
         assert_eq!(agree(&wal), 0);
         wal.append_in(1, TxnId(1), &rec());
         wal.append_in(1, TxnId(1), &rec());
-        assert_eq!(
-            agree(&wal),
-            5,
-            "nothing pinned: lane 1 dropped all, itself included"
-        );
-        // Concurrent, under a pin: two lanes truncate past their share over
-        // and over and never below the pin.
-        let pinned = wal.next_lsn() + 7;
-        let pin = wal.pin_at(pinned);
+        assert_eq!(agree(&wal), 5, "lane 1 dropped all, itself included");
+        // Concurrent: two lanes truncate past their share over and over,
+        // and the base only moves up.
         std::thread::scope(|s| {
             for lane in 0..2 {
                 let wal = &wal;
@@ -983,20 +895,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(agree(&wal), pinned);
-        wal.unpin(pin);
-        let lsn = loop {
-            let truncated = wal.stats.truncated.get();
-            let lsn = wal.append_in(0, TxnId(0), &rec());
-            if wal.stats.truncated.get() > truncated {
-                break lsn;
-            }
-        };
-        assert_eq!(
-            agree(&wal),
-            lsn + 1,
-            "unpinned, the next check drops everything"
-        );
+        assert!(agree(&wal) >= 5);
+        assert!(wal.stats.truncated.get() >= 500, "both lanes truncated");
     }
 
     #[test]

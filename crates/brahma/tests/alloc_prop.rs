@@ -115,13 +115,22 @@ proptest! {
                     prop_assert_eq!(floor, part.page_base() + part.page_count());
                     pass = Some((floor, live.keys().copied().collect()));
                 }
+                Op::BeginPass => {
+                    // A pass already open keeps its floor, as a restart does.
+                    let open = pass.as_ref().map(|(floor, _)| *floor);
+                    prop_assert_eq!(Some(part.begin_pass()), open);
+                }
                 Op::EndPass => {
                     if let Some((floor, unmoved)) = pass.take() {
                         let base = part.end_pass();
                         prop_assert_eq!(base, part.page_base());
                         prop_assert!(live.keys().all(|a| a.page() >= base));
                         if unmoved.is_empty() {
-                            prop_assert_eq!(base, floor, "a page below the floor survived a pass that moved everything");
+                            prop_assert_eq!(
+                                base,
+                                floor,
+                                "a pass that moved everything left a page below its floor"
+                            );
                         }
                     }
                 }

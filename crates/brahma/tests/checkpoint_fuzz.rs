@@ -1,9 +1,10 @@
 //! Byte-level fuzz of the `checkpoint.img` decoder (DESIGN.md §14).
 //!
-//! The fixture is a real checkpoint file: three partitions, two active
-//! reorganizations, and a carried log window holding their `ReorgStart`
-//! and `ReorgCheckpoint` records and a `CreatePartition`. Against it:
+//! The fixture is a real checkpoint file: three partitions, two of them
+//! with a reorganization pass open at its floor, and two roots. Against it:
 //!
+//! 0. a file in the earlier format, which also listed the active
+//!    reorganizations and carried a log window, is `Corrupt`;
 //! 1. every strict prefix is `Corrupt`;
 //! 2. every one-byte change is `Corrupt` (the CRC catches it);
 //! 3. every one-byte change to the body, with the CRC recomputed to match,
@@ -12,7 +13,7 @@
 
 use brahma::storage::codec::crc32;
 use brahma::storage::decode_checkpoint;
-use brahma::{Error, PartitionId, PhysAddr, StoreConfig};
+use brahma::{Error, PhysAddr, StoreConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -68,10 +69,8 @@ fn fixture(tag: &str) -> Vec<u8> {
     let db = brahma::storage::open(config).expect("fresh open").db;
     let (p0, p1) = (db.create_partition(), db.create_partition());
     db.start_reorg(p0).expect("reorganize p0");
-    db.save_reorg_checkpoint(p0, vec![1, 2, 3]);
     db.start_reorg(p1).expect("reorganize p1");
     db.create_partition();
-    db.save_reorg_checkpoint(p1, vec![4, 5]);
     db.add_root(PhysAddr::new(p0, 0, 0));
     db.add_root(PhysAddr::new(p1, 3, 64));
     db.checkpoint_durable(1).expect("durable checkpoint");
@@ -87,16 +86,16 @@ fn is_corrupt(bytes: &[u8]) -> bool {
 
 #[test]
 fn the_fixture_decodes() {
-    let decoded = decode_checkpoint(&fixture("decodes")).expect("fixture decodes");
-    let ckpt = &decoded.checkpoint;
+    let ckpt = decode_checkpoint(&fixture("decodes")).expect("fixture decodes");
     assert_eq!(ckpt.partitions.len(), 3);
-    assert_eq!(ckpt.active_reorgs, vec![PartitionId(0), PartitionId(1)]);
     assert_eq!(ckpt.roots.len(), 2);
-    assert!(
-        decoded.carry_log.len() >= 5,
-        "{} carried records",
-        decoded.carry_log.len()
-    );
+}
+
+#[test]
+fn the_earlier_format_is_corrupt() {
+    let mut bytes = fixture("earlier");
+    bytes[..8].copy_from_slice(b"BRHMCKP4");
+    assert!(is_corrupt(&bytes));
 }
 
 #[test]

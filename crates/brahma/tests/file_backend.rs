@@ -206,7 +206,7 @@ fn checkpoint_alone_is_openable() {
 #[cfg(any(debug_assertions, feature = "lockdep"))]
 #[test]
 fn segment_writer_nests_inside_the_log_mutex_only() {
-    use brahma::lockdep::LockClass::{self, FileBackend, WalFlushLeader, WalInner, WalPins};
+    use brahma::lockdep::LockClass::{self, FileBackend, WalFlushLeader, WalInner};
     let dir = tmpdir("lock-order");
     let db = brahma::storage::open(file_config(&dir)).expect("open").db;
     let p = db.create_partition();
@@ -224,28 +224,32 @@ fn segment_writer_nests_inside_the_log_mutex_only() {
     assert!(edges.contains(&(WalInner, FileBackend)));
     let back: Vec<_> = edges
         .iter()
-        .filter(|e| matches!(e, (FileBackend, WalInner | WalPins | WalFlushLeader)))
+        .filter(|e| matches!(e, (FileBackend, WalInner | WalFlushLeader)))
         .collect();
     assert!(back.is_empty(), "FileBackend held while taking {back:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A pass that ended takes its reorganizer checkpoint with it: the next
-/// pass on the same partition, interrupted before its first save, resumes
-/// from nothing rather than from the finished pass's progress.
+/// A pass that ended stays ended: the next pass on the same partition,
+/// interrupted, comes back open at its own floor, not the first pass's.
 #[test]
-fn a_finished_pass_never_hands_its_blob_to_the_next() {
-    let dir = tmpdir("finished-pass");
-    {
+fn an_interrupted_second_pass_reopens_at_its_own_floor() {
+    let dir = tmpdir("second-pass");
+    let p = {
         let db = brahma::storage::open(file_config(&dir)).expect("open").db;
         let p = db.create_partition();
         db.start_reorg(p).expect("first pass");
-        db.save_reorg_checkpoint(p, vec![0xAA]);
+        assert_eq!(db.partition(p).expect("p").pass_floor(), Some(0));
         db.end_reorg(p);
+        let mut txn = db.begin();
+        txn.create_object(p, NewObject::exact(1, vec![], vec![1]))
+            .expect("create");
+        txn.commit().expect("commit");
         db.start_reorg(p).expect("second pass");
-    } // the crash: the second pass is open
+        p
+    }; // the crash: the second pass is open
     let out = brahma::storage::open(file_config(&dir)).expect("reopen");
-    assert_eq!(out.interrupted_reorgs, vec![brahma::PartitionId(0)]);
-    assert_eq!(out.reorg_checkpoints, vec![]);
+    assert_eq!(out.interrupted_reorgs, vec![p]);
+    assert_eq!(out.db.partition(p).expect("p").pass_floor(), Some(1));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@
 //! A loser transaction open at crash time is rolled back to the same
 //! reference state — and recovery logs for it the very compensation records
 //! a live `Txn::abort` logs; a reorganization window open at crash time is
-//! reported as interrupted, with its durable checkpoint blob handed back.
+//! reported as interrupted, its pass open again at its logged floor.
 //!
 //! The crashed store is file-backed: dropping it is the crash, and
 //! `brahma::storage::open` the restart. Every record it appended reached its
@@ -77,8 +77,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0u8..2, 0u8..24, any::<bool>())
             .prop_map(|(partition, payload_len, wide)| Op::Create { partition, payload_len, wide }),
         3 => (any::<usize>(), any::<u8>()).prop_map(|(obj, byte)| Op::SetPayload { obj, byte }),
-        2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::InsertRef { parent, child }),
-        2 => (any::<usize>(), any::<usize>()).prop_map(|(parent, child)| Op::DeleteRef { parent, child }),
+        2 => (any::<usize>(), any::<usize>())
+            .prop_map(|(parent, child)| Op::InsertRef { parent, child }),
+        2 => (any::<usize>(), any::<usize>())
+            .prop_map(|(parent, child)| Op::DeleteRef { parent, child }),
         3 => (any::<usize>(), any::<usize>(), any::<usize>())
             .prop_map(|(parent, index, child)| Op::SetRef { parent, index, child }),
         1 => any::<usize>().prop_map(|obj| Op::DeleteObject { obj }),
@@ -476,8 +478,7 @@ proptest! {
 }
 
 /// A crash inside an open `ReorgStart..ReorgEnd` window: recovery reports
-/// the partition as interrupted and hands back the durable reorganizer
-/// checkpoint blob registered with the store.
+/// the partition as interrupted, with its pass open at the logged floor.
 #[test]
 fn crash_inside_open_reorg_window_reports_interruption() {
     let (db, config, dir) = durable_two_partitions("window");
@@ -498,12 +499,13 @@ fn crash_inside_open_reorg_window_reports_interruption() {
     setup.commit().unwrap();
 
     db.start_reorg(p0).unwrap();
-    db.save_reorg_checkpoint(p0, vec![0xAA, 0xBB, 0xCC]);
+    let floor = db.partition(p0).unwrap().pass_floor();
+    assert_eq!(floor, Some(1));
     drop(db);
 
     let out = open(config).unwrap();
     assert_eq!(out.interrupted_reorgs, vec![p0]);
-    assert_eq!(out.reorg_checkpoints, vec![(p0, vec![0xAA, 0xBB, 0xCC])]);
+    assert_eq!(out.db.partition(p0).unwrap().pass_floor(), floor);
     drop(out);
     std::fs::remove_dir_all(&dir).unwrap();
 }

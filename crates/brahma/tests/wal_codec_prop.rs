@@ -133,13 +133,6 @@ fn sample_records() -> Vec<LogRecord> {
         ),
         mk(14, LogPayload::Checkpoint { id: 42 }),
         mk(15, LogPayload::CreatePartition { id: PartitionId(9) }),
-        mk(
-            16,
-            LogPayload::ReorgCheckpoint {
-                partition: PartitionId(5),
-                blob: vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01],
-            },
-        ),
     ]
 }
 

@@ -4,7 +4,7 @@
 //! store runs on a real [`brahma::storage::FileBackend`]; IRA reorganizes a
 //! small chain under two walker threads with a `Crash` rule armed at the
 //! coordinate. An in-memory site latches a crash request the reorganizer
-//! surfaces at its next batch boundary, after saving a durable checkpoint;
+//! surfaces at its next batch boundary, leaving its pass open;
 //! a file site (`file.pwrite`, `file.fsync`, `file.torn_write`,
 //! `ckpt.rename`) kills the backend, so later writes land nowhere and a
 //! torn write leaves half a frame. Either way the process then dies: only
@@ -12,19 +12,18 @@
 //! truncate a torn tail, REDO from the checkpoint — with the cell's site
 //! re-armed, so a kill can fire again during recovery's own writes (the
 //! double crash; a third open must then succeed). The interrupted
-//! reorganization resumes from its durable blob, or restarts when the kill
-//! beat the first one, and one more cold open checks recovery is
-//! idempotent. Every completed run must migrate the whole chain and pass
-//! [`ira::verify::assert_reorganization_clean`].
+//! reorganization restarts from its pass's floor, keeping the copies the
+//! crashed run placed above it, and one more cold open checks recovery is
+//! idempotent. Every completed run must place the whole chain, each object
+//! moved once, and pass [`ira::verify::assert_reorganization_clean`].
 
-use crate::assert_trt_reconstruction_covers;
 use brahma::fault::site as bsite;
-use brahma::storage::{open, open_with_faults};
+use brahma::storage::{open, open_with_faults, scan_segment_file};
 use brahma::{
     Database, FaultAction, FaultPlan, FaultRule, LockMode, LogPayload, NewObject, PartitionId,
     PhysAddr, StoreConfig,
 };
-use ira::{IraCheckpoint, IraError, RelocationPlan, Reorg, ReorgOutcome};
+use ira::{IraError, RelocationPlan, Reorg, ReorgOutcome};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -54,9 +53,9 @@ pub struct CellReport {
     pub killed: bool,
     /// Recovery found the reorganization interrupted.
     pub interrupted: bool,
-    /// The interrupted reorganization resumed from a durable blob rather
-    /// than restarting.
-    pub resumed: bool,
+    /// The chain objects the restart found already placed above the floor
+    /// by the crashed run, and did not move again.
+    pub kept: usize,
     /// The re-armed site killed the recovery open, forcing a third open.
     pub double_crashed: bool,
     /// Torn segment tails truncated across the cell's recovery opens.
@@ -284,16 +283,43 @@ fn assert_graph_shape(db: &Database, anchors: &[PhysAddr]) {
     brahma::sweep::assert_database_consistent(db);
 }
 
-/// A reorganization of the cell partition ran to its end: it migrated the
-/// whole chain, and every reorganization invariant holds.
-fn assert_complete(db: &Database, outcome: &ReorgOutcome, cell: &CrashCell) {
+/// A reorganization of the cell partition ran to its end: with the `kept`
+/// copies a crashed run placed before it, it placed the whole chain, each
+/// object moved once, and every reorganization invariant holds.
+fn assert_complete(db: &Database, outcome: &ReorgOutcome, kept: usize, cell: &CrashCell) {
     assert_eq!(
-        outcome.migrated(),
+        outcome.migrated() + kept,
         CHAIN_LEN,
-        "cell {cell:?}: a completed run must migrate the whole chain"
+        "cell {cell:?}: a completed run must place the whole chain, each object once"
     );
     let report = outcome.ira().expect("incremental run reports IRA");
     ira::verify::assert_reorganization_clean(db, report);
+}
+
+/// Live objects of `p` at or above the floor of its open pass: the copies
+/// a crashed run placed before it died.
+fn placed(db: &Database, p: PartitionId) -> usize {
+    let part = db.partition(p).expect("partition survives recovery");
+    let floor = part.pass_floor().expect("an interrupted pass is open");
+    part.live_objects()
+        .into_iter()
+        .filter(|a| a.page() >= floor)
+        .count()
+}
+
+/// Whether a `ReorgEnd` of `p` reached the segment files. Read before the
+/// recovery open, which checkpoints past them.
+fn logged_end(dir: &Path, p: PartitionId) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir.join("wal")) else {
+        return false;
+    };
+    let is_end = |r: &brahma::LogRecord| match r.payload {
+        LogPayload::ReorgEnd { partition, .. } => partition == p,
+        _ => false,
+    };
+    entries.flatten().any(|e| {
+        scan_segment_file(&e.path(), false).is_ok_and(|(records, _)| records.iter().any(is_end))
+    })
 }
 
 /// Run one cell end to end, panicking on any invariant violation. See the
@@ -340,7 +366,6 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     let result = Reorg::on(&db, p1)
         .plan(RelocationPlan::CompactInPlace)
         .batch(2)
-        .checkpoint_every(1)
         .quiesce_wait(Duration::from_secs(10))
         .run();
 
@@ -351,25 +376,23 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     }
     let mut fired = db.fault.fired(cell.site);
     let healthy = db.backend().is_none_or(|b| b.healthy());
-    let driver_ckpt = match result {
+    let crashed = match result {
         Ok(outcome) => {
-            assert_complete(&db, &outcome, cell);
-            None
+            assert_complete(&db, &outcome, 0, cell);
+            false
         }
-        Err(IraError::SimulatedCrash(ckpt)) => Some(ckpt),
+        Err(IraError::SimulatedCrash) => true,
         Err(e) => panic!("cell {cell:?}: reorganization failed: {e}"),
     };
-    let killed = !healthy || driver_ckpt.is_some();
+    let killed = !healthy || crashed;
     assert!(
         !killed || db.fault.fired(kill_site) >= 1,
         "cell {cell:?}: crashed without its rule firing"
     );
-    // A crash the reorganizer surfaced on a healthy backend saved its
-    // checkpoint durably; recovery must hand back exactly that blob.
-    let expected_blob = driver_ckpt.filter(|_| healthy).map(|c| c.encode());
     // Process kill: everything in memory is discarded. Only the files
     // speak from here on.
     drop(db);
+    let ended = logged_end(&dir, p1);
 
     // ---- Phase two: cold reopen, double crash during recovery ----
     let plan2 =
@@ -398,44 +421,16 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
         );
     }
 
-    // ---- Phase three: resume or restart the reorganization ----
+    // ---- Phase three: restart the reorganization from its floor ----
     let db = fin.db;
     let interrupted = !fin.interrupted_reorgs.is_empty();
-    let blob = fin
-        .reorg_checkpoints
-        .iter()
-        .find(|(p, _)| *p == p1)
-        .map(|(_, b)| b.clone());
-    if let Some(expected) = &expected_blob {
-        assert_eq!(
-            blob.as_ref(),
-            Some(expected),
-            "cell {cell:?}: the recovered blob must be the checkpoint the driver returned"
-        );
-    }
-    let ended = fin
-        .pre_crash_log
-        .iter()
-        .any(|r| matches!(&r.payload, LogPayload::ReorgEnd { partition, .. } if *partition == p1));
-    let resumed = interrupted && blob.is_some();
+    let mut kept = 0;
     if interrupted {
         assert_eq!(fin.interrupted_reorgs, vec![p1], "cell {cell:?}");
         assert!(!ended, "cell {cell:?}: interrupted yet ended");
-        let outcome = match blob {
-            Some(bytes) => {
-                let ckpt =
-                    IraCheckpoint::decode(&bytes).expect("recovered checkpoint blob must decode");
-                assert_trt_reconstruction_covers(&fin.pre_crash_log, &ckpt, db.trt_purge_enabled());
-                Reorg::on(&db, p1)
-                    .resume_from(ckpt, &fin.pre_crash_log)
-                    .run()
-                    .expect("resume after crash")
-            }
-            // The kill beat the first durable progress record: the
-            // paper's simple option — restart from scratch.
-            None => Reorg::on(&db, p1).run().expect("restart from scratch"),
-        };
-        assert_complete(&db, &outcome, cell);
+        kept = placed(&db, p1);
+        let outcome = Reorg::on(&db, p1).run().expect("restart from the floor");
+        assert_complete(&db, &outcome, kept, cell);
     }
 
     // ---- Verify: the recovered graph is the built graph ----
@@ -469,17 +464,18 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
         fired,
         killed,
         interrupted,
-        resumed,
+        kept,
         double_crashed,
         torn_truncations,
     }
 }
 
-/// Deterministic multi-partition kill/resume: two reorganizations in
+/// Deterministic multi-partition kill and restart: two reorganizations in
 /// flight, a hard kill, one cold recovery that reports both interrupted,
-/// and both resumed from their durable checkpoints. Returns the objects
-/// the resumed runs migrated and the live objects they had to.
-pub fn run_multi_partition_kill(seed: u64) -> (usize, usize) {
+/// and both restarted from their floors. Returns the objects the restarts
+/// migrated, the copies they found already placed, and the live objects
+/// there are.
+pub fn run_multi_partition_kill(seed: u64) -> (usize, usize, usize) {
     let dir = std::env::temp_dir().join(format!("harness-multi-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = cell_config(&dir);
@@ -499,19 +495,16 @@ pub fn run_multi_partition_kill(seed: u64) -> (usize, usize) {
     let parts = chains.map(|(p, _)| p);
     db.checkpoint_durable(seed).expect("baseline checkpoint");
 
-    // Interrupt both reorganizations at their second batch boundary; each
-    // crash saves a durable progress record, and neither run ends.
+    // Interrupt both reorganizations at their second batch boundary, after
+    // two committed migrations each; neither run ends.
     for p in parts {
         db.fault.arm(FaultPlan::new(seed).with(FaultRule::nth(
             ira::site::BATCH,
             2,
             FaultAction::Crash,
         )));
-        let result = Reorg::on(&db, p)
-            .plan(RelocationPlan::CompactInPlace)
-            .checkpoint_every(1)
-            .run();
-        assert!(matches!(result, Err(IraError::SimulatedCrash(_))));
+        let result = Reorg::on(&db, p).plan(RelocationPlan::CompactInPlace).run();
+        assert!(matches!(result, Err(IraError::SimulatedCrash)));
         db.fault.disarm();
     }
     drop(db); // hard kill with two reorganizations in flight
@@ -520,29 +513,21 @@ pub fn run_multi_partition_kill(seed: u64) -> (usize, usize) {
     assert!(out.recovered);
     assert_eq!(out.interrupted_reorgs, parts.to_vec());
     let db = out.db;
-    let mut resumed = 0usize;
+    let (mut migrated, mut kept) = (0, 0);
     for p in parts {
-        let bytes = out
-            .reorg_checkpoints
-            .iter()
-            .find(|(q, _)| *q == p)
-            .map(|(_, b)| b.clone())
-            .expect("both reorganizations checkpointed durably");
-        let ckpt = IraCheckpoint::decode(&bytes).expect("decode");
-        let outcome = Reorg::on(&db, p)
-            .resume_from(ckpt, &out.pre_crash_log)
-            .run()
-            .expect("resume");
-        resumed += outcome.migrated();
+        kept += placed(&db, p);
+        let outcome = Reorg::on(&db, p).run().expect("restart");
+        migrated += outcome.migrated();
+        ira::verify::assert_reorganization_clean(&db, outcome.ira().expect("IRA report"));
     }
-    // Both chains intact after both resumed reorganizations.
+    // Both chains intact after both restarted reorganizations.
     for ((_, anchor), len) in chains.into_iter().zip(lens) {
         assert_eq!(chain_depth(&db, anchor), len);
     }
     brahma::sweep::assert_database_consistent(&db);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-    (resumed, lens.iter().sum())
+    (migrated, kept, lens.iter().sum())
 }
 
 #[cfg(test)]
@@ -563,13 +548,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_cell_recovers_and_resumes() {
+    fn crash_cell_recovers_and_restarts_from_the_floor() {
         let out = run_cell(&CrashCell {
             site: ira::site::BATCH,
             nth_hit: 2,
             seed: 2,
         });
-        assert!(out.killed && out.interrupted && out.resumed);
-        assert_eq!(out.fired, 1);
+        // Two batches of two committed before the crash.
+        assert!(out.killed && out.interrupted);
+        assert_eq!((out.fired, out.kept), (1, 4));
     }
 }

@@ -1,26 +1,19 @@
-//! Schedule controllers over [`brahma::sched`] (DESIGN.md §12).
+//! A schedule controller over [`brahma::sched`] (DESIGN.md §12).
 //!
-//! * [`Gate`] — surgical: trap the first matching event and hold its thread
-//!   there until the test releases it. This is how the TRT lost-tuple
-//!   regression test reconstructs the 1-in-300 interleaving exactly: park a
-//!   walker between its WAL append and its TRT note (or, post-fix, prove
-//!   the window no longer exists), run the fuzzy checkpoint, release.
-//! * [`PctExplorer`] — perturb schedules à la PCT (Burckhardt et al.,
-//!   "probabilistic concurrency testing"): every thread draws a seeded
-//!   priority, low-priority threads are delayed at instrumented points, and
-//!   a small set of seeded *change points* re-draw the acting thread's
-//!   priority mid-run, forcing preemptions where a naive run never has one.
+//! [`PctExplorer`] perturbs schedules à la PCT (Burckhardt et al.,
+//! "probabilistic concurrency testing"): every thread draws a seeded
+//! priority, low-priority threads are delayed at instrumented points, and
+//! a small set of seeded *change points* re-draw the acting thread's
+//! priority mid-run, forcing preemptions where a naive run never has one.
 //!
 //! The substrate's threads block on *real* locks and condvars the
-//! controllers cannot see through, so neither is a bit-exact scheduler.
-//! Every wait here is therefore **time-bounded**: a gated thread escapes
-//! after a timeout, and the escape is observable ([`Gate::escaped`]), not
-//! hidden; the explorer only ever sleeps.
+//! controller cannot see through, so it is not a bit-exact scheduler: it
+//! only ever sleeps, and never parks a thread.
 
 use brahma::sched::{splitmix64, Controller};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -33,93 +26,6 @@ fn fnv1a(s: &str) -> u64 {
 fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
     // Controllers must keep working while a failing test unwinds.
     e.into_inner()
-}
-
-// ---------------------------------------------------------------- Gate --
-
-/// Trap the first occurrence of one event and hold the thread that hit it
-/// until [`Gate::release`]. All other events pass through untouched.
-///
-/// The test thread meanwhile does its half of the interleaving and then
-/// releases the gate; [`Gate::wait_arrived`] synchronizes the hand-off. A
-/// trapped thread escapes on its own after `max_hold` (default 5 s) so a
-/// buggy test cannot deadlock the suite — an escape before release is
-/// observable via [`Gate::escaped`].
-pub struct Gate {
-    event: &'static str,
-    max_hold: Duration,
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    arrived: bool,
-    released: bool,
-    escaped: bool,
-}
-
-impl Gate {
-    pub fn new(event: &'static str) -> Self {
-        Gate {
-            event,
-            max_hold: Duration::from_secs(5),
-            state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until a thread is parked at the gate. Returns `false` on
-    /// timeout (the event never happened).
-    pub fn wait_arrived(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap_or_else(poisoned);
-        while !st.arrived {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
-            st = guard;
-        }
-        true
-    }
-
-    /// Let the trapped thread continue (idempotent).
-    pub fn release(&self) {
-        self.state.lock().unwrap_or_else(poisoned).released = true;
-        self.cv.notify_all();
-    }
-
-    /// Whether the trapped thread timed out of the gate before `release` —
-    /// a replay that escaped did not reproduce the intended schedule.
-    pub fn escaped(&self) -> bool {
-        self.state.lock().unwrap_or_else(poisoned).escaped
-    }
-}
-
-impl Controller for Gate {
-    fn at_point(&self, event: &'static str) {
-        if event != self.event {
-            return;
-        }
-        let deadline = Instant::now() + self.max_hold;
-        let mut st = self.state.lock().unwrap_or_else(poisoned);
-        if st.arrived {
-            return; // only the first occurrence is trapped
-        }
-        st.arrived = true;
-        self.cv.notify_all();
-        while !st.released {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                st.escaped = true;
-                break;
-            }
-            let (guard, _) = self.cv.wait_timeout(st, left).unwrap_or_else(poisoned);
-            st = guard;
-        }
-    }
 }
 
 // ------------------------------------------------------------- explore --
@@ -218,34 +124,6 @@ impl Controller for PctExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn gate_traps_first_match_and_releases() {
-        let gate = Arc::new(Gate::new("test.trap"));
-        let done = Arc::new(AtomicBool::new(false));
-        let t = {
-            let gate = Arc::clone(&gate);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                gate.at_point("test.other"); // passes through
-                gate.at_point("test.trap"); // parks here
-                done.store(true, Ordering::SeqCst);
-            })
-        };
-        assert!(
-            gate.wait_arrived(Duration::from_secs(2)),
-            "thread must park"
-        );
-        assert!(!done.load(Ordering::SeqCst), "still parked after arrival");
-        gate.release();
-        t.join().unwrap();
-        assert!(done.load(Ordering::SeqCst));
-        assert!(!gate.escaped());
-        // Second occurrence passes straight through a released gate.
-        gate.at_point("test.trap");
-    }
 
     #[test]
     fn pct_priorities_are_deterministic() {

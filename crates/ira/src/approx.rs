@@ -44,18 +44,19 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
     fuzzy_traversal(db, partition, seeds, &mut state);
 
     trt_unvisited_loop(db, partition, &mut state);
-    merge_ert_parents(db, partition, &mut state, 0);
+    // External parents come from the ERT.
+    for i in 0..state.order.len() {
+        let obj = state.order[i];
+        for parent in part.ert.parents_of(obj) {
+            state.add_parent(obj, parent);
+        }
+    }
     state
 }
 
 /// Line L2 of Figure 3: while some TRT referenced object has not been
-/// visited, traverse from it. Also used when resuming an interrupted
-/// reorganization from a checkpoint (Section 4.4).
-pub(crate) fn trt_unvisited_loop(
-    db: &Database,
-    partition: PartitionId,
-    state: &mut TraversalState,
-) {
+/// visited, traverse from it.
+fn trt_unvisited_loop(db: &Database, partition: PartitionId, state: &mut TraversalState) {
     while let Some(trt) = db.trt(partition) {
         let unvisited: Vec<_> = trt
             .referenced_objects()
@@ -67,29 +68,6 @@ pub(crate) fn trt_unvisited_loop(
         }
         for seed in unvisited {
             fuzzy_traversal(db, partition, [seed], state);
-        }
-    }
-}
-
-/// Merge external parents from the ERT into the parent lists of the objects
-/// discovered at `state.order[from..]`.
-pub(crate) fn merge_ert_parents(
-    db: &Database,
-    partition: PartitionId,
-    state: &mut TraversalState,
-    from: usize,
-) {
-    #[expect(
-        clippy::expect_used,
-        reason = "invariant: step one runs strictly after start_reorg validated the partition id"
-    )]
-    let part = db
-        .partition(partition)
-        .expect("invariant: reorg partition exists (validated by start_reorg)");
-    for i in from..state.order.len() {
-        let obj = state.order[i];
-        for parent in part.ert.parents_of(obj) {
-            state.add_parent(obj, parent);
         }
     }
 }

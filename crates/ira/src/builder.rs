@@ -2,10 +2,9 @@
 //! algorithm the crate implements.
 //!
 //! The paper describes a family of reorganizers — quiescent (Section 3.1),
-//! PQR (Section 5.1), IRA basic (Section 3.5), IRA two-lock (Section 4.2),
-//! and checkpoint-resume (Section 4.4). Historically each had its own free
-//! function with its own config struct; [`Reorg`] folds them behind one
-//! surface:
+//! PQR (Section 5.1), IRA basic (Section 3.5) and IRA two-lock (Section
+//! 4.2). Historically each had its own free function with its own config
+//! struct; [`Reorg`] folds them behind one surface:
 //!
 //! ```text
 //! Reorg::on(&db, partition)
@@ -15,16 +14,15 @@
 //!     .run()?
 //! ```
 //!
-//! [`Reorg::run`] is the one dispatch point: a `match` on the resume
-//! checkpoint and the [`Strategy`] calls the crate-internal entry point of
-//! the chosen algorithm.
+//! [`Reorg::run`] is the one dispatch point: a `match` on the [`Strategy`]
+//! calls the crate-internal entry point of the chosen algorithm. After a
+//! crash the same call restarts an interrupted pass from its page floor.
 
-use crate::checkpoint::IraCheckpoint;
 use crate::driver::{IraConfig, IraError, IraReport, IraVariant};
 use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
 use crate::pqr::PqrReport;
-use brahma::{AddrMap, Database, LogRecord, PartitionId, PhysAddr, RetryPolicy};
+use brahma::{AddrMap, Database, PartitionId, PhysAddr, RetryPolicy};
 use std::time::{Duration, Instant};
 
 /// Which algorithm family a [`Reorg`] run uses. The IRA variant (basic vs
@@ -49,7 +47,7 @@ pub enum Strategy {
 /// the [`ReorgOutcome::ira`] / [`ReorgOutcome::pqr`] accessors).
 #[derive(Debug)]
 pub enum ReorgReport {
-    /// An incremental (or resumed) run's full report.
+    /// An incremental run's full report.
     Ira(IraReport),
     /// The partition-quiesce baseline's report.
     Pqr(PqrReport),
@@ -82,7 +80,7 @@ impl ReorgOutcome {
         self.mapping.len()
     }
 
-    /// The IRA report, when an incremental (or resumed) run produced one.
+    /// The IRA report, when an incremental run produced one.
     pub fn ira(&self) -> Option<&IraReport> {
         match &self.report {
             Some(ReorgReport::Ira(r)) => Some(r),
@@ -126,7 +124,6 @@ pub struct Reorg<'a> {
     plan: RelocationPlan,
     strategy: Strategy,
     config: IraConfig,
-    resume: Option<(IraCheckpoint, Vec<LogRecord>)>,
 }
 
 impl<'a> Reorg<'a> {
@@ -139,7 +136,6 @@ impl<'a> Reorg<'a> {
             plan: RelocationPlan::CompactInPlace,
             strategy: Strategy::default(),
             config: IraConfig::default(),
-            resume: None,
         }
     }
 
@@ -198,54 +194,28 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Save a resumable reorganizer checkpoint every `n` batches (Section
-    /// 4.4). With a file backend attached the save is durable, bounding how
-    /// far a hard kill sets the reorganization back. Defaults to off
-    /// (checkpoint only at crash).
-    pub fn checkpoint_every(mut self, n: usize) -> Self {
-        self.config.checkpoint_every = Some(n);
-        self
-    }
-
     /// How long to wait for transactions active when the run starts.
     pub fn quiesce_wait(mut self, wait: Duration) -> Self {
         self.config.quiesce_wait = wait;
         self
     }
 
-    /// Continue a crashed run from its recovered checkpoint instead of
-    /// starting fresh. The checkpoint's partition and plan override the
-    /// builder's; IRA knobs (`batch`, `retry`, ...) still apply
-    /// to the resumed portion.
-    pub fn resume_from(mut self, ckpt: IraCheckpoint, pre_crash_log: &[LogRecord]) -> Self {
-        self.partition = ckpt.partition;
-        self.plan = ckpt.plan;
-        self.resume = Some((ckpt, pre_crash_log.to_vec()));
-        self
-    }
-
-    /// Run the configured reorganization to completion.
+    /// Run the configured reorganization to completion. On a partition
+    /// whose pass a crash interrupted (`OpenOutcome::interrupted_reorgs`),
+    /// an incremental run restarts that pass from its floor: the objects
+    /// it already placed stay, and the mapping holds only what moves now.
     pub fn run(self) -> Result<ReorgOutcome, IraError> {
         let (db, partition, plan, config) = (self.db, self.partition, self.plan, &self.config);
-        let ira = |r: IraReport| (r.mapping.clone(), r.duration, Some(ReorgReport::Ira(r)));
-        let (mapping, duration, report) = match (self.resume, self.strategy) {
-            // A resume continues an IRA run whatever the strategy says; the
-            // checkpoint carries its own partition and plan (`resume_from`
-            // pinned the builder's to them).
-            (Some((ckpt, pre_crash_log)), _) => ira(crate::checkpoint::run_resume(
-                db,
-                ckpt,
-                &pre_crash_log,
-                config,
-            )?),
-            (None, Strategy::Incremental) => {
-                ira(crate::driver::run_incremental(db, partition, plan, config)?)
+        let (mapping, duration, report) = match self.strategy {
+            Strategy::Incremental => {
+                let r = crate::driver::run_incremental(db, partition, plan, config)?;
+                (r.mapping.clone(), r.duration, Some(ReorgReport::Ira(r)))
             }
-            (None, Strategy::PartitionQuiesce) => {
+            Strategy::PartitionQuiesce => {
                 let r = crate::pqr::run_pqr(db, partition, plan).map_err(IraError::Store)?;
                 (r.mapping.clone(), r.duration, Some(ReorgReport::Pqr(r)))
             }
-            (None, Strategy::Offline) => {
+            Strategy::Offline => {
                 let started = Instant::now();
                 let mapping =
                     crate::offline::run_offline(db, partition, plan).map_err(IraError::Store)?;
@@ -332,13 +302,12 @@ mod tests {
         let outcome = Reorg::on(&db, p1)
             .variant(IraVariant::TwoLock)
             .batch(4)
-            .checkpoint_every(1)
             .run()
             .unwrap();
         assert_eq!(outcome.migrated(), 1);
         // Basic IRA evaluates the exact-parents site once per object; the
-        // two-lock variant never does. One batch, one periodic checkpoint.
+        // two-lock variant never does. One batch, one batch boundary.
         assert_eq!(db.fault.hits(crate::site::EXACT_PARENTS), 0);
-        assert_eq!(db.fault.hits(crate::site::CHECKPOINT), 1);
+        assert_eq!(db.fault.hits(crate::site::BATCH), 1);
     }
 }

@@ -1,13 +1,12 @@
 //! The IRA driver: Figure 1 of the paper, plus the engineering around it —
 //! migration batching (Section 4.3), deadlock retry (Section 4.4), garbage
-//! collection as a side effect (Section 4.6), checkpointing for crash
-//! restart, and fault injection for the failure-handling tests. Step two
+//! collection as a side effect (Section 4.6), restart from the page floor
+//! after a crash, and fault injection for the failure-handling tests. Step two
 //! is one loop, `ReorgRun::drain`, run by one migrator on the calling
 //! thread: batching is the throughput lever, and a caller that wants
 //! parallelism runs one `Reorg` per partition.
 
 use crate::approx::find_objects_and_approx_parents;
-use crate::checkpoint::IraCheckpoint;
 use crate::exact::find_exact_parents;
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::order::{order_queue, MigrationOrder};
@@ -16,8 +15,7 @@ use crate::site as ira_site;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
 use brahma::{
-    AddrMap, AddrSet, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy,
-    Txn,
+    AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn,
 };
 use std::fmt;
 use std::ops::Range;
@@ -58,11 +56,6 @@ pub(crate) struct IraConfig {
     /// slots, change the tag). The transform must preserve the reference
     /// list exactly; capacities and payload are free to change.
     pub transform: Option<fn(brahma::ObjectView) -> brahma::ObjectView>,
-    /// Save a reorganizer checkpoint (Section 4.4) every this many batches,
-    /// in addition to the crash-time save. Each save is one log record, so
-    /// a hard process kill resumes from at most this many batches back.
-    /// `None` (the default) checkpoints only at crash.
-    pub checkpoint_every: Option<usize>,
 }
 
 impl Default for IraConfig {
@@ -74,7 +67,6 @@ impl Default for IraConfig {
             quiesce_wait: Duration::from_secs(300),
             order: MigrationOrder::Traversal,
             transform: None,
-            checkpoint_every: None,
         }
     }
 }
@@ -86,8 +78,9 @@ pub enum IraError {
     Store(StoreError),
     /// A batch kept deadlocking past `max_retries`.
     RetriesExhausted { object: PhysAddr, attempts: usize },
-    /// Fault injection fired; the checkpoint resumes the run.
-    SimulatedCrash(Box<IraCheckpoint>),
+    /// Fault injection fired at a batch boundary. The pass stays open, as
+    /// a process kill leaves it; the next run restarts it from its floor.
+    SimulatedCrash,
 }
 
 impl fmt::Display for IraError {
@@ -97,9 +90,7 @@ impl fmt::Display for IraError {
             IraError::RetriesExhausted { object, attempts } => {
                 write!(f, "migration of {object} failed after {attempts} attempts")
             }
-            IraError::SimulatedCrash(c) => {
-                write!(f, "simulated crash after {} migrations", c.mapping.len())
-            }
+            IraError::SimulatedCrash => write!(f, "simulated crash at a batch boundary"),
         }
     }
 }
@@ -193,8 +184,12 @@ pub(crate) fn run_incremental(
     let start = Instant::now();
     // Opens the partition's pass: copies pack into fresh pages above its
     // floor in migration order (the point of compaction and clustering),
-    // and `end_reorg` drops the pages they vacated.
+    // and `end_reorg` drops the pages they vacated. A pass a crash
+    // interrupted reopens at its own floor: what it copied is in place
+    // above it, and only what lies below still moves.
     db.start_reorg(partition)?;
+    // `start_reorg` opened the pass; with no floor, nothing would move.
+    let floor = db.partition(partition)?.pass_floor().unwrap_or(0);
 
     // Wait for every transaction active at the start to complete, so all
     // relevant pointer updates are in the TRT (Section 4.5).
@@ -220,6 +215,7 @@ pub(crate) fn run_incremental(
         plan,
         config,
         state,
+        floor,
         pos: 0,
         mapping: AddrMap::default(),
         tally: Tally::default(),
@@ -231,30 +227,31 @@ pub(crate) fn run_incremental(
 
 /// Run-wide accumulators behind the [`IraReport`] counters.
 #[derive(Debug, Default)]
-pub(crate) struct Tally {
-    pub retries: usize,
-    pub ext_locks: usize,
+struct Tally {
+    retries: usize,
+    ext_locks: usize,
 }
 
-/// In-flight reorganization state; also reconstructible from an
-/// [`IraCheckpoint`] (see [`crate::checkpoint::run_resume`]).
-pub(crate) struct ReorgRun<'a> {
-    pub db: &'a Database,
-    pub partition: PartitionId,
-    pub plan: RelocationPlan,
-    pub config: &'a IraConfig,
+/// In-flight reorganization state.
+struct ReorgRun<'a> {
+    db: &'a Database,
+    partition: PartitionId,
+    plan: RelocationPlan,
+    config: &'a IraConfig,
     /// Traversal state; `state.order` is the migration queue.
-    pub state: TraversalState,
+    state: TraversalState,
+    /// The pass's page floor: an object at or above it is a copy this pass
+    /// (or the crashed run it restarts) already placed.
+    floor: u32,
     /// Queue position of the next batch: everything before it has migrated
-    /// (or was dead), so a checkpoint always carries the exact position.
-    pub pos: usize,
+    /// (or was dead).
+    pos: usize,
     /// Old → new address of every committed migration: written only after
-    /// a batch commits, so a checkpoint of it is always consistent, and
-    /// read to skip what a retried batch or a resumed run already moved.
-    pub mapping: AddrMap<PhysAddr>,
-    pub tally: Tally,
-    pub phases: IraPhases,
-    pub started: Instant,
+    /// a batch commits, and read to skip what a retried batch already moved.
+    mapping: AddrMap<PhysAddr>,
+    tally: Tally,
+    phases: IraPhases,
+    started: Instant,
 }
 
 /// Why the drain stopped short of the queue's end (before error-path
@@ -278,8 +275,8 @@ impl ReorgRun<'_> {
         let mut work = BatchEffects::default();
         loop {
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
-            // a page latch) surfaces here, at the batch boundary — the only
-            // point where the checkpoint is consistent.
+            // a page latch) surfaces here, at the batch boundary, where no
+            // migration transaction is open.
             if self.db.fault.crash_requested() {
                 return Some(LoopEnd::Crash);
             }
@@ -298,12 +295,6 @@ impl ReorgRun<'_> {
             lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
             brahma::sched::point("ira.batch");
             self.db.fault.observe(ira_site::BATCH);
-            if let Some(every) = self.config.checkpoint_every {
-                if every > 0 && self.pos.div_ceil(batch_size).is_multiple_of(every) {
-                    let ckpt = self.checkpoint();
-                    self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
-                }
-            }
         }
     }
 
@@ -334,10 +325,11 @@ impl ReorgRun<'_> {
         }
     }
 
-    /// Whether `oold` needs no migration: its address was freed, or it migrated already (earlier in a retried
-    /// two-lock batch, or before the crash a resumed run continues from).
+    /// Whether `oold` needs no migration: its address was freed, it
+    /// migrated already (earlier in a retried two-lock batch), or it lies
+    /// at or above the floor, a copy the pass placed before a crash.
     fn skip(&self, part: &brahma::Partition, oold: PhysAddr) -> bool {
-        !part.contains_object(oold) || self.mapping.contains_key(&oold)
+        oold.page() >= self.floor || !part.contains_object(oold) || self.mapping.contains_key(&oold)
     }
 
     /// Migrate one batch inside one transaction (basic IRA).
@@ -346,10 +338,12 @@ impl ReorgRun<'_> {
         batch: Range<usize>,
         work: &mut BatchEffects,
     ) -> Result<(), StoreError> {
-        let db = self.db;
-        let part = db.partition(self.partition)?;
-        let mut txn = db.begin_reorg(self.partition);
+        let (db, partition) = (self.db, self.partition);
+        let part = db.partition(partition)?;
         work.clear();
+        // Begun at the first object that moves: a batch a restart finds
+        // already placed commits nothing, so it forces no log write.
+        let mut txn = None;
         let mut ext_locks = 0;
         let mut outcome = Ok(());
         for i in batch {
@@ -357,7 +351,8 @@ impl ReorgRun<'_> {
             if self.skip(&part, oold) {
                 continue;
             }
-            match self.migrate_in_batch(&mut txn, oold, work) {
+            let txn = txn.get_or_insert_with(|| db.begin_reorg(partition));
+            match self.migrate_in_batch(txn, oold, work) {
                 Ok(newly_locked) => ext_locks += newly_locked,
                 Err(e) => {
                     outcome = Err(e);
@@ -365,6 +360,9 @@ impl ReorgRun<'_> {
                 }
             }
         }
+        let Some(txn) = txn else {
+            return Ok(());
+        };
         let outcome = match outcome {
             Ok(()) => db
                 .fault
@@ -468,7 +466,7 @@ impl ReorgRun<'_> {
         Ok(())
     }
 
-    pub(crate) fn execute(mut self) -> Result<IraReport, IraError> {
+    fn execute(mut self) -> Result<IraReport, IraError> {
         // Step two. A batch that exhausts its retry budget fails the run:
         // nobody is left to hand it to.
         match self.drain() {
@@ -480,16 +478,18 @@ impl ReorgRun<'_> {
             Some(LoopEnd::Fatal(e)) => return Err(self.fail(IraError::Store(e))),
         }
 
-        // Garbage: allocated but never traversed (Section 4.6).
+        // Garbage (Section 4.6): every reachable object below the floor has
+        // moved, above it or to the evacuation target, so what is still
+        // live below it is unreachable. The copies above the floor stay,
+        // this run's and those a crashed run placed before the restart.
         let phase_start = Instant::now();
-        let survivors: AddrSet = self.mapping.values().copied().collect();
         let garbage: Vec<PhysAddr> = self
             .db
             .partition(self.partition)
             .map_err(IraError::Store)?
             .live_objects()
             .into_iter()
-            .filter(|a| !survivors.contains(a))
+            .filter(|a| a.page() < self.floor)
             .collect();
         if !garbage.is_empty() {
             let mut backoff = self.config.retry.start();
@@ -541,16 +541,12 @@ impl ReorgRun<'_> {
         e
     }
 
-    /// Convert a latched crash request into a simulated crash: checkpoint
-    /// the run, log the checkpoint so the next [`brahma::storage::open`]
-    /// hands it back, and leave the reorganization open — exactly what a
-    /// stop-the-world failure between two migration transactions looks like
-    /// (Section 4.4).
+    /// Convert a latched crash request into a simulated crash that leaves
+    /// the reorganization open — exactly what a stop-the-world failure
+    /// between two migration transactions looks like (Section 4.4).
     fn crash_now(&self) -> IraError {
         let _ = self.db.fault.take_crash_request();
-        let ckpt = self.checkpoint();
-        self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
-        IraError::SimulatedCrash(Box::new(ckpt))
+        IraError::SimulatedCrash
     }
 
     /// One attempt at the whole garbage-collection transaction; a failure
@@ -563,41 +559,6 @@ impl ReorgRun<'_> {
             txn.delete_object(g)?;
         }
         txn.commit()
-    }
-
-    /// Snapshot the run at its current queue position for crash-restart
-    /// (Section 4.4: "the data structures Traversed Objects and Parent
-    /// Lists can be checkpointed").
-    fn checkpoint(&self) -> IraCheckpoint {
-        self.db.fault.observe(ira_site::CHECKPOINT);
-        // Fuzzy TRT checkpoint: capture the log position first, then the
-        // tuples — replaying from `trt_lsn` may duplicate tuples already in
-        // the snapshot, which is conservative (Section 4.4).
-        let trt_lsn = self.db.wal.next_lsn();
-        // The schedule-critical instant: between the next_lsn read and the
-        // dump, concurrent mutators must leave every tuple either in the
-        // dump or in a record at lsn >= trt_lsn. `next_lsn` counts LSNs
-        // reserved, not records in the log yet; note-before-reserve
-        // guarantees it (see brahma::handle::Txn::log_and_apply).
-        brahma::sched::point("ira.ckpt.lsn");
-        let trt_snapshot = self
-            .db
-            .trt(self.partition)
-            .map(|t| t.dump())
-            .unwrap_or_default();
-        // Sorted, so the same run position always encodes to the same bytes.
-        let mut mapping: Vec<(PhysAddr, PhysAddr)> =
-            self.mapping.iter().map(|(&o, &n)| (o, n)).collect();
-        mapping.sort_unstable();
-        IraCheckpoint {
-            partition: self.partition,
-            plan: self.plan,
-            state: self.state.clone(),
-            mapping,
-            pos: self.pos,
-            trt_snapshot,
-            trt_lsn,
-        }
     }
 }
 
@@ -682,6 +643,51 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.migrated(), 1);
+    }
+
+    /// A pass killed after its only migration committed restarts at its
+    /// floor: the copy stays where the crashed run put it, nothing moves
+    /// again, and nothing is collected.
+    #[test]
+    fn a_restart_keeps_what_the_crashed_pass_placed() {
+        use brahma::{FaultAction, FaultPlan, FaultRule};
+        let dir = std::env::temp_dir().join(format!("ira-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StoreConfig {
+            data_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        let db = brahma::storage::open(store.clone()).unwrap().db;
+        let p0 = db.create_partition();
+        let p1 = db.create_partition();
+        let mut t = db.begin();
+        let o = t
+            .create_object(p1, NewObject::exact(1, vec![], b"x".to_vec()))
+            .unwrap();
+        let anchor = t
+            .create_object(p0, NewObject::exact(0, vec![o], vec![]))
+            .unwrap();
+        t.commit().unwrap();
+        db.checkpoint_durable(1).unwrap();
+        let crash = FaultRule::nth(ira_site::BATCH, 1, FaultAction::Crash);
+        db.fault.arm(FaultPlan::new(1).with(crash));
+        let config = IraConfig::default();
+        let plan = RelocationPlan::CompactInPlace;
+        let crashed = run_incremental(&db, p1, plan, &config);
+        assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
+        drop(db);
+
+        let db = brahma::storage::open(store).unwrap().db;
+        let copy = db.raw_read(anchor).unwrap().refs[0];
+        assert_ne!(copy, o, "the migration committed before the crash");
+        let report = run_incremental(&db, p1, plan, &config).unwrap();
+        assert_eq!(report.migrated(), 0, "the copy does not move again");
+        assert!(report.garbage.is_empty(), "the copy is not garbage");
+        assert_eq!(db.raw_read(anchor).unwrap().refs, vec![copy]);
+        assert_eq!(db.raw_read(copy).unwrap().payload, b"x");
+        brahma::sweep::assert_database_consistent(&db);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

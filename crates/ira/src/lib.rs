@@ -13,8 +13,9 @@
 //! * Extensions: relaxed strict-2PL (Section 4.1, `relaxed`), the
 //!   two-lock variant holding at most two locks at any time (Section 4.2,
 //!   `two_lock`), migration batching (Section 4.3, [`Reorg::batch`]),
-//!   checkpoint/restart after failures (Section 4.4, `checkpoint`),
-//!   copying garbage collection as a side effect of evacuating into a fresh
+//!   restart from the page floor after a failure (Section 4.4: a crashed
+//!   pass stays open, and the next [`Reorg::run`] moves only what still
+//!   lies below its floor), copying garbage collection as a side effect of evacuating into a fresh
 //!   partition (Section 4.6, `gc`), and clustering by a migration order
 //!   derived from observed traffic ([`StatsGreedy`]).
 //! * Baselines: the quiescent reorganizer of Section 3.1 (`offline`) and
@@ -52,12 +53,11 @@
 //! for the two-lock extension, `.batch(32)` for Section 4.3's batching,
 //! `.plan(RelocationPlan::EvacuateTo(db.create_partition()))` to collect
 //! garbage, `.order(StatsGreedy::new(&edges).plan(&db, p).0)` to cluster,
-//! `.strategy(Strategy::PartitionQuiesce)` for the PQR baseline,
-//! `.resume_from(ckpt, &log)` to continue a crashed run.
+//! `.strategy(Strategy::PartitionQuiesce)` for the PQR baseline. After a
+//! crash, the same `Reorg::on(&db, p).run()` restarts an interrupted pass.
 
 pub mod approx;
 mod builder;
-mod checkpoint;
 pub mod driver;
 mod exact;
 mod gc;
@@ -74,7 +74,6 @@ mod two_lock;
 pub mod verify;
 
 pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
-pub use checkpoint::IraCheckpoint;
 pub use driver::{IraError, IraReport, IraVariant};
 pub use gc::find_garbage;
 pub use order::MigrationOrder;

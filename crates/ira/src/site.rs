@@ -9,8 +9,6 @@ pub(crate) const EXACT_PARENTS: &str = "ira.exact_parents";
 pub const MIGRATE_COMMIT: &str = "ira.migrate_commit";
 /// A migration batch just committed (batch boundary).
 pub const BATCH: &str = "ira.batch";
-/// A resumable checkpoint is being written.
-pub const CHECKPOINT: &str = "ira.checkpoint";
 
 /// Every IRA-level site, for sweep construction.
-pub const ALL: &[&str] = &[TRAVERSAL, EXACT_PARENTS, MIGRATE_COMMIT, BATCH, CHECKPOINT];
+pub const ALL: &[&str] = &[TRAVERSAL, EXACT_PARENTS, MIGRATE_COMMIT, BATCH];

@@ -17,19 +17,19 @@ use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 
 /// Accumulated traversal state: visited objects (in discovery order) and the
 /// approximate parent list of each.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TraversalState {
     /// Objects visited, in discovery order (also the default migration
     /// order: traversal order clusters related objects together). After the
     /// driver applies `order::order_queue` in place, this doubles
     /// as *the* migration queue.
-    pub order: Vec<PhysAddr>,
+    pub(crate) order: Vec<PhysAddr>,
     /// Every address a traversal was attempted from (including stale seeds
     /// that turned out not to be live objects); guarantees the L2 loop
     /// terminates.
-    pub visited: AddrSet,
+    pub(crate) visited: AddrSet,
     /// Approximate parents per visited object.
-    pub parents: AddrMap<AddrSet>,
+    pub(crate) parents: AddrMap<AddrSet>,
 }
 
 impl TraversalState {

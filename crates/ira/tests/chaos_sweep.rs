@@ -2,8 +2,8 @@
 //! site — substrate, file and IRA-level — run a crash cell at several
 //! Nth-hit strides. Each cell runs on a file-backed store, kills it at that
 //! coordinate, reopens cold (with a second kill armed during recovery),
-//! resumes or restarts the interrupted reorganization, and verifies every
-//! reorganization invariant; a cell whose site never reaches its stride
+//! restarts the interrupted reorganization from its floor, and verifies
+//! every reorganization invariant; a cell whose site never reaches its stride
 //! completes clean and is verified the same way.
 //!
 //! A failing cell prints a `REPRO: …` banner with its exact coordinates;
@@ -31,7 +31,7 @@ fn crash_point_sweep_over_every_site() {
         .chain(ira::site::ALL)
         .map(|&site| (site, STRIDES))
         .chain(FILE_ALL.iter().map(|&site| (site, FILE_STRIDES)));
-    let (mut torn, mut double_crashed, mut interrupted, mut resumed) = (0, 0, 0, 0);
+    let (mut torn, mut double_crashed, mut interrupted, mut kept) = (0, 0, 0, 0);
     // Lockdep runs armed throughout the sweep (debug builds / the `lockdep`
     // feature): any lock-order cycle or IRA footprint breach inside a cell
     // panics the cell. The counter check below catches the release-with-
@@ -61,7 +61,7 @@ fn crash_point_sweep_over_every_site() {
             torn += (out.torn_truncations > 0) as usize;
             double_crashed += out.double_crashed as usize;
             interrupted += out.interrupted as usize;
-            resumed += out.resumed as usize;
+            kept += (out.interrupted && out.kept >= 1) as usize;
         }
         // The stride-1 cells fire deterministically (the primer transaction
         // touches every substrate site, the reorganizer the IRA and file
@@ -75,7 +75,7 @@ fn crash_point_sweep_over_every_site() {
         (torn, "truncated a torn tail"),
         (double_crashed, "double-crashed during recovery"),
         (interrupted, "was interrupted mid-reorganization"),
-        (resumed, "resumed from a durable blob"),
+        (kept, "restarted with copies already placed above the floor"),
     ];
     eprintln!("chaos sweep: {coverage:?}");
     for (cells, what) in coverage {
@@ -89,17 +89,22 @@ fn crash_point_sweep_over_every_site() {
 }
 
 /// A mid-reorg kill with reorganizations of TWO partitions in flight:
-/// restart hands back both as interrupted, both resume from their
-/// on-disk checkpoint blobs, and the resumed runs complete the exact
-/// migration totals.
+/// recovery hands back both as interrupted, both restart from their
+/// floors, and the restarts move exactly the objects the crashed runs had
+/// not placed.
 #[test]
-fn multi_partition_kill_resumes_both() {
+fn multi_partition_kill_restarts_both() {
     let lockdep_before = brahma::lockdep::violations();
-    let (resumed_migrations, expected_total) =
+    let (migrated, kept, total) =
         with_repro_banner("MULTI seed:0xD15C2", || run_multi_partition_kill(0xD15C2));
     assert_eq!(
-        resumed_migrations, expected_total,
-        "resumed reorganizations must finish every live object"
+        kept, 4,
+        "two migrations per partition committed before the kill"
+    );
+    assert_eq!(
+        migrated + kept,
+        total,
+        "restarted reorganizations must place every live object once"
     );
     assert_eq!(brahma::lockdep::violations(), lockdep_before);
 }

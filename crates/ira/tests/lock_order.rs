@@ -19,12 +19,9 @@ const LOCK_ORDER: &[(LockClass, LockClass)] = &[
     (PartitionAlloc, PartitionPages),
     (PartitionPages, PageLatch),
     (DbReorgTables, WalInner),
-    (DbReorgTables, WalPins),
     (DbReorgTables, TrtInner),
-    (DbReorgTables, DbReorgPins),
     (DbReorgTables, FaultState),
     (DbReorgTables, FileBackend),
-    (DbReorgPins, WalPins),
     (FileBackend, FaultState),
 ];
 

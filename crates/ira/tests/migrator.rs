@@ -1,14 +1,14 @@
 //! Migrator tests: at any batch size and variant a run must leave a
 //! database isomorphic to the original with every live object migrated
-//! exactly once, checkpoint the exact queue position it reached, and
-//! crash/resume correctly mid-queue.
+//! exactly once, and a pass crashed mid-queue must restart from its floor,
+//! moving only what the crashed run had not placed.
 
 use brahma::{
     Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr, StoreConfig,
 };
 use harness::with_repro_banner;
 use ira::verify::logical_fingerprint;
-use ira::{IraCheckpoint, IraError, IraVariant, RelocationPlan, Reorg};
+use ira::{IraError, IraVariant, RelocationPlan, Reorg};
 
 /// A deterministic forest of anchored chains in `p1`. One garbage object
 /// rides along for the collection phase.
@@ -124,169 +124,154 @@ fn durable_store(tag: &str) -> (Database, StoreConfig, std::path::PathBuf) {
     (db, config, dir)
 }
 
-/// Deterministic mid-queue crash: the checkpoint carries the exact queue
-/// position — the batch boundary the crash fired at — and the resume
-/// completes from there to a graph isomorphic to the original.
+/// Live objects of `p` below the floor of its open pass, and at or above
+/// it: what a restart has still to move, and what the crashed run placed.
+fn split_at_floor(db: &Database, p: PartitionId) -> (usize, usize) {
+    let part = db.partition(p).expect("partition");
+    let floor = part.pass_floor().expect("an interrupted pass is open");
+    let live = part.live_objects();
+    let below = live.iter().filter(|a| a.page() < floor).count();
+    (below, live.len() - below)
+}
+
+/// Deterministic mid-queue crash: the first batch boundary at or past half
+/// the queue kills the run, and the reopened store restarts the pass from
+/// its floor. The restart moves exactly the reachable objects still below
+/// the floor, collects the one garbage object, and leaves a graph
+/// isomorphic to the original.
 #[test]
-fn crash_mid_queue_checkpoints_exact_position_and_resumes() {
+fn a_pass_crashed_at_half_restarts_from_its_floor() {
     let (chains, chain_len) = (6, 8);
-    for batch in [2, 4] {
-        with_repro_banner(
-            &format!("SEED=none CELL=crash_mid_queue,chains:{chains},chain_len:{chain_len},batch:{batch}"),
-            || crash_mid_queue_body(chains, chain_len, batch),
-        );
+    for variant in [IraVariant::Basic, IraVariant::TwoLock] {
+        for evacuate in [false, true] {
+            let cell = format!("variant:{variant:?},evacuate:{evacuate},chains:{chains}");
+            with_repro_banner(
+                &format!("SEED=none CELL=crash_at_half,{cell},chain_len:{chain_len}"),
+                || crash_at_half_body(chains, chain_len, variant, evacuate),
+            );
+        }
     }
 }
 
-fn crash_mid_queue_body(chains: usize, chain_len: usize, batch: usize) {
-    let (db, config, dir) = durable_store(&format!("crash-mid-queue-{batch}"));
+fn crash_at_half_body(chains: usize, chain_len: usize, variant: IraVariant, evacuate: bool) {
+    let batch = 2;
+    let tag = format!("crash-at-half-{variant:?}-{evacuate}");
+    let (db, config, dir) = durable_store(&tag);
     let forest = build_forest(&db, chains, chain_len);
+    let target = db.create_partition();
+    let plan = if evacuate {
+        RelocationPlan::EvacuateTo(target)
+    } else {
+        RelocationPlan::CompactInPlace
+    };
     let reference = logical_fingerprint(&db, &forest.anchors);
     db.checkpoint_durable(0xAF_u64).expect("durable checkpoint");
 
-    // The first batch boundary at or past half the queue.
-    let crash_batch = (chains * chain_len / 2 - 1).div_ceil(batch);
+    let crash_batch = (forest.live / 2 - 1).div_ceil(batch);
     db.fault.arm(FaultPlan::new(0xAF).with(FaultRule::nth(
         ira::site::BATCH,
         crash_batch as u64,
         FaultAction::Crash,
     )));
-    let err = Reorg::on(&db, forest.p1).batch(batch).run().unwrap_err();
-    let ckpt = match err {
-        IraError::SimulatedCrash(c) => c,
-        other => panic!("expected a simulated crash, got {other}"),
-    };
-    assert!(
-        !ckpt.mapping.is_empty() && ckpt.mapping.len() < forest.live,
-        "the crash must land mid-run ({} of {} migrated)",
-        ckpt.mapping.len(),
-        forest.live
-    );
-    assert_eq!(ckpt.pos, crash_batch * batch);
-    assert_eq!(ckpt.mapping.len(), ckpt.pos, "every queued object was live");
-
+    let crashed = Reorg::on(&db, forest.p1)
+        .variant(variant)
+        .plan(plan)
+        .batch(batch)
+        .run();
+    assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
     drop(db); // the crash
 
     let out = brahma::storage::open(config).expect("recovery");
     assert_eq!(out.interrupted_reorgs, vec![forest.p1]);
-    let blob = out
-        .reorg_checkpoints
-        .iter()
-        .find(|(p, _)| *p == forest.p1)
-        .map(|(_, b)| b.clone())
-        .expect("the log carries the durable reorg checkpoint");
-    assert_eq!(
-        blob,
-        ckpt.encode(),
-        "the logged blob is the returned checkpoint"
-    );
-    let recovered = IraCheckpoint::decode(&blob).expect("checkpoint decode");
     let db = &out.db;
+    let (below, at_or_above) = split_at_floor(db, forest.p1);
+    let placed = if evacuate {
+        assert_eq!(at_or_above, 0, "evacuation copies nothing into the source");
+        db.partition(target).expect("target").object_count()
+    } else {
+        at_or_above
+    };
+    assert_eq!(placed, crash_batch * batch, "every batch before the crash");
 
     let outcome = Reorg::on(db, forest.p1)
-        .resume_from(recovered, &out.pre_crash_log)
+        .variant(variant)
+        .plan(plan)
+        .batch(batch)
         .run()
-        .expect("resume after mid-queue crash");
-    assert_eq!(outcome.migrated(), forest.live);
+        .expect("restart after mid-queue crash");
+    let report = outcome.ira().expect("IRA report");
+    assert_eq!(report.garbage.len(), 1, "the junk object");
+    assert_eq!(
+        outcome.migrated(),
+        below - 1,
+        "the restart moves what lay below the floor, the junk aside"
+    );
+    assert_eq!(outcome.migrated() + placed, forest.live);
     assert_eq!(
         logical_fingerprint(db, &forest.anchors),
         reference,
-        "resumed run must reproduce the original graph"
+        "restarted run must reproduce the original graph"
     );
-    ira::verify::assert_reorganization_clean(db, outcome.ira().unwrap());
+    ira::verify::assert_reorganization_clean(db, report);
     brahma::sweep::assert_database_consistent(db);
     drop(out);
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
-/// A pass resumed after a crash and killed again before its next save
-/// resumes, after the second restart, from the first incarnation's blob:
-/// the second incarnation's `ReorgStart` does not hide it. The migrations
-/// the killed resume committed are redone by recovery and harvested from
-/// the log, so the third run still migrates every object exactly once.
+/// A restart killed again before it ends comes back, after the second
+/// reopen, at the same floor, and the third run completes it: what the
+/// first two runs placed above the floor stays, and every object moves
+/// once.
 #[test]
-fn a_resumed_pass_killed_before_its_next_save_keeps_the_first_blob() {
+fn a_restart_killed_again_restarts_at_the_same_floor_and_completes() {
     let (batch, chains, chain_len) = (2, 6, 8);
     let (db, config, dir) = durable_store("second-crash");
     let forest = build_forest(&db, chains, chain_len);
     let reference = logical_fingerprint(&db, &forest.anchors);
 
-    // First incarnation: a crash at the sixth batch boundary logs the blob.
+    // First incarnation: a crash at the sixth batch boundary.
     db.fault
         .arm(FaultPlan::new(1).with(FaultRule::nth(ira::site::BATCH, 6, FaultAction::Crash)));
-    let first = match Reorg::on(&db, forest.p1).batch(batch).run() {
-        Err(IraError::SimulatedCrash(c)) => c,
-        other => panic!(
-            "expected a simulated crash, got {:?}",
-            other.map(|o| o.migrated())
-        ),
-    };
-    assert_eq!(first.pos, 6 * batch);
+    let first = Reorg::on(&db, forest.p1).batch(batch).run();
+    assert!(matches!(first, Err(IraError::SimulatedCrash)));
     drop(db);
 
-    // Second incarnation: resume, and die at the 20th log write — some
-    // batches in, long before the run ends or saves again.
+    // Second incarnation: restart, and die at a log write some batches in,
+    // long before the run ends.
     let out = brahma::storage::open(config.clone()).expect("first restart");
-    assert_eq!(out.reorg_checkpoints, vec![(forest.p1, first.encode())]);
+    let floor = out.db.partition(forest.p1).expect("p1").pass_floor();
+    let (_, placed_first) = split_at_floor(&out.db, forest.p1);
+    assert_eq!(placed_first, 6 * batch);
     out.db.fault.arm(FaultPlan::new(2).with(FaultRule::nth(
         brahma::fault::site::FILE_PWRITE,
-        20,
+        40,
         FaultAction::Crash,
     )));
-    let blob = IraCheckpoint::decode(&out.reorg_checkpoints[0].1).expect("decode");
-    let second = Reorg::on(&out.db, forest.p1)
-        .batch(batch)
-        .resume_from(blob, &out.pre_crash_log)
-        .run();
-    let Err(IraError::SimulatedCrash(second)) = second else {
-        panic!("the killed resume must stop at its next batch boundary");
-    };
-    assert!(second.pos > first.pos, "the killed resume made progress");
-    assert!(second.mapping.len() < forest.live);
+    let second = Reorg::on(&out.db, forest.p1).batch(batch).run();
+    assert!(
+        matches!(second, Err(IraError::SimulatedCrash)),
+        "the killed restart must stop at its next batch boundary"
+    );
     drop(out);
 
-    // Third incarnation: the interrupted pass comes back with the first
-    // blob, and resuming from it completes the reorganization.
+    // Third incarnation: the pass comes back at the same floor with what
+    // both runs placed, and the restart completes it.
     let out = brahma::storage::open(config).expect("second restart");
     assert_eq!(out.interrupted_reorgs, vec![forest.p1]);
-    assert_eq!(out.reorg_checkpoints, vec![(forest.p1, first.encode())]);
-    let blob = IraCheckpoint::decode(&out.reorg_checkpoints[0].1).expect("decode");
     let db = &out.db;
+    assert_eq!(db.partition(forest.p1).expect("p1").pass_floor(), floor);
+    let (_, placed) = split_at_floor(db, forest.p1);
+    assert!(placed > placed_first, "the killed restart made progress");
     let outcome = Reorg::on(db, forest.p1)
         .batch(batch)
-        .resume_from(blob, &out.pre_crash_log)
         .run()
-        .expect("resume after the second crash");
-    assert_eq!(outcome.migrated(), forest.live);
+        .expect("restart after the second crash");
+    assert_eq!(outcome.migrated() + placed, forest.live);
     assert_eq!(logical_fingerprint(db, &forest.anchors), reference);
     ira::verify::assert_reorganization_clean(db, outcome.ira().unwrap());
     brahma::sweep::assert_database_consistent(db);
     drop(out);
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-}
-
-/// `checkpoint_every(n)` saves one reorganizer checkpoint at every `n`-th
-/// batch boundary.
-#[test]
-fn checkpoint_every_saves_at_every_nth_batch() {
-    let batch = 2;
-    for every in [1, 2] {
-        let db = Database::new(StoreConfig::default());
-        let forest = build_forest(&db, 3, 4);
-        // An empty plan fires nothing; arming is what makes sites count hits.
-        db.fault.arm(brahma::FaultPlan::new(0));
-        let outcome = Reorg::on(&db, forest.p1)
-            .batch(batch)
-            .checkpoint_every(every)
-            .run()
-            .unwrap();
-        assert_eq!(outcome.migrated(), forest.live);
-        assert_eq!(
-            db.fault.hits(ira::site::CHECKPOINT),
-            (forest.live.div_ceil(batch) / every) as u64,
-            "every={every}"
-        );
-    }
 }
 
 /// `external_parent_locks` counts out-of-partition *parents*: six objects

@@ -1,208 +1,45 @@
-//! Deterministic regression tests for the fuzzy-checkpoint lost-tuple race
-//! behind PR 4's 1-in-300 full-matrix `chaos_sweep` verify failure
-//! (DESIGN.md §12).
-//!
-//! The race: every `Txn` mutator used to append its WAL record *before*
-//! noting the TRT tuple. A reorganizer writing a fuzzy checkpoint reads
-//! `wal.next_lsn()` and then dumps the TRT; a walker preempted between its
-//! append (LSN `L`) and its note made the checkpoint capture
-//! `trt_lsn = L + 1` with the tuple in neither the snapshot nor the replay
-//! window — the seeded reconstruction lost it. The walker's transaction
-//! also had to *abort* for the loss to surface (replaying `Abort` purges
-//! only delete tuples, so a committed walker masks it), which is why the
-//! sweep only tripped ~1 in 300 runs. The fix notes before appending; see
-//! the invariant comment on `brahma::handle::Txn::log_and_apply`.
-//!
-//! The gate test rebuilds that interleaving cooperatively: a [`Gate`]
-//! parks the walker at its note point while the main thread takes the
-//! checkpoint — a permanent, seedless reproduction of the once-in-300
-//! interleaving.
+//! Schedule exploration over the crash cells (DESIGN.md §12): a PCT
+//! controller perturbs the walkers' and the reorganizer's interleaving at
+//! every instrumented point while a cell crashes at a batch boundary,
+//! recovers cold and restarts the interrupted pass from its floor.
 
 #![cfg(debug_assertions)]
 
-use brahma::{Database, LockMode, LogPayload, NewObject, PartitionId, PhysAddr, StoreConfig, Trt};
-use harness::{
-    assert_trt_reconstruction_covers, run_cell, with_repro_banner, CrashCell, Gate, PctExplorer,
-};
-use ira::{IraCheckpoint, RelocationPlan};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use harness::{run_cell, with_repro_banner, CrashCell, PctExplorer};
+use std::sync::Arc;
 
-/// The controller slot is process-global; the tests in this binary each
-/// install their own controller, so they must not overlap.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct Scenario {
-    db: Arc<Database>,
-    p1: PartitionId,
-    /// Lives outside the reorganized partition, so `insert_ref(parent,
-    /// child)` notes into `p1`'s TRT (and ERT) from a foreign txn.
-    parent: PhysAddr,
-    child: PhysAddr,
-    trt: Arc<Trt>,
-}
-
-fn setup() -> Scenario {
-    let db = Arc::new(Database::new(StoreConfig::default()));
-    let p0 = db.create_partition();
-    let p1 = db.create_partition();
-    let mut t = db.begin();
-    let child = t
-        .create_object(p1, NewObject::exact(1, vec![], b"child".to_vec()))
-        .expect("setup");
-    let parent = t
-        .create_object(
-            p0,
-            NewObject {
-                tag: 2,
-                refs: vec![],
-                ref_cap: 4,
-                payload: vec![],
-                payload_cap: 0,
-            },
-        )
-        .expect("setup");
-    t.commit().expect("setup");
-    // Appends the ReorgStart record and activates p1's TRT.
-    let trt = db.start_reorg(p1).expect("setup");
-    Scenario {
-        db,
-        p1,
-        parent,
-        child,
-        trt,
-    }
-}
-
-/// The walker half of the interleaving: one foreign transaction inserting
-/// a reference to an object of the reorganized partition, then aborting.
-fn spawn_walker(scn: &Scenario) -> JoinHandle<()> {
-    let db = Arc::clone(&scn.db);
-    let (parent, child) = (scn.parent, scn.child);
-    std::thread::Builder::new()
-        .name("walker".into())
-        .spawn(move || {
-            let mut t = db.begin();
-            t.lock(parent, LockMode::Exclusive).expect("walker lock");
-            t.insert_ref(parent, child).expect("walker insert");
-            // The loss only surfaces on abort: replaying `Abort` purges the
-            // compensation's delete tuple, so the insert tuple alone must
-            // survive in the from-scratch reconstruction — and therefore in
-            // the seeded one.
-            t.abort();
-        })
-        .expect("spawn walker")
-}
-
-/// The reorganizer half: capture `(trt_lsn, snapshot)` exactly the way
-/// `ReorgRun::checkpoint` does. Everything else in the checkpoint is
-/// irrelevant to TRT reconstruction and left empty.
-fn take_fuzzy_checkpoint(scn: &Scenario) -> IraCheckpoint {
-    let trt_lsn = scn.db.wal.next_lsn();
-    let trt_snapshot = scn.trt.dump();
-    IraCheckpoint {
-        partition: scn.p1,
-        plan: RelocationPlan::CompactInPlace,
-        state: ira::TraversalState::default(),
-        mapping: vec![],
-        pos: 0,
-        trt_snapshot,
-        trt_lsn,
-    }
-}
-
-/// The §4.5 equivalence the resume path relies on, applied to the whole
-/// surviving log: the seeded reconstruction must cover the from-scratch
-/// one. Also checks the scenario has teeth — the walker's insert record
-/// must sit at or after `trt_lsn`, i.e. outside the snapshot and exactly
-/// on the window boundary the unfixed code excluded.
-fn assert_critical_instant_covered(scn: &Scenario, ckpt: &IraCheckpoint) {
-    let log = scn.db.wal.records_from(0);
-    let insert_lsn = log
-        .iter()
-        .find(|r| {
-            matches!(&r.payload,
-                     LogPayload::InsertRef { parent, child, .. }
-                         if *parent == scn.parent && *child == scn.child)
-        })
-        .map(|r| r.lsn)
-        .expect("the walker's insert must be in the log");
-    assert!(
-        insert_lsn >= ckpt.trt_lsn,
-        "the checkpoint must have raced ahead of the walker's append \
-         (insert at {insert_lsn}, window starts at {})",
-        ckpt.trt_lsn
-    );
-    assert!(
-        !ckpt.trt_snapshot.iter().any(|t| t.child == scn.child),
-        "the snapshot must predate the walker's note"
-    );
-    assert_trt_reconstruction_covers(&log, ckpt, scn.db.trt_purge_enabled());
-}
-
-/// The 1-in-300 interleaving, reconstructed exactly: park the walker at
-/// `db.note_insert`, between deciding to mutate and its TRT note, take the
-/// checkpoint, release. With note-before-append the insert record lands
-/// inside the replay window; before the fix this test fails with
-/// "seeded TRT reconstruction lost tuple".
-#[test]
-fn checkpoint_racing_aborted_insert_loses_no_tuple() {
-    let _guard = serial();
-    let scn = setup();
-    let gate = Arc::new(Gate::new("db.note_insert"));
-    brahma::sched::install_controller(gate.clone());
-    let walker = spawn_walker(&scn);
-    assert!(
-        gate.wait_arrived(Duration::from_secs(5)),
-        "the walker never reached its TRT note point"
-    );
-    let ckpt = take_fuzzy_checkpoint(&scn);
-    gate.release();
-    walker.join().expect("walker");
-    brahma::sched::clear_controller();
-    assert!(!gate.escaped(), "the walker must not time out of the gate");
-    assert_critical_instant_covered(&scn, &ckpt);
-}
-
-/// Schedule exploration over the cell shape the 1-in-300 failure lived in
-/// (crash while a checkpoint or batch boundary is hot,
-/// seeded TRT rebuild on resume): `EXPLORE_ROOTS` fault/workload seeds ×
-/// `EXPLORE_PRIOS` PCT priority seeds, every cell verified. Bounded so
-/// ci.sh can run a small smoke; crank the env vars to hunt.
+/// Schedule exploration over the batch-boundary crash cell:
+/// `EXPLORE_ROOTS` fault/workload seeds × `EXPLORE_PRIOS` PCT priority
+/// seeds, every cell verified. Bounded so ci.sh can run a small smoke;
+/// crank the env vars to hunt.
 #[test]
 #[ignore = "exploration sweep; run with --ignored, bound via EXPLORE_ROOTS/EXPLORE_PRIOS"]
 fn explore_chaos() {
-    let _guard = serial();
     let roots = brahma::env_cfg::explore_roots(4);
     let prios = brahma::env_cfg::explore_prios(4);
     let tree = brahma::SeedTree::new(brahma::env_cfg::chaos_root_seed()).child("explore");
-    for site in [ira::site::CHECKPOINT, ira::site::BATCH] {
-        for r in 0..roots {
-            let root = tree.child(site).child_idx(r).seed();
-            for p in 0..prios {
-                let prio = brahma::SeedTree::new(root)
-                    .child("prio")
-                    .child_idx(p)
-                    .seed();
-                // 3 preemption points over a ~400-point horizon, after PCT:
-                // enough to flip who wins each instrumented race without
-                // degenerating into uniform noise.
-                brahma::sched::install_controller(Arc::new(PctExplorer::new(prio, 3, 400)));
-                let cell = CrashCell {
-                    site,
-                    nth_hit: 3,
-                    seed: root,
-                };
-                with_repro_banner(
-                    &format!("EXPLORE CELL=site:{site},root:{root:#x},prio:{prio:#x}"),
-                    || run_cell(&cell),
-                );
-                brahma::sched::clear_controller();
-            }
+    let site = ira::site::BATCH;
+    for r in 0..roots {
+        let root = tree.child(site).child_idx(r).seed();
+        for p in 0..prios {
+            let prio = brahma::SeedTree::new(root)
+                .child("prio")
+                .child_idx(p)
+                .seed();
+            // 3 preemption points over a ~400-point horizon, after PCT:
+            // enough to flip who wins each instrumented race without
+            // degenerating into uniform noise.
+            brahma::sched::install_controller(Arc::new(PctExplorer::new(prio, 3, 400)));
+            let cell = CrashCell {
+                site,
+                nth_hit: 3,
+                seed: root,
+            };
+            with_repro_banner(
+                &format!("EXPLORE CELL=site:{site},root:{root:#x},prio:{prio:#x}"),
+                || run_cell(&cell),
+            );
+            brahma::sched::clear_controller();
         }
     }
 }

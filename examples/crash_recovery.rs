@@ -1,11 +1,12 @@
 //! Failure handling (Section 4.4): crash in the middle of a
-//! reorganization, recover, resume.
+//! reorganization, recover, restart.
 //!
 //! Each object migration runs in a transaction, so a crash never leaves a
 //! half-migrated object: committed migrations survive restart recovery, the
-//! in-flight one rolls back. The reorganizer checkpoints its traversal
-//! state; after recovery the TRT is rebuilt from the log and the
-//! reorganization continues with the objects not yet migrated.
+//! in-flight one rolls back. Recovery reopens the interrupted pass at its
+//! page floor. The committed copies lie at or above it, and what still has
+//! to move lies below it, so the restarted reorganization keeps the copies
+//! and moves only the rest.
 //!
 //! The store lives in a scratch directory under the system temp dir;
 //! dropping it is the crash and `brahma::storage::open` the restart.
@@ -13,7 +14,7 @@
 //! Run with: `cargo run --example crash_recovery`
 
 use brahma::{FaultAction, FaultPlan, FaultRule, NewObject, StoreConfig};
-use ira::{IraCheckpoint, IraError, Reorg};
+use ira::{IraError, Reorg};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("crash-recovery-example-{}", std::process::id()));
@@ -52,25 +53,16 @@ fn main() {
     db.fault
         .arm(FaultPlan::new(12).with(FaultRule::nth(ira::site::BATCH, 12, FaultAction::Crash)));
     let err = Reorg::on(&db, p1).run().expect_err("fault injection fires");
-    let IraError::SimulatedCrash(ira_ckpt) = err else {
-        panic!("expected a simulated crash");
-    };
-    println!(
-        "crashed after {} of 30 migrations; reorganizer checkpoint captured \
-         {} traversed objects",
-        ira_ckpt.mapping.len(),
-        ira_ckpt.state.order.len()
-    );
+    assert!(matches!(err, IraError::SimulatedCrash));
+    println!("crashed at the 12th batch boundary, after 12 of 30 migrations");
 
     // The process dies: all volatile state is gone. What survives is the
-    // checkpoint file and the log segments, among them the reorganizer's
-    // checkpoint blob, logged through the store at the crash.
-    drop(ira_ckpt);
+    // checkpoint file and the log segments.
     drop(db);
 
     // Restart recovery: redo committed work from the checkpoint, roll back
-    // losers, report the interrupted reorganization and hand back its
-    // logged checkpoint.
+    // losers, and report the interrupted reorganization, its pass open
+    // again at the floor it logged.
     let outcome = brahma::storage::open(config).expect("recovery succeeds");
     println!(
         "recovery: {} loser transaction(s) rolled back; interrupted reorganizations: {:?}",
@@ -78,26 +70,24 @@ fn main() {
         outcome.interrupted_reorgs
     );
     assert_eq!(outcome.interrupted_reorgs, vec![p1]);
-    let (_, blob) = outcome
-        .reorg_checkpoints
-        .iter()
-        .find(|(p, _)| *p == p1)
-        .expect("recovery surfaces the pending reorg checkpoint");
-    let recovered_ckpt = IraCheckpoint::decode(blob).expect("checkpoint blob decodes");
     let db = &outcome.db;
+    let part = db.partition(p1).unwrap();
+    let floor = part.pass_floor().expect("the interrupted pass is open");
+    let kept = part
+        .live_objects()
+        .into_iter()
+        .filter(|a| a.page() >= floor)
+        .count();
 
-    // Resume: the TRT is rebuilt from the log, traversal state comes from
-    // the decoded reorganizer checkpoint, and the remaining objects
-    // migrate.
-    let resumed = Reorg::on(db, p1)
-        .resume_from(recovered_ckpt, &outcome.pre_crash_log)
-        .run()
-        .expect("resume completes");
+    // Restart: the same call as a fresh run. It keeps the copies above the
+    // floor and moves the objects below it.
+    let restarted = Reorg::on(db, p1).run().expect("restart completes");
     println!(
-        "resume migrated the remaining objects; total mapping now covers {} objects",
-        resumed.migrated()
+        "restart kept {kept} objects the crashed run had placed and migrated the other {}",
+        restarted.migrated()
     );
-    assert_eq!(resumed.migrated(), 30);
+    assert_eq!(kept, 12);
+    assert_eq!(restarted.migrated(), 30 - kept);
 
     // The whole chain is reachable and intact.
     let mut cur = db.raw_read(anchor).unwrap().refs[0];
@@ -111,8 +101,8 @@ fn main() {
         }
     }
     assert_eq!(count, 30);
-    ira::verify::assert_reorganization_clean(db, resumed.ira().unwrap());
-    println!("verification passed: chain of 30 intact after crash + resume.");
+    ira::verify::assert_reorganization_clean(db, restarted.ira().unwrap());
+    println!("verification passed: chain of 30 intact after crash + restart.");
     drop(outcome);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -85,7 +85,8 @@ fn main() {
         .unwrap();
     let reclaimed = outcome.ira().unwrap().garbage.len();
     println!(
-        "copying collector: {} live objects moved to {target}, {reclaimed} garbage objects reclaimed in {:.2?}",
+        "copying collector: {} live objects moved to {target}, {reclaimed} garbage \
+         objects reclaimed in {:.2?}",
         outcome.migrated(),
         outcome.duration
     );

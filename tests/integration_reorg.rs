@@ -299,7 +299,7 @@ fn external_parent_grouping_reduces_lock_acquisitions() {
 #[test]
 fn concurrent_reorganizations_of_two_partitions() {
     // Two IRA instances on different partitions at the same time, under a
-    // churning workload; each keeps its own TRT and log pin.
+    // churning workload; each keeps its own TRT and page floor.
     let db = Arc::new(Database::new(StoreConfig::default()));
     let params = small_params();
     let info = Arc::new(build_graph(&db, &params).unwrap());
