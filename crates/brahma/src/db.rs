@@ -185,7 +185,7 @@ impl Database {
         Database {
             locks: LockManager::new(crate::lock::DB_SHARDS, config.lock_timeout),
             txns: TxnManager::new(),
-            wal: Wal::new(config.wal_retain, config.commit_flush_latency),
+            wal: Wal::new(false, config.commit_flush_latency),
             reorg_tables: RwLock::new(LockClass::DbReorgTables, 0, HashMap::new()),
             roots: Mutex::new(LockClass::DbRoots, 0, Vec::new()),
             cpu: RwLock::new(LockClass::DbCpu, 0, None),
@@ -200,7 +200,7 @@ impl Database {
     }
 
     /// Install the durability backend (once, at open time): every WAL
-    /// append from here on is mirrored to it, and checkpoints go through
+    /// append from here on is written to it, and checkpoints go through
     /// [`crate::storage::FileBackend::write_checkpoint`].
     pub(crate) fn attach_backend(&self, backend: Arc<crate::storage::FileBackend>) {
         let _ = self.backend.set(Arc::clone(&backend));
@@ -581,9 +581,6 @@ impl Database {
         self.locks.stats.export(&mut snap);
         snap.set("lock.table_size", self.locks.table_size() as u64);
         self.wal.stats.export(&mut snap);
-        let (retained_records, retained_bytes) = self.wal.retained();
-        snap.set("wal.retained_records", retained_records as u64);
-        snap.set("wal.retained_bytes", retained_bytes as u64);
 
         let mut ert_inserts = 0;
         let mut ert_removes = 0;

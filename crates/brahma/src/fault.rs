@@ -73,7 +73,7 @@ pub mod site {
     ];
 
     /// A WAL record is about to be pwritten to the active segment file
-    /// (crash-only in practice: the file mirror runs behind paths that
+    /// (crash-only in practice: the segment writer runs behind paths that
     /// return no `Result`, so error actions only count; a crash kills the
     /// backend before any bytes land).
     pub const FILE_PWRITE: &str = "file.pwrite";

@@ -520,8 +520,10 @@ impl<'db> Txn<'db> {
     // Completion
     // ------------------------------------------------------------------
 
-    /// Commit: force the log, apply the Section 4.5 TRT purges, release all
-    /// locks.
+    /// Commit: log `Commit`, force the log if this transaction updated
+    /// anything, apply the Section 4.5 TRT purges, release all locks. A
+    /// transaction that updated nothing has nothing to make durable, and
+    /// under strict 2PL whatever it read was forced by its writer's commit.
     ///
     /// An injected `wal.commit_flush` fault fails the commit *before* the
     /// commit record is appended; the handle is then dropped, which rolls
@@ -529,7 +531,9 @@ impl<'db> Txn<'db> {
     pub fn commit(mut self) -> Result<()> {
         self.db.fault.hit(site::WAL_COMMIT_FLUSH)?;
         let lsn = self.db.wal.append(self.id, LogPayload::Commit);
-        self.db.wal.flush(lsn);
+        if !self.undo.is_empty() {
+            self.db.wal.flush(lsn);
+        }
         self.db
             .purge_trt_for_txn(self.id, true, &self.deleted_pairs);
         self.finish();

@@ -68,8 +68,6 @@ pub enum LockClass {
     LockTableShard = 0,
     /// A page latch (`page::PageRef`'s `RwLock<Page>`).
     PageLatch,
-    /// One WAL lane (`Wal::lanes`); a cut takes them all in ascending index.
-    WalInner,
     /// The WAL group-commit leader flag (`Wal::flush_leader`).
     WalFlushLeader,
     /// A Temporary Reference Table (`Trt::inner`).
@@ -94,8 +92,8 @@ pub enum LockClass {
     /// The fault injector's rule state (`FaultInjector::state`).
     FaultState,
     /// The file backend's segment-writer state (`storage::FileBackend`).
-    /// The append mirror takes it *inside* lane 0's mutex (`WalInner` →
-    /// `FileBackend`), which is what keeps the segment in LSN order.
+    /// An append reserves its LSN and writes its frame under it, which is
+    /// what keeps the segment in LSN order.
     FileBackend,
     /// Reserved for lockdep's own tests.
     TestA,

@@ -10,9 +10,10 @@
 //!   [`CrashImage`] — the checkpoint plus the log that reached the segment
 //!   files, which [`crate::storage::open`] reads back after a crash: analysis
 //!   over the surviving log, redo of *all* surviving updates from the
-//!   checkpoint ("repeating history"), then undo of loser transactions with
-//!   compensation records. ERT maintenance replays along with the updates,
-//!   so the recovered ERTs are exact. REDO repeats the pass boundaries too,
+//!   checkpoint ("repeating history"), then undo of loser transactions. The
+//!   undo is applied, not logged: `open` checkpoints right after recovery,
+//!   and a crash before that checkpoint re-runs it. ERT maintenance replays
+//!   along with the updates, so the recovered ERTs are exact. REDO repeats the pass boundaries too,
 //!   so a reorganization that was in progress comes back as a pass still
 //!   open at its floor, and is reported as interrupted so the caller can
 //!   restart IRA from that floor (its migrations are transactional —
@@ -92,8 +93,8 @@ impl Database {
 pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<RecoveryOutcome> {
     let db = Database::new(config);
     // Continue the pre-crash LSN space: every record the new incarnation
-    // appends (recovery compensations included) gets an LSN above anything
-    // that survived, so logs from different incarnations merge by LSN.
+    // appends gets an LSN above anything that survived, so logs from
+    // different incarnations merge by LSN.
     let max_lsn = image
         .log
         .iter()
@@ -153,13 +154,10 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     for &tid in &losers {
         let updates = txn_updates.remove(&tid).unwrap_or_default();
         // Analysis kept only update records, each of which has an inverse:
-        // log it as the compensation record, then perform it like any other.
-        let compensations = updates.into_iter().rev().filter_map(LogPayload::inverse);
-        for compensation in compensations {
-            db.wal.append(tid, compensation.clone());
+        // perform it like any other update.
+        for compensation in updates.into_iter().rev().filter_map(LogPayload::inverse) {
             redo_record(&db, &compensation)?;
         }
-        db.wal.append(tid, LogPayload::Abort);
     }
 
     // A pass is open in the checkpoint's snapshot or after REDO of its
@@ -346,31 +344,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The image a crash of in-memory `db` right now would leave if every
-    /// append had reached a file: a checkpoint and the log from its LSN on.
-    fn image_of(db: &Database) -> CrashImage {
-        let checkpoint = db.checkpoint(1);
-        let log = db.wal.records_from(checkpoint.lsn);
-        CrashImage { checkpoint, log }
-    }
-
     #[test]
     fn redo_detects_log_corruption() {
         let db = Database::new(StoreConfig::default());
         db.create_partition();
         let a = mk(&db, 0, vec![], b"x");
         let b = mk(&db, 0, vec![], b"y");
-        let mut image = image_of(&db);
-        // Forge a DeleteRef that does not match the page state.
-        image.log.push(LogRecord {
-            lsn: 999,
-            tid: TxnId(42),
-            payload: LogPayload::DeleteRef {
-                parent: a,
-                child: b,
-                index: 0,
-            },
-        });
+        // The checkpoint holds the state; forge a DeleteRef that does not
+        // match it.
+        let image = CrashImage {
+            checkpoint: db.checkpoint(1),
+            log: vec![LogRecord {
+                lsn: 999,
+                tid: TxnId(42),
+                payload: LogPayload::DeleteRef {
+                    parent: a,
+                    child: b,
+                    index: 0,
+                },
+            }],
+        };
         assert!(recover(image, StoreConfig::default()).is_err());
     }
 

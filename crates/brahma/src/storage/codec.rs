@@ -262,7 +262,7 @@ const TAG_CHECKPOINT: u8 = 12;
 const TAG_CREATE_PARTITION: u8 = 13;
 
 /// Append a record's body (no framing) to `out`: `lsn | tid | tag |
-/// fields`. The LSN comes first so the log can patch it in after encoding.
+/// fields`.
 pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: &LogPayload) {
     put_u64(out, lsn);
     put_u64(out, tid.0);

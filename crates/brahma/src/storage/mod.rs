@@ -1,18 +1,17 @@
 //! The durable file backend (DESIGN.md §14).
 //!
 //! The store's operational data structures — pages, allocator directories,
-//! reference tables, the in-memory log — are the same with and without it;
-//! a [`FileBackend`] is a *durability mirror* behind them. The default is
-//! none at all (the paper's memory-resident configuration, unchanged).
-//! Attaching one makes durability real:
+//! reference tables — are the same with and without it; the log holds no
+//! record in memory. The default is no backend at all (the paper's
+//! memory-resident configuration, unchanged). Attaching one makes
+//! durability real:
 //!
-//! * every WAL append is mirrored — under log lane 0's mutex, the one lane
-//!   while a backend is attached, so the on-disk order is the LSN order and
-//!   a cut of the log finds every LSN below `Wal::next_lsn` in a segment
-//!   file — into a segmented append-only log of
-//!   CRC32-checksummed, length-prefixed records
-//!   ([`codec::put_frame`] around the body the log already encoded); the
-//!   group-commit leader's force becomes a real `fsync`;
+//! * every WAL append reserves its LSN, is encoded and written under the
+//!   backend's one mutex — so the on-disk order is the LSN order and every
+//!   LSN below `Wal::next_lsn` is in a segment file — into a segmented
+//!   append-only log of CRC32-checksummed, length-prefixed records
+//!   ([`codec::put_frame`]'s framing); the group-commit leader's force
+//!   becomes a real `fsync`;
 //! * segments rotate at [`crate::StoreConfig::wal_segment_bytes`] and are
 //!   deleted, oldest first, once wholly older than the last checkpoint;
 //! * checkpoints are written *shadow-style* — encode to
@@ -48,13 +47,13 @@ use crate::fault::{site, FaultInjector, FaultPlan};
 use crate::lockdep::{LockClass, Mutex};
 use crate::recovery::{recover, Checkpoint, CrashImage};
 use crate::txn::TxnId;
-use crate::wal::{LogRecord, Lsn};
+use crate::wal::{LogPayload, LogRecord, Lsn};
 use codec::{Framed, Reader};
 use obs::Counter;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
@@ -92,7 +91,8 @@ impl FileStats {
 struct SegWriter {
     file: File,
     bytes: u64,
-    /// The frame being written; kept for its capacity.
+    /// The record body and the frame being written; kept for their capacity.
+    body: Vec<u8>,
     frame: Vec<u8>,
 }
 
@@ -133,6 +133,7 @@ impl FileBackend {
                 SegWriter {
                     file,
                     bytes: SEG_HEADER_BYTES,
+                    body: Vec::new(),
                     frame: Vec::new(),
                 },
             ),
@@ -143,7 +144,7 @@ impl FileBackend {
     /// Observe `site` and report whether it fired a crash *at this call*
     /// (as opposed to a crash latched earlier at an unrelated site).
     /// Retryable/permanent actions at file sites fire into the counters but
-    /// cannot unwind — the mirror path returns no `Result` (same contract
+    /// cannot unwind — the append path returns no `Result` (same contract
     /// as the `page.latch` site).
     fn site_kills(&self, s: &'static str) -> bool {
         if !self.fault.armed() {
@@ -159,22 +160,30 @@ impl FileBackend {
         self.dead.store(true, Ordering::SeqCst);
     }
 
-    /// Mirror one appended record, given as the body the log encoded for
-    /// itself; the length and CRC are added here, and the segment rotates
-    /// first if it is full. [`crate::wal::Wal::append`] calls this inside
-    /// log lane 0's mutex, so frames reach the segment in LSN order and a
-    /// reserved LSN's frame is in the file before that mutex is released. A fault or
-    /// real I/O error kills the backend: completed earlier writes survive,
-    /// this frame does not.
-    pub(crate) fn wal_append(&self, lsn: Lsn, body: &[u8]) {
-        // ordering: lane 0's mutex orders an earlier append's kill; one racing `sync` is a race the disk could also lose
-        if self.dead.load(Ordering::Relaxed) {
-            return;
+    /// Write one record to the active segment and return its LSN, reserved
+    /// from `next_lsn`. Reservation, encoding and write all happen under
+    /// `inner`, so frames reach the segment in LSN order and every reserved
+    /// LSN is in the file once the mutex is released. A dead backend still
+    /// hands out LSNs.
+    pub(crate) fn wal_append(&self, next_lsn: &AtomicU64, tid: TxnId, payload: &LogPayload) -> Lsn {
+        let mut inner = self.inner.lock();
+        // ordering: AcqRel keeps every reservation in the release sequence Wal::next_lsn's Acquire reads
+        let lsn = next_lsn.fetch_add(1, Ordering::AcqRel);
+        // ordering: an append's kill is ordered by `inner`; one racing `sync` is a race the disk could also lose
+        if !self.dead.load(Ordering::Relaxed) {
+            self.write_frame(&mut inner, lsn, tid, payload);
         }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        lsn
+    }
+
+    /// Encode and write one frame, rotating first if the segment is full.
+    /// A fault or real I/O error kills the backend: completed earlier
+    /// writes survive, this frame does not.
+    fn write_frame(&self, inner: &mut SegWriter, lsn: Lsn, tid: TxnId, payload: &LogPayload) {
+        inner.body.clear();
+        codec::put_record_body(&mut inner.body, lsn, tid, payload);
         inner.frame.clear();
-        codec::put_frame(&mut inner.frame, body);
+        codec::put_frame(&mut inner.frame, &inner.body);
         if inner.bytes >= self.segment_bytes {
             // Rotate: the finished segment keeps its records; the new one
             // starts at this record's LSN (its filename *is* its coverage).
@@ -208,25 +217,34 @@ impl FileBackend {
         self.stats.bytes_written.add(frame.len() as u64);
     }
 
-    /// Force the mirrored log to stable storage (the group-commit leader's
-    /// force). Every frame the leader's target covers is already in a
-    /// segment file; those in earlier segments were synced at rotation.
-    pub(crate) fn sync(&self) {
+    /// Force the segment files to stable storage (the group-commit leader's
+    /// force) and return the last LSN they hold, the force's target: every
+    /// LSN is reserved under `inner`, so the last one read there is in a
+    /// file. Segments before the active one were synced at rotation.
+    pub(crate) fn sync(&self, next_lsn: &AtomicU64) -> Lsn {
+        // ordering: Relaxed; read under `inner`, where every LSN is reserved
+        let last = || next_lsn.load(Ordering::Relaxed).saturating_sub(1);
         // ordering: fast-path probe; a stale read is a race the disk could also lose
         if self.dead.load(Ordering::Relaxed) {
-            return;
+            return last();
         }
         if self.site_kills(site::FILE_FSYNC) {
-            return self.die();
+            self.die();
+            return last();
         }
         // Clone the active segment's fd under the lock, fsync outside it:
         // appenders keep writing into the (OS-side buffered) file while the
         // device write completes.
-        let file = self.inner.lock().file.try_clone();
-        if !file.is_ok_and(|f| f.sync_data().is_ok()) {
-            return self.die();
+        let (file, target) = {
+            let inner = self.inner.lock();
+            (inner.file.try_clone(), last())
+        };
+        if file.is_ok_and(|f| f.sync_data().is_ok()) {
+            self.stats.fsyncs.inc();
+        } else {
+            self.die();
         }
-        self.stats.fsyncs.inc();
+        target
     }
 
     /// Durably replace the checkpoint (shadow write + atomic rename +
@@ -601,8 +619,8 @@ fn eio(what: &str, e: &std::io::Error) -> Error {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::addr::PhysAddr;
     use crate::handle::NewObject;
-    use crate::wal::LogPayload;
 
     /// An empty scratch directory for one test's store.
     pub(crate) fn tmpdir(tag: &str) -> PathBuf {
@@ -619,12 +637,20 @@ pub(crate) mod tests {
         }
     }
 
+    /// What thread `t` appends as its `i`-th record.
+    fn nth_of(t: u32, i: u16) -> LogPayload {
+        LogPayload::Migrate {
+            old: PhysAddr::new(PartitionId(0), t, i),
+            new: PhysAddr::new(PartitionId(1), t, i),
+        }
+    }
+
     /// Four threads × 500 `Wal::append`s through a `FileBackend` sink over
     /// 4 KiB segments, a force, a drop — optionally with a `file.pwrite`
-    /// kill armed at hit `kill_at`. Returns what the in-memory log holds
-    /// and what a reopened scan of the segments finds.
-    fn concurrent_appends(tag: &str, kill_at: Option<u64>) -> (Vec<LogRecord>, Vec<LogRecord>) {
-        use crate::addr::PhysAddr;
+    /// kill armed at hit `kill_at`. Returns what a reopened scan of the
+    /// segments finds, after checking it is the LSNs from 0 up, gap-free,
+    /// and each thread's records a prefix of what it appended, in order.
+    fn concurrent_appends(tag: &str, kill_at: Option<u64>) -> Vec<LogRecord> {
         use crate::fault::{FaultAction, FaultRule};
         use crate::wal::Wal;
         let dir = tmpdir(tag);
@@ -644,41 +670,39 @@ pub(crate) mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..500u16 {
-                        let payload = LogPayload::Migrate {
-                            old: PhysAddr::new(PartitionId(0), t, i),
-                            new: PhysAddr::new(PartitionId(1), t, i),
-                        };
-                        wal.append(TxnId(u64::from(t)), payload);
+                        wal.append(TxnId(u64::from(t)), nth_of(t, i));
                     }
                 });
             }
         });
         wal.flush(wal.next_lsn() - 1);
+        assert_eq!(wal.next_lsn(), 2000, "a dead backend still hands out LSNs");
         assert_eq!(backend.healthy(), kill_at.is_none());
         assert!(kill_at.is_some() || backend.stats.segments_rotated.get() >= 2);
-        let logged = wal.records_from(0);
         drop((wal, backend));
         let (scanned, torn) = scan_segments(&dir.join("wal")).unwrap();
         assert_eq!(torn, 0);
         fs::remove_dir_all(&dir).unwrap();
-        (logged, scanned)
+        assert!(scanned.iter().map(|r| r.lsn).eq(0..scanned.len() as Lsn));
+        for t in 0..4u32 {
+            let own = scanned.iter().filter(|r| r.tid == TxnId(u64::from(t)));
+            assert!(own.zip(0..).all(|(r, i)| r.payload == nth_of(t, i)));
+        }
+        scanned
     }
 
     #[test]
     fn concurrent_appends_reach_the_segments_in_lsn_order() {
-        let (logged, scanned) = concurrent_appends("lsn-order", None);
-        assert_eq!(logged.len(), 2000);
-        assert!(logged.iter().enumerate().all(|(i, r)| r.lsn == i as Lsn));
-        assert_eq!(scanned, logged, "the segments hold the log, in LSN order");
+        let scanned = concurrent_appends("lsn-order", None);
+        assert_eq!(scanned.len(), 2000, "the segments hold every record");
     }
 
     #[test]
     fn a_pwrite_kill_leaves_a_gap_free_prefix() {
         // Hit n of `file.pwrite` is frame n: frames 1..n landed, nothing
         // from the kill on did, whichever threads were appending.
-        let (logged, scanned) = concurrent_appends("kill-prefix", Some(700));
+        let scanned = concurrent_appends("kill-prefix", Some(700));
         assert_eq!(scanned.len(), 699);
-        assert_eq!(scanned, logged[..699]);
     }
 
     #[test]

@@ -33,9 +33,8 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// Thread slots: the registry's slots and the log's lanes
-/// ([`crate::wal::Wal`]). A power of two, so a [`TxnId`]'s slot is its low
-/// bits.
+/// Thread slots: the registry's slots. A power of two, so a [`TxnId`]'s
+/// slot is its low bits.
 pub(crate) const SLOTS: usize = 8;
 const _: () = assert!(SLOTS.is_power_of_two());
 

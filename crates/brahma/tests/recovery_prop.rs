@@ -5,22 +5,23 @@
 //! recovers to *exactly* the state of a reference database that ran the
 //! same script — byte-for-byte object images, allocator directories, ERTs.
 //! A loser transaction open at crash time is rolled back to the same
-//! reference state — and recovery logs for it the very compensation records
-//! a live `Txn::abort` logs; a reorganization window open at crash time is
-//! reported as interrupted, its pass open again at its logged floor.
+//! reference state a live `Txn::abort` reaches, whose compensation records
+//! are the loser's forward records reversed and inverted; a reorganization
+//! window open at crash time is reported as interrupted, its pass open
+//! again at its logged floor.
 //!
 //! The crashed store is file-backed: dropping it is the crash, and
 //! `brahma::storage::open` the restart. Every record it appended reached its
 //! segment file, unless a `file.pwrite` kill stopped the writes.
 
 use brahma::fault::site;
-use brahma::storage::open;
+use brahma::storage::{open, scan_segment_file};
 use brahma::{
-    Database, FaultAction, FaultPlan, FaultRule, LockMode, LogPayload, NewObject, PartitionId,
-    PhysAddr, StoreConfig, TxnId,
+    Database, FaultAction, FaultPlan, FaultRule, LockMode, LogPayload, LogRecord, Lsn, NewObject,
+    PartitionId, PhysAddr, StoreConfig, TxnId,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[derive(Debug, Clone)]
@@ -301,14 +302,6 @@ fn state_dump(db: &Database) -> String {
     out
 }
 
-/// A fresh two-partition in-memory store (the reference runs).
-fn two_partitions() -> Database {
-    let db = Database::new(StoreConfig::default());
-    db.create_partition();
-    db.create_partition();
-    db
-}
-
 /// A fresh two-partition file-backed store in its own scratch directory,
 /// with the config that reopens it. Drop the store to crash it.
 fn durable_two_partitions(tag: &str) -> (Database, StoreConfig, PathBuf) {
@@ -333,20 +326,31 @@ fn kill_at_next_append(db: &Database) {
     db.fault.arm(FaultPlan::new(0).with(kill));
 }
 
-/// The update records workload transaction `tid` logged at or after
-/// `from`, in log order.
-fn updates_of(db: &Database, tid: TxnId, from: u64) -> Vec<LogPayload> {
-    db.wal
-        .records_from(from)
-        .into_iter()
-        .filter(|r| r.tid == tid)
+/// Every record in the segment files of the store at `dir`, in LSN order.
+fn logged(dir: &Path) -> Vec<LogRecord> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    segments.sort();
+    segments
+        .iter()
+        .flat_map(|path| scan_segment_file(path, false).unwrap().0)
+        .collect()
+}
+
+/// The update records transaction `tid` logged at or after `from`, in
+/// log order.
+fn updates_of(log: &[LogRecord], tid: TxnId, from: Lsn) -> Vec<LogPayload> {
+    log.iter()
+        .filter(|r| r.tid == tid && r.lsn >= from)
         .filter(|r| {
             !matches!(
                 r.payload,
                 LogPayload::Begin { .. } | LogPayload::Commit | LogPayload::Abort
             )
         })
-        .map(|r| r.payload)
+        .map(|r| r.payload.clone())
         .collect()
 }
 
@@ -406,22 +410,22 @@ proptest! {
 
     /// One rollback, two drivers: the same loser rolled back live by
     /// `Txn::abort` and rolled back by `recover()` after a crash ends in the
-    /// same state *and* logs the same compensation records in the same
-    /// order.
+    /// same state, and the compensation records the live abort wrote to its
+    /// segment files are the loser's forward records, reversed and inverted.
     #[test]
     fn live_abort_and_recovery_undo_log_the_same_compensations(script in script_strategy()) {
-        let live = two_partitions();
-        let live_compensations = {
+        let (live, _, live_dir) = durable_two_partitions("live-abort");
+        let (tid, rollback_from) = {
             let mut pool = run_prefix(&live, &script);
             let mut loser = live.begin();
-            let tid = loser.id();
             for op in &script.loser {
                 apply_op(&mut loser, op, &mut pool, &mut Vec::new());
             }
-            let rollback_from = live.wal.next_lsn();
+            let tid_and_lsn = (loser.id(), live.wal.next_lsn());
             loser.abort();
-            updates_of(&live, tid, rollback_from)
+            tid_and_lsn
         };
+        let live_compensations = updates_of(&logged(&live_dir), tid, rollback_from);
 
         let (db, config, dir) = durable_two_partitions("undo");
         let mut pool = run_prefix(&db, &script);
@@ -430,18 +434,18 @@ proptest! {
         for op in &script.loser {
             apply_op(&mut loser, op, &mut pool, &mut Vec::new());
         }
-        let forward = updates_of(&db, tid, 0);
-        let crash_lsn = db.wal.next_lsn();
         std::mem::forget(loser); // the crash preempts it
         drop(db);
-        let out = open(config).unwrap();
+        let forward = updates_of(&logged(&dir), tid, 0);
+        let inverted: Vec<LogPayload> =
+            forward.into_iter().rev().filter_map(LogPayload::inverse).collect();
+        prop_assert_eq!(live_compensations, inverted);
 
+        let out = open(config).unwrap();
         prop_assert_eq!(state_dump(&out.db), state_dump(&live));
-        let recovered_compensations = updates_of(&out.db, tid, crash_lsn);
-        prop_assert_eq!(recovered_compensations.len(), forward.len());
-        prop_assert_eq!(recovered_compensations, live_compensations);
-        drop(out);
+        drop((out, live));
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&live_dir).unwrap();
     }
 
     /// Without a durable tail, an uncommitted transaction's effects vanish

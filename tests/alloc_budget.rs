@@ -82,10 +82,7 @@ fn the_write_path_stays_inside_its_allocation_budget() {
         num_partitions: 2,
         ..WorkloadParams::default()
     };
-    let db = Database::new(StoreConfig {
-        wal_retain: false,
-        ..StoreConfig::default()
-    });
+    let db = Database::new(StoreConfig::default());
     let info = build_graph(&db, &params).expect("graph");
     let part = info.data_partitions[0];
     let pass = || {
@@ -143,9 +140,8 @@ fn the_write_path_stays_inside_its_allocation_budget() {
     read_txn();
     let (calls, _, ()) = heap_of(read_txn);
     println!("alloc_budget: {calls} allocations per 9-lock read-only transaction");
-    // The same transaction on a second thread, so on another log lane and
-    // registry slot: a lane's and a slot's buffers grow once, like the
-    // thread's own, and then hold.
+    // The same transaction on a second thread, so in another registry slot:
+    // a slot's buffers grow once, like the thread's own, and then hold.
     let (other_slot, other_calls) = std::thread::scope(|s| {
         s.spawn(|| {
             (0..64).for_each(|_| read_txn());
@@ -154,11 +150,7 @@ fn the_write_path_stays_inside_its_allocation_budget() {
         .join()
         .expect("second thread")
     });
-    assert_ne!(
-        other_slot,
-        brahma::txn::thread_slot(),
-        "a lane and a slot of its own"
-    );
+    assert_ne!(other_slot, brahma::txn::thread_slot(), "a slot of its own");
     println!(
         "alloc_budget: {other_calls} allocations per read-only transaction on a second thread"
     );
