@@ -54,6 +54,17 @@ if [ "$code_classes" != "$doc_classes" ]; then
   printf 'lockdep.rs defines:\n%s\nDESIGN.md §11.1 lists:\n%s\n' "$code_classes" "$doc_classes" >&2
   exit 1
 fi
+# On-disk format versions (DESIGN.md §14): the segment and checkpoint
+# magics storage/mod.rs writes are the two that §14 introduces as
+# "magic BRHM…", so a format bump cannot leave the doc behind.
+code_magics=$(sed -n 's/^const [A-Z]*_MAGIC: &\[u8; 8\] = b"\(BRHM[A-Z0-9]*\)";/\1/p' \
+  crates/brahma/src/storage/mod.rs | sort -u)
+doc_magics=$(sed -n '/^## 14\./,/^## 15\./p' DESIGN.md |
+  grep -o 'magic `\{0,1\}BRHM[A-Z0-9]*' | grep -o 'BRHM[A-Z0-9]*' | sort -u)
+if [ "$(printf '%s\n' "$code_magics" | grep -c .)" -ne 2 ] || [ "$code_magics" != "$doc_magics" ]; then
+  printf 'storage/mod.rs writes:\n%s\nDESIGN.md §14 names:\n%s\n' "$code_magics" "$doc_magics" >&2
+  exit 1
+fi
 # Counter keys (DESIGN.md §8): the keys non-test code sets with
 # `.set("…"` or `.set(&format!("…"` (lines joined, since rustfmt wraps long
 # calls; `{site}` reads as §8's `<site>`) and the keys §8's table lists

@@ -305,7 +305,7 @@ impl Database {
     }
 
     /// Rewrite a root entry after the root object itself migrated.
-    pub fn replace_root(&self, old: PhysAddr, new: PhysAddr) -> bool {
+    pub(crate) fn replace_root(&self, old: PhysAddr, new: PhysAddr) -> bool {
         let mut roots = self.roots.lock();
         match roots.iter_mut().find(|r| **r == old) {
             Some(slot) => {
@@ -443,7 +443,8 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Perform the physical effect of one update record: the page write
-    /// under the page latch plus the allocator effect. The only caller of
+    /// under the page latch plus the allocator effect, or for a `Migrate`
+    /// the root registry's rewrite. The only caller of
     /// the `object::` page mutators — forward mutators, rollback, restart
     /// REDO and loser UNDO all land here. A value the update displaces that
     /// is not the one the record names is corruption, not a conflict.
@@ -508,6 +509,9 @@ impl Database {
                 if was != *old_child {
                     return Err(displaced("SetRef", *parent, &was, old_child));
                 }
+            }
+            LogPayload::Migrate { old, new } => {
+                self.replace_root(*old, *new);
             }
             _ => {}
         }

@@ -14,7 +14,8 @@ use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::lockdep::{LockClass, Mutex};
 use obs::Counter;
 
-/// A persistent-table snapshot of an ERT, used by checkpointing.
+/// The edges of an ERT, sorted: what verification compares against the
+/// references on the pages. Restart rebuilds the table from those.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErtSnapshot {
     pub edges: Vec<(PhysAddr, PhysAddr)>,
@@ -110,7 +111,7 @@ impl Ert {
             .is_some_and(|ps| ps.contains(&parent))
     }
 
-    /// Snapshot all edges (checkpointing, verification).
+    /// Snapshot all edges, sorted (verification).
     pub fn snapshot(&self) -> ErtSnapshot {
         let t = self.inner.lock();
         let mut edges: Vec<(PhysAddr, PhysAddr)> = t
@@ -119,15 +120,6 @@ impl Ert {
             .collect();
         edges.sort_unstable();
         ErtSnapshot { edges }
-    }
-
-    /// Replace the table contents from a snapshot (restart recovery).
-    pub(crate) fn restore(&self, snap: &ErtSnapshot) {
-        let mut t = self.inner.lock();
-        t.clear();
-        for &(c, p) in &snap.edges {
-            t.entry(c).or_default().push(p);
-        }
     }
 }
 
@@ -188,18 +180,5 @@ mod tests {
         let (order, snap) = feed(&Ert::new(PartitionId(1)));
         assert!(order.len() > 100);
         assert_eq!((order, snap), feed(&Ert::new(PartitionId(1))));
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let ert = Ert::new(PartitionId(1));
-        for i in 0..20u32 {
-            ert.insert(a(1, i, 0), a(2, i, 0));
-        }
-        let snap = ert.snapshot();
-        let ert2 = Ert::new(PartitionId(1));
-        ert2.restore(&snap);
-        assert_eq!(ert2.snapshot(), snap);
-        assert_eq!(ert2.edge_count(), 20);
     }
 }

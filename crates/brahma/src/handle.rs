@@ -140,7 +140,7 @@ impl Database {
 
     fn begin_internal(&self, reorg: Option<PartitionId>) -> Txn<'_> {
         let id = self.txns.begin();
-        self.wal.append(id, LogPayload::Begin { reorg });
+        self.wal.append(id, LogPayload::Begin);
         let (held, undo, deleted_pairs) = SPARE_VECS.take();
         Txn {
             db: self,
@@ -514,6 +514,13 @@ impl<'db> Txn<'db> {
         )?;
         self.db.stats.payload_writes.inc();
         Ok(())
+    }
+
+    /// Log that the object at `old` now lives at `new`, once the migrator
+    /// has copied it: a root naming `old` names `new` from here on, and
+    /// `old` again if this transaction rolls back.
+    pub fn log_migration(&mut self, old: PhysAddr, new: PhysAddr) -> Result<()> {
+        self.update(LogPayload::Migrate { old, new }, false)
     }
 
     // ------------------------------------------------------------------

@@ -15,8 +15,8 @@
 //! * an *object directory* — here the per-page slot bitmaps and size
 //!   tables — recording each live object's `(page, offset) → size`; this is
 //!   the "object allocation information" the paper mentions as an
-//!   alternative way to enumerate a partition's objects, and it is what
-//!   restart recovery sweeps to rebuild the free lists,
+//!   alternative way to enumerate a partition's objects. It is derived
+//!   state: restart reads it back off the page images,
 //! * the partition's [`Ert`].
 //!
 //! Fragmentation still exists (the motivation for compaction, paper
@@ -31,6 +31,7 @@ use crate::config::PAGE_SIZE;
 use crate::error::{Error, Result};
 use crate::ert::Ert;
 use crate::lockdep::{LockClass, Mutex, RwLock};
+use crate::object;
 use crate::page::{new_page, PageRef};
 
 /// Smallest size class: 32 bytes (2^5). Objects are ≥ `HEADER_LEN` bytes
@@ -39,7 +40,7 @@ use crate::page::{new_page, PageRef};
 const MIN_CLASS_SHIFT: u32 = 5;
 
 /// Number of power-of-two size classes: 32, 64, …, `PAGE_SIZE` (one slot).
-const NUM_CLASSES: usize = (PAGE_SIZE.trailing_zeros() - MIN_CLASS_SHIFT + 1) as usize;
+pub(crate) const NUM_CLASSES: usize = (PAGE_SIZE.trailing_zeros() - MIN_CLASS_SHIFT + 1) as usize;
 
 /// Size class index for a requested byte size: ceil(log2), clamped to the
 /// minimum class.
@@ -62,7 +63,7 @@ fn slots_per_page(class: usize) -> usize {
 /// Per-page allocation metadata. A page either owns one size class, for
 /// as long as the partition holds it, or is a *spare*: opened by `alloc_at`
 /// bridging up to a recovery target and not yet committed to any class.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PageMeta {
     /// Size class owned by this page; `None` for a spare page.
     class: Option<u8>,
@@ -104,7 +105,7 @@ impl PageMeta {
 }
 
 /// Allocation bookkeeping for one partition.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct AllocState {
     /// Number of the first held page. A pass drops the emptied pages below
     /// it ([`Partition::end_pass`]), and page numbers are never reused, so
@@ -203,186 +204,18 @@ pub struct SpaceStats {
     pub free_extents: usize,
 }
 
-/// Snapshot of a partition for checkpointing.
-#[derive(Clone)]
+/// Snapshot of a partition for checkpointing: only what the pages cannot
+/// say. Restart rebuilds the allocator directory from the page images
+/// ([`Partition::from_snapshot`]) and the ERTs from the references on them.
 pub struct PartitionSnapshot {
     pub id: PartitionId,
-    /// Images of the held pages, the first being page `base`.
-    pub pages: Vec<Vec<u8>>,
-    alloc: AllocState,
-    pub ert: crate::ert::ErtSnapshot,
-}
-
-impl PartitionSnapshot {
-    /// Serialize for the on-disk checkpoint image (DESIGN.md §14). Lives
-    /// here — not in `storage::codec` — because [`AllocState`] is private
-    /// to the allocator.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        use crate::storage::codec::*;
-        let a = &self.alloc;
-        put_u16(out, self.id.0);
-        put_u32(out, a.base);
-        put_u32(out, self.pages.len() as u32);
-        for page in &self.pages {
-            put_bytes(out, page);
-        }
-        for m in &a.page_meta {
-            match m.class {
-                Some(c) => put_u8(out, c),
-                None => put_u8(out, 0xFF),
-            }
-            put_u32(out, m.used.len() as u32);
-            for w in &m.used {
-                put_u64(out, *w);
-            }
-            put_u32(out, m.sizes.len() as u32);
-            for s in &m.sizes {
-                put_u32(out, *s);
-            }
-        }
-        put_u8(out, a.free_lists.len() as u8);
-        for fl in &a.free_lists {
-            put_u32(out, fl.len() as u32);
-            for (page, slot) in fl {
-                put_u32(out, *page);
-                put_u16(out, *slot);
-            }
-        }
-        put_u8(out, a.bump.len() as u8);
-        for b in &a.bump {
-            match b {
-                Some((page, next)) => {
-                    put_u8(out, 1);
-                    put_u32(out, *page);
-                    put_u32(out, *next);
-                }
-                None => put_u8(out, 0),
-            }
-        }
-        put_u32(out, a.spare.len() as u32);
-        for p in &a.spare {
-            put_u32(out, *p);
-        }
-        match a.floor {
-            Some(floor) => {
-                put_u8(out, 1);
-                put_u32(out, floor);
-            }
-            None => put_u8(out, 0),
-        }
-        put_u64(out, a.live);
-        put_u64(out, a.used_bytes);
-        put_u32(out, self.ert.edges.len() as u32);
-        for (child, parent) in &self.ert.edges {
-            put_addr(out, *child);
-            put_addr(out, *parent);
-        }
-    }
-
-    /// Decode a snapshot written by [`PartitionSnapshot::encode`]. Every
-    /// malformed field degrades to [`Error::Corrupt`]; nothing panics on
-    /// bad disk bytes.
-    pub(crate) fn decode(r: &mut crate::storage::codec::Reader<'_>) -> Result<PartitionSnapshot> {
-        let id = PartitionId(r.u16()?);
-        let base = r.u32()?;
-        let npages = r.u32()?;
-        if base.checked_add(npages).is_none() {
-            return Err(r.corrupt(format!("{npages} pages from page {base} overflow u32")));
-        }
-        let mut pages = Vec::with_capacity(r.fits(npages as usize, 4 + PAGE_SIZE)?);
-        for _ in 0..npages {
-            let page = r.bytes()?;
-            if page.len() != PAGE_SIZE {
-                return Err(r.corrupt(format!(
-                    "page image is {} bytes, expected {PAGE_SIZE}",
-                    page.len()
-                )));
-            }
-            pages.push(page);
-        }
-        let mut page_meta = Vec::with_capacity(pages.len());
-        for _ in 0..npages {
-            let class = match r.u8()? {
-                0xFF => None,
-                c if (c as usize) < NUM_CLASSES => Some(c),
-                c => return Err(r.corrupt(format!("size class {c} out of range"))),
-            };
-            let nused = r.u32()? as usize;
-            let mut used = Vec::with_capacity(r.fits(nused, 8)?);
-            for _ in 0..nused {
-                used.push(r.u64()?);
-            }
-            let nsizes = r.u32()? as usize;
-            let mut sizes = Vec::with_capacity(r.fits(nsizes, 4)?);
-            for _ in 0..nsizes {
-                sizes.push(r.u32()?);
-            }
-            page_meta.push(PageMeta { class, used, sizes });
-        }
-        let nclasses = r.u8()? as usize;
-        if nclasses != NUM_CLASSES {
-            return Err(r.corrupt(format!(
-                "snapshot has {nclasses} size classes, this build has {NUM_CLASSES}"
-            )));
-        }
-        let mut free_lists = Vec::with_capacity(nclasses);
-        for _ in 0..nclasses {
-            let n = r.u32()? as usize;
-            let mut fl = Vec::with_capacity(r.fits(n, 6)?);
-            for _ in 0..n {
-                let page = r.u32()?;
-                let slot = r.u16()?;
-                fl.push((page, slot));
-            }
-            free_lists.push(fl);
-        }
-        let nbump = r.u8()? as usize;
-        if nbump != NUM_CLASSES {
-            return Err(r.corrupt(format!("snapshot has {nbump} bump cursors")));
-        }
-        let mut bump = Vec::with_capacity(nbump);
-        for _ in 0..nbump {
-            bump.push(match r.u8()? {
-                0 => None,
-                1 => Some((r.u32()?, r.u32()?)),
-                f => return Err(r.corrupt(format!("bad bump flag {f}"))),
-            });
-        }
-        let nspare = r.u32()? as usize;
-        let mut spare = Vec::with_capacity(r.fits(nspare, 4)?);
-        for _ in 0..nspare {
-            spare.push(r.u32()?);
-        }
-        let floor = match r.u8()? {
-            0 => None,
-            1 => Some(r.u32()?),
-            f => return Err(r.corrupt(format!("bad floor flag {f}"))),
-        };
-        let live = r.u64()?;
-        let used_bytes = r.u64()?;
-        let nedges = r.u32()? as usize;
-        let mut edges = Vec::with_capacity(r.fits(nedges, 16)?);
-        for _ in 0..nedges {
-            let child = r.addr()?;
-            let parent = r.addr()?;
-            edges.push((child, parent));
-        }
-        Ok(PartitionSnapshot {
-            id,
-            pages,
-            alloc: AllocState {
-                base,
-                page_meta,
-                free_lists,
-                bump,
-                spare,
-                floor,
-                live,
-                used_bytes,
-            },
-            ert: crate::ert::ErtSnapshot { edges },
-        })
-    }
+    /// Number of the first held page.
+    pub base: u32,
+    /// The held pages from `base` up: each one's size class (`None` for a
+    /// spare) and image.
+    pub pages: Vec<(Option<u8>, Vec<u8>)>,
+    /// The open pass's floor (see [`Partition::begin_pass`]).
+    pub floor: Option<u32>,
 }
 
 /// The held pages: `pages[i]` is page `base + i`. The allocator's `base`,
@@ -795,35 +628,72 @@ impl Partition {
     pub(crate) fn snapshot(&self) -> PartitionSnapshot {
         // `alloc` before `pages`, the order `allocate`/`alloc_at` take them
         // in (the reverse closes an ABBA cycle with a concurrent
-        // allocation; found by lockdep), so the directory and the page list
+        // allocation; found by lockdep), so the classes and the page list
         // describe the same pages; the images are copied after both go.
-        let (alloc, pages) = {
-            let alloc = self.alloc.lock();
-            (alloc.clone(), self.pages.read().pages.clone())
+        let (base, floor, classes, pages) = {
+            let st = self.alloc.lock();
+            let classes: Vec<Option<u8>> = st.page_meta.iter().map(|m| m.class).collect();
+            (st.base, st.floor, classes, self.pages.read().pages.clone())
         };
         PartitionSnapshot {
             id: self.id,
-            pages: pages.iter().map(|p| p.read().snapshot()).collect(),
-            alloc,
-            ert: self.ert.snapshot(),
+            base,
+            pages: classes
+                .into_iter()
+                .zip(&pages)
+                .map(|(class, page)| (class, page.read().snapshot()))
+                .collect(),
+            floor,
         }
     }
 
-    /// Rebuild a partition from a snapshot (restart recovery).
-    pub(crate) fn from_snapshot(snap: &PartitionSnapshot) -> Self {
+    /// Rebuild a partition from a snapshot (restart recovery), reading the
+    /// directory off the page images: on a classed page, a slot whose
+    /// header is live holds an object of the header's size and every other
+    /// slot is free; a classless page is a spare. No class has an open
+    /// page. A live object larger than its slot is [`Error::Corrupt`].
+    pub(crate) fn from_snapshot(snap: &PartitionSnapshot) -> Result<Self> {
+        let mut st = AllocState {
+            base: snap.base,
+            floor: snap.floor,
+            ..AllocState::new()
+        };
+        for ((class, image), pg) in snap.pages.iter().zip(snap.base..) {
+            st.page_meta.push(PageMeta::default());
+            let Some(class) = class.map(usize::from) else {
+                st.spare.push(pg);
+                continue;
+            };
+            st.at(pg).adopt(class);
+            let cs = slot_bytes(class) as usize;
+            for slot in 0..slots_per_page(class) {
+                let addr = PhysAddr::new(snap.id, pg, (slot * cs) as u16);
+                match object::header(image, addr).map(|h| h.size()) {
+                    Ok(size) if size > cs => {
+                        return Err(Error::Corrupt {
+                            offset: addr.offset() as u64,
+                            reason: format!("{addr} holds {size} bytes in a {cs}-byte slot"),
+                        });
+                    }
+                    Ok(size) => st.claim(pg, slot, size),
+                    Err(_) => st.free_lists[class].push((pg, slot as u16)),
+                }
+            }
+        }
+        // The free lists pop from the end: the lowest free slot goes first.
+        st.free_lists.iter_mut().for_each(|list| list.reverse());
         let p = Partition::new(snap.id);
         {
             let mut table = p.pages.write();
-            table.base = snap.alloc.base;
-            for bytes in &snap.pages {
+            table.base = snap.base;
+            for (_, bytes) in &snap.pages {
                 let page = new_page();
                 page.write().restore(bytes);
                 table.pages.push(page);
             }
         }
-        *p.alloc.lock() = snap.alloc.clone();
-        p.ert.restore(&snap.ert);
-        p
+        *p.alloc.lock() = st;
+        Ok(p)
     }
 }
 
@@ -833,6 +703,28 @@ mod tests {
 
     fn part() -> Partition {
         Partition::new(PartitionId(3))
+    }
+
+    /// Allocate `size` bytes and write an object image there, as a
+    /// transaction's `Create` does: a rebuild reads the directory off the
+    /// images.
+    fn put(p: &Partition, size: usize) -> PhysAddr {
+        let addr = p.allocate(size).unwrap();
+        let view = crate::object::ObjectView {
+            tag: 1,
+            refs: Vec::new(),
+            ref_cap: 0,
+            payload: Vec::new(),
+            payload_cap: (size - object::HEADER_LEN) as u16,
+        };
+        object::init_object(p.page(addr).unwrap().write().bytes_mut(), addr, &view);
+        addr
+    }
+
+    /// Scrub the object at `addr` and free its slot, as a `Free` does.
+    fn scrub(p: &Partition, addr: PhysAddr) {
+        object::mark_free(p.page(addr).unwrap().write().bytes_mut(), addr).unwrap();
+        p.free(addr).unwrap();
     }
 
     #[test]
@@ -958,11 +850,11 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_allocator() {
         let p = part();
-        let a = p.allocate(64).unwrap();
-        let _b = p.allocate(64).unwrap();
-        p.free(a).unwrap();
+        let a = put(&p, 64);
+        let _b = put(&p, 64);
+        scrub(&p, a);
         let snap = p.snapshot();
-        let q = Partition::from_snapshot(&snap);
+        let q = Partition::from_snapshot(&snap).unwrap();
         assert_eq!(q.object_count(), 1);
         assert_eq!(q.space_stats(), p.space_stats());
         // Allocation continues correctly after restore: the class free
@@ -1144,14 +1036,11 @@ mod tests {
         // numbers u32::MAX - 2 and u32::MAX - 1 are the last it can open.
         let snap = PartitionSnapshot {
             id: PartitionId(3),
+            base: u32::MAX - 2,
             pages: Vec::new(),
-            alloc: AllocState {
-                base: u32::MAX - 2,
-                ..AllocState::new()
-            },
-            ert: Default::default(),
+            floor: None,
         };
-        let p = Partition::from_snapshot(&snap);
+        let p = Partition::from_snapshot(&snap).unwrap();
         let pages: Vec<u32> = (0..2)
             .map(|_| p.allocate(PAGE_SIZE).unwrap().page())
             .collect();
@@ -1193,27 +1082,37 @@ mod tests {
 
     /// The snapshot codec is lossless and rejects malformed input without
     /// panicking: every truncation and every one-byte change of an encoded
-    /// snapshot is tried, and page numbers past `u32` are refused.
+    /// snapshot is tried, and page numbers past `u32` are refused. Every
+    /// snapshot that decodes is rebuilt, too: the directory read off its
+    /// images is sound, or the rebuild fails `Corrupt`.
     #[test]
     fn snapshot_decode_rejects_malformed_bytes() {
-        use crate::storage::codec::Reader;
-        let decode = |bytes: &[u8]| PartitionSnapshot::decode(&mut Reader::new(bytes, 0));
-        // Page 0 a spare, page 1 emptied by the pass, page 2 its copy.
+        use crate::storage::codec::{put_partition, read_partition, Reader};
+        let decode = |bytes: &[u8]| read_partition(&mut Reader::new(bytes, 0));
+        let rebuilt = |bytes: &[u8]| {
+            let snap = decode(bytes)?;
+            let q = Partition::from_snapshot(&snap)?;
+            assert_eq!(q.allocator_problems(), Vec::<String>::new());
+            Ok::<_, Error>(q)
+        };
+        // Page 0 a spare, page 1 emptied by the pass, page 2 holds its copy
+        // and one more object.
         let p = part();
         let a = PhysAddr::new(PartitionId(3), 1, 0);
         p.alloc_at(a, 3000).unwrap();
         p.begin_pass();
-        let _copy = p.allocate(3000).unwrap();
+        let copy = put(&p, 3000);
+        put(&p, 2500);
         p.free(a).unwrap();
-        p.ert.insert(a, PhysAddr::new(PartitionId(1), 0, 0));
         let mut bytes = Vec::new();
-        p.snapshot().encode(&mut bytes);
+        put_partition(&mut bytes, &p.snapshot());
         let mut again = Vec::new();
-        decode(&bytes).unwrap().encode(&mut again);
+        put_partition(&mut again, &decode(&bytes).unwrap());
         assert_eq!(again, bytes, "canonical roundtrip");
-        let q = Partition::from_snapshot(&decode(&bytes).unwrap());
+        let q = rebuilt(&bytes).unwrap();
         assert_eq!(q.space_stats(), p.space_stats());
-        assert_eq!(q.allocator_problems(), Vec::<String>::new());
+        assert_eq!(q.live_objects(), p.live_objects());
+        assert_eq!(q.object_size(copy), Some(3000));
 
         for len in 0..bytes.len() {
             assert!(
@@ -1221,23 +1120,29 @@ mod tests {
                 "prefix of {len} bytes"
             );
         }
-        // Page images are opaque to the decoder (one mask per byte there);
-        // every other byte gets all 255 masks.
-        let images = 10..10 + 3 * (4 + PAGE_SIZE);
-        let image = |at: usize| images.contains(&at) && (at - 10) % (4 + PAGE_SIZE) >= 4;
+        // id, base, floor and page count take 15 bytes, then each page is
+        // its class byte and its image. Page images are opaque to the
+        // decoder (one mask per byte there); every other byte gets all 255.
+        let image = |at: usize| at >= 15 && !(at - 15).is_multiple_of(1 + PAGE_SIZE);
+        let mut refused_images = 0;
         for at in 0..bytes.len() {
             let masks = if image(at) { 0xFF..=0xFF } else { 1..=0xFF };
             for mask in masks {
                 let mut flipped = bytes.clone();
                 flipped[at] ^= mask;
-                if let Err(e) = decode(&flipped) {
+                if let Err(e) = rebuilt(&flipped) {
                     assert!(
                         matches!(e, Error::Corrupt { .. }),
                         "byte {at} ^ {mask:#x}: {e}"
                     );
+                    refused_images += usize::from(image(at));
                 }
             }
         }
+        assert!(
+            refused_images > 0,
+            "a header grown past its slot is refused"
+        );
         let mut overflow = bytes.clone();
         overflow[2..6].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
         assert!(matches!(decode(&overflow), Err(Error::Corrupt { .. })));

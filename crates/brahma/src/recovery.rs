@@ -4,26 +4,30 @@
 //! the two steps of IRA. The substrate side of that story lives here:
 //!
 //! * [`Database::checkpoint`] captures a transaction-consistent snapshot of
-//!   every partition (pages, allocator directory, ERT) plus the roots;
-//!   [`Database::checkpoint_durable`] writes it to `checkpoint.img`.
+//!   every partition (its page images, their size classes and an open
+//!   pass's floor) plus the roots; [`Database::checkpoint_durable`] writes
+//!   it to `checkpoint.img`.
 //! * [`recover`] performs ARIES-style restart recovery over a
 //!   [`CrashImage`] — the checkpoint plus the log that reached the segment
 //!   files, which [`crate::storage::open`] reads back after a crash: analysis
 //!   over the surviving log, redo of *all* surviving updates from the
 //!   checkpoint ("repeating history"), then undo of loser transactions. The
 //!   undo is applied, not logged: `open` checkpoints right after recovery,
-//!   and a crash before that checkpoint re-runs it. ERT maintenance replays
-//!   along with the updates, so the recovered ERTs are exact. REDO repeats the pass boundaries too,
-//!   so a reorganization that was in progress comes back as a pass still
-//!   open at its floor, and is reported as interrupted so the caller can
-//!   restart IRA from that floor (its migrations are transactional —
-//!   completed migrations survive above the floor, the in-flight one rolls
-//!   back).
+//!   and a crash before that checkpoint re-runs it. What the pages already
+//!   say is not stored: each partition's allocator directory is read off
+//!   its page images, and once undo is done one sweep over the live
+//!   objects' cross-partition references rebuilds the ERTs. REDO repeats
+//!   the pass boundaries too, so a reorganization that was in progress
+//!   comes back as a pass still open at its floor, and is reported as
+//!   interrupted so the caller can restart IRA from that floor (its
+//!   migrations are transactional — completed migrations survive above the
+//!   floor, the in-flight one rolls back).
 
 use crate::addr::{PartitionId, PhysAddr};
 use crate::config::StoreConfig;
 use crate::db::Database;
 use crate::error::{Error, Result};
+use crate::object;
 use crate::partition::{Partition, PartitionSnapshot};
 use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
@@ -32,7 +36,7 @@ use std::collections::HashMap;
 /// A transaction-consistent snapshot of the whole database.
 pub struct Checkpoint {
     pub id: u64,
-    /// Replay starts at this LSN.
+    /// The first LSN the snapshot does not cover: replay starts here.
     pub lsn: Lsn,
     pub partitions: Vec<PartitionSnapshot>,
     pub roots: Vec<PhysAddr>,
@@ -66,7 +70,7 @@ impl Database {
             0,
             "checkpoints are taken at quiescent points"
         );
-        let lsn = self.wal.append(TxnId(0), LogPayload::Checkpoint { id });
+        let lsn = self.wal.next_lsn();
         #[expect(
             clippy::expect_used,
             reason = "invariant: partitions are never dropped, so every listed id resolves"
@@ -95,50 +99,40 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     // Continue the pre-crash LSN space: every record the new incarnation
     // appends gets an LSN above anything that survived, so logs from
     // different incarnations merge by LSN.
-    let max_lsn = image
-        .log
-        .iter()
-        .map(|r| r.lsn)
-        .max()
-        .unwrap_or(0)
-        .max(image.checkpoint.lsn);
-    db.wal.advance_to(max_lsn + 1);
+    let next = image.log.iter().map(|r| r.lsn + 1).max().unwrap_or(0);
+    db.wal.advance_to(next.max(image.checkpoint.lsn));
     // Rebuild partitions and roots from the checkpoint.
     for snap in &image.checkpoint.partitions {
-        db.install_partition(Partition::from_snapshot(snap));
+        db.install_partition(Partition::from_snapshot(snap)?);
     }
     for root in &image.checkpoint.roots {
         db.add_root(*root);
     }
 
-    // ---- Analysis ----
-    let mut active: HashMap<TxnId, Option<PartitionId>> = HashMap::new(); // tid -> reorg partition
-    let mut txn_updates: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
+    // ---- Analysis: each transaction still open at the end of the log,
+    // with its updates ----
+    let mut open: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
     for rec in &image.log {
         match &rec.payload {
-            LogPayload::Begin { reorg } => {
-                active.insert(rec.tid, *reorg);
-                txn_updates.insert(rec.tid, Vec::new());
+            LogPayload::Begin => {
+                open.insert(rec.tid, Vec::new());
             }
             LogPayload::Commit | LogPayload::Abort => {
-                active.remove(&rec.tid);
-                txn_updates.remove(&rec.tid);
+                open.remove(&rec.tid);
             }
             LogPayload::Create { .. }
             | LogPayload::Free { .. }
             | LogPayload::SetPayload { .. }
             | LogPayload::InsertRef { .. }
             | LogPayload::DeleteRef { .. }
-            | LogPayload::SetRef { .. } => {
-                txn_updates
-                    .entry(rec.tid)
-                    .or_default()
-                    .push(rec.payload.clone());
+            | LogPayload::SetRef { .. }
+            | LogPayload::Migrate { .. } => {
+                if let Some(updates) = open.get_mut(&rec.tid) {
+                    updates.push(rec.payload.clone());
+                }
             }
             LogPayload::ReorgStart { .. }
             | LogPayload::ReorgEnd { .. }
-            | LogPayload::Migrate { .. }
-            | LogPayload::Checkpoint { .. }
             | LogPayload::CreatePartition { .. } => {}
         }
     }
@@ -149,16 +143,17 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     }
 
     // ---- Undo losers ----
-    let mut losers: Vec<TxnId> = active.keys().copied().collect();
+    let mut losers: Vec<TxnId> = open.keys().copied().collect();
     losers.sort_unstable();
-    for &tid in &losers {
-        let updates = txn_updates.remove(&tid).unwrap_or_default();
+    for tid in &losers {
+        let updates = open.remove(tid).unwrap_or_default();
         // Analysis kept only update records, each of which has an inverse:
         // perform it like any other update.
         for compensation in updates.into_iter().rev().filter_map(LogPayload::inverse) {
             redo_record(&db, &compensation)?;
         }
     }
+    rebuild_erts(&db)?;
 
     // A pass is open in the checkpoint's snapshot or after REDO of its
     // `ReorgStart`, and closed by REDO of its `ReorgEnd`.
@@ -177,41 +172,54 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     })
 }
 
-/// Re-apply one logged record against the recovering database: the
-/// update's physical effect plus the ERT maintenance that rode along with
-/// it (no reorganization is live during recovery, so there is no TRT).
+/// Re-apply one logged record against the recovering database (no
+/// reorganization is live during recovery, so there is no TRT).
 fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
-    if let LogPayload::CreatePartition { id } = payload {
-        if (id.0 as usize) >= db.partition_count() {
-            let created = db.create_partition();
-            if created != *id {
-                return Err(Error::RecoveryCorrupt(format!(
-                    "partition id mismatch during redo: {created} vs {id}"
-                )));
-            }
-        }
-        return Ok(());
-    }
     match payload {
+        LogPayload::CreatePartition { id } => {
+            if (id.0 as usize) >= db.partition_count() {
+                let created = db.create_partition();
+                if created != *id {
+                    return Err(Error::RecoveryCorrupt(format!(
+                        "partition id mismatch during redo: {created} vs {id}"
+                    )));
+                }
+            }
+            Ok(())
+        }
         // Repeat the pass boundaries: the floor the allocator bumps above,
         // and the pages `end_reorg` dropped.
         LogPayload::ReorgStart { partition, floor } => {
             db.partition_ref(*partition)?.redo_begin_pass(*floor);
-            return Ok(());
+            Ok(())
         }
         LogPayload::ReorgEnd { partition, base } => {
-            return db.partition_ref(*partition)?.redo_end_pass(*base);
+            db.partition_ref(*partition)?.redo_end_pass(*base)
         }
-        _ => {}
+        update => db.apply_update(update, false),
     }
-    db.apply_update(payload, false)?;
-    let mut ert = Ok(());
-    payload.for_each_ref_change(|action, parent, child| {
-        if ert.is_ok() {
-            ert = db.ert_note(action, parent, child);
+}
+
+/// Fill every partition's ERT from the recovered pages: one sweep over the
+/// live objects' references that cross a partition. A reference into a
+/// partition that does not exist has no ERT to enter, as in the live store.
+fn rebuild_erts(db: &Database) -> Result<()> {
+    let mut external = Vec::new();
+    for p in db.partition_ids() {
+        for parent in db.partition_ref(p)?.live_objects() {
+            external.clear();
+            db.with_page_read(parent, |buf| {
+                object::refs(buf, parent)
+                    .map(|refs| external.extend(refs.filter(|c| c.partition() != p)))
+            })??;
+            for &child in &external {
+                if let Ok(part) = db.partition_ref(child.partition()) {
+                    part.ert.insert(child, parent);
+                }
+            }
         }
-    });
-    ert
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -428,7 +436,7 @@ mod tests {
         ];
         // Page images per partition: at the checkpoint, and after REDO of
         // one committed transaction holding `updates`.
-        type Pages = Vec<Vec<Vec<u8>>>;
+        type Pages = Vec<Vec<(Option<u8>, Vec<u8>)>>;
         let pages_after = |updates: Vec<LogPayload>| -> (Pages, Pages) {
             let checkpoint = db.checkpoint(0);
             let before = checkpoint
@@ -436,13 +444,13 @@ mod tests {
                 .iter()
                 .map(|p| p.pages.clone())
                 .collect();
-            let log = [LogPayload::Begin { reorg: None }]
+            let log = [LogPayload::Begin]
                 .into_iter()
                 .chain(updates)
                 .chain([LogPayload::Commit])
                 .enumerate()
                 .map(|(i, payload)| LogRecord {
-                    lsn: checkpoint.lsn + 1 + i as u64,
+                    lsn: checkpoint.lsn + i as u64,
                     tid: TxnId(9_000),
                     payload,
                 })

@@ -1,7 +1,8 @@
 //! Byte codecs for the file backend (DESIGN.md §14).
 //!
 //! Everything that hits disk goes through the helpers here: a hand-rolled
-//! IEEE CRC32, little-endian put/read primitives, and the WAL record codec.
+//! IEEE CRC32, little-endian put/read primitives, the checkpoint's partition
+//! snapshot codec and the WAL record codec.
 //! Decoding never panics — every malformed input degrades to
 //! [`Error::Corrupt`] with the byte offset at which validation failed, so a
 //! bad sector turns into a recovery error rather than a crash of the
@@ -22,8 +23,10 @@
 //! CRC-valid undecodable body means the writer was broken, not the medium.
 
 use crate::addr::{PartitionId, PhysAddr};
+use crate::config::PAGE_SIZE;
 use crate::error::{Error, Result};
 use crate::object::ObjectView;
+use crate::partition::{PartitionSnapshot, NUM_CLASSES};
 use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
 
@@ -243,6 +246,60 @@ pub(crate) fn read_object(r: &mut Reader<'_>) -> Result<ObjectView> {
 }
 
 // ---------------------------------------------------------------------------
+// PartitionSnapshot codec
+// ---------------------------------------------------------------------------
+
+/// `id u16 | base u32 | floor flag u8 [floor u32] | npages u32`, then each
+/// page's class byte (`0xFF` for a spare) and its `PAGE_SIZE`-byte image.
+pub(crate) fn put_partition(out: &mut Vec<u8>, snap: &PartitionSnapshot) {
+    put_u16(out, snap.id.0);
+    put_u32(out, snap.base);
+    match snap.floor {
+        Some(floor) => {
+            put_u8(out, 1);
+            put_u32(out, floor);
+        }
+        None => put_u8(out, 0),
+    }
+    put_u32(out, snap.pages.len() as u32);
+    for (class, image) in &snap.pages {
+        put_u8(out, class.unwrap_or(0xFF));
+        out.extend_from_slice(image);
+    }
+}
+
+/// Decode a snapshot written by [`put_partition`]. Page numbers past `u32`
+/// and size classes this build does not have are `Corrupt`.
+pub(crate) fn read_partition(r: &mut Reader<'_>) -> Result<PartitionSnapshot> {
+    let id = PartitionId(r.u16()?);
+    let base = r.u32()?;
+    let floor = match r.u8()? {
+        0 => None,
+        1 => Some(r.u32()?),
+        f => return Err(r.corrupt(format!("bad floor flag {f}"))),
+    };
+    let npages = r.u32()?;
+    if base.checked_add(npages).is_none() {
+        return Err(r.corrupt(format!("{npages} pages from page {base} overflow u32")));
+    }
+    let mut pages = Vec::with_capacity(r.fits(npages as usize, 1 + PAGE_SIZE)?);
+    for _ in 0..npages {
+        let class = match r.u8()? {
+            0xFF => None,
+            c if (c as usize) < NUM_CLASSES => Some(c),
+            c => return Err(r.corrupt(format!("size class {c} out of range"))),
+        };
+        pages.push((class, r.take(PAGE_SIZE)?.to_vec()));
+    }
+    Ok(PartitionSnapshot {
+        id,
+        base,
+        pages,
+        floor,
+    })
+}
+
+// ---------------------------------------------------------------------------
 // LogRecord codec
 // ---------------------------------------------------------------------------
 
@@ -258,8 +315,7 @@ const TAG_SET_REF: u8 = 8;
 const TAG_REORG_START: u8 = 9;
 const TAG_REORG_END: u8 = 10;
 const TAG_MIGRATE: u8 = 11;
-const TAG_CHECKPOINT: u8 = 12;
-const TAG_CREATE_PARTITION: u8 = 13;
+const TAG_CREATE_PARTITION: u8 = 12;
 
 /// Append a record's body (no framing) to `out`: `lsn | tid | tag |
 /// fields`.
@@ -267,16 +323,7 @@ pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: 
     put_u64(out, lsn);
     put_u64(out, tid.0);
     match payload {
-        LogPayload::Begin { reorg } => {
-            put_u8(out, TAG_BEGIN);
-            match reorg {
-                Some(p) => {
-                    put_u8(out, 1);
-                    put_u16(out, p.0);
-                }
-                None => put_u8(out, 0),
-            }
-        }
+        LogPayload::Begin => put_u8(out, TAG_BEGIN),
         LogPayload::Commit => put_u8(out, TAG_COMMIT),
         LogPayload::Abort => put_u8(out, TAG_ABORT),
         LogPayload::Create { addr, image } => {
@@ -342,10 +389,6 @@ pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: 
             put_addr(out, *old);
             put_addr(out, *new);
         }
-        LogPayload::Checkpoint { id } => {
-            put_u8(out, TAG_CHECKPOINT);
-            put_u64(out, *id);
-        }
         LogPayload::CreatePartition { id } => {
             put_u8(out, TAG_CREATE_PARTITION);
             put_u16(out, id.0);
@@ -376,14 +419,7 @@ pub fn decode_record_body(buf: &[u8], base: u64) -> Result<LogRecord> {
     let tid = TxnId(r.u64()?);
     let tag = r.u8()?;
     let payload = match tag {
-        TAG_BEGIN => {
-            let reorg = match r.u8()? {
-                0 => None,
-                1 => Some(PartitionId(r.u16()?)),
-                f => return Err(r.corrupt(format!("bad Begin reorg flag {f}"))),
-            };
-            LogPayload::Begin { reorg }
-        }
+        TAG_BEGIN => LogPayload::Begin,
         TAG_COMMIT => LogPayload::Commit,
         TAG_ABORT => LogPayload::Abort,
         TAG_CREATE => LogPayload::Create {
@@ -427,7 +463,6 @@ pub fn decode_record_body(buf: &[u8], base: u64) -> Result<LogRecord> {
             old: r.addr()?,
             new: r.addr()?,
         },
-        TAG_CHECKPOINT => LogPayload::Checkpoint { id: r.u64()? },
         TAG_CREATE_PARTITION => LogPayload::CreatePartition {
             id: PartitionId(r.u16()?),
         },

@@ -14,6 +14,7 @@
 //!   becomes a real `fsync`;
 //! * segments rotate at [`crate::StoreConfig::wal_segment_bytes`] and are
 //!   deleted, oldest first, once wholly older than the last checkpoint;
+//!   creating one fsyncs `wal/`, so its directory entry is durable;
 //! * checkpoints are written *shadow-style* — encode to
 //!   `checkpoint.img.tmp`, fsync, atomically rename over `checkpoint.img`,
 //!   fsync the directory — so a crash at any instant leaves exactly one
@@ -57,8 +58,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
-const SEG_MAGIC: &[u8; 8] = b"BRHMWAL2";
-const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP5";
+const SEG_MAGIC: &[u8; 8] = b"BRHMWAL3";
+const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP6";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;
 
@@ -121,7 +122,9 @@ impl FileBackend {
         next_lsn: Lsn,
     ) -> Result<Self> {
         fs::create_dir_all(dir.join("wal")).map_err(|e| eio("create wal dir", &e))?;
-        let file = open_segment(&segment_path(dir, next_lsn), next_lsn)?;
+        let file = open_segment(dir, next_lsn)?;
+        let stats = FileStats::default();
+        stats.fsyncs.inc();
         Ok(FileBackend {
             dir: dir.to_path_buf(),
             fault,
@@ -137,7 +140,7 @@ impl FileBackend {
                     frame: Vec::new(),
                 },
             ),
-            stats: FileStats::default(),
+            stats,
         })
     }
 
@@ -191,10 +194,11 @@ impl FileBackend {
                 return self.die();
             }
             self.stats.fsyncs.inc();
-            match open_segment(&segment_path(&self.dir, lsn), lsn) {
+            match open_segment(&self.dir, lsn) {
                 Ok(file) => {
                     inner.file = file;
                     inner.bytes = SEG_HEADER_BYTES;
+                    self.stats.fsyncs.inc();
                     self.stats.segments_rotated.inc();
                 }
                 Err(_) => return self.die(),
@@ -440,22 +444,26 @@ impl Database {
 // Segment files
 // ---------------------------------------------------------------------------
 
-fn segment_path(dir: &Path, start_lsn: Lsn) -> PathBuf {
-    dir.join("wal").join(format!("seg-{start_lsn:020}.wal"))
-}
-
-fn open_segment(path: &Path, start_lsn: Lsn) -> Result<File> {
+/// Create the segment of `dir` that starts at `start_lsn`, write its
+/// header, and fsync `wal/` so the new file's entry is durable: a commit
+/// forced into a segment whose entry a power loss can drop is not durable.
+/// The directory sync is one `file.fsyncs` for the caller to count.
+fn open_segment(dir: &Path, start_lsn: Lsn) -> Result<File> {
+    let wal = dir.join("wal");
     let mut f = OpenOptions::new()
         .create(true)
         .truncate(true)
         .write(true)
-        .open(path)
+        .open(wal.join(format!("seg-{start_lsn:020}.wal")))
         .map_err(|e| eio("create segment", &e))?;
     let mut header = Vec::with_capacity(SEG_HEADER_BYTES as usize);
     header.extend_from_slice(SEG_MAGIC);
     codec::put_u64(&mut header, start_lsn);
     f.write_all(&header)
         .map_err(|e| eio("write segment header", &e))?;
+    File::open(&wal)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| eio("fsync wal dir", &e))?;
     Ok(f)
 }
 
@@ -558,7 +566,7 @@ fn encode_checkpoint_file(checkpoint: &Checkpoint) -> Vec<u8> {
     }
     put_u16(&mut body, checkpoint.partitions.len() as u16);
     for snap in &checkpoint.partitions {
-        snap.encode(&mut body);
+        put_partition(&mut body, snap);
     }
     let mut out = Vec::with_capacity(12 + body.len());
     out.extend_from_slice(CKPT_MAGIC);
@@ -598,9 +606,10 @@ pub fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint> {
         roots.push(r.addr()?);
     }
     let nparts = r.u16()? as usize;
-    let mut partitions = Vec::with_capacity(r.fits(nparts, 16)?);
+    // id, base, floor flag and page count: 11 bytes at the least.
+    let mut partitions = Vec::with_capacity(r.fits(nparts, 11)?);
     for _ in 0..nparts {
-        partitions.push(crate::partition::PartitionSnapshot::decode(&mut r)?);
+        partitions.push(codec::read_partition(&mut r)?);
     }
     r.expect_end("checkpoint file")?;
     Ok(Checkpoint {

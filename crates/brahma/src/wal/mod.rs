@@ -35,13 +35,8 @@ pub type Lsn = u64;
 /// The operation a log record describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogPayload {
-    /// Transaction start. `reorg` names the partition a reorganization
-    /// utility transaction works for: its pointer rewrites concerning *that
-    /// partition* are not workload updates and are excluded from the
-    /// partition's TRT — but its rewrites touching other partitions under
-    /// reorganization are ordinary pointer updates for *their* TRTs
-    /// (concurrent reorganizations of different partitions are supported).
-    Begin { reorg: Option<PartitionId> },
+    /// Transaction start.
+    Begin,
     /// Transaction commit (forces the log).
     Commit,
     /// Transaction abort (logged after its undo compensation records).
@@ -83,10 +78,9 @@ pub enum LogPayload {
     /// The reorganization of `partition` finished, dropping its pages
     /// below `base`.
     ReorgEnd { partition: PartitionId, base: u32 },
-    /// Informational marker: the object at `old` now lives at `new`.
+    /// The object at `old` now lives at `new`: a root that named `old`
+    /// names `new`.
     Migrate { old: PhysAddr, new: PhysAddr },
-    /// A checkpoint with the given id was taken at this LSN.
-    Checkpoint { id: u64 },
     /// A new (empty) partition was created. Logged so restart recovery can
     /// re-create partitions added after the last checkpoint (the copying
     /// collector evacuates into fresh partitions mid-run).
@@ -101,12 +95,11 @@ impl LogPayload {
     pub(crate) fn approx_size(&self) -> u64 {
         const HEADER: u64 = 24; // lsn + tid + discriminant
         let body = match self {
-            LogPayload::Begin { .. }
+            LogPayload::Begin
             | LogPayload::Commit
             | LogPayload::Abort
             | LogPayload::ReorgStart { .. }
             | LogPayload::ReorgEnd { .. }
-            | LogPayload::Checkpoint { .. }
             | LogPayload::CreatePartition { .. } => 8,
             LogPayload::Create { image, .. } | LogPayload::Free { image, .. } => {
                 8 + (image.refs.len() * 8 + image.payload.len()) as u64
@@ -120,8 +113,9 @@ impl LogPayload {
     }
 
     /// The update that undoes this one, logged as its compensation record:
-    /// `Create`↔`Free`, `InsertRef`↔`DeleteRef`, `SetRef`/`SetPayload` with
-    /// old and new swapped. `None` for records that are not updates.
+    /// `Create`↔`Free`, `InsertRef`↔`DeleteRef`, `SetRef`/`SetPayload`/
+    /// `Migrate` with old and new swapped. `None` for records that are not
+    /// updates.
     pub fn inverse(self) -> Option<LogPayload> {
         Some(match self {
             LogPayload::Create { addr, image } => LogPayload::Free { addr, image },
@@ -160,6 +154,7 @@ impl LogPayload {
                 old_child: new_child,
                 new_child: old_child,
             },
+            LogPayload::Migrate { old, new } => LogPayload::Migrate { old: new, new: old },
             _ => return None,
         })
     }
@@ -415,7 +410,7 @@ mod tests {
     #[test]
     fn lsns_are_sequential() {
         let wal = Wal::new(true, Duration::ZERO);
-        assert_eq!(wal.append(TxnId(1), LogPayload::Begin { reorg: None }), 0);
+        assert_eq!(wal.append(TxnId(1), LogPayload::Begin), 0);
         assert_eq!(wal.append(TxnId(1), rec()), 1);
         assert_eq!(wal.append(TxnId(1), LogPayload::Commit), 2);
         assert_eq!(wal.next_lsn(), 3);
@@ -436,7 +431,7 @@ mod tests {
     fn in_memory_force_is_counted_not_timed() {
         let wal = Wal::new(true, Duration::ZERO);
         for round in 1..=3 {
-            wal.append(TxnId(1), LogPayload::Begin { reorg: None });
+            wal.append(TxnId(1), LogPayload::Begin);
             let lsn = wal.append(TxnId(1), LogPayload::Commit);
             wal.flush(lsn);
             assert!(flushed(&wal) >= lsn);
@@ -478,7 +473,7 @@ mod tests {
     #[test]
     fn stats_track_appends_and_flushes() {
         let wal = Wal::new(true, Duration::from_millis(2));
-        wal.append(TxnId(1), LogPayload::Begin { reorg: None });
+        wal.append(TxnId(1), LogPayload::Begin);
         let lsn = wal.append(TxnId(1), LogPayload::Commit);
         assert_eq!(wal.stats.records.get(), 2);
         assert!(wal.stats.bytes.get() >= 2 * 24);

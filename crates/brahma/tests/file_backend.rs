@@ -164,6 +164,31 @@ fn only_a_commit_that_updated_forces_the_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Creating a segment fsyncs `wal/`, so the new file's directory entry is
+/// durable: a fresh store pays one sync for its first segment, and every
+/// rotation one more beside the sync that closes the old segment.
+#[test]
+fn each_segment_created_syncs_the_wal_directory() {
+    let dir = tmpdir("wal-dir-sync");
+    let db = brahma::storage::open(file_config(&dir)).expect("open").db;
+    let fsyncs = || db.obs_snapshot().get("file.fsyncs");
+    // The first segment's directory sync, then the initial checkpoint's
+    // shadow file and data directory.
+    assert_eq!(fsyncs(), 3);
+    let p = db.create_partition();
+    let commits = 40;
+    for i in 0..commits as u8 {
+        let mut txn = db.begin();
+        txn.create_object(p, NewObject::exact(i, vec![], vec![i; 200]))
+            .expect("create");
+        txn.commit().expect("commit");
+    }
+    let rotated = db.obs_snapshot().get("wal.segments_rotated");
+    assert!(rotated > 0, "8000+ payload bytes through 4 KiB segments");
+    assert_eq!(fsyncs() - 3, commits + 2 * rotated);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Flipping one byte of `checkpoint.img` must surface as a hard
 /// `Error::Corrupt` from `open` — never a panic, never a silently wrong
 /// database — and that error is not a retryable conflict.

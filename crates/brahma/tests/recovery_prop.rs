@@ -347,7 +347,7 @@ fn updates_of(log: &[LogRecord], tid: TxnId, from: Lsn) -> Vec<LogPayload> {
         .filter(|r| {
             !matches!(
                 r.payload,
-                LogPayload::Begin { .. } | LogPayload::Commit | LogPayload::Abort
+                LogPayload::Begin | LogPayload::Commit | LogPayload::Abort
             )
         })
         .map(|r| r.payload.clone())

@@ -12,7 +12,7 @@
 //! 4. for every record type, a segment file ending in a half-written
 //!    frame of that type is truncated at the tear by `scan_segment_file`
 //!    and scans clean afterwards;
-//! 5. `LogPayload::inverse` is an involution on the six update records
+//! 5. `LogPayload::inverse` is an involution on the seven update records
 //!    (and `None` on the rest). That REDO of an update and then its inverse
 //!    leaves every page image byte-identical is a `recovery` unit test.
 
@@ -46,7 +46,7 @@ fn view(tag: u8) -> ObjectView {
     }
 }
 
-/// One representative record per `LogPayload` variant (all 15).
+/// One representative record per `LogPayload` variant (all 13).
 fn sample_records() -> Vec<LogRecord> {
     let mk = |lsn: u64, payload: LogPayload| LogRecord {
         lsn,
@@ -54,31 +54,25 @@ fn sample_records() -> Vec<LogRecord> {
         payload,
     };
     vec![
-        mk(1, LogPayload::Begin { reorg: None }),
+        mk(1, LogPayload::Begin),
+        mk(2, LogPayload::Commit),
+        mk(3, LogPayload::Abort),
         mk(
-            2,
-            LogPayload::Begin {
-                reorg: Some(PartitionId(7)),
-            },
-        ),
-        mk(3, LogPayload::Commit),
-        mk(4, LogPayload::Abort),
-        mk(
-            5,
+            4,
             LogPayload::Create {
                 addr: addr(1, 9, 2),
                 image: view(3),
             },
         ),
         mk(
-            6,
+            5,
             LogPayload::Free {
                 addr: addr(1, 9, 2),
                 image: view(4),
             },
         ),
         mk(
-            7,
+            6,
             LogPayload::SetPayload {
                 addr: addr(2, 0, 1),
                 old: vec![1, 2, 3],
@@ -86,7 +80,7 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(
-            8,
+            7,
             LogPayload::InsertRef {
                 parent: addr(1, 1, 1),
                 child: addr(2, 2, 2),
@@ -94,7 +88,7 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(
-            9,
+            8,
             LogPayload::DeleteRef {
                 parent: addr(1, 1, 1),
                 child: addr(2, 2, 2),
@@ -102,7 +96,7 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(
-            10,
+            9,
             LogPayload::SetRef {
                 parent: addr(1, 1, 1),
                 index: 2,
@@ -111,28 +105,27 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(
-            11,
+            10,
             LogPayload::ReorgStart {
                 partition: PartitionId(5),
                 floor: 9,
             },
         ),
         mk(
-            12,
+            11,
             LogPayload::ReorgEnd {
                 partition: PartitionId(5),
                 base: 4,
             },
         ),
         mk(
-            13,
+            12,
             LogPayload::Migrate {
                 old: addr(5, 1, 0),
                 new: addr(5, 2, 0),
             },
         ),
-        mk(14, LogPayload::Checkpoint { id: 42 }),
-        mk(15, LogPayload::CreatePartition { id: PartitionId(9) }),
+        mk(13, LogPayload::CreatePartition { id: PartitionId(9) }),
     ]
 }
 
@@ -211,7 +204,7 @@ fn any_single_byte_flip_is_rejected() {
 /// not a retryable conflict.
 #[test]
 fn structurally_bad_bodies_are_corrupt_not_panics() {
-    let rec = &sample_records()[4]; // Create — has a nested ObjectView
+    let rec = &sample_records()[3]; // Create — has a nested ObjectView
     let body = encode_record_body(rec);
 
     // Unknown tag byte (tag lives right after lsn u64 + tid u64).
@@ -261,13 +254,14 @@ fn inverse_is_an_involution_on_update_records() {
                         | LogPayload::InsertRef { .. }
                         | LogPayload::DeleteRef { .. }
                         | LogPayload::SetRef { .. }
+                        | LogPayload::Migrate { .. }
                 ),
                 "lsn {}: update record without an inverse",
                 rec.lsn
             ),
         }
     }
-    assert_eq!(updates, 6);
+    assert_eq!(updates, 7);
 }
 
 /// Build a segment file: magic + start_lsn header, `whole` full frames,
@@ -279,7 +273,7 @@ fn write_segment(
     torn: Option<(&LogRecord, usize)>,
 ) {
     let mut f = std::fs::File::create(path).expect("create segment");
-    f.write_all(b"BRHMWAL2").expect("magic");
+    f.write_all(b"BRHMWAL3").expect("magic");
     f.write_all(&start_lsn.to_le_bytes()).expect("header lsn");
     for rec in whole {
         f.write_all(&encode_record(rec)).expect("frame");

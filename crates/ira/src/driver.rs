@@ -386,7 +386,7 @@ impl ReorgRun<'_> {
                 // A failed commit is an abort too (the handle rolled the
                 // updates back on drop); the run's in-memory bookkeeping
                 // must roll back with it.
-                work.revert(db, &mut self.state);
+                work.revert(&mut self.state);
                 Err(e)
             }
         }
@@ -419,7 +419,6 @@ impl ReorgRun<'_> {
         );
         let migrate_start = Instant::now();
         let onew = move_object_and_update_refs(
-            self.db,
             txn,
             oold,
             &parents,

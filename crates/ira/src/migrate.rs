@@ -21,9 +21,7 @@
 
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{
-    AddrSet, Database, LockMode, LogPayload, NewObject, ObjectView, PhysAddr, Result, Txn,
-};
+use brahma::{AddrSet, LockMode, NewObject, ObjectView, PhysAddr, Result, Txn};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts. Kept
@@ -38,8 +36,6 @@ pub(crate) struct BatchEffects {
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
     /// traversal state.
     pub parent_rewrites: Vec<(PhysAddr, PhysAddr, PhysAddr)>,
-    /// (old, new) root-registry rewrites.
-    pub root_rewrites: Vec<(PhysAddr, PhysAddr)>,
     /// Scratch: the slots of the parent at hand that hold the moving object.
     slots: Vec<usize>,
 }
@@ -50,15 +46,12 @@ impl BatchEffects {
         self.keep.clear();
         self.migrations.clear();
         self.parent_rewrites.clear();
-        self.root_rewrites.clear();
     }
 
     /// Revert all recorded side effects (the transaction aborted; the
-    /// storage-level changes roll back through the transaction's own undo).
-    pub(crate) fn revert(&self, db: &Database, state: &mut TraversalState) {
-        for &(old, new) in self.root_rewrites.iter().rev() {
-            db.replace_root(new, old);
-        }
+    /// storage-level changes, root rewrites included, roll back through the
+    /// transaction's own undo).
+    pub(crate) fn revert(&self, state: &mut TraversalState) {
         for &(child, old_parent, new_parent) in self.parent_rewrites.iter().rev() {
             state.replace_parent(child, new_parent, old_parent);
         }
@@ -149,9 +142,7 @@ impl CopySource {
 /// caller records `effects.migrations` in the migration map (and counts them
 /// in `db.migrations`) after the batch transaction commits, and on error
 /// aborts the transaction and calls [`BatchEffects::revert`].
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure signature
 pub(crate) fn move_object_and_update_refs(
-    db: &Database,
     txn: &mut Txn<'_>,
     oold: PhysAddr,
     parents: &[PhysAddr],
@@ -186,22 +177,11 @@ pub(crate) fn move_object_and_update_refs(
         }
     }
 
-    db.wal.append(
-        txn.id(),
-        LogPayload::Migrate {
-            old: oold,
-            new: onew,
-        },
-    );
+    // The move's record, which also carries a root naming `oold` over.
+    txn.log_migration(oold, onew)?;
 
     // 3. Parent-list bookkeeping for children that still await migration.
     source.repoint_children(onew, state, &mut effects.parent_rewrites);
-
-    // Root registry.
-    if db.is_root(oold) {
-        db.replace_root(oold, onew);
-        effects.root_rewrites.push((oold, onew));
-    }
 
     // 4. Delete the old copy (never reused: the pass allocates above its floor).
     txn.delete_object(oold)?;
@@ -215,7 +195,7 @@ mod tests {
     use super::*;
     use crate::approx::find_objects_and_approx_parents;
     use crate::exact::find_exact_parents;
-    use brahma::{PartitionId, StoreConfig};
+    use brahma::{Database, PartitionId, StoreConfig};
 
     fn mk(db: &Database, p: PartitionId, refs: Vec<PhysAddr>) -> PhysAddr {
         let mut t = db.begin();
@@ -244,17 +224,9 @@ mod tests {
         let mut txn = db.begin_reorg(oold.partition());
         let parents = find_exact_parents(db, &mut txn, oold, state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
-        let onew = move_object_and_update_refs(
-            db,
-            &mut txn,
-            oold,
-            &parents,
-            plan,
-            None,
-            state,
-            &mut effects,
-        )
-        .unwrap();
+        let onew =
+            move_object_and_update_refs(&mut txn, oold, &parents, plan, None, state, &mut effects)
+                .unwrap();
         txn.commit().unwrap();
         assert_eq!(effects.migrations, vec![(oold, onew)]);
         onew
@@ -364,6 +336,7 @@ mod tests {
         let p1 = db.create_partition();
         let o = mk(&db, p1, vec![]);
         let ext = mk(&db, p0, vec![o]);
+        db.add_root(o);
 
         db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
@@ -372,7 +345,6 @@ mod tests {
             find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
         move_object_and_update_refs(
-            &db,
             &mut txn,
             o,
             &parents,
@@ -383,11 +355,12 @@ mod tests {
         )
         .unwrap();
         txn.abort();
-        effects.revert(&db, &mut state);
+        effects.revert(&mut state);
         db.end_reorg(p1);
 
         assert_eq!(db.raw_read(ext).unwrap().refs, vec![o]);
         assert_eq!(db.raw_read(o).unwrap().payload, b"payload".to_vec());
+        assert_eq!(db.roots(), vec![o], "undo moved the root back");
         brahma::sweep::assert_database_consistent(&db);
     }
 

@@ -49,16 +49,7 @@ pub(crate) fn reorganize_quiescent(
         for &parent in &parents {
             txn.lock(parent, LockMode::Exclusive)?;
         }
-        move_object_and_update_refs(
-            db,
-            txn,
-            oold,
-            &parents,
-            plan,
-            None,
-            &mut state,
-            &mut effects,
-        )?;
+        move_object_and_update_refs(txn, oold, &parents, plan, None, &mut state, &mut effects)?;
         db.stats.migrations.inc();
     }
     Ok(effects.migrations.into_iter().collect())

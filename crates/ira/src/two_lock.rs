@@ -27,7 +27,7 @@ use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, LockMode, LogPayload, PhysAddr, Result, RetryPolicy};
+use brahma::{AddrSet, Database, LockMode, PhysAddr, Result, RetryPolicy};
 
 /// Migrate one object with the two-lock discipline.
 ///
@@ -94,16 +94,7 @@ pub(crate) fn migrate_two_lock(
     // Nothing reverts a two-lock migration (each step committed on its own),
     // so the rewrite list is dropped.
     source.repoint_children(onew, state, &mut Vec::new());
-    if db.is_root(oold) {
-        db.replace_root(oold, onew);
-    }
-    db.wal.append(
-        guard.id(),
-        LogPayload::Migrate {
-            old: oold,
-            new: onew,
-        },
-    );
+    guard.log_migration(oold, onew)?;
     guard.delete_object(oold)?;
     guard.commit()?;
 

@@ -274,6 +274,88 @@ fn a_restart_killed_again_restarts_at_the_same_floor_and_completes() {
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
+/// A store with one root object in `p1`, checkpointed durably: after
+/// this, only the log knows where a reorganization moves the root.
+fn durable_root(tag: &str) -> (Database, StoreConfig, std::path::PathBuf, PhysAddr) {
+    let (db, config, dir) = durable_store(tag);
+    db.create_partition();
+    let p1 = db.create_partition();
+    let mut t = db.begin();
+    let root = t
+        .create_object(p1, NewObject::exact(1, vec![], b"root".to_vec()))
+        .expect("root");
+    t.commit().expect("root");
+    db.add_root(root);
+    db.checkpoint_durable(1).expect("durable checkpoint");
+    (db, config, dir, root)
+}
+
+/// A committed migration of a root survives a crash: the reopened store's
+/// root names the new copy, not the freed old one.
+#[test]
+fn a_migrated_root_survives_a_crash() {
+    let (db, config, dir, root) = durable_root("migrated-root");
+    let outcome = Reorg::on(&db, root.partition()).run().expect("reorg");
+    assert_eq!(outcome.migrated(), 1);
+    let moved = db.roots();
+    assert_ne!(moved, vec![root]);
+    drop(db); // the crash
+
+    let out = brahma::storage::open(config).expect("reopen");
+    assert_eq!(out.db.roots(), moved);
+    assert_eq!(
+        brahma::sweep::check_ref_integrity(&out.db),
+        Vec::<String>::new()
+    );
+    drop(out);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// A migration of a root killed before its `Commit` reaches the file is a
+/// loser: recovery undoes its `Migrate` with the rest, and the root names
+/// the old copy again.
+#[test]
+fn a_loser_migration_of_a_root_leaves_the_root_in_place() {
+    use brahma::wal::LogPayload;
+    let (db, config, dir, root) = durable_root("loser-root");
+    // The pass logs ReorgStart, then its batch Begin, Create, Migrate,
+    // Free and Commit: the kill lands on the sixth write.
+    let kill = FaultRule::nth(brahma::fault::site::FILE_PWRITE, 6, FaultAction::Crash);
+    db.fault.arm(FaultPlan::new(6).with(kill));
+    let crashed = Reorg::on(&db, root.partition()).run();
+    assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
+    assert_ne!(db.roots(), vec![root], "the live store moved the root");
+    drop(db);
+
+    let mut log = Vec::new();
+    for entry in std::fs::read_dir(dir.join("wal")).expect("wal dir") {
+        let path = entry.expect("segment").path();
+        log.extend(
+            brahma::storage::scan_segment_file(&path, false)
+                .expect("scan")
+                .0,
+        );
+    }
+    let mover = log
+        .iter()
+        .find(|r| matches!(r.payload, LogPayload::Migrate { old, .. } if old == root))
+        .expect("the Migrate reached the file")
+        .tid;
+    assert!(!log
+        .iter()
+        .any(|r| r.tid == mover && r.payload == LogPayload::Commit));
+
+    let out = brahma::storage::open(config).expect("reopen");
+    assert_eq!(out.losers, vec![mover]);
+    assert_eq!(out.db.roots(), vec![root]);
+    assert_eq!(
+        brahma::sweep::check_ref_integrity(&out.db),
+        Vec::<String>::new()
+    );
+    drop(out);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
 /// `external_parent_locks` counts out-of-partition *parents*: six objects
 /// of `p1` with eight external parent edges from four parents in `p0`, no
 /// edges among themselves. One batch per object locks 8 parents in all,
