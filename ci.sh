@@ -15,11 +15,42 @@ if [ -n "$missing" ]; then
   echo "$missing" >&2
   exit 1
 fi
+# Doc code names must exist too. A backticked `crate::name` (crate one of
+# brahma, ira, workload, bench, harness, obs; name lowercase) in the
+# top-level docs names a module file or a `fn`/`mod` of that crate, and a
+# backticked span that is exactly `Type::member` (member lowercase) names
+# a `fn`, `const`, `static`, `mod` or field somewhere in the workspace,
+# benchmark/src included.
+unnamed=$(
+  grep -oh '`[^`]*`' README.md DESIGN.md EXPERIMENTS.md |
+    grep -oE '(^|[^A-Za-z0-9_])(brahma|ira|workload|bench|harness|obs)::[a-z_][a-z0-9_]*' |
+    sed 's/^[^a-z]*//' | sort -u | while IFS=: read -r crate _ name; do
+      src=crates/$crate/src
+      [ -e "$src/$name.rs" ] || [ -e "$src/$name/mod.rs" ] ||
+        grep -rqE "(fn|mod) $name\b" "$src" || echo "$crate::$name"
+    done
+  grep -oh '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*`' README.md DESIGN.md EXPERIMENTS.md |
+    tr -d '`' | sort -u | while read -r span; do
+      m=${span#*::}
+      grep -rqE --include='*.rs' "\b(fn|const|static|mod) $m\b|^ *(pub(\([a-z]+\))? )?$m:" \
+        crates/*/src src examples tests benchmark/src shims || echo "$span"
+    done
+)
+if [ -n "$unnamed" ]; then
+  echo "doc-named code that does not exist:" >&2
+  echo "$unnamed" >&2
+  exit 1
+fi
+# DESIGN.md stays at the size of what it must say: at most 45,000 bytes.
+if [ "$(wc -c < DESIGN.md)" -gt 45000 ]; then
+  echo "DESIGN.md is $(wc -c < DESIGN.md) bytes, over its 45000-byte budget" >&2
+  exit 1
+fi
 # Non-test code of a source file: everything before its `#[cfg(test)]` or
 # `#[cfg(all(test, …))]` module. The guards and the size counter below
 # share this one cut.
 nontest() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^#\[cfg(all(test/,$d' "$@"; }
-# One owner of what an update record does to a page (DESIGN.md §12.1):
+# One owner of what an update record does to a page (DESIGN.md §11.2):
 # outside object.rs, non-test code in at most one file under
 # crates/brahma/src may call the page mutators — today db.rs, inside
 # `Database::apply_update` — so a second copy of the record semantics fails
@@ -35,8 +66,9 @@ if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then
   exit 1
 fi
 # Env knobs (DESIGN.md §16): the "UPPER_CASE" names non-test code of
-# env_cfg.rs reads and the rows of §16's table must be the same set.
-code_knobs=$(nontest crates/brahma/src/env_cfg.rs |
+# harness's env_cfg.rs reads and the rows of §16's table must be the same
+# set.
+code_knobs=$(nontest crates/harness/src/env_cfg.rs |
   grep -o '"[A-Z][A-Z0-9_]*"' | tr -d '"' | sort -u)
 doc_knobs=$(sed -n '/^## 16\./,$p' DESIGN.md |
   grep -o '^| `[A-Z][A-Z0-9_]*`' | tr -d '|` ' | sort -u)

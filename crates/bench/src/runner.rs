@@ -138,8 +138,7 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
                 .strategy(strategy)
                 .run()
                 .expect("reorganization completes");
-            let report = outcome.report.as_ref().expect("IRA and PQR report");
-            report.export(&mut reorg_counters);
+            outcome.report.export(&mut reorg_counters);
             (Some(outcome.duration.as_secs_f64()), outcome.migrated())
         }
     };

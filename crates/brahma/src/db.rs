@@ -316,11 +316,6 @@ impl Database {
         }
     }
 
-    /// Whether `addr` is a registered root.
-    pub fn is_root(&self, addr: PhysAddr) -> bool {
-        self.roots.lock().contains(&addr)
-    }
-
     // ------------------------------------------------------------------
     // Latch-level page access
     // ------------------------------------------------------------------
@@ -715,10 +710,9 @@ mod tests {
         let a = PhysAddr::new(PartitionId(0), 0, 0);
         let b = PhysAddr::new(PartitionId(0), 0, 64);
         db.add_root(a);
-        assert!(db.is_root(a));
+        assert_eq!(db.roots(), vec![a]);
         assert!(db.replace_root(a, b));
-        assert!(!db.is_root(a));
-        assert!(db.is_root(b));
+        assert_eq!(db.roots(), vec![b]);
         assert!(!db.replace_root(a, b));
     }
 

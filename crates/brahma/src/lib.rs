@@ -52,7 +52,6 @@
 mod addr;
 mod config;
 mod db;
-pub mod env_cfg;
 mod error;
 mod ert;
 pub mod fault;

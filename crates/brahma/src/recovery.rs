@@ -12,14 +12,14 @@
 //!   files, which [`crate::storage::open`] reads back after a crash: analysis
 //!   over the surviving log, redo of *all* surviving updates from the
 //!   checkpoint ("repeating history"), then undo of loser transactions. The
-//!   undo is applied, not logged: `open` checkpoints right after recovery,
-//!   and a crash before that checkpoint re-runs it. What the pages already
-//!   say is not stored: each partition's allocator directory is read off
-//!   its page images, and once undo is done one sweep over the live
-//!   objects' cross-partition references rebuilds the ERTs. REDO repeats
-//!   the pass boundaries too, so a reorganization that was in progress
-//!   comes back as a pass still open at its floor, and is reported as
-//!   interrupted so the caller can restart IRA from that floor (its
+//!   undo is applied, not logged: `open` checkpoints right after a recovery
+//!   that replayed anything, and a crash before that checkpoint re-runs it.
+//!   What the pages already say is not stored: each partition's allocator
+//!   directory is read off its page images, and once undo is done one sweep
+//!   over the live objects' cross-partition references rebuilds the ERTs.
+//!   REDO repeats the pass boundaries too, so a reorganization that was in
+//!   progress comes back as a pass still open at its floor, and is reported
+//!   as interrupted so the caller can restart IRA from that floor (its
 //!   migrations are transactional — completed migrations survive above the
 //!   floor, the in-flight one rolls back).
 
@@ -33,7 +33,9 @@ use crate::txn::TxnId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
 use std::collections::HashMap;
 
-/// A transaction-consistent snapshot of the whole database.
+/// A transaction-consistent snapshot of the whole database. The default
+/// is the empty database's: id 0, LSN 0, no partitions, no roots.
+#[derive(Default)]
 pub struct Checkpoint {
     pub id: u64,
     /// The first LSN the snapshot does not cover: replay starts here.

@@ -20,11 +20,13 @@
 //!   fsync the directory — so a crash at any instant leaves exactly one
 //!   valid checkpoint on disk.
 //!
-//! [`open`] is the one restart path: read the checkpoint, scan the segments
-//! from the checkpoint LSN, truncate the torn tail (the first record whose
-//! length prefix or CRC fails), run ARIES-style `recovery::recover`
-//! over the surviving records, and hand back the partitions whose pass the
-//! crash interrupted, for the reorganizer to restart from its floor.
+//! [`open`] is the one open path, for a fresh directory too: read the
+//! checkpoint (the empty one if there is none), scan the segments from the
+//! checkpoint LSN, truncate the torn tail (the first record whose length
+//! prefix or CRC fails), run ARIES-style `recovery::recover` over the
+//! surviving records, checkpoint if that replayed anything, and hand back
+//! the partitions whose pass the crash interrupted, for the reorganizer to
+//! restart from its floor.
 //!
 //! ## Crash model
 //!
@@ -332,7 +334,7 @@ impl FileBackend {
 /// What [`open`] hands back.
 pub struct OpenOutcome {
     pub db: Database,
-    /// False for a freshly initialized directory.
+    /// Whether the directory held a checkpoint or a log segment.
     pub recovered: bool,
     /// Transactions rolled back as losers.
     pub losers: Vec<TxnId>,
@@ -343,8 +345,8 @@ pub struct OpenOutcome {
     pub torn_tail_truncations: u64,
 }
 
-/// Open (or initialize) a durable store at `config.data_dir`. See the
-/// module docs; the one-liner is
+/// Open a durable store at `config.data_dir`, recovering whatever the
+/// directory holds. See the module docs; the one-liner is
 /// `let out = brahma::storage::open(config)?;` — `out.db` is ready, and
 /// `out.interrupted_reorgs` lists reorganizations to restart.
 pub fn open(config: StoreConfig) -> Result<OpenOutcome> {
@@ -359,16 +361,18 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
         .clone()
         .ok_or_else(|| Error::RecoveryCorrupt("storage::open requires config.data_dir".into()))?;
     fs::create_dir_all(&dir).map_err(|e| eio("create data dir", &e))?;
-    let ckpt_path = dir.join("checkpoint.img");
-    if !ckpt_path.exists() {
-        return init_fresh(&dir, config, plan);
-    }
 
     // ---- Restart: checkpoint + segment scan -> CrashImage -> recover ----
-    let file = fs::read(&ckpt_path).map_err(|e| eio("read checkpoint", &e))?;
-    let checkpoint = decode_checkpoint(&file)?;
-    let (mut scanned, torn_truncations) = scan_segments(&dir.join("wal"))?;
+    // A directory that was never checkpointed restarts from the empty
+    // checkpoint (id 0, LSN 0); a missing `wal/` is an empty log.
+    let (checkpoint, had_checkpoint) = match fs::read(dir.join("checkpoint.img")) {
+        Ok(file) => (decode_checkpoint(&file)?, true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Checkpoint::default(), false),
+        Err(e) => return Err(eio("read checkpoint", &e)),
+    };
+    let (mut scanned, segments, torn_truncations) = scan_segments(&dir.join("wal"))?;
     scanned.retain(|r| r.lsn >= checkpoint.lsn);
+    let replay = !scanned.is_empty();
     let ckpt_id = checkpoint.id;
     let image = CrashImage {
         checkpoint,
@@ -379,6 +383,9 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     if let Some(plan) = plan {
         db.fault.arm(plan);
     }
+    // With nothing replayed, `next_lsn` may be the last segment's start
+    // LSN; that segment then holds no record, and `open_segment` truncates
+    // it.
     let backend = Arc::new(FileBackend::new(
         &dir,
         Arc::clone(&db.fault),
@@ -391,39 +398,18 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
     // ---- Recovery checkpoint: bound the next restart's replay ----
     // Written before returning so a crash *after* open never re-runs undo
     // over the old log. An interrupted pass is open in its partition's
-    // snapshot, floor and all.
-    backend.write_checkpoint(&db.checkpoint(ckpt_id + 1))?;
+    // snapshot, floor and all. With no surviving record the recovered
+    // store is the checkpoint, and rewriting it would change nothing.
+    if replay {
+        backend.write_checkpoint(&db.checkpoint(ckpt_id + 1))?;
+    }
 
     Ok(OpenOutcome {
         db,
-        recovered: true,
+        recovered: had_checkpoint || segments > 0,
         losers: outcome.losers,
         interrupted_reorgs: outcome.interrupted_reorgs,
         torn_tail_truncations: torn_truncations,
-    })
-}
-
-/// Initialize an empty durable store: empty database, one empty segment,
-/// one empty checkpoint — so every later open takes the restart path.
-fn init_fresh(dir: &Path, config: StoreConfig, plan: Option<FaultPlan>) -> Result<OpenOutcome> {
-    let db = Database::new(config.clone());
-    if let Some(plan) = plan {
-        db.fault.arm(plan);
-    }
-    let backend = Arc::new(FileBackend::new(
-        dir,
-        Arc::clone(&db.fault),
-        config.wal_segment_bytes,
-        db.wal.next_lsn(),
-    )?);
-    db.attach_backend(Arc::clone(&backend));
-    db.checkpoint_durable(0)?;
-    Ok(OpenOutcome {
-        db,
-        recovered: false,
-        losers: Vec::new(),
-        interrupted_reorgs: Vec::new(),
-        torn_tail_truncations: 0,
     })
 }
 
@@ -536,18 +522,23 @@ pub fn scan_segment_file(path: &Path, truncate: bool) -> Result<(Vec<LogRecord>,
 }
 
 /// Scan every live segment in LSN order, truncating torn tails. Returns
-/// all surviving records (ascending LSN) and the number of truncations.
-fn scan_segments(wal_dir: &Path) -> Result<(Vec<LogRecord>, u64)> {
+/// all surviving records (ascending LSN), the number of segments and the
+/// number of truncations. A missing `wal/` holds no segment.
+fn scan_segments(wal_dir: &Path) -> Result<(Vec<LogRecord>, usize, u64)> {
+    if !wal_dir.exists() {
+        return Ok((Vec::new(), 0, 0));
+    }
+    let segments = list_segments(wal_dir)?;
     let mut records = Vec::new();
     let mut truncations = 0;
-    for (path, _) in list_segments(wal_dir)? {
-        let (mut recs, tear) = scan_segment_file(&path, true)?;
+    for (path, _) in &segments {
+        let (mut recs, tear) = scan_segment_file(path, true)?;
         records.append(&mut recs);
         if tear.is_some() {
             truncations += 1;
         }
     }
-    Ok((records, truncations))
+    Ok((records, segments.len(), truncations))
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +680,7 @@ pub(crate) mod tests {
         assert_eq!(backend.healthy(), kill_at.is_none());
         assert!(kill_at.is_some() || backend.stats.segments_rotated.get() >= 2);
         drop((wal, backend));
-        let (scanned, torn) = scan_segments(&dir.join("wal")).unwrap();
+        let (scanned, _, torn) = scan_segments(&dir.join("wal")).unwrap();
         assert_eq!(torn, 0);
         fs::remove_dir_all(&dir).unwrap();
         assert!(scanned.iter().map(|r| r.lsn).eq(0..scanned.len() as Lsn));
@@ -814,7 +805,10 @@ pub(crate) mod tests {
         churn(&db, p);
         let segs = list_segments(&dir.join("wal")).unwrap();
         assert!(segs.len() >= 3, "expected rotations, got {segs:?}");
-        let old_image = fs::read(dir.join("checkpoint.img")).unwrap();
+        assert!(
+            !dir.join("checkpoint.img").exists(),
+            "a fresh open writes none"
+        );
 
         // Armed after the commits' forces: the next fsync site is the
         // checkpoint's directory sync.
@@ -827,8 +821,9 @@ pub(crate) mod tests {
         assert!(live.starts_with(&segs), "every superseded segment stays");
         drop(db);
 
-        // The power loss undid the rename.
-        fs::write(dir.join("checkpoint.img"), old_image).unwrap();
+        // The power loss undid the rename: the store has no checkpoint, and
+        // every segment replays from LSN 0.
+        fs::remove_file(dir.join("checkpoint.img")).unwrap();
         let out = open(file_config(&dir)).unwrap();
         let part = out.db.partition(p).unwrap();
         assert_eq!(part.object_count(), 200);

@@ -172,9 +172,9 @@ fn each_segment_created_syncs_the_wal_directory() {
     let dir = tmpdir("wal-dir-sync");
     let db = brahma::storage::open(file_config(&dir)).expect("open").db;
     let fsyncs = || db.obs_snapshot().get("file.fsyncs");
-    // The first segment's directory sync, then the initial checkpoint's
-    // shadow file and data directory.
-    assert_eq!(fsyncs(), 3);
+    // The first segment's directory sync: a fresh open writes no
+    // checkpoint.
+    assert_eq!(fsyncs(), 1);
     let p = db.create_partition();
     let commits = 40;
     for i in 0..commits as u8 {
@@ -185,7 +185,57 @@ fn each_segment_created_syncs_the_wal_directory() {
     }
     let rotated = db.obs_snapshot().get("wal.segments_rotated");
     assert!(rotated > 0, "8000+ payload bytes through 4 KiB segments");
-    assert_eq!(fsyncs() - 3, commits + 2 * rotated);
+    assert_eq!(fsyncs() - 1, commits + 2 * rotated);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reopen whose log holds nothing past its checkpoint writes no
+/// checkpoint: the recovered store is the checkpoint, and its one fsync is
+/// the new segment's directory sync. Reopened again, the new segment
+/// starts at the LSN the last one did and takes over that file, which
+/// holds no record; what is then committed there survives.
+#[test]
+fn a_reopen_with_nothing_to_replay_keeps_its_checkpoint() {
+    let dir = tmpdir("clean-reopen");
+    let (p, a) = {
+        let db = brahma::storage::open(file_config(&dir)).expect("open").db;
+        let p = db.create_partition();
+        let mut txn = db.begin();
+        let a = txn
+            .create_object(p, NewObject::exact(1, vec![], b"kept".to_vec()))
+            .expect("create");
+        txn.commit().expect("commit");
+        db.add_root(a);
+        db.checkpoint_durable(1).expect("ckpt");
+        (p, a)
+    };
+    let image = std::fs::read(dir.join("checkpoint.img")).expect("checkpoint");
+    let segments = || std::fs::read_dir(dir.join("wal")).expect("wal dir").count();
+    for _ in 0..2 {
+        let out = brahma::storage::open(file_config(&dir)).expect("reopen");
+        assert!(out.recovered);
+        assert_eq!(out.db.obs_snapshot().get("file.fsyncs"), 1);
+        assert_eq!(out.db.roots(), vec![a]);
+        drop(out);
+        let kept = std::fs::read(dir.join("checkpoint.img")).expect("checkpoint");
+        assert!(
+            kept == image,
+            "a reopen with an empty log rewrote the checkpoint"
+        );
+        // The checkpointed segment and the one each reopen starts.
+        assert_eq!(segments(), 2);
+    }
+
+    let db = brahma::storage::open(file_config(&dir)).expect("reopen").db;
+    let mut txn = db.begin();
+    let b = txn
+        .create_object(p, NewObject::exact(2, vec![], b"after".to_vec()))
+        .expect("create");
+    txn.commit().expect("commit");
+    drop(db);
+    let out = brahma::storage::open(file_config(&dir)).expect("reopen");
+    assert_eq!(out.db.raw_read(a).expect("a").payload, b"kept");
+    assert_eq!(out.db.raw_read(b).expect("b").payload, b"after");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -350,15 +350,16 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     // `ckpt.rename` only executes while a checkpoint file is being
     // replaced, which phase one never does after the baseline — those
     // cells kill phase one through the pwrite path and save the rename
-    // kill for the recovery double crash below.
-    let kill_site = if cell.site == bsite::CKPT_RENAME {
-        bsite::FILE_PWRITE
+    // kill for the recovery double crash below. The kill lands one write
+    // later, so a record survives and recovery has a log to checkpoint.
+    let (kill_site, kill_hit) = if cell.site == bsite::CKPT_RENAME {
+        (bsite::FILE_PWRITE, cell.nth_hit + 1)
     } else {
-        cell.site
+        (cell.site, cell.nth_hit)
     };
     db.fault.arm(FaultPlan::new(cell.seed).with(FaultRule::nth(
         kill_site,
-        cell.nth_hit,
+        kill_hit,
         FaultAction::Crash,
     )));
     primer(&db, graph.p0, anchors[0]);

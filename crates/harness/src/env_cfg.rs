@@ -1,10 +1,5 @@
-//! The workspace's environment knobs, in one place.
-//!
-//! Every test/CI tunable lives behind a typed accessor here instead of a
-//! raw `std::env::var` at its point of use: numbers parse through one
-//! shared parser, and DESIGN.md §16 documents the full table. Adding a
-//! knob means adding an accessor *and* a table row — the pairing is what
-//! keeps the knobs discoverable.
+//! The workspace's environment knobs, in one place: typed accessors over
+//! one parser, each a row of DESIGN.md §16's table (`ci.sh` checks both).
 
 /// Parse a `u64` knob; unset, empty, or unparsable falls back to
 /// `default`.
@@ -15,15 +10,11 @@ pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-// --- chaos sweep (crates/ira/tests/chaos_sweep.rs) ---
-
 /// `CHAOS_ROOT_SEED`: root of the chaos sweep's seed tree (also feeds the
 /// schedule-exploration sweep).
 pub fn chaos_root_seed() -> u64 {
     env_u64("CHAOS_ROOT_SEED", 0xC4A05)
 }
-
-// --- schedule exploration (crates/ira/tests/replay_regression.rs) ---
 
 /// `EXPLORE_ROOTS`: fault/workload seeds per site in the exploration
 /// sweep.

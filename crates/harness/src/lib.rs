@@ -6,9 +6,12 @@
 //!   restarted from the interrupted pass's floor.
 //! * [`replay`] — the PCT schedule explorer over [`brahma::sched`]
 //!   (DESIGN.md §12).
+//! * [`env_cfg`] — the environment knobs of the chaos and exploration
+//!   sweeps (DESIGN.md §16).
 //! * [`with_repro_banner`], shared by the chaos, property and replay tests.
 
 pub mod cell;
+pub mod env_cfg;
 pub mod replay;
 
 pub use cell::{run_cell, run_multi_partition_kill, CellReport, CrashCell};

@@ -10,7 +10,7 @@
 //!
 //! In addition to parents discovered by traversing intra-partition edges,
 //! each object's external parents are merged in from the ERT (as in the
-//! offline algorithm of Section 3.1); parents that appear later are caught
+//! quiescent algorithm of Section 3.1); parents that appear later are caught
 //! by `Find_Exact_Parents`' TRT loop.
 
 use crate::traversal::{fuzzy_traversal, TraversalState};

@@ -1,10 +1,9 @@
 //! The unified reorganization entry point: one fluent builder over every
 //! algorithm the crate implements.
 //!
-//! The paper describes a family of reorganizers — quiescent (Section 3.1),
-//! PQR (Section 5.1), IRA basic (Section 3.5) and IRA two-lock (Section
-//! 4.2). Historically each had its own free function with its own config
-//! struct; [`Reorg`] folds them behind one surface:
+//! The paper describes a family of reorganizers — PQR (Section 5.1), which
+//! runs the quiescent one of Section 3.1, IRA basic (Section 3.5) and IRA
+//! two-lock (Section 4.2). [`Reorg`] puts them behind one surface:
 //!
 //! ```text
 //! Reorg::on(&db, partition)
@@ -23,7 +22,7 @@ use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
 use crate::pqr::PqrReport;
 use brahma::{AddrMap, Database, PartitionId, PhysAddr, RetryPolicy};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which algorithm family a [`Reorg`] run uses. The IRA variant (basic vs
 /// two-lock) is a separate axis, set with [`Reorg::variant`].
@@ -35,11 +34,9 @@ pub enum Strategy {
     #[default]
     Incremental,
     /// The PQR baseline: lock every external parent to quiesce the
-    /// partition, then reorganize it in one transaction.
+    /// partition, then reorganize it in one transaction. On an idle store
+    /// this is the quiescent reorganizer of Section 3.1.
     PartitionQuiesce,
-    /// The quiescent algorithm run in a single transaction; the caller
-    /// guarantees the database is otherwise idle.
-    Offline,
 }
 
 /// The algorithm-specific report of a finished reorganization: one enum
@@ -70,9 +67,8 @@ pub struct ReorgOutcome {
     /// Old address -> new address for every migrated object.
     pub mapping: AddrMap<PhysAddr>,
     pub duration: Duration,
-    /// The algorithm-specific report, when the algorithm produces one
-    /// (the offline reorganizer reports nothing beyond the mapping).
-    pub report: Option<ReorgReport>,
+    /// The algorithm-specific report.
+    pub report: ReorgReport,
 }
 
 impl ReorgOutcome {
@@ -83,16 +79,16 @@ impl ReorgOutcome {
     /// The IRA report, when an incremental run produced one.
     pub fn ira(&self) -> Option<&IraReport> {
         match &self.report {
-            Some(ReorgReport::Ira(r)) => Some(r),
-            _ => None,
+            ReorgReport::Ira(r) => Some(r),
+            ReorgReport::Pqr(_) => None,
         }
     }
 
     /// The PQR report, when the partition-quiesce baseline ran.
     pub fn pqr(&self) -> Option<&PqrReport> {
         match &self.report {
-            Some(ReorgReport::Pqr(r)) => Some(r),
-            _ => None,
+            ReorgReport::Pqr(r) => Some(r),
+            ReorgReport::Ira(_) => None,
         }
     }
 }
@@ -147,8 +143,7 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Which algorithm family runs (incremental IRA, the PQR baseline, or
-    /// the offline quiescent reorganizer).
+    /// Which algorithm family runs (incremental IRA or the PQR baseline).
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
@@ -209,17 +204,11 @@ impl<'a> Reorg<'a> {
         let (mapping, duration, report) = match self.strategy {
             Strategy::Incremental => {
                 let r = crate::driver::run_incremental(db, partition, plan, config)?;
-                (r.mapping.clone(), r.duration, Some(ReorgReport::Ira(r)))
+                (r.mapping.clone(), r.duration, ReorgReport::Ira(r))
             }
             Strategy::PartitionQuiesce => {
                 let r = crate::pqr::run_pqr(db, partition, plan).map_err(IraError::Store)?;
-                (r.mapping.clone(), r.duration, Some(ReorgReport::Pqr(r)))
-            }
-            Strategy::Offline => {
-                let started = Instant::now();
-                let mapping =
-                    crate::offline::run_offline(db, partition, plan).map_err(IraError::Store)?;
-                (mapping, started.elapsed(), None)
+                (r.mapping.clone(), r.duration, ReorgReport::Pqr(r))
             }
         };
         Ok(ReorgOutcome {
@@ -278,19 +267,6 @@ mod tests {
         assert_eq!(outcome.migrated(), 1);
         assert!(outcome.ira().is_none());
         assert_eq!(outcome.pqr().unwrap().quiesce_locks, 1);
-        brahma::sweep::assert_database_consistent(&db);
-    }
-
-    #[test]
-    fn offline_strategy_migrates_without_reports() {
-        let db = Database::new(StoreConfig::default());
-        let (p1, _, _) = seed(&db);
-        let outcome = Reorg::on(&db, p1)
-            .strategy(Strategy::Offline)
-            .run()
-            .unwrap();
-        assert_eq!(outcome.migrated(), 1);
-        assert!(outcome.report.is_none());
         brahma::sweep::assert_database_consistent(&db);
     }
 

@@ -18,10 +18,11 @@
 //!   lies below its floor), copying garbage collection as a side effect of evacuating into a fresh
 //!   partition (Section 4.6, `gc`), and clustering by a migration order
 //!   derived from observed traffic ([`StatsGreedy`]).
-//! * Baselines: the quiescent reorganizer of Section 3.1 (`offline`) and
-//!   **PQR**, the Partition Quiesce Reorganization baseline of the paper's
-//!   performance study (Section 5.1, `pqr`) — both reachable through
-//!   [`Reorg::strategy`].
+//! * The baseline: **PQR**, the Partition Quiesce Reorganization of the
+//!   paper's performance study (Section 5.1, `pqr`), reachable through
+//!   [`Reorg::strategy`]. It locks the partition's external parents, then
+//!   runs the quiescent reorganizer of Section 3.1; on an idle store the
+//!   locks are uncontended.
 //!
 //! ## Quick tour
 //!
@@ -62,7 +63,6 @@ pub mod driver;
 mod exact;
 mod gc;
 mod migrate;
-mod offline;
 mod order;
 mod plan;
 mod policy;

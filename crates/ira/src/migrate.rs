@@ -136,7 +136,7 @@ impl CopySource {
 
 /// Migrate `oold` to its new location, updating the `parents`' references
 /// (which the caller has locked: exactly, via `find_exact_parents`, on-line;
-/// every parent of the quiescent sweep in [`crate::offline`]).
+/// every parent of the quiescent sweep in [`crate::pqr`]).
 ///
 /// Returns the new address. `state` and `effects` are updated in place; the
 /// caller records `effects.migrations` in the migration map (and counts them
@@ -374,8 +374,7 @@ mod tests {
         let mut state = find_objects_and_approx_parents(&db, p0);
         let new_root = migrate_one(&db, root, RelocationPlan::CompactInPlace, &mut state);
         db.end_reorg(p0);
-        assert!(db.is_root(new_root));
-        assert!(!db.is_root(root));
+        assert_eq!(db.roots(), vec![new_root]);
     }
 
     use brahma::LockMode;

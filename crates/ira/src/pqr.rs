@@ -1,5 +1,6 @@
 //! PQR — Partition Quiesce Reorganization (Section 5.1), the baseline the
-//! paper compares IRA against.
+//! paper compares IRA against, and the quiescent reorganizer of Section 3.1
+//! it runs once the partition is quiet.
 //!
 //! PQR quiesces the partition before reorganizing: it locks every object
 //! *outside* the partition that holds a reference into it (the ERT
@@ -8,17 +9,19 @@
 //! through one of those external parents and still holds its lock on it, so
 //! once PQR owns them all, no transaction can be touching the partition —
 //! and none can get in. Reorganization then proceeds as in the quiescent
-//! algorithm of Section 3.1, all locks held until the end.
+//! algorithm of Section 3.1, all locks held until the end. On an idle
+//! store the parent locks are uncontended, and PQR is that algorithm.
 //!
 //! This is deliberately heavyweight: the experiments of Section 5 show PQR
 //! blocking essentially every thread (the partition's persistent-root
 //! parents are locked for the whole reorganization) — exactly the behaviour
 //! this baseline reproduces.
 
-use crate::offline::reorganize_quiescent;
+use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::plan::RelocationPlan;
+use crate::traversal::TraversalState;
 use brahma::{
-    AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy,
+    AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn,
 };
 use std::time::{Duration, Instant};
 
@@ -123,11 +126,58 @@ pub(crate) fn run_pqr(
     }
 }
 
+/// Reorganize a quiescent partition (Section 3.1): migrate every
+/// allocated object of `partition` according to `plan`, inside `txn`, a
+/// reorganizer transaction. No transaction can touch the partition, which
+/// PQR's parent locks guarantee. One sweep builds exact parent lists, then
+/// each object goes through the same `Move_Object_And_Update_Refs`
+/// (Figure 5) as on-line IRA: copied, its parents' references rewritten,
+/// its children's parent lists updated, and the old copy freed. Garbage is
+/// migrated, not collected: the sweep works from allocation information.
+///
+/// Returns the old-to-new address mapping.
+fn reorganize_quiescent(
+    db: &Database,
+    partition: PartitionId,
+    plan: RelocationPlan,
+    txn: &mut Txn<'_>,
+) -> Result<AddrMap<PhysAddr>, StoreError> {
+    let part = db.partition(partition)?;
+    let objects = part.live_objects();
+
+    // One sweep builds the exact parent lists: intra-partition parents from
+    // the objects, external parents from the ERT. Each migration rewrites
+    // its children's lists to name the new copy, so a parent that already
+    // moved is found at its new address.
+    let mut state = TraversalState::default();
+    for &obj in &objects {
+        for child in db.raw_read(obj)?.refs {
+            if child.partition() == partition {
+                state.add_parent(child, obj);
+            }
+        }
+        for ext in part.ert.parents_of(obj) {
+            state.add_parent(obj, ext);
+        }
+    }
+
+    let mut effects = BatchEffects::default();
+    for &oold in &objects {
+        let parents = state.parents_of(oold);
+        for &parent in &parents {
+            txn.lock(parent, LockMode::Exclusive)?;
+        }
+        move_object_and_update_refs(txn, oold, &parents, plan, None, &mut state, &mut effects)?;
+        db.stats.migrations.inc();
+    }
+    Ok(effects.migrations.into_iter().collect())
+}
+
 /// Keep requesting the lock until granted. Workload transactions caught in
 /// a deadlock with PQR time out and abort, releasing their locks, so
 /// insisting is safe; [`INSIST_POLICY`] bounds the spin against pathologies
 /// and counts every re-request in the store's `retry.*` counters.
-fn lock_insist(db: &Database, txn: &mut brahma::Txn<'_>, addr: PhysAddr) -> Result<(), StoreError> {
+fn lock_insist(db: &Database, txn: &mut Txn<'_>, addr: PhysAddr) -> Result<(), StoreError> {
     let mut backoff = INSIST_POLICY.start();
     loop {
         match txn.lock(addr, LockMode::Exclusive) {
@@ -181,6 +231,36 @@ mod tests {
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![report.mapping[&mid]]);
         assert_eq!(db.raw_read(e2).unwrap().refs, vec![report.mapping[&leaf]]);
         brahma::sweep::assert_database_consistent(&db);
+    }
+
+    #[test]
+    fn pqr_evacuation_empties_partition() {
+        let db = Database::new(StoreConfig::default());
+        let p0 = db.create_partition();
+        let p1 = db.create_partition();
+        let p2 = db.create_partition();
+        let a = mk(&db, p1, vec![]);
+        let b = mk(&db, p1, vec![a]);
+        let _ext = mk(&db, p0, vec![b]);
+
+        let report = run_pqr(&db, p1, RelocationPlan::EvacuateTo(p2)).unwrap();
+        assert_eq!(db.partition(p1).unwrap().object_count(), 0);
+        assert_eq!(db.partition(p2).unwrap().object_count(), 2);
+        assert!(report.mapping.values().all(|a| a.partition() == p2));
+        brahma::sweep::assert_database_consistent(&db);
+    }
+
+    #[test]
+    fn migrates_even_unreachable_objects() {
+        // The quiescent sweep works from allocation information, so garbage
+        // is migrated rather than collected (compaction semantics).
+        let db = Database::new(StoreConfig::default());
+        let p1 = db.create_partition();
+        let orphan = mk(&db, p1, vec![]);
+        let report = run_pqr(&db, p1, RelocationPlan::CompactInPlace).unwrap();
+        assert!(report.mapping.contains_key(&orphan));
+        assert_eq!(report.quiesce_locks, 0);
+        assert_eq!(db.partition(p1).unwrap().object_count(), 1);
     }
 
     #[test]

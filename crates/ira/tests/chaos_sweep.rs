@@ -10,10 +10,9 @@
 //! `CHAOS_ROOT_SEED` overrides the root of the sweep's
 //! [`brahma::SeedTree`] to re-run a reported seed.
 
-use brahma::env_cfg;
 use brahma::fault::site::{ALL, FILE_ALL};
 use brahma::SeedTree;
-use harness::{run_cell, run_multi_partition_kill, with_repro_banner, CrashCell};
+use harness::{env_cfg, run_cell, run_multi_partition_kill, with_repro_banner, CrashCell};
 
 /// Nth-hit strides of the in-memory and IRA sites.
 const STRIDES: [u64; 4] = [1, 2, 3, 7];

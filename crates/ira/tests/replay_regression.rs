@@ -15,9 +15,9 @@ use std::sync::Arc;
 #[test]
 #[ignore = "exploration sweep; run with --ignored, bound via EXPLORE_ROOTS/EXPLORE_PRIOS"]
 fn explore_chaos() {
-    let roots = brahma::env_cfg::explore_roots(4);
-    let prios = brahma::env_cfg::explore_prios(4);
-    let tree = brahma::SeedTree::new(brahma::env_cfg::chaos_root_seed()).child("explore");
+    let roots = harness::env_cfg::explore_roots(4);
+    let prios = harness::env_cfg::explore_prios(4);
+    let tree = brahma::SeedTree::new(harness::env_cfg::chaos_root_seed()).child("explore");
     let site = ira::site::BATCH;
     for r in 0..roots {
         let root = tree.child(site).child_idx(r).seed();

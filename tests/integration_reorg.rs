@@ -169,8 +169,9 @@ fn successive_reorganizations_of_all_partitions() {
 
 #[test]
 fn reorganizing_the_root_partition_offline() {
-    // The paper keeps the persistent root in its own partition; offline
-    // reorganization of that partition must update the root registry.
+    // The paper keeps the persistent root in its own partition; reorganizing
+    // that partition on an idle store (PQR, whose parent locks are then
+    // uncontended) must update the root registry.
     let db = Database::new(StoreConfig::default());
     let params = WorkloadParams {
         num_partitions: 2,
@@ -180,7 +181,7 @@ fn reorganizing_the_root_partition_offline() {
     let info = build_graph(&db, &params).unwrap();
     let before_roots = db.roots();
     let outcome = Reorg::on(&db, info.root_partition)
-        .strategy(Strategy::Offline)
+        .strategy(Strategy::PartitionQuiesce)
         .run()
         .unwrap();
     assert_eq!(outcome.mapping.len(), before_roots.len());
