@@ -166,11 +166,11 @@ if [ -n "$sip_tables" ]; then
   echo "$sip_tables" >&2
   exit 1
 fi
-# Every product lock is one lockdep sees (DESIGN.md §11.2): non-test brahma
-# and ira code hand-rolls no spin lock — no `spin_loop`, no
+# Every product lock is one lockdep sees (DESIGN.md §11.2): non-test code
+# of every crate hand-rolls no spin lock — no `spin_loop`, no
 # `compare_exchange` — which neither lockdep nor the schedule hook could
 # observe.
-spins=$(find crates/brahma/src crates/ira/src -name '*.rs' | while read -r f; do
+spins=$(find crates/*/src -name '*.rs' | while read -r f; do
   nontest "$f" | grep -n 'spin_loop\|compare_exchange' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
 done)
 if [ -n "$spins" ]; then

@@ -29,9 +29,8 @@ fn run_locality_cli(quick: bool) {
         r.post.ops_per_sec, r.post.p99_us, r.post.hit_rate, r.post.committed
     );
     println!(
-        "placement cost: identity {:.0} -> planned {:.0} -> achieved {:.0} ({:.1}% better)",
+        "placement cost: identity {:.0} -> achieved {:.0} ({:.1}% better)",
         r.identity_cost,
-        r.planned_cost,
         r.achieved_cost,
         r.achieved_improvement() * 100.0
     );

@@ -45,8 +45,6 @@ pub enum Error {
     PartitionFull(u16),
     /// The operation requires a lock that the transaction does not hold.
     LockNotHeld { addr: PhysAddr, by: TxnId },
-    /// The transaction has already committed or aborted.
-    TxnNotActive(TxnId),
     /// A workload transaction tried to create or delete an object in a
     /// partition that is being reorganized.
     ///
@@ -124,7 +122,6 @@ impl fmt::Display for Error {
             Error::LockNotHeld { addr, by } => {
                 write!(f, "transaction {by} does not hold a lock on {addr}")
             }
-            Error::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             Error::PartitionUnderReorg(p) => {
                 write!(
                     f,

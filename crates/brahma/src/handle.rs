@@ -220,7 +220,9 @@ impl<'db> Txn<'db> {
     ///
     /// Only safe for objects this transaction has not updated; the handle
     /// refuses to release a lock on an object named by any of its undo
-    /// records, preserving rollback safety (see module docs).
+    /// records, preserving rollback safety (see module docs). The
+    /// reorganizer's `Find_Exact_Parents` releases this way the approximate
+    /// parents that turn out not to be parents.
     pub fn early_unlock(&mut self, addr: PhysAddr) -> Result<()> {
         if self.wrote(addr) {
             return Err(Error::LockNotHeld { addr, by: self.id });
@@ -253,14 +255,6 @@ impl<'db> Txn<'db> {
         self.held_at.clear();
         self.held_at
             .extend(self.held.iter().enumerate().map(|(i, &(a, _))| (a, i)));
-    }
-
-    /// Release a lock the reorganizer took speculatively (it locks
-    /// approximate parents exclusively and releases those that turn out not
-    /// to be parents). Identical to [`Txn::early_unlock`] but named for its
-    /// role in `Find_Exact_Parents`.
-    pub fn unlock_nonparent(&mut self, addr: PhysAddr) -> Result<()> {
-        self.early_unlock(addr)
     }
 
     fn wrote(&self, addr: PhysAddr) -> bool {

@@ -370,8 +370,7 @@ pub fn open_with_faults(config: StoreConfig, plan: Option<FaultPlan>) -> Result<
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Checkpoint::default(), false),
         Err(e) => return Err(eio("read checkpoint", &e)),
     };
-    let (mut scanned, segments, torn_truncations) = scan_segments(&dir.join("wal"))?;
-    scanned.retain(|r| r.lsn >= checkpoint.lsn);
+    let (scanned, segments, torn_truncations) = scan_segments(&dir.join("wal"), checkpoint.lsn)?;
     let replay = !scanned.is_empty();
     let ckpt_id = checkpoint.id;
     let image = CrashImage {
@@ -521,23 +520,29 @@ pub fn scan_segment_file(path: &Path, truncate: bool) -> Result<(Vec<LogRecord>,
     Ok((records, tear))
 }
 
-/// Scan every live segment in LSN order, truncating torn tails. Returns
-/// all surviving records (ascending LSN), the number of segments and the
-/// number of truncations. A missing `wal/` holds no segment.
-fn scan_segments(wal_dir: &Path) -> Result<(Vec<LogRecord>, usize, u64)> {
+/// Scan the live segments in LSN order, truncating torn tails. Returns
+/// the surviving records at or above `from` (ascending LSN), the number of
+/// segments and the number of truncations. A segment whose successor
+/// starts at or below `from` holds no such record (`delete_segments`'s
+/// rule), so it is not read. A missing `wal/` holds no segment.
+fn scan_segments(wal_dir: &Path, from: Lsn) -> Result<(Vec<LogRecord>, usize, u64)> {
     if !wal_dir.exists() {
         return Ok((Vec::new(), 0, 0));
     }
     let segments = list_segments(wal_dir)?;
     let mut records = Vec::new();
     let mut truncations = 0;
-    for (path, _) in &segments {
+    for (i, (path, _)) in segments.iter().enumerate() {
+        if segments.get(i + 1).is_some_and(|&(_, next)| next <= from) {
+            continue;
+        }
         let (mut recs, tear) = scan_segment_file(path, true)?;
         records.append(&mut recs);
         if tear.is_some() {
             truncations += 1;
         }
     }
+    records.retain(|r| r.lsn >= from);
     Ok((records, segments.len(), truncations))
 }
 
@@ -680,7 +685,7 @@ pub(crate) mod tests {
         assert_eq!(backend.healthy(), kill_at.is_none());
         assert!(kill_at.is_some() || backend.stats.segments_rotated.get() >= 2);
         drop((wal, backend));
-        let (scanned, _, torn) = scan_segments(&dir.join("wal")).unwrap();
+        let (scanned, _, torn) = scan_segments(&dir.join("wal"), 0).unwrap();
         assert_eq!(torn, 0);
         fs::remove_dir_all(&dir).unwrap();
         assert!(scanned.iter().map(|r| r.lsn).eq(0..scanned.len() as Lsn));

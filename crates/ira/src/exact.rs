@@ -48,7 +48,7 @@ pub(crate) fn find_exact_parents(
             // enclosing transaction needs it for an earlier migration.
             state.remove_parent(oold, parent);
             if !keep_locked.contains(&parent) && !confirmed.contains(&parent) {
-                let _ = txn.unlock_nonparent(parent);
+                let _ = txn.early_unlock(parent);
             }
         }
     }
@@ -69,7 +69,7 @@ pub(crate) fn find_exact_parents(
             } else {
                 state.remove_parent(oold, tuple.parent);
                 if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
-                    let _ = txn.unlock_nonparent(tuple.parent);
+                    let _ = txn.early_unlock(tuple.parent);
                 }
             }
         }

@@ -53,7 +53,7 @@
 //! Everything is a knob on the same builder: `.variant(IraVariant::TwoLock)`
 //! for the two-lock extension, `.batch(32)` for Section 4.3's batching,
 //! `.plan(RelocationPlan::EvacuateTo(db.create_partition()))` to collect
-//! garbage, `.order(StatsGreedy::new(&edges).plan(&db, p).0)` to cluster,
+//! garbage, `.order(StatsGreedy::new(&edges).plan(&db, p))` to cluster,
 //! `.strategy(Strategy::PartitionQuiesce)` for the PQR baseline. After a
 //! crash, the same `Reorg::on(&db, p).run()` restarts an interrupted pass.
 
@@ -78,6 +78,6 @@ pub use driver::{IraError, IraReport, IraVariant};
 pub use gc::find_garbage;
 pub use order::MigrationOrder;
 pub use plan::RelocationPlan;
-pub use policy::{CostModel, EdgeCount, PlanScore, StatsGreedy};
+pub use policy::{EdgeCount, StatsGreedy};
 pub use pqr::PqrReport;
 pub use traversal::TraversalState;

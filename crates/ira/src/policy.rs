@@ -2,25 +2,19 @@
 //!
 //! The paper reorganizes a *fixed* plan chosen by the administrator. The
 //! dynamic-clustering literature (Darmont et al.'s DSTC line of work)
-//! shows that even a simple greedy policy driven by live access statistics
-//! beats static placement:
-//!
-//! * [`StatsGreedy`] — a DSTC-style greedy policy over observed
-//!   parent→child co-access counts: rank hot edges, chain them, and emit a
-//!   [`MigrationOrder::Priority`] for [`crate::Reorg::order`] that packs
-//!   hot chains onto the same pages (a pass allocates only on fresh pages
-//!   above its page floor, so migrated copies land there *in migration
-//!   order* — the order is the clustering lever);
-//! * [`CostModel`] — the placement cost model the greedy scores against
-//!   (re-exported as `workload::cost` for the bench side): the weighted
-//!   sum over observed edges of a page-crossing penalty.
+//! clusters from live access statistics instead. [`StatsGreedy`] is a
+//! DSTC-style greedy policy over observed parent→child co-access counts:
+//! rank hot edges, chain them, and emit a [`MigrationOrder::Priority`] for
+//! [`crate::Reorg::order`]. A pass allocates only on fresh pages above its
+//! page floor, so migrated copies land there *in migration order*: the
+//! order is the clustering lever.
 //!
 //! The statistics themselves are collected in `crates/workload` (which
 //! depends on this crate, not the other way around) and handed over as a
 //! plain [`EdgeCount`] list.
 
 use crate::order::MigrationOrder;
-use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr, PAGE_SIZE};
+use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 
 /// One observed parent→child co-access, with its traversal count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,92 +23,6 @@ pub struct EdgeCount {
     pub child: PhysAddr,
     pub count: u64,
 }
-
-// ---------------------------------------------------------------------------
-// Placement cost model
-// ---------------------------------------------------------------------------
-
-/// The placement cost model: how expensive a set of observed traversal
-/// edges is under a given object→page placement.
-///
-/// Each traversal of an edge whose endpoints share a page is free; one
-/// that crosses pages inside a partition costs [`CostModel::cross_page`];
-/// one that crosses partitions costs [`CostModel::cross_partition`]. The
-/// unit is "page fetches per traversal", matching the paged CPU model the
-/// bench runs under (a same-page hop hits the cache line the parent's
-/// access just pulled in).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cost of a hop that crosses pages within one partition.
-    pub cross_page: f64,
-    /// Cost of a hop that crosses partitions (a different working set
-    /// entirely; in the paper's setting, likely a different disk region).
-    pub cross_partition: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            cross_page: 1.0,
-            cross_partition: 4.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// Total cost of `edges` when `locate` maps each object to its
-    /// (partition, page) frame.
-    pub fn placement_cost<F>(&self, edges: &[EdgeCount], locate: F) -> f64
-    where
-        F: Fn(PhysAddr) -> (PartitionId, u32),
-    {
-        let mut total = 0.0;
-        for e in edges {
-            let (pp, ppage) = locate(e.parent);
-            let (cp, cpage) = locate(e.child);
-            let unit = if pp != cp {
-                self.cross_partition
-            } else if ppage != cpage {
-                self.cross_page
-            } else {
-                0.0
-            };
-            total += unit * e.count as f64;
-        }
-        total
-    }
-
-    /// Cost of `edges` under the placement the addresses already encode.
-    pub fn identity_cost(&self, edges: &[EdgeCount]) -> f64 {
-        self.placement_cost(edges, |a| (a.partition(), a.page()))
-    }
-}
-
-/// Predicted cost of a planned order vs leaving every object where it is,
-/// in [`CostModel`] units over the observed edge set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanScore {
-    /// Cost of the observed edges under the current placement.
-    pub identity_cost: f64,
-    /// Predicted cost after migrating in the planned order (simulated
-    /// packing of the priority list into fresh pages).
-    pub planned_cost: f64,
-}
-
-impl PlanScore {
-    /// Predicted relative improvement, in [0, 1] when the plan helps.
-    pub fn improvement(&self) -> f64 {
-        if self.identity_cost <= 0.0 {
-            0.0
-        } else {
-            1.0 - self.planned_cost / self.identity_cost
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StatsGreedy
-// ---------------------------------------------------------------------------
 
 /// DSTC-style greedy clustering from observed traversal statistics.
 ///
@@ -206,72 +114,22 @@ impl StatsGreedy {
         heads.into_iter().map(chain_of).collect()
     }
 
-    /// Objects per fresh page at the partition's dominant size class: the
-    /// simulated packing the score is computed against.
-    fn slots_per_page(db: &Database, partition: PartitionId, live: &[PhysAddr]) -> usize {
-        let Ok(part) = db.partition(partition) else {
-            return 1;
-        };
-        // The workload's objects are homogeneous; sample a few to find the
-        // dominant size class rather than scanning the whole partition.
-        let size = live
-            .iter()
-            .take(8)
-            .filter_map(|&a| part.object_size(a))
-            .max()
-            .unwrap_or(128)
-            .max(32) as usize;
-        (PAGE_SIZE / size.next_power_of_two()).max(1)
-    }
-
     /// The clustering order for compacting `partition` of `db` in place,
-    /// for [`crate::Reorg::order`], and what it is predicted to buy. With
-    /// no hot edge observed inside the partition the priority list is
-    /// empty, i.e. plain traversal order, and both costs are zero.
-    pub fn plan(&self, db: &Database, partition: PartitionId) -> (MigrationOrder, PlanScore) {
-        let live_list = db
+    /// for [`crate::Reorg::order`]. With no hot edge observed inside the
+    /// partition the priority list is empty, i.e. plain traversal order.
+    pub fn plan(&self, db: &Database, partition: PartitionId) -> MigrationOrder {
+        let live: AddrSet = db
             .partition(partition)
             .map(|p| p.live_objects())
-            .unwrap_or_default();
-        let live: AddrSet = live_list.iter().copied().collect();
-        let priority: Vec<PhysAddr> = Self::chains(&self.edges, &live)
+            .unwrap_or_default()
             .into_iter()
-            .flatten()
             .collect();
-
-        // Score the order against the cost model: simulate packing the
-        // priority list (then every remaining live object) into fresh
-        // pages, and compare the observed intra-partition edges under that
-        // placement vs where they sit today.
-        let scored: Vec<EdgeCount> = self
-            .edges
-            .iter()
-            .filter(|e| live.contains(&e.parent) && live.contains(&e.child))
-            .copied()
-            .collect();
-        let per_page = Self::slots_per_page(db, partition, &live_list);
-        let prioritized: AddrSet = priority.iter().copied().collect();
-        let mut planned_page: AddrMap<u32> = AddrMap::default();
-        for (i, &addr) in priority
-            .iter()
-            .chain(live_list.iter().filter(|a| {
-                // Remaining objects keep their relative traversal order
-                // after the prioritized chains.
-                !prioritized.contains(a)
-            }))
-            .enumerate()
-        {
-            planned_page.insert(addr, (i / per_page) as u32);
-        }
-        let model = CostModel::default();
-        let score = PlanScore {
-            identity_cost: model.identity_cost(&scored),
-            planned_cost: model.placement_cost(&scored, |a| match planned_page.get(&a) {
-                Some(&page) => (partition, page),
-                None => (a.partition(), a.page()),
-            }),
-        };
-        (MigrationOrder::Priority(priority), score)
+        MigrationOrder::Priority(
+            Self::chains(&self.edges, &live)
+                .into_iter()
+                .flatten()
+                .collect(),
+        )
     }
 }
 
@@ -289,21 +147,6 @@ mod tests {
             child,
             count,
         }
-    }
-
-    #[test]
-    fn cost_model_weighs_page_and_partition_crossings() {
-        let m = CostModel::default();
-        let same = addr(1, 0, 0);
-        let same_page = addr(1, 0, 64);
-        let other_page = addr(1, 7, 0);
-        let other_part = addr(2, 0, 0);
-        let edges = [
-            edge(same, same_page, 10), // free
-            edge(same, other_page, 3), // 3 * cross_page
-            edge(same, other_part, 2), // 2 * cross_partition
-        ];
-        assert_eq!(m.identity_cost(&edges), 3.0 + 8.0);
     }
 
     #[test]
@@ -337,8 +180,7 @@ mod tests {
     fn nothing_observed_plans_traversal_order_at_zero_cost() {
         let db = Database::new(brahma::StoreConfig::default());
         let p = db.create_partition();
-        let (order, score) = StatsGreedy::new(&[]).plan(&db, p);
+        let order = StatsGreedy::new(&[]).plan(&db, p);
         assert_eq!(order, MigrationOrder::Priority(vec![]));
-        assert_eq!((score.identity_cost, score.planned_cost), (0.0, 0.0));
     }
 }

@@ -17,18 +17,13 @@
 //! most-recently-used pages pays an extra miss penalty on a single-permit
 //! "device". This is the measurement half of the clustering loop — packing
 //! co-accessed objects onto fewer pages raises the hit rate, which shows
-//! up directly as walker throughput. The placement-cost side of the same
-//! model (how a plan is *scored* before it runs) lives in
-//! [`ira::CostModel`], re-exported here so `workload::cost` is the one
-//! place to look.
+//! up directly as walker throughput.
 
 use brahma::{CpuCharge, PhysAddr};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
-
-pub use ira::{CostModel, EdgeCount, PlanScore};
 
 /// Fixed-capacity CPU: at most `capacity` threads compute at once.
 pub struct CpuModel {

@@ -22,7 +22,7 @@
 //! assert!(summary.committed > 0);
 //! ```
 
-pub mod cost;
+mod cost;
 mod driver;
 mod graph;
 mod metrics;
