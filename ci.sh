@@ -57,7 +57,7 @@ nontest() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^#\[cfg(all(test/,$d' "$@"; }
 # here, before anything is built.
 owners=$(for f in crates/brahma/src/*.rs crates/brahma/src/*/*.rs; do
   if [ "$f" != crates/brahma/src/object.rs ] && nontest "$f" |
-    grep -Eq 'object::(init_object|mark_free|set_payload|set_ref|insert_ref|insert_ref_at|remove_ref_at)\('
+    grep -Eq 'object::(init_object|place_image|mark_free|set_payload|set_ref|insert_ref|insert_ref_at|remove_ref_at)\('
   then echo "$f"; fi
 done)
 if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then

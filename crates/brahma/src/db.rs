@@ -321,15 +321,16 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Run `f` over the page bytes of `addr` under the page's read latch.
+    /// The page is borrowed under its partition's page-table guard, not
+    /// cloned out of it: no reference count is touched.
     pub(crate) fn with_page_read<R>(
         &self,
         addr: PhysAddr,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let page = self.partition_ref(addr.partition())?.page(addr)?;
-        let guard = page.read();
-        Ok(f(guard.bytes()))
+        self.partition_ref(addr.partition())?
+            .with_page_read(addr, f)
     }
 
     /// Run `f` over the page bytes of `addr` under the page's write latch.
@@ -339,9 +340,8 @@ impl Database {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
         self.fault.observe(site::PAGE_LATCH);
-        let page = self.partition_ref(addr.partition())?.page(addr)?;
-        let mut guard = page.write();
-        Ok(f(guard.bytes_mut()))
+        self.partition_ref(addr.partition())?
+            .with_page_write(addr, f)
     }
 
     /// Fuzzy (latch-only) read of an object's outgoing references: the read
@@ -438,17 +438,18 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Perform the physical effect of one update record: the page write
-    /// under the page latch plus the allocator effect, or for a `Migrate`
-    /// the root registry's rewrite. The only caller of
+    /// under the page latch plus the allocator effect, and for a `Migrate`
+    /// or a `Move` the root registry's rewrite. The only caller of
     /// the `object::` page mutators — forward mutators, rollback, restart
     /// REDO and loser UNDO all land here. A value the update displaces that
     /// is not the one the record names is corruption, not a conflict.
     ///
-    /// `slot_claimed` says the allocator already handed out a `Create`'s
-    /// address ([`Txn::create_object`] had to allocate to learn the address
-    /// it logs).
+    /// `slot_claimed` says the allocator already handed out the address a
+    /// `Create` or a `Move` fills ([`Txn::create_object`] and
+    /// [`Txn::move_object`] had to allocate to learn the address they log).
     ///
     /// [`Txn::create_object`]: crate::handle::Txn::create_object
+    /// [`Txn::move_object`]: crate::handle::Txn::move_object
     pub(crate) fn apply_update(&self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
         match update {
             LogPayload::Create { addr, image } => {
@@ -508,9 +509,43 @@ impl Database {
             LogPayload::Migrate { old, new } => {
                 self.replace_root(*old, *new);
             }
+            LogPayload::Move { old, new } => {
+                self.move_image(*old, *new, slot_claimed)?;
+                self.replace_root(*old, *new);
+            }
             _ => {}
         }
         Ok(())
+    }
+
+    /// The page half of a `Move`: take `old`'s bytes off its page, scrubbing
+    /// it in the same latch, free its slot, and write the bytes at `new`
+    /// (claiming that slot first unless `slot_claimed`). Page latches are
+    /// never nested, so the bytes cross through this thread's buffer; the
+    /// object is on no page between the two latches, which nobody sees:
+    /// the mover holds X locks on both addresses.
+    fn move_image(&self, old: PhysAddr, new: PhysAddr, slot_claimed: bool) -> Result<()> {
+        thread_local! {
+            static BYTES: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+        }
+        let mut bytes = BYTES.take();
+        bytes.clear();
+        let moved = self
+            .with_page_write(old, |buf| {
+                bytes.extend_from_slice(object::image(buf, old)?);
+                object::mark_free(buf, old).map(drop)
+            })
+            .and_then(|scrubbed| scrubbed)
+            .and_then(|()| {
+                self.partition_ref(old.partition())?.free(old)?;
+                if !slot_claimed {
+                    self.partition_ref(new.partition())?
+                        .alloc_at(new, bytes.len())?;
+                }
+                self.with_page_write(new, |buf| object::place_image(buf, new, &bytes))
+            });
+        BYTES.set(bytes);
+        moved
     }
 
     /// Mirror one reference change into the child partition's ERT
@@ -630,7 +665,9 @@ impl Database {
         for trt in tables.values() {
             trt.purge_txn_deletes(tid);
         }
-        if committed {
+        // With every TRT empty there is no insert tuple to purge either:
+        // skip the lookups, one per deleted reference.
+        if committed && !tables.values().all(|trt| trt.looks_empty()) {
             for &(child, parent) in deleted_pairs {
                 if let Some(trt) = tables.get(&child.partition()) {
                     trt.purge_insert_pair(child, parent, tid);

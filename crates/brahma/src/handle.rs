@@ -79,19 +79,38 @@ impl NewObject {
     }
 }
 
-/// A transaction's `held`, `undo` and `deleted_pairs` vectors.
-type TxnVecs = (
-    Vec<(PhysAddr, LockMode)>,
-    Vec<LogPayload>,
-    Vec<(PhysAddr, PhysAddr)>,
-);
+/// The vectors a transaction fills, handed from one transaction to the
+/// next on a thread.
+struct TxnVecs {
+    held: Vec<(PhysAddr, LockMode)>,
+    undo: Vec<LogPayload>,
+    deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
+    moved_refs: Vec<PhysAddr>,
+    slots: Vec<usize>,
+}
+
+impl TxnVecs {
+    const EMPTY: TxnVecs = TxnVecs {
+        held: Vec::new(),
+        undo: Vec::new(),
+        deleted_pairs: Vec::new(),
+        moved_refs: Vec::new(),
+        slots: Vec::new(),
+    };
+}
+
+impl Default for TxnVecs {
+    fn default() -> Self {
+        TxnVecs::EMPTY
+    }
+}
 
 thread_local! {
     /// The vectors of the transaction that last finished on this thread,
     /// emptied: a thread running one transaction after another grows them
     /// once. A transaction begun while another is open on the thread finds
     /// empty ones here, as it would have without the slot.
-    static SPARE_VECS: Cell<TxnVecs> = const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
+    static SPARE_VECS: Cell<TxnVecs> = const { Cell::new(TxnVecs::EMPTY) };
 }
 
 /// Longest held-lock list that is searched by scanning it. A walker
@@ -120,6 +139,11 @@ pub struct Txn<'db> {
     ever_locked: Vec<PhysAddr>,
     undo: Vec<LogPayload>,
     deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
+    /// The references of the object the last `Move` moved, read off its
+    /// page for the move's ERT/TRT notes ([`Txn::moved_refs`]).
+    moved_refs: Vec<PhysAddr>,
+    /// Scratch: the slots [`Txn::repoint_refs`] rewrites.
+    slots: Vec<usize>,
 }
 
 impl Database {
@@ -141,7 +165,13 @@ impl Database {
     fn begin_internal(&self, reorg: Option<PartitionId>) -> Txn<'_> {
         let id = self.txns.begin();
         self.wal.append(id, LogPayload::Begin);
-        let (held, undo, deleted_pairs) = SPARE_VECS.take();
+        let TxnVecs {
+            held,
+            undo,
+            deleted_pairs,
+            moved_refs,
+            slots,
+        } = SPARE_VECS.take();
         Txn {
             db: self,
             id,
@@ -152,6 +182,8 @@ impl Database {
             ever_locked: Vec::new(),
             undo,
             deleted_pairs,
+            moved_refs,
+            slots,
         }
     }
 }
@@ -261,6 +293,7 @@ impl<'db> Txn<'db> {
         self.undo.iter().any(|u| match u {
             LogPayload::Create { addr: a, .. } | LogPayload::Free { addr: a, .. } => *a == addr,
             LogPayload::SetPayload { addr: a, .. } => *a == addr,
+            LogPayload::Move { old, new } => *old == addr || *new == addr,
             LogPayload::InsertRef { parent, .. }
             | LogPayload::DeleteRef { parent, .. }
             | LogPayload::SetRef { parent, .. } => *parent == addr,
@@ -324,16 +357,41 @@ impl<'db> Txn<'db> {
     /// is removed (Section 3.3); the X lock held on the updated object keeps
     /// early insert-notes invisible to Find_Exact_Parents until this txn
     /// resolves. The append before the apply is the WAL rule.
+    ///
+    /// A `Move` carries no image: its notes are `moved_refs`, which the
+    /// caller has read off `old`'s page ([`Txn::read_moved`]). The copy
+    /// gains each of them, then `old` loses them, as a `Create` of the copy
+    /// followed by a `Free` of `old` would note.
     fn log_and_apply(&mut self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
         let (db, id, reorg_for) = (self.db, self.id, self.reorg_for);
-        update.for_each_ref_change(|action, parent, child| {
+        let deleted_pairs = &mut self.deleted_pairs;
+        let mut note = |action, parent, child| {
             db.note_ref_change(id, reorg_for, action, parent, child);
             if action == RefAction::Delete {
-                self.deleted_pairs.push((child, parent));
+                deleted_pairs.push((child, parent));
             }
-        });
+        };
+        if let LogPayload::Move { old, new } = *update {
+            let refs = &self.moved_refs;
+            refs.iter().for_each(|&c| note(RefAction::Insert, new, c));
+            refs.iter().for_each(|&c| note(RefAction::Delete, old, c));
+        } else {
+            update.for_each_ref_change(note);
+        }
         db.wal.append(id, update);
         db.apply_update(update, slot_claimed)
+    }
+
+    /// Read the object at `old` for a `Move`: its references into
+    /// `moved_refs`, and its on-page size, returned. One page access.
+    fn read_moved(&mut self, old: PhysAddr) -> Result<usize> {
+        let refs = &mut self.moved_refs;
+        refs.clear();
+        self.db.with_page_read(old, |buf| {
+            let size = object::header(buf, old)?.size();
+            refs.extend(object::refs(buf, old)?);
+            Ok(size)
+        })?
     }
 
     /// Perform one validated forward update and remember it for rollback.
@@ -487,6 +545,49 @@ impl<'db> Txn<'db> {
         Ok(old_child)
     }
 
+    /// Repoint every reference of `parent` (requires X) to `old` at `new`,
+    /// returning how many there were: one scan under the page latch finds
+    /// the slots, and each becomes a `SetRef` without a second read — the
+    /// X lock keeps them as scanned until the updates land.
+    pub fn repoint_refs(
+        &mut self,
+        parent: PhysAddr,
+        old: PhysAddr,
+        new: PhysAddr,
+    ) -> Result<usize> {
+        self.require(parent, LockMode::Exclusive)?;
+        self.db.charge_access_at(parent);
+        let mut slots = take(&mut self.slots);
+        slots.clear();
+        let repointed = self
+            .db
+            .with_page_read(parent, |buf| {
+                object::refs(buf, parent).map(|refs| {
+                    slots.extend(refs.enumerate().filter(|&(_, r)| r == old).map(|(i, _)| i))
+                })
+            })
+            .and_then(|scanned| scanned)
+            .and_then(|()| {
+                if !slots.is_empty() {
+                    for site in [site::WAL_APPEND, site::TRT_NOTE, site::ERT_NOTE] {
+                        self.db.fault.hit(site)?;
+                    }
+                }
+                for &index in &slots {
+                    let update = LogPayload::SetRef {
+                        parent,
+                        index,
+                        old_child: old,
+                        new_child: new,
+                    };
+                    self.update(update, false)?;
+                }
+                Ok(slots.len())
+            });
+        self.slots = slots;
+        repointed
+    }
+
     /// Replace the payload of `addr` (requires X).
     pub fn set_payload(&mut self, addr: PhysAddr, payload: &[u8]) -> Result<()> {
         self.require(addr, LockMode::Exclusive)?;
@@ -515,6 +616,73 @@ impl<'db> Txn<'db> {
     /// `old` again if this transaction rolls back.
     pub fn log_migration(&mut self, old: PhysAddr, new: PhysAddr) -> Result<()> {
         self.update(LogPayload::Migrate { old, new }, false)
+    }
+
+    /// Move the object at `old` (requires X) to a fresh slot in
+    /// `partition`, returning its new address, exclusively locked: one
+    /// `Move` record copies the bytes, frees `old` and carries a root
+    /// naming `old` over to the copy, and the copy's references to itself
+    /// are repointed at it. Other objects' references to `old` are the
+    /// caller's to repoint; [`Txn::moved_refs`] lists what the copy holds.
+    ///
+    /// Subject to the rules of both halves: outside the reorganizer of the
+    /// partition concerned, neither the source nor the target partition
+    /// may be under reorganization.
+    pub fn move_object(&mut self, old: PhysAddr, partition: PartitionId) -> Result<PhysAddr> {
+        self.require(old, LockMode::Exclusive)?;
+        for p in [old.partition(), partition] {
+            if self.reorg_for != Some(p) && self.db.reorg_active(p) {
+                return Err(Error::PartitionUnderReorg(p.0));
+            }
+        }
+        // Both halves' fault sites, before any mutation.
+        for site in [
+            site::ALLOC,
+            site::ALLOC_FREE,
+            site::WAL_APPEND,
+            site::TRT_NOTE,
+            site::ERT_NOTE,
+        ] {
+            self.db.fault.hit(site)?;
+        }
+        // Two accesses, like the read of `old` and the write of the copy.
+        self.db.charge_access_at(old);
+        let size = self.read_moved(old)?;
+        let part = self.db.partition_ref(partition)?;
+        let new = part.allocate(size)?;
+        self.db.charge_access_at(new);
+        // As in `create_object`: the claimed slot is returned on an error
+        // action, left in flight by a crash.
+        if let Err(e) = self.db.fault.hit(site::ALLOC_INFLIGHT) {
+            let _ = part.free(new);
+            return Err(e);
+        }
+        self.db.locks.lock(self.id, new, LockMode::Exclusive)?;
+        self.record_lock(new, LockMode::Exclusive);
+        self.update(LogPayload::Move { old, new }, true)?;
+        self.db.stats.creates.inc();
+        self.db.stats.frees.inc();
+        // The notes read the moved references; the bytes were copied as
+        // they are, so a self-reference still names `old`.
+        for index in 0..self.moved_refs.len() {
+            if self.moved_refs[index] == old {
+                let update = LogPayload::SetRef {
+                    parent: new,
+                    index,
+                    old_child: old,
+                    new_child: new,
+                };
+                self.update(update, false)?;
+            }
+        }
+        Ok(new)
+    }
+
+    /// The references of the object this transaction's last
+    /// [`Txn::move_object`] moved, in slot order as the move read them: a
+    /// reference to itself names its old address here.
+    pub fn moved_refs(&self) -> &[PhysAddr] {
+        &self.moved_refs
     }
 
     // ------------------------------------------------------------------
@@ -564,6 +732,14 @@ impl<'db> Txn<'db> {
             // fail; failures here indicate storage corruption.
             #[expect(
                 clippy::expect_used,
+                reason = "invariant: a move's copy stays live, under its X lock, until undone"
+            )]
+            if let LogPayload::Move { old, .. } = compensation {
+                self.read_moved(old)
+                    .expect("invariant: a moved object is live at its new address");
+            }
+            #[expect(
+                clippy::expect_used,
                 reason = "invariant: undo runs under the txn's X locks; a failure is corruption"
             )]
             self.log_and_apply(&compensation, false)
@@ -585,15 +761,17 @@ impl<'db> Txn<'db> {
         }
         self.db.txns.finish(self.id);
         self.done = true;
-        let (mut held, mut undo, mut deleted_pairs) = (
-            take(&mut self.held),
-            take(&mut self.undo),
-            take(&mut self.deleted_pairs),
-        );
-        held.clear();
-        undo.clear();
-        deleted_pairs.clear();
-        SPARE_VECS.set((held, undo, deleted_pairs));
+        let mut spare = TxnVecs {
+            held: take(&mut self.held),
+            undo: take(&mut self.undo),
+            deleted_pairs: take(&mut self.deleted_pairs),
+            moved_refs: take(&mut self.moved_refs),
+            slots: take(&mut self.slots),
+        };
+        spare.held.clear();
+        spare.undo.clear();
+        spare.deleted_pairs.clear();
+        SPARE_VECS.set(spare);
     }
 }
 

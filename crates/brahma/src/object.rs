@@ -157,6 +157,21 @@ pub(crate) fn payload(buf: &[u8], addr: PhysAddr) -> Result<&[u8]> {
     Ok(&buf[base..base + h.payload_len as usize])
 }
 
+/// The on-page bytes of the object at `addr`: its header, every reference
+/// slot and its whole payload capacity.
+pub(crate) fn image(buf: &[u8], addr: PhysAddr) -> Result<&[u8]> {
+    let h = header(buf, addr)?;
+    let off = addr.offset() as usize;
+    Ok(&buf[off..off + h.size()])
+}
+
+/// Write `image`, an object's on-page bytes as [`image`] returned them, at
+/// `addr`. The caller must have reserved `image.len()` bytes there.
+pub(crate) fn place_image(buf: &mut [u8], addr: PhysAddr, image: &[u8]) {
+    let off = addr.offset() as usize;
+    buf[off..off + image.len()].copy_from_slice(image);
+}
+
 /// Read a full detached copy of the object at `addr`.
 pub fn read_view(buf: &[u8], addr: PhysAddr) -> Result<ObjectView> {
     let h = header(buf, addr)?;
@@ -484,6 +499,20 @@ mod tests {
         assert_eq!(h.size(), v.size());
         assert!(read_view(&page, a).is_err());
         assert!(page[..v.size()].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_placed_image_reads_back_as_the_object() {
+        let mut from = vec![0u8; 256];
+        let mut to = vec![0u8; 256];
+        let (a, b) = (addr(16), addr(96));
+        let v = sample_view();
+        init_object(&mut from, a, &v);
+        let bytes = image(&from, a).unwrap();
+        assert_eq!(bytes.len(), v.size());
+        place_image(&mut to, b, bytes);
+        assert_eq!(read_view(&to, b).unwrap(), v);
+        assert_eq!(image(&from, addr(0)), Err(Error::NoSuchObject(addr(0))));
     }
 
     #[test]

@@ -270,14 +270,38 @@ impl Partition {
         self.pages.read().base
     }
 
-    /// Fetch the latch-protected page that `addr` lies on.
-    pub(crate) fn page(&self, addr: PhysAddr) -> Result<PageRef> {
+    /// Run `f` over the page that `addr` lies on, under the page table's
+    /// read guard: the page is borrowed, not cloned out, so an access costs
+    /// no reference-count traffic. `PartitionPages` before `PageLatch` is
+    /// the declared order, and `f` latches only this one page.
+    fn with_page<R>(&self, addr: PhysAddr, f: impl FnOnce(&PageRef) -> R) -> Result<R> {
         let table = self.pages.read();
-        addr.page()
+        let page = addr
+            .page()
             .checked_sub(table.base)
             .and_then(|i| table.pages.get(i as usize))
-            .cloned()
-            .ok_or(Error::NoSuchObject(addr))
+            .ok_or(Error::NoSuchObject(addr))?;
+        Ok(f(page))
+    }
+
+    /// Run `f` over the bytes of the page `addr` lies on, under its read
+    /// latch. `f` must not re-enter the store.
+    pub(crate) fn with_page_read<R>(
+        &self,
+        addr: PhysAddr,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        self.with_page(addr, |page| f(page.read().bytes()))
+    }
+
+    /// Run `f` over the bytes of the page `addr` lies on, under its write
+    /// latch. `f` must not re-enter the store.
+    pub(crate) fn with_page_write<R>(
+        &self,
+        addr: PhysAddr,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
+        self.with_page(addr, |page| f(page.write().bytes_mut()))
     }
 
     /// Push a fresh page after the last one. The caller holds `alloc`, so
@@ -717,13 +741,16 @@ mod tests {
             payload: Vec::new(),
             payload_cap: (size - object::HEADER_LEN) as u16,
         };
-        object::init_object(p.page(addr).unwrap().write().bytes_mut(), addr, &view);
+        p.with_page_write(addr, |buf| object::init_object(buf, addr, &view))
+            .unwrap();
         addr
     }
 
     /// Scrub the object at `addr` and free its slot, as a `Free` does.
     fn scrub(p: &Partition, addr: PhysAddr) {
-        object::mark_free(p.page(addr).unwrap().write().bytes_mut(), addr).unwrap();
+        p.with_page_write(addr, |buf| object::mark_free(buf, addr))
+            .unwrap()
+            .unwrap();
         p.free(addr).unwrap();
     }
 
@@ -1023,11 +1050,13 @@ mod tests {
         p.free(a).unwrap();
         p.end_pass();
         for addr in [a, a_off] {
-            assert!(matches!(p.page(addr), Err(Error::NoSuchObject(x)) if x == addr));
+            assert!(
+                matches!(p.with_page_read(addr, |_| ()), Err(Error::NoSuchObject(x)) if x == addr)
+            );
             assert!(matches!(p.alloc_at(addr, 100), Err(Error::NoSuchObject(x)) if x == addr));
             assert!(!p.contains_object(addr));
         }
-        assert!(p.page(copy).is_ok());
+        assert!(p.with_page_read(copy, |_| ()).is_ok());
     }
 
     #[test]

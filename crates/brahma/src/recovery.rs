@@ -128,7 +128,8 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
             | LogPayload::InsertRef { .. }
             | LogPayload::DeleteRef { .. }
             | LogPayload::SetRef { .. }
-            | LogPayload::Migrate { .. } => {
+            | LogPayload::Migrate { .. }
+            | LogPayload::Move { .. } => {
                 if let Some(updates) = open.get_mut(&rec.tid) {
                     updates.push(rec.payload.clone());
                 }
@@ -379,7 +380,8 @@ mod tests {
 
     /// For one applicable record of each update type, REDO of `[p]` changes
     /// the pages and REDO of `[p, p.inverse()]` restores every page of every
-    /// partition byte for byte.
+    /// partition byte for byte: the `Move` of `a` into the freed slot and
+    /// back included.
     #[test]
     fn update_then_inverse_restores_page_images() {
         let spec = |refs: Vec<PhysAddr>| NewObject {
@@ -435,6 +437,7 @@ mod tests {
                 old_child: c[1],
                 new_child: c[2],
             },
+            LogPayload::Move { old: a, new: hole },
         ];
         // Page images per partition: at the checkpoint, and after REDO of
         // one committed transaction holding `updates`.

@@ -40,11 +40,13 @@ pub(crate) const MAX_RECORD_BYTES: u32 = 16 << 20;
 pub const RECORD_HEADER_BYTES: usize = 8;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, table-driven)
+// CRC32 (IEEE 802.3, reflected, slicing-by-8)
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the bytewise table; `T[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight lookups fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -57,19 +59,47 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// IEEE CRC32 of `bytes` (the `cksum`/zlib polynomial, reflected).
+/// IEEE CRC32 of `bytes` (the `cksum`/zlib polynomial, reflected): eight
+/// bytes per step, the tail one at a time. Indexing and shifts, not
+/// `chunks_exact` and `from_le_bytes`, keep an unoptimized build fast too.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut i = 0;
+    while i + 8 <= bytes.len() {
+        let w = &bytes[i..i + 8];
+        let lo =
+            crc ^ (w[0] as u32 | (w[1] as u32) << 8 | (w[2] as u32) << 16 | (w[3] as u32) << 24);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+        i += 8;
+    }
+    for &b in &bytes[i..] {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -316,6 +346,7 @@ const TAG_REORG_START: u8 = 9;
 const TAG_REORG_END: u8 = 10;
 const TAG_MIGRATE: u8 = 11;
 const TAG_CREATE_PARTITION: u8 = 12;
+const TAG_MOVE: u8 = 13;
 
 /// Append a record's body (no framing) to `out`: `lsn | tid | tag |
 /// fields`.
@@ -393,6 +424,11 @@ pub(crate) fn put_record_body(out: &mut Vec<u8>, lsn: Lsn, tid: TxnId, payload: 
             put_u8(out, TAG_CREATE_PARTITION);
             put_u16(out, id.0);
         }
+        LogPayload::Move { old, new } => {
+            put_u8(out, TAG_MOVE);
+            put_addr(out, *old);
+            put_addr(out, *new);
+        }
     }
 }
 
@@ -465,6 +501,10 @@ pub fn decode_record_body(buf: &[u8], base: u64) -> Result<LogRecord> {
         },
         TAG_CREATE_PARTITION => LogPayload::CreatePartition {
             id: PartitionId(r.u16()?),
+        },
+        TAG_MOVE => LogPayload::Move {
+            old: r.addr()?,
+            new: r.addr()?,
         },
         t => return Err(r.corrupt(format!("unknown log record tag {t}"))),
     };
@@ -540,6 +580,34 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The eight-at-a-time loop agrees with the plain bytewise one over
+    /// random lengths and start offsets, so every split of a buffer into
+    /// words and a tail is covered.
+    #[test]
+    fn crc32_agrees_with_the_bytewise_loop() {
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            !crc
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..4096).map(|_| next() as u8).collect();
+        for _ in 0..2000 {
+            let at = next() as usize % 64;
+            let len = next() as usize % (data.len() - at);
+            let slice = &data[at..at + len];
+            assert_eq!(crc32(slice), bytewise(slice), "offset {at}, {len} bytes");
+        }
     }
 
     #[test]

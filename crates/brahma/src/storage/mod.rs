@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File-format magics (8 bytes each, version baked into the last byte).
-const SEG_MAGIC: &[u8; 8] = b"BRHMWAL3";
+const SEG_MAGIC: &[u8; 8] = b"BRHMWAL4";
 const CKPT_MAGIC: &[u8; 8] = b"BRHMCKP6";
 /// Bytes of a segment file header: magic + start LSN.
 const SEG_HEADER_BYTES: u64 = 16;

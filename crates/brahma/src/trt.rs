@@ -197,7 +197,7 @@ impl Trt {
     }
 
     /// Whether the count reads 0; a thread always sees its own notes.
-    fn looks_empty(&self) -> bool {
+    pub(crate) fn looks_empty(&self) -> bool {
         // ordering: Relaxed; a stale zero only skips a purge (see `tuples`)
         self.tuples.load(Ordering::Relaxed) == 0
     }

@@ -85,6 +85,12 @@ pub enum LogPayload {
     /// re-create partitions added after the last checkpoint (the copying
     /// collector evacuates into fresh partitions mid-run).
     CreatePartition { id: PartitionId },
+    /// The whole move of one object: `old`'s bytes are copied to the slot
+    /// at `new`, `old` is freed, and a root that named `old` names `new`.
+    /// The record holds no image: REDO finds `old`'s bytes on its page at
+    /// this LSN (repeating history), and a pass never reuses a slot below
+    /// its floor, so UNDO finds `old`'s slot free.
+    Move { old: PhysAddr, new: PhysAddr },
 }
 
 impl LogPayload {
@@ -107,15 +113,15 @@ impl LogPayload {
             LogPayload::SetPayload { old, new, .. } => 8 + (old.len() + new.len()) as u64,
             LogPayload::InsertRef { .. } | LogPayload::DeleteRef { .. } => 24,
             LogPayload::SetRef { .. } => 32,
-            LogPayload::Migrate { .. } => 16,
+            LogPayload::Migrate { .. } | LogPayload::Move { .. } => 16,
         };
         HEADER + body
     }
 
     /// The update that undoes this one, logged as its compensation record:
     /// `Create`↔`Free`, `InsertRef`↔`DeleteRef`, `SetRef`/`SetPayload`/
-    /// `Migrate` with old and new swapped. `None` for records that are not
-    /// updates.
+    /// `Migrate`/`Move` with old and new swapped. `None` for records that
+    /// are not updates.
     pub fn inverse(self) -> Option<LogPayload> {
         Some(match self {
             LogPayload::Create { addr, image } => LogPayload::Free { addr, image },
@@ -155,6 +161,7 @@ impl LogPayload {
                 new_child: old_child,
             },
             LogPayload::Migrate { old, new } => LogPayload::Migrate { old: new, new: old },
+            LogPayload::Move { old, new } => LogPayload::Move { old: new, new: old },
             _ => return None,
         })
     }
@@ -164,7 +171,9 @@ impl LogPayload {
     /// overwrite is the delete of the old reference, then the insert of the
     /// new one; an object's creation inserts (its freeing deletes) each
     /// stored reference. A re-inserted reference — the compensation of a
-    /// delete — is an insert like any other (Section 4.5).
+    /// delete — is an insert like any other (Section 4.5). A `Move` names
+    /// no reference: its changes are `old`'s references, which only the
+    /// page holds (`Txn::log_and_apply` reads them there).
     pub(crate) fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
         match self {
             LogPayload::Create { addr, image } => image

@@ -1,14 +1,16 @@
 //! Property tests for restart recovery: for arbitrary scripts of
 //! transactions (creates, payload writes, ref edits; committed or aborted)
 //! interleaved with single-object reorganization steps (migrate + repoint
-//! inside a `ReorgStart..ReorgEnd` window), a crash with a durable tail
+//! inside a `ReorgStart..ReorgEnd` window, by `Move` or by `Create` and
+//! `Free`), a crash with a durable tail
 //! recovers to *exactly* the state of a reference database that ran the
 //! same script — byte-for-byte object images, allocator directories, ERTs.
 //! A loser transaction open at crash time is rolled back to the same
 //! reference state a live `Txn::abort` reaches, whose compensation records
 //! are the loser's forward records reversed and inverted; a reorganization
 //! window open at crash time is reported as interrupted, its pass open
-//! again at its logged floor.
+//! again at its logged floor, and the `Move`s of its open reorganizer
+//! transaction undone.
 //!
 //! The crashed store is file-backed: dropping it is the crash, and
 //! `brahma::storage::open` the restart. Every record it appended reached its
@@ -61,8 +63,10 @@ enum Step {
     Txn(Vec<Op>, bool),
     /// A committed reorganization step: migrate one pooled object within
     /// its partition and repoint every parent, in a reorganization
-    /// transaction under an open `ReorgStart..ReorgEnd` window.
-    Migrate { obj: usize },
+    /// transaction under an open `ReorgStart..ReorgEnd` window — by one
+    /// `Move` record, or by `Create` and `Free` as a migration that
+    /// rewrites the object does.
+    Migrate { obj: usize, by_move: bool },
 }
 
 #[derive(Debug, Clone)]
@@ -92,7 +96,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         4 => (proptest::collection::vec(op_strategy(), 1..8), any::<bool>())
             .prop_map(|(ops, commit)| Step::Txn(ops, commit)),
-        1 => any::<usize>().prop_map(|obj| Step::Migrate { obj }),
+        1 => (any::<usize>(), any::<bool>())
+            .prop_map(|(obj, by_move)| Step::Migrate { obj, by_move }),
     ]
 }
 
@@ -192,14 +197,39 @@ fn apply_op(
     }
 }
 
+/// Move `old` within its partition by one `Move` record inside `txn`,
+/// then repoint the copy's references to itself and every pooled parent's
+/// references to `old`, as the reorganizer does.
+fn move_in(
+    txn: &mut brahma::Txn<'_>,
+    old: PhysAddr,
+    pool: &[PhysAddr],
+) -> brahma::Result<PhysAddr> {
+    txn.lock(old, LockMode::Exclusive)?;
+    let new = txn.move_object(old, old.partition())?;
+    for parent in std::iter::once(new).chain(pool.iter().copied()) {
+        if parent == old {
+            continue;
+        }
+        txn.lock(parent, LockMode::Exclusive)?;
+        let refs = txn.read_refs(parent)?;
+        for (i, r) in refs.iter().enumerate() {
+            if *r == old {
+                txn.set_ref(parent, i, new)?;
+            }
+        }
+    }
+    Ok(new)
+}
+
 /// A deterministic single-object reorganization step: open the window,
 /// copy the object inside its partition, repoint every pooled parent,
 /// delete the old copy, close the window — all in one reorg transaction.
 /// The pool entry is replaced by the new address. Degenerate picks (empty
 /// pool) are skipped deterministically; the step is identical on the
 /// reference and the subject, so recovery equivalence covers the reorg
-/// log records (Migrate, ReorgStart/End, repoints) too.
-fn apply_migrate(db: &Database, obj: usize, pool: &mut [PhysAddr]) {
+/// log records (Move, Create/Free, ReorgStart/End, repoints) too.
+fn apply_migrate(db: &Database, obj: usize, by_move: bool, pool: &mut [PhysAddr]) {
     if pool.is_empty() {
         return;
     }
@@ -210,6 +240,9 @@ fn apply_migrate(db: &Database, obj: usize, pool: &mut [PhysAddr]) {
     }
     let mut txn = db.begin_reorg(partition);
     let migrated = (|| -> brahma::Result<PhysAddr> {
+        if by_move {
+            return move_in(&mut txn, old, pool);
+        }
         txn.lock(old, LockMode::Exclusive)?;
         let image = txn.read(old)?;
         let new = txn.create_object(
@@ -278,7 +311,7 @@ fn run_prefix(db: &Database, script: &Script) -> Vec<PhysAddr> {
                     dead.truncate(before_dead_len);
                 }
             }
-            Step::Migrate { obj } => apply_migrate(db, *obj, &mut pool),
+            Step::Migrate { obj, by_move } => apply_migrate(db, *obj, *by_move, &mut pool),
         }
     }
     pool
@@ -446,6 +479,71 @@ proptest! {
         drop((out, live));
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&live_dir).unwrap();
+    }
+
+    /// A crash in the middle of a pass: the reorganizer's transaction has
+    /// logged `Move`s of `picks` (and the repoints that follow each) and
+    /// not committed. Recovery undoes every `Move` — the originals come
+    /// back in their old slots, below the floor — reaches the state a live
+    /// abort reaches, and reports the pass interrupted; a second recovery
+    /// changes nothing.
+    #[test]
+    fn a_crash_mid_pass_rolls_back_move_losers(
+        script in script_strategy(),
+        picks in proptest::collection::vec(any::<usize>(), 1..5),
+    ) {
+        // The loser's moves, on whichever store runs them. Returns the
+        // partition whose pass is open, with the transaction left open.
+        fn moves<'db>(
+            db: &'db Database,
+            pool: &mut [PhysAddr],
+            picks: &[usize],
+        ) -> (PartitionId, brahma::Txn<'db>) {
+            let partition = pool.first().map_or(PartitionId(0), |a| a.partition());
+            db.start_reorg(partition).unwrap();
+            let mut txn = db.begin_reorg(partition);
+            for &pick in picks {
+                let movable: Vec<usize> =
+                    (0..pool.len()).filter(|&i| pool[i].partition() == partition).collect();
+                if movable.is_empty() {
+                    break;
+                }
+                let i = movable[pick % movable.len()];
+                pool[i] = move_in(&mut txn, pool[i], pool).unwrap();
+            }
+            (partition, txn)
+        }
+
+        let reference = Database::new(StoreConfig::default());
+        reference.create_partition();
+        reference.create_partition();
+        let mut pool = run_prefix(&reference, &script);
+        let (_, loser) = moves(&reference, &mut pool, &picks);
+        loser.abort();
+
+        let (db, config, dir) = durable_two_partitions("mid-pass-move");
+        let mut pool = run_prefix(&db, &script);
+        let (partition, loser) = moves(&db, &mut pool, &picks);
+        let tid = loser.id();
+        std::mem::forget(loser); // the crash preempts it
+        drop(db);
+
+        let out = open(config.clone()).unwrap();
+        prop_assert_eq!(&out.losers, &vec![tid]);
+        prop_assert_eq!(&out.interrupted_reorgs, &vec![partition]);
+        let recovered = state_dump(&out.db);
+        prop_assert_eq!(&recovered, &state_dump(&reference));
+        for p in out.db.partition_ids() {
+            let problems = out.db.partition(p).unwrap().allocator_problems();
+            prop_assert!(problems.is_empty(), "{:?}", problems);
+        }
+        drop(out);
+        let twice = open(config).unwrap();
+        prop_assert_eq!(state_dump(&twice.db), recovered, "a second recovery moved the state");
+        prop_assert!(twice.losers.is_empty(), "a second recovery found losers");
+        prop_assert_eq!(&twice.interrupted_reorgs, &vec![partition]);
+        drop(twice);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Without a durable tail, an uncommitted transaction's effects vanish

@@ -12,7 +12,7 @@
 //! 4. for every record type, a segment file ending in a half-written
 //!    frame of that type is truncated at the tear by `scan_segment_file`
 //!    and scans clean afterwards;
-//! 5. `LogPayload::inverse` is an involution on the seven update records
+//! 5. `LogPayload::inverse` is an involution on the eight update records
 //!    (and `None` on the rest). That REDO of an update and then its inverse
 //!    leaves every page image byte-identical is a `recovery` unit test.
 
@@ -46,7 +46,8 @@ fn view(tag: u8) -> ObjectView {
     }
 }
 
-/// One representative record per `LogPayload` variant (all 13).
+/// One representative record per `LogPayload` variant (all 14), in tag
+/// order.
 fn sample_records() -> Vec<LogRecord> {
     let mk = |lsn: u64, payload: LogPayload| LogRecord {
         lsn,
@@ -126,6 +127,13 @@ fn sample_records() -> Vec<LogRecord> {
             },
         ),
         mk(13, LogPayload::CreatePartition { id: PartitionId(9) }),
+        mk(
+            14,
+            LogPayload::Move {
+                old: addr(5, 1, 64),
+                new: addr(6, 3, 0),
+            },
+        ),
     ]
 }
 
@@ -255,13 +263,45 @@ fn inverse_is_an_involution_on_update_records() {
                         | LogPayload::DeleteRef { .. }
                         | LogPayload::SetRef { .. }
                         | LogPayload::Migrate { .. }
+                        | LogPayload::Move { .. }
                 ),
                 "lsn {}: update record without an inverse",
                 rec.lsn
             ),
         }
     }
-    assert_eq!(updates, 7);
+    assert_eq!(updates, 8);
+}
+
+/// Property 3c: the decoder itself never panics. For one sample body per
+/// tag, every prefix and every one-byte change (all 255 of them, at every
+/// position) decodes to a record or fails `Corrupt`: a body the framing
+/// passed is never trusted to be well formed.
+#[test]
+fn every_prefix_and_byte_change_of_every_tag_decodes_or_is_corrupt() {
+    let decodes_or_corrupt = |bytes: &[u8], what: &str| match decode_record_body(bytes, 0) {
+        Ok(_) | Err(brahma::Error::Corrupt { .. }) => {}
+        Err(e) => panic!("{what}: expected a record or Corrupt, got {e}"),
+    };
+    for (tag, rec) in sample_records().iter().enumerate() {
+        let body = encode_record_body(rec);
+        assert_eq!(body[16] as usize, tag, "the samples are in tag order");
+        for len in 0..body.len() {
+            let what = format!("tag {tag}, {len}-byte prefix");
+            decodes_or_corrupt(&body[..len], &what);
+            assert!(
+                decode_record_body(&body[..len], 0).is_err(),
+                "{what} parsed"
+            );
+        }
+        for at in 0..body.len() {
+            for mask in 1..=0xFFu8 {
+                let mut changed = body.clone();
+                changed[at] ^= mask;
+                decodes_or_corrupt(&changed, &format!("tag {tag}, byte {at} ^ {mask:#x}"));
+            }
+        }
+    }
 }
 
 /// Build a segment file: magic + start_lsn header, `whole` full frames,
@@ -273,7 +313,7 @@ fn write_segment(
     torn: Option<(&LogRecord, usize)>,
 ) {
     let mut f = std::fs::File::create(path).expect("create segment");
-    f.write_all(b"BRHMWAL3").expect("magic");
+    f.write_all(b"BRHMWAL4").expect("magic");
     f.write_all(&start_lsn.to_le_bytes()).expect("header lsn");
     for rec in whole {
         f.write_all(&encode_record(rec)).expect("frame");

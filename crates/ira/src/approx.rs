@@ -19,7 +19,6 @@ use brahma::{Database, PartitionId};
 /// Run step one of IRA for `partition`, returning the traversal state:
 /// live objects in discovery order plus approximate parent lists.
 pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) -> TraversalState {
-    let mut state = TraversalState::default();
     #[expect(
         clippy::expect_used,
         reason = "invariant: step one runs strictly after start_reorg validated the partition id"
@@ -27,6 +26,9 @@ pub fn find_objects_and_approx_parents(db: &Database, partition: PartitionId) ->
     let part = db
         .partition(partition)
         .expect("invariant: reorg partition exists (validated by start_reorg)");
+    // Sized for the partition as it stands, so the tables do not rehash
+    // their way up to it.
+    let mut state = TraversalState::with_capacity(part.object_count());
 
     // L1: traverse from the ERT's referenced objects, plus any persistent
     // roots that live in this partition (the paper keeps roots in their own

@@ -15,10 +15,12 @@ use crate::site as ira_site;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
 use brahma::{
-    AddrMap, Database, Error as StoreError, LockMode, PartitionId, PhysAddr, RetryPolicy, Txn,
+    AddrMap, Database, Error as StoreError, LockMode, Partition, PartitionId, PhysAddr,
+    RetryPolicy, Trt, Txn,
 };
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which migration strategy the driver uses for step two.
@@ -187,9 +189,10 @@ pub(crate) fn run_incremental(
     // and `end_reorg` drops the pages they vacated. A pass a crash
     // interrupted reopens at its own floor: what it copied is in place
     // above it, and only what lies below still moves.
-    db.start_reorg(partition)?;
+    let trt = db.start_reorg(partition)?;
     // `start_reorg` opened the pass; with no floor, nothing would move.
-    let floor = db.partition(partition)?.pass_floor().unwrap_or(0);
+    let part = db.partition(partition)?;
+    let floor = part.pass_floor().unwrap_or(0);
 
     // Wait for every transaction active at the start to complete, so all
     // relevant pointer updates are in the TRT (Section 4.5).
@@ -206,6 +209,7 @@ pub(crate) fn run_incremental(
     let mut queue = std::mem::take(&mut state.order);
     order_queue(&config.order, &mut queue, &state, partition);
     state.order = queue;
+    let queue_len = state.order.len();
     phases.traversal = phase_start.elapsed();
     db.fault.observe(ira_site::TRAVERSAL);
 
@@ -214,10 +218,12 @@ pub(crate) fn run_incremental(
         partition,
         plan,
         config,
+        trt,
+        part,
         state,
         floor,
         pos: 0,
-        mapping: AddrMap::default(),
+        mapping: AddrMap::with_capacity_and_hasher(queue_len, Default::default()),
         tally: Tally::default(),
         phases,
         started: start,
@@ -238,6 +244,10 @@ struct ReorgRun<'a> {
     partition: PartitionId,
     plan: RelocationPlan,
     config: &'a IraConfig,
+    /// The partition's TRT, as `start_reorg` returned it.
+    trt: Arc<Trt>,
+    /// The partition itself.
+    part: Arc<Partition>,
     /// Traversal state; `state.order` is the migration queue.
     state: TraversalState,
     /// The pass's page floor: an object at or above it is a copy this pass
@@ -328,8 +338,10 @@ impl ReorgRun<'_> {
     /// Whether `oold` needs no migration: its address was freed, it
     /// migrated already (earlier in a retried two-lock batch), or it lies
     /// at or above the floor, a copy the pass placed before a crash.
-    fn skip(&self, part: &brahma::Partition, oold: PhysAddr) -> bool {
-        oold.page() >= self.floor || !part.contains_object(oold) || self.mapping.contains_key(&oold)
+    fn skip(&self, oold: PhysAddr) -> bool {
+        oold.page() >= self.floor
+            || self.mapping.contains_key(&oold)
+            || !self.part.contains_object(oold)
     }
 
     /// Migrate one batch inside one transaction (basic IRA).
@@ -339,7 +351,6 @@ impl ReorgRun<'_> {
         work: &mut BatchEffects,
     ) -> Result<(), StoreError> {
         let (db, partition) = (self.db, self.partition);
-        let part = db.partition(partition)?;
         work.clear();
         // Begun at the first object that moves: a batch a restart finds
         // already placed commits nothing, so it forces no log write.
@@ -348,7 +359,7 @@ impl ReorgRun<'_> {
         let mut outcome = Ok(());
         for i in batch {
             let oold = self.state.order[i];
-            if self.skip(&part, oold) {
+            if self.skip(oold) {
                 continue;
             }
             let txn = txn.get_or_insert_with(|| db.begin_reorg(partition));
@@ -403,9 +414,19 @@ impl ReorgRun<'_> {
         work: &mut BatchEffects,
     ) -> Result<usize, StoreError> {
         self.db.fault.hit(ira_site::EXACT_PARENTS)?;
-        let exact_start = Instant::now();
-        let parents = find_exact_parents(self.db, txn, oold, &mut self.state, &work.keep)?;
-        self.phases.exact_parents += exact_start.elapsed();
+        // Three clock reads: the phases meet at `found`.
+        let start = Instant::now();
+        find_exact_parents(
+            self.db,
+            &self.trt,
+            txn,
+            oold,
+            &mut self.state,
+            &work.keep,
+            &mut work.parents,
+        )?;
+        let found = Instant::now();
+        self.phases.exact_parents += found - start;
         // Basic-IRA footprint invariant (Section 3.5): after
         // Find_Exact_Parents the batch transaction holds locks only on
         // confirmed parents — the current object's and the kept set from
@@ -413,25 +434,23 @@ impl ReorgRun<'_> {
         lockdep::assert_txn_locks_subset(
             |a| {
                 let a = PhysAddr::from_raw(a);
-                work.keep.contains(&a) || parents.contains(&a)
+                work.keep.contains(&a) || work.parents.exact.contains(&a)
             },
             "basic IRA after Find_Exact_Parents",
         );
-        let migrate_start = Instant::now();
         let onew = move_object_and_update_refs(
             txn,
             oold,
-            &parents,
             self.plan,
             self.config.transform,
             &mut self.state,
             work,
         )?;
-        self.phases.migrate += migrate_start.elapsed();
+        self.phases.migrate += found.elapsed();
         // Confirmed parents only: under `EvacuateTo` the copy is outside
         // the partition too, and is nobody's parent lock.
         let mut newly_locked = 0;
-        for parent in parents {
+        for &parent in &work.parents.exact {
             if work.keep.insert(parent) && parent.partition() != self.partition {
                 newly_locked += 1;
             }
@@ -444,10 +463,9 @@ impl ReorgRun<'_> {
     /// by itself; on a mid-batch error, earlier objects stay migrated and
     /// the retry skips them through the mapping).
     fn try_batch_two_lock(&mut self, batch: Range<usize>) -> Result<(), StoreError> {
-        let part = self.db.partition(self.partition)?;
         for i in batch {
             let oold = self.state.order[i];
-            if self.skip(&part, oold) {
+            if self.skip(oold) {
                 continue;
             }
             let migrate_start = Instant::now();
@@ -483,9 +501,7 @@ impl ReorgRun<'_> {
         // this run's and those a crashed run placed before the restart.
         let phase_start = Instant::now();
         let garbage: Vec<PhysAddr> = self
-            .db
-            .partition(self.partition)
-            .map_err(IraError::Store)?
+            .part
             .live_objects()
             .into_iter()
             .filter(|a| a.page() < self.floor)
@@ -510,12 +526,8 @@ impl ReorgRun<'_> {
         }
         self.phases.gc = phase_start.elapsed();
 
-        // The TRT dies with end_reorg; capture its lifetime counters first.
-        let (trt_notes, trt_purged) = self
-            .db
-            .trt(self.partition)
-            .map(|t| (t.stats.notes.get(), t.stats.purged.get()))
-            .unwrap_or((0, 0));
+        // The TRT's lifetime counters, over the whole reorganization window.
+        let (trt_notes, trt_purged) = (self.trt.stats.notes.get(), self.trt.stats.purged.get());
 
         self.db.end_reorg(self.partition);
 

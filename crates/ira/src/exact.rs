@@ -20,9 +20,21 @@
 
 use crate::relaxed::lock_and_settle;
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, PhysAddr, Result, Txn};
+use brahma::{AddrSet, Database, PhysAddr, Result, Trt, Txn};
 
-/// Lock and return the exact parents of `oold`.
+/// The buffers [`find_exact_parents`] fills: the caller keeps them from
+/// object to object, so the search allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub(crate) struct ParentBufs {
+    /// Scratch: the approximate parents, copied out of the traversal state
+    /// that the search edits as it goes.
+    approx: Vec<PhysAddr>,
+    /// The exact parents, sorted and exclusively locked.
+    pub exact: Vec<PhysAddr>,
+}
+
+/// Lock the exact parents of `oold` and leave them, sorted, in
+/// `bufs.exact`. `trt` is the partition's, as `start_reorg` returned it.
 ///
 /// `keep_locked` holds addresses the enclosing (batched) transaction must
 /// not release even if they turn out not to be parents of *this* object —
@@ -30,16 +42,22 @@ use brahma::{AddrSet, Database, PhysAddr, Result, Txn};
 /// transaction (Section 4.3 grouping).
 pub(crate) fn find_exact_parents(
     db: &Database,
+    trt: &Trt,
     txn: &mut Txn<'_>,
     oold: PhysAddr,
     state: &mut TraversalState,
     keep_locked: &AddrSet,
-) -> Result<Vec<PhysAddr>> {
-    let partition = oold.partition();
-    let mut confirmed: Vec<PhysAddr> = Vec::new();
+    bufs: &mut ParentBufs,
+) -> Result<()> {
+    let ParentBufs {
+        approx,
+        exact: confirmed,
+    } = bufs;
+    confirmed.clear();
+    state.copy_parents(oold, approx);
 
     // ---- S1: lock the approximate parents, verify each ----
-    for parent in state.parents_of(oold) {
+    for &parent in approx.iter() {
         lock_and_settle(db, txn, parent)?;
         if still_references(txn, parent, oold) {
             confirmed.push(parent);
@@ -53,30 +71,28 @@ pub(crate) fn find_exact_parents(
         }
     }
 
-    // ---- S2: drain TRT tuples about oold (one table fetch per call) ----
-    if let Some(trt) = db.trt(partition) {
-        while let Some(tuple) = trt.peek_for(oold) {
-            // Lock the tuple's parent first (blocking: must not hold the
-            // TRT latch), then delete the tuple, then decide parenthood
-            // under the lock — exactly the order of Figure 4.
-            lock_and_settle(db, txn, tuple.parent)?;
-            trt.remove_tuple(&tuple);
-            if still_references(txn, tuple.parent, oold) {
-                if !confirmed.contains(&tuple.parent) {
-                    confirmed.push(tuple.parent);
-                    state.add_parent(oold, tuple.parent);
-                }
-            } else {
-                state.remove_parent(oold, tuple.parent);
-                if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
-                    let _ = txn.early_unlock(tuple.parent);
-                }
+    // ---- S2: drain TRT tuples about oold ----
+    while let Some(tuple) = trt.peek_for(oold) {
+        // Lock the tuple's parent first (blocking: must not hold the
+        // TRT latch), then delete the tuple, then decide parenthood
+        // under the lock — exactly the order of Figure 4.
+        lock_and_settle(db, txn, tuple.parent)?;
+        trt.remove_tuple(&tuple);
+        if still_references(txn, tuple.parent, oold) {
+            if !confirmed.contains(&tuple.parent) {
+                confirmed.push(tuple.parent);
+                state.add_parent(oold, tuple.parent);
+            }
+        } else {
+            state.remove_parent(oold, tuple.parent);
+            if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
+                let _ = txn.early_unlock(tuple.parent);
             }
         }
     }
 
     confirmed.sort_unstable();
-    Ok(confirmed)
+    Ok(())
 }
 
 /// Whether `parent` (locked by `txn`) currently holds a reference to
@@ -110,6 +126,20 @@ mod tests {
         a
     }
 
+    /// The exact parents of `o`, through fresh buffers.
+    fn exact(
+        db: &Database,
+        trt: &Trt,
+        txn: &mut Txn<'_>,
+        o: PhysAddr,
+        state: &mut TraversalState,
+        keep: &AddrSet,
+    ) -> Vec<PhysAddr> {
+        let mut bufs = ParentBufs::default();
+        find_exact_parents(db, trt, txn, o, state, keep, &mut bufs).unwrap();
+        bufs.exact
+    }
+
     fn setup() -> (Database, PartitionId, PartitionId) {
         let db = Database::new(StoreConfig::default());
         let p0 = db.create_partition();
@@ -125,11 +155,10 @@ mod tests {
         let local = mk(&db, p1, vec![o]);
         let _anchor = mk(&db, p0, vec![local]);
 
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
         let mut expect = vec![ext, local];
         expect.sort_unstable();
         assert_eq!(parents, expect);
@@ -147,7 +176,7 @@ mod tests {
         let ext = mk(&db, p0, vec![o]);
         let ext2 = mk(&db, p0, vec![o]);
 
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         // ext2's reference is deleted after the traversal (committed).
         let mut t = db.begin();
@@ -156,8 +185,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
         assert_eq!(parents, vec![ext]);
         assert_eq!(txn.lock_mode(ext2), None, "non-parent was unlocked");
         txn.commit().unwrap();
@@ -171,7 +199,7 @@ mod tests {
         let _ext = mk(&db, p0, vec![o]);
         let latecomer = mk(&db, p0, vec![]);
 
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         // After the traversal, a transaction inserts a new reference to o.
         let mut t = db.begin();
@@ -180,8 +208,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
         assert!(
             parents.contains(&latecomer),
             "TRT loop must find the new parent"
@@ -201,7 +228,7 @@ mod tests {
         let (db, p0, p1) = setup();
         let o = mk(&db, p1, vec![]);
         let ext = mk(&db, p0, vec![o]);
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         state.remove_parent(o, ext); // what the racing merge saw
         let mut t = db.begin();
@@ -210,8 +237,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
         assert_eq!(parents, vec![ext]);
         txn.commit().unwrap();
         db.end_reorg(p1);
@@ -222,7 +248,7 @@ mod tests {
         let (db, p0, p1) = setup();
         let o = mk(&db, p1, vec![]);
         let ext = mk(&db, p0, vec![o]);
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         // Generate churn: delete and reinsert the reference repeatedly with
         // purge disabled tuples... (purge is on by default, so use two
@@ -239,11 +265,9 @@ mod tests {
         t.insert_ref(extra, o).unwrap();
         t.commit().unwrap();
 
-        let trt = db.trt(p1).unwrap();
         assert!(trt.has_tuples_for(o));
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
         assert!(!trt.has_tuples_for(o), "all tuples about o consumed");
         assert!(parents.contains(&ext) && parents.contains(&extra));
         txn.commit().unwrap();
@@ -255,7 +279,7 @@ mod tests {
         let (db, p0, p1) = setup();
         let o = mk(&db, p1, vec![]);
         let shared_parent = mk(&db, p0, vec![o]);
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         // Delete the ref so shared_parent is a non-parent at verification.
         let mut t = db.begin();
@@ -268,7 +292,7 @@ mod tests {
         keep.insert(shared_parent);
         // Pre-lock it, as an earlier migration in the same batch would have.
         txn.lock(shared_parent, LockMode::Exclusive).unwrap();
-        let parents = find_exact_parents(&db, &mut txn, o, &mut state, &keep).unwrap();
+        let parents = exact(&db, &trt, &mut txn, o, &mut state, &keep);
         assert!(parents.is_empty());
         assert_eq!(
             txn.lock_mode(shared_parent),

@@ -4,24 +4,33 @@
 //! guaranteeing no active transaction holds its reference in local memory),
 //! the object is migrated inside the migration transaction:
 //!
-//! 1. copy `O_old` to its new location `O_new` (the relocation plan picks
-//!    the target partition; allocation order gives clustering);
+//! 1. move `O_old` to its new location `O_new` (the relocation plan picks
+//!    the target partition; allocation order gives clustering) and delete
+//!    `O_old` — one `Move` record, which also carries a root naming `O_old`
+//!    over (the copy's references to itself are repointed with it). Its
+//!    address is not handed out again while the reorganization
+//!    runs: the pass allocates only above its page floor, and drops the
+//!    page once nothing on it is live;
 //! 2. change the reference in every parent to point to `O_new` — the ERTs of
 //!    the old and new partitions are updated by the store's maintenance
 //!    hooks as those references change;
 //! 3. for every not-yet-migrated child in the partition, replace `O_old` by
 //!    `O_new` in its parent list; the ERTs of out-of-partition children are
-//!    updated by the create/free maintenance;
-//! 4. delete `O_old`. Its address is not handed out again while the
-//!    reorganization runs: the pass allocates only above its page floor,
-//!    and drops the page once nothing on it is live.
+//!    updated by the move's maintenance.
+//!
+//! A migration that rewrites the object (a `transform`) cannot copy it
+//! verbatim: it creates the rewritten copy and logs the root's move and the
+//! old copy's free as records of their own.
 //!
 //! `O_new` becomes visible to other transactions when the migration
 //! transaction commits and the parents' locks are released.
 
+use crate::exact::ParentBufs;
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, LockMode, NewObject, ObjectView, PhysAddr, Result, Txn};
+use brahma::{
+    AddrSet, Error as StoreError, LockMode, NewObject, ObjectView, PhysAddr, Result, Txn,
+};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts. Kept
@@ -36,8 +45,9 @@ pub(crate) struct BatchEffects {
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
     /// traversal state.
     pub parent_rewrites: Vec<(PhysAddr, PhysAddr, PhysAddr)>,
-    /// Scratch: the slots of the parent at hand that hold the moving object.
-    slots: Vec<usize>,
+    /// The parents of the object at hand: `parents.exact` is what
+    /// [`move_object_and_update_refs`] repoints.
+    pub parents: ParentBufs,
 }
 
 impl BatchEffects {
@@ -58,11 +68,11 @@ impl BatchEffects {
     }
 }
 
-/// What both migration procedures copy: `oold`'s image after the optional
+/// What a copying migration copies: `oold`'s image after the optional
 /// transform.
 pub(crate) struct CopySource {
     oold: PhysAddr,
-    image: ObjectView,
+    pub image: ObjectView,
 }
 
 impl CopySource {
@@ -111,32 +121,33 @@ impl CopySource {
         }
         Ok(onew)
     }
+}
 
-    /// Parent-list bookkeeping for the children that still await
-    /// migration: replace `oold` by `onew` in each one's parent list. (A
-    /// child that already migrated was repointed in `oold` when it did, so
-    /// the reference names its new address, which never migrates again.)
-    /// Every rewrite is pushed onto `rewrites` as (child, old_parent,
-    /// new_parent) so the caller can revert it.
-    pub(crate) fn repoint_children(
-        &self,
-        onew: PhysAddr,
-        state: &mut TraversalState,
-        rewrites: &mut Vec<(PhysAddr, PhysAddr, PhysAddr)>,
-    ) {
-        let oold = self.oold;
-        for &child in &self.image.refs {
-            if child.partition() == oold.partition() && child != oold {
-                state.replace_parent(child, oold, onew);
-                rewrites.push((child, oold, onew));
-            }
+/// Parent-list bookkeeping for the children that still await migration:
+/// replace `oold` by `onew` in the parent list of each of `refs` (what
+/// `oold` referenced) in its partition. A child that already migrated was
+/// repointed in `oold` when it did, so the reference names its new address,
+/// which never migrates again. Every rewrite is pushed onto `rewrites` as
+/// (child, old_parent, new_parent) so the caller can revert it.
+pub(crate) fn repoint_children(
+    refs: &[PhysAddr],
+    oold: PhysAddr,
+    onew: PhysAddr,
+    state: &mut TraversalState,
+    rewrites: &mut Vec<(PhysAddr, PhysAddr, PhysAddr)>,
+) {
+    for &child in refs {
+        if child.partition() == oold.partition() && child != oold {
+            state.replace_parent(child, oold, onew);
+            rewrites.push((child, oold, onew));
         }
     }
 }
 
-/// Migrate `oold` to its new location, updating the `parents`' references
-/// (which the caller has locked: exactly, via `find_exact_parents`, on-line;
-/// every parent of the quiescent sweep in [`crate::pqr`]).
+/// Migrate `oold` to its new location, updating the references of the
+/// parents in `effects.parents.exact` (which the caller has locked:
+/// exactly, via `find_exact_parents`, on-line; every parent of the
+/// quiescent sweep in [`crate::pqr`]).
 ///
 /// Returns the new address. `state` and `effects` are updated in place; the
 /// caller records `effects.migrations` in the migration map (and counts them
@@ -145,7 +156,6 @@ impl CopySource {
 pub(crate) fn move_object_and_update_refs(
     txn: &mut Txn<'_>,
     oold: PhysAddr,
-    parents: &[PhysAddr],
     plan: RelocationPlan,
     transform: Option<fn(ObjectView) -> ObjectView>,
     state: &mut TraversalState,
@@ -153,38 +163,40 @@ pub(crate) fn move_object_and_update_refs(
 ) -> Result<PhysAddr> {
     // With all parents locked, no transaction can hold or obtain a lock on
     // oold (Lemma 3.3), so this lock is granted immediately; holding it also
-    // satisfies the store's update discipline for the final free.
+    // satisfies the store's update discipline for the move.
     txn.lock(oold, LockMode::Exclusive)?;
-    let mut source = CopySource::new(txn.read(oold)?, oold, transform);
 
-    // 1. Copy to the new location.
-    let onew = source.create_copy(txn, plan)?;
+    // 1. Move the object, which deletes the old copy, and 3. bookkeeping
+    // for the children that still await migration.
+    let rewrites = &mut effects.parent_rewrites;
+    let onew = match transform {
+        None => {
+            let onew = txn.move_object(oold, plan.target_partition(oold))?;
+            repoint_children(txn.moved_refs(), oold, onew, state, rewrites);
+            onew
+        }
+        Some(_) => {
+            let mut source = CopySource::new(txn.read(oold)?, oold, transform);
+            let onew = source.create_copy(txn, plan)?;
+            txn.log_migration(oold, onew)?;
+            txn.delete_object(oold)?;
+            repoint_children(&source.image.refs, oold, onew, state, rewrites);
+            onew
+        }
+    };
 
     // 2. Repoint every parent. A parent may hold several references to the
-    // object; all of them move. The list is scanned under the page latch.
-    let slots = &mut effects.slots;
-    for &parent in parents {
+    // object; all of them move.
+    for &parent in &effects.parents.exact {
         if parent == oold {
-            continue; // self-reference, handled above
+            continue; // a self-reference, repointed by the move
         }
-        slots.clear();
         // A stale parent (freed garbage) cannot be read and has nothing to fix.
-        let _ = txn.with_refs(parent, |refs| {
-            slots.extend(refs.enumerate().filter(|&(_, r)| r == oold).map(|(i, _)| i))
-        });
-        for &i in slots.iter() {
-            txn.set_ref(parent, i, onew)?;
+        match txn.repoint_refs(parent, oold, onew) {
+            Ok(_) | Err(StoreError::NoSuchObject(_)) => {}
+            Err(e) => return Err(e),
         }
     }
-
-    // The move's record, which also carries a root naming `oold` over.
-    txn.log_migration(oold, onew)?;
-
-    // 3. Parent-list bookkeeping for children that still await migration.
-    source.repoint_children(onew, state, &mut effects.parent_rewrites);
-
-    // 4. Delete the old copy (never reused: the pass allocates above its floor).
-    txn.delete_object(oold)?;
 
     effects.migrations.push((oold, onew));
     Ok(onew)
@@ -221,12 +233,13 @@ mod tests {
         plan: RelocationPlan,
         state: &mut TraversalState,
     ) -> PhysAddr {
+        let trt = db.trt(oold.partition()).unwrap();
         let mut txn = db.begin_reorg(oold.partition());
-        let parents = find_exact_parents(db, &mut txn, oold, state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
+        let keep = AddrSet::default();
+        find_exact_parents(db, &trt, &mut txn, oold, state, &keep, &mut effects.parents).unwrap();
         let onew =
-            move_object_and_update_refs(&mut txn, oold, &parents, plan, None, state, &mut effects)
-                .unwrap();
+            move_object_and_update_refs(&mut txn, oold, plan, None, state, &mut effects).unwrap();
         txn.commit().unwrap();
         assert_eq!(effects.migrations, vec![(oold, onew)]);
         onew
@@ -338,22 +351,23 @@ mod tests {
         let ext = mk(&db, p0, vec![o]);
         db.add_root(o);
 
-        db.start_reorg(p1).unwrap();
+        let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        let parents =
-            find_exact_parents(&db, &mut txn, o, &mut state, &AddrSet::default()).unwrap();
         let mut effects = BatchEffects::default();
-        move_object_and_update_refs(
+        let keep = AddrSet::default();
+        find_exact_parents(
+            &db,
+            &trt,
             &mut txn,
             o,
-            &parents,
-            RelocationPlan::CompactInPlace,
-            None,
             &mut state,
-            &mut effects,
+            &keep,
+            &mut effects.parents,
         )
         .unwrap();
+        let plan = RelocationPlan::CompactInPlace;
+        move_object_and_update_refs(&mut txn, o, plan, None, &mut state, &mut effects).unwrap();
         txn.abort();
         effects.revert(&mut state);
         db.end_reorg(p1);

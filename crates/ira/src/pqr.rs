@@ -163,11 +163,12 @@ fn reorganize_quiescent(
 
     let mut effects = BatchEffects::default();
     for &oold in &objects {
-        let parents = state.parents_of(oold);
-        for &parent in &parents {
+        let parents = &mut effects.parents.exact;
+        state.copy_parents(oold, parents);
+        for &parent in parents.iter() {
             txn.lock(parent, LockMode::Exclusive)?;
         }
-        move_object_and_update_refs(txn, oold, &parents, plan, None, &mut state, &mut effects)?;
+        move_object_and_update_refs(txn, oold, plan, None, &mut state, &mut effects)?;
         db.stats.migrations.inc();
     }
     Ok(effects.migrations.into_iter().collect())

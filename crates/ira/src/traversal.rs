@@ -28,20 +28,45 @@ pub struct TraversalState {
     /// that turned out not to be live objects); guarantees the L2 loop
     /// terminates.
     pub(crate) visited: AddrSet,
-    /// Approximate parents per visited object.
-    pub(crate) parents: AddrMap<AddrSet>,
+    /// Approximate parents per visited object, each listed once. A list is
+    /// a few addresses long, so a `Vec` scan beats a hash set and the list
+    /// costs one allocation.
+    pub(crate) parents: AddrMap<Vec<PhysAddr>>,
+}
+
+/// Remove `parent` from a parent list (no-op when absent).
+fn remove_from(ps: &mut Vec<PhysAddr>, parent: PhysAddr) {
+    if let Some(i) = ps.iter().position(|&p| p == parent) {
+        ps.swap_remove(i);
+    }
+}
+
+/// Add `parent` to a parent list unless it is there already.
+fn add_to(ps: &mut Vec<PhysAddr>, parent: PhysAddr) {
+    if !ps.contains(&parent) {
+        ps.push(parent);
+    }
 }
 
 impl TraversalState {
+    /// An empty state with room for `objects` objects.
+    pub(crate) fn with_capacity(objects: usize) -> Self {
+        TraversalState {
+            order: Vec::with_capacity(objects),
+            visited: AddrSet::with_capacity_and_hasher(objects, Default::default()),
+            parents: AddrMap::with_capacity_and_hasher(objects, Default::default()),
+        }
+    }
+
     /// Record that `parent` references `child`.
     pub(crate) fn add_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
-        self.parents.entry(child).or_default().insert(parent);
+        add_to(self.parents.entry(child).or_default(), parent);
     }
 
     /// Remove `parent` from `child`'s parent list (no-op when absent).
     pub(crate) fn remove_parent(&mut self, child: PhysAddr, parent: PhysAddr) {
         if let Some(ps) = self.parents.get_mut(&child) {
-            ps.remove(&parent);
+            remove_from(ps, parent);
         }
     }
 
@@ -62,20 +87,25 @@ impl TraversalState {
         new_parent: PhysAddr,
     ) {
         let ps = self.parents.entry(child).or_default();
-        ps.remove(&old_parent);
-        ps.insert(new_parent);
+        remove_from(ps, old_parent);
+        add_to(ps, new_parent);
     }
 
     /// The approximate parents of `child`, sorted (empty if none recorded).
     pub(crate) fn parents_of(&self, child: PhysAddr) -> Vec<PhysAddr> {
-        let mut v: Vec<PhysAddr> = self
-            .parents
-            .get(&child)
-            .map(|ps| ps.iter().copied().collect())
-            .unwrap_or_default();
-        // Deterministic lock order reduces reorganizer-side deadlock.
-        v.sort_unstable();
+        let mut v = Vec::new();
+        self.copy_parents(child, &mut v);
         v
+    }
+
+    /// [`TraversalState::parents_of`] into a buffer the caller keeps.
+    pub(crate) fn copy_parents(&self, child: PhysAddr, out: &mut Vec<PhysAddr>) {
+        out.clear();
+        if let Some(ps) = self.parents.get(&child) {
+            out.extend_from_slice(ps);
+        }
+        // Deterministic lock order reduces reorganizer-side deadlock.
+        out.sort_unstable();
     }
 }
 

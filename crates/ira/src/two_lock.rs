@@ -27,7 +27,7 @@ use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, LockMode, PhysAddr, Result, RetryPolicy};
+use brahma::{AddrSet, Database, Error, LockMode, PhysAddr, Result, RetryPolicy};
 
 /// Migrate one object with the two-lock discipline.
 ///
@@ -93,7 +93,7 @@ pub(crate) fn migrate_two_lock(
 
     // Nothing reverts a two-lock migration (each step committed on its own),
     // so the rewrite list is dropped.
-    source.repoint_children(onew, state, &mut Vec::new());
+    crate::migrate::repoint_children(&source.image.refs, oold, onew, state, &mut Vec::new());
     guard.log_migration(oold, onew)?;
     guard.delete_object(oold)?;
     guard.commit()?;
@@ -119,15 +119,10 @@ fn repoint_parent(
     loop {
         let mut txn = db.begin_reorg(oold.partition());
         let outcome = lock_and_settle(db, &mut txn, parent)
-            .and_then(|()| {
-                if let Ok(refs) = txn.read_refs(parent) {
-                    for (i, r) in refs.iter().enumerate() {
-                        if *r == oold {
-                            txn.set_ref(parent, i, onew)?;
-                        }
-                    }
-                }
-                Ok(())
+            .and_then(|()| match txn.repoint_refs(parent, oold, onew) {
+                // A stale parent (freed garbage) has nothing to fix.
+                Ok(_) | Err(Error::NoSuchObject(_)) => Ok(()),
+                Err(e) => Err(e),
             })
             .and_then(|()| txn.commit());
         match outcome {

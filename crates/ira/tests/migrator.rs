@@ -312,15 +312,15 @@ fn a_migrated_root_survives_a_crash() {
 }
 
 /// A migration of a root killed before its `Commit` reaches the file is a
-/// loser: recovery undoes its `Migrate` with the rest, and the root names
-/// the old copy again.
+/// loser: recovery undoes its `Move`, and the root names the old copy
+/// again.
 #[test]
 fn a_loser_migration_of_a_root_leaves_the_root_in_place() {
     use brahma::wal::LogPayload;
     let (db, config, dir, root) = durable_root("loser-root");
-    // The pass logs ReorgStart, then its batch Begin, Create, Migrate,
-    // Free and Commit: the kill lands on the sixth write.
-    let kill = FaultRule::nth(brahma::fault::site::FILE_PWRITE, 6, FaultAction::Crash);
+    // The pass logs ReorgStart, then its batch Begin, Move and Commit: the
+    // kill lands on the fourth write, the `Commit`.
+    let kill = FaultRule::nth(brahma::fault::site::FILE_PWRITE, 4, FaultAction::Crash);
     db.fault.arm(FaultPlan::new(6).with(kill));
     let crashed = Reorg::on(&db, root.partition()).run();
     assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
@@ -338,12 +338,21 @@ fn a_loser_migration_of_a_root_leaves_the_root_in_place() {
     }
     let mover = log
         .iter()
-        .find(|r| matches!(r.payload, LogPayload::Migrate { old, .. } if old == root))
-        .expect("the Migrate reached the file")
+        .find(|r| matches!(r.payload, LogPayload::Move { old, .. } if old == root))
+        .expect("the Move reached the file")
         .tid;
     assert!(!log
         .iter()
         .any(|r| r.tid == mover && r.payload == LogPayload::Commit));
+    let mover_log: Vec<&LogPayload> = log
+        .iter()
+        .filter(|r| r.tid == mover)
+        .map(|r| &r.payload)
+        .collect();
+    assert!(
+        matches!(mover_log[..], [LogPayload::Begin, LogPayload::Move { .. }]),
+        "the kill lands on the Commit: {mover_log:?}"
+    );
 
     let out = brahma::storage::open(config).expect("reopen");
     assert_eq!(out.losers, vec![mover]);

@@ -69,8 +69,11 @@ fn heap_of<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 /// and [`READ_TXN_PARENT`] for the read-only transaction, by this counter,
 /// in debug and release builds alike. Per migrated object, 739cb49 read
 /// 9.83 (1,503 bytes); the in-place fuzzy traversal, which no longer
-/// copies out each visited object's references, reads 8.83 (1,407).
-const PER_MIGRATED_OBJECT: f64 = 9.0;
+/// copies out each visited object's references, reads 8.83 (1,407). One
+/// `Move` record in place of `Create`, `Migrate` and `Free` (no image read,
+/// none logged), parent lists as `Vec`s and `Find_Exact_Parents` filling
+/// buffers the migrator keeps read 1.74 (478).
+const PER_MIGRATED_OBJECT: f64 = 3.0;
 const PER_SET_PAYLOAD: f64 = 2.0;
 const READ_TXN_PARENT: u64 = 10;
 

@@ -25,7 +25,15 @@ fn run_under_load(
 ) -> Arc<Database> {
     let db = Arc::new(Database::new(store));
     let info = Arc::new(build_graph(&db, &params).unwrap());
+    let setup_commits = db.obs_snapshot().get("db.commits");
     let handle = start_workload(Arc::clone(&db), Arc::clone(&info), &params);
+    // "Under load" by construction: the pass starts once a walker has
+    // committed, so a fast pass cannot finish before the workload begins.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while db.obs_snapshot().get("db.commits") <= setup_commits {
+        assert!(std::time::Instant::now() < deadline, "no walker committed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     reorg(&db, info.data_partitions[0]);
     let metrics = handle.stop_and_join();
     assert!(metrics.summarize().committed > 0, "workload made progress");
