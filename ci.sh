@@ -86,6 +86,20 @@ if [ "$code_classes" != "$doc_classes" ]; then
   printf 'lockdep.rs defines:\n%s\nDESIGN.md §11.1 lists:\n%s\n' "$code_classes" "$doc_classes" >&2
   exit 1
 fi
+# The declared order too: the `(held, taken)` pairs of `ORDER` in
+# lockdep.rs, test classes aside, and the catalog's "May be taken under"
+# column (each row's classes taken under each class that column names) are
+# the same set, so a new nesting edits the code and the doc together.
+code_order=$(sed -n '/^const ORDER: /,/^];/p' crates/brahma/src/lockdep.rs |
+  sed -n 's/^ *(\([A-Z][A-Za-z]*\), \([A-Z][A-Za-z]*\)),.*/\1 \2/p' | grep -v Test | sort -u)
+doc_order=$(sed -n '/^### 11\.1 /,/^### 11\.2 /p' DESIGN.md | grep '^| `' | grep -v '`TestA`' |
+  awk -F'|' '{ n = split($2, t, "`"); m = split($5, h, "`")
+    for (i = 2; i <= n; i += 2) for (j = 2; j <= m; j += 2) print h[j], t[i] }' | sort -u)
+if [ -z "$code_order" ] || [ "$code_order" != "$doc_order" ]; then
+  printf 'lockdep.rs ORDER:\n%s\nDESIGN.md §11.1 may-be-taken-under:\n%s\n' \
+    "$code_order" "$doc_order" >&2
+  exit 1
+fi
 # On-disk format versions (DESIGN.md §14): the segment and checkpoint
 # magics storage/mod.rs writes are the two that §14 introduces as
 # "magic BRHM…", so a format bump cannot leave the doc behind.

@@ -4,19 +4,17 @@
 //! structures in `ira`) is wrapped by the types in this module. Each wrapper
 //! carries a [`LockClass`] — a *type* of lock, not an instance — plus an
 //! `order_key` distinguishing instances inside a class (shard index,
-//! partition id). On every acquisition the checker:
+//! partition id). Each acquisition is checked against every lock the
+//! thread already holds:
 //!
-//! 1. records a **held-before edge** `C_held -> C_new` in a global class
-//!    graph for every class currently held by the acquiring thread, and
-//!    detects cycles at edge-insert time (a cycle means two threads can
-//!    acquire the same two classes in opposite orders — a potential
-//!    deadlock, reported even if it never deadlocks in this run);
-//! 2. enforces the **same-class instance order**: nested acquisitions inside
-//!    one class must take strictly increasing `order_key`s, which catches
-//!    ABBA inversions between two shards of the same structure that the
-//!    class graph (one node per class) cannot see.
+//! 1. across classes, against the **declared order** `ORDER`: a nesting it
+//!    does not list is a violation at that acquisition, in any process,
+//!    whether or not the opposite order ever ran. `ORDER` is acyclic, so
+//!    code that keeps to it cannot deadlock across classes;
+//! 2. within one class, nested instances must take strictly increasing
+//!    `order_key`s, which catches an ABBA between two shards of one structure.
 //!
-//! On top of the ordering graph, the module tracks the *logical* lock
+//! On top of the ordering rules, the module tracks the *logical* lock
 //! footprint of the running thread — the set of object addresses it holds
 //! through the lock manager — and exposes the paper's per-variant invariants
 //! as assertions: fuzzy traversal holds no locks ([`fuzzy_region`]), the
@@ -29,15 +27,14 @@
 //!
 //! A violation **panics** in debug builds (tests fail loudly) and is
 //! otherwise **counted** in the `lockdep.violations` counter that
-//! `Database::obs_snapshot` exports. Diagnostics include both class chains:
-//! the acquiring thread's current stack and the chain recorded when the
-//! conflicting edge was first inserted.
+//! `Database::obs_snapshot` exports. The diagnostic names the acquiring
+//! thread's chain of held locks.
 //!
 //! The checker is armed when `debug_assertions` are on or the `lockdep`
 //! cargo feature is enabled. The wrapper types are the same either way;
 //! with the checker off they carry no tag, and `acquire`/`release` and the
-//! footprint functions return on the `ARMED` constant before touching the
-//! graph, a thread-local or an atomic, so a wrapper has the layout of the
+//! footprint functions return on the `ARMED` constant before touching a
+//! thread-local or an atomic, so a wrapper has the layout of the
 //! `std::sync` type it wraps and a call compiles to the `std::sync` one.
 //!
 //! A panic under one of these locks does not poison it: the next thread
@@ -49,19 +46,19 @@
 )]
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 use std::time::Instant;
+use LockClass::*;
 
-/// A type of lock. One node in the held-before graph.
+/// A type of lock: a row of the declared order.
 ///
 /// Keep this list in sync with DESIGN.md §11.1 (`ci.sh` checks the variants
 /// and the catalog's first column are the same set). At most 32 classes:
-/// the edge set is a `u32` bitmask per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// what may be taken under a class is a `u32` bitmask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LockClass {
     /// One shard of the lock manager's hash table (`lock::Shard::table`).
@@ -113,19 +110,40 @@ const ARMED: bool = cfg!(any(debug_assertions, feature = "lockdep"));
 /// 0.93–0.95× the parent's throughput, ahead in 8 of 30 pairs.)
 type Tag = [(LockClass, u64); ARMED as usize];
 
-const N: usize = LockClass::TestB as usize + 1;
+const N: usize = TestB as usize + 1;
 
-/// `EDGES[a] & (1 << b)` means "a was held while b was acquired".
-static EDGES: [AtomicU32; N] = [const { AtomicU32::new(0) }; N];
+/// The declared lock order across classes: `(held, taken)` means `taken`
+/// may be acquired while `held` is held. Every other cross-class nesting is
+/// a violation. DESIGN.md §11.1's "may be taken under" column is this list
+/// (`ci.sh` compares the two), and a unit test checks it is acyclic.
+const ORDER: &[(LockClass, LockClass)] = &[
+    // An allocation that grows the partition appends a page.
+    (PartitionAlloc, PartitionPages),
+    // A page access: the page table, then the page's latch.
+    (PartitionPages, PageLatch),
+    // `start_reorg` creates the TRT and logs the pass start under the map.
+    (DbReorgTables, TrtInner),
+    (DbReorgTables, FileBackend),
+    (DbReorgTables, FaultState),
+    // A file-backed append passes its fault sites under the writer.
+    (FileBackend, FaultState),
+    (TestA, TestB),
+];
+
+/// `MAY_TAKE[held] & (1 << taken)`: `ORDER` holds `(held, taken)`.
+const MAY_TAKE: [u32; N] = {
+    let mut mask = [0u32; N];
+    let mut i = 0;
+    while i < ORDER.len() {
+        let (held, taken) = ORDER[i];
+        mask[held as usize] |= 1 << taken as u8;
+        i += 1;
+    }
+    mask
+};
+
 /// Total violations, process-wide (exported as `lockdep.violations`).
 static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-/// For each recorded edge, the class chain of the thread that inserted
-/// it — the "other stack" half of a cycle diagnostic. Also serializes
-/// first-time edge inserts so concurrent inserts cannot close a cycle
-/// undetected. lockdep's own state uses `std::sync` so the checker never
-/// instruments itself.
-static PROVENANCE: sync::Mutex<BTreeMap<(LockClass, LockClass), String>> =
-    sync::Mutex::new(BTreeMap::new());
 
 struct HeldEntry {
     class: LockClass,
@@ -133,7 +151,7 @@ struct HeldEntry {
     id: u64,
     /// Shared (read) acquisition: read-read recursion on one class is
     /// exempt from the same-class order rule, since readers never block
-    /// each other. Cross-class edges are recorded regardless of mode.
+    /// each other. The declared order holds regardless of mode.
     shared: bool,
 }
 
@@ -174,73 +192,10 @@ fn violation(msg: &str) {
 }
 
 fn chain_str(held: &[HeldEntry]) -> String {
-    if held.is_empty() {
-        return "<none>".to_string();
-    }
     held.iter()
         .map(|e| format!("{:?}#{}", e.class, e.order_key))
         .collect::<Vec<_>>()
         .join(" -> ")
-}
-
-/// One path `from -> .. -> to` over the recorded edges, if there is one.
-fn find_path(
-    edges: &BTreeMap<(LockClass, LockClass), String>,
-    from: LockClass,
-    to: LockClass,
-) -> Option<Vec<LockClass>> {
-    let mut visited = 1u32 << (from as u8);
-    let mut stack = vec![vec![from]];
-    while let Some(path) = stack.pop() {
-        let last = path[path.len() - 1];
-        if last == to {
-            return Some(path);
-        }
-        for &(a, b) in edges.keys() {
-            if a == last && visited & (1 << (b as u8)) == 0 {
-                visited |= 1 << (b as u8);
-                stack.push(path.iter().copied().chain([b]).collect());
-            }
-        }
-    }
-    None
-}
-
-fn record_edge(from: LockClass, to: LockClass, held: &[HeldEntry]) {
-    let bit = 1u32 << (to as u8);
-    // ordering: fast-path probe; re-checked under the provenance mutex below
-    if EDGES[from as usize].load(Ordering::Relaxed) & bit != 0 {
-        return; // known edge: lock-free fast path
-    }
-    let mut prov = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
-    if prov.contains_key(&(from, to)) {
-        return;
-    }
-    // A same-class nesting `(X, X)` is recorded for `dump_edges` only:
-    // `order_key` order governs it, not the class graph.
-    let closes = (from != to).then(|| find_path(&prov, to, from)).flatten();
-    if let Some(path) = closes {
-        // Inserting from->to would close a cycle to -> .. -> from -> to.
-        let mut other = String::new();
-        for w in path.windows(2) {
-            let rec = &prov[&(w[0], w[1])];
-            other.push_str(&format!(
-                "\n    {:?} -> {:?} recorded with chain: {rec}",
-                w[0], w[1]
-            ));
-        }
-        drop(prov);
-        violation(&format!(
-            "lock-order cycle: acquiring {to:?} while holding {from:?}, \
-             but {from:?} is already ordered after {to:?}\n  \
-             this thread's chain: {}\n  conflicting edges:{other}",
-            chain_str(held),
-        ));
-        return; // keep the graph acyclic: one bug, one report
-    }
-    // ordering: publication is ordered by the provenance mutex held here
-    EDGES[from as usize].fetch_or(bit, Ordering::Relaxed);
-    prov.insert((from, to), chain_str(held));
 }
 
 /// Register an acquisition; returns the held-stack entry id.
@@ -254,32 +209,30 @@ fn acquire(tag: Tag, shared: bool) -> u64 {
         n.set(id + 1);
         id
     });
-    let mut order_msg: Option<String> = None;
     HELD.with(|h| {
         let held = h.borrow();
-        for e in held.iter() {
-            if e.class == class
-                && order_key <= e.order_key
-                && !(shared && e.shared)
-                && order_msg.is_none()
-            {
-                order_msg = Some(format!(
-                    "same-class order violation: acquiring {:?}#{} while \
-                     holding {:?}#{} (instances of one class must be taken \
-                     in increasing order)\n  this thread's chain: {}",
-                    class,
-                    order_key,
-                    e.class,
-                    e.order_key,
-                    chain_str(&held),
-                ));
+        let Some(bad) = held.iter().find(|e| {
+            if e.class == class {
+                order_key <= e.order_key && !(shared && e.shared)
+            } else {
+                MAY_TAKE[e.class as usize] & (1 << class as u8) == 0
             }
-            record_edge(e.class, class, &held);
-        }
+        }) else {
+            return;
+        };
+        let rule = if bad.class == class {
+            "instances of one class must be taken in increasing order"
+        } else {
+            "lockdep::ORDER does not declare this nesting"
+        };
+        violation(&format!(
+            "lock-order violation: acquiring {class:?}#{order_key} while holding \
+             {:?}#{} ({rule})\n  this thread's chain: {}",
+            bad.class,
+            bad.order_key,
+            chain_str(&held),
+        ));
     });
-    if let Some(msg) = order_msg {
-        violation(&msg);
-    }
     HELD.with(|h| {
         h.borrow_mut().push(HeldEntry {
             class,
@@ -552,19 +505,6 @@ pub fn violations() -> u64 {
     VIOLATIONS.load(Ordering::Relaxed)
 }
 
-/// Snapshot the held-before edges recorded so far, as
-/// `(held_class, acquired_class, recording_thread_chain)` triples in
-/// class order; a same-class nesting appears as `(X, X)`.
-/// `crates/ira/tests/lock_order.rs` pins the set a real workload produces.
-pub fn dump_edges() -> Vec<(LockClass, LockClass, String)> {
-    PROVENANCE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .map(|(&(from, to), chain)| (from, to, chain.clone()))
-        .collect()
-}
-
 /// The calling thread is about to sleep: a violation if it holds any
 /// lock this module tracks (the kernel's `might_sleep()`). Called before
 /// each product `thread::sleep`.
@@ -757,22 +697,17 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn cross_class_cycle_is_detected() {
+    fn an_undeclared_nesting_fails_at_its_first_acquisition() {
         let a = Mutex::new(LockClass::TestA, 0, ());
         let b = Mutex::new(LockClass::TestB, 0, ());
-        // Establish TestA -> TestB.
-        {
-            let _ga = a.lock();
-            let _gb = b.lock();
-        }
-        // The reverse order closes a cycle at edge-insert time, before any
-        // thread actually deadlocks.
+        // `(TestB, TestA)` is not declared: the first acquisition that nests
+        // that way is the violation, with no earlier opposite nesting.
         let (_, raised) = tolerate(|| {
             let _gb = b.lock();
             let _ga = a.lock();
         });
-        assert_eq!(raised, 1, "B-then-A after A-then-B must be a violation");
-        // The cycle edge was rejected, so repeating the good order is clean.
+        assert_eq!(raised, 1, "TestA under TestB is undeclared");
+        // The declared order stays clean, before and after.
         let (_, raised) = tolerate(|| {
             let _ga = a.lock();
             let _gb = b.lock();
@@ -781,10 +716,27 @@ mod tests {
     }
 
     #[test]
+    fn the_declared_order_is_acyclic() {
+        // Close `MAY_TAKE` transitively; a class that reaches itself sits
+        // on a cycle (or is a declared self-pair, which `order_key` governs).
+        let mut reach = MAY_TAKE;
+        for k in 0..N {
+            for i in 0..N {
+                if reach[i] & (1 << k) != 0 {
+                    reach[i] |= reach[k];
+                }
+            }
+        }
+        for (i, r) in reach.iter().enumerate() {
+            assert_eq!(r & (1 << i), 0, "class {i} reaches itself in ORDER");
+        }
+    }
+
+    #[test]
     fn same_class_requires_increasing_order_keys() {
         let s0 = Mutex::new(LockClass::TestA, 0, ());
         let s1 = Mutex::new(LockClass::TestA, 1, ());
-        // Increasing order: fine (no graph edge involved).
+        // Increasing order: fine.
         let (_, raised) = tolerate(|| {
             let _g0 = s0.lock();
             let _g1 = s1.lock();
@@ -796,20 +748,6 @@ mod tests {
             let _g0 = s0.lock();
         });
         assert_eq!(raised, 1);
-    }
-
-    #[test]
-    fn same_class_nesting_is_dumped_as_a_self_edge_not_a_cycle() {
-        let s1 = Mutex::new(LockClass::TestA, 1, ());
-        let s2 = Mutex::new(LockClass::TestA, 2, ());
-        let (_, raised) = tolerate(|| {
-            let _g1 = s1.lock();
-            let _g2 = s2.lock();
-        });
-        assert_eq!(raised, 0, "(X, X) stays out of the cycle search");
-        assert!(dump_edges()
-            .iter()
-            .any(|(a, b, _)| (*a, *b) == (LockClass::TestA, LockClass::TestA)));
     }
 
     #[test]

@@ -862,10 +862,10 @@ mod tests {
     #[cfg(any(debug_assertions, feature = "lockdep"))]
     #[test]
     fn snapshot_respects_alloc_before_pages_order() {
-        // allocate() establishes the alloc -> pages held-before edge. A
-        // snapshot() holding pages while taking alloc would close an ABBA
-        // cycle with any concurrent allocation; lockdep must stay silent
-        // with both run back-to-back.
+        // The declared order is alloc, then pages (an allocation that
+        // grows the partition). A snapshot() holding pages while taking
+        // alloc would deadlock against a concurrent allocation; lockdep
+        // must stay silent with both run back-to-back.
         let p = part();
         p.allocate(100).unwrap();
         let before = crate::lockdep::violations();

@@ -16,10 +16,18 @@
 //! Page images are opaque to the decoder, so 2 and 3 try every change of
 //! every other byte but sample the images: the first object's header and
 //! references, then one byte in 509, each flipped whole.
+//!
+//! 4. The log-record decoder under the same tracker: for one body per tag,
+//!    every strict prefix is `Corrupt`, every one-byte change (all 255, at
+//!    every position) decodes or is `Corrupt` — a body the framing passed
+//!    is never trusted to be well formed — and no allocation is larger than
+//!    the body plus an error message.
 
-use brahma::storage::codec::crc32;
+use brahma::storage::codec::{crc32, decode_record_body, encode_record_body};
 use brahma::storage::decode_checkpoint;
-use brahma::{Checkpoint, Error, NewObject, StoreConfig, PAGE_SIZE};
+use brahma::wal::{LogPayload, LogRecord};
+use brahma::{Checkpoint, Error, NewObject, ObjectView, PartitionId, PhysAddr, StoreConfig};
+use brahma::{TxnId, PAGE_SIZE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -189,4 +197,91 @@ fn body_changes_under_a_matching_crc_decode_or_are_corrupt_within_budget() {
     // Ids, LSNs, roots and page images are free-form: plenty of changes
     // still decode.
     assert!(decoded > 0);
+}
+
+/// One encoded log-record body per `LogPayload` tag, in tag order, each
+/// with its references and byte strings non-empty where it has any.
+fn one_body_per_tag() -> Vec<Vec<u8>> {
+    let a = |page| PhysAddr::new(PartitionId(1), page, 0);
+    let image = ObjectView {
+        tag: 3,
+        refs: vec![a(2), a(3)],
+        ref_cap: 4,
+        payload: vec![0xAB; 11],
+        payload_cap: 16,
+    };
+    let (p, (old, new)) = (PartitionId(5), (a(1), a(2)));
+    #[rustfmt::skip]
+    let payloads = [
+        LogPayload::Begin,
+        LogPayload::Commit,
+        LogPayload::Abort,
+        LogPayload::Create { addr: a(9), image: image.clone() },
+        LogPayload::Free { addr: a(9), image },
+        LogPayload::SetPayload { addr: old, old: vec![1, 2, 3], new: vec![4; 9] },
+        LogPayload::InsertRef { parent: old, child: new, index: 0 },
+        LogPayload::DeleteRef { parent: old, child: new, index: 3 },
+        LogPayload::SetRef { parent: old, index: 2, old_child: new, new_child: a(3) },
+        LogPayload::ReorgStart { partition: p, floor: 9 },
+        LogPayload::ReorgEnd { partition: p, base: 4 },
+        LogPayload::Migrate { old, new },
+        LogPayload::CreatePartition { id: p },
+        LogPayload::Move { old, new },
+    ];
+    let record = |lsn, payload| LogRecord {
+        lsn,
+        tid: TxnId(7),
+        payload,
+    };
+    (0..)
+        .zip(payloads)
+        .map(|(lsn, payload)| encode_record_body(&record(lsn, payload)))
+        .collect()
+}
+
+/// Property 4: the log-record decoder never panics and allocates within
+/// what it was given. Counts come from the bytes, so a decoder that sized a
+/// buffer by a count before checking it against the input left would
+/// allocate up to 65,535 references or 4 GiB of payload here. `SLACK`
+/// covers the reason string of a `Corrupt`: the largest allocation runs at
+/// most 35 bytes past the body today.
+#[test]
+fn every_prefix_and_byte_change_of_every_tag_decodes_or_is_corrupt_within_budget() {
+    const SLACK: usize = 64;
+    for (tag, body) in one_body_per_tag().iter().enumerate() {
+        assert_eq!(usize::from(body[16]), tag, "one body per tag, in tag order");
+        let budget = body.len() + SLACK;
+        let check = |bytes: &[u8], what: &dyn Fn() -> String| {
+            LARGEST.with(|l| l.set(0));
+            let decoded = decode_record_body(bytes, 0);
+            let largest = LARGEST.with(Cell::get);
+            let parsed = match decoded {
+                Ok(_) => true,
+                Err(Error::Corrupt { .. }) => false,
+                Err(e) => panic!("tag {tag}, {}: {e}, not Corrupt", what()),
+            };
+            assert!(
+                largest <= budget,
+                "tag {tag}, {}: one allocation of {largest} bytes, budget {budget}",
+                what()
+            );
+            parsed
+        };
+        assert!(
+            check(body, &|| "the whole body".to_string()),
+            "tag {tag} decodes"
+        );
+        for len in 0..body.len() {
+            let parsed = check(&body[..len], &|| format!("{len}-byte prefix"));
+            assert!(!parsed, "tag {tag}, {len}-byte prefix parsed");
+        }
+        let mut changed = body.clone();
+        for at in 0..body.len() {
+            for mask in 1..=u8::MAX {
+                changed[at] = body[at] ^ mask;
+                check(&changed, &|| format!("byte {at} ^ {mask:#04x}"));
+            }
+            changed[at] = body[at];
+        }
+    }
 }

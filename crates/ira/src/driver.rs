@@ -335,13 +335,15 @@ impl ReorgRun<'_> {
         }
     }
 
-    /// Whether `oold` needs no migration: its address was freed, it
-    /// migrated already (earlier in a retried two-lock batch), or it lies
-    /// at or above the floor, a copy the pass placed before a crash.
+    /// Whether `oold` needs no migration: it migrated already (earlier in
+    /// a retried two-lock batch), or it lies at or above the floor, a copy
+    /// the pass placed before a crash. The queue holds only objects the
+    /// traversal read live, and only this pass frees one: workload
+    /// transactions may not create or delete in a partition under
+    /// reorganization, and those active at its start ended in the quiesce
+    /// wait.
     fn skip(&self, oold: PhysAddr) -> bool {
-        oold.page() >= self.floor
-            || self.mapping.contains_key(&oold)
-            || !self.part.contains_object(oold)
+        oold.page() >= self.floor || self.mapping.contains_key(&oold)
     }
 
     /// Migrate one batch inside one transaction (basic IRA).

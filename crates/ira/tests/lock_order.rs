@@ -1,23 +1,14 @@
-//! The substrate's observed lock order, pinned (DESIGN.md §11.1). A real
-//! workload runs under lockdep and every held-before edge it recorded must be
-//! in `LOCK_ORDER`: a new nesting fails here until its author adds a line.
-//! The `-> FaultState` rows are the classes a fault site may be evaluated under.
+//! A real workload — a batched IRA pass, then crash cells on the migration
+//! commit and a file fsync — runs with zero lockdep violations: every
+//! nesting it takes is in the declared order (DESIGN.md §11.1). In
+//! `--release --features lockdep` a violation counts instead of panicking,
+//! so the counter itself is asserted.
 #![cfg(any(debug_assertions, feature = "lockdep"))]
 
-use brahma::lockdep::{self, LockClass, LockClass::*};
+use brahma::lockdep;
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
 use harness::{run_cell, CrashCell};
 use ira::Reorg;
-
-const LOCK_ORDER: &[(LockClass, LockClass)] = &[
-    (PartitionAlloc, ErtInner),
-    (PartitionAlloc, PartitionPages),
-    (PartitionPages, PageLatch),
-    (DbReorgTables, TrtInner),
-    (DbReorgTables, FaultState),
-    (DbReorgTables, FileBackend),
-    (FileBackend, FaultState),
-];
 
 /// A chain in one partition anchored from another, reorganized in batches of
 /// 3.
@@ -42,8 +33,7 @@ fn build_and_reorganize() {
 }
 
 #[test]
-fn observed_lock_order_is_the_pinned_list() {
-    // In release + `lockdep` a violation counts instead of panicking.
+fn a_real_workload_keeps_the_declared_order() {
     let violations_before = lockdep::violations();
     build_and_reorganize();
     for (site, nth_hit) in [
@@ -56,19 +46,6 @@ fn observed_lock_order_is_the_pinned_list() {
             seed: 7,
         });
     }
-
-    let observed = lockdep::dump_edges();
-    for (from, to, chain) in &observed {
-        assert!(
-            LOCK_ORDER.contains(&(*from, *to)),
-            "new lock nesting {from:?} -> {to:?} (chain: {chain}): \
-             add it to LOCK_ORDER if it is intended"
-        );
-    }
-    let seen = |a, b| observed.iter().any(|(f, t, _)| (*f, *t) == (a, b));
-    // The checker is armed and the workload is real.
-    assert!(seen(PartitionAlloc, PartitionPages));
-    assert!(seen(FileBackend, FaultState));
     let violations = lockdep::violations() - violations_before;
     assert_eq!(violations, 0, "the workload must run clean under lockdep");
 }

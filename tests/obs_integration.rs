@@ -32,8 +32,11 @@ fn stable_params() -> WorkloadParams {
 /// Run `reorg` under workload load and return the substrate counter delta
 /// over the reorganization window plus the window's length in µs.
 ///
-/// A short lock timeout keeps deadlock-timeout noise (which costs a full
-/// timeout per event, on whichever side loses) small relative to the
+/// A lock wait is recorded when it ends, so the delta is read once the
+/// walkers have stopped: a wait still in progress when the window closes
+/// (every walker PQR parked is, until its commit releases them) counts
+/// too. A short lock timeout keeps deadlock-timeout noise (which costs a
+/// full timeout per event, on whichever side loses) small relative to the
 /// blocking the algorithms *cause*; the CPU model gives the reorganization
 /// itself a realistic serial cost, as in the paper's single-CPU runs.
 fn counters_under_load(reorg: impl FnOnce(&Database, brahma::PartitionId)) -> (Snapshot, u64) {
@@ -52,8 +55,8 @@ fn counters_under_load(reorg: impl FnOnce(&Database, brahma::PartitionId)) -> (S
     let started = Instant::now();
     reorg(&db, info.data_partitions[0]);
     let window_us = started.elapsed().as_micros().max(1) as u64;
-    let diff = db.obs_snapshot().diff(&before);
     let metrics = handle.stop_and_join();
+    let diff = db.obs_snapshot().diff(&before);
     assert_eq!(metrics.errors, 0, "no walker hit a non-retryable error");
     brahma::sweep::assert_database_consistent(&db);
     (diff, window_us)
@@ -118,8 +121,9 @@ fn ira_keeps_fewer_threads_blocked_than_pqr() {
     // is window-length-biased (IRA runs longer, and deliberately eats the
     // deadlock timeouts itself), so compare the *average number of blocked
     // threads*: wait-µs accumulated per µs of reorganization window.
-    // Observed levels on this workload: PQR ≈ 5 of the 6 walkers parked,
-    // IRA ≈ 1.5; the factor-2 margin keeps the test robust.
+    // Observed levels on this workload (40 debug runs, 2 vCPUs): PQR
+    // 4.7–6.0 of the 6 walkers parked, IRA 1.4–2.4, which includes the
+    // walkers blocking one another; the smallest ratio seen was 2.09.
     let ira_blocked = ira_diff.get("lock.wait_us_sum") as f64 / ira_window_us as f64;
     let pqr_blocked = pqr_diff.get("lock.wait_us_sum") as f64 / pqr_window_us as f64;
     assert!(
