@@ -201,8 +201,8 @@ impl<'db> Txn<'db> {
     /// Acquire `mode` on `addr`, waiting up to the configured timeout.
     pub fn lock(&mut self, addr: PhysAddr, mode: LockMode) -> Result<()> {
         if self.db.fault.armed() {
-            let upgrading = mode == LockMode::Exclusive
-                && self.db.locks.holds(self.id, addr) == Some(LockMode::Shared);
+            let upgrading =
+                mode == LockMode::Exclusive && self.lock_mode(addr) == Some(LockMode::Shared);
             self.db.fault.hit(if upgrading {
                 site::LOCK_UPGRADE
             } else {

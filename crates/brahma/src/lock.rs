@@ -19,7 +19,7 @@
 
 use crate::addr::PhysAddr;
 use crate::error::{Error, Result};
-use crate::lockdep::{self, Condvar, LockClass, Mutex, MutexGuard};
+use crate::lockdep::{Condvar, LockClass, Mutex, MutexGuard};
 use crate::txn::TxnId;
 use obs::{Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -386,12 +386,10 @@ impl LockManager {
         let state = table.entry(raw);
         if state.grantable(tid, mode) {
             self.grant(state, tid, mode);
-            drop(table);
+            Ok(())
         } else {
-            self.wait(table, tid, addr, mode)?;
+            self.wait(table, tid, addr, mode)
         }
-        lockdep::txn_lock_acquired(raw);
-        Ok(())
     }
 
     /// Park a request that was not grantable until it is, then grant it;
@@ -482,10 +480,6 @@ impl LockManager {
         if granted {
             self.grant(state, tid, mode);
         }
-        drop(table);
-        if granted {
-            lockdep::txn_lock_acquired(raw);
-        }
         granted
     }
 
@@ -498,11 +492,10 @@ impl LockManager {
             state.wake();
             table.reclaim_if_idle(raw);
         }
-        drop(table);
-        lockdep::txn_lock_released(raw);
     }
 
     /// The mode `tid` currently holds on `addr`, if any.
+    #[cfg(test)]
     pub(crate) fn holds(&self, tid: TxnId, addr: PhysAddr) -> Option<LockMode> {
         let raw = addr.to_raw();
         self.table(raw).get(raw)?.holder_mode(tid)
@@ -744,12 +737,12 @@ mod tests {
     #[test]
     fn abba_across_lock_shards_is_detected() {
         let m = mgr();
-        let (_, raised) = lockdep::tolerate(|| {
+        let (_, raised) = crate::lockdep::tolerate(|| {
             let _high = m.shards[3].0.lock();
             let _low = m.shards[1].0.lock();
         });
         assert_eq!(raised, 1, "shard 3 then shard 1 is an ordering violation");
-        let (_, raised) = lockdep::tolerate(|| {
+        let (_, raised) = crate::lockdep::tolerate(|| {
             let _low = m.shards[1].0.lock();
             let _high = m.shards[3].0.lock();
         });

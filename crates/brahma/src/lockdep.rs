@@ -14,26 +14,20 @@
 //! 2. within one class, nested instances must take strictly increasing
 //!    `order_key`s, which catches an ABBA between two shards of one structure.
 //!
-//! On top of the ordering rules, the module tracks the *logical* lock
-//! footprint of the running thread — the set of object addresses it holds
-//! through the lock manager — and exposes the paper's per-variant invariants
-//! as assertions: fuzzy traversal holds no locks ([`fuzzy_region`]), the
-//! two-lock variant never exceeds two distinct objects ([`two_lock_region`],
-//! with `O_old`/`O_new` aliased as one object), basic IRA holds only the
-//! batch's confirmed parent set ([`assert_txn_locks_subset`]), and the
-//! migrator is lock-free at batch boundaries ([`assert_no_txn_locks`]).
 //! `might_block`, called before each product `thread::sleep`, checks that
-//! nothing sleeps under a wrapped lock.
+//! nothing sleeps under a wrapped lock. [`check`] states a claim about the
+//! locks a caller holds — the paper's per-variant footprints, read off the
+//! reorganizer's own transactions — and evaluates it only when armed.
 //!
 //! A violation **panics** in debug builds (tests fail loudly) and is
 //! otherwise **counted** in the `lockdep.violations` counter that
-//! `Database::obs_snapshot` exports. The diagnostic names the acquiring
-//! thread's chain of held locks.
+//! `Database::obs_snapshot` exports. An ordering diagnostic names the
+//! acquiring thread's chain of held locks.
 //!
 //! The checker is armed when `debug_assertions` are on or the `lockdep`
 //! cargo feature is enabled. The wrapper types are the same either way;
-//! with the checker off they carry no tag, and `acquire`/`release` and the
-//! footprint functions return on the `ARMED` constant before touching a
+//! with the checker off they carry no tag, and `acquire`/`release` and
+//! [`check`] return on the `ARMED` constant before touching a
 //! thread-local or an atomic, so a wrapper has the layout of the
 //! `std::sync` type it wraps and a call compiles to the `std::sync` one.
 //!
@@ -155,13 +149,6 @@ struct HeldEntry {
     shared: bool,
 }
 
-#[derive(Default)]
-struct TwoLockState {
-    depth: u32,
-    /// (a, b) pairs counted as one logical object (`O_old`/`O_new`).
-    aliases: Vec<(u64, u64)>,
-}
-
 thread_local! {
     static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
@@ -170,13 +157,6 @@ thread_local! {
     /// Violations raised by *this thread* (so tests can measure deltas
     /// without interference from parallel tests).
     static TL_VIOLATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Object addresses this thread holds through the lock manager
-    /// (a set: re-grants and upgrades of a held address do not stack,
-    /// mirroring `Txn`'s single release per address at completion).
-    static TXN_LOCKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    static FUZZY_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static TWO_LOCK: RefCell<TwoLockState> =
-        const { RefCell::new(TwoLockState { depth: 0, aliases: Vec::new() }) };
 }
 
 // ------------------------------------------------------------ engine --
@@ -497,7 +477,7 @@ impl Condvar {
     }
 }
 
-// -------------------------------------------------- logical footprint --
+// ------------------------------------------------------------- checks --
 
 /// Total lock-order/invariant violations observed process-wide.
 pub fn violations() -> u64 {
@@ -533,162 +513,13 @@ pub fn tolerate<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, after - before)
 }
 
-/// The lock manager granted this thread a lock on object `addr`.
-pub(crate) fn txn_lock_acquired(addr: u64) {
-    if !ARMED {
-        return;
+/// Check a claim about the locks the caller holds, such as the set a
+/// transaction's [`crate::Txn::held_locks`] lists: `holds` runs only when
+/// the checker is armed, and a false claim is a violation named `what`.
+pub fn check(holds: impl FnOnce() -> bool, what: &str) {
+    if ARMED && !holds() {
+        violation(what);
     }
-    if FUZZY_DEPTH.with(|d| d.get()) > 0 {
-        violation(&format!(
-            "fuzzy traversal acquired a transaction lock on {addr:#x} \
-             (the traversal must run under latches only)"
-        ));
-    }
-    TXN_LOCKS.with(|l| {
-        let mut locks = l.borrow_mut();
-        if !locks.contains(&addr) {
-            locks.push(addr);
-        }
-    });
-    TWO_LOCK.with(|t| {
-        let t = t.borrow();
-        if t.depth == 0 {
-            return;
-        }
-        let distinct = TXN_LOCKS.with(|l| {
-            let locks = l.borrow();
-            let mut canon: Vec<u64> = locks.iter().map(|&a| canonical(&t.aliases, a)).collect();
-            canon.sort_unstable();
-            canon.dedup();
-            canon.len()
-        });
-        if distinct > 2 {
-            violation(&format!(
-                "two-lock variant exceeded its footprint: {distinct} distinct \
-                 objects locked (acquiring {addr:#x})"
-            ));
-        }
-    });
-}
-
-/// The lock manager released this thread's lock on object `addr`.
-/// Tolerant: releases of locks acquired before tracking (or by another
-/// thread) are ignored.
-pub(crate) fn txn_lock_released(addr: u64) {
-    if !ARMED {
-        return;
-    }
-    TXN_LOCKS.with(|l| {
-        let mut locks = l.borrow_mut();
-        if let Some(pos) = locks.iter().rposition(|&a| a == addr) {
-            locks.remove(pos);
-        }
-    });
-}
-
-fn canonical(aliases: &[(u64, u64)], addr: u64) -> u64 {
-    for &(a, b) in aliases {
-        if addr == b {
-            return a;
-        }
-    }
-    addr
-}
-
-/// Assert this thread holds no transaction locks.
-pub fn assert_no_txn_locks(context: &str) {
-    if !ARMED {
-        return;
-    }
-    let held: Vec<u64> = TXN_LOCKS.with(|l| l.borrow().clone());
-    if !held.is_empty() {
-        violation(&format!(
-            "{context}: thread still holds {} transaction lock(s): {:x?}",
-            held.len(),
-            held
-        ));
-    }
-}
-
-/// Assert `allowed` holds of every transaction lock this thread holds
-/// (basic IRA: the batch's confirmed parents plus the object itself). A
-/// predicate, not a list, so the caller builds nothing when the checker is
-/// not armed.
-pub fn assert_txn_locks_subset(allowed: impl Fn(u64) -> bool, context: &str) {
-    if !ARMED {
-        return;
-    }
-    let stray: Vec<u64> = TXN_LOCKS.with(|l| {
-        l.borrow()
-            .iter()
-            .copied()
-            .filter(|&a| !allowed(a))
-            .collect()
-    });
-    if !stray.is_empty() {
-        violation(&format!(
-            "{context}: thread holds lock(s) outside the allowed set: {stray:x?}"
-        ));
-    }
-}
-
-/// RAII scope: fuzzy traversal must *acquire* no transaction locks.
-/// Locks already held when the region opens are not flagged — tests
-/// legitimately run workload transactions and the reorganizer on one
-/// thread; the paper's invariant is that the traversal itself
-/// synchronizes through latches only.
-pub struct FuzzyRegion(());
-
-pub fn fuzzy_region() -> FuzzyRegion {
-    if ARMED {
-        FUZZY_DEPTH.with(|d| d.set(d.get() + 1));
-    }
-    FuzzyRegion(())
-}
-
-impl Drop for FuzzyRegion {
-    fn drop(&mut self) {
-        if ARMED {
-            FUZZY_DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-}
-
-/// RAII scope: the §4.2 two-lock variant holds at most two distinct
-/// objects. Register `O_old`/`O_new` with [`two_lock_alias`] so the pair
-/// counts as one object (the paper's footprint counts the migrating
-/// object once).
-pub struct TwoLockRegion(());
-
-pub fn two_lock_region() -> TwoLockRegion {
-    if ARMED {
-        TWO_LOCK.with(|t| t.borrow_mut().depth += 1);
-    }
-    TwoLockRegion(())
-}
-
-impl Drop for TwoLockRegion {
-    fn drop(&mut self) {
-        if !ARMED {
-            return;
-        }
-        TWO_LOCK.with(|t| {
-            let mut t = t.borrow_mut();
-            t.depth -= 1;
-            if t.depth == 0 {
-                t.aliases.clear();
-            }
-        });
-    }
-}
-
-/// Count `b` as the same logical object as `a` inside the enclosing
-/// two-lock region.
-pub fn two_lock_alias(a: u64, b: u64) {
-    if !ARMED {
-        return;
-    }
-    TWO_LOCK.with(|t| t.borrow_mut().aliases.push((a, b)));
 }
 
 #[cfg(all(test, any(debug_assertions, feature = "lockdep")))]
@@ -854,56 +685,5 @@ mod tests {
                 assert_eq!(held_depth(), 0);
             });
         });
-    }
-
-    #[test]
-    fn fuzzy_region_forbids_txn_locks() {
-        let (_, raised) = tolerate(|| {
-            let _r = fuzzy_region();
-            txn_lock_acquired(0xabc);
-        });
-        assert_eq!(raised, 1);
-        txn_lock_released(0xabc);
-    }
-
-    #[test]
-    fn two_lock_region_allows_two_and_trips_on_three() {
-        let (_, raised) = tolerate(|| {
-            let _r = two_lock_region();
-            two_lock_alias(0x10, 0x20); // O_old / O_new are one object
-            txn_lock_acquired(0x10);
-            txn_lock_acquired(0x20);
-            txn_lock_acquired(0x30); // one parent: footprint = 2, fine
-        });
-        assert_eq!(raised, 0);
-        let (_, raised) = tolerate(|| txn_lock_acquired(0x40));
-        assert_eq!(raised, 0, "outside the region nothing is enforced");
-        for a in [0x10u64, 0x20, 0x30, 0x40] {
-            txn_lock_released(a);
-        }
-        let (_, raised) = tolerate(|| {
-            let _r = two_lock_region();
-            txn_lock_acquired(0x1);
-            txn_lock_acquired(0x2);
-            txn_lock_acquired(0x3);
-        });
-        assert_eq!(raised, 1, "three distinct objects must trip the invariant");
-        for a in [0x1u64, 0x2, 0x3] {
-            txn_lock_released(a);
-        }
-    }
-
-    #[test]
-    fn subset_and_empty_assertions() {
-        txn_lock_acquired(0x5);
-        let (_, raised) = tolerate(|| assert_txn_locks_subset(|a| [0x5, 0x6].contains(&a), "test"));
-        assert_eq!(raised, 0);
-        let (_, raised) = tolerate(|| assert_txn_locks_subset(|a| a == 0x6, "test"));
-        assert_eq!(raised, 1);
-        let (_, raised) = tolerate(|| assert_no_txn_locks("test"));
-        assert_eq!(raised, 1);
-        txn_lock_released(0x5);
-        let (_, raised) = tolerate(|| assert_no_txn_locks("test"));
-        assert_eq!(raised, 0);
     }
 }

@@ -14,6 +14,9 @@
 //!   checkpoint ("repeating history"), then undo of loser transactions. The
 //!   undo is applied, not logged: `open` checkpoints right after a recovery
 //!   that replayed anything, and a crash before that checkpoint re-runs it.
+//!   A two-lock migration whose copy and pairing (`Migrate`) committed but
+//!   whose old copy was never freed is then finished: one sweep repoints
+//!   what still names the old copy, and frees it.
 //!   What the pages already say is not stored: each partition's allocator
 //!   directory is read off its page images, and once undo is done one sweep
 //!   over the live objects' cross-partition references rebuilds the ERTs.
@@ -23,7 +26,7 @@
 //!   migrations are transactional — completed migrations survive above the
 //!   floor, the in-flight one rolls back).
 
-use crate::addr::{PartitionId, PhysAddr};
+use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::config::StoreConfig;
 use crate::db::Database;
 use crate::error::{Error, Result};
@@ -114,13 +117,32 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
     // ---- Analysis: each transaction still open at the end of the log,
     // with its updates ----
     let mut open: HashMap<TxnId, Vec<LogPayload>> = HashMap::new();
+    // Old -> new of each committed `Migrate` whose old copy no committed
+    // record has freed yet, while its pass is open.
+    let mut unfinished: AddrMap<PhysAddr> = AddrMap::default();
     for rec in &image.log {
         match &rec.payload {
             LogPayload::Begin => {
                 open.insert(rec.tid, Vec::new());
             }
-            LogPayload::Commit | LogPayload::Abort => {
+            LogPayload::Commit => {
+                for update in open.remove(&rec.tid).unwrap_or_default() {
+                    match update {
+                        LogPayload::Migrate { old, new } => {
+                            unfinished.insert(old, new);
+                        }
+                        LogPayload::Free { addr: old, .. } | LogPayload::Move { old, .. } => {
+                            unfinished.remove(&old);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            LogPayload::Abort => {
                 open.remove(&rec.tid);
+            }
+            LogPayload::ReorgEnd { partition, .. } => {
+                unfinished.retain(|old, _| old.partition() != *partition);
             }
             LogPayload::Create { .. }
             | LogPayload::Free { .. }
@@ -134,9 +156,7 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
                     updates.push(rec.payload.clone());
                 }
             }
-            LogPayload::ReorgStart { .. }
-            | LogPayload::ReorgEnd { .. }
-            | LogPayload::CreatePartition { .. } => {}
+            LogPayload::ReorgStart { .. } | LogPayload::CreatePartition { .. } => {}
         }
     }
 
@@ -156,6 +176,7 @@ pub(crate) fn recover(image: CrashImage, config: StoreConfig) -> Result<Recovery
             redo_record(&db, &compensation)?;
         }
     }
+    finish_migrations(&db, &unfinished)?;
     rebuild_erts(&db)?;
 
     // A pass is open in the checkpoint's snapshot or after REDO of its
@@ -201,6 +222,53 @@ fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
         }
         update => db.apply_update(update, false),
     }
+}
+
+/// Finish the two-lock migrations a crash cut short: the copy and its
+/// pairing with the old copy committed, the free of the old copy did not,
+/// so some parents may still name it. One sweep over the live objects
+/// repoints every reference to an old copy at its new one, and the old
+/// copies are freed.
+fn finish_migrations(db: &Database, unfinished: &AddrMap<PhysAddr>) -> Result<()> {
+    let live = |a: &PhysAddr| {
+        db.partition_ref(a.partition())
+            .is_ok_and(|part| part.contains_object(*a))
+    };
+    let pairs: AddrMap<PhysAddr> = unfinished
+        .iter()
+        .filter(|(old, new)| live(old) && live(new))
+        .map(|(&old, &new)| (old, new))
+        .collect();
+    if pairs.is_empty() {
+        return Ok(());
+    }
+    let mut repoints = Vec::new();
+    for p in db.partition_ids() {
+        for parent in db.partition_ref(p)?.live_objects() {
+            db.with_page_read(parent, |buf| {
+                object::refs(buf, parent).map(|refs| {
+                    for (index, old_child) in refs.enumerate() {
+                        if let Some(&new_child) = pairs.get(&old_child) {
+                            repoints.push(LogPayload::SetRef {
+                                parent,
+                                index,
+                                old_child,
+                                new_child,
+                            });
+                        }
+                    }
+                })
+            })??;
+        }
+    }
+    for update in &repoints {
+        db.apply_update(update, false)?;
+    }
+    for &addr in pairs.keys() {
+        let image = db.raw_read(addr)?;
+        db.apply_update(&LogPayload::Free { addr, image }, false)?;
+    }
+    Ok(())
 }
 
 /// Fill every partition's ERT from the recovered pages: one sweep over the

@@ -118,6 +118,27 @@ mod tests {
         assert_eq!(st.parents_of(leaf), vec![mid]);
     }
 
+    /// Section 3.4: the traversal synchronizes through page latches only.
+    /// On a quiet store, step one grants no lock at all.
+    #[test]
+    fn the_traversal_takes_no_lock() {
+        let db = Database::new(StoreConfig::default());
+        let p0 = db.create_partition();
+        let p1 = db.create_partition();
+        let leaf = mk(&db, p1, vec![]);
+        let mid = mk(&db, p1, vec![leaf, leaf]);
+        let _ext = mk(&db, p0, vec![mid]);
+        db.add_root(leaf);
+
+        db.start_reorg(p1).unwrap();
+        let before = db.obs_snapshot().get("lock.acquisitions");
+        let st = find_objects_and_approx_parents(&db, p1);
+        let after = db.obs_snapshot().get("lock.acquisitions");
+        db.end_reorg(p1);
+        assert_eq!(st.order.len(), 2);
+        assert_eq!(after, before, "the traversal granted a lock");
+    }
+
     /// The Figure-2 scenario: the only reference to an object is cut while
     /// the reorganizer runs; the TRT-driven L2 loop still finds the object.
     #[test]

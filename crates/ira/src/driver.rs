@@ -39,7 +39,9 @@ pub enum IraVariant {
 #[derive(Debug, Clone)]
 pub(crate) struct IraConfig {
     /// Migrations grouped into one transaction (Section 4.3's logging/IO
-    /// trade-off; for the two-lock variant, parent updates per transaction).
+    /// trade-off). The two-lock variant commits each parent update in its
+    /// own transaction whatever the size; for it a batch is only the
+    /// objects that one retry covers.
     pub batch_size: usize,
     pub variant: IraVariant,
     /// Backoff applied when a batch hits a retryable conflict — a deadlock
@@ -299,10 +301,6 @@ impl ReorgRun<'_> {
                 return Some(stop);
             }
             self.pos = end;
-            // The batch transaction committed or rolled back: the migrator
-            // may not carry lock-manager locks across a batch boundary
-            // (crash consistency depends on it).
-            lockdep::assert_no_txn_locks("IRA migrator at batch boundary");
             brahma::sched::point("ira.batch");
             self.db.fault.observe(ira_site::BATCH);
         }
@@ -418,29 +416,31 @@ impl ReorgRun<'_> {
         self.db.fault.hit(ira_site::EXACT_PARENTS)?;
         // Three clock reads: the phases meet at `found`.
         let start = Instant::now();
+        let before = txn.held_locks().len();
         find_exact_parents(
             self.db,
             &self.trt,
             txn,
             oold,
             &mut self.state,
-            &work.keep,
             &mut work.parents,
         )?;
         let found = Instant::now();
         self.phases.exact_parents += found - start;
-        // Basic-IRA footprint invariant (Section 3.5): after
-        // Find_Exact_Parents the batch transaction holds locks only on
-        // confirmed parents — the current object's and the kept set from
-        // earlier objects in this batch.
-        lockdep::assert_txn_locks_subset(
-            |a| {
-                let a = PhysAddr::from_raw(a);
-                work.keep.contains(&a) || work.parents.exact.contains(&a)
-            },
-            "basic IRA after Find_Exact_Parents",
+        // Basic-IRA footprint (Section 3.5): what Find_Exact_Parents left
+        // locked beyond the locks of earlier objects in this batch is
+        // this object's confirmed parents, and nothing else.
+        let fresh = &txn.held_locks()[before..];
+        let exact = &work.parents.exact;
+        lockdep::check(
+            || fresh.iter().all(|(a, _)| exact.binary_search(a).is_ok()),
+            "basic IRA holds a lock on a non-parent after Find_Exact_Parents",
         );
-        let onew = move_object_and_update_refs(
+        let newly_locked = fresh
+            .iter()
+            .filter(|(a, _)| a.partition() != self.partition)
+            .count();
+        move_object_and_update_refs(
             txn,
             oold,
             self.plan,
@@ -449,15 +449,6 @@ impl ReorgRun<'_> {
             work,
         )?;
         self.phases.migrate += found.elapsed();
-        // Confirmed parents only: under `EvacuateTo` the copy is outside
-        // the partition too, and is nobody's parent lock.
-        let mut newly_locked = 0;
-        for &parent in &work.parents.exact {
-            if work.keep.insert(parent) && parent.partition() != self.partition {
-                newly_locked += 1;
-            }
-        }
-        work.keep.extend([onew, oold]);
         Ok(newly_locked)
     }
 

@@ -20,7 +20,7 @@
 
 use crate::relaxed::lock_and_settle;
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, PhysAddr, Result, Trt, Txn};
+use brahma::{Database, PhysAddr, Result, Trt, Txn};
 
 /// The buffers [`find_exact_parents`] fills: the caller keeps them from
 /// object to object, so the search allocates nothing once they have grown.
@@ -36,17 +36,15 @@ pub(crate) struct ParentBufs {
 /// Lock the exact parents of `oold` and leave them, sorted, in
 /// `bufs.exact`. `trt` is the partition's, as `start_reorg` returned it.
 ///
-/// `keep_locked` holds addresses the enclosing (batched) transaction must
-/// not release even if they turn out not to be parents of *this* object —
-/// they are confirmed parents of an earlier migration in the same
-/// transaction (Section 4.3 grouping).
+/// A candidate that turns out not to be a parent is released only if `txn`
+/// did not hold it before: in a batch (Section 4.3 grouping) it may be a
+/// confirmed parent of an earlier migration in the same transaction.
 pub(crate) fn find_exact_parents(
     db: &Database,
     trt: &Trt,
     txn: &mut Txn<'_>,
     oold: PhysAddr,
     state: &mut TraversalState,
-    keep_locked: &AddrSet,
     bufs: &mut ParentBufs,
 ) -> Result<()> {
     let ParentBufs {
@@ -58,14 +56,15 @@ pub(crate) fn find_exact_parents(
 
     // ---- S1: lock the approximate parents, verify each ----
     for &parent in approx.iter() {
+        let held = txn.lock_mode(parent).is_some();
         lock_and_settle(db, txn, parent)?;
         if still_references(txn, parent, oold) {
             confirmed.push(parent);
         } else {
-            // No longer a parent: forget it and release the lock unless the
-            // enclosing transaction needs it for an earlier migration.
+            // No longer a parent: forget it, and release the lock unless
+            // the transaction held it already.
             state.remove_parent(oold, parent);
-            if !keep_locked.contains(&parent) && !confirmed.contains(&parent) {
+            if !held {
                 let _ = txn.early_unlock(parent);
             }
         }
@@ -76,6 +75,7 @@ pub(crate) fn find_exact_parents(
         // Lock the tuple's parent first (blocking: must not hold the
         // TRT latch), then delete the tuple, then decide parenthood
         // under the lock — exactly the order of Figure 4.
+        let held = txn.lock_mode(tuple.parent).is_some();
         lock_and_settle(db, txn, tuple.parent)?;
         trt.remove_tuple(&tuple);
         if still_references(txn, tuple.parent, oold) {
@@ -85,7 +85,7 @@ pub(crate) fn find_exact_parents(
             }
         } else {
             state.remove_parent(oold, tuple.parent);
-            if !keep_locked.contains(&tuple.parent) && !confirmed.contains(&tuple.parent) {
+            if !held {
                 let _ = txn.early_unlock(tuple.parent);
             }
         }
@@ -133,10 +133,9 @@ mod tests {
         txn: &mut Txn<'_>,
         o: PhysAddr,
         state: &mut TraversalState,
-        keep: &AddrSet,
     ) -> Vec<PhysAddr> {
         let mut bufs = ParentBufs::default();
-        find_exact_parents(db, trt, txn, o, state, keep, &mut bufs).unwrap();
+        find_exact_parents(db, trt, txn, o, state, &mut bufs).unwrap();
         bufs.exact
     }
 
@@ -158,7 +157,7 @@ mod tests {
         let trt = db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         let mut expect = vec![ext, local];
         expect.sort_unstable();
         assert_eq!(parents, expect);
@@ -185,7 +184,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         assert_eq!(parents, vec![ext]);
         assert_eq!(txn.lock_mode(ext2), None, "non-parent was unlocked");
         txn.commit().unwrap();
@@ -208,7 +207,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         assert!(
             parents.contains(&latecomer),
             "TRT loop must find the new parent"
@@ -237,7 +236,7 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         assert_eq!(parents, vec![ext]);
         txn.commit().unwrap();
         db.end_reorg(p1);
@@ -267,7 +266,7 @@ mod tests {
 
         assert!(trt.has_tuples_for(o));
         let mut txn = db.begin_reorg(p1);
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &AddrSet::default());
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         assert!(!trt.has_tuples_for(o), "all tuples about o consumed");
         assert!(parents.contains(&ext) && parents.contains(&extra));
         txn.commit().unwrap();
@@ -275,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn keep_locked_parents_stay_locked() {
+    fn a_non_parent_locked_earlier_stays_locked() {
         let (db, p0, p1) = setup();
         let o = mk(&db, p1, vec![]);
         let shared_parent = mk(&db, p0, vec![o]);
@@ -288,16 +287,14 @@ mod tests {
         t.commit().unwrap();
 
         let mut txn = db.begin_reorg(p1);
-        let mut keep = AddrSet::default();
-        keep.insert(shared_parent);
         // Pre-lock it, as an earlier migration in the same batch would have.
         txn.lock(shared_parent, LockMode::Exclusive).unwrap();
-        let parents = exact(&db, &trt, &mut txn, o, &mut state, &keep);
+        let parents = exact(&db, &trt, &mut txn, o, &mut state);
         assert!(parents.is_empty());
         assert_eq!(
             txn.lock_mode(shared_parent),
             Some(LockMode::Exclusive),
-            "keep_locked parents must not be released"
+            "a lock the transaction held before the search is not released"
         );
         txn.commit().unwrap();
         db.end_reorg(p1);

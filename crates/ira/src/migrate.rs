@@ -28,18 +28,13 @@
 use crate::exact::ParentBufs;
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
-use brahma::{
-    AddrSet, Error as StoreError, LockMode, NewObject, ObjectView, PhysAddr, Result, Txn,
-};
+use brahma::{Error as StoreError, LockMode, NewObject, ObjectView, PhysAddr, Result, Txn};
 
 /// Side effects of migrations inside one (possibly batched) transaction,
 /// recorded so they can be reverted if the transaction later aborts. Kept
 /// by the migrator from batch to batch, so its tables are allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct BatchEffects {
-    /// Every address the batch transaction must keep locked: the confirmed
-    /// parents of the objects migrated so far, and their old and new copies.
-    pub keep: AddrSet,
     /// (old, new) pairs, in migration order.
     pub migrations: Vec<(PhysAddr, PhysAddr)>,
     /// (child, old_parent, new_parent) parent-list rewrites applied to the
@@ -53,7 +48,6 @@ pub(crate) struct BatchEffects {
 impl BatchEffects {
     /// Forget the previous batch.
     pub(crate) fn clear(&mut self) {
-        self.keep.clear();
         self.migrations.clear();
         self.parent_rewrites.clear();
     }
@@ -236,8 +230,7 @@ mod tests {
         let trt = db.trt(oold.partition()).unwrap();
         let mut txn = db.begin_reorg(oold.partition());
         let mut effects = BatchEffects::default();
-        let keep = AddrSet::default();
-        find_exact_parents(db, &trt, &mut txn, oold, state, &keep, &mut effects.parents).unwrap();
+        find_exact_parents(db, &trt, &mut txn, oold, state, &mut effects.parents).unwrap();
         let onew =
             move_object_and_update_refs(&mut txn, oold, plan, None, state, &mut effects).unwrap();
         txn.commit().unwrap();
@@ -355,17 +348,7 @@ mod tests {
         let mut state = find_objects_and_approx_parents(&db, p1);
         let mut txn = db.begin_reorg(p1);
         let mut effects = BatchEffects::default();
-        let keep = AddrSet::default();
-        find_exact_parents(
-            &db,
-            &trt,
-            &mut txn,
-            o,
-            &mut state,
-            &keep,
-            &mut effects.parents,
-        )
-        .unwrap();
+        find_exact_parents(&db, &trt, &mut txn, o, &mut state, &mut effects.parents).unwrap();
         let plan = RelocationPlan::CompactInPlace;
         move_object_and_update_refs(&mut txn, o, plan, None, &mut state, &mut effects).unwrap();
         txn.abort();

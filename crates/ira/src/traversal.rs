@@ -119,10 +119,6 @@ pub(crate) fn fuzzy_traversal(
     seeds: impl IntoIterator<Item = PhysAddr>,
     state: &mut TraversalState,
 ) {
-    // Section 3.4's core invariant: the traversal synchronizes through page
-    // latches only. The region guard makes any lock-manager acquisition on
-    // this thread a lockdep violation until the traversal returns.
-    let _fuzzy = brahma::lockdep::fuzzy_region();
     let mut stack: Vec<PhysAddr> = seeds
         .into_iter()
         .filter(|a| a.partition() == partition && !state.visited.contains(a))

@@ -17,23 +17,26 @@
 //! ever-held-wait argument of Lemma 3.2 applies per parent) and the old
 //! copy is freed.
 //!
-//! The paper notes two costs, which this implementation inherits: after a
-//! crash, both locations must be locked and the reorganization restarted
-//! (some parents may point at `O_old` and others at `O_new`); and reference
-//! *comparisons* by transactions must either lock the referenced objects or
-//! consult the migration mapping (see [`crate::driver::IraReport::mapping`]).
+//! The paper notes two costs. After a crash some parents may point at
+//! `O_old` and others at `O_new`: the copy's transaction logs the pairing
+//! (`Migrate`), so restart recovery repoints what still names `O_old` and
+//! frees it before the pass restarts. And reference *comparisons* by
+//! transactions must either lock the referenced objects or consult the
+//! migration mapping (see [`crate::driver::IraReport::mapping`]).
 
 use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
 use crate::traversal::TraversalState;
-use brahma::{AddrSet, Database, Error, LockMode, PhysAddr, Result, RetryPolicy};
+use brahma::{lockdep, AddrSet, Database, Error, LockMode, PhysAddr, Result, RetryPolicy};
 
 /// Migrate one object with the two-lock discipline.
 ///
 /// On success the migration is committed (the guard transaction commits
 /// inside) and counted in `db.migrations`; the caller records the returned
-/// new address in its migration map.
+/// new address in its migration map. Once the copy has committed, only an
+/// error that outlasts `retry` or cannot be retried stops the migration
+/// short; recovery finishes it after a crash that leaves its pass open.
 pub(crate) fn migrate_two_lock(
     db: &Database,
     oold: PhysAddr,
@@ -44,11 +47,6 @@ pub(crate) fn migrate_two_lock(
 ) -> Result<PhysAddr> {
     let partition = oold.partition();
 
-    // Section 4.2's defining claim, checked at runtime: within this region
-    // the reorganizer never holds locks on more than two distinct objects
-    // (O_old/O_new alias to one once the copy exists).
-    let _two_lock = brahma::lockdep::two_lock_region();
-
     // Guard transaction: holds O_old (and soon O_new) for the whole
     // migration.
     let mut guard = db.begin_reorg(partition);
@@ -56,14 +54,21 @@ pub(crate) fn migrate_two_lock(
     settle(db, guard.id(), oold)?;
     let mut source = CopySource::new(guard.read(oold)?, oold, transform);
 
-    // Create the copy in its own transaction, then hand its lock to the
-    // guard. Nothing references O_new yet, so the hand-over window is
-    // unreachable by other transactions.
+    // Create the copy in its own transaction, which also logs the pairing
+    // of O_old with O_new. Its commit decides the migration: from here on
+    // every step retries in place, and after a crash recovery finishes it.
+    // A root naming O_old names O_new from this commit, and a transaction
+    // that read the root earlier still waits on the guard's X lock.
     let mut creator = db.begin_reorg(partition);
     let onew = source.create_copy(&mut creator, plan)?;
+    creator.log_migration(oold, onew)?;
     creator.commit()?;
-    brahma::lockdep::two_lock_alias(oold.to_raw(), onew.to_raw());
-    guard.lock(onew, LockMode::Exclusive)?;
+    retrying(db, retry, || guard.lock(onew, LockMode::Exclusive))?;
+    let pair = [oold, onew];
+    lockdep::check(
+        || guard.held_locks().iter().all(|(a, _)| pair.contains(a)),
+        "the two-lock guard holds a lock besides O_old and O_new",
+    );
 
     // Repoint parents one at a time. The approximate list seeds the work;
     // the TRT supplies parents that appear (or reappear) concurrently. A
@@ -94,20 +99,41 @@ pub(crate) fn migrate_two_lock(
     // Nothing reverts a two-lock migration (each step committed on its own),
     // so the rewrite list is dropped.
     crate::migrate::repoint_children(&source.image.refs, oold, onew, state, &mut Vec::new());
-    guard.log_migration(oold, onew)?;
-    guard.delete_object(oold)?;
-    guard.commit()?;
+    // Free O_old: the guard's transaction first; a failed attempt rolls
+    // back, and the next locks O_old in a transaction of its own.
+    let mut guard = Some(guard);
+    retrying(db, retry, || {
+        let mut txn = guard.take().unwrap_or_else(|| db.begin_reorg(partition));
+        lock_and_settle(db, &mut txn, oold)?;
+        txn.delete_object(oold)?;
+        txn.commit()
+    })?;
 
     db.stats.migrations.inc();
     Ok(onew)
 }
 
+/// Run `step` until it succeeds, fails for good, or outlasts `retry`:
+/// retryable conflicts — lock timeouts, upgrade conflicts, injected
+/// transient faults, including at commit — back off and go again, so a
+/// deadlock against a walker (who may be waiting on the guarded `oold`)
+/// resolves without abandoning the migration.
+fn retrying<T>(
+    db: &Database,
+    retry: &RetryPolicy,
+    mut step: impl FnMut() -> Result<T>,
+) -> Result<T> {
+    let mut backoff = retry.start();
+    loop {
+        match step() {
+            Err(e) if e.is_retryable_conflict() && db.retry_backoff(&mut backoff) => {}
+            outcome => return outcome,
+        }
+    }
+}
+
 /// Lock one parent in its own transaction, rewrite its references to
-/// `oold`, commit (releasing it). Retryable conflicts — lock timeouts,
-/// upgrade conflicts, injected transient faults, including at commit —
-/// retry locally under `retry`, so a deadlock against a walker (who
-/// may be waiting on the guarded `oold`) resolves without abandoning the
-/// migration.
+/// `oold`, commit (releasing it), under [`retrying`].
 fn repoint_parent(
     db: &Database,
     parent: PhysAddr,
@@ -115,26 +141,20 @@ fn repoint_parent(
     onew: PhysAddr,
     retry: &RetryPolicy,
 ) -> Result<()> {
-    let mut backoff = retry.start();
-    loop {
+    retrying(db, retry, || {
         let mut txn = db.begin_reorg(oold.partition());
-        let outcome = lock_and_settle(db, &mut txn, parent)
-            .and_then(|()| match txn.repoint_refs(parent, oold, onew) {
-                // A stale parent (freed garbage) has nothing to fix.
-                Ok(_) | Err(Error::NoSuchObject(_)) => Ok(()),
-                Err(e) => Err(e),
-            })
-            .and_then(|()| txn.commit());
-        match outcome {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_retryable_conflict() => {
-                if !db.retry_backoff(&mut backoff) {
-                    return Err(e);
-                }
-            }
+        lock_and_settle(db, &mut txn, parent)?;
+        match txn.repoint_refs(parent, oold, onew) {
+            // A stale parent (freed garbage) has nothing to fix.
+            Ok(_) | Err(Error::NoSuchObject(_)) => {}
             Err(e) => return Err(e),
         }
-    }
+        lockdep::check(
+            || txn.held_locks().len() == 1,
+            "a two-lock parent transaction holds more than its parent",
+        );
+        txn.commit()
+    })
 }
 
 #[cfg(test)]
@@ -186,17 +206,18 @@ mod tests {
         brahma::sweep::assert_database_consistent(&db);
     }
 
-    /// Integration-level footprint check: a real migration stays within the
-    /// two-lock budget, and a seeded third distinct lock inside the region
-    /// trips lockdep. (The unit-level variant lives in `brahma::lockdep`.)
+    /// A real migration keeps to the two-lock footprint: the guard holds
+    /// only `O_old` and `O_new`, and each parent transaction one lock.
     #[test]
     #[cfg(any(debug_assertions, feature = "lockdep"))]
-    fn migration_is_clean_and_seeded_third_lock_trips() {
+    fn migration_is_clean() {
         let db = Database::new(StoreConfig::default());
         let p0 = db.create_partition();
         let p1 = db.create_partition();
         let o = mk(&db, p1, vec![]);
         let e1 = mk(&db, p0, vec![o]);
+        let e2 = mk(&db, p1, vec![o]);
+        let _anchor = mk(&db, p0, vec![e2]);
 
         db.start_reorg(p1).unwrap();
         let mut state = find_objects_and_approx_parents(&db, p1);
@@ -204,24 +225,7 @@ mod tests {
         db.end_reorg(p1);
         assert_eq!(raised, 0, "a real two-lock migration must not trip lockdep");
         assert_eq!(db.raw_read(e1).unwrap().refs, vec![onew]);
-
-        // Seeded violation: three distinct objects locked inside the region.
-        let a = mk(&db, p0, vec![]);
-        let b = mk(&db, p0, vec![]);
-        let c = mk(&db, p0, vec![]);
-        let ((), raised) = brahma::lockdep::tolerate(|| {
-            let region = brahma::lockdep::two_lock_region();
-            let mut t = db.begin();
-            t.lock(a, LockMode::Exclusive).unwrap();
-            t.lock(b, LockMode::Exclusive).unwrap();
-            t.lock(c, LockMode::Exclusive).unwrap();
-            drop(region);
-            t.commit().unwrap();
-        });
-        assert!(
-            raised >= 1,
-            "a third distinct lock inside a two-lock region must trip lockdep"
-        );
+        assert_eq!(db.raw_read(e2).unwrap().refs, vec![onew]);
     }
 
     #[test]

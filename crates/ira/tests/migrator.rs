@@ -3,6 +3,7 @@
 //! exactly once, and a pass crashed mid-queue must restart from its floor,
 //! moving only what the crashed run had not placed.
 
+use brahma::fault::site;
 use brahma::{
     Database, FaultAction, FaultPlan, FaultRule, NewObject, PartitionId, PhysAddr, StoreConfig,
 };
@@ -179,6 +180,9 @@ fn crash_at_half_body(chains: usize, chain_len: usize, variant: IraVariant, evac
         .batch(batch)
         .run();
     assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
+    // On a quiet store only the migrator locks, and it holds nothing at a
+    // batch boundary.
+    assert_eq!(db.locks.table_size(), 0, "no lock outlives its batch");
     drop(db); // the crash
 
     let out = brahma::storage::open(config).expect("recovery");
@@ -243,7 +247,7 @@ fn a_restart_killed_again_restarts_at_the_same_floor_and_completes() {
     let (_, placed_first) = split_at_floor(&out.db, forest.p1);
     assert_eq!(placed_first, 6 * batch);
     out.db.fault.arm(FaultPlan::new(2).with(FaultRule::nth(
-        brahma::fault::site::FILE_PWRITE,
+        site::FILE_PWRITE,
         40,
         FaultAction::Crash,
     )));
@@ -320,7 +324,7 @@ fn a_loser_migration_of_a_root_leaves_the_root_in_place() {
     let (db, config, dir, root) = durable_root("loser-root");
     // The pass logs ReorgStart, then its batch Begin, Move and Commit: the
     // kill lands on the fourth write, the `Commit`.
-    let kill = FaultRule::nth(brahma::fault::site::FILE_PWRITE, 4, FaultAction::Crash);
+    let kill = FaultRule::nth(site::FILE_PWRITE, 4, FaultAction::Crash);
     db.fault.arm(FaultPlan::new(6).with(kill));
     let crashed = Reorg::on(&db, root.partition()).run();
     assert!(matches!(crashed, Err(IraError::SimulatedCrash)));
@@ -408,6 +412,82 @@ fn evacuation_counts_external_parents_not_copies() {
                 "evacuate:{evacuate},batch:{batch}"
             );
             brahma::sweep::assert_database_consistent(&db);
+        }
+    }
+}
+
+/// An anchor in a first partition names `a` and `b` in a second, and both
+/// name one shared child: its two-lock migration repoints two parents, one
+/// transaction each. Returns the second partition and the anchor.
+fn shared_child(db: &Database) -> (PartitionId, PhysAddr) {
+    let p0 = db.create_partition();
+    let p1 = db.create_partition();
+    let mut t = db.begin();
+    let mut mk = |p, tag, refs| {
+        t.create_object(p, NewObject::exact(tag, refs, vec![tag]))
+            .expect("build")
+    };
+    let child = mk(p1, 1, vec![]);
+    let a = mk(p1, 2, vec![child]);
+    let b = mk(p1, 3, vec![child]);
+    let anchor = mk(p0, 4, vec![a, b]);
+    t.commit().expect("build");
+    (p1, anchor)
+}
+
+/// A two-lock migration whose copy has committed always finishes (DESIGN
+/// §6 invariant 6): killed at any log write of the pass, the reopened
+/// store and the restarted pass hold the original graph, one copy of each
+/// object, the shared child not split between two copies.
+#[test]
+fn a_two_lock_kill_finishes_its_migration() {
+    for k in 1..=39 {
+        with_repro_banner(&format!("SEED=none CELL=two_lock_kill,pwrite:{k}"), || {
+            let (db, config, dir) = durable_store(&format!("two-lock-kill-{k}"));
+            let (p1, anchor) = shared_child(&db);
+            let reference = logical_fingerprint(&db, &[anchor]);
+            db.checkpoint_durable(1).expect("durable checkpoint");
+            let kill = FaultRule::nth(site::FILE_PWRITE, k, FaultAction::Crash);
+            db.fault.arm(FaultPlan::new(k).with(kill));
+            let _ = Reorg::on(&db, p1).variant(IraVariant::TwoLock).run();
+            drop(db); // the crash
+
+            let out = brahma::storage::open(config).expect("reopen");
+            let db = &out.db;
+            let restart = Reorg::on(db, p1).variant(IraVariant::TwoLock).run();
+            restart.expect("restart");
+            assert_eq!(logical_fingerprint(db, &[anchor]), reference, "k={k}");
+            let live = db.partition(p1).expect("p1").object_count();
+            assert_eq!(live, 3, "k={k}: one copy of each object");
+            brahma::sweep::assert_database_consistent(db);
+            drop(out);
+            std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+        });
+    }
+}
+
+/// A transient fault anywhere in a two-lock pass is retried: the run ends
+/// `Ok` with the original graph and one copy of each object, whether the
+/// fault lands before the copy commits (the whole migration retries) or
+/// after (the step retries in place).
+#[test]
+fn a_two_lock_retry_finishes_its_migration() {
+    for fault_site in [site::LOCK_ACQUIRE, site::WAL_COMMIT_FLUSH] {
+        for k in 1..=12 {
+            let cell = format!("SEED=none CELL=two_lock_retry,{fault_site}:{k}");
+            with_repro_banner(&cell, || {
+                let db = Database::new(StoreConfig::default());
+                let (p1, anchor) = shared_child(&db);
+                let reference = logical_fingerprint(&db, &[anchor]);
+                let fault = FaultRule::nth(fault_site, k, FaultAction::Retryable);
+                db.fault.arm(FaultPlan::new(k).with(fault));
+                let outcome = Reorg::on(&db, p1).variant(IraVariant::TwoLock).run();
+                outcome.expect("a transient fault is retried");
+                assert_eq!(logical_fingerprint(&db, &[anchor]), reference, "{cell}");
+                let live = db.partition(p1).expect("p1").object_count();
+                assert_eq!(live, 3, "{cell}: one copy of each object");
+                brahma::sweep::assert_database_consistent(&db);
+            });
         }
     }
 }
