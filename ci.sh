@@ -192,6 +192,22 @@ if [ -n "$spins" ]; then
   echo "$spins" >&2
   exit 1
 fi
+# No builder option without a caller: every `pub fn` of `ira::Reorg` is
+# called (`Reorg::name(` or `.name(`) from non-test code of the programs
+# that use the crate, benchmark/src, crates/bench/src, examples/ and src/.
+# The harness crate and the tests do not count, so an option only a test
+# sets fails here.
+callers=$(find benchmark/src crates/bench/src examples src -name '*.rs' |
+  while read -r f; do nontest "$f"; done | grep -v '^ *//')
+uncalled=$(sed -n "/^impl<'a> Reorg<'a> {/,/^}/p" crates/ira/src/builder.rs |
+  sed -n 's/^    pub fn \([a-z_][a-z0-9_]*\).*/\1/p' | while read -r m; do
+    printf '%s\n' "$callers" | grep -qE "(Reorg::|\.)$m\(" || echo "Reorg::$m"
+  done)
+if [ -n "$uncalled" ]; then
+  echo "ira::Reorg options no non-test program calls:" >&2
+  echo "$uncalled" >&2
+  exit 1
+fi
 # Line width: rustfmt leaves a whole statement as written when a string
 # literal in it runs past `max_width` (100), so `cargo fmt --check` below
 # cannot see that statement's indentation. Every Rust file under

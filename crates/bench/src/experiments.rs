@@ -4,7 +4,7 @@
 
 use crate::report::{Experiment, Row};
 use crate::runner::{run_cell, Algo, CellConfig};
-use ira::{IraVariant, MigrationOrder};
+use ira::IraVariant;
 use std::time::Duration;
 use workload::WorkloadParams;
 
@@ -251,13 +251,6 @@ pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
             Box::new(|cfg: &mut CellConfig| cfg.variant = IraVariant::TwoLock),
         ),
         ("batch=32", Box::new(|cfg: &mut CellConfig| cfg.batch = 32)),
-        (
-            "batch=32+extparent-order",
-            Box::new(|cfg: &mut CellConfig| {
-                cfg.batch = 32;
-                cfg.order = MigrationOrder::GroupByExternalParent;
-            }),
-        ),
         (
             "no-trt-purge",
             Box::new(|cfg: &mut CellConfig| cfg.store.trt_purge = false),

@@ -14,11 +14,11 @@
 //!
 //! Fragmentation is honest about what it models: a long-lived store whose
 //! creation-order clustering decayed under churn. The scramble phase uses
-//! the reorganizer itself with a seeded random [`MigrationOrder::Priority`]
-//! — the same machinery, pointed backwards.
+//! the reorganizer itself with a seeded random migration order
+//! ([`Reorg::order`]) — the same machinery, pointed backwards.
 
 use brahma::{Database, PhysAddr, StoreConfig};
-use ira::{EdgeCount, MigrationOrder, Reorg, StatsGreedy};
+use ira::{EdgeCount, Reorg, StatsGreedy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -146,7 +146,7 @@ fn fragment(db: &Database, partitions: &[brahma::PartitionId], seed: u64) {
             objs.swap(i, rng.gen_range(0..i + 1));
         }
         Reorg::on(db, p)
-            .order(MigrationOrder::Priority(objs))
+            .order(objs)
             .run()
             .expect("scramble reorganization completes");
     }

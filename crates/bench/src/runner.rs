@@ -13,7 +13,7 @@
 //! measured over the duration IRA needed.
 
 use brahma::{Database, StoreConfig};
-use ira::{IraVariant, MigrationOrder, RelocationPlan, Reorg, Strategy};
+use ira::{IraVariant, RelocationPlan, Reorg, Strategy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::{build_graph, start_workload, CpuModel, Summary, WorkloadParams};
@@ -46,8 +46,6 @@ pub struct CellConfig {
     pub variant: IraVariant,
     /// Migrations per transaction (Section 4.3).
     pub batch: usize,
-    /// Migration order (Section 7 future work).
-    pub order: MigrationOrder,
     pub plan: RelocationPlan,
     /// Per-access work on the one virtual CPU (see [`CpuModel`]).
     pub cpu_work: Duration,
@@ -71,7 +69,6 @@ impl CellConfig {
             store: StoreConfig::paper_experiment(),
             variant: IraVariant::Basic,
             batch: 1,
-            order: MigrationOrder::Traversal,
             plan: RelocationPlan::CompactInPlace,
             cpu_work: Duration::from_micros(40),
             nr_window: Duration::from_secs(5),
@@ -129,11 +126,10 @@ pub fn run_cell(cfg: &CellConfig) -> CellResult {
         }
         Some(strategy) => {
             // One builder for both reorganizers: the cell's IRA knobs
-            // (variant, batch, order) ride along; PQR ignores them.
+            // (variant, batch) ride along; PQR ignores them.
             let outcome = Reorg::on(&db, target)
                 .variant(cfg.variant)
                 .batch(cfg.batch)
-                .order(cfg.order.clone())
                 .plan(cfg.plan)
                 .strategy(strategy)
                 .run()

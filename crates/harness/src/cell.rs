@@ -367,7 +367,6 @@ pub fn run_cell(cell: &CrashCell) -> CellReport {
     let result = Reorg::on(&db, p1)
         .plan(RelocationPlan::CompactInPlace)
         .batch(2)
-        .quiesce_wait(Duration::from_secs(10))
         .run();
 
     // ordering: SeqCst stop flag; shutdown visibility without pairing analysis

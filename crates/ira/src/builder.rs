@@ -18,10 +18,9 @@
 //! crash the same call restarts an interrupted pass from its page floor.
 
 use crate::driver::{IraConfig, IraError, IraReport, IraVariant};
-use crate::order::MigrationOrder;
 use crate::plan::RelocationPlan;
 use crate::pqr::PqrReport;
-use brahma::{AddrMap, Database, PartitionId, PhysAddr, RetryPolicy};
+use brahma::{AddrMap, Database, PartitionId, PhysAddr};
 use std::time::Duration;
 
 /// Which algorithm family a [`Reorg`] run uses. The IRA variant (basic vs
@@ -170,16 +169,13 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// Backoff for retryable conflicts (Section 4.4's release-and-retry).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Migration order (Section 7 future work), e.g. the clustering order
-    /// [`crate::StatsGreedy::plan`] derives from observed traffic.
-    pub fn order(mut self, order: MigrationOrder) -> Self {
-        self.config.order = order;
+    /// Migrate the objects in `first` first, in this order; the rest
+    /// follow in traversal order, which is the default (an empty list).
+    /// [`crate::StatsGreedy::plan`] derives such a list from observed
+    /// traffic: a pass packs its copies onto fresh pages in migration
+    /// order, so objects adjacent in the list land on the same pages.
+    pub fn order(mut self, first: Vec<PhysAddr>) -> Self {
+        self.config.order = first;
         self
     }
 
@@ -189,13 +185,9 @@ impl<'a> Reorg<'a> {
         self
     }
 
-    /// How long to wait for transactions active when the run starts.
-    pub fn quiesce_wait(mut self, wait: Duration) -> Self {
-        self.config.quiesce_wait = wait;
-        self
-    }
-
-    /// Run the configured reorganization to completion. On a partition
+    /// Run the configured reorganization to completion. It first waits for
+    /// every transaction active at its start to end (Section 4.5), so the
+    /// calling thread must not hold one open. On a partition
     /// whose pass a crash interrupted (`OpenOutcome::interrupted_reorgs`),
     /// an incremental run restarts that pass from its floor: the objects
     /// it already placed stay, and the mapping holds only what moves now.

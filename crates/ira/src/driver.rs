@@ -9,14 +9,13 @@
 use crate::approx::find_objects_and_approx_parents;
 use crate::exact::find_exact_parents;
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
-use crate::order::{order_queue, MigrationOrder};
 use crate::plan::RelocationPlan;
 use crate::site as ira_site;
 use crate::traversal::TraversalState;
 use brahma::lockdep;
 use brahma::{
     AddrMap, Database, Error as StoreError, LockMode, Partition, PartitionId, PhysAddr,
-    RetryPolicy, Trt, Txn,
+    Result as StoreResult, RetryPolicy, Trt, Txn,
 };
 use std::fmt;
 use std::ops::Range;
@@ -46,15 +45,12 @@ pub(crate) struct IraConfig {
     pub variant: IraVariant,
     /// Backoff applied when a batch hits a retryable conflict — a deadlock
     /// timeout, an upgrade conflict, or an injected transient fault
-    /// (Section 4.4's release-and-retry discipline).
+    /// (Section 4.4's release-and-retry discipline). Always the default
+    /// outside this crate's tests.
     pub retry: RetryPolicy,
-    /// How long to wait for the transactions active when the reorganization
-    /// starts (they must complete before the fuzzy traversal, Section 4.5).
-    pub quiesce_wait: Duration,
-    /// The order in which objects migrate (Section 7 future work: grouping
-    /// by shared external parent minimizes external lock acquisitions when
-    /// combined with batching).
-    pub order: MigrationOrder,
+    /// Objects to migrate first, in this order; the rest follow in
+    /// traversal order. Empty (the default) is plain traversal order.
+    pub order: Vec<PhysAddr>,
     /// Rewrite each object as it migrates — the schema-evolution use case
     /// of the paper's introduction (grow a payload, reserve more reference
     /// slots, change the tag). The transform must preserve the reference
@@ -68,8 +64,7 @@ impl Default for IraConfig {
             batch_size: 1,
             variant: IraVariant::Basic,
             retry: RetryPolicy::default(),
-            quiesce_wait: Duration::from_secs(300),
-            order: MigrationOrder::Traversal,
+            order: Vec::new(),
             transform: None,
         }
     }
@@ -80,7 +75,7 @@ impl Default for IraConfig {
 pub enum IraError {
     /// A storage-manager error other than a retryable lock timeout.
     Store(StoreError),
-    /// A batch kept deadlocking past `max_retries`.
+    /// A step kept hitting retryable conflicts past its retry policy.
     RetriesExhausted { object: PhysAddr, attempts: usize },
     /// Fault injection fired at a batch boundary. The pass stays open, as
     /// a process kill leaves it; the next run restarts it from its floor.
@@ -105,6 +100,35 @@ impl From<StoreError> for IraError {
     fn from(e: StoreError) -> Self {
         IraError::Store(e)
     }
+}
+
+/// Run `step` until it succeeds, fails for good, or outlasts `retry`: the
+/// crate's one retry loop. Retryable conflicts — lock timeouts, upgrade
+/// conflicts, injected transient faults, including at commit — back off
+/// and go again (Section 4.4's release-and-retry), so a retryable error
+/// that comes back means the policy is exhausted.
+pub(crate) fn retrying<T>(
+    db: &Database,
+    retry: &RetryPolicy,
+    mut step: impl FnMut() -> StoreResult<T>,
+) -> StoreResult<T> {
+    let mut backoff = retry.start();
+    loop {
+        match step() {
+            Err(e) if e.is_retryable_conflict() && db.retry_backoff(&mut backoff) => {}
+            outcome => return outcome,
+        }
+    }
+}
+
+/// Wait until every transaction active now has ended: the TRT notes only
+/// what transactions do once the reorganization has started, so those
+/// already running must be gone before the traversal can trust it
+/// (Section 4.5). There is no timeout; a caller must not hold a
+/// transaction open across a reorganization it runs.
+pub(crate) fn quiesce(db: &Database) {
+    let active = db.txns.active_snapshot();
+    while !db.txns.wait_for_all(&active, Duration::from_secs(1)) {}
 }
 
 /// Wall-clock time spent in each phase of a reorganization run. The phases
@@ -196,21 +220,16 @@ pub(crate) fn run_incremental(
     let part = db.partition(partition)?;
     let floor = part.pass_floor().unwrap_or(0);
 
-    // Wait for every transaction active at the start to complete, so all
-    // relevant pointer updates are in the TRT (Section 4.5).
     let mut phases = IraPhases::default();
     let phase_start = Instant::now();
-    let active_at_start = db.txns.active_snapshot();
-    db.txns.wait_for_all(&active_at_start, config.quiesce_wait);
+    quiesce(db);
     phases.quiesce = phase_start.elapsed();
 
     // Step one. The ordered traversal output doubles as the migration
     // queue, in place.
     let phase_start = Instant::now();
     let mut state = find_objects_and_approx_parents(db, partition);
-    let mut queue = std::mem::take(&mut state.order);
-    order_queue(&config.order, &mut queue, &state, partition);
-    state.order = queue;
+    prioritize(&config.order, &mut state.order);
     let queue_len = state.order.len();
     phases.traversal = phase_start.elapsed();
     db.fault.observe(ira_site::TRAVERSAL);
@@ -226,18 +245,23 @@ pub(crate) fn run_incremental(
         floor,
         pos: 0,
         mapping: AddrMap::with_capacity_and_hasher(queue_len, Default::default()),
-        tally: Tally::default(),
+        retries: 0,
+        ext_locks: 0,
         phases,
         started: start,
     };
     run.execute()
 }
 
-/// Run-wide accumulators behind the [`IraReport`] counters.
-#[derive(Debug, Default)]
-struct Tally {
-    retries: usize,
-    ext_locks: usize,
+/// Move the objects listed in `first` to the front of `queue`, in list
+/// order; the rest keep their traversal order. A listed object missing
+/// from the queue (dead or migrated since the list was made) is skipped.
+fn prioritize(first: &[PhysAddr], queue: &mut [PhysAddr]) {
+    if first.is_empty() {
+        return;
+    }
+    let rank: AddrMap<usize> = first.iter().enumerate().map(|(i, &a)| (a, i)).collect();
+    queue.sort_by_key(|a| rank.get(a).copied().unwrap_or(usize::MAX));
 }
 
 /// In-flight reorganization state.
@@ -261,76 +285,69 @@ struct ReorgRun<'a> {
     /// Old → new address of every committed migration: written only after
     /// a batch commits, and read to skip what a retried batch already moved.
     mapping: AddrMap<PhysAddr>,
-    tally: Tally,
+    /// Retryable failures of batches and of the GC transaction.
+    retries: usize,
+    /// Out-of-partition parents locked, summed over committed batches.
+    ext_locks: usize,
     phases: IraPhases,
     started: Instant,
-}
-
-/// Why the drain stopped short of the queue's end (before error-path
-/// cleanup).
-enum LoopEnd {
-    /// A latched crash fault.
-    Crash,
-    /// Retryable conflicts past the retry budget.
-    Exhausted { object: PhysAddr, attempts: usize },
-    /// A non-retryable storage error.
-    Fatal(StoreError),
 }
 
 impl ReorgRun<'_> {
     /// Step two, the migration loop (Figure 1): drain the queue from
     /// `self.pos`, one batch of queue positions at a time, until it runs
-    /// out or the run has to end early. Returns why it stopped short, if it
-    /// did; `self.pos` is then the first position not yet drained.
-    fn drain(&mut self) -> Option<LoopEnd> {
+    /// out or the run has to end early. On an early end `self.pos` is the
+    /// first position not yet drained.
+    fn drain(&mut self) -> Result<(), IraError> {
         let batch_size = self.config.batch_size.max(1);
         let mut work = BatchEffects::default();
         loop {
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
-            // a page latch) surfaces here, at the batch boundary, where no
-            // migration transaction is open.
+            // a page latch), the last batch included, surfaces here, at the
+            // batch boundary, where no migration transaction is open.
             if self.db.fault.crash_requested() {
-                return Some(LoopEnd::Crash);
+                return Err(IraError::SimulatedCrash);
             }
             let queue_len = self.state.order.len();
             if self.pos == queue_len {
-                return None;
+                return Ok(());
             }
-            let end = (self.pos + batch_size).min(queue_len);
-            if let Err(stop) = self.run_batch(self.pos..end, &mut work) {
-                return Some(stop);
-            }
-            self.pos = end;
+            let batch = self.pos..(self.pos + batch_size).min(queue_len);
+            self.retry(self.state.order[batch.start], |run| {
+                match run.config.variant {
+                    IraVariant::Basic => run.try_batch_basic(batch.clone(), &mut work),
+                    IraVariant::TwoLock => run.try_batch_two_lock(batch.clone()),
+                }
+            })?;
+            self.pos = batch.end;
             brahma::sched::point("ira.batch");
             self.db.fault.observe(ira_site::BATCH);
         }
     }
 
-    /// Run one batch — the objects at queue positions `batch` — to
-    /// completion: retryable conflicts (deadlock timeouts, upgrade
-    /// conflicts, injected transients) retry under the configured backoff.
-    fn run_batch(&mut self, batch: Range<usize>, work: &mut BatchEffects) -> Result<(), LoopEnd> {
-        let config = self.config;
-        let mut backoff = config.retry.start();
-        loop {
-            let result = match config.variant {
-                IraVariant::Basic => self.try_batch_basic(batch.clone(), work),
-                IraVariant::TwoLock => self.try_batch_two_lock(batch.clone()),
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable_conflict() => {
-                    self.tally.retries += 1;
-                    if !self.db.retry_backoff(&mut backoff) {
-                        return Err(LoopEnd::Exhausted {
-                            object: self.state.order[batch.start],
-                            attempts: backoff.attempt,
-                        });
-                    }
-                }
-                Err(e) => return Err(LoopEnd::Fatal(e)),
+    /// [`retrying`] over one step of this run, counting each retryable
+    /// failure in `retries`; `object` names the step in the error.
+    fn retry<T>(
+        &mut self,
+        object: PhysAddr,
+        mut step: impl FnMut(&mut Self) -> StoreResult<T>,
+    ) -> Result<T, IraError> {
+        let (db, retry) = (self.db, &self.config.retry);
+        retrying(db, retry, || {
+            let outcome = step(self);
+            if matches!(&outcome, Err(e) if e.is_retryable_conflict()) {
+                self.retries += 1;
             }
-        }
+            outcome
+        })
+        .map_err(|e| {
+            if e.is_retryable_conflict() {
+                let attempts = retry.max_attempts;
+                IraError::RetriesExhausted { object, attempts }
+            } else {
+                IraError::Store(e)
+            }
+        })
     }
 
     /// Whether `oold` needs no migration: it migrated already (earlier in
@@ -390,7 +407,7 @@ impl ReorgRun<'_> {
                 // Counted here, not when the move is staged: a rolled-back
                 // batch migrated nothing.
                 db.stats.migrations.add(work.migrations.len() as u64);
-                self.tally.ext_locks += ext_locks;
+                self.ext_locks += ext_locks;
                 Ok(())
             }
             Err(e) => {
@@ -477,47 +494,23 @@ impl ReorgRun<'_> {
     }
 
     fn execute(mut self) -> Result<IraReport, IraError> {
-        // Step two. A batch that exhausts its retry budget fails the run:
-        // nobody is left to hand it to.
-        match self.drain() {
-            None => {}
-            Some(LoopEnd::Crash) => return Err(self.crash_now()),
-            Some(LoopEnd::Exhausted { object, attempts }) => {
-                return Err(self.fail(IraError::RetriesExhausted { object, attempts }))
+        // Step two, then garbage collection. A step that exhausts its retry
+        // budget fails the run: nobody is left to hand it to.
+        let garbage = match self.drain().and_then(|()| self.collect_garbage()) {
+            Ok(garbage) => garbage,
+            Err(IraError::SimulatedCrash) => {
+                // What a stop-the-world failure between two migration
+                // transactions looks like (Section 4.4): the reorganization
+                // stays open, and the next run restarts it from its floor.
+                let _ = self.db.fault.take_crash_request();
+                return Err(IraError::SimulatedCrash);
             }
-            Some(LoopEnd::Fatal(e)) => return Err(self.fail(IraError::Store(e))),
-        }
-
-        // Garbage (Section 4.6): every reachable object below the floor has
-        // moved, above it or to the evacuation target, so what is still
-        // live below it is unreachable. The copies above the floor stay,
-        // this run's and those a crashed run placed before the restart.
-        let phase_start = Instant::now();
-        let garbage: Vec<PhysAddr> = self
-            .part
-            .live_objects()
-            .into_iter()
-            .filter(|a| a.page() < self.floor)
-            .collect();
-        if !garbage.is_empty() {
-            let mut backoff = self.config.retry.start();
-            loop {
-                match self.try_collect_garbage(&garbage) {
-                    Ok(()) => break,
-                    Err(e) if e.is_retryable_conflict() => {
-                        self.tally.retries += 1;
-                        if !self.db.retry_backoff(&mut backoff) {
-                            return Err(self.fail(IraError::RetriesExhausted {
-                                object: garbage[0],
-                                attempts: backoff.attempt,
-                            }));
-                        }
-                    }
-                    Err(e) => return Err(self.fail(IraError::Store(e))),
-                }
+            Err(e) => {
+                // Release the reorganization so the system keeps running.
+                self.db.end_reorg(self.partition);
+                return Err(e);
             }
-        }
-        self.phases.gc = phase_start.elapsed();
+        };
 
         // The TRT's lifetime counters, over the whole reorganization window.
         let (trt_notes, trt_purged) = (self.trt.stats.notes.get(), self.trt.stats.purged.get());
@@ -528,8 +521,8 @@ impl ReorgRun<'_> {
             partition: self.partition,
             mapping: self.mapping,
             garbage,
-            retries: self.tally.retries,
-            external_parent_locks: self.tally.ext_locks,
+            retries: self.retries,
+            external_parent_locks: self.ext_locks,
             phases: self.phases,
             trt_notes,
             trt_purged,
@@ -538,31 +531,32 @@ impl ReorgRun<'_> {
         })
     }
 
-    /// Terminal failure: release the reorganization so the system keeps
-    /// running, then hand the error back.
-    fn fail(&self, e: IraError) -> IraError {
-        self.db.end_reorg(self.partition);
-        e
-    }
-
-    /// Convert a latched crash request into a simulated crash that leaves
-    /// the reorganization open — exactly what a stop-the-world failure
-    /// between two migration transactions looks like (Section 4.4).
-    fn crash_now(&self) -> IraError {
-        let _ = self.db.fault.take_crash_request();
-        IraError::SimulatedCrash
-    }
-
-    /// One attempt at the whole garbage-collection transaction; a failure
-    /// anywhere aborts it (dropping the handle rolls the deletes back) and
-    /// the caller's retry loop starts a fresh one.
-    fn try_collect_garbage(&self, garbage: &[PhysAddr]) -> Result<(), StoreError> {
-        let mut txn = self.db.begin_reorg(self.partition);
-        for &g in garbage {
-            txn.lock(g, LockMode::Exclusive)?;
-            txn.delete_object(g)?;
+    /// Garbage (Section 4.6): every reachable object below the floor has
+    /// moved, above it or to the evacuation target, so what is still live
+    /// below it is unreachable. The copies above the floor stay, this run's
+    /// and those a crashed run placed before the restart. One transaction
+    /// deletes it all; a failure anywhere aborts it (dropping the handle
+    /// rolls the deletes back) and the retry starts a fresh one.
+    fn collect_garbage(&mut self) -> Result<Vec<PhysAddr>, IraError> {
+        let phase_start = Instant::now();
+        let garbage: Vec<PhysAddr> = self
+            .part
+            .live_objects()
+            .into_iter()
+            .filter(|a| a.page() < self.floor)
+            .collect();
+        if let Some(&first) = garbage.first() {
+            self.retry(first, |run| {
+                let mut txn = run.db.begin_reorg(run.partition);
+                for &g in &garbage {
+                    txn.lock(g, LockMode::Exclusive)?;
+                    txn.delete_object(g)?;
+                }
+                txn.commit()
+            })?;
         }
-        txn.commit()
+        self.phases.gc = phase_start.elapsed();
+        Ok(garbage)
     }
 }
 
@@ -570,8 +564,7 @@ impl ReorgRun<'_> {
 mod tests {
     use super::*;
     use crate::plan::RelocationPlan;
-    use brahma::{Database, LockMode, NewObject, StoreConfig};
-    use std::sync::Arc;
+    use brahma::{Database, NewObject, StoreConfig};
 
     #[test]
     fn config_defaults_are_sane() {
@@ -600,53 +593,59 @@ mod tests {
 
     #[test]
     fn retries_exhausted_releases_the_reorganization() {
-        // A workload transaction parks on the only parent forever; with a
-        // tiny lock timeout and a two-attempt retry policy the driver gives
-        // up and releases the reorganization.
-        let store = StoreConfig {
-            lock_timeout: std::time::Duration::from_millis(20),
-            ..StoreConfig::default()
-        };
-        let db = Arc::new(Database::new(store));
+        // Every `Find_Exact_Parents` fails transiently; with a two-attempt
+        // retry policy the driver gives up and releases the reorganization.
+        use brahma::{FaultAction, FaultPlan, FaultRule};
+        let db = Database::new(StoreConfig::default());
         let p0 = db.create_partition();
         let p1 = db.create_partition();
         let mut t = db.begin();
         let o = t
             .create_object(p1, NewObject::exact(1, vec![], vec![]))
             .unwrap();
-        let parent = t
-            .create_object(p0, NewObject::exact(0, vec![o], vec![]))
+        t.create_object(p0, NewObject::exact(0, vec![o], vec![]))
             .unwrap();
         t.commit().unwrap();
 
-        // Blocker holds the parent and never finishes (until we drop it).
-        let mut blocker = db.begin();
-        blocker.lock(parent, LockMode::Exclusive).unwrap();
-
+        let always = FaultRule::burst(ira_site::EXACT_PARENTS, 1, u64::MAX, FaultAction::Retryable);
+        db.fault.arm(FaultPlan::new(0).with(always));
         let config = IraConfig {
-            retry: brahma::RetryPolicy::new(
-                2,
-                std::time::Duration::from_millis(1),
-                std::time::Duration::from_millis(1),
-                0,
-            ),
-            quiesce_wait: std::time::Duration::from_millis(50),
+            retry: brahma::RetryPolicy::fixed(2, std::time::Duration::from_millis(1)),
             ..IraConfig::default()
         };
-        let err = run_incremental(&db, p1, RelocationPlan::CompactInPlace, &config).unwrap_err();
-        assert!(matches!(err, IraError::RetriesExhausted { .. }));
+        let plan = RelocationPlan::CompactInPlace;
+        let err = run_incremental(&db, p1, plan, &config).unwrap_err();
+        assert!(matches!(
+            err,
+            IraError::RetriesExhausted { object, attempts: 2 } if object == o
+        ));
         assert!(!db.reorg_active(p1), "reorganization must be released");
         assert!(db.retry_stats.giveups.get() >= 1, "giveup must be counted");
-        blocker.abort();
+        db.fault.disarm();
         // A later run succeeds.
-        let report = run_incremental(
-            &db,
-            p1,
-            RelocationPlan::CompactInPlace,
-            &IraConfig::default(),
-        )
-        .unwrap();
+        let report = run_incremental(&db, p1, plan, &IraConfig::default()).unwrap();
         assert_eq!(report.migrated(), 1);
+    }
+
+    fn addr(off: u16) -> PhysAddr {
+        PhysAddr::new(PartitionId(1), 0, off)
+    }
+
+    #[test]
+    fn an_empty_priority_list_is_traversal_order() {
+        let traversal = [addr(0), addr(64), addr(128)];
+        let mut queue = traversal;
+        prioritize(&[], &mut queue);
+        assert_eq!(queue, traversal);
+    }
+
+    #[test]
+    fn listed_objects_lead_in_list_order_and_the_rest_keep_traversal_order() {
+        let (o1, o2, o3, o4, o5) = (addr(0), addr(64), addr(128), addr(192), addr(256));
+        let mut queue = [o1, o2, o3, o4, o5];
+        // `addr(999)` is listed but not queued: it is skipped.
+        prioritize(&[o4, addr(999), o2], &mut queue);
+        assert_eq!(queue, [o4, o2, o1, o3, o5]);
     }
 
     /// A pass killed after its only migration committed restarts at its

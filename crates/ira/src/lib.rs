@@ -17,7 +17,7 @@
 //!   pass stays open, and the next [`Reorg::run`] moves only what still
 //!   lies below its floor), copying garbage collection as a side effect of evacuating into a fresh
 //!   partition (Section 4.6, `gc`), and clustering by a migration order
-//!   derived from observed traffic ([`StatsGreedy`]).
+//!   derived from observed traffic ([`StatsGreedy`], [`Reorg::order`]).
 //! * The baseline: **PQR**, the Partition Quiesce Reorganization of the
 //!   paper's performance study (Section 5.1, `pqr`), reachable through
 //!   [`Reorg::strategy`]. It locks the partition's external parents, then
@@ -63,7 +63,6 @@ pub mod driver;
 mod exact;
 mod gc;
 mod migrate;
-mod order;
 mod plan;
 mod policy;
 mod pqr;
@@ -76,7 +75,6 @@ pub mod verify;
 pub use builder::{Reorg, ReorgOutcome, ReorgReport, Strategy};
 pub use driver::{IraError, IraReport, IraVariant};
 pub use gc::find_garbage;
-pub use order::MigrationOrder;
 pub use plan::RelocationPlan;
 pub use policy::{EdgeCount, StatsGreedy};
 pub use pqr::PqrReport;

@@ -4,16 +4,15 @@
 //! dynamic-clustering literature (Darmont et al.'s DSTC line of work)
 //! clusters from live access statistics instead. [`StatsGreedy`] is a
 //! DSTC-style greedy policy over observed parent→child co-access counts:
-//! rank hot edges, chain them, and emit a [`MigrationOrder::Priority`] for
-//! [`crate::Reorg::order`]. A pass allocates only on fresh pages above its
-//! page floor, so migrated copies land there *in migration order*: the
-//! order is the clustering lever.
+//! rank hot edges, chain them, and emit the list of objects to migrate
+//! first for [`crate::Reorg::order`]. A pass allocates only on fresh pages
+//! above its page floor, so migrated copies land there *in migration
+//! order*: the order is the clustering lever.
 //!
 //! The statistics themselves are collected in `crates/workload` (which
 //! depends on this crate, not the other way around) and handed over as a
 //! plain [`EdgeCount`] list.
 
-use crate::order::MigrationOrder;
 use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 
 /// One observed parent→child co-access, with its traversal count.
@@ -29,11 +28,11 @@ pub struct EdgeCount {
 /// [`StatsGreedy::plan`] ranks the partition's intra-partition edges by
 /// count and greedily links them into chains (each object at most one
 /// predecessor and one successor, no cycles — the classic greedy path
-/// heuristic), then lists the chains hottest-first as a
-/// [`MigrationOrder::Priority`]. Because a pass allocates only on fresh
-/// pages above its page floor, consecutive objects in the migration order
-/// pack onto the same pages, so a chain becomes a page-contiguous run —
-/// exactly what the walks that made it hot want.
+/// heuristic), then lists the chains hottest-first as the objects to
+/// migrate first. Because a pass allocates only on fresh pages above its
+/// page floor, consecutive objects in the migration order pack onto the
+/// same pages, so a chain becomes a page-contiguous run — exactly what the
+/// walks that made it hot want.
 pub struct StatsGreedy {
     edges: Vec<EdgeCount>,
 }
@@ -116,20 +115,18 @@ impl StatsGreedy {
 
     /// The clustering order for compacting `partition` of `db` in place,
     /// for [`crate::Reorg::order`]. With no hot edge observed inside the
-    /// partition the priority list is empty, i.e. plain traversal order.
-    pub fn plan(&self, db: &Database, partition: PartitionId) -> MigrationOrder {
+    /// partition the list is empty, i.e. plain traversal order.
+    pub fn plan(&self, db: &Database, partition: PartitionId) -> Vec<PhysAddr> {
         let live: AddrSet = db
             .partition(partition)
             .map(|p| p.live_objects())
             .unwrap_or_default()
             .into_iter()
             .collect();
-        MigrationOrder::Priority(
-            Self::chains(&self.edges, &live)
-                .into_iter()
-                .flatten()
-                .collect(),
-        )
+        Self::chains(&self.edges, &live)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 
@@ -180,7 +177,6 @@ mod tests {
     fn nothing_observed_plans_traversal_order_at_zero_cost() {
         let db = Database::new(brahma::StoreConfig::default());
         let p = db.create_partition();
-        let order = StatsGreedy::new(&[]).plan(&db, p);
-        assert_eq!(order, MigrationOrder::Priority(vec![]));
+        assert!(StatsGreedy::new(&[]).plan(&db, p).is_empty());
     }
 }

@@ -17,6 +17,7 @@
 //! parents are locked for the whole reorganization) — exactly the behaviour
 //! this baseline reproduces.
 
+use crate::driver::{quiesce, retrying};
 use crate::migrate::{move_object_and_update_refs, BatchEffects};
 use crate::plan::RelocationPlan;
 use crate::traversal::TraversalState;
@@ -62,8 +63,7 @@ pub(crate) fn run_pqr(
     db.start_reorg(partition)?;
     // As for IRA: transactions active at the start must complete before the
     // TRT can be trusted.
-    let active = db.txns.active_snapshot();
-    db.txns.wait_for_all(&active, Duration::from_secs(300));
+    quiesce(db);
 
     let mut txn = db.begin_reorg(partition);
     let result = (|| {
@@ -179,18 +179,7 @@ fn reorganize_quiescent(
 /// insisting is safe; [`INSIST_POLICY`] bounds the spin against pathologies
 /// and counts every re-request in the store's `retry.*` counters.
 fn lock_insist(db: &Database, txn: &mut Txn<'_>, addr: PhysAddr) -> Result<(), StoreError> {
-    let mut backoff = INSIST_POLICY.start();
-    loop {
-        match txn.lock(addr, LockMode::Exclusive) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_retryable_conflict() => {
-                if !db.retry_backoff(&mut backoff) {
-                    return Err(e);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    retrying(db, &INSIST_POLICY, || txn.lock(addr, LockMode::Exclusive))
 }
 
 #[cfg(test)]

@@ -20,9 +20,9 @@ use brahma::{AddrMap, AddrSet, Database, PartitionId, PhysAddr};
 #[derive(Debug, Default)]
 pub struct TraversalState {
     /// Objects visited, in discovery order (also the default migration
-    /// order: traversal order clusters related objects together). After the
-    /// driver applies `order::order_queue` in place, this doubles
-    /// as *the* migration queue.
+    /// order: traversal order clusters related objects together). Once the
+    /// driver has moved the objects of `Reorg::order`'s list to its front,
+    /// this doubles as *the* migration queue.
     pub(crate) order: Vec<PhysAddr>,
     /// Every address a traversal was attempted from (including stale seeds
     /// that turned out not to be live objects); guarantees the L2 loop

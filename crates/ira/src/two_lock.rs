@@ -24,6 +24,7 @@
 //! transactions must either lock the referenced objects or consult the
 //! migration mapping (see [`crate::driver::IraReport::mapping`]).
 
+use crate::driver::retrying;
 use crate::migrate::CopySource;
 use crate::plan::RelocationPlan;
 use crate::relaxed::{lock_and_settle, settle};
@@ -113,27 +114,10 @@ pub(crate) fn migrate_two_lock(
     Ok(onew)
 }
 
-/// Run `step` until it succeeds, fails for good, or outlasts `retry`:
-/// retryable conflicts — lock timeouts, upgrade conflicts, injected
-/// transient faults, including at commit — back off and go again, so a
-/// deadlock against a walker (who may be waiting on the guarded `oold`)
-/// resolves without abandoning the migration.
-fn retrying<T>(
-    db: &Database,
-    retry: &RetryPolicy,
-    mut step: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    let mut backoff = retry.start();
-    loop {
-        match step() {
-            Err(e) if e.is_retryable_conflict() && db.retry_backoff(&mut backoff) => {}
-            outcome => return outcome,
-        }
-    }
-}
-
 /// Lock one parent in its own transaction, rewrite its references to
-/// `oold`, commit (releasing it), under [`retrying`].
+/// `oold`, commit (releasing it), under [`retrying`]: a deadlock against a
+/// walker (who may be waiting on the guarded `oold`) resolves without
+/// abandoning the migration.
 fn repoint_parent(
     db: &Database,
     parent: PhysAddr,

@@ -4,7 +4,7 @@
 //! for it. This cell pins that the retry path (Section 4.4) gets every
 //! object across and leaves the database clean.
 
-use brahma::{Database, LockMode, NewObject, PartitionId, PhysAddr, RetryPolicy, StoreConfig};
+use brahma::{Database, LockMode, NewObject, PartitionId, PhysAddr, StoreConfig};
 use harness::with_repro_banner;
 use ira::Reorg;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,16 +147,9 @@ fn run_cell() {
     }
 
     let outcome = Reorg::on(&db, p1)
+        // The default retry policy's 10,000 attempts ride out the storm's
+        // timeouts: the cell must not die to them.
         .batch(8)
-        // Deep retry budget: even at ~50% per-attempt loss against the
-        // writer storm, 16 attempts make a fatal exhaustion negligible —
-        // the cell rides out timeouts, it must not die to them.
-        .retry(RetryPolicy::new(
-            16,
-            Duration::from_millis(1),
-            Duration::from_millis(8),
-            0xC0FFEE,
-        ))
         .run()
         .expect("reorganization under storm");
     // ordering: stop flag; walkers observe it on their next iteration

@@ -3,7 +3,7 @@
 //! packs a hot chain onto fewer pages than it had.
 
 use brahma::{Database, NewObject, PhysAddr, StoreConfig};
-use ira::{EdgeCount, MigrationOrder, StatsGreedy};
+use ira::{EdgeCount, StatsGreedy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -144,16 +144,11 @@ fn stats_greedy_beats_identity_on_hot_chain() {
         .collect();
 
     let order = StatsGreedy::new(&edges).plan(&db, p);
-    match &order {
-        MigrationOrder::Priority(order) => {
-            assert_eq!(
-                &order[..chain.len()],
-                &chain[..],
-                "hot chain migrates first, in order"
-            );
-        }
-        other => panic!("expected a priority order, got {other:?}"),
-    }
+    assert_eq!(
+        &order[..chain.len()],
+        &chain[..],
+        "hot chain migrates first, in order"
+    );
     let outcome = ira::Reorg::on(&db, p)
         .order(order)
         .run()
@@ -207,7 +202,7 @@ fn observed_workload_drives_a_scored_reorg() {
     let target = info.data_partitions[0];
     let order = StatsGreedy::new(&stats.edges()).plan(&db, target);
     assert!(
-        matches!(&order, MigrationOrder::Priority(chains) if !chains.is_empty()),
+        !order.is_empty(),
         "observed edges chain inside the partition"
     );
     let outcome = ira::Reorg::on(&db, target)

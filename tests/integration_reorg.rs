@@ -254,55 +254,70 @@ fn trt_pointer_delete_hazard_figure_2() {
     brahma::sweep::assert_database_consistent(&db);
 }
 
+/// Section 4.5: a pass traverses only once every transaction active at its
+/// start has ended. Here one such transaction has created an object in the
+/// partition and linked it from the anchor; it aborts while the pass waits,
+/// so the object never existed, and the pass moves exactly the committed
+/// ones.
 #[test]
-fn external_parent_grouping_reduces_lock_acquisitions() {
-    // Section 7 future work: with batching, grouping objects by shared
-    // external parent locks each external parent fewer times than the
-    // traversal order does.
-    use brahma::NewObject;
-    let build = |order| {
-        let db = Database::new(StoreConfig::default());
-        let p0 = db.create_partition();
-        let p1 = db.create_partition();
-        // A 64-object chain in p1 (fixing the traversal order), where
-        // object i's external parent is parent[i % 8]: traversal order
-        // cycles through all 8 parents, so un-grouped batches of 8 lock 8
-        // distinct external parents each.
-        let mut txn = db.begin();
-        let mut objs: Vec<brahma::PhysAddr> = Vec::new();
-        for _ in 0..64 {
-            let refs = objs.last().map(|&p| vec![p]).unwrap_or_default();
-            objs.push(
-                txn.create_object(
-                    p1,
-                    NewObject {
-                        tag: 1,
-                        refs,
-                        ref_cap: 2,
-                        payload: vec![0; 4],
-                        payload_cap: 4,
-                    },
-                )
-                .unwrap(),
-            );
-        }
-        objs.reverse(); // objs[i] now reaches objs[i+1..]
-        for p in 0..8usize {
-            let refs: Vec<_> = (0..64).filter(|i| i % 8 == p).map(|i| objs[i]).collect();
-            txn.create_object(p0, NewObject::exact(2, refs, vec![]))
-                .unwrap();
-        }
-        txn.commit().unwrap();
-        let outcome = Reorg::on(&db, p1).batch(8).order(order).run().unwrap();
-        brahma::sweep::assert_database_consistent(&db);
-        outcome.ira().unwrap().external_parent_locks
+fn a_pass_waits_for_the_transactions_active_at_its_start() {
+    use brahma::{FaultPlan, PhysAddr};
+    let db = Arc::new(Database::new(StoreConfig::default()));
+    let p0 = db.create_partition();
+    let p1 = db.create_partition();
+    let mut t = db.begin();
+    let mut committed: Vec<PhysAddr> = (0..3u8)
+        .map(|i| {
+            t.create_object(p1, NewObject::exact(1, vec![], vec![i]))
+                .unwrap()
+        })
+        .collect();
+    let room = NewObject {
+        ref_cap: 4,
+        ..NewObject::exact(0, committed.clone(), vec![])
     };
-    let traversal = build(ira::MigrationOrder::Traversal);
-    let grouped = build(ira::MigrationOrder::GroupByExternalParent);
-    assert!(
-        grouped < traversal,
-        "grouping must reduce external parent locks ({grouped} vs {traversal})"
+    let anchor = t.create_object(p0, room).unwrap();
+    t.commit().unwrap();
+    // An empty plan: the injector only counts site hits.
+    db.fault.arm(FaultPlan::new(0));
+
+    let db2 = Arc::clone(&db);
+    let (open_tx, open_rx) = std::sync::mpsc::channel();
+    let creator = std::thread::spawn(move || {
+        let mut t = db2.begin();
+        let late = t
+            .create_object(p1, NewObject::exact(1, vec![], b"late".to_vec()))
+            .unwrap();
+        t.lock(anchor, LockMode::Exclusive).unwrap();
+        t.insert_ref(anchor, late).unwrap();
+        open_tx.send(()).unwrap();
+        while !db2.reorg_active(p1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Give a pass that did not wait time to run ahead.
+        std::thread::sleep(Duration::from_millis(50));
+        let traversals = db2.fault.hits(ira::site::TRAVERSAL);
+        t.abort();
+        traversals
+    });
+    open_rx.recv().unwrap();
+
+    let outcome = Reorg::on(&db, p1).run();
+    assert_eq!(
+        creator.join().unwrap(),
+        0,
+        "the pass traversed while a transaction active at its start was open"
     );
+    let outcome = outcome.expect("the pass completes");
+    let mut moved: Vec<PhysAddr> = outcome.mapping.keys().copied().collect();
+    moved.sort();
+    committed.sort();
+    assert_eq!(
+        moved, committed,
+        "every committed object moved, and only those"
+    );
+    ira::verify::assert_reorganization_clean(&db, outcome.ira().unwrap());
+    brahma::sweep::assert_database_consistent(&db);
 }
 
 #[test]

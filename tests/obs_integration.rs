@@ -234,6 +234,13 @@ fn rolled_back_batch_is_not_counted_in_db_migrations() {
 /// An external parent held by a workload transaction makes the batch that
 /// must lock it time out and retry (Section 4.4's release-and-retry) until
 /// the holder commits; the reorganization still finishes.
+///
+/// The holder must begin after the pass's quiesce, or the pass would wait
+/// for it to end (Section 4.5). Every `Txn::lock` fails transiently until
+/// the holder has the anchor: the first failure shows the pass is past its
+/// quiesce and holds no lock, the holder takes the anchor with `try_lock`
+/// (which bypasses the fault site), disarms, and commits only after the
+/// pass has timed out on the anchor for real.
 #[test]
 fn blocked_external_parent_is_retried_to_completion() {
     let store = StoreConfig {
@@ -242,29 +249,39 @@ fn blocked_external_parent_is_retried_to_completion() {
     };
     let db = Arc::new(Database::new(store));
     let (_p0, p1, anchor) = chain_fixture(&db, 6);
-    // A blocker parks on the chain's external anchor for 150 ms: the batch
-    // that needs to lock it keeps timing out until the blocker commits.
+    let lock_site = site::LOCK_ACQUIRE;
+    let every_lock = FaultRule::burst(lock_site, 1, u64::MAX, FaultAction::Retryable);
+    db.fault.arm(FaultPlan::new(0xB10C).with(every_lock));
     let db2 = Arc::clone(&db);
-    let (held_tx, held_rx) = std::sync::mpsc::channel();
     let blocker = std::thread::spawn(move || {
+        while db2.fault.fired(lock_site) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let timeouts = || db2.obs_snapshot().get("lock.timeouts");
+        let before = timeouts();
         let mut t = db2.begin();
-        t.lock(anchor, LockMode::Exclusive).unwrap();
-        held_tx.send(()).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        assert!(
+            t.try_lock(anchor, LockMode::Exclusive),
+            "the pass holds no lock yet"
+        );
+        db2.fault.disarm();
+        while timeouts() == before {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         t.commit().unwrap();
     });
-    held_rx.recv().unwrap();
 
     let outcome = Reorg::on(&db, p1)
-        // The blocker stays open past the start; don't wait the full
-        // quiesce period for it.
-        .quiesce_wait(Duration::from_millis(30))
         .run()
         .expect("a blocked parent must not kill the reorganization");
     blocker.join().unwrap();
     let report = outcome.ira().unwrap();
 
     assert_eq!(outcome.migrated(), 6);
-    assert!(report.retries >= 1, "the blocked batch must retry");
+    let injected = db.fault.fired(lock_site) as usize;
+    assert!(
+        report.retries > injected,
+        "the blocked batch must retry past the {injected} injected failures"
+    );
     brahma::sweep::assert_database_consistent(&db);
 }
