@@ -65,6 +65,19 @@ if [ "$(printf '%s\n' "$owners" | grep -c .)" -gt 1 ]; then
   echo "$owners" >&2
   exit 1
 fi
+# One charged page access in the transaction handle (DESIGN.md §11.2):
+# non-test handle.rs calls `charge_access*` from one place and
+# `with_page_read`/`with_page_write` from one place (`Txn::charge` and
+# `Txn::access` today), so every read and forward mutator takes the same
+# page path, and a second copy of it fails here.
+for call in 'charge_access[a-z_]*' 'with_page_(read|write)'; do
+  sites=$(nontest crates/brahma/src/handle.rs | grep -nE "\.$call\(" || true)
+  if [ "$(printf '%s\n' "$sites" | grep -c .)" -gt 1 ]; then
+    echo "handle.rs calls $call from more than one place:" >&2
+    echo "$sites" >&2
+    exit 1
+  fi
+done
 # Env knobs (DESIGN.md §16): the "UPPER_CASE" names non-test code of
 # harness's env_cfg.rs reads and the rows of §16's table must be the same
 # set.

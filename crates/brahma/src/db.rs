@@ -230,14 +230,6 @@ impl Database {
         self.cpu.read().clone()
     }
 
-    /// Charge one object access against the installed CPU model, if any.
-    #[inline]
-    pub(crate) fn charge_access(&self) {
-        if let Some(model) = self.cpu_model() {
-            model.access();
-        }
-    }
-
     /// Charge one access to the object at `addr` against the installed CPU
     /// model, if any — the address-aware variant every site that knows its
     /// target uses, so locality-sensitive models can price page residency.
@@ -444,16 +436,21 @@ impl Database {
     /// REDO and loser UNDO all land here. A value the update displaces that
     /// is not the one the record names is corruption, not a conflict.
     ///
-    /// `slot_claimed` says the allocator already handed out the address a
-    /// `Create` or a `Move` fills ([`Txn::create_object`] and
-    /// [`Txn::move_object`] had to allocate to learn the address they log).
-    ///
-    /// [`Txn::create_object`]: crate::handle::Txn::create_object
-    /// [`Txn::move_object`]: crate::handle::Txn::move_object
-    pub(crate) fn apply_update(&self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
+    /// `holds` is `Some` for a transaction's forward update. The slot a
+    /// `Create` or a `Move` fills is then already claimed (the transaction
+    /// had to allocate to learn the address it logs), and a slot a `Free`
+    /// or a `Move` frees outside a pass is held ([`Partition::free_held`])
+    /// and pushed on `holds`, for the transaction to release once it
+    /// commits. Rollback, REDO and UNDO pass `None`: they claim the slot
+    /// they fill, and free at once.
+    pub(crate) fn apply_update(
+        &self,
+        update: &LogPayload,
+        holds: Option<&mut Vec<PhysAddr>>,
+    ) -> Result<()> {
         match update {
             LogPayload::Create { addr, image } => {
-                if !slot_claimed {
+                if holds.is_none() {
                     self.partition_ref(addr.partition())?
                         .alloc_at(*addr, image.size())?;
                 }
@@ -461,7 +458,7 @@ impl Database {
             }
             LogPayload::Free { addr, .. } => {
                 self.with_page_write(*addr, |buf| object::mark_free(buf, *addr))??;
-                self.partition_ref(addr.partition())?.free(*addr)?;
+                self.free_slot(*addr, holds)?;
             }
             LogPayload::SetPayload { addr, old, new } => {
                 self.with_page_write(*addr, |buf| {
@@ -510,7 +507,7 @@ impl Database {
                 self.replace_root(*old, *new);
             }
             LogPayload::Move { old, new } => {
-                self.move_image(*old, *new, slot_claimed)?;
+                self.move_image(*old, *new, holds)?;
                 self.replace_root(*old, *new);
             }
             _ => {}
@@ -520,11 +517,16 @@ impl Database {
 
     /// The page half of a `Move`: take `old`'s bytes off its page, scrubbing
     /// it in the same latch, free its slot, and write the bytes at `new`
-    /// (claiming that slot first unless `slot_claimed`). Page latches are
-    /// never nested, so the bytes cross through this thread's buffer; the
-    /// object is on no page between the two latches, which nobody sees:
-    /// the mover holds X locks on both addresses.
-    fn move_image(&self, old: PhysAddr, new: PhysAddr, slot_claimed: bool) -> Result<()> {
+    /// (claiming that slot first unless this is a forward move, `holds`).
+    /// Page latches are never nested, so the bytes cross through this
+    /// thread's buffer; the object is on no page between the two latches,
+    /// which nobody sees: the mover holds X locks on both addresses.
+    fn move_image(
+        &self,
+        old: PhysAddr,
+        new: PhysAddr,
+        holds: Option<&mut Vec<PhysAddr>>,
+    ) -> Result<()> {
         thread_local! {
             static BYTES: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
         }
@@ -537,8 +539,9 @@ impl Database {
             })
             .and_then(|scrubbed| scrubbed)
             .and_then(|()| {
-                self.partition_ref(old.partition())?.free(old)?;
-                if !slot_claimed {
+                let forward = holds.is_some();
+                self.free_slot(old, holds)?;
+                if !forward {
                     self.partition_ref(new.partition())?
                         .alloc_at(new, bytes.len())?;
                 }
@@ -546,6 +549,30 @@ impl Database {
             });
         BYTES.set(bytes);
         moved
+    }
+
+    /// Free the slot at `addr`: held for the forward update that pushes it
+    /// on `holds`, at once otherwise.
+    fn free_slot(&self, addr: PhysAddr, holds: Option<&mut Vec<PhysAddr>>) -> Result<()> {
+        let part = self.partition_ref(addr.partition())?;
+        match holds {
+            Some(holds) if part.free_held(addr)? => holds.push(addr),
+            Some(_) => {}
+            None => {
+                part.free(addr)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand the slots a committed transaction held ([`Database::free_slot`])
+    /// to their allocators.
+    pub(crate) fn release_slots(&self, holds: &[PhysAddr]) {
+        for &addr in holds {
+            if let Ok(part) = self.partition_ref(addr.partition()) {
+                part.release(addr);
+            }
+        }
     }
 
     /// Mirror one reference change into the child partition's ERT

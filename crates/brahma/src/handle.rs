@@ -17,7 +17,7 @@
 use crate::addr::{AddrMap, PartitionId, PhysAddr};
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::fault::site;
+use crate::fault::site::{self, ALLOC, ALLOC_FREE, ERT_NOTE, TRT_NOTE, WAL_APPEND};
 use crate::lock::LockMode;
 use crate::object::{self, ObjectView};
 use crate::trt::RefAction;
@@ -53,16 +53,9 @@ impl NewObject {
     }
 
     fn into_view(self, addr: PhysAddr) -> Result<ObjectView> {
-        let ref_cap = if self.ref_cap == 0 {
-            self.refs.len() as u16
-        } else {
-            self.ref_cap
-        };
-        let payload_cap = if self.payload_cap == 0 {
-            self.payload.len() as u16
-        } else {
-            self.payload_cap
-        };
+        let cap = |cap: u16, len: usize| if cap == 0 { len as u16 } else { cap };
+        let ref_cap = cap(self.ref_cap, self.refs.len());
+        let payload_cap = cap(self.payload_cap, self.payload.len());
         if self.refs.len() > ref_cap as usize {
             return Err(Error::RefCapacityExceeded(addr));
         }
@@ -81,28 +74,26 @@ impl NewObject {
 
 /// The vectors a transaction fills, handed from one transaction to the
 /// next on a thread.
+#[derive(Default)]
 struct TxnVecs {
+    /// Every lock this transaction holds, with its mode, in acquisition
+    /// order. The handle is the authority on its own locks: this module is
+    /// the only caller of the lock manager's `lock`/`try_lock`/`unlock`
+    /// for `id`, so the list and the lock table cannot disagree, and the
+    /// lock checks of reads and updates answer from here without touching
+    /// the (shared) table.
     held: Vec<(PhysAddr, LockMode)>,
     undo: Vec<LogPayload>,
     deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
+    /// The references of the object the last `Move` moved, read off its
+    /// page for the move's ERT/TRT notes ([`Txn::moved_refs`]).
     moved_refs: Vec<PhysAddr>,
-    slots: Vec<usize>,
-}
-
-impl TxnVecs {
-    const EMPTY: TxnVecs = TxnVecs {
-        held: Vec::new(),
-        undo: Vec::new(),
-        deleted_pairs: Vec::new(),
-        moved_refs: Vec::new(),
-        slots: Vec::new(),
-    };
-}
-
-impl Default for TxnVecs {
-    fn default() -> Self {
-        TxnVecs::EMPTY
-    }
+    /// Scratch: the references [`Txn::repoint_refs`] scans.
+    scanned: Vec<PhysAddr>,
+    /// The slots this transaction's `Free`s and `Move`s freed outside a
+    /// pass, held from every allocation until it commits
+    /// ([`Partition::free_held`](crate::partition::Partition::free_held)).
+    holds: Vec<PhysAddr>,
 }
 
 thread_local! {
@@ -110,7 +101,34 @@ thread_local! {
     /// emptied: a thread running one transaction after another grows them
     /// once. A transaction begun while another is open on the thread finds
     /// empty ones here, as it would have without the slot.
-    static SPARE_VECS: Cell<TxnVecs> = const { Cell::new(TxnVecs::EMPTY) };
+    static SPARE_VECS: Cell<TxnVecs> = Cell::default();
+}
+
+/// The kind of record a forward mutator logs, which names the fault sites
+/// (DESIGN.md §9.1) it hits.
+#[derive(Clone, Copy)]
+enum Kind {
+    Create,
+    Free,
+    /// `InsertRef`, `DeleteRef` or `SetRef`.
+    Ref,
+    SetPayload,
+    Move,
+}
+
+impl Kind {
+    /// The sites, in the order [`Txn::hit`] hits them: a `Move` is both a
+    /// create and a free.
+    fn sites(self) -> &'static [&'static str] {
+        const MOVE: &[&str] = &[ALLOC, ALLOC_FREE, WAL_APPEND, TRT_NOTE, ERT_NOTE];
+        match self {
+            Kind::Create => &[ALLOC, WAL_APPEND],
+            Kind::Free => &MOVE[1..],
+            Kind::Ref => &MOVE[2..],
+            Kind::SetPayload => &MOVE[2..3],
+            Kind::Move => MOVE,
+        }
+    }
 }
 
 /// Longest held-lock list that is searched by scanning it. A walker
@@ -126,24 +144,11 @@ pub struct Txn<'db> {
     id: TxnId,
     reorg_for: Option<PartitionId>,
     done: bool,
-    /// Every lock this transaction holds, with its mode, in acquisition
-    /// order. The handle is the authority on its own locks: this module is
-    /// the only caller of the lock manager's `lock`/`try_lock`/`unlock`
-    /// for `id`, so the list and the lock table cannot disagree, and the
-    /// lock checks of reads and updates answer from here without touching
-    /// the (shared) table.
-    held: Vec<(PhysAddr, LockMode)>,
-    /// Position in `held` of every address there, maintained only while
-    /// `held` is longer than [`HELD_SCAN_MAX`] (stale and unused below).
+    /// Position in `vecs.held` of every address there, maintained only
+    /// while the list is longer than [`HELD_SCAN_MAX`] (stale below).
     held_at: AddrMap<usize>,
     ever_locked: Vec<PhysAddr>,
-    undo: Vec<LogPayload>,
-    deleted_pairs: Vec<(PhysAddr, PhysAddr)>,
-    /// The references of the object the last `Move` moved, read off its
-    /// page for the move's ERT/TRT notes ([`Txn::moved_refs`]).
-    moved_refs: Vec<PhysAddr>,
-    /// Scratch: the slots [`Txn::repoint_refs`] rewrites.
-    slots: Vec<usize>,
+    vecs: TxnVecs,
 }
 
 impl Database {
@@ -165,25 +170,14 @@ impl Database {
     fn begin_internal(&self, reorg: Option<PartitionId>) -> Txn<'_> {
         let id = self.txns.begin();
         self.wal.append(id, LogPayload::Begin);
-        let TxnVecs {
-            held,
-            undo,
-            deleted_pairs,
-            moved_refs,
-            slots,
-        } = SPARE_VECS.take();
         Txn {
             db: self,
             id,
             reorg_for: reorg,
             done: false,
-            held,
             held_at: AddrMap::default(),
             ever_locked: Vec::new(),
-            undo,
-            deleted_pairs,
-            moved_refs,
-            slots,
+            vecs: SPARE_VECS.take(),
         }
     }
 }
@@ -193,10 +187,6 @@ impl<'db> Txn<'db> {
     pub fn id(&self) -> TxnId {
         self.id
     }
-
-    // ------------------------------------------------------------------
-    // Locking
-    // ------------------------------------------------------------------
 
     /// Acquire `mode` on `addr`, waiting up to the configured timeout.
     pub fn lock(&mut self, addr: PhysAddr, mode: LockMode) -> Result<()> {
@@ -216,12 +206,11 @@ impl<'db> Txn<'db> {
 
     /// Acquire without waiting; returns whether the lock was granted.
     pub fn try_lock(&mut self, addr: PhysAddr, mode: LockMode) -> bool {
-        if self.db.locks.try_lock(self.id, addr, mode) {
+        let granted = self.db.locks.try_lock(self.id, addr, mode);
+        if granted {
             self.record_lock(addr, mode);
-            true
-        } else {
-            false
         }
+        granted
     }
 
     /// Record a grant of `mode` on `addr`. A re-grant keeps the stronger
@@ -230,12 +219,12 @@ impl<'db> Txn<'db> {
         match self.held_pos(addr) {
             Some(i) => {
                 if mode == LockMode::Exclusive {
-                    self.held[i].1 = LockMode::Exclusive;
+                    self.vecs.held[i].1 = LockMode::Exclusive;
                 }
             }
             None => {
-                self.held.push((addr, mode));
-                let n = self.held.len();
+                self.vecs.held.push((addr, mode));
+                let n = self.vecs.held.len();
                 if n == HELD_SCAN_MAX + 1 {
                     self.index_held();
                 } else if n > HELD_SCAN_MAX {
@@ -260,8 +249,8 @@ impl<'db> Txn<'db> {
             return Err(Error::LockNotHeld { addr, by: self.id });
         }
         if let Some(i) = self.held_pos(addr) {
-            self.held.remove(i);
-            if self.held.len() > HELD_SCAN_MAX {
+            self.vecs.held.remove(i);
+            if self.vecs.held.len() > HELD_SCAN_MAX {
                 // Every later position shifted.
                 self.index_held();
             }
@@ -274,10 +263,10 @@ impl<'db> Txn<'db> {
     /// it. A short list is scanned newest first: the usual question is
     /// about the object locked a moment ago.
     fn held_pos(&self, addr: PhysAddr) -> Option<usize> {
-        if self.held.len() > HELD_SCAN_MAX {
+        if self.vecs.held.len() > HELD_SCAN_MAX {
             self.held_at.get(&addr).copied()
         } else {
-            self.held.iter().rposition(|(a, _)| *a == addr)
+            self.vecs.held.iter().rposition(|(a, _)| *a == addr)
         }
     }
 
@@ -286,11 +275,11 @@ impl<'db> Txn<'db> {
     fn index_held(&mut self) {
         self.held_at.clear();
         self.held_at
-            .extend(self.held.iter().enumerate().map(|(i, &(a, _))| (a, i)));
+            .extend(self.vecs.held.iter().enumerate().map(|(i, &(a, _))| (a, i)));
     }
 
     fn wrote(&self, addr: PhysAddr) -> bool {
-        self.undo.iter().any(|u| match u {
+        self.vecs.undo.iter().any(|u| match u {
             LogPayload::Create { addr: a, .. } | LogPayload::Free { addr: a, .. } => *a == addr,
             LogPayload::SetPayload { addr: a, .. } => *a == addr,
             LogPayload::Move { old, new } => *old == addr || *new == addr,
@@ -303,12 +292,12 @@ impl<'db> Txn<'db> {
 
     /// The mode this transaction holds on `addr`, if any.
     pub fn lock_mode(&self, addr: PhysAddr) -> Option<LockMode> {
-        self.held_pos(addr).map(|i| self.held[i].1)
+        self.held_pos(addr).map(|i| self.vecs.held[i].1)
     }
 
     /// The locks this transaction currently holds, in acquisition order.
     pub fn held_locks(&self) -> &[(PhysAddr, LockMode)] {
-        &self.held
+        &self.vecs.held
     }
 
     fn require(&self, addr: PhysAddr, mode: LockMode) -> Result<()> {
@@ -319,16 +308,9 @@ impl<'db> Txn<'db> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Reads
-    // ------------------------------------------------------------------
-
     /// Read the whole object (requires any lock on it).
     pub fn read(&self, addr: PhysAddr) -> Result<ObjectView> {
-        self.require(addr, LockMode::Shared)?;
-        self.db.charge_access_at(addr);
-        self.db
-            .with_page_read(addr, |buf| object::read_view(buf, addr))?
+        self.access(addr, LockMode::Shared, |buf| object::read_view(buf, addr))
     }
 
     /// Read the object's outgoing references (requires any lock).
@@ -339,68 +321,137 @@ impl<'db> Txn<'db> {
     /// [`Txn::read_refs`] without the copy: run `f` over the references
     /// where they lie, under the page latch. `f` must not re-enter the store.
     pub fn with_refs<R>(&self, addr: PhysAddr, f: impl FnOnce(object::Refs<'_>) -> R) -> Result<R> {
-        self.require(addr, LockMode::Shared)?;
-        self.db.charge_access_at(addr);
-        self.db
-            .with_page_read(addr, |buf| object::refs(buf, addr).map(f))?
+        self.access(addr, LockMode::Shared, |buf| object::refs(buf, addr).map(f))
     }
 
-    // ------------------------------------------------------------------
-    // Updates
-    // ------------------------------------------------------------------
+    /// Charge the CPU model one access to the object at `addr`, which this
+    /// transaction must hold locked in `mode`. A slot just claimed, with
+    /// nothing on it to read yet, is charged here alone.
+    fn charge(&self, addr: PhysAddr, mode: LockMode) -> Result<()> {
+        self.require(addr, mode)?;
+        self.db.charge_access_at(addr);
+        Ok(())
+    }
 
-    /// The one write path: note → append → apply. Every forward mutator
-    /// reaches it through [`Txn::update`]; rollback runs it on the inverse
-    /// of each undo entry.
-    ///
-    /// Noting first puts every pointer delete in the TRT before the pointer
-    /// is removed (Section 3.3); the X lock held on the updated object keeps
-    /// early insert-notes invisible to Find_Exact_Parents until this txn
-    /// resolves. The append before the apply is the WAL rule.
-    ///
-    /// A `Move` carries no image: its notes are `moved_refs`, which the
-    /// caller has read off `old`'s page ([`Txn::read_moved`]). The copy
-    /// gains each of them, then `old` loses them, as a `Create` of the copy
-    /// followed by a `Free` of `old` would note.
-    fn log_and_apply(&mut self, update: &LogPayload, slot_claimed: bool) -> Result<()> {
+    /// The one charged page access of every read and update: [`Txn::charge`],
+    /// then `read` over the page bytes of `addr` under its read latch.
+    fn access<R>(
+        &self,
+        addr: PhysAddr,
+        mode: LockMode,
+        read: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
+        self.charge(addr, mode)?;
+        self.db.with_page_read(addr, read)?
+    }
+
+    /// Note → append → apply a forward update, kept for rollback, or a
+    /// compensation (`forward` false). A record must never describe an
+    /// operation that did not happen, so callers check capacity and bounds
+    /// *before* building it. Noting first puts every pointer
+    /// delete in the TRT before the pointer goes (Section 3.3); the X lock
+    /// keeps early insert-notes from Find_Exact_Parents until this txn
+    /// resolves. The append before the apply is the WAL rule. A `Move`'s
+    /// notes are `moved_refs` ([`Txn::read_moved`]): the copy gains each,
+    /// then `old` loses each, as a `Create` and a `Free` would note.
+    fn apply(&mut self, update: LogPayload, forward: bool) -> Result<()> {
         let (db, id, reorg_for) = (self.db, self.id, self.reorg_for);
-        let deleted_pairs = &mut self.deleted_pairs;
+        let deleted_pairs = &mut self.vecs.deleted_pairs;
         let mut note = |action, parent, child| {
             db.note_ref_change(id, reorg_for, action, parent, child);
             if action == RefAction::Delete {
                 deleted_pairs.push((child, parent));
             }
         };
-        if let LogPayload::Move { old, new } = *update {
-            let refs = &self.moved_refs;
+        if let LogPayload::Move { old, new } = update {
+            let refs = &self.vecs.moved_refs;
             refs.iter().for_each(|&c| note(RefAction::Insert, new, c));
             refs.iter().for_each(|&c| note(RefAction::Delete, old, c));
         } else {
             update.for_each_ref_change(note);
         }
-        db.wal.append(id, update);
-        db.apply_update(update, slot_claimed)
-    }
-
-    /// Read the object at `old` for a `Move`: its references into
-    /// `moved_refs`, and its on-page size, returned. One page access.
-    fn read_moved(&mut self, old: PhysAddr) -> Result<usize> {
-        let refs = &mut self.moved_refs;
-        refs.clear();
-        self.db.with_page_read(old, |buf| {
-            let size = object::header(buf, old)?.size();
-            refs.extend(object::refs(buf, old)?);
-            Ok(size)
-        })?
-    }
-
-    /// Perform one validated forward update and remember it for rollback.
-    /// A record must never describe an operation that did not happen, so
-    /// callers check capacity and bounds *before* building the payload.
-    fn update(&mut self, payload: LogPayload, slot_claimed: bool) -> Result<()> {
-        self.log_and_apply(&payload, slot_claimed)?;
-        self.undo.push(payload);
+        db.wal.append(id, &update);
+        db.apply_update(&update, forward.then_some(&mut self.vecs.holds))?;
+        if forward {
+            self.vecs.undo.push(update);
+        }
         Ok(())
+    }
+
+    /// Hit the fault sites of `kind`'s record, before any mutation, so an
+    /// injected failure leaves nothing to undo.
+    fn hit(&self, kind: Kind) -> Result<()> {
+        for &site in kind.sites() {
+            self.db.fault.hit(site)?;
+        }
+        Ok(())
+    }
+
+    /// The forward path of an update to the object at `addr` (X-locked):
+    /// `kind`'s fault sites, then `build` makes the record, and the
+    /// mutator's answer, in one charged page access; the record is applied.
+    fn write<T>(
+        &mut self,
+        kind: Kind,
+        addr: PhysAddr,
+        build: impl FnOnce(&[u8]) -> Result<(LogPayload, T)>,
+    ) -> Result<T> {
+        self.require(addr, LockMode::Exclusive)?;
+        self.hit(kind)?;
+        let (record, answer) = self.access(addr, LockMode::Exclusive, build)?;
+        self.apply(record, true)?;
+        Ok(answer)
+    }
+
+    /// Refuse a workload transaction's allocation or free in a partition
+    /// under reorganization (the paper's Section 2 assumption); the
+    /// partition's own reorganizer is exempt.
+    fn check_reorg(&self, partition: PartitionId) -> Result<()> {
+        if self.reorg_for != Some(partition) && self.db.reorg_active(partition) {
+            return Err(Error::PartitionUnderReorg(partition.0));
+        }
+        Ok(())
+    }
+
+    /// Claim a slot of `size` bytes in `partition` for a new object, and
+    /// lock it X. The slot goes back on an error before its record is
+    /// logged: at `alloc.inflight`, or when the lock is refused (a reader
+    /// may lock the address of an object freed before). A crash there
+    /// leaves the claim in flight for recovery.
+    fn claim(&mut self, partition: PartitionId, size: usize) -> Result<PhysAddr> {
+        let part = self.db.partition_ref(partition)?;
+        let addr = part.allocate(size)?;
+        let (db, id) = (self.db, self.id);
+        let locked = db.fault.hit(site::ALLOC_INFLIGHT);
+        if let Err(e) = locked.and_then(|()| db.locks.lock(id, addr, LockMode::Exclusive)) {
+            let _ = part.free(addr);
+            return Err(e);
+        }
+        self.record_lock(addr, LockMode::Exclusive);
+        Ok(addr)
+    }
+
+    /// Repoint every slot of `parent` (X-locked) that `refs`, its references
+    /// as read under that lock, says names `old` at `new`: one `SetRef`
+    /// each, without a second read. Returns how many there were.
+    fn repoint(
+        &mut self,
+        parent: PhysAddr,
+        old: PhysAddr,
+        new: PhysAddr,
+        refs: &[PhysAddr],
+    ) -> Result<usize> {
+        let slots = refs.iter().enumerate().filter(|&(_, &r)| r == old);
+        for (index, _) in slots.clone() {
+            let update = LogPayload::SetRef {
+                parent,
+                index,
+                old_child: old,
+                new_child: new,
+            };
+            self.apply(update, true)?;
+        }
+        Ok(slots.count())
     }
 
     /// Create an object in `partition`. The new object is created
@@ -410,58 +461,30 @@ impl<'db> Txn<'db> {
     /// transactions (the paper's Section 2 assumption); reorganizer
     /// transactions are exempt (they create the migrated copies).
     pub fn create_object(&mut self, partition: PartitionId, spec: NewObject) -> Result<PhysAddr> {
-        if self.reorg_for != Some(partition) && self.db.reorg_active(partition) {
-            return Err(Error::PartitionUnderReorg(partition.0));
-        }
-        // Fault sites are checked before any mutation so an injected failure
-        // leaves nothing to undo.
-        self.db.fault.hit(site::ALLOC)?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.charge_access();
-        let part = self.db.partition_ref(partition)?;
-        // Capacity validation needs an address for error reporting; compute
-        // the view first against a placeholder, then allocate for real.
-        let probe = PhysAddr::new(partition, 0, 0);
-        let view = spec.into_view(probe)?;
-        let addr = part.allocate(view.size())?;
-        // Mid-allocation site: the slot is claimed in the directory but
-        // nothing is logged or initialized yet. On an error action the
-        // slot is returned before unwinding (nothing to undo); a crash
-        // action latches and leaves the claim in flight for recovery.
-        if let Err(e) = self.db.fault.hit(site::ALLOC_INFLIGHT) {
-            let _ = part.free(addr);
-            return Err(e);
-        }
-        self.db.locks.lock(self.id, addr, LockMode::Exclusive)?;
-        self.record_lock(addr, LockMode::Exclusive);
-        self.update(LogPayload::Create { addr, image: view }, true)?;
+        self.check_reorg(partition)?;
+        self.hit(Kind::Create)?;
+        // Capacity errors name the partition's first address: the object
+        // has none until its slot is claimed.
+        let image = spec.into_view(PhysAddr::new(partition, 0, 0))?;
+        let addr = self.claim(partition, image.size())?;
+        self.charge(addr, LockMode::Exclusive)?;
+        self.apply(LogPayload::Create { addr, image }, true)?;
         self.db.stats.creates.inc();
         Ok(addr)
     }
 
     /// Delete an object (requires an exclusive lock). Its outgoing
-    /// references are reference deletions for TRT/ERT purposes. The final
-    /// image becomes the `Free` record's undo value.
-    ///
-    /// Rejected for workload transactions in a partition under
-    /// reorganization, like creation: the pass drops the pages it empties
-    /// when it ends, so a delete it never saw could not be rolled back
-    /// after that.
+    /// references are reference deletions for TRT/ERT purposes, and its
+    /// final image is the `Free` record's undo value. Its slot is reused
+    /// only once this transaction commits. Rejected like a creation in a
+    /// partition under reorganization: the pass drops the pages it empties,
+    /// so a delete it never saw could not be rolled back after that.
     pub fn delete_object(&mut self, addr: PhysAddr) -> Result<()> {
-        self.require(addr, LockMode::Exclusive)?;
-        let partition = addr.partition();
-        if self.reorg_for != Some(partition) && self.db.reorg_active(partition) {
-            return Err(Error::PartitionUnderReorg(partition.0));
-        }
-        self.db.fault.hit(site::ALLOC_FREE)?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.fault.hit(site::TRT_NOTE)?;
-        self.db.fault.hit(site::ERT_NOTE)?;
-        self.db.charge_access_at(addr);
-        let image = self
-            .db
-            .with_page_read(addr, |buf| object::read_view(buf, addr))??;
-        self.update(LogPayload::Free { addr, image }, false)?;
+        self.check_reorg(addr.partition())?;
+        self.write(Kind::Free, addr, |buf| {
+            let image = object::read_view(buf, addr)?;
+            Ok((LogPayload::Free { addr, image }, ()))
+        })?;
         self.db.stats.frees.inc();
         Ok(())
     }
@@ -469,144 +492,90 @@ impl<'db> Txn<'db> {
     /// Append a reference `parent -> child` (requires X on `parent`),
     /// returning its index.
     pub fn insert_ref(&mut self, parent: PhysAddr, child: PhysAddr) -> Result<usize> {
-        self.require(parent, LockMode::Exclusive)?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.fault.hit(site::TRT_NOTE)?;
-        self.db.fault.hit(site::ERT_NOTE)?;
-        self.db.charge_access_at(parent);
-        let header = self
-            .db
-            .with_page_read(parent, |buf| object::header(buf, parent))??;
-        if header.nrefs >= header.ref_cap {
-            return Err(Error::RefCapacityExceeded(parent));
-        }
-        // The X lock keeps the index stable until the update lands.
-        let index = header.nrefs as usize;
-        self.update(
-            LogPayload::InsertRef {
+        self.write(Kind::Ref, parent, |buf| {
+            let header = object::header(buf, parent)?;
+            if header.nrefs >= header.ref_cap {
+                return Err(Error::RefCapacityExceeded(parent));
+            }
+            // The X lock keeps the index stable until the update lands.
+            let index = header.nrefs as usize;
+            let update = LogPayload::InsertRef {
                 parent,
                 child,
                 index,
-            },
-            false,
-        )?;
-        Ok(index)
+            };
+            Ok((update, index))
+        })
     }
 
     /// Delete the first reference `parent -> child` (requires X on
     /// `parent`), returning its former index.
     pub fn delete_ref(&mut self, parent: PhysAddr, child: PhysAddr) -> Result<usize> {
-        self.require(parent, LockMode::Exclusive)?;
-        let index = self
-            .db
-            .with_page_read(parent, |buf| object::find_ref(buf, parent, child))??
-            .ok_or(Error::NoSuchRef { parent, child })?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.fault.hit(site::TRT_NOTE)?;
-        self.db.fault.hit(site::ERT_NOTE)?;
-        self.db.charge_access_at(parent);
-        self.update(
-            LogPayload::DeleteRef {
+        self.write(Kind::Ref, parent, |buf| {
+            let index =
+                object::find_ref(buf, parent, child)?.ok_or(Error::NoSuchRef { parent, child })?;
+            let update = LogPayload::DeleteRef {
                 parent,
                 child,
                 index,
-            },
-            false,
-        )?;
-        Ok(index)
+            };
+            Ok((update, index))
+        })
     }
 
     /// Overwrite the reference at `index` of `parent` (requires X),
     /// returning the old child. Semantically a delete of the old reference
     /// plus an insert of the new one.
-    pub fn set_ref(
-        &mut self,
-        parent: PhysAddr,
-        index: usize,
-        new_child: PhysAddr,
-    ) -> Result<PhysAddr> {
-        self.require(parent, LockMode::Exclusive)?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.fault.hit(site::TRT_NOTE)?;
-        self.db.fault.hit(site::ERT_NOTE)?;
-        self.db.charge_access_at(parent);
-        let old_child = self
-            .db
-            .with_page_read(parent, |buf| object::ref_at(buf, parent, index))??;
-        self.update(
-            LogPayload::SetRef {
+    pub fn set_ref(&mut self, parent: PhysAddr, index: usize, child: PhysAddr) -> Result<PhysAddr> {
+        self.write(Kind::Ref, parent, |buf| {
+            let old_child = object::ref_at(buf, parent, index)?;
+            let update = LogPayload::SetRef {
                 parent,
                 index,
                 old_child,
-                new_child,
-            },
-            false,
-        )?;
-        Ok(old_child)
+                new_child: child,
+            };
+            Ok((update, old_child))
+        })
     }
 
     /// Repoint every reference of `parent` (requires X) to `old` at `new`,
     /// returning how many there were: one scan under the page latch finds
     /// the slots, and each becomes a `SetRef` without a second read — the
-    /// X lock keeps them as scanned until the updates land.
+    /// X lock keeps them as scanned until the updates land. With none to
+    /// repoint, no fault site is hit.
     pub fn repoint_refs(
         &mut self,
         parent: PhysAddr,
         old: PhysAddr,
         new: PhysAddr,
     ) -> Result<usize> {
-        self.require(parent, LockMode::Exclusive)?;
-        self.db.charge_access_at(parent);
-        let mut slots = take(&mut self.slots);
-        slots.clear();
+        let mut refs = take(&mut self.vecs.scanned);
+        refs.clear();
         let repointed = self
-            .db
-            .with_page_read(parent, |buf| {
-                object::refs(buf, parent).map(|refs| {
-                    slots.extend(refs.enumerate().filter(|&(_, r)| r == old).map(|(i, _)| i))
-                })
+            .access(parent, LockMode::Exclusive, |buf| {
+                refs.extend(object::refs(buf, parent)?);
+                Ok(())
             })
-            .and_then(|scanned| scanned)
-            .and_then(|()| {
-                if !slots.is_empty() {
-                    for site in [site::WAL_APPEND, site::TRT_NOTE, site::ERT_NOTE] {
-                        self.db.fault.hit(site)?;
-                    }
-                }
-                for &index in &slots {
-                    let update = LogPayload::SetRef {
-                        parent,
-                        index,
-                        old_child: old,
-                        new_child: new,
-                    };
-                    self.update(update, false)?;
-                }
-                Ok(slots.len())
-            });
-        self.slots = slots;
+            .and_then(|()| match refs.contains(&old) {
+                true => self.hit(Kind::Ref),
+                false => Ok(()),
+            })
+            .and_then(|()| self.repoint(parent, old, new, &refs));
+        self.vecs.scanned = refs;
         repointed
     }
 
     /// Replace the payload of `addr` (requires X).
     pub fn set_payload(&mut self, addr: PhysAddr, payload: &[u8]) -> Result<()> {
-        self.require(addr, LockMode::Exclusive)?;
-        self.db.fault.hit(site::WAL_APPEND)?;
-        self.db.charge_access_at(addr);
-        let old = self.db.with_page_read(addr, |buf| {
-            if payload.len() > object::header(buf, addr)?.payload_cap as usize {
+        let new = payload.to_vec();
+        self.write(Kind::SetPayload, addr, |buf| {
+            if new.len() > object::header(buf, addr)?.payload_cap as usize {
                 return Err(Error::PayloadCapacityExceeded(addr));
             }
-            object::payload(buf, addr).map(<[u8]>::to_vec)
-        })??;
-        self.update(
-            LogPayload::SetPayload {
-                addr,
-                old,
-                new: payload.to_vec(),
-            },
-            false,
-        )?;
+            let old = object::payload(buf, addr)?.to_vec();
+            Ok((LogPayload::SetPayload { addr, old, new }, ()))
+        })?;
         self.db.stats.payload_writes.inc();
         Ok(())
     }
@@ -615,84 +584,61 @@ impl<'db> Txn<'db> {
     /// has copied it: a root naming `old` names `new` from here on, and
     /// `old` again if this transaction rolls back.
     pub fn log_migration(&mut self, old: PhysAddr, new: PhysAddr) -> Result<()> {
-        self.update(LogPayload::Migrate { old, new }, false)
+        self.apply(LogPayload::Migrate { old, new }, true)
+    }
+
+    /// Read the object at `old` (X-locked) for a `Move`: its references
+    /// into `moved_refs`, and its on-page size, returned.
+    fn read_moved(&mut self, old: PhysAddr) -> Result<usize> {
+        let mut refs = take(&mut self.vecs.moved_refs);
+        refs.clear();
+        let size = self.access(old, LockMode::Exclusive, |buf| {
+            refs.extend(object::refs(buf, old)?);
+            Ok(object::header(buf, old)?.size())
+        });
+        self.vecs.moved_refs = refs;
+        size
     }
 
     /// Move the object at `old` (requires X) to a fresh slot in
     /// `partition`, returning its new address, exclusively locked: one
     /// `Move` record copies the bytes, frees `old` and carries a root
-    /// naming `old` over to the copy, and the copy's references to itself
-    /// are repointed at it. Other objects' references to `old` are the
-    /// caller's to repoint; [`Txn::moved_refs`] lists what the copy holds.
-    ///
-    /// Subject to the rules of both halves: outside the reorganizer of the
-    /// partition concerned, neither the source nor the target partition
-    /// may be under reorganization.
+    /// naming `old` over to the copy, whose references to itself are then
+    /// repointed. Other objects' references to `old` are the caller's to
+    /// repoint ([`Txn::moved_refs`]). Subject to the rules of both halves:
+    /// outside its reorganizer, neither partition may be under one.
     pub fn move_object(&mut self, old: PhysAddr, partition: PartitionId) -> Result<PhysAddr> {
         self.require(old, LockMode::Exclusive)?;
-        for p in [old.partition(), partition] {
-            if self.reorg_for != Some(p) && self.db.reorg_active(p) {
-                return Err(Error::PartitionUnderReorg(p.0));
-            }
-        }
-        // Both halves' fault sites, before any mutation.
-        for site in [
-            site::ALLOC,
-            site::ALLOC_FREE,
-            site::WAL_APPEND,
-            site::TRT_NOTE,
-            site::ERT_NOTE,
-        ] {
-            self.db.fault.hit(site)?;
-        }
-        // Two accesses, like the read of `old` and the write of the copy.
-        self.db.charge_access_at(old);
+        self.check_reorg(old.partition())?;
+        self.check_reorg(partition)?;
+        self.hit(Kind::Move)?;
+        // Two accesses: the read of `old` and the write of the copy.
         let size = self.read_moved(old)?;
-        let part = self.db.partition_ref(partition)?;
-        let new = part.allocate(size)?;
-        self.db.charge_access_at(new);
-        // As in `create_object`: the claimed slot is returned on an error
-        // action, left in flight by a crash.
-        if let Err(e) = self.db.fault.hit(site::ALLOC_INFLIGHT) {
-            let _ = part.free(new);
-            return Err(e);
-        }
-        self.db.locks.lock(self.id, new, LockMode::Exclusive)?;
-        self.record_lock(new, LockMode::Exclusive);
-        self.update(LogPayload::Move { old, new }, true)?;
+        let new = self.claim(partition, size)?;
+        self.charge(new, LockMode::Exclusive)?;
+        self.apply(LogPayload::Move { old, new }, true)?;
         self.db.stats.creates.inc();
         self.db.stats.frees.inc();
-        // The notes read the moved references; the bytes were copied as
-        // they are, so a self-reference still names `old`.
-        for index in 0..self.moved_refs.len() {
-            if self.moved_refs[index] == old {
-                let update = LogPayload::SetRef {
-                    parent: new,
-                    index,
-                    old_child: old,
-                    new_child: new,
-                };
-                self.update(update, false)?;
-            }
-        }
-        Ok(new)
+        // The bytes were copied as they are, so a self-reference still
+        // names `old`.
+        let refs = take(&mut self.vecs.moved_refs);
+        let repointed = self.repoint(new, old, new, &refs);
+        self.vecs.moved_refs = refs;
+        repointed.map(|_| new)
     }
 
     /// The references of the object this transaction's last
     /// [`Txn::move_object`] moved, in slot order as the move read them: a
     /// reference to itself names its old address here.
     pub fn moved_refs(&self) -> &[PhysAddr] {
-        &self.moved_refs
+        &self.vecs.moved_refs
     }
 
-    // ------------------------------------------------------------------
-    // Completion
-    // ------------------------------------------------------------------
-
     /// Commit: log `Commit`, force the log if this transaction updated
-    /// anything, apply the Section 4.5 TRT purges, release all locks. A
-    /// transaction that updated nothing has nothing to make durable, and
-    /// under strict 2PL whatever it read was forced by its writer's commit.
+    /// anything, apply the Section 4.5 TRT purges, hand the slots it freed
+    /// to the allocator, release all locks. A transaction that updated
+    /// nothing has nothing to make durable, and under strict 2PL whatever
+    /// it read was forced by its writer's commit.
     ///
     /// An injected `wal.commit_flush` fault fails the commit *before* the
     /// commit record is appended; the handle is then dropped, which rolls
@@ -700,11 +646,12 @@ impl<'db> Txn<'db> {
     pub fn commit(mut self) -> Result<()> {
         self.db.fault.hit(site::WAL_COMMIT_FLUSH)?;
         let lsn = self.db.wal.append(self.id, LogPayload::Commit);
-        if !self.undo.is_empty() {
+        if !self.vecs.undo.is_empty() {
             self.db.wal.flush(lsn);
         }
         self.db
-            .purge_trt_for_txn(self.id, true, &self.deleted_pairs);
+            .purge_trt_for_txn(self.id, true, &self.vecs.deleted_pairs);
+        self.db.release_slots(&self.vecs.holds);
         self.finish();
         self.db.stats.commits.inc();
         Ok(())
@@ -716,44 +663,37 @@ impl<'db> Txn<'db> {
         self.rollback();
     }
 
+    /// Undo every update, newest first. The slots this transaction freed
+    /// are still held for it, so each compensating `Create` or `Move`
+    /// finds its slot free.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: undo runs under the txn's X locks; a failure is corruption"
+    )]
     fn rollback(&mut self) {
         if self.done {
             return;
         }
-        while let Some(op) = self.undo.pop() {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: only update records are pushed on the undo chain"
-            )]
+        while let Some(op) = self.vecs.undo.pop() {
             let compensation = op
                 .inverse()
                 .expect("invariant: the undo chain holds only update records");
-            // Rollback of operations on objects we hold X locks on cannot
-            // fail; failures here indicate storage corruption.
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: a move's copy stays live, under its X lock, until undone"
-            )]
             if let LogPayload::Move { old, .. } = compensation {
                 self.read_moved(old)
                     .expect("invariant: a moved object is live at its new address");
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: undo runs under the txn's X locks; a failure is corruption"
-            )]
-            self.log_and_apply(&compensation, false)
+            self.apply(compensation, false)
                 .expect("invariant: rollback under held X locks cannot fail");
         }
         self.db.wal.append(self.id, LogPayload::Abort);
         self.db
-            .purge_trt_for_txn(self.id, false, &self.deleted_pairs);
+            .purge_trt_for_txn(self.id, false, &self.vecs.deleted_pairs);
         self.finish();
         self.db.stats.aborts.inc();
     }
 
     fn finish(&mut self) {
-        for &(addr, _) in &self.held {
+        for &(addr, _) in &self.vecs.held {
             self.db.locks.unlock(self.id, addr);
         }
         if !self.ever_locked.is_empty() {
@@ -761,16 +701,11 @@ impl<'db> Txn<'db> {
         }
         self.db.txns.finish(self.id);
         self.done = true;
-        let mut spare = TxnVecs {
-            held: take(&mut self.held),
-            undo: take(&mut self.undo),
-            deleted_pairs: take(&mut self.deleted_pairs),
-            moved_refs: take(&mut self.moved_refs),
-            slots: take(&mut self.slots),
-        };
+        let mut spare = take(&mut self.vecs);
         spare.held.clear();
         spare.undo.clear();
         spare.deleted_pairs.clear();
+        spare.holds.clear();
         SPARE_VECS.set(spare);
     }
 }
@@ -1201,5 +1136,150 @@ mod tests {
         rt.commit().unwrap();
         assert_eq!(trt.len(), 0);
         db.end_reorg(PartitionId(1));
+    }
+
+    /// A store whose lock waits end in 50 ms, with two partitions.
+    fn impatient_db() -> Database {
+        let db = Database::new(StoreConfig {
+            lock_timeout: std::time::Duration::from_millis(50),
+            ..StoreConfig::default()
+        });
+        db.create_partition();
+        db.create_partition();
+        db
+    }
+
+    /// An object of `mk`'s size class.
+    fn spec() -> NewObject {
+        NewObject {
+            tag: 2,
+            refs: vec![],
+            ref_cap: 8,
+            payload: vec![0xCD; 32],
+            payload_cap: 64,
+        }
+    }
+
+    #[test]
+    fn an_aborted_delete_finds_its_slot_unclaimed() {
+        let db = impatient_db();
+        let a = mk(&db, 0, vec![]);
+        let mut t1 = db.begin();
+        t1.lock(a, LockMode::Exclusive).unwrap();
+        t1.delete_object(a).unwrap();
+        // The freed slot is t1's until it commits: a create of the same
+        // size class is handed another one, and does not wait on t1.
+        let mut t2 = db.begin();
+        let b = t2.create_object(PartitionId(0), spec());
+        t1.abort();
+        assert_ne!(b.unwrap(), a);
+        t2.commit().unwrap();
+        assert_eq!(db.raw_read(a).unwrap().payload, vec![0xAB; 32]);
+        crate::sweep::assert_database_consistent(&db);
+    }
+
+    #[test]
+    fn a_create_whose_lock_fails_gives_its_slot_back() {
+        let db = impatient_db();
+        let part = db.partition(PartitionId(0)).unwrap();
+        // Every object the directory lists reads back: no slot is left
+        // claimed without an object on it.
+        let all_read = || {
+            part.live_objects()
+                .into_iter()
+                .try_for_each(|o| db.raw_read(o).map(drop))
+        };
+        let a = mk(&db, 0, vec![]);
+        let mut t1 = db.begin();
+        t1.lock(a, LockMode::Exclusive).unwrap();
+        t1.delete_object(a).unwrap();
+        let mut t2 = db.begin();
+        let b = t2.create_object(PartitionId(0), spec());
+        t1.commit().unwrap();
+        all_read().unwrap();
+        assert_ne!(b.unwrap(), a, "a slot is held until its freer commits");
+        t2.commit().unwrap();
+        // Committed, `a`'s slot heads its free list. A reader that still
+        // locks the stale address makes the next create's X lock time out,
+        // and the create must give the slot back.
+        let mut reader = db.begin();
+        reader.lock(a, LockMode::Shared).unwrap();
+        let mut t3 = db.begin();
+        assert!(matches!(
+            t3.create_object(PartitionId(0), spec()),
+            Err(Error::LockTimeout { .. })
+        ));
+        t3.commit().unwrap();
+        reader.commit().unwrap();
+        all_read().unwrap();
+        assert_eq!(part.object_count(), 1);
+        let mut t4 = db.begin();
+        assert_eq!(t4.create_object(PartitionId(0), spec()).unwrap(), a);
+        t4.commit().unwrap();
+        crate::sweep::assert_database_consistent(&db);
+    }
+
+    /// Each forward mutator hits every fault site of its record's kind
+    /// (DESIGN.md §9.1) before it changes anything: a permanent fault at
+    /// the site's first hit fails the call, leaves the store as it was, and
+    /// the transaction still commits.
+    #[test]
+    fn a_fault_at_any_site_of_a_mutator_changes_nothing() {
+        use crate::fault::{FaultAction, FaultPlan, FaultRule};
+        type Call = fn(&mut Txn<'_>, [PhysAddr; 3]) -> Result<()>;
+        const REF: &[&str] = &[WAL_APPEND, TRT_NOTE, ERT_NOTE];
+        let free: &[&str] = &[ALLOC_FREE, WAL_APPEND, TRT_NOTE, ERT_NOTE];
+        let moves: &[&str] = &[ALLOC, ALLOC_FREE, WAL_APPEND, TRT_NOTE, ERT_NOTE];
+        let cases: [(&str, &[&str], Call); 8] = [
+            ("create_object", &[ALLOC, WAL_APPEND], |t, _| {
+                t.create_object(PartitionId(0), spec()).map(drop)
+            }),
+            ("delete_object", free, |t, [a, ..]| t.delete_object(a)),
+            ("insert_ref", REF, |t, [a, _, c]| {
+                t.insert_ref(a, c).map(drop)
+            }),
+            ("delete_ref", REF, |t, [a, b, _]| {
+                t.delete_ref(a, b).map(drop)
+            }),
+            ("set_ref", REF, |t, [a, _, c]| t.set_ref(a, 0, c).map(drop)),
+            ("repoint_refs", REF, |t, [a, b, c]| {
+                t.repoint_refs(a, b, c).map(drop)
+            }),
+            ("set_payload", &[WAL_APPEND], |t, [a, ..]| {
+                t.set_payload(a, b"new")
+            }),
+            ("move_object", moves, |t, [a, ..]| {
+                t.move_object(a, PartitionId(0)).map(drop)
+            }),
+        ];
+        let state = |db: &Database| {
+            let parts = [0, 1].map(|p| {
+                let part = db.partition(PartitionId(p)).unwrap();
+                let objects = crate::sweep::sweep_objects(db, PartitionId(p));
+                let ert = part.ert.snapshot();
+                (part.object_count(), part.space_stats(), objects, ert)
+            });
+            (parts, db.wal.stats.records.get())
+        };
+        for (name, sites, call) in cases {
+            for &site in sites {
+                let db = db();
+                let (b, c) = (mk(&db, 1, vec![]), mk(&db, 1, vec![]));
+                let a = mk(&db, 0, vec![b]);
+                let mut t = db.begin();
+                t.lock(a, LockMode::Exclusive).unwrap();
+                let before = state(&db);
+                let rule = FaultRule::nth(site, 1, FaultAction::Permanent);
+                db.fault.arm(FaultPlan::new(0).with(rule));
+                let failed = call(&mut t, [a, b, c]);
+                db.fault.disarm();
+                assert!(
+                    matches!(failed, Err(Error::Injected { site: s, .. }) if s == site),
+                    "{name} at {site}: {failed:?}"
+                );
+                assert!(state(&db) == before, "{name} at {site} changed the store");
+                t.commit().unwrap();
+            }
+        }
     }
 }

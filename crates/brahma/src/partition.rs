@@ -67,11 +67,12 @@ fn slots_per_page(class: usize) -> usize {
 struct PageMeta {
     /// Size class owned by this page; `None` for a spare page.
     class: Option<u8>,
-    /// Used-slot bitmap (`slots_per_page` bits), set for live objects.
+    /// Used-slot bitmap (`slots_per_page` bits), set for live objects and
+    /// for the slots a live transaction freed and holds.
     used: Vec<u64>,
     /// Requested byte size per slot; 0 means "no live object here". Object
     /// sizes are always > 0 (the header alone is 10 bytes), so 0 is an
-    /// unambiguous sentinel.
+    /// unambiguous sentinel, and a set bit with size 0 is a held slot.
     sizes: Vec<u32>,
 }
 
@@ -162,8 +163,9 @@ impl AllocState {
     }
 
     /// Look up `(class, slot)` for a live object at `(page, off)`, or
-    /// `None` if no live object sits exactly there.
-    fn locate_live(&self, page: u32, off: u16) -> Option<(usize, usize)> {
+    /// `None` if no live object sits exactly there. With `held`, the slot
+    /// must instead be one a transaction freed and holds (bit set, size 0).
+    fn locate(&self, page: u32, off: u16, held: bool) -> Option<(usize, usize)> {
         let meta = self.meta(page)?;
         let class = meta.class? as usize;
         let cs = slot_bytes(class);
@@ -171,7 +173,7 @@ impl AllocState {
             return None;
         }
         let slot = (off as u32 / cs) as usize;
-        (meta.bit(slot) && meta.sizes[slot] > 0).then_some((class, slot))
+        (meta.bit(slot) && (meta.sizes[slot] == 0) == held).then_some((class, slot))
     }
 
     /// Record a live object of `size` bytes in `slot` of a held page.
@@ -409,9 +411,10 @@ impl Partition {
         };
         let cs = slot_bytes(class as usize);
         let slot = (off / cs) as usize;
-        if !off.is_multiple_of(cs) || size as u32 > cs || meta.bit(slot) {
+        if !off.is_multiple_of(cs) || size as u32 > cs || meta.sizes[slot] > 0 {
             // Misaligned for the page's class, too big for its slots, or
-            // taken: no such carve is possible.
+            // live: no such carve is possible. A held slot is the undo of
+            // its freer's `Free` or `Move` coming back.
             return Err(Error::NoSuchObject(addr));
         }
         st.claim(page, slot, size);
@@ -421,20 +424,50 @@ impl Partition {
     /// Release the object's slot back to its class free list. The caller
     /// must already have scrubbed the object bytes under the page latch.
     pub fn free(&self, addr: PhysAddr) -> Result<u32> {
+        self.unclaim(addr, false).map(|(size, _)| size)
+    }
+
+    /// [`Partition::free`] for a transaction's forward `Free` or `Move`:
+    /// outside a pass the object is gone at once but its slot is *held*,
+    /// reused by no allocation until [`Partition::release`] after the
+    /// freer commits, so the freer's rollback finds it where it left it.
+    /// Inside a pass no free list is popped, so the slot goes straight
+    /// back. Returns whether the slot is held.
+    pub(crate) fn free_held(&self, addr: PhysAddr) -> Result<bool> {
+        self.unclaim(addr, true).map(|(_, held)| held)
+    }
+
+    /// Take the live object at `addr` out of the directory, returning its
+    /// size and whether its slot is held (`hold`, outside a pass) rather
+    /// than pushed on its class free list.
+    fn unclaim(&self, addr: PhysAddr, hold: bool) -> Result<(u32, bool)> {
         debug_assert_eq!(addr.partition(), self.id);
         let mut guard = self.alloc.lock();
         let st = &mut *guard;
-        let Some((class, slot)) = st.locate_live(addr.page(), addr.offset()) else {
+        let Some((class, slot)) = st.locate(addr.page(), addr.offset(), false) else {
             return Err(Error::NoSuchObject(addr));
         };
+        let held = hold && st.floor.is_none();
         let meta = st.at(addr.page());
-        let size = meta.sizes[slot];
-        meta.sizes[slot] = 0;
-        meta.clear_bit(slot);
-        st.free_lists[class].push((addr.page(), slot as u16));
+        let size = std::mem::take(&mut meta.sizes[slot]);
+        if !held {
+            meta.clear_bit(slot);
+            st.free_lists[class].push((addr.page(), slot as u16));
+        }
         st.live -= 1;
         st.used_bytes -= size as u64;
-        Ok(size)
+        Ok((size, held))
+    }
+
+    /// Hand a slot held by [`Partition::free_held`] to the allocator, once
+    /// its freer has committed. A slot no longer held is left alone.
+    pub(crate) fn release(&self, addr: PhysAddr) {
+        let mut guard = self.alloc.lock();
+        let st = &mut *guard;
+        if let Some((class, slot)) = st.locate(addr.page(), addr.offset(), true) {
+            st.at(addr.page()).clear_bit(slot);
+            st.free_lists[class].push((addr.page(), slot as u16));
+        }
     }
 
     /// Open a reorganization pass and return its *floor*, the number the
@@ -528,7 +561,7 @@ impl Partition {
     /// it — derived from the address alone: page → class → slot.
     pub fn object_size(&self, addr: PhysAddr) -> Option<u32> {
         let st = self.alloc.lock();
-        let (_, slot) = st.locate_live(addr.page(), addr.offset())?;
+        let (_, slot) = st.locate(addr.page(), addr.offset(), false)?;
         Some(st.meta(addr.page())?.sizes[slot])
     }
 

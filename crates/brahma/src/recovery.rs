@@ -220,7 +220,7 @@ fn redo_record(db: &Database, payload: &LogPayload) -> Result<()> {
         LogPayload::ReorgEnd { partition, base } => {
             db.partition_ref(*partition)?.redo_end_pass(*base)
         }
-        update => db.apply_update(update, false),
+        update => db.apply_update(update, None),
     }
 }
 
@@ -262,11 +262,11 @@ fn finish_migrations(db: &Database, unfinished: &AddrMap<PhysAddr>) -> Result<()
         }
     }
     for update in &repoints {
-        db.apply_update(update, false)?;
+        db.apply_update(update, None)?;
     }
     for &addr in pairs.keys() {
         let image = db.raw_read(addr)?;
-        db.apply_update(&LogPayload::Free { addr, image }, false)?;
+        db.apply_update(&LogPayload::Free { addr, image }, None)?;
     }
     Ok(())
 }

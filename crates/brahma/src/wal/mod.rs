@@ -88,8 +88,8 @@ pub enum LogPayload {
     /// The whole move of one object: `old`'s bytes are copied to the slot
     /// at `new`, `old` is freed, and a root that named `old` names `new`.
     /// The record holds no image: REDO finds `old`'s bytes on its page at
-    /// this LSN (repeating history), and a pass never reuses a slot below
-    /// its floor, so UNDO finds `old`'s slot free.
+    /// this LSN (repeating history), and no slot is reused before the
+    /// transaction that freed it commits, so UNDO finds `old`'s slot free.
     Move { old: PhysAddr, new: PhysAddr },
 }
 
@@ -173,7 +173,7 @@ impl LogPayload {
     /// stored reference. A re-inserted reference — the compensation of a
     /// delete — is an insert like any other (Section 4.5). A `Move` names
     /// no reference: its changes are `old`'s references, which only the
-    /// page holds (`Txn::log_and_apply` reads them there).
+    /// page holds (`Txn::apply` reads them there).
     pub(crate) fn for_each_ref_change(&self, mut f: impl FnMut(RefAction, PhysAddr, PhysAddr)) {
         match self {
             LogPayload::Create { addr, image } => image

@@ -108,10 +108,8 @@ impl CopySource {
                 payload_cap: self.image.payload_cap,
             },
         )?;
-        for (i, r) in self.image.refs.iter().enumerate() {
-            if *r == self.oold {
-                txn.set_ref(onew, i, onew)?;
-            }
+        if self.image.refs.contains(&self.oold) {
+            txn.repoint_refs(onew, self.oold, onew)?;
         }
         Ok(onew)
     }

@@ -173,8 +173,7 @@ impl PagedCpuModel {
 
 impl CpuCharge for PagedCpuModel {
     fn access(&self) {
-        // No address: CPU work only (e.g. object creation, which has no
-        // page until the allocator places it).
+        // No address: CPU work only.
         self.cpu.access();
     }
 
